@@ -25,13 +25,15 @@
 # proving the transactional make-before-break rollout engine survives
 # faults injected at every op boundary with zero torn serving states,
 # exercises both terminals (commit and rollback), and resumes every
-# interrupted rollout from its journal.
+# interrupted rollout from its journal, and the whole-lifecycle
+# benchmark's smoke run proving every workload still deploys, heals and
+# replays through the facade with all output checks green.
 
 GO ?= go
 
-.PHONY: check lint vet fmt-check hermeslint build test race bench-smoke bench bench-json replan-smoke core-smoke chaos-smoke shard-smoke equiv-smoke traffic-smoke regionreplan-smoke rollout-smoke bench-core-json bench-compare bench-survive-json bench-survive-compare bench-shard-json bench-shard-compare bench-equiv-json bench-equiv-compare bench-traffic-json bench-traffic-compare bench-regionreplan-json bench-regionreplan-compare bench-rollout-json bench-rollout-compare profile
+.PHONY: check lint vet fmt-check hermeslint build test race bench-smoke bench bench-json replan-smoke core-smoke chaos-smoke shard-smoke equiv-smoke traffic-smoke regionreplan-smoke rollout-smoke bench-core-json bench-compare bench-survive-json bench-survive-compare bench-shard-json bench-shard-compare bench-equiv-json bench-equiv-compare bench-traffic-json bench-traffic-compare bench-regionreplan-json bench-regionreplan-compare bench-rollout-json bench-rollout-compare benchmark benchmark-smoke profile
 
-check: lint build race bench-smoke replan-smoke core-smoke chaos-smoke shard-smoke equiv-smoke traffic-smoke regionreplan-smoke rollout-smoke
+check: lint build race bench-smoke replan-smoke core-smoke chaos-smoke shard-smoke equiv-smoke traffic-smoke regionreplan-smoke rollout-smoke benchmark-smoke
 
 # Static analysis gate: gofmt (no unformatted files), go vet, and the
 # repo-specific hermeslint pass (mutex/Clone conventions around the
@@ -236,6 +238,17 @@ bench-traffic-json:
 # was allocation-free.
 bench-traffic-compare:
 	$(GO) run ./cmd/hermes-bench -exp traffic -compare BENCH_traffic.json
+
+# The whole-lifecycle benchmark BENCHMARK.json declares (deploy → gated
+# deploy → heal → replay over four workloads; minutes). Every perf or
+# simplification change is judged by it: see benchmark/README.md.
+benchmark:
+	$(GO) run ./benchmark
+
+# The same phases with 2–3 ops each on shrunken inputs (seconds): all
+# output checks must pass.
+benchmark-smoke:
+	$(GO) run ./benchmark -smoke
 
 # CPU + heap profiles of the incremental replan path; inspect with
 # `go tool pprof results/cpu.pprof` / `go tool pprof results/mem.pprof`.

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	hermes "github.com/hermes-net/hermes"
+	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/experiments"
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/network"
@@ -399,5 +400,63 @@ func BenchmarkMergeFiftyPrograms(b *testing.B) {
 		if _, err := hermes.Analyze(progs, hermes.AnalyzeOptions{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEquivGateHook measures the equivalence proof where
+// production pays for it — through placement.PlanEquivHook and
+// deploy.EquivHook, which draw a pooled Checker per call — on the
+// composite:60 instance (4,218 switches, 200 synthetic programs, 16
+// shards). cold is the first proof on a graph, which compiles the
+// reference overlay and builds the Checker (what every gated Deploy
+// pays, since it analyzes a fresh graph); warm is every later proof on
+// that graph (a heal's three proofs).
+func BenchmarkEquivGateHook(b *testing.B) {
+	topo, err := network.CompositeWAN(60, network.TofinoSpec(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	progs, err := workload.SyntheticSet(200, workload.PaperSyntheticSpec(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := hermes.Deploy(progs, topo, hermes.DeployOptions{Shards: 16, Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gates := []struct {
+		name string
+		run  func(*deploy.Deployment) error
+	}{
+		{"plan", func(d *deploy.Deployment) error { return placement.PlanEquivHook(d.Plan, placement.Options{}) }},
+		{"deployment", deploy.EquivHook},
+	}
+	for _, gate := range gates {
+		b.Run(gate.name+"/cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				plan := *res.Plan
+				plan.Graph = res.Plan.Graph.Clone() // same MATs, empty memo
+				dep := *res.Deployment
+				dep.Plan = &plan
+				b.StartTimer()
+				if err := gate.run(&dep); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(gate.name+"/warm", func(b *testing.B) {
+			if err := gate.run(res.Deployment); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := gate.run(res.Deployment); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package equiv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/hermes-net/hermes/internal/analyzer"
@@ -16,7 +17,8 @@ import (
 // graph. It owns reusable scratch sized to the reference, so repeated
 // checks against the same graph are allocation-free on the green path;
 // a Checker is not safe for concurrent use (share the graph, not the
-// Checker).
+// Checker). The package-level gates and the hooks draw theirs from the
+// per-graph pool (acquire/release), so that holds for them too.
 type Checker struct {
 	ov *compiled
 
@@ -55,14 +57,25 @@ type Checker struct {
 	pairTo   []int32
 	pairBits []uint64
 
-	// Walk scratch.
-	dCnt    []int32
-	dHash   []uint64
-	dSym    []uint64
-	dLast   []int32
-	visHash []uint64
-	visLen  []int32
-	visLast []int32
+	// Walk scratch. d* is the global per-field write history; vis* is
+	// the history visible on the switch being walked — one F-sized row,
+	// reset between switches through the touched list. snap* holds, per
+	// import slot, the exporter's visible history of the delivered field
+	// as it stood when the exporter finished; expStart/expSlot group the
+	// import slots by exporting switch.
+	dCnt     []int32
+	dHash    []uint64
+	dSym     []uint64
+	dLast    []int32
+	visHash  []uint64
+	visLen   []int32
+	visLast  []int32
+	touched  []int32
+	snapHash []uint64
+	snapLen  []int32
+	snapLast []int32
+	expStart []int32
+	expSlot  []int32
 
 	// deployed remembers which artifact the scratch was lowered from,
 	// for the diagnostic pass.
@@ -71,23 +84,61 @@ type Checker struct {
 }
 
 // NewChecker compiles the reference graph (memoized on the graph) and
-// returns a reusable checker for it.
+// returns a reusable checker for it, owned by the caller.
 func NewChecker(ref *tdg.Graph) (*Checker, error) {
 	ov, err := compile(ref)
 	if err != nil {
 		return nil, err
 	}
+	return newChecker(ov), nil
+}
+
+func newChecker(ov *compiled) *Checker {
+	f := len(ov.fieldNames)
 	return &Checker{
 		ov:      ov,
 		swOf:    map[network.SwitchID]int32{},
 		firstSt: map[string]int32{},
 		pairIdx: map[int64]int32{},
-		dCnt:    make([]int32, len(ov.fieldNames)),
-		dHash:   make([]uint64, len(ov.fieldNames)),
-		dSym:    make([]uint64, len(ov.fieldNames)),
-		dLast:   make([]int32, len(ov.fieldNames)),
+		dCnt:    make([]int32, f),
+		dHash:   make([]uint64, f),
+		dSym:    make([]uint64, f),
+		dLast:   make([]int32, f),
+		visHash: make([]uint64, f),
+		visLen:  make([]int32, f),
+		visLast: make([]int32, f),
 		seenCnt: make([]int32, len(ov.names)),
-	}, nil
+	}
+}
+
+// acquire draws an idle Checker for ref from the pool kept on the
+// compiled overlay, building one when none is idle. The pool lives and
+// dies with the overlay: a graph mutation clears the memo, and the
+// next gate compiles afresh with an empty pool.
+func acquire(ref *tdg.Graph) (*Checker, error) {
+	ov, err := compile(ref)
+	if err != nil {
+		return nil, err
+	}
+	ov.poolMu.Lock()
+	defer ov.poolMu.Unlock()
+	if n := len(ov.pool); n > 0 {
+		c := ov.pool[n-1]
+		ov.pool[n-1] = nil
+		ov.pool = ov.pool[:n-1]
+		return c, nil
+	}
+	return newChecker(ov), nil
+}
+
+// release returns an acquired Checker to its overlay's pool. The
+// lowered artifact is dropped first so an idle checker pins neither a
+// deployment nor a plan.
+func (c *Checker) release() {
+	c.dep, c.plan = nil, nil
+	c.ov.poolMu.Lock()
+	defer c.ov.poolMu.Unlock()
+	c.ov.pool = append(c.ov.pool, c)
 }
 
 // Reference returns the graph this checker proves against.
@@ -97,7 +148,7 @@ func (c *Checker) Reference() *tdg.Graph { return c.ov.g }
 // symbolically proven equivalent to the single-box reference for every
 // program; otherwise the error folds the error-severity findings (use
 // Diagnose for the full report). Steady-state green checks allocate
-// nothing.
+// nothing, on a held Checker and through the pooled gates alike.
 func (c *Checker) Check(dep *deploy.Deployment) error {
 	if err := c.lowerDeployment(dep); err != nil {
 		return err
@@ -285,9 +336,9 @@ func (c *Checker) lowerPlan(p *placement.Plan, aopts analyzer.Options) error {
 			c.pairIdx[key] = pi
 			c.pairFrom = append(c.pairFrom, ua)
 			c.pairTo = append(c.pairTo, ub)
-			for i := 0; i < fw; i++ {
-				c.pairBits = append(c.pairBits, 0)
-			}
+			n := len(c.pairBits)
+			c.pairBits = slices.Grow(c.pairBits, fw)[:n+fw]
+			clear(c.pairBits[n:])
 		}
 		c.addCarriedFields(c.pairBits[int(pi)*fw:int(pi+1)*fw], e, aopts)
 	}
@@ -420,14 +471,8 @@ func (c *Checker) collectSwitches(p *placement.Plan) {
 func (c *Checker) orderSwitches(p *placement.Plan) {
 	u := len(c.usedIDs)
 	words := (u*u + 63) / 64
-	c.adj = c.adj[:0]
-	for i := 0; i < words; i++ {
-		c.adj = append(c.adj, 0)
-	}
-	c.indeg = c.indeg[:0]
-	for i := 0; i < u; i++ {
-		c.indeg = append(c.indeg, 0)
-	}
+	c.adj = resized(c.adj, words, 0)
+	c.indeg = resized(c.indeg, u, 0)
 	for _, e := range p.Graph.EdgeList() {
 		spa, oka := p.Assignments[e.From]
 		spb, okb := p.Assignments[e.To]
@@ -442,10 +487,7 @@ func (c *Checker) orderSwitches(p *placement.Plan) {
 		}
 	}
 	c.visit = c.visit[:0]
-	c.rank = c.rank[:0]
-	for i := 0; i < u; i++ {
-		c.rank = append(c.rank, -1)
-	}
+	c.rank = resized(c.rank, u, -1)
 	for len(c.visit) < u {
 		picked := int32(-1)
 		for i := 0; i < u; i++ { // ascending ID = ascending index
@@ -469,6 +511,16 @@ func (c *Checker) orderSwitches(p *placement.Plan) {
 		c.indeg[picked] = -1
 	}
 	c.cycle = len(c.visit) < u
+}
+
+// resized returns s with length n and every element set to v, growing
+// the backing array at most once.
+func resized[T any](s []T, n int, v T) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 func (c *Checker) pushEntry(rank, stage int32, name string) {
@@ -544,43 +596,52 @@ func (c *Checker) buildExec() {
 // comparing every read's write history against the reference and every
 // metadata read's switch-visible history against the global one. It
 // returns false on the first discrepancy; the diagnostic pass
-// reconstructs and classifies. All state is reused flat scratch —
-// steady-state green walks allocate nothing.
+// reconstructs and classifies.
+//
+// Visible state is sparse: only the switch being walked has a row, and
+// what a later switch may import from it is snapshotted per import
+// slot when it finishes — the engine delivers exactly those fields and
+// nothing else of an upstream switch's state is ever observed. A walk
+// therefore costs O(F + reads + writes + imports) and the scratch a
+// Checker retains for it is O(F + imports), independent of the switch
+// count. All of it is reused: steady-state green walks allocate
+// nothing.
 func (c *Checker) walkClean() bool {
 	ov := c.ov
 	f := len(ov.fieldNames)
-	u := len(c.visit)
 	for i := 0; i < f; i++ {
 		c.dCnt[i] = 0
 		c.dHash[i] = seqSeed
 		c.dSym[i] = 0
 		c.dLast[i] = -1
+		c.visHash[i] = seqSeed
+		c.visLen[i] = 0
+		c.visLast[i] = -1
 	}
-	need := u * f
-	for len(c.visHash) < need {
-		c.visHash = append(c.visHash, 0)
-		c.visLen = append(c.visLen, 0)
-		c.visLast = append(c.visLast, -1)
-	}
+	c.groupExports()
+	// One switch touches at most its imports plus each field once (a
+	// write is listed only when it finds the field's history empty), so
+	// the list never grows inside the hot loops.
+	c.touched = slices.Grow(c.touched[:0], len(c.impF)+f)
+	touched := c.touched
 
 	ei := 0
-	for r := 0; r < u; r++ {
-		su := c.visit[r]
-		row := int(su) * f
-		for i := 0; i < f; i++ {
-			c.visHash[row+i] = seqSeed
-			c.visLen[row+i] = 0
-			c.visLast[row+i] = -1
+	for r, su := range c.visit {
+		for _, fi := range touched {
+			c.visHash[fi] = seqSeed
+			c.visLen[fi] = 0
+			c.visLast[fi] = -1
 		}
+		touched = touched[:0]
 		// Imports overwrite-merge at switch entry in ascending upstream
 		// visit rank (pre-sorted by the lowering), reproducing the
 		// engine's deterministic later-upstream-wins delivery.
 		for s := c.impStart[r]; s < c.impStart[r+1]; s++ {
-			src := int(c.impFrom[s])*f + int(c.impF[s])
-			dst := row + int(c.impF[s])
-			c.visHash[dst] = c.visHash[src]
-			c.visLen[dst] = c.visLen[src]
-			c.visLast[dst] = c.visLast[src]
+			fi := c.impF[s]
+			touched = append(touched, fi)
+			c.visHash[fi] = c.snapHash[s]
+			c.visLen[fi] = c.snapLen[s]
+			c.visLast[fi] = c.snapLast[s]
 		}
 		for ; ei < len(c.execSw) && c.execSw[ei] == su; ei++ {
 			x := c.execMAT[ei]
@@ -599,9 +660,8 @@ func (c *Checker) walkClean() bool {
 					// dead) entries, so the engine reads the identical
 					// value — not carrying dead writes across a cut is
 					// header optimization, not a coordination gap.
-					dst := row + int(fi)
-					if (c.visLen[dst] != c.dCnt[fi] || c.visHash[dst] != c.dHash[fi]) &&
-						c.visLast[dst] != c.dLast[fi] {
+					if (c.visLen[fi] != c.dCnt[fi] || c.visHash[fi] != c.dHash[fi]) &&
+						c.visLast[fi] != c.dLast[fi] {
 						return false
 					}
 				}
@@ -614,12 +674,21 @@ func (c *Checker) walkClean() bool {
 				c.dCnt[fi]++
 				c.dLast[fi] = x
 				if ov.fieldMeta[fi] {
-					dst := row + int(fi)
-					c.visHash[dst] = seqMix(c.visHash[dst], x)
-					c.visLen[dst]++
-					c.visLast[dst] = x
+					if c.visLen[fi] == 0 {
+						touched = append(touched, fi)
+					}
+					c.visHash[fi] = seqMix(c.visHash[fi], x)
+					c.visLen[fi]++
+					c.visLast[fi] = x
 				}
 			}
+		}
+		// Freeze what downstream switches import from this one.
+		for _, s := range c.expSlot[c.expStart[su]:c.expStart[su+1]] {
+			fi := c.impF[s]
+			c.snapHash[s] = c.visHash[fi]
+			c.snapLen[s] = c.visLen[fi]
+			c.snapLast[s] = c.visLast[fi]
 		}
 	}
 	// Final write-sequence digests must match the reference per field
@@ -642,4 +711,30 @@ func (c *Checker) walkClean() bool {
 		}
 	}
 	return true
+}
+
+// groupExports sizes the per-slot export snapshot to the import list
+// and groups the import slots by exporting switch (counting sort), so
+// a finishing switch can freeze exactly the histories it hands on:
+// afterwards expSlot[expStart[u]:expStart[u+1]] lists the slots fed by
+// used-switch index u.
+func (c *Checker) groupExports() {
+	n := len(c.impF)
+	c.snapHash = slices.Grow(c.snapHash[:0], n)[:n]
+	c.snapLen = slices.Grow(c.snapLen[:0], n)[:n]
+	c.snapLast = slices.Grow(c.snapLast[:0], n)[:n]
+	c.expSlot = slices.Grow(c.expSlot[:0], n)[:n]
+	c.expStart = resized(c.expStart, len(c.usedIDs)+2, 0)
+	for _, from := range c.impFrom {
+		c.expStart[from+2]++
+	}
+	for i := 2; i < len(c.expStart); i++ {
+		c.expStart[i] += c.expStart[i-1]
+	}
+	// expStart[u+1] is group u's fill cursor; once every slot is placed
+	// it has advanced to the group's end, which is group u+1's start.
+	for s, from := range c.impFrom {
+		c.expSlot[c.expStart[from+1]] = int32(s)
+		c.expStart[from+1]++
+	}
 }

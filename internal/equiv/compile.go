@@ -3,6 +3,7 @@ package equiv
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/program"
@@ -20,10 +21,18 @@ const compiledMemoKey = "equiv.compiled"
 // indices, per-MAT external-read and may-write sets become flattened
 // index lists, and the reference execution order (the single-box
 // engine's g.TopoSort()) is folded into per-read writer counts and
-// per-field writer-sequence hashes. Everything here is read-only after
-// newCompiled returns; Checkers share one compiled per graph.
+// per-field writer-sequence hashes. Everything but the checker pool is
+// read-only after newCompiled returns; Checkers share one compiled per
+// graph.
 type compiled struct {
 	g *tdg.Graph
+
+	// pool holds the idle Checkers the package-level gates and hooks
+	// reuse (acquire/release). It never shrinks: it retains one Checker
+	// per gate that ever ran concurrently on this graph, each O(MATs +
+	// F + imports) of scratch, until the overlay itself is dropped.
+	poolMu sync.Mutex
+	pool   []*Checker
 
 	// names is sorted ascending; index i is the dense id of names[i], so
 	// ascending MAT index is exactly lexicographic name order (the

@@ -41,10 +41,13 @@
 // (Check/CheckDeployment/CheckPlan) fails only on error findings.
 //
 // The fast path is allocation-free: lowering and the symbolic walk run
-// on reusable dense scratch over the interned reference (compile.go),
-// and the first discrepancy defers to a rich diagnostic pass that
+// on reusable scratch over the interned reference (compile.go), and
+// the first discrepancy defers to a rich diagnostic pass that
 // reconstructs explicit writer sequences, classifies the break, and
 // synthesizes a concrete counterexample packet confirmed by replay.
+// That holds for the package-level gates and the registered hooks too,
+// not just a held Checker: they draw one from a pool memoized on the
+// reference graph, so only the first proof on a graph allocates.
 package equiv
 
 import (
@@ -66,11 +69,7 @@ func init() {
 	// (maximal carries); the deployment-level gate re-proves against
 	// the headers actually compiled.
 	placement.PlanEquivHook = func(p *placement.Plan, _ placement.Options) error {
-		c, err := NewChecker(p.Graph)
-		if err != nil {
-			return err
-		}
-		return c.CheckPlan(p, analyzer.Options{})
+		return CheckPlanAgainst(nil, p, analyzer.Options{})
 	}
 	deploy.EquivHook = func(d *deploy.Deployment) error {
 		return CheckDeployment(nil, d)
@@ -103,6 +102,7 @@ func CheckDeployment(ref *tdg.Graph, dep *deploy.Deployment) error {
 	if err != nil {
 		return err
 	}
+	defer c.release()
 	return c.Check(dep)
 }
 
@@ -116,10 +116,11 @@ func CheckPlanAgainst(ref *tdg.Graph, p *placement.Plan, aopts analyzer.Options)
 		}
 		ref = p.Graph
 	}
-	c, err := NewChecker(ref)
+	c, err := acquire(ref)
 	if err != nil {
 		return err
 	}
+	defer c.release()
 	return c.CheckPlan(p, aopts)
 }
 
@@ -131,6 +132,7 @@ func Diagnose(ref *tdg.Graph, dep *deploy.Deployment) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer c.release()
 	return c.Diagnose(dep)
 }
 
@@ -162,7 +164,8 @@ func (c *Checker) DiagnosePlan(p *placement.Plan, aopts analyzer.Options) (*Repo
 	return r, nil
 }
 
-// checkerFor resolves the reference graph for a deployment check.
+// checkerFor resolves the reference graph for a deployment check and
+// draws a pooled Checker for it; the caller releases it.
 func checkerFor(ref *tdg.Graph, dep *deploy.Deployment) (*Checker, error) {
 	if ref == nil {
 		if dep == nil || dep.Plan == nil {
@@ -170,7 +173,7 @@ func checkerFor(ref *tdg.Graph, dep *deploy.Deployment) (*Checker, error) {
 		}
 		ref = dep.Plan.Graph
 	}
-	return NewChecker(ref)
+	return acquire(ref)
 }
 
 // fillPrograms derives the per-program verdict from the findings'

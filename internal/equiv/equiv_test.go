@@ -166,6 +166,11 @@ func expectRejected(t *testing.T, ref *tdg.Graph, dep *deploy.Deployment, rule s
 	if !equiv.Diverges(ref, dep, rep.Counterexample) {
 		t.Fatalf("%s counterexample does not reproduce divergence on replay", rule)
 	}
+	// This call draws the pooled Checker the diagnostic pass just used;
+	// leftover state must not turn the verdict.
+	if err := equiv.CheckDeployment(ref, dep); err == nil {
+		t.Fatalf("mutated deployment passed the gate after Diagnose, want %s", rule)
+	}
 	return rep
 }
 

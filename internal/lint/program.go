@@ -100,13 +100,20 @@ func overlaps(a, b map[string]fields.Field) bool {
 	return false
 }
 
+// metaSize is the whole-byte size a field adds to a coordination
+// header: zero unless it is metadata.
+func metaSize(f fields.Field) int {
+	if !f.IsMetadata() {
+		return 0
+	}
+	return (f.Bits + 7) / 8
+}
+
 // metaBytes sums whole-byte sizes of the metadata fields in the map.
 func metaBytes(m map[string]fields.Field) int {
 	total := 0
 	for _, f := range m {
-		if f.IsMetadata() {
-			total += (f.Bits + 7) / 8
-		}
+		total += metaSize(f)
 	}
 	return total
 }
@@ -135,34 +142,35 @@ func classifyPair(a, b rawSets, control bool) tdg.DepType {
 }
 
 // expectedBytes recomputes A(a,b) per Algorithm 1, independent of the
-// fields.Set machinery analyzer uses.
+// fields.Set machinery analyzer uses. It sums straight over the raw
+// sets: LintGraph calls it once per edge, so a scratch map per call
+// would dominate the edge pass.
 func expectedBytes(a, b rawSets, typ tdg.DepType, intersectMatch bool) int {
 	switch typ {
 	case tdg.DepMatch:
-		if intersectMatch {
-			inter := map[string]fields.Field{}
-			for name, f := range a.writes {
-				if g, ok := b.reads[name]; ok && g == f {
-					inter[name] = f
-				}
-			}
-			return metaBytes(inter)
+		if !intersectMatch {
+			return metaBytes(a.writes)
 		}
-		return metaBytes(a.writes)
-	case tdg.DepAction:
-		union := map[string]fields.Field{}
+		total := 0
 		for name, f := range a.writes {
-			union[name] = f
+			if g, ok := b.reads[name]; ok && g == f {
+				total += metaSize(f)
+			}
 		}
-		for name, f := range b.writes {
-			union[name] = f
+		return total
+	case tdg.DepAction:
+		// |a.writes ∪ b.writes| by name; on a shared name b's
+		// definition stands.
+		total := metaBytes(b.writes)
+		for name, f := range a.writes {
+			if _, ok := b.writes[name]; !ok {
+				total += metaSize(f)
+			}
 		}
-		return metaBytes(union)
-	case tdg.DepReverse:
-		return 0
+		return total
 	case tdg.DepSuccessor:
 		return metaBytes(a.writes)
-	default:
+	default: // R edges carry nothing
 		return 0
 	}
 }
@@ -498,15 +506,22 @@ func LintGraph(g *tdg.Graph, opts Options) Findings {
 		fs.Sort()
 		return fs
 	}
-	nodes := g.Nodes()
-	raws := make(map[string]rawSets, len(nodes))
-	for _, n := range nodes {
-		raws[n.Name()] = rawFootprint(n.MAT)
+	// Dense node indices in name order: index order is the u < v
+	// orientation lost-dependency findings are reported in.
+	names := g.NodeNames()
+	sort.Strings(names)
+	index := make(map[string]int32, len(names))
+	nodes := make([]*tdg.Node, len(names))
+	raws := make([]rawSets, len(names))
+	for i, name := range names {
+		index[name] = int32(i)
+		nodes[i], _ = g.Node(name)
+		raws[i] = rawFootprint(nodes[i].MAT)
 	}
 	// Existing edges: the recomputed class from raw sets must match,
 	// except S edges (control provenance is not recoverable here).
-	for _, e := range g.Edges() {
-		ra, rb := raws[e.From], raws[e.To]
+	for _, e := range g.EdgeList() {
+		ra, rb := raws[index[e.From]], raws[index[e.To]]
 		want := classifyPair(ra, rb, e.Type == tdg.DepSuccessor)
 		if want != e.Type {
 			fs = append(fs, Finding{
@@ -527,40 +542,86 @@ func LintGraph(g *tdg.Graph, opts Options) Findings {
 			})
 		}
 	}
-	// Missing edges: a data overlap between two nodes of the same
-	// source program connected in neither direction is a lost
-	// dependency. Cross-program pairs are exempt — the merger
-	// deliberately does not relate independent programs that happen to
-	// touch the same fields.
-	names := g.NodeNames()
-	sort.Strings(names)
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			u, v := names[i], names[j]
-			if _, ok := g.Edge(u, v); ok {
-				continue
-			}
-			if _, ok := g.Edge(v, u); ok {
-				continue
-			}
-			nu, _ := g.Node(u)
-			nv, _ := g.Node(v)
-			if !sharesOrigin(nu, nv) {
-				continue
-			}
-			ru, rv := raws[u], raws[v]
-			if overlaps(ru.writes, rv.reads) || overlaps(ru.writes, rv.writes) || overlaps(ru.reads, rv.writes) {
-				fs = append(fs, Finding{
-					Rule: "HL007", Severity: Error, File: opts.File,
-					Object: u + "<->" + v,
-					Message: fmt.Sprintf("MATs %q and %q share modified fields but the TDG connects them in neither direction (lost dependency)",
-						u, v),
-				})
+	fs = append(fs, lintLostDependencies(g, nodes, raws, opts)...)
+	fs = append(fs, lintIsolatedNodes(g, opts)...)
+	fs.Sort()
+	return fs
+}
+
+// lintLostDependencies flags a data overlap between two nodes of the
+// same source program that the TDG connects in neither direction
+// (HL007). Cross-program pairs are exempt — the merger deliberately
+// does not relate independent programs that happen to touch the same
+// fields.
+//
+// Two nodes overlap exactly when some field is written by one and
+// read or written by the other, so an inverted field index enumerates
+// the overlapping pairs directly instead of testing all N² of them:
+// each node is paired with the touchers of every field it writes and
+// the writers of every field it reads. nodes and raws are indexed in
+// name order; a pair is examined once, from its lower index, with
+// seen deduplicating partners that share several fields.
+func lintLostDependencies(g *tdg.Graph, nodes []*tdg.Node, raws []rawSets, opts Options) Findings {
+	fieldID := map[string]int{}
+	var writers, touchers [][]int32 // per field, ascending node index
+	intern := func(name string) int {
+		id, ok := fieldID[name]
+		if !ok {
+			id = len(writers)
+			fieldID[name] = id
+			writers = append(writers, nil)
+			touchers = append(touchers, nil)
+		}
+		return id
+	}
+	for i, r := range raws {
+		for name := range r.writes {
+			id := intern(name)
+			writers[id] = append(writers[id], int32(i))
+			touchers[id] = append(touchers[id], int32(i))
+		}
+		for name := range r.reads {
+			if _, ok := r.writes[name]; !ok {
+				id := intern(name)
+				touchers[id] = append(touchers[id], int32(i))
 			}
 		}
 	}
-	fs = append(fs, lintIsolatedNodes(g, opts)...)
-	fs.Sort()
+
+	var fs Findings
+	seen := make([]int32, len(nodes)) // seen[v] == u+1: pair (u, v) examined
+	examine := func(u int, partners []int32) {
+		for _, v := range partners {
+			if int(v) <= u || seen[v] == int32(u)+1 {
+				continue
+			}
+			seen[v] = int32(u) + 1
+			a, b := nodes[u].Name(), nodes[v].Name()
+			if _, ok := g.Edge(a, b); ok {
+				continue
+			}
+			if _, ok := g.Edge(b, a); ok {
+				continue
+			}
+			if !sharesOrigin(nodes[u], nodes[v]) {
+				continue
+			}
+			fs = append(fs, Finding{
+				Rule: "HL007", Severity: Error, File: opts.File,
+				Object: a + "<->" + b,
+				Message: fmt.Sprintf("MATs %q and %q share modified fields but the TDG connects them in neither direction (lost dependency)",
+					a, b),
+			})
+		}
+	}
+	for u, r := range raws {
+		for name := range r.writes {
+			examine(u, touchers[fieldID[name]])
+		}
+		for name := range r.reads {
+			examine(u, writers[fieldID[name]])
+		}
+	}
 	return fs
 }
 

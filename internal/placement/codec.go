@@ -3,6 +3,7 @@ package placement
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
@@ -41,7 +42,9 @@ type routeJSON struct {
 // planCodecVersion guards format evolution.
 const planCodecVersion = 1
 
-// EncodeJSON serializes the plan's decision variables.
+// EncodeJSON serializes the plan's decision variables. The encoding is
+// canonical — assignments keyed by name, routes ordered by (From, To)
+// — so one plan always yields the same bytes.
 func (p *Plan) EncodeJSON() ([]byte, error) {
 	if p.Graph == nil || p.Topo == nil {
 		return nil, fmt.Errorf("placement: encoding incomplete plan")
@@ -68,6 +71,12 @@ func (p *Plan) EncodeJSON() ([]byte, error) {
 		}
 		out.Routes = append(out.Routes, r)
 	}
+	sort.Slice(out.Routes, func(i, j int) bool {
+		if out.Routes[i].From != out.Routes[j].From {
+			return out.Routes[i].From < out.Routes[j].From
+		}
+		return out.Routes[i].To < out.Routes[j].To
+	})
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("placement: encoding plan: %w", err)

@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -274,6 +276,42 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	}
 	if back.SolverName != plan.SolverName || back.SolveTime != plan.SolveTime {
 		t.Error("provenance lost")
+	}
+}
+
+// TestPlanJSONIsCanonical encodes one multi-route plan repeatedly: the
+// bytes must not depend on map iteration order, and must round-trip.
+func TestPlanJSONIsCanonical(t *testing.T) {
+	plan, topo := tableIIIInstance(t, 1, 30)
+	if len(plan.Routes) < 4 {
+		t.Fatalf("fixture has %d routes; map order needs several to show", len(plan.Routes))
+	}
+	first, err := plan.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		data, err := plan.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, first) {
+			t.Fatalf("encoding %d of the same plan differs from the first", i)
+		}
+	}
+	back, err := DecodePlan(first, plan.Graph, topo, program.DefaultResourceModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Assignments, plan.Assignments) || !reflect.DeepEqual(back.Routes, plan.Routes) {
+		t.Error("round trip changed the decision variables")
+	}
+	again, err := back.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, first) {
+		t.Error("re-encoding the decoded plan yields different bytes")
 	}
 }
 
