@@ -1,22 +1,14 @@
 // The "core" experiment measures the compiled placement kernels
-// against their retained map-based reference twins, plus the
-// end-to-end solver entry points, producing the BENCH_core.json
-// perf baseline:
-//
-//	hermes-bench -exp core -json BENCH_core.json   # (re)generate the baseline
-//	hermes-bench -exp core -compare BENCH_core.json # fail on >10% kernel regression
-//	hermes-bench -exp core -smoke                   # machine-independent ratio gate
-//
-// The kernel pairs run over the same solved Table III instance, so the
-// map/compiled ratio is a like-for-like measurement of the dense
-// instance model (interned indices, flat pair matrix, reusable
-// scratch) against the map-keyed implementation it replaced.
+// against their retained map-based reference twins, plus the solver
+// entry points they serve. Each pair runs over the same solved
+// Table III instance, so the map/compiled ratio is a like-for-like
+// measurement of the dense instance model — and the dual condition's
+// calibrator: it only drops when the compiled kernel lost ground
+// against a twin measured seconds apart on the same host.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	hermes "github.com/hermes-net/hermes"
@@ -27,53 +19,92 @@ import (
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
-// kernelJSON is one map-vs-compiled kernel measurement.
-type kernelJSON struct {
-	Name                string  `json:"name"`
-	MapNsPerOp          float64 `json:"map_ns_per_op"`
-	MapAllocsPerOp      int64   `json:"map_allocs_per_op"`
-	CompiledNsPerOp     float64 `json:"compiled_ns_per_op"`
-	CompiledAllocsPerOp int64   `json:"compiled_allocs_per_op"`
-	NsRatio             float64 `json:"ns_ratio"`
-	AllocsRatio         float64 `json:"allocs_ratio"`
-}
-
-// endToEndJSON is one solver-level measurement.
-type endToEndJSON struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// coreBaselineJSON is the BENCH_core.json document.
-type coreBaselineJSON struct {
-	Experiment string         `json:"experiment"`
-	Topology   int            `json:"topology"`
-	Programs   int            `json:"programs"`
-	Seed       int64          `json:"seed"`
-	Kernels    []kernelJSON   `json:"kernels"`
-	EndToEnd   []endToEndJSON `json:"end_to_end"`
-}
-
-// coreSmokeNsRatio and coreSmokeAllocsRatio are the machine-independent
-// acceptance floors for -smoke: each compiled kernel must be at least
-// 5x faster and 10x leaner than its map twin (a kernel with zero
-// allocations per op passes the allocs gate outright).
 const (
-	coreSmokeNsRatio     = 5.0
-	coreSmokeAllocsRatio = 10.0
-	// coreCompareSlack is the -compare gate: compiled kernels may not
-	// regress more than 10% in ns/op against the committed baseline.
-	// The raw ns/op check is cross-checked against the in-run
-	// map/compiled ratio so uniform machine slowdowns (frequency
-	// scaling, a throttled container) do not read as code regressions:
-	// a genuine kernel regression shows up in both.
-	coreCompareSlack = 1.10
+	// Each compiled kernel must be this much faster and leaner than its
+	// map twin (an allocation-free kernel passes the allocs floor).
+	coreNsRatio     = 5.0
+	coreAllocsRatio = 10.0
 	// coreReps: every kernel number is the best of this many harness
 	// runs — the noise-robust point estimate for CPU-bound loops.
 	coreReps = 5
 )
+
+// kernelPoint is one map-vs-compiled kernel measurement.
+type kernelPoint struct {
+	name         string
+	mapRes, comp testing.BenchmarkResult
+}
+
+// ratio is num/den, or 0 when the denominator was not measured.
+func ratio[N int | int64](num, den N) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
+// allocsRatio is map/compiled allocations; when the compiled side is
+// allocation-free the ratio is unbounded and the map count stands in.
+func (k kernelPoint) allocsRatio() float64 {
+	if k.comp.AllocsPerOp() == 0 {
+		return float64(k.mapRes.AllocsPerOp())
+	}
+	return float64(k.mapRes.AllocsPerOp()) / float64(k.comp.AllocsPerOp())
+}
+
+// solverPoint is one solver-level measurement.
+type solverPoint struct {
+	name string
+	res  testing.BenchmarkResult
+}
+
+var coreExp = experiment{
+	name: "core", title: "Core: compiled scoring kernels vs map references",
+	baseline: true,
+	tables: []table{
+		{name: "kernels",
+			cols: []column{
+				col(key, "name", "kernel", "", func(k kernelPoint) any { return k.name }),
+				col(timing, "map_ns_per_op", "map ns/op", "", func(k kernelPoint) any { return k.mapRes.NsPerOp() }),
+				col(alloc, "map_allocs_per_op", "map allocs", "", func(k kernelPoint) any { return k.mapRes.AllocsPerOp() }),
+				col(timing, "compiled_ns_per_op", "compiled ns/op", "", func(k kernelPoint) any { return k.comp.NsPerOp() }).dual("ns_ratio", 1.10, 1.10),
+				col(alloc, "compiled_allocs_per_op", "comp allocs", "", func(k kernelPoint) any { return k.comp.AllocsPerOp() }),
+				col(timing, "ns_ratio", "ns ratio", "%.1fx", func(k kernelPoint) any { return ratio(k.mapRes.NsPerOp(), k.comp.NsPerOp()) }).up(),
+				col(alloc, "allocs_ratio", "allocs", "%.0fx", func(k kernelPoint) any { return k.allocsRatio() }),
+			},
+			checks: []check{
+				bound("ns_ratio", ">=", coreNsRatio),
+				bound("allocs_ratio", ">=", coreAllocsRatio).when("unless allocation-free",
+					func(r row) bool { return r.num("compiled_allocs_per_op") > 0 }),
+			}},
+		{name: "end_to_end",
+			cols: []column{
+				col(key, "name", "end-to-end", "", func(p solverPoint) any { return p.name }),
+				col(timing, "ns_per_op", "ns/op", "", func(p solverPoint) any { return p.res.NsPerOp() }),
+				col(alloc, "allocs_per_op", "allocs/op", "", func(p solverPoint) any { return p.res.AllocsPerOp() }),
+				col(alloc, "bytes_per_op", "bytes/op", "", func(p solverPoint) any { return p.res.AllocedBytesPerOp() }),
+			}},
+	},
+	run: func(c *runCtx) (result, error) {
+		kernelProgs := min(c.programs, 30)
+		inst, err := newCoreInstance(kernelProgs, c.cfg.Seed)
+		if err != nil {
+			return result{}, err
+		}
+		res := result{
+			params: map[string]any{"topology": 1, "programs": kernelProgs},
+			points: map[string]any{"kernels": inst.coreKernels()},
+		}
+		if !c.smoke { // the solver entry points take the better part of a minute
+			e2e, err := coreEndToEnd(c)
+			if err != nil {
+				return result{}, err
+			}
+			res.points["end_to_end"] = e2e
+		}
+		return res, nil
+	},
+}
 
 // coreInstance is the shared measurement fixture: a solved Table III
 // instance with both dense and map-keyed views of the same assignment.
@@ -86,25 +117,36 @@ type coreInstance struct {
 	pdense  []int32
 }
 
-func newCoreInstance(programs int, seed int64, topoID int) (*coreInstance, error) {
-	progs, err := workload.EvaluationPrograms(programs, seed)
-	if err != nil {
-		return nil, err
-	}
+// tableIIIPlan analyzes the programs and places them with Greedy on a
+// Table III topology — the fixture every measurement here starts from.
+// capacity 0 keeps the Tofino stage capacity.
+func tableIIIPlan(progs []*program.Program, topoID int, capacity float64, opts placement.Options) (*placement.Plan, error) {
 	merged, err := hermes.Analyze(progs, hermes.AnalyzeOptions{})
 	if err != nil {
 		return nil, err
 	}
-	topo, err := network.TableIII(topoID, network.TofinoSpec())
+	spec := network.TofinoSpec()
+	if capacity > 0 {
+		spec.StageCapacity = capacity
+	}
+	topo, err := network.TableIII(topoID, spec)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := (placement.Greedy{}).Solve(merged, topo, placement.Options{})
+	return (placement.Greedy{}).Solve(merged, topo, opts)
+}
+
+func newCoreInstance(programs int, seed int64) (*coreInstance, error) {
+	progs, err := workload.EvaluationPrograms(programs, seed)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := tableIIIPlan(progs, 1, 0, placement.Options{})
 	if err != nil {
 		return nil, err
 	}
 	inst := &coreInstance{
-		ci:      placement.Compile(merged, topo, program.DefaultResourceModel),
+		ci:      placement.Compile(plan.Graph, plan.Topo, program.DefaultResourceModel),
 		assign:  make(map[string]network.SwitchID, len(plan.Assignments)),
 		partial: make(map[string]network.SwitchID, len(plan.Assignments)),
 	}
@@ -120,10 +162,16 @@ func newCoreInstance(programs int, seed int64, topoID int) (*coreInstance, error
 	return inst, nil
 }
 
-// measure runs fn under the stdlib benchmark harness and returns the
-// result (ns/op, allocs/op, bytes/op are always populated).
-func measure(fn func(b *testing.B)) testing.BenchmarkResult {
-	return testing.Benchmark(fn)
+// loop is the benchmark body that runs op b.N times.
+func loop(op func(i int) error) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := op(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // measureBest repeats a kernel measurement and keeps the fastest run.
@@ -133,38 +181,17 @@ func measure(fn func(b *testing.B)) testing.BenchmarkResult {
 // the baseline writer and the compare gate use it so the 10% slack
 // compares like against like.
 func measureBest(reps int, fn func(b *testing.B)) testing.BenchmarkResult {
-	best := measure(fn)
+	best := testing.Benchmark(fn)
 	for i := 1; i < reps; i++ {
-		if r := measure(fn); r.NsPerOp() < best.NsPerOp() {
+		if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
 			best = r
 		}
 	}
 	return best
 }
 
-func kernelRow(name string, mapRes, compRes testing.BenchmarkResult) kernelJSON {
-	row := kernelJSON{
-		Name:                name,
-		MapNsPerOp:          float64(mapRes.NsPerOp()),
-		MapAllocsPerOp:      mapRes.AllocsPerOp(),
-		CompiledNsPerOp:     float64(compRes.NsPerOp()),
-		CompiledAllocsPerOp: compRes.AllocsPerOp(),
-	}
-	if row.CompiledNsPerOp > 0 {
-		row.NsRatio = round3(row.MapNsPerOp / row.CompiledNsPerOp)
-	}
-	if row.CompiledAllocsPerOp > 0 {
-		row.AllocsRatio = round3(float64(row.MapAllocsPerOp) / float64(row.CompiledAllocsPerOp))
-	} else if row.MapAllocsPerOp > 0 {
-		// Compiled side is allocation-free: the ratio is unbounded;
-		// report the map count so the gate can see it dominates.
-		row.AllocsRatio = float64(row.MapAllocsPerOp)
-	}
-	return row
-}
-
 // coreKernels measures the four scoring kernels map-vs-compiled.
-func (inst *coreInstance) coreKernels() []kernelJSON {
+func (inst *coreInstance) coreKernels() []kernelPoint {
 	ci, g := inst.ci, inst.ci.Graph
 	pt := ci.NewPairTable()
 	ms := ci.NewMoveScratch()
@@ -185,9 +212,9 @@ func (inst *coreInstance) coreKernels() []kernelJSON {
 		}
 	}
 
-	var rows []kernelJSON
+	var rows []kernelPoint
 
-	rows = append(rows, kernelRow("amax",
+	rows = append(rows, kernelPoint{"amax",
 		measureBest(coreReps, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				placement.AssignmentAMaxRef(g, inst.assign)
@@ -197,9 +224,9 @@ func (inst *coreInstance) coreKernels() []kernelJSON {
 			for i := 0; i < b.N; i++ {
 				ci.AssignmentAMax(inst.dense, pt)
 			}
-		})))
+		})})
 
-	rows = append(rows, kernelRow("pair_bytes",
+	rows = append(rows, kernelPoint{"pair_bytes",
 		measureBest(coreReps, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				placement.PairBytesRef(g, inst.assign)
@@ -209,13 +236,13 @@ func (inst *coreInstance) coreKernels() []kernelJSON {
 			for i := 0; i < b.N; i++ {
 				ci.FillPairTable(inst.dense, pt)
 			}
-		})))
+		})})
 
 	// The move/place kernels cost tens of nanoseconds per call; one
 	// measured op is a full sweep over every probe so per-op time sits
 	// in the microseconds, where run-to-run jitter is a small fraction.
 	ci.FillPairTable(inst.dense, pt)
-	rows = append(rows, kernelRow("move_delta",
+	rows = append(rows, kernelPoint{"move_delta",
 		measureBest(coreReps, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, x := range probes {
@@ -231,10 +258,10 @@ func (inst *coreInstance) coreKernels() []kernelJSON {
 					ci.MoveScore(inst.dense, pt, ms, x, cand, total)
 				}
 			}
-		})))
+		})})
 
 	ci.FillPairTable(inst.pdense, pt)
-	rows = append(rows, kernelRow("place_score",
+	rows = append(rows, kernelPoint{"place_score",
 		measureBest(coreReps, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, x := range unassigned {
@@ -250,40 +277,31 @@ func (inst *coreInstance) coreKernels() []kernelJSON {
 					ci.PlaceScore(inst.pdense, pt, ms, x, u)
 				}
 			}
-		})))
+		})})
 
 	return rows
 }
 
 // coreEndToEnd measures the three solver entry points the kernels
 // serve: greedy construction, exact search, and churn replanning.
-func (r *runner) coreEndToEnd() ([]endToEndJSON, error) {
-	var rows []endToEndJSON
+func coreEndToEnd(c *runCtx) ([]solverPoint, error) {
+	var rows []solverPoint
 
 	// Greedy on Table III topology 1 with the full program count.
-	progs, err := workload.EvaluationPrograms(r.programs, r.cfg.Seed)
+	progs, err := workload.EvaluationPrograms(c.programs, c.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	merged, err := hermes.Analyze(progs, hermes.AnalyzeOptions{})
+	first, err := tableIIIPlan(progs, 1, 0, placement.Options{})
 	if err != nil {
 		return nil, err
 	}
-	topo, err := network.TableIII(1, network.TofinoSpec())
-	if err != nil {
-		return nil, err
-	}
-	res := measure(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := (placement.Greedy{}).Solve(merged, topo, placement.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rows = append(rows, endToEndJSON{
-		Name:    fmt.Sprintf("greedy_tableIII1_%dprog", r.programs),
-		NsPerOp: float64(res.NsPerOp()), AllocsPerOp: res.AllocsPerOp(), BytesPerOp: res.AllocedBytesPerOp(),
-	})
+	merged, topo := first.Graph, first.Topo
+	res := testing.Benchmark(loop(func(int) error {
+		_, err := (placement.Greedy{}).Solve(merged, topo, placement.Options{})
+		return err
+	}))
+	rows = append(rows, solverPoint{fmt.Sprintf("greedy_tableIII1_%dprog", c.programs), res})
 
 	// Exact branch & bound on the Figure 1 instance.
 	exProgs := workload.RealPrograms()[:4]
@@ -297,179 +315,18 @@ func (r *runner) coreEndToEnd() ([]endToEndJSON, error) {
 	if err != nil {
 		return nil, err
 	}
-	res = measure(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := (placement.Exact{}).Solve(exMerged, exTopo, placement.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rows = append(rows, endToEndJSON{
-		Name:    "exact_figure1",
-		NsPerOp: float64(res.NsPerOp()), AllocsPerOp: res.AllocsPerOp(), BytesPerOp: res.AllocedBytesPerOp(),
-	})
+	res = testing.Benchmark(loop(func(int) error {
+		_, err := (placement.Exact{}).Solve(exMerged, exTopo, placement.Options{})
+		return err
+	}))
+	rows = append(rows, solverPoint{"exact_figure1", res})
 
 	// Exp#7-style replan study at a reduced program count.
-	replanProgs := 20
-	if r.programs < replanProgs {
-		replanProgs = r.programs
-	}
-	res = measure(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.Exp7(r.cfg, replanProgs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rows = append(rows, endToEndJSON{
-		Name:    fmt.Sprintf("replan_exp7_%dprog", replanProgs),
-		NsPerOp: float64(res.NsPerOp()), AllocsPerOp: res.AllocsPerOp(), BytesPerOp: res.AllocedBytesPerOp(),
-	})
+	replanProgs := min(c.programs, 20)
+	res = testing.Benchmark(loop(func(int) error {
+		_, err := experiments.Exp7(c.cfg, replanProgs)
+		return err
+	}))
+	rows = append(rows, solverPoint{fmt.Sprintf("replan_exp7_%dprog", replanProgs), res})
 	return rows, nil
-}
-
-// core runs the kernel and end-to-end measurements, prints the table,
-// and applies whichever gate the flags selected.
-func (r *runner) core() error {
-	mode := "baseline"
-	if r.smoke {
-		mode = "smoke"
-	} else if r.comparePath != "" {
-		mode = "compare"
-	}
-	fmt.Printf("## Core: compiled scoring kernels vs map references (%s)\n", mode)
-
-	kernelProgs := 30
-	if r.programs < kernelProgs {
-		kernelProgs = r.programs
-	}
-	inst, err := newCoreInstance(kernelProgs, r.cfg.Seed, 1)
-	if err != nil {
-		return err
-	}
-	doc := coreBaselineJSON{
-		Experiment: "core", Topology: 1, Programs: kernelProgs, Seed: r.cfg.Seed,
-		Kernels: inst.coreKernels(),
-	}
-
-	fmt.Printf("  %-12s %14s %14s %10s %12s %12s %10s\n",
-		"kernel", "map ns/op", "compiled ns/op", "ns ratio", "map allocs", "comp allocs", "allocs")
-	for _, k := range doc.Kernels {
-		fmt.Printf("  %-12s %14.0f %14.0f %9.1fx %12d %12d %9.0fx\n",
-			k.Name, k.MapNsPerOp, k.CompiledNsPerOp, k.NsRatio,
-			k.MapAllocsPerOp, k.CompiledAllocsPerOp, k.AllocsRatio)
-	}
-
-	if r.smoke {
-		fmt.Println()
-		return coreSmokeGate(doc.Kernels)
-	}
-
-	e2e, err := r.coreEndToEnd()
-	if err != nil {
-		return err
-	}
-	doc.EndToEnd = e2e
-	fmt.Printf("  %-24s %16s %14s %14s\n", "end-to-end", "ns/op", "allocs/op", "bytes/op")
-	for _, e := range doc.EndToEnd {
-		fmt.Printf("  %-24s %16.0f %14d %14d\n", e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
-	}
-	fmt.Println()
-
-	if r.comparePath != "" {
-		return coreCompareGate(r.comparePath, doc)
-	}
-	if r.jsonPath != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(r.jsonPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("writing core baseline: %w", err)
-		}
-		fmt.Printf("  core baseline written to %s\n\n", r.jsonPath)
-	}
-	return nil
-}
-
-// coreSmokeGate enforces the machine-independent ratios: these compare
-// two measurements from the same run on the same host, so they hold on
-// any machine regardless of absolute speed.
-func coreSmokeGate(kernels []kernelJSON) error {
-	var failures []string
-	for _, k := range kernels {
-		if k.NsRatio < coreSmokeNsRatio {
-			failures = append(failures, fmt.Sprintf(
-				"kernel %s: compiled only %.1fx faster than map (need >= %.0fx)", k.Name, k.NsRatio, coreSmokeNsRatio))
-		}
-		if k.CompiledAllocsPerOp > 0 && k.AllocsRatio < coreSmokeAllocsRatio {
-			failures = append(failures, fmt.Sprintf(
-				"kernel %s: compiled only %.1fx leaner than map (need >= %.0fx or zero allocs)", k.Name, k.AllocsRatio, coreSmokeAllocsRatio))
-		}
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Println("  FAIL:", f)
-		}
-		return fmt.Errorf("core smoke gate failed (%d kernel(s))", len(failures))
-	}
-	fmt.Println("  core smoke gate passed: every compiled kernel holds the 5x ns / 10x allocs floors")
-	return nil
-}
-
-// coreCompareGate diffs the fresh measurement against the committed
-// baseline and fails on a >10% compiled-kernel ns/op regression.
-func coreCompareGate(path string, cur coreBaselineJSON) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading core baseline: %w", err)
-	}
-	var base coreBaselineJSON
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing core baseline %s: %w", path, err)
-	}
-	baseline := make(map[string]kernelJSON, len(base.Kernels))
-	for _, k := range base.Kernels {
-		baseline[k.Name] = k
-	}
-	var failures []string
-	fmt.Printf("  %-12s %18s %16s %8s %14s\n", "kernel", "baseline ns/op", "current ns/op", "delta", "ratio drift")
-	for _, k := range cur.Kernels {
-		b, ok := baseline[k.Name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("kernel %s missing from baseline %s", k.Name, path))
-			continue
-		}
-		delta := 0.0
-		if b.CompiledNsPerOp > 0 {
-			delta = k.CompiledNsPerOp/b.CompiledNsPerOp - 1
-		}
-		// The in-run map/compiled ratio self-calibrates for machine
-		// speed: it only drops when the compiled kernel lost ground
-		// against the map twin measured seconds apart on the same host.
-		ratioDrift := 0.0
-		if b.NsRatio > 0 {
-			ratioDrift = k.NsRatio/b.NsRatio - 1
-		}
-		fmt.Printf("  %-12s %18.0f %16.0f %+7.1f%% %+13.1f%%\n",
-			k.Name, b.CompiledNsPerOp, k.CompiledNsPerOp, delta*100, ratioDrift*100)
-		rawRegressed := b.CompiledNsPerOp > 0 && k.CompiledNsPerOp > b.CompiledNsPerOp*coreCompareSlack
-		ratioRegressed := b.NsRatio > 0 && k.NsRatio < b.NsRatio/coreCompareSlack
-		if rawRegressed && ratioRegressed {
-			failures = append(failures, fmt.Sprintf(
-				"kernel %s regressed %.1f%% in ns/op and %.1f%% against its map twin (baseline %.0f ns/op, now %.0f ns/op)",
-				k.Name, delta*100, -ratioDrift*100, b.CompiledNsPerOp, k.CompiledNsPerOp))
-		}
-	}
-	fmt.Println()
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Println("  FAIL:", f)
-		}
-		return fmt.Errorf("core compare gate failed (%d regression(s) beyond %.0f%%)",
-			len(failures), (coreCompareSlack-1)*100)
-	}
-	fmt.Printf("  core compare gate passed: no compiled kernel regressed beyond %.0f%% of %s\n",
-		(coreCompareSlack-1)*100, path)
-	return nil
 }

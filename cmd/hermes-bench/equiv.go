@@ -1,26 +1,14 @@
 // The "equiv" experiment measures the symbolic plan-equivalence
-// checker (internal/equiv) against the packet-replay differential it
-// supersedes as the deployment gate, producing the BENCH_equiv.json
-// baseline:
-//
-//	hermes-bench -exp equiv -json BENCH_equiv.json    # (re)generate the baseline
-//	hermes-bench -exp equiv -compare BENCH_equiv.json # fail on >10% symbolic-check regression
-//	hermes-bench -exp equiv -smoke                    # machine-independent budget gate
-//
-// Every row solves one Table III instance with Greedy, compiles it,
-// and measures (a) the steady-state symbolic Check over the compiled
-// deployment — the allocation-free fast path a Deploy/Redeploy/
-// Supervisor gate pays on every adoption — and (b) the sampled
-// packet-replay equivalence run it replaces. The smoke gate holds the
-// checker to its contract on any machine: under 10 ms per program,
-// zero allocations per check, and an in-run speedup over replay.
+// checker against the packet-replay differential it supersedes as the
+// deployment gate. Every row solves one Table III instance, compiles
+// it, and measures (a) the steady-state symbolic Check — the fast path
+// a Deploy/Redeploy/Supervisor gate pays on every adoption — and (b)
+// the sampled replay it replaces, the dual condition's calibrator.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"testing"
 
@@ -28,129 +16,125 @@ import (
 	"github.com/hermes-net/hermes/internal/dataplane"
 	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/equiv"
-	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
-	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
 const (
-	// equivBudgetNs is the per-program time budget for one symbolic
-	// check: 10 ms, the acceptance bound the gate is deployed under.
+	// equivBudgetNs is the per-program budget of one symbolic check:
+	// 10 ms, three orders of magnitude above the measured cost, so it
+	// holds on any host that can run the suite at all.
 	equivBudgetNs = 10e6
-	// equivSmokeReplayRatio is the in-run floor: the symbolic check
-	// must beat the sampled replay it replaces by at least this factor
-	// on the same host in the same process.
-	equivSmokeReplayRatio = 5.0
-	// equivCompareSlack mirrors the core gate: a row fails only when
-	// its symbolic ns/op regressed >10% against the committed baseline
-	// AND its in-run replay/symbolic ratio degraded >10% — the dual
-	// condition filters machine-speed skew between hosts.
-	equivCompareSlack = 1.10
+	// equivReplayRatio: the symbolic check must beat the sampled replay
+	// it replaces by this factor, same host, same process.
+	equivReplayRatio = 5.0
 	// equivReps / equivReplayPackets size the measurement.
 	equivReps          = 5
 	equivReplayPackets = 64
 )
 
-// equivRowJSON is one fixture measurement in BENCH_equiv.json.
-// Findings counts the checker's non-gating warnings (benign HE010
-// interleavings): a row with findings pays the allocating diagnose
-// path on every check, so the allocation-free contract is asserted
-// only on finding-free rows.
-type equivRowJSON struct {
-	Name                string  `json:"name"`
-	Programs            int     `json:"programs"`
-	MATs                int     `json:"mats"`
-	Switches            int     `json:"switches"`
-	Findings            int     `json:"findings"`
-	SymbolicNsPerOp     float64 `json:"symbolic_ns_per_op"`
-	SymbolicAllocsPerOp int64   `json:"symbolic_allocs_per_op"`
-	NsPerProgram        float64 `json:"ns_per_program"`
-	ReplayNsPerOp       float64 `json:"replay_ns_per_op"`
-	ReplayRatio         float64 `json:"replay_ratio"`
-}
-
-// equivBaselineJSON is the BENCH_equiv.json document.
-type equivBaselineJSON struct {
-	Experiment string         `json:"experiment"`
-	Seed       int64          `json:"seed"`
-	Rows       []equivRowJSON `json:"rows"`
-}
-
-// equivFixture names one workload/topology cell of the sweep.
-// wantFast pins the allocation-free contract: the real-program
-// fixture's benign WAW interleaving is covered by the checker's
-// order-free relaxation, so its steady-state Check must stay on the
-// alloc-free walkClean path. The synthetic mixed fixtures contain
-// read-side HE010 interleavings that force the allocating diagnose
-// pass on every check; they gate the time budget, not allocations.
+// equivFixture names one workload/topology cell of the sweep. The
+// first pins the allocation-free contract: the real-program fixture's
+// benign WAW interleaving is covered by the checker's order-free
+// relaxation, so its steady-state Check must stay on the alloc-free
+// walkClean path. The synthetic mixed fixtures contain read-side HE010
+// interleavings that force the allocating diagnose pass on every check;
+// they gate the time budget, not allocations.
 type equivFixture struct {
 	name     string
 	programs int
 	topoID   int
 	mixed    bool
-	wantFast bool
 }
 
 var equivFixtures = []equivFixture{
-	{name: "real4_tableIII1", programs: 4, topoID: 1, wantFast: true},
+	{name: "real4_tableIII1", programs: 4, topoID: 1},
 	{name: "mixed10_tableIII2", programs: 10, topoID: 2, mixed: true},
 	{name: "mixed20_tableIII5", programs: 20, topoID: 5, mixed: true},
 }
 
-// equivRow solves, compiles, and measures one fixture.
-func (r *runner) equivRow(fx equivFixture, reps int) (equivRowJSON, error) {
-	var progs []*program.Program
-	var err error
-	if fx.mixed {
-		progs, err = workload.EvaluationPrograms(fx.programs, r.cfg.Seed)
-	} else {
-		real := workload.RealPrograms()
-		if fx.programs > len(real) {
-			return equivRowJSON{}, fmt.Errorf("equiv: only %d real programs", len(real))
+// equivPoint is one fixture measurement. findings counts the checker's
+// non-gating warnings (benign HE010 interleavings).
+type equivPoint struct {
+	equivFixture
+	mats, switches, findings int
+	symbolic, replay         testing.BenchmarkResult
+}
+
+var equivExp = experiment{
+	name: "equiv", title: "Equiv: symbolic equivalence checker vs packet replay",
+	baseline: true,
+	tables: []table{{name: "rows",
+		cols: []column{
+			col(key, "name", "fixture", "", func(p equivPoint) any { return p.name }),
+			col(det, "programs", "progs", "", func(p equivPoint) any { return p.programs }),
+			col(det, "mats", "mats", "", func(p equivPoint) any { return p.mats }),
+			col(det, "switches", "sw", "", func(p equivPoint) any { return p.switches }),
+			col(det, "findings", "warns", "", func(p equivPoint) any { return p.findings }),
+			col(timing, "symbolic_ns_per_op", "symbolic ns/op", "", func(p equivPoint) any { return p.symbolic.NsPerOp() }).dual("replay_ratio", 1.10, 1.10),
+			col(alloc, "symbolic_allocs_per_op", "allocs/op", "", func(p equivPoint) any { return p.symbolic.AllocsPerOp() }),
+			col(timing, "ns_per_program", "ns/program", "%.0f", func(p equivPoint) any { return float64(p.symbolic.NsPerOp()) / float64(p.programs) }),
+			col(timing, "replay_ns_per_op", "replay ns/op", "", func(p equivPoint) any { return p.replay.NsPerOp() }),
+			col(timing, "replay_ratio", "ratio", "%.0fx", func(p equivPoint) any { return ratio(p.replay.NsPerOp(), p.symbolic.NsPerOp()) }).up(),
+		},
+		checks: []check{
+			bound("ns_per_program", "<", equivBudgetNs),
+			bound("symbolic_allocs_per_op", "==", 0).when("on the fast-path fixture",
+				func(r row) bool { return r.Key == equivFixtures[0].name }),
+			bound("replay_ratio", ">=", equivReplayRatio),
+		},
+	}},
+	run: func(c *runCtx) (result, error) {
+		reps := equivReps
+		if c.smoke {
+			reps = 2
 		}
-		progs = real[:fx.programs]
+		var pts []equivPoint
+		for _, fx := range equivFixtures {
+			p, err := measureEquiv(fx, c.cfg.Seed, reps)
+			if err != nil {
+				return result{}, err
+			}
+			pts = append(pts, p)
+		}
+		return oneTable(nil, pts), nil
+	},
+}
+
+// measureEquiv solves, compiles, and measures one fixture.
+func measureEquiv(fx equivFixture, seed int64, reps int) (equivPoint, error) {
+	progs := workload.RealPrograms()
+	if fx.mixed {
+		var err error
+		if progs, err = workload.EvaluationPrograms(fx.programs, seed); err != nil {
+			return equivPoint{}, err
+		}
+	} else {
+		progs = progs[:fx.programs]
 	}
+	plan, err := tableIIIPlan(progs, fx.topoID, 0, placement.Options{})
 	if err != nil {
-		return equivRowJSON{}, err
+		return equivPoint{}, err
 	}
-	merged, err := hermes.Analyze(progs, hermes.AnalyzeOptions{})
-	if err != nil {
-		return equivRowJSON{}, err
-	}
-	topo, err := network.TableIII(fx.topoID, network.TofinoSpec())
-	if err != nil {
-		return equivRowJSON{}, err
-	}
-	plan, err := (placement.Greedy{}).Solve(merged, topo, placement.Options{})
-	if err != nil {
-		return equivRowJSON{}, err
-	}
+	merged := plan.Graph
 	dep, err := deploy.Compile(plan, hermes.AnalyzeOptions{})
 	if err != nil {
-		return equivRowJSON{}, err
+		return equivPoint{}, err
 	}
 	checker, err := equiv.NewChecker(merged)
 	if err != nil {
-		return equivRowJSON{}, err
+		return equivPoint{}, err
 	}
 	if err := checker.Check(dep); err != nil {
-		return equivRowJSON{}, fmt.Errorf("equiv: fixture %s not equivalent: %w", fx.name, err)
+		return equivPoint{}, fmt.Errorf("equiv: fixture %s not equivalent: %w", fx.name, err)
 	}
 	report, err := equiv.Diagnose(merged, dep)
 	if err != nil {
-		return equivRowJSON{}, err
+		return equivPoint{}, err
 	}
 
-	symbolic := measureBest(reps, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := checker.Check(dep); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	symbolic := measureBest(reps, loop(func(int) error { return checker.Check(dep) }))
 
 	// The replay twin is measured as raw engine cost — one distributed
 	// and one reference run per packet, the work VerifyEquivalence does
@@ -161,45 +145,33 @@ func (r *runner) equivRow(fx equivFixture, reps int) (equivRowJSON, error) {
 	// the two schedules on adversarial inputs.
 	eng, err := dataplane.NewEngine(dep)
 	if err != nil {
-		return equivRowJSON{}, err
+		return equivPoint{}, err
 	}
 	refEng, err := dataplane.NewReferenceEngine(dep.Plan.Graph)
 	if err != nil {
-		return equivRowJSON{}, err
+		return equivPoint{}, err
 	}
-	pkts := equivReplayStream(merged, r.cfg.Seed, equivReplayPackets)
-	replay := measureBest(reps, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, p := range pkts {
-				if _, err := eng.Process(p.Clone()); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := refEng.Process(p.Clone()); err != nil {
-					b.Fatal(err)
-				}
+	pkts := equivReplayStream(merged, seed, equivReplayPackets)
+	replay := measureBest(reps, loop(func(int) error {
+		for _, p := range pkts {
+			if _, err := eng.Process(p.Clone()); err != nil {
+				return err
+			}
+			if _, err := refEng.Process(p.Clone()); err != nil {
+				return err
 			}
 		}
-	})
+		return nil
+	}))
 
-	used := map[network.SwitchID]bool{}
-	for _, sp := range plan.Assignments {
-		used[sp.Switch] = true
-	}
-	row := equivRowJSON{
-		Name:                fx.name,
-		Programs:            fx.programs,
-		MATs:                merged.NumNodes(),
-		Switches:            len(used),
-		Findings:            len(report.Findings),
-		SymbolicNsPerOp:     float64(symbolic.NsPerOp()),
-		SymbolicAllocsPerOp: symbolic.AllocsPerOp(),
-		NsPerProgram:        round3(float64(symbolic.NsPerOp()) / float64(fx.programs)),
-		ReplayNsPerOp:       float64(replay.NsPerOp()),
-	}
-	if row.SymbolicNsPerOp > 0 {
-		row.ReplayRatio = round3(row.ReplayNsPerOp / row.SymbolicNsPerOp)
-	}
-	return row, nil
+	return equivPoint{
+		equivFixture: fx,
+		mats:         merged.NumNodes(),
+		switches:     plan.QOcc(),
+		findings:     len(report.Findings),
+		symbolic:     symbolic,
+		replay:       replay,
+	}, nil
 }
 
 // equivReplayStream synthesizes a deterministic packet stream over the
@@ -246,150 +218,4 @@ func equivReplayStream(g *tdg.Graph, seed int64, n int) []*dataplane.Packet {
 		out[i] = &dataplane.Packet{Headers: hdr}
 	}
 	return out
-}
-
-// equivBench runs the sweep, prints the table, and applies whichever
-// gate the flags selected.
-func (r *runner) equivBench() error {
-	mode := "baseline"
-	if r.smoke {
-		mode = "smoke"
-	} else if r.comparePath != "" {
-		mode = "compare"
-	}
-	fmt.Printf("## Equiv: symbolic equivalence checker vs packet replay (%s)\n", mode)
-
-	reps := equivReps
-	if r.smoke {
-		reps = 2
-	}
-	doc := equivBaselineJSON{Experiment: "equiv", Seed: r.cfg.Seed}
-	for _, fx := range equivFixtures {
-		row, err := r.equivRow(fx, reps)
-		if err != nil {
-			return err
-		}
-		doc.Rows = append(doc.Rows, row)
-	}
-
-	fmt.Printf("  %-20s %5s %5s %4s %5s %16s %10s %14s %16s %8s\n",
-		"fixture", "progs", "mats", "sw", "warns", "symbolic ns/op", "allocs/op", "ns/program", "replay ns/op", "ratio")
-	for _, row := range doc.Rows {
-		fmt.Printf("  %-20s %5d %5d %4d %5d %16.0f %10d %14.0f %16.0f %7.0fx\n",
-			row.Name, row.Programs, row.MATs, row.Switches, row.Findings, row.SymbolicNsPerOp,
-			row.SymbolicAllocsPerOp, row.NsPerProgram, row.ReplayNsPerOp, row.ReplayRatio)
-	}
-	fmt.Println()
-
-	if r.smoke {
-		return equivSmokeGate(doc.Rows)
-	}
-	if r.comparePath != "" {
-		return equivCompareGate(r.comparePath, doc)
-	}
-	if r.jsonPath != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(r.jsonPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("writing equiv baseline: %w", err)
-		}
-		fmt.Printf("  equiv baseline written to %s\n\n", r.jsonPath)
-	}
-	return nil
-}
-
-// equivSmokeGate enforces the checker's contract with in-run,
-// machine-independent conditions (the 10 ms budget is three orders of
-// magnitude above the measured cost, so it holds on any host that can
-// run the suite at all).
-func equivSmokeGate(rows []equivRowJSON) error {
-	wantFast := make(map[string]bool, len(equivFixtures))
-	for _, fx := range equivFixtures {
-		wantFast[fx.name] = fx.wantFast
-	}
-	var failures []string
-	for _, row := range rows {
-		if row.NsPerProgram >= equivBudgetNs {
-			failures = append(failures, fmt.Sprintf(
-				"%s: %.0f ns/program breaks the 10 ms budget", row.Name, row.NsPerProgram))
-		}
-		if wantFast[row.Name] && row.SymbolicAllocsPerOp != 0 {
-			failures = append(failures, fmt.Sprintf(
-				"%s: %d allocs/op on the steady-state check (fast path must be allocation-free)", row.Name, row.SymbolicAllocsPerOp))
-		}
-		if row.ReplayRatio < equivSmokeReplayRatio {
-			failures = append(failures, fmt.Sprintf(
-				"%s: symbolic check only %.1fx faster than sampled replay (need >= %.0fx)", row.Name, row.ReplayRatio, equivSmokeReplayRatio))
-		}
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Println("  FAIL:", f)
-		}
-		return fmt.Errorf("equiv smoke gate failed (%d condition(s))", len(failures))
-	}
-	fmt.Println("  equiv smoke gate passed: <10ms/program, allocation-free fast path, symbolic beats replay on every fixture")
-	return nil
-}
-
-// equivCompareGate diffs the fresh sweep against the committed
-// baseline, failing only on the dual condition (raw ns/op AND in-run
-// replay ratio both regressed >10%).
-func equivCompareGate(path string, cur equivBaselineJSON) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading equiv baseline: %w", err)
-	}
-	var base equivBaselineJSON
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing equiv baseline %s: %w", path, err)
-	}
-	baseline := make(map[string]equivRowJSON, len(base.Rows))
-	for _, row := range base.Rows {
-		baseline[row.Name] = row
-	}
-	var failures []string
-	fmt.Printf("  %-20s %18s %16s %8s %14s\n", "fixture", "baseline ns/op", "current ns/op", "delta", "ratio drift")
-	for _, row := range cur.Rows {
-		b, ok := baseline[row.Name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("fixture %s missing from baseline %s", row.Name, path))
-			continue
-		}
-		delta := 0.0
-		if b.SymbolicNsPerOp > 0 {
-			delta = row.SymbolicNsPerOp/b.SymbolicNsPerOp - 1
-		}
-		ratioDrift := 0.0
-		if b.ReplayRatio > 0 {
-			ratioDrift = row.ReplayRatio/b.ReplayRatio - 1
-		}
-		fmt.Printf("  %-20s %18.0f %16.0f %+7.1f%% %+13.1f%%\n",
-			row.Name, b.SymbolicNsPerOp, row.SymbolicNsPerOp, delta*100, ratioDrift*100)
-		rawRegressed := b.SymbolicNsPerOp > 0 && row.SymbolicNsPerOp > b.SymbolicNsPerOp*equivCompareSlack
-		ratioRegressed := b.ReplayRatio > 0 && row.ReplayRatio < b.ReplayRatio/equivCompareSlack
-		if rawRegressed && ratioRegressed {
-			failures = append(failures, fmt.Sprintf(
-				"fixture %s regressed %.1f%% in symbolic ns/op and %.1f%% against the in-run replay twin",
-				row.Name, delta*100, -ratioDrift*100))
-		}
-		if b.SymbolicAllocsPerOp == 0 && row.SymbolicAllocsPerOp != 0 {
-			failures = append(failures, fmt.Sprintf(
-				"fixture %s allocates %d/op where the baseline was allocation-free",
-				row.Name, row.SymbolicAllocsPerOp))
-		}
-	}
-	fmt.Println()
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Println("  FAIL:", f)
-		}
-		return fmt.Errorf("equiv compare gate failed (%d regression(s) beyond %.0f%%)",
-			len(failures), (equivCompareSlack-1)*100)
-	}
-	fmt.Printf("  equiv compare gate passed: no fixture regressed beyond %.0f%% of %s\n",
-		(equivCompareSlack-1)*100, path)
-	return nil
 }

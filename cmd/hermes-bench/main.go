@@ -1,64 +1,74 @@
-// Command hermes-bench regenerates every table and figure of the
-// paper's evaluation as text tables (and optional CSV):
+// Command hermes-bench regenerates the paper's evaluation — and this
+// repo's own Exp#7–#12 and kernel benchmarks — as text tables, optional
+// CSV, and machine-readable baselines:
 //
-//	hermes-bench -exp fig2    # Figure 2: overhead vs FCT/goodput
-//	hermes-bench -exp exp1    # Figure 5: testbed study
-//	hermes-bench -exp exp2    # Figure 6: per-packet overhead at scale
-//	hermes-bench -exp exp3    # Figure 7: execution time at scale
-//	hermes-bench -exp exp4    # Figure 8: end-to-end impact
-//	hermes-bench -exp exp5    # Figure 9: scalability
-//	hermes-bench -exp exp6    # switch resource consumption
-//	hermes-bench -exp exp7    # incremental replanning under churn
-//	hermes-bench -exp exp8    # survivability under injected faults
-//	hermes-bench -exp exp10   # region-sharded placement at scale
-//	hermes-bench -exp traffic # weighted objective + batched replay (Exp#9)
-//	hermes-bench -exp regionreplan # region-local replan under churn (Exp#11)
-//	hermes-bench -exp rollout # transactional rollout under faults (Exp#12)
-//	hermes-bench -exp all
+//	hermes-bench -exp all -csv results                # the paper's figures plus Exp#7/#8, with CSVs
+//	hermes-bench -exp core -smoke                     # machine-independent in-run gates
+//	hermes-bench -exp core -json BENCH_core.json      # (re)generate the committed baseline
+//	hermes-bench -exp core -compare BENCH_core.json   # fail on a regression against it
 //
-// Exp#2–Exp#5 iterate the ten Table III WAN topologies with up to 50
-// concurrent programs; expect minutes of runtime with -ilp enabled.
-//
-// -json PATH writes Exp#7's replan baseline as machine-readable JSON
-// (BENCH_replan.json), so CI can diff replan latency, migration cost,
-// and A_max degradation across commits. With -exp core, -json writes
-// the kernel/end-to-end perf baseline (BENCH_core.json) instead; see
-// core.go for the -compare and -smoke gates. With -exp exp8, -json
-// writes the survivability baseline (BENCH_survive.json); see
-// survive.go for its structural -compare and -smoke gates. With
-// -exp exp10, -json writes the sharded-placement baseline
-// (BENCH_shard.json); see shard.go for its speedup/quality gates and
-// the -full flag that adds the 10k-switch / 5k-program point. With
-// -exp equiv, -json writes the symbolic equivalence-checker baseline
-// (BENCH_equiv.json); see equiv.go for its 10 ms-per-program budget
-// and replay-twin gates. With -exp regionreplan, -json writes the
-// region-local replan baseline (BENCH_regionreplan.json); see
-// regionreplan.go for its zero-fallback/speedup/quality smoke gate and
-// the dual-condition compare gate. With -exp rollout, -json writes the
-// transactional-rollout fault baseline (BENCH_rollout.json); see
-// rollout.go for its torn-state smoke gate and the structural compare
-// gate that diffs seed-determined outcome counts while ignoring
-// latency.
-//
-// -cpuprofile and -memprofile write pprof profiles covering the
-// selected experiments, for `go tool pprof` analysis of the solver hot
-// paths.
+// Every experiment is a value in the registry below (driver.go: what a
+// value declares, what each mode does with it); an unknown -exp lists
+// them with their modes. Exp#2–Exp#5 iterate the ten Table III WANs
+// with up to 50 programs: minutes of runtime with -ilp enabled.
 package main
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/experiments"
 )
+
+// registry is every -exp value, in the order -exp all and the usage
+// text list them.
+var registry = []*experiment{
+	&fig2Exp, &exp1Exp, &exp2Exp, &exp3Exp, &exp4Exp, &exp5Exp, &exp6Exp,
+	&replanExp, &surviveExp, &trafficExp, &shardExp, &regionReplanExp, &rolloutExp,
+	&coreExp, &equivExp,
+}
+
+// usage lists the registered experiments, with their modes when asked.
+func usage(withModes bool) string {
+	parts := make([]string, len(registry))
+	for i, e := range registry {
+		parts[i] = e.name
+		if withModes {
+			parts[i] += " (" + strings.Join(e.modes(), ", ") + ")"
+		}
+	}
+	return strings.Join(parts, ", ")
+}
+
+// selectExperiments resolves the -exp value against the registry.
+func selectExperiments(spec string) ([]*experiment, error) {
+	var todo []*experiment
+	if spec == "all" {
+		for _, e := range registry {
+			if e.all {
+				todo = append(todo, e)
+			}
+		}
+		return todo, nil
+	}
+next:
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		for _, e := range registry {
+			if e.name == name {
+				todo = append(todo, e)
+				continue next
+			}
+		}
+		return nil, fmt.Errorf("unknown experiment %q; registered: %s", name, usage(true))
+	}
+	return todo, nil
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -69,21 +79,53 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("hermes-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: fig2, exp1, exp2, exp3, exp4, exp5, exp6, exp7, exp8, exp10, regionreplan, rollout, core, equiv, traffic, all")
-	programs := fs.Int("programs", 50, "concurrent programs for exp2-4 and exp7")
+	exp := fs.String("exp", "all", "comma-separated experiments: "+usage(false)+", all")
+	programs := fs.Int("programs", 50, "concurrent programs for exp2-4, replan and core")
 	deadline := fs.Duration("deadline", 3*time.Second, "per-instance solver deadline for exact/ILP solvers")
 	ilp := fs.Bool("ilp", true, "run the genuinely ILP-backed comparison frameworks")
 	seed := fs.Int64("seed", 1, "workload seed")
 	workers := fs.Int("workers", 0, "concurrent experiment cells and solver parallelism (0 = GOMAXPROCS)")
-	csvDir := fs.String("csv", "", "also write CSV files into this directory")
-	jsonPath := fs.String("json", "", "write exp7's replan baseline (or -exp core's perf baseline) as JSON to this path")
-	comparePath := fs.String("compare", "", "with -exp core/equiv: diff against this committed baseline, failing on >10% ns/op regressions")
-	smoke := fs.Bool("smoke", false, "with -exp core/exp10/regionreplan/equiv/rollout: enforce the machine-independent in-run gates and skip the slow sweeps")
-	full := fs.Bool("full", false, "with -exp exp10/regionreplan: include the largest sweep point (minutes of runtime)")
+	csvDir := fs.String("csv", "", "also write one CSV per table into this directory")
+	jsonPath := fs.String("json", "", "write the experiment's baseline (BENCH_<exp>.json) to this path")
+	comparePath := fs.String("compare", "", "diff the run against this baseline by column kind, failing on a regression")
+	smoke := fs.Bool("smoke", false, "run the small sweep and enforce the experiment's machine-independent checks")
+	full := fs.Bool("full", false, "with -exp shard/regionreplan: include the largest sweep point (minutes of runtime)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the selected experiments to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+
+	todo, err := selectExperiments(*exp)
+	if err != nil {
+		return err
+	}
+	o, chosen := options{csvDir: *csvDir}, 0
+	if *smoke {
+		o.mode, chosen = "smoke", chosen+1
+	}
+	if *jsonPath != "" {
+		o.mode, o.path, chosen = "json", *jsonPath, chosen+1
+	}
+	if *comparePath != "" {
+		o.mode, o.path, chosen = "compare", *comparePath, chosen+1
+	}
+	if chosen > 1 {
+		return fmt.Errorf("-smoke, -json and -compare are separate modes; choose one")
+	}
+	if o.mode != "" {
+		if o.mode != "smoke" && len(todo) > 1 {
+			return fmt.Errorf("-%s takes one experiment, -exp selects %d", o.mode, len(todo))
+		}
+		for _, e := range todo {
+			if modes := strings.Join(e.modes(), ", "); !strings.Contains(modes, o.mode) {
+				what := "baseline"
+				if o.mode == "smoke" {
+					what = "smoke gate"
+				}
+				return fmt.Errorf("%s has no %s; modes: %s", e.name, what, modes)
+			}
+		}
 	}
 
 	cfg := experiments.DefaultConfig()
@@ -104,14 +146,9 @@ func run(args []string) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	runner := &runner{cfg: cfg, programs: *programs, csvDir: *csvDir,
-		jsonPath: *jsonPath, comparePath: *comparePath, smoke: *smoke, full: *full}
-	todo := strings.Split(*exp, ",")
-	if *exp == "all" {
-		todo = []string{"fig2", "exp1", "exp2", "exp3", "exp4", "exp5", "exp6", "exp7", "exp8"}
-	}
+	ctx := &runCtx{cfg: cfg, programs: *programs, smoke: *smoke, full: *full && !*smoke}
 	for _, e := range todo {
-		if err := runner.run(strings.TrimSpace(e)); err != nil {
+		if err := e.execute(ctx, o); err != nil {
 			return err
 		}
 	}
@@ -128,347 +165,4 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-type runner struct {
-	cfg         experiments.Config
-	programs    int
-	csvDir      string
-	jsonPath    string
-	comparePath string
-	smoke       bool
-	full        bool
-	// exp2 results are shared by exp3 and exp4.
-	topoRows []experiments.TopoRow
-}
-
-func (r *runner) run(exp string) error {
-	switch exp {
-	case "fig2":
-		return r.fig2()
-	case "exp1":
-		return r.exp1()
-	case "exp2":
-		return r.exp2()
-	case "exp3":
-		return r.exp3()
-	case "exp4":
-		return r.exp4()
-	case "exp5":
-		return r.exp5()
-	case "exp6":
-		return r.exp6()
-	case "exp7":
-		return r.exp7()
-	case "exp8":
-		return r.exp8()
-	case "exp10":
-		return r.exp10()
-	case "regionreplan":
-		return r.regionReplan()
-	case "core":
-		return r.core()
-	case "equiv":
-		return r.equivBench()
-	case "traffic":
-		return r.trafficBench()
-	case "rollout":
-		return r.rolloutBench()
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
-	}
-}
-
-func (r *runner) fig2() error {
-	fmt.Println("## Figure 2: per-packet byte overhead vs end-to-end performance")
-	pts, err := experiments.Figure2()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-10s %-10s %-12s %-14s\n", "pkt(B)", "ovh(B)", "FCT+(%)", "goodput-(%)")
-	rows := [][]string{{"packet_bytes", "overhead_bytes", "fct_increase", "goodput_decrease"}}
-	for _, p := range pts {
-		fmt.Printf("%-10d %-10d %-12.1f %-14.1f\n",
-			p.PacketBytes, p.OverheadBytes, p.FCTIncrease*100, p.GoodputDecrease*100)
-		rows = append(rows, []string{
-			strconv.Itoa(p.PacketBytes), strconv.Itoa(p.OverheadBytes),
-			fmt.Sprintf("%.4f", p.FCTIncrease), fmt.Sprintf("%.4f", p.GoodputDecrease),
-		})
-	}
-	fmt.Println()
-	return r.writeCSV("fig2.csv", rows)
-}
-
-func (r *runner) exp1() error {
-	fmt.Println("## Exp#1 (Figure 5): testbed study, 3-switch linear, 2-10 real programs")
-	rows, err := experiments.Exp1(r.cfg)
-	if err != nil {
-		return err
-	}
-	csvRows := [][]string{{"programs", "solver", "header_bytes", "amax_bytes", "exec_ms", "fct_overhead", "goodput_loss", "capped", "err"}}
-	for _, row := range rows {
-		fmt.Printf("programs=%d\n", row.Programs)
-		fmt.Printf("  %-8s %10s %10s %12s %10s %10s\n", "solver", "header(B)", "A_max(B)", "exec", "FCT+(%)", "gput-(%)")
-		for _, res := range row.Results {
-			printSolverRow(res)
-			csvRows = append(csvRows, solverCSV(strconv.Itoa(row.Programs), res))
-		}
-	}
-	fmt.Println()
-	return r.writeCSV("exp1.csv", csvRows)
-}
-
-func (r *runner) ensureExp2() error {
-	if r.topoRows != nil {
-		return nil
-	}
-	rows, err := experiments.Exp2(r.cfg, r.programs)
-	if err != nil {
-		return err
-	}
-	r.topoRows = rows
-	return nil
-}
-
-func (r *runner) exp2() error {
-	fmt.Printf("## Exp#2 (Figure 6): per-packet byte overhead, %d programs, Table III topologies\n", r.programs)
-	if err := r.ensureExp2(); err != nil {
-		return err
-	}
-	csvRows := [][]string{{"topology", "solver", "header_bytes", "amax_bytes"}}
-	for _, row := range r.topoRows {
-		fmt.Printf("topology %d (%d nodes, %d edges)\n", row.Topology, row.Nodes, row.Edges)
-		for _, res := range row.Results {
-			if res.Err != "" {
-				fmt.Printf("  %-8s failed: %s\n", res.Solver, res.Err)
-				continue
-			}
-			fmt.Printf("  %-8s header=%4dB A_max=%4dB\n", res.Solver, res.HeaderBytes, res.AMax)
-			csvRows = append(csvRows, []string{
-				strconv.Itoa(row.Topology), res.Solver,
-				strconv.Itoa(res.HeaderBytes), strconv.Itoa(res.AMax),
-			})
-		}
-	}
-	fmt.Println()
-	return r.writeCSV("exp2.csv", csvRows)
-}
-
-func (r *runner) exp3() error {
-	fmt.Println("## Exp#3 (Figure 7): execution time (capped runs plotted as 10^7 ms)")
-	if err := r.ensureExp2(); err != nil {
-		return err
-	}
-	csvRows := [][]string{{"topology", "solver", "exec_ms", "capped"}}
-	for _, row := range r.topoRows {
-		fmt.Printf("topology %d\n", row.Topology)
-		for _, res := range row.Results {
-			if res.Err != "" {
-				continue
-			}
-			mark := ""
-			if res.Capped {
-				mark = "  (capped)"
-			}
-			fmt.Printf("  %-8s %12.3f ms%s\n", res.Solver, float64(res.ExecTime.Microseconds())/1000, mark)
-			csvRows = append(csvRows, []string{
-				strconv.Itoa(row.Topology), res.Solver,
-				fmt.Sprintf("%.3f", float64(res.ExecTime.Microseconds())/1000),
-				strconv.FormatBool(res.Capped),
-			})
-		}
-	}
-	fmt.Println()
-	return r.writeCSV("exp3.csv", csvRows)
-}
-
-func (r *runner) exp4() error {
-	fmt.Println("## Exp#4 (Figure 8): end-to-end impact of the deployed overhead (1024B packets)")
-	if err := r.ensureExp2(); err != nil {
-		return err
-	}
-	csvRows := [][]string{{"topology", "solver", "fct_overhead", "goodput_loss"}}
-	for _, row := range r.topoRows {
-		fmt.Printf("topology %d\n", row.Topology)
-		for _, res := range row.Results {
-			if res.Err != "" {
-				continue
-			}
-			fmt.Printf("  %-8s FCT %+6.1f%%  goodput %+6.1f%%\n",
-				res.Solver, res.FCTOverhead*100, -res.GoodputLoss*100)
-			csvRows = append(csvRows, []string{
-				strconv.Itoa(row.Topology), res.Solver,
-				fmt.Sprintf("%.4f", res.FCTOverhead), fmt.Sprintf("%.4f", res.GoodputLoss),
-			})
-		}
-	}
-	fmt.Println()
-	return r.writeCSV("exp4.csv", csvRows)
-}
-
-func (r *runner) exp5() error {
-	fmt.Println("## Exp#5 (Figure 9): scalability on topology 10, 10-50 programs")
-	rows, err := experiments.Exp5(r.cfg)
-	if err != nil {
-		return err
-	}
-	csvRows := [][]string{{"programs", "solver", "header_bytes", "amax_bytes", "exec_ms", "fct_overhead", "goodput_loss", "capped", "err"}}
-	for _, row := range rows {
-		fmt.Printf("programs=%d\n", row.Programs)
-		fmt.Printf("  %-8s %10s %10s %12s %10s %10s\n", "solver", "header(B)", "A_max(B)", "exec", "FCT+(%)", "gput-(%)")
-		for _, res := range row.Results {
-			printSolverRow(res)
-			csvRows = append(csvRows, solverCSV(strconv.Itoa(row.Programs), res))
-		}
-	}
-	fmt.Println()
-	return r.writeCSV("exp5.csv", csvRows)
-}
-
-func (r *runner) exp6() error {
-	fmt.Println("## Exp#6: switch resource consumption (10 concurrent sketches)")
-	res, err := experiments.Exp6(r.cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  ground truth (each sketch alone):       %.3f stage-units\n", res.GroundTruth)
-	fmt.Printf("  Hermes deployment consumes:             %.3f stage-units\n", res.HermesUsed)
-	fmt.Printf("  SPEED deployment consumes:              %.3f stage-units\n", res.SPEEDUsed)
-	fmt.Printf("  saved by TDG merging:                   %.3f stage-units\n", res.MergeSavings)
-	fmt.Printf("  extra resources added by coordination:  %.4f stage-units\n", res.HermesExtra)
-	fmt.Println()
-	return r.writeCSV("exp6.csv", [][]string{
-		{"ground_truth", "hermes_used", "speed_used", "merge_savings", "hermes_extra"},
-		{
-			fmt.Sprintf("%.4f", res.GroundTruth), fmt.Sprintf("%.4f", res.HermesUsed),
-			fmt.Sprintf("%.4f", res.SPEEDUsed), fmt.Sprintf("%.4f", res.MergeSavings),
-			fmt.Sprintf("%.4f", res.HermesExtra),
-		},
-	})
-}
-
-// replanRowJSON is one Exp#7 row in the machine-readable baseline.
-type replanRowJSON struct {
-	Programs      int     `json:"programs"`
-	DrainedSwitch int     `json:"drained_switch"`
-	DisplacedMATs int     `json:"displaced_mats"`
-	ColdMs        float64 `json:"cold_ms"`
-	IncrementalMs float64 `json:"incremental_ms"`
-	Speedup       float64 `json:"speedup"`
-	MovedFull     int     `json:"moved_mats_full"`
-	MovedInc      int     `json:"moved_mats_incremental"`
-	DirtyMATs     int     `json:"dirty_mats"`
-	AMaxCold      int     `json:"amax_cold_bytes"`
-	AMaxInc       int     `json:"amax_incremental_bytes"`
-	AMaxRatio     float64 `json:"amax_ratio"`
-	FellBack      bool    `json:"fell_back"`
-}
-
-// replanBaselineJSON is the BENCH_replan.json document.
-type replanBaselineJSON struct {
-	Experiment string          `json:"experiment"`
-	Topology   int             `json:"topology"`
-	Seed       int64           `json:"seed"`
-	Rows       []replanRowJSON `json:"rows"`
-}
-
-func (r *runner) exp7() error {
-	fmt.Printf("## Exp#7: incremental replanning after a single-switch drain, Table III topology 1, up to %d programs\n", r.programs)
-	pts, err := experiments.Exp7(r.cfg, r.programs)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  %-9s %-8s %-10s %-10s %-9s %-12s %-12s %-14s %s\n",
-		"programs", "drained", "cold", "inc", "speedup", "moved(full)", "moved(inc)", "A_max c/i", "path")
-	csvRows := [][]string{{"programs", "drained_switch", "displaced_mats", "cold_ms", "incremental_ms", "speedup",
-		"moved_mats_full", "moved_mats_incremental", "dirty_mats", "amax_cold_bytes", "amax_incremental_bytes", "amax_ratio", "fell_back"}}
-	doc := replanBaselineJSON{Experiment: "exp7", Topology: 1, Seed: r.cfg.Seed}
-	for _, p := range pts {
-		path := fmt.Sprintf("repair (%d dirty)", p.DirtyInc)
-		if p.FellBack {
-			path = "fallback"
-		}
-		fmt.Printf("  %-9d sw%-6d %-10s %-10s %-9.1f %-12d %-12d %4dB/%-4dB    %s\n",
-			p.Programs, int(p.Drained),
-			fmt.Sprintf("%.1fms", p.ColdMs), fmt.Sprintf("%.2fms", p.IncMs),
-			p.Speedup, p.MovedFull, p.MovedInc, p.ColdAMax, p.IncAMax, path)
-		csvRows = append(csvRows, []string{
-			strconv.Itoa(p.Programs), strconv.Itoa(int(p.Drained)), strconv.Itoa(p.DisplacedMATs),
-			fmt.Sprintf("%.3f", p.ColdMs), fmt.Sprintf("%.3f", p.IncMs), fmt.Sprintf("%.2f", p.Speedup),
-			strconv.Itoa(p.MovedFull), strconv.Itoa(p.MovedInc), strconv.Itoa(p.DirtyInc),
-			strconv.Itoa(p.ColdAMax), strconv.Itoa(p.IncAMax), fmt.Sprintf("%.4f", p.AMaxRatio),
-			strconv.FormatBool(p.FellBack),
-		})
-		doc.Rows = append(doc.Rows, replanRowJSON{
-			Programs: p.Programs, DrainedSwitch: int(p.Drained), DisplacedMATs: p.DisplacedMATs,
-			ColdMs: round3(p.ColdMs), IncrementalMs: round3(p.IncMs), Speedup: round3(p.Speedup),
-			MovedFull: p.MovedFull, MovedInc: p.MovedInc, DirtyMATs: p.DirtyInc,
-			AMaxCold: p.ColdAMax, AMaxInc: p.IncAMax, AMaxRatio: round3(p.AMaxRatio),
-			FellBack: p.FellBack,
-		})
-	}
-	fmt.Println()
-	if r.jsonPath != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(r.jsonPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("writing replan baseline: %w", err)
-		}
-		fmt.Printf("  replan baseline written to %s\n\n", r.jsonPath)
-	}
-	return r.writeCSV("exp7.csv", csvRows)
-}
-
-func round3(v float64) float64 {
-	return float64(int64(v*1000+0.5)) / 1000
-}
-
-func printSolverRow(res experiments.SolverResult) {
-	if res.Err != "" {
-		fmt.Printf("  %-8s failed: %s\n", res.Solver, res.Err)
-		return
-	}
-	exec := fmt.Sprintf("%.3fms", float64(res.ExecTime.Microseconds())/1000)
-	if res.Capped {
-		exec = ">cap"
-	}
-	fmt.Printf("  %-8s %9dB %9dB %12s %+9.1f%% %+9.1f%%\n",
-		res.Solver, res.HeaderBytes, res.AMax, exec,
-		res.FCTOverhead*100, -res.GoodputLoss*100)
-}
-
-func solverCSV(x string, res experiments.SolverResult) []string {
-	return []string{
-		x, res.Solver,
-		strconv.Itoa(res.HeaderBytes), strconv.Itoa(res.AMax),
-		fmt.Sprintf("%.3f", float64(res.ExecTime.Microseconds())/1000),
-		fmt.Sprintf("%.4f", res.FCTOverhead), fmt.Sprintf("%.4f", res.GoodputLoss),
-		strconv.FormatBool(res.Capped), res.Err,
-	}
-}
-
-func (r *runner) writeCSV(name string, rows [][]string) error {
-	if r.csvDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(r.csvDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(r.csvDir + "/" + name)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	if err := w.WriteAll(rows); err != nil {
-		f.Close()
-		return err
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

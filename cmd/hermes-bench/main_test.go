@@ -37,8 +37,35 @@ func TestRunExp1Heuristics(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-exp", "exp99"}); err == nil {
-		t.Error("unknown experiment accepted")
+	for _, name := range []string{"exp99", "exp7", "exp8", "exp10"} { // one name each: replan, survive, shard
+		err := run([]string{"-exp", name})
+		if err == nil || !strings.Contains(err.Error(), "replan (csv, json, compare, smoke)") {
+			t.Errorf("-exp %s: want the registered names with their modes, got %v", name, err)
+		}
+	}
+}
+
+// Flags an experiment does not declare are rejected, not ignored.
+func TestRunRejectsUndeclaredModes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "exp6", "-smoke"}, "exp6 has no smoke gate; modes: csv"},
+		{[]string{"-exp", "exp6", "-json", "x.json"}, "exp6 has no baseline; modes: csv"},
+		{[]string{"-exp", "replan", "-smoke", "-compare", "BENCH_replan.json"}, "-smoke, -json and -compare are separate modes"},
+		{[]string{"-exp", "replan", "-smoke", "-json", "x.json"}, "-smoke, -json and -compare are separate modes"},
+		{[]string{"-exp", "core,equiv", "-json", "x.json"}, "-json takes one experiment, -exp selects 2"},
+		{[]string{"-exp", "core,equiv", "-compare", "x.json"}, "-compare takes one experiment"},
+		{[]string{"-exp", "fig2,replan", "-smoke"}, "fig2 has no smoke gate"},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: want %q, got %v", tc.args, tc.want, err)
+		}
+	}
+	if err := run([]string{"-exp", "survive", "-compare", filepath.Join("..", "..", "BENCH_rollout.json")}); err == nil ||
+		!strings.Contains(err.Error(), `baseline of experiment "rollout"`) {
+		t.Errorf("comparing against another experiment's baseline: %v", err)
 	}
 }
 
@@ -51,19 +78,42 @@ func TestRunCommaSeparatedList(t *testing.T) {
 func TestRunExp7JSONBaseline(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "BENCH_replan.json")
-	if err := run([]string{"-exp", "exp7", "-programs", "4", "-csv", dir, "-json", jsonPath}); err != nil {
+	if err := run([]string{"-exp", "replan", "-programs", "4", "-csv", dir, "-json", jsonPath}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"experiment": "exp7"`, `"speedup"`, `"amax_ratio"`, `"incremental_ms"`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("replan baseline missing %s:\n%s", want, data)
+	doc, err := parseBaseline(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Experiment != "replan" || doc.Seed != 1 || doc.Params["topology"] != 1.0 {
+		t.Errorf("header %+v", doc)
+	}
+	if len(doc.Tables["rows"]) == 0 {
+		t.Fatalf("no rows:\n%s", data)
+	}
+	for _, r := range doc.Tables["rows"] {
+		for _, c := range replanExp.tables[0].cols {
+			if _, ok := r.Metrics.lookup(c.name); !ok {
+				t.Errorf("row %s lacks %s", r.Key, c.name)
+			}
 		}
 	}
-	if _, err := os.ReadFile(filepath.Join(dir, "exp7.csv")); err != nil {
-		t.Errorf("exp7 CSV not written: %v", err)
+	if _, err := os.ReadFile(filepath.Join(dir, "replan.csv")); err != nil {
+		t.Errorf("replan CSV not written: %v", err)
+	}
+	// What the run just wrote is what -compare reads.
+	if err := run([]string{"-exp", "replan", "-programs", "4", "-compare", jsonPath}); err != nil {
+		t.Errorf("fresh baseline does not compare clean: %v", err)
+	}
+}
+
+// The seeded, seconds-scale smoke gates run end to end through the CLI.
+func TestRunSmokeGates(t *testing.T) {
+	if err := run([]string{"-exp", "replan,survive,rollout", "-smoke"}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,31 +1,20 @@
-// The "traffic" experiment (Exp#9, EXPERIMENTS.md) evaluates the
-// traffic-weighted objective and the batched replay engine together,
-// producing the BENCH_traffic.json baseline:
+// The "traffic" experiment (Exp#9) evaluates the traffic-weighted
+// objective and the batched replay engine together.
 //
-//	hermes-bench -exp traffic -json BENCH_traffic.json    # (re)generate the baseline
-//	hermes-bench -exp traffic -compare BENCH_traffic.json # fail on regressions
-//	hermes-bench -exp traffic -smoke                      # machine-independent gates
+// The rows table sweeps the built-in traffic models over spread-out
+// fixtures: each cell solves the same instance structurally (A_max-only)
+// and weighted (min-max w·A under AMaxSlack), compiles both, and replays
+// the matrix through the batched engine to measure the hot-pair
+// byte-rate each plan pays on the wire, not just what the solver scored.
 //
-// Part A sweeps the built-in traffic models over spread-out fixtures
-// (stage capacity tightened so the structural solve cannot co-locate
-// everything): each cell solves the same instance structurally
-// (A_max-only) and weighted (min-max w·A under AMaxSlack), compiles
-// both, and replays the matrix through the batched engine to measure
-// the hot-pair coordination byte-rate each plan actually pays. The
-// smoke gate holds the weighted solver to the acceptance bar on every
-// skewed model: hot-pair byte-rate cut >= 2x at <= 1.2x structural
-// A_max inflation.
-//
-// Part B measures the engines on one compiled fixture: the per-packet
-// interpreter vs the batched pipeline over the same packet stream. The
-// smoke gate requires the batched engine >= 10x faster per packet and
-// allocation-free in steady state.
+// The throughput table measures the per-packet interpreter against the
+// batched pipeline over one packet stream. Its speedup divides two
+// independently noisy measurements, so the calibrator slack is 1.5: a
+// genuine batched-engine regression drags it far below that anyway.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	hermes "github.com/hermes-net/hermes"
@@ -37,87 +26,131 @@ import (
 )
 
 const (
-	// trafficHotCutFloor is the acceptance bar: on skewed models the
-	// weighted plan must cut the hot-pair coordination byte-rate by at
-	// least this factor vs the structural plan.
+	// On skewed models the weighted plan must cut the hot-pair
+	// coordination byte-rate by at least this factor ...
 	trafficHotCutFloor = 2.0
-	// trafficAMaxSlack bounds the structural A_max a weighted solve may
-	// pay for that cut (and is passed to the solver as the constraint).
+	// ... at no more than this structural A_max inflation (also the
+	// constraint handed to the solver).
 	trafficAMaxSlack = 1.2
-	// trafficBatchSpeedupFloor is the batched engine's in-run gate:
-	// packets/sec at least this multiple of the per-packet interpreter.
+	// The batched engine's packets/sec over the per-packet interpreter.
 	trafficBatchSpeedupFloor = 10.0
-	// trafficCompareSlack mirrors the core gate's dual condition for
-	// the machine-dependent throughput row.
-	trafficCompareSlack = 1.10
-	// trafficSpeedupCompareSlack is the wider margin for the in-run
-	// speedup: the composite divides two independently noisy
-	// measurements (per-packet ns and batched ns), so its run-to-run
-	// variance is roughly the sum of both. A genuine batched-engine
-	// regression drags the composite far below this margin anyway.
-	trafficSpeedupCompareSlack = 1.5
 	// trafficReps / trafficReplayPackets size the measurements.
 	trafficReps          = 5
 	trafficReplayPackets = 4096
+	// trafficCapacity tightens the stage capacity so MATs spread across
+	// switches and coordination pairs actually exist.
+	trafficCapacity = 0.1
 )
 
-// trafficFixture is one workload/topology cell. Stage capacity is
-// tightened so MATs spread across switches and coordination pairs
-// actually exist; seedOff varies the workload and matrix seeds.
+// trafficFixture is one workload/topology cell; seedOff varies the
+// workload and matrix seeds.
 type trafficFixture struct {
 	name     string
 	programs int
 	topoID   int
-	capacity float64
 	seedOff  int64
 }
 
 var trafficFixtures = []trafficFixture{
-	{name: "mixed12_tableIII1", programs: 12, topoID: 1, capacity: 0.1},
-	{name: "mixed10_tableIII2", programs: 10, topoID: 2, capacity: 0.1, seedOff: 1},
+	{name: "mixed12_tableIII1", programs: 12, topoID: 1},
+	{name: "mixed10_tableIII2", programs: 10, topoID: 2, seedOff: 1},
 }
 
-// trafficSkewedModels are the models the acceptance gate applies to;
-// uniform rides along as the informational null model.
-var trafficSkewedModels = map[string]bool{
-	network.TrafficGravity:   true,
-	network.TrafficHotspot:   true,
-	network.TrafficElephants: true,
+// skewed selects the rows the acceptance bars apply to; uniform rides
+// along as the informational null model.
+func skewed(r row) bool { return r.str("model") != network.TrafficUniform }
+
+// trafficPoint is one (fixture, model) cell: the structural and the
+// weighted deployment, both replayed under the model's matrix.
+type trafficPoint struct {
+	name, model              string
+	structAMax, weightedAMax int
+	structRes, weightedRes   *dataplane.TrafficResult
 }
 
-// trafficRowJSON is one (fixture, model) cell of BENCH_traffic.json.
-// Rates come from the batched replay of the matrix through each
-// compiled deployment, so the row measures what the plans pay on the
-// wire, not just what the solver scored.
-type trafficRowJSON struct {
-	Name            string  `json:"name"`
-	Model           string  `json:"model"`
-	StructAMax      int     `json:"struct_a_max_bytes"`
-	WeightedAMax    int     `json:"weighted_a_max_bytes"`
-	AMaxInflation   float64 `json:"a_max_inflation"`
-	StructHotRate   float64 `json:"struct_hot_pair_rate"`
-	WeightedHotRate float64 `json:"weighted_hot_pair_rate"`
-	HotCut          float64 `json:"hot_pair_cut"`
-	StructSumRate   float64 `json:"struct_weighted_rate"`
-	WeightedSumRate float64 `json:"weighted_weighted_rate"`
-	SumCut          float64 `json:"weighted_rate_cut"`
+// cut is before/after; when the weighted plan eliminated every byte the
+// cut is unbounded and the structural rate stands in.
+func cut(before, after float64) float64 {
+	before, after = round3(before), round3(after)
+	if after > 0 {
+		return before / after
+	}
+	return before
 }
 
-// trafficThroughputJSON is the engine comparison row.
-type trafficThroughputJSON struct {
-	Fixture            string  `json:"fixture"`
-	PerPacketNsPerOp   float64 `json:"per_packet_ns_per_op"`
-	BatchedNsPerOp     float64 `json:"batched_ns_per_op"`
-	BatchedAllocsPerOp int64   `json:"batched_allocs_per_packet"`
-	Speedup            float64 `json:"speedup"`
+// throughputPoint is the engine comparison on one fixture.
+type throughputPoint struct {
+	fixture            string
+	perPacket, batched testing.BenchmarkResult
 }
 
-// trafficBaselineJSON is the BENCH_traffic.json document.
-type trafficBaselineJSON struct {
-	Experiment string                `json:"experiment"`
-	Seed       int64                 `json:"seed"`
-	Rows       []trafficRowJSON      `json:"rows"`
-	Throughput trafficThroughputJSON `json:"throughput"`
+var trafficExp = experiment{
+	name: "traffic", title: "Exp#9 Traffic: weighted objective and batched replay",
+	baseline: true,
+	tables: []table{
+		{name: "rows",
+			cols: []column{
+				col(key, "name", "fixture", "", func(p trafficPoint) any { return p.name }),
+				col(key, "model", "model", "", func(p trafficPoint) any { return p.model }),
+				col(det, "struct_a_max_bytes", "sAmax", "%.0fB", func(p trafficPoint) any { return p.structAMax }),
+				col(det, "weighted_a_max_bytes", "wAmax", "%.0fB", func(p trafficPoint) any { return p.weightedAMax }),
+				col(det, "a_max_inflation", "inflate", "%.2fx", func(p trafficPoint) any { return ratio(p.weightedAMax, p.structAMax) }),
+				col(det, "struct_hot_pair_rate", "struct hot", "%.1f", func(p trafficPoint) any { return p.structRes.HotPairByteRate }),
+				col(det, "weighted_hot_pair_rate", "weighted hot", "%.1f", func(p trafficPoint) any { return p.weightedRes.HotPairByteRate }),
+				col(det, "hot_pair_cut", "hot cut", "%.1fx", func(p trafficPoint) any {
+					return cut(p.structRes.HotPairByteRate, p.weightedRes.HotPairByteRate)
+				}).within(0.10),
+				col(det, "struct_weighted_rate", "", "", func(p trafficPoint) any { return p.structRes.WeightedByteRate }),
+				col(det, "weighted_weighted_rate", "", "", func(p trafficPoint) any { return p.weightedRes.WeightedByteRate }),
+				col(det, "weighted_rate_cut", "sum cut", "%.1fx", func(p trafficPoint) any {
+					return cut(p.structRes.WeightedByteRate, p.weightedRes.WeightedByteRate)
+				}),
+			},
+			checks: []check{
+				bound("hot_pair_cut", ">=", trafficHotCutFloor).when("on skewed models", skewed),
+				bound("a_max_inflation", "<=", trafficAMaxSlack).when("on skewed models", skewed),
+			}},
+		{name: "throughput",
+			cols: []column{
+				col(key, "fixture", "engines on", "", func(p throughputPoint) any { return p.fixture }),
+				col(timing, "per_packet_ns_per_op", "per-packet ns", "", func(p throughputPoint) any { return p.perPacket.NsPerOp() }),
+				col(timing, "batched_ns_per_op", "batched ns", "", func(p throughputPoint) any { return p.batched.NsPerOp() }).dual("speedup", 1.10, 1.5),
+				col(alloc, "batched_allocs_per_packet", "allocs/pkt", "", func(p throughputPoint) any { return p.batched.AllocsPerOp() }),
+				col(timing, "speedup", "speedup", "%.1fx", func(p throughputPoint) any { return ratio(p.perPacket.NsPerOp(), p.batched.NsPerOp()) }).up(),
+			},
+			checks: []check{
+				bound("speedup", ">=", trafficBatchSpeedupFloor),
+				bound("batched_allocs_per_packet", "==", 0),
+			}},
+	},
+	run: func(c *runCtx) (result, error) {
+		reps := trafficReps
+		if c.smoke {
+			reps = 2
+		}
+		var pts []trafficPoint
+		var tp throughputPoint
+		for i, fx := range trafficFixtures {
+			seed := c.cfg.Seed + fx.seedOff
+			structDep, err := trafficSolve(fx, seed, nil)
+			if err != nil {
+				return result{}, fmt.Errorf("traffic: fixture %s: %w", fx.name, err)
+			}
+			for _, model := range network.TrafficModels() {
+				p, err := measureTraffic(fx, seed, model, structDep)
+				if err != nil {
+					return result{}, fmt.Errorf("traffic: fixture %s model %s: %w", fx.name, model, err)
+				}
+				pts = append(pts, p)
+			}
+			if i == 0 {
+				if tp, err = trafficThroughput(fx, seed, structDep, reps); err != nil {
+					return result{}, err
+				}
+			}
+		}
+		return result{points: map[string]any{"rows": pts, "throughput": []throughputPoint{tp}}}, nil
+	},
 }
 
 // trafficSolve analyzes and deploys one fixture under the given
@@ -127,101 +160,69 @@ func trafficSolve(fx trafficFixture, seed int64, tm *network.TrafficMatrix) (*de
 	if err != nil {
 		return nil, err
 	}
-	merged, err := hermes.Analyze(progs, hermes.AnalyzeOptions{})
-	if err != nil {
-		return nil, err
-	}
-	spec := network.TofinoSpec()
-	spec.StageCapacity = fx.capacity
-	topo, err := network.TableIII(fx.topoID, spec)
-	if err != nil {
-		return nil, err
-	}
 	opts := placement.Options{}
 	if tm != nil {
 		opts.Traffic = tm
 		opts.TrafficObjective = placement.TrafficWeightedMax
 		opts.AMaxSlack = trafficAMaxSlack
 	}
-	plan, err := (placement.Greedy{}).Solve(merged, topo, opts)
+	plan, err := tableIIIPlan(progs, fx.topoID, trafficCapacity, opts)
 	if err != nil {
 		return nil, err
 	}
 	return deploy.Compile(plan, hermes.AnalyzeOptions{})
 }
 
-// trafficRow measures one (fixture, model) cell: structural vs
-// weighted deployment, both replayed under the model's matrix.
-func trafficRow(fx trafficFixture, seed int64, model string, structDep *deploy.Deployment) (trafficRowJSON, error) {
+// measureTraffic solves one (fixture, model) cell weighted and replays
+// the model's matrix through both deployments.
+func measureTraffic(fx trafficFixture, seed int64, model string, structDep *deploy.Deployment) (trafficPoint, error) {
 	tm, err := network.GenerateTraffic(structDep.Plan.Topo, model, seed)
 	if err != nil {
-		return trafficRowJSON{}, err
+		return trafficPoint{}, err
 	}
 	weightedDep, err := trafficSolve(fx, seed, tm)
 	if err != nil {
-		return trafficRowJSON{}, err
+		return trafficPoint{}, err
 	}
 	structRes, err := dataplane.ReplayTraffic(structDep, tm, trafficReplayPackets, 0, 0)
 	if err != nil {
-		return trafficRowJSON{}, err
+		return trafficPoint{}, err
 	}
 	weightedRes, err := dataplane.ReplayTraffic(weightedDep, tm, trafficReplayPackets, 0, 0)
 	if err != nil {
-		return trafficRowJSON{}, err
+		return trafficPoint{}, err
 	}
-	row := trafficRowJSON{
-		Name:            fx.name,
-		Model:           model,
-		StructAMax:      structDep.Plan.AMax(),
-		WeightedAMax:    weightedDep.Plan.AMax(),
-		StructHotRate:   round3(structRes.HotPairByteRate),
-		WeightedHotRate: round3(weightedRes.HotPairByteRate),
-		StructSumRate:   round3(structRes.WeightedByteRate),
-		WeightedSumRate: round3(weightedRes.WeightedByteRate),
-	}
-	if row.StructAMax > 0 {
-		row.AMaxInflation = round3(float64(row.WeightedAMax) / float64(row.StructAMax))
-	}
-	if row.WeightedHotRate > 0 {
-		row.HotCut = round3(row.StructHotRate / row.WeightedHotRate)
-	} else if row.StructHotRate > 0 {
-		// The weighted plan eliminated every hot-pair byte; report the
-		// structural rate as the (unbounded) cut's stand-in.
-		row.HotCut = round3(row.StructHotRate)
-	}
-	if row.WeightedSumRate > 0 {
-		row.SumCut = round3(row.StructSumRate / row.WeightedSumRate)
-	}
-	return row, nil
+	return trafficPoint{
+		name: fx.name, model: model,
+		structAMax: structDep.Plan.AMax(), weightedAMax: weightedDep.Plan.AMax(),
+		structRes: structRes, weightedRes: weightedRes,
+	}, nil
 }
 
 // trafficThroughput measures the per-packet interpreter against the
 // batched pipeline on the structural deployment of one fixture, over
 // the same deterministic packet stream.
-func trafficThroughput(fx trafficFixture, seed int64, dep *deploy.Deployment, reps int) (trafficThroughputJSON, error) {
+func trafficThroughput(fx trafficFixture, seed int64, dep *deploy.Deployment, reps int) (throughputPoint, error) {
 	eng, err := dataplane.NewEngine(dep)
 	if err != nil {
-		return trafficThroughputJSON{}, err
+		return throughputPoint{}, err
 	}
 	pkts := equivReplayStream(dep.Plan.Graph, seed, 256)
-	perPacket := measureBest(reps, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Process(pkts[i%len(pkts)].Clone()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	perPacket := measureBest(reps, loop(func(i int) error {
+		_, err := eng.Process(pkts[i%len(pkts)].Clone())
+		return err
+	}))
 
 	p, err := dataplane.NewPipeline(dep, nil, len(pkts))
 	if err != nil {
-		return trafficThroughputJSON{}, err
+		return throughputPoint{}, err
 	}
 	warm, err := p.Load(pkts)
 	if err != nil {
-		return trafficThroughputJSON{}, err
+		return throughputPoint{}, err
 	}
 	if err := p.Run(warm); err != nil {
-		return trafficThroughputJSON{}, err
+		return throughputPoint{}, err
 	}
 	p.PutBatch(warm)
 	batched := measureBest(reps, func(b *testing.B) {
@@ -238,181 +239,5 @@ func trafficThroughput(fx trafficFixture, seed int64, dep *deploy.Deployment, re
 		}
 	})
 
-	row := trafficThroughputJSON{
-		Fixture:            fx.name,
-		PerPacketNsPerOp:   float64(perPacket.NsPerOp()),
-		BatchedNsPerOp:     float64(batched.NsPerOp()),
-		BatchedAllocsPerOp: batched.AllocsPerOp(),
-	}
-	if row.BatchedNsPerOp > 0 {
-		row.Speedup = round3(row.PerPacketNsPerOp / row.BatchedNsPerOp)
-	}
-	return row, nil
-}
-
-// trafficBench runs the sweep, prints the tables, and applies
-// whichever gate the flags selected.
-func (r *runner) trafficBench() error {
-	mode := "baseline"
-	if r.smoke {
-		mode = "smoke"
-	} else if r.comparePath != "" {
-		mode = "compare"
-	}
-	fmt.Printf("## Exp#9 Traffic: weighted objective and batched replay (%s)\n", mode)
-
-	reps := trafficReps
-	if r.smoke {
-		reps = 2
-	}
-	doc := trafficBaselineJSON{Experiment: "traffic", Seed: r.cfg.Seed}
-	for _, fx := range trafficFixtures {
-		seed := r.cfg.Seed + fx.seedOff
-		structDep, err := trafficSolve(fx, seed, nil)
-		if err != nil {
-			return fmt.Errorf("traffic: fixture %s: %w", fx.name, err)
-		}
-		for _, model := range network.TrafficModels() {
-			row, err := trafficRow(fx, seed, model, structDep)
-			if err != nil {
-				return fmt.Errorf("traffic: fixture %s model %s: %w", fx.name, model, err)
-			}
-			doc.Rows = append(doc.Rows, row)
-		}
-		if fx.name == trafficFixtures[0].name {
-			doc.Throughput, err = trafficThroughput(fx, seed, structDep, reps)
-			if err != nil {
-				return err
-			}
-		}
-	}
-
-	fmt.Printf("  %-20s %-10s %6s %6s %8s %14s %14s %8s %8s\n",
-		"fixture", "model", "sAmax", "wAmax", "inflate", "struct hot", "weighted hot", "hot cut", "sum cut")
-	for _, row := range doc.Rows {
-		fmt.Printf("  %-20s %-10s %5dB %5dB %7.2fx %14.1f %14.1f %7.1fx %7.1fx\n",
-			row.Name, row.Model, row.StructAMax, row.WeightedAMax, row.AMaxInflation,
-			row.StructHotRate, row.WeightedHotRate, row.HotCut, row.SumCut)
-	}
-	tp := doc.Throughput
-	fmt.Printf("  engines on %s: per-packet %.0f ns, batched %.1f ns (%d allocs/pkt), speedup %.1fx\n\n",
-		tp.Fixture, tp.PerPacketNsPerOp, tp.BatchedNsPerOp, tp.BatchedAllocsPerOp, tp.Speedup)
-
-	if r.smoke {
-		return trafficSmokeGate(doc)
-	}
-	if r.comparePath != "" {
-		return trafficCompareGate(r.comparePath, doc)
-	}
-	if r.jsonPath != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(r.jsonPath, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("writing traffic baseline: %w", err)
-		}
-		fmt.Printf("  traffic baseline written to %s\n\n", r.jsonPath)
-	}
-	return nil
-}
-
-// trafficGateRows applies the machine-independent acceptance
-// conditions shared by the smoke and compare gates: every skewed-model
-// row must cut the hot pair >= 2x at <= 1.2x A_max inflation.
-func trafficGateRows(rows []trafficRowJSON) []string {
-	var failures []string
-	for _, row := range rows {
-		if !trafficSkewedModels[row.Model] {
-			continue
-		}
-		if row.HotCut < trafficHotCutFloor {
-			failures = append(failures, fmt.Sprintf(
-				"%s/%s: weighted plan cuts the hot pair only %.2fx (need >= %.0fx)",
-				row.Name, row.Model, row.HotCut, trafficHotCutFloor))
-		}
-		if row.AMaxInflation > trafficAMaxSlack {
-			failures = append(failures, fmt.Sprintf(
-				"%s/%s: weighted plan inflates A_max %.2fx (cap %.1fx)",
-				row.Name, row.Model, row.AMaxInflation, trafficAMaxSlack))
-		}
-	}
-	return failures
-}
-
-// trafficSmokeGate enforces both acceptance bars in-run.
-func trafficSmokeGate(doc trafficBaselineJSON) error {
-	failures := trafficGateRows(doc.Rows)
-	tp := doc.Throughput
-	if tp.Speedup < trafficBatchSpeedupFloor {
-		failures = append(failures, fmt.Sprintf(
-			"%s: batched engine only %.1fx faster than per-packet (need >= %.0fx)",
-			tp.Fixture, tp.Speedup, trafficBatchSpeedupFloor))
-	}
-	if tp.BatchedAllocsPerOp != 0 {
-		failures = append(failures, fmt.Sprintf(
-			"%s: batched engine allocates %d/packet in steady state (must be 0)",
-			tp.Fixture, tp.BatchedAllocsPerOp))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Println("  FAIL:", f)
-		}
-		return fmt.Errorf("traffic smoke gate failed (%d condition(s))", len(failures))
-	}
-	fmt.Printf("  traffic smoke gate passed: hot-pair cut >= %.0fx at <= %.1fx A_max on every skewed model; batched engine >= %.0fx and allocation-free\n",
-		trafficHotCutFloor, trafficAMaxSlack, trafficBatchSpeedupFloor)
-	return nil
-}
-
-// trafficCompareGate re-runs the sweep and diffs it against the
-// committed baseline. Plan-quality rows are deterministic in the seed,
-// so they re-apply the absolute gate and fail on >10% hot-cut
-// regression; the throughput row uses the dual condition (raw ns/op
-// AND in-run speedup both regressed >10%) to filter machine skew.
-func trafficCompareGate(path string, cur trafficBaselineJSON) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading traffic baseline: %w", err)
-	}
-	var base trafficBaselineJSON
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing traffic baseline %s: %w", path, err)
-	}
-	baseline := make(map[string]trafficRowJSON, len(base.Rows))
-	for _, row := range base.Rows {
-		baseline[row.Name+"/"+row.Model] = row
-	}
-	failures := trafficGateRows(cur.Rows)
-	for _, row := range cur.Rows {
-		b, ok := baseline[row.Name+"/"+row.Model]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("row %s/%s missing from baseline %s", row.Name, row.Model, path))
-			continue
-		}
-		if b.HotCut > 0 && row.HotCut < b.HotCut/trafficCompareSlack {
-			failures = append(failures, fmt.Sprintf(
-				"%s/%s: hot-pair cut regressed %.2fx -> %.2fx", row.Name, row.Model, b.HotCut, row.HotCut))
-		}
-	}
-	tb, tc := base.Throughput, cur.Throughput
-	rawRegressed := tb.BatchedNsPerOp > 0 && tc.BatchedNsPerOp > tb.BatchedNsPerOp*trafficCompareSlack
-	ratioRegressed := tb.Speedup > 0 && tc.Speedup < tb.Speedup/trafficSpeedupCompareSlack
-	if rawRegressed && ratioRegressed {
-		failures = append(failures, fmt.Sprintf(
-			"throughput: batched ns/op %.1f -> %.1f and speedup %.1fx -> %.1fx both regressed >%.0f%%",
-			tb.BatchedNsPerOp, tc.BatchedNsPerOp, tb.Speedup, tc.Speedup, (trafficCompareSlack-1)*100))
-	}
-	if tb.BatchedAllocsPerOp == 0 && tc.BatchedAllocsPerOp != 0 {
-		failures = append(failures, fmt.Sprintf(
-			"throughput: batched engine allocates %d/packet where the baseline was allocation-free", tc.BatchedAllocsPerOp))
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Println("  FAIL:", f)
-		}
-		return fmt.Errorf("traffic compare gate failed (%d condition(s))", len(failures))
-	}
-	fmt.Printf("  traffic compare gate passed against %s\n", path)
-	return nil
+	return throughputPoint{fixture: fx.name, perPacket: perPacket, batched: batched}, nil
 }

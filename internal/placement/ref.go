@@ -20,10 +20,38 @@ func AssignmentAMaxRef(g *tdg.Graph, assign map[string]network.SwitchID) int {
 
 // PlaceScoreRef scores placing the currently-unassigned MAT on switch
 // u through the map-based delta overlay — the reference twin of
-// CompiledInstance.PlaceScore. pair and delta follow the replan repair
-// pass's conventions (delta is caller scratch, contents discarded).
+// CompiledInstance.PlaceScore: the MAT's incident edges toward assigned
+// peers land in the delta scratch (caller-owned, contents discarded),
+// which is then overlaid on the pair table.
 func PlaceScoreRef(g *tdg.Graph, assign map[string]network.SwitchID, pair, delta map[RouteKey]int, name string, u network.SwitchID) int {
-	return placeScore(g, assign, pair, delta, name, u)
+	for k := range delta {
+		delete(delta, k)
+	}
+	for _, e := range g.OutEdges(name) {
+		if peer, ok := assign[e.To]; ok && peer != u {
+			delta[RouteKey{From: u, To: peer}] += e.MetadataBytes
+		}
+	}
+	for _, e := range g.InEdges(name) {
+		if peer, ok := assign[e.From]; ok && peer != u {
+			delta[RouteKey{From: peer, To: u}] += e.MetadataBytes
+		}
+	}
+	max := 0
+	for k, b := range pair {
+		if d, ok := delta[k]; ok {
+			b += d
+		}
+		if b > max {
+			max = b
+		}
+	}
+	for k, d := range delta {
+		if _, ok := pair[k]; !ok && d > max {
+			max = d
+		}
+	}
+	return max
 }
 
 // MoveScoreRef evaluates the absolute (A_max, total cross bytes) of

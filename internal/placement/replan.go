@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
-	"github.com/hermes-net/hermes/internal/tdg"
 )
 
 // ReplanMode selects how Replan recomputes a deployment after a drain.
@@ -495,56 +494,6 @@ func finishRepairTimed(plan *Plan, old *Plan, ropts ReplanOptions, dirty int, re
 	p, d, err := finishRepair(plan, old, ropts, dirty)
 	rep.Phases.Gates += time.Since(start)
 	return p, d, err
-}
-
-// placeScore computes the A_max that results from placing the
-// currently-unassigned MAT on switch u, everything else fixed: the
-// MAT's incident edges toward assigned peers land in the delta scratch
-// (contents discarded), which is then overlaid on the pair table.
-func placeScore(g *tdg.Graph, assign map[string]network.SwitchID, pair, delta map[RouteKey]int, name string, u network.SwitchID) int {
-	for k := range delta {
-		delete(delta, k)
-	}
-	for _, e := range g.OutEdges(name) {
-		if peer, ok := assign[e.To]; ok && peer != u {
-			delta[RouteKey{From: u, To: peer}] += e.MetadataBytes
-		}
-	}
-	for _, e := range g.InEdges(name) {
-		if peer, ok := assign[e.From]; ok && peer != u {
-			delta[RouteKey{From: peer, To: u}] += e.MetadataBytes
-		}
-	}
-	max := 0
-	for k, b := range pair {
-		if d, ok := delta[k]; ok {
-			b += d
-		}
-		if b > max {
-			max = b
-		}
-	}
-	for k, d := range delta {
-		if _, ok := pair[k]; !ok && d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// applyPlacement commits the MAT's cross-pair contributions to the
-// pair table once its switch is final.
-func applyPlacement(g *tdg.Graph, assign map[string]network.SwitchID, pair map[RouteKey]int, name string, u network.SwitchID) {
-	for _, e := range g.OutEdges(name) {
-		if peer, ok := assign[e.To]; ok && peer != u {
-			pair[RouteKey{From: u, To: peer}] += e.MetadataBytes
-		}
-	}
-	for _, e := range g.InEdges(name) {
-		if peer, ok := assign[e.From]; ok && peer != u {
-			pair[RouteKey{From: peer, To: u}] += e.MetadataBytes
-		}
-	}
 }
 
 // finishRepair applies the ε-bound, quality-ratio, and lint gates to a
