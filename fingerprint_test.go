@@ -1,7 +1,9 @@
 package hermes_test
 
 import (
+	"flag"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -12,11 +14,72 @@ import (
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
+// goldenPath holds one "key: fingerprint" line per pinned solver run.
+// A solver rewrite must leave every line byte-identical; regenerate it
+// only for a deliberate plan change, with `go test -run Fingerprints
+// -update`.
+const goldenPath = "testdata/fingerprints.golden"
+
+var updateGolden = flag.Bool("update", false, "rewrite "+goldenPath+" from this build's plans")
+
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	rows := map[string]string{}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		if *updateGolden && os.IsNotExist(err) {
+			return rows
+		}
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		key, fp, ok := strings.Cut(line, ": ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenPath, line)
+		}
+		rows[key] = fp
+	}
+	return rows
+}
+
+// checkGolden compares one test's fingerprints against the committed
+// golden file, or under -update merges them into it (other tests' rows
+// are kept, so a -run subset regenerates only what it ran).
+func checkGolden(t *testing.T, got map[string]string) {
+	t.Helper()
+	rows := readGolden(t)
+	if !*updateGolden {
+		for key, fp := range got {
+			want, ok := rows[key]
+			if !ok {
+				t.Errorf("%s: no golden row for %q (run with -update to add it)", goldenPath, key)
+			} else if fp != want {
+				t.Errorf("%q differs from %s:\n got %s\nwant %s", key, goldenPath, fp, want)
+			}
+		}
+		return
+	}
+	for key, fp := range got {
+		rows[key] = fp
+	}
+	lines := make([]string, 0, len(rows))
+	for key, fp := range rows {
+		lines = append(lines, key+": "+fp)
+	}
+	sort.Strings(lines)
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // planFingerprint flattens a plan to a stable, comparable string:
 // A_max plus the sorted MAT→switch assignment. Byte-identical plans
 // produce identical fingerprints across processes and builds, so the
-// logged values double as a cross-version regression oracle for the
-// solver rewrites (same A_max, same assignments).
+// golden file is a cross-version regression oracle for the solver
+// rewrites (same A_max, same assignments).
 func planFingerprint(p *placement.Plan) string {
 	parts := make([]string, 0, len(p.Assignments))
 	for name, sp := range p.Assignments {
@@ -54,24 +117,42 @@ func fingerprintInstance(t *testing.T, topoID, programs int) (*placement.Plan, f
 
 // TestGreedyPlanFingerprints pins the greedy solver's output on the
 // first Table III topologies: serial and parallel runs must produce
-// byte-identical plans, and the logged fingerprints let any two builds
-// of the solver be diffed for plan identity.
+// byte-identical plans, and both must match the golden file.
 func TestGreedyPlanFingerprints(t *testing.T) {
+	got := map[string]string{}
 	for topoID := 1; topoID <= 3; topoID++ {
 		serial, solve := fingerprintInstance(t, topoID, 30)
 		fp := planFingerprint(serial)
-		t.Logf("greedy topo%d: %s", topoID, fp)
+		got[fmt.Sprintf("greedy topo%d", topoID)] = fp
 		for _, workers := range []int{2, 8} {
-			if got := planFingerprint(solve(workers)); got != fp {
-				t.Fatalf("topo %d: workers=%d plan differs from serial:\n%s\nvs\n%s", topoID, workers, got, fp)
+			if other := planFingerprint(solve(workers)); other != fp {
+				t.Fatalf("topo %d: workers=%d plan differs from serial:\n%s\nvs\n%s", topoID, workers, other, fp)
 			}
 		}
 	}
+	checkGolden(t, got)
 }
 
-// TestReplanPlanFingerprints pins the delta-repair output after a
-// busiest-switch drain on topology 1.
+// TestReplanPlanFingerprints pins the delta-repair output under each
+// objective the climb descends: after a busiest-switch drain on
+// topology 1, structural and both traffic-weighted aggregates (the
+// structural phase, then the weighted phase under the A_max cap); and
+// on topology 2 the drain of switch 61 with and without ε1 = 1.5 × the
+// cold t_e2e — the Table III drain where the ε1 feasibility probe
+// rejects moves the unbounded climb takes and the repair still passes
+// the gates.
 func TestReplanPlanFingerprints(t *testing.T) {
+	got := map[string]string{}
+	replan := func(key string, cold *placement.Plan, opts placement.Options, drain network.SwitchID) {
+		t.Helper()
+		repaired, report, err := placement.ReplanWithOptions(cold, placement.Greedy{}, placement.ReplanOptions{Options: opts}, drain)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		got[key] = fmt.Sprintf("drain=%d repair=%v moved=%d %s",
+			drain, report.UsedRepair, report.MovedMATs, planFingerprint(repaired))
+	}
+
 	cold, _ := fingerprintInstance(t, 1, 30)
 	loads := map[network.SwitchID]int{}
 	for _, sp := range cold.Assignments {
@@ -83,15 +164,18 @@ func TestReplanPlanFingerprints(t *testing.T) {
 			drain, best = u, n
 		}
 	}
-	repaired, report, err := placement.ReplanWithOptions(cold, placement.Greedy{}, placement.ReplanOptions{}, drain)
+	tm, err := network.GenerateTraffic(cold.Topo, network.TrafficHotspot, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, err := placement.Diff(cold, repaired)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("replan topo1 drain=%d repair=%v moved=%d: %s", drain, report.UsedRepair, moved, planFingerprint(repaired))
+	replan("replan topo1 structural", cold, placement.Options{}, drain)
+	replan("replan topo1 weighted-sum", cold, placement.Options{Traffic: tm, TrafficObjective: placement.TrafficWeightedSum}, drain)
+	replan("replan topo1 weighted-max", cold, placement.Options{Traffic: tm, TrafficObjective: placement.TrafficWeightedMax}, drain)
+
+	cold2, _ := fingerprintInstance(t, 2, 30)
+	replan("replan topo2 structural", cold2, placement.Options{}, 61)
+	replan("replan topo2 eps1", cold2, placement.Options{Epsilon1: cold2.TE2E() * 3 / 2}, 61)
+	checkGolden(t, got)
 }
 
 // TestExactPlanFingerprints pins the branch & bound on the Figure 1
@@ -120,8 +204,8 @@ func TestExactPlanFingerprints(t *testing.T) {
 		return plan
 	}
 	fp := planFingerprint(solve(1))
-	t.Logf("exact figure1: %s", fp)
 	if got := planFingerprint(solve(8)); got != fp {
 		t.Fatalf("parallel exact differs from serial:\n%s\nvs\n%s", got, fp)
 	}
+	checkGolden(t, map[string]string{"exact figure1": fp})
 }

@@ -30,8 +30,8 @@ const compiledMemoKey = "placement.compiledInstance"
 
 // CompiledInstance is the dense-index form of one placement instance.
 // MAT index space is the alphabetically sorted node-name list (the
-// order localImprove already iterates); switch index space is the
-// topology's SwitchID space, which is dense by construction. All
+// order the climb iterates); switch index space is the topology's
+// SwitchID space, which is dense by construction. All
 // fields are built once and treated as immutable; scratch state lives
 // in PairTable/MoveScratch/CycleScratch values owned by each caller,
 // so one instance is safe for concurrent use.
@@ -44,10 +44,10 @@ type CompiledInstance struct {
 	Names []string
 	Index map[string]int32
 
-	// Edge arrays in tdg.EdgeList order. Out/In hold edge indices per
-	// MAT ordered like tdg.OutEdges/InEdges (peer-name sorted), so
-	// kernels that mirror map-based loops visit edges identically;
-	// Incident holds both directions in EdgeList order.
+	// Edge arrays in tdg.EdgeList order. Out/In/Incident hold edge
+	// indices per MAT in that same order: the kernels only fold
+	// commutative sums (and order-free verdicts) over them, so any fixed
+	// order yields identical scores.
 	EdgeFrom, EdgeTo []int32
 	EdgeBytes        []int32
 	Out, In          [][]int32
@@ -91,7 +91,12 @@ func Compile(g *tdg.Graph, topo *network.Topology, rm program.ResourceModel) *Co
 			return ci
 		}
 	}
-	ci := compile(g, topo, rm)
+	names := g.NodeNames()
+	sort.Strings(names)
+	ci, err := compileSubset(g, names, topo, rm)
+	if err != nil {
+		panic(err) // unreachable: the names are g's own
+	}
 	g.MemoSet(compiledMemoKey, ci)
 	return ci
 }
@@ -124,90 +129,17 @@ func (ci *CompiledInstance) matches(topo *network.Topology, rm program.ResourceM
 	return true
 }
 
-func compile(g *tdg.Graph, topo *network.Topology, rm program.ResourceModel) *CompiledInstance {
-	names := g.NodeNames()
-	sort.Strings(names)
-	idx := make(map[string]int32, len(names))
-	for i, n := range names {
-		idx[n] = int32(i)
-	}
-	s := topo.NumSwitches()
-	ci := &CompiledInstance{
-		Graph: g,
-		Topo:  topo,
-		Names: names,
-		Index: idx,
-		S:     int32(s),
-		rm:    rm,
-		links: topo.NumLinks(),
-		epoch: topo.FaultEpoch(),
-	}
-
-	ci.Req = make([]float64, len(names))
-	ci.Out = make([][]int32, len(names))
-	ci.In = make([][]int32, len(names))
-	ci.Incident = make([][]int32, len(names))
-	for i, name := range names {
-		node, _ := g.Node(name)
-		ci.Req[i] = rm.Requirement(node.MAT)
-	}
-
-	edges := g.EdgeList()
-	ci.EdgeFrom = make([]int32, len(edges))
-	ci.EdgeTo = make([]int32, len(edges))
-	ci.EdgeBytes = make([]int32, len(edges))
-	edgeAt := make(map[[2]int32]int32, len(edges))
-	for ei, e := range edges {
-		f, t := idx[e.From], idx[e.To]
-		ci.EdgeFrom[ei] = f
-		ci.EdgeTo[ei] = t
-		ci.EdgeBytes[ei] = int32(e.MetadataBytes)
-		ci.Incident[f] = append(ci.Incident[f], int32(ei))
-		ci.Incident[t] = append(ci.Incident[t], int32(ei))
-		edgeAt[[2]int32{f, t}] = int32(ei)
-	}
-	for i, name := range names {
-		for _, e := range g.OutEdges(name) {
-			ci.Out[i] = append(ci.Out[i], edgeAt[[2]int32{int32(i), idx[e.To]}])
-		}
-		for _, e := range g.InEdges(name) {
-			ci.In[i] = append(ci.In[i], edgeAt[[2]int32{idx[e.From], int32(i)}])
-		}
-	}
-
-	ci.Programmable = make([]bool, s)
-	ci.Stages = make([]int32, s)
-	ci.StageCap = make([]float64, s)
-	ci.Caps = make([]float64, s)
-	for id := 0; id < s; id++ {
-		sw, err := topo.Switch(network.SwitchID(id))
-		if err != nil {
-			continue
-		}
-		// A down switch is indistinguishable from non-programmable for
-		// placement purposes; the epoch check above rebuilds on heal.
-		up := sw.Programmable && !topo.SwitchIsDown(sw.ID)
-		ci.Programmable[id] = up
-		ci.Stages[id] = int32(sw.Stages)
-		ci.StageCap[id] = sw.StageCapacity
-		ci.Caps[id] = sw.Capacity()
-		if up {
-			ci.Prog = append(ci.Prog, sw.ID)
-		}
-	}
-	return ci
-}
-
-// compileSubset is compile restricted to a subset of g's MATs, against
-// a (typically compacted) topology. The region-local replan builds one
-// instance per dirty region this way: materializing a tdg.Subgraph just
-// to compile it costs more than the whole region repair (fresh
-// string-keyed node/edge maps plus an uncached topological sort), while
-// the dense arrays can be carved straight out of g. names must be
-// sorted and duplicate-free; edges are kept when both endpoints are in
-// the subset, in g's EdgeList order, so the kernels' iteration order is
-// deterministic. The instance is not memoized (the subset is
-// call-specific) and its Graph field keeps pointing at g — callers that
+// compileSubset builds the dense-index form of a subset of g's MATs
+// against a (typically compacted) topology; Compile is the memoized
+// call over every MAT and the real topology. The replan repair builds
+// one instance per touched region this way: materializing a
+// tdg.Subgraph just to compile it costs more than the whole region
+// repair (fresh string-keyed node/edge maps plus an uncached
+// topological sort), while the dense arrays can be carved straight out
+// of g. names must be sorted and duplicate-free; edges are kept when
+// both endpoints are in the subset, in g's EdgeList order, so the
+// kernels' iteration order is deterministic. The instance is not
+// memoized here and its Graph field keeps pointing at g — callers that
 // need full-graph facts (canonical pack order, TopoIndex) already hold
 // g.
 func compileSubset(g *tdg.Graph, names []string, topo *network.Topology, rm program.ResourceModel) (*CompiledInstance, error) {
@@ -239,12 +171,9 @@ func compileSubset(g *tdg.Graph, names []string, topo *network.Topology, rm prog
 		ci.Req[i] = rm.Requirement(node.MAT)
 	}
 
-	// One pass over g's edge list fills every edge array. Out/In here
-	// follow EdgeList order rather than compile's peer-name order: the
-	// kernels only fold commutative sums over them (ms.add/pt.Add), so
-	// any fixed order yields identical scores, and skipping the
-	// per-name tdg.OutEdges/InEdges walks (each sorts and copies) keeps
-	// the per-region compile out of the replan's critical path.
+	// One pass over g's edge list fills every edge array, skipping the
+	// per-name tdg.OutEdges/InEdges walks (each sorts and copies) — that
+	// keeps the per-region compile out of the replan's critical path.
 	for _, e := range g.EdgeList() {
 		f, fok := idx[e.From]
 		t, tok := idx[e.To]
@@ -270,6 +199,8 @@ func compileSubset(g *tdg.Graph, names []string, topo *network.Topology, rm prog
 		if err != nil {
 			continue
 		}
+		// A down switch is indistinguishable from non-programmable for
+		// placement purposes; Compile's epoch check rebuilds on heal.
 		up := sw.Programmable && !topo.SwitchIsDown(sw.ID)
 		ci.Programmable[id] = up
 		ci.Stages[id] = int32(sw.Stages)
@@ -282,8 +213,16 @@ func compileSubset(g *tdg.Graph, names []string, topo *network.Topology, rm prog
 	return ci, nil
 }
 
+// presetLatencies installs the latency table of an instance whose Topo
+// cannot supply it: a repair instance's pseudo-topology is links-free,
+// so healInstance hands in the real topology's host-pair latencies.
+func (ci *CompiledInstance) presetLatencies(lat []time.Duration) {
+	ci.latOnce.Do(func() { ci.lat = lat })
+}
+
 // latencies returns the dense shortest-path latency table (entry
-// [u*S+v] = shortest latency u→v, -1 when unreachable).
+// [u*S+v] = shortest latency u→v, -1 when unreachable), fetched from
+// Topo unless preset.
 func (ci *CompiledInstance) latencies() []time.Duration {
 	ci.latOnce.Do(func() { ci.lat = ci.Topo.LatencyTable() })
 	return ci.lat
@@ -653,8 +592,8 @@ func (ci *CompiledInstance) AssignmentAcyclic(assign []int32, cs *CycleScratch) 
 
 // AssignmentLatency sums shortest-path latency over the distinct
 // communicating switch pairs of a dense assignment (the ε1 bound of
-// Eq. 6 as evaluated by moveFeasible); ok is false when some pair is
-// disconnected. ms is reused as the seen-pair set.
+// Eq. 6 as evaluated by the climb's feasibility probe); ok is false
+// when some pair is disconnected. ms is reused as the seen-pair set.
 func (ci *CompiledInstance) AssignmentLatency(assign []int32, ms *MoveScratch) (time.Duration, bool) {
 	lat := ci.latencies()
 	ms.reset()

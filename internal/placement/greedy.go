@@ -119,8 +119,10 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 }
 
 // polish runs the bounded local-search refinement over single-MAT
-// moves. The improve budget (default 2s) always caps the search; a
-// tighter Options.Deadline wins when set.
+// moves: the climb the replan repair runs over its dirty set, here over
+// the whole-graph instance with every MAT dirty. The improve budget
+// (default 2s) always caps the search; a tighter Options.Deadline wins
+// when set.
 func (gr Greedy) polish(plan *Plan, opts Options, rm program.ResourceModel) error {
 	if gr.DisableImprove {
 		return nil
@@ -129,11 +131,25 @@ func (gr Greedy) polish(plan *Plan, opts Options, rm program.ResourceModel) erro
 	if budget <= 0 {
 		budget = 2 * time.Second
 	}
-	deadline := time.Now().Add(budget)
-	if !opts.Deadline.IsZero() && opts.Deadline.Before(deadline) {
-		deadline = opts.Deadline
+	in, err := wholeInstance(plan, opts, rm)
+	if err != nil {
+		return err
 	}
-	return localImprove(plan, opts, rm, deadline)
+	all := make([]int32, len(in.assign))
+	for x := range all {
+		all[x] = int32(x)
+	}
+	in.climb(opts, rm, budget, all)
+
+	// Rebuild the plan from the (possibly) improved assignment.
+	rebuilt, err := materializeAssignment(plan.Graph, plan.Topo, in.ci.AssignMap(in.assign), rm)
+	if err != nil {
+		return err
+	}
+	plan.Assignments = rebuilt.Assignments
+	plan.Routes = rebuilt.Routes
+	plan.InvalidateCache()
+	return nil
 }
 
 // placeWithRefinement runs the placement loop, splitting segments that

@@ -1,172 +1,300 @@
 package placement
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
 )
 
-// localImprove runs a bounded first-improvement hill climb over the
-// greedy plan: it tries moving each MAT to another occupied switch and
-// keeps the move when it strictly reduces (A_max, total cross bytes)
-// while preserving every constraint (stage packing, switch-order
-// acyclicity, ε bounds). The paper's Algorithm 2 stops at the segment
-// placement; this refinement is an extension that narrows the
-// heuristic's gap to the optimum at negligible cost, since contiguous
-// topological segmentation cannot express every good partition.
-//
-// The climb runs entirely on the compiled instance: assignments are
-// dense []int32, the pair-byte table is a flat matrix, and candidate
-// moves are scored allocation-free in O(deg + pairs) against a
-// caller-owned delta overlay (CompiledInstance.MoveScore) instead of
-// an O(E) rescan over string-keyed maps. The score phase for one MAT's
-// candidate switches fans out across opts.Workers goroutines. A
-// candidate's score describes the absolute state "MAT on that switch,
-// everything else fixed", so it is independent of both evaluation
-// order and any acceptance made earlier in the same candidate loop;
-// the serial acceptance walk that follows therefore reproduces the
-// sequential first-improvement result exactly for every worker count.
-func localImprove(p *Plan, opts Options, rm program.ResourceModel, deadline time.Time) error {
-	return localImproveFiltered(p, opts, rm, deadline, nil)
+// repairInstance is the working state every refinement runs on: a
+// compiled instance plus the mutable dense assignment, pair-byte table,
+// per-switch resident lists and (under a traffic matrix) the weight
+// table in the same index space. Greedy's polish builds one over the
+// memoized whole-graph instance with every MAT dirty (wholeInstance);
+// the replan repair builds one per touched region over a compact host
+// set (healInstance), places the displaced MATs on it and climbs over
+// the dirty ones. place and climb are the only code that scores, checks
+// and accepts a placement or a move.
+type repairInstance struct {
+	ci *CompiledInstance
+	// sws resolves an instance switch index to the real switch behind it:
+	// stage packing is decided against real switches and the full graph's
+	// canonical order, which is what materialization packs by. cands lists
+	// the indices a MAT may be placed on or moved to, ascending; frozen
+	// halo anchors appear in sws but never in cands.
+	sws       []*network.Switch
+	cands     []int32
+	assign    []int32
+	residents [][]string
+	pt        *PairTable
+	wt        *WeightTable // nil off the traffic-weighted objectives
+	ms        *MoveScratch
+	cyc       *CycleScratch
+	names     []string // packs scratch
 }
 
-// localImproveFiltered is localImprove restricted to the named MATs
-// when only is non-nil: the delta-repair pass of Replan polishes just
-// the dirty set this way, leaving the untouched region's assignments
-// (and their pair bytes) as fixed context. The deadline is polled
-// through a counter-gated clock read, not per MAT.
-func localImproveFiltered(p *Plan, opts Options, rm program.ResourceModel, deadline time.Time, only map[string]bool) error {
+func newRepairInstance(ci *CompiledInstance, sws []*network.Switch, cands, assign []int32, wt *WeightTable) *repairInstance {
+	in := &repairInstance{
+		ci: ci, sws: sws, cands: cands, assign: assign, wt: wt,
+		residents: make([][]string, len(sws)),
+		pt:        ci.NewPairTable(),
+		ms:        ci.NewMoveScratch(),
+		cyc:       ci.NewCycleScratch(),
+	}
+	for x, h := range assign {
+		if h >= 0 {
+			in.residents[h] = append(in.residents[h], ci.Names[x])
+		}
+	}
+	return in
+}
+
+// wholeInstance wraps a complete plan in the memoized whole-graph
+// instance: switch index space is the topology's ID space and every
+// live programmable switch is a candidate.
+func wholeInstance(p *Plan, opts Options, rm program.ResourceModel) (*repairInstance, error) {
 	ci := Compile(p.Graph, p.Topo, rm)
-	st := newImproveState(ci, p)
-	used := st.usedSwitches()
-	bestA, bestCross := st.pt.Max(), st.total
-	workers := opts.workers()
-	poll := newDeadlinePoller(deadline, 32).withCancel(opts.done())
-
-	type candScore struct {
-		a, cross int
-		valid    bool
+	sws := make([]*network.Switch, ci.S)
+	for id := range sws {
+		sw, err := p.Topo.Switch(network.SwitchID(id))
+		if err != nil {
+			return nil, err
+		}
+		sws[id] = sw
 	}
-	scores := make([]candScore, len(used))
-	// One scratch delta overlay per scoring goroutine.
-	scratches := make([]*MoveScratch, workers)
-	for i := range scratches {
-		scratches[i] = ci.NewMoveScratch()
+	cands := make([]int32, len(ci.Prog))
+	for i, u := range ci.Prog {
+		cands[i] = int32(u)
 	}
-	feas := newFeasScratch(ci)
+	var wt *WeightTable
+	if opts.Traffic != nil {
+		var err error
+		if wt, err = ci.CompileWeights(opts.Traffic); err != nil {
+			return nil, err
+		}
+	}
+	return newRepairInstance(ci, sws, cands, ci.PlanAssign(p), wt), nil
+}
 
-	const maxPasses = 4
-	for pass := 0; pass < maxPasses; pass++ {
-		improved := false
-		for xi := range ci.Names {
-			if only != nil && !only[ci.Names[xi]] {
-				continue
-			}
-			if poll.Expired() {
+// packs reports whether switch h still packs its residents once MAT add
+// joins and MAT drop leaves (either may be empty). An emptied switch
+// trivially packs.
+func (in *repairInstance) packs(h int32, add, drop string, rm program.ResourceModel) bool {
+	in.names = in.names[:0]
+	for _, n := range in.residents[h] {
+		if n != drop {
+			in.names = append(in.names, n)
+		}
+	}
+	if add != "" {
+		in.names = append(in.names, add)
+	}
+	return len(in.names) == 0 || FitsSwitch(in.ci.Graph, in.names, in.sws[h], rm)
+}
+
+// settle records MAT x on switch to in the resident lists, leaving
+// switch from when it had one (from < 0: x was unassigned).
+func (in *repairInstance) settle(x, from, to int32) {
+	name := in.ci.Names[x]
+	if from >= 0 {
+		l := in.residents[from]
+		for i, n := range l {
+			if n == name {
+				in.residents[from] = append(l[:i], l[i+1:]...)
 				break
 			}
-			cur := st.assign[xi]
-			// Score phase: pure concurrent reads of the shared state.
-			parallelForShard(len(used), workers, func(shard, k int) {
-				if int32(used[k]) == cur {
-					scores[k] = candScore{}
-					return
-				}
-				a, cross := ci.MoveScore(st.assign, st.pt, scratches[shard], int32(xi), int32(used[k]), st.total)
-				scores[k] = candScore{a: a, cross: cross, valid: true}
-			})
-			// Acceptance phase: sequential first-improvement walk in
-			// candidate order, identical to the serial algorithm.
-			for k, cand := range used {
-				sc := scores[k]
-				if !sc.valid || int32(cand) == cur {
-					continue
-				}
-				if sc.a > bestA || (sc.a == bestA && sc.cross >= bestCross) {
-					continue
-				}
-				st.assign[xi] = int32(cand)
-				if !st.moveFeasible(opts, rm, feas, network.SwitchID(cur), cand) {
-					st.assign[xi] = cur
-					continue
-				}
-				// Restore, then commit through the pair-table fold.
-				st.assign[xi] = cur
-				st.total = ci.ApplyMove(st.assign, st.pt, int32(xi), int32(cand), st.total)
-				bestA, bestCross = sc.a, sc.cross
-				cur = int32(cand)
-				improved = true
-			}
-		}
-		if !improved {
-			break
 		}
 	}
+	in.residents[to] = append(in.residents[to], name)
+}
 
-	// Weighted refinement (DESIGN.md §13): with a traffic matrix set,
-	// a second climb descends the weighted objective starting from the
-	// structural optimum the passes above converged to. The structural
-	// A_max acts as a hard cap at amaxSlack × that optimum, so the
-	// refined plan's worst pair stays within the slack of the plan an
-	// unweighted solve would ship — the ≤1.2× inflation bound holds by
-	// construction. Same shape as the structural climb: parallel
-	// absolute scoring, serial first-improvement acceptance on the
-	// lexicographic (W, A_max, cross) key, deterministic for every
-	// worker count.
-	if opts.Traffic != nil {
-		wt, err := ci.CompileWeights(opts.Traffic)
-		if err != nil {
-			return err
+// place lands the unassigned MATs xs, given in TDG topological order,
+// one at a time on the feasible candidate minimizing (W, A_max, switch
+// ID) against the already-assigned neighbors — W the weighted objective
+// under a traffic matrix, zero otherwise. Candidates are scored
+// allocation-free on the PlaceScore kernels; feasibility is stage
+// packing on the gaining switch plus acyclicity of the contracted
+// switch graph.
+func (in *repairInstance) place(xs []int32, opts Options, rm program.ResourceModel) error {
+	ci := in.ci
+	ci.FillPairTable(in.assign, in.pt)
+	var curSum int64
+	if in.wt != nil {
+		curSum, _ = in.wt.Score(in.pt)
+	}
+	poll := newDeadlinePoller(opts.Deadline, 16).withCancel(opts.done())
+	type scored struct {
+		h    int32
+		w    int64
+		amax int
+	}
+	less := func(a, b scored) bool {
+		if a.w != b.w {
+			return a.w < b.w
 		}
-		acap := opts.amaxCap(bestA)
-		curSum, curMax := wt.Score(st.pt)
-		bestW := opts.TrafficObjective.pick(curSum, curMax)
-		type wScore struct {
-			sum, max int64
-			a, cross int
-			valid    bool
+		if a.amax != b.amax {
+			return a.amax < b.amax
 		}
-		wscores := make([]wScore, len(used))
+		return a.h < b.h
+	}
+	scores := make([]scored, 0, len(in.cands))
+	for _, x := range xs {
+		if poll.Expired() {
+			return fmt.Errorf("deadline expired or replan canceled during repair placement")
+		}
+		scores = scores[:0]
+		//hermes:hot
+		for _, h := range in.cands {
+			c := scored{h: h, amax: ci.PlaceScore(in.assign, in.pt, in.ms, x, h)}
+			if in.wt != nil {
+				ws, wm := ci.PlaceScoreWeighted(in.assign, in.pt, in.ms, in.wt, x, h, curSum)
+				c.w = opts.TrafficObjective.pick(ws, wm)
+			}
+			scores = append(scores, c)
+		}
+		// Selection scan in (W, A_max, switch) order: nearly every MAT lands
+		// on its first choice, so extracting minima on demand beats sorting
+		// the whole candidate list per MAT.
+		placed := false
+		for range scores {
+			best := -1
+			for i, c := range scores {
+				if c.h >= 0 && (best < 0 || less(c, scores[best])) {
+					best = i
+				}
+			}
+			h := scores[best].h
+			scores[best].h = -1 // tried
+			if !in.packs(h, ci.Names[x], "", rm) {
+				continue
+			}
+			in.assign[x] = h
+			if !ci.AssignmentAcyclic(in.assign, in.cyc) {
+				in.assign[x] = -1
+				continue
+			}
+			in.settle(x, -1, h)
+			ci.ApplyPlace(in.assign, in.pt, x, h)
+			if in.wt != nil {
+				curSum, _ = in.wt.Score(in.pt)
+			}
+			placed = true
+			break
+		}
+		if !placed {
+			return infeasibleError(fmt.Sprintf("no feasible switch for displaced MAT %q", ci.Names[x]))
+		}
+	}
+	return nil
+}
+
+// infeasibleError marks a repair instance whose candidate set cannot
+// host a displaced MAT; a regional caller widens the set before giving
+// up.
+type infeasibleError string
+
+func (e infeasibleError) Error() string { return string(e) }
+
+// admits reports whether moving MAT x to switch to keeps every
+// constraint: both touched switches pack (Eq. 8–9), the contracted
+// switch graph stays acyclic (Eq. 7) and, when ε1 is set, the summed
+// latency over the instance's communicating pairs stays within it
+// (Eq. 4). The score scratch doubles as the latency probe's seen-set —
+// the scores it held were returned by value.
+func (in *repairInstance) admits(x, to int32, opts Options, rm program.ResourceModel) bool {
+	name, from := in.ci.Names[x], in.assign[x]
+	if !in.packs(from, "", name, rm) || !in.packs(to, name, "", rm) {
+		return false
+	}
+	in.assign[x] = to
+	ok := in.ci.AssignmentAcyclic(in.assign, in.cyc)
+	if ok && opts.Epsilon1 > 0 {
+		lat, connected := in.ci.AssignmentLatency(in.assign, in.ms)
+		ok = connected && lat <= opts.Epsilon1
+	}
+	in.assign[x] = from
+	return ok
+}
+
+// climb is the bounded first-improvement hill climb (the refinement
+// extending the paper's Algorithm 2): it tries moving each dirty MAT to
+// another occupied candidate switch and keeps the move when it strictly
+// reduces (A_max, total cross bytes) and admits holds. The target
+// switches are fixed at climb start. With a weight table a second phase
+// descends the lexicographic (W, A_max, cross bytes) key from the
+// structural optimum the first converged to, with A_max capped at
+// AMaxSlack × that optimum — so the refined plan's worst pair stays
+// within the slack of the plan an unweighted solve would ship
+// (DESIGN.md §13). A move's score is the absolute state "MAT on that
+// switch, everything else fixed", computed allocation-free in
+// O(deg + pairs) on the MoveScore kernels; the climb is serial, so
+// every Options.Workers yields the same plan. dirty is ascending in MAT
+// index. budget always caps the search and a tighter Options.Deadline
+// wins; both, and cancellation, are polled through a counter-gated
+// clock read.
+func (in *repairInstance) climb(opts Options, rm program.ResourceModel, budget time.Duration, dirty []int32) {
+	ci := in.ci
+	deadline := time.Now().Add(budget)
+	if !opts.Deadline.IsZero() && opts.Deadline.Before(deadline) {
+		deadline = opts.Deadline
+	}
+	targets := make([]int32, 0, len(in.cands))
+	for _, h := range in.cands {
+		if len(in.residents[h]) > 0 {
+			targets = append(targets, h)
+		}
+	}
+	total := ci.FillPairTable(in.assign, in.pt)
+	bestA := in.pt.Max()
+	poll := newDeadlinePoller(deadline, 32).withCancel(opts.done())
+
+	var bestW, curSum int64
+	var acap int
+	phases := 1
+	if in.wt != nil {
+		phases = 2
+	}
+	const maxPasses = 4
+	for phase := 0; phase < phases; phase++ {
+		weighted := phase == 1
+		if weighted {
+			acap = opts.amaxCap(bestA)
+			sum, max := in.wt.Score(in.pt)
+			bestW, curSum = opts.TrafficObjective.pick(sum, max), sum
+		}
 		for pass := 0; pass < maxPasses; pass++ {
 			improved := false
-			for xi := range ci.Names {
-				if only != nil && !only[ci.Names[xi]] {
-					continue
-				}
+			for _, x := range dirty {
 				if poll.Expired() {
-					break
+					return
 				}
-				cur := st.assign[xi]
-				parallelForShard(len(used), workers, func(shard, k int) {
-					if int32(used[k]) == cur {
-						wscores[k] = wScore{}
-						return
-					}
-					a, cross := ci.MoveScore(st.assign, st.pt, scratches[shard], int32(xi), int32(used[k]), st.total)
-					ws, wm := ci.MoveScoreWeighted(st.assign, st.pt, scratches[shard], wt, int32(xi), int32(used[k]), curSum)
-					wscores[k] = wScore{sum: ws, max: wm, a: a, cross: cross, valid: true}
-				})
-				for k, cand := range used {
-					sc := wscores[k]
-					if !sc.valid || int32(cand) == cur || sc.a > acap {
+				cur := in.assign[x]
+				//hermes:hot
+				for _, h := range targets {
+					if h == cur {
 						continue
 					}
-					w := opts.TrafficObjective.pick(sc.sum, sc.max)
-					if w > bestW ||
-						(w == bestW && (sc.a > bestA || (sc.a == bestA && sc.cross >= bestCross))) {
+					a, cross := ci.MoveScore(in.assign, in.pt, in.ms, x, h, total)
+					worse := a > bestA || (a == bestA && cross >= total)
+					var w, ws int64
+					if weighted {
+						if a > acap {
+							continue
+						}
+						var wm int64
+						ws, wm = ci.MoveScoreWeighted(in.assign, in.pt, in.ms, in.wt, x, h, curSum)
+						w = opts.TrafficObjective.pick(ws, wm)
+						worse = w > bestW || (w == bestW && worse)
+					}
+					if worse || !in.admits(x, h, opts, rm) {
 						continue
 					}
-					st.assign[xi] = int32(cand)
-					if !st.moveFeasible(opts, rm, feas, network.SwitchID(cur), cand) {
-						st.assign[xi] = cur
-						continue
-					}
-					st.assign[xi] = cur
-					st.total = ci.ApplyMove(st.assign, st.pt, int32(xi), int32(cand), st.total)
-					bestW, curSum = w, sc.sum
-					bestA, bestCross = sc.a, sc.cross
-					cur = int32(cand)
+					total = ci.ApplyMove(in.assign, in.pt, x, h, total)
+					in.settle(x, cur, h)
+					bestA, bestW, curSum = a, w, ws
+					cur = h
 					improved = true
 				}
 			}
@@ -175,96 +303,4 @@ func localImproveFiltered(p *Plan, opts Options, rm program.ResourceModel, deadl
 			}
 		}
 	}
-
-	// Rebuild the plan from the (possibly) improved assignment.
-	rebuilt, err := materializeAssignment(p.Graph, p.Topo, ci.AssignMap(st.assign), rm)
-	if err != nil {
-		return err
-	}
-	p.Assignments = rebuilt.Assignments
-	p.Routes = rebuilt.Routes
-	p.InvalidateCache()
-	return nil
-}
-
-// improveState is the hill climb's working state over the compiled
-// instance: the dense assignment, the flat pair-byte table, and the
-// running total of cross bytes.
-type improveState struct {
-	ci     *CompiledInstance
-	assign []int32
-	pt     *PairTable
-	total  int
-}
-
-func newImproveState(ci *CompiledInstance, p *Plan) *improveState {
-	st := &improveState{ci: ci, assign: ci.PlanAssign(p), pt: ci.NewPairTable()}
-	st.total = ci.FillPairTable(st.assign, st.pt)
-	return st
-}
-
-// usedSwitches lists the switches hosting at least one MAT, ascending.
-func (st *improveState) usedSwitches() []network.SwitchID {
-	seen := make([]bool, st.ci.S)
-	for _, u := range st.assign {
-		if u >= 0 {
-			seen[u] = true
-		}
-	}
-	out := make([]network.SwitchID, 0, len(seen))
-	for u, ok := range seen {
-		if ok {
-			out = append(out, network.SwitchID(u))
-		}
-	}
-	return out
-}
-
-// feasScratch bundles the reusable buffers of the per-move feasibility
-// probe.
-type feasScratch struct {
-	cyc   *CycleScratch
-	seen  *MoveScratch
-	names []string
-}
-
-func newFeasScratch(ci *CompiledInstance) *feasScratch {
-	return &feasScratch{cyc: ci.NewCycleScratch(), seen: ci.NewMoveScratch()}
-}
-
-// moveFeasible validates the dense assignment after a move that
-// touched the given switches: each must still pack, and the contracted
-// switch graph must stay acyclic (with ε1 respected when set). Stage
-// packing still crosses the map boundary — PackStages canonicalizes
-// and memoizes on the graph — while the acyclicity and ε1 probes run
-// on the compiled allocation-free kernels.
-func (st *improveState) moveFeasible(opts Options, rm program.ResourceModel, fs *feasScratch, touched ...network.SwitchID) bool {
-	for _, u := range touched {
-		fs.names = fs.names[:0]
-		for x, su := range st.assign {
-			if su == int32(u) {
-				fs.names = append(fs.names, st.ci.Names[x])
-			}
-		}
-		if len(fs.names) == 0 {
-			continue
-		}
-		sw, err := st.ci.Topo.Switch(u)
-		if err != nil {
-			return false
-		}
-		if !FitsSwitch(st.ci.Graph, fs.names, sw, rm) {
-			return false
-		}
-	}
-	if !st.ci.AssignmentAcyclic(st.assign, fs.cyc) {
-		return false
-	}
-	if opts.Epsilon1 > 0 {
-		total, ok := st.ci.AssignmentLatency(st.assign, fs.seen)
-		if !ok || total > opts.Epsilon1 {
-			return false
-		}
-	}
-	return true
 }

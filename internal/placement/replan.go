@@ -80,15 +80,16 @@ type ReplanOptions struct {
 	// ReplanAuto and an error under ReplanIncremental. 0 means the
 	// default of 1.5; negative disables the check.
 	QualityRatio float64
-	// Partition, when non-nil, switches the repair to the region-local
-	// path (DESIGN.md §14): the dirty set is mapped onto the regions it
-	// intersects, each dirty region is repaired concurrently on a
-	// compact per-region compiled instance (hosts + region candidates,
-	// never the full S² tables), and only quality failures escalate to
-	// the overlapping-region boundary exchange before the gated full
-	// solve. The partition must describe the replan topology's switch
-	// ID space; lookups are by switch ID, so it survives topology
-	// clones and fault overlays. nil keeps the whole-topology repair.
+	// Partition, when non-nil, makes the repair region-local (DESIGN.md
+	// §8): the dirty set is mapped onto the regions it intersects, each
+	// dirty region is repaired concurrently on its own compact instance
+	// (region candidates + halo hosts), and only quality failures
+	// escalate to the overlapping-region boundary exchange before the
+	// gated full solve. The partition must describe the replan
+	// topology's switch ID space; lookups are by switch ID, so it
+	// survives topology clones and fault overlays. nil repairs on a
+	// single instance whose candidates are all live programmable
+	// switches.
 	Partition *network.Partition
 }
 
@@ -110,29 +111,22 @@ func (o ReplanOptions) qualityRatio() float64 {
 }
 
 // ReplanPhases splits a replan's wall clock into its sequential
-// phases; a zero field means the phase did not run. On the
-// whole-topology path the repair spends Dirty + Repair + Polish +
-// Gates; on the region-local path the concurrent per-region repairs
-// (greedy re-placement and polish together) land in Regions, with
-// Exchange covering the overlapping-region escalation. Fallback times
+// phases; a zero field means the phase did not run. The repair spends
+// Dirty + Regions + Gates, with Exchange covering the
+// overlapping-region escalation of a partitioned repair. Fallback times
 // the full solver after an abandoned repair. JSON field names are
 // stable — bench baselines diff them across commits.
 type ReplanPhases struct {
 	// Dirty is the dirty-set construction (displaced MATs plus the
 	// bounded TDG frontier).
 	Dirty time.Duration `json:"dirty"`
-	// Repair is the greedy re-placement of displaced MATs
-	// (whole-topology path).
-	Repair time.Duration `json:"repair"`
-	// Polish is the bounded local-improve climb over the dirty set
-	// (whole-topology path).
-	Polish time.Duration `json:"polish"`
 	// Gates is validation, the quality-ratio check, and the lint/equiv
 	// hooks on the repaired plan.
 	Gates time.Duration `json:"gates"`
-	// Regions is the concurrent per-region repair fan-out
-	// (region-local path; includes each region's greedy and polish,
-	// plus the merge and materialization of the global plan).
+	// Regions is the repair-instance fan-out (one instance per touched
+	// region, or the single instance of an unpartitioned repair): each
+	// instance's re-placement and climb, plus the merge and
+	// materialization of the global plan.
 	Regions time.Duration `json:"regions"`
 	// Exchange is the overlapping-region boundary-exchange escalation.
 	Exchange time.Duration `json:"exchange"`
@@ -169,11 +163,11 @@ type ReplanReport struct {
 	TotalTime time.Duration
 	// Phases breaks TotalTime into the replan's sequential phases.
 	Phases ReplanPhases
-	// UsedRegional marks repairs that ran the region-local path (a
-	// Partition was supplied and the dirty set mapped onto it).
+	// UsedRegional marks repairs that fanned out by region (a Partition
+	// was supplied and the dirty set mapped onto it).
 	UsedRegional bool
 	// RegionsTouched lists the dirty regions the regional repair
-	// operated on, ascending; nil off the regional path.
+	// operated on, ascending; nil without a partition.
 	RegionsTouched []int
 	// RegionsWidened counts dirty regions whose local repair could not
 	// restore feasibility alone and re-ran with the 2-hop widened
@@ -254,14 +248,7 @@ func ReplanWithOptions(old *Plan, solver Solver, ropts ReplanOptions, drained ..
 	rep := &ReplanReport{Mode: ropts.Mode}
 	if ropts.Mode != ReplanFull {
 		repairStart := time.Now()
-		var plan *Plan
-		var dirty int
-		var rerr error
-		if ropts.Partition != nil {
-			plan, dirty, rerr = repairRegional(old, topo, ropts, drainedSet, rep)
-		} else {
-			plan, dirty, rerr = repairPlan(old, topo, ropts, drainedSet, rep)
-		}
+		plan, dirty, rerr := repair(old, topo, ropts, drainedSet, rep)
 		rep.RepairTime = time.Since(repairStart)
 		rep.DirtyMATs = dirty
 		if rerr == nil {
@@ -290,161 +277,6 @@ func ReplanWithOptions(old *Plan, solver Solver, ropts ReplanOptions, drained ..
 	rep.MovedMATs = len(rep.Moved)
 	rep.TotalTime = time.Since(start)
 	return plan, rep, nil
-}
-
-// repairPlan is the delta path: re-place only the MATs hosted on
-// drained switches (plus a bounded dependency frontier), keeping every
-// other assignment, then polish the dirty set with the incremental
-// pair-byte local search. It returns the repaired plan and the dirty
-// set size, or an error describing why the repair cannot stand (the
-// caller decides between fallback and failure).
-func repairPlan(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet map[network.SwitchID]bool, rep *ReplanReport) (*Plan, int, error) {
-	g := old.Graph
-	rm := ropts.resourceModel()
-
-	phase := time.Now()
-	displaced, dirty := dirtySets(old, topo, ropts, drainedSet)
-	rep.Phases.Dirty = time.Since(phase)
-	if len(displaced) == 0 {
-		// Nothing hosted there: the old assignment is the repair. Routes
-		// may still change (the drained switch keeps forwarding, so
-		// shortest paths survive the drain), so re-materialize.
-		plan, err := materializeAssignment(g, topo, assignmentOf(old), rm)
-		if err != nil {
-			return nil, 0, err
-		}
-		return finishRepairTimed(plan, old, ropts, 0, rep)
-	}
-	phase = time.Now()
-
-	// Seed assignment: everything but the displaced MATs keeps its
-	// switch.
-	assign := make(map[string]network.SwitchID, g.NumNodes())
-	for name, sp := range old.Assignments {
-		if !displaced[name] {
-			assign[name] = sp.Switch
-		}
-	}
-
-	// Greedy re-placement of the displaced MATs in topological order:
-	// each lands on the feasible switch minimizing the resulting
-	// (A_max, switch ID) against the already-assigned neighbors.
-	// Candidates are scored incrementally against the compiled flat
-	// pair-byte table — allocation-free O(deg + pairs) per candidate
-	// (CompiledInstance.PlaceScore), the same kernels as the
-	// local-improve climb — instead of an O(E) rescan over string-keyed
-	// maps, which would dominate the repair at 50 programs.
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, len(dirty), err
-	}
-	prog := topo.ProgrammableSwitches()
-	residents := map[network.SwitchID][]string{}
-	for name, u := range assign {
-		residents[u] = append(residents[u], name)
-	}
-	ci := Compile(g, topo, rm)
-	dense := ci.DenseAssign(assign)
-	pt := ci.NewPairTable()
-	ci.FillPairTable(dense, pt)
-	ms := ci.NewMoveScratch()
-	cyc := ci.NewCycleScratch()
-	poll := newDeadlinePoller(ropts.Deadline, 16).withCancel(ropts.done())
-	// Under a traffic matrix, displaced MATs re-land by weighted place
-	// score (the same objective the polish descends), with the
-	// structural score as the tie-break; the quality-ratio gate in
-	// finishRepair still bounds the structural A_max.
-	var wt *WeightTable
-	var curSum int64
-	if ropts.Traffic != nil {
-		var werr error
-		if wt, werr = ci.CompileWeights(ropts.Traffic); werr != nil {
-			return nil, len(dirty), werr
-		}
-		curSum, _ = wt.Score(pt)
-	}
-	type cand struct {
-		u    network.SwitchID
-		w    int64
-		amax int
-	}
-	cands := make([]cand, 0, len(prog))
-	for _, name := range order {
-		if !displaced[name] {
-			continue
-		}
-		if poll.Expired() {
-			return nil, len(dirty), fmt.Errorf("deadline expired or replan canceled during repair placement")
-		}
-		x := ci.Index[name]
-		cands = cands[:0]
-		//hermes:hot
-		for _, u := range prog {
-			c := cand{u: u, amax: ci.PlaceScore(dense, pt, ms, x, int32(u))}
-			if wt != nil {
-				ws, wm := ci.PlaceScoreWeighted(dense, pt, ms, wt, x, int32(u), curSum)
-				c.w = ropts.TrafficObjective.pick(ws, wm)
-			}
-			cands = append(cands, c)
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].w != cands[j].w {
-				return cands[i].w < cands[j].w
-			}
-			if cands[i].amax != cands[j].amax {
-				return cands[i].amax < cands[j].amax
-			}
-			return cands[i].u < cands[j].u
-		})
-		placed := false
-		for _, c := range cands {
-			sw, err := topo.Switch(c.u)
-			if err != nil {
-				continue
-			}
-			if !FitsSwitch(g, append(append([]string(nil), residents[c.u]...), name), sw, rm) {
-				continue
-			}
-			dense[x] = int32(c.u)
-			if !ci.AssignmentAcyclic(dense, cyc) {
-				dense[x] = -1
-				continue
-			}
-			residents[c.u] = append(residents[c.u], name)
-			assign[name] = c.u
-			ci.ApplyPlace(dense, pt, x, int32(c.u))
-			if wt != nil {
-				curSum, _ = wt.Score(pt)
-			}
-			placed = true
-			break
-		}
-		if !placed {
-			return nil, len(dirty), fmt.Errorf("no feasible switch for displaced MAT %q", name)
-		}
-	}
-
-	plan, err := materializeAssignment(g, topo, assign, rm)
-	if err != nil {
-		return nil, len(dirty), err
-	}
-	rep.Phases.Repair = time.Since(phase)
-
-	// Polish only the dirty set with the incremental pair-byte scorer,
-	// honoring the deadline (counter-gated inside the climb). The
-	// repair's improve budget scales with the dirty set rather than the
-	// cold solve's fixed 2s — the climb converges in a handful of passes
-	// over |dirty| MATs.
-	phase = time.Now()
-	improveDeadline := time.Now().Add(2 * time.Second)
-	if !ropts.Deadline.IsZero() && ropts.Deadline.Before(improveDeadline) {
-		improveDeadline = ropts.Deadline
-	}
-	if err := localImproveFiltered(plan, ropts.Options, rm, improveDeadline, dirty); err != nil {
-		return nil, len(dirty), err
-	}
-	rep.Phases.Polish = time.Since(phase)
-	return finishRepairTimed(plan, old, ropts, len(dirty), rep)
 }
 
 // dirtySets computes the repair's working sets: displaced MATs

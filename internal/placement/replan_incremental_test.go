@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -113,6 +114,26 @@ func TestReplanQualityRatioFallback(t *testing.T) {
 	ropts.Mode = ReplanIncremental
 	if _, _, err := ReplanWithOptions(old, nil, ropts, drained); err == nil {
 		t.Error("pinned incremental mode must fail instead of silently solving cold")
+	}
+}
+
+// TestReplanInfeasibleReasonWording pins the text of an unpartitioned
+// repair that cannot place a MAT: the supervisor stores it in
+// DegradationEvent.Reason and `hermes -replan` prints it as
+// FallbackReason, so it must name the MAT with no region prefix.
+func TestReplanInfeasibleReasonWording(t *testing.T) {
+	old := solvedChainPlan(t, 2) // three MATs over two 2-MAT switches
+	drained := old.UsedSwitches()[0]
+	_, rep, err := ReplanWithOptions(old, nil, ReplanOptions{Mode: ReplanIncremental}, drained)
+	if err == nil {
+		t.Fatal("one 2-MAT switch cannot host the 3-MAT chain")
+	}
+	const prefix = `no feasible switch for displaced MAT "`
+	if !strings.HasPrefix(rep.FallbackReason, prefix) {
+		t.Errorf("FallbackReason = %q, want it to start with %q", rep.FallbackReason, prefix)
+	}
+	if want := "placement: incremental replan: " + rep.FallbackReason; err.Error() != want {
+		t.Errorf("error = %q, want %q", err, want)
 	}
 }
 

@@ -1,26 +1,30 @@
-// Region-local incremental replanning (DESIGN.md §14): the sharded
-// solver folded into the churn path. With a topology Partition on the
-// replan options, the dirty set (displaced MATs plus the bounded TDG
-// frontier) is mapped onto the regions it intersects and each dirty
-// region is repaired concurrently on a compact per-region compiled
-// instance — the region's live programmable switches plus the frozen
-// halo hosts its dirty MATs communicate with, so the PR 4 kernels run
-// on tables sized by the region, never S². Escalation is layered:
+// The one repair path of Replan (DESIGN.md §8): the dirty set
+// (displaced MATs plus the bounded TDG frontier) is healed on repair
+// instances — compact compiled instances over a host subset, so the
+// PR 4 kernels run on tables sized by the hosts involved, never S².
+// What a topology Partition on the replan options changes is only how
+// instances are drawn and how far a failed repair escalates:
 //
-//  1. Per-region greedy re-placement + polish (this file). A region
-//     that cannot host its displaced MATs retries once with the 2-hop
-//     widened candidate set (its partition neighbors), letting a MAT
-//     cross more than one cut.
-//  2. A merged plan that would fail the quality gate runs a bounded
+//   - Without a partition there is one instance whose candidates are
+//     all live programmable switches; its halo is empty and nothing
+//     escalates short of the caller's solver.
+//   - With one, the dirty set fans out into one instance per region it
+//     intersects, repaired concurrently: the region's live programmable
+//     switches (occupied ones plus a bounded pool of empties) are the
+//     candidates and the frozen hosts its dirty MATs communicate with
+//     join as halo anchors. A region that cannot host its displaced
+//     MATs retries once with the 2-hop widened candidate set (its
+//     partition neighbors), letting a MAT cross more than one cut; a
+//     merged plan that would fail the quality gate runs a bounded
 //     overlapping-region boundary exchange (RegionExchangeHook,
 //     registered by internal/placement/shard) before being re-gated.
-//  3. Only then does ReplanAuto fall back to the caller's solver — a
-//     sharded cold re-solve when the caller passes ShardedGreedy.
 //
-// Regions repair independently against the pre-repair snapshot (the
-// same approximation the sharded solver's regional solves make); the
-// merged plan passes the full gate stack (Validate, quality ratio,
-// lint, equiv) exactly like the whole-topology repair.
+// Only then does ReplanAuto fall back to the caller's solver — a
+// sharded cold re-solve when the caller passes ShardedGreedy. Regions
+// repair independently against the pre-repair snapshot (the same
+// approximation the sharded solver's regional solves make); the merged
+// plan passes the full gate stack (Validate, quality ratio, lint,
+// equiv).
 package placement
 
 import (
@@ -74,20 +78,17 @@ const (
 // almost never win, and the compiled tables are U²-sized — admitting
 // every empty switch of a 300-switch region would make the scratch
 // allocations, not the repair, the replan's critical path. A region
-// whose displaced MATs overflow the pool reports errRegionInfeasible
+// whose displaced MATs overflow the pool reports an infeasibleError
 // and retries widened, exactly like any other capacity shortfall.
 const regionSpares = 32
 
-// errRegionInfeasible marks a region-local repair that cannot place a
-// displaced MAT inside its candidate set; the caller widens the set or
-// falls back.
-var errRegionInfeasible = errors.New("region repair infeasible")
-
-// repairRegional is the region-local delta path (the counterpart of
-// repairPlan when ReplanOptions.Partition is set). It returns the
-// repaired plan and the dirty-set size, or an error describing why the
-// regional repair cannot stand.
-func repairRegional(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet map[network.SwitchID]bool, rep *ReplanReport) (*Plan, int, error) {
+// repair is the delta path: re-place only the MATs hosted on drained
+// or down switches, keeping every other assignment, then climb over the
+// dirty set (the displaced MATs plus a bounded dependency frontier). It
+// returns the repaired plan and the dirty-set size, or an error
+// describing why the repair cannot stand (the caller decides between
+// fallback and failure).
+func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet map[network.SwitchID]bool, rep *ReplanReport) (*Plan, int, error) {
 	g := old.Graph
 	rm := ropts.resourceModel()
 	part := ropts.Partition
@@ -96,24 +97,27 @@ func repairRegional(old *Plan, topo *network.Topology, ropts ReplanOptions, drai
 	displaced, dirty := dirtySets(old, topo, ropts, drainedSet)
 	rep.Phases.Dirty = time.Since(phase)
 	if len(displaced) == 0 {
-		// Nothing hosted on the drained switches; re-materialize (routes
-		// may change) and gate.
-		plan, err := materializeRegional(g, topo, assignmentOf(old), rm, old, ropts)
+		// Nothing hosted there: the old assignment is the repair. Routes
+		// may still change, so re-materialize and gate.
+		plan, err := materializeRepair(g, topo, assignmentOf(old), rm, old, ropts)
 		if err != nil {
 			return nil, 0, err
 		}
 		return finishRepairTimed(plan, old, ropts, 0, rep)
 	}
 
-	// Map the dirty set onto the regions it intersects: every dirty MAT
-	// belongs to the region of its pre-drain host, so each MAT is
-	// movable in exactly one region's repair and the merge is disjoint.
+	// Fan the dirty set out into instances: every dirty MAT belongs to
+	// the region of its pre-drain host (region 0 without a partition), so
+	// each MAT is movable in exactly one instance and the merge is
+	// disjoint.
 	regionDirty := map[int][]string{}
 	for name := range dirty {
-		host := old.Assignments[name].Switch
-		r := part.RegionOf(host)
-		if r < 0 {
-			return nil, len(dirty), fmt.Errorf("partition does not cover switch %d", host)
+		r := 0
+		if part != nil {
+			host := old.Assignments[name].Switch
+			if r = part.RegionOf(host); r < 0 {
+				return nil, len(dirty), fmt.Errorf("partition does not cover switch %d", host)
+			}
 		}
 		regionDirty[r] = append(regionDirty[r], name)
 	}
@@ -123,13 +127,17 @@ func repairRegional(old *Plan, topo *network.Topology, ropts ReplanOptions, drai
 		regions = append(regions, r)
 	}
 	sort.Ints(regions)
-	rep.UsedRegional = true
-	rep.RegionsTouched = regions
+	var nbr [][]int
+	if part != nil {
+		rep.UsedRegional = true
+		rep.RegionsTouched = regions
+		nbr = regionAdjacency(part)
+	}
 
 	// Surviving global assignment: everything but the displaced MATs
-	// keeps its switch. Read-only while the region repairs run. used
-	// records which switches still hold MATs — the region repairs build
-	// their candidate sets around it.
+	// keeps its switch. Read-only while the instances run. used records
+	// which switches still hold MATs — regional candidate sets are built
+	// around it.
 	assign := make(map[string]network.SwitchID, g.NumNodes())
 	used := make(map[network.SwitchID]bool, len(old.Assignments)/4+1)
 	for name, sp := range old.Assignments {
@@ -139,40 +147,44 @@ func repairRegional(old *Plan, topo *network.Topology, ropts ReplanOptions, drai
 		}
 	}
 
-	// Under a traffic matrix every region compacts the same global pair
-	// rates (routed once here, on the real topology — the per-region
-	// pseudo-topologies are links-free).
-	var rates []float64
+	// Under a traffic matrix every instance compacts the same global
+	// weights (routed and quantized once here, on the real topology — the
+	// instances' pseudo-topologies are links-free).
+	var weights *WeightTable
 	if ropts.Traffic != nil {
-		var err error
-		rates, err = ropts.Traffic.PairRates(topo)
+		rates, err := ropts.Traffic.PairRates(topo)
 		if err != nil {
 			return nil, len(dirty), err
 		}
+		weights = NewWeightTable(rates, int32(topo.NumSwitches()))
 	}
 
-	nbr := regionAdjacency(part)
 	phase = time.Now()
+	heal := func(r int, candRegions []int) (map[string]network.SwitchID, error) {
+		return healInstance(g, topo, part, assign, used, regionDirty[r], displaced, ropts, rm, weights, candRegions)
+	}
 	results := make([]map[string]network.SwitchID, len(regions))
 	errs := make([]error, len(regions))
 	widened := make([]bool, len(regions))
-	parallelForShard(len(regions), ropts.workers(), func(_, i int) {
+	parallelFor(len(regions), ropts.workers(), func(i int) {
 		r := regions[i]
-		res, err := repairOneRegion(g, topo, part, assign, used, regionDirty[r], displaced, ropts, rm, rates, []int{r})
-		if errors.Is(err, errRegionInfeasible) {
+		res, err := heal(r, []int{r})
+		var inf infeasibleError
+		if part != nil && errors.As(err, &inf) {
 			// Overlapping-region escalation: admit candidates from the
 			// 2-hop region neighborhood so a displaced MAT may land
 			// across more than one cut.
 			widened[i] = true
-			res, err = repairOneRegion(g, topo, part, assign, used, regionDirty[r], displaced, ropts, rm, rates,
-				append([]int{r}, nbr[r]...))
+			res, err = heal(r, append([]int{r}, nbr[r]...))
 		}
 		results[i], errs[i] = res, err
 	})
-	rep.Phases.Regions = time.Since(phase)
 	for i, err := range errs {
 		if err != nil {
-			return nil, len(dirty), fmt.Errorf("region %d: %w", regions[i], err)
+			if part != nil {
+				err = fmt.Errorf("region %d: %w", regions[i], err)
+			}
+			return nil, len(dirty), err
 		}
 		if widened[i] {
 			rep.RegionsWidened++
@@ -184,15 +196,15 @@ func repairRegional(old *Plan, topo *network.Topology, ropts ReplanOptions, drai
 		}
 	}
 
-	// Each region checked acyclicity on its instance's contracted
-	// subgraph; a cycle threading placed MATs through hosts outside the
-	// instance is invisible there, so re-prove the invariant globally
-	// (O(E) Kahn over the used switches) before standing the plan up.
-	if !assignmentAcyclicGlobal(g, assign) {
-		return nil, len(dirty), fmt.Errorf("regional repair left a cyclic contracted switch graph")
+	// Each instance checked acyclicity on its own contracted subgraph; a
+	// cycle threading placed MATs through hosts outside the instance is
+	// invisible there, so re-prove the invariant over every TDG edge
+	// before standing the plan up.
+	if !assignmentAcyclic(g, assign) {
+		return nil, len(dirty), fmt.Errorf("repair left a cyclic contracted switch graph")
 	}
 
-	plan, err := materializeRegional(g, topo, assign, rm, old, ropts)
+	plan, err := materializeRepair(g, topo, assign, rm, old, ropts)
 	if err != nil {
 		return nil, len(dirty), err
 	}
@@ -207,14 +219,14 @@ func repairRegional(old *Plan, topo *network.Topology, ropts ReplanOptions, drai
 	// migrates only already-placed MATs under the same
 	// capacity/acyclicity checks); a plan still past the gate after the
 	// exchange falls back to the full solve via finishRepair.
-	if ratio := ropts.qualityRatio(); ratio > 0 && RegionExchangeHook != nil {
+	if ratio := ropts.qualityRatio(); part != nil && ratio > 0 && RegionExchangeHook != nil {
 		if oldA := old.AMax(); oldA > 0 && float64(plan.AMax()) > ratio*float64(oldA) {
 			exStart := time.Now()
 			st, exErr := RegionExchangeHook(g, topo, part, assign, ropts.Options, escalationRounds, escalationOverlap)
 			rep.Phases.Exchange = time.Since(exStart)
 			if exErr == nil && st.Moves > 0 {
 				rep.ExchangeRounds, rep.ExchangeMoves = st.Rounds, st.Moves
-				if plan2, mErr := materializeRegional(g, topo, assign, rm, old, ropts); mErr == nil {
+				if plan2, mErr := materializeRepair(g, topo, assign, rm, old, ropts); mErr == nil {
 					plan = plan2
 				}
 			}
@@ -223,7 +235,7 @@ func repairRegional(old *Plan, topo *network.Topology, ropts ReplanOptions, drai
 	return finishRepairTimed(plan, old, ropts, len(dirty), rep)
 }
 
-// materializeRegional packs the merged assignment and fills in routes,
+// materializeRepair packs the merged assignment and fills in routes,
 // reusing the pre-drain plan's routes when they are provably still
 // valid: the replan ran against a clone of the old plan's own topology
 // (no ReplanOptions.Topology override) and neither side carries a fault
@@ -234,7 +246,7 @@ func repairRegional(old *Plan, topo *network.Topology, ropts ReplanOptions, drai
 // query against the old topology, whose SSSP cache is already warm from
 // the base solve. Any condition outside that window falls back to the
 // full route recompute.
-func materializeRegional(g *tdg.Graph, topo *network.Topology, assign map[string]network.SwitchID,
+func materializeRepair(g *tdg.Graph, topo *network.Topology, assign map[string]network.SwitchID,
 	rm program.ResourceModel, old *Plan, ropts ReplanOptions) (*Plan, error) {
 	if ropts.Topology != nil || len(old.Routes) == 0 || old.Topo.HasFaults() || topo.HasFaults() {
 		return materializeAssignment(g, topo, assign, rm)
@@ -267,50 +279,6 @@ func materializeRegional(g *tdg.Graph, topo *network.Topology, assign map[string
 	return plan, nil
 }
 
-// assignmentAcyclicGlobal reports whether the contracted switch graph
-// of the full assignment is a DAG — the solver invariant lint restates
-// as HL110. The per-region repairs prove it only on their instance
-// subgraphs, so the merge re-proves it over every TDG edge.
-func assignmentAcyclicGlobal(g *tdg.Graph, assign map[string]network.SwitchID) bool {
-	adj := map[network.SwitchID]map[network.SwitchID]bool{}
-	indeg := map[network.SwitchID]int{}
-	nodes := map[network.SwitchID]bool{}
-	for _, u := range assign {
-		nodes[u] = true
-	}
-	for _, e := range g.EdgeList() {
-		a, b := assign[e.From], assign[e.To]
-		if a == b {
-			continue
-		}
-		if adj[a] == nil {
-			adj[a] = map[network.SwitchID]bool{}
-		}
-		if !adj[a][b] {
-			adj[a][b] = true
-			indeg[b]++
-		}
-	}
-	queue := make([]network.SwitchID, 0, len(nodes))
-	for id := range nodes {
-		if indeg[id] == 0 {
-			queue = append(queue, id)
-		}
-	}
-	processed := 0
-	for len(queue) > 0 {
-		id := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		processed++
-		for nb := range adj[id] {
-			if indeg[nb]--; indeg[nb] == 0 {
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return processed == len(nodes)
-}
-
 // regionAdjacency returns each region's neighbor list (regions joined
 // by at least one boundary link), ascending.
 func regionAdjacency(part *network.Partition) [][]int {
@@ -322,25 +290,16 @@ func regionAdjacency(part *network.Partition) [][]int {
 	return nbr
 }
 
-// repairOneRegion heals one dirty region on a compact compiled
-// instance. candRegions lists the regions whose live programmable
-// switches may host this region's dirty MATs ({r} normally, r plus its
-// partition neighbors on the widened retry); every other host the
-// dirty MATs communicate with joins the instance as a frozen halo
-// anchor, so each pair-byte cell a repair move can touch carries its
-// true background bytes. baseAssign is read-only (regions repair
-// concurrently); the returned map carries this region's dirty MATs and
-// their final hosts.
-func repairOneRegion(g *tdg.Graph, topo *network.Topology, part *network.Partition,
-	baseAssign map[string]network.SwitchID, used map[network.SwitchID]bool,
-	dirtyNames []string, displaced map[string]bool,
-	ropts ReplanOptions, rm program.ResourceModel, rates []float64, candRegions []int) (map[string]network.SwitchID, error) {
-
-	// Candidate hosts: the candidate regions' live programmable
-	// switches that still hold MATs, plus up to regionSpares empty ones
-	// (ascending ID — part.Region is sorted, and candRegions order is
-	// deterministic).
-	candSet := map[network.SwitchID]bool{}
+// candidateHosts lists the switches an instance may place MATs on,
+// ascending within each region. Without a partition that is every live
+// programmable switch; with one, the candidate regions' live
+// programmable switches that still hold MATs plus up to regionSpares
+// empty ones (part.Region is sorted, and candRegions order is
+// deterministic).
+func candidateHosts(topo *network.Topology, part *network.Partition, used map[network.SwitchID]bool, candRegions []int) ([]network.SwitchID, error) {
+	if part == nil {
+		return topo.ProgrammableSwitches(), nil
+	}
 	var hosts []network.SwitchID
 	spares := 0
 	for _, r := range candRegions {
@@ -358,12 +317,36 @@ func repairOneRegion(g *tdg.Graph, topo *network.Topology, part *network.Partiti
 				}
 				spares++
 			}
-			candSet[id] = true
 			hosts = append(hosts, id)
 		}
 	}
+	return hosts, nil
+}
+
+// healInstance heals one share of the dirty set on a compact repair
+// instance. candRegions lists the regions whose switches may host the
+// dirty MATs ({r} normally, r plus its partition neighbors on the
+// widened retry; ignored without a partition); every other host the
+// dirty MATs communicate with joins the instance as a frozen halo
+// anchor, so each pair-byte cell a repair move can touch carries its
+// true background bytes. baseAssign is read-only (instances run
+// concurrently); the returned map carries this instance's dirty MATs
+// and their final hosts.
+func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
+	baseAssign map[string]network.SwitchID, used map[network.SwitchID]bool,
+	dirtyNames []string, displaced map[string]bool,
+	ropts ReplanOptions, rm program.ResourceModel, weights *WeightTable, candRegions []int) (map[string]network.SwitchID, error) {
+
+	hosts, err := candidateHosts(topo, part, used, candRegions)
+	if err != nil {
+		return nil, err
+	}
 	if len(hosts) == 0 {
-		return nil, fmt.Errorf("%w: no live programmable switch in candidate regions", errRegionInfeasible)
+		return nil, infeasibleError("no live programmable switch in candidate regions")
+	}
+	candSet := make(map[network.SwitchID]bool, len(hosts))
+	for _, id := range hosts {
+		candSet[id] = true
 	}
 
 	// Halo hosts: frozen anchors — hosts of the dirty MATs' TDG peers
@@ -388,9 +371,12 @@ func repairOneRegion(g *tdg.Graph, topo *network.Topology, part *network.Partiti
 
 	// Links-free pseudo-topology over the instance hosts (the
 	// buildHostState pattern): the compiled tables are U²-sized, U =
-	// |region candidates| + |halo|, independent of the global S.
+	// |candidates| + |halo|, independent of the global S. Instance switch
+	// indices ascend with the real IDs, so index order is ID order.
 	topoR := network.NewTopology(topo.Name + "/replan-region")
 	hostIdx := make(map[network.SwitchID]int32, len(hosts))
+	sws := make([]*network.Switch, len(hosts))
+	cands := make([]int32, 0, len(hosts))
 	for i, gid := range hosts {
 		sw, err := topo.Switch(gid)
 		if err != nil {
@@ -398,10 +384,14 @@ func repairOneRegion(g *tdg.Graph, topo *network.Topology, part *network.Partiti
 		}
 		topoR.AddSwitch(*sw) // ID rewritten to the dense local index
 		hostIdx[gid] = int32(i)
+		sws[i] = sw
+		if candSet[gid] {
+			cands = append(cands, int32(i))
+		}
 	}
 
 	// Instance MATs: every MAT resident on an instance host (their pair
-	// bytes are the background the scores sit on), plus this region's
+	// bytes are the background the scores sit on), plus this instance's
 	// displaced MATs (unassigned, to be placed).
 	names := make([]string, 0, len(dirtyNames))
 	for name, u := range baseAssign {
@@ -422,268 +412,76 @@ func repairOneRegion(g *tdg.Graph, topo *network.Topology, part *network.Partiti
 	if err != nil {
 		return nil, err
 	}
-
-	dense := make([]int32, len(ci.Names))
-	residents := make([][]string, len(hosts))
-	for x, name := range ci.Names {
-		if u, ok := baseAssign[name]; ok {
-			h := hostIdx[u]
-			dense[x] = h
-			residents[h] = append(residents[h], name)
-		} else {
-			dense[x] = -1
-		}
-	}
-	pt := ci.NewPairTable()
-	ci.FillPairTable(dense, pt)
-	ms := ci.NewMoveScratch()
-	cyc := ci.NewCycleScratch()
-	poll := newDeadlinePoller(ropts.Deadline, 16).withCancel(ropts.done())
-
-	var wt *WeightTable
-	var curSum int64
-	if rates != nil {
-		wt = NewWeightTable(rates, int32(topo.NumSwitches())).Compact(hosts)
-		curSum, _ = wt.Score(pt)
+	if ropts.Epsilon1 > 0 {
+		// The ε1 probe reads host-pair latencies off the real topology's
+		// path oracle, for this instance's hosts only.
+		ci.presetLatencies(hostLatencies(topo, hosts))
 	}
 
-	// Candidate local indices, ascending host ID; halo hosts are never
-	// placement targets.
-	cands := make([]int32, 0, len(hosts))
-	for i, gid := range hosts {
-		if candSet[gid] {
-			cands = append(cands, int32(i))
-		}
-	}
-
-	// Greedy re-placement of this region's displaced MATs in topo
-	// order — the same PlaceScore kernels as the whole-topology repair,
-	// U-indexed instead of S-indexed. g's cached topological index
-	// orders them (a topological order of g restricted to any subset is
-	// a topological order of the induced subgraph), sparing each region
-	// an uncached O(V+E) sort.
+	// g's cached topological index orders the displaced MATs (a
+	// topological order of g restricted to any subset is a topological
+	// order of the induced subgraph), sparing each instance an uncached
+	// O(V+E) sort.
 	gpos, err := g.TopoIndex()
 	if err != nil {
 		return nil, err
 	}
-	place := make([]string, 0, len(dirtyNames))
-	for _, name := range dirtyNames {
-		if displaced[name] {
-			place = append(place, name)
+	dense := make([]int32, len(ci.Names))
+	var place []int32
+	for x, name := range ci.Names {
+		if u, ok := baseAssign[name]; ok {
+			dense[x] = hostIdx[u]
+		} else {
+			dense[x] = -1
+			place = append(place, int32(x))
 		}
 	}
-	sort.Slice(place, func(i, j int) bool { return gpos[place[i]] < gpos[place[j]] })
-	type scored struct {
-		h    int32
-		w    int64
-		amax int
+	sort.Slice(place, func(i, j int) bool { return gpos[ci.Names[place[i]]] < gpos[ci.Names[place[j]]] })
+	dirtyIdx := make([]int32, len(dirtyNames))
+	for i, name := range dirtyNames {
+		x, ok := ci.Index[name]
+		if !ok {
+			return nil, fmt.Errorf("dirty MAT %q is hosted outside the instance's candidates", name)
+		}
+		dirtyIdx[i] = x
 	}
-	less := func(a, b scored) bool {
-		if a.w != b.w {
-			return a.w < b.w
-		}
-		if a.amax != b.amax {
-			return a.amax < b.amax
-		}
-		return hosts[a.h] < hosts[b.h]
-	}
-	scoredCands := make([]scored, 0, len(cands))
-	for _, name := range place {
-		if poll.Expired() {
-			return nil, fmt.Errorf("deadline expired or replan canceled during regional repair")
-		}
-		x := ci.Index[name]
-		scoredCands = scoredCands[:0]
-		//hermes:hot
-		for _, h := range cands {
-			c := scored{h: h, amax: ci.PlaceScore(dense, pt, ms, x, h)}
-			if wt != nil {
-				ws, wm := ci.PlaceScoreWeighted(dense, pt, ms, wt, x, h, curSum)
-				c.w = ropts.TrafficObjective.pick(ws, wm)
-			}
-			scoredCands = append(scoredCands, c)
-		}
-		// Selection scan in (W, A_max, host-ID) order: nearly every MAT
-		// lands on its first choice, so extracting minima on demand beats
-		// sorting the whole candidate list per MAT.
-		placed := false
-		for range scoredCands {
-			best := -1
-			for i, c := range scoredCands {
-				if c.h < 0 {
-					continue // already tried
-				}
-				if best < 0 || less(c, scoredCands[best]) {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			c := scoredCands[best]
-			scoredCands[best].h = -1
-			sw, err := topo.Switch(hosts[c.h])
-			if err != nil {
-				continue
-			}
-			// Fit against the FULL graph: packShared orders co-located MATs
-			// by g's canonical topo index, which is what the merged plan's
-			// materialize will pack by — the subgraph's order can disagree
-			// and flip a verdict.
-			if !FitsSwitch(g, append(append([]string(nil), residents[c.h]...), name), sw, rm) {
-				continue
-			}
-			dense[x] = c.h
-			if !ci.AssignmentAcyclic(dense, cyc) {
-				dense[x] = -1
-				continue
-			}
-			residents[c.h] = append(residents[c.h], name)
-			ci.ApplyPlace(dense, pt, x, c.h)
-			if wt != nil {
-				curSum, _ = wt.Score(pt)
-			}
-			placed = true
-			break
-		}
-		if !placed {
-			return nil, fmt.Errorf("%w: no feasible switch for displaced MAT %q", errRegionInfeasible, name)
-		}
+	var wt *WeightTable
+	if weights != nil {
+		wt = weights.Compact(hosts)
 	}
 
-	if err := polishRegion(ci, topo, g, hosts, cands, dense, pt, residents, dirtyNames, wt, ropts, rm, ms, cyc); err != nil {
+	in := newRepairInstance(ci, sws, cands, dense, wt)
+	if err := in.place(place, ropts.Options, rm); err != nil {
 		return nil, err
 	}
+	// The climb converges in a handful of passes over |dirty| MATs; the
+	// budget only bounds a pathological instance.
+	in.climb(ropts.Options, rm, 2*time.Second, dirtyIdx)
 
 	out := make(map[string]network.SwitchID, len(dirtyNames))
-	for _, name := range dirtyNames {
-		x, ok := ci.Index[name]
-		if !ok || dense[x] < 0 {
-			return nil, fmt.Errorf("%w: dirty MAT %q left unplaced", errRegionInfeasible, name)
-		}
-		out[name] = hosts[dense[x]]
+	for _, x := range dirtyIdx {
+		out[ci.Names[x]] = sws[dense[x]].ID
 	}
 	return out, nil
 }
 
-// polishRegion runs the bounded first-improvement climb over one
-// region's dirty MATs. Move targets are the candidate hosts already in
-// use (the same used-switch restriction as the whole-plan climb); halo
-// hosts are never targets. The climb is serial within the region —
-// regions already run concurrently — so every worker count yields the
-// same plan. ε1 is not probed locally (the pseudo-topology is
-// links-free); the merged plan's Validate enforces it globally.
-func polishRegion(ci *CompiledInstance, topo *network.Topology, g *tdg.Graph,
-	hosts []network.SwitchID, cands []int32, dense []int32, pt *PairTable,
-	residents [][]string, dirtyNames []string, wt *WeightTable,
-	ropts ReplanOptions, rm program.ResourceModel, ms *MoveScratch, cyc *CycleScratch) error {
-
-	total := ci.FillPairTable(dense, pt)
-	amax := pt.Max()
-	var wval, curSum int64
-	var acap int
-	if wt != nil {
-		s, m := wt.Score(pt)
-		curSum = s
-		wval = ropts.TrafficObjective.pick(s, m)
-		acap = AMaxCap(ropts.Options, amax)
-	}
-	deadline := time.Now().Add(time.Second)
-	if !ropts.Deadline.IsZero() && ropts.Deadline.Before(deadline) {
-		deadline = ropts.Deadline
-	}
-	poll := newDeadlinePoller(deadline, 32).withCancel(ropts.done())
-
-	dirtyIdx := make([]int32, 0, len(dirtyNames))
-	for _, name := range dirtyNames {
-		if x, ok := ci.Index[name]; ok {
-			dirtyIdx = append(dirtyIdx, x)
-		}
-	}
-	commit := func(x, from, to int32) {
-		name := ci.Names[x]
-		l := residents[from]
-		for i, n := range l {
-			if n == name {
-				residents[from] = append(l[:i], l[i+1:]...)
-				break
+// hostLatencies is the instance-sized twin of Topology.LatencyTable:
+// entry [i*U+j] is the shortest-path latency hosts[i]→hosts[j] on the
+// real topology, -1 when unreachable.
+func hostLatencies(topo *network.Topology, hosts []network.SwitchID) []time.Duration {
+	u := len(hosts)
+	lat := make([]time.Duration, u*u)
+	for i, a := range hosts {
+		for j, b := range hosts {
+			if i == j {
+				continue
+			}
+			if p, err := topo.ShortestPath(a, b); err != nil {
+				lat[i*u+j] = -1
+			} else {
+				lat[i*u+j] = p.Latency
 			}
 		}
-		residents[to] = append(residents[to], name)
 	}
-	moveOK := func(x, to int32) bool {
-		sw, err := topo.Switch(hosts[to])
-		if err != nil {
-			return false
-		}
-		if !FitsSwitch(g, append(append([]string(nil), residents[to]...), ci.Names[x]), sw, rm) {
-			return false
-		}
-		from := dense[x]
-		dense[x] = to
-		ok := ci.AssignmentAcyclic(dense, cyc)
-		dense[x] = from
-		return ok
-	}
-	var usedCands []int32
-	const maxPasses = 4
-	for pass := 0; pass < maxPasses; pass++ {
-		improved := false
-		usedCands = usedCands[:0]
-		for _, h := range cands {
-			if len(residents[h]) > 0 {
-				usedCands = append(usedCands, h)
-			}
-		}
-		for _, x := range dirtyIdx {
-			if poll.Expired() {
-				return nil
-			}
-			cur := dense[x]
-			for _, h := range usedCands {
-				if h == cur {
-					continue
-				}
-				a, cross := ci.MoveScore(dense, pt, ms, x, h, total)
-				if wt == nil {
-					if a > amax || (a == amax && cross >= total) {
-						continue
-					}
-					if !moveOK(x, h) {
-						continue
-					}
-					total = ci.ApplyMove(dense, pt, x, h, total)
-					amax = a
-					commit(x, cur, h)
-					cur = h
-					improved = true
-					continue
-				}
-				// Weighted descent on the lexicographic (W, A_max, cross)
-				// key, with the structural A_max capped at the climb-start
-				// ceiling (AMaxSlack), mirroring the whole-plan climb.
-				if a > acap {
-					continue
-				}
-				ws, wm := ci.MoveScoreWeighted(dense, pt, ms, wt, x, h, curSum)
-				w := ropts.TrafficObjective.pick(ws, wm)
-				if w > wval || (w == wval && (a > amax || (a == amax && cross >= total))) {
-					continue
-				}
-				if !moveOK(x, h) {
-					continue
-				}
-				total = ci.ApplyMove(dense, pt, x, h, total)
-				wval, curSum = w, ws
-				amax = a
-				commit(x, cur, h)
-				cur = h
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return nil
+	return lat
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"sort"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/analyzer"
@@ -100,9 +101,6 @@ func TestRegionalReplanHealsLocally(t *testing.T) {
 	if rep.Phases.Regions <= 0 || rep.Phases.Gates <= 0 {
 		t.Fatalf("phase breakdown missing regional phases: %+v", rep.Phases)
 	}
-	if rep.Phases.Repair != 0 || rep.Phases.Polish != 0 {
-		t.Fatalf("regional repair leaked whole-topology phases: %+v", rep.Phases)
-	}
 }
 
 // TestRegionalReplanDeterministic: the regional path is deterministic
@@ -174,5 +172,77 @@ func TestRegionalReplanPartitionMismatch(t *testing.T) {
 	drain := busiest(old)
 	if _, _, err := ReplanWithOptions(old, Greedy{}, ReplanOptions{Partition: part}, drain); err == nil {
 		t.Fatal("mismatched partition accepted")
+	}
+}
+
+// TestOneRegionPartitionRepairsLikeNoPartition: a partition changes
+// only how a repair instance's candidates and halo are drawn, so a
+// one-region partition (every switch a candidate, empty halo) must heal
+// exactly like no partition — same assignment, or both infeasible —
+// under every objective the climb descends.
+func TestOneRegionPartitionRepairsLikeNoPartition(t *testing.T) {
+	feasible := 0
+	for topoIdx := 1; topoIdx <= 3; topoIdx++ {
+		for _, programs := range []int{10, 30, 50} {
+			if testing.Short() && programs > 10 {
+				continue
+			}
+			cold, topo := tableIIIInstance(t, topoIdx, programs)
+			part, err := network.PartitionRegions(topo, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tm, err := network.GenerateTraffic(topo, network.TrafficHotspot, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			load := map[network.SwitchID]int{}
+			for _, sp := range cold.Assignments {
+				load[sp.Switch]++
+			}
+			drains := cold.UsedSwitches()
+			sort.Slice(drains, func(i, j int) bool {
+				if load[drains[i]] != load[drains[j]] {
+					return load[drains[i]] > load[drains[j]]
+				}
+				return drains[i] < drains[j]
+			})
+			if len(drains) > 5 {
+				drains = drains[:5]
+			}
+			for _, c := range []struct {
+				name string
+				opts Options
+			}{
+				{"structural", Options{}},
+				{"weighted-sum", Options{Traffic: tm, TrafficObjective: TrafficWeightedSum}},
+				{"weighted-max", Options{Traffic: tm, TrafficObjective: TrafficWeightedMax}},
+				{"eps1", Options{Epsilon1: cold.TE2E() * 11 / 10}},
+			} {
+				for _, drain := range drains {
+					ropts := ReplanOptions{Options: c.opts, Mode: ReplanIncremental}
+					whole, _, wholeErr := ReplanWithOptions(cold, nil, ropts, drain)
+					ropts.Partition = part
+					one, _, oneErr := ReplanWithOptions(cold, nil, ropts, drain)
+					if (wholeErr == nil) != (oneErr == nil) {
+						t.Fatalf("topo %d / %d programs / %s / drain %d: no partition err=%v, one region err=%v",
+							topoIdx, programs, c.name, drain, wholeErr, oneErr)
+					}
+					if wholeErr != nil {
+						continue
+					}
+					feasible++
+					for name, sp := range whole.Assignments {
+						if got := one.Assignments[name].Switch; got != sp.Switch {
+							t.Fatalf("topo %d / %d programs / %s / drain %d: MAT %q on switch %d with one region, %d with no partition",
+								topoIdx, programs, c.name, drain, name, got, sp.Switch)
+						}
+					}
+				}
+			}
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no drain was repairable; the property was never exercised")
 	}
 }

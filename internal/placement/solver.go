@@ -28,9 +28,9 @@ type Options struct {
 	// program.DefaultResourceModel.
 	Resources *program.ResourceModel
 	// Workers bounds solver-internal parallelism (anchor candidate
-	// evaluation, local-search move scoring, exact-search branch
-	// exploration). Zero or negative means GOMAXPROCS. Every worker
-	// count produces the same Plan.
+	// evaluation, exact-search branch exploration, the per-region repair
+	// fan-out of a partitioned replan). Zero or negative means
+	// GOMAXPROCS. Every worker count produces the same Plan.
 	Workers int
 	// Lint, when true, runs the registered PlanLintHook over every
 	// solver's final plan and fails the solve on error-severity
