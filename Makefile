@@ -8,6 +8,7 @@
 #   make smoke-<exp>     machine-independent in-run checks, small sweep
 #   make baseline-<exp>  regenerate the committed BENCH_<exp>.json (quiet machine)
 #   make compare-<exp>   diff a fresh run against BENCH_<exp>.json by column kind
+#   make profile-<exp>   CPU + heap profiles of one run, under results/
 
 GO ?= go
 
@@ -16,7 +17,7 @@ GO ?= go
 SMOKES := core survive shard equiv traffic regionreplan rollout replan
 FULL   := shard regionreplan
 
-.PHONY: check lint vet fmt-check hermeslint build test race bench-smoke bench benchmark benchmark-smoke profile
+.PHONY: check lint vet fmt-check hermeslint build test race bench-smoke bench benchmark benchmark-smoke
 
 check: lint build race bench-smoke $(SMOKES:%=smoke-%) benchmark-smoke
 
@@ -28,6 +29,14 @@ baseline-%:
 
 compare-%:
 	$(GO) run ./cmd/hermes-bench -exp $* -compare BENCH_$*.json
+
+# Inspect with `go tool pprof results/<exp>.cpu.pprof` (or .mem.pprof);
+# `make profile-core` profiles the cold Greedy solve and the kernels,
+# `make profile-replan` the incremental repair.
+profile-%:
+	@mkdir -p results
+	$(GO) run ./cmd/hermes-bench -exp $* \
+		-cpuprofile results/$*.cpu.pprof -memprofile results/$*.mem.pprof
 
 # Static analysis gate: gofmt (no unformatted files), go vet, and the
 # repo-specific hermeslint pass (mutex/Clone conventions around the
@@ -78,14 +87,6 @@ benchmark:
 # output checks must pass.
 benchmark-smoke:
 	$(GO) run ./benchmark -smoke
-
-# CPU + heap profiles of the incremental replan path; inspect with
-# `go tool pprof results/cpu.pprof` / `go tool pprof results/mem.pprof`.
-profile:
-	@mkdir -p results
-	$(GO) run ./cmd/hermes-bench -exp replan -programs 20 \
-		-cpuprofile results/cpu.pprof -memprofile results/mem.pprof \
-		-json results/BENCH_replan_profile.json
 
 # Full benchmark sweep (minutes; the Exp* benchmarks regenerate the
 # paper's figures).

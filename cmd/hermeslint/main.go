@@ -12,9 +12,12 @@
 //	       non-deferred Unlock leaks the lock on early exit   warning
 //	HV004  a Clone() result is discarded, so the caller keeps
 //	       mutating the shared original                       error
-//	HV005  a map-based scoring call (PairBytes, AMax, the *Ref
-//	       twins, ...) inside a loop tagged //hermes:hot — hot
-//	       loops must use the compiled kernels               error
+//	HV005  a name-keyed call — map-based scoring (PairBytes,
+//	       AMax, the *Ref twins, ...), graph materialization
+//	       (Subgraph, Edges, OutEdges, InEdges) or name-keyed
+//	       stage packing (FitsSwitch, PackStages, packShared) —
+//	       inside a loop tagged //hermes:hot: hot loops must use
+//	       the compiled and position-space kernels            error
 //	HV006  an allocation inside a loop tagged //hermes:hot:
 //	       make(), a map or slice composite literal, or an
 //	       append whose destination is a struct field (the
@@ -270,11 +273,14 @@ func lintPoolFunc(fset *token.FileSet, fn *ast.FuncDecl) []vetFinding {
 	return out
 }
 
-// hotBanned is the map-based scoring surface: the retained reference
-// implementations and the Plan/TDG convenience accessors that allocate
-// maps or hash names per call. None of them belong inside a loop the
-// author tagged //hermes:hot — that is what the compiled kernels
-// (AssignmentAMax, MoveScore, PlaceScore, FillPairTable, ...) are for.
+// hotBanned is the name-keyed surface: the retained reference scoring
+// implementations, the Plan/TDG convenience accessors that allocate
+// maps or hash names per call, the TDG calls that materialize a graph
+// or a sorted edge slice, and the name-keyed stage packer. None of them
+// belong inside a loop the author tagged //hermes:hot — that is what the
+// compiled kernels (AssignmentAMax, MoveScore, PlaceScore,
+// FillPairTable, ...) and the position-space packing step (packStep
+// behind splitScratch.fits and repairInstance.packs) are for.
 var hotBanned = map[string]bool{
 	"PairBytes":         true,
 	"PairBytesUncached": true,
@@ -291,11 +297,18 @@ var hotBanned = map[string]bool{
 	"assignmentAMax":    true,
 	"assignmentLatency": true,
 	"assignmentAcyclic": true,
+	"Subgraph":          true,
+	"Edges":             true,
+	"OutEdges":          true,
+	"InEdges":           true,
+	"FitsSwitch":        true,
+	"PackStages":        true,
+	"packShared":        true,
 }
 
 // lintHotLoops applies HV005: inside a for/range loop whose lead
 // comment carries the //hermes:hot tag, every call resolving (by name)
-// to the map-based scoring surface is an error. Matching is syntactic,
+// to the name-keyed surface is an error. Matching is syntactic,
 // like the rest of this tool: the tag marks intent, and a hot loop
 // that hashes MAT names per iteration defeats the compiled-instance
 // fast path no matter which receiver it goes through.
@@ -332,7 +345,7 @@ func lintHotLoops(fset *token.FileSet, file *ast.File) []vetFinding {
 				seen[call.Pos()] = true
 				out = append(out, vetFinding{
 					pos: fset.Position(call.Pos()), rule: "HV005", sev: "error",
-					msg: fmt.Sprintf("%s() is map-based scoring inside a //hermes:hot loop; use the compiled-instance kernel instead", shown),
+					msg: fmt.Sprintf("%s() is name-keyed (map-based scoring, graph materialization or stage packing) inside a //hermes:hot loop; use the compiled-instance or position-space kernel instead", shown),
 				})
 			}
 			return true

@@ -184,6 +184,72 @@ func bad(items []map[string]int) int {
 	}
 }
 
+func TestHotLoopFlagsGraphMaterializationAndNameKeyedPacking(t *testing.T) {
+	// Alg. 2's inner loops work on positions of one topological order;
+	// building a graph, sorting an edge slice or packing by MAT name per
+	// iteration is the cost the range form removed. One finding per call.
+	fs := lintSnippet(t, `
+type graph struct{}
+type sw struct{}
+func (g *graph) Subgraph(names []string) *graph { return g }
+func (g *graph) Edges() []int                   { return nil }
+func (g *graph) OutEdges(n string) []int        { return nil }
+func (g *graph) InEdges(n string) []int         { return nil }
+func FitsSwitch(g *graph, names []string, s *sw) bool          { return true }
+func PackStages(g *graph, names []string, s *sw) map[string]int { return nil }
+func packShared(g *graph, names []string, s *sw) map[string]int { return nil }
+func bad(g *graph, s *sw, order []string) int {
+	n := 0
+	//hermes:hot
+	for k := range order {
+		seg := g.Subgraph(order[:k])
+		n += len(seg.Edges()) + len(g.OutEdges(order[k])) + len(g.InEdges(order[k]))
+		if FitsSwitch(g, order[:k], s) {
+			n += len(PackStages(g, order[:k], s)) + len(packShared(g, order[:k], s))
+		}
+	}
+	return n
+}
+`)
+	if got := rulesOf(fs); len(got) != 7 {
+		t.Fatalf("want 7 HV005 findings, got %v", fs)
+	}
+	for _, want := range []string{"g.Subgraph()", "seg.Edges()", "g.OutEdges()", "g.InEdges()", "FitsSwitch()", "PackStages()", "packShared()"} {
+		found := false
+		for _, f := range fs {
+			found = found || f.rule == "HV005" && strings.Contains(f.msg, want)
+		}
+		if !found {
+			t.Errorf("no HV005 finding names %s: %v", want, fs)
+		}
+	}
+}
+
+func TestHotLoopPositionSpacePackingAllowed(t *testing.T) {
+	// The position-space packing step and range probes are what a hot
+	// loop should call; EdgeList (no copy, no sort) stays allowed too.
+	fs := lintSnippet(t, `
+type scratch struct{ used []float64 }
+type graph struct{}
+func (g *graph) EdgeList() []int { return nil }
+func packStep(used []float64, c, r float64, e int) (int, bool) { return 0, true }
+func (sp *scratch) fits(lo, hi int) bool { return true }
+func good(sp *scratch, g *graph, n int) int {
+	ok := 0
+	//hermes:hot
+	for k := 0; k < n; k++ {
+		if _, fit := packStep(sp.used, 1, 0.5, 0); fit && sp.fits(0, k) {
+			ok += len(g.EdgeList())
+		}
+	}
+	return ok
+}
+`)
+	if len(fs) != 0 {
+		t.Fatalf("want no findings, got %v", fs)
+	}
+}
+
 func TestUntaggedLoopMayUseMapScoring(t *testing.T) {
 	// Without the tag the rule stays silent: map-based scoring is the
 	// sanctioned boundary API everywhere that is not hot.

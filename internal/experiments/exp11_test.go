@@ -6,7 +6,7 @@ import "testing"
 // the smoke sweep: every cell heals through the regional path (zero
 // full-solve fallbacks), holds the quality bound, and the incremental
 // equivalence verdict agrees with the full checker; the headline
-// composite:30 drain must heal at least 10x faster than the sharded
+// composite:30 drain must heal at least 5x faster than the sharded
 // cold re-solve.
 func TestExp11RegionalReplanAcceptance(t *testing.T) {
 	pts, err := Exp11(fastConfig(), false)
@@ -50,18 +50,20 @@ func TestExp11RegionalReplanAcceptance(t *testing.T) {
 		t.Fatal("smoke sweep missing the composite:30 headline cell")
 	}
 	// The tentpole claim: busiest-switch churn on the 2k-switch WAN
-	// heals regionally >=10x faster than re-solving the shard sweep
+	// heals regionally >=5x faster than re-solving the shard sweep
 	// cold. Both sides are min-of-reps deterministic replans measured
-	// in the same process, so the ratio is stable well above the bound
-	// (~15-18x observed). The race detector's per-access
-	// instrumentation compresses the ratio (~9x observed — the cold
-	// solve's bulk allocations amortize instrumentation better than
-	// the regional path's pointer-chasing), so the floor drops to 5x
-	// there; the un-instrumented bound is the one `make check` also
-	// enforces via regionreplan-smoke.
-	floor := 10.0
+	// in the same process (15–16 ms cold over 1.5–1.7 ms regional,
+	// 6.8–10.8x over 14 runs; EXPERIMENTS.md Exp#11 records why the
+	// floor is not the 10x it was while the cold side re-sorted the edge
+	// list per segment). The race detector's per-access
+	// instrumentation compresses the ratio
+	// (6.7–8.3x observed — the cold solve's bulk allocations amortize
+	// instrumentation better than the regional path's pointer-chasing),
+	// so the floor drops to 3x there; the un-instrumented bound is the
+	// one `make check` also enforces via smoke-regionreplan.
+	floor := 5.0
 	if raceDetectorEnabled {
-		floor = 5.0
+		floor = 3.0
 	}
 	if headline.Speedup < floor {
 		t.Errorf("composite:30 regional replan speedup %.1fx < %.0fx (cold %.2fms, regional %.2fms)",

@@ -56,6 +56,12 @@ type CompiledInstance struct {
 	// Req is R(a) per MAT under rm.
 	Req []float64
 
+	// TopoPos is each MAT's position in Graph's cached topological order
+	// — the full graph's, also on a subset instance — which is the
+	// canonical order stage packing processes a MAT set in. Nil when the
+	// graph is cyclic (no solver or repair gets that far).
+	TopoPos []int32
+
 	// Per-switch trait arrays indexed by SwitchID; Prog lists the
 	// programmable switch IDs ascending.
 	S            int32
@@ -169,6 +175,12 @@ func compileSubset(g *tdg.Graph, names []string, topo *network.Topology, rm prog
 			return nil, fmt.Errorf("placement: compile subset references unknown MAT %q", name)
 		}
 		ci.Req[i] = rm.Requirement(node.MAT)
+	}
+	if pos, err := g.TopoIndex(); err == nil {
+		ci.TopoPos = make([]int32, len(names))
+		for i, name := range names {
+			ci.TopoPos[i] = int32(pos[name])
+		}
 	}
 
 	// One pass over g's edge list fills every edge array, skipping the

@@ -212,7 +212,7 @@ func TestPackScratchMatchesFitsSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps := newPackScratch(g, order, sw, rm)
+		ps := newSplitScratch(g, order, sw, rm)
 		n := len(order)
 		for i := 1; i <= n; i++ {
 			for j := 0; j < i; j++ {

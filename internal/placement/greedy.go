@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
@@ -75,36 +76,21 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 		return nil, err
 	}
 
-	// Alg. 2 line 20: split T_m into segments that fit one switch.
-	segments, err := SplitTDG(g, refSwitch, rm)
+	// Alg. 2 line 20: split T_m into segments that fit one switch. Every
+	// segment from here to materialization is a range of this one
+	// topological order (see segment).
+	order, err := g.TopoSort()
 	if err != nil {
 		return nil, err
 	}
-	// Bisection can overshoot the minimum segment count; coalesce
-	// adjacent segments while the pair still fits one switch. Merging
-	// adjacent segments only ever removes cross-switch bytes, so this
-	// strictly improves the objective.
-	if !gr.DisableCoalesce {
-		segments, err = coalesceSegments(g, segments, refSwitch, rm)
-		if err != nil {
-			return nil, err
-		}
+	sp := newSplitScratch(g, order, refSwitch, rm)
+	candidates, err := gr.segmentations(sp)
+	if err != nil {
+		return nil, err
 	}
-
-	// Candidate segmentations, tried in order: the min-cut bisection
-	// (byte-optimal), then — if it needs too many switches — the DP
-	// capacity split, which provably uses the minimum number of
-	// contiguous segments while still preferring low-byte cut points.
-	candidates := [][]*tdg.Graph{segments}
-	if !gr.DisableDPSplit {
-		if dpSegs, derr := capacitySplit(g, refSwitch, rm); derr == nil && len(dpSegs) < len(segments) {
-			candidates = append(candidates, dpSegs)
-		}
-	}
-
 	var lastErr error
 	for _, segs := range candidates {
-		plan, err := placeWithRefinement(g, topo, segs, opts, rm)
+		plan, err := placeWithRefinement(g, topo, sp, segs, opts, rm)
 		if err == nil {
 			if perr := gr.polish(plan, opts, rm); perr != nil {
 				return nil, perr
@@ -116,6 +102,32 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 		lastErr = err
 	}
 	return nil, lastErr
+}
+
+// segmentations returns the candidate segmentations, tried in order:
+// the min-cut bisection (byte-optimal), then — if it needs too many
+// switches — the DP capacity split, which provably uses the minimum
+// number of contiguous segments while still preferring low-byte cut
+// points.
+func (gr Greedy) segmentations(sp *splitScratch) ([][]segment, error) {
+	segments, err := sp.split(0, len(sp.order), nil)
+	if err != nil {
+		return nil, err
+	}
+	// Bisection can overshoot the minimum segment count; coalesce
+	// adjacent segments while the pair still fits one switch. Merging
+	// adjacent segments only ever removes cross-switch bytes, so this
+	// strictly improves the objective.
+	if !gr.DisableCoalesce {
+		segments = sp.coalesce(segments)
+	}
+	candidates := [][]segment{segments}
+	if !gr.DisableDPSplit {
+		if dpSegs, derr := sp.capacitySplit(); derr == nil && len(dpSegs) < len(segments) {
+			candidates = append(candidates, dpSegs)
+		}
+	}
+	return candidates, nil
 }
 
 // polish runs the bounded local-search refinement over single-MAT
@@ -139,7 +151,7 @@ func (gr Greedy) polish(plan *Plan, opts Options, rm program.ResourceModel) erro
 	for x := range all {
 		all[x] = int32(x)
 	}
-	in.climb(opts, rm, budget, all)
+	in.climb(opts, budget, all)
 
 	// Rebuild the plan from the (possibly) improved assignment.
 	rebuilt, err := materializeAssignment(plan.Graph, plan.Topo, in.ci.AssignMap(in.assign), rm)
@@ -152,12 +164,12 @@ func (gr Greedy) polish(plan *Plan, opts Options, rm program.ResourceModel) erro
 	return nil
 }
 
-// placeWithRefinement runs the placement loop, splitting segments that
+// placeWithRefinement runs the placement loop, bisecting segments that
 // pass the capacity test but fail stage-level packing.
-func placeWithRefinement(g *tdg.Graph, topo *network.Topology, segments []*tdg.Graph, opts Options, rm program.ResourceModel) (*Plan, error) {
+func placeWithRefinement(g *tdg.Graph, topo *network.Topology, sp *splitScratch, segments []segment, opts Options, rm program.ResourceModel) (*Plan, error) {
 	const maxRefinements = 64
 	for attempt := 0; attempt < maxRefinements; attempt++ {
-		plan, splitIdx, err := placeSegments(g, topo, segments, opts, rm)
+		plan, splitIdx, err := placeSegments(g, topo, sp.order, segments, opts, rm)
 		if err == nil {
 			return plan, nil
 		}
@@ -166,117 +178,14 @@ func placeWithRefinement(g *tdg.Graph, topo *network.Topology, segments []*tdg.G
 		}
 		// Packing rejected segment splitIdx: split it once and retry.
 		seg := segments[splitIdx]
-		if seg.NumNodes() <= 1 {
+		if seg.hi-seg.lo <= 1 {
 			return nil, fmt.Errorf("placement: MAT set unplaceable: %w", err)
 		}
-		left, right, serr := splitOnce(seg, rm)
-		if serr != nil {
-			return nil, fmt.Errorf("placement: refining segment: %w (after %v)", serr, err)
-		}
-		segments = append(segments[:splitIdx],
-			append([]*tdg.Graph{left, right}, segments[splitIdx+1:]...)...)
+		cut := sp.bisect(seg.lo, seg.hi)
+		segments = slices.Replace(segments, splitIdx, splitIdx+1,
+			segment{seg.lo, cut}, segment{cut, seg.hi})
 	}
 	return nil, fmt.Errorf("placement: segment refinement did not converge")
-}
-
-// capacitySplit partitions the topological order into the minimum
-// number of contiguous capacity-feasible segments by dynamic
-// programming, breaking ties toward the smallest total boundary-cut
-// bytes.
-func capacitySplit(g *tdg.Graph, sw *network.Switch, rm program.ResourceModel) ([]*tdg.Graph, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	n := len(order)
-	cap := sw.Capacity()
-	req := make([]float64, n)
-	for i, name := range order {
-		node, _ := g.Node(name)
-		req[i] = rm.Requirement(node.MAT)
-		if req[i] > cap+1e-9 {
-			return nil, fmt.Errorf("placement: MAT %q alone exceeds switch capacity %g", name, cap)
-		}
-	}
-	// cutAt[j] = bytes crossing the boundary between order[:j] and
-	// order[j:], computed by the incremental prefix sweep.
-	cutAt := make([]int, n+1)
-	va := map[string]bool{}
-	cut := 0
-	for k := 0; k < n; k++ {
-		name := order[k]
-		for _, e := range g.OutEdges(name) {
-			cut += e.MetadataBytes
-		}
-		for _, e := range g.InEdges(name) {
-			if va[e.From] {
-				cut -= e.MetadataBytes
-			}
-		}
-		va[name] = true
-		cutAt[k+1] = cut
-	}
-
-	const inf = int(^uint(0) >> 1)
-	type cell struct{ groups, cost int }
-	dp := make([]cell, n+1)
-	prev := make([]int, n+1)
-	for i := 1; i <= n; i++ {
-		dp[i] = cell{groups: inf, cost: inf}
-		prev[i] = -1
-	}
-	// The DP probes O(n²) contiguous ranges; the dense scratch answers
-	// each with packOrdered's arithmetic, skipping the name-keyed memo.
-	ps := newPackScratch(g, order, sw, rm)
-	for i := 1; i <= n; i++ {
-		weight := 0.0
-		for j := i - 1; j >= 0; j-- {
-			weight += req[j]
-			if weight > cap+1e-9 {
-				break
-			}
-			if dp[j].groups == inf {
-				continue
-			}
-			boundary := 0
-			if j > 0 {
-				boundary = cutAt[j]
-			}
-			cand := cell{groups: dp[j].groups + 1, cost: dp[j].cost + boundary}
-			// Test the cell improvement before the (expensive) packing
-			// attempt: a candidate that cannot improve dp[i] never needs
-			// its feasibility decided, and the dp table is unchanged.
-			if cand.groups > dp[i].groups || (cand.groups == dp[i].groups && cand.cost >= dp[i].cost) {
-				continue
-			}
-			if !ps.fits(j, i) {
-				continue
-			}
-			dp[i] = cand
-			prev[i] = j
-		}
-	}
-	if dp[n].groups == inf {
-		return nil, fmt.Errorf("placement: no capacity-feasible contiguous split exists")
-	}
-	// Reconstruct boundaries.
-	var bounds []int
-	for at := n; at > 0; at = prev[at] {
-		bounds = append(bounds, at)
-	}
-	// bounds is descending [n, ..., first]; build segments in order.
-	var segments []*tdg.Graph
-	start := 0
-	for i := len(bounds) - 1; i >= 0; i-- {
-		end := bounds[i]
-		sub, err := g.Subgraph(order[start:end])
-		if err != nil {
-			return nil, err
-		}
-		segments = append(segments, sub)
-		start = end
-	}
-	return segments, nil
 }
 
 // SplitTDG is Alg. 2's SPLIT_TDG: recursively bisect the TDG at the
@@ -284,14 +193,9 @@ func capacitySplit(g *tdg.Graph, sw *network.Switch, rm program.ResourceModel) (
 // the switch capacity C_stage·C_res. Segments come back in dependency
 // order (all TDG edges flow from earlier to later segments).
 //
-// The recursion runs densely over contiguous ranges of the root
-// topological order — subgraphs are materialized only for the final
-// segments. This is exact, not an approximation: bisection always cuts
-// a topological prefix, the graph's topological sort breaks ties by
-// insertion order, and Subgraph inserts nodes in the caller's order,
-// so every recursive subgraph's topological order is precisely its
-// slice of the root order (an insertion order that is already
-// topological is a fixed point of the tie-break).
+// The solver itself never leaves the range form (see segment); this
+// boundary wrapper materializes one subgraph per final range for callers
+// that want graphs.
 func SplitTDG(g *tdg.Graph, sw *network.Switch, rm program.ResourceModel) ([]*tdg.Graph, error) {
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("placement: splitting empty TDG")
@@ -300,14 +204,13 @@ func SplitTDG(g *tdg.Graph, sw *network.Switch, rm program.ResourceModel) ([]*td
 	if err != nil {
 		return nil, err
 	}
-	sp := newSplitScratch(g, order, sw, rm)
-	ranges, err := sp.split(0, len(order))
+	ranges, err := newSplitScratch(g, order, sw, rm).split(0, len(order), nil)
 	if err != nil {
 		return nil, err
 	}
 	segments := make([]*tdg.Graph, 0, len(ranges))
 	for _, r := range ranges {
-		seg, err := g.Subgraph(order[r[0]:r[1]])
+		seg, err := g.Subgraph(order[r.lo:r.hi])
 		if err != nil {
 			return nil, err
 		}
@@ -316,16 +219,30 @@ func SplitTDG(g *tdg.Graph, sw *network.Switch, rm program.ResourceModel) ([]*td
 	return segments, nil
 }
 
-// splitScratch carries the dense per-position arrays for SplitTDG's
-// range recursion: requirements, in/out edge bytes by position, and
-// the stage-packing scratch shared with the capacity-split DP.
+// segment is a contiguous range [lo,hi) of the root topological order.
+// Every segment Alg. 2 ever holds is one: bisection cuts a topological
+// prefix of a range, coalescing joins two neighbouring ranges, the
+// capacity DP cuts the order into contiguous groups, and refinement
+// bisects a range. The induced subgraph of a range has exactly its
+// slice of the root order as its own topological order (the sort breaks
+// ties by insertion order, and an insertion order that is already
+// topological is a fixed point of the tie-break), so nothing between
+// TopoSort and materialization needs a graph or a name.
+type segment struct{ lo, hi int }
+
+// splitScratch is Alg. 2's working state in position space (index into
+// the root topological order): requirements, in/out edges by position,
+// and the stage-packing scratch of one reference switch. It is
+// single-goroutine scratch.
 type splitScratch struct {
-	order []string
-	sw    *network.Switch
-	req   []float64
-	out   [][]posBytes // out-edges by topo position (targets are later)
-	in    [][]posBytes // in-edges by topo position (sources are earlier)
-	ps    *packScratch
+	order    []string
+	capacity float64 // C_stage·C_res of the reference switch
+	stageCap float64
+	req      []float64
+	out      [][]posBytes // out-edges by position (targets are later)
+	in       [][]posBytes // in-edges by position (sources are earlier)
+	end      []int32      // fits scratch: last stage used, per packed position
+	used     []float64    // fits scratch: per-stage occupancy; len = stages
 }
 
 type posBytes struct {
@@ -340,49 +257,80 @@ func newSplitScratch(g *tdg.Graph, order []string, sw *network.Switch, rm progra
 		pos[name] = int32(i)
 	}
 	sp := &splitScratch{
-		order: order,
-		sw:    sw,
-		req:   make([]float64, n),
-		out:   make([][]posBytes, n),
-		in:    make([][]posBytes, n),
+		order:    order,
+		capacity: sw.Capacity(),
+		stageCap: sw.StageCapacity,
+		req:      make([]float64, n),
+		out:      make([][]posBytes, n),
+		in:       make([][]posBytes, n),
+		end:      make([]int32, n),
 	}
+	if sw.Programmable {
+		// A non-programmable switch keeps zero stages: every fits call
+		// fails, like PackStages.
+		sp.used = make([]float64, sw.Stages)
+	}
+	// Both adjacency tables are carved out of one backing array.
+	flat := make([]posBytes, 2*g.NumEdges())
 	for i, name := range order {
 		node, _ := g.Node(name)
 		sp.req[i] = rm.Requirement(node.MAT)
-		for to, e := range g.OutEdgeList(name) {
+		outs, ins := g.OutEdgeList(name), g.InEdgeList(name)
+		sp.out[i], flat = flat[:0:len(outs)], flat[len(outs):]
+		for to, e := range outs {
 			sp.out[i] = append(sp.out[i], posBytes{pos[to], int32(e.MetadataBytes)})
 		}
-		for from, e := range g.InEdgeList(name) {
+		sp.in[i], flat = flat[:0:len(ins)], flat[len(ins):]
+		for from, e := range ins {
 			sp.in[i] = append(sp.in[i], posBytes{pos[from], int32(e.MetadataBytes)})
 		}
 	}
-	sp.ps = newPackScratch(g, order, sw, rm)
 	return sp
 }
 
-// split recursively bisects order[lo:hi] until every range fits one
-// switch, returning the ranges in dependency order.
-func (sp *splitScratch) split(lo, hi int) ([][2]int, error) {
-	// Line 2: the fit test. The paper checks the capacity sum
-	// ΣR(a) ≤ C_stage·C_res; we additionally require an actual stage
-	// packing so that dependency depth (Eq. 8) cannot invalidate a
-	// segment later.
+// total sums the requirements of order[lo:hi] in position order.
+func (sp *splitScratch) total(lo, hi int) float64 {
 	total := 0.0
 	for k := lo; k < hi; k++ {
 		total += sp.req[k]
 	}
-	if total <= sp.sw.Capacity()+1e-9 && sp.ps.fits(lo, hi) {
-		return [][2]int{{lo, hi}}, nil
+	return total
+}
+
+// split recursively bisects order[lo:hi] until every range fits one
+// switch, appending the ranges to out in dependency order.
+func (sp *splitScratch) split(lo, hi int, out []segment) ([]segment, error) {
+	// Line 2: the fit test. The paper checks the capacity sum
+	// ΣR(a) ≤ C_stage·C_res; we additionally require an actual stage
+	// packing so that dependency depth (Eq. 8) cannot invalidate a
+	// segment later.
+	if sp.total(lo, hi) <= sp.capacity+1e-9 && sp.fits(lo, hi) {
+		return append(out, segment{lo, hi}), nil
 	}
 	if hi-lo == 1 {
 		return nil, fmt.Errorf("placement: MAT %q alone exceeds switch capacity %g",
-			sp.order[lo], sp.sw.Capacity())
+			sp.order[lo], sp.capacity)
 	}
-	// One greedy bisection (Alg. 2 lines 4-14): sweep topological
-	// prefixes of the range, keeping the cut with minimal crossing
-	// metadata; ties break toward resource balance exactly as in
-	// splitOnce. Edges with an endpoint outside [lo,hi) never cross a
-	// cut of the range (they do not exist in the induced subgraph).
+	cut := sp.bisect(lo, hi)
+	out, err := sp.split(lo, cut, out)
+	if err != nil {
+		return nil, err
+	}
+	return sp.split(cut, hi, out)
+}
+
+// bisect is one greedy bisection (Alg. 2 lines 4-14) of order[lo:hi],
+// hi-lo ≥ 2: move MATs one by one from V_b to V_a in topological order,
+// updating the cut incrementally (a moved node's out-edges now cross,
+// its in-edges no longer do), and return the position that starts the
+// right half of the cut with minimal crossing metadata. Ties on the cut
+// value break toward the most resource-balanced bisection, so recursion
+// produces segments that fill switches instead of peeling off single
+// MATs (many cuts are zero when independent programs share a TDG).
+// Edges with an endpoint outside [lo,hi) never cross a cut of the range
+// (they do not exist in the induced subgraph).
+func (sp *splitScratch) bisect(lo, hi int) int {
+	half := sp.total(lo, hi) / 2
 	bestCut, bestK := -1, -1
 	bestBalance := 0.0
 	cut := 0
@@ -400,7 +348,7 @@ func (sp *splitScratch) split(lo, hi int) ([][2]int, error) {
 			}
 		}
 		leftReq += sp.req[k]
-		imbalance := leftReq - total/2
+		imbalance := leftReq - half
 		if imbalance < 0 {
 			imbalance = -imbalance
 		}
@@ -410,108 +358,102 @@ func (sp *splitScratch) split(lo, hi int) ([][2]int, error) {
 			bestBalance = imbalance
 		}
 	}
-	ls, err := sp.split(lo, bestK+1)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := sp.split(bestK+1, hi)
-	if err != nil {
-		return nil, err
-	}
-	return append(ls, rs...), nil
+	return bestK + 1
 }
 
-// splitOnce performs one greedy bisection (Alg. 2 lines 4-14): sweep
-// topological prefixes, keeping the prefix whose outgoing metadata is
-// minimal. Both sides are guaranteed non-empty.
-func splitOnce(g *tdg.Graph, rm program.ResourceModel) (left, right *tdg.Graph, err error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(order)
-	if n < 2 {
-		return nil, nil, fmt.Errorf("placement: cannot split %d-node TDG", n)
-	}
-	va := map[string]bool{}
-	bestCut := -1
-	bestK := -1
-	bestBalance := 0.0
-	cut := 0
-	total := g.TotalRequirement(rm)
-	leftReq := 0.0
-	// Move MATs one by one from V_b to V_a, updating the cut
-	// incrementally: moving a node adds its out-edges (now crossing)
-	// and removes its in-edges from V_a (no longer crossing). Ties on
-	// the cut value are broken toward the most resource-balanced
-	// bisection, so recursion produces segments that fill switches
-	// instead of peeling off single MATs (many cuts are zero when
-	// independent programs share a TDG).
-	for k := 0; k < n-1; k++ {
-		name := order[k]
-		for _, e := range g.OutEdges(name) {
-			cut += e.MetadataBytes
-		}
-		for _, e := range g.InEdges(name) {
-			if va[e.From] {
-				cut -= e.MetadataBytes
-			}
-		}
-		va[name] = true
-		node, _ := g.Node(name)
-		leftReq += rm.Requirement(node.MAT)
-		imbalance := leftReq - total/2
-		if imbalance < 0 {
-			imbalance = -imbalance
-		}
-		if bestCut < 0 || cut < bestCut || (cut == bestCut && imbalance < bestBalance) {
-			bestCut = cut
-			bestK = k
-			bestBalance = imbalance
-		}
-	}
-	leftNames := order[:bestK+1]
-	rightNames := order[bestK+1:]
-	left, err = g.Subgraph(leftNames)
-	if err != nil {
-		return nil, nil, err
-	}
-	right, err = g.Subgraph(rightNames)
-	if err != nil {
-		return nil, nil, err
-	}
-	return left, right, nil
-}
-
-// coalesceSegments greedily merges consecutive segments while the
-// combination still satisfies the capacity test, reducing the switch
+// coalesce greedily merges consecutive segments while the combination
+// still satisfies the capacity test and packs, reducing the switch
 // count (and the inter-switch bytes) without reordering.
-func coalesceSegments(g *tdg.Graph, segments []*tdg.Graph, sw *network.Switch, rm program.ResourceModel) ([]*tdg.Graph, error) {
-	if len(segments) <= 1 {
-		return segments, nil
-	}
-	var out []*tdg.Graph
+func (sp *splitScratch) coalesce(segments []segment) []segment {
+	var out []segment
 	cur := segments[0]
-	curReq := cur.TotalRequirement(rm)
+	curReq := sp.total(cur.lo, cur.hi)
 	for _, seg := range segments[1:] {
-		req := seg.TotalRequirement(rm)
-		if curReq+req <= sw.Capacity()+1e-9 {
-			mergedNames := append(cur.NodeNames(), seg.NodeNames()...)
-			merged, err := g.Subgraph(mergedNames)
-			if err != nil {
-				return nil, err
-			}
-			if FitsSwitch(g, mergedNames, sw, rm) {
-				cur = merged
-				curReq += req
-				continue
-			}
+		req := sp.total(seg.lo, seg.hi)
+		if curReq+req <= sp.capacity+1e-9 && sp.fits(cur.lo, seg.hi) {
+			cur.hi = seg.hi
+			curReq += req
+			continue
 		}
 		out = append(out, cur)
-		cur = seg
-		curReq = req
+		cur, curReq = seg, req
 	}
-	return append(out, cur), nil
+	return append(out, cur)
+}
+
+// capacitySplit partitions the topological order into the minimum
+// number of contiguous capacity-feasible segments by dynamic
+// programming, breaking ties toward the smallest total boundary-cut
+// bytes.
+func (sp *splitScratch) capacitySplit() ([]segment, error) {
+	n := len(sp.order)
+	for i, r := range sp.req {
+		if r > sp.capacity+1e-9 {
+			return nil, fmt.Errorf("placement: MAT %q alone exceeds switch capacity %g", sp.order[i], sp.capacity)
+		}
+	}
+	// cutAt[j] = bytes crossing the boundary between order[:j] and
+	// order[j:], computed by the incremental prefix sweep.
+	cutAt := make([]int, n+1)
+	//hermes:hot
+	for k := 0; k < n; k++ {
+		cut := cutAt[k]
+		for _, e := range sp.out[k] {
+			cut += int(e.bytes)
+		}
+		for _, e := range sp.in[k] {
+			cut -= int(e.bytes)
+		}
+		cutAt[k+1] = cut
+	}
+
+	const inf = int(^uint(0) >> 1)
+	type cell struct{ groups, cost int }
+	dp := make([]cell, n+1)
+	prev := make([]int, n+1)
+	for i := 1; i <= n; i++ {
+		dp[i] = cell{groups: inf, cost: inf}
+		prev[i] = -1
+	}
+	//hermes:hot
+	for i := 1; i <= n; i++ {
+		weight := 0.0
+		for j := i - 1; j >= 0; j-- {
+			weight += sp.req[j]
+			if weight > sp.capacity+1e-9 {
+				break
+			}
+			if dp[j].groups == inf {
+				continue
+			}
+			boundary := 0
+			if j > 0 {
+				boundary = cutAt[j]
+			}
+			cand := cell{groups: dp[j].groups + 1, cost: dp[j].cost + boundary}
+			// Test the cell improvement before the (expensive) packing
+			// attempt: a candidate that cannot improve dp[i] never needs
+			// its feasibility decided, and the dp table is unchanged.
+			if cand.groups > dp[i].groups || (cand.groups == dp[i].groups && cand.cost >= dp[i].cost) {
+				continue
+			}
+			if !sp.fits(j, i) {
+				continue
+			}
+			dp[i] = cand
+			prev[i] = j
+		}
+	}
+	if dp[n].groups == inf {
+		return nil, fmt.Errorf("placement: no capacity-feasible contiguous split exists")
+	}
+	// Walk the boundaries back from n, then put them in order.
+	var segments []segment
+	for at := n; at > 0; at = prev[at] {
+		segments = append(segments, segment{prev[at], at})
+	}
+	slices.Reverse(segments)
+	return segments, nil
 }
 
 // placeSegments tries every programmable switch u as the anchor (Alg. 2
@@ -521,11 +463,12 @@ func coalesceSegments(g *tdg.Graph, segments []*tdg.Graph, sw *network.Switch, r
 //
 // Anchors are evaluated concurrently in waves of opts.Workers: each
 // anchor's candidate chain and packing attempt is independent
-// (read-only against the shared graph, oracle, and pack memo), and the
-// wave results are merged in anchor order — first success wins, and
+// (read-only against the shared graph, order, segments, oracle, and pack
+// memo — never the single-goroutine splitScratch), and the wave results
+// are merged in anchor order — first success wins, and
 // the error/splitIdx bookkeeping matches the sequential loop exactly.
 // A wave bounds the work wasted past the first successful anchor.
-func placeSegments(g *tdg.Graph, topo *network.Topology, segments []*tdg.Graph, opts Options, rm program.ResourceModel) (*Plan, int, error) {
+func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segments []segment, opts Options, rm program.ResourceModel) (*Plan, int, error) {
 	prog := topo.ProgrammableSwitches()
 	eps2 := opts.epsilon2(len(prog))
 	if len(segments) > eps2 {
@@ -572,7 +515,7 @@ func placeSegments(g *tdg.Graph, topo *network.Topology, segments []*tdg.Graph, 
 					u, len(cands), len(segments))}
 				return
 			}
-			plan, splitIdx, err := tryAssign(g, topo, segments, cands, rm)
+			plan, splitIdx, err := tryAssign(g, topo, order, segments, cands, rm)
 			results[i] = anchorResult{plan: plan, splitIdx: splitIdx, err: err}
 		})
 		for i := base; i < end; i++ {
@@ -596,7 +539,7 @@ func placeSegments(g *tdg.Graph, topo *network.Topology, segments []*tdg.Graph, 
 }
 
 // tryAssign maps segment i onto candidate switch i and packs stages.
-func tryAssign(g *tdg.Graph, topo *network.Topology, segments []*tdg.Graph, cands []network.SwitchID, rm program.ResourceModel) (*Plan, int, error) {
+func tryAssign(g *tdg.Graph, topo *network.Topology, order []string, segments []segment, cands []network.SwitchID, rm program.ResourceModel) (*Plan, int, error) {
 	plan := &Plan{
 		Graph:       g,
 		Topo:        topo,
@@ -607,7 +550,7 @@ func tryAssign(g *tdg.Graph, topo *network.Topology, segments []*tdg.Graph, cand
 		if err != nil {
 			return nil, -1, err
 		}
-		placed, err := packShared(g, seg.NodeNames(), sw, rm)
+		placed, err := packShared(g, order[seg.lo:seg.hi], sw, rm)
 		if err != nil {
 			return nil, i, fmt.Errorf("placement: segment %d on switch %q: %w", i, sw.Name, err)
 		}

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
@@ -10,13 +11,13 @@ import (
 
 // repairInstance is the working state every refinement runs on: a
 // compiled instance plus the mutable dense assignment, pair-byte table,
-// per-switch resident lists and (under a traffic matrix) the weight
-// table in the same index space. Greedy's polish builds one over the
-// memoized whole-graph instance with every MAT dirty (wholeInstance);
-// the replan repair builds one per touched region over a compact host
-// set (healInstance), places the displaced MATs on it and climbs over
-// the dirty ones. place and climb are the only code that scores, checks
-// and accepts a placement or a move.
+// per-switch resident lists, stage-packing scratch and (under a traffic
+// matrix) the weight table in the same index space. Greedy's polish
+// builds one over the memoized whole-graph instance with every MAT
+// dirty (wholeInstance); the replan repair builds one per touched
+// region over a compact host set (healInstance), places the displaced
+// MATs on it and climbs over the dirty ones. place and climb are the
+// only code that scores, checks and accepts a placement or a move.
 type repairInstance struct {
 	ci *CompiledInstance
 	// sws resolves an instance switch index to the real switch behind it:
@@ -24,30 +25,45 @@ type repairInstance struct {
 	// canonical order, which is what materialization packs by. cands lists
 	// the indices a MAT may be placed on or moved to, ascending; frozen
 	// halo anchors appear in sws but never in cands.
-	sws       []*network.Switch
-	cands     []int32
-	assign    []int32
-	residents [][]string
+	sws    []*network.Switch
+	cands  []int32
+	assign []int32
+	// residents lists each switch's MATs by index, ascending in TopoPos:
+	// the canonical order stage packing processes them in.
+	residents [][]int32
 	pt        *PairTable
 	wt        *WeightTable // nil off the traffic-weighted objectives
 	ms        *MoveScratch
 	cyc       *CycleScratch
-	names     []string // packs scratch
+	// packs scratch: a MAT is in the set being packed when its stamp
+	// equals gen, and end then holds the last stage it uses.
+	gen   int32
+	stamp []int32
+	end   []int32
+	used  []float64
 }
 
 func newRepairInstance(ci *CompiledInstance, sws []*network.Switch, cands, assign []int32, wt *WeightTable) *repairInstance {
 	in := &repairInstance{
 		ci: ci, sws: sws, cands: cands, assign: assign, wt: wt,
-		residents: make([][]string, len(sws)),
+		residents: make([][]int32, len(sws)),
 		pt:        ci.NewPairTable(),
 		ms:        ci.NewMoveScratch(),
 		cyc:       ci.NewCycleScratch(),
+		stamp:     make([]int32, len(ci.Names)),
+		end:       make([]int32, len(ci.Names)),
 	}
 	for x, h := range assign {
 		if h >= 0 {
-			in.residents[h] = append(in.residents[h], ci.Names[x])
+			in.residents[h] = append(in.residents[h], int32(x))
 		}
 	}
+	stages := 0
+	for h, sw := range sws {
+		slices.SortFunc(in.residents[h], func(a, b int32) int { return int(ci.TopoPos[a] - ci.TopoPos[b]) })
+		stages = max(stages, sw.Stages)
+	}
+	in.used = make([]float64, stages)
 	return in
 }
 
@@ -79,35 +95,67 @@ func wholeInstance(p *Plan, opts Options, rm program.ResourceModel) (*repairInst
 }
 
 // packs reports whether switch h still packs its residents once MAT add
-// joins and MAT drop leaves (either may be empty). An emptied switch
-// trivially packs.
-func (in *repairInstance) packs(h int32, add, drop string, rm program.ResourceModel) bool {
-	in.names = in.names[:0]
-	for _, n := range in.residents[h] {
-		if n != drop {
-			in.names = append(in.names, n)
+// joins and resident drop leaves (either may be -1) — FitsSwitch's
+// verdict on that set against the real switch, decided by position: the
+// residents are walked in canonical order with add merged in at its
+// TopoPos, each MAT starting one stage past its latest packed
+// predecessor (edges from outside the set are ignored, as in
+// PackStages). An emptied switch trivially packs; a non-programmable
+// (drained) one has no stage to offer, so it hosts nothing.
+func (in *repairInstance) packs(h, add, drop int32) bool {
+	res, sw, pos := in.residents[h], in.sws[h], in.ci.TopoPos
+	stages := sw.Stages
+	if !sw.Programmable {
+		stages = 0
+	}
+	in.gen++
+	used := in.used[:stages]
+	clear(used)
+	//hermes:hot
+	for _, x := range res {
+		if add >= 0 && pos[add] < pos[x] {
+			if !in.packOne(add, used, sw.StageCapacity) {
+				return false
+			}
+			add = -1
+		}
+		if x != drop && !in.packOne(x, used, sw.StageCapacity) {
+			return false
 		}
 	}
-	if add != "" {
-		in.names = append(in.names, add)
+	return add < 0 || in.packOne(add, used, sw.StageCapacity)
+}
+
+// packOne packs MAT x after the set members already packed this
+// generation and stamps it into the set.
+func (in *repairInstance) packOne(x int32, used []float64, stageCap float64) bool {
+	ci := in.ci
+	earliest := 0
+	//hermes:hot
+	for _, ei := range ci.In[x] {
+		if p := ci.EdgeFrom[ei]; in.stamp[p] == in.gen && int(in.end[p])+1 > earliest {
+			earliest = int(in.end[p]) + 1
+		}
 	}
-	return len(in.names) == 0 || FitsSwitch(in.ci.Graph, in.names, in.sws[h], rm)
+	end, ok := packStep(used, stageCap, ci.Req[x], earliest)
+	in.stamp[x], in.end[x] = in.gen, int32(end)
+	return ok
 }
 
 // settle records MAT x on switch to in the resident lists, leaving
 // switch from when it had one (from < 0: x was unassigned).
 func (in *repairInstance) settle(x, from, to int32) {
-	name := in.ci.Names[x]
 	if from >= 0 {
 		l := in.residents[from]
-		for i, n := range l {
-			if n == name {
-				in.residents[from] = append(l[:i], l[i+1:]...)
-				break
-			}
-		}
+		i := slices.Index(l, x)
+		in.residents[from] = slices.Delete(l, i, i+1)
 	}
-	in.residents[to] = append(in.residents[to], name)
+	pos, l := in.ci.TopoPos, in.residents[to]
+	at := len(l)
+	for at > 0 && pos[l[at-1]] > pos[x] {
+		at--
+	}
+	in.residents[to] = slices.Insert(l, at, x)
 }
 
 // place lands the unassigned MATs xs, given in TDG topological order,
@@ -117,7 +165,7 @@ func (in *repairInstance) settle(x, from, to int32) {
 // allocation-free on the PlaceScore kernels; feasibility is stage
 // packing on the gaining switch plus acyclicity of the contracted
 // switch graph.
-func (in *repairInstance) place(xs []int32, opts Options, rm program.ResourceModel) error {
+func (in *repairInstance) place(xs []int32, opts Options) error {
 	ci := in.ci
 	ci.FillPairTable(in.assign, in.pt)
 	var curSum int64
@@ -167,7 +215,7 @@ func (in *repairInstance) place(xs []int32, opts Options, rm program.ResourceMod
 			}
 			h := scores[best].h
 			scores[best].h = -1 // tried
-			if !in.packs(h, ci.Names[x], "", rm) {
+			if !in.packs(h, x, -1) {
 				continue
 			}
 			in.assign[x] = h
@@ -203,9 +251,9 @@ func (e infeasibleError) Error() string { return string(e) }
 // latency over the instance's communicating pairs stays within it
 // (Eq. 4). The score scratch doubles as the latency probe's seen-set —
 // the scores it held were returned by value.
-func (in *repairInstance) admits(x, to int32, opts Options, rm program.ResourceModel) bool {
-	name, from := in.ci.Names[x], in.assign[x]
-	if !in.packs(from, "", name, rm) || !in.packs(to, name, "", rm) {
+func (in *repairInstance) admits(x, to int32, opts Options) bool {
+	from := in.assign[x]
+	if !in.packs(from, -1, x) || !in.packs(to, x, -1) {
 		return false
 	}
 	in.assign[x] = to
@@ -234,7 +282,7 @@ func (in *repairInstance) admits(x, to int32, opts Options, rm program.ResourceM
 // index. budget always caps the search and a tighter Options.Deadline
 // wins; both, and cancellation, are polled through a counter-gated
 // clock read.
-func (in *repairInstance) climb(opts Options, rm program.ResourceModel, budget time.Duration, dirty []int32) {
+func (in *repairInstance) climb(opts Options, budget time.Duration, dirty []int32) {
 	ci := in.ci
 	deadline := time.Now().Add(budget)
 	if !opts.Deadline.IsZero() && opts.Deadline.Before(deadline) {
@@ -288,7 +336,7 @@ func (in *repairInstance) climb(opts Options, rm program.ResourceModel, budget t
 						w = opts.TrafficObjective.pick(ws, wm)
 						worse = w > bestW || (w == bestW && worse)
 					}
-					if worse || !in.admits(x, h, opts, rm) {
+					if worse || !in.admits(x, h, opts) {
 						continue
 					}
 					total = ci.ApplyMove(in.assign, in.pt, x, h, total)

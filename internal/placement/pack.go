@@ -184,99 +184,56 @@ func CapacityFits(g *tdg.Graph, rm program.ResourceModel, sw *network.Switch) bo
 	return g.TotalRequirement(rm) <= sw.Capacity()+1e-9
 }
 
-// packScratch is the dense counterpart of PackStages for contiguous
-// ranges of one fixed topological order against one fixed switch. The
-// capacity-split DP probes O(n²) such ranges per solve; going through
-// the name-keyed memo costs a key build, a sort, and a map probe per
-// range even on a hit, which dominates solver profiles. The scratch
-// precomputes requirements and predecessor positions once and answers
-// each range with the exact packOrdered arithmetic over flat arrays,
-// so fits(j, i) and FitsSwitch(g, order[j:i], sw, rm) always agree
-// (compile_test.go holds them differential).
-type packScratch struct {
-	stages int
-	cap    float64
-	req    []float64 // requirement per topo position
-	preds  [][]int32 // in-edge predecessor positions per topo position
-	end    []int32   // scratch: last stage used, per packed position
-	used   []float64 // scratch: per-stage occupancy
-}
-
-// newPackScratch compiles the fit instance for g's full topological
-// order on switch sw. The order must be g.TopoSort() output.
-func newPackScratch(g *tdg.Graph, order []string, sw *network.Switch, rm program.ResourceModel) *packScratch {
-	n := len(order)
-	pos := make(map[string]int32, n)
-	for i, name := range order {
-		pos[name] = int32(i)
-	}
-	ps := &packScratch{
-		stages: sw.Stages,
-		cap:    sw.StageCapacity,
-		req:    make([]float64, n),
-		preds:  make([][]int32, n),
-		end:    make([]int32, n),
-		used:   make([]float64, sw.Stages),
-	}
-	if !sw.Programmable {
-		ps.stages = -1 // every fits() call fails, like PackStages
-	}
-	for i, name := range order {
-		node, _ := g.Node(name)
-		ps.req[i] = rm.Requirement(node.MAT)
-		for from := range g.InEdgeList(name) {
-			ps.preds[i] = append(ps.preds[i], pos[from])
-		}
-	}
-	return ps
-}
-
-// fits reports whether order[j:i] packs onto the switch — the same
-// verdict as FitsSwitch on that range, without names, keys, or maps.
-// A contiguous slice of a topological order is already in PackStages'
-// canonical order, so the packing arithmetic below is a literal port
-// of packOrdered over positions.
-func (ps *packScratch) fits(j, i int) bool {
-	if ps.stages < 0 {
-		return false
-	}
+// packStep is packOrdered's per-MAT arithmetic on a bare occupancy row:
+// spread one requirement over the stages from earliest on, skipping full
+// stages, and return the last stage used (-1 when the requirement is
+// within tolerance of zero and no stage is touched). It is the one
+// packing step behind both dense forms — splitScratch.fits over a range
+// of the topological order and repairInstance.packs over a resident set
+// — which differ only in how they find a MAT's packed predecessors. ok
+// is false when the MAT does not fit; used is then partially updated.
+func packStep(used []float64, stageCap, req float64, earliest int) (end int, ok bool) {
 	const tol = 1e-9
-	used := ps.used
-	for s := range used {
-		used[s] = 0
+	if earliest >= len(used) {
+		return -1, false
 	}
+	end = -1
+	for s := earliest; s < len(used) && req > tol; s++ {
+		avail := stageCap - used[s]
+		if avail <= tol {
+			continue
+		}
+		chunk := min(avail, req)
+		end = s
+		used[s] += chunk
+		req -= chunk
+	}
+	return end, req <= tol
+}
+
+// fits reports whether order[lo:hi] packs onto the reference switch —
+// the same verdict as FitsSwitch on that range, without names, keys, or
+// maps (compile_test.go holds them differential). Alg. 2 probes O(n²)
+// such ranges per solve; through the name-keyed memo each costs a key
+// build, a sort and a map probe even on a hit. A contiguous slice of a
+// topological order is already in PackStages' canonical order.
+func (sp *splitScratch) fits(lo, hi int) bool {
+	clear(sp.used)
 	//hermes:hot
-	for k := j; k < i; k++ {
+	for k := lo; k < hi; k++ {
 		earliest := 0
-		for _, p := range ps.preds[k] {
-			// Predecessors precede k in topo order, so p < k always;
-			// p is in the packed set exactly when j <= p.
-			if int(p) >= j && int(ps.end[p])+1 > earliest {
-				earliest = int(ps.end[p]) + 1
+		for _, p := range sp.in[k] {
+			// Predecessors precede k in topo order, so p.pos < k always;
+			// p is in the packed set exactly when lo <= p.pos.
+			if int(p.pos) >= lo && int(sp.end[p.pos])+1 > earliest {
+				earliest = int(sp.end[p.pos]) + 1
 			}
 		}
-		if earliest >= ps.stages {
+		end, ok := packStep(sp.used, sp.stageCap, sp.req[k], earliest)
+		if !ok {
 			return false
 		}
-		rem := ps.req[k]
-		end := -1
-		for s := earliest; s < ps.stages && rem > tol; s++ {
-			avail := ps.cap - used[s]
-			if avail <= tol {
-				continue
-			}
-			chunk := avail
-			if rem < chunk {
-				chunk = rem
-			}
-			end = s
-			used[s] += chunk
-			rem -= chunk
-		}
-		if rem > tol {
-			return false
-		}
-		ps.end[k] = int32(end)
+		sp.end[k] = int32(end)
 	}
 	return true
 }

@@ -132,7 +132,11 @@ func TestCapacitySplitMinimality(t *testing.T) {
 		n := 3 + rng.Intn(6)
 		g := randomDAG(rng, n)
 		sw := &network.Switch{Programmable: true, Stages: 6, StageCapacity: 0.4}
-		segs, err := capacitySplit(g, sw, program.DefaultResourceModel)
+		order, err := g.TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, err := newSplitScratch(g, order, sw, program.DefaultResourceModel).capacitySplit()
 		if err != nil {
 			continue
 		}
@@ -140,10 +144,6 @@ func TestCapacitySplitMinimality(t *testing.T) {
 		// order, capacity-sum feasibility only (a lower bound on the
 		// pack-feasible optimum, so dp must be >= it; and dp must be <=
 		// first-fill).
-		order, err := g.TopoSort()
-		if err != nil {
-			t.Fatal(err)
-		}
 		reqs := make([]float64, len(order))
 		for i, name := range order {
 			node, _ := g.Node(name)

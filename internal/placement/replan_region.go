@@ -451,12 +451,12 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	}
 
 	in := newRepairInstance(ci, sws, cands, dense, wt)
-	if err := in.place(place, ropts.Options, rm); err != nil {
+	if err := in.place(place, ropts.Options); err != nil {
 		return nil, err
 	}
 	// The climb converges in a handful of passes over |dirty| MATs; the
 	// budget only bounds a pathological instance.
-	in.climb(ropts.Options, rm, 2*time.Second, dirtyIdx)
+	in.climb(ropts.Options, 2*time.Second, dirtyIdx)
 
 	out := make(map[string]network.SwitchID, len(dirtyNames))
 	for _, x := range dirtyIdx {

@@ -18,6 +18,7 @@ package tdg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -480,20 +481,25 @@ func (g *Graph) Levels() (map[string]int, error) {
 	return lvl, nil
 }
 
-// TotalRequirement sums R(a) over all nodes under the given model.
+// TotalRequirement sums R(a) over all nodes under the given model, in
+// insertion order: float addition is not associative, and callers
+// compare the sum against capacities and half-totals, so the order must
+// not be the map's.
 func (g *Graph) TotalRequirement(rm program.ResourceModel) float64 {
 	total := 0.0
-	for _, n := range g.nodes {
-		total += rm.Requirement(n.MAT)
+	for _, name := range g.order {
+		total += rm.Requirement(g.nodes[name].MAT)
 	}
 	return total
 }
 
 // Subgraph returns a new graph containing only the named nodes and the
-// edges among them. Node structs are shared, not copied.
+// edges among them. Node structs are shared, not copied. Edges are
+// inserted sorted by (From, To), as if filtered from Edges(); only the
+// kept nodes' out-edges are gathered and sorted, so the cost follows the
+// subset, not the parent.
 func (g *Graph) Subgraph(names []string) (*Graph, error) {
 	sub := New()
-	keep := make(map[string]bool, len(names))
 	for _, name := range names {
 		n, ok := g.nodes[name]
 		if !ok {
@@ -502,14 +508,29 @@ func (g *Graph) Subgraph(names []string) (*Graph, error) {
 		if err := sub.AddNode(n.MAT, n.Origin...); err != nil {
 			return nil, err
 		}
-		keep[name] = true
 	}
-	for _, e := range g.Edges() {
-		if keep[e.From] && keep[e.To] {
-			if err := sub.AddEdge(e.From, e.To, e.Type, e.MetadataBytes); err != nil {
-				return nil, err
+	var kept []*Edge
+	for _, name := range names {
+		for to, e := range g.out[name] {
+			if _, ok := sub.nodes[to]; ok {
+				kept = append(kept, e)
 			}
 		}
+	}
+	slices.SortFunc(kept, func(a, b *Edge) int {
+		if c := strings.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		return strings.Compare(a.To, b.To)
+	})
+	sub.list = make([]*Edge, 0, len(kept))
+	for _, e := range kept {
+		// Both endpoints exist and (From, To) is unique in g, so AddEdge's
+		// validation and merge cases cannot arise.
+		c := *e
+		sub.out[c.From][c.To] = &c
+		sub.in[c.To][c.From] = &c
+		sub.list = append(sub.list, &c)
 	}
 	return sub, nil
 }
