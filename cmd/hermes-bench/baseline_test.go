@@ -157,7 +157,7 @@ func TestEveryGateStillBites(t *testing.T) {
 		{"traffic", set("rows", "mixed12_tableIII1/gravity", map[string]any{"hot_pair_cut": 1.99}), "traffic rows[mixed12_tableIII1/gravity] hot_pair_cut = 1.99: want >= 2 on skewed models"},
 		{"traffic", set("rows", "mixed12_tableIII1/uniform", map[string]any{"hot_pair_cut": 1.0}), ""}, // the null model is informational
 		{"traffic", set("rows", "mixed10_tableIII2/hotspot", map[string]any{"a_max_inflation": 1.21}), "traffic rows[mixed10_tableIII2/hotspot] a_max_inflation = 1.21: want <= 1.2 on skewed models"},
-		{"traffic", set("throughput", "mixed12_tableIII1", map[string]any{"speedup": 9.9}), "traffic throughput[mixed12_tableIII1] speedup = 9.9: want >= 10"},
+		{"traffic", set("throughput", "mixed12_tableIII1", map[string]any{"speedup": 4.9}), "traffic throughput[mixed12_tableIII1] speedup = 4.9: want >= 5"},
 		{"traffic", set("throughput", "mixed12_tableIII1", map[string]any{"batched_allocs_per_packet": 1.0}), "traffic throughput[mixed12_tableIII1] batched_allocs_per_packet = 1: want == 0"},
 		{"regionreplan", set("rows", "composite:60", map[string]any{"fell_back": true}), "regionreplan rows[composite:60] fell_back = true"},
 		{"regionreplan", set("rows", "composite:10", map[string]any{"regions_touched": 0.0}), "regionreplan rows[composite:10] regions_touched = 0"},
@@ -197,8 +197,8 @@ func TestEveryGateStillBites(t *testing.T) {
 		{"shard", scale("rows", "composite:143", map[string]float64{"shard_amax_bytes": 1.11}), "shard rows[composite:143] shard_amax_bytes"},
 		{"shard", scale("rows", "composite:143", map[string]float64{"shard_amax_bytes": 1.09}), ""},
 		{"shard", set("rows", "composite:60", map[string]any{"fell_back": true}), "shard rows[composite:60] fell_back = true: baseline false"},
-		{"equiv", scale("rows", "mixed10_tableIII2", both("symbolic_ns_per_op", "replay_ratio", 1.11, 1.11)), "equiv rows[mixed10_tableIII2] symbolic_ns_per_op "},
-		{"equiv", scale("rows", "mixed10_tableIII2", both("symbolic_ns_per_op", "replay_ratio", 2, 1.09)), ""},
+		{"equiv", scale("rows", "mixed10_tableIII2", both("symbolic_ns_per_op", "replay_ratio", 1.11, 1.26)), "equiv rows[mixed10_tableIII2] symbolic_ns_per_op "},
+		{"equiv", scale("rows", "mixed10_tableIII2", both("symbolic_ns_per_op", "replay_ratio", 2, 1.24)), ""},
 		{"equiv", set("rows", "real4_tableIII1", map[string]any{"symbolic_allocs_per_op": 1.0}), "equiv rows[real4_tableIII1] symbolic_allocs_per_op = 1"},
 		{"equiv", set("rows", "mixed10_tableIII2", map[string]any{"symbolic_allocs_per_op": 180.0}), ""},
 		{"traffic", scale("rows", "mixed10_tableIII2/elephants", map[string]float64{"hot_pair_cut": 1 / 1.12}), "traffic rows[mixed10_tableIII2/elephants] hot_pair_cut"},

@@ -3,7 +3,9 @@
 // deployment gate. Every row solves one Table III instance, compiles
 // it, and measures (a) the steady-state symbolic Check — the fast path
 // a Deploy/Redeploy/Supervisor gate pays on every adoption — and (b)
-// the sampled replay it replaces, the dual condition's calibrator.
+// the sampled replay it replaces, the dual condition's calibrator
+// (slack 1.25: the replay is a ~1 ms measurement the allocating checks
+// jitter ±12 % against run to run; EXPERIMENTS.md, Equiv).
 package main
 
 import (
@@ -72,7 +74,7 @@ var equivExp = experiment{
 			col(det, "mats", "mats", "", func(p equivPoint) any { return p.mats }),
 			col(det, "switches", "sw", "", func(p equivPoint) any { return p.switches }),
 			col(det, "findings", "warns", "", func(p equivPoint) any { return p.findings }),
-			col(timing, "symbolic_ns_per_op", "symbolic ns/op", "", func(p equivPoint) any { return p.symbolic.NsPerOp() }).dual("replay_ratio", 1.10, 1.10),
+			col(timing, "symbolic_ns_per_op", "symbolic ns/op", "", func(p equivPoint) any { return p.symbolic.NsPerOp() }).dual("replay_ratio", 1.10, 1.25),
 			col(alloc, "symbolic_allocs_per_op", "allocs/op", "", func(p equivPoint) any { return p.symbolic.AllocsPerOp() }),
 			col(timing, "ns_per_program", "ns/program", "%.0f", func(p equivPoint) any { return float64(p.symbolic.NsPerOp()) / float64(p.programs) }),
 			col(timing, "replay_ns_per_op", "replay ns/op", "", func(p equivPoint) any { return p.replay.NsPerOp() }),
@@ -137,12 +139,12 @@ func measureEquiv(fx equivFixture, seed int64, reps int) (equivPoint, error) {
 	symbolic := measureBest(reps, loop(func(int) error { return checker.Check(dep) }))
 
 	// The replay twin is measured as raw engine cost — one distributed
-	// and one reference run per packet, the work VerifyEquivalence does
-	// before comparing write histories. The comparison itself is not
-	// part of the measurement: synthetic mixed workloads contain
-	// unordered non-commuting writers (the checker's benign HE010
-	// findings), so replay's final states legitimately differ between
-	// the two schedules on adversarial inputs.
+	// and one reference run per packet, an upper bound on the work
+	// VerifyEquivalence does before comparing write histories. The
+	// comparison itself is not part of the measurement: synthetic mixed
+	// workloads contain unordered non-commuting writers (the checker's
+	// benign HE010 findings), so replay's final states legitimately
+	// differ between the two schedules on adversarial inputs.
 	eng, err := dataplane.NewEngine(dep)
 	if err != nil {
 		return equivPoint{}, err

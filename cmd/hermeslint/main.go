@@ -16,8 +16,10 @@
 //	       AMax, the *Ref twins, ...), graph materialization
 //	       (Subgraph, Edges, OutEdges, InEdges) or name-keyed
 //	       stage packing (FitsSwitch, PackStages, packShared) —
-//	       inside a loop tagged //hermes:hot: hot loops must use
-//	       the compiled and position-space kernels            error
+//	       or a packet-engine compile (NewEngine, NewPipeline,
+//	       NewReferenceEngine) inside a loop tagged
+//	       //hermes:hot: hot loops must use the compiled and
+//	       position-space kernels and build engines once      error
 //	HV006  an allocation inside a loop tagged //hermes:hot:
 //	       make(), a map or slice composite literal, or an
 //	       append whose destination is a struct field (the
@@ -276,34 +278,40 @@ func lintPoolFunc(fset *token.FileSet, fn *ast.FuncDecl) []vetFinding {
 // hotBanned is the name-keyed surface: the retained reference scoring
 // implementations, the Plan/TDG convenience accessors that allocate
 // maps or hash names per call, the TDG calls that materialize a graph
-// or a sorted edge slice, and the name-keyed stage packer. None of them
-// belong inside a loop the author tagged //hermes:hot — that is what the
-// compiled kernels (AssignmentAMax, MoveScore, PlaceScore,
-// FillPairTable, ...) and the position-space packing step (packStep
-// behind splitScratch.fits and repairInstance.packs) are for.
+// or a sorted edge slice, the name-keyed stage packer, and the packet
+// engines' constructors (each compiles a whole deployment or sorts a
+// whole graph: build the pair once per search, not per candidate
+// packet). None of them belong inside a loop the author tagged
+// //hermes:hot — that is what the compiled kernels (AssignmentAMax,
+// MoveScore, PlaceScore, FillPairTable, ...) and the position-space
+// packing step (packStep behind splitScratch.fits and
+// repairInstance.packs) are for.
 var hotBanned = map[string]bool{
-	"PairBytes":         true,
-	"PairBytesUncached": true,
-	"PairBytesRef":      true,
-	"AMax":              true,
-	"TE2E":              true,
-	"TotalCrossBytes":   true,
-	"WireBytes":         true,
-	"MaxWireBytes":      true,
-	"CrossEdges":        true,
-	"AssignmentAMaxRef": true,
-	"MoveScoreRef":      true,
-	"PlaceScoreRef":     true,
-	"assignmentAMax":    true,
-	"assignmentLatency": true,
-	"assignmentAcyclic": true,
-	"Subgraph":          true,
-	"Edges":             true,
-	"OutEdges":          true,
-	"InEdges":           true,
-	"FitsSwitch":        true,
-	"PackStages":        true,
-	"packShared":        true,
+	"PairBytes":          true,
+	"PairBytesUncached":  true,
+	"PairBytesRef":       true,
+	"AMax":               true,
+	"TE2E":               true,
+	"TotalCrossBytes":    true,
+	"WireBytes":          true,
+	"MaxWireBytes":       true,
+	"CrossEdges":         true,
+	"AssignmentAMaxRef":  true,
+	"MoveScoreRef":       true,
+	"PlaceScoreRef":      true,
+	"assignmentAMax":     true,
+	"assignmentLatency":  true,
+	"assignmentAcyclic":  true,
+	"Subgraph":           true,
+	"Edges":              true,
+	"OutEdges":           true,
+	"InEdges":            true,
+	"FitsSwitch":         true,
+	"PackStages":         true,
+	"packShared":         true,
+	"NewEngine":          true,
+	"NewPipeline":        true,
+	"NewReferenceEngine": true,
 }
 
 // lintHotLoops applies HV005: inside a for/range loop whose lead
@@ -345,7 +353,7 @@ func lintHotLoops(fset *token.FileSet, file *ast.File) []vetFinding {
 				seen[call.Pos()] = true
 				out = append(out, vetFinding{
 					pos: fset.Position(call.Pos()), rule: "HV005", sev: "error",
-					msg: fmt.Sprintf("%s() is name-keyed (map-based scoring, graph materialization or stage packing) inside a //hermes:hot loop; use the compiled-instance or position-space kernel instead", shown),
+					msg: fmt.Sprintf("%s() is name-keyed (map-based scoring, graph materialization, stage packing or an engine compile) inside a //hermes:hot loop; use the compiled-instance or position-space kernel, or hoist the construction out of the loop", shown),
 				})
 			}
 			return true

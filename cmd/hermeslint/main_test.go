@@ -225,6 +225,49 @@ func bad(g *graph, s *sw, order []string) int {
 	}
 }
 
+func TestHotLoopFlagsEngineCompiles(t *testing.T) {
+	// A packet-engine constructor compiles the whole deployment (or
+	// sorts the whole graph): per candidate packet it is the
+	// Diverges-per-candidate pattern. Built once before the loop, the
+	// same calls are fine.
+	fs := lintSnippet(t, `
+type dep struct{}
+type engine struct{}
+func (e *engine) Process(p int) int                { return p }
+func NewEngine(d *dep) *engine                     { return &engine{} }
+func NewPipeline(d *dep, h []string, n int) *engine { return &engine{} }
+func NewReferenceEngine(d *dep) *engine            { return &engine{} }
+func bad(d *dep, candidates []int) int {
+	n := 0
+	//hermes:hot
+	for _, c := range candidates {
+		n += NewEngine(d).Process(c) + NewPipeline(d, nil, 1).Process(c) + NewReferenceEngine(d).Process(c)
+	}
+	return n
+}
+func good(d *dep, candidates []int) int {
+	eng, ref, n := NewEngine(d), NewReferenceEngine(d), 0
+	//hermes:hot
+	for _, c := range candidates {
+		n += eng.Process(c) + ref.Process(c)
+	}
+	return n
+}
+`)
+	if got := rulesOf(fs); len(got) != 3 {
+		t.Fatalf("want 3 HV005 findings, got %v", fs)
+	}
+	for _, want := range []string{"NewEngine()", "NewPipeline()", "NewReferenceEngine()"} {
+		found := false
+		for _, f := range fs {
+			found = found || f.rule == "HV005" && strings.Contains(f.msg, want)
+		}
+		if !found {
+			t.Errorf("no HV005 finding names %s: %v", want, fs)
+		}
+	}
+}
+
 func TestHotLoopPositionSpacePackingAllowed(t *testing.T) {
 	// The position-space packing step and range probes are what a hot
 	// loop should call; EdgeList (no copy, no sort) stays allowed too.

@@ -11,6 +11,7 @@ import (
 	hermes "github.com/hermes-net/hermes"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
+	"github.com/hermes-net/hermes/internal/placement/shard"
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
@@ -115,6 +116,22 @@ func fingerprintInstance(t *testing.T, topoID, programs int) (*placement.Plan, f
 	return solve(1), solve
 }
 
+// busiestSwitch returns the switch hosting the most MATs, ties to the
+// lower ID.
+func busiestSwitch(p *placement.Plan) network.SwitchID {
+	loads := map[network.SwitchID]int{}
+	for _, sp := range p.Assignments {
+		loads[sp.Switch]++
+	}
+	drain, best := network.SwitchID(-1), -1
+	for u, n := range loads {
+		if n > best || (n == best && u < drain) {
+			drain, best = u, n
+		}
+	}
+	return drain
+}
+
 // TestGreedyPlanFingerprints pins the greedy solver's output on the
 // first Table III topologies: serial and parallel runs must produce
 // byte-identical plans, and both must match the golden file.
@@ -154,16 +171,7 @@ func TestReplanPlanFingerprints(t *testing.T) {
 	}
 
 	cold, _ := fingerprintInstance(t, 1, 30)
-	loads := map[network.SwitchID]int{}
-	for _, sp := range cold.Assignments {
-		loads[sp.Switch]++
-	}
-	drain, best := network.SwitchID(-1), -1
-	for u, n := range loads {
-		if n > best || (n == best && u < drain) {
-			drain, best = u, n
-		}
-	}
+	drain := busiestSwitch(cold)
 	tm, err := network.GenerateTraffic(cold.Topo, network.TrafficHotspot, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -208,4 +216,59 @@ func TestExactPlanFingerprints(t *testing.T) {
 		t.Fatalf("parallel exact differs from serial:\n%s\nvs\n%s", got, fp)
 	}
 	checkGolden(t, map[string]string{"exact figure1": fp})
+}
+
+// TestShardedPlanFingerprints pins the region-sharded solve and the
+// partitioned repair on the benchmark's composite60 inputs at smoke
+// size (30 synthetic programs on CompositeWAN(10), 4 regions): the
+// sharded plan must be byte-identical for every worker count, and a
+// busiest-switch drain under the standing partition must take the
+// regional repair.
+func TestShardedPlanFingerprints(t *testing.T) {
+	progs, err := workload.SyntheticSet(30, workload.PaperSyntheticSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := hermes.Analyze(progs, hermes.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := network.CompositeWAN(10, network.TofinoSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := network.PartitionRegions(topo, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := shard.ShardedGreedy{Partition: part}
+	solve := func(workers int) *placement.Plan {
+		plan, err := solver.Solve(merged, topo, placement.Options{Shards: 4, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		return plan
+	}
+	cold := solve(1)
+	fp := planFingerprint(cold)
+	for _, workers := range []int{2, 8} {
+		if other := planFingerprint(solve(workers)); other != fp {
+			t.Fatalf("workers=%d sharded plan differs from serial:\n%s\nvs\n%s", workers, other, fp)
+		}
+	}
+
+	drain := busiestSwitch(cold)
+	ropts := placement.ReplanOptions{Options: placement.Options{Shards: 4}, Partition: part}
+	repaired, report, err := placement.ReplanWithOptions(cold, solver, ropts, drain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.UsedRegional {
+		t.Fatal("drain under a standing partition did not take the regional repair")
+	}
+	checkGolden(t, map[string]string{
+		"shard composite10 k=4": fp,
+		"regional replan composite10": fmt.Sprintf("drain=%d repair=%v regions=%v moved=%d %s",
+			drain, report.UsedRepair, report.RegionsTouched, report.MovedMATs, planFingerprint(repaired)),
+	})
 }

@@ -444,7 +444,8 @@ type (
 	// Packet is a simulated packet (header fields only; metadata lives
 	// inside switch pipelines).
 	Packet = dataplane.Packet
-	// Engine executes a deployment packet by packet.
+	// Engine executes a deployment packet by packet: a BatchPipeline
+	// over a batch of one, a Result per packet.
 	Engine = dataplane.Engine
 	// FlowConfig models a flow for FCT/goodput analysis.
 	FlowConfig = e2esim.Config
@@ -452,14 +453,16 @@ type (
 	FlowImpact = e2esim.Impact
 )
 
-// NewEngine prepares a packet-level engine for a deployment.
+// NewEngine compiles a packet-level engine for a deployment. It
+// executes the rules installed at that moment; build a new engine after
+// a runtime rule change.
 func NewEngine(dep *Deployment) (*Engine, error) { return dataplane.NewEngine(dep) }
 
 // High-throughput replay (DESIGN.md §13.2).
 type (
 	// BatchPipeline executes a deployment over flat packet batches with
-	// precompiled per-switch programs — the ≥10× faster sibling of
-	// Engine for throughput experiments.
+	// precompiled per-switch programs: the one interpreter of a
+	// deployment, which Engine runs a packet at a time.
 	BatchPipeline = dataplane.Pipeline
 	// Batch is a column-major block of packets moving through a
 	// BatchPipeline.
@@ -482,7 +485,7 @@ func NewBatchPipeline(dep *Deployment, extraHeaders []string, batchSize int) (*B
 // ReplayTraffic drives a traffic matrix through a deployment on the
 // batched pipeline, apportioning the packet budget over demands by
 // rate, and reports goodput plus the measured weighted coordination
-// byte-rates.
+// byte-rates. workers is accepted and ignored.
 func ReplayTraffic(dep *Deployment, tm *TrafficMatrix, packets, batchSize, workers int) (*TrafficReplayResult, error) {
 	return dataplane.ReplayTraffic(dep, tm, packets, batchSize, workers)
 }

@@ -1,7 +1,7 @@
-// Batched replay engine (DESIGN.md §13.2). The per-packet Engine
-// interprets every packet against string-keyed maps — fine as a
-// correctness oracle, far too slow to replay traffic-matrix workloads.
-// Pipeline compiles a deployment once into dense form:
+// Batched replay engine (DESIGN.md §13.2): the one interpreter of a
+// distributed deployment. Engine runs it a packet at a time for
+// callers that want a Result per packet; replay runs it a batch at a
+// time. Pipeline compiles a deployment once into dense form:
 //
 //   - every header and metadata field referenced anywhere in the
 //     deployment is interned to a dense index, so a packet is a row of
@@ -10,17 +10,14 @@
 //     op lists with field references and rule params resolved at
 //     compile time;
 //   - coordination headers become per-(pair, field) transport slots in
-//     the batch, so exports/imports are plain column copies that
-//     reproduce the interpreter's later-visited-upstream-wins merge;
-//   - the interpreter's coordination contract (reads of metadata that
-//     was written upstream but not piggybacked are hard errors) is
-//     enforced through a per-packet written-bits vector carried in the
-//     batch.
+//     the batch, so exports/imports are plain column copies in which a
+//     later-visited upstream's value overwrites an earlier one's;
+//   - the coordination contract (reads of metadata that was written
+//     upstream but not piggybacked are hard errors) is enforced through
+//     a per-packet written-bits vector carried in the batch.
 //
 // Batches are pooled (sync.Pool) and all per-switch scratch is
 // preallocated, so steady-state replay allocates nothing per packet.
-// Run processes a batch sequentially; replay.go adds the per-switch
-// worker pipeline with SPSC ring handoff.
 package dataplane
 
 import (
@@ -86,23 +83,24 @@ type cmat struct {
 
 // cimport copies one coordination slot into a metadata column; the
 // per-switch list is ordered by upstream visit order so a later
-// upstream's value overwrites an earlier one, exactly like the
-// interpreter's import merge.
+// upstream's value overwrites an earlier one (it executed with more of
+// the write history in view).
 type cimport struct {
 	slot int32
 	fid  int32
 }
 
 // cexport serializes one metadata column into a coordination slot
-// (absent metadata exports zero, matching the interpreter).
+// (absent metadata exports zero: the field may be produced only on
+// some execution paths).
 type cexport struct {
 	slot int32
 	fid  int32
 }
 
-// cswitch is one compiled switch stage plus its worker-owned scratch.
-// The scratch makes a Pipeline single-run: concurrent Run/Replay calls
-// on one Pipeline race.
+// cswitch is one compiled switch stage plus its scratch. The scratch
+// makes a Pipeline single-run: concurrent Run/Replay calls on one
+// Pipeline race.
 type cswitch struct {
 	id       network.SwitchID
 	mats     []*cmat
@@ -118,7 +116,7 @@ type cswitch struct {
 
 	// Per-MAT write-diff scratch: seen holds the epoch of the last MAT
 	// execution that recorded a field's pre-value, so the diff only
-	// keeps the first write per MAT (recordWrites semantics).
+	// keeps the first write per MAT.
 	seen    []uint64
 	epoch   uint64
 	recFid  []int32
@@ -152,13 +150,16 @@ func (b *Batch) Err() error { return b.err }
 
 // Writes returns packet i's recorded write log (nil unless the
 // pipeline ran with RecordWrites).
-func (b *Batch) Writes(i int) map[string]uint64 { return b.writes[i] }
+func (b *Batch) Writes(i int) map[string]uint64 {
+	if b.writes == nil {
+		return nil
+	}
+	return b.writes[i]
+}
 
 // Pipeline is a deployment compiled for batched replay.
 type Pipeline struct {
-	dep   *deploy.Deployment
-	order []network.SwitchID
-	sws   []*cswitch
+	sws []*cswitch
 
 	hdrNames  []string
 	hdrIdx    map[string]int32
@@ -176,15 +177,10 @@ type Pipeline struct {
 	pool      sync.Pool
 
 	// RecordWrites, when set before running, makes every batch carry a
-	// per-packet map of final written-field values — the interpreter's
-	// Result.Writes, for differential tests. Replay mode leaves it off
-	// (it allocates per packet).
+	// per-packet map of final written-field values (Result.Writes, what
+	// the reference comparison reads). Replay mode leaves it off (it
+	// allocates per packet).
 	RecordWrites bool
-
-	// Collect, when non-nil, is invoked on every finished batch during
-	// Replay (in submission order, before the batch returns to the
-	// pool) — the hook determinism tests capture results through.
-	Collect func(*Batch)
 }
 
 // NewPipeline compiles the deployment. extraHeaders names header
@@ -202,10 +198,7 @@ func NewPipeline(dep *deploy.Deployment, extraHeaders []string, batchSize int) (
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	p := &Pipeline{
-		dep: dep, order: order, batchSize: batchSize,
-		hdrIdx: map[string]int32{}, metaIdx: map[string]int32{},
-	}
+	p := &Pipeline{batchSize: batchSize, hdrIdx: map[string]int32{}, metaIdx: map[string]int32{}}
 
 	// Pass 1: intern every field the deployment can touch. Sorted MAT
 	// walk keeps the interning deterministic.
@@ -413,6 +406,37 @@ func (p *Pipeline) compileAction(cm *cmat, act program.Action, params map[string
 	return ops
 }
 
+// matsInStageOrder lists a switch's MATs by first stage, deduplicated.
+func matsInStageOrder(cfg *deploy.SwitchConfig) []string {
+	type entry struct {
+		name  string
+		stage int
+	}
+	first := map[string]int{}
+	for s, st := range cfg.Stages {
+		for _, e := range st {
+			if _, ok := first[e.MAT]; !ok {
+				first[e.MAT] = s
+			}
+		}
+	}
+	out := make([]entry, 0, len(first))
+	for n, s := range first {
+		out = append(out, entry{name: n, stage: s})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].stage != out[j].stage {
+			return out[i].stage < out[j].stage
+		}
+		return out[i].name < out[j].name
+	})
+	names := make([]string, len(out))
+	for i, e := range out {
+		names[i] = e.name
+	}
+	return names
+}
+
 // sortedPeers returns the export map's keys ascending.
 func sortedPeers(m map[network.SwitchID]deploy.CoordHeader) []network.SwitchID {
 	out := make([]network.SwitchID, 0, len(m))
@@ -442,10 +466,10 @@ func (p *Pipeline) BatchSize() int { return p.batchSize }
 // GetBatch takes a cleared batch from the pool.
 func (p *Pipeline) GetBatch() *Batch {
 	b := p.pool.Get().(*Batch)
-	clearU64(b.hdr)
-	clearU64(b.hdrHas)
-	clearU64(b.coord)
-	clearU64(b.written)
+	clear(b.hdr)
+	clear(b.hdrHas)
+	clear(b.coord)
+	clear(b.written)
 	b.n = 0
 	b.err = nil
 	b.writes = nil
@@ -455,13 +479,7 @@ func (p *Pipeline) GetBatch() *Batch {
 // PutBatch recycles a batch.
 func (p *Pipeline) PutBatch(b *Batch) { p.pool.Put(b) }
 
-func clearU64(s []uint64) {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// Load fills a pooled batch from interpreter-style packets. Header
+// Load fills a pooled batch from map-keyed packets. Header
 // fields outside the compiled universe are errors: the caller names
 // them via NewPipeline's extraHeaders.
 func (p *Pipeline) Load(packets []*Packet) (*Batch, error) {
@@ -503,8 +521,7 @@ func (p *Pipeline) Unload(b *Batch, i int, pkt *Packet) {
 	}
 }
 
-// Run processes the batch through every switch stage sequentially —
-// the mode correctness tests and the non-pipelined replay use. The
+// Run processes the batch through every switch stage in order. The
 // batch is mutated in place; an execution error is returned and also
 // recorded on the batch.
 func (p *Pipeline) Run(b *Batch) error {
@@ -580,7 +597,7 @@ func (p *Pipeline) readField(cs *cswitch, b *Batch, i int, ref fieldRef, mat str
 
 // writeField writes a field for packet i, recording the pre-write
 // value the first time this MAT execution touches the field (epoch
-// check) so the post-MAT diff reproduces recordWrites.
+// check) for the post-MAT diff.
 //
 //hermes:hot
 func (p *Pipeline) writeField(cs *cswitch, b *Batch, i int, ref fieldRef, v uint64) {
@@ -728,8 +745,9 @@ func (p *Pipeline) execMAT(cs *cswitch, cm *cmat, b *Batch, i int) error {
 		}
 	}
 
-	// Post-MAT diff (the interpreter's recordWrites): a field counts as
-	// written only when this MAT left it changed or newly present.
+	// Post-MAT diff (the write-log contract, DESIGN.md §13.2): a field
+	// counts as written only when this MAT left it changed or newly
+	// present.
 	for ri, fid := range cs.recFid {
 		var cur uint64
 		if cs.recMeta[ri] {

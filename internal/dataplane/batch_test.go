@@ -1,47 +1,30 @@
 package dataplane
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/network"
+	"github.com/hermes-net/hermes/internal/tdg"
 )
 
-// TestBatchedMatchesInterpreter is the differential gate for the
-// batched engine: the same packet stream through the per-packet
-// interpreter and the compiled pipeline must produce identical write
-// histories (values and written-field sets) and identical final
-// headers, packet by packet — stateful counters included.
-func TestBatchedMatchesInterpreter(t *testing.T) {
-	dep := deployOnTestbed(t)
-	packets := randomPackets(300, 3)
-
-	eng, err := NewEngine(dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interp := make([]*Result, len(packets))
-	for i, p := range packets {
-		interp[i], err = eng.Process(p.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	p, err := NewPipeline(dep, nil, 64)
+// pipelineRun replays the stream through a fresh pipeline in batches of
+// batchSize with the write log on and hands every packet's log and
+// final headers to each. It returns the run's digest and the counter
+// registers the run left behind.
+func pipelineRun(t *testing.T, dep *deploy.Deployment, packets []*Packet, batchSize int, each func(i int, writes, headers map[string]uint64)) (uint64, map[string][]uint64) {
+	t.Helper()
+	p, err := NewPipeline(dep, nil, batchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.RecordWrites = true
+	d := newRunDigest()
 	for lo := 0; lo < len(packets); lo += p.BatchSize() {
-		hi := lo + p.BatchSize()
-		if hi > len(packets) {
-			hi = len(packets)
-		}
-		chunk := make([]*Packet, 0, hi-lo)
-		for _, pk := range packets[lo:hi] {
-			chunk = append(chunk, pk.Clone())
-		}
+		chunk := packets[lo:min(lo+p.BatchSize(), len(packets))]
 		b, err := p.Load(chunk)
 		if err != nil {
 			t.Fatal(err)
@@ -50,107 +33,126 @@ func TestBatchedMatchesInterpreter(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range chunk {
-			gi := lo + i
-			if err := compareWrites(interp[gi].Writes, b.Writes(i)); err != nil {
-				t.Fatalf("packet %d write histories diverge: %v", gi, err)
-			}
 			out := chunk[i].Clone()
 			p.Unload(b, i, out)
-			for name, want := range interp[gi].Packet.Headers {
-				if got := out.Headers[name]; got != want {
-					t.Fatalf("packet %d header %q = %d, interpreter %d", gi, name, got, want)
-				}
+			d.packet(b.Writes(i), out.Headers)
+			if each != nil {
+				each(lo+i, b.Writes(i), out.Headers)
 			}
 		}
 		p.PutBatch(b)
 	}
+	regs := p.registers()
+	d.counters(regs)
+	return d.h.Sum64(), regs
 }
 
-// TestBatchedPipelinedDeterminism runs the identical stream through a
-// sequential pipeline and a per-switch-worker pipeline and demands
-// byte-identical outcomes: every final header column and every counter
-// register must match, so worker handoff cannot perturb per-switch
-// packet order.
-func TestBatchedPipelinedDeterminism(t *testing.T) {
-	dep := deployOnTestbed(t)
-	packets := randomPackets(512, 7)
+// nonzero flattens register files to their nonzero slots.
+func nonzero(regs map[string][]uint64) map[string]uint64 {
+	out := map[string]uint64{}
+	for name, slots := range regs {
+		for slot, v := range slots {
+			if v != 0 {
+				out[fmt.Sprintf("%s[%d]", name, slot)] = v
+			}
+		}
+	}
+	return out
+}
 
-	run := func(workers int) ([][]uint64, [][]uint64, *ReplayStats) {
-		p, err := NewPipeline(dep, nil, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hdrRows [][]uint64
-		p.Collect = func(b *Batch) {
-			for i := 0; i < b.Len(); i++ {
-				row := make([]uint64, p.nHdr)
-				copy(row, b.hdr[i*p.nHdr:(i+1)*p.nHdr])
-				hdrRows = append(hdrRows, row)
-			}
-		}
-		var batches []*Batch
-		for lo := 0; lo < len(packets); lo += p.BatchSize() {
-			hi := lo + p.BatchSize()
-			if hi > len(packets) {
-				hi = len(packets)
-			}
-			chunk := make([]*Packet, 0, hi-lo)
-			for _, pk := range packets[lo:hi] {
-				chunk = append(chunk, pk.Clone())
-			}
-			b, err := p.Load(chunk)
+// TestBatchedMatchesInterpreter is the differential gate for the
+// pipeline. On three fixtures the symbolic checker proves equivalent
+// without a warning, the same stream through the compiled pipeline and
+// the single-box ReferenceEngine must agree packet by packet — write
+// logs (values and written-field sets), final headers, and at the end
+// the stateful counter registers — at batch sizes 1, 64 and 300. Every
+// run is also pinned by value: the digests are what the map-keyed
+// per-packet interpreter this pipeline replaced produced for the same
+// streams (captured at its last commit, 2b282e1), so "the pipeline is
+// the interpreter" survives the interpreter's deletion.
+func TestBatchedMatchesInterpreter(t *testing.T) {
+	fixtures := []struct {
+		name    string
+		dep     *deploy.Deployment
+		packets func(*tdg.Graph) []*Packet
+		digest  uint64
+		maxHdr  int
+	}{
+		{"testbed", deployOnTestbed(t), func(*tdg.Graph) []*Packet { return randomPackets(300, 3) }, 0xd447253edd64f1f0, 4},
+		{"churn16", churn16Deployment(t), func(g *tdg.Graph) []*Packet { return graphPackets(g, 3, 300) }, 0x3d4f541053f887d8, 48},
+		{"composite10", composite10Deployment(t), func(g *tdg.Graph) []*Packet { return graphPackets(g, 3, 300) }, 0xc05c8300f9417f54, 62},
+	}
+	for _, fx := range fixtures {
+		packets := fx.packets(fx.dep.Plan.Graph)
+		for _, batchSize := range []int{1, 64, 300} {
+			ref, err := NewReferenceEngine(fx.dep.Plan.Graph)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batches = append(batches, b)
+			digest, regs := pipelineRun(t, fx.dep, packets, batchSize, func(i int, writes, headers map[string]uint64) {
+				want, err := ref.Process(packets[i].Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := compareWrites(want.Writes, writes); err != nil {
+					t.Fatalf("%s batch %d: packet %d write logs diverge: %v", fx.name, batchSize, i, err)
+				}
+				if !reflect.DeepEqual(want.Packet.Headers, headers) {
+					t.Fatalf("%s batch %d: packet %d final headers %v, reference %v", fx.name, batchSize, i, headers, want.Packet.Headers)
+				}
+			})
+			if got, want := nonzero(regs), nonzero(ref.registers()); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s batch %d: counter registers %v, reference %v", fx.name, batchSize, got, want)
+			}
+			if digest != fx.digest {
+				t.Errorf("%s batch %d: run digest %#x, the per-packet interpreter's was %#x", fx.name, batchSize, digest, fx.digest)
+			}
 		}
-		stats, err := p.Replay(batches, workers)
+		if maxHdr, err := EquivalentRuns(fx.dep, packets); err != nil || maxHdr != fx.maxHdr {
+			t.Errorf("%s: EquivalentRuns = %d, %v; want %d, nil", fx.name, maxHdr, err, fx.maxHdr)
+		}
+	}
+}
+
+// TestEvaluationPointPinnedByValue holds both executions to the
+// parent's on the paper's evaluation workload, where they may
+// legitimately differ from each other (wan30Deployment): the pipeline
+// at every batch size against the deleted interpreter's digest, the
+// single box against its own digest from before its write tracking
+// moved to where the writes happen, and EquivalentRuns still reporting
+// the first packet as diverged.
+func TestEvaluationPointPinnedByValue(t *testing.T) {
+	dep := wan30Deployment(t)
+	packets := graphPackets(dep.Plan.Graph, 3, 300)
+	for _, batchSize := range []int{1, 64, 300} {
+		if digest, _ := pipelineRun(t, dep, packets, batchSize, nil); digest != 0x6580e3b69d593e40 {
+			t.Errorf("batch %d: pipeline run digest %#x, the per-packet interpreter's was 0x6580e3b69d593e40", batchSize, digest)
+		}
+	}
+	ref, err := NewReferenceEngine(dep.Plan.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newRunDigest()
+	for _, p := range packets {
+		res, err := ref.Process(p.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return hdrRows, p.counters, stats
+		d.packet(res.Writes, res.Packet.Headers)
 	}
-
-	seqHdr, seqCnt, seqStats := run(1)
-	parHdr, parCnt, parStats := run(8)
-
-	if !parStats.Pipelined {
-		t.Fatal("workers=8 did not engage the per-switch pipeline")
+	d.counters(ref.registers())
+	if got := d.h.Sum64(); got != 0x9c5ed3d7cc9fbe12 {
+		t.Errorf("reference run digest %#x, the snapshotting reference's was 0x9c5ed3d7cc9fbe12", got)
 	}
-	if seqStats.Packets != len(packets) || parStats.Packets != len(packets) {
-		t.Fatalf("packet counts: sequential %d, pipelined %d, want %d",
-			seqStats.Packets, parStats.Packets, len(packets))
-	}
-	if len(seqHdr) != len(parHdr) {
-		t.Fatalf("row counts diverge: %d vs %d", len(seqHdr), len(parHdr))
-	}
-	for i := range seqHdr {
-		for j := range seqHdr[i] {
-			if seqHdr[i][j] != parHdr[i][j] {
-				t.Fatalf("packet %d header column %d: sequential %d, pipelined %d",
-					i, j, seqHdr[i][j], parHdr[i][j])
-			}
-		}
-	}
-	if len(seqCnt) != len(parCnt) {
-		t.Fatalf("counter files diverge: %d vs %d", len(seqCnt), len(parCnt))
-	}
-	for c := range seqCnt {
-		for s := range seqCnt[c] {
-			if seqCnt[c][s] != parCnt[c][s] {
-				t.Fatalf("counter %d slot %d: sequential %d, pipelined %d",
-					c, s, seqCnt[c][s], parCnt[c][s])
-			}
-		}
-	}
-	if seqStats.CoordBytes != parStats.CoordBytes {
-		t.Fatalf("coord bytes: sequential %d, pipelined %d", seqStats.CoordBytes, parStats.CoordBytes)
+	if _, err := EquivalentRuns(dep, packets); err == nil || !strings.Contains(err.Error(), "packet 0 diverged") {
+		t.Errorf("EquivalentRuns = %v; the parent reported packet 0 diverged", err)
 	}
 }
 
 // TestBatchedCoordinationContract sabotages the coordination headers
-// and expects the batched engine to raise the same hard error the
-// interpreter does, in both sequential and pipelined modes.
+// and expects the pipeline to raise the hard error, from Run and
+// through Replay.
 func TestBatchedCoordinationContract(t *testing.T) {
 	dep := deployOnTestbed(t)
 	for _, cfg := range dep.Configs {
@@ -170,18 +172,33 @@ func TestBatchedCoordinationContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := p.Run(b); err == nil {
-		t.Fatal("sequential run: stripped coordination headers went undetected")
+		t.Fatal("Run: stripped coordination headers went undetected")
 	}
-	p2, err := NewPipeline(dep, nil, 16)
+	b2, err := p.Load(randomPackets(8, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := p2.Load(randomPackets(8, 5))
+	if _, err := p.Replay([]*Batch{b2}, 0); err == nil {
+		t.Fatal("Replay: stripped coordination headers went undetected")
+	}
+}
+
+// TestWritesNilWithoutWriteLog: a replay-mode batch has no write log,
+// and asking for one is not a panic.
+func TestWritesNilWithoutWriteLog(t *testing.T) {
+	p, err := NewPipeline(deployOnTestbed(t), nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.Replay([]*Batch{b2}, 8); err == nil {
-		t.Fatal("pipelined run: stripped coordination headers went undetected")
+	b, err := p.Load(randomPackets(4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Writes(0); got != nil {
+		t.Errorf("write log %v from a pipeline that records none", got)
 	}
 }
 

@@ -10,8 +10,8 @@ func benchPackets(b *testing.B, n int) []*Packet {
 	return randomPackets(n, 42)
 }
 
-// BenchmarkPerPacketEngine is the interpreter baseline: map-backed
-// contexts, per-MAT snapshots, per-packet allocation. ns/op is per
+// BenchmarkPerPacketEngine is Engine.Process: the pipeline over a batch
+// of one with the write log on, a Result per packet. ns/op is per
 // packet.
 func BenchmarkPerPacketEngine(b *testing.B) {
 	dep := deployOnTestbed(b)
@@ -60,32 +60,5 @@ func BenchmarkBatchedEngine(b *testing.B) {
 			b.Fatal(err)
 		}
 		p.PutBatch(batch)
-	}
-}
-
-// BenchmarkBatchedPipelined is the per-switch worker pipeline over the
-// same stream: adds the SPSC handoff on top of the batched engine.
-func BenchmarkBatchedPipelined(b *testing.B) {
-	dep := deployOnTestbed(b)
-	p, err := NewPipeline(dep, nil, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	packets := benchPackets(b, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		var batches []*Batch
-		for rep := 0; rep < 16 && done < b.N; rep++ {
-			batch, err := p.Load(packets)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batches = append(batches, batch)
-			done += len(packets)
-		}
-		if _, err := p.Replay(batches, 8); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -12,6 +12,7 @@ package dataplane
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"github.com/hermes-net/hermes/internal/fields"
@@ -34,41 +35,53 @@ func (p *Packet) Clone() *Packet {
 	return out
 }
 
-// context is the field view a MAT executes against.
+// context is the single box's field view: the packet's headers plus
+// every metadata field written so far.
 type context struct {
-	pkt *Packet
-	// meta holds the metadata values available on this switch.
+	pkt  *Packet
 	meta map[string]uint64
-	// availMeta marks metadata fields that are legitimately available:
-	// produced locally or imported. Reads outside this set fall back to
-	// zero only if no upstream MAT has produced the field (tracked by
-	// the engine); otherwise the engine raises a coordination error.
-	produced map[string]bool
+	// rec holds, for each field the running MAT has written, the value
+	// it had before the MAT's first write — what the post-MAT write diff
+	// compares against. The caller drains it between MATs.
+	rec []preWrite
+}
+
+// preWrite is one field's state before a MAT first wrote it.
+type preWrite struct {
+	f   fields.Field
+	old uint64
+	had bool
 }
 
 func newContext(pkt *Packet) *context {
-	return &context{pkt: pkt, meta: map[string]uint64{}, produced: map[string]bool{}}
+	return &context{pkt: pkt, meta: map[string]uint64{}}
+}
+
+// values returns the map holding f: metadata or the packet's headers.
+func (c *context) values(f fields.Field) map[string]uint64 {
+	if f.IsMetadata() {
+		return c.meta
+	}
+	return c.pkt.Headers
 }
 
 // get reads a field value. ok reports whether the metadata field is
 // available in this context (header fields are always available).
 func (c *context) get(f fields.Field) (uint64, bool) {
-	if f.IsMetadata() {
-		v, ok := c.meta[f.Name]
-		return v, ok
-	}
-	return c.pkt.Headers[f.Name], true
+	v, ok := c.values(f)[f.Name]
+	return v, ok || !f.IsMetadata()
 }
 
-// set writes a field value.
+// set writes a field value, recording its pre-value on the running
+// MAT's first write to it.
 func (c *context) set(f fields.Field, v uint64) {
-	v &= widthMask(f.Bits)
-	if f.IsMetadata() {
-		c.meta[f.Name] = v
-		c.produced[f.Name] = true
-		return
+	vals := c.values(f)
+	recorded := func(w preWrite) bool { return w.f.Name == f.Name && w.f.IsMetadata() == f.IsMetadata() }
+	if !slices.ContainsFunc(c.rec, recorded) {
+		old, had := vals[f.Name]
+		c.rec = append(c.rec, preWrite{f: f, old: old, had: had})
 	}
-	c.pkt.Headers[f.Name] = v
+	vals[f.Name] = v & widthMask(f.Bits)
 }
 
 func widthMask(bits int) uint64 {
@@ -78,20 +91,18 @@ func widthMask(bits int) uint64 {
 	return (uint64(1) << uint(bits)) - 1
 }
 
-// counterState holds the stateful register array of one MAT.
-type counterState struct {
-	slots []uint64
-}
-
 const defaultCounterSlots = 1 << 12
 
 // matExecutor runs MATs with shared stateful registers.
 type matExecutor struct {
-	counters map[string]*counterState
+	// counters holds each counting MAT's register array, by MAT name.
+	counters map[string][]uint64
+	// rules caches each MAT's rules in match order, sorted on first use.
+	rules map[*program.MAT][]program.Rule
 }
 
 func newMATExecutor() *matExecutor {
-	return &matExecutor{counters: map[string]*counterState{}}
+	return &matExecutor{counters: map[string][]uint64{}, rules: map[*program.MAT][]program.Rule{}}
 }
 
 // coordinationError marks a read of metadata that should have been
@@ -119,7 +130,11 @@ func (x *matExecutor) execute(m *program.MAT, c *context, written map[string]boo
 
 	// Match phase.
 	var chosen *program.Rule
-	rules := sortedRules(m)
+	rules, ok := x.rules[m]
+	if !ok {
+		rules = sortedRules(m)
+		x.rules[m] = rules
+	}
 	for i := range rules {
 		r := &rules[i]
 		hit := true
@@ -217,14 +232,14 @@ func (x *matExecutor) runAction(m *program.MAT, act program.Action, params map[s
 			if err != nil {
 				return err
 			}
-			st := x.counters[m.Name]
-			if st == nil {
-				st = &counterState{slots: make([]uint64, defaultCounterSlots)}
-				x.counters[m.Name] = st
+			slots := x.counters[m.Name]
+			if slots == nil {
+				slots = make([]uint64, defaultCounterSlots)
+				x.counters[m.Name] = slots
 			}
-			slot := idx % uint64(len(st.slots))
-			st.slots[slot]++
-			c.set(op.Dst, st.slots[slot])
+			slot := idx % uint64(len(slots))
+			slots[slot]++
+			c.set(op.Dst, slots[slot])
 		case program.OpDecrement:
 			cur, err := read(op.Dst)
 			if err != nil {

@@ -1,17 +1,10 @@
-// Pipelined replay (DESIGN.md §13.2): one worker goroutine per
-// deployed switch, batches handed between consecutive stages over
-// single-producer/single-consumer rings. Each switch's state (its
-// metadata scratch, its MAT counters) is touched only by its own
-// worker, and rings are FIFO, so every switch sees packets in exactly
-// the order the sequential Run would produce — the pipelined replay is
-// byte-identical to sequential for every batch size and ring depth.
+// Replay over the compiled pipeline (DESIGN.md §13.2): batches run
+// one after another in the calling goroutine, and ReplayTraffic drives
+// a traffic matrix's packet stream through them.
 package dataplane
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/deploy"
@@ -19,46 +12,6 @@ import (
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
 )
-
-// ringDepth is the SPSC ring capacity (a power of two). Shallow rings
-// keep the pool working set small; deep enough to ride out stage-time
-// jitter.
-const ringDepth = 8
-
-// spscRing is a bounded single-producer/single-consumer queue of
-// batches. A nil batch is the end-of-stream sentinel. Only the
-// producer moves tail and only the consumer moves head, so a Load on
-// the opposite index plus a release-store on one's own is the entire
-// protocol.
-type spscRing struct {
-	buf  []*Batch
-	head atomic.Uint64 // next to pop (consumer-owned)
-	tail atomic.Uint64 // next to push (producer-owned)
-}
-
-func newSPSCRing() *spscRing { return &spscRing{buf: make([]*Batch, ringDepth)} }
-
-// push blocks (spinning with yields) until a slot frees.
-func (r *spscRing) push(b *Batch) {
-	t := r.tail.Load()
-	for t-r.head.Load() == uint64(len(r.buf)) {
-		runtime.Gosched()
-	}
-	r.buf[t%uint64(len(r.buf))] = b
-	r.tail.Store(t + 1)
-}
-
-// pop blocks (spinning with yields) until an item arrives.
-func (r *spscRing) pop() *Batch {
-	h := r.head.Load()
-	for r.tail.Load() == h {
-		runtime.Gosched()
-	}
-	b := r.buf[h%uint64(len(r.buf))]
-	r.buf[h%uint64(len(r.buf))] = nil
-	r.head.Store(h + 1)
-	return b
-}
 
 // ReplayStats aggregates one replay run.
 type ReplayStats struct {
@@ -73,93 +26,28 @@ type ReplayStats struct {
 	CoordBytes int64
 	// PairBytes is CoordBytes broken down per communicating pair.
 	PairBytes map[placement.RouteKey]int64
-	// Pipelined reports whether the per-switch worker pipeline ran
-	// (false: sequential in the calling goroutine).
-	Pipelined bool
 }
 
 // Replay pushes every batch through the pipeline and recycles it.
-// workers <= 1 runs sequentially in the caller; workers > 1 runs the
-// per-switch pipeline (parallelism is one worker per deployed switch —
-// the stage count, not workers, bounds it). Batches must come from
-// this pipeline's pool and are consumed (returned to the pool).
+// Batches must come from this pipeline's pool and are consumed
+// (returned to the pool). workers is accepted and ignored; it stays
+// until benchmark/ stops passing it (ROADMAP item 2(ii)).
 func (p *Pipeline) Replay(batches []*Batch, workers int) (*ReplayStats, error) {
 	stats := &ReplayStats{PairBytes: map[placement.RouteKey]int64{}}
 	start := time.Now()
 	var firstErr error
-
-	if workers <= 1 || len(p.sws) <= 1 {
-		for _, b := range batches {
-			if firstErr == nil {
-				if err := p.Run(b); err != nil {
-					firstErr = err
-				}
-			}
-			stats.account(b)
-			if p.Collect != nil {
-				p.Collect(b)
-			}
-			p.PutBatch(b)
+	for _, b := range batches {
+		if firstErr == nil {
+			firstErr = p.Run(b)
 		}
-	} else {
-		stats.Pipelined = true
-		// rings[k] feeds stage k; the last ring feeds the sink.
-		rings := make([]*spscRing, len(p.sws)+1)
-		for i := range rings {
-			rings[i] = newSPSCRing()
+		stats.Batches++
+		if b.err == nil {
+			stats.Packets += b.n
 		}
-		var wg sync.WaitGroup
-		for k := range p.sws {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				cs := p.sws[k]
-				for {
-					b := rings[k].pop()
-					if b == nil {
-						rings[k+1].push(nil)
-						return
-					}
-					if b.err == nil {
-						if err := p.runSwitch(cs, b); err != nil {
-							b.err = err // poison; downstream stages skip it
-						}
-					}
-					rings[k+1].push(b)
-				}
-			}(k)
-		}
-		var sinkWG sync.WaitGroup
-		sinkWG.Add(1)
-		go func() {
-			defer sinkWG.Done()
-			last := rings[len(p.sws)]
-			for {
-				b := last.pop()
-				if b == nil {
-					return
-				}
-				if b.err != nil && firstErr == nil {
-					firstErr = b.err
-				}
-				stats.account(b)
-				if p.Collect != nil {
-					p.Collect(b)
-				}
-				p.PutBatch(b)
-			}
-		}()
-		for _, b := range batches {
-			rings[0].push(b)
-		}
-		rings[0].push(nil)
-		wg.Wait()
-		sinkWG.Wait()
+		p.PutBatch(b)
 	}
-
 	stats.Elapsed = time.Since(start)
-	hop := p.HopBytesPerPacket()
-	for key, bytes := range hop {
+	for key, bytes := range p.HopBytesPerPacket() {
 		pb := int64(bytes) * int64(stats.Packets)
 		stats.PairBytes[key] = pb
 		stats.CoordBytes += pb
@@ -168,14 +56,6 @@ func (p *Pipeline) Replay(batches []*Batch, workers int) (*ReplayStats, error) {
 		stats.PacketsPerSec = float64(stats.Packets) / s
 	}
 	return stats, firstErr
-}
-
-// account tallies a finished batch.
-func (s *ReplayStats) account(b *Batch) {
-	s.Batches++
-	if b.err == nil {
-		s.Packets += b.n
-	}
 }
 
 // TrafficResult is ReplayTraffic's outcome: the raw replay throughput

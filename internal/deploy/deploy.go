@@ -196,19 +196,30 @@ func Redeploy(d *Deployment, solver placement.Solver, opts placement.ReplanOptio
 	if err := next.Verify(); err != nil {
 		return nil, rep, fmt.Errorf("deploy: redeploy: %w", err)
 	}
-	if opts.Equiv && EquivHook != nil {
-		if err := EquivHook(next); err != nil {
+	if opts.Equiv {
+		if err := ProveEquivalent(next); err != nil {
 			return nil, rep, fmt.Errorf("deploy: redeploy: %w", err)
 		}
 	}
 	return next, rep, nil
 }
 
-// EquivHook is the symbolic equivalence gate Redeploy invokes on the
-// recompiled deployment when ReplanOptions.Equiv is set. The
-// internal/equiv package registers its checker here; the variable
+// EquivHook is the symbolic equivalence gate behind ProveEquivalent.
+// The internal/equiv package registers its checker here; the variable
 // indirection avoids an import cycle (equiv depends on deploy).
 var EquivHook func(*Deployment) error
+
+// ProveEquivalent runs the linked equivalence checker over d: the one
+// gate Redeploy, the rollout engine and the supervisor call when their
+// Equiv option is set. A requested proof is never skipped — a binary
+// that links no checker (nothing imports internal/equiv) gets an
+// error, not an unproven deployment.
+func ProveEquivalent(d *Deployment) error {
+	if EquivHook == nil {
+		return fmt.Errorf("Equiv requested but no equivalence checker is linked")
+	}
+	return EquivHook(d)
+}
 
 // Verify cross-checks the compiled deployment against the plan:
 // every assigned MAT appears in exactly the stages the plan dictates,

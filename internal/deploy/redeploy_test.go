@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -65,5 +66,13 @@ func TestRedeployAroundDrain(t *testing.T) {
 	}
 	if rep.MovedMATs == 0 {
 		t.Error("draining an occupied switch must move MATs")
+	}
+
+	// A requested proof is never skipped: this test binary links no
+	// equivalence checker, so Equiv must fail, not adopt unproven.
+	gated := placement.ReplanOptions{Options: placement.Options{Equiv: true}}
+	if next, _, err := Redeploy(dep, nil, gated, analyzer.Options{}, drained); next != nil || err == nil ||
+		!strings.Contains(err.Error(), "no equivalence checker is linked") {
+		t.Errorf("Redeploy with Equiv and no checker linked = %v, %v; want the unlinked-checker error", next, err)
 	}
 }

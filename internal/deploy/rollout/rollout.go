@@ -53,8 +53,8 @@ type Options struct {
 	// Ignored on resume (the journal fixes both epochs).
 	FromEpoch uint64
 	// Equiv additionally gates the new deployment through
-	// deploy.EquivHook (the symbolic equivalence checker) before any
-	// op is issued.
+	// deploy.ProveEquivalent (the symbolic equivalence checker) before
+	// any op is issued.
 	Equiv bool
 	// ResourceModel for the pre-flight plan validation; nil means
 	// program.DefaultResourceModel.
@@ -334,10 +334,7 @@ func (r *Rollout) gate() error {
 		}
 	}
 	if r.opts.Equiv {
-		if deploy.EquivHook == nil {
-			return fmt.Errorf("rollout: Equiv requested but no equivalence checker is linked")
-		}
-		if err := deploy.EquivHook(r.next); err != nil {
+		if err := deploy.ProveEquivalent(r.next); err != nil {
 			return fmt.Errorf("rollout: equivalence gate: %w", err)
 		}
 	}

@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -17,48 +18,38 @@ import (
 const maxCandidates = 64
 
 // Diverges replays pkt through the distributed deployment and the
-// single-box reference for graph ref and reports whether the runs
-// disagree (a coordination fault, an engine construction failure, or
-// differing final write sets).
+// single-box reference for graph ref, both from cold registers, and
+// reports whether the runs disagree (a coordination fault, a pipeline
+// construction failure, or differing final write sets).
 func Diverges(ref *tdg.Graph, dep *deploy.Deployment, pkt *dataplane.Packet) bool {
-	refEng, err := dataplane.NewReferenceEngine(ref)
-	if err != nil {
-		return false // the reference itself is unrunnable: not a plan defect
+	d, err := dataplane.NewDifferential(ref, dep, 1)
+	if err == nil {
+		_, err = d.Run([]*dataplane.Packet{pkt})
 	}
-	rres, err := refEng.Process(pkt.Clone())
-	if err != nil {
-		return false
-	}
-	eng, err := dataplane.NewEngine(dep)
-	if err != nil {
-		return true
-	}
-	dres, err := eng.Process(pkt.Clone())
-	if err != nil {
-		return true
-	}
-	for k, rv := range rres.Writes {
-		if dv, ok := dres.Writes[k]; !ok || dv != rv {
-			return true
-		}
-	}
-	for k := range dres.Writes {
-		if _, ok := rres.Writes[k]; !ok {
-			return true
-		}
-	}
-	return false
+	return isPlanDefect(err)
+}
+
+// isPlanDefect reports whether a replay failure counts against the
+// deployment: an unrunnable reference is not a plan defect.
+func isPlanDefect(err error) bool {
+	return err != nil && !errors.Is(err, dataplane.ErrReference)
 }
 
 // Counterexample searches the symbolic candidate set for a concrete
 // packet whose replay diverges between dep and the reference graph.
-// The bool reports whether one was confirmed.
+// The bool reports whether one was confirmed. Both engines are built
+// once per search and every candidate is judged from cold registers.
 func (c *Checker) Counterexample(dep *deploy.Deployment) (*dataplane.Packet, bool) {
 	if dep == nil {
 		return nil, false
 	}
+	d, err := dataplane.NewDifferential(c.ov.g, dep, 1)
 	for _, pkt := range c.candidatePackets() {
-		if Diverges(c.ov.g, dep, pkt) {
+		if d != nil { // else the construction failure is every candidate's verdict
+			d.Reset()
+			_, err = d.Run([]*dataplane.Packet{pkt})
+		}
+		if isPlanDefect(err) {
 			return pkt, true
 		}
 	}

@@ -40,8 +40,9 @@ type Options struct {
 	MinPrograms int
 	// Equiv gates every deployment the supervisor adopts — the initial
 	// build, incremental redeploys, and degraded rebuilds — through the
-	// symbolic equivalence checker (deploy.EquivHook, registered by
-	// internal/equiv). A repair that is resource-feasible but not
+	// symbolic equivalence checker (deploy.ProveEquivalent; a binary
+	// that does not link internal/equiv gets an error, never an unproven
+	// deployment). A repair that is resource-feasible but not
 	// provably equivalent is treated like any other infeasibility: the
 	// supervisor degrades instead of adopting it.
 	Equiv bool
@@ -491,8 +492,8 @@ func (s *Supervisor) rebuild(res *PollResult) error {
 	if err := dep.Verify(); err != nil {
 		return err
 	}
-	if s.opts.Equiv && deploy.EquivHook != nil {
-		if err := deploy.EquivHook(dep); err != nil {
+	if s.opts.Equiv {
+		if err := deploy.ProveEquivalent(dep); err != nil {
 			return err
 		}
 	}

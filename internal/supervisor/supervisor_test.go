@@ -2,9 +2,11 @@ package supervisor
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/deploy/rollout"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
@@ -121,6 +123,19 @@ func TestSupervisorReplansOnConfirmedFailure(t *testing.T) {
 	st := sup.Stats()
 	if st.Replans != 1 || st.IncrementalReplans != 1 {
 		t.Errorf("stats = %+v, want exactly one incremental replan", st)
+	}
+}
+
+// TestEquivWithoutCheckerFails: a supervisor asked to prove every
+// deployment it adopts must not adopt one unproven because the binary
+// links no checker.
+func TestEquivWithoutCheckerFails(t *testing.T) {
+	hook := deploy.EquivHook
+	deploy.EquivHook = nil
+	t.Cleanup(func() { deploy.EquivHook = hook })
+	_, err := New(workload.RealPrograms(), ringTopo(t, 4, 1.0), Options{Monitor: immediate(), Equiv: true})
+	if err == nil || !strings.Contains(err.Error(), "no equivalence checker is linked") {
+		t.Fatalf("New with Equiv and no checker linked = %v; want the unlinked-checker error", err)
 	}
 }
 
