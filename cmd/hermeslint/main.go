@@ -40,6 +40,12 @@
 //	       journaling, and rollback; adopt plans through
 //	       rollout.New(...).Execute() (or the supervisor,
 //	       which does) instead                               error
+//	HV009  a func init() that assigns to a selector of an
+//	       imported package (pkg.Hook = ...): an init-time
+//	       hook seam makes another package behave differently
+//	       depending on which packages the binary links; call
+//	       the code directly. Only the four registrations
+//	       ROADMAP 7(c) retires are allowed                  error
 //
 // It is deliberately x/tools-free: the analysis is a plain go/parser +
 // go/ast walk so it builds in hermetic environments with no module
@@ -154,7 +160,67 @@ func lintGoSource(path, src string) ([]vetFinding, error) {
 	})
 	out = append(out, lintHotLoops(fset, file)...)
 	out = append(out, lintRebind(fset, file, path)...)
+	out = append(out, lintInitHooks(fset, file)...)
 	return out, nil
+}
+
+// initHookAllowlist names the init-time registrations that remain until
+// ROADMAP 7(c) retires them.
+var initHookAllowlist = map[string]bool{
+	"analyzer.GraphLintHook":  true,
+	"placement.PlanLintHook":  true,
+	"placement.PlanEquivHook": true,
+	"deploy.EquivHook":        true,
+}
+
+// lintInitHooks applies HV009: an assignment inside a top-level init()
+// whose target is pkg.Name, pkg being one of the file's imports, arms
+// a hook seam in that package. Import names are the explicit alias or
+// the path's last element.
+func lintInitHooks(fset *token.FileSet, file *ast.File) []vetFinding {
+	imported := map[string]bool{}
+	for _, spec := range file.Imports {
+		path := strings.Trim(spec.Path.Value, `"`)
+		name := path[strings.LastIndex(path, "/")+1:]
+		if spec.Name != nil {
+			name = spec.Name.Name
+		}
+		imported[name] = true
+	}
+	var out []vetFinding
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Recv != nil || fn.Name.Name != "init" || fn.Body == nil {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok {
+				return true
+			}
+			for _, lhs := range as.Lhs {
+				sel, ok := lhs.(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				pkg, ok := sel.X.(*ast.Ident)
+				if !ok || !imported[pkg.Name] {
+					continue
+				}
+				target := renderExpr(sel)
+				if initHookAllowlist[target] {
+					continue
+				}
+				out = append(out, vetFinding{
+					pos: fset.Position(lhs.Pos()), rule: "HV009", sev: "error",
+					msg: fmt.Sprintf("init() assigns %s: an init-time hook seam changes package %s's behaviour with the importing binary's link set; call the code directly instead",
+						target, pkg.Name),
+				})
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // lintRebind applies HV008: any method call named Rebind in a file

@@ -554,6 +554,63 @@ func flip(c *ctl) error { return c.Rebind(nil) }
 	}
 }
 
+func TestInitHookSeamFlagged(t *testing.T) {
+	// Both spellings of the import name are caught: the path's last
+	// element and an explicit alias.
+	src := `package shard
+import (
+	"github.com/hermes-net/hermes/internal/placement"
+	dp "github.com/hermes-net/hermes/internal/deploy"
+)
+func init() {
+	placement.RegionExchangeHook = nil
+	dp.Hook, _ = nil, 0
+}
+`
+	fs, err := lintGoSource("internal/placement/shard/hook.go", src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if got := rulesOf(fs); len(got) != 2 || got[0] != "HV009" || got[1] != "HV009" {
+		t.Fatalf("want [HV009 HV009], got %v", fs)
+	}
+	if fs[0].sev != "error" || !strings.Contains(fs[0].msg, "placement.RegionExchangeHook") ||
+		!strings.Contains(fs[1].msg, "dp.Hook") {
+		t.Fatalf("findings must be errors naming the assigned selector: %v", fs)
+	}
+}
+
+func TestInitHookAllowlistAndLocalState(t *testing.T) {
+	// The four registrations ROADMAP 7(c) retires stay legal, as do an
+	// init that sets its own package's state, a pkg.X assignment outside
+	// init, and a method that happens to be called init.
+	src := `package lint
+import (
+	"github.com/hermes-net/hermes/internal/analyzer"
+	"github.com/hermes-net/hermes/internal/deploy"
+	"github.com/hermes-net/hermes/internal/placement"
+)
+var local struct{ Hook func() }
+func init() {
+	analyzer.GraphLintHook = nil
+	placement.PlanLintHook = nil
+	placement.PlanEquivHook = nil
+	deploy.EquivHook = nil
+	local.Hook = nil
+}
+func Register() { placement.RegionExchangeHook = nil }
+type t struct{}
+func (t) init() { placement.RegionExchangeHook = nil }
+`
+	fs, err := lintGoSource("internal/lint/plan.go", src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if len(fs) != 0 {
+		t.Fatalf("want no findings, got %v", fs)
+	}
+}
+
 // The repository itself must stay free of error-severity findings:
 // `make check` gates on the binary's exit status, and this test keeps
 // the guarantee visible from `go test ./...` alone.

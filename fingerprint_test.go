@@ -11,7 +11,6 @@ import (
 	hermes "github.com/hermes-net/hermes"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
-	"github.com/hermes-net/hermes/internal/placement/shard"
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
@@ -241,7 +240,7 @@ func TestShardedPlanFingerprints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := shard.ShardedGreedy{Partition: part}
+	solver := placement.ShardedGreedy{Partition: part}
 	solve := func(workers int) *placement.Plan {
 		plan, err := solver.Solve(merged, topo, placement.Options{Shards: 4, Workers: workers})
 		if err != nil {
@@ -266,9 +265,41 @@ func TestShardedPlanFingerprints(t *testing.T) {
 	if !report.UsedRegional {
 		t.Fatal("drain under a standing partition did not take the regional repair")
 	}
+
+	// The same drain with the quality gate below the repair's own A_max:
+	// the merged regional plan fails it, so the overlapping-region
+	// exchange runs before the gate decides between repair and fallback.
+	ropts.QualityRatio = 0.9
+	escalated, escReport, err := placement.ReplanWithOptions(cold, solver, ropts, drain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if escReport.Phases.Exchange == 0 {
+		t.Fatal("a repair past its quality gate did not run the exchange")
+	}
+
+	// ε bounds at the unconstrained plan's own t_e2e and Q_occ, and the
+	// k = 1 fallback on the same inputs.
+	eps := placement.Options{Shards: 4, Epsilon1: cold.TE2E(), Epsilon2: cold.QOcc()}
+	epsRow := "error: "
+	if p, err := solver.Solve(merged, topo, eps); err != nil {
+		epsRow += err.Error()
+	} else {
+		epsRow = planFingerprint(p)
+	}
+	fallback, err := solver.Solve(merged, topo, placement.Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	checkGolden(t, map[string]string{
 		"shard composite10 k=4": fp,
 		"regional replan composite10": fmt.Sprintf("drain=%d repair=%v regions=%v moved=%d %s",
 			drain, report.UsedRepair, report.RegionsTouched, report.MovedMATs, planFingerprint(repaired)),
+		"regional replan escalation composite10": fmt.Sprintf("drain=%d repair=%v rounds=%d moves=%d fallback=%q %s",
+			drain, escReport.UsedRepair, escReport.ExchangeRounds, escReport.ExchangeMoves,
+			escReport.FallbackReason, planFingerprint(escalated)),
+		"shard composite10 k=4 eps":  epsRow,
+		"shard composite10 fallback": planFingerprint(fallback),
 	})
 }

@@ -40,7 +40,6 @@ import (
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/p4lite"
 	"github.com/hermes-net/hermes/internal/placement"
-	"github.com/hermes-net/hermes/internal/placement/shard"
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/supervisor"
 	"github.com/hermes-net/hermes/internal/tdg"
@@ -216,11 +215,11 @@ var (
 // regions, solves them concurrently, and reconciles region boundaries
 // with bounded exchange rounds. On small instances (or Shards <= 1) it
 // falls back to whole-graph Greedy.
-type ShardedSolver = shard.ShardedGreedy
+type ShardedSolver = placement.ShardedGreedy
 
 // ShardStats is the sharded solver's run telemetry (region count,
 // exchange rounds, accepted migrations, A_max before/after).
-type ShardStats = shard.Stats
+type ShardStats = placement.ShardStats
 
 // TopologyPartition is a disjoint cover of a topology's switches by
 // connected regions: the sharded solver's decomposition and the
@@ -301,11 +300,6 @@ type DeployOptions struct {
 	// through SolveOptions.Shards and honor it if they have a sharded
 	// mode. Zero means whole-graph solving.
 	Shards int
-	// Overlap sets how many region cuts a sharded boundary-exchange
-	// migration may cross per round (DESIGN.md §14): ≤1 keeps the
-	// classic pair-local exchange; 2 admits the 2-hop overlapping
-	// region neighborhoods. Ignored unless sharded placement runs.
-	Overlap int
 	// Partition, when non-nil, hands sharded placement a precomputed
 	// region partition (over this topology, with Shards regions)
 	// instead of re-partitioning — operators that replan against a
@@ -383,7 +377,7 @@ func Deploy(progs []*Program, topo *Topology, opts DeployOptions) (*Result, erro
 	solver := opts.Solver
 	if solver == nil {
 		if opts.Shards > 1 {
-			solver = shard.ShardedGreedy{Overlap: opts.Overlap, Partition: opts.Partition}
+			solver = placement.ShardedGreedy{Partition: opts.Partition}
 		} else {
 			solver = GreedySolver
 		}

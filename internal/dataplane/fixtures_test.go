@@ -13,7 +13,6 @@ import (
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
-	"github.com/hermes-net/hermes/internal/placement/shard"
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
 	"github.com/hermes-net/hermes/internal/workload"
@@ -81,7 +80,7 @@ func composite10Deployment(t testing.TB) *deploy.Deployment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return solveAndCompile(t, progs, topo, shard.ShardedGreedy{Partition: part}, placement.Options{Shards: 4})
+	return solveAndCompile(t, progs, topo, placement.ShardedGreedy{Partition: part}, placement.Options{Shards: 4})
 }
 
 // wan30Deployment is the paper's evaluation point (the benchmark's

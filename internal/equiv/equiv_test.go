@@ -18,7 +18,6 @@ import (
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/p4lite"
 	"github.com/hermes-net/hermes/internal/placement"
-	"github.com/hermes-net/hermes/internal/placement/shard"
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
 	"github.com/hermes-net/hermes/internal/workload"
@@ -679,7 +678,7 @@ func TestShardedPlanProvesEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := (shard.ShardedGreedy{}).Solve(g, topo, placement.Options{
+	plan, err := (placement.ShardedGreedy{}).Solve(g, topo, placement.Options{
 		Shards: 3, Deadline: time.Now().Add(5 * time.Second),
 	})
 	if err != nil {

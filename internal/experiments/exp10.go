@@ -8,7 +8,6 @@ import (
 	"github.com/hermes-net/hermes/internal/equiv"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
-	"github.com/hermes-net/hermes/internal/placement/shard"
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
@@ -116,7 +115,7 @@ func exp10Point(cfg Config, c exp10Case) (ShardPoint, error) {
 		MATs:         merged.NumNodes(),
 		Shards:       c.shards,
 	}
-	opts := placement.Options{Workers: cfg.Workers}
+	opts := placement.Options{Workers: cfg.Workers, Shards: c.shards}
 
 	// Comparison rows time the best of seven runs (Exp#11's count): both
 	// solvers are deterministic (same plan every run), and the minimum is
@@ -128,9 +127,9 @@ func exp10Point(cfg Config, c exp10Case) (ShardPoint, error) {
 	if c.runWhole {
 		reps = 7
 	}
-	solver := shard.ShardedGreedy{Shards: c.shards, Seed: cfg.Seed}
+	solver := placement.ShardedGreedy{Seed: cfg.Seed}
 	var plan *placement.Plan
-	var st shard.Stats
+	var st placement.ShardStats
 	for i := 0; i < reps; i++ {
 		start := time.Now()
 		p, s, err := solver.SolveStats(merged, topo, opts)

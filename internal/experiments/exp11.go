@@ -8,7 +8,6 @@ import (
 	"github.com/hermes-net/hermes/internal/equiv"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
-	"github.com/hermes-net/hermes/internal/placement/shard"
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
@@ -128,8 +127,8 @@ func exp11Point(cfg Config, c exp11Case) (RegionReplanPoint, error) {
 	// The solver reuses the standing partition, keeping solve-time and
 	// replan-time regions aligned — the operator setup DESIGN.md §14
 	// describes.
-	solver := shard.ShardedGreedy{Shards: c.shards, Seed: cfg.Seed, Partition: part}
-	opts := placement.Options{Workers: cfg.Workers}
+	solver := placement.ShardedGreedy{Seed: cfg.Seed, Partition: part}
+	opts := placement.Options{Workers: cfg.Workers, Shards: c.shards}
 	base, err := solver.Solve(merged, topo, opts)
 	if err != nil {
 		return RegionReplanPoint{}, fmt.Errorf("base solve: %w", err)

@@ -6,7 +6,6 @@ import (
 	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
-	"github.com/hermes-net/hermes/internal/placement/shard"
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
@@ -32,8 +31,8 @@ func BenchmarkExp11Regional(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	solver := shard.ShardedGreedy{Shards: 8, Seed: cfg.Seed, Partition: part}
-	opts := placement.Options{Workers: cfg.Workers}
+	solver := placement.ShardedGreedy{Seed: cfg.Seed, Partition: part}
+	opts := placement.Options{Workers: cfg.Workers, Shards: 8}
 	base, err := solver.Solve(merged, topo, opts)
 	if err != nil {
 		b.Fatal(err)

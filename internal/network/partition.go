@@ -1,6 +1,6 @@
 // Topology partitioner: deterministic, seeded decomposition of a
 // switch graph into connected regions balanced by programmable stage
-// capacity. The region-sharded solver (internal/placement/shard) uses
+// capacity. The region-sharded solver (placement.ShardedGreedy) uses
 // one region per shard, solves each on its Subgraph, and reconciles
 // the boundary; everything here is therefore deterministic in (topo,
 // options) so a partition can be recomputed, diffed, or shipped as

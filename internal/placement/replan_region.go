@@ -16,8 +16,8 @@
 //     MATs retries once with the 2-hop widened candidate set (its
 //     partition neighbors), letting a MAT cross more than one cut; a
 //     merged plan that would fail the quality gate runs a bounded
-//     overlapping-region boundary exchange (RegionExchangeHook,
-//     registered by internal/placement/shard) before being re-gated.
+//     overlapping-region boundary exchange (exchange.go) before being
+//     re-gated.
 //
 // Only then does ReplanAuto fall back to the caller's solver — a
 // sharded cold re-solve when the caller passes ShardedGreedy. Regions
@@ -37,31 +37,6 @@ import (
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
 )
-
-// RegionExchangeStats summarizes one overlapping-region boundary
-// exchange run (the escalation the regional repair invokes through
-// RegionExchangeHook).
-type RegionExchangeStats struct {
-	// Hosts is the compacted host-space size the exchange ran in.
-	Hosts int
-	// Rounds and Moves count executed rounds and accepted migrations.
-	Rounds, Moves int
-	// AMaxBefore and AMaxAfter bracket the exchange (Eq. 1 bytes).
-	AMaxBefore, AMaxAfter int
-}
-
-// RegionExchangeHook, when registered, runs the bounded
-// overlapping-region boundary exchange over a merged assignment,
-// mutating it in place: MATs migrate across region cuts — up to
-// `overlap` cuts per round via the region-neighborhood target sets —
-// while the global (A_max, cross-bytes) objective strictly improves.
-// internal/placement/shard registers the implementation from its
-// init, mirroring PlanLintHook/PlanEquivHook (the variable indirection
-// avoids the shard→placement import cycle). With no hook registered
-// the regional repair skips the escalation and goes straight to the
-// gate.
-var RegionExchangeHook func(g *tdg.Graph, topo *network.Topology, part *network.Partition,
-	assign map[string]network.SwitchID, opts Options, rounds, overlap int) (RegionExchangeStats, error)
 
 // Escalation budget: the exchange runs few rounds (it only has to
 // shave the quality overshoot, not reconcile a cold merge) with the
@@ -219,10 +194,11 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 	// migrates only already-placed MATs under the same
 	// capacity/acyclicity checks); a plan still past the gate after the
 	// exchange falls back to the full solve via finishRepair.
-	if ratio := ropts.qualityRatio(); part != nil && ratio > 0 && RegionExchangeHook != nil {
+	if ratio := ropts.qualityRatio(); part != nil && ratio > 0 {
 		if oldA := old.AMax(); oldA > 0 && float64(plan.AMax()) > ratio*float64(oldA) {
 			exStart := time.Now()
-			st, exErr := RegionExchangeHook(g, topo, part, assign, ropts.Options, escalationRounds, escalationOverlap)
+			var st ShardStats
+			exErr := exchangeAssign(g, topo, part, assign, ropts.Options, rm, escalationRounds, escalationOverlap, &st)
 			rep.Phases.Exchange = time.Since(exStart)
 			if exErr == nil && st.Moves > 0 {
 				rep.ExchangeRounds, rep.ExchangeMoves = st.Rounds, st.Moves
@@ -369,33 +345,12 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	}
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
 
-	// Links-free pseudo-topology over the instance hosts (the
-	// buildHostState pattern): the compiled tables are U²-sized, U =
-	// |candidates| + |halo|, independent of the global S. Instance switch
-	// indices ascend with the real IDs, so index order is ID order.
-	topoR := network.NewTopology(topo.Name + "/replan-region")
-	hostIdx := make(map[network.SwitchID]int32, len(hosts))
-	sws := make([]*network.Switch, len(hosts))
-	cands := make([]int32, 0, len(hosts))
-	for i, gid := range hosts {
-		sw, err := topo.Switch(gid)
-		if err != nil {
-			return nil, err
-		}
-		topoR.AddSwitch(*sw) // ID rewritten to the dense local index
-		hostIdx[gid] = int32(i)
-		sws[i] = sw
-		if candSet[gid] {
-			cands = append(cands, int32(i))
-		}
-	}
-
 	// Instance MATs: every MAT resident on an instance host (their pair
 	// bytes are the background the scores sit on), plus this instance's
 	// displaced MATs (unassigned, to be placed).
 	names := make([]string, 0, len(dirtyNames))
 	for name, u := range baseAssign {
-		if _, ok := hostIdx[u]; ok {
+		if candSet[u] || haloSet[u] {
 			names = append(names, name)
 		}
 	}
@@ -405,12 +360,15 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 		}
 	}
 	sort.Strings(names)
-	// Compile the instance straight out of g (no intermediate
-	// tdg.Subgraph: its string-keyed node/edge maps and uncached topo
-	// sort would cost more than the repair itself).
-	ci, err := compileSubset(g, names, topoR, rm)
+	ci, hostIdx, sws, err := hostInstance(g, topo, hosts, names, rm)
 	if err != nil {
 		return nil, err
+	}
+	cands := make([]int32, 0, len(hosts))
+	for i, gid := range hosts {
+		if candSet[gid] {
+			cands = append(cands, int32(i))
+		}
 	}
 	if ropts.Epsilon1 > 0 {
 		// The ε1 probe reads host-pair latencies off the real topology's
@@ -463,6 +421,34 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 		out[ci.Names[x]] = sws[dense[x]].ID
 	}
 	return out, nil
+}
+
+// hostInstance compiles names against a links-free pseudo-topology
+// holding copies of hosts (ascending), the instance both the repair and
+// the boundary exchange run on: the compiled tables are U²-sized,
+// U = len(hosts), independent of the global S, and local index i is
+// hosts[i] (sws[i] is the real switch behind it). The instance is
+// carved straight out of g (no intermediate tdg.Subgraph: its
+// string-keyed maps and uncached topo sort would cost more than the
+// repair itself) and is not memoized, so g's whole-topology instance
+// stays in its memo.
+func hostInstance(g *tdg.Graph, topo *network.Topology, hosts []network.SwitchID, names []string,
+	rm program.ResourceModel) (*CompiledInstance, map[network.SwitchID]int32, []*network.Switch, error) {
+
+	topoH := network.NewTopology(topo.Name + "/hosts")
+	hostIdx := make(map[network.SwitchID]int32, len(hosts))
+	sws := make([]*network.Switch, len(hosts))
+	for i, gid := range hosts {
+		sw, err := topo.Switch(gid)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		topoH.AddSwitch(*sw) // ID rewritten to the dense local index
+		hostIdx[gid] = int32(i)
+		sws[i] = sw
+	}
+	ci, err := compileSubset(g, names, topoH, rm)
+	return ci, hostIdx, sws, err
 }
 
 // hostLatencies is the instance-sized twin of Topology.LatencyTable:

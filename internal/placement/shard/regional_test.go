@@ -34,8 +34,9 @@ func TestRegionalReplanDifferential(t *testing.T) {
 		g := sharedTestInstance(t, topo, 12, 2000+int64(wan))
 		for _, k := range []int{2, 3, 4} {
 			t.Run(fmt.Sprintf("%s/k=%d", topo.Name, k), func(t *testing.T) {
-				s := ShardedGreedy{Shards: k, Seed: 42}
-				base, err := s.Solve(g, topo, placement.Options{})
+				s := ShardedGreedy{Seed: 42}
+				opts := placement.Options{Shards: k}
+				base, err := s.Solve(g, topo, opts)
 				if err != nil {
 					t.Fatalf("base solve: %v", err)
 				}
@@ -55,7 +56,7 @@ func TestRegionalReplanDifferential(t *testing.T) {
 				// exchange and then to the gated cold re-solve, which is
 				// exactly the contract under test.
 				regional, rep, err := placement.ReplanWithOptions(base, s,
-					placement.ReplanOptions{Partition: part, QualityRatio: regionalQualityRatio}, drain)
+					placement.ReplanOptions{Options: opts, Partition: part, QualityRatio: regionalQualityRatio}, drain)
 				if err != nil {
 					t.Fatalf("regional replan: %v", err)
 				}
@@ -63,7 +64,7 @@ func TestRegionalReplanDifferential(t *testing.T) {
 					t.Fatalf("regional plan invalid: %v", err)
 				}
 				cold, _, err := placement.ReplanWithOptions(base, s,
-					placement.ReplanOptions{Mode: placement.ReplanFull}, drain)
+					placement.ReplanOptions{Options: opts, Mode: placement.ReplanFull}, drain)
 				if err != nil {
 					t.Fatalf("cold replan: %v", err)
 				}
@@ -108,80 +109,5 @@ func TestRegionalReplanDifferential(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestAllowedRegions pins the overlapping-neighborhood mask on a
-// 0–1–2–3 region chain.
-func TestAllowedRegions(t *testing.T) {
-	nbr := [][]int32{{1}, {0, 2}, {1, 3}, {2}}
-	cases := []struct {
-		overlap int
-		want    []bool
-	}{
-		{1, []bool{true, true, false, false}},
-		{2, []bool{true, true, true, false}},
-		{3, []bool{true, true, true, true}},
-	}
-	for _, c := range cases {
-		got := allowedRegions([2]int32{0, 1}, nbr, c.overlap, 4)
-		for r := range c.want {
-			if got[r] != c.want[r] {
-				t.Fatalf("overlap=%d: region %d allowed=%v, want %v", c.overlap, r, got[r], c.want[r])
-			}
-		}
-	}
-}
-
-// TestExchangeOverlap: the overlapping exchange on a deliberately bad
-// merged assignment still strictly improves the objective, accepts
-// moves, and leaves a consistent assignment — same contract as the
-// classic schedule, with the wider target sets.
-func TestExchangeOverlap(t *testing.T) {
-	topo, err := network.CompositeWAN(3, network.TofinoSpec(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := sharedTestInstance(t, topo, 10, 3)
-	part, err := network.PartitionRegions(topo, 3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var anchors []network.SwitchID
-	for _, sw := range topo.Switches() {
-		if sw.Programmable {
-			anchors = append(anchors, sw.ID)
-		}
-	}
-	order, err := g.TopoSort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blockSize := (len(order) + len(anchors) - 1) / len(anchors)
-	assign := make(map[string]network.SwitchID, len(order))
-	for i, name := range order {
-		assign[name] = anchors[i/blockSize]
-	}
-	var st Stats
-	if err := exchangeAssign(g, topo, part, assign, placement.Options{Workers: 2},
-		program.DefaultResourceModel, 8, 2, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.AMaxAfter > st.AMaxBefore {
-		t.Fatalf("overlapping exchange worsened A_max: %d -> %d", st.AMaxBefore, st.AMaxAfter)
-	}
-	if st.Moves == 0 {
-		t.Fatal("overlapping exchange accepted no moves on a round-robin seed")
-	}
-	if len(assign) != len(order) {
-		t.Fatalf("exchange changed assignment size: %d vs %d", len(assign), len(order))
-	}
-}
-
-// TestRegionExchangeHookRegistered: importing this package must arm
-// the placement-side escalation hook.
-func TestRegionExchangeHookRegistered(t *testing.T) {
-	if placement.RegionExchangeHook == nil {
-		t.Fatal("RegionExchangeHook not registered by package init")
 	}
 }

@@ -1,499 +1,13 @@
-// Package shard implements region-sharded placement for large
-// topologies (ROADMAP item 2; DESIGN.md §11). Whole-graph Greedy is
-// superlinear in switches × MATs, which caps it at a few hundred
-// switches; ShardedGreedy recovers near-linear scaling by decomposing
-// the instance:
-//
-//  1. Partition the topology into k connected regions balanced by
-//     programmable stage capacity (network.PartitionRegions).
-//  2. Cut the merged TDG into k contiguous topo-order chunks sized
-//     proportionally to region capacity, choosing cut points that
-//     minimize crossing metadata bytes — contiguity makes the initial
-//     chunk→region contraction a DAG by construction.
-//  3. Solve each (chunk, region sub-topology) with the compiled Greedy
-//     concurrently under Options.Workers; each regional solve runs its
-//     local search serially (Workers=1), so the two parallelism levels
-//     never multiply and every worker count yields identical plans.
-//  4. Reconcile: bounded boundary-exchange rounds migrate MATs across
-//     region cuts when that improves the global (A_max, cross-byte)
-//     objective (exchange.go).
-//
-// The merged assignment is materialized, ε-checked, and lint-gated
-// exactly like any other solver's plan.
+// Package shard is an alias shim: the region-sharded solver lives in
+// internal/placement (ShardedGreedy, ShardStats). It exists only so the
+// parent commit's benchmark/ keeps compiling, and is deleted with
+// ROADMAP 2(ii).
 package shard
 
-import (
-	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
+import "github.com/hermes-net/hermes/internal/placement"
 
-	"github.com/hermes-net/hermes/internal/network"
-	"github.com/hermes-net/hermes/internal/placement"
-	"github.com/hermes-net/hermes/internal/program"
-	"github.com/hermes-net/hermes/internal/tdg"
-)
+// ShardedGreedy is placement.ShardedGreedy.
+type ShardedGreedy = placement.ShardedGreedy
 
-// ShardedGreedy is the region-sharded solver. The zero value delegates
-// to whole-graph Greedy (Shards ≤ 1); Options.Shards, when set,
-// overrides the struct field so the facade can wire `hermes -shards`
-// straight through.
-type ShardedGreedy struct {
-	// Shards is the region count k. ≤1 means whole-graph.
-	Shards int
-	// Seed drives the topology partitioner; zero means 1.
-	Seed int64
-	// Rounds caps the boundary-exchange rounds; zero means 8, negative
-	// disables the exchange (ablation).
-	Rounds int
-	// ImproveBudget caps each regional local-search polish. Zero means
-	// the whole-graph default (2s) divided by the shard count, floored
-	// at 100ms — so the aggregate polish budget of a sharded solve
-	// matches the whole-graph solver it replaces.
-	ImproveBudget time.Duration
-	// Overlap sets how many region cuts an exchange migration may cross
-	// per round (DESIGN.md §14). ≤1 keeps the classic pair-local
-	// targets; 2 admits the 2-hop overlapping region neighborhoods.
-	Overlap int
-	// Partition, when non-nil and built over a topology with the same
-	// switch count, is reused instead of re-partitioning — the
-	// supervisor and the regional replan path hand the solver the
-	// partition they already maintain.
-	Partition *network.Partition
-}
-
-var _ placement.Solver = (*ShardedGreedy)(nil)
-
-// Name implements Solver.
-func (ShardedGreedy) Name() string { return "Hermes-Shard" }
-
-// Stats reports what a sharded solve did; SolveStats returns it
-// alongside the plan (Exp#10 records these).
-type Stats struct {
-	// Shards is the effective region count.
-	Shards int
-	// FellBack marks solves that ran whole-graph Greedy instead (≤1
-	// shard, warm seed present, tiny TDG, or a regional failure).
-	FellBack bool
-	// BoundaryLinks counts topology links crossing region cuts.
-	BoundaryLinks int
-	// Hosts counts the switches used by the merged assignment (the
-	// exchange phase's compacted index space).
-	Hosts int
-	// Rounds and Moves count executed exchange rounds and accepted
-	// cross-boundary migrations.
-	Rounds, Moves int
-	// AMaxBefore/AMaxAfter bracket the exchange phase (Eq. 1 bytes).
-	AMaxBefore, AMaxAfter int
-	// PartitionTime/RegionTime/ExchangeTime split the solve wall clock.
-	PartitionTime, RegionTime, ExchangeTime time.Duration
-}
-
-func (s ShardedGreedy) shards(opts placement.Options) int {
-	if opts.Shards > 0 {
-		return opts.Shards
-	}
-	return s.Shards
-}
-
-func (s ShardedGreedy) seed() int64 {
-	if s.Seed != 0 {
-		return s.Seed
-	}
-	return 1
-}
-
-func (s ShardedGreedy) rounds() int {
-	if s.Rounds < 0 {
-		return 0
-	}
-	if s.Rounds == 0 {
-		return 8
-	}
-	return s.Rounds
-}
-
-func (s ShardedGreedy) overlap() int {
-	if s.Overlap > 1 {
-		return s.Overlap
-	}
-	return 1
-}
-
-func (s ShardedGreedy) regionBudget(k int) time.Duration {
-	if s.ImproveBudget > 0 {
-		return s.ImproveBudget
-	}
-	b := 2 * time.Second / time.Duration(k)
-	if b < 100*time.Millisecond {
-		b = 100 * time.Millisecond
-	}
-	return b
-}
-
-func workers(opts placement.Options) int {
-	if opts.Workers > 0 {
-		return opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Solve implements Solver.
-func (s ShardedGreedy) Solve(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
-	p, _, err := s.SolveStats(g, topo, opts)
-	return p, err
-}
-
-// SolveStats is Solve plus the sharding statistics.
-func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, Stats, error) {
-	start := time.Now()
-	st := Stats{Shards: s.shards(opts)}
-	k := st.Shards
-
-	// Whole-graph cases: no sharding requested, a warm seed (replans
-	// polish in place; re-sharding would discard the seed), or a TDG too
-	// small to cut k ways.
-	if k <= 1 || opts.Warm != nil || g.NumNodes() < 2*k {
-		return s.fallback(g, topo, opts, &st)
-	}
-
-	part := s.Partition
-	if part == nil || part.NumRegions() != k || !partitionMatches(part, topo) {
-		var err error
-		part, err = network.PartitionRegions(topo, k, s.seed())
-		if err != nil {
-			// Undersized or disconnected-for-k topologies solve whole-graph.
-			return s.fallback(g, topo, opts, &st)
-		}
-	}
-	st.PartitionTime = time.Since(start)
-	st.BoundaryLinks = len(part.BoundaryLinks())
-
-	rm := program.DefaultResourceModel
-	if opts.Resources != nil {
-		rm = *opts.Resources
-	}
-	chunks, err := chunkTDG(g, part, rm)
-	if err != nil {
-		return nil, st, err
-	}
-
-	regionStart := time.Now()
-	assign, rerr := s.solveRegions(g, topo, part, chunks, opts)
-	if rerr != nil {
-		// A region that cannot host its chunk (capacity/packing edge
-		// cases) demotes the solve to whole-graph rather than failing a
-		// deployable instance.
-		return s.fallback(g, topo, opts, &st)
-	}
-	st.RegionTime = time.Since(regionStart)
-
-	if rounds := s.rounds(); rounds > 0 {
-		exStart := time.Now()
-		if err := s.exchange(g, topo, part, assign, opts, rm, rounds, &st); err != nil {
-			return nil, st, err
-		}
-		st.ExchangeTime = time.Since(exStart)
-	}
-
-	plan, err := s.finalize(g, topo, assign, opts, rm)
-	if err != nil {
-		return nil, st, err
-	}
-	plan.SolveTime = time.Since(start)
-	return plan, st, nil
-}
-
-// partitionMatches reports whether a standing partition can be reused
-// for a solve over topo: same switch count and identical programmable
-// capacity per switch. Region solves build their sub-topologies from
-// the partition's stored topology, so a drained or re-specced clone
-// must re-partition — reusing the stale view would place MATs on
-// switches the solve topology no longer offers.
-func partitionMatches(part *network.Partition, topo *network.Topology) bool {
-	pt := part.Topology()
-	if pt.NumSwitches() != topo.NumSwitches() {
-		return false
-	}
-	for _, sw := range topo.Switches() {
-		psw, err := pt.Switch(sw.ID)
-		if err != nil {
-			return false
-		}
-		if psw.Programmable != sw.Programmable || psw.Stages != sw.Stages ||
-			psw.StageCapacity != sw.StageCapacity {
-			return false
-		}
-	}
-	return true
-}
-
-// fallback runs whole-graph Greedy with the caller's options.
-func (s ShardedGreedy) fallback(g *tdg.Graph, topo *network.Topology, opts placement.Options, st *Stats) (*placement.Plan, Stats, error) {
-	st.FellBack = true
-	p, err := placement.Greedy{}.Solve(g, topo, opts)
-	if p != nil {
-		p.SolverName = s.Name()
-	}
-	return p, *st, err
-}
-
-// chunkTDG cuts the merged TDG into k contiguous topo-order chunks,
-// one per region, sized proportionally to region programmable capacity.
-// Cut points are chosen within a balance window to minimize crossing
-// metadata bytes (the sweep uses the DAG property: every edge goes
-// forward in topo order, so crossing(p) updates in O(deg) per step).
-// Contiguity guarantees cross-chunk edges always point from a lower
-// chunk to a higher one, so the merged region-level assignment starts
-// acyclic.
-func chunkTDG(g *tdg.Graph, part *network.Partition, rm program.ResourceModel) ([][]string, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	n := len(order)
-	cum := make([]float64, n+1)    // cum[p] = requirement of order[:p]
-	crossing := make([]int64, n+1) // crossing[p] = bytes across cut at p
-	maxReq := 0.0
-	for i, name := range order {
-		node, _ := g.Node(name)
-		r := rm.Requirement(node.MAT)
-		cum[i+1] = cum[i] + r
-		if r > maxReq {
-			maxReq = r
-		}
-		var ob, ib int64
-		for _, e := range g.OutEdges(name) {
-			ob += int64(e.MetadataBytes)
-		}
-		for _, e := range g.InEdges(name) {
-			ib += int64(e.MetadataBytes)
-		}
-		crossing[i+1] = crossing[i] + ob - ib
-	}
-	totalReq := cum[n]
-
-	k := part.NumRegions()
-	caps := make([]float64, k)
-	capTotal := 0.0
-	for r := 0; r < k; r++ {
-		caps[r] = part.RegionCapacity(r)
-		capTotal += caps[r]
-	}
-	if capTotal <= 0 {
-		return nil, fmt.Errorf("shard: partition has no programmable capacity")
-	}
-
-	// window: how far a cut may drift from its capacity-proportional
-	// target in requirement units; at least one max-size MAT so a valid
-	// position always exists.
-	window := 0.10 * totalReq / float64(k)
-	if window < maxReq {
-		window = maxReq
-	}
-	cuts := make([]int, k+1)
-	cuts[k] = n
-	capPrefix := 0.0
-	prev := 0
-	for r := 0; r < k-1; r++ {
-		capPrefix += caps[r]
-		if caps[r] == 0 {
-			cuts[r+1] = prev // zero-capacity region hosts nothing
-			continue
-		}
-		target := totalReq * capPrefix / capTotal
-		lo := sort.Search(n+1, func(p int) bool { return cum[p] >= target-window })
-		hi := sort.Search(n+1, func(p int) bool { return cum[p] > target+window })
-		if lo < prev {
-			lo = prev
-		}
-		if hi > n {
-			hi = n
-		}
-		best := -1
-		for p := lo; p <= hi; p++ {
-			if best < 0 || crossing[p] < crossing[best] {
-				best = p
-			}
-		}
-		if best < 0 {
-			best = prev
-		}
-		cuts[r+1] = best
-		prev = best
-	}
-	chunks := make([][]string, k)
-	for r := 0; r < k; r++ {
-		chunks[r] = order[cuts[r]:cuts[r+1]]
-	}
-	return chunks, nil
-}
-
-// solveRegions runs one compiled Greedy per non-empty chunk on its
-// region sub-topology. Regions solve concurrently under Options.Workers
-// through the shard pool; every inner solve runs with Workers=1, so no
-// nested parallelism arises and the per-region plan is byte-identical
-// to a serial solve (the regression test asserts both). The returned
-// assignment maps every MAT to a global switch ID.
-func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *network.Partition, chunks [][]string, opts placement.Options) (map[string]network.SwitchID, error) {
-	k := part.NumRegions()
-	results := make([]map[string]network.SwitchID, k)
-	errs := make([]error, k)
-	inner := placement.Greedy{ImproveBudget: s.regionBudget(k)}
-	ropts := placement.Options{
-		Epsilon1:         opts.Epsilon1,
-		Deadline:         opts.Deadline,
-		Resources:        opts.Resources,
-		Workers:          1, // no nested parallelism under the shard pool
-		Ctx:              opts.Ctx,
-		TrafficObjective: opts.TrafficObjective,
-		AMaxSlack:        opts.AMaxSlack,
-	}
-	parallelFor(k, workers(opts), func(_, r int) {
-		if len(chunks[r]) == 0 {
-			results[r] = map[string]network.SwitchID{}
-			return
-		}
-		sub, err := g.Subgraph(chunks[r])
-		if err != nil {
-			errs[r] = err
-			return
-		}
-		topoR, members, err := part.SubTopology(r)
-		if err != nil {
-			errs[r] = err
-			return
-		}
-		iopts := ropts
-		if opts.Traffic != nil {
-			// Each region solves under the global pair rates compacted
-			// onto its member ID space (Restrict drops only demand
-			// between non-members; the member-pair rates keep their
-			// global transit contributions).
-			tm, err := opts.Traffic.Restrict(topo, members)
-			if err != nil {
-				errs[r] = fmt.Errorf("shard: region %d traffic: %w", r, err)
-				return
-			}
-			iopts.Traffic = tm
-		}
-		plan, err := inner.Solve(sub, topoR, iopts)
-		if err != nil {
-			errs[r] = fmt.Errorf("shard: region %d: %w", r, err)
-			return
-		}
-		m := make(map[string]network.SwitchID, len(plan.Assignments))
-		for name, sp := range plan.Assignments {
-			m[name] = members[sp.Switch] // local → global switch ID
-		}
-		results[r] = m
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	merged := make(map[string]network.SwitchID, g.NumNodes())
-	for _, m := range results {
-		for name, u := range m {
-			merged[name] = u
-		}
-	}
-	if len(merged) != g.NumNodes() {
-		return nil, fmt.Errorf("shard: merged assignment covers %d of %d MATs", len(merged), g.NumNodes())
-	}
-	return merged, nil
-}
-
-// finalize materializes the merged assignment, enforces the global ε
-// bounds, and applies the lint hook.
-func (s ShardedGreedy) finalize(g *tdg.Graph, topo *network.Topology, assign map[string]network.SwitchID, opts placement.Options, rm program.ResourceModel) (*placement.Plan, error) {
-	plan, err := placement.MaterializeAssignment(g, topo, assign, rm)
-	if err != nil {
-		return nil, fmt.Errorf("shard: materialize: %w", err)
-	}
-	plan.SolverName = s.Name()
-	if opts.Epsilon2 > 0 {
-		if occ := plan.QOcc(); occ > opts.Epsilon2 {
-			return nil, fmt.Errorf("shard: plan occupies %d switches, ε2=%d", occ, opts.Epsilon2)
-		}
-	}
-	if opts.Epsilon1 > 0 {
-		lat, err := planLatency(topo, assign, g)
-		if err != nil {
-			return nil, err
-		}
-		if lat > opts.Epsilon1 {
-			return nil, fmt.Errorf("shard: plan latency %v exceeds ε1=%v", lat, opts.Epsilon1)
-		}
-	}
-	if opts.Lint && placement.PlanLintHook != nil {
-		if err := placement.PlanLintHook(plan, opts); err != nil {
-			return nil, fmt.Errorf("shard: plan rejected by lint: %w", err)
-		}
-	}
-	if opts.Equiv && placement.PlanEquivHook != nil {
-		if err := placement.PlanEquivHook(plan, opts); err != nil {
-			return nil, fmt.Errorf("shard: plan rejected by equivalence check: %w", err)
-		}
-	}
-	return plan, nil
-}
-
-// planLatency sums shortest-path latency over distinct communicating
-// switch pairs (Eq. 2 on the merged assignment, global topology).
-func planLatency(topo *network.Topology, assign map[string]network.SwitchID, g *tdg.Graph) (time.Duration, error) {
-	seen := map[[2]network.SwitchID]bool{}
-	var total time.Duration
-	for _, e := range g.EdgeList() {
-		ua, ub := assign[e.From], assign[e.To]
-		if ua == ub {
-			continue
-		}
-		key := [2]network.SwitchID{ua, ub}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		p, err := topo.ShortestPath(ua, ub)
-		if err != nil {
-			return 0, fmt.Errorf("shard: %w", err)
-		}
-		total += p.Latency
-	}
-	return total, nil
-}
-
-// parallelFor runs fn(worker, i) for i in [0, n) on up to `workers`
-// goroutines with an atomic work-claim counter (the same shape as
-// placement's internal pool; duplicated here because it is unexported
-// there). worker indexes per-goroutine scratch.
-func parallelFor(n, workers int, fn func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
+// Stats is placement.ShardStats.
+type Stats = placement.ShardStats

@@ -45,8 +45,8 @@ func solveBoth(t *testing.T, g *tdg.Graph, topo *network.Topology, shards int, o
 	if err != nil {
 		t.Fatalf("whole-graph Greedy: %v", err)
 	}
-	s := ShardedGreedy{Shards: shards, Seed: 42}
-	sharded, st, err := s.SolveStats(g, topo, opts)
+	opts.Shards = shards
+	sharded, st, err := ShardedGreedy{Seed: 42}.SolveStats(g, topo, opts)
 	if err != nil {
 		t.Fatalf("ShardedGreedy (k=%d): %v", shards, err)
 	}
@@ -121,9 +121,9 @@ func TestShardedWorkersInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := sharedTestInstance(t, topo, 16, 7)
-	s := ShardedGreedy{Shards: 4, Seed: 42}
+	s := ShardedGreedy{Seed: 42}
 
-	base, _, err := s.SolveStats(g, topo, placement.Options{Workers: 1})
+	base, _, err := s.SolveStats(g, topo, placement.Options{Workers: 1, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestShardedWorkersInvariance(t *testing.T) {
 				}
 			}
 		}()
-		p, _, err := s.SolveStats(g, topo, placement.Options{Workers: w})
+		p, _, err := s.SolveStats(g, topo, placement.Options{Workers: w, Shards: 4})
 		close(done)
 		peak := <-peakCh
 		if err != nil {
@@ -181,12 +181,12 @@ func TestShardedDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := sharedTestInstance(t, topo, 10, 3)
-	s := ShardedGreedy{Shards: 3, Seed: 9}
-	a, _, err := s.SolveStats(g, topo, placement.Options{Workers: 4})
+	s := ShardedGreedy{Seed: 9}
+	a, _, err := s.SolveStats(g, topo, placement.Options{Workers: 4, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := s.SolveStats(g, topo, placement.Options{Workers: 2})
+	b, _, err := s.SolveStats(g, topo, placement.Options{Workers: 2, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +203,13 @@ func TestShardedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := sharedTestInstance(t, topo, 4, 1)
-	for _, s := range []ShardedGreedy{{Shards: 0}, {Shards: 1}, {Shards: 1000}} {
-		p, st, err := s.SolveStats(g, topo, placement.Options{})
+	for _, k := range []int{0, 1, 1000} {
+		p, st, err := (ShardedGreedy{}).SolveStats(g, topo, placement.Options{Shards: k})
 		if err != nil {
-			t.Fatalf("Shards=%d: %v", s.Shards, err)
+			t.Fatalf("Shards=%d: %v", k, err)
 		}
 		if !st.FellBack {
-			t.Fatalf("Shards=%d: expected fallback", s.Shards)
+			t.Fatalf("Shards=%d: expected fallback", k)
 		}
 		if p.SolverName != (ShardedGreedy{}).Name() {
 			t.Fatalf("fallback plan reports solver %q", p.SolverName)
@@ -220,8 +220,8 @@ func TestShardedFallback(t *testing.T) {
 	}
 }
 
-// TestShardedHonorsOptionsShards: Options.Shards overrides the struct
-// field, the facade contract the CLI relies on.
+// TestShardedHonorsOptionsShards: Options.Shards is the region count,
+// the facade contract the CLI relies on.
 func TestShardedHonorsOptionsShards(t *testing.T) {
 	topo, err := network.CompositeWAN(3, network.TofinoSpec(), 5)
 	if err != nil {
@@ -237,113 +237,6 @@ func TestShardedHonorsOptionsShards(t *testing.T) {
 	}
 }
 
-// TestExchangeImprovesSeededCut: construct a deliberately bad merged
-// assignment (round-robin across switches) and verify the exchange
-// phase strictly improves the lexicographic objective on it.
-func TestExchangeImprovesSeededCut(t *testing.T) {
-	topo, err := network.CompositeWAN(3, network.TofinoSpec(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := sharedTestInstance(t, topo, 10, 3)
-	part, err := network.PartitionRegions(topo, 3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scatter small contiguous topo-order blocks over every programmable
-	// switch: contiguity keeps the contracted switch graph acyclic (all
-	// inter-block edges point forward, and the exchange refuses moves on
-	// a cyclic seed), while the tiny block size splits most TDG edges
-	// across switches and regions — heavy cross-boundary traffic with
-	// every switch far under capacity, so migrations are feasible.
-	var anchors []network.SwitchID
-	for _, sw := range topo.Switches() {
-		if sw.Programmable {
-			anchors = append(anchors, sw.ID)
-		}
-	}
-	order, err := g.TopoSort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blockSize := (len(order) + len(anchors) - 1) / len(anchors)
-	assign := make(map[string]network.SwitchID, len(order))
-	for i, name := range order {
-		assign[name] = anchors[i/blockSize]
-	}
-	var st Stats
-	s := ShardedGreedy{Shards: 3, Seed: 9}
-	if err := s.exchange(g, topo, part, assign, placement.Options{Workers: 2}, program.DefaultResourceModel, 8, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.AMaxAfter > st.AMaxBefore {
-		t.Fatalf("exchange worsened A_max: %d -> %d", st.AMaxBefore, st.AMaxAfter)
-	}
-	if st.Moves == 0 {
-		t.Fatal("exchange accepted no moves on a round-robin seed")
-	}
-	// The mutated assignment must still be consistent: every MAT
-	// assigned, only to known switches.
-	if len(assign) != len(order) {
-		t.Fatalf("exchange changed assignment size: %d vs %d", len(assign), len(order))
-	}
-	ids := map[network.SwitchID]bool{}
-	for _, sw := range topo.Switches() {
-		ids[sw.ID] = true
-	}
-	for name, id := range assign {
-		if !ids[id] {
-			t.Fatalf("MAT %s assigned to unknown switch %d", name, id)
-		}
-	}
-}
-
-// TestChunkTDGCover: chunks exactly cover the TDG in topological order
-// with sizes tracking region capacity.
-func TestChunkTDGCover(t *testing.T) {
-	topo, err := network.CompositeWAN(4, network.TofinoSpec(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := sharedTestInstance(t, topo, 12, 5)
-	part, err := network.PartitionRegions(topo, 4, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks, err := chunkTDG(g, part, program.DefaultResourceModel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chunks) != 4 {
-		t.Fatalf("got %d chunks, want 4", len(chunks))
-	}
-	var all []string
-	for _, c := range chunks {
-		all = append(all, c...)
-	}
-	if len(all) != g.NumNodes() {
-		t.Fatalf("chunks cover %d of %d nodes", len(all), g.NumNodes())
-	}
-	seen := map[string]bool{}
-	for _, n := range all {
-		if seen[n] {
-			t.Fatalf("node %s in two chunks", n)
-		}
-		seen[n] = true
-	}
-	// Contiguity in topo order: the concatenation must equal a valid
-	// topological order (it is the order chunkTDG cut).
-	pos := make(map[string]int, len(all))
-	for i, n := range all {
-		pos[n] = i
-	}
-	for _, e := range g.EdgeList() {
-		if pos[e.From] >= pos[e.To] {
-			t.Fatalf("chunk concatenation violates edge %s->%s", e.From, e.To)
-		}
-	}
-}
-
 // TestShardedBeatsTrivialBaseline sanity-checks the end-to-end path on
 // a mid-size composite WAN: the sharded solver completes, uses more
 // than one region, and its stats are internally consistent.
@@ -356,8 +249,8 @@ func TestShardedEndToEndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := sharedTestInstance(t, topo, 24, 17)
-	s := ShardedGreedy{Shards: 4, Seed: 1, ImproveBudget: 200 * time.Millisecond}
-	p, st, err := s.SolveStats(g, topo, placement.Options{Workers: 4})
+	s := ShardedGreedy{Seed: 1, ImproveBudget: 200 * time.Millisecond}
+	p, st, err := s.SolveStats(g, topo, placement.Options{Workers: 4, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

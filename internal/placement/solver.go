@@ -51,10 +51,11 @@ type Options struct {
 	// when a newer fault arrives. nil means not cancelable.
 	Ctx context.Context
 	// Shards requests region-sharded solving: when > 1, the facade (and
-	// any solver that honors it, i.e. shard.ShardedGreedy) partitions
-	// the topology into this many regions, solves them concurrently, and
-	// reconciles the boundaries. Solvers without a sharded mode ignore
-	// it. Zero means whole-graph solving.
+	// any solver that honors it, i.e. ShardedGreedy) partitions the
+	// topology into this many regions, solves them concurrently, and
+	// reconciles the boundaries. It is ShardedGreedy's only source of k.
+	// Solvers without a sharded mode ignore it. Zero means whole-graph
+	// solving.
 	Shards int
 	// Traffic, when non-nil, switches the solvers to the traffic-
 	// weighted objective: minimize Σ w(u,v)·A(u,v) (or the weighted-max
@@ -179,15 +180,6 @@ type Solver interface {
 	// Solve produces a deployment plan or an error when the instance
 	// cannot be deployed within the constraints.
 	Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan, error)
-}
-
-// MaterializeAssignment packs a complete MAT→switch assignment into a
-// Plan: per-switch stage packing plus shortest-path routes for every
-// communicating pair. It fails when some switch cannot pack its MATs.
-// The region-sharded solver finalizes its merged assignment through
-// this; it is the exported face of the warm-start/ILP materializer.
-func MaterializeAssignment(g *tdg.Graph, topo *network.Topology, assign map[string]network.SwitchID, rm program.ResourceModel) (*Plan, error) {
-	return materializeAssignment(g, topo, assign, rm)
 }
 
 // AddRoutes fills in shortest-path routes for every communicating

@@ -269,14 +269,3 @@ func (o TrafficObjective) pick(sum, max int64) int64 {
 	}
 	return sum
 }
-
-// Pick returns the aggregate this objective minimizes given both
-// candidates — the exported face of the selection for the sharded
-// exchange, which re-scores proposals outside this package.
-func (o TrafficObjective) Pick(sum, max int64) int64 { return o.pick(sum, max) }
-
-// AMaxCap resolves the options' structural-inflation ceiling against a
-// structural baseline: the absolute A_max a weighted solve may reach.
-// Exported for the sharded exchange, which anchors the cap to the
-// merged region solves' A_max.
-func AMaxCap(o Options, baseA int) int { return o.amaxCap(baseA) }
