@@ -2,6 +2,7 @@ package merge
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/fields"
@@ -154,13 +155,12 @@ func TestTwoIdenticalGraphsCollapse(t *testing.T) {
 	}
 }
 
-// TestGraphsMatchesPairwiseFold pins the indexed incremental merger to
-// the reference semantics: folding the inputs one by one through Two
-// must produce the same nodes (in the same insertion order), the same
-// origins, and the same edges. The input mix exercises unification
-// across programs, non-unifiable same-shape tables, and the cyclic
-// pair that forces the plain-union fallback mid-fold.
-func TestGraphsMatchesPairwiseFold(t *testing.T) {
+// foldInputs is a merge workload that exercises unification across
+// programs, non-unifiable same-shape tables, and the cyclic pair that
+// forces the plain-union fallback mid-fold. Each call builds fresh
+// graphs.
+func foldInputs(t *testing.T) []*tdg.Graph {
+	t.Helper()
 	mkDistinct := func(name string, capacity int) *tdg.Graph {
 		p := program.NewBuilder(name).
 			Table("acl", capacity).
@@ -199,19 +199,23 @@ func TestGraphsMatchesPairwiseFold(t *testing.T) {
 		}
 		return g
 	}
-	build := func() []*tdg.Graph {
-		var in []*tdg.Graph
-		for _, n := range []string{"cm", "bloom", "hll", "dedup"} {
-			in = append(in, sketchProgram(t, n))
-		}
-		in = append(in, mkDistinct("acl1", 100), mkDistinct("acl2", 200))
-		// Opposite-order equivalent pair: unifying it against the pair
-		// already folded in would close a cycle, forcing the fallback.
-		in = append(in, mkPair("cyc1", true), mkPair("cyc2", false))
-		return in
+	var in []*tdg.Graph
+	for _, n := range []string{"cm", "bloom", "hll", "dedup"} {
+		in = append(in, sketchProgram(t, n))
 	}
+	in = append(in, mkDistinct("acl1", 100), mkDistinct("acl2", 200))
+	// Opposite-order equivalent pair: unifying it against the pair
+	// already folded in would close a cycle, forcing the fallback.
+	in = append(in, mkPair("cyc1", true), mkPair("cyc2", false))
+	return in
+}
 
-	inputs := build()
+// TestGraphsMatchesPairwiseFold pins the indexed incremental merger to
+// the reference semantics: folding the inputs one by one through Two
+// must produce the same nodes (in the same insertion order), the same
+// origins, and the same edges.
+func TestGraphsMatchesPairwiseFold(t *testing.T) {
+	inputs := foldInputs(t)
 	ref := inputs[0].Clone()
 	for _, g := range inputs[1:] {
 		var err error
@@ -221,7 +225,7 @@ func TestGraphsMatchesPairwiseFold(t *testing.T) {
 		}
 	}
 
-	got, err := Graphs(build())
+	got, err := Graphs(foldInputs(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,5 +322,49 @@ func TestCycleFallbackToPlainUnion(t *testing.T) {
 	// Fallback keeps all four nodes.
 	if m.NumNodes() != 4 {
 		t.Errorf("NumNodes = %d, want 4 (plain union fallback)", m.NumNodes())
+	}
+}
+
+// TestGraphsLeavesInputsUntouched holds Graphs to "input graphs are not
+// modified". The merger appends origins onto the clone of its first
+// input, so the clone must own its Node structs and Origin slices; the
+// fold's cyclic pair also sends one input through the plain-union
+// fallback. Edge bytes are made distinct so a max-merge into an input
+// edge would show.
+func TestGraphsLeavesInputsUntouched(t *testing.T) {
+	inputs := foldInputs(t)
+	type snapshot struct {
+		nodes, edges int
+		origins      map[string][]string
+		edgeRows     []string
+	}
+	take := func(g *tdg.Graph) snapshot {
+		s := snapshot{nodes: g.NumNodes(), edges: g.NumEdges(), origins: map[string][]string{}}
+		for _, n := range g.Nodes() {
+			s.origins[n.Name()] = append([]string(nil), n.Origin...)
+		}
+		for _, e := range g.EdgeList() {
+			s.edgeRows = append(s.edgeRows, fmt.Sprintf("%s->%s %v %dB", e.From, e.To, e.Type, e.MetadataBytes))
+		}
+		return s
+	}
+	before := make([]snapshot, len(inputs))
+	for i, g := range inputs {
+		for j, e := range g.EdgeList() {
+			e.MetadataBytes = 10*i + j + 1
+		}
+		before[i] = take(g)
+	}
+	merged, err := Graphs(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Savings(inputs, merged) == 0 {
+		t.Fatal("workload unified nothing: the origin-append path went unexercised")
+	}
+	for i, g := range inputs {
+		if after := take(g); !reflect.DeepEqual(after, before[i]) {
+			t.Errorf("input %d changed:\nbefore %+v\nafter  %+v", i, before[i], after)
+		}
 	}
 }
