@@ -72,10 +72,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One-shot run of the parallel speedup benchmark: proves the worker
-# plumbing still functions.
+# One-shot run of the parallel speedup benchmark, which proves the
+# worker plumbing still functions, and of the analyzer benchmark
+# (Algorithm 1 on 50 evaluation programs).
 bench-smoke:
-	$(GO) test -run xxx -bench ParallelSpeedup -benchtime 1x .
+	$(GO) test -run xxx -bench 'ParallelSpeedup|^BenchmarkAnalyzer$$' -benchtime 1x .
 
 # The whole-lifecycle benchmark BENCHMARK.json declares (deploy → gated
 # deploy → heal → replay over four workloads; minutes). Every perf or

@@ -347,11 +347,13 @@ func lintPoolFunc(fset *token.FileSet, fn *ast.FuncDecl) []vetFinding {
 // or a sorted edge slice, the name-keyed stage packer, and the packet
 // engines' constructors (each compiles a whole deployment or sorts a
 // whole graph: build the pair once per search, not per candidate
-// packet). None of them belong inside a loop the author tagged
-// //hermes:hot — that is what the compiled kernels (AssignmentAMax,
-// MoveScore, PlaceScore, FillPairTable, ...) and the position-space
-// packing step (packStep behind splitScratch.fits and
-// repairInstance.packs) are for.
+// packet), and the fields.Set surface of Algorithm 1 (each call
+// rebuilds a MAT's field sets as maps). None of them belong inside a
+// loop the author tagged //hermes:hot — that is what the compiled
+// kernels (AssignmentAMax, MoveScore, PlaceScore, FillPairTable, ...),
+// the position-space packing step (packStep behind splitScratch.fits
+// and repairInstance.packs), and MAT footprints with
+// analyzer.Delivered are for.
 var hotBanned = map[string]bool{
 	"PairBytes":          true,
 	"PairBytesUncached":  true,
@@ -378,6 +380,12 @@ var hotBanned = map[string]bool{
 	"NewEngine":          true,
 	"NewPipeline":        true,
 	"NewReferenceEngine": true,
+	"ModifiedFields":     true,
+	"ReadFields":         true,
+	"MatchFields":        true,
+	"MetadataFields":     true,
+	"EdgeMetadataBytes":  true,
+	"NewSet":             true,
 }
 
 // lintHotLoops applies HV005: inside a for/range loop whose lead
@@ -419,7 +427,7 @@ func lintHotLoops(fset *token.FileSet, file *ast.File) []vetFinding {
 				seen[call.Pos()] = true
 				out = append(out, vetFinding{
 					pos: fset.Position(call.Pos()), rule: "HV005", sev: "error",
-					msg: fmt.Sprintf("%s() is name-keyed (map-based scoring, graph materialization, stage packing or an engine compile) inside a //hermes:hot loop; use the compiled-instance or position-space kernel, or hoist the construction out of the loop", shown),
+					msg: fmt.Sprintf("%s() is name-keyed (map-based scoring, graph materialization, stage packing, an engine compile or a field-set build) inside a //hermes:hot loop; use the compiled-instance, position-space or footprint kernel, or hoist the construction out of the loop", shown),
 				})
 			}
 			return true

@@ -268,6 +268,58 @@ func good(d *dep, candidates []int) int {
 	}
 }
 
+func TestHotLoopFlagsFieldSetBuilds(t *testing.T) {
+	// Algorithm 1's per-edge and per-pair loops run on MAT footprints;
+	// rebuilding a map-backed field set per MAT pair, edge or cross edge
+	// is the cost footprints removed. One finding per call; the footprint
+	// kernels stay allowed.
+	fs := lintSnippet(t, `
+type set struct{}
+type mat struct{}
+type footprint struct{}
+func (m *mat) ModifiedFields() (set, error) { return set{}, nil }
+func (m *mat) ReadFields() (set, error)     { return set{}, nil }
+func (m *mat) MatchFields() (set, error)    { return set{}, nil }
+func (m *mat) Footprint() footprint         { return footprint{} }
+func MetadataFields(a, b *mat, typ int) (set, error) { return set{}, nil }
+func EdgeMetadataBytes(a, b *mat, typ int) (int, error) { return 0, nil }
+func NewSet(fs ...int) (set, error) { return set{}, nil }
+func Delivered(a, b *footprint, typ int) (int, error) { return 0, nil }
+func bad(mats []*mat) {
+	//hermes:hot
+	for i := 1; i < len(mats); i++ {
+		a, b := mats[i-1], mats[i]
+		a.ModifiedFields()
+		b.ReadFields()
+		b.MatchFields()
+		MetadataFields(a, b, 1)
+		EdgeMetadataBytes(a, b, 1)
+		NewSet(i)
+	}
+}
+func good(fps []footprint) (n int) {
+	//hermes:hot
+	for i := 1; i < len(fps); i++ {
+		k, _ := Delivered(&fps[i-1], &fps[i], 1)
+		n += k
+	}
+	return n
+}
+`)
+	if got := rulesOf(fs); len(got) != 6 {
+		t.Fatalf("want 6 HV005 findings, got %v", fs)
+	}
+	for _, want := range []string{"a.ModifiedFields()", "b.ReadFields()", "b.MatchFields()", "MetadataFields()", "EdgeMetadataBytes()", "NewSet()"} {
+		found := false
+		for _, f := range fs {
+			found = found || f.rule == "HV005" && strings.Contains(f.msg, want)
+		}
+		if !found {
+			t.Errorf("no HV005 finding names %s: %v", want, fs)
+		}
+	}
+}
+
 func TestHotLoopPositionSpacePackingAllowed(t *testing.T) {
 	// The position-space packing step and range probes are what a hot
 	// loop should call; EdgeList (no copy, no sort) stays allowed too.

@@ -7,6 +7,7 @@ package analyzer
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/merge"
@@ -105,66 +106,161 @@ func unionAll(graphs []*tdg.Graph) (*tdg.Graph, error) {
 }
 
 // AnnotateMetadata computes A(a,b) for every edge of the graph in
-// place, per Algorithm 1's TDG_ANALYSIS:
-//
-//	M: Σ size(f) over metadata fields f ∈ F_a^a (optionally ∩ F_b^m),
-//	A: Σ size(f) over metadata fields f ∈ F_a^a ∪ F_b^a,
-//	R: nothing (b does not consume a's results),
-//	S: Σ size(f) over metadata fields f ∈ F_a^a.
-//
-// Header fields never count: they already ride in the packet.
+// place, per Algorithm 1's TDG_ANALYSIS (see Delivered). Each node's
+// footprint is derived once per call.
 func AnnotateMetadata(g *tdg.Graph, opts Options) error {
-	for _, e := range g.Edges() {
-		a, ok := g.Node(e.From)
+	nodes := g.Nodes()
+	fps := make([]program.Footprint, len(nodes))
+	byName := make(map[string]*program.Footprint, len(nodes))
+	for i, n := range nodes {
+		fps[i] = n.MAT.Footprint()
+		byName[n.Name()] = &fps[i]
+	}
+	//hermes:hot
+	for _, e := range g.EdgeList() {
+		a, ok := byName[e.From]
 		if !ok {
 			return fmt.Errorf("analyzer: edge from unknown node %q", e.From)
 		}
-		b, ok := g.Node(e.To)
+		b, ok := byName[e.To]
 		if !ok {
 			return fmt.Errorf("analyzer: edge to unknown node %q", e.To)
 		}
-		size, err := EdgeMetadataBytes(a.MAT, b.MAT, e.Type, opts)
+		size, err := Delivered(a, b, e.Type, opts, nil)
 		if err != nil {
-			return err
+			return fmt.Errorf("analyzer: edge %s->%s: %w", e.From, e.To, err)
 		}
 		e.MetadataBytes = size
 	}
 	return nil
 }
 
-// EdgeMetadataBytes computes A(a,b) for a single dependency.
-func EdgeMetadataBytes(a, b *program.MAT, typ tdg.DepType, opts Options) (int, error) {
-	faa, err := a.ModifiedFields()
-	if err != nil {
-		return 0, fmt.Errorf("analyzer: %w", err)
+// Delivered computes A(a,b) from two footprints: the metadata bytes a
+// piggybacks for b across one typ dependency when the two sit on
+// different switches. Per Algorithm 1,
+//
+//	M: Σ size(f) over metadata fields f ∈ F_a^a (∩ reads(b) under
+//	   IntersectMatch, keeping only identically-defined fields),
+//	A: Σ size(f) over metadata fields f ∈ F_a^a ∪ F_b^a,
+//	R: nothing (b does not consume a's results),
+//	S: Σ size(f) over metadata fields f ∈ F_a^a.
+//
+// Header fields never count: they already ride in the packet. When fs
+// is non-nil, the fields behind the total are appended to *fs in name
+// order (the deploy backend lays out coordination headers from them).
+// It fails when the footprint side it consults failed, or when a name
+// both ends of an A edge write carries two definitions.
+func Delivered(a, b *program.Footprint, typ tdg.DepType, opts Options, fs *[]fields.Field) (int, error) {
+	if a.WriteErr != nil {
+		return 0, a.WriteErr
 	}
 	switch typ {
 	case tdg.DepMatch:
-		if opts.IntersectMatch {
-			fbr, err := b.ReadFields()
-			if err != nil {
-				return 0, fmt.Errorf("analyzer: %w", err)
-			}
-			return faa.Intersect(fbr).MetadataBytes(), nil
+		if !opts.IntersectMatch {
+			appendMetadata(fs, a.Writes)
+			return a.WriteMetaBytes, nil
 		}
-		return faa.MetadataBytes(), nil
+		if b.ReadErr != nil {
+			return 0, b.ReadErr
+		}
+		return intersectMetadata(a.Writes, b.Reads, fs), nil
 	case tdg.DepAction:
-		fba, err := b.ModifiedFields()
-		if err != nil {
-			return 0, fmt.Errorf("analyzer: %w", err)
+		if b.WriteErr != nil {
+			return 0, b.WriteErr
 		}
-		union, err := faa.Union(fba)
+		shared, err := unionMetadata(a.Writes, b.Writes, fs)
 		if err != nil {
-			return 0, fmt.Errorf("analyzer: %w", err)
+			return 0, err
 		}
-		return union.MetadataBytes(), nil
+		return a.WriteMetaBytes + b.WriteMetaBytes - shared, nil
 	case tdg.DepReverse:
 		return 0, nil
 	case tdg.DepSuccessor:
-		return faa.MetadataBytes(), nil
+		appendMetadata(fs, a.Writes)
+		return a.WriteMetaBytes, nil
 	default:
-		return 0, fmt.Errorf("analyzer: unknown dependency type %v", typ)
+		return 0, fmt.Errorf("unknown dependency type %v", typ)
 	}
+}
+
+// appendMetadata appends the metadata fields of a sorted list to *fs.
+func appendMetadata(fs *[]fields.Field, list []fields.Field) {
+	if fs == nil {
+		return
+	}
+	for _, f := range list {
+		if f.IsMetadata() {
+			*fs = append(*fs, f)
+		}
+	}
+}
+
+// intersectMetadata merges two sorted lists and returns the metadata
+// bytes of the fields both hold with one definition, appending those
+// fields to *fs. A name the lists define differently is not shared.
+func intersectMetadata(x, y []fields.Field, fs *[]fields.Field) int {
+	total := 0
+	for i, j := 0, 0; i < len(x) && j < len(y); {
+		switch c := strings.Compare(x[i].Name, y[j].Name); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			if f := x[i]; f == y[j] && f.IsMetadata() {
+				total += f.Bytes()
+				if fs != nil {
+					*fs = append(*fs, f)
+				}
+			}
+			i++
+			j++
+		}
+	}
+	return total
+}
+
+// unionMetadata merges two sorted lists, appending the metadata of their
+// union to *fs, and returns the metadata bytes the two share — what
+// |x| + |y| counts twice. A name with two definitions is an error, header
+// fields included, as the union of the full write sets always was.
+func unionMetadata(x, y []fields.Field, fs *[]fields.Field) (int, error) {
+	shared := 0
+	for i, j := 0, 0; i < len(x) || j < len(y); {
+		var f fields.Field
+		switch {
+		case j == len(y) || i < len(x) && x[i].Name < y[j].Name:
+			f = x[i]
+			i++
+		case i == len(x) || y[j].Name < x[i].Name:
+			f = y[j]
+			j++
+		default:
+			if x[i] != y[j] {
+				return 0, fields.Conflict(x[i], y[j])
+			}
+			f = x[i]
+			i++
+			j++
+			if f.IsMetadata() {
+				shared += f.Bytes()
+			}
+		}
+		if fs != nil && f.IsMetadata() {
+			*fs = append(*fs, f)
+		}
+	}
+	return shared, nil
+}
+
+// EdgeMetadataBytes computes A(a,b) for a single dependency.
+func EdgeMetadataBytes(a, b *program.MAT, typ tdg.DepType, opts Options) (int, error) {
+	fa, fb := a.Footprint(), b.Footprint()
+	n, err := Delivered(&fa, &fb, typ, opts, nil)
+	if err != nil {
+		return 0, fmt.Errorf("analyzer: %w", err)
+	}
+	return n, nil
 }
 
 // Report summarizes an analyzed TDG.
@@ -193,37 +289,12 @@ func Summarize(g *tdg.Graph) Report {
 }
 
 // MetadataFields returns the metadata fields a passes along the edge
-// type; the deploy backend uses it to lay out coordination headers.
+// type: the fields EdgeMetadataBytes counts.
 func MetadataFields(a, b *program.MAT, typ tdg.DepType, opts Options) (fields.Set, error) {
-	faa, err := a.ModifiedFields()
-	if err != nil {
+	fa, fb := a.Footprint(), b.Footprint()
+	var fs []fields.Field
+	if _, err := Delivered(&fa, &fb, typ, opts, &fs); err != nil {
 		return fields.Set{}, fmt.Errorf("analyzer: %w", err)
 	}
-	switch typ {
-	case tdg.DepMatch:
-		if opts.IntersectMatch {
-			fbr, err := b.ReadFields()
-			if err != nil {
-				return fields.Set{}, fmt.Errorf("analyzer: %w", err)
-			}
-			return faa.Intersect(fbr).Metadata(), nil
-		}
-		return faa.Metadata(), nil
-	case tdg.DepAction:
-		fba, err := b.ModifiedFields()
-		if err != nil {
-			return fields.Set{}, fmt.Errorf("analyzer: %w", err)
-		}
-		union, err := faa.Union(fba)
-		if err != nil {
-			return fields.Set{}, fmt.Errorf("analyzer: %w", err)
-		}
-		return union.Metadata(), nil
-	case tdg.DepReverse:
-		return fields.Set{}, nil
-	case tdg.DepSuccessor:
-		return faa.Metadata(), nil
-	default:
-		return fields.Set{}, fmt.Errorf("analyzer: unknown dependency type %v", typ)
-	}
+	return fields.NewSet(fs...)
 }

@@ -6,6 +6,7 @@ import (
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
+	"github.com/hermes-net/hermes/internal/workload"
 )
 
 // pipelineProgram: hash (writes 4B idx + 2B aux) -> count (matches idx,
@@ -246,5 +247,39 @@ func TestMetadataFieldsForDeployment(t *testing.T) {
 	}
 	if fs.Len() != 0 {
 		t.Errorf("reverse MetadataFields = %v, want empty", fs)
+	}
+}
+
+// TestAnalyzeAllocationCeiling pins Algorithm 1's allocation budget on
+// the paper's 30-program evaluation point. Building a fields.Set per MAT
+// and per edge endpoint cost 31,073 allocations here; footprints bring
+// it under 10,000.
+func TestAnalyzeAllocationCeiling(t *testing.T) {
+	progs, err := workload.EvaluationPrograms(30, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Analyze(progs, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10000 {
+		t.Fatalf("Analyze(EvaluationPrograms(30, 1)) made %.0f allocations, ceiling 10,000", allocs)
+	}
+}
+
+// BenchmarkAnalyzeWAN30 is Algorithm 1 on the wan30 benchmark workload's
+// programs.
+func BenchmarkAnalyzeWAN30(b *testing.B) {
+	progs, err := workload.EvaluationPrograms(30, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Analyze(progs, Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

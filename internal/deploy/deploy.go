@@ -16,6 +16,7 @@ import (
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
+	"github.com/hermes-net/hermes/internal/program"
 )
 
 // StageEntry is one MAT fragment scheduled in a stage.
@@ -136,38 +137,61 @@ func Compile(plan *placement.Plan, opts analyzer.Options) (*Deployment, error) {
 			sort.Slice(st, func(i, j int) bool { return st[i].MAT < st[j].MAT })
 		}
 	}
-	// Coordination headers: union the metadata field sets of every
-	// cross edge per ordered switch pair.
-	perPair := map[placement.RouteKey]fields.Set{}
-	for _, e := range plan.CrossEdges() {
-		ua, _ := plan.SwitchOf(e.From)
-		ub, _ := plan.SwitchOf(e.To)
-		a, _ := plan.Graph.Node(e.From)
-		b, _ := plan.Graph.Node(e.To)
-		fs, err := analyzer.MetadataFields(a.MAT, b.MAT, e.Type, opts)
-		if err != nil {
-			return nil, fmt.Errorf("deploy: %w", err)
-		}
-		key := placement.RouteKey{From: ua, To: ub}
-		cur, ok := perPair[key]
+	// Coordination headers: per ordered switch pair, the name-sorted
+	// union of the metadata every cross edge delivers, from one footprint
+	// per endpoint. A pair's list gathers each edge's fields, and
+	// fields.Canonical merges it once the edges are in; pairs keep
+	// first-seen order so a conflict is reported deterministically.
+	fps := map[string]program.Footprint{}
+	footprint := func(name string) program.Footprint {
+		fp, ok := fps[name]
 		if !ok {
-			perPair[key] = fs
+			n, _ := plan.Graph.Node(name)
+			fp = n.MAT.Footprint()
+			fps[name] = fp
+		}
+		return fp
+	}
+	type pairFields struct {
+		key placement.RouteKey
+		fs  []fields.Field
+	}
+	var pairs []pairFields
+	pairIdx := map[placement.RouteKey]int{}
+	//hermes:hot
+	for _, e := range plan.Graph.EdgeList() {
+		ua, oka := plan.SwitchOf(e.From)
+		ub, okb := plan.SwitchOf(e.To)
+		if !oka || !okb || ua == ub {
 			continue
 		}
-		union, err := cur.Union(fs)
-		if err != nil {
-			return nil, fmt.Errorf("deploy: header for %v: %w", key, err)
+		key := placement.RouteKey{From: ua, To: ub}
+		i, ok := pairIdx[key]
+		if !ok {
+			i = len(pairs)
+			pairIdx[key] = i
+			pairs = append(pairs, pairFields{key: key})
 		}
-		perPair[key] = union
+		a, b := footprint(e.From), footprint(e.To)
+		if _, err := analyzer.Delivered(&a, &b, e.Type, opts, &pairs[i].fs); err != nil {
+			return nil, fmt.Errorf("deploy: edge %s->%s: %w", e.From, e.To, err)
+		}
 	}
-	for key, fs := range perPair {
-		hdr := CoordHeader{Fields: fs.Fields(), Bytes: fs.TotalBytes()}
-		d.Headers[key] = hdr
-		if from := d.Configs[key.From]; from != nil {
-			from.Exports[key.To] = hdr
+	for _, p := range pairs {
+		fs, err := fields.Canonical(p.fs)
+		if err != nil {
+			return nil, fmt.Errorf("deploy: header for %v: %w", p.key, err)
 		}
-		if to := d.Configs[key.To]; to != nil {
-			to.Imports[key.From] = hdr
+		hdr := CoordHeader{Fields: append([]fields.Field{}, fs...)}
+		for _, f := range fs {
+			hdr.Bytes += f.Bytes()
+		}
+		d.Headers[p.key] = hdr
+		if from := d.Configs[p.key.From]; from != nil {
+			from.Exports[p.key.To] = hdr
+		}
+		if to := d.Configs[p.key.To]; to != nil {
+			to.Imports[p.key.From] = hdr
 		}
 	}
 	return d, nil

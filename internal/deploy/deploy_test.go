@@ -10,6 +10,7 @@ import (
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/program"
+	"github.com/hermes-net/hermes/internal/workload"
 )
 
 func pipelineProgram(t *testing.T) *program.Program {
@@ -183,5 +184,59 @@ func TestReportIsStableAndComplete(t *testing.T) {
 	}
 	if !strings.Contains(r1, "header") {
 		t.Error("report missing header section")
+	}
+}
+
+// wan30Plan is the Greedy plan of the wan30 benchmark workload: the
+// paper's 30 evaluation programs on Table III WAN 1.
+func wan30Plan(tb testing.TB) *placement.Plan {
+	tb.Helper()
+	progs, err := workload.EvaluationPrograms(30, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := analyzer.Analyze(progs, analyzer.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	topo, err := network.TableIII(1, network.TofinoSpec())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := (placement.Greedy{}).Solve(g, topo, placement.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
+// TestCompileAllocationCeiling pins the header compiler's allocation
+// budget on the wan30 plan. A fields.Set per cross edge and a union per
+// shared pair cost about 5,050 allocations; merging sorted footprint
+// slices brings it under 2,000.
+func TestCompileAllocationCeiling(t *testing.T) {
+	plan := wan30Plan(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Compile(plan, analyzer.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2000 {
+		t.Fatalf("Compile of the wan30 plan made %.0f allocations, ceiling 2,000", allocs)
+	}
+}
+
+// BenchmarkCompileWAN30 is Compile plus Verify on the wan30 plan.
+func BenchmarkCompileWAN30(b *testing.B) {
+	plan := wan30Plan(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		dep, err := Compile(plan, analyzer.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := dep.Verify(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -15,6 +15,7 @@ package fields
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -114,11 +115,57 @@ func NewSet(fs ...Field) (Set, error) {
 			return Set{}, err
 		}
 		if prev, ok := s.byName[f.Name]; ok && prev != f {
-			return Set{}, fmt.Errorf("conflicting definitions for field %q: %v vs %v", f.Name, prev, f)
+			return Set{}, Conflict(prev, f)
 		}
 		s.byName[f.Name] = f
 	}
 	return s, nil
+}
+
+// Conflict is the error for one field name given two definitions.
+func Conflict(prev, f Field) error {
+	return fmt.Errorf("conflicting definitions for field %q: %v vs %v", f.Name, prev, f)
+}
+
+// Canonical turns fs, in place, into a sorted field list: name order,
+// one entry per name. It returns the shortened slice, or an error for an
+// invalid field or a name given two definitions — the same checks as
+// NewSet, without the map. Sorted lists are what MAT footprints and
+// coordination headers are made of; Overlap tests two of them by merge.
+func Canonical(fs []Field) ([]Field, error) {
+	for _, f := range fs {
+		if err := f.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	slices.SortFunc(fs, func(a, b Field) int { return strings.Compare(a.Name, b.Name) })
+	n := 0
+	for _, f := range fs {
+		if n > 0 && fs[n-1].Name == f.Name {
+			if fs[n-1] != f {
+				return nil, Conflict(fs[n-1], f)
+			}
+			continue
+		}
+		fs[n] = f
+		n++
+	}
+	return fs[:n], nil
+}
+
+// Overlap reports whether two sorted field lists share a name.
+func Overlap(a, b []Field) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i].Name, b[j].Name); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // MustSet is NewSet but panics on error; intended for static catalogs.

@@ -294,3 +294,43 @@ func TestMetadataBytesUnionBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestCanonicalSortsDedupesAndRejectsConflicts(t *testing.T) {
+	a, b, c := Metadata("a", 8), Header("b", 16), Metadata("c", 32)
+	got, err := Canonical([]Field{c, a, b, a, c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[0] != a || got[1] != b || got[2] != c {
+		t.Errorf("Canonical = %v, want [a b c]", got)
+	}
+	if _, err := Canonical([]Field{a, Metadata("a", 16)}); err == nil {
+		t.Error("Canonical accepted two definitions of one name")
+	}
+	if _, err := Canonical([]Field{a, {Name: "z", Kind: KindHeader}}); err == nil {
+		t.Error("Canonical accepted an invalid field")
+	}
+	if got, err := Canonical(nil); err != nil || len(got) != 0 {
+		t.Errorf("Canonical(nil) = %v, %v", got, err)
+	}
+}
+
+func TestOverlapMatchesSetOverlaps(t *testing.T) {
+	f := func(x, y []uint8) bool {
+		mk := func(ids []uint8) ([]Field, Set) {
+			var fs []Field
+			for _, id := range ids {
+				fs = append(fs, Metadata(string(rune('a'+id%16)), 8))
+			}
+			s := MustSet(fs...)
+			sorted, _ := Canonical(fs)
+			return sorted, s
+		}
+		xs, xset := mk(x)
+		ys, yset := mk(y)
+		return Overlap(xs, ys) == xset.Overlaps(yset)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

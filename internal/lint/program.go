@@ -56,9 +56,9 @@ var sinkMetadata = map[string]bool{
 }
 
 // rawSets is the independently-recomputed read/write footprint of one
-// MAT. It is built directly from keys and ops, bypassing
-// MAT.ReadFields/ModifiedFields, so the HL007/HL008 cross-checks do
-// not inherit their bugs.
+// MAT. It is built directly from keys and ops into maps, bypassing
+// MAT.Footprint and the sorted-list arithmetic analyzer runs on it, so
+// the HL007/HL008 cross-checks do not inherit their bugs.
 type rawSets struct {
 	reads, writes map[string]fields.Field
 }
@@ -142,7 +142,7 @@ func classifyPair(a, b rawSets, control bool) tdg.DepType {
 }
 
 // expectedBytes recomputes A(a,b) per Algorithm 1, independent of the
-// fields.Set machinery analyzer uses. It sums straight over the raw
+// footprint merges analyzer.Delivered uses. It sums straight over the raw
 // sets: LintGraph calls it once per edge, so a scratch map per call
 // would dominate the edge pass.
 func expectedBytes(a, b rawSets, typ tdg.DepType, intersectMatch bool) int {

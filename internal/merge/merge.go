@@ -13,27 +13,27 @@
 package merge
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
-	"sort"
 
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
 )
 
 // Graphs merges the given TDGs into one with the semantics of
-// Algorithm 1's pairwise fold (repeatedly extract two TDGs, merge them
-// with Two, put the result back), but runs incrementally on a single
-// accumulator: each input is folded into the accumulated graph using a
-// hash index over MAT equivalence classes instead of Two's linear
-// rescan of every accumulated node, and cycle checks walk only from
-// the newly added edges instead of re-sorting the whole graph. This
-// takes network-wide workloads (thousands of programs, ~10^5 MATs)
-// from hours to seconds while producing the same merged TDG as the
-// literal fold — TestGraphsMatchesPairwiseFold pins the equivalence.
+// Algorithm 1's pairwise fold: repeatedly extract two TDGs, merge them,
+// put the result back. Merging two TDGs unifies each node of the second
+// into the first node of the first (in insertion order) with the same
+// name or an equivalent MAT, unions everything else, and falls back to
+// a plain union without unification when unifying would close a cycle.
+// Graphs runs that fold incrementally on a single accumulator: each
+// input is folded into the accumulated graph using a hash index over
+// MAT equivalence classes instead of a linear rescan of every
+// accumulated node, and cycle checks walk only from the newly added
+// edges instead of re-sorting the whole graph. This takes network-wide
+// workloads (thousands of programs, ~10^5 MATs) from hours to seconds
+// while producing the same merged TDG as the literal fold —
+// TestGraphsMatchesPairwiseFold pins the equivalence against it.
 // Input graphs are not modified.
 func Graphs(graphs []*tdg.Graph) (*tdg.Graph, error) {
 	if len(graphs) == 0 {
@@ -53,93 +53,6 @@ func Graphs(graphs []*tdg.Graph) (*tdg.Graph, error) {
 	return m.out, nil
 }
 
-// Two merges two TDGs. Nodes of t2 that are equivalent to a node of t1
-// are unified into the t1 node; everything else is unioned. Inputs are
-// not modified.
-func Two(t1, t2 *tdg.Graph) (*tdg.Graph, error) {
-	out := t1.Clone()
-
-	// Union in t2's nodes, remembering which get unified.
-	renamed := make(map[string]string) // t2 name -> merged name
-	for _, n2 := range t2.Nodes() {
-		target := ""
-		for _, n1 := range out.Nodes() {
-			if n1.Name() == n2.Name() {
-				// Same name across graphs: must be the same MAT
-				// definition or the inputs are inconsistent.
-				if !n1.MAT.Equivalent(n2.MAT) {
-					return nil, fmt.Errorf("merge: node %q has conflicting definitions", n2.Name())
-				}
-				target = n1.Name()
-				break
-			}
-			if n1.MAT.Equivalent(n2.MAT) {
-				target = n1.Name()
-				break
-			}
-		}
-		if target == "" {
-			if err := out.AddNode(n2.MAT, n2.Origin...); err != nil {
-				return nil, err
-			}
-			renamed[n2.Name()] = n2.Name()
-			continue
-		}
-		renamed[n2.Name()] = target
-		node, _ := out.Node(target)
-		node.Origin = appendUnique(node.Origin, n2.Origin...)
-	}
-
-	// Union in t2's edges under the renaming.
-	for _, e := range t2.Edges() {
-		from, to := renamed[e.From], renamed[e.To]
-		if from == to {
-			// Both endpoints unified into the same node; the
-			// dependency is internal now.
-			continue
-		}
-		if err := out.AddEdge(from, to, e.Type, e.MetadataBytes); err != nil {
-			return nil, err
-		}
-	}
-
-	if out.IsDAG() {
-		return out, nil
-	}
-
-	// Unification created a cycle (the two programs order the shared
-	// MATs incompatibly). Fall back to a plain union with no
-	// unification, which is always acyclic for acyclic inputs.
-	return plainUnion(t1, t2)
-}
-
-// plainUnion unions two TDGs without unifying equivalent nodes. Name
-// collisions are still required to be genuine duplicates.
-func plainUnion(t1, t2 *tdg.Graph) (*tdg.Graph, error) {
-	out := t1.Clone()
-	for _, n2 := range t2.Nodes() {
-		if n1, ok := out.Node(n2.Name()); ok {
-			if !n1.MAT.Equivalent(n2.MAT) {
-				return nil, fmt.Errorf("merge: node %q has conflicting definitions", n2.Name())
-			}
-			n1.Origin = appendUnique(n1.Origin, n2.Origin...)
-			continue
-		}
-		if err := out.AddNode(n2.MAT, n2.Origin...); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range t2.Edges() {
-		if err := out.AddEdge(e.From, e.To, e.Type, e.MetadataBytes); err != nil {
-			return nil, err
-		}
-	}
-	if !out.IsDAG() {
-		return nil, fmt.Errorf("merge: union of TDGs is cyclic")
-	}
-	return out, nil
-}
-
 func appendUnique(dst []string, src ...string) []string {
 	seen := make(map[string]bool, len(dst))
 	for _, s := range dst {
@@ -154,9 +67,9 @@ func appendUnique(dst []string, src ...string) []string {
 	return dst
 }
 
-// mergeEntry locates one accumulated node in the insertion order Two's
-// linear scan would visit, so the indexed merger can reproduce its
-// "first matching node wins" tie-break exactly.
+// mergeEntry locates one accumulated node in the insertion order the
+// literal fold's linear scan would visit, so the indexed merger can
+// reproduce its "first matching node wins" tie-break exactly.
 type mergeEntry struct {
 	order int
 	name  string
@@ -182,20 +95,18 @@ func newMerger(first *tdg.Graph) *merger {
 		byName:  make(map[string]mergeEntry),
 	}
 	for _, node := range m.out.Nodes() {
-		m.index(node.Name(), node.MAT)
+		m.index(node.Name(), node.MAT, equivKey(node.MAT))
 	}
 	return m
 }
 
-// index registers a node at the next insertion order and returns its
-// bucket key (recorded by callers that may need to roll back).
-func (m *merger) index(name string, mat *program.MAT) uint64 {
-	k := equivKey(mat)
+// index registers a node under its bucket key k at the next insertion
+// order. Callers that may need to roll back record k.
+func (m *merger) index(name string, mat *program.MAT, k uint64) {
 	e := mergeEntry{order: m.n, name: name, mat: mat}
 	m.n++
 	m.buckets[k] = append(m.buckets[k], e)
 	m.byName[name] = e
-	return k
 }
 
 // originAppend stages an Origin merge onto an accumulated node.
@@ -217,10 +128,10 @@ func (m *merger) rollbackStaged(stagedKeys []uint64) {
 	}
 }
 
-// add folds t2 into the accumulator with Two's semantics: unify each
-// t2 node with the first accumulated node (insertion order) that has
-// the same name or an equivalent MAT; fall back to a plain union when
-// unification would create a cycle. Nothing mutates until the checks
+// add folds t2 into the accumulator with the pairwise merge's
+// semantics: unify each t2 node with the first accumulated node
+// (insertion order) that has the same name or an equivalent MAT; fall
+// back to a plain union when unification would create a cycle. Nothing mutates until the checks
 // pass, so the fallback needs no graph rollback.
 func (m *merger) add(t2 *tdg.Graph) error {
 	renamed := make(map[string]string, t2.NumNodes())
@@ -245,7 +156,8 @@ func (m *merger) add(t2 *tdg.Graph) error {
 		case nameOrder == math.MaxInt && equivOrder == math.MaxInt:
 			renamed[n2.Name()] = n2.Name()
 			newNodes = append(newNodes, n2)
-			stagedKeys = append(stagedKeys, m.index(n2.Name(), n2.MAT))
+			m.index(n2.Name(), n2.MAT, k)
+			stagedKeys = append(stagedKeys, k)
 		case nameOrder <= equivOrder:
 			// The scan hits the same-name node first: it must be the
 			// same MAT definition or the inputs are inconsistent. (An
@@ -267,7 +179,7 @@ func (m *merger) add(t2 *tdg.Graph) error {
 	if m.wouldCycle(edges, renamed) {
 		// Unification created a cycle (the two programs order the
 		// shared MATs incompatibly): redo this input as a plain union
-		// with no unification, exactly like Two's plainUnion fallback.
+		// with no unification, exactly like the pairwise fold's fallback.
 		m.rollbackStaged(stagedKeys)
 		return m.addPlain(t2)
 	}
@@ -293,7 +205,9 @@ func (m *merger) addPlain(t2 *tdg.Graph) error {
 			continue
 		}
 		newNodes = append(newNodes, n2)
-		stagedKeys = append(stagedKeys, m.index(n2.Name(), n2.MAT))
+		k := equivKey(n2.MAT)
+		m.index(n2.Name(), n2.MAT, k)
+		stagedKeys = append(stagedKeys, k)
 	}
 	edges := t2.Edges()
 	if m.wouldCycle(edges, identity) {
@@ -386,58 +300,76 @@ func (m *merger) wouldCycle(edges []*tdg.Edge, renamed map[string]string) bool {
 	return false
 }
 
-// equivKey hashes the canonical forms of exactly the MAT fields
-// Equivalent compares, so Equivalent MATs always share a key; hash
-// collisions merely enlarge a bucket and are resolved by the real
-// Equivalent check. Tie-prone fields (match keys sorted only by
-// (field, type), actions sorted only by name) contribute just their
-// sort keys, keeping the invariant under comparator ties.
+// equivKey hashes exactly the MAT fields Equivalent compares, so
+// Equivalent MATs always share a key; hash collisions merely enlarge a
+// bucket and are resolved by the real Equivalent check. Equivalent
+// compares match keys and actions as sorted multisets, so each key's
+// (field, type) and each action's name is hashed on its own and the
+// element hashes are summed: a sum is the same in every order, which
+// keeps the invariant under permutations and comparator ties without
+// sorting, and with no allocation. Op lists contribute only their
+// total length.
 func equivKey(m *program.MAT) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	wInt := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	wStr := func(s string) {
-		wInt(uint64(len(s)))
-		io.WriteString(h, s)
-	}
-	wInt(uint64(m.Capacity))
-	wStr(m.DefaultAction)
-	wInt(math.Float64bits(m.FixedRequirement))
+	h := newFNV()
+	h.u64(uint64(m.Capacity))
+	h.str(m.DefaultAction)
+	h.u64(math.Float64bits(m.FixedRequirement))
 
-	keys := make([]string, 0, len(m.Keys))
+	var keys uint64
 	for _, k := range m.Keys {
-		keys = append(keys, fmt.Sprintf("%s\x00%d", k.Field.Name, k.Type))
+		e := newFNV()
+		e.str(k.Field.Name)
+		e.u64(uint64(k.Type))
+		keys += uint64(e)
 	}
-	sort.Strings(keys)
-	wInt(uint64(len(keys)))
-	for _, k := range keys {
-		wStr(k)
-	}
+	h.u64(uint64(len(m.Keys)))
+	h.u64(keys)
 
-	actions := make([]string, 0, len(m.Actions))
+	var actions uint64
 	ops := 0
 	for _, a := range m.Actions {
-		actions = append(actions, a.Name)
+		e := newFNV()
+		e.str(a.Name)
+		actions += uint64(e)
 		ops += len(a.Ops)
 	}
-	sort.Strings(actions)
-	wInt(uint64(len(actions)))
-	for _, a := range actions {
-		wStr(a)
-	}
-	wInt(uint64(ops))
+	h.u64(uint64(len(m.Actions)))
+	h.u64(actions)
+	h.u64(uint64(ops))
 
-	wInt(uint64(len(m.Rules)))
+	h.u64(uint64(len(m.Rules)))
 	for _, r := range m.Rules {
-		wInt(uint64(int64(r.Priority)))
-		wStr(r.Action)
-		wInt(uint64(len(r.Matches)))
-		wInt(uint64(len(r.Params)))
+		h.u64(uint64(int64(r.Priority)))
+		h.str(r.Action)
+		h.u64(uint64(len(r.Matches)))
+		h.u64(uint64(len(r.Params)))
 	}
-	return h.Sum64()
+	return uint64(h)
+}
+
+// fnv64 is an in-place 64-bit FNV-1a hash: hash/fnv's state, without
+// the interface value that makes each hasher a heap allocation.
+type fnv64 uint64
+
+func newFNV() fnv64 { return 14695981039346656037 }
+
+func (h *fnv64) byte(b byte) {
+	*h ^= fnv64(b)
+	*h *= 1099511628211
+}
+
+func (h *fnv64) u64(v uint64) {
+	for i := 0; i < 8; i++ {
+		h.byte(byte(v >> (8 * i)))
+	}
+}
+
+// str hashes the length first, so adjacent strings cannot trade bytes.
+func (h *fnv64) str(s string) {
+	h.u64(uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
+	}
 }
 
 // Savings reports how many MAT instances merging eliminated: the sum of

@@ -10,6 +10,95 @@ import (
 	"github.com/hermes-net/hermes/internal/tdg"
 )
 
+// Two is the literal pairwise step of Algorithm 1's fold, kept as the
+// reference TestGraphsMatchesPairwiseFold holds the incremental merger
+// to: it merges two TDGs. Nodes of t2 that are equivalent to a node of
+// t1 are unified into the t1 node; everything else is unioned. Inputs
+// are not modified.
+func Two(t1, t2 *tdg.Graph) (*tdg.Graph, error) {
+	out := t1.Clone()
+
+	// Union in t2's nodes, remembering which get unified.
+	renamed := make(map[string]string) // t2 name -> merged name
+	for _, n2 := range t2.Nodes() {
+		target := ""
+		for _, n1 := range out.Nodes() {
+			if n1.Name() == n2.Name() {
+				// Same name across graphs: must be the same MAT
+				// definition or the inputs are inconsistent.
+				if !n1.MAT.Equivalent(n2.MAT) {
+					return nil, fmt.Errorf("merge: node %q has conflicting definitions", n2.Name())
+				}
+				target = n1.Name()
+				break
+			}
+			if n1.MAT.Equivalent(n2.MAT) {
+				target = n1.Name()
+				break
+			}
+		}
+		if target == "" {
+			if err := out.AddNode(n2.MAT, n2.Origin...); err != nil {
+				return nil, err
+			}
+			renamed[n2.Name()] = n2.Name()
+			continue
+		}
+		renamed[n2.Name()] = target
+		node, _ := out.Node(target)
+		node.Origin = appendUnique(node.Origin, n2.Origin...)
+	}
+
+	// Union in t2's edges under the renaming.
+	for _, e := range t2.Edges() {
+		from, to := renamed[e.From], renamed[e.To]
+		if from == to {
+			// Both endpoints unified into the same node; the
+			// dependency is internal now.
+			continue
+		}
+		if err := out.AddEdge(from, to, e.Type, e.MetadataBytes); err != nil {
+			return nil, err
+		}
+	}
+
+	if out.IsDAG() {
+		return out, nil
+	}
+
+	// Unification created a cycle (the two programs order the shared
+	// MATs incompatibly). Fall back to a plain union with no
+	// unification, which is always acyclic for acyclic inputs.
+	return plainUnion(t1, t2)
+}
+
+// plainUnion unions two TDGs without unifying equivalent nodes. Name
+// collisions are still required to be genuine duplicates.
+func plainUnion(t1, t2 *tdg.Graph) (*tdg.Graph, error) {
+	out := t1.Clone()
+	for _, n2 := range t2.Nodes() {
+		if n1, ok := out.Node(n2.Name()); ok {
+			if !n1.MAT.Equivalent(n2.MAT) {
+				return nil, fmt.Errorf("merge: node %q has conflicting definitions", n2.Name())
+			}
+			n1.Origin = appendUnique(n1.Origin, n2.Origin...)
+			continue
+		}
+		if err := out.AddNode(n2.MAT, n2.Origin...); err != nil {
+			return nil, err
+		}
+	}
+	for _, e := range t2.Edges() {
+		if err := out.AddEdge(e.From, e.To, e.Type, e.MetadataBytes); err != nil {
+			return nil, err
+		}
+	}
+	if !out.IsDAG() {
+		return nil, fmt.Errorf("merge: union of TDGs is cyclic")
+	}
+	return out, nil
+}
+
 // sketchProgram builds a program shaped like a sketch: a shared hash
 // stage followed by a per-program counting stage. All sketchPrograms
 // share an equivalent hash MAT, which the merger should unify.
@@ -366,5 +455,47 @@ func TestGraphsLeavesInputsUntouched(t *testing.T) {
 		if after := take(g); !reflect.DeepEqual(after, before[i]) {
 			t.Errorf("input %d changed:\nbefore %+v\nafter  %+v", i, before[i], after)
 		}
+	}
+}
+
+// TestEquivKeyIsOrderFreeAndAllocationFree pins the bucket key's two
+// contracts. Equivalent compares match keys and actions as sorted
+// multisets, so a MAT with its keys and actions permuted must land in
+// the same bucket; and the merger hashes every node it folds, so the
+// key must not allocate.
+func TestEquivKeyIsOrderFreeAndAllocationFree(t *testing.T) {
+	src, dst := fields.Header("ipv4.srcAddr", 32), fields.Header("ipv4.dstAddr", 32)
+	port, idx := fields.Header("tcp.dstPort", 16), fields.Metadata("meta.idx", 32)
+	m := &program.MAT{
+		Name: "p/t", Capacity: 64, DefaultAction: "b",
+		Keys: []program.MatchKey{
+			{Field: src, Type: program.MatchExact},
+			{Field: dst, Type: program.MatchLPM},
+			{Field: port, Type: program.MatchTernary},
+		},
+		Actions: []program.Action{
+			{Name: "a", Ops: []program.Op{program.HashOp(idx, src, dst)}},
+			{Name: "b", Ops: []program.Op{program.SetOp(fields.Metadata("meta.drop", 8), 1)}},
+			{Name: "c", Ops: []program.Op{program.CopyOp(idx, port), program.DecOp(fields.Header("ipv4.ttl", 8), 1)}},
+		},
+		Rules: []program.Rule{{Priority: 2, Action: "a"}, {Priority: 1, Action: "c"}},
+	}
+	perm := *m
+	perm.Name = "q/t"
+	perm.Keys = []program.MatchKey{m.Keys[2], m.Keys[0], m.Keys[1]}
+	perm.Actions = []program.Action{m.Actions[1], m.Actions[2], m.Actions[0]}
+	if !m.Equivalent(&perm) {
+		t.Fatal("fixture: the permuted MAT must be Equivalent")
+	}
+	if equivKey(m) != equivKey(&perm) {
+		t.Fatalf("Equivalent MATs got keys %x and %x", equivKey(m), equivKey(&perm))
+	}
+	other := perm
+	other.Keys = []program.MatchKey{m.Keys[0], m.Keys[1], {Field: port, Type: program.MatchRange}}
+	if equivKey(m) == equivKey(&other) {
+		t.Error("a different match type left the key unchanged")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = equivKey(m) }); allocs != 0 {
+		t.Fatalf("equivKey made %.0f allocations, want 0", allocs)
 	}
 }

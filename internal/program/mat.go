@@ -111,6 +111,10 @@ func (o OpKind) String() string {
 // Valid reports whether o is a defined op kind.
 func (o OpKind) Valid() bool { return o >= OpSet && o <= OpDecrement }
 
+// readsDst reports whether the op reads its destination before writing
+// it (read-modify-write).
+func (o OpKind) readsDst() bool { return o == OpAdd || o == OpDecrement || o == OpCount }
+
 // Op is one primitive operation inside an action.
 type Op struct {
 	Kind OpKind `json:"kind"`
@@ -162,35 +166,6 @@ func (a Action) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Writes returns the set of fields the action modifies.
-func (a Action) Writes() (fields.Set, error) {
-	var fs []fields.Field
-	for _, op := range a.Ops {
-		fs = append(fs, op.Dst)
-	}
-	s, err := fields.NewSet(fs...)
-	if err != nil {
-		return fields.Set{}, fmt.Errorf("action %q: %w", a.Name, err)
-	}
-	return s, nil
-}
-
-// Reads returns the set of fields the action reads.
-func (a Action) Reads() (fields.Set, error) {
-	var fs []fields.Field
-	for _, op := range a.Ops {
-		fs = append(fs, op.Srcs...)
-		if op.Kind == OpAdd || op.Kind == OpDecrement || op.Kind == OpCount {
-			fs = append(fs, op.Dst) // read-modify-write
-		}
-	}
-	s, err := fields.NewSet(fs...)
-	if err != nil {
-		return fields.Set{}, fmt.Errorf("action %q: %w", a.Name, err)
-	}
-	return s, nil
 }
 
 // Rule is one user-installed entry of a MAT.
@@ -260,41 +235,86 @@ func (m *MAT) MatchFields() (fields.Set, error) {
 // ModifiedFields returns F_a^a, the set of fields modified by any action
 // of the MAT.
 func (m *MAT) ModifiedFields() (fields.Set, error) {
-	out, err := fields.NewSet()
-	if err != nil {
-		return fields.Set{}, err
-	}
-	for _, a := range m.Actions {
-		w, err := a.Writes()
-		if err != nil {
-			return fields.Set{}, fmt.Errorf("MAT %q: %w", m.Name, err)
-		}
-		out, err = out.Union(w)
-		if err != nil {
-			return fields.Set{}, fmt.Errorf("MAT %q: %w", m.Name, err)
-		}
-	}
-	return out, nil
+	fp := m.Footprint()
+	return setOf(fp.Writes, fp.WriteErr)
 }
 
 // ReadFields returns every field the MAT reads: the match key plus the
 // sources of its actions.
 func (m *MAT) ReadFields() (fields.Set, error) {
-	out, err := m.MatchFields()
+	fp := m.Footprint()
+	return setOf(fp.Reads, fp.ReadErr)
+}
+
+func setOf(fs []fields.Field, err error) (fields.Set, error) {
 	if err != nil {
 		return fields.Set{}, err
 	}
+	return fields.NewSet(fs...)
+}
+
+// Footprint is what a MAT reads and writes, as Algorithm 1 consumes it:
+// two sorted field lists (fields.Canonical: name order, one entry per
+// name) and the metadata bytes of the writes. A side whose fields fail
+// validation or give one name two definitions is nil and carries its
+// error instead, so a caller fails only on the side it consults — A(a,b)
+// reads b's reads only under IntersectMatch, and b's writes only on an
+// action dependency.
+type Footprint struct {
+	// Reads holds the match keys, every op source, and the destination
+	// of each read-modify-write op (add, dec, count).
+	Reads []fields.Field
+	// Writes holds every op destination: F_a^a.
+	Writes []fields.Field
+	// WriteMetaBytes is Σ size(f) over the metadata fields of Writes.
+	WriteMetaBytes int
+	// ReadErr and WriteErr are the derivation errors of each side.
+	ReadErr, WriteErr error
+}
+
+// Footprint derives the MAT's footprint in one pass over its keys and
+// ops, into one allocation shared by both lists.
+func (m *MAT) Footprint() Footprint {
+	nr, nw := len(m.Keys), 0
 	for _, a := range m.Actions {
-		r, err := a.Reads()
-		if err != nil {
-			return fields.Set{}, fmt.Errorf("MAT %q: %w", m.Name, err)
+		for _, op := range a.Ops {
+			nr += len(op.Srcs)
+			if op.Kind.readsDst() {
+				nr++
+			}
 		}
-		out, err = out.Union(r)
-		if err != nil {
-			return fields.Set{}, fmt.Errorf("MAT %q: %w", m.Name, err)
+		nw += len(a.Ops)
+	}
+	buf := make([]fields.Field, 0, nr+nw)
+	for _, k := range m.Keys {
+		buf = append(buf, k.Field)
+	}
+	for _, a := range m.Actions {
+		for _, op := range a.Ops {
+			buf = append(buf, op.Srcs...)
+			if op.Kind.readsDst() {
+				buf = append(buf, op.Dst)
+			}
 		}
 	}
-	return out, nil
+	for _, a := range m.Actions {
+		for _, op := range a.Ops {
+			buf = append(buf, op.Dst)
+		}
+	}
+	var fp Footprint
+	if fp.Reads, fp.ReadErr = fields.Canonical(buf[:nr:nr]); fp.ReadErr != nil {
+		fp.ReadErr = fmt.Errorf("MAT %q: %w", m.Name, fp.ReadErr)
+	}
+	if fp.Writes, fp.WriteErr = fields.Canonical(buf[nr:]); fp.WriteErr != nil {
+		fp.WriteErr = fmt.Errorf("MAT %q: %w", m.Name, fp.WriteErr)
+	}
+	for _, f := range fp.Writes {
+		if f.IsMetadata() {
+			fp.WriteMetaBytes += f.Bytes()
+		}
+	}
+	return fp
 }
 
 // Action returns the named action.

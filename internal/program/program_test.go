@@ -1,6 +1,7 @@
 package program
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/fields"
@@ -140,6 +141,33 @@ func TestMATFieldSets(t *testing.T) {
 	}
 	if !hmod.Contains("meta.idx") {
 		t.Errorf("hash ModifiedFields = %v, want meta.idx", hmod)
+	}
+}
+
+// TestFootprintKeepsSideErrorsApart: a conflict among the reads must
+// not fail the writes, and the other way round, because A(a,b) consults
+// b's reads only under IntersectMatch and b's writes only on an A edge.
+func TestFootprintKeepsSideErrorsApart(t *testing.T) {
+	x8, x16 := fields.Metadata("meta.x", 8), fields.Metadata("meta.x", 16)
+	y := fields.Metadata("meta.y", 8)
+	reads := &MAT{Name: "r", Capacity: 1, Keys: []MatchKey{{Field: x8, Type: MatchExact}},
+		Actions: []Action{{Name: "c", Ops: []Op{CopyOp(y, x16), SetOp(y, 1)}}}}
+	fp := reads.Footprint()
+	if fp.ReadErr == nil || !strings.Contains(fp.ReadErr.Error(), `"meta.x"`) || !strings.Contains(fp.ReadErr.Error(), `"r"`) {
+		t.Errorf("ReadErr = %v, want the meta.x conflict naming MAT r", fp.ReadErr)
+	}
+	if fp.WriteErr != nil || len(fp.Writes) != 1 || fp.WriteMetaBytes != 1 {
+		t.Errorf("writes = %v (%dB, err %v), want [meta.y] at 1B", fp.Writes, fp.WriteMetaBytes, fp.WriteErr)
+	}
+	writes := &MAT{Name: "w", Capacity: 1, Actions: []Action{
+		{Name: "a", Ops: []Op{SetOp(x8, 1)}}, {Name: "b", Ops: []Op{AddOp(x16, y, 1)}}}}
+	fp = writes.Footprint()
+	if fp.WriteErr == nil || fp.Writes != nil {
+		t.Errorf("writes = %v, err %v: want the meta.x conflict", fp.Writes, fp.WriteErr)
+	}
+	// Only the add reads meta.x (read-modify-write), so the reads hold.
+	if fp.ReadErr != nil || len(fp.Reads) != 2 || fp.Reads[0] != x16 || fp.Reads[1] != y {
+		t.Errorf("reads = %v (err %v), want [meta.x/16 meta.y]", fp.Reads, fp.ReadErr)
 	}
 }
 

@@ -1,6 +1,7 @@
 package tdg
 
 import (
+	"cmp"
 	"fmt"
 
 	"github.com/hermes-net/hermes/internal/fields"
@@ -33,47 +34,39 @@ func FromProgram(p *program.Program) (*Graph, error) {
 		}
 	}
 
-	type sets struct {
-		// reads is the full read set: match keys plus action sources.
-		// Action-source reads induce match dependencies too — the value
-		// must reach the downstream MAT's switch just like a matched
-		// field (Jose et al. fold both into the match-dependency rule).
-		reads, modified fields.Set
-	}
-	cache := make(map[string]sets, len(p.MATs))
-	for _, m := range p.MATs {
-		rf, err := m.ReadFields()
-		if err != nil {
+	// One footprint per MAT, in declaration order. The read side is the
+	// full read set: match keys plus action sources. Action-source reads
+	// induce match dependencies too — the value must reach the
+	// downstream MAT's switch just like a matched field (Jose et al. fold
+	// both into the match-dependency rule).
+	fps := make([]program.Footprint, len(p.MATs))
+	for i, m := range p.MATs {
+		fps[i] = m.Footprint()
+		if err := cmp.Or(fps[i].ReadErr, fps[i].WriteErr); err != nil {
 			return nil, fmt.Errorf("tdg: %w", err)
 		}
-		wf, err := m.ModifiedFields()
-		if err != nil {
-			return nil, fmt.Errorf("tdg: %w", err)
-		}
-		cache[m.Name] = sets{reads: rf, modified: wf}
 	}
 
 	// Enumerate ordered pairs (a before b in declaration order), the
 	// same enumeration §I describes ("enumerates every pair of MATs").
-	for i := 0; i < len(p.MATs); i++ {
-		a := p.MATs[i]
-		sa := cache[a.Name]
-		for j := i + 1; j < len(p.MATs); j++ {
-			b := p.MATs[j]
-			sb := cache[b.Name]
+	//hermes:hot
+	for i := range fps {
+		a := &fps[i]
+		for j := i + 1; j < len(fps); j++ {
+			b := &fps[j]
+			var typ DepType
 			switch {
-			case sa.modified.Overlaps(sb.reads):
-				if err := g.AddEdge(a.Name, b.Name, DepMatch, 0); err != nil {
-					return nil, err
-				}
-			case sa.modified.Overlaps(sb.modified):
-				if err := g.AddEdge(a.Name, b.Name, DepAction, 0); err != nil {
-					return nil, err
-				}
-			case sa.reads.Overlaps(sb.modified):
-				if err := g.AddEdge(a.Name, b.Name, DepReverse, 0); err != nil {
-					return nil, err
-				}
+			case fields.Overlap(a.Writes, b.Reads):
+				typ = DepMatch
+			case fields.Overlap(a.Writes, b.Writes):
+				typ = DepAction
+			case fields.Overlap(a.Reads, b.Writes):
+				typ = DepReverse
+			default:
+				continue
+			}
+			if err := g.AddEdge(p.MATs[i].Name, p.MATs[j].Name, typ, 0); err != nil {
+				return nil, err
 			}
 		}
 	}

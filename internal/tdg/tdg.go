@@ -494,10 +494,12 @@ func (g *Graph) TotalRequirement(rm program.ResourceModel) float64 {
 }
 
 // Subgraph returns a new graph containing only the named nodes and the
-// edges among them. Node structs are shared, not copied. Edges are
-// inserted sorted by (From, To), as if filtered from Edges(); only the
-// kept nodes' out-edges are gathered and sorted, so the cost follows the
-// subset, not the parent.
+// edges among them. Each kept node is a fresh Node with its own copy of
+// Origin; only the MAT is shared, so appending origins to the result
+// (as merge.Graphs does to the clone of its first input) leaves g alone.
+// Edges are copies too, inserted sorted by (From, To), as if filtered
+// from Edges(); only the kept nodes' out-edges are gathered and sorted,
+// so the cost follows the subset, not the parent.
 func (g *Graph) Subgraph(names []string) (*Graph, error) {
 	sub := New()
 	for _, name := range names {
@@ -535,7 +537,8 @@ func (g *Graph) Subgraph(names []string) (*Graph, error) {
 	return sub, nil
 }
 
-// Clone returns an independent copy of the graph (sharing MAT structs).
+// Clone returns an independent copy of the graph: fresh Node and Edge
+// structs and Origin slices, sharing only the MAT structs.
 func (g *Graph) Clone() *Graph {
 	c, err := g.Subgraph(g.order)
 	if err != nil {
