@@ -272,8 +272,8 @@ type Footprint struct {
 	ReadErr, WriteErr error
 }
 
-// Footprint derives the MAT's footprint in one pass over its keys and
-// ops, into one allocation shared by both lists.
+// Footprint derives the MAT's footprint from its keys and ops, into one
+// allocation shared by both lists.
 func (m *MAT) Footprint() Footprint {
 	nr, nw := len(m.Keys), 0
 	for _, a := range m.Actions {
