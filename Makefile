@@ -73,10 +73,12 @@ race:
 	$(GO) test -race ./...
 
 # One-shot run of the parallel speedup benchmark, which proves the
-# worker plumbing still functions, and of the analyzer benchmark
-# (Algorithm 1 on 50 evaluation programs).
+# worker plumbing still functions, of the analyzer benchmark
+# (Algorithm 1 on 50 evaluation programs), and of the cold topological
+# sort of the merged 200-program TDG.
 bench-smoke:
 	$(GO) test -run xxx -bench 'ParallelSpeedup|^BenchmarkAnalyzer$$' -benchtime 1x .
+	$(GO) test -run xxx -bench '^BenchmarkTopoSort$$' -benchtime 1x ./internal/tdg
 
 # The whole-lifecycle benchmark BENCHMARK.json declares (deploy → gated
 # deploy → heal → replay over four workloads; minutes). Every perf or

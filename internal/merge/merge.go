@@ -69,7 +69,9 @@ func appendUnique(dst []string, src ...string) []string {
 
 // mergeEntry locates one accumulated node in the insertion order the
 // literal fold's linear scan would visit, so the indexed merger can
-// reproduce its "first matching node wins" tie-break exactly.
+// reproduce its "first matching node wins" tie-break exactly. Nodes are
+// indexed in the order they enter the accumulator, so order is also the
+// node's id there (for a staged node, the id commit will give it).
 type mergeEntry struct {
 	order int
 	name  string
@@ -86,6 +88,11 @@ type merger struct {
 	buckets map[uint64][]mergeEntry
 	byName  map[string]mergeEntry
 	n       int // next insertion order
+	// seen (visit stamps by node id), stamp and stack are wouldCycle's
+	// DFS scratch, reused across inputs.
+	seen  []uint32
+	stamp uint32
+	stack []int
 }
 
 func newMerger(first *tdg.Graph) *merger {
@@ -250,10 +257,14 @@ func (m *merger) commit(newNodes []*tdg.Node, appends []originAppend, edges []*t
 // edges plus the new edges accepted so far. On program workloads the
 // walk stays inside one program's descendants — a handful of nodes —
 // where a full topological sort per input made the fold quadratic.
+// The walk addresses nodes by index order (= node id); a staged node
+// is not in the accumulator yet, so it has overlay edges only.
 func (m *merger) wouldCycle(edges []*tdg.Edge, renamed map[string]string) bool {
-	var overlay map[string][]string
-	var stack []string
-	seen := make(map[string]bool)
+	base := m.out.NumNodes()
+	if len(m.seen) < m.n {
+		m.seen = append(m.seen, make([]uint32, m.n-len(m.seen))...)
+	}
+	var overlay map[int][]int
 	for _, e := range edges {
 		from, to := renamed[e.From], renamed[e.To]
 		if from == to {
@@ -263,39 +274,28 @@ func (m *merger) wouldCycle(edges []*tdg.Edge, renamed map[string]string) bool {
 			continue
 		}
 		// DFS from `to` searching for `from`.
-		for k := range seen {
-			delete(seen, k)
-		}
-		stack = append(stack[:0], to)
-		seen[to] = true
-		found := false
-		for len(stack) > 0 && !found {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if u == from {
-				found = true
-				break
+		f, t := m.byName[from].order, m.byName[to].order
+		m.stamp++
+		m.stack = append(m.stack[:0], t)
+		for len(m.stack) > 0 {
+			u := m.stack[len(m.stack)-1]
+			m.stack = m.stack[:len(m.stack)-1]
+			if m.seen[u] == m.stamp {
+				continue
 			}
-			for v := range m.out.OutEdgeList(u) {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
-				}
+			m.seen[u] = m.stamp
+			if u == f {
+				return true
 			}
-			for _, v := range overlay[u] {
-				if !seen[v] {
-					seen[v] = true
-					stack = append(stack, v)
-				}
+			if u < base {
+				m.stack = m.out.AppendSuccessors(m.stack, u)
 			}
-		}
-		if found {
-			return true
+			m.stack = append(m.stack, overlay[u]...)
 		}
 		if overlay == nil {
-			overlay = make(map[string][]string)
+			overlay = make(map[int][]int)
 		}
-		overlay[from] = append(overlay[from], to)
+		overlay[f] = append(overlay[f], t)
 	}
 	return false
 }

@@ -277,12 +277,12 @@ func newSplitScratch(g *tdg.Graph, order []string, sw *network.Switch, rm progra
 		sp.req[i] = rm.Requirement(node.MAT)
 		outs, ins := g.OutEdgeList(name), g.InEdgeList(name)
 		sp.out[i], flat = flat[:0:len(outs)], flat[len(outs):]
-		for to, e := range outs {
-			sp.out[i] = append(sp.out[i], posBytes{pos[to], int32(e.MetadataBytes)})
+		for _, e := range outs {
+			sp.out[i] = append(sp.out[i], posBytes{pos[e.To], int32(e.MetadataBytes)})
 		}
 		sp.in[i], flat = flat[:0:len(ins)], flat[len(ins):]
-		for from, e := range ins {
-			sp.in[i] = append(sp.in[i], posBytes{pos[from], int32(e.MetadataBytes)})
+		for _, e := range ins {
+			sp.in[i] = append(sp.in[i], posBytes{pos[e.From], int32(e.MetadataBytes)})
 		}
 	}
 	return sp

@@ -326,8 +326,8 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	}
 
 	// Halo hosts: frozen anchors — hosts of the dirty MATs' TDG peers
-	// outside the candidate set (edge-map iteration order is fine here:
-	// hosts are sorted below and haloSet dedupes).
+	// outside the candidate set (hosts are sorted below and haloSet
+	// dedupes).
 	haloSet := map[network.SwitchID]bool{}
 	addHalo := func(peer string) {
 		if u, ok := baseAssign[peer]; ok && !candSet[u] && !haloSet[u] {
@@ -336,11 +336,11 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 		}
 	}
 	for _, name := range dirtyNames {
-		for peer := range g.OutEdgeList(name) {
-			addHalo(peer)
+		for _, e := range g.OutEdgeList(name) {
+			addHalo(e.To)
 		}
-		for peer := range g.InEdgeList(name) {
-			addHalo(peer)
+		for _, e := range g.InEdgeList(name) {
+			addHalo(e.From)
 		}
 	}
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })

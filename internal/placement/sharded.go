@@ -78,6 +78,9 @@ type ShardStats struct {
 	// AMaxBefore/AMaxAfter bracket the exchange phase (Eq. 1 bytes).
 	AMaxBefore, AMaxAfter int
 	// PartitionTime/RegionTime/ExchangeTime split the solve wall clock.
+	// PartitionTime covers both cuts: the topology into regions and the
+	// TDG into chunks (its topological sort included). What the three
+	// leave out of the solve time is materialization and finishPlan.
 	PartitionTime, RegionTime, ExchangeTime time.Duration
 }
 
@@ -125,7 +128,6 @@ func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Opt
 			return s.fallback(g, topo, opts, &st)
 		}
 	}
-	st.PartitionTime = time.Since(start)
 	st.BoundaryLinks = len(part.BoundaryLinks())
 
 	rm := opts.resourceModel()
@@ -133,6 +135,7 @@ func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Opt
 	if err != nil {
 		return nil, st, err
 	}
+	st.PartitionTime = time.Since(start)
 
 	regionStart := time.Now()
 	assign, err := s.solveRegions(g, topo, part, chunks, opts)
@@ -219,6 +222,7 @@ func chunkTDG(g *tdg.Graph, part *network.Partition, rm program.ResourceModel) (
 	cum := make([]float64, n+1)    // cum[p] = requirement of order[:p]
 	crossing := make([]int64, n+1) // crossing[p] = bytes across cut at p
 	maxReq := 0.0
+	//hermes:hot
 	for i, name := range order {
 		node, _ := g.Node(name)
 		r := rm.Requirement(node.MAT)
@@ -227,10 +231,10 @@ func chunkTDG(g *tdg.Graph, part *network.Partition, rm program.ResourceModel) (
 			maxReq = r
 		}
 		var ob, ib int64
-		for _, e := range g.OutEdges(name) {
+		for _, e := range g.OutEdgeList(name) {
 			ob += int64(e.MetadataBytes)
 		}
-		for _, e := range g.InEdges(name) {
+		for _, e := range g.InEdgeList(name) {
 			ib += int64(e.MetadataBytes)
 		}
 		crossing[i+1] = crossing[i] + ob - ib

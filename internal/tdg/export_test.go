@@ -1,0 +1,5 @@
+package tdg
+
+// SortUncached runs the topological sort without reading or filling the
+// cache, for the allocation ceiling and the sort benchmark.
+func (g *Graph) SortUncached() ([]string, error) { return g.topoSortUncached() }

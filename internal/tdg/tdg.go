@@ -82,26 +82,39 @@ type Edge struct {
 	// From to To when they are placed on different switches. Filled in
 	// by the analyzer; zero until then (and always zero for R edges).
 	MetadataBytes int
+	// from and to are the endpoints' ids in the graph holding the edge.
+	from, to int32
 }
 
 // Graph is a table dependency graph. The zero value is not usable; call
 // New.
+//
+// Every node has a dense id: its insertion index. Nothing removes a
+// node, so an id is stable for the graph's lifetime, and the per-node
+// state lives in slices indexed by it.
 type Graph struct {
-	nodes map[string]*Node
-	// out and in are adjacency maps: out[from][to] = edge.
-	out map[string]map[string]*Edge
-	in  map[string]map[string]*Edge
+	nodes []*Node
+	names []string
+	ids   map[string]int32
+	// out and in hold each node's edges in insertion order.
+	out, in [][]*Edge
+	// edges indexes every edge by its (from, to) id pair.
+	edges map[uint64]*Edge
 	// list holds every edge in insertion order; the cheap iteration
 	// surface for hot paths (sorting in Edges dominates profiles
 	// otherwise).
 	list []*Edge
-	// order preserves node insertion order for deterministic iteration.
-	order []string
+	// The arenas hand out the Node and Edge structs, the Origin slices,
+	// and the backing arrays of out and in.
+	nodeArena   arena[Node]
+	edgeArena   arena[Edge]
+	originArena arena[string]
+	adjArena    arena[*Edge]
 	// mu guards the lazily-filled topo cache and the derived-result
 	// memo, making read-only graph sharing safe across goroutines
 	// (parallel candidate evaluation packs against one shared graph).
-	// Mutations (AddNode/AddEdge/RemoveNode) remain single-goroutine
-	// operations; only reads may run concurrently.
+	// Mutations (AddNode/AddEdge) remain single-goroutine operations;
+	// only reads may run concurrently.
 	mu sync.Mutex
 	// topoCache memoizes TopoSort between mutations; topoErr holds the
 	// cycle error when the last sort failed.
@@ -121,10 +134,43 @@ const memoCap = 1 << 16
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		nodes: make(map[string]*Node),
-		out:   make(map[string]map[string]*Edge),
-		in:    make(map[string]map[string]*Edge),
+		ids:   make(map[string]int32),
+		edges: make(map[uint64]*Edge),
 	}
+}
+
+func edgeKey(from, to int32) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
+
+// arena carves values out of chunks that double up to arenaChunk
+// elements, so building a graph costs a few allocations per kind rather
+// than one per node, per edge and per adjacency growth. Chunks are
+// never reallocated, so handed-out pointers and slices stay valid.
+type arena[T any] struct{ buf []T }
+
+const arenaChunk = 1024
+
+// alloc returns an empty slice of capacity n. The capacity bound makes
+// an append past n reallocate instead of spilling into the next carve.
+func (a *arena[T]) alloc(n int) []T {
+	if cap(a.buf)-len(a.buf) < n {
+		a.buf = make([]T, 0, max(n, min(2*cap(a.buf), arenaChunk), 8))
+	}
+	lo := len(a.buf)
+	a.buf = a.buf[:lo+n]
+	return a.buf[lo : lo : lo+n]
+}
+
+// new returns a pointer to a zero T.
+func (a *arena[T]) new() *T { return &a.alloc(1)[:1][0] }
+
+// appendAdj appends e to s, one node's out or in slice. A full slice
+// moves to a doubled carve of adjArena; the outgrown carve stays behind
+// as dead space until the graph is dropped.
+func (g *Graph) appendAdj(s []*Edge, e *Edge) []*Edge {
+	if len(s) == cap(s) {
+		s = append(g.adjArena.alloc(max(2*len(s), 2)), s...)
+	}
+	return append(s, e)
 }
 
 // AddNode inserts a MAT. It fails on duplicate names or nil MATs.
@@ -132,13 +178,19 @@ func (g *Graph) AddNode(m *program.MAT, origin ...string) error {
 	if m == nil {
 		return fmt.Errorf("tdg: nil MAT")
 	}
-	if _, ok := g.nodes[m.Name]; ok {
+	if _, ok := g.ids[m.Name]; ok {
 		return fmt.Errorf("tdg: duplicate node %q", m.Name)
 	}
-	g.nodes[m.Name] = &Node{MAT: m, Origin: append([]string(nil), origin...)}
-	g.out[m.Name] = make(map[string]*Edge)
-	g.in[m.Name] = make(map[string]*Edge)
-	g.order = append(g.order, m.Name)
+	g.ids[m.Name] = int32(len(g.nodes))
+	n := g.nodeArena.new()
+	n.MAT = m
+	if len(origin) > 0 {
+		n.Origin = append(g.originArena.alloc(len(origin)), origin...)
+	}
+	g.nodes = append(g.nodes, n)
+	g.names = append(g.names, m.Name)
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
 	g.invalidateDerived()
 	return nil
 }
@@ -153,16 +205,18 @@ func (g *Graph) AddEdge(from, to string, typ DepType, metadataBytes int) error {
 	if !typ.Valid() {
 		return fmt.Errorf("tdg: invalid dependency type %d", int(typ))
 	}
-	if _, ok := g.nodes[from]; !ok {
+	f, ok := g.ids[from]
+	if !ok {
 		return fmt.Errorf("tdg: edge from unknown node %q", from)
 	}
-	if _, ok := g.nodes[to]; !ok {
+	t, ok := g.ids[to]
+	if !ok {
 		return fmt.Errorf("tdg: edge to unknown node %q", to)
 	}
 	if metadataBytes < 0 {
 		return fmt.Errorf("tdg: negative metadata size on %q->%q", from, to)
 	}
-	if e, ok := g.out[from][to]; ok {
+	if e, ok := g.edges[edgeKey(f, t)]; ok {
 		if strength(typ) > strength(e.Type) {
 			e.Type = typ
 		}
@@ -171,12 +225,20 @@ func (g *Graph) AddEdge(from, to string, typ DepType, metadataBytes int) error {
 		}
 		return nil
 	}
-	e := &Edge{From: from, To: to, Type: typ, MetadataBytes: metadataBytes}
-	g.out[from][to] = e
-	g.in[to][from] = e
-	g.list = append(g.list, e)
+	e := g.edgeArena.new()
+	*e = Edge{From: from, To: to, Type: typ, MetadataBytes: metadataBytes, from: f, to: t}
+	g.addEdge(e)
 	g.invalidateDerived()
 	return nil
+}
+
+// addEdge links e, whose id pair must be new, into the graph. The caller
+// invalidates derived results.
+func (g *Graph) addEdge(e *Edge) {
+	g.edges[edgeKey(e.from, e.to)] = e
+	g.out[e.from] = g.appendAdj(g.out[e.from], e)
+	g.in[e.to] = g.appendAdj(g.in[e.to], e)
+	g.list = append(g.list, e)
 }
 
 // strength orders dependency types for edge merging: a match dependency
@@ -198,8 +260,21 @@ func strength(d DepType) int {
 
 // Node returns the named node.
 func (g *Graph) Node(name string) (*Node, bool) {
-	n, ok := g.nodes[name]
-	return n, ok
+	id, ok := g.ids[name]
+	if !ok {
+		return nil, false
+	}
+	return g.nodes[id], true
+}
+
+// AppendSuccessors appends the ids of the targets of node id's
+// out-edges to dst, in edge insertion order. A node's id is its
+// insertion index.
+func (g *Graph) AppendSuccessors(dst []int, id int) []int {
+	for _, e := range g.out[id] {
+		dst = append(dst, int(e.to))
+	}
+	return dst
 }
 
 // NumNodes returns |V|.
@@ -209,18 +284,10 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 func (g *Graph) NumEdges() int { return len(g.list) }
 
 // Nodes returns the nodes in insertion order.
-func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, 0, len(g.order))
-	for _, name := range g.order {
-		out = append(out, g.nodes[name])
-	}
-	return out
-}
+func (g *Graph) Nodes() []*Node { return append(make([]*Node, 0, len(g.nodes)), g.nodes...) }
 
 // NodeNames returns node names in insertion order.
-func (g *Graph) NodeNames() []string {
-	return append([]string(nil), g.order...)
-}
+func (g *Graph) NodeNames() []string { return slices.Clone(g.names) }
 
 // Edges returns all edges sorted by (From, To) for determinism.
 func (g *Graph) Edges() []*Edge {
@@ -241,99 +308,52 @@ func (g *Graph) EdgeList() []*Edge { return g.list }
 
 // Edge returns the edge from → to.
 func (g *Graph) Edge(from, to string) (*Edge, bool) {
-	e, ok := g.out[from][to]
+	f, ok := g.ids[from]
+	if !ok {
+		return nil, false
+	}
+	t, ok := g.ids[to]
+	if !ok {
+		return nil, false
+	}
+	e, ok := g.edges[edgeKey(f, t)]
 	return e, ok
 }
 
-// OutEdgeList returns the edges leaving the node in map order (not
-// deterministic); use for hot paths where ordering does not matter.
-func (g *Graph) OutEdgeList(name string) map[string]*Edge { return g.out[name] }
+// OutEdgeList returns the edges leaving the node in insertion order,
+// without copying; callers must not modify the slice. Nil for an
+// unknown name.
+func (g *Graph) OutEdgeList(name string) []*Edge {
+	if id, ok := g.ids[name]; ok {
+		return g.out[id]
+	}
+	return nil
+}
 
-// InEdgeList returns the edges entering the node in map order (not
-// deterministic); use for hot paths where ordering does not matter.
-func (g *Graph) InEdgeList(name string) map[string]*Edge { return g.in[name] }
+// InEdgeList returns the edges entering the node in insertion order,
+// without copying; callers must not modify the slice. Nil for an
+// unknown name.
+func (g *Graph) InEdgeList(name string) []*Edge {
+	if id, ok := g.ids[name]; ok {
+		return g.in[id]
+	}
+	return nil
+}
 
-// OutEdges returns the edges leaving the node, sorted by target.
+// OutEdges returns a copy of the edges leaving the node, sorted by
+// target.
 func (g *Graph) OutEdges(name string) []*Edge {
-	m := g.out[name]
-	out := make([]*Edge, 0, len(m))
-	for _, e := range m {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
+	out := slices.Clone(g.OutEdgeList(name))
+	slices.SortFunc(out, func(a, b *Edge) int { return strings.Compare(a.To, b.To) })
 	return out
 }
 
-// InEdges returns the edges entering the node, sorted by source.
+// InEdges returns a copy of the edges entering the node, sorted by
+// source.
 func (g *Graph) InEdges(name string) []*Edge {
-	m := g.in[name]
-	out := make([]*Edge, 0, len(m))
-	for _, e := range m {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].From < out[j].From })
+	out := slices.Clone(g.InEdgeList(name))
+	slices.SortFunc(out, func(a, b *Edge) int { return strings.Compare(a.From, b.From) })
 	return out
-}
-
-// RemoveNode deletes a node and its incident edges.
-func (g *Graph) RemoveNode(name string) error {
-	if _, ok := g.nodes[name]; !ok {
-		return fmt.Errorf("tdg: remove of unknown node %q", name)
-	}
-	for to := range g.out[name] {
-		delete(g.in[to], name)
-	}
-	for from := range g.in[name] {
-		delete(g.out[from], name)
-	}
-	delete(g.out, name)
-	delete(g.in, name)
-	delete(g.nodes, name)
-	kept := g.list[:0]
-	for _, e := range g.list {
-		if e.From != name && e.To != name {
-			kept = append(kept, e)
-		}
-	}
-	g.list = kept
-	g.invalidateDerived()
-	for i, n := range g.order {
-		if n == name {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
-// RedirectEdges moves every edge incident to old so it is incident to
-// replacement instead, merging with existing edges; used when the
-// merger unifies redundant MATs. Self-edges that would result are
-// dropped.
-func (g *Graph) RedirectEdges(old, replacement string) error {
-	if _, ok := g.nodes[old]; !ok {
-		return fmt.Errorf("tdg: redirect from unknown node %q", old)
-	}
-	if _, ok := g.nodes[replacement]; !ok {
-		return fmt.Errorf("tdg: redirect to unknown node %q", replacement)
-	}
-	for to, e := range g.out[old] {
-		if to == replacement {
-			continue
-		}
-		if err := g.AddEdge(replacement, to, e.Type, e.MetadataBytes); err != nil {
-			return err
-		}
-	}
-	for from, e := range g.in[old] {
-		if from == replacement {
-			continue
-		}
-		if err := g.AddEdge(from, replacement, e.Type, e.MetadataBytes); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TopoSort returns the node names in a topological order. Ties are
@@ -414,45 +434,74 @@ func (g *Graph) MemoSet(key string, val any) {
 	g.mu.Unlock()
 }
 
+// topoSortUncached is Kahn's algorithm with the ready set in a min-heap
+// of node ids, so the ready node inserted first always goes next. It
+// walks the out-edge slices directly and allocates only the
+// indegree/heap buffer and the result: O((V+E) log V) time.
 func (g *Graph) topoSortUncached() ([]string, error) {
-	indeg := make(map[string]int, len(g.nodes))
-	for name := range g.nodes {
-		indeg[name] = len(g.in[name])
-	}
-	// Ready queue ordered by insertion order.
-	pos := make(map[string]int, len(g.order))
-	for i, name := range g.order {
-		pos[name] = i
-	}
-	var ready []string
-	for _, name := range g.order {
-		if indeg[name] == 0 {
-			ready = append(ready, name)
+	n := len(g.nodes)
+	buf := make([]int32, 2*n)
+	indeg, ready := buf[:n], buf[n:n]
+	for id, in := range g.in {
+		indeg[id] = int32(len(in))
+		if len(in) == 0 {
+			// Ascending ids: already a valid min-heap.
+			ready = append(ready, int32(id))
 		}
 	}
-	var out []string
+	out := make([]string, 0, n)
 	for len(ready) > 0 {
-		// Pick the ready node with the smallest insertion index.
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if pos[ready[i]] < pos[ready[best]] {
-				best = i
-			}
-		}
-		n := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		out = append(out, n)
-		for to := range g.out[n] {
-			indeg[to]--
-			if indeg[to] == 0 {
-				ready = append(ready, to)
+		var u int32
+		u, ready = heapPop(ready)
+		out = append(out, g.names[u])
+		for _, e := range g.out[u] {
+			indeg[e.to]--
+			if indeg[e.to] == 0 {
+				ready = heapPush(ready, e.to)
 			}
 		}
 	}
-	if len(out) != len(g.nodes) {
-		return nil, fmt.Errorf("tdg: graph has a cycle (%d of %d nodes sorted)", len(out), len(g.nodes))
+	if len(out) != n {
+		return nil, fmt.Errorf("tdg: graph has a cycle (%d of %d nodes sorted)", len(out), n)
 	}
 	return out, nil
+}
+
+// heapPush adds v to the binary min-heap h. Every node enters the
+// ready heap once, so it never outgrows its n-slot buffer.
+func heapPush(h []int32, v int32) []int32 {
+	h = append(h, v)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	return h
+}
+
+// heapPop removes and returns the minimum of the non-empty min-heap h.
+func heapPop(h []int32) (int32, []int32) {
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r] < h[c] {
+			c = r
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return top, h
 }
 
 // IsDAG reports whether the graph is acyclic.
@@ -471,9 +520,9 @@ func (g *Graph) Levels() (map[string]int, error) {
 	lvl := make(map[string]int, len(order))
 	for _, n := range order {
 		max := 0
-		for from := range g.in[n] {
-			if lvl[from]+1 > max {
-				max = lvl[from] + 1
+		for _, e := range g.InEdgeList(n) {
+			if lvl[e.From]+1 > max {
+				max = lvl[e.From] + 1
 			}
 		}
 		lvl[n] = max
@@ -487,8 +536,8 @@ func (g *Graph) Levels() (map[string]int, error) {
 // not be the map's.
 func (g *Graph) TotalRequirement(rm program.ResourceModel) float64 {
 	total := 0.0
-	for _, name := range g.order {
-		total += rm.Requirement(g.nodes[name].MAT)
+	for _, n := range g.nodes {
+		total += rm.Requirement(n.MAT)
 	}
 	return total
 }
@@ -503,7 +552,7 @@ func (g *Graph) TotalRequirement(rm program.ResourceModel) float64 {
 func (g *Graph) Subgraph(names []string) (*Graph, error) {
 	sub := New()
 	for _, name := range names {
-		n, ok := g.nodes[name]
+		n, ok := g.Node(name)
 		if !ok {
 			return nil, fmt.Errorf("tdg: subgraph of unknown node %q", name)
 		}
@@ -513,8 +562,8 @@ func (g *Graph) Subgraph(names []string) (*Graph, error) {
 	}
 	var kept []*Edge
 	for _, name := range names {
-		for to, e := range g.out[name] {
-			if _, ok := sub.nodes[to]; ok {
+		for _, e := range g.OutEdgeList(name) {
+			if _, ok := sub.ids[e.To]; ok {
 				kept = append(kept, e)
 			}
 		}
@@ -529,10 +578,10 @@ func (g *Graph) Subgraph(names []string) (*Graph, error) {
 	for _, e := range kept {
 		// Both endpoints exist and (From, To) is unique in g, so AddEdge's
 		// validation and merge cases cannot arise.
-		c := *e
-		sub.out[c.From][c.To] = &c
-		sub.in[c.To][c.From] = &c
-		sub.list = append(sub.list, &c)
+		c := sub.edgeArena.new()
+		*c = *e
+		c.from, c.to = sub.ids[c.From], sub.ids[c.To]
+		sub.addEdge(c)
 	}
 	return sub, nil
 }
@@ -540,7 +589,7 @@ func (g *Graph) Subgraph(names []string) (*Graph, error) {
 // Clone returns an independent copy of the graph: fresh Node and Edge
 // structs and Origin slices, sharing only the MAT structs.
 func (g *Graph) Clone() *Graph {
-	c, err := g.Subgraph(g.order)
+	c, err := g.Subgraph(g.names)
 	if err != nil {
 		// Subgraph over our own node list cannot fail.
 		panic("tdg: clone failed: " + err.Error())
@@ -548,25 +597,11 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// CutBytes sums A(a,b) over edges whose tail is in from and whose head
-// is in to. The greedy splitter minimizes this quantity.
-func (g *Graph) CutBytes(from, to map[string]bool) int {
-	total := 0
-	for name := range from {
-		for t, e := range g.out[name] {
-			if to[t] {
-				total += e.MetadataBytes
-			}
-		}
-	}
-	return total
-}
-
 // DOT renders the graph in Graphviz format for debugging.
 func (g *Graph) DOT() string {
 	var b strings.Builder
 	b.WriteString("digraph tdg {\n  rankdir=LR;\n")
-	for _, name := range g.order {
+	for _, name := range g.names {
 		fmt.Fprintf(&b, "  %q;\n", name)
 	}
 	for _, e := range g.Edges() {

@@ -1,6 +1,9 @@
 package tdg
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -189,55 +192,6 @@ func TestLevels(t *testing.T) {
 	}
 }
 
-func TestRemoveNode(t *testing.T) {
-	g := chain(t, []string{"a", "b", "c"}, []int{1, 2})
-	if err := g.RemoveNode("b"); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 2 || g.NumEdges() != 0 {
-		t.Errorf("after remove: %d nodes, %d edges; want 2, 0", g.NumNodes(), g.NumEdges())
-	}
-	if err := g.RemoveNode("zz"); err == nil {
-		t.Error("RemoveNode of unknown node succeeded")
-	}
-	names := g.NodeNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "c" {
-		t.Errorf("NodeNames = %v, want [a c]", names)
-	}
-}
-
-func TestRedirectEdges(t *testing.T) {
-	// a -> old -> c, plus replacement node; redirect old's edges onto
-	// replacement and remove old: a -> repl -> c must hold.
-	g := New()
-	for _, n := range []string{"a", "old", "c", "repl"} {
-		if err := g.AddNode(mat(t, n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.AddEdge("a", "old", DepMatch, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge("old", "c", DepAction, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RedirectEdges("old", "repl"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RemoveNode("old"); err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := g.Edge("a", "repl"); !ok || e.Type != DepMatch || e.MetadataBytes != 3 {
-		t.Errorf("a->repl edge wrong: %+v ok=%v", e, ok)
-	}
-	if e, ok := g.Edge("repl", "c"); !ok || e.Type != DepAction || e.MetadataBytes != 5 {
-		t.Errorf("repl->c edge wrong: %+v ok=%v", e, ok)
-	}
-	if err := g.RedirectEdges("gone", "repl"); err == nil {
-		t.Error("RedirectEdges from unknown node succeeded")
-	}
-}
-
 func TestSubgraphAndClone(t *testing.T) {
 	g := chain(t, []string{"a", "b", "c", "d"}, []int{1, 2, 3})
 	sub, err := g.Subgraph([]string{"b", "c"})
@@ -254,28 +208,14 @@ func TestSubgraphAndClone(t *testing.T) {
 	if c.NumNodes() != g.NumNodes() || c.NumEdges() != g.NumEdges() {
 		t.Error("clone shape mismatch")
 	}
-	if err := c.RemoveNode("a"); err != nil {
+	if err := c.AddNode(mat(t, "e")); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumNodes() != 4 {
+	if err := c.AddEdge("a", "b", DepMatch, 9); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := g.Edge("a", "b"); g.NumNodes() != 4 || e.MetadataBytes != 1 {
 		t.Error("mutating clone affected original")
-	}
-}
-
-func TestCutBytes(t *testing.T) {
-	g := chain(t, []string{"a", "b", "c"}, []int{4, 7})
-	from := map[string]bool{"a": true}
-	to := map[string]bool{"b": true, "c": true}
-	if got := g.CutBytes(from, to); got != 4 {
-		t.Errorf("CutBytes = %d, want 4", got)
-	}
-	from = map[string]bool{"a": true, "b": true}
-	to = map[string]bool{"c": true}
-	if got := g.CutBytes(from, to); got != 7 {
-		t.Errorf("CutBytes = %d, want 7", got)
-	}
-	if got := g.CutBytes(nil, nil); got != 0 {
-		t.Errorf("CutBytes(nil,nil) = %d, want 0", got)
 	}
 }
 
@@ -522,14 +462,100 @@ func TestUnsortedAdjacencyAccessors(t *testing.T) {
 	if len(g.OutEdgeList("a")) != 1 || len(g.InEdgeList("b")) != 1 {
 		t.Error("unsorted adjacency sizes wrong")
 	}
-	if len(g.OutEdgeList("c")) != 0 {
-		t.Error("sink has out edges")
+	if len(g.OutEdgeList("c")) != 0 || g.OutEdgeList("zz") != nil || g.InEdgeList("zz") != nil {
+		t.Error("sink or unknown node has edges")
 	}
-	// RemoveNode keeps the edge list consistent.
-	if err := g.RemoveNode("b"); err != nil {
+	// Insertion order, not name order.
+	if err := g.AddEdge("a", "c", DepAction, 3); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != 0 || len(g.EdgeList()) != 0 {
-		t.Error("edge list stale after RemoveNode")
+	if err := g.AddEdge("b", "c", DepSuccessor, 4); err != nil { // merges into b->c
+		t.Fatal(err)
+	}
+	in := g.InEdgeList("c")
+	if len(in) != 2 || in[0].From != "b" || in[1].From != "a" || in[0].Type != DepMatch || in[0].MetadataBytes != 4 {
+		t.Errorf("InEdgeList(c) = %v %v, want [b->c M/4, a->c]", *in[0], *in[1])
+	}
+	if got := g.AppendSuccessors(nil, 0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Errorf("AppendSuccessors(a) = %v, want [1 2]", got)
+	}
+}
+
+// TestAdjacencyMatchesEdgeList: with edge insertions interleaved across
+// many nodes, so every adjacency slice outgrows its carve several times
+// while its neighbours' carves sit next to it, each node's out- and
+// in-slice is exactly the edge list filtered by endpoint, in insertion
+// order and by pointer.
+func TestAdjacencyMatchesEdgeList(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := New()
+	const n = 60
+	for i := 0; i < n; i++ {
+		if err := g.AddNode(mat(t, fmt.Sprintf("m%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := g.NodeNames()
+	for k := 0; k < 1500; k++ {
+		// Repeats merge into the existing edge.
+		a, b := names[rng.Intn(n)], names[rng.Intn(n)]
+		if a == b {
+			continue
+		}
+		if err := g.AddEdge(a, b, DepMatch+DepType(rng.Intn(4)), rng.Intn(16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g.NumEdges() != len(g.Edges()) {
+		t.Fatalf("NumEdges %d, Edges %d", g.NumEdges(), len(g.Edges()))
+	}
+	for id, name := range names {
+		var wantOut, wantIn []*Edge
+		for _, e := range g.EdgeList() {
+			if e.From == name {
+				wantOut = append(wantOut, e)
+			}
+			if e.To == name {
+				wantIn = append(wantIn, e)
+			}
+		}
+		if !slices.Equal(g.OutEdgeList(name), wantOut) || !slices.Equal(g.InEdgeList(name), wantIn) {
+			t.Fatalf("node %s: adjacency differs from the filtered edge list", name)
+		}
+		succ := g.AppendSuccessors(nil, id)
+		if len(succ) != len(wantOut) {
+			t.Fatalf("node %s: %d successor ids, %d out-edges", name, len(succ), len(wantOut))
+		}
+		for i, e := range wantOut {
+			if names[succ[i]] != e.To {
+				t.Fatalf("node %s: successor id %d is %s, want %s", name, succ[i], names[succ[i]], e.To)
+			}
+			if got, ok := g.Edge(e.From, e.To); !ok || got != e {
+				t.Fatalf("Edge(%s, %s) is not the adjacency record", e.From, e.To)
+			}
+		}
+	}
+}
+
+// TestOriginAppendLeavesNeighboursIntact: Origin slices are carved from
+// one shared chunk, yet appending to one node's Origin (as the merger
+// does when it unifies MATs) must not write into the next node's.
+func TestOriginAppendLeavesNeighboursIntact(t *testing.T) {
+	g := New()
+	for _, name := range []string{"a", "b", "c"} {
+		if err := g.AddNode(mat(t, name), "p_"+name, "q_"+name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := g.Node("a")
+	a.Origin = append(a.Origin, "r", "s")
+	for _, name := range []string{"b", "c"} {
+		n, _ := g.Node(name)
+		if want := []string{"p_" + name, "q_" + name}; !slices.Equal(n.Origin, want) {
+			t.Errorf("node %s Origin = %v after appending to a's, want %v", name, n.Origin, want)
+		}
+	}
+	if want := []string{"p_a", "q_a", "r", "s"}; !slices.Equal(a.Origin, want) {
+		t.Errorf("a.Origin = %v, want %v", a.Origin, want)
 	}
 }
