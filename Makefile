@@ -74,11 +74,14 @@ race:
 
 # One-shot run of the parallel speedup benchmark, which proves the
 # worker plumbing still functions, of the analyzer benchmark
-# (Algorithm 1 on 50 evaluation programs), and of the cold topological
-# sort of the merged 200-program TDG.
+# (Algorithm 1 on 50 evaluation programs), of the cold topological
+# sort of the merged 200-program TDG, and of two post-repair gates on
+# the 2,822-MAT composite plan: the plan lint and the rollout diff.
 bench-smoke:
 	$(GO) test -run xxx -bench 'ParallelSpeedup|^BenchmarkAnalyzer$$' -benchtime 1x .
 	$(GO) test -run xxx -bench '^BenchmarkTopoSort$$' -benchtime 1x ./internal/tdg
+	$(GO) test -run xxx -bench '^BenchmarkLintPlan$$' -benchtime 1x ./internal/lint
+	$(GO) test -run xxx -bench '^BenchmarkRolloutNew$$' -benchtime 1x ./internal/deploy/rollout
 
 # The whole-lifecycle benchmark BENCHMARK.json declares (deploy → gated
 # deploy → heal → replay over four workloads; minutes). Every perf or

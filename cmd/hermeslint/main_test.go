@@ -225,6 +225,32 @@ func bad(g *graph, s *sw, order []string) int {
 	}
 }
 
+func TestHotLoopFlagsSortedEdgeWalk(t *testing.T) {
+	// The post-repair gates walk the graph's insertion-order edge list;
+	// a tagged loop ranging over a sorted Edges() copy is flagged even
+	// though the call sits in the range clause, not the body.
+	fs := lintSnippet(t, `
+type graph struct{}
+func (g *graph) Edges() []int    { return nil }
+func (g *graph) EdgeList() []int { return nil }
+func gate(g *graph) int {
+	n := 0
+	//hermes:hot
+	for _, e := range g.Edges() {
+		n += e
+	}
+	//hermes:hot
+	for _, e := range g.EdgeList() {
+		n += e
+	}
+	return n
+}
+`)
+	if got := rulesOf(fs); len(got) != 1 || got[0] != "HV005" || !strings.Contains(fs[0].msg, "g.Edges()") {
+		t.Fatalf("want one HV005 naming g.Edges(), got %v", fs)
+	}
+}
+
 func TestHotLoopFlagsEngineCompiles(t *testing.T) {
 	// A packet-engine constructor compiles the whole deployment (or
 	// sorts the whole graph): per candidate packet it is the

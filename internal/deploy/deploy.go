@@ -250,21 +250,30 @@ func ProveEquivalent(d *Deployment) error {
 // and header sizes per pair never exceed the plan's A(a,b) pair sums
 // (they can be smaller because overlapping edges share fields).
 func (d *Deployment) Verify() error {
-	// Every MAT fragment accounted for.
-	for name, sp := range d.Plan.Assignments {
-		cfg := d.Configs[sp.Switch]
+	// Every MAT fragment accounted for: one pass over the configs sums
+	// each (switch, MAT) stage amount, in stage order.
+	type hosted struct {
+		sw  network.SwitchID
+		mat string
+	}
+	scheduled := make(map[hosted]float64, len(d.Plan.Assignments))
+	for sw, cfg := range d.Configs {
 		if cfg == nil {
+			continue
+		}
+		for _, st := range cfg.Stages {
+			//hermes:hot
+			for _, e := range st {
+				scheduled[hosted{sw, e.MAT}] += e.Amount
+			}
+		}
+	}
+	for name, sp := range d.Plan.Assignments {
+		if d.Configs[sp.Switch] == nil {
 			return fmt.Errorf("deploy: %s has no config but hosts MAT %q",
 				placement.SwitchLabel(d.Plan.Topo, sp.Switch), name)
 		}
-		total := 0.0
-		for _, st := range cfg.Stages {
-			for _, e := range st {
-				if e.MAT == name {
-					total += e.Amount
-				}
-			}
-		}
+		total := scheduled[hosted{sp.Switch, name}]
 		if diff := total - sp.Total(); diff > 1e-9 || diff < -1e-9 {
 			return fmt.Errorf("deploy: MAT %q on %s stages %d..%d schedules %g of %g resources",
 				name, placement.SwitchLabel(d.Plan.Topo, sp.Switch), sp.Start, sp.End, total, sp.Total())

@@ -17,12 +17,13 @@ package rollout
 import (
 	"bufio"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/network"
+	"github.com/hermes-net/hermes/internal/placement"
 )
 
 // OpKind names one rollout operation class.
@@ -250,28 +251,66 @@ func parseEntry(line string) (*Entry, error) {
 // fingerprint binds a journal to one exact old→new transition: a hash
 // over both plans' MAT→switch assignments plus the epoch pair, so a
 // resumed rollout refuses a journal recorded for different plans.
+//
+// The hashed bytes are a persisted format (journals on disk carry the
+// value): FNV-1a 64 over "old", then name@switch:start; per old-plan
+// MAT in name order, then "new" and the same for the new plan, then
+// |from>to — every integer in decimal (DESIGN §15.2). Both plans share
+// one sorted name list when their MAT sets agree, as every heal's do.
 func fingerprint(old, next *deploy.Deployment, from, to uint64) uint64 {
-	h := uint64(1469598103934665603) // FNV-64 offset basis
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
+	h := uint64(1469598103934665603) // one digit short of FNV-64's basis; persisted, keep it
+	mix := func(b []byte) {
+		for _, c := range b {
+			h ^= uint64(c)
 			h *= 1099511628211
 		}
 	}
-	mixPlan := func(tag string, dep *deploy.Deployment) {
-		mix(tag)
-		names := make([]string, 0, len(dep.Plan.Assignments))
-		for name := range dep.Plan.Assignments {
+	sortedNames := func(as map[string]placement.StagePlacement) []string {
+		names := make([]string, 0, len(as))
+		for name := range as {
 			names = append(names, name)
 		}
-		sort.Strings(names)
+		slices.Sort(names)
+		return names
+	}
+	var buf []byte
+	mixPlan := func(tag string, as map[string]placement.StagePlacement, names []string) {
+		mix(append(buf[:0], tag...))
 		for _, name := range names {
-			sp := dep.Plan.Assignments[name]
-			mix(fmt.Sprintf("%s@%d:%d;", name, sp.Switch, sp.Start))
+			sp := as[name]
+			buf = append(buf[:0], name...)
+			buf = append(buf, '@')
+			buf = strconv.AppendInt(buf, int64(sp.Switch), 10)
+			buf = append(buf, ':')
+			buf = strconv.AppendInt(buf, int64(sp.Start), 10)
+			buf = append(buf, ';')
+			mix(buf)
 		}
 	}
-	mixPlan("old", old)
-	mixPlan("new", next)
-	mix(fmt.Sprintf("|%d>%d", from, to))
+	oldAs, nextAs := old.Plan.Assignments, next.Plan.Assignments
+	names := sortedNames(oldAs)
+	mixPlan("old", oldAs, names)
+	if !sameKeys(oldAs, nextAs) {
+		names = sortedNames(nextAs)
+	}
+	mixPlan("new", nextAs, names)
+	buf = append(buf[:0], '|')
+	buf = strconv.AppendUint(buf, from, 10)
+	buf = append(buf, '>')
+	buf = strconv.AppendUint(buf, to, 10)
+	mix(buf)
 	return h
+}
+
+// sameKeys reports whether two assignment maps hold the same MAT names.
+func sameKeys(a, b map[string]placement.StagePlacement) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name := range a {
+		if _, ok := b[name]; !ok {
+			return false
+		}
+	}
+	return true
 }

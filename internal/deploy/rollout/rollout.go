@@ -179,42 +179,37 @@ func (r *Rollout) buildOps() {
 
 // countUnchanged counts new-plan switches whose MAT footprint is
 // identical to their old-plan one — informational; staging is uniform.
+// One pass per plan: a switch is unchanged when it hosts as many MATs
+// in both plans and none of its new-plan MATs sits on another switch,
+// or in another stage window, in the old plan.
 func (r *Rollout) countUnchanged() {
-	type slot struct {
-		sw         network.SwitchID
-		start, end int
+	type tally struct {
+		net     int // new-plan MATs minus old-plan MATs
+		differs bool
 	}
-	oldAt := map[network.SwitchID]map[string]slot{}
-	for name, sp := range r.old.Plan.Assignments {
-		m := oldAt[sp.Switch]
-		if m == nil {
-			m = map[string]slot{}
-			oldAt[sp.Switch] = m
+	oldAs := r.old.Plan.Assignments
+	at := map[network.SwitchID]*tally{}
+	get := func(sw network.SwitchID) *tally {
+		t := at[sw]
+		if t == nil {
+			t = &tally{}
+			at[sw] = t
 		}
-		m[name] = slot{sp.Switch, sp.Start, sp.End}
+		return t
 	}
-	newAt := map[network.SwitchID]map[string]slot{}
+	for _, sp := range oldAs {
+		get(sp.Switch).net--
+	}
 	for name, sp := range r.next.Plan.Assignments {
-		m := newAt[sp.Switch]
-		if m == nil {
-			m = map[string]slot{}
-			newAt[sp.Switch] = m
+		t := get(sp.Switch)
+		t.net++
+		if o, ok := oldAs[name]; !ok || o.Switch != sp.Switch || o.Start != sp.Start || o.End != sp.End {
+			t.differs = true
 		}
-		m[name] = slot{sp.Switch, sp.Start, sp.End}
 	}
-	for sw, nm := range newAt {
-		om := oldAt[sw]
-		if len(om) != len(nm) {
-			continue
-		}
-		same := true
-		for name, s := range nm {
-			if om[name] != s {
-				same = false
-				break
-			}
-		}
-		if same {
+	// A zero net count means the switch hosts MATs in both plans.
+	for _, t := range at {
+		if t.net == 0 && !t.differs {
 			r.unchanged++
 		}
 	}

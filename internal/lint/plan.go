@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,8 +26,13 @@ const resourceTol = 1e-6
 // from scratch and checks the plan against them, without calling
 // Plan.Validate. Findings with Oracle set correspond to constraints
 // Plan.Validate also enforces; CheckPlanOracle diffs the two verdicts.
+//
+// Every check is one linear pass: each node's placement is resolved
+// once into a slice indexed by insertion id, the edge rules (HL105,
+// HL106, HL111) and the pair table HL109/HL110 read share one walk of
+// the graph's edge list, and a route is checked once per switch pair.
+// The findings' order comes from Findings.Sort alone.
 func LintPlan(p *placement.Plan, rm program.ResourceModel, eps1 time.Duration, eps2 int) Findings {
-	var fs Findings
 	if p == nil || p.Graph == nil || p.Topo == nil {
 		return Findings{{Rule: "HL000", Severity: Error, Message: "nil or incomplete plan", Oracle: true}}
 	}
@@ -34,22 +41,57 @@ func LintPlan(p *placement.Plan, rm program.ResourceModel, eps1 time.Duration, e
 	// table from before the tampering.
 	p.InvalidateCache()
 
-	fs = append(fs, lintDeploymentVars(p, rm)...)
-	fs = append(fs, lintStageCapacity(p)...)
-	fs = append(fs, lintEdgeConstraints(p)...)
-	fs = append(fs, lintSwitchDAG(p)...)
-	fs = append(fs, lintObjectives(p, eps1, eps2)...)
+	fs, at := lintDeploymentVars(p, rm)
+	fs = append(fs, lintStageCapacity(p, at)...)
+	edges, pairs := lintEdgeConstraints(p, at)
+	fs = append(fs, edges...)
+	switches := occupiedSwitches(p)
+	fs = append(fs, lintSwitchDAG(p, switches, pairs)...)
+	fs = append(fs, lintObjectives(p, len(switches), pairs, eps1, eps2)...)
 	fs.Sort()
 	return fs
+}
+
+// nodePlacement is one graph node's assignment, resolved once so the
+// edge walk indexes a slice by Edge.Endpoints instead of hashing both
+// MAT names per edge.
+type nodePlacement struct {
+	sp placement.StagePlacement
+	ok bool
+}
+
+// routeVerdict is what HL106 concludes about one switch pair's route.
+type routeVerdict uint8
+
+const (
+	routeConnects routeVerdict = iota
+	routeMissing
+	routeDisconnected
+)
+
+// pairSum is one ordered switch pair some cross-switch edge connects:
+// its Σ A(a,b), and the verdict on its route, which depends on the pair
+// alone and so is reached once per pair, not once per edge.
+type pairSum struct {
+	key   placement.RouteKey
+	bytes int
+	route routeVerdict
+	// latency is the recorded route latency (zero when routeMissing).
+	latency time.Duration
+	// phys holds the HL111 findings of a connecting route.
+	phys Findings
 }
 
 // lintDeploymentVars checks Eq. 6 node deployment and the Eq. 8 stage
 // window shape per MAT: every MAT lands on a programmable switch, in a
 // contiguous ρ_begin..ρ_end run inside the pipeline, with exactly its
-// requirement placed (HL101–HL103).
-func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel) Findings {
+// requirement placed (HL101–HL103). It also returns every node's
+// assignment by insertion id, valid or not, for the edge walk.
+func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel) (Findings, []nodePlacement) {
 	var fs Findings
-	for _, n := range p.Graph.Nodes() {
+	nodes := p.Graph.Nodes()
+	at := make([]nodePlacement, len(nodes))
+	for i, n := range nodes {
 		name := n.Name()
 		sp, ok := p.Assignments[name]
 		if !ok {
@@ -59,6 +101,7 @@ func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel) Findings {
 				Hint:    "the solver dropped the MAT; rerun with more capacity or fewer constraints"})
 			continue
 		}
+		at[i] = nodePlacement{sp: sp, ok: true}
 		sw, err := p.Topo.Switch(sp.Switch)
 		if err != nil {
 			fs = append(fs, Finding{Rule: "HL102", Severity: Error, Eq: 6, Oracle: true,
@@ -114,25 +157,46 @@ func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel) Findings {
 					name, placement.SwitchLabel(p.Topo, sp.Switch), total, req)})
 		}
 	}
-	return fs
+	return fs, at
 }
 
 // lintStageCapacity re-accumulates per-stage loads and checks Eq. 9
 // (HL104). Assignments for MATs outside the graph are folded in too —
-// they consume real stages.
-func lintStageCapacity(p *placement.Plan) Findings {
+// they consume real stages. Float addition is not associative and
+// HL104 reports the sum, so loads accumulate in a fixed order: graph
+// nodes by insertion id, then MATs outside the graph by name.
+func lintStageCapacity(p *placement.Plan, at []nodePlacement) Findings {
 	type slot struct {
 		sw    network.SwitchID
 		stage int
 	}
 	load := map[slot]float64{}
-	for _, sp := range p.Assignments {
+	add := func(sp placement.StagePlacement) {
 		sw, err := p.Topo.Switch(sp.Switch)
 		if err != nil || !sw.Programmable {
-			continue // HL102 already covers it
+			return // HL102 already covers it
 		}
 		for i, amt := range sp.PerStage {
 			load[slot{sp.Switch, sp.Start + i}] += amt
+		}
+	}
+	placed := 0
+	for _, np := range at {
+		if np.ok {
+			add(np.sp)
+			placed++
+		}
+	}
+	if placed < len(p.Assignments) {
+		var outside []string
+		for name := range p.Assignments {
+			if _, ok := p.Graph.Node(name); !ok {
+				outside = append(outside, name)
+			}
+		}
+		sort.Strings(outside)
+		for _, name := range outside {
+			add(p.Assignments[name])
 		}
 	}
 	keys := make([]slot, 0, len(load))
@@ -162,19 +226,25 @@ func lintStageCapacity(p *placement.Plan) Findings {
 	return fs
 }
 
-// lintEdgeConstraints walks every TDG edge: co-located pairs must obey
-// intra-switch stage order (Eq. 8, HL105); cross-switch pairs need a
-// route connecting exactly their switches (Eq. 7, HL106), and the
-// route must traverse real links with a truthful latency (HL111 —
-// stricter than Plan.Validate, hence not an oracle finding).
-func lintEdgeConstraints(p *placement.Plan) Findings {
+// lintEdgeConstraints walks every TDG edge once, in insertion order:
+// co-located pairs must obey intra-switch stage order (Eq. 8, HL105);
+// cross-switch pairs need a route connecting exactly their switches
+// (Eq. 7, HL106), and the route must traverse real links with a
+// truthful latency (HL111 — stricter than Plan.Validate, hence not an
+// oracle finding). A route's verdict is reached once per switch pair
+// and reported once per crossing edge. The walk also sums each pair's
+// A(a,b); the pairs come back sorted by (From, To).
+func lintEdgeConstraints(p *placement.Plan, at []nodePlacement) (Findings, []pairSum) {
 	var fs Findings
-	for _, e := range p.Graph.Edges() {
-		sa, oka := p.Assignments[e.From]
-		sb, okb := p.Assignments[e.To]
-		if !oka || !okb {
+	var pairs []pairSum
+	idx := map[placement.RouteKey]int{}
+	//hermes:hot
+	for _, e := range p.Graph.EdgeList() {
+		from, to := e.Endpoints()
+		if !at[from].ok || !at[to].ok {
 			continue // HL101 already covers it
 		}
+		sa, sb := &at[from].sp, &at[to].sp
 		if sa.Switch == sb.Switch {
 			if sa.End >= sb.Start {
 				fs = append(fs, Finding{Rule: "HL105", Severity: Error, Eq: 8, Oracle: true,
@@ -185,39 +255,72 @@ func lintEdgeConstraints(p *placement.Plan) Findings {
 			continue
 		}
 		key := placement.RouteKey{From: sa.Switch, To: sb.Switch}
-		path, ok := p.Routes[key]
-		if !ok {
+		i, seen := idx[key]
+		if !seen {
+			i = len(pairs)
+			idx[key] = i
+			pairs = append(pairs, lintRoute(p, key))
+		}
+		pr := &pairs[i]
+		pr.bytes += e.MetadataBytes
+		switch pr.route {
+		case routeMissing:
 			fs = append(fs, Finding{Rule: "HL106", Severity: Error, Eq: 7, Oracle: true,
 				Object: e.From + "->" + e.To,
 				Message: fmt.Sprintf("cross-switch dependency %s->%s has no route %s -> %s (Eq. 7)",
 					e.From, e.To, placement.SwitchLabel(p.Topo, sa.Switch), placement.SwitchLabel(p.Topo, sb.Switch))})
-			continue
-		}
-		if len(path.Switches) == 0 || path.Switches[0] != sa.Switch || path.Switches[len(path.Switches)-1] != sb.Switch {
+		case routeDisconnected:
 			fs = append(fs, Finding{Rule: "HL106", Severity: Error, Eq: 7, Oracle: true,
 				Object: e.From + "->" + e.To,
 				Message: fmt.Sprintf("route for %s->%s does not connect %s to %s",
 					e.From, e.To, placement.SwitchLabel(p.Topo, sa.Switch), placement.SwitchLabel(p.Topo, sb.Switch))})
-			continue
+		default:
+			fs = append(fs, pr.phys...)
 		}
-		fs = append(fs, lintRoutePhysical(p, key, path)...)
 	}
-	return fs
+	slices.SortFunc(pairs, func(a, b pairSum) int {
+		if c := cmp.Compare(a.key.From, b.key.From); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key.To, b.key.To)
+	})
+	return fs, pairs
+}
+
+// lintRoute reaches the verdict on one switch pair's route: missing,
+// not connecting the pair's endpoints, or connecting them — and then
+// physically checked hop by hop.
+func lintRoute(p *placement.Plan, key placement.RouteKey) pairSum {
+	pr := pairSum{key: key}
+	path, ok := p.Routes[key]
+	switch {
+	case !ok:
+		pr.route = routeMissing
+	case len(path.Switches) == 0 || path.Switches[0] != key.From || path.Switches[len(path.Switches)-1] != key.To:
+		pr.route, pr.latency = routeDisconnected, path.Latency
+	default:
+		pr.latency = path.Latency
+		pr.phys = lintRoutePhysical(p, key, path)
+	}
+	return pr
 }
 
 // lintRoutePhysical verifies a route hop by hop against the topology:
 // every consecutive pair must be an actual link, and the recorded
 // latency must equal the recomputed transit+link sum (HL111).
 func lintRoutePhysical(p *placement.Plan, key placement.RouteKey, path network.Path) Findings {
-	var fs Findings
-	obj := fmt.Sprintf("route:%d->%d", key.From, key.To)
+	// The finding is built only on failure: a clean route allocates
+	// nothing.
+	finding := func(format string, args ...any) Findings {
+		args = append([]any{placement.SwitchLabel(p.Topo, key.From), placement.SwitchLabel(p.Topo, key.To)}, args...)
+		return Findings{{Rule: "HL111", Severity: Error, Object: fmt.Sprintf("route:%d->%d", key.From, key.To),
+			Message: fmt.Sprintf("route %s -> %s "+format, args...)}}
+	}
 	var total time.Duration
 	for i, id := range path.Switches {
 		sw, err := p.Topo.Switch(id)
 		if err != nil {
-			return Findings{{Rule: "HL111", Severity: Error, Object: obj,
-				Message: fmt.Sprintf("route %s -> %s visits unknown switch %d",
-					placement.SwitchLabel(p.Topo, key.From), placement.SwitchLabel(p.Topo, key.To), id)}}
+			return finding("visits unknown switch %d", id)
 		}
 		total += sw.TransitLatency
 		if i == 0 {
@@ -225,75 +328,76 @@ func lintRoutePhysical(p *placement.Plan, key placement.RouteKey, path network.P
 		}
 		link, ok := p.Topo.LinkBetween(path.Switches[i-1], id)
 		if !ok {
-			return Findings{{Rule: "HL111", Severity: Error, Object: obj,
-				Message: fmt.Sprintf("route %s -> %s hops %s -> %s without a link",
-					placement.SwitchLabel(p.Topo, key.From), placement.SwitchLabel(p.Topo, key.To),
-					placement.SwitchLabel(p.Topo, path.Switches[i-1]), placement.SwitchLabel(p.Topo, id))}}
+			return finding("hops %s -> %s without a link",
+				placement.SwitchLabel(p.Topo, path.Switches[i-1]), placement.SwitchLabel(p.Topo, id))
 		}
 		total += link.Latency
 	}
 	if total != path.Latency {
-		fs = append(fs, Finding{Rule: "HL111", Severity: Error, Object: obj,
-			Message: fmt.Sprintf("route %s -> %s records latency %v, links and transit sum to %v",
-				placement.SwitchLabel(p.Topo, key.From), placement.SwitchLabel(p.Topo, key.To), path.Latency, total)})
+		return finding("records latency %v, links and transit sum to %v", path.Latency, total)
 	}
-	return fs
+	return nil
+}
+
+// occupiedSwitches returns the distinct switches hosting any
+// assignment — MATs outside the graph included — ascending.
+func occupiedSwitches(p *placement.Plan) []network.SwitchID {
+	sws := make([]network.SwitchID, 0, len(p.Assignments))
+	for _, sp := range p.Assignments {
+		sws = append(sws, sp.Switch)
+	}
+	slices.Sort(sws)
+	return slices.Compact(sws)
 }
 
 // lintSwitchDAG contracts the TDG by switch assignment and verifies
 // the contraction is acyclic (HL110): a cyclic switch-level graph
-// admits no single packet traversal respecting all dependencies.
-func lintSwitchDAG(p *placement.Plan) Findings {
-	adj := map[network.SwitchID]map[network.SwitchID]bool{}
-	nodes := map[network.SwitchID]bool{}
-	for _, sp := range p.Assignments {
-		nodes[sp.Switch] = true
+// admits no single packet traversal respecting all dependencies. The
+// contraction's vertices are the occupied switches (ascending) and its
+// arcs the distinct cross-switch pairs, sorted by (From, To), so each
+// switch's arcs form one run of pairs.
+func lintSwitchDAG(p *placement.Plan, switches []network.SwitchID, pairs []pairSum) Findings {
+	id := func(sw network.SwitchID) int {
+		i, _ := slices.BinarySearch(switches, sw)
+		return i
 	}
-	for _, e := range p.Graph.Edges() {
-		sa, oka := p.Assignments[e.From]
-		sb, okb := p.Assignments[e.To]
-		if !oka || !okb || sa.Switch == sb.Switch {
-			continue
-		}
-		if adj[sa.Switch] == nil {
-			adj[sa.Switch] = map[network.SwitchID]bool{}
-		}
-		adj[sa.Switch][sb.Switch] = true
+	n := len(switches)
+	indeg := make([]int, n)
+	// head[u]..head[u+1] delimits switch u's run of pairs.
+	head := make([]int, n+1)
+	for _, pr := range pairs {
+		head[id(pr.key.From)+1]++
+		indeg[id(pr.key.To)]++
 	}
-	indeg := map[network.SwitchID]int{}
-	for id := range nodes {
-		indeg[id] = 0
+	for u := 0; u < n; u++ {
+		head[u+1] += head[u]
 	}
-	for _, tos := range adj {
-		for to := range tos {
-			indeg[to]++
-		}
-	}
-	var ready []network.SwitchID
-	for id := range nodes {
-		if indeg[id] == 0 {
-			ready = append(ready, id)
+	var ready []int
+	for u, d := range indeg {
+		if d == 0 {
+			ready = append(ready, u)
 		}
 	}
 	done := 0
 	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
+		u := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
 		done++
-		for to := range adj[id] {
-			indeg[to]--
-			if indeg[to] == 0 {
-				ready = append(ready, to)
+		for _, pr := range pairs[head[u]:head[u+1]] {
+			v := id(pr.key.To)
+			indeg[v]--
+			if indeg[v] == 0 {
+				ready = append(ready, v)
 			}
 		}
 	}
-	if done == len(nodes) {
+	if done == n {
 		return nil
 	}
 	var stuck []string
-	for id := range nodes {
-		if indeg[id] > 0 {
-			stuck = append(stuck, placement.SwitchLabel(p.Topo, id))
+	for u, d := range indeg {
+		if d > 0 {
+			stuck = append(stuck, placement.SwitchLabel(p.Topo, switches[u]))
 		}
 	}
 	sort.Strings(stuck)
@@ -303,36 +407,20 @@ func lintSwitchDAG(p *placement.Plan) Findings {
 }
 
 // lintObjectives recomputes A_max, t_e2e, and Q_occ from the raw
-// decision variables, checks the ε bounds (Eq. 4/5: HL107/HL108), and
-// diffs each recomputation against the Plan's own accessors (HL109).
-func lintObjectives(p *placement.Plan, eps1 time.Duration, eps2 int) Findings {
+// decision variables — the pair table the edge walk summed, and the
+// occupied-switch count — checks the ε bounds (Eq. 4/5: HL107/HL108),
+// and diffs each recomputation against the Plan's own accessors
+// (HL109).
+func lintObjectives(p *placement.Plan, qocc int, pairs []pairSum, eps1 time.Duration, eps2 int) Findings {
 	var fs Findings
-	// Recompute per-pair bytes from edges and assignments.
-	pair := map[placement.RouteKey]int{}
-	occ := map[network.SwitchID]bool{}
-	for _, sp := range p.Assignments {
-		occ[sp.Switch] = true
-	}
-	for _, e := range p.Graph.Edges() {
-		sa, oka := p.Assignments[e.From]
-		sb, okb := p.Assignments[e.To]
-		if !oka || !okb || sa.Switch == sb.Switch {
-			continue
-		}
-		pair[placement.RouteKey{From: sa.Switch, To: sb.Switch}] += e.MetadataBytes
-	}
 	amax := 0
 	var te2e time.Duration
-	for key, bytes := range pair {
-		if bytes > amax {
-			amax = bytes
-		}
-		if path, ok := p.Routes[key]; ok {
-			te2e += path.Latency
+	for _, pr := range pairs {
+		amax = max(amax, pr.bytes)
+		if pr.route != routeMissing {
+			te2e += pr.latency
 		}
 	}
-	qocc := len(occ)
-
 	if eps1 > 0 && te2e > eps1 {
 		fs = append(fs, Finding{Rule: "HL107", Severity: Error, Eq: 4, Oracle: true,
 			Message: fmt.Sprintf("t_e2e %v exceeds ε1 %v (Eq. 4)", te2e, eps1)})

@@ -17,8 +17,10 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -239,61 +241,59 @@ func (p *Plan) MaxWireBytes() int {
 // switchDAGOrder contracts the TDG by switch assignment and returns a
 // topological order of the used switches; it fails if the contracted
 // graph is cyclic (no single packet route can respect all dependencies).
-func (p *Plan) switchDAGOrder() ([]network.SwitchID, error) {
-	adj := map[network.SwitchID]map[network.SwitchID]bool{}
-	nodes := map[network.SwitchID]bool{}
-	for _, sp := range p.Assignments {
-		nodes[sp.Switch] = true
+// pairs are the (From, To) switch pairs of the cross-switch edges, in
+// any order and with repeats. Kahn's algorithm always takes the lowest
+// ready switch ID next: the ready list stays sorted, and a switch has
+// few enough neighbours that inserting into it beats a heap.
+func (p *Plan) switchDAGOrder(pairs []RouteKey) ([]network.SwitchID, error) {
+	nodes := p.UsedSwitches()
+	id := func(sw network.SwitchID) int32 {
+		i, _ := slices.BinarySearch(nodes, sw)
+		return int32(i)
 	}
-	for _, e := range p.CrossEdges() {
-		ua, _ := p.SwitchOf(e.From)
-		ub, _ := p.SwitchOf(e.To)
-		if adj[ua] == nil {
-			adj[ua] = map[network.SwitchID]bool{}
+	slices.SortFunc(pairs, func(a, b RouteKey) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		adj[ua][ub] = true
+		return cmp.Compare(a.To, b.To)
+	})
+	pairs = slices.Compact(pairs)
+	// Sorted pairs put each switch's arcs in one run: succ[head[u]:
+	// head[u+1]] are switch u's successors, by dense id (the switch's
+	// rank in nodes, so the smallest id is the smallest switch ID).
+	n := len(nodes)
+	buf := make([]int32, 3*n+1+len(pairs))
+	indeg, ready, head, succ := buf[:n], buf[n:n:2*n], buf[2*n:3*n+1], buf[3*n+1:]
+	for k, pr := range pairs {
+		u, v := id(pr.From), id(pr.To)
+		succ[k] = v
+		head[u+1]++
+		indeg[v]++
 	}
-	indeg := map[network.SwitchID]int{}
-	for n := range nodes {
-		indeg[n] = 0
-	}
-	for _, tos := range adj {
-		for to := range tos {
-			indeg[to]++
+	for u := 0; u < n; u++ {
+		head[u+1] += head[u]
+		if indeg[u] == 0 {
+			ready = append(ready, int32(u)) // ascending
 		}
 	}
-	var ready []network.SwitchID
-	for n := range nodes {
-		if indeg[n] == 0 {
-			ready = append(ready, n)
-		}
-	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
-	var out []network.SwitchID
+	out := make([]network.SwitchID, 0, n)
 	for len(ready) > 0 {
-		n := ready[0]
+		u := ready[0]
 		ready = ready[1:]
-		out = append(out, n)
-		var next []network.SwitchID
-		for to := range adj[n] {
-			indeg[to]--
-			if indeg[to] == 0 {
-				next = append(next, to)
+		out = append(out, nodes[u])
+		for _, v := range succ[head[u]:head[u+1]] {
+			indeg[v]--
+			if indeg[v] == 0 {
+				i, _ := slices.BinarySearch(ready, v)
+				ready = slices.Insert(ready, i, v)
 			}
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		ready = append(ready, next...)
-		sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
 	}
-	if len(out) != len(nodes) {
-		placed := make(map[network.SwitchID]bool, len(out))
-		for _, id := range out {
-			placed[id] = true
-		}
+	if len(out) != n {
 		var stuck []string
-		for id := range nodes {
-			if !placed[id] {
-				stuck = append(stuck, SwitchLabel(p.Topo, id))
+		for u, d := range indeg {
+			if d > 0 {
+				stuck = append(stuck, SwitchLabel(p.Topo, nodes[u]))
 			}
 		}
 		sort.Strings(stuck)
@@ -306,7 +306,13 @@ func (p *Plan) switchDAGOrder() ([]network.SwitchID, error) {
 // SwitchOrder returns the order in which packets must visit the used
 // switches.
 func (p *Plan) SwitchOrder() ([]network.SwitchID, error) {
-	return p.switchDAGOrder()
+	var pairs []RouteKey
+	for _, e := range p.CrossEdges() {
+		ua, _ := p.SwitchOf(e.From)
+		ub, _ := p.SwitchOf(e.To)
+		pairs = append(pairs, RouteKey{From: ua, To: ub})
+	}
+	return p.switchDAGOrder(pairs)
 }
 
 // Validate checks every constraint of P#1 against the plan:
@@ -322,11 +328,16 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 	p.InvalidateCache()
 	// Eq. 6: every MAT deployed, on a programmable switch, within the
 	// stage range, with the full requirement placed.
-	for _, n := range p.Graph.Nodes() {
+	// Each node's placement is resolved once, by insertion id, for the
+	// edge walk below.
+	nodes := p.Graph.Nodes()
+	at := make([]StagePlacement, len(nodes))
+	for i, n := range nodes {
 		sp, ok := p.Assignments[n.Name()]
 		if !ok {
 			return fmt.Errorf("placement: MAT %q not deployed (Eq. 6)", n.Name())
 		}
+		at[i] = sp
 		sw, err := p.Topo.Switch(sp.Switch)
 		if err != nil {
 			return fmt.Errorf("placement: MAT %q: %w", n.Name(), err)
@@ -379,10 +390,13 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 			}
 		}
 	}
-	// Eq. 7 and Eq. 8 per edge.
+	// Eq. 7 and Eq. 8 per edge; the walk collects the cross-switch
+	// pairs the ordering check below contracts.
+	var pairs []RouteKey
+	//hermes:hot
 	for _, e := range p.Graph.EdgeList() {
-		sa := p.Assignments[e.From]
-		sb := p.Assignments[e.To]
+		from, to := e.Endpoints()
+		sa, sb := &at[from], &at[to]
 		if sa.Switch == sb.Switch {
 			if sa.End >= sb.Start {
 				return fmt.Errorf("placement: co-located dependency %s->%s violates stage order: end %d >= start %d (Eq. 8)",
@@ -391,6 +405,7 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 			continue
 		}
 		key := RouteKey{From: sa.Switch, To: sb.Switch}
+		pairs = append(pairs, key)
 		path, ok := p.Routes[key]
 		if !ok {
 			return fmt.Errorf("placement: cross-switch dependency %s->%s has no route %s -> %s (Eq. 7)",
@@ -402,7 +417,7 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 		}
 	}
 	// Global ordering feasibility.
-	if _, err := p.switchDAGOrder(); err != nil {
+	if _, err := p.switchDAGOrder(pairs); err != nil {
 		return err
 	}
 	// ε bounds.

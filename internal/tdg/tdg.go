@@ -86,6 +86,13 @@ type Edge struct {
 	from, to int32
 }
 
+// Endpoints returns the ids of the edge's upstream and downstream
+// nodes in the graph holding it: their insertion indexes, the positions
+// Nodes and NodeNames list them at. Callers that resolve per-node state
+// into a slice once can then index it per edge instead of hashing the
+// From and To names.
+func (e *Edge) Endpoints() (from, to int32) { return e.from, e.to }
+
 // Graph is a table dependency graph. The zero value is not usable; call
 // New.
 //
@@ -289,7 +296,11 @@ func (g *Graph) Nodes() []*Node { return append(make([]*Node, 0, len(g.nodes)), 
 // NodeNames returns node names in insertion order.
 func (g *Graph) NodeNames() []string { return slices.Clone(g.names) }
 
-// Edges returns all edges sorted by (From, To) for determinism.
+// Edges returns a fresh copy of all edges, sorted by (From, To) for
+// determinism. The copy and the sort cost O(E log E) string compares
+// per call: Edges belongs to output paths (DOT, reports, tests), not to
+// gates and solvers that run per deploy or heal — those walk EdgeList
+// and index nodes through Edge.Endpoints.
 func (g *Graph) Edges() []*Edge {
 	out := append([]*Edge(nil), g.list...)
 	sort.Slice(out, func(i, j int) bool {

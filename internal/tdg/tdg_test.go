@@ -559,3 +559,26 @@ func TestOriginAppendLeavesNeighboursIntact(t *testing.T) {
 		t.Errorf("a.Origin = %v, want %v", a.Origin, want)
 	}
 }
+
+// TestEdgeEndpointsIndexNodeNames: an edge's endpoint ids are the
+// insertion indexes of its From and To nodes, in the graph holding it —
+// also in a Subgraph or Clone, whose ids are renumbered.
+func TestEdgeEndpointsIndexNodeNames(t *testing.T) {
+	g := chain(t, []string{"a", "b", "c", "d"}, []int{1, 2, 3})
+	if err := g.AddEdge("a", "d", DepAction, 4); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := g.Subgraph([]string{"d", "b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, h := range map[string]*Graph{"graph": g, "subgraph": sub, "clone": g.Clone()} {
+		names := h.NodeNames()
+		for _, e := range h.EdgeList() {
+			from, to := e.Endpoints()
+			if names[from] != e.From || names[to] != e.To {
+				t.Errorf("%s: %s->%s has endpoints %d->%d, naming %s->%s", name, e.From, e.To, from, to, names[from], names[to])
+			}
+		}
+	}
+}
