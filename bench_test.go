@@ -13,11 +13,10 @@
 //	Exp#6      -> BenchmarkExp6Resources
 //	Exp#7      -> BenchmarkExp7Replan
 //
-// The experiment benchmarks run the heuristic comparison lineup (the
-// genuinely ILP-backed frameworks are exercised by cmd/hermes-bench,
-// where multi-minute runtimes are expected); each reports the headline
-// metric of its figure as a custom unit so `go test -bench` output
-// documents the reproduced numbers.
+// The experiment benchmarks run the full comparison lineup with a 1 s
+// Optimal deadline; each reports the headline metric of its figure as
+// a custom unit so `go test -bench` output documents the reproduced
+// numbers.
 package hermes_test
 
 import (
@@ -40,7 +39,6 @@ import (
 // are identical either way.
 func benchConfig() experiments.Config {
 	cfg := experiments.DefaultConfig()
-	cfg.IncludeILPFrameworks = false
 	cfg.SolverDeadline = time.Second
 	cfg.Workers = 8
 	return cfg

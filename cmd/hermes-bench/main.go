@@ -9,8 +9,8 @@
 //
 // Every experiment is a value in the registry below (driver.go: what a
 // value declares, what each mode does with it); an unknown -exp lists
-// them with their modes. Exp#2–Exp#5 iterate the ten Table III WANs
-// with up to 50 programs: minutes of runtime with -ilp enabled.
+// them with their modes. Exp#1, Exp#2 and Exp#5 give every Optimal
+// cell up to -deadline of wall clock.
 package main
 
 import (
@@ -81,8 +81,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("hermes-bench", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "comma-separated experiments: "+usage(false)+", all")
 	programs := fs.Int("programs", 50, "concurrent programs for exp2-4, replan and core")
-	deadline := fs.Duration("deadline", 3*time.Second, "per-instance solver deadline for exact/ILP solvers")
-	ilp := fs.Bool("ilp", true, "run the genuinely ILP-backed comparison frameworks")
+	deadline := fs.Duration("deadline", 3*time.Second, "per-instance deadline of the Optimal (exact) solver; a run it stops unproven is reported capped")
 	seed := fs.Int64("seed", 1, "workload seed")
 	workers := fs.Int("workers", 0, "concurrent experiment cells and solver parallelism (0 = GOMAXPROCS)")
 	csvDir := fs.String("csv", "", "also write one CSV per table into this directory")
@@ -131,7 +130,6 @@ func run(args []string) error {
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.SolverDeadline = *deadline
-	cfg.IncludeILPFrameworks = *ilp
 	cfg.Workers = *workers
 
 	if *cpuProfile != "" {

@@ -15,7 +15,7 @@ func TestRunFig2(t *testing.T) {
 
 func TestRunExp6WithCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run([]string{"-exp", "exp6", "-ilp=false", "-csv", dir}); err != nil {
+	if err := run([]string{"-exp", "exp6", "-csv", dir}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "exp6.csv"))
@@ -31,7 +31,7 @@ func TestRunExp1Heuristics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seconds-scale experiment")
 	}
-	if err := run([]string{"-exp", "exp1", "-ilp=false", "-deadline", "500ms"}); err != nil {
+	if err := run([]string{"-exp", "exp1", "-deadline", "500ms"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,7 +70,7 @@ func TestRunRejectsUndeclaredModes(t *testing.T) {
 }
 
 func TestRunCommaSeparatedList(t *testing.T) {
-	if err := run([]string{"-exp", "fig2,exp6", "-ilp=false"}); err != nil {
+	if err := run([]string{"-exp", "fig2,exp6"}); err != nil {
 		t.Fatal(err)
 	}
 }

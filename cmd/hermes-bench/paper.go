@@ -90,7 +90,7 @@ var exp2Exp = experiment{
 }
 
 var exp3Exp = experiment{
-	name: "exp3", title: "Exp#3 (Figure 7): execution time (capped runs plotted as 10^7 ms)", all: true,
+	name: "exp3", title: "Exp#3 (Figure 7): measured execution time (capped: Optimal stopped unproven at -deadline)", all: true,
 	tables: []table{{name: "rows", cols: []column{xCol("topology"), solverCol, execCol, cappedCol}}},
 	run:    func(c *runCtx) (result, error) { return topoCells(c, false) },
 }

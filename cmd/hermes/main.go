@@ -21,7 +21,7 @@
 //
 //	wan:NODES,EDGES.
 //
-// Solvers:     hermes, optimal, ilp, ms, sonata, speed, mtp, fp,
+// Solvers:     hermes, optimal, ms, sonata, speed, mtp, fp,
 //
 //	p4all, ffl, ffls, all.
 package main
@@ -61,12 +61,12 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("hermes", flag.ContinueOnError)
 	workloadFlag := fs.String("workload", "real:4", "workload spec (real:N, synthetic:N, sketches:N, mixed:N, file:PATH, p4:FILE[,FILE...])")
 	topoFlag := fs.String("topology", "linear:3", "topology spec (linear:N, fattree:K, table3:I, wan:N,E, composite:R)")
-	solverFlag := fs.String("solver", "hermes", "solver (hermes, optimal, ilp, ms, sonata, speed, mtp, fp, p4all, ffl, ffls, all)")
+	solverFlag := fs.String("solver", "hermes", "solver (hermes, optimal, ms, sonata, speed, mtp, fp, p4all, ffl, ffls, all)")
 	eps1 := fs.Duration("eps1", 0, "ε1: bound on end-to-end coordination latency (0 = unbounded)")
 	eps2 := fs.Int("eps2", 0, "ε2: bound on occupied switches (0 = unbounded)")
 	seed := fs.Int64("seed", 1, "workload/topology seed")
 	capacity := fs.Float64("stage-capacity", 0, "override per-stage capacity (0 = spec default)")
-	deadline := fs.Duration("deadline", 30*time.Second, "solver deadline for exact/ILP solvers")
+	deadline := fs.Duration("deadline", 30*time.Second, "solver deadline; optimal returns its best plan, unproven, when it hits it")
 	workers := fs.Int("workers", 0, "solver parallelism (0 = GOMAXPROCS); the plan is identical for every value")
 	shards := fs.Int("shards", 0, "region-sharded placement: split the topology into this many regions solved concurrently (0 = whole-graph)")
 	trafficFlag := fs.String("traffic", "", "traffic matrix for the weighted objective: model[:seed] (uniform, gravity, hotspot, elephants) or @file (Format text); empty = structural A_max objective")
@@ -421,8 +421,6 @@ func parseSolvers(spec string) ([]hermes.Solver, error) {
 			return placement.Greedy{}, nil
 		case "optimal":
 			return placement.Exact{}, nil
-		case "ilp":
-			return placement.ILP{}, nil
 		case "ms":
 			return baseline.MinStage{}, nil
 		case "sonata":

@@ -113,8 +113,15 @@ func TestParseSolvers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 10 {
-		t.Errorf("all = %d solvers, want 10", len(all))
+	// The experiments' lineup (TestSolverSpecsLineup) is the same.
+	want := []string{"Hermes", "Optimal", "MS", "Sonata", "SPEED", "MTP", "FP", "P4All", "FFL", "FFLS"}
+	if len(all) != len(want) {
+		t.Fatalf("all = %d solvers, want %d", len(all), len(want))
+	}
+	for i, s := range all {
+		if s.Name() != want[i] {
+			t.Errorf("all[%d] = %s, want %s", i, s.Name(), want[i])
+		}
 	}
 	multi, err := parseSolvers("hermes, ffl,ffls")
 	if err != nil {
@@ -126,10 +133,13 @@ func TestParseSolvers(t *testing.T) {
 	if _, err := parseSolvers("quantum"); err == nil {
 		t.Error("unknown solver accepted")
 	}
-	for _, name := range []string{"hermes", "optimal", "ilp", "ms", "sonata", "speed", "mtp", "fp", "p4all", "ffl", "ffls"} {
+	for _, name := range []string{"hermes", "optimal", "ms", "sonata", "speed", "mtp", "fp", "p4all", "ffl", "ffls"} {
 		if _, err := parseSolvers(name); err != nil {
 			t.Errorf("solver %q rejected: %v", name, err)
 		}
+	}
+	if _, err := parseSolvers("ilp"); err == nil {
+		t.Error("the MILP is a test oracle, not a CLI solver")
 	}
 }
 

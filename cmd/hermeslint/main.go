@@ -46,6 +46,9 @@
 //	       depending on which packages the binary links; call
 //	       the code directly. Only the four registrations
 //	       ROADMAP 7(c) retires are allowed                  error
+//	HV010  a non-test .go file imports a test-only package
+//	       (internal/milp, Exact's differential oracle): it
+//	       must stay out of every production binary          error
 //
 // It is deliberately x/tools-free: the analysis is a plain go/parser +
 // go/ast walk so it builds in hermetic environments with no module
@@ -161,7 +164,33 @@ func lintGoSource(path, src string) ([]vetFinding, error) {
 	out = append(out, lintHotLoops(fset, file)...)
 	out = append(out, lintRebind(fset, file, path)...)
 	out = append(out, lintInitHooks(fset, file)...)
+	out = append(out, lintTestOnlyImports(fset, file, path)...)
 	return out, nil
+}
+
+// testOnlyPackages are the import paths (module-relative) that only
+// _test.go files may import.
+var testOnlyPackages = []string{"internal/milp"}
+
+// lintTestOnlyImports applies HV010: a non-test file importing a
+// test-only package links that package into production binaries.
+func lintTestOnlyImports(fset *token.FileSet, file *ast.File, path string) []vetFinding {
+	if strings.HasSuffix(path, "_test.go") {
+		return nil
+	}
+	var out []vetFinding
+	for _, spec := range file.Imports {
+		imp := strings.Trim(spec.Path.Value, `"`)
+		for _, pkg := range testOnlyPackages {
+			if imp == pkg || strings.HasSuffix(imp, "/"+pkg) {
+				out = append(out, vetFinding{
+					pos: fset.Position(spec.Pos()), rule: "HV010", sev: "error",
+					msg: fmt.Sprintf("non-test file imports %s, a test-only package (Exact's MILP oracle); import it from _test.go files only", imp),
+				})
+			}
+		}
+	}
+	return out
 }
 
 // initHookAllowlist names the init-time registrations that remain until

@@ -689,6 +689,34 @@ func (t) init() { placement.RegionExchangeHook = nil }
 	}
 }
 
+func TestTestOnlyImportFlagged(t *testing.T) {
+	src := `package placement
+import (
+	"fmt"
+	"github.com/hermes-net/hermes/internal/milp"
+)
+var _, _ = fmt.Sprint, milp.NewModel
+`
+	fs, err := lintGoSource("internal/placement/ilp.go", src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if got := rulesOf(fs); len(got) != 1 || got[0] != "HV010" {
+		t.Fatalf("want [HV010], got %v", fs)
+	}
+	if fs[0].sev != "error" || !strings.Contains(fs[0].msg, "internal/milp") {
+		t.Fatalf("finding must be an error naming the package: %v", fs[0])
+	}
+	// The same import from a test file is the sanctioned use.
+	fs, err = lintGoSource("internal/placement/ilp_oracle_test.go", src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if len(fs) != 0 {
+		t.Fatalf("want no findings in a _test.go file, got %v", fs)
+	}
+}
+
 // The repository itself must stay free of error-severity findings:
 // `make check` gates on the binary's exit status, and this test keeps
 // the guarantee visible from `go test ./...` alone.

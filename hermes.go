@@ -206,8 +206,6 @@ var (
 	GreedySolver Solver = placement.Greedy{}
 	// ExactSolver is the branch & bound "Optimal" reference.
 	ExactSolver Solver = placement.Exact{}
-	// ILPSolver is the literal MILP encoding of problem P#1.
-	ILPSolver Solver = placement.ILP{}
 )
 
 // ShardedSolver is the region-sharded Greedy for very large
@@ -227,7 +225,7 @@ type ShardStats = placement.ShardStats
 type TopologyPartition = network.Partition
 
 // PartitionOptions configures PartitionTopologyWith (region count,
-// seed, balance tolerance, refinement and min-cut swap passes).
+// seed, balance tolerance, min-cut swap passes).
 type PartitionOptions = network.PartitionOptions
 
 // PartitionTopology partitions a topology into k capacity-balanced
@@ -286,8 +284,8 @@ type DeployOptions struct {
 	Epsilon1 time.Duration
 	// Epsilon2 bounds the number of occupied switches (0 = unbounded).
 	Epsilon2 int
-	// SolverDeadline caps exact/ILP solver runtime (0 = none); such
-	// solvers return their best incumbent at the deadline.
+	// SolverDeadline caps solver runtime (0 = none): ExactSolver returns
+	// its best incumbent, unproven, at the deadline.
 	SolverDeadline time.Duration
 	// Workers bounds the solver's internal parallelism (candidate
 	// scoring, branch search). Zero or negative means GOMAXPROCS; every
@@ -342,11 +340,8 @@ type DeployOptions struct {
 	// groups flip atomically, and the old epoch is retired only after
 	// every group committed. Result.Rollout carries the staged report;
 	// a mid-rollout failure restores Prior and Deploy returns an error
-	// wrapping ErrRolledBack.
+	// wrapping ErrRolledBack. Prior is taken to serve at epoch 1.
 	Prior *Deployment
-	// PriorEpoch is Prior's epoch token (0 means 1). Ignored when
-	// Prior is nil.
-	PriorEpoch uint64
 	// RolloutRetry bounds per-op attempts during the rollout; the zero
 	// policy gets the rollout defaults (3 attempts, 2ms backoff).
 	// Ignored when Prior is nil.
@@ -416,10 +411,9 @@ func Deploy(progs []*Program, topo *Topology, opts DeployOptions) (*Result, erro
 	res := &Result{TDG: g, Plan: plan, Deployment: dep}
 	if opts.Prior != nil {
 		r, err := rollout.New(opts.Prior, dep, RolloutOptions{
-			Topo:      topo,
-			Ctx:       opts.Ctx,
-			Retry:     opts.RolloutRetry,
-			FromEpoch: opts.PriorEpoch,
+			Topo:  topo,
+			Ctx:   opts.Ctx,
+			Retry: opts.RolloutRetry,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("hermes: %w", err)

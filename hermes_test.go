@@ -96,7 +96,7 @@ func TestDeployEndToEnd(t *testing.T) {
 func TestDeployWithAllSolvers(t *testing.T) {
 	progs := facadeWorkload(t)
 	topo := facadeTopo(t)
-	solvers := append([]hermes.Solver{hermes.GreedySolver, hermes.ExactSolver, hermes.ILPSolver},
+	solvers := append([]hermes.Solver{hermes.GreedySolver, hermes.ExactSolver},
 		hermes.Baselines()...)
 	for _, s := range solvers {
 		s := s
@@ -112,6 +112,31 @@ func TestDeployWithAllSolvers(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestDeployRollsOutFromPrior: a deployment adopted over Prior runs
+// the staged rollout from epoch 1 to epoch 2 and commits.
+func TestDeployRollsOutFromPrior(t *testing.T) {
+	progs := facadeWorkload(t)
+	topo := facadeTopo(t)
+	first, err := hermes.Deploy(progs[:1], topo, hermes.DeployOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Rollout != nil {
+		t.Error("a deployment without Prior reported a rollout")
+	}
+	next, err := hermes.Deploy(progs, topo, hermes.DeployOptions{Prior: first.Deployment})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := next.Rollout
+	if rep == nil {
+		t.Fatal("Deploy with Prior returned no rollout report")
+	}
+	if rep.FromEpoch != 1 || rep.ToEpoch != 2 || rep.Outcome != hermes.RolloutCommitted {
+		t.Errorf("rollout %d→%d %s, want 1→2 %s", rep.FromEpoch, rep.ToEpoch, rep.Outcome, hermes.RolloutCommitted)
 	}
 }
 

@@ -37,9 +37,6 @@ type Options struct {
 	// defaults (3 attempts, 2ms initial backoff); Retry.Ctx defaults
 	// to Ctx so backoff sleeps are cancellable.
 	Retry deploy.RetryPolicy
-	// JitterSeed seeds the deterministic backoff jitter (±50% spread
-	// derived per op/attempt); 0 is a valid seed.
-	JitterSeed int64
 	// Fabric receives the ops; nil builds a fresh MemFabric over Topo
 	// bootstrapped with the old deployment at the from-epoch.
 	Fabric Fabric
@@ -287,10 +284,10 @@ func (r *Rollout) planFor(epoch uint64) *placement.Plan {
 }
 
 // jittered spreads backoff by a deterministic ±50% derived from the
-// seed, op seq, and attempt (splitmix64), so synchronized retries
-// against one recovering switch fan out without any global RNG.
+// op seq and attempt (splitmix64), so synchronized retries against one
+// recovering switch fan out without any global RNG.
 func (r *Rollout) jittered(d time.Duration, seq, attempt int) time.Duration {
-	x := uint64(r.opts.JitterSeed) ^ uint64(seq)<<32 ^ uint64(attempt)
+	x := uint64(seq)<<32 ^ uint64(attempt)
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

@@ -61,8 +61,8 @@ func Figure2() ([]Fig2Point, error) {
 
 // runGrid evaluates the (row × solver) cell grid concurrently and
 // returns per-row result slices in row order. Cells are claimed
-// work-stealing style so one slow ILP cell does not serialize a whole
-// row behind it. When cells run concurrently each solver runs with
+// work-stealing style so one slow Optimal cell does not serialize a
+// whole row behind it. When cells run concurrently each solver runs with
 // Workers=1 — the outer level already saturates the machine, and
 // nesting would multiply goroutines and starve the wall-clock-budgeted
 // solvers; with a single worker the full budget flows to the solver
@@ -76,7 +76,7 @@ func runGrid(insts []*instance, specs []solverSpec, cfg Config) [][]SolverResult
 	for i := range results {
 		results[i] = make([]SolverResult, len(specs))
 	}
-	// Claim deadline-capped (ILP-backed) cells first: they are anytime
+	// Claim the deadline-capped Optimal cells first: they are anytime
 	// searches pinned to a wall-clock cap, so overlapping them costs
 	// nothing and hides their waits behind the heuristic cells.
 	order := make([]int, len(insts)*len(specs))
@@ -84,7 +84,7 @@ func runGrid(insts []*instance, specs []solverSpec, cfg Config) [][]SolverResult
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return specs[order[a]%len(specs)].ilpBacked && !specs[order[b]%len(specs)].ilpBacked
+		return specs[order[a]%len(specs)].deadlined && !specs[order[b]%len(specs)].deadlined
 	})
 	runParallel(len(order), cfg.workers(), func(c int) {
 		i, j := order[c]/len(specs), order[c]%len(specs)
@@ -132,7 +132,7 @@ func Exp1(cfg Config) ([]Exp1Row, error) {
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	results := runGrid(insts, solverSpecs(cfg), cfg)
+	results := runGrid(insts, solverSpecs(), cfg)
 	rows := make([]Exp1Row, len(counts))
 	for i, n := range counts {
 		rows[i] = Exp1Row{Programs: n, Results: results[i]}
@@ -187,7 +187,7 @@ func Exp2(cfg Config, programs int) ([]TopoRow, error) {
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	results := runGrid(insts, solverSpecs(cfg), cfg)
+	results := runGrid(insts, solverSpecs(), cfg)
 	for i := range rows {
 		rows[i].Results = results[i]
 	}
@@ -228,7 +228,7 @@ func Exp5(cfg Config) ([]ScaleRow, error) {
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	results := runGrid(insts, solverSpecs(cfg), cfg)
+	results := runGrid(insts, solverSpecs(), cfg)
 	rows := make([]ScaleRow, len(counts))
 	for i, n := range counts {
 		rows[i] = ScaleRow{Programs: n, Results: results[i]}

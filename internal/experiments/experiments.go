@@ -26,10 +26,10 @@ import (
 type Config struct {
 	// Seed makes workloads and topologies deterministic.
 	Seed int64
-	// SolverDeadline caps each exact/ILP solver invocation. The paper
-	// caps Gurobi at two hours and plots capped runs as 10^7 ms bars;
-	// we default to 3 s per instance so the full suite stays laptop-
-	// sized, and mark capped results the same way.
+	// SolverDeadline caps each Optimal (exact branch & bound) solve. The
+	// paper caps Gurobi at two hours; we default to 3 s per instance so
+	// the full suite stays laptop-sized. A run the deadline stops
+	// reports its best incumbent, marked Capped, with its measured time.
 	SolverDeadline time.Duration
 	// TestbedStageCapacity calibrates Exp#1's per-stage capacity so the
 	// largest program (the count-min sketch) overflows a single switch,
@@ -37,10 +37,6 @@ type Config struct {
 	// variants saturate); 0.15 puts the ten-program workload at ~2.4
 	// switch loads on the 3-switch testbed.
 	TestbedStageCapacity float64
-	// IncludeILPFrameworks enables the genuinely ILP-backed comparison
-	// frameworks (slow by design); when false only the heuristic
-	// baselines run.
-	IncludeILPFrameworks bool
 	// PacketBytes is the packet size for end-to-end impact (the paper
 	// uses 1024-byte packets in Exp#4).
 	PacketBytes int
@@ -50,7 +46,7 @@ type Config struct {
 	// concurrent cells run their solvers serially so the two levels
 	// never multiply. Zero or negative means GOMAXPROCS. Every worker
 	// count yields the same rows in the same order; the ExecTime
-	// fields (and the incumbents of deadline-capped ILP cells) are
+	// fields (and the incumbents of deadline-capped Optimal cells) are
 	// timing-dependent, exactly as under the paper's wall-clock caps.
 	Workers int
 }
@@ -69,19 +65,15 @@ func DefaultConfig() Config {
 		Seed:                 1,
 		SolverDeadline:       3 * time.Second,
 		TestbedStageCapacity: 0.15,
-		IncludeILPFrameworks: true,
 		PacketBytes:          1024,
 	}
 }
 
-// CappedExecTime is the bar height the paper assigns to runs exceeding
-// the solver cap (10^7 ms in Fig. 7/9).
-const CappedExecTime = 10_000_000 * time.Millisecond
-
 // SolverResult is one solver's outcome on one instance.
 type SolverResult struct {
 	Solver string
-	// Err is non-empty when the solver failed outright.
+	// Err is non-empty when the solver failed outright or its plan did
+	// not compile.
 	Err string
 	// AMax is the per-packet byte overhead by Eq. 1 (per-pair sums of
 	// A(a,b); shared fields count once per edge).
@@ -94,10 +86,10 @@ type SolverResult struct {
 	TotalCross int
 	// QOcc is the number of occupied switches.
 	QOcc int
-	// ExecTime is the solver's wall-clock time; capped runs report
-	// CappedExecTime, matching the paper's plotting convention.
+	// ExecTime is the solver's measured wall-clock time.
 	ExecTime time.Duration
-	// Capped marks deadline-capped solver runs.
+	// Capped marks an Optimal run that hit Config.SolverDeadline (or its
+	// node cap) before proving its incumbent optimal.
 	Capped bool
 	// FCTOverhead and GoodputLoss are the end-to-end penalties of AMax
 	// under the Exp#4 flow model (fractions, e.g. 0.15 = +15% FCT).
@@ -133,17 +125,15 @@ type solverSpec struct {
 	useMerged bool
 	// run executes the solver.
 	run func(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error)
-	// ilpBacked marks frameworks the paper implements on Gurobi; their
-	// runtime is dominated by the MILP solve and is deadline-capped.
-	ilpBacked bool
-	// fallback recovers a plan for quality metrics when the ILP solve
-	// caps out (the paper still reports their placements, obtained from
-	// the incumbent; we use the behavioral heuristic).
-	fallback func(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error)
+	// deadlined marks the exact Optimal search: it runs under
+	// Config.SolverDeadline and reports Capped when it stops unproven.
+	deadlined bool
 }
 
-// solverSpecs returns the full comparison lineup of §VI-A.
-func solverSpecs(cfg Config) []solverSpec {
+// solverSpecs returns the comparison lineup of §VI-A: Hermes, Optimal,
+// then the eight behavioural baselines in baseline.All() order — the
+// same lineup as `hermes -solver all`.
+func solverSpecs() []solverSpec {
 	specs := []solverSpec{
 		{
 			name:      "Hermes",
@@ -153,7 +143,7 @@ func solverSpecs(cfg Config) []solverSpec {
 		{
 			name:      "Optimal",
 			useMerged: true,
-			ilpBacked: true,
+			deadlined: true,
 			run: func(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
 				// Seed the branch-and-bound incumbent with a full
 				// (deadline-free) greedy plan: a deadline-capped "Optimal"
@@ -164,72 +154,24 @@ func solverSpecs(cfg Config) []solverSpec {
 				}
 				return (placement.Exact{}).Solve(g, topo, opts)
 			},
-			fallback: placement.Greedy{}.Solve,
 		},
 	}
-	if !cfg.IncludeILPFrameworks {
-		for _, b := range baseline.All() {
-			b := b
-			specs = append(specs, solverSpec{
-				name:      b.Name(),
-				useMerged: usesMergedTDG(b.Name()),
-				run:       b.Solve,
-			})
-		}
-		return specs
-	}
-	// The paper implements MS, Sonata, SPEED, MTP, FP and P4All on the
-	// same ILP solver; FFL and FFLS stay heuristic.
-	type ilpBase struct {
-		name      string
-		objective placement.ILPObjective
-		behavior  placement.Solver
-	}
-	for _, ib := range []ilpBase{
-		{"MS", placement.ObjSwitches, baseline.MinStage{}},
-		{"Sonata", placement.ObjBalance, baseline.Sonata{}},
-		{"SPEED", placement.ObjLatency, baseline.SPEED{}},
-		{"MTP", placement.ObjLatency, baseline.MTP{}},
-		{"FP", placement.ObjSwitches, baseline.Flightplan{}},
-		{"P4All", placement.ObjBalance, baseline.P4All{}},
-	} {
-		ib := ib
+	for _, b := range baseline.All() {
 		specs = append(specs, solverSpec{
-			name:      ib.name,
-			useMerged: usesMergedTDG(ib.name),
-			ilpBacked: true,
-			run: func(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
-				s := placement.ILP{Objective: ib.objective, DisplayName: ib.name}
-				return s.Solve(g, topo, opts)
-			},
-			fallback: ib.behavior.Solve,
+			name:      b.Name(),
+			useMerged: usesMergedTDG(b.Name()),
+			run:       b.Solve,
 		})
 	}
-	specs = append(specs,
-		solverSpec{name: "FFL", useMerged: false, run: baseline.FFL{}.Solve},
-		solverSpec{name: "FFLS", useMerged: false, run: baseline.FFLS{}.Solve},
-	)
 	return specs
 }
 
-// usesMergedTDG reports whether the named framework merges input
-// programs (network-wide frameworks do; single-switch one-by-one
-// frameworks do not).
+// usesMergedTDG reports whether the named baseline merges input
+// programs (the network-wide SPEED and MTP do; the single-switch
+// one-by-one frameworks do not).
 func usesMergedTDG(name string) bool {
-	switch name {
-	case "Hermes", "Optimal", "SPEED", "MTP":
-		return true
-	default:
-		return false
-	}
+	return name == "SPEED" || name == "MTP"
 }
-
-// ilpTractableVars bounds the MILP size we even attempt: the built-in
-// solver keeps a dense simplex tableau (rows × columns), so models
-// beyond a few thousand variables exhaust memory long before the
-// deadline. Larger instances are reported deadline-capped, matching
-// the paper's >2h bars.
-const ilpTractableVars = 3_000
 
 // runSolver executes one spec on one instance and post-processes the
 // metrics.
@@ -239,51 +181,29 @@ func runSolver(spec solverSpec, inst *instance, cfg Config) SolverResult {
 		g = inst.merged
 	}
 	opts := placement.Options{Workers: cfg.Workers}
-	if spec.ilpBacked && cfg.SolverDeadline > 0 {
+	if spec.deadlined && cfg.SolverDeadline > 0 {
 		opts.Deadline = time.Now().Add(cfg.SolverDeadline)
 	}
 
 	res := SolverResult{Solver: spec.name}
-
-	capped := false
-	var plan *placement.Plan
-	var err error
 	start := time.Now()
-	if spec.ilpBacked && placement.EstimateVars(g, inst.topo) > ilpTractableVars && spec.name != "Optimal" {
-		// The MILP would not even finish building; the paper plots
-		// these as >2h bars.
-		capped = true
-		err = fmt.Errorf("model too large")
-	} else {
-		plan, err = spec.run(g, inst.topo, opts)
-		if err == nil && spec.ilpBacked && !plan.Proven {
-			capped = true
-		}
+	plan, err := spec.run(g, inst.topo, opts)
+	res.ExecTime = time.Since(start)
+	if err != nil {
+		res.Err = err.Error()
+		return res
 	}
-	elapsed := time.Since(start)
-
-	if err != nil && spec.fallback != nil {
-		plan, err = spec.fallback(g, inst.topo, placement.Options{Workers: cfg.Workers})
-		capped = true
-	}
+	dep, err := deploy.Compile(plan, analyzer.Options{})
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
 
 	res.AMax = plan.AMax()
-	res.HeaderBytes = res.AMax
-	if dep, derr := deploy.Compile(plan, analyzer.Options{}); derr == nil {
-		res.HeaderBytes = dep.MaxHeaderBytes()
-	}
+	res.HeaderBytes = dep.MaxHeaderBytes()
 	res.TotalCross = plan.TotalCrossBytes()
 	res.QOcc = plan.QOcc()
-	res.Capped = capped
-	if capped {
-		res.ExecTime = CappedExecTime
-	} else {
-		res.ExecTime = elapsed
-	}
+	res.Capped = spec.deadlined && !plan.Proven
 
 	flow := e2esim.DefaultDCN(cfg.PacketBytes)
 	if impact, ierr := flow.ImpactOf(res.HeaderBytes); ierr == nil {

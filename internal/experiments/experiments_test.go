@@ -4,14 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"github.com/hermes-net/hermes/internal/baseline"
+	"github.com/hermes-net/hermes/internal/network"
+	"github.com/hermes-net/hermes/internal/placement"
+	"github.com/hermes-net/hermes/internal/tdg"
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
-// fastConfig keeps unit tests laptop-quick: heuristic baselines only,
-// short solver deadline.
+// fastConfig keeps unit tests laptop-quick: a short Optimal deadline.
 func fastConfig() Config {
 	cfg := DefaultConfig()
-	cfg.IncludeILPFrameworks = false
 	cfg.SolverDeadline = 500 * time.Millisecond
 	return cfg
 }
@@ -113,27 +115,49 @@ func TestExp1HermesWinsOnOverhead(t *testing.T) {
 	}
 }
 
-func TestExp1WithILPFrameworks(t *testing.T) {
+// TestExp1CellsAreMeasured runs Exp#1's smallest and largest instances
+// under the default deadline: only Optimal may be capped, exactly when
+// its plan is unproven, and every other cell reports a measured time
+// inside the deadline.
+func TestExp1CellsAreMeasured(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ILP frameworks are slow by design")
+		t.Skip("Optimal may run up to its deadline")
 	}
 	cfg := DefaultConfig()
-	cfg.SolverDeadline = 2 * time.Second
 	topo, err := testbedTopology(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := buildInstance(workload.RealPrograms()[:2], topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range solverSpecs(cfg) {
-		res := runSolver(spec, inst, cfg)
-		if res.Err != "" {
-			t.Errorf("%s failed: %s", res.Solver, res.Err)
+	for _, n := range []int{2, 10} {
+		inst, err := buildInstance(workload.RealPrograms()[:n], topo)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Capped && res.ExecTime != CappedExecTime {
-			t.Errorf("%s capped but exec time %v", res.Solver, res.ExecTime)
+		for _, spec := range solverSpecs() {
+			var plan *placement.Plan
+			run := spec.run
+			spec.run = func(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
+				p, err := run(g, topo, opts)
+				plan = p
+				return p, err
+			}
+			res := runSolver(spec, inst, cfg)
+			if res.Err != "" {
+				t.Errorf("%d programs, %s failed: %s", n, res.Solver, res.Err)
+				continue
+			}
+			if res.Solver == "Optimal" {
+				if res.Capped != !plan.Proven {
+					t.Errorf("%d programs: Optimal capped=%v but proven=%v", n, res.Capped, plan.Proven)
+				}
+				continue
+			}
+			if res.Capped {
+				t.Errorf("%d programs: %s capped; only Optimal runs under a deadline", n, res.Solver)
+			}
+			if res.ExecTime <= 0 || res.ExecTime >= cfg.SolverDeadline {
+				t.Errorf("%d programs: %s exec time %v, want measured and under %v", n, res.Solver, res.ExecTime, cfg.SolverDeadline)
+			}
 		}
 	}
 }
@@ -196,25 +220,63 @@ func TestExp5ScalesMonotonically(t *testing.T) {
 	}
 }
 
+// TestRunSolverRecordsCompileError: a plan that deploy.Compile rejects
+// is a failed cell, not one whose header column silently falls back to
+// Eq. 1's A_max.
+func TestRunSolverRecordsCompileError(t *testing.T) {
+	cfg := fastConfig()
+	topo, err := testbedTopology(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := buildInstance(workload.RealPrograms()[:2], topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := solverSpec{
+		name: "Hermes",
+		run: func(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
+			plan, err := placement.Greedy{}.Solve(g, topo, opts)
+			if err != nil {
+				return nil, err
+			}
+			// Push one MAT past its switch's last stage.
+			bad := *plan
+			bad.Assignments = map[string]placement.StagePlacement{}
+			for name, sp := range plan.Assignments {
+				bad.Assignments[name] = sp
+			}
+			name := g.NodeNames()[0]
+			sp := bad.Assignments[name]
+			sp.Start, sp.End = 1000, 1000+len(sp.PerStage)-1
+			bad.Assignments[name] = sp
+			return &bad, nil
+		},
+	}
+	res := runSolver(spec, inst, cfg)
+	if res.Err == "" {
+		t.Fatal("compile failure not recorded in Err")
+	}
+	if res.HeaderBytes != 0 || res.AMax != 0 {
+		t.Errorf("failed cell reports header %d B, A_max %d B; want no figures", res.HeaderBytes, res.AMax)
+	}
+}
+
+// TestSolverSpecsLineup pins the comparison order, which is also
+// `hermes -solver all`'s: Greedy, Exact, then baseline.All().
 func TestSolverSpecsLineup(t *testing.T) {
-	cfg := DefaultConfig()
-	specs := solverSpecs(cfg)
-	names := map[string]bool{}
-	for _, s := range specs {
-		names[s.name] = true
+	want := []string{"Hermes", "Optimal", "MS", "Sonata", "SPEED", "MTP", "FP", "P4All", "FFL", "FFLS"}
+	cli := append([]placement.Solver{placement.Greedy{}, placement.Exact{}}, baseline.All()...)
+	specs := solverSpecs()
+	if len(specs) != len(want) || len(cli) != len(want) {
+		t.Fatalf("lineup has %d specs and %d CLI solvers, want %d", len(specs), len(cli), len(want))
 	}
-	for _, want := range []string{"Hermes", "Optimal", "MS", "Sonata", "SPEED", "MTP", "FP", "P4All", "FFL", "FFLS"} {
-		if !names[want] {
-			t.Errorf("lineup missing %s", want)
+	for i, name := range want {
+		if specs[i].name != name || cli[i].Name() != name {
+			t.Errorf("position %d: spec %q, CLI %q, want %q", i, specs[i].name, cli[i].Name(), name)
 		}
-	}
-	if len(specs) != 10 {
-		t.Errorf("lineup has %d solvers, want 10", len(specs))
-	}
-	// Heuristic-only config keeps the same comparison names.
-	cfg.IncludeILPFrameworks = false
-	specs = solverSpecs(cfg)
-	if len(specs) != 10 {
-		t.Errorf("heuristic lineup has %d solvers, want 10", len(specs))
+		if specs[i].deadlined != (name == "Optimal") {
+			t.Errorf("%s: deadlined = %v; only Optimal runs under the deadline", name, specs[i].deadlined)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // runParallel runs fn(i) for every i in [0, n) across at most workers
 // goroutines, claiming items from an atomic counter so uneven cell
-// costs balance (ILP cells run orders of magnitude longer than
+// costs balance (Optimal cells run orders of magnitude longer than
 // heuristic ones). fn must write results into i-indexed slots, which
 // keeps row order deterministic regardless of completion order.
 // workers <= 1 (or n <= 1) degrades to a plain loop.

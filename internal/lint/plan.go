@@ -449,7 +449,7 @@ func lintObjectives(p *placement.Plan, qocc int, pairs []pairSum, eps1 time.Dura
 // (Plan.Validate, then deploy.Compile + Deployment.Verify on plans
 // both accept) must agree. Any divergence — lint rejects what Validate
 // accepts, or vice versa — is returned as an error naming both
-// verdicts; solver tests run it over Greedy, Exact, and ILP output so
+// verdicts; solver tests run it over Greedy and Exact output so
 // a bug in any solver or either checker surfaces as a lint failure.
 func CheckPlanOracle(p *placement.Plan, rm program.ResourceModel, eps1 time.Duration, eps2 int, aopts analyzer.Options) error {
 	fs := LintPlan(p, rm, eps1, eps2)

@@ -1,9 +1,10 @@
 // Package milp is a small mixed-integer linear programming solver built
-// on a dense two-phase simplex and branch & bound. It plays the role
-// Gurobi plays in the paper: the exact ("Optimal") reference and the
-// engine behind the ILP-based comparison frameworks. It is deliberately
-// simple — evaluation instances that defeat it are reported as
-// deadline-capped, mirroring the paper's two-hour Gurobi cap in Fig. 7.
+// on a dense two-phase simplex and branch & bound. It solves the
+// literal MILP encoding of the paper's problem P#1, the role Gurobi
+// plays in the paper, as the differential test oracle of
+// placement.Exact (internal/placement/ilp_oracle_test.go). It is
+// deliberately simple and test-only: hermeslint HV010 rejects an import
+// from any non-test file.
 package milp
 
 import (

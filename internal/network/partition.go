@@ -47,9 +47,6 @@ type PartitionOptions struct {
 	// default 0.5. Growing balances greedily on its own; the tolerance
 	// only constrains how far refinement may trade balance for cut.
 	Tolerance float64
-	// RefinePasses bounds the boundary-refinement sweeps. Zero means
-	// the default 2; negative disables refinement.
-	RefinePasses int
 	// MinCutPasses bounds the Kernighan–Lin-style boundary-swap sweeps
 	// that run after the single-move refinement: a pair of switches on
 	// opposite sides of a cut swap regions when that strictly reduces
@@ -69,15 +66,8 @@ func (o PartitionOptions) tolerance() float64 {
 	return o.Tolerance
 }
 
-func (o PartitionOptions) refinePasses() int {
-	if o.RefinePasses == 0 {
-		return 2
-	}
-	if o.RefinePasses < 0 {
-		return 0
-	}
-	return o.RefinePasses
-}
+// refinePasses bounds the boundary-refinement sweeps.
+const refinePasses = 2
 
 // Partition is a disjoint cover of a topology's switches by connected
 // regions. It is immutable after construction.
@@ -120,7 +110,7 @@ func PartitionTopology(t *Topology, opts PartitionOptions) (*Partition, error) {
 	} else {
 		seeds := partitionSeeds(t, k, opts.Seed)
 		growRegions(t, seeds, regionOf)
-		refineRegions(t, regionOf, k, opts.tolerance(), opts.refinePasses())
+		refineRegions(t, regionOf, k, opts.tolerance(), refinePasses)
 		if opts.MinCutPasses > 0 {
 			swapRefineRegions(t, regionOf, k, opts.tolerance(), opts.MinCutPasses)
 		}

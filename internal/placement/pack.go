@@ -237,3 +237,46 @@ func (sp *splitScratch) fits(lo, hi int) bool {
 	}
 	return true
 }
+
+// materializeAssignment packs a switch-level assignment into stages and
+// adds routes.
+func materializeAssignment(g *tdg.Graph, topo *network.Topology, assign map[string]network.SwitchID, rm program.ResourceModel) (*Plan, error) {
+	plan, err := packAssignment(g, topo, assign, rm)
+	if err != nil {
+		return nil, err
+	}
+	if err := addRoutesForCrossPairs(plan); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// packAssignment is materializeAssignment minus the routes: per-switch
+// stage packing of a complete MAT→switch assignment. The regional
+// replan splits the two so it can reuse the pre-drain plan's routes
+// instead of re-running shortest paths for every surviving pair.
+func packAssignment(g *tdg.Graph, topo *network.Topology, assign map[string]network.SwitchID, rm program.ResourceModel) (*Plan, error) {
+	plan := &Plan{
+		Graph:       g,
+		Topo:        topo,
+		Assignments: map[string]StagePlacement{},
+	}
+	bySwitch := map[network.SwitchID][]string{}
+	for name, u := range assign {
+		bySwitch[u] = append(bySwitch[u], name)
+	}
+	for u, names := range bySwitch {
+		sw, err := topo.Switch(u)
+		if err != nil {
+			return nil, err
+		}
+		placed, err := packShared(g, names, sw, rm)
+		if err != nil {
+			return nil, fmt.Errorf("placement: materializing assignment: %w", err)
+		}
+		for name, sp := range placed {
+			plan.Assignments[name] = sp
+		}
+	}
+	return plan, nil
+}

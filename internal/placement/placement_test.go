@@ -369,58 +369,6 @@ func TestExactNeverWorseThanGreedy(t *testing.T) {
 	}
 }
 
-func TestILPFigure1(t *testing.T) {
-	g, tp := figure1(t)
-	plan, err := (ILP{}).Solve(g, tp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.AMax(); got != 1 {
-		t.Errorf("ILP AMax = %d, want 1", got)
-	}
-	if err := plan.Validate(program.DefaultResourceModel, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestILPMatchesExactOnTinyInstances(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 6; trial++ {
-		n := 3 + rng.Intn(2)
-		names := make([]string, n)
-		for i := range names {
-			names[i] = string(rune('a' + i))
-		}
-		g := tdg.New()
-		for _, nm := range names {
-			if err := g.AddNode(fixedMAT(nm, 0.4)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i+1 < n; i++ {
-			if err := g.AddEdge(names[i], names[i+1], tdg.DepMatch, 1+rng.Intn(8)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tp := twoMATSwitchTopo(t, 2)
-		for _, s := range tp.Switches() {
-			s.Stages = 3
-			s.StageCapacity = 0.5
-		}
-		ep, eerr := (Exact{}).Solve(g, tp, Options{})
-		ip, ierr := (ILP{}).Solve(g, tp, Options{})
-		if (eerr == nil) != (ierr == nil) {
-			t.Fatalf("trial %d: exact err=%v ilp err=%v", trial, eerr, ierr)
-		}
-		if eerr != nil {
-			continue
-		}
-		if ep.AMax() != ip.AMax() {
-			t.Errorf("trial %d: exact AMax %d != ILP AMax %d", trial, ep.AMax(), ip.AMax())
-		}
-	}
-}
-
 func TestPlanValidateCatchesTampering(t *testing.T) {
 	g, tp := figure1(t)
 	plan, err := (Greedy{}).Solve(g, tp, Options{})
@@ -532,39 +480,5 @@ func TestExactDeadlineReturnsIncumbent(t *testing.T) {
 	}
 	if err := plan.Validate(program.DefaultResourceModel, 0, 0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestILPObjectiveVariants(t *testing.T) {
-	g, tp := figure1(t)
-	for _, obj := range []ILPObjective{ObjLatency, ObjSwitches, ObjBalance} {
-		obj := obj
-		t.Run(obj.String(), func(t *testing.T) {
-			plan, err := (ILP{Objective: obj}).Solve(g, tp, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := plan.Validate(program.DefaultResourceModel, 0, 0); err != nil {
-				t.Fatal(err)
-			}
-			if obj == ObjSwitches && plan.QOcc() != 2 {
-				t.Errorf("switch-minimizing ILP used %d switches, want 2", plan.QOcc())
-			}
-		})
-	}
-	if (ILP{Objective: ObjLatency}).Name() != "ILP-latency" {
-		t.Error("objective naming wrong")
-	}
-	if (ILP{DisplayName: "MS-ILP"}).Name() != "MS-ILP" {
-		t.Error("display name override broken")
-	}
-}
-
-func TestEstimateVars(t *testing.T) {
-	g, tp := figure1(t)
-	est := EstimateVars(g, tp)
-	// 3 MATs * 3 switches + 2 edges * 3 * 2 + 2*3 + 2 = 9+12+8 = 29.
-	if est != 29 {
-		t.Errorf("EstimateVars = %d, want 29", est)
 	}
 }

@@ -6,14 +6,13 @@
 // t_e2e (Eq. 2), and the occupied-switch count Q_occ (Eq. 3) — under
 // the ε-constraint scheme of problem P#1.
 //
-// Three solvers are provided:
+// Two solvers are provided:
 //
 //   - Greedy: the paper's Algorithm 2 heuristic (near-optimal, fast),
 //   - Exact: a specialized branch & bound that proves optimality on
-//     small instances (the paper's Gurobi-backed "Optimal"),
-//   - ILP: the literal MILP encoding of P#1 solved with internal/milp,
-//     kept for the ILP-based comparison frameworks and for
-//     demonstrating the formulation's blow-up (Exp#3).
+//     small instances (the paper's Gurobi-backed "Optimal"). Its
+//     differential twin, the literal MILP encoding of P#1 solved with
+//     internal/milp, lives in the tests (ilp_oracle_test.go).
 package placement
 
 import (

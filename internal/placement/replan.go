@@ -67,12 +67,6 @@ type ReplanOptions struct {
 	// clones, so the returned plan owns an independent topology carrying
 	// the fault state at replan time.
 	Topology *network.Topology
-	// FrontierDepth bounds the dependency frontier added to the dirty
-	// set: MATs within this many TDG hops of a drained MAT become
-	// movable during the repair polish (their assignments are kept as
-	// the starting point). 0 means the default of 1; negative disables
-	// the frontier (only drained MATs move).
-	FrontierDepth int
 	// QualityRatio bounds the repaired plan's A_max at
 	// QualityRatio × the warm seed's pre-drain A_max (the constant-time
 	// proxy for the cold-solve quality, which the greedy tracks
@@ -91,16 +85,6 @@ type ReplanOptions struct {
 	// single instance whose candidates are all live programmable
 	// switches.
 	Partition *network.Partition
-}
-
-func (o ReplanOptions) frontierDepth() int {
-	if o.FrontierDepth == 0 {
-		return 1
-	}
-	if o.FrontierDepth < 0 {
-		return 0
-	}
-	return o.FrontierDepth
 }
 
 func (o ReplanOptions) qualityRatio() float64 {
@@ -281,10 +265,10 @@ func ReplanWithOptions(old *Plan, solver Solver, ropts ReplanOptions, drained ..
 
 // dirtySets computes the repair's working sets: displaced MATs
 // (stranded on drained or down switches) and the dirty set (displaced
-// plus the dependency frontier — MATs within frontierDepth TDG hops,
+// plus the dependency frontier — the displaced MATs' TDG neighbours,
 // which keep their switch as the starting point but join the polish,
 // giving the local search room to co-locate across the healed cut).
-func dirtySets(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet map[network.SwitchID]bool) (displaced, dirty map[string]bool) {
+func dirtySets(old *Plan, topo *network.Topology, drainedSet map[network.SwitchID]bool) (displaced, dirty map[string]bool) {
 	g := old.Graph
 	displaced = map[string]bool{}
 	for name, sp := range old.Assignments {
@@ -295,26 +279,12 @@ func dirtySets(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSe
 	dirty = map[string]bool{}
 	for name := range displaced {
 		dirty[name] = true
-	}
-	frontier := displaced
-	for depth := 0; depth < ropts.frontierDepth(); depth++ {
-		next := map[string]bool{}
-		for name := range frontier {
-			for _, e := range g.OutEdges(name) {
-				if !dirty[e.To] {
-					next[e.To] = true
-				}
-			}
-			for _, e := range g.InEdges(name) {
-				if !dirty[e.From] {
-					next[e.From] = true
-				}
-			}
+		for _, e := range g.OutEdges(name) {
+			dirty[e.To] = true
 		}
-		for name := range next {
-			dirty[name] = true
+		for _, e := range g.InEdges(name) {
+			dirty[e.From] = true
 		}
-		frontier = next
 	}
 	return displaced, dirty
 }

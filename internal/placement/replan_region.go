@@ -69,7 +69,7 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 	part := ropts.Partition
 
 	phase := time.Now()
-	displaced, dirty := dirtySets(old, topo, ropts, drainedSet)
+	displaced, dirty := dirtySets(old, topo, drainedSet)
 	rep.Phases.Dirty = time.Since(phase)
 	if len(displaced) == 0 {
 		// Nothing hosted there: the old assignment is the repair. Routes

@@ -58,6 +58,43 @@ func TestReplanMovesOffDrainedSwitch(t *testing.T) {
 	}
 }
 
+// TestDirtySetsFrontierIsOneHop: the repair's dirty set is the
+// displaced MATs plus their direct TDG neighbours, whether a switch is
+// drained or down, and nothing two hops away.
+func TestDirtySetsFrontierIsOneHop(t *testing.T) {
+	g := chainTDG(t, []string{"a", "b", "c", "d", "e"}, []int{1, 1, 1, 1}, 0.5)
+	tp := twoMATSwitchTopo(t, 3)
+	on := map[string]network.SwitchID{"a": 0, "b": 0, "c": 1, "d": 2, "e": 2}
+	old := &Plan{Graph: g, Topo: tp, Assignments: map[string]StagePlacement{}}
+	for name, sw := range on {
+		old.Assignments[name] = StagePlacement{Switch: sw}
+	}
+	check := func(label string, drained map[network.SwitchID]bool, wantDisplaced, wantDirty string) {
+		t.Helper()
+		displaced, dirty := dirtySets(old, tp, drained)
+		for _, set := range []struct {
+			name string
+			got  map[string]bool
+			want string
+		}{{"displaced", displaced, wantDisplaced}, {"dirty", dirty, wantDirty}} {
+			if len(set.got) != len(set.want) {
+				t.Errorf("%s: %s = %v, want %s", label, set.name, set.got, set.want)
+				continue
+			}
+			for _, r := range set.want {
+				if !set.got[string(r)] {
+					t.Errorf("%s: %s = %v, want %s", label, set.name, set.got, set.want)
+				}
+			}
+		}
+	}
+	check("drain switch 1", map[network.SwitchID]bool{1: true}, "c", "bcd")
+	if err := tp.SetSwitchDown(2); err != nil {
+		t.Fatal(err)
+	}
+	check("switch 2 down", nil, "de", "cde")
+}
+
 func TestReplanLintGated(t *testing.T) {
 	old := solvedChainPlan(t, 3)
 	drained := old.UsedSwitches()[0]

@@ -20,9 +20,9 @@ type Options struct {
 	Epsilon1 time.Duration
 	// Epsilon2 bounds Q_occ (Eq. 5); zero means unbounded.
 	Epsilon2 int
-	// Deadline caps solver runtime; zero means none. ILP-based solvers
-	// return their best incumbent at the deadline, mirroring the
-	// paper's two-hour Gurobi cap.
+	// Deadline caps solver runtime; zero means none. Exact returns its
+	// best incumbent, unproven, at the deadline, mirroring the paper's
+	// two-hour Gurobi cap; Greedy cuts its local-search polish short.
 	Deadline time.Time
 	// Resources is the MAT resource model; zero value means
 	// program.DefaultResourceModel.
@@ -44,8 +44,8 @@ type Options struct {
 	// with no hook registered the flag is a no-op.
 	Equiv bool
 	// Ctx, when non-nil, allows canceling a solve in flight: the hot
-	// loops (local improve, the exact branch search, the MILP branch
-	// and bound, the replan repair) poll Ctx.Done() at the same
+	// loops (local improve, the exact branch search, the replan repair)
+	// poll Ctx.Done() at the same
 	// counter-gated cadence as Deadline and abandon the solve with
 	// Ctx.Err(). The supervisor uses this to abort a superseded replan
 	// when a newer fault arrives. nil means not cancelable.

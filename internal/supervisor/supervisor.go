@@ -35,9 +35,6 @@ type Options struct {
 	// Ctx cancels in-flight replans and solves when done; nil means
 	// not cancelable.
 	Ctx context.Context
-	// MinPrograms is the degradation floor: shedding never drops the
-	// active set below this many programs. Zero means 1.
-	MinPrograms int
 	// Equiv gates every deployment the supervisor adopts — the initial
 	// build, incremental redeploys, and degraded rebuilds — through the
 	// symbolic equivalence checker (deploy.ProveEquivalent; a binary
@@ -62,13 +59,6 @@ func (o Options) solver() placement.Solver {
 		return placement.Greedy{}
 	}
 	return o.Solver
-}
-
-func (o Options) minPrograms() int {
-	if o.MinPrograms <= 0 {
-		return 1
-	}
-	return o.MinPrograms
 }
 
 // DegradationEvent records one shed or restore decision.
@@ -178,7 +168,7 @@ type Supervisor struct {
 // supervisor. progs is in priority order: progs[0] is the most
 // important and is shed last. If even the initial workload does not
 // fit, New degrades immediately (recorded in the report) rather than
-// failing, as long as MinPrograms fit.
+// failing, as long as the most important program fits.
 func New(progs []*program.Program, topo *network.Topology, opts Options) (*Supervisor, error) {
 	if len(progs) == 0 {
 		return nil, fmt.Errorf("supervisor: no programs")
@@ -424,7 +414,7 @@ func (s *Supervisor) shedUntilFit(res *PollResult, poll int, cause error) error 
 	err := cause
 	for {
 		act := s.active()
-		if len(act) <= s.opts.minPrograms() {
+		if len(act) <= 1 { // shedding never drops the last program
 			return fmt.Errorf("supervisor: no feasible plan and shed floor reached (%d programs): %w",
 				len(act), err)
 		}

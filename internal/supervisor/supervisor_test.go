@@ -179,6 +179,22 @@ func TestFlapSuppression(t *testing.T) {
 	}
 }
 
+// TestShedFloorKeepsOneProgram: shedding stops at the most important
+// program; when even that one does not fit, New fails at the floor
+// instead of deploying nothing.
+func TestShedFloorKeepsOneProgram(t *testing.T) {
+	spec := network.TestbedSpec()
+	spec.StageCapacity = 0.001
+	tp, err := network.Linear(3, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(workload.RealPrograms()[:3], tp, Options{Monitor: immediate()})
+	if err == nil || !strings.Contains(err.Error(), "shed floor reached (1 programs)") {
+		t.Fatalf("New on a topology nothing fits = %v; want the one-program shed floor", err)
+	}
+}
+
 // TestGracefulDegradationAndRestore: when the reduced topology cannot
 // fit the full workload, the supervisor sheds whole programs
 // lowest-priority-first (recording each in the report), and restores
