@@ -149,7 +149,7 @@ func TestEveryGateStillBites(t *testing.T) {
 		{"shard", set("rows", "composite:10", map[string]any{"amax_ratio": 1.501}), "shard rows[composite:10] amax_ratio = 1.501: want <= 1.5"},
 		{"shard", set("rows", "composite:10", map[string]any{"amax_ratio": 1.5}), ""},
 		{"shard", set("rows", "composite:10", map[string]any{"equiv_ok": false}), "shard rows[composite:10] equiv_ok = false"},
-		{"shard", set("rows", "composite:143", map[string]any{"equiv_ok": false}), ""}, // sharded-only row: structural checks only
+		{"shard", set("rows", "composite:143", map[string]any{"equiv_ok": false}), "shard rows[composite:143] equiv_ok = false"}, // every row is proven
 		{"shard", set("rows", "composite:143", map[string]any{"shard_amax_bytes": 0.0}), "shard rows[composite:143] shard_amax_bytes = 0"},
 		{"equiv", set("rows", "mixed20_tableIII5", map[string]any{"ns_per_program": 10e6}), "equiv rows[mixed20_tableIII5] ns_per_program = 10000000: want < 10000000"},
 		{"equiv", set("rows", "real4_tableIII1", map[string]any{"symbolic_allocs_per_op": 1.0}), "equiv rows[real4_tableIII1] symbolic_allocs_per_op = 1"},

@@ -263,7 +263,7 @@ func run(args []string) error {
 					path += fmt.Sprintf(", %d widened", rep.RegionsWidened)
 				}
 				if rep.ExchangeMoves > 0 {
-					path += fmt.Sprintf(", exchange moved %d in %d rounds", rep.ExchangeMoves, rep.ExchangeRounds)
+					path += fmt.Sprintf(", reconcile moved %d in %d passes", rep.ExchangeMoves, rep.ExchangeRounds)
 				}
 				path += ")"
 			} else if rep.UsedRepair {

@@ -267,15 +267,15 @@ func TestShardedPlanFingerprints(t *testing.T) {
 	}
 
 	// The same drain with the quality gate below the repair's own A_max:
-	// the merged regional plan fails it, so the overlapping-region
-	// exchange runs before the gate decides between repair and fallback.
+	// the merged regional plan fails it, so the reconcile climb runs
+	// before the gate decides between repair and fallback.
 	ropts.QualityRatio = 0.9
 	escalated, escReport, err := placement.ReplanWithOptions(cold, solver, ropts, drain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if escReport.Phases.Exchange == 0 {
-		t.Fatal("a repair past its quality gate did not run the exchange")
+		t.Fatal("a repair past its quality gate did not run the reconcile")
 	}
 
 	// ε bounds at the unconstrained plan's own t_e2e and Q_occ, and the

@@ -210,13 +210,13 @@ var (
 
 // ShardedSolver is the region-sharded Greedy for very large
 // topologies: it partitions the network into SolveOptions.Shards
-// regions, solves them concurrently, and reconciles region boundaries
-// with bounded exchange rounds. On small instances (or Shards <= 1) it
+// regions, solves them concurrently, and reconciles the merged plan
+// with one hill climb. On small instances (or Shards <= 1) it
 // falls back to whole-graph Greedy.
 type ShardedSolver = placement.ShardedGreedy
 
 // ShardStats is the sharded solver's run telemetry (region count,
-// exchange rounds, accepted migrations, A_max before/after).
+// reconcile passes, accepted moves, A_max before/after).
 type ShardStats = placement.ShardStats
 
 // TopologyPartition is a disjoint cover of a topology's switches by

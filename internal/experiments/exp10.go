@@ -28,22 +28,21 @@ type ShardPoint struct {
 	WholeMs   float64
 	WholeAMax int
 	// ShardMs/ShardAMax describe the sharded run (partition + regional
-	// solves + boundary exchange + finalize).
+	// solves + reconcile + finalize).
 	ShardMs   float64
 	ShardAMax int
 	// Speedup is WholeMs/ShardMs; AMaxRatio is ShardAMax/WholeAMax —
 	// the quality price of sharding. Both zero when whole was skipped.
 	Speedup   float64
 	AMaxRatio float64
-	// Exchange telemetry.
+	// Reconcile telemetry: used hosts, climb passes, accepted moves.
 	Hosts    int
 	Rounds   int
 	Moves    int
 	FellBack bool
 	// EquivOK reports the symbolic plan-equivalence verdict on the
 	// sharded plan (the pre-compilation gate); EquivMs is its cost.
-	// Only the comparison rows run the check — the sharded-only scale
-	// row skips it to keep the point's wall clock solver-bound.
+	// Every row runs the check, the 10k-switch scale row included.
 	EquivOK bool
 	EquivMs float64
 	// PartitionMs/RegionMs/ExchangeMs split ShardMs into its phases.
@@ -150,14 +149,12 @@ func exp10Point(cfg Config, c exp10Case) (ShardPoint, error) {
 	pt.RegionMs = ms(st.RegionTime)
 	pt.ExchangeMs = ms(st.ExchangeTime)
 
-	if c.runWhole {
-		start := time.Now()
-		if err := equiv.CheckPlanAgainst(merged, plan, analyzer.Options{}); err != nil {
-			return ShardPoint{}, fmt.Errorf("sharded plan fails equivalence: %w", err)
-		}
-		pt.EquivOK = true
-		pt.EquivMs = ms(time.Since(start))
+	start := time.Now()
+	if err := equiv.CheckPlanAgainst(merged, plan, analyzer.Options{}); err != nil {
+		return ShardPoint{}, fmt.Errorf("sharded plan fails equivalence: %w", err)
 	}
+	pt.EquivOK = true
+	pt.EquivMs = ms(time.Since(start))
 
 	if c.runWhole {
 		var wplan *placement.Plan

@@ -256,8 +256,8 @@ func markProgrammable(t *Topology, spec SwitchSpec, rng *rand.Rand) {
 // two inter-region links (plus a ring-closing pair and a few long
 // chords once regions > 2), mirroring how real WAN interconnects join
 // metro fabrics: boundary edges are sparse relative to intra-region
-// edges, which is exactly the regime the boundary-exchange
-// reconciliation targets. ~70 switches per region: composite-30 is
+// edges, which is exactly the regime the sharded solver's reconcile
+// targets. ~70 switches per region: composite-30 is
 // ~2.1k switches, composite-143 is ~10k.
 func CompositeWAN(regions int, spec SwitchSpec, seed int64) (*Topology, error) {
 	if regions <= 0 {

@@ -531,8 +531,8 @@ func (p *Partition) BoundaryLinks() []Link {
 }
 
 // AdjacentRegions returns the distinct unordered region pairs joined by
-// at least one boundary link, sorted lexicographically. This is the
-// peer schedule the boundary-exchange rounds iterate.
+// at least one boundary link, sorted lexicographically: the region
+// adjacency a widened regional repair reaches across.
 func (p *Partition) AdjacentRegions() [][2]int {
 	seen := map[[2]int]bool{}
 	for _, l := range p.BoundaryLinks() {

@@ -289,7 +289,7 @@ func (tm *TrafficMatrix) PairRates(t *Topology) ([]float64, error) {
 
 // Restrict compacts the matrix onto a member subset: the result's ID
 // space is the member index order (the convention of
-// Partition.SubTopology and the shard exchange's host compaction), and
+// Partition.SubTopology and the sharded reconcile's host compaction), and
 // its pair rates are the global rates between the members — transit
 // demand between non-members is dropped. The result carries
 // precomputed rates and cannot be formatted.

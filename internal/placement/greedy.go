@@ -151,7 +151,7 @@ func (gr Greedy) polish(plan *Plan, opts Options, rm program.ResourceModel) erro
 	for x := range all {
 		all[x] = int32(x)
 	}
-	in.climb(opts, budget, all)
+	in.climb(opts, budget, all, occupiedTargets)
 
 	// Rebuild the plan from the (possibly) improved assignment.
 	rebuilt, err := materializeAssignment(plan.Graph, plan.Topo, in.ci.AssignMap(in.assign), rm)

@@ -266,32 +266,50 @@ func (in *repairInstance) admits(x, to int32, opts Options) bool {
 	return ok
 }
 
+// targetRule picks the switches climb tries moving a dirty MAT to.
+type targetRule int
+
+const (
+	// occupiedTargets tries every candidate switch that holds MATs when
+	// the climb starts (Greedy's polish, the replan repair).
+	occupiedTargets targetRule = iota
+	// peerTargets tries the switches hosting the MAT's TDG peers, read
+	// when the MAT is visited (the sharded reconcile): only a move next
+	// to a communication partner can delete cross bytes.
+	peerTargets
+)
+
 // climb is the bounded first-improvement hill climb (the refinement
 // extending the paper's Algorithm 2): it tries moving each dirty MAT to
-// another occupied candidate switch and keeps the move when it strictly
-// reduces (A_max, total cross bytes) and admits holds. The target
-// switches are fixed at climb start. With a weight table a second phase
-// descends the lexicographic (W, A_max, cross bytes) key from the
-// structural optimum the first converged to, with A_max capped at
-// AMaxSlack × that optimum — so the refined plan's worst pair stays
+// the switches rule names and keeps the move when it strictly reduces
+// (A_max, total cross bytes) and admits holds. With a weight table a
+// second phase descends the lexicographic (W, A_max, cross bytes) key
+// from the structural optimum the first converged to, with A_max capped
+// at AMaxSlack × that optimum — so the refined plan's worst pair stays
 // within the slack of the plan an unweighted solve would ship
 // (DESIGN.md §13). A move's score is the absolute state "MAT on that
 // switch, everything else fixed", computed allocation-free in
 // O(deg + pairs) on the MoveScore kernels; the climb is serial, so
 // every Options.Workers yields the same plan. dirty is ascending in MAT
-// index. budget always caps the search and a tighter Options.Deadline
+// index. Each phase runs at most maxPasses passes over dirty; a
+// positive budget also caps the search and a tighter Options.Deadline
 // wins; both, and cancellation, are polled through a counter-gated
-// clock read.
-func (in *repairInstance) climb(opts Options, budget time.Duration, dirty []int32) {
+// clock read. It returns the passes run and the moves accepted.
+func (in *repairInstance) climb(opts Options, budget time.Duration, dirty []int32, rule targetRule) (passes, moves int) {
 	ci := in.ci
-	deadline := time.Now().Add(budget)
-	if !opts.Deadline.IsZero() && opts.Deadline.Before(deadline) {
-		deadline = opts.Deadline
+	deadline := opts.Deadline
+	if budget > 0 {
+		if d := time.Now().Add(budget); deadline.IsZero() || d.Before(deadline) {
+			deadline = d
+		}
 	}
-	targets := make([]int32, 0, len(in.cands))
-	for _, h := range in.cands {
-		if len(in.residents[h]) > 0 {
-			targets = append(targets, h)
+	var occupied, peers []int32
+	if rule == occupiedTargets {
+		occupied = make([]int32, 0, len(in.cands))
+		for _, h := range in.cands {
+			if len(in.residents[h]) > 0 {
+				occupied = append(occupied, h)
+			}
 		}
 	}
 	total := ci.FillPairTable(in.assign, in.pt)
@@ -313,12 +331,18 @@ func (in *repairInstance) climb(opts Options, budget time.Duration, dirty []int3
 			bestW, curSum = opts.TrafficObjective.pick(sum, max), sum
 		}
 		for pass := 0; pass < maxPasses; pass++ {
+			passes++
 			improved := false
 			for _, x := range dirty {
 				if poll.Expired() {
-					return
+					return passes, moves
 				}
 				cur := in.assign[x]
+				targets := occupied
+				if rule == peerTargets {
+					peers = in.peerHosts(x, peers[:0])
+					targets = peers
+				}
 				//hermes:hot
 				for _, h := range targets {
 					if h == cur {
@@ -343,6 +367,7 @@ func (in *repairInstance) climb(opts Options, budget time.Duration, dirty []int3
 					in.settle(x, cur, h)
 					bestA, bestW, curSum = a, w, ws
 					cur = h
+					moves++
 					improved = true
 				}
 			}
@@ -351,4 +376,22 @@ func (in *repairInstance) climb(opts Options, budget time.Duration, dirty []int3
 			}
 		}
 	}
+	return passes, moves
+}
+
+// peerHosts appends to buf the switches hosting MAT x's TDG peers,
+// ascending and deduplicated.
+func (in *repairInstance) peerHosts(x int32, buf []int32) []int32 {
+	ci := in.ci
+	for _, ei := range ci.Incident[x] {
+		peer := ci.EdgeTo[ei]
+		if peer == x {
+			peer = ci.EdgeFrom[ei]
+		}
+		if h := in.assign[peer]; h >= 0 {
+			buf = append(buf, h)
+		}
+	}
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }

@@ -12,13 +12,6 @@ import (
 // deterministic regardless of completion order. workers <= 1 (or n <=
 // 1) degrades to a plain loop on the calling goroutine.
 func parallelFor(n, workers int, fn func(i int)) {
-	parallelForShard(n, workers, func(_, i int) { fn(i) })
-}
-
-// parallelForShard is parallelFor with the executing goroutine's index
-// in [0, workers) passed alongside the item index, so callers can
-// reuse per-goroutine scratch buffers instead of allocating per item.
-func parallelForShard(n, workers int, fn func(shard, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -27,7 +20,7 @@ func parallelForShard(n, workers int, fn func(shard, i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -35,7 +28,6 @@ func parallelForShard(n, workers int, fn func(shard, i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		w := w
 		go func() {
 			defer wg.Done()
 			for {
@@ -43,7 +35,7 @@ func parallelForShard(n, workers int, fn func(shard, i int)) {
 				if i >= n {
 					return
 				}
-				fn(w, i)
+				fn(i)
 			}
 		}()
 	}

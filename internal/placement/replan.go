@@ -78,8 +78,8 @@ type ReplanOptions struct {
 	// §8): the dirty set is mapped onto the regions it intersects, each
 	// dirty region is repaired concurrently on its own compact instance
 	// (region candidates + halo hosts), and only quality failures
-	// escalate to the overlapping-region boundary exchange before the
-	// gated full solve. The partition must describe the replan
+	// escalate to the sharded solver's reconcile climb before the gated
+	// full solve. The partition must describe the replan
 	// topology's switch ID space; lookups are by switch ID, so it
 	// survives topology clones and fault overlays. nil repairs on a
 	// single instance whose candidates are all live programmable
@@ -96,8 +96,8 @@ func (o ReplanOptions) qualityRatio() float64 {
 
 // ReplanPhases splits a replan's wall clock into its sequential
 // phases; a zero field means the phase did not run. The repair spends
-// Dirty + Regions + Gates, with Exchange covering the
-// overlapping-region escalation of a partitioned repair. Fallback times
+// Dirty + Regions + Gates, with Exchange covering the reconcile
+// escalation of a partitioned repair. Fallback times
 // the full solver after an abandoned repair. JSON field names are
 // stable — bench baselines diff them across commits.
 type ReplanPhases struct {
@@ -112,7 +112,7 @@ type ReplanPhases struct {
 	// instance's re-placement and climb, plus the merge and
 	// materialization of the global plan.
 	Regions time.Duration `json:"regions"`
-	// Exchange is the overlapping-region boundary-exchange escalation.
+	// Exchange is the reconcile escalation.
 	Exchange time.Duration `json:"exchange"`
 	// Fallback is the full solver run after an abandoned repair (or
 	// under ReplanFull).
@@ -157,9 +157,9 @@ type ReplanReport struct {
 	// restore feasibility alone and re-ran with the 2-hop widened
 	// candidate set (the overlapping-region neighborhoods).
 	RegionsWidened int
-	// ExchangeRounds and ExchangeMoves report the overlapping-region
-	// exchange escalation; both zero when the per-region repairs held
-	// the quality gate on their own.
+	// ExchangeRounds and ExchangeMoves report the reconcile escalation's
+	// climb passes and accepted moves; both zero when the per-region
+	// repairs held the quality gate on their own.
 	ExchangeRounds int
 	ExchangeMoves  int
 }

@@ -15,9 +15,8 @@
 //     join as halo anchors. A region that cannot host its displaced
 //     MATs retries once with the 2-hop widened candidate set (its
 //     partition neighbors), letting a MAT cross more than one cut; a
-//     merged plan that would fail the quality gate runs a bounded
-//     overlapping-region boundary exchange (exchange.go) before being
-//     re-gated.
+//     merged plan that would fail the quality gate runs the sharded
+//     solver's reconcile climb (sharded.go) before being re-gated.
 //
 // Only then does ReplanAuto fall back to the caller's solver — a
 // sharded cold re-solve when the caller passes ShardedGreedy. Regions
@@ -36,14 +35,6 @@ import (
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
-)
-
-// Escalation budget: the exchange runs few rounds (it only has to
-// shave the quality overshoot, not reconcile a cold merge) with the
-// 2-hop overlapping neighborhoods.
-const (
-	escalationRounds  = 4
-	escalationOverlap = 2
 )
 
 // regionSpares bounds the empty candidate switches admitted per region
@@ -185,20 +176,20 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 	}
 	rep.Phases.Regions = time.Since(phase) // fan-out + merge + materialize
 
-	// Bounded overlapping-region exchange: the escalation between the
-	// per-region repairs and the full-solve fallback. It runs only when
-	// the merged plan would fail the quality gate — the same
-	// reconciliation a sharded cold solve ends with, aimed at merges
-	// whose drain shifted the global bottleneck outside the dirty
-	// regions. Feasibility is preserved throughout (the exchange
-	// migrates only already-placed MATs under the same
-	// capacity/acyclicity checks); a plan still past the gate after the
-	// exchange falls back to the full solve via finishRepair.
+	// Reconcile: the escalation between the per-region repairs and the
+	// full-solve fallback. It runs only when the merged plan would fail
+	// the quality gate — the same climb a sharded cold solve ends with,
+	// aimed at merges whose drain shifted the global bottleneck outside
+	// the dirty regions (its dirty set includes the A_max pairs wherever
+	// they sit). Feasibility is preserved throughout (the climb moves
+	// only already-placed MATs under the same capacity/acyclicity
+	// checks); a plan still past the gate afterwards falls back to the
+	// full solve via finishRepair.
 	if ratio := ropts.qualityRatio(); part != nil && ratio > 0 {
 		if oldA := old.AMax(); oldA > 0 && float64(plan.AMax()) > ratio*float64(oldA) {
 			exStart := time.Now()
 			var st ShardStats
-			exErr := exchangeAssign(g, topo, part, assign, ropts.Options, rm, escalationRounds, escalationOverlap, &st)
+			exErr := reconcile(g, topo, part, assign, ropts.Options, rm, &st)
 			rep.Phases.Exchange = time.Since(exStart)
 			if exErr == nil && st.Moves > 0 {
 				rep.ExchangeRounds, rep.ExchangeMoves = st.Rounds, st.Moves
@@ -414,7 +405,7 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	}
 	// The climb converges in a handful of passes over |dirty| MATs; the
 	// budget only bounds a pathological instance.
-	in.climb(ropts.Options, 2*time.Second, dirtyIdx)
+	in.climb(ropts.Options, 2*time.Second, dirtyIdx, occupiedTargets)
 
 	out := make(map[string]network.SwitchID, len(dirtyNames))
 	for _, x := range dirtyIdx {
@@ -425,7 +416,7 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 
 // hostInstance compiles names against a links-free pseudo-topology
 // holding copies of hosts (ascending), the instance both the repair and
-// the boundary exchange run on: the compiled tables are U²-sized,
+// the reconcile run on: the compiled tables are U²-sized,
 // U = len(hosts), independent of the global S, and local index i is
 // hosts[i] (sws[i] is the real switch behind it). The instance is
 // carved straight out of g (no intermediate tdg.Subgraph: its

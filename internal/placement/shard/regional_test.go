@@ -52,8 +52,8 @@ func TestRegionalReplanDifferential(t *testing.T) {
 				drain := used[rng.Intn(len(used))]
 
 				// QualityRatio pins the repair gate at the differential
-				// ratio: a merged plan past it escalates to the overlapping
-				// exchange and then to the gated cold re-solve, which is
+				// ratio: a merged plan past it escalates to the reconcile
+				// climb and then to the gated cold re-solve, which is
 				// exactly the contract under test.
 				regional, rep, err := placement.ReplanWithOptions(base, s,
 					placement.ReplanOptions{Options: opts, Partition: part, QualityRatio: regionalQualityRatio}, drain)

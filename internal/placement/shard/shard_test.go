@@ -19,7 +19,7 @@ import (
 // qualityRatio is the acceptance gate: a sharded plan's A_max may
 // exceed the whole-graph Greedy plan's by at most this factor. The
 // gate is fixed (not tuned per topology) so quality regressions in the
-// partitioner or exchange phase fail loudly.
+// partitioner or the reconcile fail loudly.
 const qualityRatio = 1.5
 
 // sharedTestInstance builds a merged TDG over a topology from the
@@ -83,7 +83,7 @@ func TestShardedQualityGate(t *testing.T) {
 						s, w, qualityRatio)
 				}
 				if st.AMaxAfter > st.AMaxBefore {
-					t.Fatalf("exchange phase worsened A_max: %d -> %d", st.AMaxBefore, st.AMaxAfter)
+					t.Fatalf("reconcile worsened A_max: %d -> %d", st.AMaxBefore, st.AMaxAfter)
 				}
 			})
 		}
@@ -258,10 +258,10 @@ func TestShardedEndToEndStats(t *testing.T) {
 		t.Fatalf("unexpected stats: %+v", st)
 	}
 	if st.Hosts <= 0 || st.AMaxBefore < st.AMaxAfter {
-		t.Fatalf("inconsistent exchange stats: %+v", st)
+		t.Fatalf("inconsistent reconcile stats: %+v", st)
 	}
 	if p.AMax() != st.AMaxAfter {
-		t.Fatalf("plan A_max %d != exchange A_max %d", p.AMax(), st.AMaxAfter)
+		t.Fatalf("plan A_max %d != reconcile A_max %d", p.AMax(), st.AMaxAfter)
 	}
 	if err := p.Validate(program.DefaultResourceModel, 0, 0); err != nil {
 		t.Fatal(err)

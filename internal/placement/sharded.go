@@ -13,9 +13,10 @@
 //     concurrently under Options.Workers; each regional solve runs its
 //     local search serially (Workers=1), so the two parallelism levels
 //     never multiply and every worker count yields identical plans.
-//  4. Reconcile: bounded boundary-exchange rounds migrate MATs across
-//     region cuts when that improves the global (A_max, cross-byte)
-//     objective (exchange.go).
+//  4. Reconcile: one climb (improve.go) over the merged assignment,
+//     compacted onto the switches it uses, moves the MATs on region
+//     cuts and on the A_max pairs next to their TDG peers while that
+//     strictly improves the global (A_max, cross-byte) objective.
 //
 // The merged assignment is materialized, ε-checked, and gated through
 // finishPlan like any other solver's plan.
@@ -23,6 +24,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -30,10 +32,6 @@ import (
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
 )
-
-// shardRounds caps the boundary-exchange rounds of a cold sharded
-// solve; the exchange usually converges in two or three.
-const shardRounds = 8
 
 // ShardedGreedy is the region-sharded solver. The region count k is
 // Options.Shards; k ≤ 1 delegates to whole-graph Greedy.
@@ -58,8 +56,8 @@ var _ Solver = ShardedGreedy{}
 func (ShardedGreedy) Name() string { return "Hermes-Shard" }
 
 // ShardStats reports what a sharded solve did; SolveStats returns it
-// alongside the plan (Exp#10 records these). The exchange fields also
-// describe the escalation exchange of a partitioned repair.
+// alongside the plan (Exp#10 records these). The reconcile fields also
+// describe the escalation reconcile of a partitioned repair.
 type ShardStats struct {
 	// Shards is the requested region count (Options.Shards).
 	Shards int
@@ -70,14 +68,15 @@ type ShardStats struct {
 	// BoundaryLinks counts topology links crossing region cuts.
 	BoundaryLinks int
 	// Hosts counts the switches used by the merged assignment (the
-	// exchange phase's compacted index space).
+	// reconcile's compacted index space).
 	Hosts int
-	// Rounds and Moves count executed exchange rounds and accepted
-	// cross-boundary migrations.
+	// Rounds and Moves count the reconcile climb's passes and accepted
+	// moves.
 	Rounds, Moves int
-	// AMaxBefore/AMaxAfter bracket the exchange phase (Eq. 1 bytes).
+	// AMaxBefore/AMaxAfter bracket the reconcile (Eq. 1 bytes).
 	AMaxBefore, AMaxAfter int
-	// PartitionTime/RegionTime/ExchangeTime split the solve wall clock.
+	// PartitionTime/RegionTime/ExchangeTime split the solve wall clock;
+	// ExchangeTime is the reconcile's.
 	// PartitionTime covers both cuts: the topology into regions and the
 	// TDG into chunks (its topological sort included). What the three
 	// leave out of the solve time is materialization and finishPlan.
@@ -148,7 +147,7 @@ func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Opt
 	st.RegionTime = time.Since(regionStart)
 
 	exStart := time.Now()
-	if err := exchangeAssign(g, topo, part, assign, opts, rm, shardRounds, 1, &st); err != nil {
+	if err := reconcile(g, topo, part, assign, opts, rm, &st); err != nil {
 		return nil, st, err
 	}
 	st.ExchangeTime = time.Since(exStart)
@@ -169,6 +168,86 @@ func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Opt
 	}
 	plan.SolveTime = time.Since(start)
 	return plan, st, nil
+}
+
+// reconcile runs the one climb over a merged assignment, mutating it in
+// place: the cold sharded solve's step 4 and a partitioned repair's
+// escalation. The instance is compacted onto the switches assign uses
+// (hostInstance), so its tables are U²-sized even at 10k switches, and
+// every used host is a candidate. The dirty set is every MAT on a TDG
+// edge whose endpoints sit in different regions or on a host pair at
+// A_max; each is tried next to its TDG peers. ε1 is left to the
+// finished plan's check: a merge past it can only get under through
+// the moves. No wall-clock budget of its own applies — the climb's
+// pass cap bounds the work, so the plan does not depend on host speed.
+func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
+	assign map[string]network.SwitchID, opts Options, rm program.ResourceModel, st *ShardStats) error {
+
+	used := map[network.SwitchID]bool{}
+	for _, u := range assign {
+		used[u] = true
+	}
+	hosts := make([]network.SwitchID, 0, len(used))
+	for u := range used {
+		hosts = append(hosts, u)
+	}
+	slices.Sort(hosts)
+	names := g.NodeNames()
+	sort.Strings(names)
+	ci, hostIdx, sws, err := hostInstance(g, topo, hosts, names, rm)
+	if err != nil {
+		return err
+	}
+	var wt *WeightTable
+	if opts.Traffic != nil {
+		// The host instance is links-free, so the compacted weights come
+		// from the global pair rates, routed on the real topology.
+		rates, err := opts.Traffic.PairRates(topo)
+		if err != nil {
+			return err
+		}
+		wt = NewWeightTable(rates, int32(topo.NumSwitches())).Compact(hosts)
+	}
+	dense := make([]int32, len(ci.Names))
+	for x, name := range ci.Names {
+		dense[x] = hostIdx[assign[name]]
+	}
+	cands := make([]int32, len(hosts))
+	for i := range cands {
+		cands[i] = int32(i)
+	}
+	in := newRepairInstance(ci, sws, cands, dense, wt)
+	ci.FillPairTable(dense, in.pt)
+	amax := in.pt.Max()
+
+	dirty := make([]bool, len(dense))
+	for ei, from := range ci.EdgeFrom {
+		to := ci.EdgeTo[ei]
+		ua, ub := dense[from], dense[to]
+		if ua == ub {
+			continue
+		}
+		if part.RegionOf(hosts[ua]) != part.RegionOf(hosts[ub]) || int(in.pt.Cells[ua*ci.S+ub]) == amax {
+			dirty[from], dirty[to] = true, true
+		}
+	}
+	var xs []int32
+	for x, d := range dirty {
+		if d {
+			xs = append(xs, int32(x))
+		}
+	}
+
+	copts := opts
+	copts.Epsilon1 = 0
+	st.Hosts = len(hosts)
+	st.AMaxBefore = amax
+	st.Rounds, st.Moves = in.climb(copts, 0, xs, peerTargets)
+	st.AMaxAfter = in.pt.Max()
+	for x, name := range ci.Names {
+		assign[name] = hosts[dense[x]]
+	}
+	return nil
 }
 
 // partitionMatches reports whether a standing partition can be reused

@@ -27,7 +27,7 @@ func shardInstance(t *testing.T, programs int, seed int64) *tdg.Graph {
 
 // roundRobinSeed scatters small contiguous topo-order blocks over every
 // programmable switch: contiguity keeps the contracted switch graph
-// acyclic (all inter-block edges point forward, and the exchange
+// acyclic (all inter-block edges point forward, and the reconcile
 // refuses moves on a cyclic seed), while the tiny block size splits
 // most TDG edges across switches and regions — heavy cross-boundary
 // traffic with every switch far under capacity, so migrations are
@@ -47,10 +47,29 @@ func roundRobinSeed(t *testing.T, g *tdg.Graph, topo *network.Topology) map[stri
 	return assign
 }
 
-// TestExchangeImprovesSeededCut: construct a deliberately bad merged
-// assignment (round-robin across switches) and verify the exchange
-// phase strictly improves the lexicographic objective on it.
-func TestExchangeImprovesSeededCut(t *testing.T) {
+// assignObjective scores an assignment on the lexicographic objective
+// the reconcile descends: Eq. 1's A_max and the total cross bytes.
+func assignObjective(g *tdg.Graph, assign map[string]network.SwitchID) (amax, cross int) {
+	cells := map[[2]network.SwitchID]int{}
+	for _, e := range g.EdgeList() {
+		u, v := assign[e.From], assign[e.To]
+		if u == v {
+			continue
+		}
+		cells[[2]network.SwitchID{u, v}] += e.MetadataBytes
+		cross += e.MetadataBytes
+	}
+	for _, b := range cells {
+		amax = max(amax, b)
+	}
+	return amax, cross
+}
+
+// TestReconcileImprovesSeededCut: on a deliberately bad merged
+// assignment (round-robin across switches) the reconcile strictly
+// descends (A_max, cross bytes), accepts moves, and leaves every MAT
+// assigned to a known switch.
+func TestReconcileImprovesSeededCut(t *testing.T) {
 	topo, err := network.CompositeWAN(3, network.TofinoSpec(), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -61,20 +80,23 @@ func TestExchangeImprovesSeededCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	assign := roundRobinSeed(t, g, topo)
+	a0, c0 := assignObjective(g, assign)
 	var st ShardStats
-	if err := exchangeAssign(g, topo, part, assign, Options{Workers: 2}, program.DefaultResourceModel, shardRounds, 1, &st); err != nil {
+	if err := reconcile(g, topo, part, assign, Options{Workers: 2}, program.DefaultResourceModel, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.AMaxAfter > st.AMaxBefore {
-		t.Fatalf("exchange worsened A_max: %d -> %d", st.AMaxBefore, st.AMaxAfter)
+	a1, c1 := assignObjective(g, assign)
+	if a1 > a0 || (a1 == a0 && c1 >= c0) {
+		t.Fatalf("reconcile did not strictly descend (A_max, cross): (%d, %d) -> (%d, %d)", a0, c0, a1, c1)
+	}
+	if st.AMaxBefore != a0 || st.AMaxAfter != a1 {
+		t.Fatalf("stats bracket A_max %d -> %d, assignment scores %d -> %d", st.AMaxBefore, st.AMaxAfter, a0, a1)
 	}
 	if st.Moves == 0 {
-		t.Fatal("exchange accepted no moves on a round-robin seed")
+		t.Fatal("reconcile accepted no moves on a round-robin seed")
 	}
-	// The mutated assignment must still be consistent: every MAT
-	// assigned, only to known switches.
 	if len(assign) != g.NumNodes() {
-		t.Fatalf("exchange changed assignment size: %d vs %d", len(assign), g.NumNodes())
+		t.Fatalf("reconcile changed assignment size: %d vs %d", len(assign), g.NumNodes())
 	}
 	for name, id := range assign {
 		if _, err := topo.Switch(id); err != nil {
@@ -83,54 +105,81 @@ func TestExchangeImprovesSeededCut(t *testing.T) {
 	}
 }
 
-// TestExchangeOverlap: the overlapping exchange on a deliberately bad
-// merged assignment still strictly improves the objective, accepts
-// moves, and leaves a consistent assignment — same contract as the
-// classic schedule, with the wider target sets.
-func TestExchangeOverlap(t *testing.T) {
-	topo, err := network.CompositeWAN(3, network.TofinoSpec(), 5)
-	if err != nil {
-		t.Fatal(err)
+// TestReconcileNoWorseThanExchange holds the sharded solve at seed 1 to
+// the (A_max, cross bytes) the staged boundary exchange it replaced
+// reached on the two Exp#10 comparison rows.
+func TestReconcileNoWorseThanExchange(t *testing.T) {
+	cases := []struct {
+		regions, programs, shards int
+		amax, cross               int
+	}{
+		{regions: 10, programs: 30, shards: 4, amax: 152, cross: 1826},
+		{regions: 30, programs: 50, shards: 8, amax: 212, cross: 2896},
 	}
-	g := shardInstance(t, 10, 3)
-	part, err := network.PartitionRegions(topo, 3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign := roundRobinSeed(t, g, topo)
-	var st ShardStats
-	if err := exchangeAssign(g, topo, part, assign, Options{Workers: 2},
-		program.DefaultResourceModel, shardRounds, 2, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.AMaxAfter > st.AMaxBefore {
-		t.Fatalf("overlapping exchange worsened A_max: %d -> %d", st.AMaxBefore, st.AMaxAfter)
-	}
-	if st.Moves == 0 {
-		t.Fatal("overlapping exchange accepted no moves on a round-robin seed")
-	}
-	if len(assign) != g.NumNodes() {
-		t.Fatalf("exchange changed assignment size: %d vs %d", len(assign), g.NumNodes())
+	for _, c := range cases {
+		topo, err := network.CompositeWAN(c.regions, network.TofinoSpec(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := shardInstance(t, c.programs, 1)
+		plan, st, err := ShardedGreedy{Seed: 1}.SolveStats(g, topo, Options{Shards: c.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.FellBack {
+			t.Fatalf("composite:%d fell back to whole-graph Greedy", c.regions)
+		}
+		cross := 0
+		for _, b := range plan.PairBytes() {
+			cross += b
+		}
+		if a := plan.AMax(); a > c.amax || cross > c.cross {
+			t.Errorf("composite:%d: (A_max, cross) = (%d, %d), exchange reached (%d, %d)", c.regions, a, cross, c.amax, c.cross)
+		}
 	}
 }
 
-// TestAllowedRegions pins the overlapping-neighborhood mask on a
-// 0–1–2–3 region chain.
-func TestAllowedRegions(t *testing.T) {
-	nbr := [][]int{{1}, {0, 2}, {1, 3}, {2}}
-	cases := []struct {
-		overlap int
-		want    []bool
-	}{
-		{1, []bool{true, true, false, false}},
-		{2, []bool{true, true, true, false}},
-		{3, []bool{true, true, true, true}},
+// TestShardedWeightedSolve runs the sharded solve under a gravity
+// matrix with both weighted objectives: the plan is the same for every
+// worker count, validates, and keeps the structural A_max within
+// AMaxSlack of the merged regional solves'.
+func TestShardedWeightedSolve(t *testing.T) {
+	topo, err := network.CompositeWAN(10, network.TofinoSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		got := allowedRegions([2]int32{0, 1}, nbr, c.overlap, 4)
-		for r := range c.want {
-			if got[r] != c.want[r] {
-				t.Fatalf("overlap=%d: region %d allowed=%v, want %v", c.overlap, r, got[r], c.want[r])
+	g := shardInstance(t, 30, 1)
+	tm, err := network.GenerateTraffic(topo, network.TrafficGravity, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := program.DefaultResourceModel
+	for _, obj := range []TrafficObjective{TrafficWeightedSum, TrafficWeightedMax} {
+		var want []byte
+		for _, w := range []int{1, 2, 8} {
+			opts := Options{Shards: 4, Workers: w, Traffic: tm, TrafficObjective: obj}
+			plan, st, err := ShardedGreedy{Seed: 1}.SolveStats(g, topo, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.FellBack {
+				t.Fatalf("objective %v workers=%d fell back to whole-graph Greedy", obj, w)
+			}
+			if err := plan.Validate(rm, 0, 0); err != nil {
+				t.Fatalf("objective %v workers=%d: %v", obj, w, err)
+			}
+			if limit := opts.amaxCap(st.AMaxBefore); plan.AMax() > limit {
+				t.Fatalf("objective %v workers=%d: A_max %d past AMaxSlack cap %d (reconcile start %d)", obj, w, plan.AMax(), limit, st.AMaxBefore)
+			}
+			plan.SolveTime = 0 // the one wall-clock field in the encoding
+			got, err := plan.EncodeJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if string(got) != string(want) {
+				t.Fatalf("objective %v: workers=%d plan differs from workers=1", obj, w)
 			}
 		}
 	}
@@ -202,22 +251,22 @@ func TestShardedSolveKeepsCompileMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.FellBack || st.Hosts == 0 {
-		t.Fatalf("the solve did not run the exchange: %+v", st)
+		t.Fatalf("the solve did not run the reconcile: %+v", st)
 	}
 	if Compile(g, topo, rm) != ci {
 		t.Fatal("the sharded solve replaced the graph's memoized compiled instance")
 	}
 	_, rep, err := ReplanWithOptions(plan, nil, ReplanOptions{Mode: ReplanIncremental, Partition: part, QualityRatio: 0.5}, busiest(plan))
 	if rep == nil || rep.Phases.Exchange == 0 {
-		t.Fatalf("the repair did not escalate to the exchange: %v", err)
+		t.Fatalf("the repair did not escalate to the reconcile: %v", err)
 	}
 	if Compile(g, topo, rm) != ci {
-		t.Fatal("the escalation exchange replaced the graph's memoized compiled instance")
+		t.Fatal("the escalation reconcile replaced the graph's memoized compiled instance")
 	}
 }
 
 // TestRegionalRepairEscalatesToExchange: a partitioned repair past its
-// quality gate runs the overlapping-region exchange in this package's
+// quality gate runs the reconcile escalation in this package's
 // own test binary — the escalation does not depend on which packages
 // the binary links.
 func TestRegionalRepairEscalatesToExchange(t *testing.T) {
@@ -228,7 +277,7 @@ func TestRegionalRepairEscalatesToExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Phases.Exchange <= 0 {
-		t.Fatalf("a partitioned repair past its quality gate skipped the exchange: %+v", rep.Phases)
+		t.Fatalf("a partitioned repair past its quality gate skipped the reconcile: %+v", rep.Phases)
 	}
 	if rep.UsedRepair || rep.FallbackReason == "" {
 		t.Fatalf("a repair past its gate was kept (fallback reason %q)", rep.FallbackReason)

@@ -10,7 +10,7 @@
 // structural A_max never inflates beyond Options.AMaxSlack of the
 // solve's own structural optimum. Weights are a dense S×S fixed-point
 // table compiled once from a network.TrafficMatrix (host-compacted
-// for the sharded exchange); the kernels mirror the MoveScore/
+// for the repair instances and the sharded reconcile); the kernels mirror the MoveScore/
 // PlaceScore loop shapes in compile.go and stay allocation-free with
 // caller-owned scratch. Map-based twins live in weighted_ref.go as
 // differential oracles.
@@ -111,8 +111,8 @@ func (ci *CompiledInstance) CompileWeights(tm *network.TrafficMatrix) (*WeightTa
 }
 
 // Compact projects the table onto a host subset in host index order —
-// the shard exchange's compacted space (hosts[i] is the global switch
-// behind host index i).
+// the host-compacted space of hostInstance (hosts[i] is the global
+// switch behind host index i).
 func (wt *WeightTable) Compact(hosts []network.SwitchID) *WeightTable {
 	h := int32(len(hosts))
 	out := &WeightTable{S: h, W: make([]int64, int(h)*int(h))}
