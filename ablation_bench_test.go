@@ -1,112 +1,15 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: TDG
-// merging, the Algorithm-1 intersect-match reading, and the three
-// greedy refinements (coalescing, the DP capacity split, the local
-// polish). Each benchmark reports the A_max achieved with the feature
-// on and off, so `go test -bench Ablation` doubles as the ablation
-// table.
+// Ablation benchmark for TDG merging, one of the design choices
+// DESIGN.md calls out; Greedy's three refinements have theirs in
+// internal/placement, next to the steps they switch.
 package hermes_test
 
 import (
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/analyzer"
-	"github.com/hermes-net/hermes/internal/network"
-	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/workload"
 )
-
-// ablationInstance is the Exp#1 testbed at full load: 10 real programs
-// on three tight switches.
-func ablationInstance(b *testing.B, opts analyzer.Options) (*placement.Plan, func(placement.Greedy) int) {
-	b.Helper()
-	progs := workload.RealPrograms()
-	merged, err := analyzer.Analyze(progs, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := network.TestbedSpec()
-	spec.StageCapacity = 0.15
-	topo, err := network.Linear(3, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(g placement.Greedy) int {
-		plan, err := g.Solve(merged, topo, placement.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return plan.AMax()
-	}
-	base, err := (placement.Greedy{}).Solve(merged, topo, placement.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return base, run
-}
-
-// BenchmarkAblationLocalImprove measures the greedy with and without
-// the local-search polish.
-func BenchmarkAblationLocalImprove(b *testing.B) {
-	b.ReportAllocs()
-	_, run := ablationInstance(b, analyzer.Options{})
-	var with, without int
-	for i := 0; i < b.N; i++ {
-		with = run(placement.Greedy{})
-		without = run(placement.Greedy{DisableImprove: true})
-	}
-	if with > without {
-		b.Fatalf("local improve worsened A_max: %d > %d", with, without)
-	}
-	b.ReportMetric(float64(with), "amax-with")
-	b.ReportMetric(float64(without), "amax-without")
-}
-
-// BenchmarkAblationDPSplit measures the DP capacity-split fallback. On
-// this instance bisection alone needs four switches while only three
-// exist, so disabling the DP split loses feasibility outright —
-// reported as amax-without = -1.
-func BenchmarkAblationDPSplit(b *testing.B) {
-	b.ReportAllocs()
-	progs := workload.RealPrograms()
-	merged, err := analyzer.Analyze(progs, analyzer.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec := network.TestbedSpec()
-	spec.StageCapacity = 0.15
-	topo, err := network.Linear(3, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var with, without int
-	for i := 0; i < b.N; i++ {
-		plan, err := (placement.Greedy{DisableImprove: true}).Solve(merged, topo, placement.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		with = plan.AMax()
-		without = -1
-		if p2, err := (placement.Greedy{DisableImprove: true, DisableDPSplit: true}).Solve(merged, topo, placement.Options{}); err == nil {
-			without = p2.AMax()
-		}
-	}
-	b.ReportMetric(float64(with), "amax-with")
-	b.ReportMetric(float64(without), "amax-without")
-}
-
-// BenchmarkAblationCoalesce measures segment coalescing.
-func BenchmarkAblationCoalesce(b *testing.B) {
-	b.ReportAllocs()
-	_, run := ablationInstance(b, analyzer.Options{})
-	var with, without int
-	for i := 0; i < b.N; i++ {
-		with = run(placement.Greedy{DisableImprove: true})
-		without = run(placement.Greedy{DisableImprove: true, DisableCoalesce: true})
-	}
-	b.ReportMetric(float64(with), "amax-with")
-	b.ReportMetric(float64(without), "amax-without")
-}
 
 // BenchmarkAblationMerging compares the SPEED-merged TDG against the
 // unmerged union on the sketch workload (whose shared hash stages are
@@ -137,72 +40,4 @@ func BenchmarkAblationMerging(b *testing.B) {
 		b.Fatalf("merging saved nothing: %g vs %g", mergedReq, unionReq)
 	}
 	b.ReportMetric(unionReq-mergedReq, "stage-units-saved")
-}
-
-// BenchmarkAblationIntersectMatch compares Algorithm 1's literal
-// ΣF_a^a sizing against the tighter F_a^a ∩ reads(b) reading.
-func BenchmarkAblationIntersectMatch(b *testing.B) {
-	b.ReportAllocs()
-	var literal, intersect int
-	for i := 0; i < b.N; i++ {
-		for _, opt := range []analyzer.Options{{}, {IntersectMatch: true}} {
-			merged, err := analyzer.Analyze(workload.RealPrograms(), opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			total := 0
-			for _, e := range merged.Edges() {
-				total += e.MetadataBytes
-			}
-			if opt.IntersectMatch {
-				intersect = total
-			} else {
-				literal = total
-			}
-		}
-	}
-	if intersect > literal {
-		b.Fatalf("intersect sizing larger than literal: %d > %d", intersect, literal)
-	}
-	b.ReportMetric(float64(literal), "edge-bytes-literal")
-	b.ReportMetric(float64(intersect), "edge-bytes-intersect")
-}
-
-// BenchmarkAblationRouteOptimizer compares shortest-path-only routing
-// against the k-shortest-path load spreader on a Table III WAN.
-func BenchmarkAblationRouteOptimizer(b *testing.B) {
-	b.ReportAllocs()
-	progs, err := workload.EvaluationPrograms(30, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	merged, err := analyzer.Analyze(progs, analyzer.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	topo, err := network.TableIII(1, network.TofinoSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := (placement.Greedy{DisableImprove: true}).Solve(merged, topo, placement.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var before, after int
-	for i := 0; i < b.N; i++ {
-		if err := placement.AddRoutes(plan); err != nil {
-			b.Fatal(err)
-		}
-		before = plan.MaxWireBytes()
-		opt, err := placement.OptimizeRoutes(plan, placement.RouteOptions{K: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		after = opt
-	}
-	if after > before {
-		b.Fatalf("route optimizer worsened the busiest link: %d > %d", after, before)
-	}
-	b.ReportMetric(float64(before), "maxlink-shortest")
-	b.ReportMetric(float64(after), "maxlink-optimized")
 }

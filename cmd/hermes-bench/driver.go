@@ -364,7 +364,9 @@ func (e *experiment) measure(c *runCtx) (*document, error) {
 }
 
 // widen folds another run of the same sweep into doc, keeping the
-// worse value of every timing column.
+// worse value of every timing column. A det cell that differs between
+// the runs (beyond its tolerance) is an error: the sweep is not the
+// function of the seed the column declares.
 func (e *experiment) widen(doc, more *document) error {
 	for _, t := range e.tables {
 		a, b := doc.Tables[t.name], more.Tables[t.name]
@@ -376,6 +378,12 @@ func (e *experiment) widen(doc, more *document) error {
 				return fmt.Errorf("%s %s: row %s became %s between baseline runs", e.name, t.name, a[i].Key, b[i].Key)
 			}
 			for j, c := range t.cols {
+				if c.kind == det {
+					if x, y := a[i].Metrics[j].value, b[i].Metrics[j].value; !agree(x, y, c.tol) {
+						return fmt.Errorf("%s %s[%s] %s: det cell %s became %s between baseline runs",
+							e.name, t.name, a[i].Key, c.name, plain(x), plain(y))
+					}
+				}
 				if c.kind != timing {
 					continue
 				}

@@ -155,6 +155,32 @@ func TestEnvelopeBaselineKeepsWorstOfN(t *testing.T) {
 	}
 }
 
+// TestEnvelopeBaselineRejectsDetDrift: a det cell that differs between
+// the envelope runs fails the baseline, naming the row and column,
+// instead of keeping the first run's value; a drift inside the column's
+// tolerance is no drift.
+func TestEnvelopeBaselineRejectsDetDrift(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_synth.json")
+	e := synth(
+		[]synthPoint{{name: "a", count: 100, ns: 1, ratio: 10, ok: true}},
+		[]synthPoint{{name: "a", count: 100, ns: 1, ratio: 10, ok: false}},
+	)
+	err := e.execute(&runCtx{}, options{mode: "json", path: path})
+	if err == nil || err.Error() != "synth rows[a] ok: det cell true became false between baseline runs" {
+		t.Fatalf("ok true -> false between baseline runs: got %v", err)
+	}
+	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+		t.Errorf("a drifting sweep must not write its baseline (stat: %v)", serr)
+	}
+	e = synth(
+		[]synthPoint{{name: "a", count: 100, ns: 1, ratio: 10, ok: true}},
+		[]synthPoint{{name: "a", count: 105, ns: 1, ratio: 10, ok: true}},
+	)
+	if err := e.execute(&runCtx{}, options{mode: "json", path: path}); err != nil {
+		t.Fatalf("count 100 -> 105 is inside its 10%% tolerance: %v", err)
+	}
+}
+
 func TestTableCSVAndBaselineCarryTheSameColumns(t *testing.T) {
 	e := synth([]synthPoint{{name: "a", count: 3, ns: 1234.5678, ratio: 2.5, ok: true}})
 	doc := measured(t, e)

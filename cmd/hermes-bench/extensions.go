@@ -165,6 +165,7 @@ var shardExp = experiment{
 			col(det, "whole_amax_bytes", "", "", func(p shardPt) any { return p.WholeAMax }),
 			col(timing, "shard_ms", "sharded", "%.1fms", func(p shardPt) any { return p.ShardMs }).dual("speedup", 1.10, 1.10),
 			col(det, "shard_amax_bytes", "", "", func(p shardPt) any { return p.ShardAMax }).within(0.10),
+			col(det, "shard_cross_bytes", "", "", func(p shardPt) any { return p.ShardCross }),
 			col(timing, "speedup", "speedup", "%.2fx", func(p shardPt) any { return p.Speedup }).up(),
 			col(det, "amax_ratio", "A_max", "%.3f", func(p shardPt) any { return p.AMaxRatio }),
 			col(det, "boundary_hosts", "hosts", "", func(p shardPt) any { return p.Hosts }),

@@ -49,6 +49,12 @@
 //	HV010  a non-test .go file imports a test-only package
 //	       (internal/milp, Exact's differential oracle): it
 //	       must stay out of every production binary          error
+//	HV011  an exported field of an exported *Options struct
+//	       (or of Greedy, ShardedGreedy, Exact) that no
+//	       non-test, non-example file outside the declaring
+//	       file sets: a knob nobody turns is a code path the
+//	       benchmark never runs. Delete it, or allowlist it
+//	       with a reason (facade inputs, test seams)         error
 //
 // It is deliberately x/tools-free: the analysis is a plain go/parser +
 // go/ast walk so it builds in hermetic environments with no module
@@ -113,19 +119,19 @@ func main() {
 	}
 	sort.Strings(files)
 
-	var all []vetFinding
-	for _, path := range files {
+	srcs := make([]source, len(files))
+	for i, path := range files {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hermeslint:", err)
 			os.Exit(2)
 		}
-		fs, err := lintGoSource(path, string(src))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hermeslint:", err)
-			os.Exit(2)
-		}
-		all = append(all, fs...)
+		srcs[i] = source{path, string(src)}
+	}
+	all, err := lintSources(srcs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hermeslint:", err)
+		os.Exit(2)
 	}
 
 	bad := false
@@ -141,14 +147,39 @@ func main() {
 	fmt.Fprintf(os.Stderr, "hermeslint: %d file(s), %d finding(s)\n", len(files), len(all))
 }
 
-// lintGoSource parses one Go file and runs every rule over each
-// function body.
+// source is one Go file: its path and contents.
+type source struct{ path, src string }
+
+// lintSources parses every file, runs the per-file rules over each and
+// the cross-file rule HV011 over the whole set.
+func lintSources(srcs []source) ([]vetFinding, error) {
+	fset := token.NewFileSet()
+	files := make([]*ast.File, len(srcs))
+	paths := make([]string, len(srcs))
+	var out []vetFinding
+	for i, s := range srcs {
+		file, err := parser.ParseFile(fset, s.path, s.src, parser.SkipObjectResolution|parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files[i], paths[i] = file, s.path
+		out = append(out, lintFile(fset, file, s.path)...)
+	}
+	return append(out, lintUnsetOptions(fset, files, paths)...), nil
+}
+
+// lintGoSource parses one Go file and runs every per-file rule over it.
 func lintGoSource(path, src string) ([]vetFinding, error) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution|parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
+	return lintFile(fset, file, path), nil
+}
+
+// lintFile runs the per-file rules over one parsed file.
+func lintFile(fset *token.FileSet, file *ast.File, path string) []vetFinding {
 	var out []vetFinding
 	ast.Inspect(file, func(n ast.Node) bool {
 		fn, ok := n.(*ast.FuncDecl)
@@ -164,8 +195,7 @@ func lintGoSource(path, src string) ([]vetFinding, error) {
 	out = append(out, lintHotLoops(fset, file)...)
 	out = append(out, lintRebind(fset, file, path)...)
 	out = append(out, lintInitHooks(fset, file)...)
-	out = append(out, lintTestOnlyImports(fset, file, path)...)
-	return out, nil
+	return append(out, lintTestOnlyImports(fset, file, path)...)
 }
 
 // testOnlyPackages are the import paths (module-relative) that only
@@ -207,15 +237,7 @@ var initHookAllowlist = map[string]bool{
 // a hook seam in that package. Import names are the explicit alias or
 // the path's last element.
 func lintInitHooks(fset *token.FileSet, file *ast.File) []vetFinding {
-	imported := map[string]bool{}
-	for _, spec := range file.Imports {
-		path := strings.Trim(spec.Path.Value, `"`)
-		name := path[strings.LastIndex(path, "/")+1:]
-		if spec.Name != nil {
-			name = spec.Name.Name
-		}
-		imported[name] = true
-	}
+	imported := importNames(file)
 	var out []vetFinding
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -233,7 +255,10 @@ func lintInitHooks(fset *token.FileSet, file *ast.File) []vetFinding {
 					continue
 				}
 				pkg, ok := sel.X.(*ast.Ident)
-				if !ok || !imported[pkg.Name] {
+				if !ok {
+					continue
+				}
+				if _, ok := imported[pkg.Name]; !ok {
 					continue
 				}
 				target := renderExpr(sel)

@@ -1,10 +1,11 @@
 package main
 
 import (
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -717,11 +718,120 @@ var _, _ = fmt.Sprint, milp.NewModel
 	}
 }
 
+// lintSet runs every rule, HV011 included, over an in-memory file set.
+func lintSet(t *testing.T, files map[string]string) []vetFinding {
+	t.Helper()
+	var srcs []source
+	for path, src := range files {
+		srcs = append(srcs, source{path, src})
+	}
+	sort.Slice(srcs, func(i, j int) bool { return srcs[i].path < srcs[j].path })
+	fs, err := lintSources(srcs)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return fs
+}
+
+// unsetOptionDecls declares one option struct of each kind HV011
+// covers: an *Options struct (with an unexported field, exempt), a
+// solver struct, and an allowlisted facade field.
+const unsetOptionDecls = `package placement
+
+type Options struct {
+	Workers  int
+	Deadline int
+	scratch  int
+}
+
+type Greedy struct {
+	Budget int
+}
+
+type RouteOptions struct {
+	K int
+}
+
+func (o Options) defaults() Options {
+	o.Deadline = 1 // the declaring file does not count as a setter
+	return o
+}
+`
+
+func TestUnsetOptionFieldsFlagged(t *testing.T) {
+	fs := lintSet(t, map[string]string{
+		"internal/placement/solver.go": unsetOptionDecls,
+		// Tests and examples set every field: neither counts.
+		"internal/placement/solver_test.go": `package placement
+var _ = Options{Workers: 1, Deadline: 2}
+var _ = Greedy{Budget: 3}
+`,
+		"examples/demo/main.go": `package main
+import "github.com/hermes-net/hermes/internal/placement"
+var _ = placement.Options{Deadline: 1}
+var _ = placement.Greedy{Budget: 2}
+`,
+		// Production code sets Workers only.
+		"cmd/tool/main.go": `package main
+import "github.com/hermes-net/hermes/internal/placement"
+var _ = placement.Options{Workers: 4}
+`,
+	})
+	var got []string
+	for _, f := range fs {
+		if f.rule != "HV011" || f.sev != "error" {
+			t.Fatalf("want only HV011 errors, got %v", f)
+		}
+		got = append(got, f.msg[:strings.Index(f.msg, " is set")])
+	}
+	want := []string{"option field placement.Options.Deadline", "option field placement.Greedy.Budget"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("HV011 findings = %q, want %q", got, want)
+	}
+}
+
+func TestUnsetOptionFieldsSetters(t *testing.T) {
+	// Every setter form HV011 recognizes, each from a production file:
+	// a keyed literal through an import alias, a literal with an elided
+	// type, a selector assignment, a taken address, and a literal of a
+	// type alias.
+	fs := lintSet(t, map[string]string{
+		"internal/placement/solver.go": unsetOptionDecls,
+		"internal/placement/shard/shard.go": `package shard
+import "github.com/hermes-net/hermes/internal/placement"
+type Greedy = placement.Greedy
+var _ = Greedy{Budget: 1}
+`,
+		"cmd/tool/main.go": `package main
+import (
+	"flag"
+	pl "github.com/hermes-net/hermes/internal/placement"
+)
+var _ = []pl.Options{{Workers: 2}}
+func main() {
+	var o pl.Options
+	o.Deadline = 3
+	flag.IntVar(&o.Workers, "workers", 1, "")
+}
+`,
+	})
+	if len(fs) != 0 {
+		t.Fatalf("want no findings, got %v", fs)
+	}
+	// internal/milp's options are set from tests only, by design.
+	fs = lintSet(t, map[string]string{
+		"internal/milp/model.go": "package milp\ntype Options struct{ MaxNodes int }\n",
+	})
+	if len(fs) != 0 {
+		t.Fatalf("internal/milp must be exempt, got %v", fs)
+	}
+}
+
 // The repository itself must stay free of error-severity findings:
 // `make check` gates on the binary's exit status, and this test keeps
 // the guarantee visible from `go test ./...` alone.
 func TestRepoIsClean(t *testing.T) {
-	var checked int
+	var srcs []source
 	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -739,22 +849,22 @@ func TestRepoIsClean(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		findings, err := lintGoSource(path, string(src))
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		checked++
-		for _, f := range findings {
-			if f.sev == "error" {
-				t.Errorf("repo must lint clean: %v", f)
-			}
-		}
+		srcs = append(srcs, source{path, string(src)})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checked < 50 {
-		t.Fatalf("walked only %d Go files; wrong root?", checked)
+	if len(srcs) < 50 {
+		t.Fatalf("walked only %d Go files; wrong root?", len(srcs))
+	}
+	findings, err := lintSources(srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		if f.sev == "error" {
+			t.Errorf("repo must lint clean: %v", f)
+		}
 	}
 }

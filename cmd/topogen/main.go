@@ -4,7 +4,6 @@
 //	topogen -spec linear:5    # summarize one topology
 //	topogen -spec fattree:4 -dot  # Graphviz output
 //	topogen -spec composite:30 -partition 4  # region partition text form
-//	topogen -spec composite:30 -partition 4 -refine 2  # + min-cut swaps
 package main
 
 import (
@@ -31,7 +30,6 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "generator seed")
 	dot := fs.Bool("dot", false, "emit Graphviz DOT instead of a summary")
 	partition := fs.Int("partition", 0, "partition the topology into K regions and print the text form")
-	refine := fs.Int("refine", 0, "min-cut boundary-swap refinement passes for -partition (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -67,15 +65,9 @@ func run(args []string) error {
 		return err
 	}
 	if *partition > 0 {
-		p, err := network.PartitionTopology(tp, network.PartitionOptions{
-			Regions: *partition, Seed: *seed, MinCutPasses: *refine,
-		})
+		p, err := network.PartitionRegions(tp, *partition, *seed)
 		if err != nil {
 			return err
-		}
-		if *refine > 0 {
-			fmt.Fprintf(os.Stderr, "topogen: min-cut refinement (%d passes): %d boundary links\n",
-				*refine, len(p.BoundaryLinks()))
 		}
 		fmt.Print(p.Format())
 		return nil

@@ -224,23 +224,12 @@ type ShardStats = placement.ShardStats
 // regional replan's locality structure (DESIGN.md §14).
 type TopologyPartition = network.Partition
 
-// PartitionOptions configures PartitionTopologyWith (region count,
-// seed, balance tolerance, min-cut swap passes).
-type PartitionOptions = network.PartitionOptions
-
 // PartitionTopology partitions a topology into k capacity-balanced
 // connected regions, deterministic in seed — the sharded solver's
 // first phase, exposed for offline partition inspection (see
 // topogen -partition).
 func PartitionTopology(t *Topology, k int, seed int64) (*TopologyPartition, error) {
 	return network.PartitionRegions(t, k, seed)
-}
-
-// PartitionTopologyWith is PartitionTopology with the full option set,
-// including the Kernighan–Lin-style min-cut boundary-swap refinement
-// (PartitionOptions.MinCutPasses; see topogen -partition -refine).
-func PartitionTopologyWith(t *Topology, opts PartitionOptions) (*TopologyPartition, error) {
-	return network.PartitionTopology(t, opts)
 }
 
 // ParsePartition reads a partition's Format text form back, validated
@@ -316,8 +305,6 @@ type DeployOptions struct {
 	// structural A_max above the structural optimum (e.g. 1.2 = 20%);
 	// zero means the default bound. Ignored when Traffic is nil.
 	AMaxSlack float64
-	// Analyze tunes the program analysis step.
-	Analyze AnalyzeOptions
 	// Lint runs the static diagnostics engine (internal/lint) over the
 	// merged TDG after analysis and over the solver's plan before
 	// compilation, failing Deploy on error-severity findings. Importing
@@ -342,10 +329,6 @@ type DeployOptions struct {
 	// a mid-rollout failure restores Prior and Deploy returns an error
 	// wrapping ErrRolledBack. Prior is taken to serve at epoch 1.
 	Prior *Deployment
-	// RolloutRetry bounds per-op attempts during the rollout; the zero
-	// policy gets the rollout defaults (3 attempts, 2ms backoff).
-	// Ignored when Prior is nil.
-	RolloutRetry RetryPolicy
 }
 
 // Result is the outcome of Deploy.
@@ -363,9 +346,7 @@ type Result struct {
 
 // Deploy runs the full Hermes pipeline: analyze → place → compile.
 func Deploy(progs []*Program, topo *Topology, opts DeployOptions) (*Result, error) {
-	aopts := opts.Analyze
-	aopts.Lint = aopts.Lint || opts.Lint
-	g, err := analyzer.Analyze(progs, aopts)
+	g, err := analyzer.Analyze(progs, analyzer.Options{Lint: opts.Lint})
 	if err != nil {
 		return nil, fmt.Errorf("hermes: %w", err)
 	}
@@ -396,7 +377,7 @@ func Deploy(progs []*Program, topo *Topology, opts DeployOptions) (*Result, erro
 	if err != nil {
 		return nil, fmt.Errorf("hermes: %w", err)
 	}
-	dep, err := deploy.Compile(plan, aopts)
+	dep, err := deploy.Compile(plan, analyzer.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("hermes: %w", err)
 	}
@@ -410,11 +391,7 @@ func Deploy(progs []*Program, topo *Topology, opts DeployOptions) (*Result, erro
 	}
 	res := &Result{TDG: g, Plan: plan, Deployment: dep}
 	if opts.Prior != nil {
-		r, err := rollout.New(opts.Prior, dep, RolloutOptions{
-			Topo:  topo,
-			Ctx:   opts.Ctx,
-			Retry: opts.RolloutRetry,
-		})
+		r, err := rollout.New(opts.Prior, dep, RolloutOptions{Topo: topo, Ctx: opts.Ctx})
 		if err != nil {
 			return nil, fmt.Errorf("hermes: %w", err)
 		}
@@ -574,10 +551,12 @@ func ReplanWithOptions(old *Plan, solver Solver, opts ReplanOptions, drained ...
 }
 
 // Redeploy replans a live deployment around drained switches and
-// recompiles the result: replan → compile → verify. aopts must be the
-// analyzer options the original deployment was compiled with.
+// recompiles the result: replan → compile → verify. aopts is ignored:
+// no analyzer option changes the compiled headers any more, and the
+// parameter stays only until benchmark/ moves onto the facade
+// (ROADMAP 2(ii)).
 func Redeploy(dep *Deployment, solver Solver, opts ReplanOptions, aopts AnalyzeOptions, drained ...SwitchID) (*Deployment, *ReplanReport, error) {
-	return deploy.Redeploy(dep, solver, opts, aopts, drained...)
+	return deploy.Redeploy(dep, solver, opts, drained...)
 }
 
 // PlanDiff reports how many MATs changed hosting switch between two

@@ -7,7 +7,6 @@ package analyzer
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/merge"
@@ -15,13 +14,9 @@ import (
 	"github.com/hermes-net/hermes/internal/tdg"
 )
 
-// Options tune the analysis.
+// Options tune the analysis. Only Analyze reads them: the A(a,b) every
+// later layer derives follows Algorithm 1's listing alone.
 type Options struct {
-	// IntersectMatch, when true, restricts match-dependency metadata to
-	// the fields the downstream MAT actually reads (F_a^a ∩ reads(b))
-	// instead of Algorithm 1's literal ΣF_a^a. The paper's prose admits
-	// both readings; the default follows the algorithm listing.
-	IntersectMatch bool
 	// SkipMerge disables SPEED-style TDG merging (useful for baselines
 	// that deploy programs one by one).
 	SkipMerge bool
@@ -36,7 +31,7 @@ type Options struct {
 // result when Options.Lint is set. internal/lint registers its TDG
 // rule family here; keeping the hook a variable avoids an import cycle
 // (lint depends on analyzer for the A(a,b) cross-check).
-var GraphLintHook func(*tdg.Graph, Options) error
+var GraphLintHook func(*tdg.Graph) error
 
 // Analyze runs the full Program Analyzer: convert programs to TDGs,
 // merge them, and compute A(a,b) for every edge. It is Algorithm 1's
@@ -73,11 +68,11 @@ func Analyze(progs []*program.Program, opts Options) (*tdg.Graph, error) {
 		return nil, fmt.Errorf("analyzer: merging TDGs: %w", err)
 	}
 
-	if err := AnnotateMetadata(merged, opts); err != nil {
+	if err := AnnotateMetadata(merged); err != nil {
 		return nil, err
 	}
 	if opts.Lint && GraphLintHook != nil {
-		if err := GraphLintHook(merged, opts); err != nil {
+		if err := GraphLintHook(merged); err != nil {
 			return nil, fmt.Errorf("analyzer: merged TDG rejected by lint: %w", err)
 		}
 	}
@@ -108,7 +103,7 @@ func unionAll(graphs []*tdg.Graph) (*tdg.Graph, error) {
 // AnnotateMetadata computes A(a,b) for every edge of the graph in
 // place, per Algorithm 1's TDG_ANALYSIS (see Delivered). Each node's
 // footprint is derived once per call.
-func AnnotateMetadata(g *tdg.Graph, opts Options) error {
+func AnnotateMetadata(g *tdg.Graph) error {
 	nodes := g.Nodes()
 	fps := make([]program.Footprint, len(nodes))
 	byName := make(map[string]*program.Footprint, len(nodes))
@@ -126,7 +121,7 @@ func AnnotateMetadata(g *tdg.Graph, opts Options) error {
 		if !ok {
 			return fmt.Errorf("analyzer: edge to unknown node %q", e.To)
 		}
-		size, err := Delivered(a, b, e.Type, opts, nil)
+		size, err := Delivered(a, b, e.Type, nil)
 		if err != nil {
 			return fmt.Errorf("analyzer: edge %s->%s: %w", e.From, e.To, err)
 		}
@@ -137,10 +132,9 @@ func AnnotateMetadata(g *tdg.Graph, opts Options) error {
 
 // Delivered computes A(a,b) from two footprints: the metadata bytes a
 // piggybacks for b across one typ dependency when the two sit on
-// different switches. Per Algorithm 1,
+// different switches. Per Algorithm 1's listing,
 //
-//	M: Σ size(f) over metadata fields f ∈ F_a^a (∩ reads(b) under
-//	   IntersectMatch, keeping only identically-defined fields),
+//	M: Σ size(f) over metadata fields f ∈ F_a^a,
 //	A: Σ size(f) over metadata fields f ∈ F_a^a ∪ F_b^a,
 //	R: nothing (b does not consume a's results),
 //	S: Σ size(f) over metadata fields f ∈ F_a^a.
@@ -148,22 +142,19 @@ func AnnotateMetadata(g *tdg.Graph, opts Options) error {
 // Header fields never count: they already ride in the packet. When fs
 // is non-nil, the fields behind the total are appended to *fs in name
 // order (the deploy backend lays out coordination headers from them).
-// It fails when the footprint side it consults failed, or when a name
-// both ends of an A edge write carries two definitions.
-func Delivered(a, b *program.Footprint, typ tdg.DepType, opts Options, fs *[]fields.Field) (int, error) {
+// The M edge charges a's writes whether or not b reads them: the paper's
+// prose also admits F_a^a ∩ reads(b), but the listing is the one
+// reading this package implements. It fails when the footprint side it
+// consults failed, or when a name both ends of an A edge write carries
+// two definitions.
+func Delivered(a, b *program.Footprint, typ tdg.DepType, fs *[]fields.Field) (int, error) {
 	if a.WriteErr != nil {
 		return 0, a.WriteErr
 	}
 	switch typ {
-	case tdg.DepMatch:
-		if !opts.IntersectMatch {
-			appendMetadata(fs, a.Writes)
-			return a.WriteMetaBytes, nil
-		}
-		if b.ReadErr != nil {
-			return 0, b.ReadErr
-		}
-		return intersectMetadata(a.Writes, b.Reads, fs), nil
+	case tdg.DepMatch, tdg.DepSuccessor:
+		appendMetadata(fs, a.Writes)
+		return a.WriteMetaBytes, nil
 	case tdg.DepAction:
 		if b.WriteErr != nil {
 			return 0, b.WriteErr
@@ -175,9 +166,6 @@ func Delivered(a, b *program.Footprint, typ tdg.DepType, opts Options, fs *[]fie
 		return a.WriteMetaBytes + b.WriteMetaBytes - shared, nil
 	case tdg.DepReverse:
 		return 0, nil
-	case tdg.DepSuccessor:
-		appendMetadata(fs, a.Writes)
-		return a.WriteMetaBytes, nil
 	default:
 		return 0, fmt.Errorf("unknown dependency type %v", typ)
 	}
@@ -193,31 +181,6 @@ func appendMetadata(fs *[]fields.Field, list []fields.Field) {
 			*fs = append(*fs, f)
 		}
 	}
-}
-
-// intersectMetadata merges two sorted lists and returns the metadata
-// bytes of the fields both hold with one definition, appending those
-// fields to *fs. A name the lists define differently is not shared.
-func intersectMetadata(x, y []fields.Field, fs *[]fields.Field) int {
-	total := 0
-	for i, j := 0, 0; i < len(x) && j < len(y); {
-		switch c := strings.Compare(x[i].Name, y[j].Name); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			if f := x[i]; f == y[j] && f.IsMetadata() {
-				total += f.Bytes()
-				if fs != nil {
-					*fs = append(*fs, f)
-				}
-			}
-			i++
-			j++
-		}
-	}
-	return total
 }
 
 // unionMetadata merges two sorted lists, appending the metadata of their
@@ -254,9 +217,9 @@ func unionMetadata(x, y []fields.Field, fs *[]fields.Field) (int, error) {
 }
 
 // EdgeMetadataBytes computes A(a,b) for a single dependency.
-func EdgeMetadataBytes(a, b *program.MAT, typ tdg.DepType, opts Options) (int, error) {
+func EdgeMetadataBytes(a, b *program.MAT, typ tdg.DepType) (int, error) {
 	fa, fb := a.Footprint(), b.Footprint()
-	n, err := Delivered(&fa, &fb, typ, opts, nil)
+	n, err := Delivered(&fa, &fb, typ, nil)
 	if err != nil {
 		return 0, fmt.Errorf("analyzer: %w", err)
 	}
@@ -290,10 +253,10 @@ func Summarize(g *tdg.Graph) Report {
 
 // MetadataFields returns the metadata fields a passes along the edge
 // type: the fields EdgeMetadataBytes counts.
-func MetadataFields(a, b *program.MAT, typ tdg.DepType, opts Options) (fields.Set, error) {
+func MetadataFields(a, b *program.MAT, typ tdg.DepType) (fields.Set, error) {
 	fa, fb := a.Footprint(), b.Footprint()
 	var fs []fields.Field
-	if _, err := Delivered(&fa, &fb, typ, opts, &fs); err != nil {
+	if _, err := Delivered(&fa, &fb, typ, &fs); err != nil {
 		return fields.Set{}, fmt.Errorf("analyzer: %w", err)
 	}
 	return fields.NewSet(fs...)

@@ -55,19 +55,6 @@ func TestAnalyzeAnnotatesMatchDependency(t *testing.T) {
 	}
 }
 
-func TestAnalyzeIntersectMatchOption(t *testing.T) {
-	g, err := Analyze([]*program.Program{pipelineProgram(t, "p")}, Options{IntersectMatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With the intersect reading, hash->count only delivers idx (4 B):
-	// count does not match aux.
-	e, _ := g.Edge("p/hash", "p/count")
-	if e.MetadataBytes != 4 {
-		t.Errorf("A(hash,count) with intersect = %d, want 4", e.MetadataBytes)
-	}
-}
-
 func TestHeaderFieldsDoNotCount(t *testing.T) {
 	// A table that modifies a header field (TTL) feeding one that
 	// matches it: no metadata overhead.
@@ -227,21 +214,14 @@ func TestMetadataFieldsForDeployment(t *testing.T) {
 	}
 	a, _ := g.Node("p/hash")
 	b, _ := g.Node("p/count")
-	fs, err := MetadataFields(a.MAT, b.MAT, tdg.DepMatch, Options{})
+	fs, err := MetadataFields(a.MAT, b.MAT, tdg.DepMatch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fs.Contains("meta.idx") || !fs.Contains("meta.aux") {
 		t.Errorf("MetadataFields = %v, want idx and aux", fs)
 	}
-	fs, err = MetadataFields(a.MAT, b.MAT, tdg.DepMatch, Options{IntersectMatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fs.Contains("meta.idx") || fs.Contains("meta.aux") {
-		t.Errorf("intersect MetadataFields = %v, want only idx", fs)
-	}
-	fs, err = MetadataFields(a.MAT, b.MAT, tdg.DepReverse, Options{})
+	fs, err = MetadataFields(a.MAT, b.MAT, tdg.DepReverse)
 	if err != nil {
 		t.Fatal(err)
 	}

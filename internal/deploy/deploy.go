@@ -92,9 +92,10 @@ func (d *Deployment) MaxHeaderBytes() int {
 	return max
 }
 
-// Compile lowers a plan into per-switch configurations. opts must be
-// the same analyzer options used to annotate the TDG, so that header
-// sizes agree with the plan's A(a,b) values.
+// Compile lowers a plan into per-switch configurations; each header
+// carries the fields behind the plan's A(a,b) values. opts is ignored:
+// no analyzer option changes A(a,b) any more, and the parameter stays
+// only until benchmark/ moves onto the facade (ROADMAP 2(ii)).
 func Compile(plan *placement.Plan, opts analyzer.Options) (*Deployment, error) {
 	if plan == nil || plan.Graph == nil || plan.Topo == nil {
 		return nil, fmt.Errorf("deploy: nil or incomplete plan")
@@ -173,7 +174,7 @@ func Compile(plan *placement.Plan, opts analyzer.Options) (*Deployment, error) {
 			pairs = append(pairs, pairFields{key: key})
 		}
 		a, b := footprint(e.From), footprint(e.To)
-		if _, err := analyzer.Delivered(&a, &b, e.Type, opts, &pairs[i].fs); err != nil {
+		if _, err := analyzer.Delivered(&a, &b, e.Type, &pairs[i].fs); err != nil {
 			return nil, fmt.Errorf("deploy: edge %s->%s: %w", e.From, e.To, err)
 		}
 	}
@@ -200,12 +201,10 @@ func Compile(plan *placement.Plan, opts analyzer.Options) (*Deployment, error) {
 // Redeploy heals a live deployment around drained switches: it replans
 // the deployment's plan (incremental repair by default, per
 // opts.Mode), recompiles the result, and verifies the new configs.
-// aopts must be the analyzer options the original deployment was
-// compiled with, so header layouts stay consistent across the
-// migration. The returned report carries the churn telemetry (moved
+// The returned report carries the churn telemetry (moved
 // MATs, repair-vs-fallback, latency); the old deployment is untouched,
 // so the controller can diff the two to stage the migration.
-func Redeploy(d *Deployment, solver placement.Solver, opts placement.ReplanOptions, aopts analyzer.Options, drained ...network.SwitchID) (*Deployment, *placement.ReplanReport, error) {
+func Redeploy(d *Deployment, solver placement.Solver, opts placement.ReplanOptions, drained ...network.SwitchID) (*Deployment, *placement.ReplanReport, error) {
 	if d == nil || d.Plan == nil {
 		return nil, nil, fmt.Errorf("deploy: redeploy of nil deployment")
 	}
@@ -213,7 +212,7 @@ func Redeploy(d *Deployment, solver placement.Solver, opts placement.ReplanOptio
 	if err != nil {
 		return nil, rep, fmt.Errorf("deploy: redeploy: %w", err)
 	}
-	next, err := Compile(plan, aopts)
+	next, err := Compile(plan, analyzer.Options{})
 	if err != nil {
 		return nil, rep, fmt.Errorf("deploy: redeploy: %w", err)
 	}

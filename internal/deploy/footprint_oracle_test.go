@@ -123,20 +123,13 @@ func refFromProgram(p *program.Program) (*tdg.Graph, error) {
 
 // refEdgeFields is the metadata a delivers to b along one edge; its
 // TotalBytes is A(a,b).
-func refEdgeFields(a, b *program.MAT, typ tdg.DepType, opts analyzer.Options) (fields.Set, error) {
+func refEdgeFields(a, b *program.MAT, typ tdg.DepType) (fields.Set, error) {
 	faa, err := refWrites(a)
 	if err != nil {
 		return fields.Set{}, err
 	}
 	switch typ {
 	case tdg.DepMatch:
-		if opts.IntersectMatch {
-			fbr, err := refReads(b)
-			if err != nil {
-				return fields.Set{}, err
-			}
-			return faa.Intersect(fbr).Metadata(), nil
-		}
 		return faa.Metadata(), nil
 	case tdg.DepAction:
 		fba, err := refWrites(b)
@@ -189,7 +182,7 @@ func refAnalyze(progs []*program.Program, opts analyzer.Options) (*tdg.Graph, er
 	for _, e := range merged.Edges() {
 		a, _ := merged.Node(e.From)
 		b, _ := merged.Node(e.To)
-		fs, err := refEdgeFields(a.MAT, b.MAT, e.Type, opts)
+		fs, err := refEdgeFields(a.MAT, b.MAT, e.Type)
 		if err != nil {
 			return nil, err
 		}
@@ -198,14 +191,14 @@ func refAnalyze(progs []*program.Program, opts analyzer.Options) (*tdg.Graph, er
 	return merged, nil
 }
 
-func refHeaders(plan *placement.Plan, opts analyzer.Options) (map[placement.RouteKey]fields.Set, error) {
+func refHeaders(plan *placement.Plan) (map[placement.RouteKey]fields.Set, error) {
 	perPair := map[placement.RouteKey]fields.Set{}
 	for _, e := range plan.CrossEdges() {
 		ua, _ := plan.SwitchOf(e.From)
 		ub, _ := plan.SwitchOf(e.To)
 		a, _ := plan.Graph.Node(e.From)
 		b, _ := plan.Graph.Node(e.To)
-		fs, err := refEdgeFields(a.MAT, b.MAT, e.Type, opts)
+		fs, err := refEdgeFields(a.MAT, b.MAT, e.Type)
 		if err != nil {
 			return nil, err
 		}
@@ -222,13 +215,11 @@ func refHeaders(plan *placement.Plan, opts analyzer.Options) (map[placement.Rout
 	return perPair, nil
 }
 
-// analyzerOptionGrid is every IntersectMatch × SkipMerge combination.
-var analyzerOptionGrid = []analyzer.Options{
-	{}, {IntersectMatch: true}, {SkipMerge: true}, {IntersectMatch: true, SkipMerge: true},
-}
+// analyzerOptionGrid is both SkipMerge settings.
+var analyzerOptionGrid = []analyzer.Options{{}, {SkipMerge: true}}
 
 func optsLabel(o analyzer.Options) string {
-	return fmt.Sprintf("intersect=%v/skipmerge=%v", o.IntersectMatch, o.SkipMerge)
+	return fmt.Sprintf("skipmerge=%v", o.SkipMerge)
 }
 
 // edgeRows renders a graph's edges, sorted by (From, To), with type and
@@ -274,8 +265,9 @@ func compareHeaders(t *testing.T, dep *Deployment, want map[placement.RouteKey]f
 }
 
 // TestFootprintMatchesSetReference holds TDG inference, A(a,b) and the
-// Greedy plan's pair headers to the fields.Set reference on every
-// evaluation corpus, under each IntersectMatch × SkipMerge setting.
+// pair headers of a Greedy plan and of a round-robin spread plan to the
+// fields.Set reference on every evaluation corpus, under both SkipMerge
+// settings.
 func TestFootprintMatchesSetReference(t *testing.T) {
 	type corpus struct {
 		name  string
@@ -310,33 +302,57 @@ func TestFootprintMatchesSetReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opts := range analyzerOptionGrid {
-			t.Run(c.name+"/"+optsLabel(opts), func(t *testing.T) {
-				got, err := analyzer.Analyze(progs, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := refAnalyze(progs, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareGraphs(t, got, want)
+			for _, placer := range []string{"greedy", "spread"} {
+				t.Run(c.name+"/"+optsLabel(opts)+"/"+placer, func(t *testing.T) {
+					got, err := analyzer.Analyze(progs, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := refAnalyze(progs, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareGraphs(t, got, want)
 
-				plan, err := (placement.Greedy{}).Solve(got, topo, placement.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				dep, err := Compile(plan, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := refHeaders(plan, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareHeaders(t, dep, ref)
-			})
+					var plan *placement.Plan
+					if placer == "greedy" {
+						plan, err = (placement.Greedy{}).Solve(got, topo, placement.Options{})
+					} else {
+						plan, err = spreadPlan(got, topo)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					dep, err := Compile(plan, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := refHeaders(plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareHeaders(t, dep, ref)
+				})
+			}
 		}
 	}
+}
+
+// spreadPlan deals g's MATs, in topological order, round-robin over the
+// programmable switches of topo, one stage slot each. Almost every TDG
+// edge then crosses switches, so Compile builds a header for nearly
+// every switch pair instead of the few a Greedy plan leaves.
+func spreadPlan(g *tdg.Graph, topo *network.Topology) (*placement.Plan, error) {
+	order, err := g.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	sws := topo.ProgrammableSwitches()
+	plan := &placement.Plan{Graph: g, Topo: topo, Assignments: make(map[string]placement.StagePlacement, len(order))}
+	for i, name := range order {
+		plan.Assignments[name] = placement.StagePlacement{Switch: sws[i%len(sws)], PerStage: []float64{0.1}}
+	}
+	return plan, nil
 }
 
 // conflictFixture is one field name given two definitions somewhere
@@ -439,14 +455,71 @@ func conflictFixtures(t *testing.T) []conflictFixture {
 		},
 		{
 			// (e) An M edge whose downstream reads meta.x at another
-			// width: the literal reading counts a's meta.x, IntersectMatch
-			// keeps only identical fields, so neither errors.
-			name: "intersect-match",
+			// width: Algorithm 1's listing counts a's meta.x whatever b
+			// reads, so nothing errors.
+			name: "width-mismatched-read",
 			progs: []*program.Program{build(program.NewBuilder("pe").
 				Table("t", 4).ActionDef("a", program.SetOp(x8, 1), program.SetOp(y, 1)).
 				Table("u", 4).Key(x16, program.MatchExact).Key(y, program.MatchExact).
 				ActionDef("w", program.SetOp(fields.Metadata("meta.z", 8), 1)))},
 			places: []placed{{map[string]network.SwitchID{"pe/t": 0, "pe/u": 1}, false}},
+			field:  "meta.x",
+		},
+		{
+			// (f) One hash op reads meta.x at two widths.
+			name: "hash-sources",
+			progs: []*program.Program{build(program.NewBuilder("pf").
+				Table("t", 4).ActionDef("h", program.HashOp(y, x8, x16)).
+				Table("u", 4).Key(y, program.MatchExact).ActionDef("v", program.SetOp(fields.Metadata("meta.z", 8), 1)))},
+			field: "meta.x", analyzeErr: true,
+		},
+		{
+			// (g) Two actions of one MAT read meta.x at two widths as
+			// copy sources.
+			name: "source-vs-source",
+			progs: []*program.Program{build(program.NewBuilder("pg").
+				Table("t", 4).ActionDef("c1", program.CopyOp(y, x8)).ActionDef("c2", program.CopyOp(fields.Metadata("meta.z", 8), x16)).
+				Table("u", 4).Key(y, program.MatchExact).ActionDef("w", program.SetOp(fields.Metadata("meta.v", 8), 1)))},
+			field: "meta.x", analyzeErr: true,
+		},
+		{
+			// (h) An add reads its destination: meta.x written and read
+			// at 16 bits by the add conflicts with the 8-bit match key.
+			name: "add-reads-dst",
+			progs: []*program.Program{build(program.NewBuilder("ph").
+				Table("t", 4).Key(x8, program.MatchExact).ActionDef("a", program.AddOp(x16, y, 1)).
+				Table("u", 4).Key(y, program.MatchExact).ActionDef("w", program.SetOp(fields.Metadata("meta.z", 8), 1)))},
+			field: "meta.x", analyzeErr: true,
+		},
+		{
+			// (i) As (d), but the two deliveries ride control-flow
+			// (successor) edges instead of M edges.
+			name: "successor-pair-header",
+			progs: []*program.Program{
+				build(program.NewBuilder("pi1").
+					Table("t", 4).ActionDef("a", program.SetOp(x8, 1)).
+					Table("u", 4).ActionDef("w", program.SetOp(y, 1)).
+					Gate("t", "u")),
+				build(program.NewBuilder("pi2").
+					Table("t", 8).ActionDef("a", program.SetOp(x16, 1)).
+					Table("u", 8).ActionDef("w", program.SetOp(fields.Metadata("meta.z", 8), 1)).
+					Gate("t", "u")),
+			},
+			places: []placed{
+				{map[string]network.SwitchID{"pi1/t": 0, "pi1/u": 1, "pi2/t": 0, "pi2/u": 1}, true},
+				{map[string]network.SwitchID{"pi1/t": 0, "pi1/u": 1, "pi2/t": 1, "pi2/u": 2}, false},
+			},
+			field: "meta.x",
+		},
+		{
+			// (j) An R edge from an 8-bit reader of meta.x to a 16-bit
+			// writer of it: reads and writes are separate sets and an R
+			// edge delivers nothing, so nothing errors.
+			name: "reverse-edge",
+			progs: []*program.Program{build(program.NewBuilder("pj").
+				Table("t", 4).Key(x8, program.MatchExact).ActionDef("a", program.SetOp(y, 1)).
+				Table("u", 4).ActionDef("w", program.SetOp(x16, 1)))},
+			places: []placed{{map[string]network.SwitchID{"pj/t": 0, "pj/u": 1}, false}},
 			field:  "meta.x",
 		},
 	}
@@ -515,12 +588,12 @@ func TestFootprintConflictsErrorWhereSetsDid(t *testing.T) {
 							continue
 						}
 						for typ := tdg.DepMatch; typ <= tdg.DepSuccessor; typ++ {
-							ref, rerr := refEdgeFields(a, b, typ, opts)
-							n, nerr := analyzer.EdgeMetadataBytes(a, b, typ, opts)
+							ref, rerr := refEdgeFields(a, b, typ)
+							n, nerr := analyzer.EdgeMetadataBytes(a, b, typ)
 							if msg := sameError(nerr, rerr, fx.field, names); msg != "" {
 								t.Fatalf("EdgeMetadataBytes(%s, %s, %v): %s", a.Name, b.Name, typ, msg)
 							}
-							fs, ferr := analyzer.MetadataFields(a, b, typ, opts)
+							fs, ferr := analyzer.MetadataFields(a, b, typ)
 							if msg := sameError(ferr, rerr, fx.field, names); msg != "" {
 								t.Fatalf("MetadataFields(%s, %s, %v): %s", a.Name, b.Name, typ, msg)
 							}
@@ -540,7 +613,7 @@ func TestFootprintConflictsErrorWhereSetsDid(t *testing.T) {
 						plan.Assignments[name] = placement.StagePlacement{Switch: sw, PerStage: []float64{0.1}}
 					}
 					dep, derr := Compile(plan, opts)
-					ref, rerr := refHeaders(plan, opts)
+					ref, rerr := refHeaders(plan)
 					if (rerr != nil) != place.err {
 						t.Fatalf("fixture drifted: reference header error %v on %v, want error %v", rerr, place.at, place.err)
 					}

@@ -42,7 +42,7 @@ func TestRedeployAroundDrain(t *testing.T) {
 	}
 	drained := plan.UsedSwitches()[0]
 
-	next, rep, err := Redeploy(dep, nil, placement.ReplanOptions{}, analyzer.Options{}, drained)
+	next, rep, err := Redeploy(dep, nil, placement.ReplanOptions{}, drained)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRedeployAroundDrain(t *testing.T) {
 	// A requested proof is never skipped: this test binary links no
 	// equivalence checker, so Equiv must fail, not adopt unproven.
 	gated := placement.ReplanOptions{Options: placement.Options{Equiv: true}}
-	if next, _, err := Redeploy(dep, nil, gated, analyzer.Options{}, drained); next != nil || err == nil ||
+	if next, _, err := Redeploy(dep, nil, gated, drained); next != nil || err == nil ||
 		!strings.Contains(err.Error(), "no equivalence checker is linked") {
 		t.Errorf("Redeploy with Equiv and no checker linked = %v, %v; want the unlinked-checker error", next, err)
 	}

@@ -64,7 +64,7 @@ func TestControllerRebindAfterRedeploy(t *testing.T) {
 	if err := plan.Topo.SetSwitchDown(oldHost); err != nil {
 		t.Fatal(err)
 	}
-	next, _, err := Redeploy(dep, nil, placement.ReplanOptions{}, analyzer.Options{})
+	next, _, err := Redeploy(dep, nil, placement.ReplanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func compositeHeal(tb testing.TB) (old, next *deploy.Deployment) {
 				}
 			}
 			healNext, _, err = deploy.Redeploy(healOld, solver,
-				placement.ReplanOptions{Options: opts, Partition: part}, analyzer.Options{}, busiest)
+				placement.ReplanOptions{Options: opts, Partition: part}, busiest)
 			return err
 		}()
 	})

@@ -53,9 +53,6 @@ type Options struct {
 	// deploy.ProveEquivalent (the symbolic equivalence checker) before
 	// any op is issued.
 	Equiv bool
-	// ResourceModel for the pre-flight plan validation; nil means
-	// program.DefaultResourceModel.
-	ResourceModel *program.ResourceModel
 	// Hook observes op boundaries (chaos injection, CLI progress).
 	Hook Hook
 }
@@ -301,11 +298,7 @@ func (r *Rollout) jittered(d time.Duration, seq, attempt int) time.Duration {
 // alive on the live topology, and (optionally) the equivalence checker
 // must prove it.
 func (r *Rollout) gate() error {
-	rm := program.DefaultResourceModel
-	if r.opts.ResourceModel != nil {
-		rm = *r.opts.ResourceModel
-	}
-	if err := r.next.Plan.Validate(rm, 0, 0); err != nil {
+	if err := r.next.Plan.Validate(program.DefaultResourceModel, 0, 0); err != nil {
 		return fmt.Errorf("rollout: new plan invalid: %w", err)
 	}
 	if topo := r.liveTopo(); topo != r.next.Plan.Topo {

@@ -78,7 +78,7 @@ func drained(t testing.TB, dep *deploy.Deployment, prog string) (*deploy.Deploym
 	if !ok {
 		t.Fatalf("%s/count not placed", prog)
 	}
-	next, _, err := deploy.Redeploy(dep, nil, placement.ReplanOptions{}, analyzer.Options{}, victim)
+	next, _, err := deploy.Redeploy(dep, nil, placement.ReplanOptions{}, victim)
 	if err != nil {
 		t.Fatal(err)
 	}

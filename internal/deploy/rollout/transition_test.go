@@ -51,7 +51,7 @@ func fingerprintPairs(t *testing.T) map[string][2]*deploy.Deployment {
 	}
 	busiest := plan.UsedSwitches()
 	sort.SliceStable(busiest, func(i, j int) bool { return load[busiest[i]] > load[busiest[j]] })
-	wanNext, _, err := deploy.Redeploy(wan, nil, placement.ReplanOptions{}, analyzer.Options{}, busiest[0])
+	wanNext, _, err := deploy.Redeploy(wan, nil, placement.ReplanOptions{}, busiest[0])
 	if err != nil {
 		t.Fatal(err)
 	}

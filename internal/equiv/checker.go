@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
@@ -161,9 +160,9 @@ func (c *Checker) Check(dep *deploy.Deployment) error {
 
 // CheckPlan gates a plan before compilation: the pipeline is the
 // plan's switch and stage order with the coordination headers
-// deploy.Compile would derive under aopts.
-func (c *Checker) CheckPlan(p *placement.Plan, aopts analyzer.Options) error {
-	if err := c.lowerPlan(p, aopts); err != nil {
+// deploy.Compile would derive.
+func (c *Checker) CheckPlan(p *placement.Plan) error {
+	if err := c.lowerPlan(p); err != nil {
 		return err
 	}
 	if c.clean() {
@@ -292,7 +291,7 @@ func (c *Checker) lowerDeployment(dep *deploy.Deployment) error {
 // same switch and stage order, with per-pair carried fields derived
 // from the cross edges exactly as deploy.Compile does via
 // analyzer.MetadataFields.
-func (c *Checker) lowerPlan(p *placement.Plan, aopts analyzer.Options) error {
+func (c *Checker) lowerPlan(p *placement.Plan) error {
 	if p == nil || p.Graph == nil {
 		return fmt.Errorf("equiv: nil plan")
 	}
@@ -340,7 +339,7 @@ func (c *Checker) lowerPlan(p *placement.Plan, aopts analyzer.Options) error {
 			c.pairBits = slices.Grow(c.pairBits, fw)[:n+fw]
 			clear(c.pairBits[n:])
 		}
-		c.addCarriedFields(c.pairBits[int(pi)*fw:int(pi+1)*fw], e, aopts)
+		c.addCarriedFields(c.pairBits[int(pi)*fw:int(pi+1)*fw], e)
 	}
 	c.impStart = append(c.impStart[:0], 0)
 	c.impFrom = c.impFrom[:0]
@@ -372,7 +371,7 @@ func (c *Checker) lowerPlan(p *placement.Plan, aopts analyzer.Options) error {
 // addCarriedFields ORs into bits the metadata fields deploy.Compile
 // would put in the pair header for edge e, mirroring
 // analyzer.MetadataFields over the overlay's index lists.
-func (c *Checker) addCarriedFields(bits []uint64, e *tdg.Edge, aopts analyzer.Options) {
+func (c *Checker) addCarriedFields(bits []uint64, e *tdg.Edge) {
 	ov := c.ov
 	a, okA := ov.index[e.From]
 	b, okB := ov.index[e.To]
@@ -392,16 +391,7 @@ func (c *Checker) addCarriedFields(bits []uint64, e *tdg.Edge, aopts analyzer.Op
 		}
 	}
 	switch e.Type {
-	case tdg.DepMatch:
-		if aopts.IntersectMatch {
-			for s := ov.writeStart[a]; s < ov.writeStart[a+1]; s++ {
-				fi := ov.writeF[s]
-				if c.rawReads(b, fi) {
-					set(fi)
-				}
-			}
-			return
-		}
+	case tdg.DepMatch, tdg.DepSuccessor:
 		for s := ov.writeStart[a]; s < ov.writeStart[a+1]; s++ {
 			set(ov.writeF[s])
 		}
@@ -412,32 +402,9 @@ func (c *Checker) addCarriedFields(bits []uint64, e *tdg.Edge, aopts analyzer.Op
 		for s := ov.writeStart[b]; s < ov.writeStart[b+1]; s++ {
 			set(ov.writeF[s])
 		}
-	case tdg.DepSuccessor:
-		for s := ov.writeStart[a]; s < ov.writeStart[a+1]; s++ {
-			set(ov.writeF[s])
-		}
 	case tdg.DepReverse:
 		// R edges carry nothing.
 	}
-}
-
-// rawReads reports whether MAT b's analyzer-visible read set contains
-// field fi (binary search over the sorted flattened list).
-func (c *Checker) rawReads(b, fi int32) bool {
-	ov := c.ov
-	lo, hi := ov.rawReadStart[b], ov.rawReadStart[b+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case ov.rawReadF[mid] < fi:
-			lo = mid + 1
-		case ov.rawReadF[mid] > fi:
-			hi = mid
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // collectSwitches gathers the used switches ascending into usedIDs and

@@ -50,15 +50,11 @@ type compiled struct {
 	// Per-MAT field lists, flattened: reads holds the externally-read
 	// fields (match keys plus action source operands that are not
 	// already written earlier in the same action — the exact set the
-	// engine's read() can touch), writes the may-written fields, and
-	// rawReads the analyzer's unrefined ReadFields (used only to mirror
-	// MetadataFields when lowering a Plan under IntersectMatch).
-	readStart    []int32
-	readF        []int32
-	writeStart   []int32
-	writeF       []int32
-	rawReadStart []int32
-	rawReadF     []int32
+	// engine's read() can touch) and writes the may-written fields.
+	readStart  []int32
+	readF      []int32
+	writeStart []int32
+	writeF     []int32
 
 	// Reference order: refOrder[i] is the MAT executed i-th by the
 	// single-box engine; refPos is its inverse.
@@ -274,8 +270,7 @@ func (ov *compiled) buildFieldLists() {
 	n := len(ov.nodes)
 	ov.readStart = make([]int32, n+1)
 	ov.writeStart = make([]int32, n+1)
-	ov.rawReadStart = make([]int32, n+1)
-	var reads, writes, rawReads []int32
+	var reads, writes []int32
 	var scratch []int32
 	for i, node := range ov.nodes {
 		m := node.MAT
@@ -292,15 +287,9 @@ func (ov *compiled) buildFieldLists() {
 		}
 		writes = append(writes, dedupSorted(scratch)...)
 		ov.writeStart[i+1] = int32(len(writes))
-
-		scratch = scratch[:0]
-		scratch = ov.appendRawReads(scratch, m)
-		rawReads = append(rawReads, dedupSorted(scratch)...)
-		ov.rawReadStart[i+1] = int32(len(rawReads))
 	}
 	ov.readF = reads
 	ov.writeF = writes
-	ov.rawReadF = rawReads
 }
 
 // appendExternalReads appends the field indices the engine can read
@@ -344,27 +333,6 @@ func opReads(op program.Op) []fields.Field {
 	default:
 		return nil
 	}
-}
-
-// appendRawReads appends the analyzer's unrefined read set (match keys
-// plus Action.Reads), mirroring MAT.ReadFields for plan lowering:
-// every op source, plus the destination of read-modify-write kinds.
-func (ov *compiled) appendRawReads(dst []int32, m *program.MAT) []int32 {
-	for _, k := range m.Keys {
-		dst = append(dst, ov.fieldIndex[k.Field.Name])
-	}
-	for _, a := range m.Actions {
-		for _, op := range a.Ops {
-			for _, s := range op.Srcs {
-				dst = append(dst, ov.fieldIndex[s.Name])
-			}
-			switch op.Kind {
-			case program.OpAdd, program.OpDecrement, program.OpCount:
-				dst = append(dst, ov.fieldIndex[op.Dst.Name])
-			}
-		}
-	}
-	return dst
 }
 
 // dedupSorted sorts the slice in place and returns the deduplicated

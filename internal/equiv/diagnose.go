@@ -497,7 +497,7 @@ func (c *Checker) overCarryFindings() lint.Findings {
 				Rule: RuleOverCarry, Severity: lint.Info,
 				Object:  "switch:" + c.swName(su),
 				Message: fmt.Sprintf("metadata %q is delivered to switch %s but no MAT there reads it and it is not relayed onward", ov.fieldNames[fi], c.swName(su)),
-				Hint:    "enable analyzer IntersectMatch or tighten the dependency's carried set to save header bytes",
+				Hint:    "tighten the dependency's carried set to save header bytes",
 			})
 		}
 	}

@@ -65,9 +65,9 @@ func init() {
 	// Solvers gate freshly-minted plans when Options.Equiv is set; the
 	// hook lives here so placement does not import equiv (same
 	// init-registration scheme as lint's PlanLintHook). Plan-level
-	// checks derive coordination headers with default analyzer options
-	// (maximal carries); the deployment-level gate re-proves against
-	// the headers actually compiled.
+	// checks derive the coordination headers deploy.Compile would; the
+	// deployment-level gate re-proves against the headers actually
+	// compiled.
 	placement.PlanEquivHook = func(p *placement.Plan, _ placement.Options) error {
 		return CheckPlanAgainst(nil, p, analyzer.Options{})
 	}
@@ -108,7 +108,9 @@ func CheckDeployment(ref *tdg.Graph, dep *deploy.Deployment) error {
 
 // CheckPlanAgainst gates a plan pre-compilation against ref (the
 // plan's own graph when nil), assuming the coordination headers
-// deploy.Compile would derive under aopts.
+// deploy.Compile would derive. aopts is ignored: no analyzer option
+// changes those headers any more, and the parameter stays only until
+// benchmark/ moves onto the facade (ROADMAP 2(ii)).
 func CheckPlanAgainst(ref *tdg.Graph, p *placement.Plan, aopts analyzer.Options) error {
 	if ref == nil {
 		if p == nil {
@@ -121,7 +123,7 @@ func CheckPlanAgainst(ref *tdg.Graph, p *placement.Plan, aopts analyzer.Options)
 		return err
 	}
 	defer c.release()
-	return c.CheckPlan(p, aopts)
+	return c.CheckPlan(p)
 }
 
 // Diagnose builds the full report for a deployment, including
@@ -155,8 +157,8 @@ func (c *Checker) Diagnose(dep *deploy.Deployment) (*Report, error) {
 // DiagnosePlan is the Checker-level full report for an uncompiled
 // plan. No counterexample is synthesized: replay confirmation needs
 // compiled headers.
-func (c *Checker) DiagnosePlan(p *placement.Plan, aopts analyzer.Options) (*Report, error) {
-	if err := c.lowerPlan(p, aopts); err != nil {
+func (c *Checker) DiagnosePlan(p *placement.Plan) (*Report, error) {
+	if err := c.lowerPlan(p); err != nil {
 		return nil, err
 	}
 	r := &Report{Findings: c.diagnose(true)}

@@ -424,16 +424,20 @@ func routeProgram(t testing.TB, bits int) *program.Program {
 		MustBuild()
 }
 
-// relayDeployment hand-places a three-table chain on three switches so
-// the middle switch is a pure relay for meta.x's consumer: gen writes
-// x and w on switch 0, mid consumes w on switch 1, apply consumes x
-// and m on switch 2. Compiled with IntersectMatch so switch 1 never
-// receives x — the precondition for the HE005 stale-relay mutation.
+// relayDeployment hand-places four tables on three switches so the
+// middle switch is a pure relay for meta.x's consumer: gen writes x and
+// genw writes w on switch 0, mid consumes w on switch 1, apply consumes
+// x and m on switch 2. x and w come from different tables, so the M
+// edge into mid charges only genw's w and switch 1 never receives x —
+// the precondition for the HE005 stale-relay mutation.
 func relayDeployment(t *testing.T) (*tdg.Graph, *deploy.Deployment) {
 	t.Helper()
 	prog := program.NewBuilder("q").
 		Table("gen", 1).
-		ActionDef("g", program.SetOp(fX, 7), program.SetOp(fW, 1)).
+		ActionDef("g", program.SetOp(fX, 7)).
+		Default("g").
+		Table("genw", 1).
+		ActionDef("g", program.SetOp(fW, 1)).
 		Default("g").
 		Table("mid", 8).
 		Key(fW, program.MatchExact).
@@ -450,8 +454,7 @@ func relayDeployment(t *testing.T) (*tdg.Graph, *deploy.Deployment) {
 			Action:  "r",
 		}).
 		MustBuild()
-	aopts := analyzer.Options{IntersectMatch: true}
-	g := mustAnalyze(t, []*program.Program{prog}, aopts)
+	g := mustAnalyze(t, []*program.Program{prog}, analyzer.Options{})
 	tp := lineTopo(t, 3, 1, 1)
 	sp := func(sw int) placement.StagePlacement {
 		return placement.StagePlacement{
@@ -461,10 +464,10 @@ func relayDeployment(t *testing.T) (*tdg.Graph, *deploy.Deployment) {
 	plan := &placement.Plan{
 		Graph: g, Topo: tp, SolverName: "hand",
 		Assignments: map[string]placement.StagePlacement{
-			"q/gen": sp(0), "q/mid": sp(1), "q/apply": sp(2),
+			"q/gen": sp(0), "q/genw": sp(0), "q/mid": sp(1), "q/apply": sp(2),
 		},
 	}
-	dep, err := deploy.Compile(plan, aopts)
+	dep, err := deploy.Compile(plan, analyzer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +655,7 @@ func TestSolverPlansProveEquivalent(t *testing.T) {
 			if err := plan.Validate(program.DefaultResourceModel, 0, 0); err != nil {
 				t.Fatalf("table3:%d %s: validate: %v", idx, s.Name(), err)
 			}
-			if err := checker.CheckPlan(plan, analyzer.Options{}); err != nil {
+			if err := checker.CheckPlan(plan); err != nil {
 				t.Errorf("table3:%d %s: false plan rejection: %v", idx, s.Name(), err)
 			}
 			dep, err := deploy.Compile(plan, analyzer.Options{})
@@ -711,7 +714,7 @@ func TestRedeployEquivGate(t *testing.T) {
 	applySw, _ := plan.SwitchOf("p/apply")
 	ropts := placement.ReplanOptions{}
 	ropts.Equiv = true
-	next, _, err := deploy.Redeploy(dep, placement.Greedy{}, ropts, analyzer.Options{}, applySw)
+	next, _, err := deploy.Redeploy(dep, placement.Greedy{}, ropts, applySw)
 	if err != nil {
 		t.Fatalf("equiv-gated redeploy failed: %v", err)
 	}

@@ -79,9 +79,8 @@ type Rechecker struct {
 
 	// Baseline: the last proven plan's placements (switch and start
 	// stage — the two coordinates the equivalence semantics see).
-	verified  bool
-	baseAopts analyzer.Options
-	base      map[string]basePlacement
+	verified bool
+	base     map[string]basePlacement
 }
 
 type basePlacement struct {
@@ -139,9 +138,9 @@ func (r *Rechecker) buildComponents() {
 		}
 	}
 
-	// Shared fields: the first toucher of each field anchors it. The
-	// raw-read list is included so analyzer-visible reads (the ones
-	// carried-field derivation keys on) couple too.
+	// Shared fields: the first toucher of each field anchors it. Every
+	// field a MAT's unrefined read set names is in its reads or its
+	// writes, so the two lists couple every analyzer-visible access.
 	fieldOwner := make([]int32, len(ov.fieldNames))
 	for i := range fieldOwner {
 		fieldOwner[i] = -1
@@ -159,7 +158,6 @@ func (r *Rechecker) buildComponents() {
 	for x := int32(0); x < int32(n); x++ {
 		link(x, ov.readStart, ov.readF)
 		link(x, ov.writeStart, ov.writeF)
-		link(x, ov.rawReadStart, ov.rawReadF)
 	}
 
 	// TDG edges: ordering constraints and carried fields stay
@@ -199,10 +197,17 @@ func (r *Rechecker) buildComponents() {
 }
 
 // Check runs the full proof and, on success, records the plan as the
-// incremental baseline.
+// incremental baseline. aopts is ignored, here and in RecheckReplan:
+// no analyzer option changes the carried headers any more, and the
+// parameter stays only until benchmark/ moves onto the facade
+// (ROADMAP 2(ii)).
 func (r *Rechecker) Check(p *placement.Plan, aopts analyzer.Options) error {
-	err := r.full.CheckPlan(p, aopts)
-	r.updateBaseline(p, aopts, err)
+	return r.check(p)
+}
+
+func (r *Rechecker) check(p *placement.Plan) error {
+	err := r.full.CheckPlan(p)
+	r.updateBaseline(p, err)
 	return err
 }
 
@@ -211,9 +216,9 @@ func (r *Rechecker) Check(p *placement.Plan, aopts analyzer.Options) error {
 func (r *Rechecker) RecheckReplan(p *placement.Plan, rep *placement.ReplanReport, aopts analyzer.Options) (RecheckStats, error) {
 	if rep == nil {
 		st := RecheckStats{Full: true, FallbackReason: "no replan report", TotalMATs: len(r.full.ov.names)}
-		return st, r.Check(p, aopts)
+		return st, r.check(p)
 	}
-	return r.Recheck(p, rep.Moved, aopts)
+	return r.Recheck(p, rep.Moved)
 }
 
 // Recheck proves the plan equivalent, re-proving only the components
@@ -221,12 +226,12 @@ func (r *Rechecker) RecheckReplan(p *placement.Plan, rep *placement.ReplanReport
 // fraction stays under the threshold. The verdict is identical to a
 // full Check: any condition the component view cannot decide falls
 // back to the full proof.
-func (r *Rechecker) Recheck(p *placement.Plan, moved []string, aopts analyzer.Options) (RecheckStats, error) {
+func (r *Rechecker) Recheck(p *placement.Plan, moved []string) (RecheckStats, error) {
 	st := RecheckStats{TotalMATs: len(r.full.ov.names)}
 	fallback := func(reason string) (RecheckStats, error) {
 		st.Full = true
 		st.FallbackReason = reason
-		return st, r.Check(p, aopts)
+		return st, r.check(p)
 	}
 
 	if p == nil || p.Graph == nil {
@@ -234,9 +239,6 @@ func (r *Rechecker) Recheck(p *placement.Plan, moved []string, aopts analyzer.Op
 	}
 	if !r.verified {
 		return fallback("no verified baseline")
-	}
-	if aopts != r.baseAopts {
-		return fallback("analyzer options changed")
 	}
 	if p.Graph != r.full.ov.g {
 		// Carried-field derivation walks the plan's own edge list; a
@@ -275,7 +277,7 @@ func (r *Rechecker) Recheck(p *placement.Plan, moved []string, aopts analyzer.Op
 
 	// Global structural screen: lower the whole plan (cheap, no walk)
 	// and reject or fall back on anything a component cannot see.
-	if err := r.full.lowerPlan(p, aopts); err != nil {
+	if err := r.full.lowerPlan(p); err != nil {
 		r.forget()
 		return st, err
 	}
@@ -283,7 +285,7 @@ func (r *Rechecker) Recheck(p *placement.Plan, moved []string, aopts analyzer.Op
 		st.Full = true
 		st.FallbackReason = "structural screen failed"
 		err := findingsErr(r.full.diagnose(false))
-		r.updateBaseline(p, aopts, err)
+		r.updateBaseline(p, err)
 		return st, err
 	}
 
@@ -322,12 +324,12 @@ func (r *Rechecker) Recheck(p *placement.Plan, moved []string, aopts analyzer.Op
 		for _, name := range r.comps[ci] {
 			subPlan.Assignments[name] = p.Assignments[name]
 		}
-		if err := sub.CheckPlan(subPlan, aopts); err != nil {
+		if err := sub.CheckPlan(subPlan); err != nil {
 			r.forget()
 			return st, err
 		}
 	}
-	r.updateBaseline(p, aopts, nil)
+	r.updateBaseline(p, nil)
 	return st, nil
 }
 
@@ -350,7 +352,7 @@ func (r *Rechecker) subChecker(ci int) (*Checker, error) {
 }
 
 // updateBaseline records a proven plan (or forgets on failure).
-func (r *Rechecker) updateBaseline(p *placement.Plan, aopts analyzer.Options, err error) {
+func (r *Rechecker) updateBaseline(p *placement.Plan, err error) {
 	if err != nil || p == nil {
 		r.forget()
 		return
@@ -364,7 +366,6 @@ func (r *Rechecker) updateBaseline(p *placement.Plan, aopts analyzer.Options, er
 	for name, sp := range p.Assignments {
 		r.base[name] = basePlacement{sw: sp.Switch, start: sp.Start}
 	}
-	r.baseAopts = aopts
 	r.verified = true
 }
 

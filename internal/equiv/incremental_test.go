@@ -179,7 +179,7 @@ func TestRecheckerRejectsLikeFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, incErr := r.Recheck(bad, moved, aopts)
+	st, incErr := r.Recheck(bad, moved)
 	fullErr := equiv.CheckPlanAgainst(g, bad, aopts)
 	if fullErr == nil {
 		t.Fatal("fixture broken: sabotaged plan passed the full gate")
@@ -190,14 +190,14 @@ func TestRecheckerRejectsLikeFull(t *testing.T) {
 
 	// After a rejection the baseline is forgotten: the next Recheck runs
 	// full, then incremental resumes.
-	st2, err := r.Recheck(plan, nil, aopts)
+	st2, err := r.Recheck(plan, nil)
 	if err != nil {
 		t.Fatalf("clean plan rejected after failure: %v", err)
 	}
 	if !st2.Full {
 		t.Fatal("baseline survived a rejected plan")
 	}
-	st3, err := r.Recheck(plan, nil, aopts)
+	st3, err := r.Recheck(plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRecheckerUnreportedMoveFallsBack(t *testing.T) {
 	}
 
 	bad := sabotageOrder(plan, "p1")
-	st, incErr := r.Recheck(bad, nil, aopts) // nothing reported moved
+	st, incErr := r.Recheck(bad, nil) // nothing reported moved
 	if !st.Full {
 		t.Fatalf("unreported move did not force the full path: %+v", st)
 	}
@@ -295,7 +295,7 @@ func TestRecheckerForeignGraphFallsBack(t *testing.T) {
 	if err := r.Check(plan, aopts); err != nil {
 		t.Fatal(err)
 	}
-	st, err := r.Recheck(plan, []string{"p0/gen"}, aopts)
+	st, err := r.Recheck(plan, []string{"p0/gen"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,9 +28,11 @@ type ShardPoint struct {
 	WholeMs   float64
 	WholeAMax int
 	// ShardMs/ShardAMax describe the sharded run (partition + regional
-	// solves + reconcile + finalize).
-	ShardMs   float64
-	ShardAMax int
+	// solves + reconcile + finalize); ShardCross is the shipped plan's
+	// total cross-switch bytes, which pins the plan itself.
+	ShardMs    float64
+	ShardAMax  int
+	ShardCross int
 	// Speedup is WholeMs/ShardMs; AMaxRatio is ShardAMax/WholeAMax —
 	// the quality price of sharding. Both zero when whole was skipped.
 	Speedup   float64
@@ -141,6 +143,7 @@ func exp10Point(cfg Config, c exp10Case) (ShardPoint, error) {
 		}
 	}
 	pt.ShardAMax = plan.AMax()
+	pt.ShardCross = plan.TotalCrossBytes()
 	pt.Hosts = st.Hosts
 	pt.Rounds = st.Rounds
 	pt.Moves = st.Moves

@@ -114,7 +114,7 @@ func rolloutInstance(cfg Config, spec string) (*network.Topology, *deploy.Deploy
 		return nil, nil, nil, err
 	}
 	busiest, _ := busiestSwitch(plan)
-	next, _, err := deploy.Redeploy(old, nil, placement.ReplanOptions{}, analyzer.Options{}, busiest)
+	next, _, err := deploy.Redeploy(old, nil, placement.ReplanOptions{}, busiest)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("experiments: exp12 %s redeploy: %w", spec, err)
 	}

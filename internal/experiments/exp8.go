@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/lint"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
@@ -160,7 +159,7 @@ func checkDeployment(sup *supervisor.Supervisor) error {
 	if err := dep.Plan.Validate(rm, 0, 0); err != nil {
 		return err
 	}
-	if err := lint.CheckPlanOracle(dep.Plan, rm, 0, 0, analyzer.Options{}); err != nil {
+	if err := lint.CheckPlanOracle(dep.Plan, rm, 0, 0); err != nil {
 		return err
 	}
 	return dep.Verify()

@@ -220,17 +220,6 @@ func (s Set) Union(t Set) (Set, error) {
 	return NewSet(fs...)
 }
 
-// Intersect returns the set of fields present (identically) in both sets.
-func (s Set) Intersect(t Set) Set {
-	out := Set{byName: make(map[string]Field)}
-	for name, f := range s.byName {
-		if g, ok := t.byName[name]; ok && g == f {
-			out.byName[name] = f
-		}
-	}
-	return out
-}
-
 // Overlaps reports whether the two sets share at least one field name.
 func (s Set) Overlaps(t Set) bool {
 	// Iterate over the smaller map.

@@ -108,13 +108,6 @@ func TestSetOperations(t *testing.T) {
 		}
 	})
 
-	t.Run("intersect", func(t *testing.T) {
-		i := a.Intersect(b)
-		if i.Len() != 1 || !i.Contains("m1") {
-			t.Errorf("Intersect = %v, want {m1}", i)
-		}
-	})
-
 	t.Run("overlaps", func(t *testing.T) {
 		if !a.Overlaps(b) {
 			t.Error("Overlaps = false, want true")
@@ -143,6 +136,19 @@ func TestSetOperations(t *testing.T) {
 		m := a.Metadata()
 		if m.Len() != 2 || m.Contains("h1") {
 			t.Errorf("Metadata() = %v, want metadata-only subset", m)
+		}
+	})
+
+	t.Run("get", func(t *testing.T) {
+		if f, ok := a.Get("m1"); !ok || f != Metadata("m1", 32) {
+			t.Errorf("Get(m1) = %v, %v; want %v, true", f, ok, Metadata("m1", 32))
+		}
+		if f, ok := a.Get("m3"); ok {
+			t.Errorf("Get(m3) = %v, true; want absent", f)
+		}
+		var empty Set
+		if _, ok := empty.Get("m1"); ok {
+			t.Error("Get on empty set found a field")
 		}
 	})
 

@@ -18,18 +18,9 @@ import (
 // expectedBytesMaps is the map-materialising A(a,b) recomputation
 // LintGraph used before expectedBytes summed in place; the oracle
 // below holds the two equal on every edge.
-func expectedBytesMaps(a, b rawSets, typ tdg.DepType, intersectMatch bool) int {
+func expectedBytesMaps(a, b rawSets, typ tdg.DepType) int {
 	switch typ {
 	case tdg.DepMatch:
-		if intersectMatch {
-			inter := map[string]fields.Field{}
-			for name, f := range a.writes {
-				if g, ok := b.reads[name]; ok && g == f {
-					inter[name] = f
-				}
-			}
-			return metaBytes(inter)
-		}
 		return metaBytes(a.writes)
 	case tdg.DepAction:
 		union := map[string]fields.Field{}
@@ -71,7 +62,7 @@ func lintGraphAllPairs(g *tdg.Graph, opts Options) Findings {
 			})
 			continue
 		}
-		wantBytes := expectedBytesMaps(ra, rb, e.Type, opts.Analyzer.IntersectMatch)
+		wantBytes := expectedBytesMaps(ra, rb, e.Type)
 		if e.MetadataBytes != wantBytes {
 			fs = append(fs, Finding{
 				Rule: "HL008", Severity: Error, File: opts.File,
@@ -216,24 +207,21 @@ func TestLintGraphMatchesAllPairsReference(t *testing.T) {
 		{"mixed-origin", mixedOriginGraph(t), 1},
 	}
 	for _, tc := range cases {
-		for _, intersect := range []bool{false, true} {
-			opts := Options{Analyzer: analyzer.Options{IntersectMatch: intersect}}
-			got := LintGraph(tc.g, opts)
-			want := lintGraphAllPairs(tc.g, opts)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s (intersect=%v): LintGraph diverges from the all-pairs reference:\n got %d findings\n%s\nwant %d findings\n%s",
-					tc.name, intersect, len(got), got.Text(), len(want), want.Text())
-				continue
+		got := LintGraph(tc.g, Options{})
+		want := lintGraphAllPairs(tc.g, Options{})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: LintGraph diverges from the all-pairs reference:\n got %d findings\n%s\nwant %d findings\n%s",
+				tc.name, len(got), got.Text(), len(want), want.Text())
+			continue
+		}
+		lost := 0
+		for _, f := range got.ByRule("HL007") {
+			if strings.Contains(f.Object, "<->") {
+				lost++
 			}
-			lost := 0
-			for _, f := range got.ByRule("HL007") {
-				if strings.Contains(f.Object, "<->") {
-					lost++
-				}
-			}
-			if lost < tc.wantLost {
-				t.Errorf("%s: %d lost-dependency findings, want >= %d", tc.name, lost, tc.wantLost)
-			}
+		}
+		if lost < tc.wantLost {
+			t.Errorf("%s: %d lost-dependency findings, want >= %d", tc.name, lost, tc.wantLost)
 		}
 	}
 }

@@ -451,7 +451,7 @@ func lintObjectives(p *placement.Plan, qocc int, pairs []pairSum, eps1 time.Dura
 // accepts, or vice versa — is returned as an error naming both
 // verdicts; solver tests run it over Greedy and Exact output so
 // a bug in any solver or either checker surfaces as a lint failure.
-func CheckPlanOracle(p *placement.Plan, rm program.ResourceModel, eps1 time.Duration, eps2 int, aopts analyzer.Options) error {
+func CheckPlanOracle(p *placement.Plan, rm program.ResourceModel, eps1 time.Duration, eps2 int) error {
 	fs := LintPlan(p, rm, eps1, eps2)
 	oracle := fs.OracleErrors()
 	verr := p.Validate(rm, eps1, eps2)
@@ -465,7 +465,7 @@ func CheckPlanOracle(p *placement.Plan, rm program.ResourceModel, eps1 time.Dura
 		return nil
 	}
 	// Both accept: the deployment backend must agree too.
-	dep, err := deploy.Compile(p, aopts)
+	dep, err := deploy.Compile(p, analyzer.Options{})
 	if err != nil {
 		return fmt.Errorf("oracle divergence: plan passes Validate and lint but deploy.Compile fails: %w", err)
 	}
@@ -490,8 +490,8 @@ func CheckPlanOracle(p *placement.Plan, rm program.ResourceModel, eps1 time.Dura
 // solvers so their Options.Lint flags take effect for any importer of
 // this package. The hooks fail only on error-severity findings.
 func init() {
-	analyzer.GraphLintHook = func(g *tdg.Graph, opts analyzer.Options) error {
-		return LintGraph(g, Options{Analyzer: opts}).Err()
+	analyzer.GraphLintHook = func(g *tdg.Graph) error {
+		return LintGraph(g, Options{}).Err()
 	}
 	placement.PlanLintHook = func(p *placement.Plan, opts placement.Options) error {
 		rm := program.DefaultResourceModel

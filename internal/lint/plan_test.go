@@ -93,7 +93,7 @@ func requireOracleRejects(t *testing.T, p *placement.Plan, rule string) {
 	if err := p.Validate(rm(), 0, 0); err == nil {
 		t.Fatalf("Plan.Validate must agree the %s mutation is invalid", rule)
 	}
-	if err := CheckPlanOracle(p, rm(), 0, 0, analyzer.Options{}); err != nil {
+	if err := CheckPlanOracle(p, rm(), 0, 0); err != nil {
 		t.Fatalf("both checkers reject: the oracle must report agreement, got %v", err)
 	}
 }
@@ -104,7 +104,7 @@ func TestLintPlanCleanAgreement(t *testing.T) {
 	if fs.HasErrors() {
 		t.Fatalf("solver plan must lint clean:\n%s", fs.Text())
 	}
-	if err := CheckPlanOracle(p, rm(), 0, 0, analyzer.Options{}); err != nil {
+	if err := CheckPlanOracle(p, rm(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -286,7 +286,7 @@ func TestRouteLatencyCorruption(t *testing.T) {
 		t.Fatalf("HL111 is stricter than Validate and must not count as oracle disagreement:\n%s", fs.Text())
 	}
 	// ...but CheckPlanOracle still surfaces the internal inconsistency.
-	if err := CheckPlanOracle(p, rm(), 0, 0, analyzer.Options{}); err == nil {
+	if err := CheckPlanOracle(p, rm(), 0, 0); err == nil {
 		t.Fatal("CheckPlanOracle must flag strict HL111 findings on Validate-clean plans")
 	}
 }
@@ -334,7 +334,7 @@ func TestDifferentialOracleAcrossSolvers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("table3:%d %s: %v", idx, s.Name(), err)
 			}
-			if err := CheckPlanOracle(plan, rm(), 0, 0, analyzer.Options{}); err != nil {
+			if err := CheckPlanOracle(plan, rm(), 0, 0); err != nil {
 				t.Errorf("table3:%d %s: %v", idx, s.Name(), err)
 			}
 		}
@@ -356,7 +356,7 @@ func TestDifferentialOracleChains(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chain-%d %s: %v", n, s.Name(), err)
 			}
-			if err := CheckPlanOracle(plan, rm(), 0, 0, analyzer.Options{}); err != nil {
+			if err := CheckPlanOracle(plan, rm(), 0, 0); err != nil {
 				t.Errorf("chain-%d %s: %v", n, s.Name(), err)
 			}
 		}

@@ -22,8 +22,9 @@ type Options struct {
 	// MetadataBudgetBytes is the HL005 budget; zero means
 	// DefaultMetadataBudget, negative disables the rule.
 	MetadataBudgetBytes int
-	// Analyzer carries the analyzer options (IntersectMatch) the
-	// metadata recomputation of HL008 must mirror.
+	// Analyzer is ignored: no analyzer option changes A(a,b) any more,
+	// so HL008 has nothing to mirror. The field stays only until
+	// benchmark/ moves onto the facade (ROADMAP 2(ii)).
 	Analyzer analyzer.Options
 	// File is attached to findings for source-bearing lint runs.
 	File string
@@ -145,19 +146,10 @@ func classifyPair(a, b rawSets, control bool) tdg.DepType {
 // footprint merges analyzer.Delivered uses. It sums straight over the raw
 // sets: LintGraph calls it once per edge, so a scratch map per call
 // would dominate the edge pass.
-func expectedBytes(a, b rawSets, typ tdg.DepType, intersectMatch bool) int {
+func expectedBytes(a, b rawSets, typ tdg.DepType) int {
 	switch typ {
-	case tdg.DepMatch:
-		if !intersectMatch {
-			return metaBytes(a.writes)
-		}
-		total := 0
-		for name, f := range a.writes {
-			if g, ok := b.reads[name]; ok && g == f {
-				total += metaSize(f)
-			}
-		}
-		return total
+	case tdg.DepMatch, tdg.DepSuccessor:
+		return metaBytes(a.writes)
 	case tdg.DepAction:
 		// |a.writes ∪ b.writes| by name; on a shared name b's
 		// definition stands.
@@ -168,8 +160,6 @@ func expectedBytes(a, b rawSets, typ tdg.DepType, intersectMatch bool) int {
 			}
 		}
 		return total
-	case tdg.DepSuccessor:
-		return metaBytes(a.writes)
 	default: // R edges carry nothing
 		return 0
 	}
@@ -218,7 +208,7 @@ func LintProgram(p *program.Program, opts Options) Findings {
 		return fs
 	}
 	fs = append(fs, crossCheckClassification(p, g, raws, control, opts)...)
-	if err := analyzer.AnnotateMetadata(g, opts.Analyzer); err == nil {
+	if err := analyzer.AnnotateMetadata(g); err == nil {
 		fs = append(fs, crossCheckMetadata(p, g, raws, opts)...)
 	}
 	fs = append(fs, lintIsolatedNodes(g, opts)...)
@@ -439,7 +429,7 @@ func crossCheckMetadata(p *program.Program, g *tdg.Graph, raws []rawSets, opts O
 	}
 	var fs Findings
 	for _, e := range g.Edges() {
-		want := expectedBytes(raws[idx[e.From]], raws[idx[e.To]], e.Type, opts.Analyzer.IntersectMatch)
+		want := expectedBytes(raws[idx[e.From]], raws[idx[e.To]], e.Type)
 		if e.MetadataBytes != want {
 			fs = append(fs, Finding{
 				Rule: "HL008", Severity: Error, File: opts.File,
@@ -451,7 +441,7 @@ func crossCheckMetadata(p *program.Program, g *tdg.Graph, raws []rawSets, opts O
 		}
 		a, _ := g.Node(e.From)
 		b, _ := g.Node(e.To)
-		got, err := analyzer.EdgeMetadataBytes(a.MAT, b.MAT, e.Type, opts.Analyzer)
+		got, err := analyzer.EdgeMetadataBytes(a.MAT, b.MAT, e.Type)
 		if err != nil || got != want {
 			fs = append(fs, Finding{
 				Rule: "HL008", Severity: Error, File: opts.File,
@@ -532,7 +522,7 @@ func LintGraph(g *tdg.Graph, opts Options) Findings {
 			})
 			continue
 		}
-		wantBytes := expectedBytes(ra, rb, e.Type, opts.Analyzer.IntersectMatch)
+		wantBytes := expectedBytes(ra, rb, e.Type)
 		if e.MetadataBytes != wantBytes {
 			fs = append(fs, Finding{
 				Rule: "HL008", Severity: Error, File: opts.File,

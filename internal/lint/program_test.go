@@ -134,7 +134,7 @@ func buildAnnotated(t *testing.T) *tdg.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := analyzer.AnnotateMetadata(g, analyzer.Options{}); err != nil {
+	if err := analyzer.AnnotateMetadata(g); err != nil {
 		t.Fatal(err)
 	}
 	return g

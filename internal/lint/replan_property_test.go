@@ -66,7 +66,7 @@ func TestReplanOutputSatisfiesOracle(t *testing.T) {
 		if err := plan.Validate(rm(), 0, 0); err != nil {
 			t.Errorf("trial %d (drain %v, repair=%v): Validate: %v", trial, drained, rep.UsedRepair, err)
 		}
-		if err := CheckPlanOracle(plan, rm(), 0, 0, analyzer.Options{}); err != nil {
+		if err := CheckPlanOracle(plan, rm(), 0, 0); err != nil {
 			t.Errorf("trial %d (drain %v, repair=%v): oracle: %v", trial, drained, rep.UsedRepair, err)
 		}
 	}

@@ -146,29 +146,29 @@ type ScheduleOptions struct {
 	// Events is the number of fault *injections* to generate (heals are
 	// extra events appended automatically). Default 10.
 	Events int
-	// MeanDowntime is the average ticks a crash/link-cut stays down
-	// before its heal. Default 6.
-	MeanDowntime int
 	// MinUpProgrammable is the guard on surviving capacity: no schedule
 	// prefix may leave fewer up programmable switches. Default 1.
 	MinUpProgrammable int
-	// Weights for the four archetypes; all zero means {crash: 4,
-	// link-cut: 3, flap: 2, region: 1}.
-	CrashWeight, LinkCutWeight, FlapWeight, RegionWeight int
 }
+
+// meanDowntime is the average ticks a crash/link-cut stays down before
+// its heal.
+const meanDowntime = 6
+
+// The four archetypes' relative draw weights.
+const (
+	crashWeight   = 4
+	linkCutWeight = 3
+	flapWeight    = 2
+	regionWeight  = 1
+)
 
 func (o *ScheduleOptions) defaults() {
 	if o.Events <= 0 {
 		o.Events = 10
 	}
-	if o.MeanDowntime <= 0 {
-		o.MeanDowntime = 6
-	}
 	if o.MinUpProgrammable <= 0 {
 		o.MinUpProgrammable = 1
-	}
-	if o.CrashWeight == 0 && o.LinkCutWeight == 0 && o.FlapWeight == 0 && o.RegionWeight == 0 {
-		o.CrashWeight, o.LinkCutWeight, o.FlapWeight, o.RegionWeight = 4, 3, 2, 1
 	}
 }
 
@@ -289,7 +289,7 @@ func GenerateSchedule(t *Topology, opts ScheduleOptions) (*Schedule, error) {
 		}
 		return ok
 	}
-	downtime := func() int { return 1 + rng.Intn(2*opts.MeanDowntime-1) }
+	downtime := func() int { return 1 + rng.Intn(2*meanDowntime-1) }
 	// queueHeals schedules the inverse of downs at tick ht, reversed so a
 	// region tends to heal neighbors-first (applyDue defers unsafe ones
 	// anyway).
@@ -302,7 +302,7 @@ func GenerateSchedule(t *Topology, opts ScheduleOptions) (*Schedule, error) {
 		}
 	}
 
-	totalW := opts.CrashWeight + opts.LinkCutWeight + opts.FlapWeight + opts.RegionWeight
+	const totalW = crashWeight + linkCutWeight + flapWeight + regionWeight
 	tick := 0
 	injected := 0
 	attempts := 0
@@ -314,7 +314,7 @@ func GenerateSchedule(t *Topology, opts ScheduleOptions) (*Schedule, error) {
 
 		roll := rng.Intn(totalW)
 		switch {
-		case roll < opts.CrashWeight: // crash
+		case roll < crashWeight: // crash
 			ups := shadow.ProgrammableSwitches()
 			// Crashes may also hit non-programmable transit switches.
 			all := upSwitches(shadow)
@@ -338,7 +338,7 @@ func GenerateSchedule(t *Topology, opts ScheduleOptions) (*Schedule, error) {
 			queueHeals(downs, ht)
 			injected++
 
-		case roll < opts.CrashWeight+opts.LinkCutWeight: // link-cut
+		case roll < crashWeight+linkCutWeight: // link-cut
 			links := upLinks(shadow)
 			if len(links) == 0 {
 				continue
@@ -355,7 +355,7 @@ func GenerateSchedule(t *Topology, opts ScheduleOptions) (*Schedule, error) {
 			queueHeals(downs, ht)
 			injected++
 
-		case roll < opts.CrashWeight+opts.LinkCutWeight+opts.FlapWeight: // flap
+		case roll < crashWeight+linkCutWeight+flapWeight: // flap
 			all := upSwitches(shadow)
 			if len(all) == 0 {
 				continue

@@ -3,7 +3,7 @@
 // capacity. The region-sharded solver (placement.ShardedGreedy) uses
 // one region per shard, solves each on its Subgraph, and reconciles
 // the boundary; everything here is therefore deterministic in (topo,
-// options) so a partition can be recomputed, diffed, or shipped as
+// k, seed) so a partition can be recomputed, diffed, or shipped as
 // text between runs.
 //
 // The algorithm is a classic three-phase graph-growing partitioner:
@@ -34,37 +34,12 @@ import (
 	"strings"
 )
 
-// PartitionOptions configures PartitionTopology.
-type PartitionOptions struct {
-	// Regions is the number of regions k (required, 1 ≤ k ≤ switches).
-	Regions int
-	// Seed drives the first-seed draw; everything downstream is
-	// deterministic in it.
-	Seed int64
-	// Tolerance bounds the per-region programmable-capacity deviation
-	// from the mean during refinement: a move may not push a region
-	// outside [mean·(1−Tolerance), mean·(1+Tolerance)]. Zero means the
-	// default 0.5. Growing balances greedily on its own; the tolerance
-	// only constrains how far refinement may trade balance for cut.
-	Tolerance float64
-	// MinCutPasses bounds the Kernighan–Lin-style boundary-swap sweeps
-	// that run after the single-move refinement: a pair of switches on
-	// opposite sides of a cut swap regions when that strictly reduces
-	// the number of cut links while both regions stay connected and
-	// within the balance tolerance. Swaps move capacity both ways at
-	// once, so they escape the balance-blocked minima single moves
-	// cannot (skewed topologies otherwise leave hot TDG edges on the
-	// boundary). Zero disables the pass (the default — existing
-	// partitions stay byte-identical); negative also disables.
-	MinCutPasses int
-}
-
-func (o PartitionOptions) tolerance() float64 {
-	if o.Tolerance <= 0 {
-		return 0.5
-	}
-	return o.Tolerance
-}
+// partitionTolerance bounds the per-region programmable-capacity
+// deviation from the mean during refinement: a move may not push a
+// region outside [mean·(1−tol), mean·(1+tol)]. Growing balances greedily
+// on its own; the tolerance only constrains how far refinement may trade
+// balance for cut.
+const partitionTolerance = 0.5
 
 // refinePasses bounds the boundary-refinement sweeps.
 const refinePasses = 2
@@ -78,18 +53,11 @@ type Partition struct {
 	regionOf []int32      // switch ID → region index
 }
 
-// PartitionRegions partitions t into k connected regions with default
-// tolerance and refinement (see PartitionTopology).
+// PartitionRegions partitions t into k connected regions balanced by
+// programmable stage capacity, minimizing boundary links. The result is
+// deterministic in (t, k, seed).
 func PartitionRegions(t *Topology, k int, seed int64) (*Partition, error) {
-	return PartitionTopology(t, PartitionOptions{Regions: k, Seed: seed})
-}
-
-// PartitionTopology partitions t into opts.Regions connected regions
-// balanced by programmable stage capacity, minimizing boundary links.
-// The result is deterministic in (t, opts).
-func PartitionTopology(t *Topology, opts PartitionOptions) (*Partition, error) {
 	n := t.NumSwitches()
-	k := opts.Regions
 	if k < 1 {
 		return nil, fmt.Errorf("network: partition needs at least 1 region, got %d", k)
 	}
@@ -108,14 +76,11 @@ func PartitionTopology(t *Topology, opts PartitionOptions) (*Partition, error) {
 			regionOf[i] = 0
 		}
 	} else {
-		seeds := partitionSeeds(t, k, opts.Seed)
+		seeds := partitionSeeds(t, k, seed)
 		growRegions(t, seeds, regionOf)
-		refineRegions(t, regionOf, k, opts.tolerance(), refinePasses)
-		if opts.MinCutPasses > 0 {
-			swapRefineRegions(t, regionOf, k, opts.tolerance(), opts.MinCutPasses)
-		}
+		refineRegions(t, regionOf, k)
 	}
-	p := &Partition{topo: t, seed: opts.Seed, regionOf: regionOf, regions: make([][]SwitchID, k)}
+	p := &Partition{topo: t, seed: seed, regionOf: regionOf, regions: make([][]SwitchID, k)}
 	for id, r := range regionOf {
 		p.regions[r] = append(p.regions[r], SwitchID(id))
 	}
@@ -289,10 +254,7 @@ func growRegions(t *Topology, seeds []SwitchID, regionOf []int32) {
 // may move to the neighboring region that most reduces the cut, when
 // the move keeps its old region connected and nonempty and both
 // regions' programmable capacity within tolerance of the mean.
-func refineRegions(t *Topology, regionOf []int32, k int, tol float64, passes int) {
-	if passes <= 0 {
-		return
-	}
+func refineRegions(t *Topology, regionOf []int32, k int) {
 	n := t.NumSwitches()
 	caps := make([]float64, k)
 	sizes := make([]int, k)
@@ -305,9 +267,9 @@ func refineRegions(t *Topology, regionOf []int32, k int, tol float64, passes int
 		total += c
 	}
 	mean := total / float64(k)
-	lo, hi := mean*(1-tol), mean*(1+tol)
+	lo, hi := mean*(1-partitionTolerance), mean*(1+partitionTolerance)
 	edgeCount := make(map[int32]int, 8)
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moved := false
 		for id := 0; id < n; id++ {
 			a := regionOf[id]
@@ -359,84 +321,6 @@ func refineRegions(t *Topology, regionOf []int32, k int, tol float64, passes int
 			moved = true
 		}
 		if !moved {
-			break
-		}
-	}
-}
-
-// swapRefineRegions runs bounded Kernighan–Lin-style swap sweeps over
-// the boundary links (link-insertion order, so the pass is
-// deterministic in (t, regionOf)): for a cut link (a, b) the two
-// endpoint switches trade regions when the classic KL gain
-//
-//	gain = D(a) + D(b) − 2·c(a, b)
-//
-// is strictly positive, where D(x) counts x's links into the opposite
-// region minus links into its own and c(a, b) counts the parallel
-// links between the pair. Unlike the single-move refinement a swap is
-// capacity-symmetric up to the difference of the two switches, so it
-// can reduce the cut where every individual move is balance-blocked.
-// Both regions must stay connected and inside [mean·(1−tol),
-// mean·(1+tol)] after the swap.
-func swapRefineRegions(t *Topology, regionOf []int32, k int, tol float64, passes int) {
-	n := t.NumSwitches()
-	caps := make([]float64, k)
-	total := 0.0
-	for id := 0; id < n; id++ {
-		c := t.switches[id].Capacity()
-		caps[regionOf[id]] += c
-		total += c
-	}
-	mean := total / float64(k)
-	lo, hi := mean*(1-tol), mean*(1+tol)
-	for pass := 0; pass < passes; pass++ {
-		swapped := false
-		for _, l := range t.links {
-			a, b := l.A, l.B
-			ra, rb := regionOf[a], regionOf[b]
-			if ra == rb {
-				continue
-			}
-			da := 0
-			for _, e := range t.adj[a] {
-				switch regionOf[e.to] {
-				case rb:
-					da++
-				case ra:
-					da--
-				}
-			}
-			db, cab := 0, 0
-			for _, e := range t.adj[b] {
-				if e.to == a {
-					cab++
-				}
-				switch regionOf[e.to] {
-				case ra:
-					db++
-				case rb:
-					db--
-				}
-			}
-			if da+db-2*cab <= 0 {
-				continue
-			}
-			ca, cb := t.switches[a].Capacity(), t.switches[b].Capacity()
-			na, nb := caps[ra]-ca+cb, caps[rb]-cb+ca
-			if (ca != cb) && (na < lo || na > hi || nb < lo || nb > hi) {
-				continue
-			}
-			// Tentatively apply, verify both regions stay connected.
-			regionOf[a], regionOf[b] = rb, ra
-			if !regionConnectedWithout(t, regionOf, ra, SwitchID(-1)) ||
-				!regionConnectedWithout(t, regionOf, rb, SwitchID(-1)) {
-				regionOf[a], regionOf[b] = ra, rb
-				continue
-			}
-			caps[ra], caps[rb] = na, nb
-			swapped = true
-		}
-		if !swapped {
 			break
 		}
 	}

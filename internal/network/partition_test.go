@@ -146,64 +146,6 @@ func TestPartitionParseRejects(t *testing.T) {
 	}
 }
 
-// TestPartitionMinCutRefinement is the KL-swap property test: with
-// MinCutPasses enabled the partition must keep every core invariant
-// (exact cover, connected regions — Validate), never increase the
-// boundary cut versus the unrefined partition, keep region capacities
-// inside the tolerance band (one-switch granularity), and stay
-// deterministic in (topo, options). MinCutPasses 0 must stay
-// byte-identical to the pre-knob output.
-func TestPartitionMinCutRefinement(t *testing.T) {
-	for _, topo := range partitionFixtures(t) {
-		for _, k := range []int{2, 3, 4} {
-			base, err := PartitionTopology(topo, PartitionOptions{Regions: k, Seed: 42})
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", topo.Name, k, err)
-			}
-			zero, err := PartitionTopology(topo, PartitionOptions{Regions: k, Seed: 42, MinCutPasses: 0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if zero.Format() != base.Format() {
-				t.Fatalf("%s k=%d: MinCutPasses=0 changed the partition", topo.Name, k)
-			}
-			refined, err := PartitionTopology(topo, PartitionOptions{Regions: k, Seed: 42, MinCutPasses: 2})
-			if err != nil {
-				t.Fatalf("%s k=%d refine: %v", topo.Name, k, err)
-			}
-			if err := refined.Validate(); err != nil {
-				t.Fatalf("%s k=%d: refined partition invalid: %v", topo.Name, k, err)
-			}
-			if b, r := len(base.BoundaryLinks()), len(refined.BoundaryLinks()); r > b {
-				t.Fatalf("%s k=%d: min-cut pass grew the cut: %d -> %d", topo.Name, k, b, r)
-			}
-			var total, maxSwitch float64
-			for _, s := range topo.Switches() {
-				c := s.Capacity()
-				total += c
-				if c > maxSwitch {
-					maxSwitch = c
-				}
-			}
-			mean := total / float64(k)
-			for r := 0; r < k; r++ {
-				c := refined.RegionCapacity(r)
-				if c < mean*0.5-maxSwitch || c > mean*1.5+maxSwitch {
-					t.Errorf("%s k=%d: refined region %d capacity %.1f outside tolerance of mean %.1f",
-						topo.Name, k, r, c, mean)
-				}
-			}
-			again, err := PartitionTopology(topo, PartitionOptions{Regions: k, Seed: 42, MinCutPasses: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if refined.Format() != again.Format() {
-				t.Fatalf("%s k=%d: min-cut refinement not deterministic", topo.Name, k)
-			}
-		}
-	}
-}
-
 // TestPartitionBoundary checks boundary bookkeeping: every boundary
 // link actually crosses regions, AdjacentRegions matches, and the
 // refinement never leaves a trivially movable switch (a switch with all

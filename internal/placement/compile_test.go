@@ -139,7 +139,7 @@ func TestCompiledKernelsOnSolvedPlans(t *testing.T) {
 	for trial := 0; trial < 40 && solved < 20; trial++ {
 		g := randomDAG(rng, 3+rng.Intn(8))
 		tp := randomTopo(rng, 2+rng.Intn(4))
-		plan, err := (Greedy{ImproveBudget: 50 * time.Millisecond}).Solve(g, tp, Options{})
+		plan, err := (Greedy{}).Solve(g, tp, Options{})
 		if err != nil {
 			continue
 		}
@@ -173,7 +173,7 @@ func TestCompiledKernelsAfterRandomizedDrain(t *testing.T) {
 	for trial := 0; trial < 40 && repaired < 12; trial++ {
 		g := randomDAG(rng, 4+rng.Intn(7))
 		tp := randomTopo(rng, 3+rng.Intn(3))
-		plan, err := (Greedy{ImproveBudget: 50 * time.Millisecond}).Solve(g, tp, Options{})
+		plan, err := (Greedy{}).Solve(g, tp, Options{})
 		if err != nil {
 			continue
 		}

@@ -14,13 +14,14 @@ import (
 // Exact is a specialized branch & bound over MAT→switch assignments
 // that proves the optimal A_max on small instances. It plays the role
 // of the paper's Gurobi-backed "Optimal" reference. On larger
-// instances it degrades gracefully: given a Deadline (or MaxNodes) it
-// returns the best incumbent found, with Proven=false — mirroring the
-// paper's two-hour solver cap in Fig. 7.
-type Exact struct {
-	// MaxNodes caps search nodes; zero means 4e6.
-	MaxNodes int
-}
+// instances it degrades gracefully: given a Deadline, or once it has
+// visited exactMaxNodes search nodes, it returns the best incumbent
+// found, with Proven=false — mirroring the paper's two-hour solver cap
+// in Fig. 7.
+type Exact struct{}
+
+// exactMaxNodes caps the search nodes one Exact solve visits.
+const exactMaxNodes = 4 << 20
 
 var _ Solver = (*Exact)(nil)
 
@@ -87,7 +88,7 @@ type exactState struct {
 	haveBest bool
 
 	// localNodes paces the deadline poll; sharedNodes is the global
-	// search-node counter enforcing maxNodes across every branch (and
+	// search-node counter enforcing exactMaxNodes across every branch (and
 	// doubling as the sole counter for the sequential search).
 	localNodes  int
 	sharedNodes *atomic.Int64
@@ -98,7 +99,6 @@ type exactState struct {
 	// reach its own copy of an equal-valued optimum for the merge
 	// tie-break to match the sequential search.
 	sharedBest *atomic.Int64
-	maxNodes   int
 	deadline   time.Time
 	capped     bool
 
@@ -269,11 +269,7 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 	}
 	st.cands = prog
 	st.eps2 = opts.epsilon2(len(prog))
-	st.maxNodes = e.MaxNodes
 	st.deadline = opts.Deadline
-	if st.maxNodes <= 0 {
-		st.maxNodes = 4 << 20
-	}
 	st.sharedNodes = &atomic.Int64{}
 	st.sharedBest = &atomic.Int64{}
 	st.sharedBest.Store(math.MaxInt64)
@@ -364,7 +360,7 @@ func (st *exactState) dfs(i int) {
 	if st.capped {
 		return
 	}
-	if total >= int64(st.maxNodes) {
+	if total >= exactMaxNodes {
 		st.capped = true
 		return
 	}

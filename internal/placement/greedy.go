@@ -16,24 +16,12 @@ import (
 // around some programmable switch, connecting consecutive switches by
 // shortest paths.
 //
-// Three refinements extend the published algorithm; each can be
-// disabled for ablation studies (see the Ablation* benchmarks):
-// coalescing of adjacent under-full segments, the DP capacity split
-// fallback when bisection over-fragments, and a bounded local-search
-// polish of the final assignment.
-type Greedy struct {
-	// DisableCoalesce skips merging adjacent under-full segments.
-	DisableCoalesce bool
-	// DisableDPSplit skips the minimum-segment-count DP fallback.
-	DisableDPSplit bool
-	// DisableImprove skips the local-search polish.
-	DisableImprove bool
-	// ImproveBudget caps the local search wall clock. The zero value
-	// means the 2s default; the cap always applies, and when
-	// Options.Deadline is also set the local search stops at whichever
-	// comes first.
-	ImproveBudget time.Duration
-}
+// Three refinements extend the published algorithm (the package's
+// ablation benchmarks measure each): coalescing of adjacent under-full
+// segments, the DP capacity split fallback when bisection
+// over-fragments, and a bounded local-search polish of the final
+// assignment.
+type Greedy struct{}
 
 var _ Solver = (*Greedy)(nil)
 
@@ -63,7 +51,7 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 	// and routes on this topology) and only the local-search polish
 	// runs. An infeasible or absent seed falls through to the cold path.
 	if plan, ok := warmStart(g, topo, opts); ok {
-		if err := gr.polish(plan, opts, rm); err != nil {
+		if err := polish(plan, opts, rm); err != nil {
 			return nil, err
 		}
 		plan.SolverName = gr.Name()
@@ -84,7 +72,7 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 		return nil, err
 	}
 	sp := newSplitScratch(g, order, refSwitch, rm)
-	candidates, err := gr.segmentations(sp)
+	candidates, err := segmentations(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +80,7 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 	for _, segs := range candidates {
 		plan, err := placeWithRefinement(g, topo, sp, segs, opts, rm)
 		if err == nil {
-			if perr := gr.polish(plan, opts, rm); perr != nil {
+			if perr := polish(plan, opts, rm); perr != nil {
 				return nil, perr
 			}
 			plan.SolverName = gr.Name()
@@ -109,7 +97,7 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 // switches — the DP capacity split, which provably uses the minimum
 // number of contiguous segments while still preferring low-byte cut
 // points.
-func (gr Greedy) segmentations(sp *splitScratch) ([][]segment, error) {
+func segmentations(sp *splitScratch) ([][]segment, error) {
 	segments, err := sp.split(0, len(sp.order), nil)
 	if err != nil {
 		return nil, err
@@ -118,31 +106,19 @@ func (gr Greedy) segmentations(sp *splitScratch) ([][]segment, error) {
 	// adjacent segments while the pair still fits one switch. Merging
 	// adjacent segments only ever removes cross-switch bytes, so this
 	// strictly improves the objective.
-	if !gr.DisableCoalesce {
-		segments = sp.coalesce(segments)
-	}
+	segments = sp.coalesce(segments)
 	candidates := [][]segment{segments}
-	if !gr.DisableDPSplit {
-		if dpSegs, derr := sp.capacitySplit(); derr == nil && len(dpSegs) < len(segments) {
-			candidates = append(candidates, dpSegs)
-		}
+	if dpSegs, derr := sp.capacitySplit(); derr == nil && len(dpSegs) < len(segments) {
+		candidates = append(candidates, dpSegs)
 	}
 	return candidates, nil
 }
 
 // polish runs the bounded local-search refinement over single-MAT
 // moves: the climb the replan repair runs over its dirty set, here over
-// the whole-graph instance with every MAT dirty. The improve budget
-// (default 2s) always caps the search; a tighter Options.Deadline wins
-// when set.
-func (gr Greedy) polish(plan *Plan, opts Options, rm program.ResourceModel) error {
-	if gr.DisableImprove {
-		return nil
-	}
-	budget := gr.ImproveBudget
-	if budget <= 0 {
-		budget = 2 * time.Second
-	}
+// the whole-graph instance with every MAT dirty. climb's pass cap,
+// Options.Deadline and Options.Ctx bound it.
+func polish(plan *Plan, opts Options, rm program.ResourceModel) error {
 	in, err := wholeInstance(plan, opts, rm)
 	if err != nil {
 		return err
@@ -151,7 +127,7 @@ func (gr Greedy) polish(plan *Plan, opts Options, rm program.ResourceModel) erro
 	for x := range all {
 		all[x] = int32(x)
 	}
-	in.climb(opts, budget, all, occupiedTargets)
+	in.climb(opts, all, occupiedTargets)
 
 	// Rebuild the plan from the (possibly) improved assignment.
 	rebuilt, err := materializeAssignment(plan.Graph, plan.Topo, in.ci.AssignMap(in.assign), rm)

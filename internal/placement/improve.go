@@ -3,7 +3,6 @@ package placement
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
@@ -291,18 +290,12 @@ const (
 // switch, everything else fixed", computed allocation-free in
 // O(deg + pairs) on the MoveScore kernels; the climb is serial, so
 // every Options.Workers yields the same plan. dirty is ascending in MAT
-// index. Each phase runs at most maxPasses passes over dirty; a
-// positive budget also caps the search and a tighter Options.Deadline
-// wins; both, and cancellation, are polled through a counter-gated
-// clock read. It returns the passes run and the moves accepted.
-func (in *repairInstance) climb(opts Options, budget time.Duration, dirty []int32, rule targetRule) (passes, moves int) {
+// index. Each phase runs at most maxPasses passes over dirty, so the
+// plan it reaches depends on the instance alone; Options.Deadline and
+// cancellation cut it short, polled through a counter-gated clock read.
+// It returns the passes run and the moves accepted.
+func (in *repairInstance) climb(opts Options, dirty []int32, rule targetRule) (passes, moves int) {
 	ci := in.ci
-	deadline := opts.Deadline
-	if budget > 0 {
-		if d := time.Now().Add(budget); deadline.IsZero() || d.Before(deadline) {
-			deadline = d
-		}
-	}
 	var occupied, peers []int32
 	if rule == occupiedTargets {
 		occupied = make([]int32, 0, len(in.cands))
@@ -314,7 +307,7 @@ func (in *repairInstance) climb(opts Options, budget time.Duration, dirty []int3
 	}
 	total := ci.FillPairTable(in.assign, in.pt)
 	bestA := in.pt.Max()
-	poll := newDeadlinePoller(deadline, 32).withCancel(opts.done())
+	poll := newDeadlinePoller(opts.Deadline, 32).withCancel(opts.done())
 
 	var bestW, curSum int64
 	var acap int

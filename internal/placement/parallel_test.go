@@ -107,10 +107,9 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 	samePlan(t, "exact", serial, parallel)
 }
 
-// TestGreedyDeadlineCutsImprovement is the regression test for the
-// ImproveBudget fix: an Options.Deadline sooner than the 2 s default
-// budget must stop the local search at the deadline, not at the
-// budget, and still return a valid plan.
+// TestGreedyDeadlineCutsImprovement: Options.Deadline is the only
+// clock that bounds the local search, so a deadline 50 ms out must stop
+// the solve promptly and still return a valid plan.
 func TestGreedyDeadlineCutsImprovement(t *testing.T) {
 	progs, err := workload.EvaluationPrograms(20, 1)
 	if err != nil {
@@ -129,8 +128,7 @@ func TestGreedyDeadlineCutsImprovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pre-fix code always ran the full 2 s improvement budget; the
-	// generous margin keeps slow CI machines from flaking.
+	// The generous margin keeps slow CI machines from flaking.
 	if elapsed := time.Since(start); elapsed > 1500*time.Millisecond {
 		t.Fatalf("Solve took %v with a 50ms deadline", elapsed)
 	}

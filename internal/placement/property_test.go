@@ -64,7 +64,7 @@ func TestGreedyPlansAlwaysValid(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		g := randomDAG(rng, 3+rng.Intn(8))
 		tp := randomTopo(rng, 2+rng.Intn(4))
-		plan, err := (Greedy{ImproveBudget: 50 * time.Millisecond}).Solve(g, tp, Options{})
+		plan, err := (Greedy{}).Solve(g, tp, Options{})
 		if err != nil {
 			continue // instance may be genuinely infeasible
 		}
@@ -200,8 +200,8 @@ func TestExactMatchesGreedyOrBetterRandomized(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := randomDAG(rng, 3+rng.Intn(4))
 		tp := randomTopo(rng, 2+rng.Intn(2))
-		gp, gerr := (Greedy{ImproveBudget: 50 * time.Millisecond}).Solve(g, tp, Options{})
-		ep, eerr := (Exact{MaxNodes: 200000}).Solve(g, tp, Options{})
+		gp, gerr := (Greedy{}).Solve(g, tp, Options{})
+		ep, eerr := (Exact{}).Solve(g, tp, Options{})
 		if gerr != nil || eerr != nil {
 			continue
 		}

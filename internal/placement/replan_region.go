@@ -403,9 +403,8 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	if err := in.place(place, ropts.Options); err != nil {
 		return nil, err
 	}
-	// The climb converges in a handful of passes over |dirty| MATs; the
-	// budget only bounds a pathological instance.
-	in.climb(ropts.Options, 2*time.Second, dirtyIdx, occupiedTargets)
+	// The climb converges in a handful of passes over |dirty| MATs.
+	in.climb(ropts.Options, dirtyIdx, occupiedTargets)
 
 	out := make(map[string]network.SwitchID, len(dirtyNames))
 	for _, x := range dirtyIdx {

@@ -315,7 +315,7 @@ func TestRangeSegmentationMatchesGraphReference(t *testing.T) {
 			}
 			if werr != nil {
 				oversized++
-				if _, err := (Greedy{}).segmentations(newSplitScratch(g, order, sw, rm)); err == nil || err.Error() != werr.Error() {
+				if _, err := segmentations(newSplitScratch(g, order, sw, rm)); err == nil || err.Error() != werr.Error() {
 					t.Fatalf("%s: segmentations error %v, reference %v", where, err, werr)
 				}
 				continue
@@ -331,30 +331,34 @@ func TestRangeSegmentationMatchesGraphReference(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Greedy.segmentations under every ablation switch, against
-			// the same rule applied to the reference pieces.
+			// coalesce over the raw split, then segmentations (coalesced
+			// split, plus the DP split when it is shorter), against the
+			// same rules applied to the reference pieces.
 			sp := newSplitScratch(g, order, sw, rm)
-			for _, gr := range []Greedy{{}, {DisableCoalesce: true}, {DisableDPSplit: true}, {DisableCoalesce: true, DisableDPSplit: true}} {
-				want := [][]*tdg.Graph{wantCoalesced}
-				if gr.DisableCoalesce {
-					want[0] = wantSplit
+			raw, err := sp.split(0, len(order), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rangeNames(order, sp.coalesce(raw)); !reflect.DeepEqual(got, graphNames(wantCoalesced)) {
+				t.Fatalf("%s: coalesce differs:\n got %v\nwant %v", where, got, graphNames(wantCoalesced))
+			}
+			compared++
+			want := [][]*tdg.Graph{wantCoalesced}
+			if len(wantDP) < len(wantCoalesced) {
+				want = append(want, wantDP)
+			}
+			got, err := segmentations(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d candidate segmentations, reference %d", where, len(got), len(want))
+			}
+			for c := range got {
+				if !reflect.DeepEqual(rangeNames(order, got[c]), graphNames(want[c])) {
+					t.Fatalf("%s candidate %d:\n got %v\nwant %v", where, c, rangeNames(order, got[c]), graphNames(want[c]))
 				}
-				if !gr.DisableDPSplit && len(wantDP) < len(want[0]) {
-					want = append(want, wantDP)
-				}
-				got, err := gr.segmentations(sp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s %+v: %d candidate segmentations, reference %d", where, gr, len(got), len(want))
-				}
-				for c := range got {
-					if !reflect.DeepEqual(rangeNames(order, got[c]), graphNames(want[c])) {
-						t.Fatalf("%s %+v candidate %d:\n got %v\nwant %v", where, gr, c, rangeNames(order, got[c]), graphNames(want[c]))
-					}
-					compared++
-				}
+				compared++
 			}
 
 			// Refinement bisects whichever segment packing rejects: every

@@ -93,7 +93,7 @@ func TestRegionalReplanDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fullErr := full.CheckPlan(regional, analyzer.Options{})
+				fullErr := full.CheckPlan(regional)
 				if (incErr == nil) != (fullErr == nil) {
 					t.Fatalf("verdicts diverge: incremental %v, full %v", incErr, fullErr)
 				}

@@ -74,7 +74,7 @@ func TestShardedQualityGate(t *testing.T) {
 				if err := sharded.Validate(rm, 0, 0); err != nil {
 					t.Fatalf("sharded plan invalid: %v", err)
 				}
-				if err := lint.CheckPlanOracle(sharded, rm, 0, 0, analyzer.Options{}); err != nil {
+				if err := lint.CheckPlanOracle(sharded, rm, 0, 0); err != nil {
 					t.Fatalf("lint oracle rejected sharded plan: %v", err)
 				}
 				w, s := whole.AMax(), sharded.AMax()
@@ -249,7 +249,7 @@ func TestShardedEndToEndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := sharedTestInstance(t, topo, 24, 17)
-	s := ShardedGreedy{Seed: 1, ImproveBudget: 200 * time.Millisecond}
+	s := ShardedGreedy{Seed: 1}
 	p, st, err := s.SolveStats(g, topo, placement.Options{Workers: 4, Shards: 4})
 	if err != nil {
 		t.Fatal(err)

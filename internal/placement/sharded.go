@@ -38,11 +38,6 @@ import (
 type ShardedGreedy struct {
 	// Seed drives the topology partitioner; zero means 1.
 	Seed int64
-	// ImproveBudget caps each regional local-search polish. Zero means
-	// the whole-graph default (2s) divided by the shard count, floored
-	// at 100ms — so the aggregate polish budget of a sharded solve
-	// matches the whole-graph solver it replaces.
-	ImproveBudget time.Duration
 	// Partition, when non-nil and built over a topology with the same
 	// switch count, is reused instead of re-partitioning — the
 	// supervisor and the regional replan path hand the solver the
@@ -88,17 +83,6 @@ func (s ShardedGreedy) seed() int64 {
 		return s.Seed
 	}
 	return 1
-}
-
-func (s ShardedGreedy) regionBudget(k int) time.Duration {
-	if s.ImproveBudget > 0 {
-		return s.ImproveBudget
-	}
-	b := 2 * time.Second / time.Duration(k)
-	if b < 100*time.Millisecond {
-		b = 100 * time.Millisecond
-	}
-	return b
 }
 
 // Solve implements Solver.
@@ -178,8 +162,8 @@ func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Opt
 // edge whose endpoints sit in different regions or on a host pair at
 // A_max; each is tried next to its TDG peers. ε1 is left to the
 // finished plan's check: a merge past it can only get under through
-// the moves. No wall-clock budget of its own applies — the climb's
-// pass cap bounds the work, so the plan does not depend on host speed.
+// the moves. The climb's pass cap bounds the work, so the plan does
+// not depend on host speed.
 func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	assign map[string]network.SwitchID, opts Options, rm program.ResourceModel, st *ShardStats) error {
 
@@ -242,7 +226,7 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	copts.Epsilon1 = 0
 	st.Hosts = len(hosts)
 	st.AMaxBefore = amax
-	st.Rounds, st.Moves = in.climb(copts, 0, xs, peerTargets)
+	st.Rounds, st.Moves = in.climb(copts, xs, peerTargets)
 	st.AMaxAfter = in.pt.Max()
 	for x, name := range ci.Names {
 		assign[name] = hosts[dense[x]]
@@ -386,7 +370,7 @@ func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *
 	k := part.NumRegions()
 	results := make([]map[string]network.SwitchID, k)
 	errs := make([]error, k)
-	inner := Greedy{ImproveBudget: s.regionBudget(k)}
+	inner := Greedy{}
 	ropts := Options{
 		Epsilon1:         opts.Epsilon1,
 		Deadline:         opts.Deadline,

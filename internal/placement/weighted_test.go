@@ -114,7 +114,7 @@ func TestWeightedKernelsOnSolvedPlans(t *testing.T) {
 		tm := randomTraffic(t, rng, tp)
 		obj := TrafficObjective(rng.Intn(2))
 		opts := Options{Traffic: tm, TrafficObjective: obj}
-		plan, err := (Greedy{ImproveBudget: 50 * time.Millisecond}).Solve(g, tp, opts)
+		plan, err := (Greedy{}).Solve(g, tp, opts)
 		if err != nil {
 			continue
 		}
@@ -150,11 +150,11 @@ func TestWeightedSolveRespectsAMaxSlack(t *testing.T) {
 		g := randomDAG(rng, 4+rng.Intn(8))
 		tp := randomTopo(rng, 2+rng.Intn(4))
 		tm := randomTraffic(t, rng, tp)
-		base, err := (Greedy{ImproveBudget: 50 * time.Millisecond}).Solve(g, tp, Options{})
+		base, err := (Greedy{}).Solve(g, tp, Options{})
 		if err != nil {
 			continue
 		}
-		weighted, err := (Greedy{ImproveBudget: 50 * time.Millisecond}).Solve(g, tp, Options{Traffic: tm})
+		weighted, err := (Greedy{}).Solve(g, tp, Options{Traffic: tm})
 		if err != nil {
 			t.Fatalf("weighted solve failed where structural succeeded: %v", err)
 		}
@@ -197,7 +197,7 @@ func TestWeightedSolverDeterministicAcrossWorkers(t *testing.T) {
 		var plans []*Plan
 		failed := false
 		for _, w := range []int{1, 2, 7} {
-			p, err := (Greedy{ImproveBudget: 100 * time.Millisecond}).Solve(g, tp, Options{
+			p, err := (Greedy{}).Solve(g, tp, Options{
 				Traffic: tm, TrafficObjective: obj, Workers: w,
 			})
 			if err != nil {
@@ -235,7 +235,7 @@ func TestExactWeightedNotWorseThanGreedy(t *testing.T) {
 		tp := randomTopo(rng, 2)
 		tm := randomTraffic(t, rng, tp)
 		opts := Options{Traffic: tm, Deadline: time.Now().Add(2 * time.Second)}
-		gp, err := (Greedy{ImproveBudget: 50 * time.Millisecond}).Solve(g, tp, opts)
+		gp, err := (Greedy{}).Solve(g, tp, opts)
 		if err != nil {
 			continue
 		}

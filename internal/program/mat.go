@@ -258,8 +258,8 @@ func setOf(fs []fields.Field, err error) (fields.Set, error) {
 // name) and the metadata bytes of the writes. A side whose fields fail
 // validation or give one name two definitions is nil and carries its
 // error instead, so a caller fails only on the side it consults — A(a,b)
-// reads b's reads only under IntersectMatch, and b's writes only on an
-// action dependency.
+// reads only a's writes, plus b's writes on an action dependency;
+// dependency inference reads both sides of both.
 type Footprint struct {
 	// Reads holds the match keys, every op source, and the destination
 	// of each read-modify-write op (add, dec, count).

@@ -145,8 +145,8 @@ func TestMATFieldSets(t *testing.T) {
 }
 
 // TestFootprintKeepsSideErrorsApart: a conflict among the reads must
-// not fail the writes, and the other way round, because A(a,b) consults
-// b's reads only under IntersectMatch and b's writes only on an A edge.
+// not fail the writes, and the other way round, because A(a,b) never
+// consults b's reads and consults b's writes only on an A edge.
 func TestFootprintKeepsSideErrorsApart(t *testing.T) {
 	x8, x16 := fields.Metadata("meta.x", 8), fields.Metadata("meta.x", 16)
 	y := fields.Metadata("meta.y", 8)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/equiv"
 	"github.com/hermes-net/hermes/internal/lint"
 	"github.com/hermes-net/hermes/internal/network"
@@ -68,7 +67,7 @@ func assertInvariants(t *testing.T, sup *Supervisor, progs int) {
 	if err := dep.Plan.Validate(rm, 0, 0); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if err := lint.CheckPlanOracle(dep.Plan, rm, 0, 0, analyzer.Options{}); err != nil {
+	if err := lint.CheckPlanOracle(dep.Plan, rm, 0, 0); err != nil {
 		t.Fatalf("lint oracle: %v", err)
 	}
 	if err := dep.Verify(); err != nil {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
 )
@@ -33,15 +32,9 @@ type MonitorOptions struct {
 	// RecoverThreshold is the success count a down switch needs in its
 	// window to be confirmed up again. Zero means Window.
 	RecoverThreshold int
-	// Timeout bounds one probe; a probe that has not answered in time
-	// counts as a failure. Zero means synchronous (no timeout), which
-	// the default fault-overlay probe never needs.
-	Timeout time.Duration
-	// BackoffBase is the number of polls skipped after the first
-	// failed probe of a confirmed-down switch; the skip doubles on
-	// every further failure. Zero means 1.
-	BackoffBase int
-	// BackoffMax caps the skip (before jitter). Zero means 8.
+	// BackoffMax caps the skip (before jitter) of a confirmed-down
+	// switch: one poll after its first failed probe, doubling on every
+	// further failure. Zero means 8.
 	BackoffMax int
 	// Seed makes the backoff jitter deterministic.
 	Seed int64
@@ -71,13 +64,6 @@ func (o MonitorOptions) recoverThreshold() int {
 		return o.window()
 	}
 	return k
-}
-
-func (o MonitorOptions) backoffBase() int {
-	if o.BackoffBase <= 0 {
-		return 1
-	}
-	return o.BackoffBase
 }
 
 func (o MonitorOptions) backoffMax() int {
@@ -157,25 +143,12 @@ func NewMonitor(topo *network.Topology, opts MonitorOptions) (*Monitor, error) {
 	return m, nil
 }
 
-// probe runs one heartbeat under the configured timeout.
+// probe runs one heartbeat.
 func (m *Monitor) probe(id network.SwitchID) bool {
-	fn := m.opts.Probe
-	if fn == nil {
-		fn = func(id network.SwitchID) bool { return !m.topo.SwitchIsDown(id) }
+	if m.opts.Probe != nil {
+		return m.opts.Probe(id)
 	}
-	if m.opts.Timeout <= 0 {
-		return fn(id)
-	}
-	ch := make(chan bool, 1)
-	go func() { ch <- fn(id) }()
-	timer := time.NewTimer(m.opts.Timeout)
-	defer timer.Stop()
-	select {
-	case ok := <-ch:
-		return ok
-	case <-timer.C:
-		return false
-	}
+	return !m.topo.SwitchIsDown(id)
 }
 
 // Poll heartbeats every due switch and returns the confirmed
@@ -204,7 +177,7 @@ func (m *Monitor) Poll() (down, up []network.SwitchID) {
 			// Still dead: back off exponentially with jitter so dead
 			// switches cost a vanishing fraction of the probe budget.
 			h.level++
-			d := m.opts.backoffBase()
+			d := 1
 			for i := 1; i < h.level && d < m.opts.backoffMax(); i++ {
 				d *= 2
 			}

@@ -29,9 +29,6 @@ type Options struct {
 	// supervised replan takes the region-local repair path instead of
 	// re-deriving regions per churn event.
 	Replan placement.ReplanOptions
-	// Analyze must be the analyzer options the workload is compiled
-	// with, so redeploys keep header layouts consistent.
-	Analyze analyzer.Options
 	// Ctx cancels in-flight replans and solves when done; nil means
 	// not cancelable.
 	Ctx context.Context
@@ -43,8 +40,6 @@ type Options struct {
 	// provably equivalent is treated like any other infeasibility: the
 	// supervisor degrades instead of adopting it.
 	Equiv bool
-	// Retry configures the controller's rule-op retry policy.
-	Retry deploy.RetryPolicy
 	// RolloutRetry bounds per-op attempts for the transactional
 	// rollouts that adopt repaired deployments; the zero policy gets
 	// the rollout defaults (3 attempts, 2ms backoff).
@@ -206,7 +201,6 @@ func New(progs []*program.Program, topo *network.Topology, opts Options) (*Super
 	if err != nil {
 		return nil, err
 	}
-	ctrl.SetRetryPolicy(opts.Retry)
 	s.ctrl = ctrl
 	// All later adoptions are transactional make-before-break; the
 	// fabric tracks which epoch each switch has installed, starting
@@ -387,7 +381,7 @@ func (s *Supervisor) redeploy(res *PollResult, poll int) error {
 	ropts.Ctx = s.opts.Ctx
 	ropts.Equiv = ropts.Equiv || s.opts.Equiv
 	s.stats.Replans++
-	next, rrep, err := deploy.Redeploy(s.dep, s.opts.solver(), ropts, s.opts.Analyze)
+	next, rrep, err := deploy.Redeploy(s.dep, s.opts.solver(), ropts)
 	if err == nil {
 		res.Replanned = true
 		res.UsedRepair = rrep.UsedRepair
@@ -464,7 +458,7 @@ func (s *Supervisor) rebuild(res *PollResult) error {
 	if len(act) == 0 {
 		return fmt.Errorf("supervisor: every program shed")
 	}
-	g, err := analyzer.Analyze(act, s.opts.Analyze)
+	g, err := analyzer.Analyze(act, analyzer.Options{})
 	if err != nil {
 		return err
 	}
@@ -475,7 +469,7 @@ func (s *Supervisor) rebuild(res *PollResult) error {
 	if err != nil {
 		return err
 	}
-	dep, err := deploy.Compile(plan, s.opts.Analyze)
+	dep, err := deploy.Compile(plan, analyzer.Options{})
 	if err != nil {
 		return err
 	}
