@@ -25,7 +25,9 @@ import (
 	"time"
 
 	hermes "github.com/hermes-net/hermes"
+	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/deploy"
+	"github.com/hermes-net/hermes/internal/equiv"
 	"github.com/hermes-net/hermes/internal/experiments"
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/network"
@@ -401,15 +403,15 @@ func BenchmarkMergeFiftyPrograms(b *testing.B) {
 	}
 }
 
-// BenchmarkEquivGateHook measures the equivalence proof where
-// production pays for it — through placement.PlanEquivHook and
-// deploy.EquivHook, which draw a pooled Checker per call — on the
-// composite:60 instance (4,218 switches, 200 synthetic programs, 16
+// BenchmarkEquivGate measures the equivalence proof where production
+// pays for it — through the package-level gates equiv.CheckPlanAgainst
+// and equiv.CheckDeployment, which draw a pooled Checker per call — on
+// the composite:60 instance (4,218 switches, 200 synthetic programs, 16
 // shards). cold is the first proof on a graph, which compiles the
 // reference overlay and builds the Checker (what every gated Deploy
 // pays, since it analyzes a fresh graph); warm is every later proof on
-// that graph (a heal's three proofs).
-func BenchmarkEquivGateHook(b *testing.B) {
+// that graph (a gated heal's one proof).
+func BenchmarkEquivGate(b *testing.B) {
 	topo, err := network.CompositeWAN(60, network.TofinoSpec(), 1)
 	if err != nil {
 		b.Fatal(err)
@@ -426,8 +428,8 @@ func BenchmarkEquivGateHook(b *testing.B) {
 		name string
 		run  func(*deploy.Deployment) error
 	}{
-		{"plan", func(d *deploy.Deployment) error { return placement.PlanEquivHook(d.Plan, placement.Options{}) }},
-		{"deployment", deploy.EquivHook},
+		{"plan", func(d *deploy.Deployment) error { return equiv.CheckPlanAgainst(nil, d.Plan, analyzer.Options{}) }},
+		{"deployment", func(d *deploy.Deployment) error { return equiv.CheckDeployment(nil, d) }},
 	}
 	for _, gate := range gates {
 		b.Run(gate.name+"/cold", func(b *testing.B) {

@@ -40,12 +40,14 @@
 //	       journaling, and rollback; adopt plans through
 //	       rollout.New(...).Execute() (or the supervisor,
 //	       which does) instead                               error
-//	HV009  a func init() that assigns to a selector of an
-//	       imported package (pkg.Hook = ...): an init-time
-//	       hook seam makes another package behave differently
-//	       depending on which packages the binary links; call
-//	       the code directly. Only the four registrations
-//	       ROADMAP 7(c) retires are allowed                  error
+//	HV009  a hook seam: a func init() that assigns to a
+//	       selector of an imported package (pkg.Hook = ...),
+//	       or an exported package-level variable of func
+//	       type declared in a non-test file, which any
+//	       importer can reassign from anywhere. Either makes
+//	       a package behave differently depending on which
+//	       packages the binary links; call the code
+//	       directly                                          error
 //	HV010  a non-test .go file imports a test-only package
 //	       (internal/milp, Exact's differential oracle): it
 //	       must stay out of every production binary          error
@@ -194,7 +196,7 @@ func lintFile(fset *token.FileSet, file *ast.File, path string) []vetFinding {
 	})
 	out = append(out, lintHotLoops(fset, file)...)
 	out = append(out, lintRebind(fset, file, path)...)
-	out = append(out, lintInitHooks(fset, file)...)
+	out = append(out, lintHookSeams(fset, file, path)...)
 	return append(out, lintTestOnlyImports(fset, file, path)...)
 }
 
@@ -223,22 +225,36 @@ func lintTestOnlyImports(fset *token.FileSet, file *ast.File, path string) []vet
 	return out
 }
 
-// initHookAllowlist names the init-time registrations that remain until
-// ROADMAP 7(c) retires them.
-var initHookAllowlist = map[string]bool{
-	"analyzer.GraphLintHook":  true,
-	"placement.PlanLintHook":  true,
-	"placement.PlanEquivHook": true,
-	"deploy.EquivHook":        true,
-}
-
-// lintInitHooks applies HV009: an assignment inside a top-level init()
-// whose target is pkg.Name, pkg being one of the file's imports, arms
-// a hook seam in that package. Import names are the explicit alias or
-// the path's last element.
-func lintInitHooks(fset *token.FileSet, file *ast.File) []vetFinding {
-	imported := importNames(file)
+// lintHookSeams applies HV009. In a non-test file, an exported
+// package-level variable whose declared type is a func type, or whose
+// initializer is a func literal, is a seam any importer can reassign.
+// In any file, an assignment inside a top-level init() whose target is
+// pkg.Name, pkg being one of the file's imports, arms such a seam in
+// another package. Import names are the explicit alias or the path's
+// last element.
+func lintHookSeams(fset *token.FileSet, file *ast.File, path string) []vetFinding {
 	var out []vetFinding
+	if !strings.HasSuffix(path, "_test.go") {
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, id := range vs.Names {
+					if id.IsExported() && funcTyped(vs, i) {
+						out = append(out, vetFinding{
+							pos: fset.Position(id.Pos()), rule: "HV009", sev: "error",
+							msg: fmt.Sprintf("exported package-level variable %s has func type: any importer can reassign it, a hook seam that changes this package's behaviour with the binary's link set; declare a func instead",
+								id.Name),
+						})
+					}
+				}
+			}
+		}
+	}
+	imported := importNames(file)
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
 		if !ok || fn.Recv != nil || fn.Name.Name != "init" || fn.Body == nil {
@@ -261,20 +277,30 @@ func lintInitHooks(fset *token.FileSet, file *ast.File) []vetFinding {
 				if _, ok := imported[pkg.Name]; !ok {
 					continue
 				}
-				target := renderExpr(sel)
-				if initHookAllowlist[target] {
-					continue
-				}
 				out = append(out, vetFinding{
 					pos: fset.Position(lhs.Pos()), rule: "HV009", sev: "error",
 					msg: fmt.Sprintf("init() assigns %s: an init-time hook seam changes package %s's behaviour with the importing binary's link set; call the code directly instead",
-						target, pkg.Name),
+						renderExpr(sel), pkg.Name),
 				})
 			}
 			return true
 		})
 	}
 	return out
+}
+
+// funcTyped reports whether the i-th name of a var spec is declared
+// with a func type or initialized with a func literal.
+func funcTyped(vs *ast.ValueSpec, i int) bool {
+	if vs.Type != nil {
+		_, ok := ast.Unparen(vs.Type).(*ast.FuncType)
+		return ok
+	}
+	if i < len(vs.Values) {
+		_, ok := vs.Values[i].(*ast.FuncLit)
+		return ok
+	}
+	return false
 }
 
 // lintRebind applies HV008: any method call named Rebind in a file

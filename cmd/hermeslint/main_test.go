@@ -659,10 +659,11 @@ func init() {
 	}
 }
 
-func TestInitHookAllowlistAndLocalState(t *testing.T) {
-	// The four registrations ROADMAP 7(c) retires stay legal, as do an
-	// init that sets its own package's state, a pkg.X assignment outside
-	// init, and a method that happens to be called init.
+func TestInitHookRegistrationsAndLocalState(t *testing.T) {
+	// No registration is allowlisted: the four init-time hooks the lint
+	// and equiv packages once armed all fire. An init that sets its own
+	// package's state, a pkg.X assignment outside init, and a method
+	// that happens to be called init stay legal.
 	src := `package lint
 import (
 	"github.com/hermes-net/hermes/internal/analyzer"
@@ -685,8 +686,54 @@ func (t) init() { placement.RegionExchangeHook = nil }
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
+	want := []string{"analyzer.GraphLintHook", "placement.PlanLintHook", "placement.PlanEquivHook", "deploy.EquivHook"}
+	if len(fs) != len(want) {
+		t.Fatalf("want %d HV009 findings, got %v", len(want), fs)
+	}
+	for i, f := range fs {
+		if f.rule != "HV009" || !strings.Contains(f.msg, want[i]) {
+			t.Fatalf("finding %d = %v, want HV009 naming %s", i, f, want[i])
+		}
+	}
+}
+
+func TestExportedFuncVarFlagged(t *testing.T) {
+	// A declared func type (plain, parenthesized, in a group) and a func
+	// literal initializer fire; unexported and non-func variables, a
+	// named func type, a package-level func and a function-local
+	// variable do not.
+	src := `package deploy
+var EquivHook func(*Deployment) error
+var (
+	Before, After (func())
+	count         int
+	Limit         = 3
+)
+var Default = func() int { return 1 }
+var hook func()
+type Gate func() error
+func Prove() error { var Local func(); _ = Local; return nil }
+`
+	fs, err := lintGoSource("internal/deploy/deploy.go", src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	want := []string{"EquivHook", "Before", "After", "Default"}
+	if len(fs) != len(want) {
+		t.Fatalf("want %d HV009 findings, got %v", len(want), fs)
+	}
+	for i, f := range fs {
+		if f.rule != "HV009" || f.sev != "error" || !strings.Contains(f.msg, "variable "+want[i]+" ") {
+			t.Fatalf("finding %d = %v, want an HV009 error naming %s", i, f, want[i])
+		}
+	}
+	// Tests may keep func-typed seams of their own.
+	fs, err = lintGoSource("internal/deploy/deploy_test.go", src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
 	if len(fs) != 0 {
-		t.Fatalf("want no findings, got %v", fs)
+		t.Fatalf("want no findings in a _test.go file, got %v", fs)
 	}
 }
 
@@ -824,6 +871,52 @@ func main() {
 	})
 	if len(fs) != 0 {
 		t.Fatalf("internal/milp must be exempt, got %v", fs)
+	}
+}
+
+func TestUnsetOptionPassThrough(t *testing.T) {
+	// Inside the declaring package, Deadline: opts.Deadline in a literal
+	// of the option's own type passes a value through and sets nothing,
+	// so Deadline still fires; a keyed value that is not the same
+	// field, or a literal of another type, still counts.
+	fs := lintSet(t, map[string]string{
+		"internal/placement/solver.go": unsetOptionDecls,
+		"internal/placement/sharded.go": `package placement
+func inner(opts Options) Options {
+	return Options{Workers: opts.Workers, Deadline: opts.Deadline}
+}
+`,
+		"cmd/tool/main.go": `package main
+import "github.com/hermes-net/hermes/internal/placement"
+var _ = placement.Options{Workers: 4}
+var _ = placement.Greedy{Budget: 2}
+`,
+	})
+	if len(fs) != 1 || fs[0].rule != "HV011" || !strings.Contains(fs[0].msg, "placement.Options.Deadline") {
+		t.Fatalf("want one HV011 finding on the passed-through Deadline, got %v", fs)
+	}
+	// The same copy made from another package is the facade forwarding
+	// its own input (hermes.go's Ctx: opts.Ctx): a setter.
+	fs = lintSet(t, map[string]string{
+		"internal/placement/solver.go": unsetOptionDecls,
+		"hermes.go": `package hermes
+import "github.com/hermes-net/hermes/internal/placement"
+type DeployOptions struct{ Workers, Deadline int }
+func solve(opts DeployOptions) placement.Options {
+	return placement.Options{Workers: opts.Workers, Deadline: opts.Deadline}
+}
+`,
+		"cmd/tool/main.go": `package main
+import (
+	"github.com/hermes-net/hermes"
+	"github.com/hermes-net/hermes/internal/placement"
+)
+var _ = hermes.DeployOptions{Workers: 1, Deadline: 2}
+var _ = placement.Greedy{Budget: 2}
+`,
+	})
+	if len(fs) != 0 {
+		t.Fatalf("a cross-package copy must count as a setter, got %v", fs)
 	}
 }
 

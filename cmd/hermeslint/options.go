@@ -38,7 +38,10 @@ type optionField struct {
 // type (resolving `type A = pkg.B` aliases) sets pkg.Type.Field, while
 // a literal with an elided type, an assignment x.F = … and &x.F set
 // every field named F, which keeps false positives out at the price of
-// the odd missed finding.
+// the odd missed finding. Inside the declaring package, a keyed element
+// F: x.F in a literal of the option's own type only passes a value
+// through and sets nothing; the same copy from another package is a
+// setter (the facade choosing to forward its own input).
 func lintUnsetOptions(fset *token.FileSet, files []*ast.File, paths []string) []vetFinding {
 	var decls []optionField
 	aliases := map[string]string{}
@@ -70,7 +73,7 @@ func lintUnsetOptions(fset *token.FileSet, files []*ast.File, paths []string) []
 					}
 					if typ == "" {
 						byName[key.Name] = append(byName[key.Name], path)
-					} else {
+					} else if !passThrough(typ, pkg, key.Name, kv.Value) {
 						k := typ + "." + key.Name
 						typed[k] = append(typed[k], path)
 					}
@@ -120,6 +123,14 @@ func lintUnsetOptions(fset *token.FileSet, files []*ast.File, paths []string) []
 		})
 	}
 	return out
+}
+
+// passThrough reports whether the keyed element field: value, in a
+// literal of type typ written in package pkg, is a pass-through: typ is
+// declared in pkg and value is x.field.
+func passThrough(typ, pkg, field string, value ast.Expr) bool {
+	sel, ok := value.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == field && strings.HasPrefix(typ, pkg+".")
 }
 
 // optionDecls returns the exported fields of the file's exported option

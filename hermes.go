@@ -36,7 +36,7 @@ import (
 	"github.com/hermes-net/hermes/internal/e2esim"
 	"github.com/hermes-net/hermes/internal/equiv"
 	"github.com/hermes-net/hermes/internal/fields"
-	_ "github.com/hermes-net/hermes/internal/lint" // registers the lint hooks behind DeployOptions.Lint
+	"github.com/hermes-net/hermes/internal/lint"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/p4lite"
 	"github.com/hermes-net/hermes/internal/placement"
@@ -306,16 +306,15 @@ type DeployOptions struct {
 	// zero means the default bound. Ignored when Traffic is nil.
 	AMaxSlack float64
 	// Lint runs the static diagnostics engine (internal/lint) over the
-	// merged TDG after analysis and over the solver's plan before
-	// compilation, failing Deploy on error-severity findings. Importing
-	// package hermes registers the lint hooks.
+	// merged TDG after analysis and over the solver's plan, whatever
+	// the Solver, before compilation, failing Deploy on error-severity
+	// findings.
 	Lint bool
 	// Equiv runs the symbolic plan-equivalence checker (internal/equiv)
-	// twice: over the solver's plan before compilation (via the
-	// placement hook) and over the compiled deployment's actual
-	// coordination headers after Verify. Deploy fails on any
-	// error-severity HE finding — the distributed pipeline is then not
-	// provably equivalent to the single-box reference.
+	// once, over the compiled deployment's actual coordination headers
+	// after Verify. Deploy fails on any error-severity HE finding — the
+	// distributed pipeline is then not provably equivalent to the
+	// single-box reference.
 	Equiv bool
 	// Ctx cancels the placement solve when done; nil means not
 	// cancelable.
@@ -346,9 +345,14 @@ type Result struct {
 
 // Deploy runs the full Hermes pipeline: analyze → place → compile.
 func Deploy(progs []*Program, topo *Topology, opts DeployOptions) (*Result, error) {
-	g, err := analyzer.Analyze(progs, analyzer.Options{Lint: opts.Lint})
+	g, err := analyzer.Analyze(progs, analyzer.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("hermes: %w", err)
+	}
+	if opts.Lint {
+		if err := lint.LintGraph(g, lint.Options{}).Err(); err != nil {
+			return nil, fmt.Errorf("hermes: merged TDG rejected by lint: %w", err)
+		}
 	}
 	solver := opts.Solver
 	if solver == nil {
@@ -362,8 +366,6 @@ func Deploy(progs []*Program, topo *Topology, opts DeployOptions) (*Result, erro
 		Epsilon1:         opts.Epsilon1,
 		Epsilon2:         opts.Epsilon2,
 		Workers:          opts.Workers,
-		Lint:             opts.Lint,
-		Equiv:            opts.Equiv,
 		Ctx:              opts.Ctx,
 		Shards:           opts.Shards,
 		Traffic:          opts.Traffic,
@@ -376,6 +378,11 @@ func Deploy(progs []*Program, topo *Topology, opts DeployOptions) (*Result, erro
 	plan, err := solver.Solve(g, topo, popts)
 	if err != nil {
 		return nil, fmt.Errorf("hermes: %w", err)
+	}
+	if opts.Lint {
+		if err := lintPlan(plan, popts); err != nil {
+			return nil, err
+		}
 	}
 	dep, err := deploy.Compile(plan, analyzer.Options{})
 	if err != nil {
@@ -402,6 +409,16 @@ func Deploy(progs []*Program, topo *Topology, opts DeployOptions) (*Result, erro
 		}
 	}
 	return res, nil
+}
+
+// lintPlan is the plan gate behind DeployOptions.Lint and
+// ReplanOptions.Lint: the lint engine's error-severity findings under
+// the default resource model and the solve's ε bounds.
+func lintPlan(p *Plan, opts SolveOptions) error {
+	if err := lint.LintPlan(p, program.DefaultResourceModel, opts.Epsilon1, opts.Epsilon2).Err(); err != nil {
+		return fmt.Errorf("hermes: %s plan rejected by lint: %w", p.SolverName, err)
+	}
+	return nil
 }
 
 // Simulation.
@@ -551,12 +568,29 @@ func ReplanWithOptions(old *Plan, solver Solver, opts ReplanOptions, drained ...
 }
 
 // Redeploy replans a live deployment around drained switches and
-// recompiles the result: replan → compile → verify. aopts is ignored:
-// no analyzer option changes the compiled headers any more, and the
+// recompiles the result: replan → compile → verify, then the plan lint
+// when opts.Lint is set and the symbolic equivalence proof of the
+// compiled deployment when opts.Equiv is set — once each, whichever
+// path (repair or full solve) produced the plan. aopts is ignored: no
+// analyzer option changes the compiled headers any more, and the
 // parameter stays only until benchmark/ moves onto the facade
 // (ROADMAP 2(ii)).
 func Redeploy(dep *Deployment, solver Solver, opts ReplanOptions, aopts AnalyzeOptions, drained ...SwitchID) (*Deployment, *ReplanReport, error) {
-	return deploy.Redeploy(dep, solver, opts, drained...)
+	next, rep, err := deploy.Redeploy(dep, solver, opts, drained...)
+	if err != nil {
+		return nil, rep, err
+	}
+	if opts.Lint {
+		if err := lintPlan(next.Plan, opts.Options); err != nil {
+			return nil, rep, err
+		}
+	}
+	if opts.Equiv {
+		if err := equiv.CheckDeployment(nil, next); err != nil {
+			return nil, rep, fmt.Errorf("hermes: %w", err)
+		}
+	}
+	return next, rep, nil
 }
 
 // PlanDiff reports how many MATs changed hosting switch between two

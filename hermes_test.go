@@ -1,6 +1,7 @@
 package hermes_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -226,17 +227,72 @@ func TestEpsilonConstraintsThroughFacade(t *testing.T) {
 }
 
 func TestDeployWithLintGate(t *testing.T) {
-	// DeployOptions.Lint threads the diagnostics engine through both
-	// the analyzer (merged TDG rules) and the solver (plan invariant
-	// rules); a clean workload must pass end to end.
+	// DeployOptions.Lint lints the merged TDG after analysis and the
+	// plan after the solve, and Equiv proves the compiled deployment; a
+	// clean workload must pass all three end to end.
 	progs := facadeWorkload(t)
 	topo := facadeTopo(t)
-	res, err := hermes.Deploy(progs, topo, hermes.DeployOptions{Lint: true})
+	res, err := hermes.Deploy(progs, topo, hermes.DeployOptions{Lint: true, Equiv: true})
 	if err != nil {
 		t.Fatalf("lint-gated deploy of a clean workload must succeed: %v", err)
 	}
 	if res.Plan == nil || res.Deployment == nil {
 		t.Fatal("result incomplete")
+	}
+}
+
+// overfillSolver returns GreedySolver's plan with one stage pushed past
+// its capacity. Compile and Verify accept it (they check the configs
+// against the plan, not the plan against Eq. 9); the plan lint's HL104
+// does not.
+type overfillSolver struct{}
+
+func (overfillSolver) Name() string { return "overfill" }
+
+func (overfillSolver) Solve(g *hermes.TDG, topo *hermes.Topology, opts hermes.SolveOptions) (*hermes.Plan, error) {
+	p, err := hermes.GreedySolver.Solve(g, topo, opts)
+	if err != nil {
+		return nil, err
+	}
+	name := g.NodeNames()[0]
+	sp := p.Assignments[name]
+	sw, err := p.Topo.Switch(sp.Switch)
+	if err != nil {
+		return nil, err
+	}
+	sp.PerStage = append([]float64(nil), sp.PerStage...)
+	sp.PerStage[0] += sw.StageCapacity
+	p.Assignments[name] = sp
+	p.InvalidateCache()
+	return p, nil
+}
+
+// TestLintGatesEverySolver: Lint gates the plan of any Solver, not only
+// the built-in ones, on both the deploy and the redeploy path.
+func TestLintGatesEverySolver(t *testing.T) {
+	progs := facadeWorkload(t)
+	topo := facadeTopo(t)
+	if _, err := hermes.Deploy(progs, topo, hermes.DeployOptions{Solver: overfillSolver{}}); err != nil {
+		t.Fatalf("ungated deploy of the overfilled plan must pass Compile and Verify: %v", err)
+	}
+	_, err := hermes.Deploy(progs, topo, hermes.DeployOptions{Solver: overfillSolver{}, Lint: true})
+	if err == nil || !strings.Contains(err.Error(), "HL104") {
+		t.Fatalf("lint-gated deploy of an overfilled plan = %v, want the HL104 finding", err)
+	}
+
+	res, err := hermes.Deploy(progs, topo, hermes.DeployOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain := res.Plan.UsedSwitches()[0]
+	full := hermes.ReplanOptions{Mode: hermes.ReplanFull}
+	if _, _, err := hermes.Redeploy(res.Deployment, overfillSolver{}, full, hermes.AnalyzeOptions{}, drain); err != nil {
+		t.Fatalf("ungated full redeploy of the overfilled plan must pass Compile and Verify: %v", err)
+	}
+	full.Lint = true
+	_, _, err = hermes.Redeploy(res.Deployment, overfillSolver{}, full, hermes.AnalyzeOptions{}, drain)
+	if err == nil || !strings.Contains(err.Error(), "HL104") {
+		t.Fatalf("lint-gated full redeploy of an overfilled plan = %v, want the HL104 finding", err)
 	}
 }
 

@@ -20,18 +20,7 @@ type Options struct {
 	// SkipMerge disables SPEED-style TDG merging (useful for baselines
 	// that deploy programs one by one).
 	SkipMerge bool
-	// Lint, when true, runs the registered GraphLintHook over the
-	// merged, annotated TDG and fails the analysis on error-severity
-	// findings. The internal/lint package registers the hook; with no
-	// hook registered the flag is a no-op.
-	Lint bool
 }
-
-// GraphLintHook is the static diagnostics hook Analyze invokes on its
-// result when Options.Lint is set. internal/lint registers its TDG
-// rule family here; keeping the hook a variable avoids an import cycle
-// (lint depends on analyzer for the A(a,b) cross-check).
-var GraphLintHook func(*tdg.Graph) error
 
 // Analyze runs the full Program Analyzer: convert programs to TDGs,
 // merge them, and compute A(a,b) for every edge. It is Algorithm 1's
@@ -70,11 +59,6 @@ func Analyze(progs []*program.Program, opts Options) (*tdg.Graph, error) {
 
 	if err := AnnotateMetadata(merged); err != nil {
 		return nil, err
-	}
-	if opts.Lint && GraphLintHook != nil {
-		if err := GraphLintHook(merged); err != nil {
-			return nil, fmt.Errorf("analyzer: merged TDG rejected by lint: %w", err)
-		}
 	}
 	return merged, nil
 }

@@ -21,8 +21,8 @@ var _ placement.Solver = (*FFL)(nil)
 func (FFL) Name() string { return "FFL" }
 
 // Solve implements placement.Solver.
-func (FFL) Solve(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
-	return levelFit(g, topo, opts, false, "FFL")
+func (FFL) Solve(g *tdg.Graph, topo *network.Topology, _ placement.Options) (*placement.Plan, error) {
+	return levelFit(g, topo, false, "FFL")
 }
 
 // FFLS is "first fit by level and size": like FFL but larger MATs first
@@ -35,13 +35,13 @@ var _ placement.Solver = (*FFLS)(nil)
 func (FFLS) Name() string { return "FFLS" }
 
 // Solve implements placement.Solver.
-func (FFLS) Solve(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
-	return levelFit(g, topo, opts, true, "FFLS")
+func (FFLS) Solve(g *tdg.Graph, topo *network.Topology, _ placement.Options) (*placement.Plan, error) {
+	return levelFit(g, topo, true, "FFLS")
 }
 
-func levelFit(g *tdg.Graph, topo *network.Topology, opts placement.Options, bySize bool, name string) (*placement.Plan, error) {
+func levelFit(g *tdg.Graph, topo *network.Topology, bySize bool, name string) (*placement.Plan, error) {
 	start := time.Now()
-	rm := optsModel(opts)
+	rm := program.DefaultResourceModel
 	p, err := newPlacer(g, topo, rm)
 	if err != nil {
 		return nil, err
@@ -71,8 +71,8 @@ var _ placement.Solver = (*MinStage)(nil)
 func (MinStage) Name() string { return "MS" }
 
 // Solve implements placement.Solver.
-func (MinStage) Solve(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
-	return perProgram(g, topo, opts, "MS", false)
+func (MinStage) Solve(g *tdg.Graph, topo *network.Topology, _ placement.Options) (*placement.Plan, error) {
+	return perProgram(g, topo, "MS", false)
 }
 
 // Sonata models Sonata [4] extended to network-wide operation: each
@@ -86,13 +86,13 @@ var _ placement.Solver = (*Sonata)(nil)
 func (Sonata) Name() string { return "Sonata" }
 
 // Solve implements placement.Solver.
-func (Sonata) Solve(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
-	return perProgram(g, topo, opts, "Sonata", true)
+func (Sonata) Solve(g *tdg.Graph, topo *network.Topology, _ placement.Options) (*placement.Plan, error) {
+	return perProgram(g, topo, "Sonata", true)
 }
 
-func perProgram(g *tdg.Graph, topo *network.Topology, opts placement.Options, name string, balance bool) (*placement.Plan, error) {
+func perProgram(g *tdg.Graph, topo *network.Topology, name string, balance bool) (*placement.Plan, error) {
 	start := time.Now()
-	rm := optsModel(opts)
+	rm := program.DefaultResourceModel
 	p, err := newPlacer(g, topo, rm)
 	if err != nil {
 		return nil, err
@@ -226,7 +226,7 @@ func (MTP) Solve(g *tdg.Graph, topo *network.Topology, opts placement.Options) (
 // anchor neighborhood.
 func segmented(g *tdg.Graph, topo *network.Topology, opts placement.Options, name string, fillFactor float64) (*placement.Plan, error) {
 	start := time.Now()
-	rm := optsModel(opts)
+	rm := program.DefaultResourceModel
 	if g.NumNodes() == 0 {
 		return nil, fmt.Errorf("baseline: empty TDG")
 	}
@@ -361,14 +361,6 @@ func balancedSplit(g *tdg.Graph, rm program.ResourceModel, ref *network.Switch, 
 	return segments, nil
 }
 
-// optsModel resolves the effective resource model from Options.
-func optsModel(opts placement.Options) program.ResourceModel {
-	if opts.Resources != nil {
-		return *opts.Resources
-	}
-	return program.DefaultResourceModel
-}
-
 // Flightplan models Flightplan [7]: disaggregation at program
 // boundaries. Every origin program becomes one segment (split further
 // only if it cannot fit a switch), and segments are placed first-fit.
@@ -380,9 +372,9 @@ var _ placement.Solver = (*Flightplan)(nil)
 func (Flightplan) Name() string { return "FP" }
 
 // Solve implements placement.Solver.
-func (Flightplan) Solve(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
+func (Flightplan) Solve(g *tdg.Graph, topo *network.Topology, _ placement.Options) (*placement.Plan, error) {
 	start := time.Now()
-	rm := optsModel(opts)
+	rm := program.DefaultResourceModel
 	p, err := newPlacer(g, topo, rm)
 	if err != nil {
 		return nil, err
@@ -422,9 +414,9 @@ var _ placement.Solver = (*P4All)(nil)
 func (P4All) Name() string { return "P4All" }
 
 // Solve implements placement.Solver.
-func (P4All) Solve(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
+func (P4All) Solve(g *tdg.Graph, topo *network.Topology, _ placement.Options) (*placement.Plan, error) {
 	start := time.Now()
-	rm := optsModel(opts)
+	rm := program.DefaultResourceModel
 	p, err := newPlacer(g, topo, rm)
 	if err != nil {
 		return nil, err

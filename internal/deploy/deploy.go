@@ -203,7 +203,9 @@ func Compile(plan *placement.Plan, opts analyzer.Options) (*Deployment, error) {
 // opts.Mode), recompiles the result, and verifies the new configs.
 // The returned report carries the churn telemetry (moved
 // MATs, repair-vs-fallback, latency); the old deployment is untouched,
-// so the controller can diff the two to stage the migration.
+// so the controller can diff the two to stage the migration. The lint
+// and equivalence gates are the adopting layer's (hermes.Redeploy, the
+// supervisor): opts.Lint and opts.Equiv are not read here.
 func Redeploy(d *Deployment, solver placement.Solver, opts placement.ReplanOptions, drained ...network.SwitchID) (*Deployment, *placement.ReplanReport, error) {
 	if d == nil || d.Plan == nil {
 		return nil, nil, fmt.Errorf("deploy: redeploy of nil deployment")
@@ -219,29 +221,7 @@ func Redeploy(d *Deployment, solver placement.Solver, opts placement.ReplanOptio
 	if err := next.Verify(); err != nil {
 		return nil, rep, fmt.Errorf("deploy: redeploy: %w", err)
 	}
-	if opts.Equiv {
-		if err := ProveEquivalent(next); err != nil {
-			return nil, rep, fmt.Errorf("deploy: redeploy: %w", err)
-		}
-	}
 	return next, rep, nil
-}
-
-// EquivHook is the symbolic equivalence gate behind ProveEquivalent.
-// The internal/equiv package registers its checker here; the variable
-// indirection avoids an import cycle (equiv depends on deploy).
-var EquivHook func(*Deployment) error
-
-// ProveEquivalent runs the linked equivalence checker over d: the one
-// gate Redeploy, the rollout engine and the supervisor call when their
-// Equiv option is set. A requested proof is never skipped — a binary
-// that links no checker (nothing imports internal/equiv) gets an
-// error, not an unproven deployment.
-func ProveEquivalent(d *Deployment) error {
-	if EquivHook == nil {
-		return fmt.Errorf("Equiv requested but no equivalence checker is linked")
-	}
-	return EquivHook(d)
 }
 
 // Verify cross-checks the compiled deployment against the plan:

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/hermes-net/hermes/internal/deploy"
+	"github.com/hermes-net/hermes/internal/equiv"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/program"
@@ -49,9 +50,10 @@ type Options struct {
 	// FromEpoch is the old deployment's epoch token; 0 means 1.
 	// Ignored on resume (the journal fixes both epochs).
 	FromEpoch uint64
-	// Equiv additionally gates the new deployment through
-	// deploy.ProveEquivalent (the symbolic equivalence checker) before
-	// any op is issued.
+	// Equiv additionally gates the new deployment through the symbolic
+	// equivalence proof (equiv.CheckDeployment) before any op is
+	// issued. Leave it off when the caller has already proved the
+	// deployment, as the supervisor does.
 	Equiv bool
 	// Hook observes op boundaries (chaos injection, CLI progress).
 	Hook Hook
@@ -319,7 +321,7 @@ func (r *Rollout) gate() error {
 		}
 	}
 	if r.opts.Equiv {
-		if err := deploy.ProveEquivalent(r.next); err != nil {
+		if err := equiv.CheckDeployment(nil, r.next); err != nil {
 			return fmt.Errorf("rollout: equivalence gate: %w", err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -428,6 +429,37 @@ func TestRolloutGateRejectsInvalidNewPlan(t *testing.T) {
 		if e := view.EpochOf(p); e != 1 {
 			t.Errorf("program %s serves epoch %d, want 1", p, e)
 		}
+	}
+}
+
+// TestRolloutEquivGateRejectsDroppedCarry: with Equiv set, the gate
+// proves the new deployment itself and refuses one whose coordination
+// headers no longer carry the metadata its downstream MATs read.
+func TestRolloutEquivGateRejectsDroppedCarry(t *testing.T) {
+	old, topo := fixture(t, 3, 6)
+	next, _ := drained(t, old, "p3")
+	dropped := 0
+	for _, cfg := range next.Configs {
+		for from, hdr := range cfg.Imports {
+			dropped += len(hdr.Fields)
+			cfg.Imports[from] = deploy.CoordHeader{}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("fixture expects the new deployment to carry metadata across a cut")
+	}
+	fab := NewMemFabric(topo)
+	fab.Bootstrap(old, 1)
+	r, err := New(old, next, Options{Topo: topo, Fabric: fab, Retry: quickRetry(), Equiv: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Execute()
+	if !errors.Is(err, ErrRolledBack) || !strings.Contains(err.Error(), "[HE004]") {
+		t.Fatalf("Execute = %v, want ErrRolledBack with the gate's HE004 finding", err)
+	}
+	if rep.Ops != 0 {
+		t.Errorf("gate failure issued %d ops", rep.Ops)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // graph. It owns reusable scratch sized to the reference, so repeated
 // checks against the same graph are allocation-free on the green path;
 // a Checker is not safe for concurrent use (share the graph, not the
-// Checker). The package-level gates and the hooks draw theirs from the
-// per-graph pool (acquire/release), so that holds for them too.
+// Checker). The package-level gates draw theirs from the per-graph pool
+// (acquire/release), so that holds for them too.
 type Checker struct {
 	ov *compiled
 

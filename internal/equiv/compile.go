@@ -27,7 +27,7 @@ const compiledMemoKey = "equiv.compiled"
 type compiled struct {
 	g *tdg.Graph
 
-	// pool holds the idle Checkers the package-level gates and hooks
+	// pool holds the idle Checkers the package-level gates
 	// reuse (acquire/release). It never shrinks: it retains one Checker
 	// per gate that ever ran concurrently on this graph, each O(MATs +
 	// F + imports) of scratch, until the overlay itself is dropped.

@@ -45,9 +45,9 @@
 // the first discrepancy defers to a rich diagnostic pass that
 // reconstructs explicit writer sequences, classifies the break, and
 // synthesizes a concrete counterexample packet confirmed by replay.
-// That holds for the package-level gates and the registered hooks too,
-// not just a held Checker: they draw one from a pool memoized on the
-// reference graph, so only the first proof on a graph allocates.
+// That holds for the package-level gates too, not just a held Checker:
+// they draw one from a pool memoized on the reference graph, so only
+// the first proof on a graph allocates.
 package equiv
 
 import (
@@ -60,21 +60,6 @@ import (
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/tdg"
 )
-
-func init() {
-	// Solvers gate freshly-minted plans when Options.Equiv is set; the
-	// hook lives here so placement does not import equiv (same
-	// init-registration scheme as lint's PlanLintHook). Plan-level
-	// checks derive the coordination headers deploy.Compile would; the
-	// deployment-level gate re-proves against the headers actually
-	// compiled.
-	placement.PlanEquivHook = func(p *placement.Plan, _ placement.Options) error {
-		return CheckPlanAgainst(nil, p, analyzer.Options{})
-	}
-	deploy.EquivHook = func(d *deploy.Deployment) error {
-		return CheckDeployment(nil, d)
-	}
-}
 
 // Report is the full diagnostic verdict for one pipeline.
 type Report struct {

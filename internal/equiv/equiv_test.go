@@ -5,10 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
+	hermes "github.com/hermes-net/hermes"
 	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/dataplane"
 	"github.com/hermes-net/hermes/internal/deploy"
@@ -700,7 +700,8 @@ func TestShardedPlanProvesEquivalent(t *testing.T) {
 }
 
 // TestRedeployEquivGate drains a switch and requires the Equiv-gated
-// Redeploy to produce a proven-equivalent successor.
+// facade Redeploy, which proves the compiled successor, to produce a
+// proven-equivalent one.
 func TestRedeployEquivGate(t *testing.T) {
 	g := mustAnalyze(t, []*program.Program{carryProgram(t, applyClean)}, analyzer.Options{})
 	plan, err := (placement.Greedy{}).Solve(g, lineTopo(t, 3, 1, 0.5), placement.Options{})
@@ -714,7 +715,7 @@ func TestRedeployEquivGate(t *testing.T) {
 	applySw, _ := plan.SwitchOf("p/apply")
 	ropts := placement.ReplanOptions{}
 	ropts.Equiv = true
-	next, _, err := deploy.Redeploy(dep, placement.Greedy{}, ropts, applySw)
+	next, _, err := hermes.Redeploy(dep, placement.Greedy{}, ropts, analyzer.Options{}, applySw)
 	if err != nil {
 		t.Fatalf("equiv-gated redeploy failed: %v", err)
 	}
@@ -725,51 +726,6 @@ func TestRedeployEquivGate(t *testing.T) {
 		t.Fatalf("apply still on drained switch %d", int(applySw))
 	}
 }
-
-// TestPlanEquivHookGating checks the solver-side wiring: Options.Equiv
-// invokes the registered hook and folds its rejection into the solve
-// error.
-func TestPlanEquivHookGating(t *testing.T) {
-	g := mustAnalyze(t, []*program.Program{carryProgram(t, applyClean)}, analyzer.Options{})
-	topo := lineTopo(t, 2, 1, 0.5)
-
-	t.Run("default hook green", func(t *testing.T) {
-		if _, err := (placement.Greedy{}).Solve(g.Clone(), topo, placement.Options{Equiv: true}); err != nil {
-			t.Fatalf("equiv-gated solve of clean workload failed: %v", err)
-		}
-	})
-
-	t.Run("rejection propagates", func(t *testing.T) {
-		old := placement.PlanEquivHook
-		defer func() { placement.PlanEquivHook = old }()
-		calls := 0
-		placement.PlanEquivHook = func(p *placement.Plan, _ placement.Options) error {
-			calls++
-			return errTest
-		}
-		_, err := (placement.Greedy{}).Solve(g.Clone(), topo, placement.Options{Equiv: true})
-		if err == nil || !strings.Contains(err.Error(), "equivalence") {
-			t.Fatalf("hook rejection not propagated: %v", err)
-		}
-		if calls == 0 {
-			t.Fatal("hook never invoked")
-		}
-		// Without the flag the hook must not run.
-		calls = 0
-		if _, err := (placement.Greedy{}).Solve(g.Clone(), topo, placement.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		if calls != 0 {
-			t.Fatal("hook invoked without Options.Equiv")
-		}
-	})
-}
-
-type testErr string
-
-func (e testErr) Error() string { return string(e) }
-
-const errTest = testErr("seeded hook failure")
 
 // TestCheckIsAllocationFree proves the steady-state green gate
 // allocates nothing after warmup — the property the //hermes:hot inner

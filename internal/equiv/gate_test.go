@@ -16,9 +16,10 @@ import (
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
-// These tests drive the gate the way production does — through
-// placement.PlanEquivHook and deploy.EquivHook, which draw a pooled
-// Checker per call — never through a Checker the test holds.
+// These tests drive the gate the way production does — through the
+// package-level CheckPlanAgainst and CheckDeployment with no reference
+// graph, which draw a pooled Checker per call — never through a Checker
+// the test holds.
 
 // syntheticDeployment solves and compiles n synthetic programs on
 // Table III WAN 1: a green, multi-switch plan with real coordination
@@ -53,8 +54,8 @@ func syntheticDeployment(t testing.TB, n int) (*tdg.Graph, *deploy.Deployment) {
 func TestGateHooksAllocationFree(t *testing.T) {
 	_, dep := syntheticDeployment(t, 24)
 	gates := map[string]func() error{
-		"PlanEquivHook": func() error { return placement.PlanEquivHook(dep.Plan, placement.Options{}) },
-		"EquivHook":     func() error { return deploy.EquivHook(dep) },
+		"CheckPlanAgainst": func() error { return equiv.CheckPlanAgainst(nil, dep.Plan, analyzer.Options{}) },
+		"CheckDeployment":  func() error { return equiv.CheckDeployment(nil, dep) },
 	}
 	for name, gate := range gates {
 		if err := gate(); err != nil { // the one warm call
@@ -71,7 +72,7 @@ func TestGateHooksAllocationFree(t *testing.T) {
 	}
 }
 
-// gateCase is one artifact pushed through a hook, with the verdict a
+// gateCase is one artifact pushed through a gate, with the verdict a
 // single-threaded run produced.
 type gateCase struct {
 	name string
@@ -86,7 +87,7 @@ func verdict(err error) string {
 	return err.Error()
 }
 
-// TestGateHooksConcurrent runs 8 goroutines through both hooks on one
+// TestGateHooksConcurrent runs 8 goroutines through both gates on one
 // reference graph — green plans, drained replans and broken artifacts
 // interleaved — and requires every call to return the verdict the
 // single-threaded run gave. Run under -race it also proves pooled
@@ -97,11 +98,11 @@ func TestGateHooksConcurrent(t *testing.T) {
 	var cases []gateCase
 	addPlan := func(name string, p *placement.Plan) {
 		cases = append(cases, gateCase{name: "plan/" + name,
-			run: func() error { return placement.PlanEquivHook(p, placement.Options{}) }})
+			run: func() error { return equiv.CheckPlanAgainst(nil, p, analyzer.Options{}) }})
 	}
 	addDep := func(name string, d *deploy.Deployment) {
 		cases = append(cases, gateCase{name: "dep/" + name,
-			run: func() error { return deploy.EquivHook(d) }})
+			run: func() error { return equiv.CheckDeployment(nil, d) }})
 	}
 	addPlan("cold", dep.Plan)
 	addDep("cold", dep)
@@ -291,7 +292,7 @@ func TestGateVerdictMatchesDiagnose(t *testing.T) {
 		}
 
 		gate := equiv.CheckDeployment(g, dep)
-		hook := deploy.EquivHook(dep)
+		pooled := equiv.CheckDeployment(nil, dep)
 		rep, err := equiv.Diagnose(g, dep)
 		if err != nil {
 			t.Fatalf("trial %d (%s): diagnose: %v", trial, defect, err)
@@ -299,15 +300,15 @@ func TestGateVerdictMatchesDiagnose(t *testing.T) {
 		if (gate == nil) != rep.OK() {
 			t.Fatalf("trial %d (%s): gate verdict %v, Diagnose OK=%v:\n%s", trial, defect, gate, rep.OK(), rep.Findings.Text())
 		}
-		if verdict(gate) != verdict(hook) {
-			t.Fatalf("trial %d (%s): CheckDeployment says %q, EquivHook says %q", trial, defect, verdict(gate), verdict(hook))
+		if verdict(gate) != verdict(pooled) {
+			t.Fatalf("trial %d (%s): CheckDeployment(g) says %q, CheckDeployment(nil) says %q", trial, defect, verdict(gate), verdict(pooled))
 		}
 		if gate == nil {
 			accepted++
 			if defect == "none" && len(rep.Findings.ByRule(equiv.RuleBenignShuffle)) == 0 {
 				// A clean artifact must also have stayed on the
 				// allocation-free path, i.e. the walk itself accepted it.
-				if allocs := testing.AllocsPerRun(1, func() { _ = deploy.EquivHook(dep) }); allocs != 0 {
+				if allocs := testing.AllocsPerRun(1, func() { _ = equiv.CheckDeployment(nil, dep) }); allocs != 0 {
 					t.Fatalf("trial %d: clean deployment fell off the fast path (%.0f allocs)", trial, allocs)
 				}
 			}

@@ -220,7 +220,8 @@ func (fs Findings) JSON() ([]byte, error) {
 }
 
 // Err folds error-severity findings into a single error, or nil. The
-// analyzer and solver hooks use it to fail fast under Options.Lint.
+// gates behind DeployOptions.Lint and the supervisor use it to fail
+// fast.
 func (fs Findings) Err() error {
 	var errs Findings
 	for _, f := range fs {

@@ -13,7 +13,6 @@ import (
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/program"
-	"github.com/hermes-net/hermes/internal/tdg"
 )
 
 // resourceTol mirrors the numeric tolerance Plan.Validate applies to
@@ -484,20 +483,4 @@ func CheckPlanOracle(p *placement.Plan, rm program.ResourceModel, eps1 time.Dura
 		return fmt.Errorf("plan passes Validate but fails strict lint checks:\n%s", strict.Text())
 	}
 	return nil
-}
-
-// init registers the lint engine with the analyzer and the placement
-// solvers so their Options.Lint flags take effect for any importer of
-// this package. The hooks fail only on error-severity findings.
-func init() {
-	analyzer.GraphLintHook = func(g *tdg.Graph) error {
-		return LintGraph(g, Options{}).Err()
-	}
-	placement.PlanLintHook = func(p *placement.Plan, opts placement.Options) error {
-		rm := program.DefaultResourceModel
-		if opts.Resources != nil {
-			rm = *opts.Resources
-		}
-		return LintPlan(p, rm, opts.Epsilon1, opts.Epsilon2).Err()
-	}
 }

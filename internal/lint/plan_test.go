@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -293,18 +292,12 @@ func TestRouteLatencyCorruption(t *testing.T) {
 
 func TestSolverLintOption(t *testing.T) {
 	g := chainTDG(t, []string{"a", "b", "c"}, []int{1, 4}, 0.5)
-	if _, err := (placement.Greedy{}).Solve(g, smallTopo(t, 3), placement.Options{Lint: true}); err != nil {
-		t.Fatalf("clean instance must pass a lint-gated solve: %v", err)
+	p, err := (placement.Greedy{}).Solve(g, smallTopo(t, 3), placement.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	old := placement.PlanLintHook
-	placement.PlanLintHook = func(*placement.Plan, placement.Options) error {
-		return errors.New("synthetic rejection")
-	}
-	defer func() { placement.PlanLintHook = old }()
-	_, err := (placement.Greedy{}).Solve(g, smallTopo(t, 3), placement.Options{Lint: true})
-	if err == nil || !strings.Contains(err.Error(), "rejected by lint: synthetic rejection") {
-		t.Fatalf("lint-gated solve must surface hook rejection, got %v", err)
+	if err := LintPlan(p, rm(), 0, 0).Err(); err != nil {
+		t.Fatalf("clean instance must yield a lint-clean plan: %v", err)
 	}
 }
 

@@ -200,14 +200,16 @@ func TestGraphCycle(t *testing.T) {
 	}
 }
 
-func TestAnalyzerLintHook(t *testing.T) {
+func TestAnalyzedGraphLintsClean(t *testing.T) {
 	p, _, err := p4lite.ParseSource(twoTableSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The clean program passes with Lint on (the hook is registered by
-	// this package's init).
-	if _, err := analyzer.Analyze([]*program.Program{p}, analyzer.Options{Lint: true}); err != nil {
-		t.Fatalf("clean program must pass lint-gated analysis: %v", err)
+	g, err := analyzer.Analyze([]*program.Program{p}, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := LintGraph(g, Options{}).Err(); err != nil {
+		t.Fatalf("clean program's merged TDG must lint clean: %v", err)
 	}
 }

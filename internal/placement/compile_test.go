@@ -124,7 +124,7 @@ func TestCompiledKernelsMatchMapReferences(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		g := randomDAG(rng, 3+rng.Intn(9))
 		tp := randomTopo(rng, 2+rng.Intn(5))
-		ci := Compile(g, tp, Options{}.resourceModel())
+		ci := Compile(g, tp, program.DefaultResourceModel)
 		assign := randomFullAssign(rng, ci)
 		checkKernelsAgainstRefs(t, rng, ci, assign, true)
 	}
@@ -144,7 +144,7 @@ func TestCompiledKernelsOnSolvedPlans(t *testing.T) {
 			continue
 		}
 		solved++
-		ci := Compile(g, tp, Options{}.resourceModel())
+		ci := Compile(g, tp, program.DefaultResourceModel)
 		checkKernelsAgainstRefs(t, rng, ci, assignmentOf(plan), true)
 
 		cached := plan.PairBytes()
@@ -184,7 +184,7 @@ func TestCompiledKernelsAfterRandomizedDrain(t *testing.T) {
 			continue // drain may make the instance infeasible
 		}
 		repaired++
-		ci := Compile(next.Graph, next.Topo, Options{}.resourceModel())
+		ci := Compile(next.Graph, next.Topo, program.DefaultResourceModel)
 		checkKernelsAgainstRefs(t, rng, ci, assignmentOf(next), true)
 		if got, want := next.AMax(), AssignmentAMaxRef(next.Graph, assignmentOf(next)); got != want {
 			t.Fatalf("repaired plan A_max %d != ref %d", got, want)
@@ -200,7 +200,7 @@ func TestCompiledKernelsAfterRandomizedDrain(t *testing.T) {
 // FitsSwitch on every range of the topological order.
 func TestPackScratchMatchesFitsSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	rm := Options{}.resourceModel()
+	rm := program.DefaultResourceModel
 	for trial := 0; trial < 60; trial++ {
 		g := randomDAG(rng, 3+rng.Intn(9))
 		tp := randomTopo(rng, 2+rng.Intn(4))
@@ -274,7 +274,7 @@ func TestCompileMemoRevalidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomDAG(rng, 6)
 	tp := randomTopo(rng, 4)
-	rm := Options{}.resourceModel()
+	rm := program.DefaultResourceModel
 	a := Compile(g, tp, rm)
 	if b := Compile(g, tp, rm); a != b {
 		t.Fatal("unchanged instance was recompiled")

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
+	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
 )
 
@@ -257,7 +258,7 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 	if len(prog) == 0 {
 		return nil, fmt.Errorf("placement: no programmable switches")
 	}
-	rm := opts.resourceModel()
+	rm := program.DefaultResourceModel
 	ci := Compile(g, topo, rm)
 	st := newExactState(ci, opts)
 	st.orderIdx = make([]int32, len(order))
@@ -350,7 +351,7 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 	plan.SolverName = e.Name()
 	plan.SolveTime = time.Since(start)
 	plan.Proven = !st.capped
-	return finishPlan(plan, opts)
+	return plan, nil
 }
 
 // dfs explores assignments of orderIdx[i:].
@@ -657,7 +658,7 @@ func (st *exactState) evaluateLeaf() {
 			bySwitch[network.SwitchID(u)] = append(bySwitch[network.SwitchID(u)], st.ci.Names[x])
 		}
 	}
-	rm := st.opts.resourceModel()
+	rm := program.DefaultResourceModel
 	for u, names := range bySwitch {
 		sw, err := st.ci.Topo.Switch(u)
 		if err != nil {
@@ -716,7 +717,7 @@ func (e Exact) materialize(st *exactState) (*Plan, error) {
 			bySwitch[network.SwitchID(u)] = append(bySwitch[network.SwitchID(u)], st.ci.Names[x])
 		}
 	}
-	rm := st.opts.resourceModel()
+	rm := program.DefaultResourceModel
 	for u, names := range bySwitch {
 		sw, err := st.ci.Topo.Switch(u)
 		if err != nil {

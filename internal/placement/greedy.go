@@ -40,7 +40,7 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 	if err := topo.Validate(); err != nil {
 		return nil, fmt.Errorf("placement: %w", err)
 	}
-	rm := opts.resourceModel()
+	rm := program.DefaultResourceModel
 	prog := topo.ProgrammableSwitches()
 	if len(prog) == 0 {
 		return nil, fmt.Errorf("placement: no programmable switches")
@@ -56,7 +56,7 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 		}
 		plan.SolverName = gr.Name()
 		plan.SolveTime = time.Since(start)
-		return finishPlan(plan, opts)
+		return plan, nil
 	}
 
 	refSwitch, err := topo.Switch(prog[0])
@@ -85,7 +85,7 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 			}
 			plan.SolverName = gr.Name()
 			plan.SolveTime = time.Since(start)
-			return finishPlan(plan, opts)
+			return plan, nil
 		}
 		lastErr = err
 	}

@@ -60,7 +60,7 @@ func (s ILP) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan, e
 	if len(prog) == 0 {
 		return nil, fmt.Errorf("placement: no programmable switches")
 	}
-	rm := opts.resourceModel()
+	rm := program.DefaultResourceModel
 	nodes := g.NodeNames()
 	eps2 := opts.epsilon2(len(prog))
 
@@ -243,7 +243,7 @@ func (s ILP) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan, e
 			plan.SolverName = s.Name()
 			plan.SolveTime = time.Since(start)
 			plan.Proven = proven
-			return finishPlan(plan, opts)
+			return plan, nil
 		}
 		if cuts == maxNoGoodCuts {
 			return nil, fmt.Errorf("placement: ILP optima kept failing stage packing after %d cuts", maxNoGoodCuts)

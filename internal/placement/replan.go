@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
+	"github.com/hermes-net/hermes/internal/program"
 )
 
 // ReplanMode selects how Replan recomputes a deployment after a drain.
@@ -104,8 +105,8 @@ type ReplanPhases struct {
 	// Dirty is the dirty-set construction (displaced MATs plus the
 	// bounded TDG frontier).
 	Dirty time.Duration `json:"dirty"`
-	// Gates is validation, the quality-ratio check, and the lint/equiv
-	// hooks on the repaired plan.
+	// Gates is validation and the quality-ratio check on the repaired
+	// plan.
 	Gates time.Duration `json:"gates"`
 	// Regions is the repair-instance fan-out (one instance per touched
 	// region, or the single instance of an unpartitioned repair): each
@@ -298,10 +299,10 @@ func finishRepairTimed(plan *Plan, old *Plan, ropts ReplanOptions, dirty int, re
 	return p, d, err
 }
 
-// finishRepair applies the ε-bound, quality-ratio, and lint gates to a
+// finishRepair applies the ε-bound and quality-ratio gates to a
 // repaired plan and stamps its provenance.
 func finishRepair(plan *Plan, old *Plan, ropts ReplanOptions, dirty int) (*Plan, int, error) {
-	if err := plan.Validate(ropts.resourceModel(), ropts.Epsilon1, ropts.epsilon2(len(plan.Topo.ProgrammableSwitches()))); err != nil {
+	if err := plan.Validate(program.DefaultResourceModel, ropts.Epsilon1, ropts.epsilon2(len(plan.Topo.ProgrammableSwitches()))); err != nil {
 		return nil, dirty, fmt.Errorf("repair violates plan invariants: %w", err)
 	}
 	if ratio := ropts.qualityRatio(); ratio > 0 {
@@ -315,11 +316,7 @@ func finishRepair(plan *Plan, old *Plan, ropts ReplanOptions, dirty int) (*Plan,
 		name = "Hermes"
 	}
 	plan.SolverName = name + "+repair"
-	out, err := finishPlan(plan, ropts.Options)
-	if err != nil {
-		return nil, dirty, err
-	}
-	return out, dirty, nil
+	return plan, dirty, nil
 }
 
 // assignmentOf flattens a plan to its MAT→switch map.

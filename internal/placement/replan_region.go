@@ -56,7 +56,7 @@ const regionSpares = 32
 // fallback and failure).
 func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet map[network.SwitchID]bool, rep *ReplanReport) (*Plan, int, error) {
 	g := old.Graph
-	rm := ropts.resourceModel()
+	rm := program.DefaultResourceModel
 	part := ropts.Partition
 
 	phase := time.Now()

@@ -95,18 +95,6 @@ func TestDirtySetsFrontierIsOneHop(t *testing.T) {
 	check("switch 2 down", nil, "de", "cde")
 }
 
-func TestReplanLintGated(t *testing.T) {
-	old := solvedChainPlan(t, 3)
-	drained := old.UsedSwitches()[0]
-	fresh, err := Replan(old, nil, Options{Lint: true}, drained)
-	if err != nil {
-		t.Fatalf("lint-gated replan of a feasible instance must succeed: %v", err)
-	}
-	if fresh == nil {
-		t.Fatal("nil plan")
-	}
-}
-
 func TestReplanEdgeCases(t *testing.T) {
 	// Draining a non-programmable switch is a caller error.
 	tp := twoMATSwitchTopo(t, 3)

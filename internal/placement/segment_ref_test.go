@@ -397,7 +397,7 @@ func TestRangeSegmentationMatchesGraphReference(t *testing.T) {
 // that sit outside the packed set.
 func TestPacksMatchesFitsSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	rm := Options{}.resourceModel()
+	rm := program.DefaultResourceModel
 	graphs := segmentGraphs(t)
 	verdicts := map[bool]int{}
 	for _, label := range []string{"eval30", "dag0", "dag1", "dag2", "dag3", "dag4", "dag5"} {

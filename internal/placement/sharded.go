@@ -18,8 +18,7 @@
 //     cuts and on the A_max pairs next to their TDG peers while that
 //     strictly improves the global (A_max, cross-byte) objective.
 //
-// The merged assignment is materialized, ε-checked, and gated through
-// finishPlan like any other solver's plan.
+// The merged assignment is materialized and ε-checked.
 package placement
 
 import (
@@ -74,7 +73,7 @@ type ShardStats struct {
 	// ExchangeTime is the reconcile's.
 	// PartitionTime covers both cuts: the topology into regions and the
 	// TDG into chunks (its topological sort included). What the three
-	// leave out of the solve time is materialization and finishPlan.
+	// leave out of the solve time is materialization.
 	PartitionTime, RegionTime, ExchangeTime time.Duration
 }
 
@@ -113,7 +112,7 @@ func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Opt
 	}
 	st.BoundaryLinks = len(part.BoundaryLinks())
 
-	rm := opts.resourceModel()
+	rm := program.DefaultResourceModel
 	chunks, err := chunkTDG(g, part, rm)
 	if err != nil {
 		return nil, st, err
@@ -146,9 +145,6 @@ func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Opt
 	}
 	if opts.Epsilon1 > 0 && plan.TE2E() > opts.Epsilon1 {
 		return nil, st, fmt.Errorf("shard: plan latency %v exceeds ε1=%v", plan.TE2E(), opts.Epsilon1)
-	}
-	if plan, err = finishPlan(plan, opts); err != nil {
-		return nil, st, err
 	}
 	plan.SolveTime = time.Since(start)
 	return plan, st, nil
@@ -374,7 +370,6 @@ func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *
 	ropts := Options{
 		Epsilon1:         opts.Epsilon1,
 		Deadline:         opts.Deadline,
-		Resources:        opts.Resources,
 		Workers:          1, // no nested parallelism under the region pool
 		Ctx:              opts.Ctx,
 		TrafficObjective: opts.TrafficObjective,

@@ -2,13 +2,11 @@ package placement
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
-	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
 )
 
@@ -24,24 +22,19 @@ type Options struct {
 	// best incumbent, unproven, at the deadline, mirroring the paper's
 	// two-hour Gurobi cap; Greedy cuts its local-search polish short.
 	Deadline time.Time
-	// Resources is the MAT resource model; zero value means
-	// program.DefaultResourceModel.
-	Resources *program.ResourceModel
 	// Workers bounds solver-internal parallelism (anchor candidate
 	// evaluation, exact-search branch exploration, the per-region repair
 	// fan-out of a partitioned replan). Zero or negative means
 	// GOMAXPROCS. Every worker count produces the same Plan.
 	Workers int
-	// Lint, when true, runs the registered PlanLintHook over every
-	// solver's final plan and fails the solve on error-severity
-	// findings. The internal/lint package registers the hook; with no
-	// hook registered the flag is a no-op.
-	Lint bool
-	// Equiv, when true, runs the registered PlanEquivHook over every
-	// solver's final plan: a symbolic proof that the plan's distributed
-	// pipeline is equivalent to the single-box reference, rejecting the
-	// solve otherwise. The internal/equiv package registers the hook;
-	// with no hook registered the flag is a no-op.
+	// Lint and Equiv are read by no solver and by no Replan: the layers
+	// that adopt a deployment gate it. hermes.Redeploy runs the plan
+	// lint when Lint is set and the symbolic equivalence proof of the
+	// compiled deployment when Equiv is set; the supervisor does the
+	// same for every deployment it adopts. Both fields go once the
+	// benchmark reaches those layers through their own options
+	// (ROADMAP 2(ii)).
+	Lint  bool
 	Equiv bool
 	// Ctx, when non-nil, allows canceling a solve in flight: the hot
 	// loops (local improve, the exact branch search, the replan repair)
@@ -83,42 +76,6 @@ type Options struct {
 	// on the solve's topology (drained switches, changed capacities,
 	// different MAT set) is ignored and the solver runs cold.
 	Warm *Plan
-}
-
-// PlanLintHook is the static diagnostics hook solvers invoke on their
-// final plan when Options.Lint is set. internal/lint registers its
-// independent Eq. 4–9 re-implementation here; keeping the hook a
-// variable avoids an import cycle (lint depends on placement).
-var PlanLintHook func(*Plan, Options) error
-
-// PlanEquivHook is the symbolic equivalence gate solvers invoke on
-// their final plan when Options.Equiv is set. internal/equiv registers
-// its checker here; like PlanLintHook, the variable indirection avoids
-// an import cycle (equiv depends on placement).
-var PlanEquivHook func(*Plan, Options) error
-
-// finishPlan applies the lint and equivalence hooks (when enabled)
-// before a solver returns its plan.
-func finishPlan(p *Plan, opts Options) (*Plan, error) {
-	if opts.Lint && PlanLintHook != nil {
-		if err := PlanLintHook(p, opts); err != nil {
-			return nil, fmt.Errorf("placement: %s plan rejected by lint: %w", p.SolverName, err)
-		}
-	}
-	if opts.Equiv && PlanEquivHook != nil {
-		if err := PlanEquivHook(p, opts); err != nil {
-			return nil, fmt.Errorf("placement: %s plan rejected by equivalence check: %w", p.SolverName, err)
-		}
-	}
-	return p, nil
-}
-
-// resourceModel resolves the effective model.
-func (o Options) resourceModel() program.ResourceModel {
-	if o.Resources != nil {
-		return *o.Resources
-	}
-	return program.DefaultResourceModel
 }
 
 // done returns the cancellation channel, or nil (never ready) when the

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
+	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/tdg"
 )
 
@@ -26,7 +27,7 @@ func warmSeed(g *tdg.Graph, topo *network.Topology, opts Options) (map[string]ne
 	if !sameMATSet(g, warm.Graph) {
 		return nil, false
 	}
-	rm := opts.resourceModel()
+	rm := program.DefaultResourceModel
 	assign := make(map[string]network.SwitchID, len(warm.Assignments))
 	bySwitch := map[network.SwitchID][]string{}
 	for _, name := range g.NodeNames() {
@@ -229,7 +230,7 @@ func warmStart(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan, bool)
 	if !ok {
 		return nil, false
 	}
-	plan, err := materializeAssignment(g, topo, assign, opts.resourceModel())
+	plan, err := materializeAssignment(g, topo, assign, program.DefaultResourceModel)
 	if err != nil {
 		return nil, false
 	}

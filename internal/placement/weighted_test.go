@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
+	"github.com/hermes-net/hermes/internal/program"
 )
 
 // randomTraffic draws one of the seeded traffic models for a topology.
@@ -95,7 +96,7 @@ func TestWeightedKernelsMatchMapReferences(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		g := randomDAG(rng, 3+rng.Intn(9))
 		tp := randomTopo(rng, 2+rng.Intn(5))
-		ci := Compile(g, tp, Options{}.resourceModel())
+		ci := Compile(g, tp, program.DefaultResourceModel)
 		tm := randomTraffic(t, rng, tp)
 		assign := randomFullAssign(rng, ci)
 		checkWeightedKernels(t, rng, ci, assign, tm)
@@ -119,7 +120,7 @@ func TestWeightedKernelsOnSolvedPlans(t *testing.T) {
 			continue
 		}
 		solved++
-		ci := Compile(g, tp, Options{}.resourceModel())
+		ci := Compile(g, tp, program.DefaultResourceModel)
 		checkWeightedKernels(t, rng, ci, assignmentOf(plan), tm)
 
 		used := plan.UsedSwitches()
@@ -129,7 +130,7 @@ func TestWeightedKernelsOnSolvedPlans(t *testing.T) {
 			continue
 		}
 		repaired++
-		ci2 := Compile(next.Graph, next.Topo, Options{}.resourceModel())
+		ci2 := Compile(next.Graph, next.Topo, program.DefaultResourceModel)
 		checkWeightedKernels(t, rng, ci2, assignmentOf(next), tm)
 	}
 	if solved == 0 {
@@ -166,7 +167,7 @@ func TestWeightedSolveRespectsAMaxSlack(t *testing.T) {
 		}
 		// The weighted plan must not be worse than the structural plan
 		// under the weighted objective (both are feasible points).
-		ci := Compile(g, tp, Options{}.resourceModel())
+		ci := Compile(g, tp, program.DefaultResourceModel)
 		wt, err := ci.CompileWeights(tm)
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +245,7 @@ func TestExactWeightedNotWorseThanGreedy(t *testing.T) {
 			t.Fatalf("weighted exact failed where greedy succeeded: %v", err)
 		}
 		checked++
-		ci := Compile(g, tp, Options{}.resourceModel())
+		ci := Compile(g, tp, program.DefaultResourceModel)
 		wt, err := ci.CompileWeights(tm)
 		if err != nil {
 			t.Fatal(err)

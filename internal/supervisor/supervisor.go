@@ -9,6 +9,8 @@ import (
 	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/deploy/rollout"
+	"github.com/hermes-net/hermes/internal/equiv"
+	"github.com/hermes-net/hermes/internal/lint"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/program"
@@ -34,11 +36,13 @@ type Options struct {
 	Ctx context.Context
 	// Equiv gates every deployment the supervisor adopts — the initial
 	// build, incremental redeploys, and degraded rebuilds — through the
-	// symbolic equivalence checker (deploy.ProveEquivalent; a binary
-	// that does not link internal/equiv gets an error, never an unproven
-	// deployment). A repair that is resource-feasible but not
-	// provably equivalent is treated like any other infeasibility: the
-	// supervisor degrades instead of adopting it.
+	// symbolic equivalence proof (equiv.CheckDeployment), once per
+	// deployment: the rollout that adopts it does not prove it again.
+	// Replan.Equiv does the same, and Replan.Lint runs the plan lint
+	// over each adopted plan. A repair that is resource-feasible but
+	// not provably equivalent (or not lint-clean) is treated like any
+	// other infeasibility: the supervisor degrades instead of adopting
+	// it.
 	Equiv bool
 	// RolloutRetry bounds per-op attempts for the transactional
 	// rollouts that adopt repaired deployments; the zero policy gets
@@ -379,9 +383,11 @@ func (s *Supervisor) redeploy(res *PollResult, poll int) error {
 	ropts := s.opts.Replan
 	ropts.Topology = s.topo
 	ropts.Ctx = s.opts.Ctx
-	ropts.Equiv = ropts.Equiv || s.opts.Equiv
 	s.stats.Replans++
 	next, rrep, err := deploy.Redeploy(s.dep, s.opts.solver(), ropts)
+	if err == nil {
+		err = s.gate(next)
+	}
 	if err == nil {
 		res.Replanned = true
 		res.UsedRepair = rrep.UsedRepair
@@ -464,7 +470,6 @@ func (s *Supervisor) rebuild(res *PollResult) error {
 	}
 	popts := s.opts.Replan.Options
 	popts.Ctx = s.opts.Ctx
-	popts.Equiv = popts.Equiv || s.opts.Equiv
 	plan, err := s.opts.solver().Solve(g, s.topo.Clone(), popts)
 	if err != nil {
 		return err
@@ -476,16 +481,30 @@ func (s *Supervisor) rebuild(res *PollResult) error {
 	if err := dep.Verify(); err != nil {
 		return err
 	}
-	if s.opts.Equiv {
-		if err := deploy.ProveEquivalent(dep); err != nil {
-			return err
-		}
+	if err := s.gate(dep); err != nil {
+		return err
 	}
 	if s.dep != nil {
 		res.Replanned = true
 		s.stats.FullReplans++
 	}
 	return s.adopt(res, dep)
+}
+
+// gate runs the checks the options ask for over a deployment about to be
+// adopted: the plan lint (Replan.Lint) and the symbolic equivalence
+// proof (Equiv or Replan.Equiv).
+func (s *Supervisor) gate(dep *deploy.Deployment) error {
+	r := s.opts.Replan
+	if r.Lint {
+		if err := lint.LintPlan(dep.Plan, program.DefaultResourceModel, r.Epsilon1, r.Epsilon2).Err(); err != nil {
+			return fmt.Errorf("supervisor: plan rejected by lint: %w", err)
+		}
+	}
+	if s.opts.Equiv || r.Equiv {
+		return equiv.CheckDeployment(nil, dep)
+	}
+	return nil
 }
 
 // adopt swaps in a new deployment. The initial build (no controller
@@ -508,7 +527,6 @@ func (s *Supervisor) adopt(res *PollResult, dep *deploy.Deployment) error {
 		Fabric:    s.fab,
 		Ctrl:      s.ctrl,
 		FromEpoch: s.epoch,
-		Equiv:     s.opts.Equiv,
 		Hook:      s.opts.RolloutHook,
 	})
 	if err != nil {

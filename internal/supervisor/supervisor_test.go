@@ -6,8 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/deploy/rollout"
+	"github.com/hermes-net/hermes/internal/equiv"
+	"github.com/hermes-net/hermes/internal/lint"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/workload"
@@ -126,16 +127,34 @@ func TestSupervisorReplansOnConfirmedFailure(t *testing.T) {
 	}
 }
 
-// TestEquivWithoutCheckerFails: a supervisor asked to prove every
-// deployment it adopts must not adopt one unproven because the binary
-// links no checker.
-func TestEquivWithoutCheckerFails(t *testing.T) {
-	hook := deploy.EquivHook
-	deploy.EquivHook = nil
-	t.Cleanup(func() { deploy.EquivHook = hook })
-	_, err := New(workload.RealPrograms(), ringTopo(t, 4, 1.0), Options{Monitor: immediate(), Equiv: true})
-	if err == nil || !strings.Contains(err.Error(), "no equivalence checker is linked") {
-		t.Fatalf("New with Equiv and no checker linked = %v; want the unlinked-checker error", err)
+// TestGatedSupervisorHeals: a supervisor that lints and proves every
+// deployment it adopts builds and heals a clean workload, and what it
+// serves after the heal is lint-clean and proven equivalent.
+func TestGatedSupervisorHeals(t *testing.T) {
+	tp := ringTopo(t, 4, 1.0)
+	opts := Options{Monitor: immediate(), Equiv: true}
+	opts.Replan.Lint = true
+	sup, err := New(workload.RealPrograms(), tp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, host := hostOf(t, sup)
+	if err := tp.SetSwitchDown(host); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sup.Poll()
+	if err != nil {
+		t.Fatalf("gated heal: %v", err)
+	}
+	if !res.Replanned || len(res.Shed) > 0 {
+		t.Fatalf("gated heal replanned=%v shed=%v, want a replan that sheds nothing", res.Replanned, res.Shed)
+	}
+	dep := sup.Deployment()
+	if err := lint.LintPlan(dep.Plan, program.DefaultResourceModel, 0, 0).Err(); err != nil {
+		t.Errorf("adopted plan fails lint: %v", err)
+	}
+	if err := equiv.CheckDeployment(nil, dep); err != nil {
+		t.Errorf("adopted deployment not proven: %v", err)
 	}
 }
 
