@@ -68,6 +68,10 @@ type trafficPoint struct {
 	name, model              string
 	structAMax, weightedAMax int
 	structRes, weightedRes   *dataplane.TrafficResult
+	// oracleMisses counts the path-oracle misses the two replays added:
+	// the projection routes on its own scratch, so a replay never grows
+	// the oracle's memory.
+	oracleMisses uint64
 }
 
 // cut is before/after; when the weighted plan eliminated every byte the
@@ -107,10 +111,12 @@ var trafficExp = experiment{
 				col(det, "weighted_rate_cut", "sum cut", "%.1fx", func(p trafficPoint) any {
 					return cut(p.structRes.WeightedByteRate, p.weightedRes.WeightedByteRate)
 				}),
+				col(det, "replay_oracle_misses", "", "", func(p trafficPoint) any { return int(p.oracleMisses) }),
 			},
 			checks: []check{
 				bound("hot_pair_cut", ">=", trafficHotCutFloor).when("on skewed models", skewed),
 				bound("a_max_inflation", "<=", trafficAMaxSlack).when("on skewed models", skewed),
+				bound("replay_oracle_misses", "==", 0),
 			}},
 		{name: "throughput",
 			cols: []column{
@@ -187,6 +193,10 @@ func measureTraffic(fx trafficFixture, seed int64, model string, structDep *depl
 	if err != nil {
 		return trafficPoint{}, err
 	}
+	misses := func() uint64 {
+		return structDep.Plan.Topo.PathCacheStats().Misses + weightedDep.Plan.Topo.PathCacheStats().Misses
+	}
+	before := misses()
 	structRes, err := dataplane.ReplayTraffic(structDep, tm, trafficReplayPackets, 0, 0)
 	if err != nil {
 		return trafficPoint{}, err
@@ -199,6 +209,7 @@ func measureTraffic(fx trafficFixture, seed int64, model string, structDep *depl
 		name: fx.name, model: model,
 		structAMax: structDep.Plan.AMax(), weightedAMax: weightedDep.Plan.AMax(),
 		structRes: structRes, weightedRes: weightedRes,
+		oracleMisses: misses() - before,
 	}, nil
 }
 

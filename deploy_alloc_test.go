@@ -1,0 +1,64 @@
+package hermes_test
+
+import (
+	"runtime/debug"
+	"testing"
+
+	hermes "github.com/hermes-net/hermes"
+	"github.com/hermes-net/hermes/internal/network"
+	"github.com/hermes-net/hermes/internal/workload"
+)
+
+// TestWarmShardedDeployAllocationCeiling pins what a warm sharded
+// deploy allocates against a standing partition: the region
+// sub-topologies (with their path oracles and latency tables) are
+// memoized on the partition, and the repair instances' dense kernel
+// scratch comes from a free list. CompositeWAN(30), 100 programs, 8
+// regions: 45,247 allocations, where rebuilding every region and its
+// scratch per deploy made 66,773. The ceiling is the measured count
+// plus 10 %. Allocation counts mean nothing under the race detector.
+func TestWarmShardedDeployAllocationCeiling(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
+	topo, err := network.CompositeWAN(30, network.TofinoSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := workload.SyntheticSet(100, workload.PaperSyntheticSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := network.PartitionRegions(topo, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := hermes.DeployOptions{Shards: 8, Partition: part, Workers: 1}
+	deploy := func() {
+		if _, err := hermes.Deploy(progs, topo, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deploy() // warm: region topologies, oracles, scratch
+	allocs := testing.AllocsPerRun(3, deploy)
+	t.Logf("warm sharded deploy on composite:30: %.0f allocs", allocs)
+	const ceiling = 50_000
+	if allocs > ceiling {
+		t.Fatalf("warm sharded deploy on composite:30 allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}

@@ -4,7 +4,9 @@
 package dataplane
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/deploy"
@@ -133,15 +135,31 @@ func ReplayTraffic(dep *deploy.Deployment, tm *network.TrafficMatrix, packets, b
 	res := &TrafficResult{Stats: *stats}
 
 	// Weighted coordination metrics: deployed per-pair bytes scaled by
-	// the matrix's pair-rate projection.
-	rates, err := tm.PairRates(dep.Plan.Topo)
+	// the matrix's pair-rate projection onto the pairs' endpoints only,
+	// summed in RouteKey order so the float sum is reproducible.
+	hop := p.HopBytesPerPacket()
+	keys := make([]placement.RouteKey, 0, len(hop))
+	for key := range hop {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b placement.RouteKey) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	hosts := make([]network.SwitchID, 0, 2*len(keys))
+	for _, key := range keys {
+		hosts = append(hosts, key.From, key.To)
+	}
+	slices.Sort(hosts)
+	hosts = slices.Compact(hosts)
+	rates, err := tm.RatesAmong(dep.Plan.Topo, hosts)
 	if err != nil {
 		return nil, err
 	}
-	S := dep.Plan.Topo.NumSwitches()
-	for key, bytes := range p.HopBytesPerPacket() {
-		w := rates[int(key.From)*S+int(key.To)]
-		br := w * float64(bytes)
+	H := len(hosts)
+	for _, key := range keys {
+		i, _ := slices.BinarySearch(hosts, key.From)
+		j, _ := slices.BinarySearch(hosts, key.To)
+		br := rates[i*H+j] * float64(hop[key])
 		res.WeightedByteRate += br
 		if br > res.HotPairByteRate {
 			res.HotPairByteRate = br
@@ -181,7 +199,9 @@ func demandPacket(d network.Demand, di int) *Packet {
 }
 
 // apportion splits the packet budget across demands proportionally to
-// rate (largest remainder; every demand gets at least its floor).
+// rate (largest remainder; every demand gets at least its floor). The
+// leftover packets go to the largest fractional parts, index breaking
+// ties: one sort by (remainder descending, index).
 func apportion(tm *network.TrafficMatrix, packets int) []int {
 	total := 0.0
 	for _, d := range tm.Demands {
@@ -200,24 +220,14 @@ func apportion(tm *network.TrafficMatrix, packets int) []int {
 		given += counts[i]
 		rems[i] = rem{i: i, r: exact - float64(counts[i])}
 	}
-	// Distribute the remainder to the largest fractional parts,
-	// deterministically (index breaks ties).
-	for given < packets {
-		best := -1
-		for j := range rems {
-			if rems[j].r < 0 {
-				continue
-			}
-			if best < 0 || rems[j].r > rems[best].r {
-				best = j
-			}
-		}
-		if best < 0 {
-			break
-		}
-		counts[rems[best].i]++
-		rems[best].r = -1
-		given++
+	if given >= packets {
+		return counts
+	}
+	slices.SortFunc(rems, func(a, b rem) int {
+		return cmp.Or(cmp.Compare(b.r, a.r), cmp.Compare(a.i, b.i))
+	})
+	for _, r := range rems[:min(packets-given, len(rems))] {
+		counts[r.i]++
 	}
 	return counts
 }

@@ -90,15 +90,16 @@ func newPathCache() *pathCache {
 }
 
 // invalidate drops every memoized result; called whenever the graph
-// changes shape.
+// changes shape. The maps are cleared, not replaced: building a
+// topology calls this once per AddSwitch/AddLink.
 func (c *pathCache) invalidate() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.sssp = map[SwitchID]*ssspTree{}
-	c.ksp = map[[2]SwitchID]*kspEntry{}
-	c.near = map[SwitchID][]progCand{}
+	clear(c.sssp)
+	clear(c.ksp)
+	clear(c.near)
 	c.lat = nil
 	c.mu.Unlock()
 	c.invalidations.Add(1)
@@ -199,20 +200,41 @@ func (t *Topology) ssspFrom(src SwitchID) *ssspTree {
 // seconds).
 func (t *Topology) computeSSSP(src SwitchID) *ssspTree {
 	n := len(t.switches)
-	dist := make([]int64, n)
-	prev := make([]SwitchID, n)
-	done := make([]bool, n)
+	sc := ssspScratch{
+		dist: make([]int64, n),
+		prev: make([]SwitchID, n),
+		done: make([]bool, n),
+		heap: make(distHeap, 0, n),
+	}
+	sc.run(t, src)
+	return &ssspTree{dist: sc.dist, prev: sc.prev}
+}
+
+// ssspScratch is one Dijkstra's working state. computeSSSP hands each
+// run fresh arrays and keeps them as the tree; the traffic projection
+// (traffic.go) reruns one scratch per source and keeps nothing.
+type ssspScratch struct {
+	dist []int64
+	prev []SwitchID
+	done []bool
+	heap distHeap
+}
+
+// run overwrites dist and prev with the tree rooted at src.
+func (sc *ssspScratch) run(t *Topology, src SwitchID) {
+	dist, prev, done := sc.dist, sc.prev, sc.done
 	for i := range dist {
 		dist[i] = infDist
 		prev[i] = -1
+		done[i] = false
 	}
 	// A down source reaches nothing (and nothing reaches it via the
-	// neighbor skip below): return the all-unreachable tree.
+	// neighbor skip below): leave the all-unreachable tree.
 	if t.downSw[src] {
-		return &ssspTree{dist: dist, prev: prev}
+		return
 	}
 	dist[src] = int64(t.switches[src].TransitLatency)
-	h := make(distHeap, 0, n)
+	h := sc.heap[:0]
 	h.push(distHeapItem{dist: dist[src], id: src})
 	for len(h) > 0 {
 		it := h.pop()
@@ -233,7 +255,7 @@ func (t *Topology) computeSSSP(src SwitchID) *ssspTree {
 			}
 		}
 	}
-	return &ssspTree{dist: dist, prev: prev}
+	sc.heap = h
 }
 
 // distHeapItem is one labeled vertex in the Dijkstra frontier; stale
@@ -296,23 +318,32 @@ func (h *distHeap) pop() distHeapItem {
 // pathTo reconstructs the tree's src→dst path. The error messages match
 // the uncached Dijkstra so callers observe identical behavior.
 func (tr *ssspTree) pathTo(src, dst SwitchID) (Path, error) {
-	if tr.dist[dst] == infDist {
-		return Path{}, fmt.Errorf("network: no path from %d to %d", src, dst)
+	seq, err := tr.walk(src, dst, nil)
+	if err != nil {
+		return Path{}, err
 	}
-	var seq []SwitchID
+	for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
+		seq[i], seq[j] = seq[j], seq[i]
+	}
+	return Path{Switches: seq, Latency: time.Duration(tr.dist[dst])}, nil
+}
+
+// walk appends the tree's src→dst path to buf in reverse, dst first.
+func (tr *ssspTree) walk(src, dst SwitchID, buf []SwitchID) ([]SwitchID, error) {
+	if tr.dist[dst] == infDist {
+		return nil, fmt.Errorf("network: no path from %d to %d", src, dst)
+	}
+	seq := buf
 	for at := dst; at != -1; at = tr.prev[at] {
 		seq = append(seq, at)
 		if at == src {
 			break
 		}
 	}
-	for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
-		seq[i], seq[j] = seq[j], seq[i]
+	if seq[len(seq)-1] != src {
+		return nil, fmt.Errorf("network: path reconstruction failed for %d->%d", src, dst)
 	}
-	if seq[0] != src {
-		return Path{}, fmt.Errorf("network: path reconstruction failed for %d->%d", src, dst)
-	}
-	return Path{Switches: seq, Latency: time.Duration(tr.dist[dst])}, nil
+	return seq, nil
 }
 
 // programmableByLatency returns the cached latency-sorted list of

@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // partitionTolerance bounds the per-region programmable-capacity
@@ -45,12 +46,25 @@ const partitionTolerance = 0.5
 const refinePasses = 2
 
 // Partition is a disjoint cover of a topology's switches by connected
-// regions. It is immutable after construction.
+// regions. It is immutable after construction; only the SubTopology
+// memo changes, under its own lock.
 type Partition struct {
 	topo     *Topology
 	seed     int64
 	regions  [][]SwitchID // sorted ascending within each region
 	regionOf []int32      // switch ID → region index
+
+	subMu sync.Mutex
+	subs  []subMemo // per region; nil until the first SubTopology
+}
+
+// subMemo is one region's memoized sub-topology and the parent state it
+// was carved from: the fault epoch and the structural size (switches and
+// links are only ever appended).
+type subMemo struct {
+	topo        *Topology
+	epoch       uint64
+	nsw, nlinks int
 }
 
 // PartitionRegions partitions t into k connected regions balanced by
@@ -439,17 +453,50 @@ func (p *Partition) AdjacentRegions() [][2]int {
 // SubTopology carves region r out of the topology via Subgraph. The
 // returned slice maps local switch IDs back to global ones (it is the
 // region's sorted member list). The sub-topology is connected by the
-// partition invariant and its path cache is cold and region-local.
+// partition invariant and its path cache is region-local.
+//
+// The sub-topology is memoized per region until the parent's fault
+// epoch, switch or link count, or a member's traits change, so repeat
+// calls return the same pointer and its path oracle and latency table
+// stay warm across solves. It is shared: callers must not mutate it.
 func (p *Partition) SubTopology(r int) (*Topology, []SwitchID, error) {
 	if r < 0 || r >= len(p.regions) {
 		return nil, nil, fmt.Errorf("network: partition has no region %d", r)
 	}
 	members := p.Region(r)
+	p.subMu.Lock()
+	defer p.subMu.Unlock()
+	if p.subs == nil {
+		p.subs = make([]subMemo, len(p.regions))
+	}
+	m := &p.subs[r]
+	if p.subFresh(m, members) {
+		return m.topo, members, nil
+	}
 	sub, err := p.topo.Subgraph(fmt.Sprintf("%s/region%d", p.topo.Name, r), members)
 	if err != nil {
 		return nil, nil, err
 	}
+	*m = subMemo{topo: sub, epoch: p.topo.FaultEpoch(), nsw: p.topo.NumSwitches(), nlinks: p.topo.NumLinks()}
 	return sub, members, nil
+}
+
+// subFresh reports whether m still describes the parent's region: same
+// fault epoch and size, and every carved switch still a copy of its
+// parent switch (a caller may rewrite a switch's traits in place).
+func (p *Partition) subFresh(m *subMemo, members []SwitchID) bool {
+	t := p.topo
+	if m.topo == nil || m.epoch != t.FaultEpoch() || m.nsw != t.NumSwitches() || m.nlinks != t.NumLinks() {
+		return false
+	}
+	for i, gid := range members {
+		sw := *m.topo.switches[i]
+		sw.ID = gid
+		if sw != *t.switches[gid] {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate checks the partition invariants: every switch in exactly one

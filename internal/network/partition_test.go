@@ -3,7 +3,9 @@ package network
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // partitionFixtures builds the seeded inputs the satellite test list
@@ -259,5 +261,142 @@ func TestSubgraphFaultOverlay(t *testing.T) {
 	}
 	if _, err := topo.Subgraph("bad", []SwitchID{9999}); err == nil {
 		t.Fatal("Subgraph accepted unknown member")
+	}
+}
+
+// TestSubTopologyMemo: a standing partition hands back the same region
+// topology, warm oracle and all, until the parent changes.
+func TestSubTopologyMemo(t *testing.T) {
+	topo, err := CompositeWAN(3, TofinoSpec(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PartitionRegions(topo, 3, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := make([]*Topology, p.NumRegions())
+	for r := range first {
+		if first[r], _, err = p.SubTopology(r); err != nil {
+			t.Fatal(err)
+		}
+		first[r].LatencyTable()
+	}
+	for r := range first {
+		sub, members, err := p.SubTopology(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sub != first[r] {
+			t.Fatalf("region %d: repeat SubTopology built a new topology", r)
+		}
+		if s := sub.PathCacheStats(); s.Misses == 0 {
+			t.Fatalf("region %d: memoized sub-topology lost its oracle", r)
+		}
+		members[0] = -1 // the caller's copy
+	}
+	if m := p.Region(0); m[0] < 0 {
+		t.Fatal("SubTopology shares the partition's member list")
+	}
+
+	// A fault on the parent: every region is carved again, and the
+	// faulted region shows the fault at its local ID.
+	down := p.Region(1)[0]
+	if err := topo.SetSwitchDown(down); err != nil {
+		t.Fatal(err)
+	}
+	for r := range first {
+		sub, _, err := p.SubTopology(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sub == first[r] {
+			t.Fatalf("region %d: SubTopology served a pre-fault topology", r)
+		}
+		if got := sub.HasFaults(); got != (r == 1) {
+			t.Fatalf("region %d: HasFaults = %v after switch %d went down", r, got, down)
+		}
+		first[r] = sub
+	}
+	if sub, _, _ := p.SubTopology(1); !sub.SwitchIsDown(0) {
+		t.Fatal("down switch not visible at its local ID")
+	}
+
+	// A trait rewritten in place on the parent is a new region too.
+	sw, err := topo.Switch(p.Region(2)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Stages++
+	sub, _, err := p.SubTopology(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls, _ := sub.Switch(0); sub == first[2] || ls.Stages != sw.Stages {
+		t.Fatal("SubTopology missed an in-place trait change")
+	}
+
+	// So is a structural mutation: a link added inside region 0.
+	members := p.Region(0)
+	a, b := members[0], SwitchID(-1)
+	for _, u := range members[1:] {
+		if _, linked := topo.LinkBetween(a, u); !linked {
+			b = u
+			break
+		}
+	}
+	if b < 0 {
+		t.Skip("region 0 is a clique")
+	}
+	if err := topo.AddLink(a, b, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	sub, _, err = p.SubTopology(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub == first[0] || sub.NumLinks() != first[0].NumLinks()+1 {
+		t.Fatal("SubTopology missed a link added to the parent")
+	}
+}
+
+// TestSubTopologyConcurrent: concurrent callers all get the one
+// memoized topology per region (run it under -race).
+func TestSubTopologyConcurrent(t *testing.T) {
+	topo, err := CompositeWAN(3, TofinoSpec(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PartitionRegions(topo, 3, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	got := make([][]*Topology, callers)
+	var wg sync.WaitGroup
+	for c := range got {
+		got[c] = make([]*Topology, p.NumRegions())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range got[c] {
+				r := (i + c) % len(got[c])
+				sub, _, err := p.SubTopology(r)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sub.LatencyTable()
+				got[c][r] = sub
+			}
+		}()
+	}
+	wg.Wait()
+	for c := range got {
+		for r, sub := range got[c] {
+			if sub != got[0][r] {
+				t.Fatalf("caller %d got a different region %d topology", c, r)
+			}
+		}
 	}
 }

@@ -8,6 +8,8 @@
 // and PairRates projects the demands onto ordered switch pairs along
 // shortest paths, which the placement layer compiles into the weighted
 // objective min Σ w(u,v)·A(u,v) (and the weighted-max variant).
+// RatesAmong is the same projection onto a few hosts' pairs only, for
+// readers that weigh a handful of pairs on a large topology.
 //
 // Everything is deterministic in (topology, model, seed), and the text
 // form round-trips through Format/ParseTraffic so a matrix can be
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,11 +80,22 @@ type TrafficMatrix struct {
 	// compacted ID space has no routable topology.
 	pre []float64
 
-	// PairRates memo (single entry, keyed by topology pointer).
+	// PairRates memo (single entry, keyed by topology pointer) and the
+	// RatesAmong memo (single entry, keyed by topology pointer and host
+	// list), both guarded by mu.
 	mu        sync.Mutex
 	memoTopo  *Topology
 	memoEpoch uint64
 	memoRates []float64
+	among     amongMemo
+}
+
+// amongMemo is RatesAmong's single memo entry.
+type amongMemo struct {
+	topo  *Topology
+	epoch uint64
+	hosts []SwitchID
+	rates []float64
 }
 
 // maxTrafficDemands caps generated demand entries so huge topologies
@@ -265,25 +279,109 @@ func (tm *TrafficMatrix) PairRates(t *Topology) ([]float64, error) {
 	if tm.memoTopo == t && tm.memoEpoch == t.FaultEpoch() && tm.memoRates != nil {
 		return tm.memoRates, nil
 	}
-	pairs := make([][2]SwitchID, len(tm.Demands))
-	for i, d := range tm.Demands {
-		pairs[i] = [2]SwitchID{d.Src, d.Dst}
+	idx := make([]int32, tm.S)
+	for u := range idx {
+		idx[u] = int32(u)
 	}
-	paths, err := t.ShortestPaths(pairs)
+	rates, err := tm.project(t, idx, tm.S)
 	if err != nil {
-		return nil, fmt.Errorf("network: routing traffic demands: %w", err)
+		return nil, err
 	}
-	s := tm.S
-	rates := make([]float64, s*s)
-	for di, d := range tm.Demands {
-		seq := paths[di].Switches
-		for i := 0; i < len(seq); i++ {
-			for j := i + 1; j < len(seq); j++ {
-				rates[int(seq[i])*s+int(seq[j])] += d.Rate
+	tm.memoTopo, tm.memoEpoch, tm.memoRates = t, t.FaultEpoch(), rates
+	return rates, nil
+}
+
+// RatesAmong is PairRates restricted to hosts: entry [i*H+j],
+// H = len(hosts), is PairRates(t)[hosts[i]*S+hosts[j]] bit for bit,
+// but neither the S×S table nor a path-oracle entry is built, so a
+// caller that weighs a few switch pairs (the replay's coordination
+// metrics) pays O(H²) memory instead of O(S²). hosts must be distinct
+// switch IDs of t, in any order. The returned slice is shared and must
+// be treated as read-only; it is memoized per (topology, fault epoch,
+// hosts), one entry deep. A Restrict output has no demands to project
+// and is rejected.
+func (tm *TrafficMatrix) RatesAmong(t *Topology, hosts []SwitchID) ([]float64, error) {
+	if tm.pre != nil {
+		return nil, fmt.Errorf("network: restricted traffic matrix has no demand form")
+	}
+	if err := tm.Validate(t); err != nil {
+		return nil, err
+	}
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	m := &tm.among
+	if m.topo == t && m.epoch == t.FaultEpoch() && m.rates != nil && slices.Equal(m.hosts, hosts) {
+		return m.rates, nil
+	}
+	idx := make([]int32, tm.S)
+	for u := range idx {
+		idx[u] = -1
+	}
+	for i, u := range hosts {
+		if int(u) < 0 || int(u) >= tm.S {
+			return nil, fmt.Errorf("network: traffic rates among unknown switch %d", u)
+		}
+		if idx[u] >= 0 {
+			return nil, fmt.Errorf("network: traffic rates among switch %d twice", u)
+		}
+		idx[u] = int32(i)
+	}
+	rates, err := tm.project(t, idx, len(hosts))
+	if err != nil {
+		return nil, err
+	}
+	*m = amongMemo{topo: t, epoch: t.FaultEpoch(), hosts: slices.Clone(hosts), rates: rates}
+	return rates, nil
+}
+
+// project folds the demands onto an h×h table over a host index: idx[u]
+// is switch u's row and column, or -1 when u is not a host. Each
+// demand's shortest path is walked in demand order and adds its rate to
+// every (earlier host, later host) cell it visits, so every cell sees
+// the same float additions in the same order whatever the host set —
+// the restricted tables are the dense table's entries bit for bit. The
+// demands are sorted by Src, so one Dijkstra per distinct source runs
+// on one reused scratch, with computeSSSP's (dist, id) pop order and
+// strict relaxation; no tree enters the path oracle. Every demand is
+// routed whether or not its path meets a host, so an unroutable demand
+// fails every projection with the same error.
+func (tm *TrafficMatrix) project(t *Topology, idx []int32, h int) ([]float64, error) {
+	n := t.NumSwitches()
+	rates := make([]float64, h*h)
+	sc := ssspScratch{
+		dist: make([]int64, n),
+		prev: make([]SwitchID, n),
+		done: make([]bool, n),
+		heap: make(distHeap, 0, n),
+	}
+	tree := ssspTree{dist: sc.dist, prev: sc.prev}
+	var seq []SwitchID
+	var at []int32
+	src := SwitchID(-1)
+	for _, d := range tm.Demands {
+		if d.Src != src {
+			src = d.Src
+			sc.run(t, src)
+		}
+		var err error
+		if seq, err = tree.walk(src, d.Dst, seq[:0]); err != nil {
+			return nil, fmt.Errorf("network: routing traffic demands: %w", err)
+		}
+		// seq runs dst → src, so at[a] precedes at[b] on the path
+		// exactly when a > b.
+		at = at[:0]
+		for _, u := range seq {
+			if k := idx[u]; k >= 0 {
+				at = append(at, k)
+			}
+		}
+		for a := 1; a < len(at); a++ {
+			row := rates[int(at[a])*h:]
+			for _, k := range at[:a] {
+				row[k] += d.Rate
 			}
 		}
 	}
-	tm.memoTopo, tm.memoEpoch, tm.memoRates = t, t.FaultEpoch(), rates
 	return rates, nil
 }
 

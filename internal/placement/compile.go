@@ -295,8 +295,12 @@ type PairTable struct {
 
 // NewPairTable allocates an empty table sized for the instance.
 func (ci *CompiledInstance) NewPairTable() *PairTable {
-	n := int(ci.S) * int(ci.S)
-	return &PairTable{S: ci.S, Cells: make([]int32, n), inKeys: make([]bool, n)}
+	return newPairTable(ci.S)
+}
+
+func newPairTable(s int32) *PairTable {
+	n := int(s) * int(s)
+	return &PairTable{S: s, Cells: make([]int32, n), inKeys: make([]bool, n)}
 }
 
 // Reset clears the table in O(touched cells).
@@ -368,7 +372,11 @@ type MoveScratch struct {
 
 // NewMoveScratch allocates scratch sized for the instance.
 func (ci *CompiledInstance) NewMoveScratch() *MoveScratch {
-	n := int(ci.S) * int(ci.S)
+	return newMoveScratch(ci.S)
+}
+
+func newMoveScratch(s int32) *MoveScratch {
+	n := int(s) * int(s)
 	return &MoveScratch{delta: make([]int32, n), inKeys: make([]bool, n)}
 }
 
@@ -527,7 +535,11 @@ type CycleScratch struct {
 
 // NewCycleScratch allocates scratch sized for the instance.
 func (ci *CompiledInstance) NewCycleScratch() *CycleScratch {
-	n := int(ci.S)
+	return newCycleScratch(ci.S)
+}
+
+func newCycleScratch(s int32) *CycleScratch {
+	n := int(s)
 	return &CycleScratch{
 		adj:     make([]int32, n*n),
 		indeg:   make([]int32, n),
@@ -536,16 +548,21 @@ func (ci *CompiledInstance) NewCycleScratch() *CycleScratch {
 	}
 }
 
+// reset clears the adjacency cells the last check set, in O(touched).
+func (cs *CycleScratch) reset() {
+	for _, c := range cs.touched {
+		cs.adj[c] = 0
+	}
+	cs.touched = cs.touched[:0]
+}
+
 // AssignmentAcyclic reports whether the contracted switch graph of a
 // (possibly partial) dense assignment is a DAG (constraint Eq. 7 at
 // switch granularity): the compiled twin of the map-based Kahn check
 // in assignmentAcyclic. Allocation-free given caller-owned scratch.
 func (ci *CompiledInstance) AssignmentAcyclic(assign []int32, cs *CycleScratch) bool {
 	s := ci.S
-	for _, c := range cs.touched {
-		cs.adj[c] = 0
-	}
-	cs.touched = cs.touched[:0]
+	cs.reset()
 	for u := int32(0); u < s; u++ {
 		cs.indeg[u] = 0
 		cs.present[u] = false

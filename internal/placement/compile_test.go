@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -296,5 +297,59 @@ func TestCompileMemoRevalidates(t *testing.T) {
 	other := program.ResourceModel{SRAMBytesPerStage: 1, TCAMFactor: 1, ALUWeight: 1, MinCost: 0.5}
 	if d := Compile(g, tp, other); d == c {
 		t.Fatal("resource-model change did not invalidate the compiled instance")
+	}
+}
+
+// TestKernelScratchRecycledClean drives the free list from several
+// goroutines at once (run it under -race): every take hands out
+// all-zero scratch sized to the asking instance, whatever a previous
+// holder left in it, the list stays bounded, and scratch above the
+// cell bound is dropped.
+func TestKernelScratchRecycledClean(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 40; i++ {
+				s := int32(2 + rng.Intn(60))
+				n := int(s) * int(s)
+				ks := takeScratch(s)
+				if ks.pt.S != s || len(ks.pt.Cells) != n || len(ks.ms.delta) != n || len(ks.cyc.adj) != n || len(ks.cyc.indeg) != int(s) {
+					t.Errorf("scratch for S=%d has the wrong shape", s)
+					return
+				}
+				for c := 0; c < n; c++ {
+					if ks.pt.Cells[c] != 0 || ks.pt.inKeys[c] || ks.ms.delta[c] != 0 || ks.ms.inKeys[c] || ks.cyc.adj[c] != 0 {
+						t.Errorf("recycled scratch for S=%d is dirty at cell %d", s, c)
+						return
+					}
+				}
+				for j := 0; j < 5; j++ {
+					c := int32(rng.Intn(n))
+					ks.pt.Add(c, 3)
+					ks.ms.add(c, 2)
+					if ks.cyc.adj[c] == 0 {
+						ks.cyc.adj[c] = 1
+						ks.cyc.touched = append(ks.cyc.touched, c)
+					}
+				}
+				putScratch(ks)
+			}
+		}()
+	}
+	wg.Wait()
+	big := int32(1 << 10)
+	putScratch(kernelScratch{pt: newPairTable(big), ms: newMoveScratch(big), cyc: newCycleScratch(big)})
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	if len(scratchFree.list) > scratchFreeEntries {
+		t.Fatalf("free list holds %d entries, bound %d", len(scratchFree.list), scratchFreeEntries)
+	}
+	for _, ks := range scratchFree.list {
+		if ks.cells() > scratchFreeMaxCells {
+			t.Fatalf("free list kept %d-cell scratch, bound %d", ks.cells(), scratchFreeMaxCells)
+		}
 	}
 }

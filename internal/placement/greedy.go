@@ -123,6 +123,7 @@ func polish(plan *Plan, opts Options, rm program.ResourceModel) error {
 	if err != nil {
 		return err
 	}
+	defer in.release()
 	all := make([]int32, len(in.assign))
 	for x := range all {
 		all[x] = int32(x)

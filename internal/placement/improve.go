@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
@@ -42,13 +43,16 @@ type repairInstance struct {
 	used  []float64
 }
 
+// newRepairInstance builds the instance on recycled dense scratch; the
+// caller hands it back with release once the instance is done.
 func newRepairInstance(ci *CompiledInstance, sws []*network.Switch, cands, assign []int32, wt *WeightTable) *repairInstance {
+	ks := takeScratch(ci.S)
 	in := &repairInstance{
 		ci: ci, sws: sws, cands: cands, assign: assign, wt: wt,
 		residents: make([][]int32, len(sws)),
-		pt:        ci.NewPairTable(),
-		ms:        ci.NewMoveScratch(),
-		cyc:       ci.NewCycleScratch(),
+		pt:        ks.pt,
+		ms:        ks.ms,
+		cyc:       ks.cyc,
 		stamp:     make([]int32, len(ci.Names)),
 		end:       make([]int32, len(ci.Names)),
 	}
@@ -64,6 +68,91 @@ func newRepairInstance(ci *CompiledInstance, sws []*network.Switch, cands, assig
 	}
 	in.used = make([]float64, stages)
 	return in
+}
+
+// release cleans the instance's dense scratch in O(touched cells) and
+// returns it to the free list; the instance must not score again.
+func (in *repairInstance) release() {
+	putScratch(kernelScratch{pt: in.pt, ms: in.ms, cyc: in.cyc})
+	in.pt, in.ms, in.cyc = nil, nil, nil
+}
+
+// kernelScratch is the S²-sized scratch one repair instance scores on.
+type kernelScratch struct {
+	pt  *PairTable
+	ms  *MoveScratch
+	cyc *CycleScratch
+}
+
+// cells is the S² capacity every part of the scratch has.
+func (ks kernelScratch) cells() int { return cap(ks.pt.Cells) }
+
+// scratchFree recycles the kernel scratch of finished repair instances.
+// One deploy builds an instance per region solve, per reconcile and per
+// repaired region, and their S² tables were ~40 % of a composite
+// deploy's bytes. It is a plain list, not a sync.Pool, so it survives
+// GC; it is bounded in entries and in cells, so a whole-graph instance
+// on a topology of thousands of switches is never retained.
+var scratchFree struct {
+	sync.Mutex
+	list []kernelScratch
+}
+
+const (
+	scratchFreeEntries  = 4
+	scratchFreeMaxCells = 1 << 19
+)
+
+// takeScratch returns clean scratch for an s-switch instance: the
+// smallest free entry that is large enough, resliced to s, or a fresh
+// one.
+func takeScratch(s int32) kernelScratch {
+	n := int(s) * int(s)
+	scratchFree.Lock()
+	best := -1
+	for i, ks := range scratchFree.list {
+		if c := ks.cells(); c >= n && (best < 0 || c < scratchFree.list[best].cells()) {
+			best = i
+		}
+	}
+	if best < 0 {
+		scratchFree.Unlock()
+		return kernelScratch{pt: newPairTable(s), ms: newMoveScratch(s), cyc: newCycleScratch(s)}
+	}
+	ks := scratchFree.list[best]
+	scratchFree.list = slices.Delete(scratchFree.list, best, best+1)
+	scratchFree.Unlock()
+	pt, ms, cyc := ks.pt, ks.ms, ks.cyc
+	pt.S, pt.Cells, pt.inKeys = s, pt.Cells[:n], pt.inKeys[:n]
+	ms.delta, ms.inKeys = ms.delta[:n], ms.inKeys[:n]
+	cyc.adj, cyc.indeg, cyc.present = cyc.adj[:n], cyc.indeg[:s], cyc.present[:s]
+	return ks
+}
+
+// putScratch cleans ks and keeps it when the list has room, or when it
+// is larger than the smallest entry, which it then replaces.
+func putScratch(ks kernelScratch) {
+	if ks.cells() > scratchFreeMaxCells {
+		return
+	}
+	ks.pt.Reset()
+	ks.ms.reset()
+	ks.cyc.reset()
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	if len(scratchFree.list) < scratchFreeEntries {
+		scratchFree.list = append(scratchFree.list, ks)
+		return
+	}
+	small := 0
+	for i, e := range scratchFree.list {
+		if e.cells() < scratchFree.list[small].cells() {
+			small = i
+		}
+	}
+	if ks.cells() > scratchFree.list[small].cells() {
+		scratchFree.list[small] = ks
+	}
 }
 
 // wholeInstance wraps a complete plan in the memoized whole-graph

@@ -400,6 +400,7 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	}
 
 	in := newRepairInstance(ci, sws, cands, dense, wt)
+	defer in.release()
 	if err := in.place(place, ropts.Options); err != nil {
 		return nil, err
 	}

@@ -197,6 +197,7 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 		cands[i] = int32(i)
 	}
 	in := newRepairInstance(ci, sws, cands, dense, wt)
+	defer in.release()
 	ci.FillPairTable(dense, in.pt)
 	amax := in.pt.Max()
 
