@@ -164,7 +164,7 @@ func TestEveryGateStillBites(t *testing.T) {
 		{"regionreplan", set("rows", "composite:10", map[string]any{"moved_regional": 0.0}), "regionreplan rows[composite:10] moved_regional = 0: want > 0"},
 		{"regionreplan", set("rows", "composite:30", map[string]any{"amax_ratio": 1.201, "regional_amax_bytes": 213.0}), "regionreplan rows[composite:30] amax_ratio = 1.201: want <= 1.2 unless the seed was already worse"},
 		{"regionreplan", set("rows", "composite:30", map[string]any{"amax_ratio": 1.201}), ""}, // no worse than its seed
-		{"regionreplan", set("rows", "composite:10", map[string]any{"equiv_agree": false}), "regionreplan rows[composite:10] equiv_agree = false"},
+		{"regionreplan", set("rows", "composite:10", map[string]any{"equiv_ok": false}), "regionreplan rows[composite:10] equiv_ok = false"},
 		{"regionreplan", set("rows", "composite:30", map[string]any{"speedup": 4.9}), "regionreplan rows[composite:30] speedup = 4.9: want >= 5 on the composite:30 headline"},
 		{"regionreplan", set("rows", "composite:10", map[string]any{"speedup": 4.9}), ""}, // only the headline is held to 5x
 		{"rollout", set("rows", "table3:1", map[string]any{"violations": 1.0}), "rollout rows[table3:1] violations = 1"},

@@ -235,7 +235,7 @@ var regionReplanExp = experiment{
 			col(timing, "regions_ms", "", "", func(p regionPt) any { return p.RegionsMs }),
 			col(timing, "exchange_ms", "", "", func(p regionPt) any { return p.ExchangeMs }),
 			col(timing, "gates_ms", "", "", func(p regionPt) any { return p.GatesMs }),
-			col(det, "equiv_agree", "", "", func(p regionPt) any { return p.EquivAgree }),
+			col(det, "equiv_ok", "", "", func(p regionPt) any { return p.EquivOK }),
 			col(timing, "equiv_ms", "", "", func(p regionPt) any { return p.EquivMs }),
 		},
 		checks: []check{
@@ -248,7 +248,7 @@ var regionReplanExp = experiment{
 			// already that bad.
 			bound("amax_ratio", "<=", experiments.RegionReplanQualityRatio).when("unless the seed was already worse",
 				func(r row) bool { return r.num("regional_amax_bytes") > r.num("seed_amax_bytes") }),
-			is("equiv_agree", true), // incremental and full equivalence verdicts
+			is("equiv_ok", true), // every repaired plan is proven equivalent
 			bound("speedup", ">=", regionReplanSpeedup).when("on the "+regionReplanHeadline+" headline", headline(regionReplanHeadline)),
 			{col: "topology", want: regionReplanHeadline + " in the sweep", some: true, ok: headline(regionReplanHeadline)},
 		},

@@ -500,20 +500,6 @@ func DiagnoseEquivalence(dep *Deployment) (*EquivReport, error) {
 	return equiv.Diagnose(nil, dep)
 }
 
-// EquivRechecker proves successive plans over one reference TDG,
-// re-proving after a replan only the field-closed components that
-// actually moved (the incremental equivalence gate; see
-// internal/equiv).
-type EquivRechecker = equiv.Rechecker
-
-// RecheckStats reports which path one recheck took (full or
-// incremental) and how much of the pipeline it re-proved.
-type RecheckStats = equiv.RecheckStats
-
-// NewEquivRechecker builds an incremental equivalence checker for a
-// reference TDG.
-func NewEquivRechecker(g *TDG) (*EquivRechecker, error) { return equiv.NewRechecker(g) }
-
 // DefaultFlow returns the paper's DCN flow configuration for a packet
 // size.
 func DefaultFlow(packetBytes int) FlowConfig { return e2esim.DefaultDCN(packetBytes) }

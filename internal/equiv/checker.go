@@ -180,9 +180,8 @@ func (c *Checker) clean() bool {
 // structuralClean is the screen preceding the symbolic walk: the visit
 // order is realizable, every reference MAT executes exactly once,
 // nothing unknown executes, and drifted definitions are behaviorally
-// equal. The incremental re-checker (Rechecker) runs this globally
-// before trusting per-component sub-walks, because these are the only
-// clean() conditions a field-closed component cannot decide locally.
+// equal. clean() runs it first and skips the walk on failure, as the
+// diagnostic pass then reports the structural findings alone.
 func (c *Checker) structuralClean() bool {
 	if c.cycle || len(c.unknown) > 0 || len(c.noDef) > 0 {
 		return false

@@ -317,75 +317,6 @@ func (t *Topology) ShortestPath(src, dst SwitchID) (Path, error) {
 	return t.ssspFrom(src).pathTo(src, dst)
 }
 
-// shortestPathAvoiding runs Dijkstra excluding the given switches and
-// links (used by Yen's algorithm). banned switches are keyed by ID;
-// banned links by index.
-func (t *Topology) shortestPathAvoiding(src, dst SwitchID, bannedSw map[SwitchID]bool, bannedLink map[int]bool) (Path, error) {
-	const inf = math.MaxInt64
-	n := len(t.switches)
-	dist := make([]int64, n)
-	prev := make([]SwitchID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = inf
-		prev[i] = -1
-	}
-	if bannedSw[src] || bannedSw[dst] {
-		return Path{}, fmt.Errorf("network: endpoints banned")
-	}
-	if t.downSw[src] || t.downSw[dst] {
-		return Path{}, fmt.Errorf("network: endpoint switch down")
-	}
-	dist[src] = int64(t.switches[src].TransitLatency)
-	// Simple O(V^2) Dijkstra; topologies here are small (≤ a few
-	// hundred nodes), and this avoids heap bookkeeping.
-	for {
-		u := SwitchID(-1)
-		best := int64(inf)
-		for i := 0; i < n; i++ {
-			if !done[i] && dist[i] < best {
-				best = dist[i]
-				u = SwitchID(i)
-			}
-		}
-		if u < 0 {
-			break
-		}
-		if u == dst {
-			break
-		}
-		done[u] = true
-		for _, e := range t.adj[u] {
-			if done[e.to] || bannedSw[e.to] || bannedLink[e.link] || t.downSw[e.to] || t.downLink[e.link] {
-				continue
-			}
-			alt := dist[u] + int64(t.links[e.link].Latency) + int64(t.switches[e.to].TransitLatency)
-			if alt < dist[e.to] {
-				dist[e.to] = alt
-				prev[e.to] = u
-			}
-		}
-	}
-	if dist[dst] == inf {
-		return Path{}, fmt.Errorf("network: no path from %d to %d", src, dst)
-	}
-	var seq []SwitchID
-	for at := dst; at != -1; at = prev[at] {
-		seq = append(seq, at)
-		if at == src {
-			break
-		}
-	}
-	// Reverse.
-	for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
-		seq[i], seq[j] = seq[j], seq[i]
-	}
-	if seq[0] != src {
-		return Path{}, fmt.Errorf("network: path reconstruction failed for %d->%d", src, dst)
-	}
-	return Path{Switches: seq, Latency: time.Duration(dist[dst])}, nil
-}
-
 // KShortestPaths returns up to k loopless shortest paths from src to
 // dst in increasing latency order (Yen's algorithm). This materializes
 // the path set P(u,v) used by the MILP formulation.
@@ -438,7 +369,10 @@ func (t *Topology) KShortestPaths(src, dst SwitchID, k int) ([]Path, error) {
 }
 
 // yenKShortest is the uncached Yen loop. exhausted reports that the
-// loop drained every loopless candidate before reaching k paths.
+// loop drained every loopless candidate before reaching k paths. Each
+// spur search is one heap Dijkstra on a reused scratch, with the root
+// path's switches and the links the accepted paths leave the spur by
+// banned.
 func (t *Topology) yenKShortest(src, dst SwitchID, k int) (_ []Path, exhausted bool, _ error) {
 	first, err := t.ShortestPath(src, dst)
 	if err != nil {
@@ -447,6 +381,11 @@ func (t *Topology) yenKShortest(src, dst SwitchID, k int) (_ []Path, exhausted b
 	paths := []Path{first}
 	var candidates []Path
 
+	sc := newSSSPScratch(len(t.switches))
+	tree := ssspTree{dist: sc.dist, prev: sc.prev}
+	bannedSw := make([]bool, len(t.switches))
+	bannedLink := make([]bool, len(t.links))
+	var spurSeq []SwitchID
 	for len(paths) < k {
 		last := paths[len(paths)-1]
 		// For each spur node in the previous shortest path.
@@ -454,8 +393,7 @@ func (t *Topology) yenKShortest(src, dst SwitchID, k int) (_ []Path, exhausted b
 			spur := last.Switches[i]
 			root := last.Switches[:i+1]
 
-			bannedLink := make(map[int]bool)
-			bannedSw := make(map[SwitchID]bool)
+			clear(bannedLink)
 			for _, p := range paths {
 				if sharesPrefix(p.Switches, root) && len(p.Switches) > i+1 {
 					if li, ok := t.linkIndex(p.Switches[i], p.Switches[i+1]); ok {
@@ -463,15 +401,21 @@ func (t *Topology) yenKShortest(src, dst SwitchID, k int) (_ []Path, exhausted b
 					}
 				}
 			}
-			for _, s := range root[:len(root)-1] {
+			for _, s := range root[:i] {
 				bannedSw[s] = true
 			}
-
-			spurPath, err := t.shortestPathAvoiding(spur, dst, bannedSw, bannedLink)
-			if err != nil {
+			sc.run(t, spur, bannedSw, bannedLink)
+			for _, s := range root[:i] {
+				bannedSw[s] = false
+			}
+			if spurSeq, err = tree.walk(spur, dst, spurSeq[:0]); err != nil {
 				continue
 			}
-			total := append(append([]SwitchID(nil), root[:len(root)-1]...), spurPath.Switches...)
+			total := make([]SwitchID, i, i+len(spurSeq))
+			copy(total, root)
+			for j := len(spurSeq) - 1; j >= 0; j-- { // walk runs dst → spur
+				total = append(total, spurSeq[j])
+			}
 			lat, err := t.pathLatency(total)
 			if err != nil {
 				continue

@@ -15,10 +15,10 @@
 //
 // Cached answers are bit-for-bit identical to the uncached ones: the
 // SSSP tree runs a heap-based Dijkstra whose (dist, id) pop order
-// matches the uncached O(V²) scan's tie-break exactly (smallest
+// matches an O(V²) linear scan's tie-break exactly (smallest
 // distance, then smallest ID) with the same strict-improvement
 // relaxation, so reconstructed paths match the early-exit per-pair
-// variant bit for bit (see TestOracleMatchesUncached).
+// scan bit for bit (see TestOracleMatchesUncached).
 //
 // The cache is guarded by an RWMutex, invalidated wholesale on
 // AddSwitch/AddLink and on every fault-layer mutation (fault.go), and
@@ -188,31 +188,26 @@ func (t *Topology) ssspFrom(src SwitchID) *ssspTree {
 }
 
 // computeSSSP runs a heap-based O((V+E) log V) Dijkstra. The heap is
-// ordered by (dist, id), which reproduces the uncached O(V²) scan of
-// shortestPathAvoiding exactly: the linear scan settles the smallest-ID
-// vertex among equal distances (ascending scan, strict <), and so does
-// the (dist, id) pop order; relaxation is the same strict improvement
-// in the same adjacency order, so dist and prev — and therefore every
-// reconstructed path — are identical. The heap form is what keeps
-// 10k-switch topologies tractable (the region-sharded solver issues
-// SSSP queries from every used switch when materializing routes; a
-// quadratic scan per source is hours at that scale, the heap is
-// seconds).
+// ordered by (dist, id), which reproduces an O(V²) linear-scan Dijkstra
+// (the reference in oracle_test.go) exactly: the linear scan settles
+// the smallest-ID vertex among equal distances (ascending scan, strict
+// <), and so does the (dist, id) pop order; relaxation is the same
+// strict improvement in the same adjacency order, so dist and prev —
+// and therefore every reconstructed path — are identical. The heap
+// form is what keeps 10k-switch topologies tractable (the
+// region-sharded solver issues SSSP queries from every used switch
+// when materializing routes; a quadratic scan per source is hours at
+// that scale, the heap is seconds).
 func (t *Topology) computeSSSP(src SwitchID) *ssspTree {
-	n := len(t.switches)
-	sc := ssspScratch{
-		dist: make([]int64, n),
-		prev: make([]SwitchID, n),
-		done: make([]bool, n),
-		heap: make(distHeap, 0, n),
-	}
-	sc.run(t, src)
+	sc := newSSSPScratch(len(t.switches))
+	sc.run(t, src, nil, nil)
 	return &ssspTree{dist: sc.dist, prev: sc.prev}
 }
 
 // ssspScratch is one Dijkstra's working state. computeSSSP hands each
 // run fresh arrays and keeps them as the tree; the traffic projection
-// (traffic.go) reruns one scratch per source and keeps nothing.
+// (traffic.go) and Yen's spur search (network.go) rerun one scratch
+// and keep nothing.
 type ssspScratch struct {
 	dist []int64
 	prev []SwitchID
@@ -220,8 +215,20 @@ type ssspScratch struct {
 	heap distHeap
 }
 
-// run overwrites dist and prev with the tree rooted at src.
-func (sc *ssspScratch) run(t *Topology, src SwitchID) {
+func newSSSPScratch(n int) ssspScratch {
+	return ssspScratch{
+		dist: make([]int64, n),
+		prev: make([]SwitchID, n),
+		done: make([]bool, n),
+		heap: make(distHeap, 0, n),
+	}
+}
+
+// run overwrites dist and prev with the tree rooted at src. A non-nil
+// bannedSw (by switch ID) or bannedLink (by link index) keeps the
+// search out of the marked switches and links, as a fault does; Yen's
+// spur search is the one caller that bans anything.
+func (sc *ssspScratch) run(t *Topology, src SwitchID, bannedSw, bannedLink []bool) {
 	dist, prev, done := sc.dist, sc.prev, sc.done
 	for i := range dist {
 		dist[i] = infDist
@@ -244,7 +251,8 @@ func (sc *ssspScratch) run(t *Topology, src SwitchID) {
 		}
 		done[u] = true
 		for _, e := range t.adj[u] {
-			if done[e.to] || t.downSw[e.to] || t.downLink[e.link] {
+			if done[e.to] || t.downSw[e.to] || t.downLink[e.link] ||
+				(bannedSw != nil && bannedSw[e.to]) || (bannedLink != nil && bannedLink[e.link]) {
 				continue
 			}
 			alt := dist[u] + int64(t.links[e.link].Latency) + int64(t.switches[e.to].TransitLatency)

@@ -1,7 +1,11 @@
 package network
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -246,4 +250,221 @@ func TestChainLatency(t *testing.T) {
 	if _, err := tp.ChainLatency([]SwitchID{0}); err != nil {
 		t.Fatalf("single-element chain: %v", err)
 	}
+}
+
+// shortestPathAvoiding is an O(V²) linear-scan Dijkstra with an early
+// exit at dst, the reference for the heap Dijkstra (ssspScratch.run):
+// unbanned for the path oracle's trees, banned for Yen's spur search.
+// banned switches are keyed by ID; banned links by index.
+func (t *Topology) shortestPathAvoiding(src, dst SwitchID, bannedSw map[SwitchID]bool, bannedLink map[int]bool) (Path, error) {
+	const inf = math.MaxInt64
+	n := len(t.switches)
+	dist := make([]int64, n)
+	prev := make([]SwitchID, n)
+	done := make([]bool, n)
+	for i := range dist {
+		dist[i] = inf
+		prev[i] = -1
+	}
+	if bannedSw[src] || bannedSw[dst] {
+		return Path{}, fmt.Errorf("network: endpoints banned")
+	}
+	if t.downSw[src] || t.downSw[dst] {
+		return Path{}, fmt.Errorf("network: endpoint switch down")
+	}
+	dist[src] = int64(t.switches[src].TransitLatency)
+	// The ascending scan with a strict < settles the smallest ID among
+	// equal distances: the tie-break the heap's (dist, id) order copies.
+	for {
+		u := SwitchID(-1)
+		best := int64(inf)
+		for i := 0; i < n; i++ {
+			if !done[i] && dist[i] < best {
+				best = dist[i]
+				u = SwitchID(i)
+			}
+		}
+		if u < 0 {
+			break
+		}
+		if u == dst {
+			break
+		}
+		done[u] = true
+		for _, e := range t.adj[u] {
+			if done[e.to] || bannedSw[e.to] || bannedLink[e.link] || t.downSw[e.to] || t.downLink[e.link] {
+				continue
+			}
+			alt := dist[u] + int64(t.links[e.link].Latency) + int64(t.switches[e.to].TransitLatency)
+			if alt < dist[e.to] {
+				dist[e.to] = alt
+				prev[e.to] = u
+			}
+		}
+	}
+	if dist[dst] == inf {
+		return Path{}, fmt.Errorf("network: no path from %d to %d", src, dst)
+	}
+	var seq []SwitchID
+	for at := dst; at != -1; at = prev[at] {
+		seq = append(seq, at)
+		if at == src {
+			break
+		}
+	}
+	// Reverse.
+	for i, j := 0, len(seq)-1; i < j; i, j = i+1, j-1 {
+		seq[i], seq[j] = seq[j], seq[i]
+	}
+	if seq[0] != src {
+		return Path{}, fmt.Errorf("network: path reconstruction failed for %d->%d", src, dst)
+	}
+	return Path{Switches: seq, Latency: time.Duration(dist[dst])}, nil
+}
+
+// yenKShortestRef is Yen's loop with shortestPathAvoiding as the spur
+// search, the reference for yenKShortest.
+func (t *Topology) yenKShortestRef(src, dst SwitchID, k int) (_ []Path, exhausted bool, _ error) {
+	first, err := t.ShortestPath(src, dst)
+	if err != nil {
+		return nil, false, err
+	}
+	paths := []Path{first}
+	var candidates []Path
+
+	for len(paths) < k {
+		last := paths[len(paths)-1]
+		// For each spur node in the previous shortest path.
+		for i := 0; i < len(last.Switches)-1; i++ {
+			spur := last.Switches[i]
+			root := last.Switches[:i+1]
+
+			bannedLink := make(map[int]bool)
+			bannedSw := make(map[SwitchID]bool)
+			for _, p := range paths {
+				if sharesPrefix(p.Switches, root) && len(p.Switches) > i+1 {
+					if li, ok := t.linkIndex(p.Switches[i], p.Switches[i+1]); ok {
+						bannedLink[li] = true
+					}
+				}
+			}
+			for _, s := range root[:len(root)-1] {
+				bannedSw[s] = true
+			}
+
+			spurPath, err := t.shortestPathAvoiding(spur, dst, bannedSw, bannedLink)
+			if err != nil {
+				continue
+			}
+			total := append(append([]SwitchID(nil), root[:len(root)-1]...), spurPath.Switches...)
+			lat, err := t.pathLatency(total)
+			if err != nil {
+				continue
+			}
+			cand := Path{Switches: total, Latency: lat}
+			if !containsPath(paths, cand) && !containsPath(candidates, cand) {
+				candidates = append(candidates, cand)
+			}
+		}
+		if len(candidates) == 0 {
+			exhausted = true
+			break
+		}
+		sort.Slice(candidates, func(i, j int) bool { return candidates[i].Latency < candidates[j].Latency })
+		paths = append(paths, candidates[0])
+		candidates = candidates[1:]
+	}
+	return paths, exhausted, nil
+}
+
+// TestKShortestPathsMatchesReferenceYen holds Yen's heap spur search to
+// the linear-scan reference: the same paths, latencies and exhausted
+// flag on Table III 1–10 and composite:10, for seeded random pairs and
+// k = 1..6, with and without a down switch and a down link on the
+// pairs' shortest paths.
+func TestKShortestPathsMatchesReferenceYen(t *testing.T) {
+	type named struct {
+		name  string
+		topo  *Topology
+		pairs int
+	}
+	var topos []named
+	for i := 1; i <= 10; i++ {
+		tp, err := TableIII(i, TofinoSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos = append(topos, named{fmt.Sprintf("table3:%d", i), tp, 8})
+	}
+	comp, err := CompositeWAN(10, TofinoSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos = append(topos, named{"composite:10", comp, 3})
+
+	exhausted, changed := 0, 0
+	for ti, c := range topos {
+		rng := rand.New(rand.NewSource(int64(100 + ti)))
+		n := c.topo.NumSwitches()
+		var pairs [][2]SwitchID
+		for len(pairs) < c.pairs {
+			src, dst := SwitchID(rng.Intn(n)), SwitchID(rng.Intn(n))
+			if src != dst {
+				pairs = append(pairs, [2]SwitchID{src, dst})
+			}
+		}
+		// The faulted copy downs a transit switch of the first pair's
+		// shortest path and the first link of the second pair's.
+		faulted := c.topo.Clone()
+		if p, err := c.topo.ShortestPath(pairs[0][0], pairs[0][1]); err == nil && len(p.Switches) > 2 {
+			if err := faulted.SetSwitchDown(p.Switches[1]); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			t.Fatalf("%s: first pair %v has no transit switch", c.name, pairs[0])
+		}
+		if p, err := c.topo.ShortestPath(pairs[1][0], pairs[1][1]); err == nil && len(p.Switches) > 1 {
+			if err := faulted.SetLinkDown(p.Switches[0], p.Switches[1]); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			t.Fatalf("%s: second pair %v has no link", c.name, pairs[1])
+		}
+		if len(faulted.DownSwitches()) != 1 || len(faulted.DownLinks()) != 1 {
+			t.Fatalf("%s: faulted copy has %v down switches, %v down links", c.name, faulted.DownSwitches(), faulted.DownLinks())
+		}
+
+		for _, tp := range []*Topology{c.topo, faulted} {
+			for _, pr := range pairs {
+				for k := 1; k <= 6; k++ {
+					want, wantEx, werr := tp.yenKShortestRef(pr[0], pr[1], k)
+					got, gotEx, gerr := tp.yenKShortest(pr[0], pr[1], k)
+					served, serr := tp.KShortestPaths(pr[0], pr[1], k)
+					where := fmt.Sprintf("%s faults=%v %d->%d k=%d", c.name, tp.HasFaults(), pr[0], pr[1], k)
+					if (werr == nil) != (gerr == nil) || (werr == nil) != (serr == nil) {
+						t.Fatalf("%s: errors: reference %v, spur search %v, KShortestPaths %v", where, werr, gerr, serr)
+					}
+					if !reflect.DeepEqual(got, want) || gotEx != wantEx {
+						t.Fatalf("%s: spur search %v (exhausted %v), reference %v (exhausted %v)", where, got, gotEx, want, wantEx)
+					}
+					if werr == nil && !reflect.DeepEqual(served, want) {
+						t.Fatalf("%s: KShortestPaths %v, reference %v", where, served, want)
+					}
+					if wantEx {
+						exhausted++
+					}
+					if tp == faulted {
+						if clean, _, _ := c.topo.yenKShortest(pr[0], pr[1], k); !reflect.DeepEqual(clean, want) {
+							changed++
+						}
+					}
+				}
+			}
+		}
+	}
+	// The sweep must reach exhausted lists and paths the faults reroute.
+	if exhausted == 0 || changed == 0 {
+		t.Fatalf("%d exhausted cases, %d cases changed by faults: want both > 0", exhausted, changed)
+	}
+	t.Logf("%d exhausted cases, %d cases changed by faults", exhausted, changed)
 }

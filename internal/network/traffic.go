@@ -346,14 +346,8 @@ func (tm *TrafficMatrix) RatesAmong(t *Topology, hosts []SwitchID) ([]float64, e
 // routed whether or not its path meets a host, so an unroutable demand
 // fails every projection with the same error.
 func (tm *TrafficMatrix) project(t *Topology, idx []int32, h int) ([]float64, error) {
-	n := t.NumSwitches()
 	rates := make([]float64, h*h)
-	sc := ssspScratch{
-		dist: make([]int64, n),
-		prev: make([]SwitchID, n),
-		done: make([]bool, n),
-		heap: make(distHeap, 0, n),
-	}
+	sc := newSSSPScratch(t.NumSwitches())
 	tree := ssspTree{dist: sc.dist, prev: sc.prev}
 	var seq []SwitchID
 	var at []int32
@@ -361,7 +355,7 @@ func (tm *TrafficMatrix) project(t *Topology, idx []int32, h int) ([]float64, er
 	for _, d := range tm.Demands {
 		if d.Src != src {
 			src = d.Src
-			sc.run(t, src)
+			sc.run(t, src, nil, nil)
 		}
 		var err error
 		if seq, err = tree.walk(src, d.Dst, seq[:0]); err != nil {

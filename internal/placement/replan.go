@@ -137,10 +137,6 @@ type ReplanReport struct {
 	DirtyMATs int
 	// MovedMATs is Diff(old, new): how many MATs changed hosting switch.
 	MovedMATs int
-	// Moved lists the MATs that changed hosting switch, sorted — the
-	// incremental equivalence re-check keys its dirty-program set off
-	// this (equiv.Rechecker).
-	Moved []string
 	// RepairTime is the wall-clock spent inside the repair pass
 	// (including an abandoned attempt that fell back).
 	RepairTime time.Duration
@@ -238,8 +234,7 @@ func ReplanWithOptions(old *Plan, solver Solver, ropts ReplanOptions, drained ..
 		rep.DirtyMATs = dirty
 		if rerr == nil {
 			rep.UsedRepair = true
-			rep.Moved, _ = MovedNames(old, plan)
-			rep.MovedMATs = len(rep.Moved)
+			rep.MovedMATs, _ = Diff(old, plan)
 			rep.TotalTime = time.Since(start)
 			plan.SolveTime = rep.TotalTime
 			return plan, rep, nil
@@ -258,8 +253,7 @@ func ReplanWithOptions(old *Plan, solver Solver, ropts ReplanOptions, drained ..
 		rep.TotalTime = time.Since(start)
 		return nil, rep, fmt.Errorf("placement: replan: %w", err)
 	}
-	rep.Moved, _ = MovedNames(old, plan)
-	rep.MovedMATs = len(rep.Moved)
+	rep.MovedMATs, _ = Diff(old, plan)
 	rep.TotalTime = time.Since(start)
 	return plan, rep, nil
 }

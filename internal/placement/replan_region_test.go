@@ -246,3 +246,40 @@ func TestOneRegionPartitionRepairsLikeNoPartition(t *testing.T) {
 		t.Fatal("no drain was repairable; the property was never exercised")
 	}
 }
+
+// TestReplanReportsMovedMATs pins MovedMATs to the migration cost on
+// every path a replan can take: MovedMATs = Diff(old, new) =
+// len(MovedNames(old, new)).
+func TestReplanReportsMovedMATs(t *testing.T) {
+	old, part := regionalFixture(t, 4)
+	drain := busiest(old)
+	for _, c := range []struct {
+		name                       string
+		ropts                      ReplanOptions
+		repair, regional, fellBack bool
+	}{
+		{"repair", ReplanOptions{}, true, false, false},
+		{"regional", ReplanOptions{Partition: part}, true, true, false},
+		{"full", ReplanOptions{Mode: ReplanFull}, false, false, false},
+		{"fallback", ReplanOptions{QualityRatio: 1e-9}, false, false, true},
+	} {
+		plan, rep, err := ReplanWithOptions(old, Greedy{}, c.ropts, drain)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rep.UsedRepair != c.repair || rep.UsedRegional != c.regional || (rep.FallbackReason != "") != c.fellBack {
+			t.Fatalf("%s: took repair=%v regional=%v fallback %q", c.name, rep.UsedRepair, rep.UsedRegional, rep.FallbackReason)
+		}
+		diff, err := Diff(old, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, err := MovedNames(old, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.MovedMATs != diff || diff != len(names) || diff == 0 {
+			t.Fatalf("%s: MovedMATs %d, Diff %d, MovedNames %d", c.name, rep.MovedMATs, diff, len(names))
+		}
+	}
+}
