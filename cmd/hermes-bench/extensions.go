@@ -243,7 +243,7 @@ var regionReplanExp = experiment{
 			bound("regions_touched", ">", 0),
 			bound("displaced_mats", ">", 0), // churn was exercised
 			bound("moved_regional", ">", 0),
-			// An incremental repair cannot out-solve its warm seed, so a
+			// An incremental repair cannot out-solve the plan it repairs, so a
 			// ratio past the bound is excused when the pre-drain plan was
 			// already that bad.
 			bound("amax_ratio", "<=", experiments.RegionReplanQualityRatio).when("unless the seed was already worse",

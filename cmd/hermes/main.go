@@ -66,7 +66,7 @@ func run(args []string) error {
 	eps2 := fs.Int("eps2", 0, "ε2: bound on occupied switches (0 = unbounded)")
 	seed := fs.Int64("seed", 1, "workload/topology seed")
 	capacity := fs.Float64("stage-capacity", 0, "override per-stage capacity (0 = spec default)")
-	deadline := fs.Duration("deadline", 30*time.Second, "solver deadline; optimal returns its best plan, unproven, when it hits it")
+	deadline := fs.Duration("deadline", 30*time.Second, "solver deadline; optimal returns its best plan, unproven, when it hits it (ignored by -supervise, whose solves and replans run uncapped)")
 	workers := fs.Int("workers", 0, "solver parallelism (0 = GOMAXPROCS); the plan is identical for every value")
 	shards := fs.Int("shards", 0, "region-sharded placement: split the topology into this many regions solved concurrently (0 = whole-graph)")
 	trafficFlag := fs.String("traffic", "", "traffic matrix for the weighted objective: model[:seed] (uniform, gravity, hotspot, elephants) or @file (Format text); empty = structural A_max objective")
@@ -133,10 +133,10 @@ func run(args []string) error {
 		// Shards flows into the supervisor's replan options, so it
 		// auto-partitions the monitored topology and heals churn through
 		// the region-local path.
+		// No Deadline: the supervisor reuses its replan options for
+		// every heal, so an absolute deadline stamped here would expire
+		// for the whole session.
 		popts := placement.Options{Epsilon1: *eps1, Epsilon2: *eps2, Workers: *workers, Shards: *shards}
-		if *deadline > 0 {
-			popts.Deadline = time.Now().Add(*deadline)
-		}
 		return runSupervised(progs, topo, solvers[0], *faultSchedule, *seed, popts)
 	}
 

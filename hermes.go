@@ -631,13 +631,14 @@ type (
 	SupervisorStats = supervisor.Stats
 	// SupervisorPollResult describes what one supervision tick did.
 	SupervisorPollResult = supervisor.PollResult
-	// RetryPolicy configures the controller's rule-operation retries
+	// RetryPolicy configures the rollout engine's per-op retries
 	// against transiently down switches.
 	RetryPolicy = deploy.RetryPolicy
 )
 
-// ErrSwitchDown marks rule operations that failed because the hosting
-// switch is down; it is the only error the controller retries.
+// ErrSwitchDown marks rule and rollout operations that failed because
+// the hosting switch is down; it is the only error the rollout engine
+// retries.
 var ErrSwitchDown = deploy.ErrSwitchDown
 
 // Transactional rollout (make-before-break plan adoption).

@@ -100,12 +100,12 @@ func TestControllerRebindAfterRedeploy(t *testing.T) {
 	}
 }
 
-// TestControllerRetryOnDownSwitch exercises the retry loop: a rule op
-// against a down hosting switch fails with ErrSwitchDown, retries
-// under exponential backoff, and succeeds once the switch heals
-// between attempts.
-func TestControllerRetryOnDownSwitch(t *testing.T) {
-	dep, plan := compiled(t)
+// TestControllerDownSwitch: a rule op against a down hosting switch
+// fails with ErrSwitchDown (and only that op's failure carries the
+// sentinel), and the same op succeeds once the switch is back up or the
+// controller is rebound to a redeployment around it.
+func TestControllerDownSwitch(t *testing.T) {
+	dep, plan := compiled3(t)
 	ctl, err := NewController(dep)
 	if err != nil {
 		t.Fatal(err)
@@ -115,129 +115,81 @@ func TestControllerRetryOnDownSwitch(t *testing.T) {
 		Matches: map[string]program.Pattern{"meta.idx": {Value: 7}},
 		Action:  "c",
 	}
+	if err := ctl.InstallRule("p/count", rule); err != nil {
+		t.Fatal(err)
+	}
 
-	// No policy: the down switch fails immediately with the sentinel.
 	if err := plan.Topo.SetSwitchDown(host); err != nil {
 		t.Fatal(err)
 	}
-	err = ctl.InstallRule("p/count", rule)
-	if !errors.Is(err, ErrSwitchDown) {
+	if err := ctl.InstallRule("p/count", rule); !errors.Is(err, ErrSwitchDown) {
 		t.Fatalf("install on down switch = %v, want ErrSwitchDown", err)
 	}
+	if err := ctl.RemoveRule("p/count", 0); !errors.Is(err, ErrSwitchDown) {
+		t.Fatalf("remove on down switch = %v, want ErrSwitchDown", err)
+	}
+	if err := ctl.InstallRule("nope", rule); err == nil || errors.Is(err, ErrSwitchDown) {
+		t.Fatalf("unknown MAT = %v, want a non-ErrSwitchDown error", err)
+	}
 
-	// With retries: heal during the second backoff sleep; the third
-	// attempt succeeds. The injected Sleep records the doubling.
-	var sleeps []time.Duration
-	ctl.SetRetryPolicy(RetryPolicy{
-		Attempts: 4,
-		Backoff:  10 * time.Millisecond,
-		Sleep: func(d time.Duration) {
-			sleeps = append(sleeps, d)
-			if len(sleeps) == 2 {
-				if err := plan.Topo.SetSwitchUp(host); err != nil {
-					t.Error(err)
-				}
-			}
-		},
-	})
+	// A heal brings the host back.
+	if err := plan.Topo.SetSwitchUp(host); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.RemoveRule("p/count", 0); err != nil {
+		t.Fatalf("remove after heal = %v", err)
+	}
 	if err := ctl.InstallRule("p/count", rule); err != nil {
-		t.Fatalf("install with retry = %v, want success after heal", err)
-	}
-	if len(sleeps) != 2 {
-		t.Fatalf("slept %d times, want 2", len(sleeps))
-	}
-	if sleeps[0] != 10*time.Millisecond || sleeps[1] != 20*time.Millisecond {
-		t.Errorf("backoff = %v, want doubling from 10ms", sleeps)
+		t.Fatalf("install after heal = %v", err)
 	}
 
-	// Exhausted retries surface the sentinel.
+	// A rebind to a redeployment around the down host.
 	if err := plan.Topo.SetSwitchDown(host); err != nil {
 		t.Fatal(err)
 	}
-	ctl.SetRetryPolicy(RetryPolicy{Attempts: 2, Backoff: time.Microsecond,
-		Sleep: func(time.Duration) {}})
-	if err := ctl.InstallRule("p/count", rule); !errors.Is(err, ErrSwitchDown) {
-		t.Fatalf("exhausted retries = %v, want ErrSwitchDown", err)
+	next, _, err := Redeploy(dep, nil, placement.ReplanOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Non-retryable errors never loop: unknown MAT fails once.
-	calls := 0
-	ctl.SetRetryPolicy(RetryPolicy{Attempts: 5, Backoff: time.Microsecond,
-		Sleep: func(time.Duration) { calls++ }})
-	if err := ctl.InstallRule("nope", rule); err == nil || errors.Is(err, ErrSwitchDown) {
-		t.Fatalf("unknown MAT = %v", err)
+	if err := ctl.Rebind(next); err != nil {
+		t.Fatal(err)
 	}
-	if calls != 0 {
-		t.Errorf("non-retryable error slept %d times", calls)
+	if err := ctl.InstallRule("p/count", rule); err != nil {
+		t.Fatalf("install after rebind = %v", err)
+	}
+	if err := ctl.RemoveRule("p/count", 0); err != nil {
+		t.Fatalf("remove after rebind = %v", err)
 	}
 }
 
 // TestRetryBackoffCancellable is the blocking-sleep regression: a
-// retry loop parked in a long backoff must return as soon as the
-// policy's context is done instead of sleeping out the full wait.
+// backoff wait must return the policy context's error as soon as the
+// context is done instead of sleeping out the full wait.
 func TestRetryBackoffCancellable(t *testing.T) {
-	dep, plan := compiled(t)
-	ctl, err := NewController(dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, _ := ctl.HostingSwitch("p/count")
-	if err := plan.Topo.SetSwitchDown(host); err != nil {
-		t.Fatal(err)
-	}
-	rule := program.Rule{
-		Matches: map[string]program.Pattern{"meta.idx": {Value: 7}},
-		Action:  "c",
-	}
-
-	// Pre-cancelled context: the first failed attempt would enter a
-	// 10-second backoff; cancellation must cut it to ~nothing.
+	// Pre-cancelled context: a 10-second wait returns at once.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ctl.SetRetryPolicy(RetryPolicy{Attempts: 5, Backoff: 10 * time.Second, Ctx: ctx})
-	start := time.Now()
-	err = ctl.InstallRule("p/count", rule)
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("cancelled retry blocked %v, want immediate return", elapsed)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled retry = %v, want context.Canceled", err)
+	if err := (RetryPolicy{Ctx: ctx}).Wait(10 * time.Second); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled wait = %v, want context.Canceled", err)
 	}
 
 	// A deadline fires mid-sleep and interrupts the timer itself.
 	dctx, dcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer dcancel()
-	ctl.SetRetryPolicy(RetryPolicy{Attempts: 5, Backoff: 10 * time.Second, Ctx: dctx})
-	start = time.Now()
-	err = ctl.InstallRule("p/count", rule)
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline retry blocked %v, want ~20ms", elapsed)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("deadline retry = %v, want context.DeadlineExceeded", err)
+	if err := (RetryPolicy{Ctx: dctx}).Wait(10 * time.Second); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline wait = %v, want context.DeadlineExceeded", err)
 	}
 
-	// A live context leaves retry semantics untouched: heal during the
-	// first backoff — via the Sleep hook, which runs on the retry
-	// goroutine (the fault overlay is caller-serialized) — and the
-	// second attempt succeeds.
+	// A live context leaves the wait to the Sleep hook.
 	lctx, lcancel := context.WithCancel(context.Background())
 	defer lcancel()
-	healed := false
-	ctl.SetRetryPolicy(RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Ctx: lctx,
-		Sleep: func(time.Duration) {
-			if !healed {
-				healed = true
-				if err := plan.Topo.SetSwitchUp(host); err != nil {
-					t.Error(err)
-				}
-			}
-		}})
-	if err = ctl.InstallRule("p/count", rule); err != nil {
-		t.Fatalf("install after mid-backoff heal = %v, want success", err)
+	var slept time.Duration
+	pol := RetryPolicy{Ctx: lctx, Sleep: func(d time.Duration) { slept = d }}
+	if err := pol.Wait(time.Millisecond); err != nil {
+		t.Fatalf("live wait = %v, want nil", err)
 	}
-	if !healed {
-		t.Fatal("retry succeeded without ever entering the backoff")
+	if slept != time.Millisecond {
+		t.Fatalf("Sleep hook got %v, want 1ms", slept)
 	}
 }
 
@@ -268,41 +220,5 @@ func TestRebindRejectsInvalidPlan(t *testing.T) {
 	}
 	if err := ctl.Rebind(dep); err != nil {
 		t.Errorf("rebind after heal = %v", err)
-	}
-}
-
-// TestRemoveRuleRetries covers the RemoveRule retry surface.
-func TestRemoveRuleRetries(t *testing.T) {
-	dep, plan := compiled(t)
-	ctl, err := NewController(dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rule := program.Rule{
-		Matches: map[string]program.Pattern{"meta.idx": {Value: 7}},
-		Action:  "c",
-	}
-	if err := ctl.InstallRule("p/count", rule); err != nil {
-		t.Fatal(err)
-	}
-	host, _ := ctl.HostingSwitch("p/count")
-	if err := plan.Topo.SetSwitchDown(host); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctl.RemoveRule("p/count", 0); !errors.Is(err, ErrSwitchDown) {
-		t.Fatalf("remove on down switch = %v, want ErrSwitchDown", err)
-	}
-	healed := false
-	ctl.SetRetryPolicy(RetryPolicy{Attempts: 3, Backoff: time.Microsecond,
-		Sleep: func(time.Duration) {
-			if !healed {
-				healed = true
-				if err := plan.Topo.SetSwitchUp(host); err != nil {
-					t.Error(err)
-				}
-			}
-		}})
-	if err := ctl.RemoveRule("p/count", 0); err != nil {
-		t.Fatalf("remove with retry = %v", err)
 	}
 }

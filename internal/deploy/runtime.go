@@ -15,22 +15,21 @@ import (
 // ErrSwitchDown marks a rule operation that failed because the MAT's
 // hosting switch is marked down in the deployment topology's fault
 // state. The condition is transient — a supervised redeploy moves the
-// MAT, or a heal brings the switch back — so the controller retries
-// these (and only these) under its RetryPolicy.
+// MAT, or a heal brings the switch back — so a caller may retry the op
+// once the controller is rebound or the switch is up.
 var ErrSwitchDown = errors.New("deploy: hosting switch is down")
 
-// RetryPolicy bounds the controller's retry loop for rule operations
-// that fail with ErrSwitchDown.
+// RetryPolicy bounds a retry loop for operations that fail with
+// ErrSwitchDown: the rollout engine's per-op attempts.
 type RetryPolicy struct {
 	// Attempts is the total number of tries; values below 1 mean a
-	// single attempt (no retry). The zero policy disables retries.
+	// single attempt (no retry).
 	Attempts int
 	// Backoff is the wait before the first retry, doubling on each
-	// subsequent one; zero or negative means 10ms.
+	// subsequent one.
 	Backoff time.Duration
 	// Ctx, when non-nil, makes backoff sleeps cancellable: once the
-	// context is done the retry loop stops waiting and returns the
-	// context's error (wrapping the last op failure) instead of
+	// context is done Wait returns the context's error instead of
 	// blocking out the full backoff. nil means sleeps run to term.
 	Ctx context.Context
 	// Sleep replaces the backoff wait in tests; nil means a timer
@@ -41,9 +40,9 @@ type RetryPolicy struct {
 // Wait blocks for d or until the policy's context is done, whichever
 // comes first, returning the context error in the latter case. A
 // custom Sleep hook takes precedence (tests inject virtual time) but
-// an already-cancelled context still short-circuits it. Retry loops —
-// the controller's rule ops and the rollout engine's op batches — use
-// this instead of time.Sleep so cancellation cuts backoff short.
+// an already-cancelled context still short-circuits it. The rollout
+// engine's op retries use this instead of time.Sleep so cancellation
+// cuts backoff short.
 func (p RetryPolicy) Wait(d time.Duration) error {
 	ctx := p.Ctx
 	if ctx != nil {
@@ -81,7 +80,6 @@ type Controller struct {
 	// swapped together with it by Rebind — never mutated piecemeal, so a
 	// rule op sees either the old binding or the new one, not a mix.
 	hosts map[string]network.SwitchID
-	retry RetryPolicy
 }
 
 // NewController wraps a compiled deployment.
@@ -126,48 +124,6 @@ func (c *Controller) Rebind(dep *Deployment) error {
 	return nil
 }
 
-// SetRetryPolicy configures retry-with-backoff for rule operations that
-// hit a down hosting switch. The zero policy (default) disables
-// retries.
-func (c *Controller) SetRetryPolicy(p RetryPolicy) {
-	c.mu.Lock()
-	c.retry = p
-	c.mu.Unlock()
-}
-
-// withRetry runs op, retrying ErrSwitchDown failures under the policy
-// with exponential backoff. Each attempt re-reads controller state, so
-// a Rebind (or heal) between attempts resolves the outage. A done
-// policy context cuts the backoff short and surfaces both the
-// cancellation and the last op failure.
-func (c *Controller) withRetry(op func() error) error {
-	c.mu.Lock()
-	pol := c.retry
-	c.mu.Unlock()
-	attempts := pol.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := pol.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			if werr := pol.Wait(backoff); werr != nil {
-				return fmt.Errorf("deploy: retry cancelled: %w (last failure: %v)", werr, err)
-			}
-			backoff *= 2
-		}
-		err = op()
-		if err == nil || !errors.Is(err, ErrSwitchDown) {
-			return err
-		}
-	}
-	return err
-}
-
 // hostUp returns the MAT's hosting switch after checking the fault
 // overlay; a down host yields ErrSwitchDown. Caller holds the lock.
 func (c *Controller) hostUp(mat string) (network.SwitchID, error) {
@@ -204,13 +160,9 @@ func (c *Controller) lookupMAT(mat string) (*program.MAT, error) {
 
 // InstallRule adds a rule to the named MAT, enforcing validity and the
 // rule capacity C_a. Updates take effect on the next processed packet.
-// A down hosting switch is retried under the RetryPolicy; between
-// attempts a supervised Rebind (or a heal) can resolve the outage.
+// A down hosting switch fails the op with ErrSwitchDown; a supervised
+// Rebind (or a heal) resolves the outage for the next attempt.
 func (c *Controller) InstallRule(mat string, r program.Rule) error {
-	return c.withRetry(func() error { return c.installRuleOnce(mat, r) })
-}
-
-func (c *Controller) installRuleOnce(mat string, r program.Rule) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, err := c.hostUp(mat); err != nil {
@@ -231,12 +183,8 @@ func (c *Controller) installRuleOnce(mat string, r program.Rule) error {
 }
 
 // RemoveRule deletes the rule at the given installation index, with the
-// same down-switch retry semantics as InstallRule.
+// same down-switch semantics as InstallRule.
 func (c *Controller) RemoveRule(mat string, index int) error {
-	return c.withRetry(func() error { return c.removeRuleOnce(mat, index) })
-}
-
-func (c *Controller) removeRuleOnce(mat string, index int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, err := c.hostUp(mat); err != nil {

@@ -14,7 +14,7 @@ import (
 // RegionReplanQualityRatio is Exp#11's acceptance bound: the regional
 // replan's A_max may exceed the sharded cold re-solve's by at most this
 // factor (unless the pre-drain seed was already worse — an incremental
-// repair cannot out-solve its warm seed's global structure).
+// repair cannot out-solve the pre-drain plan's global structure).
 const RegionReplanQualityRatio = 1.2
 
 // RegionReplanPoint is one Exp#11 cell: the busiest-switch drain on a

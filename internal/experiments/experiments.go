@@ -127,6 +127,8 @@ type solverSpec struct {
 	run func(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error)
 	// deadlined marks the exact Optimal search: it runs under
 	// Config.SolverDeadline and reports Capped when it stops unproven.
+	// Exact seeds its incumbent with a deadline-free Greedy solve, so a
+	// capped Optimal never reports a worse A_max than the Hermes column.
 	deadlined bool
 }
 
@@ -144,16 +146,7 @@ func solverSpecs() []solverSpec {
 			name:      "Optimal",
 			useMerged: true,
 			deadlined: true,
-			run: func(g *tdg.Graph, topo *network.Topology, opts placement.Options) (*placement.Plan, error) {
-				// Seed the branch-and-bound incumbent with a full
-				// (deadline-free) greedy plan: a deadline-capped "Optimal"
-				// can then never report a worse A_max than the heuristic
-				// column next to it.
-				if warm, err := (placement.Greedy{}).Solve(g, topo, placement.Options{Workers: opts.Workers}); err == nil {
-					opts.Warm = warm
-				}
-				return (placement.Exact{}).Solve(g, topo, opts)
-			},
+			run:       placement.Exact{}.Solve,
 		},
 	}
 	for _, b := range baseline.All() {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
+	"github.com/hermes-net/hermes/internal/tdg"
 )
 
 // randomFullAssign places every MAT on a random switch.
@@ -17,6 +18,33 @@ func randomFullAssign(rng *rand.Rand, ci *CompiledInstance) map[string]network.S
 		out[name] = network.SwitchID(rng.Intn(int(ci.S)))
 	}
 	return out
+}
+
+// assignmentLatency sums shortest-path latency over the distinct
+// communicating switch pairs of an assignment: the map-based reference
+// twin of CompiledInstance.AssignmentLatency (Eq. 2 evaluated without a
+// materialized plan).
+func assignmentLatency(g *tdg.Graph, topo *network.Topology, assign map[string]network.SwitchID) (time.Duration, error) {
+	seen := map[RouteKey]bool{}
+	var total time.Duration
+	for _, e := range g.EdgeList() {
+		ua, oka := assign[e.From]
+		ub, okb := assign[e.To]
+		if !oka || !okb || ua == ub {
+			continue
+		}
+		key := RouteKey{From: ua, To: ub}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		p, err := topo.ShortestPath(ua, ub)
+		if err != nil {
+			return 0, err
+		}
+		total += p.Latency
+	}
+	return total, nil
 }
 
 // checkKernelsAgainstRefs asserts every compiled kernel against its

@@ -18,7 +18,7 @@ import (
 // instances it degrades gracefully: given a Deadline, or once it has
 // visited exactMaxNodes search nodes, it returns the best incumbent
 // found, with Proven=false — mirroring the paper's two-hour solver cap
-// in Fig. 7.
+// in Fig. 7. The first incumbent is a deadline-free Greedy plan.
 type Exact struct{}
 
 // exactMaxNodes caps the search nodes one Exact solve visits.
@@ -210,8 +210,8 @@ func (st *exactState) boundOK() bool {
 }
 
 // adopt offers a complete dense assignment as an incumbent, scoring it
-// under the active objective (strict improvement only, preserving the
-// warm-start ordering semantics).
+// under the active objective (strict improvement only, so the first
+// incumbent offered wins ties).
 func (st *exactState) adopt(dense []int32) {
 	pt := st.ci.NewPairTable()
 	a := st.ci.AssignmentAMax(dense, pt)
@@ -303,29 +303,24 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 	// traffic weights (weights distinguish pairs by identity).
 	st.symmetry = homogeneous && opts.Epsilon1 == 0 && st.wt == nil
 
+	// The Greedy solves below run without the deadline, which caps the
+	// branch search only: a capped Exact never reports worse than Greedy.
+	seedOpts := opts
+	seedOpts.Deadline = time.Time{}
 	// Under the weighted objective, the structural-inflation cap is
 	// anchored to an unweighted greedy baseline: the weighted optimum
 	// may not inflate A_max beyond AMaxSlack × the plan a structural
 	// solve would ship.
 	if st.wt != nil {
-		baseOpts := opts
+		baseOpts := seedOpts
 		baseOpts.Traffic = nil
 		if base, err := (Greedy{}).Solve(g, topo, baseOpts); err == nil {
 			st.amaxCap = opts.amaxCap(base.AMax())
 			st.adopt(ci.PlanAssign(base))
 		}
 	}
-	// Warm start with the greedy heuristic to obtain a strong incumbent
-	// (the greedy itself reuses opts.Warm when set, so a warm seed
-	// tightens this bound transitively).
-	if warm, err := (Greedy{}).Solve(g, topo, opts); err == nil {
-		st.adopt(ci.PlanAssign(warm))
-	}
-	// Seed opts.Warm directly as well: the contract is that a
-	// warm-started "Optimal" never reports worse than its seed, even
-	// when the heuristic errors out (or lands above the seed).
-	if assign, ok := warmSeed(g, topo, opts); ok {
-		st.adopt(ci.DenseAssign(assign))
+	if seed, err := (Greedy{}).Solve(g, topo, seedOpts); err == nil {
+		st.adopt(ci.PlanAssign(seed))
 	}
 	if st.haveBest {
 		st.sharedBest.Store(st.incumbentScore())
@@ -473,7 +468,7 @@ type frontierNode struct {
 // searchParallel splits the top of the DFS tree into independent
 // subtree roots and explores them concurrently. Every branch runs the
 // sequential dfs with a branch-local strict incumbent seeded from the
-// warm start, plus the shared atomic bound for cross-branch pruning
+// Greedy incumbent, plus the shared atomic bound for cross-branch pruning
 // (strict, so equal-valued optima survive in every branch). Because
 // each branch ends holding its first leaf (in its own DFS order) that
 // attains its local minimum, merging the branches in DFS order with a

@@ -46,19 +46,6 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 		return nil, fmt.Errorf("placement: no programmable switches")
 	}
 
-	// Warm path: a feasible seed plan replaces segmentation and anchor
-	// search entirely — the assignment is adopted as-is (fresh packing
-	// and routes on this topology) and only the local-search polish
-	// runs. An infeasible or absent seed falls through to the cold path.
-	if plan, ok := warmStart(g, topo, opts); ok {
-		if err := polish(plan, opts, rm); err != nil {
-			return nil, err
-		}
-		plan.SolverName = gr.Name()
-		plan.SolveTime = time.Since(start)
-		return plan, nil
-	}
-
 	refSwitch, err := topo.Switch(prog[0])
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
@@ -476,4 +477,55 @@ func (in *repairInstance) peerHosts(x int32, buf []int32) []int32 {
 	}
 	slices.Sort(buf)
 	return slices.Compact(buf)
+}
+
+// deadlinePoller amortizes deadline checks over hot loops: Expired
+// reads the clock only once every interval calls (satisfying the
+// "counter-gated" requirement — time.Now is a syscall-class cost when
+// polled per candidate move). A zero deadline never expires. An
+// optional cancellation channel (withCancel) is polled at the same
+// cadence, so a canceled solve is abandoned within one interval.
+type deadlinePoller struct {
+	deadline time.Time
+	done     <-chan struct{}
+	interval int
+	count    int
+	expired  bool
+}
+
+func newDeadlinePoller(deadline time.Time, interval int) *deadlinePoller {
+	if interval <= 0 {
+		interval = 64
+	}
+	return &deadlinePoller{deadline: deadline, interval: interval}
+}
+
+// withCancel attaches a cancellation channel (typically Options.done());
+// nil is accepted and never fires.
+func (d *deadlinePoller) withCancel(done <-chan struct{}) *deadlinePoller {
+	d.done = done
+	return d
+}
+
+func (d *deadlinePoller) Expired() bool {
+	if d.expired {
+		return true
+	}
+	if d.deadline.IsZero() && d.done == nil {
+		return false
+	}
+	d.count++
+	if d.count%d.interval != 0 {
+		return false
+	}
+	select {
+	case <-d.done:
+		d.expired = true
+		return true
+	default:
+	}
+	if !d.deadline.IsZero() && time.Now().After(d.deadline) {
+		d.expired = true
+	}
+	return d.expired
 }

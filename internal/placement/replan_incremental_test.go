@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -153,52 +154,6 @@ func TestReplanFullSkipsRepair(t *testing.T) {
 	}
 }
 
-// TestWarmGreedyReusesSeed checks the warm-start fast path: re-solving
-// with the previous plan as the seed must reproduce it (the seed is
-// already a local optimum of the polish) without re-running
-// segmentation.
-func TestWarmGreedyReusesSeed(t *testing.T) {
-	old := solvedChainPlan(t, 3)
-	warm, err := Greedy{}.Solve(old.Graph, old.Topo, Options{Warm: old})
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, err := Diff(old, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 0 {
-		t.Errorf("warm re-solve of a converged plan moved %d MATs", moved)
-	}
-}
-
-// TestWarmSeedRejectsInfeasible: a warm plan referencing a drained
-// switch must be discarded, and the solver must still succeed cold.
-func TestWarmSeedRejectsInfeasible(t *testing.T) {
-	old := solvedChainPlan(t, 3)
-	drained := old.UsedSwitches()[0]
-	topo := old.Topo.Clone()
-	sw, err := topo.Switch(drained)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Programmable = false
-	sw.Stages = 0
-	sw.StageCapacity = 0
-	if _, ok := warmSeed(old.Graph, topo, Options{Warm: old}); ok {
-		t.Fatal("a warm plan using a drained switch must be rejected")
-	}
-	plan, err := Greedy{}.Solve(old.Graph, topo, Options{Warm: old})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, sp := range plan.Assignments {
-		if sp.Switch == drained {
-			t.Errorf("MAT %q landed on the drained switch", name)
-		}
-	}
-}
-
 // tableIIIInstance analyzes an evaluation workload on a Table III WAN.
 func tableIIIInstance(t *testing.T, topoIdx, programs int) (*Plan, *network.Topology) {
 	t.Helper()
@@ -221,20 +176,24 @@ func tableIIIInstance(t *testing.T, topoIdx, programs int) (*Plan, *network.Topo
 	return plan, topo
 }
 
-// TestWarmExactNeverWorseThanSeed pins the incumbent-seeding guarantee
-// on a Table III instance: a deadline-capped Exact solve warm-started
-// from the greedy plan can never report a worse A_max than its seed —
-// the seed IS its initial incumbent.
-func TestWarmExactNeverWorseThanSeed(t *testing.T) {
-	seedPlan, topo := tableIIIInstance(t, 1, 6)
-	opts := Options{Warm: seedPlan, Deadline: time.Now().Add(300 * time.Millisecond)}
-	exact, err := (Exact{}).Solve(seedPlan.Graph, topo, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.AMax() > seedPlan.AMax() {
-		t.Errorf("warm-started Exact reported A_max %dB, worse than its %dB seed",
-			exact.AMax(), seedPlan.AMax())
+// TestCappedExactNeverWorseThanGreedy pins the incumbent-seeding
+// guarantee on Table III WAN 1: an Exact solve whose deadline has
+// already passed still seeds its incumbent with a full Greedy solve, so
+// the "Optimal" it reports can never trail the heuristic.
+func TestCappedExactNeverWorseThanGreedy(t *testing.T) {
+	for _, programs := range []int{6, 30, 50} {
+		t.Run(fmt.Sprintf("programs=%d", programs), func(t *testing.T) {
+			greedy, topo := tableIIIInstance(t, 1, programs)
+			opts := Options{Deadline: time.Now().Add(-time.Second)}
+			exact, err := (Exact{}).Solve(greedy.Graph, topo, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if exact.AMax() > greedy.AMax() {
+				t.Errorf("capped Exact reported A_max %dB, worse than Greedy's %dB",
+					exact.AMax(), greedy.AMax())
+			}
+		})
 	}
 }
 

@@ -56,8 +56,7 @@ type ShardStats struct {
 	// Shards is the requested region count (Options.Shards).
 	Shards int
 	// FellBack marks solves that ran whole-graph Greedy instead (≤1
-	// shard, warm seed present, tiny TDG, or a partition or regional
-	// failure).
+	// shard, tiny TDG, or a partition or regional failure).
 	FellBack bool
 	// BoundaryLinks counts topology links crossing region cuts.
 	BoundaryLinks int
@@ -92,14 +91,13 @@ func (s ShardedGreedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options)
 
 // SolveStats is Solve plus the sharding statistics. It is the one
 // dispatch between the sharded and the whole-graph solve: no sharding
-// requested, a warm seed (replans polish in place; re-sharding would
-// discard the seed), a TDG too small to cut k ways, or a topology the
+// requested, a TDG too small to cut k ways, or a topology the
 // partitioner or a region solve cannot handle all run Greedy.
 func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan, ShardStats, error) {
 	start := time.Now()
 	k := opts.Shards
 	st := ShardStats{Shards: k}
-	if k <= 1 || opts.Warm != nil || g.NumNodes() < 2*k {
+	if k <= 1 || g.NumNodes() < 2*k {
 		return s.fallback(g, topo, opts, &st)
 	}
 

@@ -21,6 +21,9 @@ type Options struct {
 	// Deadline caps solver runtime; zero means none. Exact returns its
 	// best incumbent, unproven, at the deadline, mirroring the paper's
 	// two-hour Gurobi cap; Greedy cuts its local-search polish short.
+	// Exact's Greedy seed runs without the deadline, so a capped Exact
+	// never trails Greedy but may overrun the deadline by one Greedy
+	// solve (milliseconds at paper scale).
 	Deadline time.Time
 	// Workers bounds solver-internal parallelism (anchor candidate
 	// evaluation, exact-search branch exploration, the per-region repair
@@ -68,14 +71,6 @@ type Options struct {
 	// values < 1 are treated as 1 (no inflation allowed). Ignored when
 	// Traffic is nil.
 	AMaxSlack float64
-	// Warm seeds the solve with an existing plan over the same TDG.
-	// Greedy reuses the warm assignment outright (skipping segmentation)
-	// and only polishes it; Exact adopts it as the initial
-	// branch-and-bound incumbent, so a warm-started "Optimal" can never
-	// report a plan worse than its seed. A warm plan that is infeasible
-	// on the solve's topology (drained switches, changed capacities,
-	// different MAT set) is ignored and the solver runs cold.
-	Warm *Plan
 }
 
 // done returns the cancellation channel, or nil (never ready) when the

@@ -29,7 +29,11 @@ type Options struct {
 	// Replan.Partition is nil, New partitions the monitored topology
 	// once (deterministic, seed 1) and pins it here, so every
 	// supervised replan takes the region-local repair path instead of
-	// re-deriving regions per churn event.
+	// re-deriving regions per churn event. Replan.Deadline is an
+	// absolute time reused by every replan over the supervisor's
+	// lifetime: once it passes, every later heal and rebuild runs with
+	// its polish and climb cut short. Leave it zero for a long-lived
+	// supervisor.
 	Replan placement.ReplanOptions
 	// Ctx cancels in-flight replans and solves when done; nil means
 	// not cancelable.
@@ -350,29 +354,6 @@ func (s *Supervisor) Poll() (*PollResult, error) {
 		s.stats.FailedPolls++
 	}
 	return res, err
-}
-
-// Run polls on a wall-clock interval until ctx is done. It stops early
-// only on context cancellation; per-poll errors are reported through
-// onPoll (nil callback ignores them) because a supervisor's job is to
-// keep trying.
-func (s *Supervisor) Run(ctx context.Context, interval time.Duration, onPoll func(*PollResult, error)) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			res, err := s.Poll()
-			if onPoll != nil {
-				onPoll(res, err)
-			}
-		}
-	}
 }
 
 // redeploy repairs the deployment around the current fault state:
