@@ -410,7 +410,8 @@ func BenchmarkMergeFiftyPrograms(b *testing.B) {
 // shards). cold is the first proof on a graph, which compiles the
 // reference overlay and builds the Checker (what every gated Deploy
 // pays, since it analyzes a fresh graph); warm is every later proof on
-// that graph (a gated heal's one proof).
+// that graph (a gated heal's one proof). A warm deployment proof
+// allocates nothing; the plan gate adds one deploy.Compile to it.
 func BenchmarkEquivGate(b *testing.B) {
 	topo, err := network.CompositeWAN(60, network.TofinoSpec(), 1)
 	if err != nil {

@@ -57,6 +57,11 @@
 //	       file sets: a knob nobody turns is a code path the
 //	       benchmark never runs. Delete it, or allowlist it
 //	       with a reason (facade inputs, test seams)         error
+//	HV012  an internal/... package that no non-test file
+//	       outside the package imports: dead code every
+//	       build still compiles and vets. Delete it
+//	       (testOnlyPackages, imported from tests by
+//	       design, are exempt)                              error
 //
 // It is deliberately x/tools-free: the analysis is a plain go/parser +
 // go/ast walk so it builds in hermetic environments with no module
@@ -76,6 +81,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -153,7 +159,7 @@ func main() {
 type source struct{ path, src string }
 
 // lintSources parses every file, runs the per-file rules over each and
-// the cross-file rule HV011 over the whole set.
+// the cross-file rules HV011 and HV012 over the whole set.
 func lintSources(srcs []source) ([]vetFinding, error) {
 	fset := token.NewFileSet()
 	files := make([]*ast.File, len(srcs))
@@ -167,7 +173,8 @@ func lintSources(srcs []source) ([]vetFinding, error) {
 		files[i], paths[i] = file, s.path
 		out = append(out, lintFile(fset, file, s.path)...)
 	}
-	return append(out, lintUnsetOptions(fset, files, paths)...), nil
+	out = append(out, lintUnsetOptions(fset, files, paths)...)
+	return append(out, lintUnimported(fset, files, paths)...), nil
 }
 
 // lintGoSource parses one Go file and runs every per-file rule over it.
@@ -223,6 +230,64 @@ func lintTestOnlyImports(fset *token.FileSet, file *ast.File, path string) []vet
 		}
 	}
 	return out
+}
+
+// lintUnimported applies HV012 across the file set. A package is a
+// directory, named by its path from the first "internal" element on;
+// an import path is named the same way, so a module-qualified import
+// matches the directory it resolves to. The finding sits on the
+// package clause of the package's first non-test file.
+func lintUnimported(fset *token.FileSet, files []*ast.File, paths []string) []vetFinding {
+	first := map[string]int{} // internal package -> its first non-test file
+	var pkgs []string
+	for i, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		pkg := internalPackage(filepath.ToSlash(filepath.Dir(path)))
+		if pkg == "" || slices.Contains(testOnlyPackages, pkg) {
+			continue
+		}
+		if _, ok := first[pkg]; !ok {
+			first[pkg] = i
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	imported := map[string]bool{}
+	for i, file := range files {
+		if strings.HasSuffix(paths[i], "_test.go") {
+			continue
+		}
+		self := internalPackage(filepath.ToSlash(filepath.Dir(paths[i])))
+		for _, spec := range file.Imports {
+			if pkg := internalPackage(strings.Trim(spec.Path.Value, `"`)); pkg != self {
+				imported[pkg] = true
+			}
+		}
+	}
+	var out []vetFinding
+	for _, pkg := range pkgs {
+		if imported[pkg] {
+			continue
+		}
+		out = append(out, vetFinding{
+			pos: fset.Position(files[first[pkg]].Name.Pos()), rule: "HV012", sev: "error",
+			msg: fmt.Sprintf("package %s is imported by no non-test file outside it: delete it, or list it in testOnlyPackages if tests are its only users", pkg),
+		})
+	}
+	return out
+}
+
+// internalPackage returns a slash-separated path from its first
+// "internal" element on, or "" when it has none.
+func internalPackage(path string) string {
+	if strings.HasPrefix(path, "internal/") {
+		return path
+	}
+	if i := strings.Index(path, "/internal/"); i >= 0 {
+		return path[i+1:]
+	}
+	return ""
 }
 
 // lintHookSeams applies HV009. In a non-test file, an exported

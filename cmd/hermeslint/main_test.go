@@ -853,6 +853,7 @@ var _ = Greedy{Budget: 1}
 import (
 	"flag"
 	pl "github.com/hermes-net/hermes/internal/placement"
+	_ "github.com/hermes-net/hermes/internal/placement/shard"
 )
 var _ = []pl.Options{{Workers: 2}}
 func main() {
@@ -917,6 +918,47 @@ var _ = placement.Greedy{Budget: 2}
 	})
 	if len(fs) != 0 {
 		t.Fatalf("a cross-package copy must count as a setter, got %v", fs)
+	}
+}
+
+func TestUnimportedInternalPackagesFlagged(t *testing.T) {
+	fs := lintSet(t, map[string]string{
+		// Imported by a command: kept.
+		"internal/placement/solver.go": "package placement\n",
+		"cmd/tool/main.go": `package main
+import _ "github.com/hermes-net/hermes/internal/placement"
+`,
+		// A subpackage is its own package: the parent's importers do
+		// not keep it, and neither do its own tests, a self-import or an
+		// importer that is itself a test.
+		"internal/placement/shard/shard.go":      "package shard\n",
+		"internal/placement/shard/shard_test.go": "package shard\nimport _ \"github.com/hermes-net/hermes/internal/placement/shard\"\n",
+		"internal/stats/a.go":                    "package stats\n",
+		"internal/stats/b.go":                    "package stats\nimport _ \"github.com/hermes-net/hermes/internal/stats\"\n",
+		"internal/deploy/deploy_test.go":         "package deploy\nimport _ \"github.com/hermes-net/hermes/internal/stats\"\n",
+		// Imported from another internal package: kept.
+		"internal/fields/fields.go": "package fields\n",
+		"internal/program/mat.go":   "package program\nimport _ \"github.com/hermes-net/hermes/internal/fields\"\n",
+		"internal/program/mat_2.go": "package program\n",
+		"cmd/other/main.go":         "package main\nimport _ \"github.com/hermes-net/hermes/internal/program\"\n",
+		// A test-only package is imported from tests by design.
+		"internal/milp/model.go": "package milp\n",
+		// A package outside internal/ is never flagged.
+		"hermes.go": "package hermes\n",
+	})
+	var got []string
+	for _, f := range fs {
+		if f.rule != "HV012" || f.sev != "error" {
+			t.Fatalf("want only HV012 errors, got %v", f)
+		}
+		got = append(got, f.pos.Filename+": "+f.msg[:strings.Index(f.msg, " is imported")])
+	}
+	want := []string{
+		"internal/placement/shard/shard.go: package internal/placement/shard",
+		"internal/stats/a.go: package internal/stats",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("HV012 findings = %q, want %q", got, want)
 	}
 }
 

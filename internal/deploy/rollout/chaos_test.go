@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/dataplane"
 	"github.com/hermes-net/hermes/internal/equiv"
 	"github.com/hermes-net/hermes/internal/fields"
@@ -86,11 +85,11 @@ func TestRolloutChaosEveryBoundary(t *testing.T) {
 
 	// The serving plan at any instant is one of these two; prove both
 	// once so "equiv proves whichever plan is serving" holds for free.
-	if err := equiv.CheckPlanAgainst(nil, old.Plan, analyzer.Options{}); err != nil {
-		t.Fatalf("old plan not proven: %v", err)
+	if err := equiv.CheckDeployment(nil, old); err != nil {
+		t.Fatalf("old deployment not proven: %v", err)
 	}
-	if err := equiv.CheckPlanAgainst(nil, next.Plan, analyzer.Options{}); err != nil {
-		t.Fatalf("new plan not proven: %v", err)
+	if err := equiv.CheckDeployment(nil, next); err != nil {
+		t.Fatalf("new deployment not proven: %v", err)
 	}
 	// Packet-level continuity: both epochs replay identically to the
 	// reference, so a program flipping between them never observes a

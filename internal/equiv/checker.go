@@ -12,7 +12,7 @@ import (
 	"github.com/hermes-net/hermes/internal/tdg"
 )
 
-// Checker proves deployments and plans equivalent to one reference
+// Checker proves deployments equivalent to one reference
 // graph. It owns reusable scratch sized to the reference, so repeated
 // checks against the same graph are allocation-free on the green path;
 // a Checker is not safe for concurrent use (share the graph, not the
@@ -49,13 +49,6 @@ type Checker struct {
 	entMAT   []int32
 	firstSt  map[string]int32
 
-	// Plan-lowering scratch: per communicating pair, the carried field
-	// bitset the compiler would derive.
-	pairIdx  map[int64]int32
-	pairFrom []int32
-	pairTo   []int32
-	pairBits []uint64
-
 	// Walk scratch. d* is the global per-field write history; vis* is
 	// the history visible on the switch being walked — one F-sized row,
 	// reset between switches through the touched list. snap* holds, per
@@ -76,10 +69,9 @@ type Checker struct {
 	expStart []int32
 	expSlot  []int32
 
-	// deployed remembers which artifact the scratch was lowered from,
-	// for the diagnostic pass.
-	dep  *deploy.Deployment
-	plan *placement.Plan
+	// dep is the deployment the scratch was lowered from, for the
+	// diagnostic pass.
+	dep *deploy.Deployment
 }
 
 // NewChecker compiles the reference graph (memoized on the graph) and
@@ -98,7 +90,6 @@ func newChecker(ov *compiled) *Checker {
 		ov:      ov,
 		swOf:    map[network.SwitchID]int32{},
 		firstSt: map[string]int32{},
-		pairIdx: map[int64]int32{},
 		dCnt:    make([]int32, f),
 		dHash:   make([]uint64, f),
 		dSym:    make([]uint64, f),
@@ -131,10 +122,10 @@ func acquire(ref *tdg.Graph) (*Checker, error) {
 }
 
 // release returns an acquired Checker to its overlay's pool. The
-// lowered artifact is dropped first so an idle checker pins neither a
-// deployment nor a plan.
+// lowered deployment is dropped first so an idle checker does not pin
+// it.
 func (c *Checker) release() {
-	c.dep, c.plan = nil, nil
+	c.dep = nil
 	c.ov.poolMu.Lock()
 	defer c.ov.poolMu.Unlock()
 	c.ov.pool = append(c.ov.pool, c)
@@ -150,19 +141,6 @@ func (c *Checker) Reference() *tdg.Graph { return c.ov.g }
 // nothing, on a held Checker and through the pooled gates alike.
 func (c *Checker) Check(dep *deploy.Deployment) error {
 	if err := c.lowerDeployment(dep); err != nil {
-		return err
-	}
-	if c.clean() {
-		return nil
-	}
-	return findingsErr(c.diagnose(false))
-}
-
-// CheckPlan gates a plan before compilation: the pipeline is the
-// plan's switch and stage order with the coordination headers
-// deploy.Compile would derive.
-func (c *Checker) CheckPlan(p *placement.Plan) error {
-	if err := c.lowerPlan(p); err != nil {
 		return err
 	}
 	if c.clean() {
@@ -203,13 +181,7 @@ func (c *Checker) structuralClean() bool {
 
 // deployedDef resolves the MAT definition the engine would execute.
 func (c *Checker) deployedDef(name string) *program.MAT {
-	g := c.ov.g
-	if c.dep != nil {
-		g = c.dep.Plan.Graph
-	} else if c.plan != nil {
-		g = c.plan.Graph
-	}
-	n, ok := g.Node(name)
+	n, ok := c.dep.Plan.Graph.Node(name)
 	if !ok {
 		return nil
 	}
@@ -224,7 +196,7 @@ func (c *Checker) lowerDeployment(dep *deploy.Deployment) error {
 	if dep == nil || dep.Plan == nil || dep.Plan.Graph == nil {
 		return fmt.Errorf("equiv: nil deployment")
 	}
-	c.dep, c.plan = dep, nil
+	c.dep = dep
 	c.collectSwitches(dep.Plan)
 	c.orderSwitches(dep.Plan)
 
@@ -284,126 +256,6 @@ func (c *Checker) lowerDeployment(dep *deploy.Deployment) error {
 		c.impStart = append(c.impStart, int32(len(c.impF)))
 	}
 	return nil
-}
-
-// lowerPlan flattens the pipeline a compilation of p would induce:
-// same switch and stage order, with per-pair carried fields derived
-// from the cross edges exactly as deploy.Compile does via
-// analyzer.MetadataFields.
-func (c *Checker) lowerPlan(p *placement.Plan) error {
-	if p == nil || p.Graph == nil {
-		return fmt.Errorf("equiv: nil plan")
-	}
-	c.dep, c.plan = nil, p
-	c.collectSwitches(p)
-	c.orderSwitches(p)
-
-	c.entRank = c.entRank[:0]
-	c.entStage = c.entStage[:0]
-	c.entName = c.entName[:0]
-	c.entMAT = c.entMAT[:0]
-	for name, sp := range p.Assignments {
-		u, ok := c.swOf[sp.Switch]
-		if !ok || c.rank[u] < 0 {
-			continue
-		}
-		c.pushEntry(c.rank[u], int32(sp.Start), name)
-	}
-	c.sortEntries()
-	c.buildExec()
-
-	// Derive per-pair carried fields from the cross edges.
-	for k := range c.pairIdx {
-		delete(c.pairIdx, k)
-	}
-	c.pairFrom = c.pairFrom[:0]
-	c.pairTo = c.pairTo[:0]
-	fw := (len(c.ov.fieldNames) + 63) / 64
-	c.pairBits = c.pairBits[:0]
-	for _, e := range p.Graph.EdgeList() {
-		spa, oka := p.Assignments[e.From]
-		spb, okb := p.Assignments[e.To]
-		if !oka || !okb || spa.Switch == spb.Switch {
-			continue
-		}
-		ua, ub := c.swOf[spa.Switch], c.swOf[spb.Switch]
-		key := int64(ua)<<32 | int64(uint32(ub))
-		pi, ok := c.pairIdx[key]
-		if !ok {
-			pi = int32(len(c.pairFrom))
-			c.pairIdx[key] = pi
-			c.pairFrom = append(c.pairFrom, ua)
-			c.pairTo = append(c.pairTo, ub)
-			n := len(c.pairBits)
-			c.pairBits = slices.Grow(c.pairBits, fw)[:n+fw]
-			clear(c.pairBits[n:])
-		}
-		c.addCarriedFields(c.pairBits[int(pi)*fw:int(pi+1)*fw], e)
-	}
-	c.impStart = append(c.impStart[:0], 0)
-	c.impFrom = c.impFrom[:0]
-	c.impF = c.impF[:0]
-	for r := range c.visit {
-		// Ascending upstream rank, mirroring the engine's import order.
-		for rr := 0; rr < r; rr++ {
-			from := c.visit[rr]
-			pi, ok := c.pairIdx[int64(from)<<32|int64(uint32(c.visit[r]))]
-			if !ok {
-				continue
-			}
-			bits := c.pairBits[int(pi)*fw : int(pi+1)*fw]
-			for w, word := range bits {
-				for b := 0; word != 0; b++ {
-					if word&1 != 0 {
-						c.impFrom = append(c.impFrom, from)
-						c.impF = append(c.impF, int32(w*64+b))
-					}
-					word >>= 1
-				}
-			}
-		}
-		c.impStart = append(c.impStart, int32(len(c.impF)))
-	}
-	return nil
-}
-
-// addCarriedFields ORs into bits the metadata fields deploy.Compile
-// would put in the pair header for edge e, mirroring
-// analyzer.MetadataFields over the overlay's index lists.
-func (c *Checker) addCarriedFields(bits []uint64, e *tdg.Edge) {
-	ov := c.ov
-	a, okA := ov.index[e.From]
-	b, okB := ov.index[e.To]
-	if c.plan != nil && c.plan.Graph != ov.g {
-		// Mutated graph: fall back to name lookups against the overlay
-		// universe; unknown MATs contribute nothing (flagged elsewhere).
-		if !okA || !okB {
-			return
-		}
-	}
-	if !okA || !okB {
-		return
-	}
-	set := func(fi int32) {
-		if ov.fieldMeta[fi] {
-			bits[fi/64] |= 1 << uint(fi%64)
-		}
-	}
-	switch e.Type {
-	case tdg.DepMatch, tdg.DepSuccessor:
-		for s := ov.writeStart[a]; s < ov.writeStart[a+1]; s++ {
-			set(ov.writeF[s])
-		}
-	case tdg.DepAction:
-		for s := ov.writeStart[a]; s < ov.writeStart[a+1]; s++ {
-			set(ov.writeF[s])
-		}
-		for s := ov.writeStart[b]; s < ov.writeStart[b+1]; s++ {
-			set(ov.writeF[s])
-		}
-	case tdg.DepReverse:
-		// R edges carry nothing.
-	}
 }
 
 // collectSwitches gathers the used switches ascending into usedIDs and

@@ -1,8 +1,9 @@
 // Package equiv is the symbolic plan-equivalence checker: it proves,
-// without replaying packets, that the distributed pipeline induced by
-// a placement plan (or a compiled deployment) is functionally
-// equivalent to the single-box reference pipeline that executes the
-// merged TDG in topological order with all metadata visible.
+// without replaying packets, that the distributed pipeline a compiled
+// deployment runs (a plan is compiled with deploy.Compile first) is
+// functionally equivalent to the single-box reference pipeline that
+// executes the merged TDG in topological order with all metadata
+// visible.
 //
 // The model abstracts every field to its write history: the ordered
 // sequence of MATs that may have written it. A MAT's observable
@@ -35,10 +36,14 @@
 //	HE010  unconstrained MATs interleaved differently          (warning)
 //
 // HE010 covers interleavings of MATs the reference graph never
-// ordered: the dependency analyzer guarantees conflicting accesses are
-// edge-connected, so such shuffles cannot change results and only the
-// packet-replay differential twin double-checks them. The gate
-// (Check/CheckDeployment/CheckPlan) fails only on error findings.
+// ordered. Within one program the dependency analyzer makes
+// conflicting accesses edge-connected, so such shuffles cannot change
+// results there. Across programs it does not: two programs that share
+// a metadata name get no edge between them, which is the open seam of
+// ROADMAP item 1 (`hermes equiv -workload mixed:30 -topology table3:1
+// -seed 2` fails on it). Only the packet-replay differential twin
+// double-checks HE010 shuffles. The gates (Check, CheckDeployment,
+// CheckPlanAgainst) fail only on error findings.
 //
 // The fast path is allocation-free: lowering and the symbolic walk run
 // on reusable scratch over the interned reference (compile.go), and
@@ -91,24 +96,16 @@ func CheckDeployment(ref *tdg.Graph, dep *deploy.Deployment) error {
 	return c.Check(dep)
 }
 
-// CheckPlanAgainst gates a plan pre-compilation against ref (the
-// plan's own graph when nil), assuming the coordination headers
-// deploy.Compile would derive. aopts is ignored: no analyzer option
-// changes those headers any more, and the parameter stays only until
-// benchmark/ moves onto the facade (ROADMAP 2(ii)).
+// CheckPlanAgainst gates a plan against ref (the plan's own graph when
+// nil): it compiles p with deploy.Compile, returning the compile error
+// when that fails, and proves the deployment with CheckDeployment, so
+// the proof covers the headers and stages that would ship.
 func CheckPlanAgainst(ref *tdg.Graph, p *placement.Plan, aopts analyzer.Options) error {
-	if ref == nil {
-		if p == nil {
-			return fmt.Errorf("equiv: nil plan")
-		}
-		ref = p.Graph
-	}
-	c, err := acquire(ref)
+	dep, err := deploy.Compile(p, aopts)
 	if err != nil {
 		return err
 	}
-	defer c.release()
-	return c.CheckPlan(p)
+	return CheckDeployment(ref, dep)
 }
 
 // Diagnose builds the full report for a deployment, including
@@ -136,18 +133,6 @@ func (c *Checker) Diagnose(dep *deploy.Deployment) (*Report, error) {
 			c.attachCounterexample(r, pkt)
 		}
 	}
-	return r, nil
-}
-
-// DiagnosePlan is the Checker-level full report for an uncompiled
-// plan. No counterexample is synthesized: replay confirmation needs
-// compiled headers.
-func (c *Checker) DiagnosePlan(p *placement.Plan) (*Report, error) {
-	if err := c.lowerPlan(p); err != nil {
-		return nil, err
-	}
-	r := &Report{Findings: c.diagnose(true)}
-	c.fillPrograms(r)
 	return r, nil
 }
 

@@ -42,8 +42,8 @@ type ShardPoint struct {
 	Rounds   int
 	Moves    int
 	FellBack bool
-	// EquivOK reports the symbolic plan-equivalence verdict on the
-	// sharded plan (the pre-compilation gate); EquivMs is its cost.
+	// EquivOK reports the symbolic equivalence verdict on the compiled
+	// sharded plan; EquivMs is its cost, the compile included.
 	// Every row runs the check, the 10k-switch scale row included.
 	EquivOK bool
 	EquivMs float64

@@ -61,8 +61,8 @@ type RegionReplanPoint struct {
 	RegionsMs  float64
 	ExchangeMs float64
 	GatesMs    float64
-	// EquivOK reports the symbolic plan-equivalence verdict on the
-	// repaired plan; EquivMs is its cost.
+	// EquivOK reports the symbolic equivalence verdict on the compiled
+	// repaired plan; EquivMs is its cost, the compile included.
 	EquivOK bool
 	EquivMs float64
 }
