@@ -17,7 +17,7 @@ GO ?= go
 SMOKES := core survive shard equiv traffic regionreplan rollout replan
 FULL   := shard regionreplan
 
-.PHONY: check lint vet fmt-check hermeslint build test race bench-smoke bench benchmark benchmark-smoke
+.PHONY: check lint vet fmt-check hermeslint build test race bench-smoke bench benchmark benchmark-smoke paper-rows
 
 check: lint build race bench-smoke $(SMOKES:%=smoke-%) benchmark-smoke
 
@@ -29,6 +29,18 @@ baseline-%:
 
 compare-%:
 	$(GO) run ./cmd/hermes-bench -exp $* -compare BENCH_$*.json
+
+# The paper tables (Exp#1/2/5/6) as CSVs under DIR with the one timing
+# column, exec_ms, blanked: run it in two checkouts and `diff -r` the
+# directories to prove a solver change keeps every paper row.
+paper-rows:
+	@test -n "$(DIR)" || { echo "usage: make paper-rows DIR=<directory>" >&2; exit 1; }
+	@mkdir -p $(DIR)
+	@for e in exp1 exp2 exp5 exp6; do \
+		$(GO) run ./cmd/hermes-bench -exp $$e -csv $(DIR) > /dev/null || exit 1; \
+		awk -F, -v OFS=, 'NR==1{for(i=1;i<=NF;i++) if($$i=="exec_ms") c=i} c{$$c=""} 1' \
+			$(DIR)/$$e.csv > $(DIR)/$$e.csv.tmp && mv $(DIR)/$$e.csv.tmp $(DIR)/$$e.csv || exit 1; \
+	done
 
 # Inspect with `go tool pprof results/<exp>.cpu.pprof` (or .mem.pprof);
 # `make profile-core` profiles the cold Greedy solve and the kernels,

@@ -26,12 +26,10 @@ const (
 	// parent's edge list per segment, wins or ties at equal workers.
 	shardAMaxRatio = 1.5
 	shardHeadline  = "composite:60"
-	// Exp#11's acceptance cell and the healing speedup it must reach;
-	// both sides are min-of-reps measurements from the same run
-	// (15–16 ms cold over a 1.5–1.7 ms repair, 6.8–10.8× over 14 runs
-	// on the reference host; EXPERIMENTS.md Exp#11 has the history).
+	// Exp#11's acceptance cell, where the cold re-solve must run
+	// experiments.RegionReplanWorkRatio times the regional replan's
+	// packing steps (EXPERIMENTS.md Exp#11 has the wall-clock history).
 	regionReplanHeadline = "composite:30"
-	regionReplanSpeedup  = 5.0
 	rolloutInjections    = 33
 )
 
@@ -220,6 +218,8 @@ var regionReplanExp = experiment{
 			col(timing, "cold_ms", "cold", "%.1fms", func(p regionPt) any { return p.ColdMs }),
 			col(timing, "regional_ms", "regional", "%.2fms", func(p regionPt) any { return p.RegionalMs }).dual("speedup", 1.10, 1.25),
 			col(timing, "speedup", "speedup", "%.1fx", func(p regionPt) any { return p.Speedup }).up(),
+			col(det, "cold_pack_steps", "", "", func(p regionPt) any { return p.ColdPackSteps }),
+			col(det, "regional_pack_steps", "", "", func(p regionPt) any { return p.RegionalPackSteps }),
 			col(det, "seed_amax_bytes", "", "", func(p regionPt) any { return p.SeedAMax }),
 			col(det, "cold_amax_bytes", "", "", func(p regionPt) any { return p.ColdAMax }),
 			col(det, "regional_amax_bytes", "", "", func(p regionPt) any { return p.RegionalAMax }),
@@ -249,7 +249,9 @@ var regionReplanExp = experiment{
 			bound("amax_ratio", "<=", experiments.RegionReplanQualityRatio).when("unless the seed was already worse",
 				func(r row) bool { return r.num("regional_amax_bytes") > r.num("seed_amax_bytes") }),
 			is("equiv_ok", true), // every repaired plan is proven equivalent
-			bound("speedup", ">=", regionReplanSpeedup).when("on the "+regionReplanHeadline+" headline", headline(regionReplanHeadline)),
+			check{col: "cold_pack_steps", want: ">= " + plain(experiments.RegionReplanWorkRatio) + " x regional_pack_steps", ok: func(r row) bool {
+				return r.num("cold_pack_steps") >= experiments.RegionReplanWorkRatio*r.num("regional_pack_steps")
+			}}.when("on the "+regionReplanHeadline+" headline", headline(regionReplanHeadline)),
 			{col: "topology", want: regionReplanHeadline + " in the sweep", some: true, ok: headline(regionReplanHeadline)},
 		},
 	}},

@@ -17,6 +17,13 @@ import (
 // repair cannot out-solve the pre-drain plan's global structure).
 const RegionReplanQualityRatio = 1.2
 
+// RegionReplanWorkRatio is Exp#11's speed claim as a work count: on the
+// headline cell the sharded cold re-solve runs at least this many times
+// the regional replan's stage-packing steps (ReplanReport.PackSteps).
+// Unlike the wall-clock ratio it does not depend on the host, the load
+// or the race detector.
+const RegionReplanWorkRatio = 5.0
+
 // RegionReplanPoint is one Exp#11 cell: the busiest-switch drain on a
 // composite WAN healed by the region-local replan versus the sharded
 // cold re-solve, off the same pre-drain sharded plan.
@@ -37,6 +44,11 @@ type RegionReplanPoint struct {
 	ColdMs     float64
 	RegionalMs float64
 	Speedup    float64
+	// ColdPackSteps/RegionalPackSteps are the two replans' stage-packing
+	// steps (ReplanReport.PackSteps): the deterministic work behind
+	// ColdMs and RegionalMs.
+	ColdPackSteps     int
+	RegionalPackSteps int
 	// SeedAMax is the pre-drain plan's Eq. 1; ColdAMax/RegionalAMax are
 	// the two replans'; AMaxRatio is RegionalAMax/ColdAMax.
 	SeedAMax     int
@@ -162,6 +174,7 @@ func exp11Point(cfg Config, c exp11Case) (RegionReplanPoint, error) {
 			pt.ColdMs = elapsed
 			cold = p
 			pt.MovedCold = r.MovedMATs
+			pt.ColdPackSteps = r.PackSteps
 		}
 	}
 	pt.ColdAMax = cold.AMax()
@@ -184,6 +197,7 @@ func exp11Point(cfg Config, c exp11Case) (RegionReplanPoint, error) {
 	}
 	pt.RegionalAMax = regional.AMax()
 	pt.MovedRegional = rep.MovedMATs
+	pt.RegionalPackSteps = rep.PackSteps
 	pt.FellBack = !rep.UsedRepair || !rep.UsedRegional
 	pt.RegionsTouched = len(rep.RegionsTouched)
 	pt.RegionsWidened = rep.RegionsWidened

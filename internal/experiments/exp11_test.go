@@ -4,9 +4,10 @@ import "testing"
 
 // TestExp11RegionalReplanAcceptance gates the smoke sweep: every cell
 // heals through the regional path (zero full-solve fallbacks), holds
-// the quality bound, and the repaired plan is proven equivalent; the
-// headline composite:30 drain must heal at least 5x faster than the
-// sharded cold re-solve.
+// the quality bound, and the repaired plan is proven equivalent; on the
+// headline composite:30 drain the sharded cold re-solve must do at
+// least RegionReplanWorkRatio times the regional replan's packing work.
+// No check reads a clock.
 func TestExp11RegionalReplanAcceptance(t *testing.T) {
 	pts, err := Exp11(fastConfig(), false)
 	if err != nil {
@@ -18,8 +19,8 @@ func TestExp11RegionalReplanAcceptance(t *testing.T) {
 	var headline *RegionReplanPoint
 	for i := range pts {
 		pt := &pts[i]
-		t.Logf("%s: cold %.2fms regional %.2fms (dirty %.3f regions %.3f exchange %.3f gates %.3f) touched %d widened %d exMoves %d displaced %d",
-			pt.Topology, pt.ColdMs, pt.RegionalMs, pt.DirtyMs, pt.RegionsMs, pt.ExchangeMs, pt.GatesMs,
+		t.Logf("%s: pack steps cold %d regional %d, touched %d widened %d exMoves %d displaced %d",
+			pt.Topology, pt.ColdPackSteps, pt.RegionalPackSteps,
 			pt.RegionsTouched, pt.RegionsWidened, pt.ExchangeMoves, pt.DisplacedMATs)
 		if pt.FellBack {
 			t.Errorf("%s: regional replan fell back to a full solve", pt.Topology)
@@ -41,6 +42,9 @@ func TestExp11RegionalReplanAcceptance(t *testing.T) {
 		if !pt.EquivOK {
 			t.Errorf("%s: repaired plan not proven equivalent", pt.Topology)
 		}
+		if pt.RegionalPackSteps == 0 {
+			t.Errorf("%s: the regional replan counted no packing steps", pt.Topology)
+		}
 		if pt.Topology == "composite:30" {
 			headline = pt
 		}
@@ -48,24 +52,13 @@ func TestExp11RegionalReplanAcceptance(t *testing.T) {
 	if headline == nil {
 		t.Fatal("smoke sweep missing the composite:30 headline cell")
 	}
-	// The tentpole claim: busiest-switch churn on the 2k-switch WAN
-	// heals regionally >=5x faster than re-solving the shard sweep
-	// cold. Both sides are min-of-reps deterministic replans measured
-	// in the same process (15–16 ms cold over 1.5–1.7 ms regional,
-	// 6.8–10.8x over 14 runs; EXPERIMENTS.md Exp#11 records why the
-	// floor is not the 10x it was while the cold side re-sorted the edge
-	// list per segment). The race detector's per-access
-	// instrumentation compresses the ratio
-	// (6.7–8.3x observed — the cold solve's bulk allocations amortize
-	// instrumentation better than the regional path's pointer-chasing),
-	// so the floor drops to 3x there; the un-instrumented bound is the
-	// one `make check` also enforces via smoke-regionreplan.
-	floor := 5.0
-	if raceDetectorEnabled {
-		floor = 3.0
-	}
-	if headline.Speedup < floor {
-		t.Errorf("composite:30 regional replan speedup %.1fx < %.0fx (cold %.2fms, regional %.2fms)",
-			headline.Speedup, floor, headline.ColdMs, headline.RegionalMs)
+	// The tentpole claim: busiest-switch churn on the 2k-switch WAN heals
+	// regionally with at least 5x less work than re-solving the shard
+	// sweep cold. Both counts are deterministic, so the floor holds on any
+	// host and under the race detector; EXPERIMENTS.md Exp#11 records the
+	// wall-clock ratio next to it.
+	if float64(headline.ColdPackSteps) < RegionReplanWorkRatio*float64(headline.RegionalPackSteps) {
+		t.Errorf("composite:30 cold re-solve ran %d packing steps, under %.0fx the regional replan's %d",
+			headline.ColdPackSteps, RegionReplanWorkRatio, headline.RegionalPackSteps)
 	}
 }

@@ -51,17 +51,17 @@ func refinedSolve(g *tdg.Graph, topo *network.Topology, r refinements) (*Plan, e
 	}
 	var lastErr error
 	for _, c := range candidates {
-		plan, err := placeWithRefinement(g, topo, sp, c, Options{}, rm)
+		assign, err := placeWithRefinement(g, topo, sp, c, Options{}, rm)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		if r.polish {
-			if err := polish(plan, Options{}, rm); err != nil {
+			if err := polish(g, order, topo, assign, Options{}, rm); err != nil {
 				return nil, err
 			}
 		}
-		return plan, nil
+		return materializeAssignment(g, topo, assign, rm)
 	}
 	return nil, lastErr
 }

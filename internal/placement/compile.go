@@ -23,11 +23,6 @@ import (
 	"github.com/hermes-net/hermes/internal/tdg"
 )
 
-// compiledMemoKey memoizes the CompiledInstance on the graph, next to
-// the pack memo: the graph drops it on any mutation, and Compile
-// revalidates the topology/model side itself.
-const compiledMemoKey = "placement.compiledInstance"
-
 // CompiledInstance is the dense-index form of one placement instance.
 // MAT index space is the alphabetically sorted node-name list (the
 // order the climb iterates); switch index space is the topology's
@@ -71,14 +66,6 @@ type CompiledInstance struct {
 	Caps         []float64
 	Prog         []network.SwitchID
 
-	rm    program.ResourceModel
-	links int
-	// epoch pins the topology's fault state at compile time; a fault
-	// mutation (switch/link down or heal) bumps the topology's counter
-	// and forces a rebuild, since Programmable/Prog and lat bake the
-	// overlay in.
-	epoch uint64
-
 	// lat is the dense shortest-path latency table, fetched lazily:
 	// parallel Exact branches share one instance, so the fetch is
 	// guarded by a Once.
@@ -86,68 +73,30 @@ type CompiledInstance struct {
 	lat     []time.Duration
 }
 
-// Compile returns the dense-index form of (g, topo, rm), memoized on
-// the graph. The memo is dropped by tdg on any graph mutation; switch
-// traits can be mutated in place without a graph mutation (replan
-// drains flip Programmable/Stages directly), so a hit is revalidated
-// against the live switch fields in O(S).
+// Compile returns the dense-index form of (g, topo, rm) over every MAT:
+// compileSubset over the sorted node names.
 func Compile(g *tdg.Graph, topo *network.Topology, rm program.ResourceModel) *CompiledInstance {
-	if v, ok := g.Memo(compiledMemoKey); ok {
-		if ci, ok := v.(*CompiledInstance); ok && ci.matches(topo, rm) {
-			return ci
-		}
-	}
 	names := g.NodeNames()
 	sort.Strings(names)
 	ci, err := compileSubset(g, names, topo, rm)
 	if err != nil {
 		panic(err) // unreachable: the names are g's own
 	}
-	g.MemoSet(compiledMemoKey, ci)
 	return ci
 }
 
-// matches reports whether the memoized instance still describes the
-// live topology and resource model. Pointer identity pins the switch
-// ID space (the memo keeps the topology alive, so the address cannot
-// be recycled); the per-switch field scan catches in-place trait
-// mutation, and the link count catches links added after compilation
-// (links cannot be removed).
-func (ci *CompiledInstance) matches(topo *network.Topology, rm program.ResourceModel) bool {
-	if ci.Topo != topo || ci.rm != rm || int(ci.S) != topo.NumSwitches() || ci.links != topo.NumLinks() {
-		return false
-	}
-	if ci.epoch != topo.FaultEpoch() {
-		return false
-	}
-	for id := int32(0); id < ci.S; id++ {
-		sw, err := topo.Switch(network.SwitchID(id))
-		if err != nil {
-			return false
-		}
-		up := sw.Programmable && !topo.SwitchIsDown(network.SwitchID(id))
-		if up != ci.Programmable[id] ||
-			int32(sw.Stages) != ci.Stages[id] ||
-			sw.StageCapacity != ci.StageCap[id] {
-			return false
-		}
-	}
-	return true
-}
-
 // compileSubset builds the dense-index form of a subset of g's MATs
-// against a (typically compacted) topology; Compile is the memoized
-// call over every MAT and the real topology. The replan repair builds
+// against a (typically compacted) topology; Compile is the call over
+// every MAT and the real topology. The replan repair builds
 // one instance per touched region this way: materializing a
 // tdg.Subgraph just to compile it costs more than the whole region
 // repair (fresh string-keyed node/edge maps plus an uncached
 // topological sort), while the dense arrays can be carved straight out
 // of g. names must be sorted and duplicate-free; edges are kept when
 // both endpoints are in the subset, in g's EdgeList order, so the
-// kernels' iteration order is deterministic. The instance is not
-// memoized here and its Graph field keeps pointing at g — callers that
-// need full-graph facts (canonical pack order, TopoIndex) already hold
-// g.
+// kernels' iteration order is deterministic. The instance's Graph field
+// keeps pointing at g — callers that need full-graph facts (canonical
+// pack order, TopoIndex) already hold g.
 func compileSubset(g *tdg.Graph, names []string, topo *network.Topology, rm program.ResourceModel) (*CompiledInstance, error) {
 	idx := make(map[string]int32, len(names))
 	for i, n := range names {
@@ -160,9 +109,6 @@ func compileSubset(g *tdg.Graph, names []string, topo *network.Topology, rm prog
 		Names: names,
 		Index: idx,
 		S:     int32(s),
-		rm:    rm,
-		links: topo.NumLinks(),
-		epoch: topo.FaultEpoch(),
 	}
 
 	ci.Req = make([]float64, len(names))
@@ -212,7 +158,7 @@ func compileSubset(g *tdg.Graph, names []string, topo *network.Topology, rm prog
 			continue
 		}
 		// A down switch is indistinguishable from non-programmable for
-		// placement purposes; Compile's epoch check rebuilds on heal.
+		// placement purposes.
 		up := sw.Programmable && !topo.SwitchIsDown(sw.ID)
 		ci.Programmable[id] = up
 		ci.Stages[id] = int32(sw.Stages)

@@ -296,38 +296,6 @@ func TestPairBytesCacheInvalidation(t *testing.T) {
 	_ = before
 }
 
-// TestCompileMemoRevalidates: the memoized instance must be reused
-// verbatim while the topology is untouched, and dropped when switch
-// traits mutate in place (the replan drain path).
-func TestCompileMemoRevalidates(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomDAG(rng, 6)
-	tp := randomTopo(rng, 4)
-	rm := program.DefaultResourceModel
-	a := Compile(g, tp, rm)
-	if b := Compile(g, tp, rm); a != b {
-		t.Fatal("unchanged instance was recompiled")
-	}
-	sw, err := tp.Switch(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Programmable = false
-	sw.Stages = 0
-	sw.StageCapacity = 0
-	c := Compile(g, tp, rm)
-	if c == a {
-		t.Fatal("drained switch did not invalidate the compiled instance")
-	}
-	if c.Programmable[0] {
-		t.Fatal("recompiled instance still sees switch 0 as programmable")
-	}
-	other := program.ResourceModel{SRAMBytesPerStage: 1, TCAMFactor: 1, ALUWeight: 1, MinCost: 0.5}
-	if d := Compile(g, tp, other); d == c {
-		t.Fatal("resource-model change did not invalidate the compiled instance")
-	}
-}
-
 // TestKernelScratchRecycledClean drives the free list from several
 // goroutines at once (run it under -race): every take hands out
 // all-zero scratch sized to the asking instance, whatever a previous

@@ -339,7 +339,7 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 		return nil, fmt.Errorf("placement: no feasible deployment exists")
 	}
 
-	plan, err := e.materialize(st)
+	plan, err := materializeAssignment(g, topo, ci.AssignMap(st.bestSet), rm)
 	if err != nil {
 		return nil, err
 	}
@@ -696,38 +696,4 @@ func (st *exactState) evaluateLeaf() {
 			break
 		}
 	}
-}
-
-// materialize turns the best assignment into a full plan with stage
-// packing and routes.
-func (e Exact) materialize(st *exactState) (*Plan, error) {
-	plan := &Plan{
-		Graph:       st.ci.Graph,
-		Topo:        st.ci.Topo,
-		Assignments: map[string]StagePlacement{},
-	}
-	bySwitch := map[network.SwitchID][]string{}
-	for x, u := range st.bestSet {
-		if u >= 0 {
-			bySwitch[network.SwitchID(u)] = append(bySwitch[network.SwitchID(u)], st.ci.Names[x])
-		}
-	}
-	rm := program.DefaultResourceModel
-	for u, names := range bySwitch {
-		sw, err := st.ci.Topo.Switch(u)
-		if err != nil {
-			return nil, err
-		}
-		placed, err := packShared(st.ci.Graph, names, sw, rm)
-		if err != nil {
-			return nil, fmt.Errorf("placement: materializing exact plan: %w", err)
-		}
-		for name, sp := range placed {
-			plan.Assignments[name] = sp
-		}
-	}
-	if err := addRoutesForCrossPairs(plan); err != nil {
-		return nil, err
-	}
-	return plan, nil
 }

@@ -31,111 +31,130 @@ func (Greedy) Name() string { return "Hermes" }
 // Solve implements Solver.
 func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan, error) {
 	start := time.Now()
+	rm := program.DefaultResourceModel
+	order, err := g.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	assign, err := greedyAssign(g, order, topo, opts, rm)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := materializeAssignment(g, topo, assign, rm)
+	if err != nil {
+		return nil, err
+	}
+	plan.SolverName = gr.Name()
+	plan.SolveTime = time.Since(start)
+	return plan, nil
+}
+
+// greedyAssign is Alg. 2's core: split → coalesce → anchor placement →
+// polish over order, which is a topological order of g or a contiguous
+// range of one (a sharded region's chunk). Edges that leave order are
+// ignored, exactly as in the induced subgraph. It decides only which
+// switch hosts each MAT; callers materialize the stages and routes
+// once.
+func greedyAssign(g *tdg.Graph, order []string, topo *network.Topology, opts Options, rm program.ResourceModel) (map[string]network.SwitchID, error) {
 	if err := opts.canceled(); err != nil {
 		return nil, fmt.Errorf("placement: solve canceled: %w", err)
 	}
-	if g.NumNodes() == 0 {
+	if len(order) == 0 {
 		return nil, fmt.Errorf("placement: empty TDG")
 	}
 	if err := topo.Validate(); err != nil {
 		return nil, fmt.Errorf("placement: %w", err)
 	}
-	rm := program.DefaultResourceModel
 	prog := topo.ProgrammableSwitches()
 	if len(prog) == 0 {
 		return nil, fmt.Errorf("placement: no programmable switches")
 	}
-
 	refSwitch, err := topo.Switch(prog[0])
 	if err != nil {
 		return nil, err
 	}
 
 	// Alg. 2 line 20: split T_m into segments that fit one switch. Every
-	// segment from here to materialization is a range of this one
-	// topological order (see segment).
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
+	// segment from here to the assignment is a range of order (see
+	// segment). Bisection can overshoot the minimum segment count;
+	// coalescing adjacent segments while the pair still fits one switch
+	// only ever removes cross-switch bytes.
 	sp := newSplitScratch(g, order, refSwitch, rm)
-	candidates, err := segmentations(sp)
+	defer opts.countPackSteps(&sp.steps)
+	segs, err := sp.split(0, len(order), nil)
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for _, segs := range candidates {
-		plan, err := placeWithRefinement(g, topo, sp, segs, opts, rm)
-		if err == nil {
-			if perr := polish(plan, opts, rm); perr != nil {
-				return nil, perr
-			}
-			plan.SolverName = gr.Name()
-			plan.SolveTime = time.Since(start)
-			return plan, nil
+	segs = sp.coalesce(segs)
+	assign, err := placeWithRefinement(g, topo, sp, segs, opts, rm)
+	if err != nil {
+		// The bisection did not place (typically: too many segments). The
+		// DP capacity split provably uses the minimum number of
+		// contiguous segments while still preferring low-byte cut points;
+		// it is worth a try only when it is shorter.
+		dpSegs, derr := sp.capacitySplit()
+		if derr != nil || len(dpSegs) >= len(segs) {
+			return nil, err
 		}
-		lastErr = err
+		if assign, err = placeWithRefinement(g, topo, sp, dpSegs, opts, rm); err != nil {
+			return nil, err
+		}
 	}
-	return nil, lastErr
-}
-
-// segmentations returns the candidate segmentations, tried in order:
-// the min-cut bisection (byte-optimal), then — if it needs too many
-// switches — the DP capacity split, which provably uses the minimum
-// number of contiguous segments while still preferring low-byte cut
-// points.
-func segmentations(sp *splitScratch) ([][]segment, error) {
-	segments, err := sp.split(0, len(sp.order), nil)
-	if err != nil {
+	if err := polish(g, order, topo, assign, opts, rm); err != nil {
 		return nil, err
 	}
-	// Bisection can overshoot the minimum segment count; coalesce
-	// adjacent segments while the pair still fits one switch. Merging
-	// adjacent segments only ever removes cross-switch bytes, so this
-	// strictly improves the objective.
-	segments = sp.coalesce(segments)
-	candidates := [][]segment{segments}
-	if dpSegs, derr := sp.capacitySplit(); derr == nil && len(dpSegs) < len(segments) {
-		candidates = append(candidates, dpSegs)
-	}
-	return candidates, nil
+	return assign, nil
 }
 
 // polish runs the bounded local-search refinement over single-MAT
 // moves: the climb the replan repair runs over its dirty set, here over
-// the whole-graph instance with every MAT dirty. climb's pass cap,
-// Options.Deadline and Options.Ctx bound it.
-func polish(plan *Plan, opts Options, rm program.ResourceModel) error {
-	in, err := wholeInstance(plan, opts, rm)
+// the instance of order's MATs with every MAT dirty and every live
+// programmable switch a candidate, improving assign in place. climb's
+// pass cap, Options.Deadline and Options.Ctx bound it.
+func polish(g *tdg.Graph, order []string, topo *network.Topology, assign map[string]network.SwitchID, opts Options, rm program.ResourceModel) error {
+	names := slices.Clone(order)
+	slices.Sort(names)
+	ci, err := compileSubset(g, names, topo, rm)
 	if err != nil {
 		return err
 	}
+	sws := make([]*network.Switch, ci.S)
+	for id := range sws {
+		if sws[id], err = topo.Switch(network.SwitchID(id)); err != nil {
+			return err
+		}
+	}
+	cands := make([]int32, len(ci.Prog))
+	for i, u := range ci.Prog {
+		cands[i] = int32(u)
+	}
+	var wt *WeightTable
+	if opts.Traffic != nil {
+		if wt, err = ci.CompileWeights(opts.Traffic); err != nil {
+			return err
+		}
+	}
+	in := newRepairInstance(ci, sws, cands, ci.DenseAssign(assign), wt)
 	defer in.release()
 	all := make([]int32, len(in.assign))
 	for x := range all {
 		all[x] = int32(x)
 	}
 	in.climb(opts, all, occupiedTargets)
-
-	// Rebuild the plan from the (possibly) improved assignment.
-	rebuilt, err := materializeAssignment(plan.Graph, plan.Topo, in.ci.AssignMap(in.assign), rm)
-	if err != nil {
-		return err
+	for x, name := range ci.Names {
+		assign[name] = network.SwitchID(in.assign[x])
 	}
-	plan.Assignments = rebuilt.Assignments
-	plan.Routes = rebuilt.Routes
-	plan.InvalidateCache()
 	return nil
 }
 
 // placeWithRefinement runs the placement loop, bisecting segments that
 // pass the capacity test but fail stage-level packing.
-func placeWithRefinement(g *tdg.Graph, topo *network.Topology, sp *splitScratch, segments []segment, opts Options, rm program.ResourceModel) (*Plan, error) {
+func placeWithRefinement(g *tdg.Graph, topo *network.Topology, sp *splitScratch, segments []segment, opts Options, rm program.ResourceModel) (map[string]network.SwitchID, error) {
 	const maxRefinements = 64
 	for attempt := 0; attempt < maxRefinements; attempt++ {
-		plan, splitIdx, err := placeSegments(g, topo, sp.order, segments, opts, rm)
+		assign, splitIdx, err := placeSegments(g, topo, sp.order, segments, opts, rm)
 		if err == nil {
-			return plan, nil
+			return assign, nil
 		}
 		if splitIdx < 0 {
 			return nil, err
@@ -152,38 +171,7 @@ func placeWithRefinement(g *tdg.Graph, topo *network.Topology, sp *splitScratch,
 	return nil, fmt.Errorf("placement: segment refinement did not converge")
 }
 
-// SplitTDG is Alg. 2's SPLIT_TDG: recursively bisect the TDG at the
-// minimum-metadata topological prefix cut until every segment satisfies
-// the switch capacity C_stage·C_res. Segments come back in dependency
-// order (all TDG edges flow from earlier to later segments).
-//
-// The solver itself never leaves the range form (see segment); this
-// boundary wrapper materializes one subgraph per final range for callers
-// that want graphs.
-func SplitTDG(g *tdg.Graph, sw *network.Switch, rm program.ResourceModel) ([]*tdg.Graph, error) {
-	if g.NumNodes() == 0 {
-		return nil, fmt.Errorf("placement: splitting empty TDG")
-	}
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	ranges, err := newSplitScratch(g, order, sw, rm).split(0, len(order), nil)
-	if err != nil {
-		return nil, err
-	}
-	segments := make([]*tdg.Graph, 0, len(ranges))
-	for _, r := range ranges {
-		seg, err := g.Subgraph(order[r.lo:r.hi])
-		if err != nil {
-			return nil, err
-		}
-		segments = append(segments, seg)
-	}
-	return segments, nil
-}
-
-// segment is a contiguous range [lo,hi) of the root topological order.
+// segment is a contiguous range [lo,hi) of the order Alg. 2 runs on.
 // Every segment Alg. 2 ever holds is one: bisection cuts a topological
 // prefix of a range, coalescing joins two neighbouring ranges, the
 // capacity DP cuts the order into contiguous groups, and refinement
@@ -191,13 +179,12 @@ func SplitTDG(g *tdg.Graph, sw *network.Switch, rm program.ResourceModel) ([]*td
 // slice of the root order as its own topological order (the sort breaks
 // ties by insertion order, and an insertion order that is already
 // topological is a fixed point of the tie-break), so nothing between
-// TopoSort and materialization needs a graph or a name.
+// TopoSort and the assignment needs a graph or a name.
 type segment struct{ lo, hi int }
 
 // splitScratch is Alg. 2's working state in position space (index into
-// the root topological order): requirements, in/out edges by position,
-// and the stage-packing scratch of one reference switch. It is
-// single-goroutine scratch.
+// order): requirements, in/out edges by position, and the stage-packing
+// scratch of one reference switch. It is single-goroutine scratch.
 type splitScratch struct {
 	order    []string
 	capacity float64 // C_stage·C_res of the reference switch
@@ -207,6 +194,7 @@ type splitScratch struct {
 	in       [][]posBytes // in-edges by position (sources are earlier)
 	end      []int32      // fits scratch: last stage used, per packed position
 	used     []float64    // fits scratch: per-stage occupancy; len = stages
+	steps    int          // packStep calls, flushed by Options.countPackSteps
 }
 
 type posBytes struct {
@@ -234,19 +222,29 @@ func newSplitScratch(g *tdg.Graph, order []string, sw *network.Switch, rm progra
 		// fails, like PackStages.
 		sp.used = make([]float64, sw.Stages)
 	}
-	// Both adjacency tables are carved out of one backing array.
-	flat := make([]posBytes, 2*g.NumEdges())
+	// Both adjacency tables are carved out of one backing array. Edges
+	// with an endpoint outside order are dropped, as in the induced
+	// subgraph.
+	deg := 0
+	for _, name := range order {
+		deg += len(g.OutEdgeList(name)) + len(g.InEdgeList(name))
+	}
+	flat := make([]posBytes, deg)
 	for i, name := range order {
 		node, _ := g.Node(name)
 		sp.req[i] = rm.Requirement(node.MAT)
 		outs, ins := g.OutEdgeList(name), g.InEdgeList(name)
 		sp.out[i], flat = flat[:0:len(outs)], flat[len(outs):]
 		for _, e := range outs {
-			sp.out[i] = append(sp.out[i], posBytes{pos[e.To], int32(e.MetadataBytes)})
+			if p, ok := pos[e.To]; ok {
+				sp.out[i] = append(sp.out[i], posBytes{p, int32(e.MetadataBytes)})
+			}
 		}
 		sp.in[i], flat = flat[:0:len(ins)], flat[len(ins):]
 		for _, e := range ins {
-			sp.in[i] = append(sp.in[i], posBytes{pos[e.From], int32(e.MetadataBytes)})
+			if p, ok := pos[e.From]; ok {
+				sp.in[i] = append(sp.in[i], posBytes{p, int32(e.MetadataBytes)})
+			}
 		}
 	}
 	return sp
@@ -421,8 +419,9 @@ func (sp *splitScratch) capacitySplit() ([]segment, error) {
 }
 
 // placeSegments tries every programmable switch u as the anchor (Alg. 2
-// lines 21-29). On packing failure it reports the index of the
-// offending segment so the caller can refine. splitIdx == -1 signals a
+// lines 21-29) and returns the first anchor's assignment whose segments
+// all pack. On packing failure it reports the index of the offending
+// segment so the caller can refine. splitIdx == -1 signals a
 // non-recoverable error.
 //
 // Anchors are evaluated concurrently in waves of opts.Workers: each
@@ -432,7 +431,7 @@ func (sp *splitScratch) capacitySplit() ([]segment, error) {
 // are merged in anchor order — first success wins, and
 // the error/splitIdx bookkeeping matches the sequential loop exactly.
 // A wave bounds the work wasted past the first successful anchor.
-func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segments []segment, opts Options, rm program.ResourceModel) (*Plan, int, error) {
+func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segments []segment, opts Options, rm program.ResourceModel) (map[string]network.SwitchID, int, error) {
 	prog := topo.ProgrammableSwitches()
 	eps2 := opts.epsilon2(len(prog))
 	if len(segments) > eps2 {
@@ -440,7 +439,7 @@ func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segment
 	}
 
 	type anchorResult struct {
-		plan     *Plan
+		cands    []network.SwitchID
 		splitIdx int
 		err      error
 		// fatal marks errors the sequential loop aborts on immediately
@@ -479,8 +478,8 @@ func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segment
 					u, len(cands), len(segments))}
 				return
 			}
-			plan, splitIdx, err := tryAssign(g, topo, order, segments, cands, rm)
-			results[i] = anchorResult{plan: plan, splitIdx: splitIdx, err: err}
+			splitIdx, err := tryAssign(g, topo, order, segments, cands, rm)
+			results[i] = anchorResult{cands: cands, splitIdx: splitIdx, err: err}
 		})
 		for i := base; i < end; i++ {
 			r := results[i]
@@ -488,7 +487,13 @@ func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segment
 				return nil, -1, r.err
 			}
 			if r.err == nil {
-				return r.plan, -1, nil
+				assign := make(map[string]network.SwitchID, len(order))
+				for k, seg := range segments {
+					for _, name := range order[seg.lo:seg.hi] {
+						assign[name] = r.cands[k]
+					}
+				}
+				return assign, -1, nil
 			}
 			lastErr = r.err
 			if r.splitIdx >= 0 {
@@ -502,28 +507,18 @@ func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segment
 	return nil, lastSplit, lastErr
 }
 
-// tryAssign maps segment i onto candidate switch i and packs stages.
-func tryAssign(g *tdg.Graph, topo *network.Topology, order []string, segments []segment, cands []network.SwitchID, rm program.ResourceModel) (*Plan, int, error) {
-	plan := &Plan{
-		Graph:       g,
-		Topo:        topo,
-		Assignments: map[string]StagePlacement{},
-	}
+// tryAssign checks that segment i packs onto candidate switch i. The
+// candidates all come from NearestProgrammable, so every pair of them
+// routes and the assignment needs no route check.
+func tryAssign(g *tdg.Graph, topo *network.Topology, order []string, segments []segment, cands []network.SwitchID, rm program.ResourceModel) (int, error) {
 	for i, seg := range segments {
 		sw, err := topo.Switch(cands[i])
 		if err != nil {
-			return nil, -1, err
+			return -1, err
 		}
-		placed, err := packShared(g, order[seg.lo:seg.hi], sw, rm)
-		if err != nil {
-			return nil, i, fmt.Errorf("placement: segment %d on switch %q: %w", i, sw.Name, err)
-		}
-		for name, sp := range placed {
-			plan.Assignments[name] = sp
+		if _, err := packShared(g, order[seg.lo:seg.hi], sw, rm); err != nil {
+			return i, fmt.Errorf("placement: segment %d on switch %q: %w", i, sw.Name, err)
 		}
 	}
-	if err := addRoutesForCrossPairs(plan); err != nil {
-		return nil, -1, err
-	}
-	return plan, -1, nil
+	return -1, nil
 }

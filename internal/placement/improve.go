@@ -7,17 +7,16 @@ import (
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
-	"github.com/hermes-net/hermes/internal/program"
 )
 
 // repairInstance is the working state every refinement runs on: a
 // compiled instance plus the mutable dense assignment, pair-byte table,
 // per-switch resident lists, stage-packing scratch and (under a traffic
 // matrix) the weight table in the same index space. Greedy's polish
-// builds one over the memoized whole-graph instance with every MAT
-// dirty (wholeInstance); the replan repair builds one per touched
-// region over a compact host set (healInstance), places the displaced
-// MATs on it and climbs over the dirty ones. place and climb are the
+// builds one over the MAT set it solved with every MAT dirty; the
+// replan repair builds one per touched region over a compact host set
+// (healInstance), places the displaced MATs on it and climbs over the
+// dirty ones. place and climb are the
 // only code that scores, checks and accepts a placement or a move.
 type repairInstance struct {
 	ci *CompiledInstance
@@ -42,6 +41,7 @@ type repairInstance struct {
 	stamp []int32
 	end   []int32
 	used  []float64
+	steps int // packStep calls, flushed by Options.countPackSteps
 }
 
 // newRepairInstance builds the instance on recycled dense scratch; the
@@ -156,33 +156,6 @@ func putScratch(ks kernelScratch) {
 	}
 }
 
-// wholeInstance wraps a complete plan in the memoized whole-graph
-// instance: switch index space is the topology's ID space and every
-// live programmable switch is a candidate.
-func wholeInstance(p *Plan, opts Options, rm program.ResourceModel) (*repairInstance, error) {
-	ci := Compile(p.Graph, p.Topo, rm)
-	sws := make([]*network.Switch, ci.S)
-	for id := range sws {
-		sw, err := p.Topo.Switch(network.SwitchID(id))
-		if err != nil {
-			return nil, err
-		}
-		sws[id] = sw
-	}
-	cands := make([]int32, len(ci.Prog))
-	for i, u := range ci.Prog {
-		cands[i] = int32(u)
-	}
-	var wt *WeightTable
-	if opts.Traffic != nil {
-		var err error
-		if wt, err = ci.CompileWeights(opts.Traffic); err != nil {
-			return nil, err
-		}
-	}
-	return newRepairInstance(ci, sws, cands, ci.PlanAssign(p), wt), nil
-}
-
 // packs reports whether switch h still packs its residents once MAT add
 // joins and resident drop leaves (either may be -1) — FitsSwitch's
 // verdict on that set against the real switch, decided by position: the
@@ -226,6 +199,7 @@ func (in *repairInstance) packOne(x int32, used []float64, stageCap float64) boo
 			earliest = int(in.end[p]) + 1
 		}
 	}
+	in.steps++
 	end, ok := packStep(used, stageCap, ci.Req[x], earliest)
 	in.stamp[x], in.end[x] = in.gen, int32(end)
 	return ok
@@ -255,6 +229,7 @@ func (in *repairInstance) settle(x, from, to int32) {
 // packing on the gaining switch plus acyclicity of the contracted
 // switch graph.
 func (in *repairInstance) place(xs []int32, opts Options) error {
+	defer opts.countPackSteps(&in.steps)
 	ci := in.ci
 	ci.FillPairTable(in.assign, in.pt)
 	var curSum int64
@@ -385,6 +360,7 @@ const (
 // cancellation cut it short, polled through a counter-gated clock read.
 // It returns the passes run and the moves accepted.
 func (in *repairInstance) climb(opts Options, dirty []int32, rule targetRule) (passes, moves int) {
+	defer opts.countPackSteps(&in.steps)
 	ci := in.ci
 	var occupied, peers []int32
 	if rule == occupiedTargets {

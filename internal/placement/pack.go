@@ -229,6 +229,7 @@ func (sp *splitScratch) fits(lo, hi int) bool {
 				earliest = int(sp.end[p.pos]) + 1
 			}
 		}
+		sp.steps++
 		end, ok := packStep(sp.used, sp.stageCap, sp.req[k], earliest)
 		if !ok {
 			return false

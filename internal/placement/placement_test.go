@@ -163,7 +163,7 @@ func TestPackStagesRejectsNonProgrammable(t *testing.T) {
 func TestSplitTDGFigure1(t *testing.T) {
 	g, tp := figure1(t)
 	sw, _ := tp.Switch(0)
-	segs, err := SplitTDG(g, sw, program.DefaultResourceModel)
+	segs, err := splitNames(g, sw, program.DefaultResourceModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,18 +171,18 @@ func TestSplitTDGFigure1(t *testing.T) {
 	if len(segs) != 2 {
 		t.Fatalf("got %d segments, want 2", len(segs))
 	}
-	if segs[0].NumNodes() != 1 || !contains(segs[0].NodeNames(), "a") {
-		t.Errorf("first segment = %v, want {a}", segs[0].NodeNames())
+	if len(segs[0]) != 1 || !contains(segs[0], "a") {
+		t.Errorf("first segment = %v, want {a}", segs[0])
 	}
-	if segs[1].NumNodes() != 2 {
-		t.Errorf("second segment = %v, want {b,c}", segs[1].NodeNames())
+	if len(segs[1]) != 2 {
+		t.Errorf("second segment = %v, want {b,c}", segs[1])
 	}
 }
 
 func TestSplitTDGAlreadyFits(t *testing.T) {
 	g := chainTDG(t, []string{"a", "b"}, []int{4}, 0.3)
 	sw := &network.Switch{ID: 0, Programmable: true, Stages: 12, StageCapacity: 1}
-	segs, err := SplitTDG(g, sw, program.DefaultResourceModel)
+	segs, err := splitNames(g, sw, program.DefaultResourceModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSplitTDGAlreadyFits(t *testing.T) {
 func TestSplitTDGOversizedMAT(t *testing.T) {
 	g := chainTDG(t, []string{"huge"}, nil, 99)
 	sw := &network.Switch{ID: 0, Programmable: true, Stages: 2, StageCapacity: 1}
-	if _, err := SplitTDG(g, sw, program.DefaultResourceModel); err == nil {
+	if _, err := splitNames(g, sw, program.DefaultResourceModel); err == nil {
 		t.Error("oversized single MAT split succeeded")
 	}
 }

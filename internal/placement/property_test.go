@@ -92,22 +92,25 @@ func TestSplitTDGPartitionInvariants(t *testing.T) {
 			Programmable: true, Stages: 4,
 			StageCapacity: 0.3 + 0.2*rng.Float64(),
 		}
-		segs, err := SplitTDG(g, sw, program.DefaultResourceModel)
+		segs, err := splitNames(g, sw, program.DefaultResourceModel)
 		if err != nil {
 			continue
 		}
 		segOf := map[string]int{}
 		total := 0
 		for i, seg := range segs {
-			for _, name := range seg.NodeNames() {
+			req := 0.0
+			for _, name := range seg {
 				if prev, dup := segOf[name]; dup {
 					t.Fatalf("trial %d: MAT %q in segments %d and %d", trial, name, prev, i)
 				}
 				segOf[name] = i
 				total++
+				node, _ := g.Node(name)
+				req += program.DefaultResourceModel.Requirement(node.MAT)
 			}
 			// Every segment must satisfy the capacity test.
-			if !CapacityFits(seg, program.DefaultResourceModel, sw) {
+			if req > sw.Capacity()+1e-9 {
 				t.Fatalf("trial %d: segment %d exceeds capacity", trial, i)
 			}
 		}

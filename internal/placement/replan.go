@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
@@ -159,6 +160,12 @@ type ReplanReport struct {
 	// repairs held the quality gate on their own.
 	ExchangeRounds int
 	ExchangeMoves  int
+	// PackSteps counts the position-space stage-packing steps the replan
+	// ran (one per MAT packed while Alg. 2 tests a range or a repair
+	// tests a switch): a deterministic measure of its work. The
+	// memoized name-keyed packer is not counted, since its hits depend
+	// on what ran before on the same graph.
+	PackSteps int
 }
 
 // Replan recomputes a deployment after programmable switches are
@@ -227,6 +234,12 @@ func ReplanWithOptions(old *Plan, solver Solver, ropts ReplanOptions, drained ..
 	}
 
 	rep := &ReplanReport{Mode: ropts.Mode}
+	var steps atomic.Int64
+	ropts.packSteps = &steps
+	finish := func() {
+		rep.PackSteps = int(steps.Load())
+		rep.TotalTime = time.Since(start)
+	}
 	if ropts.Mode != ReplanFull {
 		repairStart := time.Now()
 		plan, dirty, rerr := repair(old, topo, ropts, drainedSet, rep)
@@ -235,13 +248,13 @@ func ReplanWithOptions(old *Plan, solver Solver, ropts ReplanOptions, drained ..
 		if rerr == nil {
 			rep.UsedRepair = true
 			rep.MovedMATs, _ = Diff(old, plan)
-			rep.TotalTime = time.Since(start)
+			finish()
 			plan.SolveTime = rep.TotalTime
 			return plan, rep, nil
 		}
 		rep.FallbackReason = rerr.Error()
 		if ropts.Mode == ReplanIncremental {
-			rep.TotalTime = time.Since(start)
+			finish()
 			return nil, rep, fmt.Errorf("placement: incremental replan: %w", rerr)
 		}
 	}
@@ -250,11 +263,11 @@ func ReplanWithOptions(old *Plan, solver Solver, ropts ReplanOptions, drained ..
 	plan, err := solver.Solve(old.Graph, topo, ropts.Options)
 	rep.Phases.Fallback = time.Since(fallbackStart)
 	if err != nil {
-		rep.TotalTime = time.Since(start)
+		finish()
 		return nil, rep, fmt.Errorf("placement: replan: %w", err)
 	}
 	rep.MovedMATs, _ = Diff(old, plan)
-	rep.TotalTime = time.Since(start)
+	finish()
 	return plan, rep, nil
 }
 

@@ -283,3 +283,39 @@ func TestReplanReportsMovedMATs(t *testing.T) {
 		}
 	}
 }
+
+// TestReplanPackStepsWorkerInvariant: ReplanReport.PackSteps is a
+// property of the replan, not of the host: the sharded cold re-solve and
+// the regional repair count the same steps at every worker count, the
+// repair counts some, and it counts fewer than the cold re-solve.
+func TestReplanPackStepsWorkerInvariant(t *testing.T) {
+	old, part := regionalFixture(t, 4)
+	drain := busiest(old)
+	var cold, regional []int
+	for _, w := range []int{1, 2, 8} {
+		opts := Options{Workers: w, Shards: 4}
+		_, rep, err := ReplanWithOptions(old, ShardedGreedy{Partition: part},
+			ReplanOptions{Options: opts, Mode: ReplanFull}, drain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold = append(cold, rep.PackSteps)
+		_, rep, err = ReplanWithOptions(old, ShardedGreedy{Partition: part},
+			ReplanOptions{Options: opts, Partition: part}, drain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.UsedRegional {
+			t.Fatalf("workers=%d: the repair did not take the regional path (%s)", w, rep.FallbackReason)
+		}
+		regional = append(regional, rep.PackSteps)
+	}
+	for i := range cold {
+		if cold[i] != cold[0] || regional[i] != regional[0] {
+			t.Fatalf("pack steps depend on the worker count: cold %v, regional %v", cold, regional)
+		}
+	}
+	if regional[0] == 0 || regional[0] >= cold[0] {
+		t.Fatalf("regional repair counted %d pack steps, cold re-solve %d", regional[0], cold[0])
+	}
+}

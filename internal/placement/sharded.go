@@ -9,8 +9,9 @@
 //     proportionally to region capacity, choosing cut points that
 //     minimize crossing metadata bytes — contiguity makes the initial
 //     chunk→region contraction a DAG by construction.
-//  3. Solve each (chunk, region sub-topology) with the compiled Greedy
-//     concurrently under Options.Workers; each regional solve runs its
+//  3. Solve each (chunk, region sub-topology) with Alg. 2's core
+//     (greedyAssign) concurrently under Options.Workers, on the chunk's
+//     range of the global topological order; each regional solve runs its
 //     local search serially (Workers=1), so the two parallelism levels
 //     never multiply and every worker count yields identical plans.
 //  4. Reconcile: one climb (improve.go) over the merged assignment,
@@ -355,17 +356,19 @@ func chunkTDG(g *tdg.Graph, part *network.Partition, rm program.ResourceModel) (
 	return chunks, nil
 }
 
-// solveRegions runs one compiled Greedy per non-empty chunk on its
-// region sub-topology. Regions solve concurrently under Options.Workers;
-// every inner solve runs with Workers=1, so no nested parallelism arises
-// and the per-region plan is byte-identical to a serial solve (the
-// regression test asserts both). The returned assignment maps every MAT
-// to a global switch ID.
+// solveRegions runs Alg. 2 (greedyAssign) per non-empty chunk on its
+// region sub-topology, over the global graph: a chunk is a contiguous
+// range of its topological order, so no region subgraph is built.
+// Regions solve concurrently under Options.Workers; every inner solve
+// runs with Workers=1, so no nested parallelism arises and the
+// per-region assignment is identical to a serial solve (the regression
+// test asserts both). The returned assignment maps every MAT to a
+// global switch ID.
 func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *network.Partition, chunks [][]string, opts Options) (map[string]network.SwitchID, error) {
 	k := part.NumRegions()
 	results := make([]map[string]network.SwitchID, k)
 	errs := make([]error, k)
-	inner := Greedy{}
+	rm := program.DefaultResourceModel
 	ropts := Options{
 		Epsilon1:         opts.Epsilon1,
 		Deadline:         opts.Deadline,
@@ -373,15 +376,10 @@ func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *
 		Ctx:              opts.Ctx,
 		TrafficObjective: opts.TrafficObjective,
 		AMaxSlack:        opts.AMaxSlack,
+		packSteps:        opts.packSteps,
 	}
 	parallelFor(k, opts.workers(), func(r int) {
 		if len(chunks[r]) == 0 {
-			results[r] = map[string]network.SwitchID{}
-			return
-		}
-		sub, err := g.Subgraph(chunks[r])
-		if err != nil {
-			errs[r] = err
 			return
 		}
 		topoR, members, err := part.SubTopology(r)
@@ -402,14 +400,13 @@ func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *
 			}
 			iopts.Traffic = tm
 		}
-		plan, err := inner.Solve(sub, topoR, iopts)
+		m, err := greedyAssign(g, chunks[r], topoR, iopts, rm)
 		if err != nil {
 			errs[r] = fmt.Errorf("shard: region %d: %w", r, err)
 			return
 		}
-		m := make(map[string]network.SwitchID, len(plan.Assignments))
-		for name, sp := range plan.Assignments {
-			m[name] = members[sp.Switch] // local → global switch ID
+		for name, u := range m {
+			m[name] = members[u] // local → global switch ID
 		}
 		results[r] = m
 	})

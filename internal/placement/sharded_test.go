@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/analyzer"
@@ -231,40 +233,6 @@ func TestChunkTDGCover(t *testing.T) {
 	}
 }
 
-// TestShardedSolveKeepsCompileMemo: the sharded solve and an escalating
-// partitioned repair compile their host instances without the memo, so
-// the graph's whole-topology CompiledInstance survives both.
-func TestShardedSolveKeepsCompileMemo(t *testing.T) {
-	topo, err := network.CompositeWAN(4, network.TofinoSpec(), 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := shardInstance(t, 16, 7)
-	rm := program.DefaultResourceModel
-	ci := Compile(g, topo, rm)
-	part, err := network.PartitionRegions(topo, 4, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, st, err := ShardedGreedy{Partition: part}.SolveStats(g, topo, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FellBack || st.Hosts == 0 {
-		t.Fatalf("the solve did not run the reconcile: %+v", st)
-	}
-	if Compile(g, topo, rm) != ci {
-		t.Fatal("the sharded solve replaced the graph's memoized compiled instance")
-	}
-	_, rep, err := ReplanWithOptions(plan, nil, ReplanOptions{Mode: ReplanIncremental, Partition: part, QualityRatio: 0.5}, busiest(plan))
-	if rep == nil || rep.Phases.Exchange == 0 {
-		t.Fatalf("the repair did not escalate to the reconcile: %v", err)
-	}
-	if Compile(g, topo, rm) != ci {
-		t.Fatal("the escalation reconcile replaced the graph's memoized compiled instance")
-	}
-}
-
 // TestRegionalRepairEscalatesToExchange: a partitioned repair past its
 // quality gate runs the reconcile escalation in this package's
 // own test binary — the escalation does not depend on which packages
@@ -281,5 +249,84 @@ func TestRegionalRepairEscalatesToExchange(t *testing.T) {
 	}
 	if rep.UsedRepair || rep.FallbackReason == "" {
 		t.Fatalf("a repair past its gate was kept (fallback reason %q)", rep.FallbackReason)
+	}
+}
+
+// TestRegionAssignMatchesSubgraphSolve: Alg. 2 on a chunk's range of the
+// global topological order (what solveRegions runs) assigns every MAT
+// exactly where whole-graph Greedy on the chunk's induced subgraph does
+// (what it ran before), error text included — for every region of
+// composite:10 and composite:30, plain, ε1-bounded, and weighted through
+// the region-restricted traffic matrix.
+func TestRegionAssignMatchesSubgraphSolve(t *testing.T) {
+	rm := program.DefaultResourceModel
+	for _, c := range []struct{ regions, programs, shards int }{{10, 30, 4}, {30, 50, 8}} {
+		topo, err := network.CompositeWAN(c.regions, network.TofinoSpec(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := shardInstance(t, c.programs, 1)
+		part, err := network.PartitionRegions(topo, c.shards, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks, err := chunkTDG(g, part, rm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm, err := network.GenerateTraffic(topo, network.TrafficGravity, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solved, regions := map[string]int{}, 0
+		for r, chunk := range chunks {
+			if len(chunk) == 0 {
+				continue
+			}
+			regions++
+			topoR, members, err := part.SubTopology(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := g.Subgraph(chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Greedy{}.Solve(sub, topoR, Options{Workers: 1})
+			if err != nil {
+				t.Fatalf("composite:%d region %d: %v", c.regions, r, err)
+			}
+			restricted, err := tm.Restrict(topo, members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []struct {
+				name string
+				opts Options
+			}{
+				{"plain", Options{Workers: 1}},
+				{"eps1", Options{Workers: 1, Epsilon1: plain.TE2E()}},
+				{"weighted", Options{Workers: 1, Traffic: restricted, TrafficObjective: TrafficWeightedMax}},
+			} {
+				where := fmt.Sprintf("composite:%d region %d %s", c.regions, r, v.name)
+				got, gerr := greedyAssign(g, chunk, topoR, v.opts, rm)
+				want, werr := Greedy{}.Solve(sub, topoR, v.opts)
+				if (gerr == nil) != (werr == nil) || (werr != nil && gerr.Error() != werr.Error()) {
+					t.Fatalf("%s: error %v, subgraph solve %v", where, gerr, werr)
+				}
+				if werr != nil {
+					continue
+				}
+				if !reflect.DeepEqual(got, assignmentOf(want)) {
+					t.Fatalf("%s: assignment differs from the subgraph solve", where)
+				}
+				solved[v.name]++
+			}
+		}
+		for _, name := range []string{"plain", "eps1", "weighted"} {
+			if solved[name] != regions {
+				t.Fatalf("composite:%d: %d of %d regions solved %s", c.regions, solved[name], regions, name)
+			}
+		}
 	}
 }

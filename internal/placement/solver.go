@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
@@ -71,6 +72,20 @@ type Options struct {
 	// values < 1 are treated as 1 (no inflation allowed). Ignored when
 	// Traffic is nil.
 	AMaxSlack float64
+
+	// packSteps, when non-nil, counts the position-space packing steps
+	// (packStep calls) of one call: ReplanWithOptions attaches it and
+	// reports the total as ReplanReport.PackSteps.
+	packSteps *atomic.Int64
+}
+
+// countPackSteps adds *n packing steps to the call's counter, when one
+// is attached, and zeroes *n.
+func (o Options) countPackSteps(n *int) {
+	if o.packSteps != nil {
+		o.packSteps.Add(int64(*n))
+	}
+	*n = 0
 }
 
 // done returns the cancellation channel, or nil (never ready) when the
