@@ -362,16 +362,15 @@ func (ms *MoveScratch) maxOver(pt *PairTable) int {
 	return int(m)
 }
 
-// MoveScore computes the absolute (A_max, total cross bytes) of the
-// assignment with MAT x moved to switch c and everything else fixed,
-// without mutating any state: the compiled twin of MoveScoreRef.
-// Requires every MAT incident to x to be assigned; total is the
-// current total cross bytes matching (assign, pt). O(deg(x) + pairs).
-func (ci *CompiledInstance) MoveScore(assign []int32, pt *PairTable, ms *MoveScratch, x, c int32, total int) (int, int) {
+// foldMove fills the overlay with the pair-cell change of moving MAT x
+// to switch c, everything else fixed, and returns the change in total
+// cross bytes. Every MAT incident to x must be assigned. This and
+// foldPlace are the move and place folds every score and commit reads.
+func (ms *MoveScratch) foldMove(ci *CompiledInstance, assign []int32, x, c int32) int {
 	ms.reset()
-	cross := total
+	d := 0
 	old := assign[x]
-	s := pt.S
+	s := ci.S
 	//hermes:hot
 	for _, ei := range ci.Incident[x] {
 		var peer, oldCell, newCell int32
@@ -387,86 +386,80 @@ func (ci *CompiledInstance) MoveScore(assign []int32, pt *PairTable, ms *MoveScr
 		b := ci.EdgeBytes[ei]
 		if peer != old {
 			ms.add(oldCell, -b)
-			cross -= int(b)
+			d -= int(b)
 		}
 		if peer != c {
 			ms.add(newCell, b)
-			cross += int(b)
+			d += int(b)
 		}
 	}
+	return d
+}
+
+// foldPlace fills the overlay with the pair cells that placing MAT x
+// on switch u adds. Edges to still-unassigned peers contribute nothing,
+// matching the repair pass's incremental scoring; assign[x] is not read.
+func (ms *MoveScratch) foldPlace(ci *CompiledInstance, assign []int32, x, u int32) {
+	ms.reset()
+	s := ci.S
+	//hermes:hot
+	for _, ei := range ci.Incident[x] {
+		if ci.EdgeFrom[ei] == x {
+			if peer := assign[ci.EdgeTo[ei]]; peer >= 0 && peer != u {
+				ms.add(u*s+peer, ci.EdgeBytes[ei])
+			}
+		} else if peer := assign[ci.EdgeFrom[ei]]; peer >= 0 && peer != u {
+			ms.add(peer*s+u, ci.EdgeBytes[ei])
+		}
+	}
+}
+
+// apply commits the overlay into the table.
+func (pt *PairTable) apply(ms *MoveScratch) {
+	//hermes:hot
+	for _, k := range ms.keys {
+		pt.Add(k, ms.delta[k])
+	}
+}
+
+// MoveScore computes the absolute (A_max, total cross bytes) of the
+// assignment with MAT x moved to switch c and everything else fixed,
+// without mutating the assignment or the table: the compiled twin of
+// MoveScoreRef. It leaves the move's overlay in ms, where weightedOver
+// reads the weighted score. Requires every MAT incident to x to be
+// assigned; total is the current total cross bytes matching (assign,
+// pt). O(deg(x) + pairs).
+func (ci *CompiledInstance) MoveScore(assign []int32, pt *PairTable, ms *MoveScratch, x, c int32, total int) (int, int) {
+	cross := total + ms.foldMove(ci, assign, x, c)
 	return ms.maxOver(pt), cross
 }
 
 // ApplyMove commits MAT x to switch c, folding the move into the pair
 // table and dense assignment, and returns the new total cross bytes.
-func (ci *CompiledInstance) ApplyMove(assign []int32, pt *PairTable, x, c int32, total int) int {
-	old := assign[x]
-	s := pt.S
-	//hermes:hot
-	for _, ei := range ci.Incident[x] {
-		var peer, oldCell, newCell int32
-		if ci.EdgeFrom[ei] == x {
-			peer = assign[ci.EdgeTo[ei]]
-			oldCell = old*s + peer
-			newCell = c*s + peer
-		} else {
-			peer = assign[ci.EdgeFrom[ei]]
-			oldCell = peer*s + old
-			newCell = peer*s + c
-		}
-		b := ci.EdgeBytes[ei]
-		if peer != old {
-			pt.Add(oldCell, -b)
-			total -= int(b)
-		}
-		if peer != c {
-			pt.Add(newCell, b)
-			total += int(b)
-		}
-	}
+// It re-folds through ms: the overlay MoveScore left may since have
+// served as another probe's scratch.
+func (ci *CompiledInstance) ApplyMove(assign []int32, pt *PairTable, ms *MoveScratch, x, c int32, total int) int {
+	total += ms.foldMove(ci, assign, x, c)
+	pt.apply(ms)
 	assign[x] = c
 	return total
 }
 
 // PlaceScore computes the A_max that results from placing the
 // currently-unassigned MAT x on switch u, everything else fixed: the
-// compiled twin of PlaceScoreRef. Edges to still-unassigned peers
-// contribute nothing, matching the repair pass's incremental scoring.
+// compiled twin of PlaceScoreRef. It leaves the placement's overlay in
+// ms, where weightedOver reads the weighted score.
 func (ci *CompiledInstance) PlaceScore(assign []int32, pt *PairTable, ms *MoveScratch, x, u int32) int {
-	ms.reset()
-	s := pt.S
-	//hermes:hot
-	for _, ei := range ci.Out[x] {
-		if peer := assign[ci.EdgeTo[ei]]; peer >= 0 && peer != u {
-			ms.add(u*s+peer, ci.EdgeBytes[ei])
-		}
-	}
-	//hermes:hot
-	for _, ei := range ci.In[x] {
-		if peer := assign[ci.EdgeFrom[ei]]; peer >= 0 && peer != u {
-			ms.add(peer*s+u, ci.EdgeBytes[ei])
-		}
-	}
+	ms.foldPlace(ci, assign, x, u)
 	return ms.maxOver(pt)
 }
 
 // ApplyPlace folds the placement of MAT x on switch u into the pair
 // table. The caller updates assign[x] itself (the repair pass sets it
 // before its acyclicity probe).
-func (ci *CompiledInstance) ApplyPlace(assign []int32, pt *PairTable, x, u int32) {
-	s := pt.S
-	//hermes:hot
-	for _, ei := range ci.Out[x] {
-		if peer := assign[ci.EdgeTo[ei]]; peer >= 0 && peer != u {
-			pt.Add(u*s+peer, ci.EdgeBytes[ei])
-		}
-	}
-	//hermes:hot
-	for _, ei := range ci.In[x] {
-		if peer := assign[ci.EdgeFrom[ei]]; peer >= 0 && peer != u {
-			pt.Add(peer*s+u, ci.EdgeBytes[ei])
-		}
-	}
+func (ci *CompiledInstance) ApplyPlace(assign []int32, pt *PairTable, ms *MoveScratch, x, u int32) {
+	ms.foldPlace(ci, assign, x, u)
+	pt.apply(ms)
 }
 
 // CycleScratch holds the reusable buffers of the contracted-switch-

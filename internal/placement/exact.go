@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -48,22 +49,20 @@ type exactState struct {
 
 	assign []int32   // per MAT, -1 when unassigned
 	load   []float64 // per switch
-	// pair is the flat S×S cross-byte matrix; pairLive replicates the
-	// map entry lifecycle exactly (an entry exists from its first add
-	// until a subtraction leaves it ≤0 — a zero-byte edge keeps its
-	// pair alive for the ε1 sum, just like the map it replaces). swCnt
-	// counts contributing edges per cell: the contracted switch graph
-	// used for cycle pruning. active/inActive track ever-touched cells
-	// so leaf scans stay O(pairs).
+	// pair is the flat S×S cross-byte matrix. swCnt counts the cross
+	// edges per cell: the contracted switch graph used for cycle
+	// pruning, and the communicating pairs the ε1 sum runs over
+	// (swCnt > 0, zero-byte edges included — the pairs Plan.TE2E sums).
+	// active/inActive track ever-touched cells so leaf scans stay
+	// O(pairs).
 	pair     []int32
-	pairLive []bool
 	swCnt    []int32
 	active   []int32
 	inActive []bool
 	curMax   int
 	distinct int
 
-	// Shared undo stack: each dfs candidate records a frame base and
+	// Shared undo stack: each enter records a frame base and its leave
 	// pops back to it, replacing the per-node undo log allocation.
 	undoCell []int32
 	undoByte []int32
@@ -115,7 +114,6 @@ func newExactState(ci *CompiledInstance, opts Options) *exactState {
 		assign:   make([]int32, len(ci.Names)),
 		load:     make([]float64, s),
 		pair:     make([]int32, s*s),
-		pairLive: make([]bool, s*s),
 		swCnt:    make([]int32, s*s),
 		inActive: make([]bool, s*s),
 		seen:     make([]bool, s),
@@ -139,7 +137,6 @@ func (st *exactState) clone() *exactState {
 	c.assign = append([]int32(nil), st.assign...)
 	c.load = append([]float64(nil), st.load...)
 	c.pair = append([]int32(nil), st.pair...)
-	c.pairLive = append([]bool(nil), st.pairLive...)
 	c.swCnt = append([]int32(nil), st.swCnt...)
 	c.active = append([]int32(nil), st.active...)
 	c.inActive = append([]bool(nil), st.inActive...)
@@ -150,49 +147,29 @@ func (st *exactState) clone() *exactState {
 	return &c
 }
 
-// addPair folds bytes into a pair cell and bumps the contracted-graph
-// edge count.
+// addPair folds one in-edge's bytes into a pair cell: the pair
+// matrix, the contracted-graph edge count, the running structural and
+// weighted scores, and the shared undo stack that unfold pops. The
+// stack is pre-sized to the edge count — each enter pushes at most one
+// entry per in-edge of a distinct MAT — so steady-state pushes never
+// grow it.
 func (st *exactState) addPair(cell, bytes int32) {
 	if !st.inActive[cell] {
 		st.inActive[cell] = true
 		st.active = append(st.active, cell)
 	}
 	st.pair[cell] += bytes
-	st.pairLive[cell] = true
 	st.swCnt[cell]++
-}
-
-// pushUndo records one pair delta on the shared undo stack. The stack
-// is pre-sized to the edge count — each dfs frame pushes at most one
-// entry per in-edge of a distinct MAT — so steady-state pushes never
-// grow it.
-func (st *exactState) pushUndo(cell, bytes int32) {
+	st.curMax = max(st.curMax, int(st.pair[cell]))
+	switch {
+	case st.wt == nil:
+	case st.wobj == TrafficWeightedMax:
+		st.curW = max(st.curW, st.wt.W[cell]*int64(st.pair[cell]))
+	default:
+		st.curW += st.wt.W[cell] * int64(bytes)
+	}
 	st.undoCell = append(st.undoCell, cell)
 	st.undoByte = append(st.undoByte, bytes)
-}
-
-// subPair reverses one addPair (LIFO), retiring the pair when its
-// bytes decay to zero — the dense twin of the map's delete-on-≤0.
-func (st *exactState) subPair(cell, bytes int32) {
-	st.pair[cell] -= bytes
-	if st.pair[cell] <= 0 {
-		st.pairLive[cell] = false
-	}
-	st.swCnt[cell]--
-}
-
-// bumpWeighted folds one addPair into the running weighted score.
-func (st *exactState) bumpWeighted(cell, bytes int32) {
-	if st.wt == nil {
-		return
-	}
-	if st.wobj == TrafficWeightedMax {
-		if wv := st.wt.W[cell] * int64(st.pair[cell]); wv > st.curW {
-			st.curW = wv
-		}
-		return
-	}
-	st.curW += st.wt.W[cell] * int64(bytes)
 }
 
 // boundOK reports whether the current partial score can still beat the
@@ -376,83 +353,117 @@ func (st *exactState) dfs(i int) {
 		st.evaluateLeaf()
 		return
 	}
-	x := st.orderIdx[i]
-	req := st.orderReq[i]
-	s := st.ci.S
-
-	usedHighest := -1
-	if st.symmetry {
-		//hermes:hot
-		for idx, u := range st.cands {
-			if st.load[u] > 0 {
-				usedHighest = idx
-			}
-		}
-	}
+	usedHighest := st.usedHighest()
 	//hermes:hot
-	for idx, u := range st.cands {
-		ui := int32(u)
-		// Symmetry: only the first unused switch may be opened (with no
-		// switches in use yet that is candidate 0).
-		if st.symmetry && st.load[u] == 0 && idx > usedHighest+1 {
+	for idx := range st.cands {
+		b, ok := st.enter(i, idx, usedHighest)
+		if !ok {
 			continue
 		}
-		if st.load[u]+req > st.ci.Caps[u]+1e-9 {
-			continue
-		}
-		newSwitch := st.load[u] == 0
-		if newSwitch && st.distinct+1 > st.eps2 {
-			continue
-		}
-		// Incremental pair bytes and cycle check over in-edges, with a
-		// frame on the shared undo stack.
-		base := len(st.undoCell)
-		prevMax := st.curMax
-		prevW := st.curW
-		ok := true
-		for _, ei := range st.ci.In[x] {
-			pu := st.assign[st.ci.EdgeFrom[ei]]
-			if pu < 0 || pu == ui {
-				continue
-			}
-			if st.reachable(ui, pu) {
-				ok = false
-				break
-			}
-			cell := pu*s + ui
-			b := st.ci.EdgeBytes[ei]
-			st.addPair(cell, b)
-			if int(st.pair[cell]) > st.curMax {
-				st.curMax = int(st.pair[cell])
-			}
-			st.bumpWeighted(cell, b)
-			st.pushUndo(cell, b)
-		}
-		if ok && st.boundOK() {
-			st.assign[x] = ui
-			st.load[u] += req
-			if newSwitch {
-				st.distinct++
-			}
-			st.dfs(i + 1)
-			st.load[u] -= req
-			if newSwitch {
-				st.distinct--
-				st.load[u] = 0
-			}
-			st.assign[x] = -1
-		}
-		for j := len(st.undoCell) - 1; j >= base; j-- {
-			st.subPair(st.undoCell[j], st.undoByte[j])
-		}
-		st.undoCell = st.undoCell[:base]
-		st.undoByte = st.undoByte[:base]
-		st.curMax = prevMax
-		st.curW = prevW
+		st.dfs(i + 1)
+		st.leave(b)
 		if st.capped {
 			return
 		}
 	}
+}
+
+// usedHighest is the highest candidate index holding load when
+// symmetry breaking is on (-1 otherwise, or when nothing is placed):
+// enter opens at most the next one.
+func (st *exactState) usedHighest() int {
+	h := -1
+	if st.symmetry {
+		//hermes:hot
+		for idx, u := range st.cands {
+			if st.load[u] > 0 {
+				h = idx
+			}
+		}
+	}
+	return h
+}
+
+// branch records what one enter changed, for its leave.
+type branch struct {
+	x         int32
+	u         network.SwitchID
+	req       float64
+	newSwitch bool
+	base      int // undo-stack height before the in-edge fold
+	prevMax   int
+	prevW     int64
+}
+
+// enter is the one branch step of both searches: it tries assigning
+// orderIdx[i] to cands[idx] through the candidate filters — symmetry,
+// capacity, ε2, incremental acyclicity of the contracted switch graph,
+// and the incumbent bound — folding the MAT's in-edges into the pair
+// matrix on the shared undo stack. On success the assignment is
+// committed and the caller must leave it; on failure the state is
+// unchanged.
+func (st *exactState) enter(i, idx, usedHighest int) (branch, bool) {
+	u := st.cands[idx]
+	b := branch{x: st.orderIdx[i], u: u, req: st.orderReq[i], newSwitch: st.load[u] == 0}
+	// Symmetry: only the first unused switch may be opened (with no
+	// switches in use yet that is candidate 0).
+	if st.symmetry && b.newSwitch && idx > usedHighest+1 {
+		return b, false
+	}
+	if st.load[u]+b.req > st.ci.Caps[u]+1e-9 {
+		return b, false
+	}
+	if b.newSwitch && st.distinct+1 > st.eps2 {
+		return b, false
+	}
+	b.base, b.prevMax, b.prevW = len(st.undoCell), st.curMax, st.curW
+	ui, s := int32(u), st.ci.S
+	//hermes:hot
+	for _, ei := range st.ci.In[b.x] {
+		pu := st.assign[st.ci.EdgeFrom[ei]]
+		if pu < 0 || pu == ui {
+			continue
+		}
+		if st.reachable(ui, pu) {
+			st.unfold(b)
+			return b, false
+		}
+		st.addPair(pu*s+ui, st.ci.EdgeBytes[ei])
+	}
+	if !st.boundOK() {
+		st.unfold(b)
+		return b, false
+	}
+	st.assign[b.x] = ui
+	st.load[u] += b.req
+	if b.newSwitch {
+		st.distinct++
+	}
+	return b, true
+}
+
+// leave undoes a successful enter.
+func (st *exactState) leave(b branch) {
+	st.load[b.u] -= b.req
+	if b.newSwitch {
+		st.distinct--
+		st.load[b.u] = 0
+	}
+	st.assign[b.x] = -1
+	st.unfold(b)
+}
+
+// unfold pops enter's in-edge fold off the shared undo stack.
+func (st *exactState) unfold(b branch) {
+	for j := len(st.undoCell) - 1; j >= b.base; j-- {
+		cell := st.undoCell[j]
+		st.pair[cell] -= st.undoByte[j]
+		st.swCnt[cell]--
+	}
+	st.undoCell = st.undoCell[:b.base]
+	st.undoByte = st.undoByte[:b.base]
+	st.curMax = b.prevMax
+	st.curW = b.prevW
 }
 
 // frontierNode is one search subtree root awaiting exploration:
@@ -484,14 +495,7 @@ func searchParallel(root *exactState, workers int) {
 	frontier := []frontierNode{{st: root.clone(), depth: 0}}
 	for len(frontier) > 0 && len(frontier) < target && frontier[0].depth < len(root.orderIdx)-1 {
 		fn := frontier[0]
-		frontier = frontier[1:]
-		for _, ch := range fn.st.expand(fn.depth) {
-			frontier = append(frontier, frontierNode{
-				st:    ch.st,
-				depth: fn.depth + 1,
-				path:  append(append([]int(nil), fn.path...), ch.candIdx),
-			})
-		}
+		frontier = append(frontier[1:], fn.expand()...)
 	}
 	// Rank subtree roots in sequential DFS visit order: lexicographic
 	// over candidate-index paths (a BFS queue interleaves levels once
@@ -518,85 +522,24 @@ func searchParallel(root *exactState, workers int) {
 		if b.capped {
 			root.capped = true
 		}
-		better := b.haveBest && (!root.haveBest || b.bestA < root.bestA)
-		if root.wt != nil {
-			better = b.haveBest && (!root.haveBest || b.bestW < root.bestW)
-		}
-		if better {
-			root.bestA = b.bestA
-			root.bestW = b.bestW
-			root.bestSet = b.bestSet
-			root.haveBest = true
+		if b.haveBest && (!root.haveBest || b.incumbentScore() < root.incumbentScore()) {
+			root.bestA, root.bestW, root.bestSet, root.haveBest = b.bestA, b.bestW, b.bestSet, true
 		}
 	}
 }
 
-// expandedChild pairs a child state with the candidate index that
-// produced it (for DFS-order ranking).
-type expandedChild struct {
-	st      *exactState
-	candIdx int
-}
-
-// expand returns the surviving child states for assigning orderIdx[i],
-// applying exactly the candidate filters of dfs (symmetry, capacity,
-// ε2, switch-graph acyclicity, incumbent bound). The receiver is not
-// mutated; each child is an independent clone with the assignment
-// committed.
-func (st *exactState) expand(i int) []expandedChild {
-	x := st.orderIdx[i]
-	req := st.orderReq[i]
-	s := st.ci.S
-
-	usedHighest := -1
-	if st.symmetry {
-		for idx, u := range st.cands {
-			if st.load[u] > 0 {
-				usedHighest = idx
-			}
+// expand returns fn's children in candidate order: a clone of the
+// state taken between enter and leave for every candidate that
+// survives, so the frontier applies exactly dfs's filters. fn's state
+// ends unchanged.
+func (fn frontierNode) expand() []frontierNode {
+	st, usedHighest := fn.st, fn.st.usedHighest()
+	var out []frontierNode
+	for idx := range st.cands {
+		if b, ok := st.enter(fn.depth, idx, usedHighest); ok {
+			out = append(out, frontierNode{st: st.clone(), depth: fn.depth + 1, path: append(slices.Clone(fn.path), idx)})
+			st.leave(b)
 		}
-	}
-	var out []expandedChild
-	for idx, u := range st.cands {
-		ui := int32(u)
-		if st.symmetry && st.load[u] == 0 && idx > usedHighest+1 {
-			continue
-		}
-		if st.load[u]+req > st.ci.Caps[u]+1e-9 {
-			continue
-		}
-		newSwitch := st.load[u] == 0
-		if newSwitch && st.distinct+1 > st.eps2 {
-			continue
-		}
-		ch := st.clone()
-		ok := true
-		for _, ei := range st.ci.In[x] {
-			pu := ch.assign[st.ci.EdgeFrom[ei]]
-			if pu < 0 || pu == ui {
-				continue
-			}
-			if ch.reachable(ui, pu) {
-				ok = false
-				break
-			}
-			cell := pu*s + ui
-			b := st.ci.EdgeBytes[ei]
-			ch.addPair(cell, b)
-			if int(ch.pair[cell]) > ch.curMax {
-				ch.curMax = int(ch.pair[cell])
-			}
-			ch.bumpWeighted(cell, b)
-		}
-		if !ok || !ch.boundOK() {
-			continue
-		}
-		ch.assign[x] = ui
-		ch.load[u] += req
-		if newSwitch {
-			ch.distinct++
-		}
-		out = append(out, expandedChild{st: ch, candIdx: idx})
 	}
 	return out
 }
@@ -663,14 +606,14 @@ func (st *exactState) evaluateLeaf() {
 			return
 		}
 	}
-	// ε1 bound via the dense latency table over live communicating
+	// ε1 bound via the dense latency table over the communicating
 	// pairs (lat < 0 marks an unreachable pair).
 	if st.opts.Epsilon1 > 0 {
 		lat := st.ci.latencies()
 		var total time.Duration
 		//hermes:hot
 		for _, cell := range st.active {
-			if !st.pairLive[cell] {
+			if st.swCnt[cell] == 0 {
 				continue
 			}
 			l := lat[cell]

@@ -44,6 +44,9 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 	if err != nil {
 		return nil, err
 	}
+	if opts.Epsilon1 > 0 && plan.TE2E() > opts.Epsilon1 {
+		return nil, fmt.Errorf("placement: plan latency %v exceeds ε1=%v", plan.TE2E(), opts.Epsilon1)
+	}
 	plan.SolverName = gr.Name()
 	plan.SolveTime = time.Since(start)
 	return plan, nil

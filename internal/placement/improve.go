@@ -224,10 +224,10 @@ func (in *repairInstance) settle(x, from, to int32) {
 // place lands the unassigned MATs xs, given in TDG topological order,
 // one at a time on the feasible candidate minimizing (W, A_max, switch
 // ID) against the already-assigned neighbors — W the weighted objective
-// under a traffic matrix, zero otherwise. Candidates are scored
-// allocation-free on the PlaceScore kernels; feasibility is stage
-// packing on the gaining switch plus acyclicity of the contracted
-// switch graph.
+// under a traffic matrix, zero otherwise. Each candidate is scored
+// allocation-free from PlaceScore's one fold, which the weighted score
+// reads too; feasibility is stage packing on the gaining switch plus
+// acyclicity of the contracted switch graph.
 func (in *repairInstance) place(xs []int32, opts Options) error {
 	defer opts.countPackSteps(&in.steps)
 	ci := in.ci
@@ -261,8 +261,7 @@ func (in *repairInstance) place(xs []int32, opts Options) error {
 		for _, h := range in.cands {
 			c := scored{h: h, amax: ci.PlaceScore(in.assign, in.pt, in.ms, x, h)}
 			if in.wt != nil {
-				ws, wm := ci.PlaceScoreWeighted(in.assign, in.pt, in.ms, in.wt, x, h, curSum)
-				c.w = opts.TrafficObjective.pick(ws, wm)
+				c.w = opts.TrafficObjective.pick(in.ms.weightedOver(in.pt, in.wt, curSum))
 			}
 			scores = append(scores, c)
 		}
@@ -288,7 +287,7 @@ func (in *repairInstance) place(xs []int32, opts Options) error {
 				continue
 			}
 			in.settle(x, -1, h)
-			ci.ApplyPlace(in.assign, in.pt, x, h)
+			ci.ApplyPlace(in.assign, in.pt, in.ms, x, h)
 			if in.wt != nil {
 				curSum, _ = in.wt.Score(in.pt)
 			}
@@ -353,11 +352,12 @@ const (
 // within the slack of the plan an unweighted solve would ship
 // (DESIGN.md §13). A move's score is the absolute state "MAT on that
 // switch, everything else fixed", computed allocation-free in
-// O(deg + pairs) on the MoveScore kernels; the climb is serial, so
-// every Options.Workers yields the same plan. dirty is ascending in MAT
-// index. Each phase runs at most maxPasses passes over dirty, so the
-// plan it reaches depends on the instance alone; Options.Deadline and
-// cancellation cut it short, polled through a counter-gated clock read.
+// O(deg + pairs) from MoveScore's one fold, which the weighted phase
+// reads too; the climb is serial, so every Options.Workers yields the
+// same plan. dirty is ascending in MAT index. Each phase runs at most
+// maxPasses passes over dirty, so the plan it reaches depends on the
+// instance alone; Options.Deadline and cancellation cut it short,
+// polled through a counter-gated clock read.
 // It returns the passes run and the moves accepted.
 func (in *repairInstance) climb(opts Options, dirty []int32, rule targetRule) (passes, moves int) {
 	defer opts.countPackSteps(&in.steps)
@@ -415,14 +415,14 @@ func (in *repairInstance) climb(opts Options, dirty []int32, rule targetRule) (p
 							continue
 						}
 						var wm int64
-						ws, wm = ci.MoveScoreWeighted(in.assign, in.pt, in.ms, in.wt, x, h, curSum)
+						ws, wm = in.ms.weightedOver(in.pt, in.wt, curSum)
 						w = opts.TrafficObjective.pick(ws, wm)
 						worse = w > bestW || (w == bestW && worse)
 					}
 					if worse || !in.admits(x, h, opts) {
 						continue
 					}
-					total = ci.ApplyMove(in.assign, in.pt, x, h, total)
+					total = ci.ApplyMove(in.assign, in.pt, in.ms, x, h, total)
 					in.settle(x, cur, h)
 					bestA, bestW, curSum = a, w, ws
 					cur = h

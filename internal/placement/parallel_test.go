@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
+	"github.com/hermes-net/hermes/internal/tdg"
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
@@ -87,24 +90,70 @@ func TestGreedyParallelMatchesSerial(t *testing.T) {
 }
 
 // TestExactParallelMatchesSerial checks that the parallel branch
-// search reproduces the serial optimum bit for bit on an uncapped run.
+// search reproduces the serial optimum bit for bit on uncapped runs:
+// the paper's chain on six two-MAT switches, then a seeded sweep of
+// random DAGs on homogeneous linear topologies (symmetry breaking on)
+// and heterogeneous ones (off), each plain, under ε2, and under the
+// traffic-weighted-max objective.
 func TestExactParallelMatchesSerial(t *testing.T) {
+	type instance struct {
+		g    *tdg.Graph
+		tp   *network.Topology
+		opts Options
+	}
 	names := []string{"a", "b", "c", "d", "e", "f", "g"}
 	bytes := []int{3, 1, 4, 1, 5, 9}
-	g := chainTDG(t, names, bytes, 0.5)
-	tp := twoMATSwitchTopo(t, 6)
-	serial, err := (Exact{}).Solve(g, tp, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	insts := []instance{{chainTDG(t, names, bytes, 0.5), twoMATSwitchTopo(t, 6), Options{}}}
+	rng := rand.New(rand.NewSource(93))
+	for k := 0; k < 24; k++ {
+		g := randomDAG(rng, 5+rng.Intn(4))
+		tp := network.NewTopology("sweep")
+		hetero := k%2 == 1
+		for i, n := 0, 3+rng.Intn(2); i < n; i++ {
+			sw := network.Switch{Programmable: true, Stages: 3, StageCapacity: 0.4, TransitLatency: time.Microsecond}
+			if hetero {
+				sw.Stages, sw.StageCapacity = 2+rng.Intn(3), 0.3+0.2*rng.Float64()
+			}
+			tp.AddSwitch(sw)
+			if i > 0 {
+				if err := tp.AddLink(network.SwitchID(i-1), network.SwitchID(i), time.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var opts Options
+		switch k / 2 % 3 {
+		case 1:
+			opts.Epsilon2 = 2 + rng.Intn(2)
+		case 2:
+			opts.Traffic, opts.TrafficObjective = randomTraffic(t, rng, tp), TrafficWeightedMax
+		}
+		insts = append(insts, instance{g, tp, opts})
 	}
-	parallel, err := (Exact{}).Solve(g, tp, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
+	solved := 0
+	for k, in := range insts {
+		serialOpts, parallelOpts := in.opts, in.opts
+		serialOpts.Workers, parallelOpts.Workers = 1, 8
+		serial, serr := (Exact{}).Solve(in.g, in.tp, serialOpts)
+		parallel, perr := (Exact{}).Solve(in.g, in.tp, parallelOpts)
+		if serr != nil || perr != nil {
+			if (serr == nil) != (perr == nil) {
+				t.Fatalf("instance %d: serial err %v, parallel err %v", k, serr, perr)
+			}
+			continue
+		}
+		if !serial.Proven || !parallel.Proven {
+			t.Fatalf("instance %d: proven = %v/%v, want both true", k, serial.Proven, parallel.Proven)
+		}
+		samePlan(t, fmt.Sprintf("exact instance %d", k), serial, parallel)
+		if serial.AMax() > 0 {
+			solved++
+		}
 	}
-	if !serial.Proven || !parallel.Proven {
-		t.Fatalf("proven = %v/%v, want both true", serial.Proven, parallel.Proven)
+	t.Logf("%d of %d instances split across switches", solved, len(insts))
+	if solved < 12 {
+		t.Fatalf("only %d of %d instances split across switches; generator too easy", solved, len(insts))
 	}
-	samePlan(t, "exact", serial, parallel)
 }
 
 // TestGreedyDeadlineCutsImprovement: Options.Deadline is the only

@@ -213,3 +213,70 @@ func TestExactMatchesGreedyOrBetterRandomized(t *testing.T) {
 		}
 	}
 }
+
+// TestExactRespectsEpsilon1: under a latency bound, every plan Exact or
+// Greedy returns meets it. The instances mix 0-, 1- and 4-byte edges
+// (the zero-byte ones typed R, as the analyzer emits them): a zero-byte
+// edge still makes its switch pair communicate, so its path latency
+// counts toward t_e2e even when no other edge crosses that pair.
+func TestExactRespectsEpsilon1(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	rm := program.DefaultResourceModel
+	returned := map[string]int{}
+	for trial := 0; trial < 60; trial++ {
+		g := tdg.New()
+		n := 5 + rng.Intn(3)
+		names := make([]string, n)
+		for i := range names {
+			names[i] = "m" + string(rune('A'+i))
+			if err := g.AddNode(fixedMAT(names[i], 0.2+0.3*rng.Float64())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if rng.Float64() >= 0.45 {
+					continue
+				}
+				bytes, typ := []int{0, 1, 4}[rng.Intn(3)], tdg.DepMatch
+				if bytes == 0 {
+					typ = tdg.DepReverse
+				}
+				if err := g.AddEdge(names[i], names[j], typ, bytes); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		tp := network.NewTopology("ring")
+		for i := 0; i < 4; i++ {
+			tp.AddSwitch(network.Switch{Programmable: true, Stages: 2, StageCapacity: 0.5, TransitLatency: time.Microsecond})
+		}
+		for i := 0; i < 4; i++ {
+			lat := time.Duration(1+rng.Intn(5)) * time.Millisecond
+			if err := tp.AddLink(network.SwitchID(i), network.SwitchID((i+1)%4), lat); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ms := range []int{3, 6, 10, 15, 25} {
+			eps1 := time.Duration(ms) * time.Millisecond
+			for _, s := range []Solver{Exact{}, Greedy{}} {
+				plan, err := s.Solve(g, tp, Options{Epsilon1: eps1})
+				if err != nil {
+					continue
+				}
+				returned[s.Name()]++
+				if got := plan.TE2E(); got > eps1 {
+					t.Fatalf("trial %d: %s plan t_e2e %v exceeds ε1 %v (proven=%v)", trial, s.Name(), got, eps1, plan.Proven)
+				}
+				if err := plan.Validate(rm, eps1, 0); err != nil {
+					t.Fatalf("trial %d: %s plan at ε1 %v: %v", trial, s.Name(), eps1, err)
+				}
+			}
+		}
+	}
+	for _, name := range []string{"Optimal", "Hermes"} {
+		if returned[name] < 50 {
+			t.Fatalf("%s returned only %d plans; generator too harsh", name, returned[name])
+		}
+	}
+}

@@ -10,10 +10,12 @@
 // structural A_max never inflates beyond Options.AMaxSlack of the
 // solve's own structural optimum. Weights are a dense S×S fixed-point
 // table compiled once from a network.TrafficMatrix (host-compacted
-// for the repair instances and the sharded reconcile); the kernels mirror the MoveScore/
-// PlaceScore loop shapes in compile.go and stay allocation-free with
-// caller-owned scratch. Map-based twins live in weighted_ref.go as
-// differential oracles.
+// for the repair instances and the sharded reconcile). A candidate's
+// weighted score reads the same delta overlay its structural score
+// folded (MoveScore/PlaceScore in compile.go, then weightedOver), so
+// each candidate walks its edges once; everything stays
+// allocation-free with caller-owned scratch. Map-based twins live in
+// weighted_ref.go as differential oracles.
 package placement
 
 import (
@@ -165,64 +167,9 @@ func (ci *CompiledInstance) AssignmentWeighted(assign []int32, pt *PairTable, wt
 	return wt.Score(pt)
 }
 
-// MoveScoreWeighted computes the weighted objective (sum and max) of
-// the assignment with MAT x moved to switch c and everything else
-// fixed, without mutating any state: the weighted companion of
-// MoveScore and the compiled twin of MoveScoreWeightedRef. curSum is
-// the current weighted sum matching (assign, pt); ms is caller scratch
-// (contents discarded). O(deg(x) + pairs), allocation-free.
-func (ci *CompiledInstance) MoveScoreWeighted(assign []int32, pt *PairTable, ms *MoveScratch, wt *WeightTable, x, c int32, curSum int64) (sum, max int64) {
-	ms.reset()
-	old := assign[x]
-	s := pt.S
-	//hermes:hot
-	for _, ei := range ci.Incident[x] {
-		var peer, oldCell, newCell int32
-		if ci.EdgeFrom[ei] == x {
-			peer = assign[ci.EdgeTo[ei]]
-			oldCell = old*s + peer
-			newCell = c*s + peer
-		} else {
-			peer = assign[ci.EdgeFrom[ei]]
-			oldCell = peer*s + old
-			newCell = peer*s + c
-		}
-		b := ci.EdgeBytes[ei]
-		if peer != old {
-			ms.add(oldCell, -b)
-		}
-		if peer != c {
-			ms.add(newCell, b)
-		}
-	}
-	return ms.weightedOver(pt, wt, curSum)
-}
-
-// PlaceScoreWeighted computes the weighted objective that results from
-// placing the currently-unassigned MAT x on switch u, everything else
-// fixed: the weighted companion of PlaceScore and the compiled twin of
-// PlaceScoreWeightedRef. Edges to still-unassigned peers contribute
-// nothing. curSum is the weighted sum matching (assign, pt).
-func (ci *CompiledInstance) PlaceScoreWeighted(assign []int32, pt *PairTable, ms *MoveScratch, wt *WeightTable, x, u int32, curSum int64) (sum, max int64) {
-	ms.reset()
-	s := pt.S
-	//hermes:hot
-	for _, ei := range ci.Out[x] {
-		if peer := assign[ci.EdgeTo[ei]]; peer >= 0 && peer != u {
-			ms.add(u*s+peer, ci.EdgeBytes[ei])
-		}
-	}
-	//hermes:hot
-	for _, ei := range ci.In[x] {
-		if peer := assign[ci.EdgeFrom[ei]]; peer >= 0 && peer != u {
-			ms.add(peer*s+u, ci.EdgeBytes[ei])
-		}
-	}
-	return ms.weightedOver(pt, wt, curSum)
-}
-
 // weightedOver folds the delta overlay onto the pair table under the
-// weight table: the weighted analog of maxOver. The sum is maintained
+// weight table: the weighted analog of maxOver, read from the overlay
+// MoveScore or PlaceScore left in ms. The sum is maintained
 // incrementally from curSum (only delta cells change); the max needs
 // the same O(pairs) scan as maxOver. Cells floor at zero on both
 // sides, matching the map twins.

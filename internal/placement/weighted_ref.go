@@ -31,8 +31,9 @@ func AssignmentWeightedRef(g *tdg.Graph, assign map[string]network.SwitchID, wei
 
 // MoveScoreWeightedRef evaluates the weighted objective of the
 // assignment with one MAT moved to cand and everything else fixed,
-// through the map-based delta overlay — the reference twin of
-// CompiledInstance.MoveScoreWeighted. Every MAT incident to name must
+// through the map-based delta overlay — the reference twin of the
+// weighted read of CompiledInstance.MoveScore's overlay (MoveScore,
+// then MoveScratch.weightedOver). Every MAT incident to name must
 // be assigned; pair must match assign; delta is caller scratch
 // (contents discarded).
 func MoveScoreWeightedRef(g *tdg.Graph, assign map[string]network.SwitchID, pair, delta map[RouteKey]int, weights map[RouteKey]int64, name string, cand network.SwitchID) (sum, max int64) {
@@ -66,8 +67,8 @@ func MoveScoreWeightedRef(g *tdg.Graph, assign map[string]network.SwitchID, pair
 }
 
 // PlaceScoreWeightedRef scores placing the currently-unassigned MAT on
-// switch u under the weighted objective — the reference twin of
-// CompiledInstance.PlaceScoreWeighted.
+// switch u under the weighted objective — the reference twin of the
+// weighted read of CompiledInstance.PlaceScore's overlay.
 func PlaceScoreWeightedRef(g *tdg.Graph, assign map[string]network.SwitchID, pair, delta map[RouteKey]int, weights map[RouteKey]int64, name string, u network.SwitchID) (sum, max int64) {
 	for k := range delta {
 		delete(delta, k)

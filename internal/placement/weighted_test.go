@@ -21,8 +21,9 @@ func randomTraffic(t *testing.T, rng *rand.Rand, tp *network.Topology) *network.
 }
 
 // checkWeightedKernels asserts the compiled weighted kernels against
-// their map twins on one full assignment, plus PlaceScoreWeighted on a
-// random partial assignment.
+// their map twins on one full assignment — the move score read from
+// the overlay MoveScore leaves — plus the place score read from
+// PlaceScore's overlay on a random partial assignment.
 func checkWeightedKernels(t *testing.T, rng *rand.Rand, ci *CompiledInstance, assign map[string]network.SwitchID, tm *network.TrafficMatrix) {
 	t.Helper()
 	g := ci.Graph
@@ -52,7 +53,8 @@ func checkWeightedKernels(t *testing.T, rng *rand.Rand, ci *CompiledInstance, as
 	for k := 0; k < 8; k++ {
 		x := rng.Intn(len(ci.Names))
 		c := network.SwitchID(rng.Intn(int(ci.S)))
-		ws, wm := ci.MoveScoreWeighted(dense, pt, ms, wt, int32(x), int32(c), sum)
+		ci.MoveScore(dense, pt, ms, int32(x), int32(c), 0)
+		ws, wm := ms.weightedOver(pt, wt, sum)
 		rws, rwm := MoveScoreWeightedRef(g, assign, refPair, delta, weights, ci.Names[x], c)
 		if ws != rws || wm != rwm {
 			t.Fatalf("weighted move %s→%d: compiled (%d,%d), ref (%d,%d)",
@@ -77,7 +79,8 @@ func checkWeightedKernels(t *testing.T, rng *rand.Rand, ci *CompiledInstance, as
 		}
 		x := ci.Index[name]
 		for u := int32(0); u < ci.S; u++ {
-			ws, wm := ci.PlaceScoreWeighted(pdense, pt, ms, wt, x, u, psum)
+			ci.PlaceScore(pdense, pt, ms, x, u)
+			ws, wm := ms.weightedOver(pt, wt, psum)
 			rws, rwm := PlaceScoreWeightedRef(g, partial, ppair, delta, weights, name, network.SwitchID(u))
 			if ws != rws || wm != rwm {
 				t.Fatalf("weighted place %s→%d: compiled (%d,%d), ref (%d,%d)",
