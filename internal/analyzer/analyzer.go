@@ -3,6 +3,11 @@
 // merged TDG and annotates every edge (a,b) with A(a,b), the number of
 // metadata bytes the upstream MAT a must piggyback on each packet for
 // the downstream MAT b when the two are deployed on different switches.
+//
+// Analyze takes each MAT's footprint once, and merge.Programs folds the
+// programs into the merged TDG on dense node ids without building a TDG
+// per program; A(a,b) is then filled from the footprints held per node
+// id.
 package analyzer
 
 import (
@@ -24,12 +29,20 @@ type Options struct {
 
 // Analyze runs the full Program Analyzer: convert programs to TDGs,
 // merge them, and compute A(a,b) for every edge. It is Algorithm 1's
-// PROGRAM_ANALYZER entry point.
+// PROGRAM_ANALYZER entry point, and its result is the literal one:
+// merge.Graphs over the tdg.FromProgram graphs, then AnnotateMetadata.
 func Analyze(progs []*program.Program, opts Options) (*tdg.Graph, error) {
 	if len(progs) == 0 {
 		return nil, fmt.Errorf("analyzer: no input programs")
 	}
-	graphs := make([]*tdg.Graph, 0, len(progs))
+	mats := 0
+	for _, p := range progs {
+		if p != nil {
+			mats += len(p.MATs)
+		}
+	}
+	// merge.Programs keeps pointers into fps: it must not regrow.
+	fps := make([]program.Footprint, 0, mats)
 	seen := make(map[string]bool, len(progs))
 	for _, p := range progs {
 		if p == nil {
@@ -39,49 +52,47 @@ func Analyze(progs []*program.Program, opts Options) (*tdg.Graph, error) {
 			return nil, fmt.Errorf("analyzer: duplicate program name %q", p.Name)
 		}
 		seen[p.Name] = true
-		g, err := tdg.FromProgram(p)
-		if err != nil {
+		var err error
+		if fps, err = tdg.Footprints(fps, p); err != nil {
 			return nil, fmt.Errorf("analyzer: converting %q: %w", p.Name, err)
 		}
-		graphs = append(graphs, g)
 	}
 
-	var merged *tdg.Graph
-	var err error
-	if opts.SkipMerge && len(graphs) > 1 {
-		merged, err = unionAll(graphs)
-	} else {
-		merged, err = merge.Graphs(graphs)
+	if opts.SkipMerge {
+		if err := distinctMATs(progs); err != nil {
+			return nil, fmt.Errorf("analyzer: merging TDGs: %w", err)
+		}
 	}
+	g, nodeFps, err := merge.Programs(progs, fps, !opts.SkipMerge)
 	if err != nil {
 		return nil, fmt.Errorf("analyzer: merging TDGs: %w", err)
 	}
 
-	if err := AnnotateMetadata(merged); err != nil {
-		return nil, err
+	//hermes:hot
+	for _, e := range g.EdgeList() {
+		from, to := e.Endpoints()
+		size, err := Delivered(nodeFps[from], nodeFps[to], e.Type, nil)
+		if err != nil {
+			return nil, fmt.Errorf("analyzer: edge %s->%s: %w", e.From, e.To, err)
+		}
+		e.MetadataBytes = size
 	}
-	return merged, nil
+	return g, nil
 }
 
-// unionAll unions graphs without unifying equivalent MATs.
-func unionAll(graphs []*tdg.Graph) (*tdg.Graph, error) {
-	out := tdg.New()
-	for _, g := range graphs {
-		for _, n := range g.Nodes() {
-			if _, ok := out.Node(n.Name()); ok {
-				return nil, fmt.Errorf("analyzer: duplicate MAT %q across programs", n.Name())
+// distinctMATs fails on a MAT name two programs share: without merging,
+// every program's MATs stay nodes of their own.
+func distinctMATs(progs []*program.Program) error {
+	seen := make(map[string]bool)
+	for _, p := range progs {
+		for _, m := range p.MATs {
+			if seen[m.Name] {
+				return fmt.Errorf("analyzer: duplicate MAT %q across programs", m.Name)
 			}
-			if err := out.AddNode(n.MAT, n.Origin...); err != nil {
-				return nil, err
-			}
-		}
-		for _, e := range g.Edges() {
-			if err := out.AddEdge(e.From, e.To, e.Type, e.MetadataBytes); err != nil {
-				return nil, err
-			}
+			seen[m.Name] = true
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // AnnotateMetadata computes A(a,b) for every edge of the graph in

@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/fields"
@@ -233,9 +234,14 @@ func TestMetadataFieldsForDeployment(t *testing.T) {
 // TestAnalyzeAllocationCeiling pins Algorithm 1's allocation budget on
 // the paper's 30-program evaluation point. Building a fields.Set per MAT
 // and per edge endpoint cost 31,073 allocations here; footprints brought
-// it to 8,517, and graphs that carve nodes, edges and adjacency out of
-// shared chunks instead of two maps per node to 3,933.
+// it to 8,517, graphs that carve nodes, edges and adjacency out of
+// shared chunks instead of two maps per node to 3,933, and folding the
+// programs into the merged graph in one pass, without a graph per
+// program, to 485. The ceiling is the measured count plus 3 %.
 func TestAnalyzeAllocationCeiling(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
 	progs, err := workload.EvaluationPrograms(30, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -245,15 +251,68 @@ func TestAnalyzeAllocationCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4200 {
-		t.Fatalf("Analyze(EvaluationPrograms(30, 1)) made %.0f allocations, ceiling 4,200", allocs)
+	if allocs > 499 {
+		t.Fatalf("Analyze(EvaluationPrograms(30, 1)) made %.0f allocations, ceiling 499", allocs)
 	}
+}
+
+// TestAnalyzeSynthetic200AllocationCeiling pins the same budget on the
+// composite60 benchmark workload's 200 synthetic programs: 33,837
+// allocations with a graph per program and a name-keyed merge, 3,757
+// in one pass, most of them one footprint per MAT. The ceiling is the
+// measured count plus 3 %.
+func TestAnalyzeSynthetic200AllocationCeiling(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
+	progs, err := workload.SyntheticSet(200, workload.PaperSyntheticSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Analyze(progs, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3869 {
+		t.Fatalf("Analyze(SyntheticSet(200)) made %.0f allocations, ceiling 3,869", allocs)
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race
+// detector, whose runtime grows scratch slices in other steps.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // BenchmarkAnalyzeWAN30 is Algorithm 1 on the wan30 benchmark workload's
 // programs.
 func BenchmarkAnalyzeWAN30(b *testing.B) {
 	progs, err := workload.EvaluationPrograms(30, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Analyze(progs, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnalyzeComposite60 is Algorithm 1 on the composite60
+// benchmark workload's 200 synthetic programs.
+func BenchmarkAnalyzeComposite60(b *testing.B) {
+	progs, err := workload.SyntheticSet(200, workload.PaperSyntheticSpec(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

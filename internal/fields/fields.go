@@ -168,6 +168,21 @@ func Overlap(a, b []Field) bool {
 	return false
 }
 
+// Signature sets one of 64 bits per field of list, picked by a hash of
+// the name's length and last eight bytes: two lists can share a name
+// only if their signatures meet.
+func Signature(list []Field) uint64 {
+	var sig uint64
+	for _, f := range list {
+		h := uint64(len(f.Name))
+		for _, c := range []byte(f.Name[max(0, len(f.Name)-8):]) {
+			h = h<<8 | uint64(c)
+		}
+		sig |= 1 << (h * 0x9e3779b97f4a7c15 >> 58)
+	}
+	return sig
+}
+
 // MustSet is NewSet but panics on error; intended for static catalogs.
 func MustSet(fs ...Field) Set {
 	s, err := NewSet(fs...)

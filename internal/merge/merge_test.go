@@ -3,6 +3,7 @@ package merge
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/fields"
@@ -13,10 +14,11 @@ import (
 // Two is the literal pairwise step of Algorithm 1's fold, kept as the
 // reference TestGraphsMatchesPairwiseFold holds the incremental merger
 // to: it merges two TDGs. Nodes of t2 that are equivalent to a node of
-// t1 are unified into the t1 node; everything else is unioned. Inputs
-// are not modified.
+// t1 are unified into the t1 node; everything else is unioned. t1's
+// edges keep their order and t2's follow in (From, To) order, so a fold
+// lists edges in the order it adds them. Inputs are not modified.
 func Two(t1, t2 *tdg.Graph) (*tdg.Graph, error) {
-	out := t1.Clone()
+	out := copyGraph(t1)
 
 	// Union in t2's nodes, remembering which get unified.
 	renamed := make(map[string]string) // t2 name -> merged name
@@ -72,10 +74,38 @@ func Two(t1, t2 *tdg.Graph) (*tdg.Graph, error) {
 	return plainUnion(t1, t2)
 }
 
+// copyGraph copies g, listing nodes and edges in g's insertion order
+// (Clone lists edges sorted).
+func copyGraph(g *tdg.Graph) *tdg.Graph {
+	out := tdg.New()
+	for _, n := range g.Nodes() {
+		if err := out.AddNode(n.MAT, n.Origin...); err != nil {
+			panic(err)
+		}
+	}
+	for _, e := range g.EdgeList() {
+		if err := out.AddEdge(e.From, e.To, e.Type, e.MetadataBytes); err != nil {
+			panic(err)
+		}
+	}
+	return out
+}
+
+// appendUnique appends each of src not yet in dst: the reference's
+// origin merge.
+func appendUnique(dst []string, src ...string) []string {
+	for _, s := range src {
+		if !slices.Contains(dst, s) {
+			dst = append(dst, s)
+		}
+	}
+	return dst
+}
+
 // plainUnion unions two TDGs without unifying equivalent nodes. Name
 // collisions are still required to be genuine duplicates.
 func plainUnion(t1, t2 *tdg.Graph) (*tdg.Graph, error) {
-	out := t1.Clone()
+	out := copyGraph(t1)
 	for _, n2 := range t2.Nodes() {
 		if n1, ok := out.Node(n2.Name()); ok {
 			if !n1.MAT.Equivalent(n2.MAT) {
@@ -302,7 +332,7 @@ func foldInputs(t *testing.T) []*tdg.Graph {
 // TestGraphsMatchesPairwiseFold pins the indexed incremental merger to
 // the reference semantics: folding the inputs one by one through Two
 // must produce the same nodes (in the same insertion order), the same
-// origins, and the same edges.
+// origins, and the same edges in the same order.
 func TestGraphsMatchesPairwiseFold(t *testing.T) {
 	inputs := foldInputs(t)
 	ref := inputs[0].Clone()
@@ -340,20 +370,17 @@ func TestGraphsMatchesPairwiseFold(t *testing.T) {
 		}
 	}
 
-	edgeSet := func(g *tdg.Graph) map[string]string {
-		out := make(map[string]string)
-		for _, e := range g.Edges() {
-			out[e.From+"->"+e.To] = fmt.Sprintf("%v/%d", e.Type, e.MetadataBytes)
-		}
-		return out
+	row := func(e *tdg.Edge) string {
+		from, to := e.Endpoints()
+		return fmt.Sprintf("%s(%d)->%s(%d) %v/%d", e.From, from, e.To, to, e.Type, e.MetadataBytes)
 	}
-	re, ge := edgeSet(ref), edgeSet(got)
+	re, ge := ref.EdgeList(), got.EdgeList()
 	if len(re) != len(ge) {
 		t.Fatalf("edge count: fold %d, Graphs %d", len(re), len(ge))
 	}
-	for k, v := range re {
-		if ge[k] != v {
-			t.Errorf("edge %s: fold %s, Graphs %s", k, v, ge[k])
+	for i := range re {
+		if row(re[i]) != row(ge[i]) {
+			t.Errorf("edge %d: fold %s, Graphs %s", i, row(re[i]), row(ge[i]))
 		}
 	}
 }
@@ -415,8 +442,8 @@ func TestCycleFallbackToPlainUnion(t *testing.T) {
 }
 
 // TestGraphsLeavesInputsUntouched holds Graphs to "input graphs are not
-// modified". The merger appends origins onto the clone of its first
-// input, so the clone must own its Node structs and Origin slices; the
+// modified". The merger appends origins onto the copy of its first
+// input, so the copy must own its Node structs and Origin slices; the
 // fold's cyclic pair also sends one input through the plain-union
 // fallback. Edge bytes are made distinct so a max-merge into an input
 // edge would show.

@@ -56,6 +56,10 @@ func (n *bnode) applyBounds(lb, ub []float64, seenLB, seenUB []bool) {
 	}
 }
 
+// deadlinePoll is how many branch-and-bound nodes pass between two
+// reads of the clock (and of Options.Cancel).
+const deadlinePoll = 64
+
 // Solve runs branch & bound on the model and returns the best integer
 // solution found. Continuous models solve in a single LP.
 func (m *Model) Solve(opts Options) *Solution {
@@ -91,7 +95,7 @@ func (m *Model) Solve(opts Options) *Solution {
 			deadlineHit = true
 			break
 		}
-		if nodes%64 == 0 {
+		if nodes%deadlinePoll == 0 {
 			if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
 				deadlineHit = true
 				break

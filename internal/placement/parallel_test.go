@@ -157,8 +157,10 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 }
 
 // TestGreedyDeadlineCutsImprovement: Options.Deadline is the only
-// clock that bounds the local search, so a deadline 50 ms out must stop
-// the solve promptly and still return a valid plan.
+// clock that bounds the local search, so a solve whose deadline has
+// already passed must stop it short — it takes fewer position-space
+// packing steps than an unbounded solve of the same instance — and
+// still return a valid plan.
 func TestGreedyDeadlineCutsImprovement(t *testing.T) {
 	progs, err := workload.EvaluationPrograms(20, 1)
 	if err != nil {
@@ -172,17 +174,21 @@ func TestGreedyDeadlineCutsImprovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	plan, err := (Greedy{}).Solve(merged, tp, Options{Deadline: time.Now().Add(50 * time.Millisecond)})
-	if err != nil {
-		t.Fatal(err)
+	solve := func(deadline time.Time) int64 {
+		var steps atomic.Int64
+		plan, err := (Greedy{}).Solve(merged, tp, Options{Deadline: deadline, packSteps: &steps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.Validate(program.DefaultResourceModel, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		return steps.Load()
 	}
-	// The generous margin keeps slow CI machines from flaking.
-	if elapsed := time.Since(start); elapsed > 1500*time.Millisecond {
-		t.Fatalf("Solve took %v with a 50ms deadline", elapsed)
-	}
-	if err := plan.Validate(program.DefaultResourceModel, 0, 0); err != nil {
-		t.Fatal(err)
+	cut, full := solve(time.Now().Add(-time.Second)), solve(time.Time{})
+	t.Logf("packing steps: %d with an expired deadline, %d unbounded", cut, full)
+	if cut >= full {
+		t.Fatalf("an expired deadline took %d packing steps, an unbounded solve %d", cut, full)
 	}
 }
 

@@ -12,7 +12,6 @@ package program
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/hermes-net/hermes/internal/fields"
 )
@@ -327,7 +326,8 @@ func (m *MAT) Action(name string) (Action, bool) {
 	return Action{}, false
 }
 
-// Validate checks the MAT for structural problems.
+// Validate checks the MAT for structural problems. A table has a
+// handful of keys and actions, so names are looked up by linear scan.
 func (m *MAT) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("MAT has empty name")
@@ -335,46 +335,60 @@ func (m *MAT) Validate() error {
 	if m.Capacity <= 0 {
 		return fmt.Errorf("MAT %q: non-positive capacity %d", m.Name, m.Capacity)
 	}
-	seen := make(map[string]bool, len(m.Keys))
-	for _, k := range m.Keys {
+	for i, k := range m.Keys {
 		if err := k.Validate(); err != nil {
 			return fmt.Errorf("MAT %q: %w", m.Name, err)
 		}
-		if seen[k.Field.Name] {
+		if hasKey(m.Keys[:i], k.Field.Name) {
 			return fmt.Errorf("MAT %q: duplicate match key %q", m.Name, k.Field.Name)
 		}
-		seen[k.Field.Name] = true
 	}
 	if len(m.Actions) == 0 {
 		return fmt.Errorf("MAT %q: no actions", m.Name)
 	}
-	actionNames := make(map[string]bool, len(m.Actions))
-	for _, a := range m.Actions {
+	for i, a := range m.Actions {
 		if err := a.Validate(); err != nil {
 			return fmt.Errorf("MAT %q: %w", m.Name, err)
 		}
-		if actionNames[a.Name] {
+		if hasAction(m.Actions[:i], a.Name) {
 			return fmt.Errorf("MAT %q: duplicate action %q", m.Name, a.Name)
 		}
-		actionNames[a.Name] = true
 	}
-	if m.DefaultAction != "" && !actionNames[m.DefaultAction] {
+	if m.DefaultAction != "" && !hasAction(m.Actions, m.DefaultAction) {
 		return fmt.Errorf("MAT %q: unknown default action %q", m.Name, m.DefaultAction)
 	}
 	if len(m.Rules) > m.Capacity {
 		return fmt.Errorf("MAT %q: %d rules exceed capacity %d", m.Name, len(m.Rules), m.Capacity)
 	}
 	for i, r := range m.Rules {
-		if !actionNames[r.Action] {
+		if !hasAction(m.Actions, r.Action) {
 			return fmt.Errorf("MAT %q rule %d: unknown action %q", m.Name, i, r.Action)
 		}
 		for fname := range r.Matches {
-			if !seen[fname] {
+			if !hasKey(m.Keys, fname) {
 				return fmt.Errorf("MAT %q rule %d: match on non-key field %q", m.Name, i, fname)
 			}
 		}
 	}
 	return nil
+}
+
+func hasKey(keys []MatchKey, name string) bool {
+	for _, k := range keys {
+		if k.Field.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+func hasAction(actions []Action, name string) bool {
+	for _, a := range actions {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // ValidateRule checks one rule against the MAT's definition without
@@ -409,7 +423,10 @@ func (m *MAT) ValidateRule(r Rule) error {
 
 // Equivalent reports whether two MATs have identical properties apart
 // from their names: the same match keys, actions, capacity and rules.
-// SPEED's merger treats equivalent MATs as redundant (paper §IV).
+// SPEED's merger treats equivalent MATs as redundant (paper §IV). Keys
+// and actions compare as multisets, so their declaration order does
+// not matter; rules compare positionally. It does not allocate: the
+// merger calls it on every candidate of an equivalence bucket.
 func (m *MAT) Equivalent(o *MAT) bool {
 	if m.Capacity != o.Capacity || len(m.Keys) != len(o.Keys) ||
 		len(m.Actions) != len(o.Actions) || len(m.Rules) != len(o.Rules) ||
@@ -417,23 +434,9 @@ func (m *MAT) Equivalent(o *MAT) bool {
 		m.FixedRequirement != o.FixedRequirement {
 		return false
 	}
-	mk := append([]MatchKey(nil), m.Keys...)
-	ok := append([]MatchKey(nil), o.Keys...)
-	sortKeys(mk)
-	sortKeys(ok)
-	for i := range mk {
-		if mk[i] != ok[i] {
-			return false
-		}
-	}
-	ma := append([]Action(nil), m.Actions...)
-	oa := append([]Action(nil), o.Actions...)
-	sortActions(ma)
-	sortActions(oa)
-	for i := range ma {
-		if !actionsEqual(ma[i], oa[i]) {
-			return false
-		}
+	if !sameMultiset(m.Keys, o.Keys, func(a, b MatchKey) bool { return a == b }) ||
+		!sameMultiset(m.Actions, o.Actions, actionsEqual) {
+		return false
 	}
 	// Rules are compared positionally: installed rule order matters for
 	// ternary priorities.
@@ -445,17 +448,33 @@ func (m *MAT) Equivalent(o *MAT) bool {
 	return true
 }
 
-func sortKeys(ks []MatchKey) {
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].Field.Name != ks[j].Field.Name {
-			return ks[i].Field.Name < ks[j].Field.Name
+// sameMultiset reports whether a and b, of equal length, hold the same
+// elements as often each. The common prefix is skipped (clones list
+// them in one order); past it, each element's count in a must equal
+// its count in b, which with equal lengths leaves b no extra element.
+// Key and action lists are a handful long, so the quadratic count beats
+// sorting copies.
+func sameMultiset[T any](a, b []T, eq func(x, y T) bool) bool {
+	i := 0
+	for i < len(a) && eq(a[i], b[i]) {
+		i++
+	}
+	a, b = a[i:], b[i:]
+	for _, x := range a {
+		na, nb := 0, 0
+		for k := range a {
+			if eq(a[k], x) {
+				na++
+			}
+			if eq(b[k], x) {
+				nb++
+			}
 		}
-		return ks[i].Type < ks[j].Type
-	})
-}
-
-func sortActions(as []Action) {
-	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
+		if na != nb {
+			return false
+		}
+	}
+	return true
 }
 
 func actionsEqual(a, b Action) bool {

@@ -18,10 +18,12 @@ package tdg
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/hermes-net/hermes/internal/program"
 )
@@ -132,6 +134,10 @@ type Graph struct {
 	// memo caches derived computations keyed by caller-chosen strings
 	// (e.g. placement's stage-packing results). Cleared on mutation.
 	memo map[string]any
+	// derived is set while the topo cache or the memo holds anything, so
+	// a mutation of a graph nothing has read yet (a builder's) skips the
+	// lock.
+	derived atomic.Bool
 }
 
 // memoCap bounds the derived-result memo; on overflow the memo is
@@ -170,14 +176,46 @@ func (a *arena[T]) alloc(n int) []T {
 // new returns a pointer to a zero T.
 func (a *arena[T]) new() *T { return &a.alloc(1)[:1][0] }
 
-// appendAdj appends e to s, one node's out or in slice. A full slice
-// moves to a doubled carve of adjArena; the outgrown carve stays behind
-// as dead space until the graph is dropped.
-func (g *Graph) appendAdj(s []*Edge, e *Edge) []*Edge {
-	if len(s) == cap(s) {
-		s = append(g.adjArena.alloc(max(2*len(s), 2)), s...)
+// reserve makes the next n carves come from one chunk.
+func (a *arena[T]) reserve(n int) {
+	if cap(a.buf)-len(a.buf) < n {
+		a.buf = make([]T, 0, n)
 	}
-	return append(s, e)
+}
+
+// appendCarved appends v to s, a slice carved from a. A full slice
+// moves to a doubled carve; the outgrown carve stays behind as dead
+// space until the graph is dropped.
+func appendCarved[T any](a *arena[T], s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = append(a.alloc(max(2*len(s), 2)), s...)
+	}
+	return append(s, v)
+}
+
+// Grow reserves room for nodes more nodes and edges more edges, so a
+// builder that knows its size up front fills the graph without
+// rehashing its maps or regrowing its slices as it goes.
+func (g *Graph) Grow(nodes, edges int) {
+	if nodes > 0 {
+		ids := make(map[string]int32, len(g.nodes)+nodes)
+		maps.Copy(ids, g.ids)
+		g.ids = ids
+		g.nodes = slices.Grow(g.nodes, nodes)
+		g.names = slices.Grow(g.names, nodes)
+		g.out = slices.Grow(g.out, nodes)
+		g.in = slices.Grow(g.in, nodes)
+		g.nodeArena.reserve(nodes)
+		g.originArena.reserve(nodes)
+	}
+	if edges > 0 {
+		byPair := make(map[uint64]*Edge, len(g.list)+edges)
+		maps.Copy(byPair, g.edges)
+		g.edges = byPair
+		g.list = slices.Grow(g.list, edges)
+		g.edgeArena.reserve(edges)
+		g.adjArena.reserve(2 * edges)
+	}
 }
 
 // AddNode inserts a MAT. It fails on duplicate names or nil MATs.
@@ -223,29 +261,47 @@ func (g *Graph) AddEdge(from, to string, typ DepType, metadataBytes int) error {
 	if metadataBytes < 0 {
 		return fmt.Errorf("tdg: negative metadata size on %q->%q", from, to)
 	}
-	if e, ok := g.edges[edgeKey(f, t)]; ok {
+	g.AppendEdge(f, t, typ, metadataBytes)
+	return nil
+}
+
+// AppendEdge is AddEdge on node ids, the path every edge insertion
+// takes: it inserts the dependency from → to, or merges typ and
+// metadataBytes into the edge already there. The caller guarantees
+// what AddEdge checks: two distinct existing ids, a valid type and
+// non-negative bytes.
+func (g *Graph) AppendEdge(from, to int32, typ DepType, metadataBytes int) {
+	if e, ok := g.edges[edgeKey(from, to)]; ok {
 		if strength(typ) > strength(e.Type) {
 			e.Type = typ
 		}
 		if metadataBytes > e.MetadataBytes {
 			e.MetadataBytes = metadataBytes
 		}
-		return nil
+		return
 	}
 	e := g.edgeArena.new()
-	*e = Edge{From: from, To: to, Type: typ, MetadataBytes: metadataBytes, from: f, to: t}
+	*e = Edge{From: g.names[from], To: g.names[to], Type: typ, MetadataBytes: metadataBytes, from: from, to: to}
 	g.addEdge(e)
 	g.invalidateDerived()
-	return nil
 }
 
 // addEdge links e, whose id pair must be new, into the graph. The caller
 // invalidates derived results.
 func (g *Graph) addEdge(e *Edge) {
 	g.edges[edgeKey(e.from, e.to)] = e
-	g.out[e.from] = g.appendAdj(g.out[e.from], e)
-	g.in[e.to] = g.appendAdj(g.in[e.to], e)
+	g.out[e.from] = appendCarved(&g.adjArena, g.out[e.from], e)
+	g.in[e.to] = appendCarved(&g.adjArena, g.in[e.to], e)
 	g.list = append(g.list, e)
+}
+
+// AppendOrigin adds origin to node id's Origin unless it is listed
+// there already.
+func (g *Graph) AppendOrigin(id int32, origin string) {
+	n := g.nodes[id]
+	if !slices.Contains(n.Origin, origin) {
+		n.Origin = appendCarved(&g.originArena, n.Origin, origin)
+	}
 }
 
 // strength orders dependency types for edge merging: a match dependency
@@ -272,6 +328,18 @@ func (g *Graph) Node(name string) (*Node, bool) {
 		return nil, false
 	}
 	return g.nodes[id], true
+}
+
+// ID returns the named node's id: its insertion index.
+func (g *Graph) ID(name string) (int32, bool) {
+	id, ok := g.ids[name]
+	return id, ok
+}
+
+// EdgeByID returns the edge between node ids from and to.
+func (g *Graph) EdgeByID(from, to int32) (*Edge, bool) {
+	e, ok := g.edges[edgeKey(from, to)]
+	return e, ok
 }
 
 // AppendSuccessors appends the ids of the targets of node id's
@@ -389,6 +457,7 @@ func (g *Graph) topoFill() ([]string, map[string]int, error) {
 	if !g.topoValid {
 		order, err := g.topoSortUncached()
 		g.topoValid = true
+		g.derived.Store(true)
 		g.topoErr = err
 		if err != nil {
 			g.topoCache = nil
@@ -415,9 +484,14 @@ func (g *Graph) TopoIndex() (map[string]int, error) {
 }
 
 // invalidateDerived drops every lazily-derived result (topo cache and
-// memo); called by every mutating operation.
+// memo); called by every mutating operation. Mutations never run
+// concurrently with reads, so the unlocked flag read is safe.
 func (g *Graph) invalidateDerived() {
+	if !g.derived.Load() {
+		return
+	}
 	g.mu.Lock()
+	g.derived.Store(false)
 	g.topoValid = false
 	g.topoErr = nil
 	g.memo = nil
@@ -442,6 +516,7 @@ func (g *Graph) MemoSet(key string, val any) {
 		g.memo = make(map[string]any)
 	}
 	g.memo[key] = val
+	g.derived.Store(true)
 	g.mu.Unlock()
 }
 
@@ -556,7 +631,7 @@ func (g *Graph) TotalRequirement(rm program.ResourceModel) float64 {
 // Subgraph returns a new graph containing only the named nodes and the
 // edges among them. Each kept node is a fresh Node with its own copy of
 // Origin; only the MAT is shared, so appending origins to the result
-// (as merge.Graphs does to the clone of its first input) leaves g alone.
+// leaves g alone.
 // Edges are copies too, inserted sorted by (From, To), as if filtered
 // from Edges(); only the kept nodes' out-edges are gathered and sorted,
 // so the cost follows the subset, not the parent.
