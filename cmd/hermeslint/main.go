@@ -14,12 +14,14 @@
 //	       mutating the shared original                       error
 //	HV005  a name-keyed call — map-based scoring (PairBytes,
 //	       AMax, the *Ref twins, ...), graph materialization
-//	       (Subgraph, Edges, OutEdges, InEdges) or name-keyed
-//	       stage packing (FitsSwitch, PackStages, packShared) —
-//	       or a packet-engine compile (NewEngine, NewPipeline,
-//	       NewReferenceEngine) inside a loop tagged
-//	       //hermes:hot: hot loops must use the compiled and
-//	       position-space kernels and build engines once      error
+//	       (Subgraph, Edges, OutEdges, InEdges), a graph
+//	       lookup by MAT name (Node, OutEdgeList, InEdgeList,
+//	       TopoIndex) or name-keyed stage packing (FitsSwitch,
+//	       PackStages, packShared) — or a packet-engine
+//	       compile (NewEngine, NewPipeline, NewReferenceEngine)
+//	       inside a loop tagged //hermes:hot: hot loops must
+//	       use the compiled and position-space kernels on node
+//	       ids and build engines once                         error
 //	HV006  an allocation inside a loop tagged //hermes:hot:
 //	       make(), a map or slice composite literal, or an
 //	       append whose destination is a struct field (the
@@ -209,7 +211,7 @@ func lintFile(fset *token.FileSet, file *ast.File, path string) []vetFinding {
 
 // testOnlyPackages are the import paths (module-relative) that only
 // _test.go files may import.
-var testOnlyPackages = []string{"internal/milp"}
+var testOnlyPackages = []string{"internal/milp", "internal/racetest"}
 
 // lintTestOnlyImports applies HV010: a non-test file importing a
 // test-only package links that package into production binaries.
@@ -224,7 +226,7 @@ func lintTestOnlyImports(fset *token.FileSet, file *ast.File, path string) []vet
 			if imp == pkg || strings.HasSuffix(imp, "/"+pkg) {
 				out = append(out, vetFinding{
 					pos: fset.Position(spec.Pos()), rule: "HV010", sev: "error",
-					msg: fmt.Sprintf("non-test file imports %s, a test-only package (Exact's MILP oracle); import it from _test.go files only", imp),
+					msg: fmt.Sprintf("non-test file imports %s, a test-only package; import it from _test.go files only", imp),
 				})
 			}
 		}
@@ -488,12 +490,14 @@ func lintPoolFunc(fset *token.FileSet, fn *ast.FuncDecl) []vetFinding {
 
 // hotBanned is the name-keyed surface: the retained reference scoring
 // implementations, the Plan/TDG convenience accessors that allocate
-// maps or hash names per call, the TDG calls that materialize a graph
-// or a sorted edge slice, the name-keyed stage packer, and the packet
-// engines' constructors (each compiles a whole deployment or sorts a
-// whole graph: build the pair once per search, not per candidate
-// packet), and the fields.Set surface of Algorithm 1 (each call
-// rebuilds a MAT's field sets as maps). None of them belong inside a
+// maps or hash names per call, the TDG lookups by MAT name (their id
+// twins Endpoints, OutEdgesOf, InEdgesOf and TopoIDs are free), the TDG
+// calls that materialize a graph or a sorted edge slice, the
+// name-keyed stage packer, and the packet engines' constructors (each
+// compiles a whole deployment or sorts a whole graph: build the pair
+// once per search, not per candidate packet), and the fields.Set
+// surface of Algorithm 1 (each call rebuilds a MAT's field sets as
+// maps). None of them belong inside a
 // loop the author tagged //hermes:hot — that is what the compiled
 // kernels (AssignmentAMax, MoveScore, PlaceScore, FillPairTable, ...),
 // the position-space packing step (packStep behind splitScratch.fits
@@ -515,6 +519,10 @@ var hotBanned = map[string]bool{
 	"assignmentAMax":     true,
 	"assignmentLatency":  true,
 	"assignmentAcyclic":  true,
+	"Node":               true,
+	"OutEdgeList":        true,
+	"InEdgeList":         true,
+	"TopoIndex":          true,
 	"Subgraph":           true,
 	"Edges":              true,
 	"OutEdges":           true,
@@ -572,7 +580,7 @@ func lintHotLoops(fset *token.FileSet, file *ast.File) []vetFinding {
 				seen[call.Pos()] = true
 				out = append(out, vetFinding{
 					pos: fset.Position(call.Pos()), rule: "HV005", sev: "error",
-					msg: fmt.Sprintf("%s() is name-keyed (map-based scoring, graph materialization, stage packing, an engine compile or a field-set build) inside a //hermes:hot loop; use the compiled-instance, position-space or footprint kernel, or hoist the construction out of the loop", shown),
+					msg: fmt.Sprintf("%s() is name-keyed (map-based scoring, graph materialization, a lookup by MAT name, stage packing, an engine compile or a field-set build) inside a //hermes:hot loop; use the compiled-instance, position-space, node-id or footprint kernel, or hoist the construction out of the loop", shown),
 				})
 			}
 			return true

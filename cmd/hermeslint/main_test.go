@@ -252,6 +252,53 @@ func gate(g *graph) int {
 	}
 }
 
+func TestHotLoopFlagsNameKeyedGraphLookups(t *testing.T) {
+	// Placement builds its instances on the graph's node ids: a tagged
+	// loop that resolves a MAT by name (Node, OutEdgeList, InEdgeList,
+	// TopoIndex) hashes the name per iteration. The id-keyed accessors
+	// are fine.
+	fs := lintSnippet(t, `
+type node struct{ req int }
+type graph struct{}
+func (g *graph) Node(name string) (*node, bool)   { return nil, false }
+func (g *graph) OutEdgeList(name string) []int    { return nil }
+func (g *graph) InEdgeList(name string) []int     { return nil }
+func (g *graph) TopoIndex() (map[string]int, error) { return nil, nil }
+func (g *graph) OutEdgesOf(id int32) []int        { return nil }
+func (g *graph) InEdgesOf(id int32) []int         { return nil }
+func bad(g *graph, order []string) int {
+	n := 0
+	//hermes:hot
+	for _, name := range order {
+		nd, _ := g.Node(name)
+		pos, _ := g.TopoIndex()
+		n += nd.req + len(g.OutEdgeList(name)) + len(g.InEdgeList(name)) + pos[name]
+	}
+	return n
+}
+func good(g *graph, ids []int32) int {
+	n := 0
+	//hermes:hot
+	for _, id := range ids {
+		n += len(g.OutEdgesOf(id)) + len(g.InEdgesOf(id))
+	}
+	return n
+}
+`)
+	if got := rulesOf(fs); len(got) != 4 {
+		t.Fatalf("want 4 HV005 findings, got %v", fs)
+	}
+	for _, want := range []string{"g.Node()", "g.TopoIndex()", "g.OutEdgeList()", "g.InEdgeList()"} {
+		found := false
+		for _, f := range fs {
+			found = found || f.rule == "HV005" && strings.Contains(f.msg, want)
+		}
+		if !found {
+			t.Errorf("no HV005 finding names %s: %v", want, fs)
+		}
+	}
+}
+
 func TestHotLoopFlagsEngineCompiles(t *testing.T) {
 	// A packet-engine constructor compiles the whole deployment (or
 	// sorts the whole graph): per candidate packet it is the

@@ -1,11 +1,11 @@
 package hermes_test
 
 import (
-	"runtime/debug"
 	"testing"
 
 	hermes "github.com/hermes-net/hermes"
 	"github.com/hermes-net/hermes/internal/network"
+	"github.com/hermes-net/hermes/internal/racetest"
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
@@ -15,15 +15,17 @@ import (
 // memoized on the partition, and the repair instances' dense kernel
 // scratch comes from a free list, and each region runs Alg. 2 on its
 // range of the global topological order without building a subgraph or
-// a region plan. CompositeWAN(30), 100 programs, 8 regions: 27,389
-// allocations since the analyzer folds the programs into the merged TDG
-// in one pass (42,546 with a graph per program and a name-keyed merge),
-// where building a subgraph and a plan per region made 45,247 and
-// rebuilding every region and its scratch per deploy made 66,773. The
+// a region plan. CompositeWAN(30), 100 programs, 8 regions: 13,012
+// allocations since every region polish, the reconcile and each repair
+// build their instance on the graph's node ids, carving each MAT's edge
+// lists from one backing array (27,389 with a name-keyed instance build
+// whose edge lists grew per append), 42,546 with a graph per program and
+// a name-keyed merge, 45,247 building a subgraph and a plan per region
+// and 66,773 rebuilding every region and its scratch per deploy. The
 // ceiling is the measured count plus 3 %. Allocation counts mean
 // nothing under the race detector.
 func TestWarmShardedDeployAllocationCeiling(t *testing.T) {
-	if raceEnabled() {
+	if racetest.Enabled() {
 		t.Skip("allocation ceilings do not hold under the race detector")
 	}
 	topo, err := network.CompositeWAN(30, network.TofinoSpec(), 1)
@@ -47,23 +49,8 @@ func TestWarmShardedDeployAllocationCeiling(t *testing.T) {
 	deploy() // warm: region topologies, oracles, scratch
 	allocs := testing.AllocsPerRun(3, deploy)
 	t.Logf("warm sharded deploy on composite:30: %.0f allocs", allocs)
-	const ceiling = 28_210
+	const ceiling = 13_403
 	if allocs > ceiling {
 		t.Fatalf("warm sharded deploy on composite:30 allocates %.0f times, ceiling %d", allocs, ceiling)
 	}
-}
-
-// raceEnabled reports whether the test binary runs under the race
-// detector.
-func raceEnabled() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
 }

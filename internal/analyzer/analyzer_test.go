@@ -1,11 +1,11 @@
 package analyzer
 
 import (
-	"runtime/debug"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/program"
+	"github.com/hermes-net/hermes/internal/racetest"
 	"github.com/hermes-net/hermes/internal/tdg"
 	"github.com/hermes-net/hermes/internal/workload"
 )
@@ -239,7 +239,7 @@ func TestMetadataFieldsForDeployment(t *testing.T) {
 // programs into the merged graph in one pass, without a graph per
 // program, to 485. The ceiling is the measured count plus 3 %.
 func TestAnalyzeAllocationCeiling(t *testing.T) {
-	if raceEnabled() {
+	if racetest.Enabled() {
 		t.Skip("allocation ceilings do not hold under the race detector")
 	}
 	progs, err := workload.EvaluationPrograms(30, 1)
@@ -262,7 +262,7 @@ func TestAnalyzeAllocationCeiling(t *testing.T) {
 // in one pass, most of them one footprint per MAT. The ceiling is the
 // measured count plus 3 %.
 func TestAnalyzeSynthetic200AllocationCeiling(t *testing.T) {
-	if raceEnabled() {
+	if racetest.Enabled() {
 		t.Skip("allocation ceilings do not hold under the race detector")
 	}
 	progs, err := workload.SyntheticSet(200, workload.PaperSyntheticSpec(), 1)
@@ -277,21 +277,6 @@ func TestAnalyzeSynthetic200AllocationCeiling(t *testing.T) {
 	if allocs > 3869 {
 		t.Fatalf("Analyze(SyntheticSet(200)) made %.0f allocations, ceiling 3,869", allocs)
 	}
-}
-
-// raceEnabled reports whether the test binary runs under the race
-// detector, whose runtime grows scratch slices in other steps.
-func raceEnabled() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
 }
 
 // BenchmarkAnalyzeWAN30 is Algorithm 1 on the wan30 benchmark workload's

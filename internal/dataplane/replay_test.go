@@ -3,12 +3,12 @@ package dataplane
 import (
 	"cmp"
 	"math"
-	"runtime/debug"
 	"slices"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
+	"github.com/hermes-net/hermes/internal/racetest"
 )
 
 // apportionScanRef is apportion as it was before the sort: the largest
@@ -78,7 +78,7 @@ func TestApportionMatchesScan(t *testing.T) {
 			packets := all
 			if topo == composite {
 				packets = all[:4]
-				if raceEnabled() {
+				if racetest.Enabled() {
 					packets = all[:3]
 				}
 			}
@@ -97,21 +97,6 @@ func TestApportionMatchesScan(t *testing.T) {
 			}
 		}
 	}
-}
-
-// raceEnabled reports whether the test binary runs under the race
-// detector.
-func raceEnabled() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
 }
 
 // TestReplayWeightedRateReproducible: identical replays of the wan30

@@ -35,7 +35,7 @@ func refinedSolve(g *tdg.Graph, topo *network.Topology, r refinements) (*Plan, e
 	if err != nil {
 		return nil, err
 	}
-	sp := newSplitScratch(g, order, ref, rm)
+	sp := newSplitScratch(g, 0, len(order), ref, rm)
 	segs, err := sp.split(0, len(order), nil)
 	if err != nil {
 		return nil, err
@@ -57,11 +57,15 @@ func refinedSolve(g *tdg.Graph, topo *network.Topology, r refinements) (*Plan, e
 			continue
 		}
 		if r.polish {
-			if err := polish(g, order, topo, assign, Options{}, rm); err != nil {
+			if err := polish(g, 0, topo, assign, Options{}, rm); err != nil {
 				return nil, err
 			}
 		}
-		return materializeAssignment(g, topo, assign, rm)
+		named := make(map[string]network.SwitchID, len(order))
+		for p, u := range assign {
+			named[order[p]] = u
+		}
+		return materializeAssignment(g, topo, named, rm)
 	}
 	return nil, lastErr
 }

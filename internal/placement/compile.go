@@ -2,19 +2,20 @@
 // paper's P#1 objective (Eq. 1) and constraints (Eq. 6–9) millions of
 // times per solve, and the string-keyed boundary representation
 // (map[string]SwitchID assignments, map[RouteKey]int pair tables) pays
-// hashing and allocation on every candidate. CompiledInstance interns
-// MAT names and switch IDs into dense int32 indices once per
-// (graph, topology, resource model) and exposes allocation-free
-// scoring kernels over flat arrays; the map-based API stays as the
-// boundary (compile on solver entry, decode into Plan on exit). The
-// map-based originals are retained in ref.go as differential oracles —
-// every kernel is property-tested to agree with its map twin
-// bit-for-bit.
+// hashing and allocation on every candidate. CompiledInstance lays a
+// MAT subset and the switches out as dense int32 indices and exposes
+// allocation-free scoring kernels over flat arrays. Instances are built
+// on the graph's node ids (graphIndex): no MAT name is hashed below the
+// solvers' name-keyed boundary (compile on solver entry, decode into
+// Plan on exit). The map-based originals are retained in ref.go as
+// differential oracles — every kernel is property-tested to agree with
+// its map twin bit-for-bit.
 package placement
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,9 +36,15 @@ type CompiledInstance struct {
 	Topo  *network.Topology
 
 	// Names and Index translate between the boundary representation
-	// and MAT index space; Names is sorted.
+	// and MAT index space; Names is sorted. Only Compile fills them: the
+	// solvers' own instances cross the name boundary through ids.
 	Names []string
 	Index map[string]int32
+
+	// ids maps MAT index space to g's node ids, ascending in name order;
+	// gi is the graph index the instance was carved from.
+	ids []int32
+	gi  *graphIndex
 
 	// Edge arrays in tdg.EdgeList order. Out/In/Incident hold edge
 	// indices per MAT in that same order: the kernels only fold
@@ -73,79 +80,154 @@ type CompiledInstance struct {
 	lat     []time.Duration
 }
 
-// Compile returns the dense-index form of (g, topo, rm) over every MAT:
-// compileSubset over the sorted node names.
+// graphIndex is the node-id view of a graph that every instance is
+// built from: the topological order as names and as ids, each id's
+// position in it, R(a) under one resource model, and each id's rank in
+// name order — the MAT index order of every instance. It is computed
+// once per (graph, resource model) and memoized under Graph.Memo, which
+// drops it on mutation; it is immutable once built.
+type graphIndex struct {
+	rm     program.ResourceModel
+	names  []string  // node names by id
+	order  []string  // topological order; nil when the graph is cyclic
+	topo   []int32   // order as node ids
+	pos    []int32   // topological position by id; nil when cyclic
+	req    []float64 // R(a) by id under rm
+	byName []int32   // ids in name order: Compile's MAT index space
+	rank   []int32   // position in byName by id
+}
+
+const graphIndexKey = "placement/graphIndex"
+
+// indexOf returns g's graph index under rm, building it on first use.
+func indexOf(g *tdg.Graph, rm program.ResourceModel) *graphIndex {
+	if v, ok := g.Memo(graphIndexKey); ok && v.(*graphIndex).rm == rm {
+		return v.(*graphIndex)
+	}
+	n := g.NumNodes()
+	gi := &graphIndex{rm: rm, names: g.NodeNames(), req: make([]float64, n), byName: make([]int32, n), rank: make([]int32, n)}
+	for id, node := range g.Nodes() {
+		gi.req[id] = rm.Requirement(node.MAT)
+		gi.byName[id] = int32(id)
+	}
+	slices.SortFunc(gi.byName, func(a, b int32) int { return strings.Compare(gi.names[a], gi.names[b]) })
+	for r, id := range gi.byName {
+		gi.rank[id] = int32(r)
+	}
+	if ids, err := g.TopoIDs(); err == nil {
+		gi.topo, gi.order, gi.pos = ids, make([]string, n), make([]int32, n)
+		for p, id := range ids {
+			gi.order[p], gi.pos[id] = gi.names[id], int32(p)
+		}
+	}
+	g.MemoSet(graphIndexKey, gi)
+	return gi
+}
+
+// byRank orders node ids by name, the order of an instance's MATs.
+func (gi *graphIndex) byRank(a, b int32) int { return cmp.Compare(gi.rank[a], gi.rank[b]) }
+
+// Compile returns the dense-index form of (g, topo, rm) over every MAT
+// in name order. Its Names and Index are the name boundary: Exact
+// decodes its plan through them, and the kernel benchmarks probe by
+// name.
 func Compile(g *tdg.Graph, topo *network.Topology, rm program.ResourceModel) *CompiledInstance {
-	names := g.NodeNames()
-	sort.Strings(names)
-	ci, err := compileSubset(g, names, topo, rm)
-	if err != nil {
-		panic(err) // unreachable: the names are g's own
+	gi := indexOf(g, rm)
+	ci := compileSubset(g, gi, gi.byName, topo)
+	ci.Names = make([]string, len(gi.byName))
+	ci.Index = make(map[string]int32, len(gi.byName))
+	for x, id := range gi.byName {
+		ci.Names[x] = gi.names[id]
+		ci.Index[ci.Names[x]] = int32(x)
 	}
 	return ci
 }
 
-// compileSubset builds the dense-index form of a subset of g's MATs
-// against a (typically compacted) topology; Compile is the call over
-// every MAT and the real topology. The replan repair builds
-// one instance per touched region this way: materializing a
-// tdg.Subgraph just to compile it costs more than the whole region
-// repair (fresh string-keyed node/edge maps plus an uncached
-// topological sort), while the dense arrays can be carved straight out
-// of g. names must be sorted and duplicate-free; edges are kept when
-// both endpoints are in the subset, in g's EdgeList order, so the
-// kernels' iteration order is deterministic. The instance's Graph field
-// keeps pointing at g — callers that need full-graph facts (canonical
-// pack order, TopoIndex) already hold g.
-func compileSubset(g *tdg.Graph, names []string, topo *network.Topology, rm program.ResourceModel) (*CompiledInstance, error) {
-	idx := make(map[string]int32, len(names))
-	for i, n := range names {
-		idx[n] = int32(i)
+// memberPool recycles compileSubset's graph-id → instance-index maps:
+// arrays of g.NumNodes() entries, all zero between uses.
+var memberPool sync.Pool
+
+// compileSubset builds the dense-index form of the MATs ids — g's node
+// ids, ascending in name order (graphIndex.byRank) — against a
+// (typically compacted) topology. Every region polish, reconcile and
+// regional repair builds its instance this way, straight from g's ids:
+// no tdg.Subgraph, no name lookups. The subset's edges are gathered
+// from its members' out-edges, so the cost follows the subset, not the
+// graph, and are put back in g's EdgeList order by their list
+// positions, so the kernels' iteration order is deterministic.
+// Out/In/Incident are carved from one backing array sized by the
+// members' degrees. The instance's Graph field keeps pointing at g.
+func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, topo *network.Topology) *CompiledInstance {
+	n, s := len(ids), topo.NumSwitches()
+	ci := &CompiledInstance{Graph: g, Topo: topo, S: int32(s), ids: ids, gi: gi}
+
+	// local holds each member's instance index + 1, 0 outside the subset.
+	lp, _ := memberPool.Get().(*[]int32)
+	if lp == nil || len(*lp) < g.NumNodes() {
+		lp = new([]int32)
+		*lp = make([]int32, g.NumNodes())
 	}
-	s := topo.NumSwitches()
-	ci := &CompiledInstance{
-		Graph: g,
-		Topo:  topo,
-		Names: names,
-		Index: idx,
-		S:     int32(s),
+	local := *lp
+	outDeg, inDeg := 0, 0
+	for x, id := range ids {
+		local[id] = int32(x) + 1
+		outDeg += len(g.OutEdgesOf(id))
+		inDeg += len(g.InEdgesOf(id))
+	}
+	pos := make([]int32, 0, outDeg)
+	//hermes:hot
+	for _, id := range ids {
+		for _, e := range g.OutEdgesOf(id) {
+			if _, to := e.Endpoints(); local[to] != 0 {
+				pos = append(pos, e.Pos())
+			}
+		}
+	}
+	if len(pos) == g.NumEdges() {
+		for i := range pos { // every edge: EdgeList order is the identity
+			pos[i] = int32(i)
+		}
+	} else {
+		slices.Sort(pos)
 	}
 
-	ci.Req = make([]float64, len(names))
-	ci.Out = make([][]int32, len(names))
-	ci.In = make([][]int32, len(names))
-	ci.Incident = make([][]int32, len(names))
-	for i, name := range names {
-		node, ok := g.Node(name)
-		if !ok {
-			return nil, fmt.Errorf("placement: compile subset references unknown MAT %q", name)
-		}
-		ci.Req[i] = rm.Requirement(node.MAT)
+	m := len(pos)
+	edges := make([]int32, 3*m)
+	ci.EdgeFrom, ci.EdgeTo, ci.EdgeBytes = edges[:m:m], edges[m:2*m:2*m], edges[2*m:]
+	lists := make([][]int32, 3*n)
+	out, in, inc := lists[:n:n], lists[n:2*n:2*n], lists[2*n:]
+	ci.Out, ci.In, ci.Incident = out, in, inc
+	adj := make([]int32, 2*(outDeg+inDeg))
+	for x, id := range ids {
+		o, i := len(g.OutEdgesOf(id)), len(g.InEdgesOf(id))
+		out[x], in[x], inc[x] = adj[:0:o], adj[o:o:o+i], adj[o+i:o+i:2*(o+i)]
+		adj = adj[2*(o+i):]
 	}
-	if pos, err := g.TopoIndex(); err == nil {
-		ci.TopoPos = make([]int32, len(names))
-		for i, name := range names {
-			ci.TopoPos[i] = int32(pos[name])
-		}
+	list := g.EdgeList()
+	//hermes:hot
+	for ei, p := range pos {
+		from, to := list[p].Endpoints()
+		f, t := local[from]-1, local[to]-1
+		ci.EdgeFrom[ei], ci.EdgeTo[ei], ci.EdgeBytes[ei] = f, t, int32(list[p].MetadataBytes)
+		out[f] = append(out[f], int32(ei))
+		in[t] = append(in[t], int32(ei))
+		inc[f] = append(inc[f], int32(ei))
+		inc[t] = append(inc[t], int32(ei))
 	}
+	for _, id := range ids {
+		local[id] = 0
+	}
+	memberPool.Put(lp)
 
-	// One pass over g's edge list fills every edge array, skipping the
-	// per-name tdg.OutEdges/InEdges walks (each sorts and copies) — that
-	// keeps the per-region compile out of the replan's critical path.
-	for _, e := range g.EdgeList() {
-		f, fok := idx[e.From]
-		t, tok := idx[e.To]
-		if !fok || !tok {
-			continue
+	ci.Req = make([]float64, n)
+	for x, id := range ids {
+		ci.Req[x] = gi.req[id]
+	}
+	if gi.pos != nil {
+		ci.TopoPos = make([]int32, n)
+		for x, id := range ids {
+			ci.TopoPos[x] = gi.pos[id]
 		}
-		ei := int32(len(ci.EdgeFrom))
-		ci.EdgeFrom = append(ci.EdgeFrom, f)
-		ci.EdgeTo = append(ci.EdgeTo, t)
-		ci.EdgeBytes = append(ci.EdgeBytes, int32(e.MetadataBytes))
-		ci.Incident[f] = append(ci.Incident[f], ei)
-		ci.Incident[t] = append(ci.Incident[t], ei)
-		ci.Out[f] = append(ci.Out[f], ei)
-		ci.In[t] = append(ci.In[t], ei)
 	}
 
 	ci.Programmable = make([]bool, s)
@@ -168,8 +250,12 @@ func compileSubset(g *tdg.Graph, names []string, topo *network.Topology, rm prog
 			ci.Prog = append(ci.Prog, sw.ID)
 		}
 	}
-	return ci, nil
+	return ci
 }
+
+// name returns MAT x's name: the name boundary of the solvers' own
+// instances (write-back into a name-keyed assignment, error text).
+func (ci *CompiledInstance) name(x int32) string { return ci.gi.names[ci.ids[x]] }
 
 // presetLatencies installs the latency table of an instance whose Topo
 // cannot supply it: a repair instance's pseudo-topology is links-free,
@@ -187,7 +273,8 @@ func (ci *CompiledInstance) latencies() []time.Duration {
 }
 
 // DenseAssign converts a (possibly partial) name-keyed assignment into
-// MAT index space; unassigned MATs are -1.
+// the MAT index space of a Compile instance; unassigned MATs are -1. It
+// crosses the name boundary through Index.
 func (ci *CompiledInstance) DenseAssign(assign map[string]network.SwitchID) []int32 {
 	out := make([]int32, len(ci.Names))
 	for i := range out {
@@ -201,22 +288,8 @@ func (ci *CompiledInstance) DenseAssign(assign map[string]network.SwitchID) []in
 	return out
 }
 
-// PlanAssign is DenseAssign over a Plan's stage placements.
-func (ci *CompiledInstance) PlanAssign(p *Plan) []int32 {
-	out := make([]int32, len(ci.Names))
-	for i := range out {
-		out[i] = -1
-	}
-	for name, sp := range p.Assignments {
-		if x, ok := ci.Index[name]; ok {
-			out[x] = int32(sp.Switch)
-		}
-	}
-	return out
-}
-
-// AssignMap decodes a dense assignment back into the boundary
-// representation, skipping unassigned MATs.
+// AssignMap decodes a dense assignment of a Compile instance back into
+// the boundary representation through Names, skipping unassigned MATs.
 func (ci *CompiledInstance) AssignMap(assign []int32) map[string]network.SwitchID {
 	out := make(map[string]network.SwitchID, len(assign))
 	for x, u := range assign {

@@ -1,13 +1,16 @@
 package placement
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
+	"github.com/hermes-net/hermes/internal/racetest"
 	"github.com/hermes-net/hermes/internal/tdg"
 )
 
@@ -45,6 +48,17 @@ func assignmentLatency(g *tdg.Graph, topo *network.Topology, assign map[string]n
 		total += p.Latency
 	}
 	return total, nil
+}
+
+// compileNames is compileSubset over a sorted, duplicate-free list of
+// MAT names, for tests that draw their subsets by name.
+func compileNames(g *tdg.Graph, names []string, topo *network.Topology, rm program.ResourceModel) *CompiledInstance {
+	gi := indexOf(g, rm)
+	ids := make([]int32, len(names))
+	for i, name := range names {
+		ids[i], _ = g.ID(name)
+	}
+	return compileSubset(g, gi, ids, topo)
 }
 
 // checkKernelsAgainstRefs asserts every compiled kernel against its
@@ -241,7 +255,7 @@ func TestPackScratchMatchesFitsSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps := newSplitScratch(g, order, sw, rm)
+		ps := newSplitScratch(g, 0, len(order), sw, rm)
 		n := len(order)
 		for i := 1; i <= n; i++ {
 			for j := 0; j < i; j++ {
@@ -347,5 +361,250 @@ func TestKernelScratchRecycledClean(t *testing.T) {
 		if ks.cells() > scratchFreeMaxCells {
 			t.Fatalf("free list kept %d-cell scratch, bound %d", ks.cells(), scratchFreeMaxCells)
 		}
+	}
+}
+
+// instanceArrays are the MAT-side arrays of a compiled instance.
+type instanceArrays struct {
+	edgeFrom, edgeTo, edgeBytes []int32
+	out, in, incident           [][]int32
+	req                         []float64
+	topoPos                     []int32
+}
+
+func arraysOf(ci *CompiledInstance) instanceArrays {
+	return instanceArrays{ci.EdgeFrom, ci.EdgeTo, ci.EdgeBytes, ci.Out, ci.In, ci.Incident, ci.Req, ci.TopoPos}
+}
+
+// compileSubsetRef is how compileSubset built an instance before it
+// worked on node ids: the sorted names interned into a map, R(a) and
+// the topological position looked up per name, and one pass over g's
+// whole EdgeList with two name lookups per edge. It is the
+// differential twin of the id-based gather.
+func compileSubsetRef(g *tdg.Graph, names []string, rm program.ResourceModel) instanceArrays {
+	idx := make(map[string]int32, len(names))
+	for i, n := range names {
+		idx[n] = int32(i)
+	}
+	a := instanceArrays{
+		out: make([][]int32, len(names)), in: make([][]int32, len(names)),
+		incident: make([][]int32, len(names)), req: make([]float64, len(names)),
+	}
+	for i, name := range names {
+		node, _ := g.Node(name)
+		a.req[i] = rm.Requirement(node.MAT)
+	}
+	if pos, err := g.TopoIndex(); err == nil {
+		a.topoPos = make([]int32, len(names))
+		for i, name := range names {
+			a.topoPos[i] = int32(pos[name])
+		}
+	}
+	for _, e := range g.EdgeList() {
+		f, fok := idx[e.From]
+		t, tok := idx[e.To]
+		if !fok || !tok {
+			continue
+		}
+		ei := int32(len(a.edgeFrom))
+		a.edgeFrom = append(a.edgeFrom, f)
+		a.edgeTo = append(a.edgeTo, t)
+		a.edgeBytes = append(a.edgeBytes, int32(e.MetadataBytes))
+		a.incident[f] = append(a.incident[f], ei)
+		a.incident[t] = append(a.incident[t], ei)
+		a.out[f] = append(a.out[f], ei)
+		a.in[t] = append(a.in[t], ei)
+	}
+	return a
+}
+
+// arraysDiffer names the first array in which got and want differ,
+// order included, or returns "".
+func arraysDiffer(got, want instanceArrays) string {
+	lists := func(a, b [][]int32) bool { return slices.EqualFunc(a, b, slices.Equal[[]int32]) }
+	switch {
+	case !slices.Equal(got.edgeFrom, want.edgeFrom):
+		return "EdgeFrom"
+	case !slices.Equal(got.edgeTo, want.edgeTo):
+		return "EdgeTo"
+	case !slices.Equal(got.edgeBytes, want.edgeBytes):
+		return "EdgeBytes"
+	case !lists(got.out, want.out):
+		return "Out"
+	case !lists(got.in, want.in):
+		return "In"
+	case !lists(got.incident, want.incident):
+		return "Incident"
+	case !slices.Equal(got.req, want.req):
+		return "Req"
+	case !slices.Equal(got.topoPos, want.topoPos) || (got.topoPos == nil) != (want.topoPos == nil):
+		return "TopoPos"
+	}
+	return ""
+}
+
+// TestCompileSubsetMatchesNameKeyedTwin: the id-based compileSubset
+// builds exactly the arrays the name-keyed loop built, order included,
+// on every region polish of composite:10/30/60, on the reconcile's host
+// instance over the sharded solve's hosts, on Compile over the Table III
+// WANs, and on repair-shaped instances (the MATs of random host sets
+// plus those of a drained switch) of Table III and composite plans.
+func TestCompileSubsetMatchesNameKeyedTwin(t *testing.T) {
+	rm := program.DefaultResourceModel
+	compared := 0
+	check := func(where string, ci *CompiledInstance) {
+		t.Helper()
+		names := make([]string, len(ci.ids))
+		for x := range names {
+			names[x] = ci.name(int32(x))
+		}
+		if !slices.IsSorted(names) {
+			t.Fatalf("%s: instance MATs are not in name order", where)
+		}
+		if d := arraysDiffer(arraysOf(ci), compileSubsetRef(ci.Graph, names, rm)); d != "" {
+			t.Fatalf("%s: %s differs from the name-keyed build", where, d)
+		}
+		compared++
+	}
+
+	for _, c := range []struct{ regions, programs, shards int }{{10, 30, 4}, {30, 50, 8}, {60, 200, 16}} {
+		topo, err := network.CompositeWAN(c.regions, network.TofinoSpec(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := shardInstance(t, c.programs, 1)
+		part, err := network.PartitionRegions(topo, c.shards, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts, err := chunkTDG(g, part, rm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gi := indexOf(g, rm)
+		for r := range c.shards {
+			topoR, _, err := part.SubTopology(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := slices.Clone(gi.topo[cuts[r]:cuts[r+1]])
+			slices.SortFunc(ids, gi.byRank)
+			check(fmt.Sprintf("composite:%d region %d", c.regions, r), compileSubset(g, gi, ids, topoR))
+		}
+		plan, _, err := ShardedGreedy{Partition: part}.SolveStats(g, topo, Options{Shards: c.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ci, _, _, err := hostInstance(g, gi, topo, plan.UsedSwitches(), gi.byName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("composite:%d reconcile", c.regions), ci)
+		drainInstances(t, check, fmt.Sprintf("composite:%d", c.regions), plan, topo, 4)
+	}
+
+	for idx := 1; idx <= 10; idx++ {
+		plan, topo := tableIIIInstance(t, idx, 30)
+		check(fmt.Sprintf("Table III %d", idx), Compile(plan.Graph, topo, rm))
+		drainInstances(t, check, fmt.Sprintf("Table III %d", idx), plan, topo, 3)
+	}
+	regional, part := regionalFixture(t, 4)
+	drainInstances(t, check, "regional fixture", regional, part.Topology(), 8)
+	t.Logf("%d instances compared", compared)
+}
+
+// drainInstances checks n repair-shaped instances of plan: a random
+// used switch is drained, and the instance holds its MATs plus those
+// resident on a random subset of the other used hosts — the MAT set
+// healInstance compiles against its candidates and halo.
+func drainInstances(t *testing.T, check func(string, *CompiledInstance), label string, plan *Plan, topo *network.Topology, n int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(label) * n)))
+	used := plan.UsedSwitches()
+	for i := 0; i < n; i++ {
+		drained := used[rng.Intn(len(used))]
+		hosts := map[network.SwitchID]bool{drained: true}
+		for _, u := range used {
+			hosts[u] = hosts[u] || rng.Intn(3) == 0
+		}
+		var names []string
+		for name, sp := range plan.Assignments {
+			if hosts[sp.Switch] {
+				names = append(names, name)
+			}
+		}
+		slices.Sort(names)
+		check(fmt.Sprintf("%s drain %d of switch %d", label, i, drained),
+			compileNames(plan.Graph, names, topo, program.DefaultResourceModel))
+	}
+}
+
+// TestCompileSubsetAllocationsIgnoreOutsideEdges: compiling one region
+// of composite:60 makes as many allocations whether or not thousands of
+// extra edges join the MATs outside it — the instance gathers its own
+// members' edges and never walks the rest of the graph — and a fixed
+// handful of them: 19 measured on the 145-MAT region, where the
+// name-keyed build grew each MAT's edge lists per append (687).
+func TestCompileSubsetAllocationsIgnoreOutsideEdges(t *testing.T) {
+	if racetest.Enabled() {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	rm := program.DefaultResourceModel
+	topo, err := network.CompositeWAN(60, network.TofinoSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := shardInstance(t, 200, 1)
+	part, err := network.PartitionRegions(topo, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts, err := chunkTDG(g, part, rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r = 7
+	topoR, _, err := part.SubTopology(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// dense: the same graph with a forward edge between every third pair
+	// of MATs outside the region, in topological order.
+	dense := g.Clone()
+	order, err := g.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := slices.Concat(order[:cuts[r]], order[cuts[r+1]:])
+	for i := 0; i+3 < len(outside); i++ {
+		if err := dense.AddEdge(outside[i], outside[i+3], tdg.DepSuccessor, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dense.NumEdges() < g.NumEdges()+1000 {
+		t.Fatalf("the dense graph adds only %d edges", dense.NumEdges()-g.NumEdges())
+	}
+
+	allocs := func(g *tdg.Graph) float64 {
+		gi := indexOf(g, rm)
+		ids := make([]int32, 0, cuts[r+1]-cuts[r])
+		for _, name := range order[cuts[r]:cuts[r+1]] {
+			id, _ := g.ID(name)
+			ids = append(ids, id)
+		}
+		slices.SortFunc(ids, gi.byRank)
+		compileSubset(g, gi, ids, topoR) // warm the membership pool
+		return testing.AllocsPerRun(20, func() { compileSubset(g, gi, ids, topoR) })
+	}
+	sparse, full := allocs(g), allocs(dense)
+	t.Logf("region %d of composite:60 (%d of %d MATs): %.0f allocations on %d edges, %.0f on %d",
+		r, cuts[r+1]-cuts[r], g.NumNodes(), sparse, g.NumEdges(), full, dense.NumEdges())
+	if sparse > 20 {
+		t.Fatalf("compileSubset allocates %.0f times on a %d-MAT region, ceiling 20", sparse, cuts[r+1]-cuts[r])
+	}
+	if sparse != full {
+		t.Fatalf("compileSubset allocates %.0f times on %d edges but %.0f on %d: it depends on edges outside the subset",
+			sparse, g.NumEdges(), full, dense.NumEdges())
 	}
 }

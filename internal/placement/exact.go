@@ -111,7 +111,7 @@ func newExactState(ci *CompiledInstance, opts Options) *exactState {
 	st := &exactState{
 		ci:       ci,
 		opts:     opts,
-		assign:   make([]int32, len(ci.Names)),
+		assign:   make([]int32, len(ci.Req)),
 		load:     make([]float64, s),
 		pair:     make([]int32, s*s),
 		swCnt:    make([]int32, s*s),
@@ -240,8 +240,8 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 	st := newExactState(ci, opts)
 	st.orderIdx = make([]int32, len(order))
 	st.orderReq = make([]float64, len(order))
-	for i, name := range order {
-		x := ci.Index[name]
+	for i, id := range ci.gi.topo {
+		x := ci.gi.rank[id] // Compile's MAT index is the name rank
 		st.orderIdx[i] = x
 		st.orderReq[i] = ci.Req[x]
 	}
@@ -293,11 +293,11 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 		baseOpts.Traffic = nil
 		if base, err := (Greedy{}).Solve(g, topo, baseOpts); err == nil {
 			st.amaxCap = opts.amaxCap(base.AMax())
-			st.adopt(ci.PlanAssign(base))
+			st.adopt(ci.DenseAssign(assignmentOf(base)))
 		}
 	}
 	if seed, err := (Greedy{}).Solve(g, topo, seedOpts); err == nil {
-		st.adopt(ci.PlanAssign(seed))
+		st.adopt(ci.DenseAssign(assignmentOf(seed)))
 	}
 	if st.haveBest {
 		st.sharedBest.Store(st.incumbentScore())
@@ -589,7 +589,7 @@ func (st *exactState) evaluateLeaf() {
 	} else if st.curMax > st.amaxCap || (st.haveBest && st.curW >= st.bestW) {
 		return
 	}
-	// Stage-level packing per switch.
+	// Stage-level packing per switch, through the name-keyed packer.
 	bySwitch := map[network.SwitchID][]string{}
 	for x, u := range st.assign {
 		if u >= 0 {

@@ -36,11 +36,15 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 	if err != nil {
 		return nil, err
 	}
-	assign, err := greedyAssign(g, order, topo, opts, rm)
+	assign, err := greedyAssign(g, 0, len(order), topo, opts, rm)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := materializeAssignment(g, topo, assign, rm)
+	named := make(map[string]network.SwitchID, len(order))
+	for p, u := range assign {
+		named[order[p]] = u
+	}
+	plan, err := materializeAssignment(g, topo, named, rm)
 	if err != nil {
 		return nil, err
 	}
@@ -53,16 +57,16 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 }
 
 // greedyAssign is Alg. 2's core: split → coalesce → anchor placement →
-// polish over order, which is a topological order of g or a contiguous
-// range of one (a sharded region's chunk). Edges that leave order are
-// ignored, exactly as in the induced subgraph. It decides only which
-// switch hosts each MAT; callers materialize the stages and routes
-// once.
-func greedyAssign(g *tdg.Graph, order []string, topo *network.Topology, opts Options, rm program.ResourceModel) (map[string]network.SwitchID, error) {
+// polish over the range [lo,hi) of g's topological order: all of it, or
+// a sharded region's chunk. Edges that leave the range are ignored,
+// exactly as in the induced subgraph. It decides only which switch
+// hosts each MAT, returned by position in the range; callers
+// materialize the stages and routes once.
+func greedyAssign(g *tdg.Graph, lo, hi int, topo *network.Topology, opts Options, rm program.ResourceModel) ([]network.SwitchID, error) {
 	if err := opts.canceled(); err != nil {
 		return nil, fmt.Errorf("placement: solve canceled: %w", err)
 	}
-	if len(order) == 0 {
+	if hi <= lo {
 		return nil, fmt.Errorf("placement: empty TDG")
 	}
 	if err := topo.Validate(); err != nil {
@@ -82,9 +86,9 @@ func greedyAssign(g *tdg.Graph, order []string, topo *network.Topology, opts Opt
 	// segment). Bisection can overshoot the minimum segment count;
 	// coalescing adjacent segments while the pair still fits one switch
 	// only ever removes cross-switch bytes.
-	sp := newSplitScratch(g, order, refSwitch, rm)
+	sp := newSplitScratch(g, lo, hi, refSwitch, rm)
 	defer opts.countPackSteps(&sp.steps)
-	segs, err := sp.split(0, len(order), nil)
+	segs, err := sp.split(0, hi-lo, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +107,7 @@ func greedyAssign(g *tdg.Graph, order []string, topo *network.Topology, opts Opt
 			return nil, err
 		}
 	}
-	if err := polish(g, order, topo, assign, opts, rm); err != nil {
+	if err := polish(g, lo, topo, assign, opts, rm); err != nil {
 		return nil, err
 	}
 	return assign, nil
@@ -111,16 +115,16 @@ func greedyAssign(g *tdg.Graph, order []string, topo *network.Topology, opts Opt
 
 // polish runs the bounded local-search refinement over single-MAT
 // moves: the climb the replan repair runs over its dirty set, here over
-// the instance of order's MATs with every MAT dirty and every live
-// programmable switch a candidate, improving assign in place. climb's
-// pass cap, Options.Deadline and Options.Ctx bound it.
-func polish(g *tdg.Graph, order []string, topo *network.Topology, assign map[string]network.SwitchID, opts Options, rm program.ResourceModel) error {
-	names := slices.Clone(order)
-	slices.Sort(names)
-	ci, err := compileSubset(g, names, topo, rm)
-	if err != nil {
-		return err
-	}
+// the instance of the MATs at topological positions [lo, lo+len(assign))
+// with every MAT dirty and every live programmable switch a candidate,
+// improving assign (by position in the range) in place. climb's pass
+// cap, Options.Deadline and Options.Ctx bound it.
+func polish(g *tdg.Graph, lo int, topo *network.Topology, assign []network.SwitchID, opts Options, rm program.ResourceModel) error {
+	gi := indexOf(g, rm)
+	ids := slices.Clone(gi.topo[lo : lo+len(assign)])
+	slices.SortFunc(ids, gi.byRank)
+	ci := compileSubset(g, gi, ids, topo)
+	var err error
 	sws := make([]*network.Switch, ci.S)
 	for id := range sws {
 		if sws[id], err = topo.Switch(network.SwitchID(id)); err != nil {
@@ -137,22 +141,22 @@ func polish(g *tdg.Graph, order []string, topo *network.Topology, assign map[str
 			return err
 		}
 	}
-	in := newRepairInstance(ci, sws, cands, ci.DenseAssign(assign), wt)
-	defer in.release()
-	all := make([]int32, len(in.assign))
-	for x := range all {
-		all[x] = int32(x)
+	dense, all := make([]int32, len(ids)), make([]int32, len(ids))
+	for x, id := range ids {
+		dense[x], all[x] = int32(assign[int(gi.pos[id])-lo]), int32(x)
 	}
+	in := newRepairInstance(ci, sws, cands, dense, wt)
+	defer in.release()
 	in.climb(opts, all, occupiedTargets)
-	for x, name := range ci.Names {
-		assign[name] = network.SwitchID(in.assign[x])
+	for x, id := range ids {
+		assign[int(gi.pos[id])-lo] = network.SwitchID(in.assign[x])
 	}
 	return nil
 }
 
 // placeWithRefinement runs the placement loop, bisecting segments that
 // pass the capacity test but fail stage-level packing.
-func placeWithRefinement(g *tdg.Graph, topo *network.Topology, sp *splitScratch, segments []segment, opts Options, rm program.ResourceModel) (map[string]network.SwitchID, error) {
+func placeWithRefinement(g *tdg.Graph, topo *network.Topology, sp *splitScratch, segments []segment, opts Options, rm program.ResourceModel) ([]network.SwitchID, error) {
 	const maxRefinements = 64
 	for attempt := 0; attempt < maxRefinements; attempt++ {
 		assign, splitIdx, err := placeSegments(g, topo, sp.order, segments, opts, rm)
@@ -189,8 +193,8 @@ type segment struct{ lo, hi int }
 // order): requirements, in/out edges by position, and the stage-packing
 // scratch of one reference switch. It is single-goroutine scratch.
 type splitScratch struct {
-	order    []string
-	capacity float64 // C_stage·C_res of the reference switch
+	order    []string // the range of g's topological order
+	capacity float64  // C_stage·C_res of the reference switch
 	stageCap float64
 	req      []float64
 	out      [][]posBytes // out-edges by position (targets are later)
@@ -205,14 +209,13 @@ type posBytes struct {
 	bytes int32
 }
 
-func newSplitScratch(g *tdg.Graph, order []string, sw *network.Switch, rm program.ResourceModel) *splitScratch {
-	n := len(order)
-	pos := make(map[string]int32, n)
-	for i, name := range order {
-		pos[name] = int32(i)
-	}
+// newSplitScratch builds the scratch of the range [lo,hi) of g's
+// topological order on g's node ids: a neighbor's position is its
+// topological position minus lo.
+func newSplitScratch(g *tdg.Graph, lo, hi int, sw *network.Switch, rm program.ResourceModel) *splitScratch {
+	gi, n := indexOf(g, rm), hi-lo
 	sp := &splitScratch{
-		order:    order,
+		order:    gi.order[lo:hi],
 		capacity: sw.Capacity(),
 		stageCap: sw.StageCapacity,
 		req:      make([]float64, n),
@@ -226,29 +229,30 @@ func newSplitScratch(g *tdg.Graph, order []string, sw *network.Switch, rm progra
 		sp.used = make([]float64, sw.Stages)
 	}
 	// Both adjacency tables are carved out of one backing array. Edges
-	// with an endpoint outside order are dropped, as in the induced
+	// with an endpoint outside the range are dropped, as in the induced
 	// subgraph.
-	deg := 0
-	for _, name := range order {
-		deg += len(g.OutEdgeList(name)) + len(g.InEdgeList(name))
+	ids, deg := gi.topo[lo:hi], 0
+	for _, id := range ids {
+		deg += len(g.OutEdgesOf(id)) + len(g.InEdgesOf(id))
 	}
 	flat := make([]posBytes, deg)
-	for i, name := range order {
-		node, _ := g.Node(name)
-		sp.req[i] = rm.Requirement(node.MAT)
-		outs, ins := g.OutEdgeList(name), g.InEdgeList(name)
-		sp.out[i], flat = flat[:0:len(outs)], flat[len(outs):]
+	//hermes:hot
+	for i, id := range ids {
+		sp.req[i] = gi.req[id]
+		outs, ins := g.OutEdgesOf(id), g.InEdgesOf(id)
+		out, in := flat[:0:len(outs)], flat[len(outs):len(outs):len(outs)+len(ins)]
+		flat = flat[len(outs)+len(ins):]
 		for _, e := range outs {
-			if p, ok := pos[e.To]; ok {
-				sp.out[i] = append(sp.out[i], posBytes{p, int32(e.MetadataBytes)})
+			if _, to := e.Endpoints(); uint(int(gi.pos[to])-lo) < uint(n) {
+				out = append(out, posBytes{gi.pos[to] - int32(lo), int32(e.MetadataBytes)})
 			}
 		}
-		sp.in[i], flat = flat[:0:len(ins)], flat[len(ins):]
 		for _, e := range ins {
-			if p, ok := pos[e.From]; ok {
-				sp.in[i] = append(sp.in[i], posBytes{p, int32(e.MetadataBytes)})
+			if from, _ := e.Endpoints(); uint(int(gi.pos[from])-lo) < uint(n) {
+				in = append(in, posBytes{gi.pos[from] - int32(lo), int32(e.MetadataBytes)})
 			}
 		}
+		sp.out[i], sp.in[i] = out, in
 	}
 	return sp
 }
@@ -434,7 +438,7 @@ func (sp *splitScratch) capacitySplit() ([]segment, error) {
 // are merged in anchor order — first success wins, and
 // the error/splitIdx bookkeeping matches the sequential loop exactly.
 // A wave bounds the work wasted past the first successful anchor.
-func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segments []segment, opts Options, rm program.ResourceModel) (map[string]network.SwitchID, int, error) {
+func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segments []segment, opts Options, rm program.ResourceModel) ([]network.SwitchID, int, error) {
 	prog := topo.ProgrammableSwitches()
 	eps2 := opts.epsilon2(len(prog))
 	if len(segments) > eps2 {
@@ -490,10 +494,10 @@ func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segment
 				return nil, -1, r.err
 			}
 			if r.err == nil {
-				assign := make(map[string]network.SwitchID, len(order))
+				assign := make([]network.SwitchID, len(order))
 				for k, seg := range segments {
-					for _, name := range order[seg.lo:seg.hi] {
-						assign[name] = r.cands[k]
+					for p := seg.lo; p < seg.hi; p++ {
+						assign[p] = r.cands[k]
 					}
 				}
 				return assign, -1, nil

@@ -54,8 +54,8 @@ func newRepairInstance(ci *CompiledInstance, sws []*network.Switch, cands, assig
 		pt:        ks.pt,
 		ms:        ks.ms,
 		cyc:       ks.cyc,
-		stamp:     make([]int32, len(ci.Names)),
-		end:       make([]int32, len(ci.Names)),
+		stamp:     make([]int32, len(ci.Req)),
+		end:       make([]int32, len(ci.Req)),
 	}
 	for x, h := range assign {
 		if h >= 0 {
@@ -295,7 +295,7 @@ func (in *repairInstance) place(xs []int32, opts Options) error {
 			break
 		}
 		if !placed {
-			return infeasibleError(fmt.Sprintf("no feasible switch for displaced MAT %q", ci.Names[x]))
+			return infeasibleError(fmt.Sprintf("no feasible switch for displaced MAT %q", ci.name(x)))
 		}
 	}
 	return nil

@@ -1,8 +1,9 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -90,18 +91,25 @@ func packShared(g *tdg.Graph, names []string, sw *network.Switch, rm program.Res
 	// Canonicalize the packing order: a subset of the parent's cached
 	// topological order is a topological order of the induced subgraph,
 	// so no subgraph needs to be built (this function dominates solver
-	// profiles otherwise).
-	pos, err := g.TopoIndex()
-	if err != nil {
+	// profiles otherwise). Each name is resolved to its node id once and
+	// the ids sort by topological position.
+	if _, err := g.TopoIDs(); err != nil {
 		return nil, fmt.Errorf("placement: %w", err)
 	}
-	ordered := append([]string(nil), names...)
-	for _, n := range ordered {
-		if _, ok := g.Node(n); !ok {
+	gi := indexOf(g, rm)
+	ids := make([]int32, len(names))
+	for i, n := range names {
+		id, ok := g.ID(n)
+		if !ok {
 			return nil, fmt.Errorf("placement: pack of unknown MAT %q", n)
 		}
+		ids[i] = id
 	}
-	sort.Slice(ordered, func(i, j int) bool { return pos[ordered[i]] < pos[ordered[j]] })
+	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(gi.pos[a], gi.pos[b]) })
+	ordered := make([]string, len(ids))
+	for i, id := range ids {
+		ordered[i] = gi.names[id]
+	}
 
 	// Candidate evaluation re-packs the same (MAT set, switch) pairs
 	// constantly during local search and capacity splitting; memoize the
@@ -177,11 +185,6 @@ func packOrdered(g *tdg.Graph, ordered []string, sw *network.Switch, rm program.
 func FitsSwitch(g *tdg.Graph, names []string, sw *network.Switch, rm program.ResourceModel) bool {
 	_, err := packShared(g, names, sw, rm)
 	return err == nil
-}
-
-// CapacityFits is the cheap test of Alg. 2 line 2: ΣR(a) ≤ C_stage·C_res.
-func CapacityFits(g *tdg.Graph, rm program.ResourceModel, sw *network.Switch) bool {
-	return g.TotalRequirement(rm) <= sw.Capacity()+1e-9
 }
 
 // packStep is packOrdered's per-MAT arithmetic on a bare occupancy row:

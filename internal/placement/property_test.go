@@ -139,7 +139,7 @@ func TestCapacitySplitMinimality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		segs, err := newSplitScratch(g, order, sw, program.DefaultResourceModel).capacitySplit()
+		segs, err := newSplitScratch(g, 0, len(order), sw, program.DefaultResourceModel).capacitySplit()
 		if err != nil {
 			continue
 		}

@@ -29,6 +29,7 @@ package placement
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -338,20 +339,25 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 
 	// Instance MATs: every MAT resident on an instance host (their pair
 	// bytes are the background the scores sit on), plus this instance's
-	// displaced MATs (unassigned, to be placed).
-	names := make([]string, 0, len(dirtyNames))
+	// displaced MATs (unassigned, to be placed). The name-keyed
+	// assignment and dirty set are the boundary: each MAT's name is
+	// resolved to its node id once here.
+	gi := indexOf(g, rm)
+	ids := make([]int32, 0, len(dirtyNames))
 	for name, u := range baseAssign {
 		if candSet[u] || haloSet[u] {
-			names = append(names, name)
+			id, _ := g.ID(name)
+			ids = append(ids, id)
 		}
 	}
 	for _, name := range dirtyNames {
 		if displaced[name] {
-			names = append(names, name)
+			id, _ := g.ID(name)
+			ids = append(ids, id)
 		}
 	}
-	sort.Strings(names)
-	ci, hostIdx, sws, err := hostInstance(g, topo, hosts, names, rm)
+	slices.SortFunc(ids, gi.byRank)
+	ci, hostIdx, sws, err := hostInstance(g, gi, topo, hosts, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -367,32 +373,29 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 		ci.presetLatencies(hostLatencies(topo, hosts))
 	}
 
-	// g's cached topological index orders the displaced MATs (a
+	// g's topological positions order the displaced MATs (a
 	// topological order of g restricted to any subset is a topological
 	// order of the induced subgraph), sparing each instance an uncached
 	// O(V+E) sort.
-	gpos, err := g.TopoIndex()
-	if err != nil {
-		return nil, err
-	}
-	dense := make([]int32, len(ci.Names))
+	dense := make([]int32, len(ids))
 	var place []int32
-	for x, name := range ci.Names {
-		if u, ok := baseAssign[name]; ok {
+	for x, id := range ids {
+		if u, ok := baseAssign[gi.names[id]]; ok {
 			dense[x] = hostIdx[u]
 		} else {
 			dense[x] = -1
 			place = append(place, int32(x))
 		}
 	}
-	sort.Slice(place, func(i, j int) bool { return gpos[ci.Names[place[i]]] < gpos[ci.Names[place[j]]] })
+	slices.SortFunc(place, func(a, b int32) int { return int(ci.TopoPos[a] - ci.TopoPos[b]) })
 	dirtyIdx := make([]int32, len(dirtyNames))
 	for i, name := range dirtyNames {
-		x, ok := ci.Index[name]
+		id, _ := g.ID(name)
+		x, ok := slices.BinarySearchFunc(ids, gi.rank[id], func(a, r int32) int { return int(gi.rank[a] - r) })
 		if !ok {
 			return nil, fmt.Errorf("dirty MAT %q is hosted outside the instance's candidates", name)
 		}
-		dirtyIdx[i] = x
+		dirtyIdx[i] = int32(x)
 	}
 	var wt *WeightTable
 	if weights != nil {
@@ -409,12 +412,12 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 
 	out := make(map[string]network.SwitchID, len(dirtyNames))
 	for _, x := range dirtyIdx {
-		out[ci.Names[x]] = sws[dense[x]].ID
+		out[ci.name(x)] = sws[dense[x]].ID
 	}
 	return out, nil
 }
 
-// hostInstance compiles names against a links-free pseudo-topology
+// hostInstance compiles ids against a links-free pseudo-topology
 // holding copies of hosts (ascending), the instance both the repair and
 // the reconcile run on: the compiled tables are U²-sized,
 // U = len(hosts), independent of the global S, and local index i is
@@ -423,8 +426,7 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 // string-keyed maps and uncached topo sort would cost more than the
 // repair itself) and is not memoized, so g's whole-topology instance
 // stays in its memo.
-func hostInstance(g *tdg.Graph, topo *network.Topology, hosts []network.SwitchID, names []string,
-	rm program.ResourceModel) (*CompiledInstance, map[network.SwitchID]int32, []*network.Switch, error) {
+func hostInstance(g *tdg.Graph, gi *graphIndex, topo *network.Topology, hosts []network.SwitchID, ids []int32) (*CompiledInstance, map[network.SwitchID]int32, []*network.Switch, error) {
 
 	topoH := network.NewTopology(topo.Name + "/hosts")
 	hostIdx := make(map[network.SwitchID]int32, len(hosts))
@@ -438,8 +440,7 @@ func hostInstance(g *tdg.Graph, topo *network.Topology, hosts []network.SwitchID
 		hostIdx[gid] = int32(i)
 		sws[i] = sw
 	}
-	ci, err := compileSubset(g, names, topoH, rm)
-	return ci, hostIdx, sws, err
+	return compileSubset(g, gi, ids, topoH), hostIdx, sws, nil
 }
 
 // hostLatencies is the instance-sized twin of Topology.LatencyTable:

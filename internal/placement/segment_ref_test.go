@@ -23,7 +23,7 @@ import (
 
 // splitTDGRef recursively bisects materialized subgraphs.
 func splitTDGRef(g *tdg.Graph, sw *network.Switch, rm program.ResourceModel) ([]*tdg.Graph, error) {
-	if CapacityFits(g, rm, sw) && FitsSwitch(g, g.NodeNames(), sw, rm) {
+	if g.TotalRequirement(rm) <= sw.Capacity()+1e-9 && FitsSwitch(g, g.NodeNames(), sw, rm) {
 		return []*tdg.Graph{g}, nil
 	}
 	if g.NumNodes() == 1 {
@@ -278,7 +278,7 @@ func splitNames(g *tdg.Graph, sw *network.Switch, rm program.ResourceModel) ([][
 	if err != nil {
 		return nil, err
 	}
-	segs, err := newSplitScratch(g, order, sw, rm).split(0, len(order), nil)
+	segs, err := newSplitScratch(g, 0, len(order), sw, rm).split(0, len(order), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +323,7 @@ func TestRangeSegmentationMatchesGraphReference(t *testing.T) {
 				t.Fatalf("%s: split error %v, reference %v", where, gerr, werr)
 			}
 			wantDP, dwerr := capacitySplitRef(g, sw, rm)
-			gotDP, dgerr := newSplitScratch(g, order, sw, rm).capacitySplit()
+			gotDP, dgerr := newSplitScratch(g, 0, len(order), sw, rm).capacitySplit()
 			if (dwerr == nil) != (dgerr == nil) || (dwerr != nil && dwerr.Error() != dgerr.Error()) {
 				t.Fatalf("%s: capacitySplit error %v, reference %v", where, dgerr, dwerr)
 			}
@@ -356,7 +356,7 @@ func TestRangeSegmentationMatchesGraphReference(t *testing.T) {
 
 			// coalesce over the raw split, against the same rule applied to
 			// the reference pieces.
-			sp := newSplitScratch(g, order, sw, rm)
+			sp := newSplitScratch(g, 0, len(order), sw, rm)
 			raw, err := sp.split(0, len(order), nil)
 			if err != nil {
 				t.Fatal(err)
@@ -434,10 +434,7 @@ func TestPacksMatchesFitsSwitch(t *testing.T) {
 				names = names[:1+rng.Intn(len(names))]
 				sort.Strings(names)
 			}
-			ci, err := compileSubset(g, names, topo, rm)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ci := compileNames(g, names, topo, rm)
 			assign := make([]int32, len(names))
 			for x := range assign {
 				// Crowd a few switches, leave some MATs unassigned and some
@@ -453,11 +450,11 @@ func TestPacksMatchesFitsSwitch(t *testing.T) {
 				var set []string
 				for x, host := range assign {
 					if host == h && int32(x) != drop {
-						set = append(set, ci.Names[x])
+						set = append(set, ci.name(int32(x)))
 					}
 				}
 				if add >= 0 {
-					set = append(set, ci.Names[add])
+					set = append(set, ci.name(add))
 				}
 				rng.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
 				return len(set) == 0 || FitsSwitch(g, set, sws[h], rm)

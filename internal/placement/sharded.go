@@ -112,14 +112,14 @@ func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Opt
 	st.BoundaryLinks = len(part.BoundaryLinks())
 
 	rm := program.DefaultResourceModel
-	chunks, err := chunkTDG(g, part, rm)
+	cuts, err := chunkTDG(g, part, rm)
 	if err != nil {
 		return nil, st, err
 	}
 	st.PartitionTime = time.Since(start)
 
 	regionStart := time.Now()
-	assign, err := s.solveRegions(g, topo, part, chunks, opts)
+	assign, err := s.solveRegions(g, topo, part, cuts, opts)
 	if err != nil {
 		// A region that cannot host its chunk (capacity/packing edge
 		// cases) demotes the solve to whole-graph rather than failing a
@@ -171,9 +171,8 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 		hosts = append(hosts, u)
 	}
 	slices.Sort(hosts)
-	names := g.NodeNames()
-	sort.Strings(names)
-	ci, hostIdx, sws, err := hostInstance(g, topo, hosts, names, rm)
+	gi := indexOf(g, rm)
+	ci, hostIdx, sws, err := hostInstance(g, gi, topo, hosts, gi.byName)
 	if err != nil {
 		return err
 	}
@@ -187,9 +186,10 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 		}
 		wt = NewWeightTable(rates, int32(topo.NumSwitches())).Compact(hosts)
 	}
-	dense := make([]int32, len(ci.Names))
-	for x, name := range ci.Names {
-		dense[x] = hostIdx[assign[name]]
+	// assign is the name-keyed boundary of both callers.
+	dense := make([]int32, len(gi.byName))
+	for x, id := range gi.byName {
+		dense[x] = hostIdx[assign[gi.names[id]]]
 	}
 	cands := make([]int32, len(hosts))
 	for i := range cands {
@@ -224,8 +224,8 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	st.AMaxBefore = amax
 	st.Rounds, st.Moves = in.climb(copts, xs, peerTargets)
 	st.AMaxAfter = in.pt.Max()
-	for x, name := range ci.Names {
-		assign[name] = hosts[dense[x]]
+	for x, id := range gi.byName {
+		assign[gi.names[id]] = hosts[dense[x]]
 	}
 	return nil
 }
@@ -265,35 +265,35 @@ func (s ShardedGreedy) fallback(g *tdg.Graph, topo *network.Topology, opts Optio
 }
 
 // chunkTDG cuts the merged TDG into k contiguous topo-order chunks,
-// one per region, sized proportionally to region programmable capacity.
+// one per region, sized proportionally to region programmable capacity:
+// region r's chunk is the range [cuts[r], cuts[r+1]) of the order.
 // Cut points are chosen within a balance window to minimize crossing
 // metadata bytes (the sweep uses the DAG property: every edge goes
 // forward in topo order, so crossing(p) updates in O(deg) per step).
 // Contiguity guarantees cross-chunk edges always point from a lower
 // chunk to a higher one, so the merged region-level assignment starts
 // acyclic.
-func chunkTDG(g *tdg.Graph, part *network.Partition, rm program.ResourceModel) ([][]string, error) {
-	order, err := g.TopoSort()
-	if err != nil {
+func chunkTDG(g *tdg.Graph, part *network.Partition, rm program.ResourceModel) ([]int, error) {
+	if _, err := g.TopoIDs(); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	n := len(order)
+	gi := indexOf(g, rm)
+	n := len(gi.topo)
 	cum := make([]float64, n+1)    // cum[p] = requirement of order[:p]
 	crossing := make([]int64, n+1) // crossing[p] = bytes across cut at p
 	maxReq := 0.0
 	//hermes:hot
-	for i, name := range order {
-		node, _ := g.Node(name)
-		r := rm.Requirement(node.MAT)
+	for i, id := range gi.topo {
+		r := gi.req[id]
 		cum[i+1] = cum[i] + r
 		if r > maxReq {
 			maxReq = r
 		}
 		var ob, ib int64
-		for _, e := range g.OutEdgeList(name) {
+		for _, e := range g.OutEdgesOf(id) {
 			ob += int64(e.MetadataBytes)
 		}
-		for _, e := range g.InEdgeList(name) {
+		for _, e := range g.InEdgesOf(id) {
 			ib += int64(e.MetadataBytes)
 		}
 		crossing[i+1] = crossing[i] + ob - ib
@@ -349,24 +349,21 @@ func chunkTDG(g *tdg.Graph, part *network.Partition, rm program.ResourceModel) (
 		cuts[r+1] = best
 		prev = best
 	}
-	chunks := make([][]string, k)
-	for r := 0; r < k; r++ {
-		chunks[r] = order[cuts[r]:cuts[r+1]]
-	}
-	return chunks, nil
+	return cuts, nil
 }
 
 // solveRegions runs Alg. 2 (greedyAssign) per non-empty chunk on its
-// region sub-topology, over the global graph: a chunk is a contiguous
-// range of its topological order, so no region subgraph is built.
+// region sub-topology, over the global graph: chunk r is the range
+// [cuts[r], cuts[r+1]) of its topological order, so no region subgraph
+// is built.
 // Regions solve concurrently under Options.Workers; every inner solve
 // runs with Workers=1, so no nested parallelism arises and the
 // per-region assignment is identical to a serial solve (the regression
 // test asserts both). The returned assignment maps every MAT to a
 // global switch ID.
-func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *network.Partition, chunks [][]string, opts Options) (map[string]network.SwitchID, error) {
+func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *network.Partition, cuts []int, opts Options) (map[string]network.SwitchID, error) {
 	k := part.NumRegions()
-	results := make([]map[string]network.SwitchID, k)
+	results := make([][]network.SwitchID, k)
 	errs := make([]error, k)
 	rm := program.DefaultResourceModel
 	ropts := Options{
@@ -379,7 +376,7 @@ func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *
 		packSteps:        opts.packSteps,
 	}
 	parallelFor(k, opts.workers(), func(r int) {
-		if len(chunks[r]) == 0 {
+		if cuts[r] == cuts[r+1] {
 			return
 		}
 		topoR, members, err := part.SubTopology(r)
@@ -400,13 +397,13 @@ func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *
 			}
 			iopts.Traffic = tm
 		}
-		m, err := greedyAssign(g, chunks[r], topoR, iopts, rm)
+		m, err := greedyAssign(g, cuts[r], cuts[r+1], topoR, iopts, rm)
 		if err != nil {
 			errs[r] = fmt.Errorf("shard: region %d: %w", r, err)
 			return
 		}
-		for name, u := range m {
-			m[name] = members[u] // local → global switch ID
+		for p, u := range m {
+			m[p] = members[u] // local → global switch ID
 		}
 		results[r] = m
 	})
@@ -415,10 +412,13 @@ func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *
 			return nil, err
 		}
 	}
+	// The merged assignment is the name-keyed input of the reconcile and
+	// the materialization.
+	order := indexOf(g, rm).order
 	merged := make(map[string]network.SwitchID, g.NumNodes())
-	for _, m := range results {
-		for name, u := range m {
-			merged[name] = u
+	for r, m := range results {
+		for p, u := range m {
+			merged[order[cuts[r]+p]] = u
 		}
 	}
 	if len(merged) != g.NumNodes() {

@@ -199,16 +199,20 @@ func TestChunkTDGCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks, err := chunkTDG(g, part, program.DefaultResourceModel)
+	cuts, err := chunkTDG(g, part, program.DefaultResourceModel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(chunks) != 4 {
-		t.Fatalf("got %d chunks, want 4", len(chunks))
+	if len(cuts) != 5 {
+		t.Fatalf("got %d chunks, want 4", len(cuts)-1)
+	}
+	order, err := g.TopoSort()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var all []string
-	for _, c := range chunks {
-		all = append(all, c...)
+	for r := range 4 {
+		all = append(all, order[cuts[r]:cuts[r+1]]...)
 	}
 	if len(all) != g.NumNodes() {
 		t.Fatalf("chunks cover %d of %d nodes", len(all), g.NumNodes())
@@ -270,7 +274,11 @@ func TestRegionAssignMatchesSubgraphSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunks, err := chunkTDG(g, part, rm)
+		cuts, err := chunkTDG(g, part, rm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order, err := g.TopoSort()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +287,8 @@ func TestRegionAssignMatchesSubgraphSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		solved, regions := map[string]int{}, 0
-		for r, chunk := range chunks {
+		for r := range len(cuts) - 1 {
+			chunk := order[cuts[r]:cuts[r+1]]
 			if len(chunk) == 0 {
 				continue
 			}
@@ -309,7 +318,7 @@ func TestRegionAssignMatchesSubgraphSolve(t *testing.T) {
 				{"weighted", Options{Workers: 1, Traffic: restricted, TrafficObjective: TrafficWeightedMax}},
 			} {
 				where := fmt.Sprintf("composite:%d region %d %s", c.regions, r, v.name)
-				got, gerr := greedyAssign(g, chunk, topoR, v.opts, rm)
+				got, gerr := greedyAssign(g, cuts[r], cuts[r+1], topoR, v.opts, rm)
 				want, werr := Greedy{}.Solve(sub, topoR, v.opts)
 				if (gerr == nil) != (werr == nil) || (werr != nil && gerr.Error() != werr.Error()) {
 					t.Fatalf("%s: error %v, subgraph solve %v", where, gerr, werr)
@@ -317,7 +326,11 @@ func TestRegionAssignMatchesSubgraphSolve(t *testing.T) {
 				if werr != nil {
 					continue
 				}
-				if !reflect.DeepEqual(got, assignmentOf(want)) {
+				named := make(map[string]network.SwitchID, len(got))
+				for p, u := range got {
+					named[chunk[p]] = u
+				}
+				if !reflect.DeepEqual(named, assignmentOf(want)) {
 					t.Fatalf("%s: assignment differs from the subgraph solve", where)
 				}
 				solved[v.name]++

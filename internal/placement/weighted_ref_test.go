@@ -1,8 +1,7 @@
 // Map-based reference twins of the weighted scoring kernels in
 // weighted.go, in the style of ref.go: the property tests assert the
-// compiled kernels agree with these bit-for-bit, and cmd/hermes-bench
-// measures both sides for the BENCH_traffic.json baseline. Not called
-// on any solver hot path.
+// compiled kernels agree with these bit-for-bit. Tests are their only
+// callers.
 package placement
 
 import (

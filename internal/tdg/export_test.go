@@ -2,4 +2,4 @@ package tdg
 
 // SortUncached runs the topological sort without reading or filling the
 // cache, for the allocation ceiling and the sort benchmark.
-func (g *Graph) SortUncached() ([]string, error) { return g.topoSortUncached() }
+func (g *Graph) SortUncached() ([]int32, error) { return g.topoSortUncached() }

@@ -84,8 +84,9 @@ type Edge struct {
 	// From to To when they are placed on different switches. Filled in
 	// by the analyzer; zero until then (and always zero for R edges).
 	MetadataBytes int
-	// from and to are the endpoints' ids in the graph holding the edge.
-	from, to int32
+	// from and to are the endpoints' ids in the graph holding the edge;
+	// pos is the edge's position in its EdgeList.
+	from, to, pos int32
 }
 
 // Endpoints returns the ids of the edge's upstream and downstream
@@ -94,6 +95,12 @@ type Edge struct {
 // into a slice once can then index it per edge instead of hashing the
 // From and To names.
 func (e *Edge) Endpoints() (from, to int32) { return e.from, e.to }
+
+// Pos returns the edge's position in the EdgeList of the graph holding
+// it. A caller that gathers a node subset's edges from the adjacency
+// lists sorts them by Pos to put them back in EdgeList order without
+// walking the whole list.
+func (e *Edge) Pos() int32 { return e.pos }
 
 // Graph is a table dependency graph. The zero value is not usable; call
 // New.
@@ -125,8 +132,11 @@ type Graph struct {
 	// Mutations (AddNode/AddEdge) remain single-goroutine operations;
 	// only reads may run concurrently.
 	mu sync.Mutex
-	// topoCache memoizes TopoSort between mutations; topoErr holds the
-	// cycle error when the last sort failed.
+	// topoCache memoizes TopoSort between mutations, topoIDs the same
+	// order as node ids, and topoPos (built on the first TopoIndex call)
+	// each name's position; topoErr holds the cycle error when the last
+	// sort failed.
+	topoIDs   []int32
 	topoCache []string
 	topoPos   map[string]int
 	topoErr   error
@@ -289,6 +299,7 @@ func (g *Graph) AppendEdge(from, to int32, typ DepType, metadataBytes int) {
 // addEdge links e, whose id pair must be new, into the graph. The caller
 // invalidates derived results.
 func (g *Graph) addEdge(e *Edge) {
+	e.pos = int32(len(g.list))
 	g.edges[edgeKey(e.from, e.to)] = e
 	g.out[e.from] = appendCarved(&g.adjArena, g.out[e.from], e)
 	g.in[e.to] = appendCarved(&g.adjArena, g.in[e.to], e)
@@ -351,6 +362,16 @@ func (g *Graph) AppendSuccessors(dst []int, id int) []int {
 	}
 	return dst
 }
+
+// OutEdgesOf returns the edges leaving node id in insertion order,
+// without copying: OutEdgeList on a node id. Callers must not modify
+// the slice.
+func (g *Graph) OutEdgesOf(id int32) []*Edge { return g.out[id] }
+
+// InEdgesOf returns the edges entering node id in insertion order,
+// without copying: InEdgeList on a node id. Callers must not modify the
+// slice.
+func (g *Graph) InEdgesOf(id int32) []*Edge { return g.in[id] }
 
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
@@ -441,7 +462,7 @@ func (g *Graph) InEdges(name string) []*Edge {
 // (a must precede b) but do not forbid co-location; they participate in
 // sorting like the others.
 func (g *Graph) TopoSort() ([]string, error) {
-	cache, _, err := g.topoFill()
+	_, cache, err := g.topoFill()
 	if err != nil {
 		return nil, err
 	}
@@ -450,37 +471,55 @@ func (g *Graph) TopoSort() ([]string, error) {
 
 // topoFill computes the topo cache on first use (under the lock, so
 // concurrent readers race-freely share the lazy fill) and returns the
-// shared cache, position map, and cycle error.
-func (g *Graph) topoFill() ([]string, map[string]int, error) {
+// shared order as ids and as names, and the cycle error.
+func (g *Graph) topoFill() ([]int32, []string, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.topoValid {
-		order, err := g.topoSortUncached()
+		ids, err := g.topoSortUncached()
 		g.topoValid = true
 		g.derived.Store(true)
 		g.topoErr = err
-		if err != nil {
-			g.topoCache = nil
-			g.topoPos = nil
-		} else {
-			g.topoCache = order
-			g.topoPos = make(map[string]int, len(order))
-			for i, n := range order {
-				g.topoPos[n] = i
+		g.topoIDs, g.topoCache, g.topoPos = nil, nil, nil
+		if err == nil {
+			g.topoIDs = ids
+			g.topoCache = make([]string, len(ids))
+			for i, id := range ids {
+				g.topoCache[i] = g.names[id]
 			}
 		}
 	}
-	return g.topoCache, g.topoPos, g.topoErr
+	return g.topoIDs, g.topoCache, g.topoErr
 }
 
 // TopoIndex returns each node's position in the cached topological
-// order. The returned map is shared; callers must not modify it.
+// order, hashing every name on its first call after a mutation. The
+// returned map is shared; callers must not modify it.
 func (g *Graph) TopoIndex() (map[string]int, error) {
-	_, pos, err := g.topoFill()
+	_, order, err := g.topoFill()
 	if err != nil {
 		return nil, err
 	}
-	return pos, nil
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.topoPos == nil {
+		g.topoPos = make(map[string]int, len(order))
+		for i, name := range order {
+			g.topoPos[name] = i
+		}
+	}
+	return g.topoPos, nil
+}
+
+// TopoIDs returns the cached topological order as node ids: TopoSort
+// on ids, without the copy. The slice is shared; callers must not
+// modify it.
+func (g *Graph) TopoIDs() ([]int32, error) {
+	ids, _, err := g.topoFill()
+	if err != nil {
+		return nil, err
+	}
+	return ids, nil
 }
 
 // invalidateDerived drops every lazily-derived result (topo cache and
@@ -523,8 +562,9 @@ func (g *Graph) MemoSet(key string, val any) {
 // topoSortUncached is Kahn's algorithm with the ready set in a min-heap
 // of node ids, so the ready node inserted first always goes next. It
 // walks the out-edge slices directly and allocates only the
-// indegree/heap buffer and the result: O((V+E) log V) time.
-func (g *Graph) topoSortUncached() ([]string, error) {
+// indegree/heap buffer and the result, the order as node ids:
+// O((V+E) log V) time.
+func (g *Graph) topoSortUncached() ([]int32, error) {
 	n := len(g.nodes)
 	buf := make([]int32, 2*n)
 	indeg, ready := buf[:n], buf[n:n]
@@ -535,11 +575,11 @@ func (g *Graph) topoSortUncached() ([]string, error) {
 			ready = append(ready, int32(id))
 		}
 	}
-	out := make([]string, 0, n)
+	out := make([]int32, 0, n)
 	for len(ready) > 0 {
 		var u int32
 		u, ready = heapPop(ready)
-		out = append(out, g.names[u])
+		out = append(out, u)
 		for _, e := range g.out[u] {
 			indeg[e.to]--
 			if indeg[e.to] == 0 {

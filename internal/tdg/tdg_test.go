@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/fields"
@@ -457,6 +458,34 @@ func TestEdgeListAndTopoIndex(t *testing.T) {
 	}
 }
 
+// TestTopoCacheConcurrentReaders: goroutines that read a fresh graph's
+// topological order at once — as names, as ids and as the lazily built
+// position map — share one fill and agree (run under -race).
+func TestTopoCacheConcurrentReaders(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	g := chain(t, names, []int{1, 2, 3, 4, 5})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			order, err := g.TopoSort()
+			ids, ierr := g.TopoIDs()
+			pos, perr := g.TopoIndex()
+			if err != nil || ierr != nil || perr != nil || !slices.Equal(order, names) || len(ids) != len(names) {
+				t.Errorf("order %v (%v), ids %v (%v), index error %v", order, err, ids, ierr, perr)
+				return
+			}
+			for i, name := range order {
+				if pos[name] != i || g.NodeNames()[ids[i]] != name {
+					t.Errorf("position %d: index %d, id %d", i, pos[name], ids[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestUnsortedAdjacencyAccessors(t *testing.T) {
 	g := chain(t, []string{"a", "b", "c"}, []int{1, 2})
 	if len(g.OutEdgeList("a")) != 1 || len(g.InEdgeList("b")) != 1 {
@@ -561,8 +590,10 @@ func TestOriginAppendLeavesNeighboursIntact(t *testing.T) {
 }
 
 // TestEdgeEndpointsIndexNodeNames: an edge's endpoint ids are the
-// insertion indexes of its From and To nodes, in the graph holding it —
-// also in a Subgraph or Clone, whose ids are renumbered.
+// insertion indexes of its From and To nodes, and its Pos is its
+// EdgeList index, in the graph holding it — also in a Subgraph or
+// Clone, whose ids and positions are renumbered. OutEdgesOf and
+// InEdgesOf are OutEdgeList and InEdgeList on ids.
 func TestEdgeEndpointsIndexNodeNames(t *testing.T) {
 	g := chain(t, []string{"a", "b", "c", "d"}, []int{1, 2, 3})
 	if err := g.AddEdge("a", "d", DepAction, 4); err != nil {
@@ -574,10 +605,18 @@ func TestEdgeEndpointsIndexNodeNames(t *testing.T) {
 	}
 	for name, h := range map[string]*Graph{"graph": g, "subgraph": sub, "clone": g.Clone()} {
 		names := h.NodeNames()
-		for _, e := range h.EdgeList() {
+		for i, e := range h.EdgeList() {
 			from, to := e.Endpoints()
 			if names[from] != e.From || names[to] != e.To {
 				t.Errorf("%s: %s->%s has endpoints %d->%d, naming %s->%s", name, e.From, e.To, from, to, names[from], names[to])
+			}
+			if e.Pos() != int32(i) {
+				t.Errorf("%s: %s->%s is EdgeList[%d] but has Pos %d", name, e.From, e.To, i, e.Pos())
+			}
+		}
+		for id, n := range names {
+			if !slices.Equal(h.OutEdgesOf(int32(id)), h.OutEdgeList(n)) || !slices.Equal(h.InEdgesOf(int32(id)), h.InEdgeList(n)) {
+				t.Errorf("%s: node %d's id-keyed adjacency differs from %s's", name, id, n)
 			}
 		}
 	}

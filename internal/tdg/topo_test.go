@@ -92,6 +92,16 @@ func sameSort(t *testing.T, label string, g *tdg.Graph) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: order differs from the ready-scan reference", label)
 	}
+	ids, ierr := g.TopoIDs()
+	if (ierr == nil) != (gerr == nil) {
+		t.Fatalf("%s: TopoIDs error %v, TopoSort error %v", label, ierr, gerr)
+	}
+	names := g.NodeNames()
+	for i, id := range ids {
+		if names[id] != got[i] {
+			t.Fatalf("%s: TopoIDs[%d] names %q, TopoSort has %q", label, i, names[id], got[i])
+		}
+	}
 }
 
 // TestTopoSortMatchesReadyScanReference: the heap-ordered sort emits the
@@ -172,4 +182,4 @@ func BenchmarkTopoSort(b *testing.B) {
 	}
 }
 
-var sortSink []string
+var sortSink []int32
