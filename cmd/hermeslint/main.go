@@ -16,8 +16,9 @@
 //	       AMax, the *Ref twins, ...), graph materialization
 //	       (Subgraph, Edges, OutEdges, InEdges), a graph
 //	       lookup by MAT name (Node, OutEdgeList, InEdgeList,
-//	       TopoIndex) or name-keyed stage packing (FitsSwitch,
-//	       PackStages, packShared) — or a packet-engine
+//	       TopoIndex, ID) or name-keyed stage packing
+//	       (FitsSwitch, PackStages, packShared and the test-side
+//	       reference packOrderedRef) — or a packet-engine
 //	       compile (NewEngine, NewPipeline, NewReferenceEngine)
 //	       inside a loop tagged //hermes:hot: hot loops must
 //	       use the compiled and position-space kernels on node
@@ -491,9 +492,10 @@ func lintPoolFunc(fset *token.FileSet, fn *ast.FuncDecl) []vetFinding {
 // hotBanned is the name-keyed surface: the retained reference scoring
 // implementations, the Plan/TDG convenience accessors that allocate
 // maps or hash names per call, the TDG lookups by MAT name (their id
-// twins Endpoints, OutEdgesOf, InEdgesOf and TopoIDs are free), the TDG
-// calls that materialize a graph or a sorted edge slice, the
-// name-keyed stage packer, and the packet engines' constructors (each
+// twins Endpoints, OutEdgesOf, InEdgesOf and TopoIDs are free) and ID,
+// the name → node-id resolution itself, the TDG calls that materialize
+// a graph or a sorted edge slice, the name-keyed stage packer and its
+// test-side reference, and the packet engines' constructors (each
 // compiles a whole deployment or sorts a whole graph: build the pair
 // once per search, not per candidate packet), and the fields.Set
 // surface of Algorithm 1 (each call rebuilds a MAT's field sets as
@@ -527,9 +529,11 @@ var hotBanned = map[string]bool{
 	"Edges":              true,
 	"OutEdges":           true,
 	"InEdges":            true,
+	"ID":                 true,
 	"FitsSwitch":         true,
 	"PackStages":         true,
 	"packShared":         true,
+	"packOrderedRef":     true,
 	"NewEngine":          true,
 	"NewPipeline":        true,
 	"NewReferenceEngine": true,

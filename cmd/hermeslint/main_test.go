@@ -226,6 +226,45 @@ func bad(g *graph, s *sw, order []string) int {
 	}
 }
 
+func TestHotLoopFlagsNameResolutionAndNameKeyedPacker(t *testing.T) {
+	// Materialization and the anchor check pack on node ids: resolving a
+	// MAT name to its id, or packing through the name-keyed reference
+	// packer, inside a tagged loop is the per-MAT hashing they removed.
+	// One finding per call; the id loop itself is clean.
+	fs := lintSnippet(t, `
+type graph struct{}
+type sw struct{}
+func (g *graph) ID(name string) (int32, bool)               { return 0, true }
+func (g *graph) InEdgesOf(id int32) []int32                 { return nil }
+func packOrderedRef(g *graph, ordered []string, s *sw) int { return 0 }
+func bad(g *graph, s *sw, order []string, ids []int32) int {
+	n := 0
+	//hermes:hot
+	for k, name := range order {
+		id, _ := g.ID(name)
+		n += int(id) + packOrderedRef(g, order[:k], s)
+	}
+	//hermes:hot
+	for _, id := range ids {
+		n += len(g.InEdgesOf(id))
+	}
+	return n
+}
+`)
+	if got := rulesOf(fs); len(got) != 2 {
+		t.Fatalf("want 2 HV005 findings, got %v", fs)
+	}
+	for _, want := range []string{"g.ID()", "packOrderedRef()"} {
+		found := false
+		for _, f := range fs {
+			found = found || f.rule == "HV005" && strings.Contains(f.msg, want)
+		}
+		if !found {
+			t.Errorf("no HV005 finding names %s: %v", want, fs)
+		}
+	}
+}
+
 func TestHotLoopFlagsSortedEdgeWalk(t *testing.T) {
 	// The post-repair gates walk the graph's insertion-order edge list;
 	// a tagged loop ranging over a sorted Edges() copy is flagged even

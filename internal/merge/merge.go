@@ -280,6 +280,16 @@ var errCyclic = errors.New("merge: union of TDGs is cyclic")
 func (f *folder) resolve(base int32, unify bool) error {
 	f.undo = f.undo[:0]
 	next := base
+	// The same-name node, looked up by name once per input node before
+	// the fold (out does not change until commit); ids holds it, -1 when
+	// there is none, until the fold overwrites it.
+	for i, m := range f.in {
+		if id, ok := f.out.ID(m.Name); ok {
+			f.ids[i] = id
+		} else {
+			f.ids[i] = -1
+		}
+	}
 	//hermes:hot
 	for i, m := range f.in {
 		eq := int32(-1)
@@ -291,7 +301,8 @@ func (f *folder) resolve(base int32, unify bool) error {
 				}
 			}
 		}
-		name, named := f.out.ID(m.Name)
+		name := f.ids[i]
+		named := name >= 0
 		switch {
 		case named && (eq < 0 || name <= eq):
 			// The scan hits the same-name node first: it must be the

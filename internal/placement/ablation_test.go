@@ -61,11 +61,11 @@ func refinedSolve(g *tdg.Graph, topo *network.Topology, r refinements) (*Plan, e
 				return nil, err
 			}
 		}
-		named := make(map[string]network.SwitchID, len(order))
+		byID := make([]network.SwitchID, len(order))
 		for p, u := range assign {
-			named[order[p]] = u
+			byID[indexOf(g, rm).topo[p]] = u
 		}
-		return materializeAssignment(g, topo, named, rm)
+		return materializeAssignment(g, topo, byID, rm)
 	}
 	return nil, lastErr
 }

@@ -14,6 +14,7 @@ package placement
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -288,6 +289,20 @@ func (ci *CompiledInstance) DenseAssign(assign map[string]network.SwitchID) []in
 	return out
 }
 
+// idAssign moves a dense assignment onto the graph's node ids: the
+// form materialization packs, -1 for every MAT outside the instance or
+// unassigned.
+func (ci *CompiledInstance) idAssign(dense []int32) []network.SwitchID {
+	byID := make([]network.SwitchID, ci.Graph.NumNodes())
+	for id := range byID {
+		byID[id] = -1
+	}
+	for x, u := range dense {
+		byID[ci.ids[x]] = network.SwitchID(u)
+	}
+	return byID
+}
+
 // AssignMap decodes a dense assignment of a Compile instance back into
 // the boundary representation through Names, skipping unassigned MATs.
 func (ci *CompiledInstance) AssignMap(assign []int32) map[string]network.SwitchID {
@@ -304,12 +319,22 @@ func (ci *CompiledInstance) AssignMap(assign []int32) map[string]network.SwitchI
 // [src*S+dst] holds A(src,dst) in bytes. keys lists every cell that
 // ever held bytes, so scans touch O(pairs) cells, not S²; cells may
 // decay to zero and contribute nothing to A_max (floored at zero,
-// exactly like the map-based table).
+// exactly like the map-based table). A value histogram rides along
+// once a probe asks for it (counted, set by the first maxOver after a
+// fill and kept up by every Add until the next Reset): hist counts the
+// cells holding each positive value, bits marks the values whose count
+// is nonzero and sums the nonzero words of bits, so A_max and the
+// largest value below any bound are word scans away instead of a scan
+// of every pair. A table only filled and read once never builds it.
 type PairTable struct {
-	S      int32
-	Cells  []int32
-	keys   []int32
-	inKeys []bool
+	S       int32
+	Cells   []int32
+	keys    []int32
+	inKeys  []bool
+	counted bool
+	hist    []int32
+	bits    []uint64
+	sums    []uint64
 }
 
 // NewPairTable allocates an empty table sized for the instance.
@@ -324,6 +349,16 @@ func newPairTable(s int32) *PairTable {
 
 // Reset clears the table in O(touched cells).
 func (pt *PairTable) Reset() {
+	if pt.counted {
+		for _, k := range pt.keys {
+			if v := pt.Cells[k]; v > 0 {
+				pt.hist[v] = 0
+				pt.bits[v>>6] = 0
+				pt.sums[v>>12] = 0
+			}
+		}
+		pt.counted = false
+	}
 	for _, k := range pt.keys {
 		pt.Cells[k] = 0
 		pt.inKeys[k] = false
@@ -333,6 +368,16 @@ func (pt *PairTable) Reset() {
 
 // Add accumulates bytes into one cell, tracking first touch.
 func (pt *PairTable) Add(cell, bytes int32) {
+	old := pt.Cells[cell]
+	pt.addRaw(cell, bytes)
+	if pt.counted {
+		pt.count(old, -1)
+		pt.count(old+bytes, 1)
+	}
+}
+
+// addRaw is Add before the histogram is built: a fill's add.
+func (pt *PairTable) addRaw(cell, bytes int32) {
 	if !pt.inKeys[cell] {
 		pt.inKeys[cell] = true
 		pt.keys = append(pt.keys, cell)
@@ -340,17 +385,86 @@ func (pt *PairTable) Add(cell, bytes int32) {
 	pt.Cells[cell] += bytes
 }
 
+// countAll builds the histogram from the touched cells.
+func (pt *PairTable) countAll() {
+	pt.counted = true
+	//hermes:hot
+	for _, k := range pt.keys {
+		pt.count(pt.Cells[k], 1)
+	}
+}
+
+// count adds d to the histogram count of value v; values that are not
+// positive are not counted.
+func (pt *PairTable) count(v, d int32) {
+	if v <= 0 {
+		return
+	}
+	if int(v) >= len(pt.hist) {
+		pt.grow(v)
+	}
+	c := pt.hist[v] + d
+	pt.hist[v] = c
+	if (c > 0) == (c-d > 0) {
+		return
+	}
+	w := v >> 6
+	pt.bits[w] ^= 1 << (v & 63)
+	if c > 0 {
+		pt.sums[w>>6] |= 1 << (w & 63)
+	} else if pt.bits[w] == 0 {
+		pt.sums[w>>6] &^= 1 << (w & 63)
+	}
+}
+
+// grow widens the histogram to hold value v, in whole sums words.
+func (pt *PairTable) grow(v int32) {
+	n := max(2*len(pt.hist), (int(v)+1+4095)&^4095)
+	pt.hist = append(pt.hist, make([]int32, n-len(pt.hist))...)
+	pt.bits = append(pt.bits, make([]uint64, n/64-len(pt.bits))...)
+	pt.sums = append(pt.sums, make([]uint64, n/4096-len(pt.sums))...)
+}
+
+// atMost returns the largest value no greater than v whose histogram
+// bit is set, or 0 when there is none.
+func (pt *PairTable) atMost(v int) int {
+	if v >= len(pt.hist) {
+		v = len(pt.hist) - 1
+	}
+	if v <= 0 {
+		return 0
+	}
+	w := v >> 6
+	if m := pt.bits[w] & (^uint64(0) >> (63 - v&63)); m != 0 {
+		return w<<6 | (63 - bits.LeadingZeros64(m))
+	}
+	q := w >> 6
+	m := pt.sums[q] & (1<<(w&63) - 1)
+	for m == 0 {
+		if q == 0 {
+			return 0
+		}
+		q--
+		m = pt.sums[q]
+	}
+	w = q<<6 | (63 - bits.LeadingZeros64(m))
+	return w<<6 | (63 - bits.LeadingZeros64(pt.bits[w]))
+}
+
 // Keys returns the touched-cell list (read-only, unspecified order).
 func (pt *PairTable) Keys() []int32 { return pt.keys }
 
-// Max returns A_max = max over cells (Eq. 1), floored at zero.
+// Max returns A_max = max over cells (Eq. 1), floored at zero: the
+// histogram's largest value, or a scan of the pairs before a probe has
+// built it.
 func (pt *PairTable) Max() int {
+	if pt.counted {
+		return pt.atMost(len(pt.hist) - 1)
+	}
 	m := int32(0)
 	//hermes:hot
 	for _, k := range pt.keys {
-		if pt.Cells[k] > m {
-			m = pt.Cells[k]
-		}
+		m = max(m, pt.Cells[k])
 	}
 	return int(m)
 }
@@ -368,7 +482,7 @@ func (ci *CompiledInstance) FillPairTable(assign []int32, pt *PairTable) int {
 		if ua < 0 || ub < 0 || ua == ub {
 			continue
 		}
-		pt.Add(ua*pt.S+ub, ci.EdgeBytes[ei])
+		pt.addRaw(ua*pt.S+ub, ci.EdgeBytes[ei])
 		total += int(ci.EdgeBytes[ei])
 	}
 	return total
@@ -382,11 +496,20 @@ func (ci *CompiledInstance) AssignmentAMax(assign []int32, pt *PairTable) int {
 }
 
 // MoveScratch is caller-owned scratch for move/place evaluation: a
-// sparse delta overlay in the same flat cell space as PairTable.
+// sparse delta overlay in the same flat cell space as PairTable, and
+// the peer fold of the MAT last gathered — the distinct switches
+// hosting its assigned TDG peers (hosts, in first-seen order) and, per
+// switch, the bytes and edge counts it sends there (out) and receives
+// from there (in). One gather is one pass over the MAT's incident
+// edges; every overlay of that MAT then costs O(peer hosts).
 type MoveScratch struct {
 	delta  []int32
 	keys   []int32
 	inKeys []bool
+
+	hosts     []int32
+	outB, inB []int64
+	outN, inN []int32
 }
 
 // NewMoveScratch allocates scratch sized for the instance.
@@ -396,7 +519,11 @@ func (ci *CompiledInstance) NewMoveScratch() *MoveScratch {
 
 func newMoveScratch(s int32) *MoveScratch {
 	n := int(s) * int(s)
-	return &MoveScratch{delta: make([]int32, n), inKeys: make([]bool, n)}
+	return &MoveScratch{
+		delta: make([]int32, n), inKeys: make([]bool, n),
+		outB: make([]int64, s), inB: make([]int64, s),
+		outN: make([]int32, s), inN: make([]int32, s),
+	}
 }
 
 func (ms *MoveScratch) reset() {
@@ -405,6 +532,14 @@ func (ms *MoveScratch) reset() {
 		ms.inKeys[k] = false
 	}
 	ms.keys = ms.keys[:0]
+}
+
+// clearFold zeroes the per-host sums of the last gather.
+func (ms *MoveScratch) clearFold() {
+	for _, h := range ms.hosts {
+		ms.outB[h], ms.inB[h], ms.outN[h], ms.inN[h] = 0, 0, 0, 0
+	}
+	ms.hosts = ms.hosts[:0]
 }
 
 func (ms *MoveScratch) add(cell, bytes int32) {
@@ -416,73 +551,137 @@ func (ms *MoveScratch) add(cell, bytes int32) {
 }
 
 // maxOver folds the delta overlay onto the pair table and returns the
-// resulting A_max without mutating either.
+// resulting A_max. The touched cells give their new values; the
+// untouched cells' maximum is the histogram's top unless the overlay
+// touches every cell holding it, and then the next value down, found
+// by hiding the touched cells' current values from the histogram,
+// scanning down and restoring them. Neither the table nor the overlay
+// is left changed, and the cost follows the overlay, not the pairs.
 func (ms *MoveScratch) maxOver(pt *PairTable) int {
-	m := int32(0)
+	if !pt.counted {
+		pt.countAll()
+	}
+	top := int32(pt.Max())
+	m, onTop := int32(0), int32(0)
 	//hermes:hot
-	for _, k := range pt.keys {
-		v := pt.Cells[k] + ms.delta[k]
-		if v > m {
-			m = v
+	for _, k := range ms.keys {
+		c := pt.Cells[k]
+		m = max(m, c+ms.delta[k])
+		if c == top {
+			onTop++
 		}
+	}
+	if m >= top || onTop < pt.hist[top] {
+		return int(max(m, top))
 	}
 	//hermes:hot
 	for _, k := range ms.keys {
-		if !pt.inKeys[k] && ms.delta[k] > m {
-			m = ms.delta[k]
+		if v := pt.Cells[k]; v > 0 {
+			pt.hist[v]--
 		}
 	}
-	return int(m)
-}
-
-// foldMove fills the overlay with the pair-cell change of moving MAT x
-// to switch c, everything else fixed, and returns the change in total
-// cross bytes. Every MAT incident to x must be assigned. This and
-// foldPlace are the move and place folds every score and commit reads.
-func (ms *MoveScratch) foldMove(ci *CompiledInstance, assign []int32, x, c int32) int {
-	ms.reset()
-	d := 0
-	old := assign[x]
-	s := ci.S
+	rest := int(top)
+	for rest > 0 && pt.hist[rest] == 0 {
+		rest = pt.atMost(rest - 1)
+	}
 	//hermes:hot
-	for _, ei := range ci.Incident[x] {
-		var peer, oldCell, newCell int32
-		if ci.EdgeFrom[ei] == x {
-			peer = assign[ci.EdgeTo[ei]]
-			oldCell = old*s + peer
-			newCell = c*s + peer
-		} else {
-			peer = assign[ci.EdgeFrom[ei]]
-			oldCell = peer*s + old
-			newCell = peer*s + c
-		}
-		b := ci.EdgeBytes[ei]
-		if peer != old {
-			ms.add(oldCell, -b)
-			d -= int(b)
-		}
-		if peer != c {
-			ms.add(newCell, b)
-			d += int(b)
+	for _, k := range ms.keys {
+		if v := pt.Cells[k]; v > 0 {
+			pt.hist[v]++
 		}
 	}
-	return d
+	return max(int(m), rest)
 }
 
-// foldPlace fills the overlay with the pair cells that placing MAT x
-// on switch u adds. Edges to still-unassigned peers contribute nothing,
-// matching the repair pass's incremental scoring; assign[x] is not read.
-func (ms *MoveScratch) foldPlace(ci *CompiledInstance, assign []int32, x, u int32) {
-	ms.reset()
-	s := ci.S
+// gather folds MAT x's incident edges into the peer fold, one pass:
+// per switch hosting an assigned peer, the bytes and edge counts of
+// x's edges to and from it. Unassigned peers are skipped; assign[x] is
+// not read (a TDG has no self-edges), so the fold holds wherever x sits.
+// It returns the edges visited.
+func (ms *MoveScratch) gather(ci *CompiledInstance, assign []int32, x int32) int {
+	ms.clearFold()
+	hosts := ms.hosts
 	//hermes:hot
 	for _, ei := range ci.Incident[x] {
+		b := int64(ci.EdgeBytes[ei])
 		if ci.EdgeFrom[ei] == x {
-			if peer := assign[ci.EdgeTo[ei]]; peer >= 0 && peer != u {
-				ms.add(u*s+peer, ci.EdgeBytes[ei])
+			h := assign[ci.EdgeTo[ei]]
+			if h < 0 {
+				continue
 			}
-		} else if peer := assign[ci.EdgeFrom[ei]]; peer >= 0 && peer != u {
-			ms.add(peer*s+u, ci.EdgeBytes[ei])
+			if ms.outN[h] == 0 && ms.inN[h] == 0 {
+				hosts = append(hosts, h)
+			}
+			ms.outB[h] += b
+			ms.outN[h]++
+		} else {
+			h := assign[ci.EdgeFrom[ei]]
+			if h < 0 {
+				continue
+			}
+			if ms.outN[h] == 0 && ms.inN[h] == 0 {
+				hosts = append(hosts, h)
+			}
+			ms.inB[h] += b
+			ms.inN[h]++
+		}
+	}
+	ms.hosts = hosts
+	return len(ci.Incident[x])
+}
+
+// overlayMove fills the overlay with the pair-cell change of moving the
+// gathered MAT from switch old to switch c, everything else fixed, and
+// returns the change in total cross bytes: per peer host p, the bytes x
+// sends to p leave cell (old,p) unless p is old and enter (c,p) unless p
+// is c, and likewise for the bytes it receives. A cell enters the
+// overlay exactly when some edge crosses it, so the overlay is
+// foldMove's cell for cell (compile_test.go holds them equal).
+func (ms *MoveScratch) overlayMove(s, old, c int32) int {
+	ms.reset()
+	d := int64(0)
+	//hermes:hot
+	for _, p := range ms.hosts {
+		if ms.outN[p] > 0 {
+			b := ms.outB[p]
+			if p != old {
+				ms.add(old*s+p, int32(-b))
+				d -= b
+			}
+			if p != c {
+				ms.add(c*s+p, int32(b))
+				d += b
+			}
+		}
+		if ms.inN[p] > 0 {
+			b := ms.inB[p]
+			if p != old {
+				ms.add(p*s+old, int32(-b))
+				d -= b
+			}
+			if p != c {
+				ms.add(p*s+c, int32(b))
+				d += b
+			}
+		}
+	}
+	return int(d)
+}
+
+// overlayPlace fills the overlay with the pair cells that placing the
+// gathered (unassigned) MAT on switch u adds: foldPlace's cells.
+func (ms *MoveScratch) overlayPlace(s, u int32) {
+	ms.reset()
+	//hermes:hot
+	for _, p := range ms.hosts {
+		if p == u {
+			continue
+		}
+		if ms.outN[p] > 0 {
+			ms.add(u*s+p, int32(ms.outB[p]))
+		}
+		if ms.inN[p] > 0 {
+			ms.add(p*s+u, int32(ms.inB[p]))
 		}
 	}
 }
@@ -497,52 +696,42 @@ func (pt *PairTable) apply(ms *MoveScratch) {
 
 // MoveScore computes the absolute (A_max, total cross bytes) of the
 // assignment with MAT x moved to switch c and everything else fixed,
-// without mutating the assignment or the table: the compiled twin of
-// MoveScoreRef. It leaves the move's overlay in ms, where weightedOver
-// reads the weighted score. Requires every MAT incident to x to be
-// assigned; total is the current total cross bytes matching (assign,
-// pt). O(deg(x) + pairs).
+// leaving the assignment and the table as they were: the compiled twin
+// of MoveScoreRef. It leaves x's peer fold and the move's overlay in
+// ms, where weightedOver reads the weighted score. Requires every MAT
+// incident to x to be assigned; total is the current total cross bytes
+// matching (assign, pt). O(deg(x) + overlay).
 func (ci *CompiledInstance) MoveScore(assign []int32, pt *PairTable, ms *MoveScratch, x, c int32, total int) (int, int) {
-	cross := total + ms.foldMove(ci, assign, x, c)
+	ms.gather(ci, assign, x)
+	cross := total + ms.overlayMove(ci.S, assign[x], c)
 	return ms.maxOver(pt), cross
-}
-
-// ApplyMove commits MAT x to switch c, folding the move into the pair
-// table and dense assignment, and returns the new total cross bytes.
-// It re-folds through ms: the overlay MoveScore left may since have
-// served as another probe's scratch.
-func (ci *CompiledInstance) ApplyMove(assign []int32, pt *PairTable, ms *MoveScratch, x, c int32, total int) int {
-	total += ms.foldMove(ci, assign, x, c)
-	pt.apply(ms)
-	assign[x] = c
-	return total
 }
 
 // PlaceScore computes the A_max that results from placing the
 // currently-unassigned MAT x on switch u, everything else fixed: the
-// compiled twin of PlaceScoreRef. It leaves the placement's overlay in
-// ms, where weightedOver reads the weighted score.
+// compiled twin of PlaceScoreRef. Edges to still-unassigned peers
+// contribute nothing. It leaves x's peer fold and the placement's
+// overlay in ms, where weightedOver reads the weighted score.
 func (ci *CompiledInstance) PlaceScore(assign []int32, pt *PairTable, ms *MoveScratch, x, u int32) int {
-	ms.foldPlace(ci, assign, x, u)
+	ms.gather(ci, assign, x)
+	ms.overlayPlace(ci.S, u)
 	return ms.maxOver(pt)
 }
 
-// ApplyPlace folds the placement of MAT x on switch u into the pair
-// table. The caller updates assign[x] itself (the repair pass sets it
-// before its acyclicity probe).
-func (ci *CompiledInstance) ApplyPlace(assign []int32, pt *PairTable, ms *MoveScratch, x, u int32) {
-	ms.foldPlace(ci, assign, x, u)
-	pt.apply(ms)
-}
-
-// CycleScratch holds the reusable buffers of the contracted-switch-
-// graph acyclicity check.
+// CycleScratch is the contracted switch graph of one (possibly
+// partial) dense assignment, kept up to date move by move so constraint
+// Eq. 7 at switch granularity is checked incrementally: mult counts the
+// TDG edges behind each contracted edge u→v (u ≠ v, both endpoints
+// assigned), succ lists each switch's successors (mult > 0, in no
+// order), and seen/stack are the reachability probe's scratch.
 type CycleScratch struct {
-	adj     []int32 // S×S distinct-edge presence, reset via touched
-	touched []int32
-	indeg   []int32
-	present []bool
-	ready   []network.SwitchID
+	s     int32
+	mult  []int32
+	succ  [][]int32
+	seen  []int32
+	gen   int32
+	stack []int32
+	indeg []int32
 }
 
 // NewCycleScratch allocates scratch sized for the instance.
@@ -553,82 +742,160 @@ func (ci *CompiledInstance) NewCycleScratch() *CycleScratch {
 func newCycleScratch(s int32) *CycleScratch {
 	n := int(s)
 	return &CycleScratch{
-		adj:     make([]int32, n*n),
-		indeg:   make([]int32, n),
-		present: make([]bool, n),
-		ready:   make([]network.SwitchID, 0, n),
+		s:     s,
+		mult:  make([]int32, n*n),
+		succ:  make([][]int32, n),
+		seen:  make([]int32, n),
+		indeg: make([]int32, n),
 	}
 }
 
-// reset clears the adjacency cells the last check set, in O(touched).
+// reset empties the graph in O(contracted edges).
 func (cs *CycleScratch) reset() {
-	for _, c := range cs.touched {
-		cs.adj[c] = 0
+	for u, vs := range cs.succ {
+		for _, v := range vs {
+			cs.mult[int32(u)*cs.s+v] = 0
+		}
+		cs.succ[u] = vs[:0]
 	}
-	cs.touched = cs.touched[:0]
 }
 
-// AssignmentAcyclic reports whether the contracted switch graph of a
-// (possibly partial) dense assignment is a DAG (constraint Eq. 7 at
-// switch granularity): the compiled twin of the map-based Kahn check
-// in assignmentAcyclic. Allocation-free given caller-owned scratch.
-func (ci *CompiledInstance) AssignmentAcyclic(assign []int32, cs *CycleScratch) bool {
-	s := ci.S
+// fill rebuilds the graph from a dense assignment.
+func (cs *CycleScratch) fill(ci *CompiledInstance, assign []int32) {
 	cs.reset()
-	for u := int32(0); u < s; u++ {
-		cs.indeg[u] = 0
-		cs.present[u] = false
-	}
-	nodes := 0
-	//hermes:hot
-	for _, u := range assign {
-		if u >= 0 && !cs.present[u] {
-			cs.present[u] = true
-			nodes++
-		}
-	}
-	// The touched list works through a local in the edge loop (one
-	// entry per distinct cross pair, amortized like the rest of the
-	// scratch) and is written back for the next call's reset.
-	touched := cs.touched
 	//hermes:hot
 	for ei := range ci.EdgeFrom {
 		ua := assign[ci.EdgeFrom[ei]]
 		ub := assign[ci.EdgeTo[ei]]
-		if ua < 0 || ub < 0 || ua == ub {
+		if ua >= 0 && ub >= 0 && ua != ub {
+			cs.inc(ua, ub, 1)
+		}
+	}
+}
+
+// inc adds n edges to u→v and reports whether the contracted edge is
+// new.
+func (cs *CycleScratch) inc(u, v, n int32) bool {
+	c := &cs.mult[u*cs.s+v]
+	*c += n
+	if *c != n {
+		return false
+	}
+	cs.succ[u] = append(cs.succ[u], v)
+	return true
+}
+
+// dec removes n edges from u→v, dropping the contracted edge with its
+// last TDG edge.
+func (cs *CycleScratch) dec(u, v, n int32) {
+	c := &cs.mult[u*cs.s+v]
+	if *c -= n; *c == 0 {
+		vs := cs.succ[u]
+		i := slices.Index(vs, v)
+		vs[i] = vs[len(vs)-1]
+		cs.succ[u] = vs[:len(vs)-1]
+	}
+}
+
+// adds reports whether moving or placing the MAT gathered in ms onto
+// switch c creates a contracted edge the graph lacks: a move creates
+// edges only at c.
+func (cs *CycleScratch) adds(ms *MoveScratch, c int32) bool {
+	s := cs.s
+	//hermes:hot
+	for _, p := range ms.hosts {
+		if p == c {
 			continue
 		}
-		cell := ua*s + ub
-		if cs.adj[cell] == 0 {
-			cs.adj[cell] = 1
-			touched = append(touched, cell)
-			cs.indeg[ub]++
+		if ms.outN[p] > 0 && cs.mult[c*s+p] == 0 || ms.inN[p] > 0 && cs.mult[p*s+c] == 0 {
+			return true
 		}
 	}
-	cs.touched = touched
-	ready := cs.ready[:0]
-	for u := int32(0); u < s; u++ {
-		if cs.present[u] && cs.indeg[u] == 0 {
-			ready = append(ready, network.SwitchID(u))
-		}
-	}
-	count := 0
-	for len(ready) > 0 {
-		u := int32(ready[len(ready)-1])
-		ready = ready[:len(ready)-1]
-		count++
-		row := cs.adj[u*s : (u+1)*s]
-		for v, present := range row {
-			if present != 0 {
-				cs.indeg[v]--
-				if cs.indeg[v] == 0 {
-					ready = append(ready, network.SwitchID(v))
-				}
+	return false
+}
+
+// retarget moves the contracted edges of the MAT gathered in ms from
+// switch old to switch c (either may be -1: a placement or its undo).
+// Edges are added before any is removed, so a contracted edge that
+// both gains and loses TDG edges never transiently disappears.
+func (cs *CycleScratch) retarget(ms *MoveScratch, old, c int32) {
+	//hermes:hot
+	for _, p := range ms.hosts {
+		if c >= 0 && p != c {
+			if n := ms.outN[p]; n > 0 {
+				cs.inc(c, p, n)
+			}
+			if n := ms.inN[p]; n > 0 {
+				cs.inc(p, c, n)
 			}
 		}
 	}
-	cs.ready = ready[:0]
-	return count == nodes
+	//hermes:hot
+	for _, p := range ms.hosts {
+		if old >= 0 && p != old {
+			if n := ms.outN[p]; n > 0 {
+				cs.dec(old, p, n)
+			}
+			if n := ms.inN[p]; n > 0 {
+				cs.dec(p, old, n)
+			}
+		}
+	}
+}
+
+// onCycle reports whether switch c reaches itself. When the graph was
+// acyclic before edges at c were added, every new cycle runs through c,
+// so this is the whole acyclicity verdict.
+func (cs *CycleScratch) onCycle(c int32) bool {
+	cs.gen++
+	stack := append(cs.stack[:0], cs.succ[c]...)
+	found := false
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if u == c {
+			found = true
+			break
+		}
+		if cs.seen[u] == cs.gen {
+			continue
+		}
+		cs.seen[u] = cs.gen
+		stack = append(stack, cs.succ[u]...)
+	}
+	cs.stack = stack[:0]
+	return found
+}
+
+// acyclic is Kahn's check over the whole graph: the verdict when
+// nothing is known about it beforehand.
+func (cs *CycleScratch) acyclic() bool {
+	clear(cs.indeg)
+	edges := 0
+	for _, vs := range cs.succ {
+		edges += len(vs)
+		for _, v := range vs {
+			cs.indeg[v]++
+		}
+	}
+	ready := cs.stack[:0]
+	for u, d := range cs.indeg {
+		if d == 0 {
+			ready = append(ready, int32(u))
+		}
+	}
+	for len(ready) > 0 {
+		u := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		for _, v := range cs.succ[u] {
+			edges--
+			if cs.indeg[v]--; cs.indeg[v] == 0 {
+				ready = append(ready, v)
+			}
+		}
+	}
+	cs.stack = ready[:0]
+	return edges == 0
 }
 
 // AssignmentLatency sums shortest-path latency over the distinct

@@ -102,9 +102,14 @@ func checkKernelsAgainstRefs(t *testing.T, rng *rand.Rand, ci *CompiledInstance,
 		t.Fatalf("A_max: compiled %d, ref %d", got, want)
 	}
 
-	// Acyclicity.
-	if got, want := ci.AssignmentAcyclic(dense, cyc), assignmentAcyclic(g, assign); got != want {
-		t.Fatalf("acyclicity: compiled %v, ref %v", got, want)
+	// Acyclicity: Kahn on dense ids and the contracted-graph check.
+	want := assignmentAcyclic(g, assign)
+	if got := kahnAcyclic(ci, dense); got != want {
+		t.Fatalf("acyclicity: dense Kahn %v, ref %v", got, want)
+	}
+	cyc.fill(ci, dense)
+	if got := cyc.acyclic(); got != want {
+		t.Fatalf("acyclicity: contracted graph %v, ref %v", got, want)
 	}
 
 	// ε1 latency sum.
@@ -326,13 +331,24 @@ func TestKernelScratchRecycledClean(t *testing.T) {
 				s := int32(2 + rng.Intn(60))
 				n := int(s) * int(s)
 				ks := takeScratch(s)
-				if ks.pt.S != s || len(ks.pt.Cells) != n || len(ks.ms.delta) != n || len(ks.cyc.adj) != n || len(ks.cyc.indeg) != int(s) {
+				if ks.pt.S != s || len(ks.pt.Cells) != n || len(ks.ms.delta) != n || len(ks.ms.outB) != int(s) ||
+					ks.cyc.s != s || len(ks.cyc.mult) != n || len(ks.cyc.succ) != int(s) || len(ks.cyc.seen) != int(s) {
 					t.Errorf("scratch for S=%d has the wrong shape", s)
 					return
 				}
 				for c := 0; c < n; c++ {
-					if ks.pt.Cells[c] != 0 || ks.pt.inKeys[c] || ks.ms.delta[c] != 0 || ks.ms.inKeys[c] || ks.cyc.adj[c] != 0 {
+					if ks.pt.Cells[c] != 0 || ks.pt.inKeys[c] || ks.ms.delta[c] != 0 || ks.ms.inKeys[c] || ks.cyc.mult[c] != 0 {
 						t.Errorf("recycled scratch for S=%d is dirty at cell %d", s, c)
+						return
+					}
+				}
+				if ks.pt.Max() != 0 || len(ks.ms.hosts) != 0 || slices.ContainsFunc(ks.cyc.succ, func(vs []int32) bool { return len(vs) > 0 }) {
+					t.Errorf("recycled scratch for S=%d keeps a histogram value, a peer fold or a contracted edge", s)
+					return
+				}
+				for h := int32(0); h < s; h++ {
+					if ks.ms.outB[h] != 0 || ks.ms.inB[h] != 0 || ks.ms.outN[h] != 0 || ks.ms.inN[h] != 0 {
+						t.Errorf("recycled scratch for S=%d has a dirty peer fold at switch %d", s, h)
 						return
 					}
 				}
@@ -340,9 +356,14 @@ func TestKernelScratchRecycledClean(t *testing.T) {
 					c := int32(rng.Intn(n))
 					ks.pt.Add(c, 3)
 					ks.ms.add(c, 2)
-					if ks.cyc.adj[c] == 0 {
-						ks.cyc.adj[c] = 1
-						ks.cyc.touched = append(ks.cyc.touched, c)
+					h := int32(rng.Intn(int(s)))
+					if ks.ms.outN[h] == 0 && ks.ms.inN[h] == 0 {
+						ks.ms.hosts = append(ks.ms.hosts, h)
+					}
+					ks.ms.outB[h]++
+					ks.ms.outN[h]++
+					if u, v := c/s, c%s; u != v {
+						ks.cyc.inc(u, v, 1)
 					}
 				}
 				putScratch(ks)

@@ -316,7 +316,7 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 		return nil, fmt.Errorf("placement: no feasible deployment exists")
 	}
 
-	plan, err := materializeAssignment(g, topo, ci.AssignMap(st.bestSet), rm)
+	plan, err := materializeAssignment(g, topo, ci.idAssign(st.bestSet), rm)
 	if err != nil {
 		return nil, err
 	}

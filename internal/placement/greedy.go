@@ -40,11 +40,12 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 	if err != nil {
 		return nil, err
 	}
-	named := make(map[string]network.SwitchID, len(order))
+	topoIDs := indexOf(g, rm).topo
+	byID := make([]network.SwitchID, len(order))
 	for p, u := range assign {
-		named[order[p]] = u
+		byID[topoIDs[p]] = u
 	}
-	plan, err := materializeAssignment(g, topo, named, rm)
+	plan, err := materializeAssignment(g, topo, byID, rm)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +160,7 @@ func polish(g *tdg.Graph, lo int, topo *network.Topology, assign []network.Switc
 func placeWithRefinement(g *tdg.Graph, topo *network.Topology, sp *splitScratch, segments []segment, opts Options, rm program.ResourceModel) ([]network.SwitchID, error) {
 	const maxRefinements = 64
 	for attempt := 0; attempt < maxRefinements; attempt++ {
-		assign, splitIdx, err := placeSegments(g, topo, sp.order, segments, opts, rm)
+		assign, splitIdx, err := placeSegments(topo, sp, segments, opts)
 		if err == nil {
 			return assign, nil
 		}
@@ -191,7 +192,9 @@ type segment struct{ lo, hi int }
 
 // splitScratch is Alg. 2's working state in position space (index into
 // order): requirements, in/out edges by position, and the stage-packing
-// scratch of one reference switch. It is single-goroutine scratch.
+// scratch of one reference switch. The fits scratch (end, used, steps)
+// is single-goroutine; the position arrays are immutable once built, and
+// the concurrent anchor checks (tryAssign) read them.
 type splitScratch struct {
 	order    []string // the range of g's topological order
 	capacity float64  // C_stage·C_res of the reference switch
@@ -433,12 +436,12 @@ func (sp *splitScratch) capacitySplit() ([]segment, error) {
 //
 // Anchors are evaluated concurrently in waves of opts.Workers: each
 // anchor's candidate chain and packing attempt is independent
-// (read-only against the shared graph, order, segments, oracle, and pack
-// memo — never the single-goroutine splitScratch), and the wave results
+// (read-only against the segments, the oracle and the split scratch's
+// position arrays — never its fits scratch), and the wave results
 // are merged in anchor order — first success wins, and
 // the error/splitIdx bookkeeping matches the sequential loop exactly.
 // A wave bounds the work wasted past the first successful anchor.
-func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segments []segment, opts Options, rm program.ResourceModel) ([]network.SwitchID, int, error) {
+func placeSegments(topo *network.Topology, sp *splitScratch, segments []segment, opts Options) ([]network.SwitchID, int, error) {
 	prog := topo.ProgrammableSwitches()
 	eps2 := opts.epsilon2(len(prog))
 	if len(segments) > eps2 {
@@ -485,7 +488,7 @@ func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segment
 					u, len(cands), len(segments))}
 				return
 			}
-			splitIdx, err := tryAssign(g, topo, order, segments, cands, rm)
+			splitIdx, err := tryAssign(topo, sp, segments, cands)
 			results[i] = anchorResult{cands: cands, splitIdx: splitIdx, err: err}
 		})
 		for i := base; i < end; i++ {
@@ -494,7 +497,7 @@ func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segment
 				return nil, -1, r.err
 			}
 			if r.err == nil {
-				assign := make([]network.SwitchID, len(order))
+				assign := make([]network.SwitchID, len(sp.order))
 				for k, seg := range segments {
 					for p := seg.lo; p < seg.hi; p++ {
 						assign[p] = r.cands[k]
@@ -514,17 +517,47 @@ func placeSegments(g *tdg.Graph, topo *network.Topology, order []string, segment
 	return nil, lastSplit, lastErr
 }
 
-// tryAssign checks that segment i packs onto candidate switch i. The
-// candidates all come from NearestProgrammable, so every pair of them
-// routes and the assignment needs no route check.
-func tryAssign(g *tdg.Graph, topo *network.Topology, order []string, segments []segment, cands []network.SwitchID, rm program.ResourceModel) (int, error) {
+// tryAssign checks that segment i packs onto candidate switch i, by
+// position: a segment is a range of the topological order, so a
+// predecessor is in it when its position is, and every MAT is packed
+// with stagePlacement — PackStages' verdict and error text, without
+// names, keys or maps. sp is only read, so anchors run it concurrently.
+// The candidates all come from NearestProgrammable, so every pair of
+// them routes and the assignment needs no route check.
+func tryAssign(topo *network.Topology, sp *splitScratch, segments []segment, cands []network.SwitchID) (int, error) {
+	longest := 0
+	for _, seg := range segments {
+		longest = max(longest, seg.hi-seg.lo)
+	}
+	end := make([]int32, longest)
+	var used, arena []float64
 	for i, seg := range segments {
 		sw, err := topo.Switch(cands[i])
 		if err != nil {
 			return -1, err
 		}
-		if _, err := packShared(g, order[seg.lo:seg.hi], sw, rm); err != nil {
-			return i, fmt.Errorf("placement: segment %d on switch %q: %w", i, sw.Name, err)
+		if !sw.Programmable {
+			return i, fmt.Errorf("placement: segment %d on switch %q: placement: switch %q is not programmable", i, sw.Name, sw.Name)
+		}
+		if cap(used) < sw.Stages {
+			used = make([]float64, sw.Stages)
+		}
+		used = used[:sw.Stages]
+		clear(used)
+		//hermes:hot
+		for k := seg.lo; k < seg.hi; k++ {
+			earliest := 0
+			for _, p := range sp.in[k] {
+				if int(p.pos) >= seg.lo && int(end[int(p.pos)-seg.lo])+1 > earliest {
+					earliest = int(end[int(p.pos)-seg.lo]) + 1
+				}
+			}
+			placed, err := stagePlacement(used, sw, sp.order[k], sp.req[k], earliest, &arena)
+			if err != nil {
+				return i, fmt.Errorf("placement: segment %d on switch %q: %w", i, sw.Name, err)
+			}
+			end[k-seg.lo] = int32(placed.End)
+			arena = arena[:0]
 		}
 	}
 	return -1, nil

@@ -238,7 +238,11 @@ func (s ILP) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan, e
 			}
 			continue
 		}
-		plan, err := materializeAssignment(g, topo, assign, rm)
+		byID, err := assignIDs(g, assign)
+		if err != nil {
+			return nil, err
+		}
+		plan, err := materializeAssignment(g, topo, byID, rm)
 		if err == nil {
 			plan.SolverName = s.Name()
 			plan.SolveTime = time.Since(start)

@@ -34,7 +34,13 @@ type repairInstance struct {
 	pt        *PairTable
 	wt        *WeightTable // nil off the traffic-weighted objectives
 	ms        *MoveScratch
-	cyc       *CycleScratch
+	// cyc is the contracted switch graph of assign, kept move by move;
+	// acyclic records that it is a DAG, which every accepted move keeps.
+	cyc     *CycleScratch
+	acyclic bool
+	// load is each switch's summed resident requirement: the capacity
+	// precheck before packs.
+	load []float64
 	// packs scratch: a MAT is in the set being packed when its stamp
 	// equals gen, and end then holds the last stage it uses.
 	gen   int32
@@ -42,6 +48,10 @@ type repairInstance struct {
 	end   []int32
 	used  []float64
 	steps int // packStep calls, flushed by Options.countPackSteps
+	// scored counts the candidates scored and folded the cells the
+	// folds visit (incident edges gathered, peer hosts overlaid), both
+	// flushed by Options.countClimb.
+	scored, folded int
 }
 
 // newRepairInstance builds the instance on recycled dense scratch; the
@@ -51,6 +61,7 @@ func newRepairInstance(ci *CompiledInstance, sws []*network.Switch, cands, assig
 	in := &repairInstance{
 		ci: ci, sws: sws, cands: cands, assign: assign, wt: wt,
 		residents: make([][]int32, len(sws)),
+		load:      make([]float64, len(sws)),
 		pt:        ks.pt,
 		ms:        ks.ms,
 		cyc:       ks.cyc,
@@ -60,6 +71,7 @@ func newRepairInstance(ci *CompiledInstance, sws []*network.Switch, cands, assig
 	for x, h := range assign {
 		if h >= 0 {
 			in.residents[h] = append(in.residents[h], int32(x))
+			in.load[h] += ci.Req[x]
 		}
 	}
 	stages := 0
@@ -78,7 +90,9 @@ func (in *repairInstance) release() {
 	in.pt, in.ms, in.cyc = nil, nil, nil
 }
 
-// kernelScratch is the S²-sized scratch one repair instance scores on.
+// kernelScratch is the S²-sized scratch one repair instance scores on:
+// the pair table with its value histogram, the move overlay with its
+// peer fold, and the incremental contracted switch graph.
 type kernelScratch struct {
 	pt  *PairTable
 	ms  *MoveScratch
@@ -126,7 +140,8 @@ func takeScratch(s int32) kernelScratch {
 	pt, ms, cyc := ks.pt, ks.ms, ks.cyc
 	pt.S, pt.Cells, pt.inKeys = s, pt.Cells[:n], pt.inKeys[:n]
 	ms.delta, ms.inKeys = ms.delta[:n], ms.inKeys[:n]
-	cyc.adj, cyc.indeg, cyc.present = cyc.adj[:n], cyc.indeg[:s], cyc.present[:s]
+	ms.outB, ms.inB, ms.outN, ms.inN = ms.outB[:s], ms.inB[:s], ms.outN[:s], ms.inN[:s]
+	cyc.s, cyc.mult, cyc.succ, cyc.seen, cyc.indeg = s, cyc.mult[:n], cyc.succ[:s], cyc.seen[:s], cyc.indeg[:s]
 	return ks
 }
 
@@ -138,6 +153,7 @@ func putScratch(ks kernelScratch) {
 	}
 	ks.pt.Reset()
 	ks.ms.reset()
+	ks.ms.clearFold()
 	ks.cyc.reset()
 	scratchFree.Lock()
 	defer scratchFree.Unlock()
@@ -188,6 +204,21 @@ func (in *repairInstance) packs(h, add, drop int32) bool {
 	return add < 0 || in.packOne(add, used, sw.StageCapacity)
 }
 
+// loadFits is packs' capacity-sum precheck for MAT x joining switch h.
+// It is false only when the residents' requirement plus x's exceeds the
+// switch's stage capacity by more than packing's per-MAT tolerance and
+// any rounding in the running sums could explain — a set packs would
+// refuse too — so it decides nothing packs would decide otherwise.
+func (in *repairInstance) loadFits(h, x int32) bool {
+	sw := in.sws[h]
+	capacity := 0.0
+	if sw.Programmable {
+		capacity = float64(sw.Stages) * sw.StageCapacity
+	}
+	margin := 1e-6*(1+capacity) + 1e-9*float64(len(in.residents[h])+1)
+	return in.load[h]+in.ci.Req[x] <= capacity+margin
+}
+
 // packOne packs MAT x after the set members already packed this
 // generation and stamps it into the set.
 func (in *repairInstance) packOne(x int32, used []float64, stageCap float64) bool {
@@ -212,7 +243,9 @@ func (in *repairInstance) settle(x, from, to int32) {
 		l := in.residents[from]
 		i := slices.Index(l, x)
 		in.residents[from] = slices.Delete(l, i, i+1)
+		in.load[from] -= in.ci.Req[x]
 	}
+	in.load[to] += in.ci.Req[x]
 	pos, l := in.ci.TopoPos, in.residents[to]
 	at := len(l)
 	for at > 0 && pos[l[at-1]] > pos[x] {
@@ -221,17 +254,50 @@ func (in *repairInstance) settle(x, from, to int32) {
 	in.residents[to] = slices.Insert(l, at, x)
 }
 
+// syncGraph rebuilds the contracted switch graph from assign and
+// records whether it is a DAG.
+func (in *repairInstance) syncGraph() {
+	in.cyc.fill(in.ci, in.assign)
+	in.acyclic = in.cyc.acyclic()
+}
+
+// acyclicWith reports whether the contracted switch graph stays a DAG
+// once the MAT gathered in ms moves from switch old to switch c (old <
+// 0: is placed on c), leaving the graph as it was. From a DAG, a move
+// that creates no contracted edge keeps it one, and any other move
+// breaks it exactly when c then reaches itself, since every new edge
+// has c as an endpoint; from a cyclic graph (a seed no check has passed yet) the
+// whole graph is checked.
+func (in *repairInstance) acyclicWith(old, c int32) bool {
+	cyc, ms := in.cyc, in.ms
+	if in.acyclic && !cyc.adds(ms, c) {
+		return true
+	}
+	cyc.retarget(ms, old, c)
+	var ok bool
+	if in.acyclic {
+		ok = !cyc.onCycle(c)
+	} else {
+		ok = cyc.acyclic()
+	}
+	cyc.retarget(ms, c, old)
+	return ok
+}
+
 // place lands the unassigned MATs xs, given in TDG topological order,
 // one at a time on the feasible candidate minimizing (W, A_max, switch
 // ID) against the already-assigned neighbors — W the weighted objective
-// under a traffic matrix, zero otherwise. Each candidate is scored
-// allocation-free from PlaceScore's one fold, which the weighted score
+// under a traffic matrix, zero otherwise. Each MAT's incident edges are
+// gathered once; each candidate is scored allocation-free from the
+// placement overlay built from that fold, which the weighted score
 // reads too; feasibility is stage packing on the gaining switch plus
 // acyclicity of the contracted switch graph.
 func (in *repairInstance) place(xs []int32, opts Options) error {
 	defer opts.countPackSteps(&in.steps)
-	ci := in.ci
+	defer opts.countClimb(&in.scored, &in.folded)
+	ci, ms := in.ci, in.ms
 	ci.FillPairTable(in.assign, in.pt)
+	in.syncGraph()
 	var curSum int64
 	if in.wt != nil {
 		curSum, _ = in.wt.Score(in.pt)
@@ -257,11 +323,15 @@ func (in *repairInstance) place(xs []int32, opts Options) error {
 			return fmt.Errorf("deadline expired or replan canceled during repair placement")
 		}
 		scores = scores[:0]
+		in.folded += ms.gather(ci, in.assign, x)
 		//hermes:hot
 		for _, h := range in.cands {
-			c := scored{h: h, amax: ci.PlaceScore(in.assign, in.pt, in.ms, x, h)}
+			ms.overlayPlace(ci.S, h)
+			in.scored++
+			in.folded += len(ms.hosts)
+			c := scored{h: h, amax: ms.maxOver(in.pt)}
 			if in.wt != nil {
-				c.w = opts.TrafficObjective.pick(in.ms.weightedOver(in.pt, in.wt, curSum))
+				c.w = opts.TrafficObjective.pick(ms.weightedOver(in.pt, in.wt, curSum))
 			}
 			scores = append(scores, c)
 		}
@@ -278,16 +348,16 @@ func (in *repairInstance) place(xs []int32, opts Options) error {
 			}
 			h := scores[best].h
 			scores[best].h = -1 // tried
-			if !in.packs(h, x, -1) {
+			if !in.loadFits(h, x) || !in.packs(h, x, -1) || !in.acyclicWith(-1, h) {
 				continue
 			}
 			in.assign[x] = h
-			if !ci.AssignmentAcyclic(in.assign, in.cyc) {
-				in.assign[x] = -1
-				continue
-			}
 			in.settle(x, -1, h)
-			ci.ApplyPlace(in.assign, in.pt, in.ms, x, h)
+			ms.overlayPlace(ci.S, h)
+			in.folded += len(ms.hosts)
+			in.pt.apply(ms)
+			in.cyc.retarget(ms, -1, h)
+			in.acyclic = true
 			if in.wt != nil {
 				curSum, _ = in.wt.Score(in.pt)
 			}
@@ -308,25 +378,25 @@ type infeasibleError string
 
 func (e infeasibleError) Error() string { return string(e) }
 
-// admits reports whether moving MAT x to switch to keeps every
-// constraint: both touched switches pack (Eq. 8–9), the contracted
+// admits reports whether moving MAT x, gathered in the move scratch,
+// to switch to keeps every constraint: both touched switches pack
+// (Eq. 8–9; the gaining one's capacity sum first), the contracted
 // switch graph stays acyclic (Eq. 7) and, when ε1 is set, the summed
 // latency over the instance's communicating pairs stays within it
-// (Eq. 4). The score scratch doubles as the latency probe's seen-set —
-// the scores it held were returned by value.
+// (Eq. 4). The overlay doubles as the latency probe's seen-set — the
+// scores it held were returned by value; the peer fold is untouched.
 func (in *repairInstance) admits(x, to int32, opts Options) bool {
 	from := in.assign[x]
-	if !in.packs(from, -1, x) || !in.packs(to, x, -1) {
+	if !in.loadFits(to, x) || !in.packs(from, -1, x) || !in.packs(to, x, -1) || !in.acyclicWith(from, to) {
 		return false
 	}
-	in.assign[x] = to
-	ok := in.ci.AssignmentAcyclic(in.assign, in.cyc)
-	if ok && opts.Epsilon1 > 0 {
-		lat, connected := in.ci.AssignmentLatency(in.assign, in.ms)
-		ok = connected && lat <= opts.Epsilon1
+	if opts.Epsilon1 <= 0 {
+		return true
 	}
+	in.assign[x] = to
+	lat, connected := in.ci.AssignmentLatency(in.assign, in.ms)
 	in.assign[x] = from
-	return ok
+	return connected && lat <= opts.Epsilon1
 }
 
 // targetRule picks the switches climb tries moving a dirty MAT to.
@@ -351,17 +421,20 @@ const (
 // at AMaxSlack × that optimum — so the refined plan's worst pair stays
 // within the slack of the plan an unweighted solve would ship
 // (DESIGN.md §13). A move's score is the absolute state "MAT on that
-// switch, everything else fixed", computed allocation-free in
-// O(deg + pairs) from MoveScore's one fold, which the weighted phase
-// reads too; the climb is serial, so every Options.Workers yields the
-// same plan. dirty is ascending in MAT index. Each phase runs at most
+// switch, everything else fixed", computed allocation-free: a visit
+// gathers the MAT's incident edges once into per-peer-host sums, and
+// each target's overlay is built from those hosts and its A_max read
+// off the pair table's histogram, so a candidate costs O(peer hosts),
+// not O(deg + pairs); the weighted phase reads the same overlay. The
+// climb is serial, so every Options.Workers yields the same plan. dirty is ascending in MAT index. Each phase runs at most
 // maxPasses passes over dirty, so the plan it reaches depends on the
 // instance alone; Options.Deadline and cancellation cut it short,
 // polled through a counter-gated clock read.
 // It returns the passes run and the moves accepted.
 func (in *repairInstance) climb(opts Options, dirty []int32, rule targetRule) (passes, moves int) {
 	defer opts.countPackSteps(&in.steps)
-	ci := in.ci
+	defer opts.countClimb(&in.scored, &in.folded)
+	ci, ms := in.ci, in.ms
 	var occupied, peers []int32
 	if rule == occupiedTargets {
 		occupied = make([]int32, 0, len(in.cands))
@@ -372,6 +445,7 @@ func (in *repairInstance) climb(opts Options, dirty []int32, rule targetRule) (p
 		}
 	}
 	total := ci.FillPairTable(in.assign, in.pt)
+	in.syncGraph()
 	bestA := in.pt.Max()
 	poll := newDeadlinePoller(opts.Deadline, 32).withCancel(opts.done())
 
@@ -397,9 +471,10 @@ func (in *repairInstance) climb(opts Options, dirty []int32, rule targetRule) (p
 					return passes, moves
 				}
 				cur := in.assign[x]
+				in.folded += ms.gather(ci, in.assign, x)
 				targets := occupied
 				if rule == peerTargets {
-					peers = in.peerHosts(x, peers[:0])
+					peers = in.peerHosts(peers[:0])
 					targets = peers
 				}
 				//hermes:hot
@@ -407,7 +482,10 @@ func (in *repairInstance) climb(opts Options, dirty []int32, rule targetRule) (p
 					if h == cur {
 						continue
 					}
-					a, cross := ci.MoveScore(in.assign, in.pt, in.ms, x, h, total)
+					in.scored++
+					in.folded += len(ms.hosts)
+					cross := total + ms.overlayMove(ci.S, cur, h)
+					a := ms.maxOver(in.pt)
 					worse := a > bestA || (a == bestA && cross >= total)
 					var w, ws int64
 					if weighted {
@@ -415,14 +493,20 @@ func (in *repairInstance) climb(opts Options, dirty []int32, rule targetRule) (p
 							continue
 						}
 						var wm int64
-						ws, wm = in.ms.weightedOver(in.pt, in.wt, curSum)
+						ws, wm = ms.weightedOver(in.pt, in.wt, curSum)
 						w = opts.TrafficObjective.pick(ws, wm)
 						worse = w > bestW || (w == bestW && worse)
 					}
 					if worse || !in.admits(x, h, opts) {
 						continue
 					}
-					total = ci.ApplyMove(in.assign, in.pt, in.ms, x, h, total)
+					// Re-overlay: the latency probe may have used the overlay.
+					in.folded += len(ms.hosts)
+					total += ms.overlayMove(ci.S, cur, h)
+					in.pt.apply(ms)
+					in.cyc.retarget(ms, cur, h)
+					in.acyclic = true
+					in.assign[x] = h
 					in.settle(x, cur, h)
 					bestA, bestW, curSum = a, w, ws
 					cur = h
@@ -438,21 +522,12 @@ func (in *repairInstance) climb(opts Options, dirty []int32, rule targetRule) (p
 	return passes, moves
 }
 
-// peerHosts appends to buf the switches hosting MAT x's TDG peers,
-// ascending and deduplicated.
-func (in *repairInstance) peerHosts(x int32, buf []int32) []int32 {
-	ci := in.ci
-	for _, ei := range ci.Incident[x] {
-		peer := ci.EdgeTo[ei]
-		if peer == x {
-			peer = ci.EdgeFrom[ei]
-		}
-		if h := in.assign[peer]; h >= 0 {
-			buf = append(buf, h)
-		}
-	}
+// peerHosts appends to buf the switches hosting the gathered MAT's TDG
+// peers, ascending: the peer fold's host list, sorted.
+func (in *repairInstance) peerHosts(buf []int32) []int32 {
+	buf = append(buf, in.ms.hosts...)
 	slices.Sort(buf)
-	return slices.Compact(buf)
+	return buf
 }
 
 // deadlinePoller amortizes deadline checks over hot loops: Expired

@@ -79,8 +79,8 @@ func PackStages(g *tdg.Graph, names []string, sw *network.Switch, rm program.Res
 // returned map aliases the memo entry and must be treated as read-only
 // (the StagePlacement values and their PerStage slices are shared
 // exactly as PackStages shares them). Internal callers that only read
-// the result — FitsSwitch, candidate evaluation, materialization — use
-// this path to keep the memo hit allocation-free.
+// the result — FitsSwitch, candidate evaluation — use this path to keep
+// the memo hit allocation-free.
 func packShared(g *tdg.Graph, names []string, sw *network.Switch, rm program.ResourceModel) (map[string]StagePlacement, error) {
 	if sw == nil {
 		return nil, fmt.Errorf("placement: pack on nil switch")
@@ -119,65 +119,82 @@ func packShared(g *tdg.Graph, names []string, sw *network.Switch, rm program.Res
 		ent := v.(packMemoEntry)
 		return ent.out, ent.err
 	}
-	out, err := packOrdered(g, ordered, sw, rm)
+	out, err := packSet(g, gi, ids, sw)
 	g.MemoSet(key, packMemoEntry{out: out, err: err})
 	return out, err
 }
 
-// packOrdered is the uncached packing pass over an already
-// topo-ordered MAT list.
-func packOrdered(g *tdg.Graph, ordered []string, sw *network.Switch, rm program.ResourceModel) (map[string]StagePlacement, error) {
+// packSet packs the MAT set ids, node ids in topological order, onto a
+// programmable switch. A predecessor counts when it is in the set,
+// found by binary search on topological position.
+func packSet(g *tdg.Graph, gi *graphIndex, ids []int32, sw *network.Switch) (map[string]StagePlacement, error) {
 	used := make([]float64, sw.Stages)
-	out := make(map[string]StagePlacement, len(ordered))
-	const tol = 1e-9
-
-	for _, name := range ordered {
-		node, _ := g.Node(name)
-		req := rm.Requirement(node.MAT)
+	ends := make([]int32, len(ids))
+	arena := make([]float64, 0, len(ids))
+	out := make(map[string]StagePlacement, len(ids))
+	byPos := func(id, pos int32) int { return cmp.Compare(gi.pos[id], pos) }
+	for i, id := range ids {
 		earliest := 0
-		for _, e := range g.InEdgeList(name) {
-			if pred, ok := out[e.From]; ok && pred.End+1 > earliest {
-				earliest = pred.End + 1
+		for _, e := range g.InEdgesOf(id) {
+			from, _ := e.Endpoints()
+			if j, in := slices.BinarySearchFunc(ids[:i], gi.pos[from], byPos); in && int(ends[j])+1 > earliest {
+				earliest = int(ends[j]) + 1
 			}
 		}
-		if earliest >= sw.Stages {
-			return nil, fmt.Errorf("placement: MAT %q needs stage >= %d but switch %q has %d stages",
-				name, earliest, sw.Name, sw.Stages)
+		sp, err := stagePlacement(used, sw, gi.names[id], gi.req[id], earliest, &arena)
+		if err != nil {
+			return nil, err
 		}
-		// Spread req across stages from earliest on.
-		var perStage []float64
-		start, end := -1, -1
-		rem := req
-		for s := earliest; s < sw.Stages && rem > tol; s++ {
-			avail := sw.StageCapacity - used[s]
-			if avail <= tol {
-				if start >= 0 {
-					perStage = append(perStage, 0)
-				}
-				continue
-			}
-			chunk := avail
-			if rem < chunk {
-				chunk = rem
-			}
-			if start < 0 {
-				start = s
-			}
-			end = s
-			perStage = append(perStage, chunk)
-			used[s] += chunk
-			rem -= chunk
-		}
-		if rem > tol {
-			return nil, fmt.Errorf("placement: MAT %q (R=%g) does not fit on switch %q from stage %d",
-				name, req, sw.Name, earliest)
-		}
-		// Trim trailing zero padding (from skipped-full stages after the
-		// last chunk).
-		perStage = perStage[:end-start+1]
-		out[name] = StagePlacement{Switch: sw.ID, Start: start, End: end, PerStage: perStage}
+		ends[i] = int32(sp.End)
+		out[gi.names[id]] = sp
 	}
 	return out, nil
+}
+
+// stagePlacement places one MAT of requirement req on sw no earlier
+// than stage earliest, charging used: packStep's arithmetic, recording
+// the chunk it charges per stage from the first stage used on (a zero
+// for each full stage skipped past that one) in a PerStage carved from
+// arena. It is the per-MAT step of every materialization, of PackStages
+// and of Alg. 2's anchor check, and its errors name the MAT and the
+// switch.
+func stagePlacement(used []float64, sw *network.Switch, name string, req float64, earliest int, arena *[]float64) (StagePlacement, error) {
+	const tol = 1e-9
+	if earliest >= sw.Stages {
+		return StagePlacement{}, fmt.Errorf("placement: MAT %q needs stage >= %d but switch %q has %d stages",
+			name, earliest, sw.Name, sw.Stages)
+	}
+	buf := *arena
+	base := len(buf)
+	start, end := -1, -1
+	rem := req
+	for s := earliest; s < sw.Stages && rem > tol; s++ {
+		avail := sw.StageCapacity - used[s]
+		if avail <= tol {
+			if start >= 0 {
+				buf = append(buf, 0)
+			}
+			continue
+		}
+		chunk := min(avail, rem)
+		if start < 0 {
+			start = s
+		}
+		end = s
+		buf = append(buf, chunk)
+		used[s] += chunk
+		rem -= chunk
+	}
+	if rem > tol {
+		*arena = buf[:base]
+		return StagePlacement{}, fmt.Errorf("placement: MAT %q (R=%g) does not fit on switch %q from stage %d",
+			name, req, sw.Name, earliest)
+	}
+	// Trim trailing zero padding (from skipped-full stages after the
+	// last chunk).
+	k := base + end - start + 1
+	*arena = buf[:k]
+	return StagePlacement{Switch: sw.ID, Start: start, End: end, PerStage: buf[base:k:k]}, nil
 }
 
 // FitsSwitch reports whether the named MATs can be packed on the switch
@@ -187,7 +204,7 @@ func FitsSwitch(g *tdg.Graph, names []string, sw *network.Switch, rm program.Res
 	return err == nil
 }
 
-// packStep is packOrdered's per-MAT arithmetic on a bare occupancy row:
+// packStep is stagePlacement's arithmetic on a bare occupancy row:
 // spread one requirement over the stages from earliest on, skipping full
 // stages, and return the last stage used (-1 when the requirement is
 // within tolerance of zero and no stage is touched). It is the one
@@ -242,10 +259,10 @@ func (sp *splitScratch) fits(lo, hi int) bool {
 	return true
 }
 
-// materializeAssignment packs a switch-level assignment into stages and
-// adds routes.
-func materializeAssignment(g *tdg.Graph, topo *network.Topology, assign map[string]network.SwitchID, rm program.ResourceModel) (*Plan, error) {
-	plan, err := packAssignment(g, topo, assign, rm)
+// materializeAssignment packs a switch-level assignment, indexed by
+// node id, into stages and adds routes.
+func materializeAssignment(g *tdg.Graph, topo *network.Topology, byID []network.SwitchID, rm program.ResourceModel) (*Plan, error) {
+	plan, err := packAssignment(g, topo, byID, rm)
 	if err != nil {
 		return nil, err
 	}
@@ -255,31 +272,100 @@ func materializeAssignment(g *tdg.Graph, topo *network.Topology, assign map[stri
 	return plan, nil
 }
 
-// packAssignment is materializeAssignment minus the routes: per-switch
-// stage packing of a complete MAT→switch assignment. The regional
-// replan splits the two so it can reuse the pre-drain plan's routes
-// instead of re-running shortest paths for every surviving pair.
-func packAssignment(g *tdg.Graph, topo *network.Topology, assign map[string]network.SwitchID, rm program.ResourceModel) (*Plan, error) {
-	plan := &Plan{
-		Graph:       g,
-		Topo:        topo,
-		Assignments: map[string]StagePlacement{},
+// assignIDs moves a name-keyed assignment onto g's node ids, -1 where a
+// MAT is unassigned: the name boundary of the callers that hold one.
+func assignIDs(g *tdg.Graph, assign map[string]network.SwitchID) ([]network.SwitchID, error) {
+	byID := make([]network.SwitchID, g.NumNodes())
+	for id := range byID {
+		byID[id] = -1
 	}
-	bySwitch := map[network.SwitchID][]string{}
 	for name, u := range assign {
-		bySwitch[u] = append(bySwitch[u], name)
+		id, ok := g.ID(name)
+		if !ok {
+			return nil, fmt.Errorf("placement: materializing assignment: placement: pack of unknown MAT %q", name)
+		}
+		byID[id] = u
 	}
-	for u, names := range bySwitch {
-		sw, err := topo.Switch(u)
+	return byID, nil
+}
+
+// packAssignment is materializeAssignment minus the routes: per-switch
+// stage packing of a MAT→switch assignment indexed by node id (-1: not
+// placed). The regional replan splits the two so it can reuse the
+// pre-drain plan's routes instead of re-running shortest paths for
+// every surviving pair. The ids are bucketed per switch in topological
+// order by one counting sort, each switch is packed in ascending ID
+// order with a predecessor's last stage read by id, and each placement
+// is written into Plan.Assignments once: no name is resolved and no
+// per-switch map is built.
+func packAssignment(g *tdg.Graph, topo *network.Topology, byID []network.SwitchID, rm program.ResourceModel) (*Plan, error) {
+	if _, err := g.TopoIDs(); err != nil {
+		return nil, fmt.Errorf("placement: materializing assignment: placement: %w", err)
+	}
+	gi := indexOf(g, rm)
+	ns := topo.NumSwitches()
+	next := make([]int32, ns+1)
+	placed := 0
+	for _, u := range byID {
+		if u < 0 {
+			continue
+		}
+		if int(u) >= ns {
+			_, err := topo.Switch(u)
+			return nil, err
+		}
+		next[u+1]++
+		placed++
+	}
+	for u := 0; u < ns; u++ {
+		next[u+1] += next[u]
+	}
+	bucket := make([]int32, placed)
+	//hermes:hot
+	for _, id := range gi.topo {
+		if u := byID[id]; u >= 0 {
+			bucket[next[u]] = id
+			next[u]++
+		}
+	}
+	// next[u] is now where switch u's bucket ends, and u+1's starts.
+	plan := &Plan{Graph: g, Topo: topo, Assignments: make(map[string]StagePlacement, placed)}
+	ends := make([]int32, len(byID))
+	arena := make([]float64, 0, placed+placed/2)
+	var used []float64
+	lo := int32(0)
+	for u := 0; u < ns; u++ {
+		ids := bucket[lo:next[u]]
+		lo = next[u]
+		if len(ids) == 0 {
+			continue
+		}
+		sw, err := topo.Switch(network.SwitchID(u))
 		if err != nil {
 			return nil, err
 		}
-		placed, err := packShared(g, names, sw, rm)
-		if err != nil {
-			return nil, fmt.Errorf("placement: materializing assignment: %w", err)
+		if !sw.Programmable {
+			return nil, fmt.Errorf("placement: materializing assignment: placement: switch %q is not programmable", sw.Name)
 		}
-		for name, sp := range placed {
-			plan.Assignments[name] = sp
+		if cap(used) < sw.Stages {
+			used = make([]float64, sw.Stages)
+		}
+		used = used[:sw.Stages]
+		clear(used)
+		//hermes:hot
+		for _, id := range ids {
+			earliest := 0
+			for _, e := range g.InEdgesOf(id) {
+				if from, _ := e.Endpoints(); byID[from] == sw.ID && int(ends[from])+1 > earliest {
+					earliest = int(ends[from]) + 1
+				}
+			}
+			sp, err := stagePlacement(used, sw, gi.names[id], gi.req[id], earliest, &arena)
+			if err != nil {
+				return nil, fmt.Errorf("placement: materializing assignment: %w", err)
+			}
+			ends[id] = int32(sp.End)
+			plan.Assignments[gi.names[id]] = sp
 		}
 	}
 	return plan, nil

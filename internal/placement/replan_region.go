@@ -66,7 +66,11 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 	if len(displaced) == 0 {
 		// Nothing hosted there: the old assignment is the repair. Routes
 		// may still change, so re-materialize and gate.
-		plan, err := materializeRepair(g, topo, assignmentOf(old), rm, old, ropts)
+		byID, err := assignIDs(g, assignmentOf(old))
+		if err != nil {
+			return nil, 0, err
+		}
+		plan, err := materializeRepair(g, topo, byID, rm, old, ropts)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -171,7 +175,11 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 		return nil, len(dirty), fmt.Errorf("repair left a cyclic contracted switch graph")
 	}
 
-	plan, err := materializeRepair(g, topo, assign, rm, old, ropts)
+	byID, err := assignIDs(g, assign)
+	if err != nil {
+		return nil, len(dirty), err
+	}
+	plan, err := materializeRepair(g, topo, byID, rm, old, ropts)
 	if err != nil {
 		return nil, len(dirty), err
 	}
@@ -190,11 +198,11 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 		if oldA := old.AMax(); oldA > 0 && float64(plan.AMax()) > ratio*float64(oldA) {
 			exStart := time.Now()
 			var st ShardStats
-			exErr := reconcile(g, topo, part, assign, ropts.Options, rm, &st)
+			exErr := reconcile(g, topo, part, byID, ropts.Options, rm, &st)
 			rep.Phases.Exchange = time.Since(exStart)
 			if exErr == nil && st.Moves > 0 {
 				rep.ExchangeRounds, rep.ExchangeMoves = st.Rounds, st.Moves
-				if plan2, mErr := materializeRepair(g, topo, assign, rm, old, ropts); mErr == nil {
+				if plan2, mErr := materializeRepair(g, topo, byID, rm, old, ropts); mErr == nil {
 					plan = plan2
 				}
 			}
@@ -203,8 +211,8 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 	return finishRepairTimed(plan, old, ropts, len(dirty), rep)
 }
 
-// materializeRepair packs the merged assignment and fills in routes,
-// reusing the pre-drain plan's routes when they are provably still
+// materializeRepair packs the merged assignment, indexed by node id,
+// and fills in routes, reusing the pre-drain plan's routes when they are provably still
 // valid: the replan ran against a clone of the old plan's own topology
 // (no ReplanOptions.Topology override) and neither side carries a fault
 // overlay, so the link graph and transit latencies routing depends on
@@ -214,12 +222,12 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 // query against the old topology, whose SSSP cache is already warm from
 // the base solve. Any condition outside that window falls back to the
 // full route recompute.
-func materializeRepair(g *tdg.Graph, topo *network.Topology, assign map[string]network.SwitchID,
+func materializeRepair(g *tdg.Graph, topo *network.Topology, byID []network.SwitchID,
 	rm program.ResourceModel, old *Plan, ropts ReplanOptions) (*Plan, error) {
 	if ropts.Topology != nil || len(old.Routes) == 0 || old.Topo.HasFaults() || topo.HasFaults() {
-		return materializeAssignment(g, topo, assign, rm)
+		return materializeAssignment(g, topo, byID, rm)
 	}
-	plan, err := packAssignment(g, topo, assign, rm)
+	plan, err := packAssignment(g, topo, byID, rm)
 	if err != nil {
 		return nil, err
 	}

@@ -149,28 +149,22 @@ func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Opt
 	return plan, st, nil
 }
 
-// reconcile runs the one climb over a merged assignment, mutating it in
-// place: the cold sharded solve's step 4 and a partitioned repair's
-// escalation. The instance is compacted onto the switches assign uses
-// (hostInstance), so its tables are U²-sized even at 10k switches, and
-// every used host is a candidate. The dirty set is every MAT on a TDG
+// reconcile runs the one climb over a merged assignment, indexed by node
+// id, mutating it in place: the cold sharded solve's step 4 and a
+// partitioned repair's escalation. The instance is compacted onto the
+// switches assign uses (hostInstance), so its tables are U²-sized even
+// at 10k switches, and every used host is a candidate. The dirty set is every MAT on a TDG
 // edge whose endpoints sit in different regions or on a host pair at
 // A_max; each is tried next to its TDG peers. ε1 is left to the
 // finished plan's check: a merge past it can only get under through
 // the moves. The climb's pass cap bounds the work, so the plan does
 // not depend on host speed.
 func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
-	assign map[string]network.SwitchID, opts Options, rm program.ResourceModel, st *ShardStats) error {
+	assign []network.SwitchID, opts Options, rm program.ResourceModel, st *ShardStats) error {
 
-	used := map[network.SwitchID]bool{}
-	for _, u := range assign {
-		used[u] = true
-	}
-	hosts := make([]network.SwitchID, 0, len(used))
-	for u := range used {
-		hosts = append(hosts, u)
-	}
+	hosts := slices.Clone(assign)
 	slices.Sort(hosts)
+	hosts = slices.Compact(hosts)
 	gi := indexOf(g, rm)
 	ci, hostIdx, sws, err := hostInstance(g, gi, topo, hosts, gi.byName)
 	if err != nil {
@@ -186,10 +180,9 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 		}
 		wt = NewWeightTable(rates, int32(topo.NumSwitches())).Compact(hosts)
 	}
-	// assign is the name-keyed boundary of both callers.
 	dense := make([]int32, len(gi.byName))
 	for x, id := range gi.byName {
-		dense[x] = hostIdx[assign[gi.names[id]]]
+		dense[x] = hostIdx[assign[id]]
 	}
 	cands := make([]int32, len(hosts))
 	for i := range cands {
@@ -225,7 +218,7 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	st.Rounds, st.Moves = in.climb(copts, xs, peerTargets)
 	st.AMaxAfter = in.pt.Max()
 	for x, id := range gi.byName {
-		assign[gi.names[id]] = hosts[dense[x]]
+		assign[id] = hosts[dense[x]]
 	}
 	return nil
 }
@@ -359,9 +352,9 @@ func chunkTDG(g *tdg.Graph, part *network.Partition, rm program.ResourceModel) (
 // Regions solve concurrently under Options.Workers; every inner solve
 // runs with Workers=1, so no nested parallelism arises and the
 // per-region assignment is identical to a serial solve (the regression
-// test asserts both). The returned assignment maps every MAT to a
-// global switch ID.
-func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *network.Partition, cuts []int, opts Options) (map[string]network.SwitchID, error) {
+// test asserts both). The returned assignment maps every MAT, by node
+// id, to a global switch ID.
+func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *network.Partition, cuts []int, opts Options) ([]network.SwitchID, error) {
 	k := part.NumRegions()
 	results := make([][]network.SwitchID, k)
 	errs := make([]error, k)
@@ -412,17 +405,19 @@ func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *
 			return nil, err
 		}
 	}
-	// The merged assignment is the name-keyed input of the reconcile and
-	// the materialization.
-	order := indexOf(g, rm).order
-	merged := make(map[string]network.SwitchID, g.NumNodes())
+	// The merged assignment is the input of the reconcile and the
+	// materialization.
+	topoIDs := indexOf(g, rm).topo
+	merged := make([]network.SwitchID, g.NumNodes())
+	covered := 0
 	for r, m := range results {
 		for p, u := range m {
-			merged[order[cuts[r]+p]] = u
+			merged[topoIDs[cuts[r]+p]] = u
 		}
+		covered += len(m)
 	}
-	if len(merged) != g.NumNodes() {
-		return nil, fmt.Errorf("shard: merged assignment covers %d of %d MATs", len(merged), g.NumNodes())
+	if covered != g.NumNodes() {
+		return nil, fmt.Errorf("shard: merged assignment covers %d of %d MATs", covered, g.NumNodes())
 	}
 	return merged, nil
 }

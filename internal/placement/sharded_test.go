@@ -84,8 +84,15 @@ func TestReconcileImprovesSeededCut(t *testing.T) {
 	assign := roundRobinSeed(t, g, topo)
 	a0, c0 := assignObjective(g, assign)
 	var st ShardStats
-	if err := reconcile(g, topo, part, assign, Options{Workers: 2}, program.DefaultResourceModel, &st); err != nil {
+	byID, err := assignIDs(g, assign)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := reconcile(g, topo, part, byID, Options{Workers: 2}, program.DefaultResourceModel, &st); err != nil {
+		t.Fatal(err)
+	}
+	for id, name := range g.NodeNames() {
+		assign[name] = byID[id]
 	}
 	a1, c1 := assignObjective(g, assign)
 	if a1 > a0 || (a1 == a0 && c1 >= c0) {
@@ -341,5 +348,46 @@ func TestRegionAssignMatchesSubgraphSolve(t *testing.T) {
 				t.Fatalf("composite:%d: %d of %d regions solved %s", c.regions, solved[name], regions, name)
 			}
 		}
+	}
+}
+
+// TestReconcileFoldWork pins the fold work of the composite:60 sharded
+// reconcile (200 programs, 16 regions, seed 1). A visit gathers the MAT's
+// incident edges once and overlays each target from its peer hosts, so
+// the cells folded stay under a quarter of the 349,367 incident-edge
+// visits the per-target edge fold made on this instance. It is a count,
+// not a clock, so it holds on any host and under -race.
+func TestReconcileFoldWork(t *testing.T) {
+	topo, err := network.CompositeWAN(60, network.TofinoSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := network.PartitionRegions(topo, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := shardInstance(t, 200, 1)
+	rm := program.DefaultResourceModel
+	cuts, err := chunkTDG(g, part, rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Shards: 16, Workers: 1}
+	assign, err := ShardedGreedy{Partition: part}.solveRegions(g, topo, part, cuts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var work climbWork
+	opts.climbWork = &work
+	var st ShardStats
+	if err := reconcile(g, topo, part, assign, opts, rm, &st); err != nil {
+		t.Fatal(err)
+	}
+	scored, folded := work.scored.Load(), work.folded.Load()
+	t.Logf("reconcile: %d candidates scored, %d cells folded, %d passes, %d moves", scored, folded, st.Rounds, st.Moves)
+	const perTargetVisits = 349_367
+	if scored == 0 || folded > perTargetVisits/4 {
+		t.Fatalf("reconcile folded %d cells over %d candidates, bound %d (a quarter of the per-target fold's %d)",
+			folded, scored, perTargetVisits/4, perTargetVisits)
 	}
 }

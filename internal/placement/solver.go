@@ -77,6 +77,15 @@ type Options struct {
 	// (packStep calls) of one call: ReplanWithOptions attaches it and
 	// reports the total as ReplanReport.PackSteps.
 	packSteps *atomic.Int64
+	// climbWork, when non-nil, counts the repair kernels' work of one
+	// call: the candidates place and climb score and the cells their
+	// folds visit.
+	climbWork *climbWork
+}
+
+// climbWork is the repair kernels' work count.
+type climbWork struct {
+	scored, folded atomic.Int64
 }
 
 // countPackSteps adds *n packing steps to the call's counter, when one
@@ -86,6 +95,16 @@ func (o Options) countPackSteps(n *int) {
 		o.packSteps.Add(int64(*n))
 	}
 	*n = 0
+}
+
+// countClimb adds the candidates scored and cells folded to the call's
+// climbWork, when one is attached, and zeroes both.
+func (o Options) countClimb(scored, folded *int) {
+	if o.climbWork != nil {
+		o.climbWork.scored.Add(int64(*scored))
+		o.climbWork.folded.Add(int64(*folded))
+	}
+	*scored, *folded = 0, 0
 }
 
 // done returns the cancellation channel, or nil (never ready) when the

@@ -12,8 +12,8 @@
 // table compiled once from a network.TrafficMatrix (host-compacted
 // for the repair instances and the sharded reconcile). A candidate's
 // weighted score reads the same delta overlay its structural score
-// folded (MoveScore/PlaceScore in compile.go, then weightedOver), so
-// each candidate walks its edges once; everything stays
+// read (overlayMove/overlayPlace in compile.go, then weightedOver),
+// built from the MAT's one gathered fold; everything stays
 // allocation-free with caller-owned scratch. Map-based twins live in
 // weighted_ref.go as differential oracles.
 package placement
@@ -169,10 +169,10 @@ func (ci *CompiledInstance) AssignmentWeighted(assign []int32, pt *PairTable, wt
 
 // weightedOver folds the delta overlay onto the pair table under the
 // weight table: the weighted analog of maxOver, read from the overlay
-// MoveScore or PlaceScore left in ms. The sum is maintained
-// incrementally from curSum (only delta cells change); the max needs
-// the same O(pairs) scan as maxOver. Cells floor at zero on both
-// sides, matching the map twins.
+// left in ms. The sum is maintained incrementally from curSum (only
+// delta cells change); the max scans the pairs (weighted values have
+// no histogram). Cells floor at zero on both sides, matching the map
+// twins.
 func (ms *MoveScratch) weightedOver(pt *PairTable, wt *WeightTable, curSum int64) (sum, max int64) {
 	sum = curSum
 	//hermes:hot
