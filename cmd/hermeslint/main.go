@@ -14,9 +14,11 @@
 //	       mutating the shared original                       error
 //	HV005  a name-keyed call — map-based scoring (PairBytes,
 //	       AMax, the *Ref twins, ...), graph materialization
-//	       (Subgraph, Edges, OutEdges, InEdges), a graph
-//	       lookup by MAT name (Node, OutEdgeList, InEdgeList,
-//	       TopoIndex, ID) or name-keyed stage packing
+//	       (Subgraph, Edges, OutEdges, InEdges, NodeNames), a
+//	       graph lookup by MAT name (Node, Edge, OutEdgeList,
+//	       InEdgeList, TopoIndex, ID), lint's test-side
+//	       name-keyed footprint reference (rawSets) or
+//	       name-keyed stage packing
 //	       (FitsSwitch, PackStages, packShared and the test-side
 //	       reference packOrderedRef) — or a packet-engine
 //	       compile (NewEngine, NewPipeline, NewReferenceEngine)
@@ -492,10 +494,12 @@ func lintPoolFunc(fset *token.FileSet, fn *ast.FuncDecl) []vetFinding {
 // hotBanned is the name-keyed surface: the retained reference scoring
 // implementations, the Plan/TDG convenience accessors that allocate
 // maps or hash names per call, the TDG lookups by MAT name (their id
-// twins Endpoints, OutEdgesOf, InEdgesOf and TopoIDs are free) and ID,
-// the name → node-id resolution itself, the TDG calls that materialize
-// a graph or a sorted edge slice, the name-keyed stage packer and its
-// test-side reference, and the packet engines' constructors (each
+// twins Endpoints, EdgeByID, OutEdgesOf, InEdgesOf and TopoIDs are
+// free) and ID, the name → node-id resolution itself, the TDG calls
+// that materialize a graph, a name list or a sorted edge slice (the
+// graph's Index holds the names in order), lint's test-side name-keyed
+// footprint reference, the name-keyed stage packer and its test-side
+// reference, and the packet engines' constructors (each
 // compiles a whole deployment or sorts a whole graph: build the pair
 // once per search, not per candidate packet), and the fields.Set
 // surface of Algorithm 1 (each call rebuilds a MAT's field sets as
@@ -522,6 +526,9 @@ var hotBanned = map[string]bool{
 	"assignmentLatency":  true,
 	"assignmentAcyclic":  true,
 	"Node":               true,
+	"Edge":               true,
+	"NodeNames":          true,
+	"rawSets":            true,
 	"OutEdgeList":        true,
 	"InEdgeList":         true,
 	"TopoIndex":          true,

@@ -116,6 +116,83 @@ func (x *c) good(k int) (int, bool) {
 	}
 }
 
+func TestHotLoopFlagsNameKeyedLintPasses(t *testing.T) {
+	// The lost-dependency pass as it stood before lint moved onto the
+	// graph's index: the examine loop tested each candidate pair by
+	// name with g.Edge, two name hashes per lookup. Tagged hot, the rule
+	// flags both lookups, the NodeNames copy of a ranking loop and the
+	// test-side rawSets reference; the id-keyed twin (EdgeByID over
+	// name ranks) is clean.
+	fs := lintSnippet(t, `
+type node struct{ name string }
+func (n *node) Name() string { return n.name }
+type edge struct{}
+type graph struct{}
+func (g *graph) Edge(from, to string) (*edge, bool)   { return nil, false }
+func (g *graph) EdgeByID(from, to int32) (*edge, bool) { return nil, false }
+func (g *graph) NodeNames() []string                   { return nil }
+type rawMaps struct{ reads, writes map[string]int }
+func rawSets(n *node) rawMaps { return rawMaps{} }
+func lost(g *graph, nodes []*node, seen []int32) int {
+	found := 0
+	examine := func(u int, partners []int32) {
+		//hermes:hot
+		for _, v := range partners {
+			if int(v) <= u || seen[v] == int32(u)+1 {
+				continue
+			}
+			seen[v] = int32(u) + 1
+			a, b := nodes[u].Name(), nodes[v].Name()
+			if _, ok := g.Edge(a, b); ok {
+				continue
+			}
+			if _, ok := g.Edge(b, a); ok {
+				continue
+			}
+			found++
+		}
+	}
+	examine(0, nil)
+	//hermes:hot
+	for i := range nodes {
+		found += len(g.NodeNames()) + len(rawSets(nodes[i]).reads)
+	}
+	return found
+}
+func lostByID(g *graph, byName []int32, partners []int32, u int32) int {
+	found := 0
+	//hermes:hot
+	for _, v := range partners {
+		if _, ok := g.EdgeByID(byName[u], byName[v]); !ok {
+			found++
+		}
+	}
+	return found
+}
+`)
+	if got := rulesOf(fs); len(got) != 4 {
+		t.Fatalf("want 4 HV005 findings, got %v", fs)
+	}
+	edges := 0
+	for _, f := range fs {
+		if f.rule == "HV005" && strings.Contains(f.msg, "g.Edge()") {
+			edges++
+		}
+	}
+	if edges != 2 {
+		t.Errorf("want both g.Edge lookups of the examine loop flagged, got %d: %v", edges, fs)
+	}
+	for _, want := range []string{"g.NodeNames()", "rawSets()"} {
+		found := false
+		for _, f := range fs {
+			found = found || f.rule == "HV005" && strings.Contains(f.msg, want)
+		}
+		if !found {
+			t.Errorf("no HV005 finding names %s: %v", want, fs)
+		}
+	}
+}
+
 func TestDiscardedClone(t *testing.T) {
 	fs := lintSnippet(t, `
 type g struct{}

@@ -72,6 +72,9 @@ type Checker struct {
 	// dep is the deployment the scratch was lowered from, for the
 	// diagnostic pass.
 	dep *deploy.Deployment
+
+	// reach is the diagnostic pass's reachability scratch.
+	reach reachScratch
 }
 
 // NewChecker compiles the reference graph (memoized on the graph) and
@@ -244,7 +247,7 @@ func (c *Checker) lowerDeployment(dep *deploy.Deployment) error {
 					continue
 				}
 				for _, fld := range hdr.Fields {
-					fi, ok := c.ov.fieldIndex[fld.Name]
+					fi, ok := c.ov.fieldID(fld.Name)
 					if !ok {
 						continue // field unknown to the reference
 					}
@@ -345,11 +348,8 @@ func (c *Checker) pushEntry(rank, stage int32, name string) {
 	c.entRank = append(c.entRank, rank)
 	c.entStage = append(c.entStage, stage)
 	c.entName = append(c.entName, name)
-	if idx, ok := c.ov.index[name]; ok {
-		c.entMAT = append(c.entMAT, idx)
-	} else {
-		c.entMAT = append(c.entMAT, -1)
-	}
+	x, _ := c.ov.matIndex(name)
+	c.entMAT = append(c.entMAT, x)
 }
 
 // entrySorter orders execution entries by (visit rank, first stage,

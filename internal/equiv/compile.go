@@ -1,8 +1,14 @@
 package equiv
 
+// This file builds the proof's dense reference, the compiled overlay of
+// a reference graph. It reads the graph's tdg.Index — the name order,
+// the topological order and the field table the lint gate shares — so
+// a compile sorts and hashes no name. The overlay and its checker pool
+// are memoized on the graph.
+
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/hermes-net/hermes/internal/fields"
@@ -16,16 +22,20 @@ import (
 // graph mutation, so a hit is always valid for the same graph value.
 const compiledMemoKey = "equiv.compiled"
 
-// compiled is the dense, interned form of the reference graph the
-// symbolic walk runs against: MAT names and field names become int32
-// indices, per-MAT external-read and may-write sets become flattened
-// index lists, and the reference execution order (the single-box
-// engine's g.TopoSort()) is folded into per-read writer counts and
-// per-field writer-sequence hashes. Everything but the checker pool is
-// read-only after newCompiled returns; Checkers share one compiled per
-// graph.
+// compiled is the dense form of the reference graph the symbolic walk
+// runs against, read off the graph's tdg.Index: MAT index x is the
+// node's name rank, field index f its id in the index's field table
+// (names ascending), per-MAT external-read and may-write sets are
+// flattened index lists, and the reference execution order (the
+// single-box engine's topological order) is folded into per-read writer
+// counts and per-field writer-sequence hashes. No name is hashed or
+// sorted here: the index sorts the node names once per graph and
+// interns the fields once for every gate. Everything but the checker
+// pool is read-only after newCompiled returns; Checkers share one
+// compiled per graph.
 type compiled struct {
-	g *tdg.Graph
+	g  *tdg.Graph
+	ix *tdg.Index
 
 	// pool holds the idle Checkers the package-level gates
 	// reuse (acquire/release). It never shrinks: it retains one Checker
@@ -34,18 +44,16 @@ type compiled struct {
 	poolMu sync.Mutex
 	pool   []*Checker
 
-	// names is sorted ascending; index i is the dense id of names[i], so
-	// ascending MAT index is exactly lexicographic name order (the
-	// engine's within-stage tie break).
+	// names and nodes by MAT index: ascending MAT index is exactly
+	// lexicographic name order (the engine's within-stage tie break).
 	names []string
 	nodes []*tdg.Node
-	index map[string]int32
 
-	// Field interning, sorted by name.
+	// The field universe by field index, sorted by name; fieldDefs holds
+	// each field's first definition in name order.
 	fieldNames []string
 	fieldDefs  []fields.Field
 	fieldMeta  []bool
-	fieldIndex map[string]int32
 
 	// Per-MAT field lists, flattened: reads holds the externally-read
 	// fields (match keys plus action source operands that are not
@@ -130,37 +138,59 @@ func compile(g *tdg.Graph) (*compiled, error) {
 }
 
 func newCompiled(g *tdg.Graph) (*compiled, error) {
-	refNames, err := g.TopoSort()
+	topo, err := g.TopoIDs()
 	if err != nil {
 		return nil, fmt.Errorf("equiv: reference graph is not a DAG: %w", err)
 	}
-	ov := &compiled{g: g}
-	ov.names = g.NodeNames()
-	sort.Strings(ov.names)
-	n := len(ov.names)
-	ov.nodes = make([]*tdg.Node, n)
-	ov.index = make(map[string]int32, n)
-	for i, name := range ov.names {
-		node, _ := g.Node(name)
-		ov.nodes[i] = node
-		ov.index[name] = int32(i)
+	ix := g.Index()
+	ft := ix.Fields()
+	n := len(ix.ByName)
+	ov := &compiled{g: g, ix: ix, names: make([]string, n), nodes: make([]*tdg.Node, n),
+		fieldNames: ft.Names, fieldDefs: ft.Defs, fieldMeta: make([]bool, len(ft.Defs))}
+	for x, id := range ix.ByName {
+		ov.names[x], ov.nodes[x] = ix.Names[id], g.NodeOf(id)
 	}
-
-	ov.internFields()
-	ov.buildFieldLists()
+	for fi, def := range ft.Defs {
+		ov.fieldMeta[fi] = def.IsMetadata()
+	}
+	ov.buildFieldLists(ft)
 
 	// Reference order and its inverse.
 	ov.refOrder = make([]int32, n)
 	ov.refPos = make([]int32, n)
-	for i, name := range refNames {
-		x := ov.index[name]
+	for i, id := range topo {
+		x := ix.Rank[id]
 		ov.refOrder[i] = x
 		ov.refPos[x] = int32(i)
 	}
 
-	// Walk the reference order once, recording for every read slot the
-	// writer count seen so far and folding writes into the per-field
-	// sequence digest.
+	// Out-edge adjacency for reachability classification.
+	ov.outStart = make([]int32, n+1)
+	ov.outTo = make([]int32, g.NumEdges())
+	for _, e := range g.EdgeList() {
+		from, _ := e.Endpoints()
+		ov.outStart[ix.Rank[from]+1]++
+	}
+	for x := 0; x < n; x++ {
+		ov.outStart[x+1] += ov.outStart[x]
+	}
+	fill := make([]int32, n)
+	for _, e := range g.EdgeList() {
+		from, to := e.Endpoints()
+		x := ix.Rank[from]
+		ov.outTo[ov.outStart[x]+fill[x]] = ix.Rank[to]
+		fill[x]++
+	}
+
+	ov.foldReference()
+	return ov, nil
+}
+
+// foldReference walks the reference order once, recording for every
+// read slot the writer count seen so far and folding writes into the
+// per-field sequence digests, then marks the order-free fields. It
+// reads refOrder, the field lists and the adjacency.
+func (ov *compiled) foldReference() {
 	f := len(ov.fieldNames)
 	ov.refWHash = make([]uint64, f)
 	ov.refWCnt = make([]int32, f)
@@ -168,7 +198,15 @@ func newCompiled(g *tdg.Graph) (*compiled, error) {
 	for i := range ov.refWHash {
 		ov.refWHash[i] = seqSeed
 	}
-	writers := make([][]int32, f)
+	// Each field's writers in reference order, as one flat list.
+	wStart := make([]int32, f+1)
+	for _, fi := range ov.writeF {
+		wStart[fi+1]++
+	}
+	for fi := 0; fi < f; fi++ {
+		wStart[fi+1] += wStart[fi]
+	}
+	writers := make([]int32, len(ov.writeF))
 	ov.refReadCnt = make([]int32, len(ov.readF))
 	for _, x := range ov.refOrder {
 		for s := ov.readStart[x]; s < ov.readStart[x+1]; s++ {
@@ -177,26 +215,10 @@ func newCompiled(g *tdg.Graph) (*compiled, error) {
 		for s := ov.writeStart[x]; s < ov.writeStart[x+1]; s++ {
 			fi := ov.writeF[s]
 			ov.refWHash[fi] = seqMix(ov.refWHash[fi], x)
+			writers[wStart[fi]+ov.refWCnt[fi]] = x
 			ov.refWCnt[fi]++
 			ov.refWSym[fi] += symMix(x)
-			writers[fi] = append(writers[fi], x)
 		}
-	}
-
-	// Out-edge adjacency for reachability classification.
-	ov.outStart = make([]int32, n+1)
-	for _, e := range g.EdgeList() {
-		ov.outStart[ov.index[e.From]+1]++
-	}
-	for i := 0; i < n; i++ {
-		ov.outStart[i+1] += ov.outStart[i]
-	}
-	ov.outTo = make([]int32, len(g.EdgeList()))
-	fill := make([]int32, n)
-	for _, e := range g.EdgeList() {
-		x := ov.index[e.From]
-		ov.outTo[ov.outStart[x]+fill[x]] = ov.index[e.To]
-		fill[x]++
 	}
 
 	// refWFree needs the adjacency: a field is order-free when no pair
@@ -205,14 +227,16 @@ func newCompiled(g *tdg.Graph) (*compiled, error) {
 	// permutation a benign shuffle. Cross-program merges hit this
 	// routinely (e.g. two programs' egress-port writers).
 	ov.refWFree = make([]bool, f)
-	for fi, ws := range writers {
+	var sc reachScratch
+	for fi := 0; fi < f; fi++ {
+		ws := writers[wStart[fi]:wStart[fi+1]]
 		if len(ws) < 2 {
 			continue
 		}
 		free := true
 		for i := 0; i < len(ws) && free; i++ {
 			for j := i + 1; j < len(ws); j++ {
-				if ov.reachable(ws[i], ws[j]) || ov.reachable(ws[j], ws[i]) {
+				if ov.reachable(ws[i], ws[j], &sc) || ov.reachable(ws[j], ws[i], &sc) {
 					free = false
 					break
 				}
@@ -220,160 +244,132 @@ func newCompiled(g *tdg.Graph) (*compiled, error) {
 		}
 		ov.refWFree[fi] = free
 	}
-	return ov, nil
-}
-
-// internFields collects every field referenced by any MAT (match keys
-// and action operands) into a sorted, index-addressable universe.
-func (ov *compiled) internFields() {
-	seen := map[string]fields.Field{}
-	add := func(f fields.Field) {
-		if _, ok := seen[f.Name]; !ok {
-			seen[f.Name] = f
-		}
-	}
-	for _, node := range ov.nodes {
-		m := node.MAT
-		for _, k := range m.Keys {
-			add(k.Field)
-		}
-		for _, a := range m.Actions {
-			for _, op := range a.Ops {
-				add(op.Dst)
-				for _, s := range op.Srcs {
-					add(s)
-				}
-			}
-		}
-	}
-	ov.fieldNames = make([]string, 0, len(seen))
-	for name := range seen {
-		ov.fieldNames = append(ov.fieldNames, name)
-	}
-	sort.Strings(ov.fieldNames)
-	ov.fieldDefs = make([]fields.Field, len(ov.fieldNames))
-	ov.fieldMeta = make([]bool, len(ov.fieldNames))
-	ov.fieldIndex = make(map[string]int32, len(ov.fieldNames))
-	for i, name := range ov.fieldNames {
-		ov.fieldDefs[i] = seen[name]
-		ov.fieldMeta[i] = seen[name].IsMetadata()
-		ov.fieldIndex[name] = int32(i)
-	}
 }
 
 // buildFieldLists computes the flattened per-MAT read/write index
-// lists. The external-read set mirrors the engine's read() calls
-// exactly: all match keys (read even on a rule miss), plus each
-// action's operand reads refined by the ops already executed — a field
-// the same action wrote earlier is read locally, never from upstream.
-func (ov *compiled) buildFieldLists() {
-	n := len(ov.nodes)
+// lists from the field table's key and op lists. The external-read set
+// mirrors the engine's read() calls exactly: all match keys (read even
+// on a rule miss), plus each action's operand reads refined by the ops
+// already executed — a field the same action wrote earlier is read
+// locally, never from upstream.
+func (ov *compiled) buildFieldLists(ft *tdg.FieldTable) {
+	n := len(ov.names)
 	ov.readStart = make([]int32, n+1)
 	ov.writeStart = make([]int32, n+1)
-	var reads, writes []int32
-	var scratch []int32
-	for i, node := range ov.nodes {
-		m := node.MAT
-		scratch = scratch[:0]
-		scratch = ov.appendExternalReads(scratch, m)
+	// local[f] == act: field f was written earlier in the action
+	// numbered act (numbered across all MATs, from 1).
+	local := make([]int32, len(ov.fieldNames))
+	act := int32(0)
+	var reads, writes, scratch []int32
+	read := func(fi int32) {
+		if local[fi] != act {
+			scratch = append(scratch, fi)
+		}
+	}
+	//hermes:hot
+	for x := int32(0); int(x) < n; x++ {
+		scratch = append(scratch[:0], ft.Keys(x)...)
+		prev := int32(-1)
+		for _, op := range ft.Ops(x) {
+			if op.Action != prev {
+				prev = op.Action
+				act++
+			}
+			switch op.Kind {
+			case program.OpCopy, program.OpHash, program.OpCount:
+				for _, fi := range op.Srcs {
+					read(fi)
+				}
+			case program.OpAdd:
+				read(op.Dst)
+				if len(op.Srcs) > 0 {
+					read(op.Srcs[0])
+				}
+			case program.OpDecrement:
+				read(op.Dst)
+			}
+			local[op.Dst] = act
+		}
 		reads = append(reads, dedupSorted(scratch)...)
-		ov.readStart[i+1] = int32(len(reads))
+		ov.readStart[x+1] = int32(len(reads))
 
 		scratch = scratch[:0]
-		for _, a := range m.Actions {
-			for _, op := range a.Ops {
-				scratch = append(scratch, ov.fieldIndex[op.Dst.Name])
-			}
+		for _, op := range ft.Ops(x) {
+			scratch = append(scratch, op.Dst)
 		}
 		writes = append(writes, dedupSorted(scratch)...)
-		ov.writeStart[i+1] = int32(len(writes))
+		ov.writeStart[x+1] = int32(len(writes))
 	}
 	ov.readF = reads
 	ov.writeF = writes
 }
 
-// appendExternalReads appends the field indices the engine can read
-// from pre-MAT state while executing m.
-func (ov *compiled) appendExternalReads(dst []int32, m *program.MAT) []int32 {
-	for _, k := range m.Keys {
-		dst = append(dst, ov.fieldIndex[k.Field.Name])
-	}
-	local := map[int32]bool{}
-	for _, a := range m.Actions {
-		for k := range local {
-			delete(local, k)
-		}
-		for _, op := range a.Ops {
-			for _, src := range opReads(op) {
-				fi := ov.fieldIndex[src.Name]
-				if !local[fi] {
-					dst = append(dst, fi)
-				}
-			}
-			local[ov.fieldIndex[op.Dst.Name]] = true
-		}
-	}
-	return dst
-}
-
-// opReads lists the fields one op reads from the context, matching
-// matExecutor.runAction: OpSet reads nothing, OpCopy/OpHash/OpCount
-// read their sources, OpAdd and OpDecrement read-modify-write Dst.
-func opReads(op program.Op) []fields.Field {
-	switch op.Kind {
-	case program.OpCopy, program.OpHash, program.OpCount:
-		return op.Srcs
-	case program.OpAdd:
-		if len(op.Srcs) > 0 {
-			return []fields.Field{op.Dst, op.Srcs[0]}
-		}
-		return []fields.Field{op.Dst}
-	case program.OpDecrement:
-		return []fields.Field{op.Dst}
-	default:
-		return nil
-	}
-}
-
 // dedupSorted sorts the slice in place and returns the deduplicated
 // prefix.
 func dedupSorted(s []int32) []int32 {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// fieldID returns the field index of the named field.
+func (ov *compiled) fieldID(name string) (int32, bool) {
+	fi, ok := slices.BinarySearch(ov.fieldNames, name)
+	return int32(fi), ok
+}
+
+// matIndex returns the MAT index of the named reference MAT.
+func (ov *compiled) matIndex(name string) (int32, bool) {
+	id, ok := ov.g.ID(name)
+	if !ok {
+		return -1, false
 	}
-	return out
+	return ov.ix.Rank[id], true
+}
+
+// reachScratch is the reusable state of reachability searches: a visit
+// stamp per MAT and the DFS stack. A compile builds one for its
+// order-free pass; each Checker keeps one for the diagnostic pass.
+type reachScratch struct {
+	mark  []uint32
+	epoch uint32
+	stack []int32
 }
 
 // reachable reports whether the reference graph orders from before to:
-// a directed path from→to exists. Used only on the diagnostic path to
-// distinguish a reordered dependent pair (an equivalence break) from
-// an interleaving the TDG never constrained.
-func (ov *compiled) reachable(from, to int32) bool {
+// a directed path from→to exists. It distinguishes a reordered
+// dependent pair (an equivalence break) from an interleaving the TDG
+// never constrained. A warm call allocates nothing.
+func (ov *compiled) reachable(from, to int32, sc *reachScratch) bool {
 	if from == to {
 		return true
+	}
+	if len(sc.mark) != len(ov.names) {
+		sc.mark, sc.epoch = make([]uint32, len(ov.names)), 0
+	}
+	if sc.epoch++; sc.epoch == 0 {
+		clear(sc.mark)
+		sc.epoch = 1
 	}
 	// Iterative DFS pruned by reference position: every path moves
 	// strictly forward in refPos, so nodes past to are dead ends.
 	limit := ov.refPos[to]
-	visited := map[int32]bool{from: true}
-	stack := []int32{from}
+	sc.mark[from] = sc.epoch
+	stack := append(sc.stack[:0], from)
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for s := ov.outStart[x]; s < ov.outStart[x+1]; s++ {
 			next := ov.outTo[s]
 			if next == to {
+				sc.stack = stack
 				return true
 			}
-			if !visited[next] && ov.refPos[next] < limit {
-				visited[next] = true
+			if sc.mark[next] != sc.epoch && ov.refPos[next] < limit {
+				sc.mark[next] = sc.epoch
 				stack = append(stack, next)
 			}
 		}
 	}
+	sc.stack = stack
 	return false
 }

@@ -90,7 +90,7 @@ func (c *Checker) candidatePackets() []*dataplane.Packet {
 			}
 			sort.Strings(names)
 			for _, fname := range names {
-				if fi, ok := ov.fieldIndex[fname]; !ok || ov.fieldMeta[fi] {
+				if fi, ok := ov.fieldID(fname); !ok || ov.fieldMeta[fi] {
 					continue // metadata constraints are not packet inputs
 				}
 				pkt.Headers[fname] = solvePattern(keyType(node.MAT, fname), r.Matches[fname])

@@ -376,14 +376,14 @@ func (c *Checker) classifyOrder(object, fname string, reader int32, want, got []
 	var against string
 	if reader >= 0 {
 		for _, w := range premature {
-			if ov.reachable(reader, w) {
+			if ov.reachable(reader, w, &c.reach) {
 				ordered, against = true, ov.names[w]
 				break
 			}
 		}
 		if !ordered {
 			for _, w := range delayed {
-				if ov.reachable(w, reader) {
+				if ov.reachable(w, reader, &c.reach) {
 					ordered, against = true, ov.names[w]
 					break
 				}
@@ -398,7 +398,7 @@ func (c *Checker) classifyOrder(object, fname string, reader int32, want, got []
 		}
 		if i < len(want) && i < len(got) {
 			a, b := want[i], got[i]
-			if ov.reachable(a, b) || ov.reachable(b, a) {
+			if ov.reachable(a, b, &c.reach) || ov.reachable(b, a, &c.reach) {
 				ordered, against = true, ov.names[a]
 			}
 		} else if len(premature) > 0 || len(delayed) > 0 {

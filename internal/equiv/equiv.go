@@ -167,7 +167,7 @@ func (c *Checker) fillPrograms(r *Report) {
 		if f.Severity != lint.Error {
 			continue
 		}
-		if x, ok := c.ov.index[f.Object]; ok {
+		if x, ok := c.ov.matIndex(f.Object); ok {
 			if len(c.ov.nodes[x].Origin) == 0 {
 				continue
 			}

@@ -165,6 +165,7 @@ func expectRejected(t *testing.T, ref *tdg.Graph, dep *deploy.Deployment, rule s
 	if !equiv.Diverges(ref, dep, rep.Counterexample) {
 		t.Fatalf("%s counterexample does not reproduce divergence on replay", rule)
 	}
+	sameAsReference(t, ref, dep)
 	// This call draws the pooled Checker the diagnostic pass just used;
 	// leftover state must not turn the verdict.
 	if err := equiv.CheckDeployment(ref, dep); err == nil {
@@ -401,6 +402,7 @@ func TestMutationOracle(t *testing.T) {
 		if rep.Counterexample == nil {
 			t.Fatal("cyclic placement has no counterexample (engine construction must fail)")
 		}
+		sameAsReference(t, g, dep)
 	})
 }
 
@@ -578,6 +580,7 @@ func TestBenignShuffleWarnsWithoutGating(t *testing.T) {
 	if rep.Findings.HasErrors() {
 		t.Fatalf("benign shuffle produced errors: %v", rep.Findings)
 	}
+	sameAsReference(t, g, dep)
 	// The writes commute (same value), so the replay twin agrees.
 	if _, err := dataplane.EquivalentRuns(dep, replayPackets(g, 3, 8)); err != nil {
 		t.Fatalf("replay diverged on benign shuffle: %v", err)

@@ -1,8 +1,6 @@
 package equiv
 
 import (
-	"slices"
-
 	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/tdg"
@@ -42,8 +40,11 @@ func NewRechecker(ref *tdg.Graph) (*Rechecker, error) {
 // Components returns every reference MAT as one component, ascending
 // by name.
 func (r *Rechecker) Components() [][]string {
-	names := r.ref.NodeNames()
-	slices.Sort(names)
+	ix := r.ref.Index()
+	names := make([]string, len(ix.ByName))
+	for x, id := range ix.ByName {
+		names[x] = ix.Names[id]
+	}
 	return [][]string{names}
 }
 

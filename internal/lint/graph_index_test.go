@@ -1,10 +1,9 @@
 package lint
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,99 +14,11 @@ import (
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
-// expectedBytesMaps is the map-materialising A(a,b) recomputation
-// LintGraph used before expectedBytes summed in place; the oracle
-// below holds the two equal on every edge.
-func expectedBytesMaps(a, b rawSets, typ tdg.DepType) int {
-	switch typ {
-	case tdg.DepMatch:
-		return metaBytes(a.writes)
-	case tdg.DepAction:
-		union := map[string]fields.Field{}
-		for name, f := range a.writes {
-			union[name] = f
-		}
-		for name, f := range b.writes {
-			union[name] = f
-		}
-		return metaBytes(union)
-	case tdg.DepSuccessor:
-		return metaBytes(a.writes)
-	default:
-		return 0
-	}
-}
-
-// lintGraphAllPairs is the reference LintGraph: the same rules with
-// the lost-dependency pass written as the plain scan over all N² node
-// pairs. It exists only as the differential oracle for the
-// field-indexed pass; it is too slow to gate real deployments
-// (hundreds of ms at 2.8k MATs).
-func lintGraphAllPairs(g *tdg.Graph, opts Options) Findings {
-	var fs Findings
-	nodes := g.Nodes()
-	raws := make(map[string]rawSets, len(nodes))
-	for _, n := range nodes {
-		raws[n.Name()] = rawFootprint(n.MAT)
-	}
-	for _, e := range g.Edges() {
-		ra, rb := raws[e.From], raws[e.To]
-		want := classifyPair(ra, rb, e.Type == tdg.DepSuccessor)
-		if want != e.Type {
-			fs = append(fs, Finding{
-				Rule: "HL007", Severity: Error, File: opts.File,
-				Object: e.From + "->" + e.To,
-				Message: fmt.Sprintf("TDG classifies %s->%s as %s, raw field sets imply %v",
-					e.From, e.To, e.Type, want),
-			})
-			continue
-		}
-		wantBytes := expectedBytesMaps(ra, rb, e.Type)
-		if e.MetadataBytes != wantBytes {
-			fs = append(fs, Finding{
-				Rule: "HL008", Severity: Error, File: opts.File,
-				Object: e.From + "->" + e.To,
-				Message: fmt.Sprintf("edge %s->%s (%s) annotated with A(a,b)=%dB, raw field sets imply %dB",
-					e.From, e.To, e.Type, e.MetadataBytes, wantBytes),
-			})
-		}
-	}
-	names := g.NodeNames()
-	sort.Strings(names)
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			u, v := names[i], names[j]
-			if _, ok := g.Edge(u, v); ok {
-				continue
-			}
-			if _, ok := g.Edge(v, u); ok {
-				continue
-			}
-			nu, _ := g.Node(u)
-			nv, _ := g.Node(v)
-			if !sharesOrigin(nu, nv) {
-				continue
-			}
-			ru, rv := raws[u], raws[v]
-			if overlaps(ru.writes, rv.reads) || overlaps(ru.writes, rv.writes) || overlaps(ru.reads, rv.writes) {
-				fs = append(fs, Finding{
-					Rule: "HL007", Severity: Error, File: opts.File,
-					Object: u + "<->" + v,
-					Message: fmt.Sprintf("MATs %q and %q share modified fields but the TDG connects them in neither direction (lost dependency)",
-						u, v),
-				})
-			}
-		}
-	}
-	fs = append(fs, lintIsolatedNodes(g, opts)...)
-	fs.Sort()
-	return fs
-}
-
-// withoutEdges rebuilds g keeping nodes, origins and annotations but
-// dropping each edge with probability drop (seeded), and corrupting
-// the annotated bytes of one kept edge in ten so HL008 fires too.
-func withoutEdges(t *testing.T, g *tdg.Graph, drop float64, seed int64) *tdg.Graph {
+// mutated rebuilds g keeping nodes, origins and annotations but, per
+// edge and seeded, dropping it with probability drop (a lost
+// dependency), bumping its annotated A(a,b) by one byte in one case of
+// ten (HL008), or retyping it in one case of twenty (HL007).
+func mutated(t *testing.T, g *tdg.Graph, drop float64, seed int64) *tdg.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	out := tdg.New()
@@ -120,15 +31,56 @@ func withoutEdges(t *testing.T, g *tdg.Graph, drop float64, seed int64) *tdg.Gra
 		if rng.Float64() < drop {
 			continue
 		}
-		bytes := e.MetadataBytes
-		if rng.Intn(10) == 0 {
+		typ, bytes := e.Type, e.MetadataBytes
+		switch rng.Intn(20) {
+		case 0, 1:
 			bytes++
+		case 2:
+			typ = typ%tdg.DepSuccessor + 1
 		}
-		if err := out.AddEdge(e.From, e.To, e.Type, bytes); err != nil {
+		if err := out.AddEdge(e.From, e.To, typ, bytes); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return out
+}
+
+// widthConflictGraph gives one metadata name two widths: w16 writes
+// meta.w as 16 bits, w8 as 8 bits, and the reader r (first in name
+// order) matches it as 8 bits. Its edges are annotated per each MAT's
+// own definition, except w8->r, which claims w16's 2 bytes: an engine
+// that read one definition per name would flag the wrong edges.
+func widthConflictGraph(t *testing.T) *tdg.Graph {
+	t.Helper()
+	w16, w8 := fields.Metadata("meta.w", 16), fields.Metadata("meta.w", 8)
+	set := func(dst fields.Field) []program.Action {
+		return []program.Action{{Name: "w", Ops: []program.Op{{Kind: program.OpSet, Dst: dst, Imm: 1}}}}
+	}
+	g := tdg.New()
+	for _, m := range []*program.MAT{
+		{Name: "r", Capacity: 1, Keys: []program.MatchKey{{Field: w8, Type: program.MatchExact}},
+			Actions: set(fields.Metadata("meta.out", 8))},
+		{Name: "w16", Capacity: 1, Actions: set(w16)},
+		{Name: "w8", Capacity: 1, Actions: set(w8)},
+	} {
+		if err := g.AddNode(m, "p"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range []struct {
+		from, to string
+		typ      tdg.DepType
+		bytes    int
+	}{
+		{"w16", "w8", tdg.DepAction, 1}, // b's definition stands on the shared name
+		{"w16", "r", tdg.DepMatch, 2},
+		{"w8", "r", tdg.DepMatch, 2}, // wrong: w8's own write is 1 byte
+	} {
+		if err := g.AddEdge(e.from, e.to, e.typ, e.bytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
 }
 
 // mixedOriginGraph is a hand-built graph whose nodes all touch one
@@ -168,10 +120,13 @@ func mixedOriginGraph(t *testing.T) *tdg.Graph {
 }
 
 // TestLintGraphMatchesAllPairsReference is the differential oracle for
-// the inverted field index: on merged evaluation and synthetic graphs,
-// intact and with seeded edge deletions, and on a hand-built graph
-// mixing origin-less and cross-origin nodes, LintGraph must return
-// exactly the findings of the all-pairs reference.
+// the field-id footprints and the inverted field index: on the merged
+// graphs of the benchmark's four corpora and the full synthetic set,
+// intact and under seeded mutations (dropped, retyped and re-annotated
+// edges), on a graph giving one metadata name two widths, and on a
+// hand-built graph mixing origin-less and cross-origin nodes, LintGraph
+// must return exactly the findings of the name-keyed all-pairs
+// reference, in order.
 func TestLintGraphMatchesAllPairsReference(t *testing.T) {
 	analyze := func(progs []*program.Program, err error) *tdg.Graph {
 		t.Helper()
@@ -188,24 +143,35 @@ func TestLintGraphMatchesAllPairsReference(t *testing.T) {
 	if testing.Short() {
 		synth = 40
 	}
-	eval := analyze(workload.EvaluationPrograms(30, 1))
-	syn := analyze(workload.SyntheticSet(synth, workload.PaperSyntheticSpec(), 1))
-
-	cases := []struct {
+	spec := workload.PaperSyntheticSpec()
+	corpora := []struct {
 		name string
 		g    *tdg.Graph
-		// wantLost bounds the lost-dependency findings from below so a
-		// vacuous pass (both sides finding nothing) cannot go green.
-		wantLost int
 	}{
-		{"evaluation30", eval, 0},
-		{"synthetic", syn, 0},
-		{"evaluation30/drop5%/seed1", withoutEdges(t, eval, 0.05, 1), 1},
-		{"evaluation30/drop30%/seed2", withoutEdges(t, eval, 0.30, 2), 1},
-		{"synthetic/drop5%/seed3", withoutEdges(t, syn, 0.05, 3), 1},
-		{"synthetic/drop30%/seed4", withoutEdges(t, syn, 0.30, 4), 1},
-		{"mixed-origin", mixedOriginGraph(t), 1},
+		{"wan30", analyze(workload.EvaluationPrograms(30, 1))},
+		{"composite10", analyze(workload.SyntheticSet(30, spec, 1))},
+		{"real", analyze(workload.RealPrograms(), nil)},
+		{"churn16", analyze(workload.SyntheticSet(16, spec, 1))},
+		{"synthetic" + strconv.Itoa(synth), analyze(workload.SyntheticSet(synth, spec, 1))},
 	}
+	type tc struct {
+		name string
+		g    *tdg.Graph
+		// The floors keep a vacuous pass (both sides finding nothing)
+		// from going green on the mutated graphs.
+		wantLost, wantRetyped, wantBytes int
+	}
+	var cases []tc
+	for i, c := range corpora {
+		seed := int64(2 * i)
+		cases = append(cases,
+			tc{c.name, c.g, 0, 0, 0},
+			tc{c.name + "/drop5%", mutated(t, c.g, 0.05, seed+1), 1, 1, 1},
+			tc{c.name + "/drop30%", mutated(t, c.g, 0.30, seed+2), 1, 1, 1})
+	}
+	cases = append(cases,
+		tc{"width-conflict", widthConflictGraph(t), 0, 0, 1},
+		tc{"mixed-origin", mixedOriginGraph(t), 1, 0, 0})
 	for _, tc := range cases {
 		got := LintGraph(tc.g, Options{})
 		want := lintGraphAllPairs(tc.g, Options{})
@@ -214,15 +180,22 @@ func TestLintGraphMatchesAllPairsReference(t *testing.T) {
 				tc.name, len(got), got.Text(), len(want), want.Text())
 			continue
 		}
-		lost := 0
+		lost, retyped := 0, 0
 		for _, f := range got.ByRule("HL007") {
 			if strings.Contains(f.Object, "<->") {
 				lost++
+			} else {
+				retyped++
 			}
 		}
-		if lost < tc.wantLost {
-			t.Errorf("%s: %d lost-dependency findings, want >= %d", tc.name, lost, tc.wantLost)
+		if bytes := len(got.ByRule("HL008")); lost < tc.wantLost || retyped < tc.wantRetyped || bytes < tc.wantBytes {
+			t.Errorf("%s: %d lost-dependency, %d retyped-edge and %d A(a,b) findings, want >= %d, %d and %d",
+				tc.name, lost, retyped, bytes, tc.wantLost, tc.wantRetyped, tc.wantBytes)
 		}
+	}
+	// The width-conflict graph flags exactly the mis-annotated edge.
+	if fs := LintGraph(widthConflictGraph(t), Options{}).ByRule("HL008"); len(fs) != 1 || fs[0].Object != "w8->r" {
+		t.Errorf("width-conflict: HL008 findings %v, want one on w8->r", fs)
 	}
 }
 

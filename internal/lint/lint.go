@@ -33,6 +33,16 @@
 //	HL111  route traverses non-existent links or misstates latency
 //	HL112  MAT on a switch marked down in the topology's fault state (Eq. 6)
 //
+// The HL0xx graph and program rules recompute every MAT's read/write
+// footprint from its own keys and ops, never from MAT.Footprint or the
+// merge's footprints, so their cross-checks of the analyzer do not
+// inherit its bugs. They run on field ids: the names come from the
+// field table of the graph's tdg.Index (tdg.InternFields for a single
+// program), the widths from each MAT's own definitions, and the sets
+// are sorted id lists, so a gate hashes no field name beyond the
+// table's one interning per graph, which the equivalence proof's
+// compile reuses.
+//
 // The HL1xx family is an independent re-implementation of the plan
 // constraints; findings with Oracle set participate in the
 // differential oracle against Plan.Validate and deploy.Verify (see

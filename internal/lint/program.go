@@ -2,7 +2,7 @@ package lint
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/fields"
@@ -56,45 +56,115 @@ var sinkMetadata = map[string]bool{
 	fields.MetaDropFlag:   true,
 }
 
-// rawSets is the independently-recomputed read/write footprint of one
-// MAT. It is built directly from keys and ops into maps, bypassing
-// MAT.Footprint and the sorted-list arithmetic analyzer runs on it, so
-// the HL007/HL008 cross-checks do not inherit their bugs.
-type rawSets struct {
-	reads, writes map[string]fields.Field
+// fieldUse is one field of a MAT's recomputed footprint, under the
+// MAT's own last definition of the name.
+type fieldUse struct {
+	id   int32
+	meta bool
+	// size is the definition's metaSize: what the field adds to a
+	// coordination header.
+	size int32
 }
 
-// rawFootprint recomputes the MAT's field sets from first principles:
-// match keys and op sources are reads, op destinations are writes, and
-// read-modify-write ops (add, dec, count) read their destination.
-func rawFootprint(m *program.MAT) rawSets {
-	s := rawSets{reads: map[string]fields.Field{}, writes: map[string]fields.Field{}}
-	for _, k := range m.Keys {
-		s.reads[k.Field.Name] = k.Field
+// footprints is the independently recomputed read/write footprint of
+// a MAT list: per MAT position, its reads and writes as fieldUse lists
+// sorted by field id. It is built from the field table's key and op id
+// lists and the MATs' own field definitions, bypassing MAT.Footprint,
+// the merge's footprints and the sorted-list arithmetic analyzer runs
+// on them, so the HL007/HL008 cross-checks do not inherit their bugs.
+// The field table contributes names only: match keys and op sources are
+// reads, op destinations are writes, and read-modify-write ops (add,
+// dec, count) read their destination.
+type footprints struct {
+	names                 []string // field names by id
+	readStart, writeStart []int32
+	reads, writes         []fieldUse
+	// writeBytes is each MAT's metadata write footprint in bytes.
+	writeBytes []int32
+}
+
+func (fp *footprints) readsOf(i int32) []fieldUse {
+	return fp.reads[fp.readStart[i]:fp.readStart[i+1]]
+}
+
+func (fp *footprints) writesOf(i int32) []fieldUse {
+	return fp.writes[fp.writeStart[i]:fp.writeStart[i+1]]
+}
+
+// newFootprints recomputes the footprints of mats, the MAT list ft was
+// interned from. A name's last definition in the MAT stands, so two
+// MATs defining one metadata name with different widths each keep
+// their own.
+func newFootprints(ft *tdg.FieldTable, mats []*program.MAT) *footprints {
+	nf := len(ft.Names)
+	fp := &footprints{
+		names:      ft.Names,
+		readStart:  make([]int32, len(mats)+1),
+		writeStart: make([]int32, len(mats)+1),
+		writeBytes: make([]int32, len(mats)),
 	}
-	for _, a := range m.Actions {
-		for _, op := range a.Ops {
-			s.writes[op.Dst.Name] = op.Dst
-			for _, src := range op.Srcs {
-				s.reads[src.Name] = src
-			}
-			switch op.Kind {
-			case program.OpAdd, program.OpDecrement, program.OpCount:
-				s.reads[op.Dst.Name] = op.Dst
+	// mark[f] is 1 + the MAT position that last listed field f as a read
+	// (first half) or a write (second half); last holds that listing's
+	// definition.
+	mark := make([]int32, 2*nf)
+	last := make([]fieldUse, 2*nf)
+	var rs, ws []int32
+	use := func(half int, list []int32, stamp, id int32, f fields.Field) []int32 {
+		k := half*nf + int(id)
+		if mark[k] != stamp {
+			mark[k] = stamp
+			list = append(list, id)
+		}
+		last[k] = fieldUse{id: id, meta: f.IsMetadata(), size: int32(metaSize(f))}
+		return list
+	}
+	for i, m := range mats {
+		stamp := int32(i) + 1
+		rs, ws = rs[:0], ws[:0]
+		for k, id := range ft.Keys(int32(i)) {
+			rs = use(0, rs, stamp, id, m.Keys[k].Field)
+		}
+		// The table lists the ops in declaration order: walk the MAT's
+		// own ops alongside for their definitions.
+		ops, j := ft.Ops(int32(i)), 0
+		for _, a := range m.Actions {
+			for _, op := range a.Ops {
+				fop := ops[j]
+				j++
+				ws = use(1, ws, stamp, fop.Dst, op.Dst)
+				for s, id := range fop.Srcs {
+					rs = use(0, rs, stamp, id, op.Srcs[s])
+				}
+				switch op.Kind {
+				case program.OpAdd, program.OpDecrement, program.OpCount:
+					rs = use(0, rs, stamp, fop.Dst, op.Dst)
+				}
 			}
 		}
+		slices.Sort(rs)
+		slices.Sort(ws)
+		for _, id := range rs {
+			fp.reads = append(fp.reads, last[id])
+		}
+		for _, id := range ws {
+			w := last[nf+int(id)]
+			fp.writes = append(fp.writes, w)
+			fp.writeBytes[i] += w.size
+		}
+		fp.readStart[i+1], fp.writeStart[i+1] = int32(len(fp.reads)), int32(len(fp.writes))
 	}
-	return s
+	return fp
 }
 
-// overlaps reports whether the two field maps share a name.
-func overlaps(a, b map[string]fields.Field) bool {
-	small, big := a, b
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	for name := range small {
-		if _, ok := big[name]; ok {
+// overlaps reports whether the two sorted lists share a field.
+func overlaps(a, b []fieldUse) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].id < b[j].id:
+			i++
+		case a[i].id > b[j].id:
+			j++
+		default:
 			return true
 		}
 	}
@@ -110,26 +180,18 @@ func metaSize(f fields.Field) int {
 	return (f.Bits + 7) / 8
 }
 
-// metaBytes sums whole-byte sizes of the metadata fields in the map.
-func metaBytes(m map[string]fields.Field) int {
-	total := 0
-	for _, f := range m {
-		total += metaSize(f)
-	}
-	return total
-}
-
-// classifyPair recomputes T(a,b) for a declared before b, per §IV:
-// M if a modifies a field b reads, else A if both modify a common
-// field, else R if a reads a field b modifies, else S when an explicit
-// control edge gates the pair. Returns 0 when the pair is independent.
-func classifyPair(a, b rawSets, control bool) tdg.DepType {
+// classifyPair recomputes T(a,b) for MAT positions a and b, a declared
+// before b, per §IV: M if a modifies a field b reads, else A if both
+// modify a common field, else R if a reads a field b modifies, else S
+// when an explicit control edge gates the pair. Returns 0 when the pair
+// is independent.
+func (fp *footprints) classifyPair(a, b int32, control bool) tdg.DepType {
 	switch {
-	case overlaps(a.writes, b.reads):
+	case overlaps(fp.writesOf(a), fp.readsOf(b)):
 		return tdg.DepMatch
-	case overlaps(a.writes, b.writes):
+	case overlaps(fp.writesOf(a), fp.writesOf(b)):
 		return tdg.DepAction
-	case overlaps(a.reads, b.writes):
+	case overlaps(fp.readsOf(a), fp.writesOf(b)):
 		if control {
 			// AddEdge keeps the stronger type: S subsumes R.
 			return tdg.DepSuccessor
@@ -143,20 +205,23 @@ func classifyPair(a, b rawSets, control bool) tdg.DepType {
 }
 
 // expectedBytes recomputes A(a,b) per Algorithm 1, independent of the
-// footprint merges analyzer.Delivered uses. It sums straight over the raw
-// sets: LintGraph calls it once per edge, so a scratch map per call
-// would dominate the edge pass.
-func expectedBytes(a, b rawSets, typ tdg.DepType) int {
+// footprint merges analyzer.Delivered uses.
+func (fp *footprints) expectedBytes(a, b int32, typ tdg.DepType) int {
 	switch typ {
 	case tdg.DepMatch, tdg.DepSuccessor:
-		return metaBytes(a.writes)
+		return int(fp.writeBytes[a])
 	case tdg.DepAction:
 		// |a.writes ∪ b.writes| by name; on a shared name b's
 		// definition stands.
-		total := metaBytes(b.writes)
-		for name, f := range a.writes {
-			if _, ok := b.writes[name]; !ok {
-				total += metaSize(f)
+		total := int(fp.writeBytes[b])
+		wa, wb := fp.writesOf(a), fp.writesOf(b)
+		j := 0
+		for _, w := range wa {
+			for j < len(wb) && wb[j].id < w.id {
+				j++
+			}
+			if j == len(wb) || wb[j].id != w.id {
+				total += int(w.size)
 			}
 		}
 		return total
@@ -179,10 +244,7 @@ func LintProgram(p *program.Program, opts Options) Findings {
 			Object: p.Name, Message: fmt.Sprintf("invalid program: %v", err)}}
 	}
 
-	raws := make([]rawSets, len(p.MATs))
-	for i, m := range p.MATs {
-		raws[i] = rawFootprint(m)
-	}
+	fp := newFootprints(tdg.InternFields(p.MATs), p.MATs)
 	control := map[[2]string]bool{}
 	for _, e := range p.Control {
 		control[[2]string{e.From, e.To}] = true
@@ -190,8 +252,8 @@ func LintProgram(p *program.Program, opts Options) Findings {
 
 	fs = append(fs, lintActions(p, opts)...)
 	fs = append(fs, lintTableShapes(p, opts)...)
-	fs = append(fs, lintFieldFlow(p, raws, opts)...)
-	fs = append(fs, lintMetadataBudget(p, raws, opts)...)
+	fs = append(fs, lintFieldFlow(p, fp, opts)...)
+	fs = append(fs, lintMetadataBudget(p, fp, opts)...)
 	if opts.Source != nil {
 		fs = append(fs, lintUnusedFields(opts)...)
 	}
@@ -207,9 +269,9 @@ func LintProgram(p *program.Program, opts Options) Findings {
 		fs.Sort()
 		return fs
 	}
-	fs = append(fs, crossCheckClassification(p, g, raws, control, opts)...)
+	fs = append(fs, crossCheckClassification(p, g, fp, control, opts)...)
 	if err := analyzer.AnnotateMetadata(g); err == nil {
-		fs = append(fs, crossCheckMetadata(p, g, raws, opts)...)
+		fs = append(fs, crossCheckMetadata(g, fp, opts)...)
 	}
 	fs = append(fs, lintIsolatedNodes(g, opts)...)
 	fs.Sort()
@@ -278,27 +340,27 @@ func lintTableShapes(p *program.Program, opts Options) Findings {
 
 // lintFieldFlow tracks metadata def-use across the program order:
 // reads with no preceding write (HL003) and writes never read (HL009).
-func lintFieldFlow(p *program.Program, raws []rawSets, opts Options) Findings {
+func lintFieldFlow(p *program.Program, fp *footprints, opts Options) Findings {
 	var fs Findings
-	written := map[string]bool{}
-	everRead := map[string]bool{}
-	for _, s := range raws {
-		for name := range s.reads {
-			everRead[name] = true
-		}
+	nf := len(fp.names)
+	flags := make([]bool, 4*nf)
+	written, everRead := flags[:nf], flags[nf:2*nf]
+	reportedRead, reportedStore := flags[2*nf:3*nf], flags[3*nf:]
+	for _, r := range fp.reads {
+		everRead[r.id] = true
 	}
-	reportedRead := map[string]bool{}
 	for i, m := range p.MATs {
 		// The MAT's own writes count as definitions for its reads:
 		// read-modify-write ops (counters, TTL) initialize in place.
-		for name := range raws[i].writes {
-			written[name] = true
+		for _, w := range fp.writesOf(int32(i)) {
+			written[w.id] = true
 		}
-		for name, f := range raws[i].reads {
-			if !f.IsMetadata() || written[name] || intrinsicMetadata[name] || reportedRead[name] {
+		for _, r := range fp.readsOf(int32(i)) {
+			name := fp.names[r.id]
+			if !r.meta || written[r.id] || intrinsicMetadata[name] || reportedRead[r.id] {
 				continue
 			}
-			reportedRead[name] = true
+			reportedRead[r.id] = true
 			pos := opts.Source.FieldPos(name)
 			if pos.IsZero() {
 				pos = opts.Source.TablePos(m.Name)
@@ -312,13 +374,13 @@ func lintFieldFlow(p *program.Program, raws []rawSets, opts Options) Findings {
 			})
 		}
 	}
-	reportedStore := map[string]bool{}
 	for i, m := range p.MATs {
-		for name, f := range raws[i].writes {
-			if !f.IsMetadata() || everRead[name] || sinkMetadata[name] || reportedStore[name] {
+		for _, w := range fp.writesOf(int32(i)) {
+			name := fp.names[w.id]
+			if !w.meta || everRead[w.id] || sinkMetadata[name] || reportedStore[w.id] {
 				continue
 			}
-			reportedStore[name] = true
+			reportedStore[w.id] = true
 			pos := opts.Source.FieldPos(name)
 			if pos.IsZero() {
 				pos = opts.Source.TablePos(m.Name)
@@ -335,21 +397,29 @@ func lintFieldFlow(p *program.Program, raws []rawSets, opts Options) Findings {
 }
 
 // lintMetadataBudget sums the program's metadata write footprint and
-// flags overflow of the header budget (HL005).
-func lintMetadataBudget(p *program.Program, raws []rawSets, opts Options) Findings {
+// flags overflow of the header budget (HL005). On a name several MATs
+// write, the last writer's definition stands.
+func lintMetadataBudget(p *program.Program, fp *footprints, opts Options) Findings {
 	budget := opts.budget()
 	if budget < 0 {
 		return nil
 	}
-	footprint := map[string]fields.Field{}
-	for _, s := range raws {
-		for name, f := range s.writes {
-			if f.IsMetadata() {
-				footprint[name] = f
-			}
+	size := make([]int32, len(fp.names)) // -1: not written as metadata
+	for i := range size {
+		size[i] = -1
+	}
+	for _, w := range fp.writes {
+		if w.meta {
+			size[w.id] = w.size
 		}
 	}
-	total := metaBytes(footprint)
+	total, count := 0, 0
+	for _, s := range size {
+		if s >= 0 {
+			total += int(s)
+			count++
+		}
+	}
 	if total <= budget {
 		return nil
 	}
@@ -357,7 +427,7 @@ func lintMetadataBudget(p *program.Program, raws []rawSets, opts Options) Findin
 		Rule: "HL005", Severity: Error, File: opts.File,
 		Pos: progPos(opts.Source), Object: p.Name,
 		Message: fmt.Sprintf("program writes %d bytes of metadata across %d fields, exceeding the %d-byte header budget; a worst-case cross-switch split cannot serialize the coordination header",
-			total, len(footprint), budget),
+			total, count, budget),
 		Hint: "narrow metadata fields or raise -budget if the target permits larger headers",
 	}}
 }
@@ -386,14 +456,14 @@ func lintUnusedFields(opts Options) Findings {
 
 // crossCheckClassification recomputes T(a,b) for every declaration-
 // ordered pair from raw read/write sets and diffs the result against
-// the inferred TDG (HL007).
-func crossCheckClassification(p *program.Program, g *tdg.Graph, raws []rawSets, control map[[2]string]bool, opts Options) Findings {
+// the inferred TDG (HL007). g's node ids are the declaration positions.
+func crossCheckClassification(p *program.Program, g *tdg.Graph, fp *footprints, control map[[2]string]bool, opts Options) Findings {
 	var fs Findings
-	for i := 0; i < len(p.MATs); i++ {
-		for j := i + 1; j < len(p.MATs); j++ {
+	for i := int32(0); int(i) < len(p.MATs); i++ {
+		for j := i + 1; int(j) < len(p.MATs); j++ {
 			a, b := p.MATs[i], p.MATs[j]
-			want := classifyPair(raws[i], raws[j], control[[2]string{a.Name, b.Name}])
-			e, ok := g.Edge(a.Name, b.Name)
+			want := fp.classifyPair(i, j, control[[2]string{a.Name, b.Name}])
+			e, ok := g.EdgeByID(i, j)
 			switch {
 			case want == 0 && ok:
 				fs = append(fs, Finding{
@@ -421,15 +491,12 @@ func crossCheckClassification(p *program.Program, g *tdg.Graph, raws []rawSets, 
 
 // crossCheckMetadata recomputes A(a,b) for every edge and diffs it
 // against both the annotated edge value and analyzer.EdgeMetadataBytes
-// (HL008).
-func crossCheckMetadata(p *program.Program, g *tdg.Graph, raws []rawSets, opts Options) Findings {
-	idx := map[string]int{}
-	for i, m := range p.MATs {
-		idx[m.Name] = i
-	}
+// (HL008). g's node ids are the declaration positions.
+func crossCheckMetadata(g *tdg.Graph, fp *footprints, opts Options) Findings {
 	var fs Findings
-	for _, e := range g.Edges() {
-		want := expectedBytes(raws[idx[e.From]], raws[idx[e.To]], e.Type)
+	for _, e := range g.EdgeList() {
+		from, to := e.Endpoints()
+		want := fp.expectedBytes(from, to, e.Type)
 		if e.MetadataBytes != want {
 			fs = append(fs, Finding{
 				Rule: "HL008", Severity: Error, File: opts.File,
@@ -439,9 +506,7 @@ func crossCheckMetadata(p *program.Program, g *tdg.Graph, raws []rawSets, opts O
 			})
 			continue
 		}
-		a, _ := g.Node(e.From)
-		b, _ := g.Node(e.To)
-		got, err := analyzer.EdgeMetadataBytes(a.MAT, b.MAT, e.Type)
+		got, err := analyzer.EdgeMetadataBytes(g.NodeOf(from).MAT, g.NodeOf(to).MAT, e.Type)
 		if err != nil || got != want {
 			fs = append(fs, Finding{
 				Rule: "HL008", Severity: Error, File: opts.File,
@@ -462,15 +527,17 @@ func lintIsolatedNodes(g *tdg.Graph, opts Options) Findings {
 		return nil
 	}
 	var fs Findings
-	for _, n := range g.Nodes() {
-		if len(g.OutEdgeList(n.Name())) == 0 && len(g.InEdgeList(n.Name())) == 0 {
-			fs = append(fs, Finding{
-				Rule: "HL001", Severity: Warning, File: opts.File,
-				Pos: opts.Source.TablePos(n.Name()), Object: n.Name(),
-				Message: fmt.Sprintf("MAT %q is isolated: no data dependency connects it to the pipeline and no control path gates it", n.Name()),
-				Hint:    "wire it into the control flow or delete it",
-			})
+	for id := int32(0); int(id) < g.NumNodes(); id++ {
+		if len(g.OutEdgesOf(id)) > 0 || len(g.InEdgesOf(id)) > 0 {
+			continue
 		}
+		name := g.NodeOf(id).Name()
+		fs = append(fs, Finding{
+			Rule: "HL001", Severity: Warning, File: opts.File,
+			Pos: opts.Source.TablePos(name), Object: name,
+			Message: fmt.Sprintf("MAT %q is isolated: no data dependency connects it to the pipeline and no control path gates it", name),
+			Hint:    "wire it into the control flow or delete it",
+		})
 	}
 	return fs
 }
@@ -480,14 +547,14 @@ func lintIsolatedNodes(g *tdg.Graph, opts Options) Findings {
 // per-edge classification consistency (HL007), and metadata size
 // consistency (HL008). Pair orientation information is gone after
 // merging, so HL007 only verifies existing edges and flags entirely
-// missing data dependencies in either direction.
+// missing data dependencies in either direction. It reads the graph's
+// tdg.Index: the MATs in name order and the field table's names.
 func LintGraph(g *tdg.Graph, opts Options) Findings {
 	var fs Findings
 	if g == nil {
 		return Findings{{Rule: "HL000", Severity: Error, Message: "nil graph"}}
 	}
-	if !g.IsDAG() {
-		_, err := g.TopoSort()
+	if _, err := g.TopoIDs(); err != nil {
 		fs = append(fs, Finding{
 			Rule: "HL006", Severity: Error, File: opts.File,
 			Message: fmt.Sprintf("TDG is cyclic: %v", err),
@@ -496,23 +563,21 @@ func LintGraph(g *tdg.Graph, opts Options) Findings {
 		fs.Sort()
 		return fs
 	}
-	// Dense node indices in name order: index order is the u < v
-	// orientation lost-dependency findings are reported in.
-	names := g.NodeNames()
-	sort.Strings(names)
-	index := make(map[string]int32, len(names))
-	nodes := make([]*tdg.Node, len(names))
-	raws := make([]rawSets, len(names))
-	for i, name := range names {
-		index[name] = int32(i)
-		nodes[i], _ = g.Node(name)
-		raws[i] = rawFootprint(nodes[i].MAT)
+	// MAT positions are name ranks: rank order is the u < v orientation
+	// lost-dependency findings are reported in.
+	ix := g.Index()
+	mats := make([]*program.MAT, len(ix.ByName))
+	for r, id := range ix.ByName {
+		mats[r] = g.NodeOf(id).MAT
 	}
+	fp := newFootprints(ix.Fields(), mats)
 	// Existing edges: the recomputed class from raw sets must match,
 	// except S edges (control provenance is not recoverable here).
+	//hermes:hot
 	for _, e := range g.EdgeList() {
-		ra, rb := raws[index[e.From]], raws[index[e.To]]
-		want := classifyPair(ra, rb, e.Type == tdg.DepSuccessor)
+		from, to := e.Endpoints()
+		a, b := ix.Rank[from], ix.Rank[to]
+		want := fp.classifyPair(a, b, e.Type == tdg.DepSuccessor)
 		if want != e.Type {
 			fs = append(fs, Finding{
 				Rule: "HL007", Severity: Error, File: opts.File,
@@ -522,7 +587,7 @@ func LintGraph(g *tdg.Graph, opts Options) Findings {
 			})
 			continue
 		}
-		wantBytes := expectedBytes(ra, rb, e.Type)
+		wantBytes := fp.expectedBytes(a, b, e.Type)
 		if e.MetadataBytes != wantBytes {
 			fs = append(fs, Finding{
 				Rule: "HL008", Severity: Error, File: opts.File,
@@ -532,7 +597,7 @@ func LintGraph(g *tdg.Graph, opts Options) Findings {
 			})
 		}
 	}
-	fs = append(fs, lintLostDependencies(g, nodes, raws, opts)...)
+	fs = append(fs, lintLostDependencies(g, ix, fp, opts)...)
 	fs = append(fs, lintIsolatedNodes(g, opts)...)
 	fs.Sort()
 	return fs
@@ -548,68 +613,79 @@ func LintGraph(g *tdg.Graph, opts Options) Findings {
 // read or written by the other, so an inverted field index enumerates
 // the overlapping pairs directly instead of testing all N² of them:
 // each node is paired with the touchers of every field it writes and
-// the writers of every field it reads. nodes and raws are indexed in
-// name order; a pair is examined once, from its lower index, with
-// seen deduplicating partners that share several fields.
-func lintLostDependencies(g *tdg.Graph, nodes []*tdg.Node, raws []rawSets, opts Options) Findings {
-	fieldID := map[string]int{}
-	var writers, touchers [][]int32 // per field, ascending node index
-	intern := func(name string) int {
-		id, ok := fieldID[name]
-		if !ok {
-			id = len(writers)
-			fieldID[name] = id
-			writers = append(writers, nil)
-			touchers = append(touchers, nil)
-		}
-		return id
+// the writers of every field it reads. fp's MAT positions are name
+// ranks; a pair is examined once, from its lower rank, with seen
+// deduplicating partners that share several fields.
+func lintLostDependencies(g *tdg.Graph, ix *tdg.Index, fp *footprints, opts Options) Findings {
+	// Per field, its writers and its touchers in ascending rank, laid
+	// out as offsets into two flat lists. A MAT that reads and writes a
+	// field is listed twice among its touchers; seen absorbs that.
+	nf, n := len(fp.names), int32(len(ix.ByName))
+	offs := make([]int32, 4*(nf+1))
+	wStart, tStart := offs[:nf+1], offs[nf+1:2*(nf+1)]
+	wFill, tFill := offs[2*(nf+1):3*(nf+1)], offs[3*(nf+1):]
+	for _, w := range fp.writes {
+		wStart[w.id+1]++
+		tStart[w.id+1]++
 	}
-	for i, r := range raws {
-		for name := range r.writes {
-			id := intern(name)
-			writers[id] = append(writers[id], int32(i))
-			touchers[id] = append(touchers[id], int32(i))
+	for _, r := range fp.reads {
+		tStart[r.id+1]++
+	}
+	for f := 0; f < nf; f++ {
+		wStart[f+1] += wStart[f]
+		tStart[f+1] += tStart[f]
+	}
+	copy(wFill, wStart)
+	copy(tFill, tStart)
+	writers := make([]int32, wStart[nf])
+	touchers := make([]int32, tStart[nf])
+	for u := int32(0); u < n; u++ {
+		for _, w := range fp.writesOf(u) {
+			writers[wFill[w.id]], touchers[tFill[w.id]] = u, u
+			wFill[w.id]++
+			tFill[w.id]++
 		}
-		for name := range r.reads {
-			if _, ok := r.writes[name]; !ok {
-				id := intern(name)
-				touchers[id] = append(touchers[id], int32(i))
-			}
+		for _, r := range fp.readsOf(u) {
+			touchers[tFill[r.id]] = u
+			tFill[r.id]++
 		}
 	}
 
 	var fs Findings
-	seen := make([]int32, len(nodes)) // seen[v] == u+1: pair (u, v) examined
-	examine := func(u int, partners []int32) {
+	seen := make([]int32, n) // seen[v] == u+1: pair (u, v) examined
+	examine := func(u int32, partners []int32) {
+		//hermes:hot
 		for _, v := range partners {
-			if int(v) <= u || seen[v] == int32(u)+1 {
+			if v <= u || seen[v] == u+1 {
 				continue
 			}
-			seen[v] = int32(u) + 1
-			a, b := nodes[u].Name(), nodes[v].Name()
-			if _, ok := g.Edge(a, b); ok {
+			seen[v] = u + 1
+			a, b := ix.ByName[u], ix.ByName[v]
+			if _, ok := g.EdgeByID(a, b); ok {
 				continue
 			}
-			if _, ok := g.Edge(b, a); ok {
+			if _, ok := g.EdgeByID(b, a); ok {
 				continue
 			}
-			if !sharesOrigin(nodes[u], nodes[v]) {
+			na, nb := g.NodeOf(a), g.NodeOf(b)
+			if !sharesOrigin(na, nb) {
 				continue
 			}
 			fs = append(fs, Finding{
 				Rule: "HL007", Severity: Error, File: opts.File,
-				Object: a + "<->" + b,
+				Object: na.Name() + "<->" + nb.Name(),
 				Message: fmt.Sprintf("MATs %q and %q share modified fields but the TDG connects them in neither direction (lost dependency)",
-					a, b),
+					na.Name(), nb.Name()),
 			})
 		}
 	}
-	for u, r := range raws {
-		for name := range r.writes {
-			examine(u, touchers[fieldID[name]])
+	//hermes:hot
+	for u := int32(0); u < n; u++ {
+		for _, w := range fp.writesOf(u) {
+			examine(u, touchers[tStart[w.id]:tStart[w.id+1]])
 		}
-		for name := range r.reads {
-			examine(u, writers[fieldID[name]])
+		for _, r := range fp.readsOf(u) {
+			examine(u, writers[wStart[r.id]:wStart[r.id+1]])
 		}
 	}
 	return fs

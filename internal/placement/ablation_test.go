@@ -63,7 +63,7 @@ func refinedSolve(g *tdg.Graph, topo *network.Topology, r refinements) (*Plan, e
 		}
 		byID := make([]network.SwitchID, len(order))
 		for p, u := range assign {
-			byID[indexOf(g, rm).topo[p]] = u
+			byID[indexOf(g, rm).Topo[p]] = u
 		}
 		return materializeAssignment(g, topo, byID, rm)
 	}

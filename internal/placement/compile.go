@@ -16,7 +16,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -82,20 +81,15 @@ type CompiledInstance struct {
 }
 
 // graphIndex is the node-id view of a graph that every instance is
-// built from: the topological order as names and as ids, each id's
-// position in it, R(a) under one resource model, and each id's rank in
-// name order — the MAT index order of every instance. It is computed
+// built from: the graph's tdg.Index (node names, the name order — the
+// MAT index order of every instance — and the topological order as ids
+// and positions) plus R(a) under one resource model. It is computed
 // once per (graph, resource model) and memoized under Graph.Memo, which
 // drops it on mutation; it is immutable once built.
 type graphIndex struct {
-	rm     program.ResourceModel
-	names  []string  // node names by id
-	order  []string  // topological order; nil when the graph is cyclic
-	topo   []int32   // order as node ids
-	pos    []int32   // topological position by id; nil when cyclic
-	req    []float64 // R(a) by id under rm
-	byName []int32   // ids in name order: Compile's MAT index space
-	rank   []int32   // position in byName by id
+	*tdg.Index
+	rm  program.ResourceModel
+	req []float64 // R(a) by id under rm
 }
 
 const graphIndexKey = "placement/graphIndex"
@@ -105,28 +99,16 @@ func indexOf(g *tdg.Graph, rm program.ResourceModel) *graphIndex {
 	if v, ok := g.Memo(graphIndexKey); ok && v.(*graphIndex).rm == rm {
 		return v.(*graphIndex)
 	}
-	n := g.NumNodes()
-	gi := &graphIndex{rm: rm, names: g.NodeNames(), req: make([]float64, n), byName: make([]int32, n), rank: make([]int32, n)}
-	for id, node := range g.Nodes() {
-		gi.req[id] = rm.Requirement(node.MAT)
-		gi.byName[id] = int32(id)
-	}
-	slices.SortFunc(gi.byName, func(a, b int32) int { return strings.Compare(gi.names[a], gi.names[b]) })
-	for r, id := range gi.byName {
-		gi.rank[id] = int32(r)
-	}
-	if ids, err := g.TopoIDs(); err == nil {
-		gi.topo, gi.order, gi.pos = ids, make([]string, n), make([]int32, n)
-		for p, id := range ids {
-			gi.order[p], gi.pos[id] = gi.names[id], int32(p)
-		}
+	gi := &graphIndex{Index: g.Index(), rm: rm, req: make([]float64, g.NumNodes())}
+	for id := range gi.req {
+		gi.req[id] = rm.Requirement(g.NodeOf(int32(id)).MAT)
 	}
 	g.MemoSet(graphIndexKey, gi)
 	return gi
 }
 
 // byRank orders node ids by name, the order of an instance's MATs.
-func (gi *graphIndex) byRank(a, b int32) int { return cmp.Compare(gi.rank[a], gi.rank[b]) }
+func (gi *graphIndex) byRank(a, b int32) int { return cmp.Compare(gi.Rank[a], gi.Rank[b]) }
 
 // Compile returns the dense-index form of (g, topo, rm) over every MAT
 // in name order. Its Names and Index are the name boundary: Exact
@@ -134,11 +116,11 @@ func (gi *graphIndex) byRank(a, b int32) int { return cmp.Compare(gi.rank[a], gi
 // name.
 func Compile(g *tdg.Graph, topo *network.Topology, rm program.ResourceModel) *CompiledInstance {
 	gi := indexOf(g, rm)
-	ci := compileSubset(g, gi, gi.byName, topo)
-	ci.Names = make([]string, len(gi.byName))
-	ci.Index = make(map[string]int32, len(gi.byName))
-	for x, id := range gi.byName {
-		ci.Names[x] = gi.names[id]
+	ci := compileSubset(g, gi, gi.ByName, topo)
+	ci.Names = make([]string, len(gi.ByName))
+	ci.Index = make(map[string]int32, len(gi.ByName))
+	for x, id := range gi.ByName {
+		ci.Names[x] = gi.Names[id]
 		ci.Index[ci.Names[x]] = int32(x)
 	}
 	return ci
@@ -224,10 +206,10 @@ func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, topo *network.Topo
 	for x, id := range ids {
 		ci.Req[x] = gi.req[id]
 	}
-	if gi.pos != nil {
+	if gi.Pos != nil {
 		ci.TopoPos = make([]int32, n)
 		for x, id := range ids {
-			ci.TopoPos[x] = gi.pos[id]
+			ci.TopoPos[x] = gi.Pos[id]
 		}
 	}
 
@@ -256,7 +238,7 @@ func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, topo *network.Topo
 
 // name returns MAT x's name: the name boundary of the solvers' own
 // instances (write-back into a name-keyed assignment, error text).
-func (ci *CompiledInstance) name(x int32) string { return ci.gi.names[ci.ids[x]] }
+func (ci *CompiledInstance) name(x int32) string { return ci.gi.Names[ci.ids[x]] }
 
 // presetLatencies installs the latency table of an instance whose Topo
 // cannot supply it: a repair instance's pseudo-topology is links-free,

@@ -415,10 +415,14 @@ func compileSubsetRef(g *tdg.Graph, names []string, rm program.ResourceModel) in
 		node, _ := g.Node(name)
 		a.req[i] = rm.Requirement(node.MAT)
 	}
-	if pos, err := g.TopoIndex(); err == nil {
+	if order, err := g.TopoSort(); err == nil {
+		pos := make(map[string]int32, len(order))
+		for p, name := range order {
+			pos[name] = int32(p)
+		}
 		a.topoPos = make([]int32, len(names))
 		for i, name := range names {
-			a.topoPos[i] = int32(pos[name])
+			a.topoPos[i] = pos[name]
 		}
 	}
 	for _, e := range g.EdgeList() {
@@ -508,7 +512,7 @@ func TestCompileSubsetMatchesNameKeyedTwin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ids := slices.Clone(gi.topo[cuts[r]:cuts[r+1]])
+			ids := slices.Clone(gi.Topo[cuts[r]:cuts[r+1]])
 			slices.SortFunc(ids, gi.byRank)
 			check(fmt.Sprintf("composite:%d region %d", c.regions, r), compileSubset(g, gi, ids, topoR))
 		}
@@ -516,7 +520,7 @@ func TestCompileSubsetMatchesNameKeyedTwin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ci, _, _, err := hostInstance(g, gi, topo, plan.UsedSwitches(), gi.byName)
+		ci, _, _, err := hostInstance(g, gi, topo, plan.UsedSwitches(), gi.ByName)
 		if err != nil {
 			t.Fatal(err)
 		}

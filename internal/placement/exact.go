@@ -240,8 +240,8 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 	st := newExactState(ci, opts)
 	st.orderIdx = make([]int32, len(order))
 	st.orderReq = make([]float64, len(order))
-	for i, id := range ci.gi.topo {
-		x := ci.gi.rank[id] // Compile's MAT index is the name rank
+	for i, id := range ci.gi.Topo {
+		x := ci.gi.Rank[id] // Compile's MAT index is the name rank
 		st.orderIdx[i] = x
 		st.orderReq[i] = ci.Req[x]
 	}

@@ -40,7 +40,7 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 	if err != nil {
 		return nil, err
 	}
-	topoIDs := indexOf(g, rm).topo
+	topoIDs := indexOf(g, rm).Topo
 	byID := make([]network.SwitchID, len(order))
 	for p, u := range assign {
 		byID[topoIDs[p]] = u
@@ -122,7 +122,7 @@ func greedyAssign(g *tdg.Graph, lo, hi int, topo *network.Topology, opts Options
 // cap, Options.Deadline and Options.Ctx bound it.
 func polish(g *tdg.Graph, lo int, topo *network.Topology, assign []network.SwitchID, opts Options, rm program.ResourceModel) error {
 	gi := indexOf(g, rm)
-	ids := slices.Clone(gi.topo[lo : lo+len(assign)])
+	ids := slices.Clone(gi.Topo[lo : lo+len(assign)])
 	slices.SortFunc(ids, gi.byRank)
 	ci := compileSubset(g, gi, ids, topo)
 	var err error
@@ -144,13 +144,13 @@ func polish(g *tdg.Graph, lo int, topo *network.Topology, assign []network.Switc
 	}
 	dense, all := make([]int32, len(ids)), make([]int32, len(ids))
 	for x, id := range ids {
-		dense[x], all[x] = int32(assign[int(gi.pos[id])-lo]), int32(x)
+		dense[x], all[x] = int32(assign[int(gi.Pos[id])-lo]), int32(x)
 	}
 	in := newRepairInstance(ci, sws, cands, dense, wt)
 	defer in.release()
 	in.climb(opts, all, occupiedTargets)
 	for x, id := range ids {
-		assign[int(gi.pos[id])-lo] = network.SwitchID(in.assign[x])
+		assign[int(gi.Pos[id])-lo] = network.SwitchID(in.assign[x])
 	}
 	return nil
 }
@@ -218,7 +218,7 @@ type posBytes struct {
 func newSplitScratch(g *tdg.Graph, lo, hi int, sw *network.Switch, rm program.ResourceModel) *splitScratch {
 	gi, n := indexOf(g, rm), hi-lo
 	sp := &splitScratch{
-		order:    gi.order[lo:hi],
+		order:    gi.Order[lo:hi],
 		capacity: sw.Capacity(),
 		stageCap: sw.StageCapacity,
 		req:      make([]float64, n),
@@ -234,7 +234,7 @@ func newSplitScratch(g *tdg.Graph, lo, hi int, sw *network.Switch, rm program.Re
 	// Both adjacency tables are carved out of one backing array. Edges
 	// with an endpoint outside the range are dropped, as in the induced
 	// subgraph.
-	ids, deg := gi.topo[lo:hi], 0
+	ids, deg := gi.Topo[lo:hi], 0
 	for _, id := range ids {
 		deg += len(g.OutEdgesOf(id)) + len(g.InEdgesOf(id))
 	}
@@ -246,13 +246,13 @@ func newSplitScratch(g *tdg.Graph, lo, hi int, sw *network.Switch, rm program.Re
 		out, in := flat[:0:len(outs)], flat[len(outs):len(outs):len(outs)+len(ins)]
 		flat = flat[len(outs)+len(ins):]
 		for _, e := range outs {
-			if _, to := e.Endpoints(); uint(int(gi.pos[to])-lo) < uint(n) {
-				out = append(out, posBytes{gi.pos[to] - int32(lo), int32(e.MetadataBytes)})
+			if _, to := e.Endpoints(); uint(int(gi.Pos[to])-lo) < uint(n) {
+				out = append(out, posBytes{gi.Pos[to] - int32(lo), int32(e.MetadataBytes)})
 			}
 		}
 		for _, e := range ins {
-			if from, _ := e.Endpoints(); uint(int(gi.pos[from])-lo) < uint(n) {
-				in = append(in, posBytes{gi.pos[from] - int32(lo), int32(e.MetadataBytes)})
+			if from, _ := e.Endpoints(); uint(int(gi.Pos[from])-lo) < uint(n) {
+				in = append(in, posBytes{gi.Pos[from] - int32(lo), int32(e.MetadataBytes)})
 			}
 		}
 		sp.out[i], sp.in[i] = out, in

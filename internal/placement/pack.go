@@ -105,10 +105,10 @@ func packShared(g *tdg.Graph, names []string, sw *network.Switch, rm program.Res
 		}
 		ids[i] = id
 	}
-	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(gi.pos[a], gi.pos[b]) })
+	slices.SortFunc(ids, func(a, b int32) int { return cmp.Compare(gi.Pos[a], gi.Pos[b]) })
 	ordered := make([]string, len(ids))
 	for i, id := range ids {
-		ordered[i] = gi.names[id]
+		ordered[i] = gi.Names[id]
 	}
 
 	// Candidate evaluation re-packs the same (MAT set, switch) pairs
@@ -132,21 +132,21 @@ func packSet(g *tdg.Graph, gi *graphIndex, ids []int32, sw *network.Switch) (map
 	ends := make([]int32, len(ids))
 	arena := make([]float64, 0, len(ids))
 	out := make(map[string]StagePlacement, len(ids))
-	byPos := func(id, pos int32) int { return cmp.Compare(gi.pos[id], pos) }
+	byPos := func(id, pos int32) int { return cmp.Compare(gi.Pos[id], pos) }
 	for i, id := range ids {
 		earliest := 0
 		for _, e := range g.InEdgesOf(id) {
 			from, _ := e.Endpoints()
-			if j, in := slices.BinarySearchFunc(ids[:i], gi.pos[from], byPos); in && int(ends[j])+1 > earliest {
+			if j, in := slices.BinarySearchFunc(ids[:i], gi.Pos[from], byPos); in && int(ends[j])+1 > earliest {
 				earliest = int(ends[j]) + 1
 			}
 		}
-		sp, err := stagePlacement(used, sw, gi.names[id], gi.req[id], earliest, &arena)
+		sp, err := stagePlacement(used, sw, gi.Names[id], gi.req[id], earliest, &arena)
 		if err != nil {
 			return nil, err
 		}
 		ends[i] = int32(sp.End)
-		out[gi.names[id]] = sp
+		out[gi.Names[id]] = sp
 	}
 	return out, nil
 }
@@ -322,7 +322,7 @@ func packAssignment(g *tdg.Graph, topo *network.Topology, byID []network.SwitchI
 	}
 	bucket := make([]int32, placed)
 	//hermes:hot
-	for _, id := range gi.topo {
+	for _, id := range gi.Topo {
 		if u := byID[id]; u >= 0 {
 			bucket[next[u]] = id
 			next[u]++
@@ -360,12 +360,12 @@ func packAssignment(g *tdg.Graph, topo *network.Topology, byID []network.SwitchI
 					earliest = int(ends[from]) + 1
 				}
 			}
-			sp, err := stagePlacement(used, sw, gi.names[id], gi.req[id], earliest, &arena)
+			sp, err := stagePlacement(used, sw, gi.Names[id], gi.req[id], earliest, &arena)
 			if err != nil {
 				return nil, fmt.Errorf("placement: materializing assignment: %w", err)
 			}
 			ends[id] = int32(sp.End)
-			plan.Assignments[gi.names[id]] = sp
+			plan.Assignments[gi.Names[id]] = sp
 		}
 	}
 	return plan, nil

@@ -388,7 +388,7 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	dense := make([]int32, len(ids))
 	var place []int32
 	for x, id := range ids {
-		if u, ok := baseAssign[gi.names[id]]; ok {
+		if u, ok := baseAssign[gi.Names[id]]; ok {
 			dense[x] = hostIdx[u]
 		} else {
 			dense[x] = -1
@@ -399,7 +399,7 @@ func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	dirtyIdx := make([]int32, len(dirtyNames))
 	for i, name := range dirtyNames {
 		id, _ := g.ID(name)
-		x, ok := slices.BinarySearchFunc(ids, gi.rank[id], func(a, r int32) int { return int(gi.rank[a] - r) })
+		x, ok := slices.BinarySearchFunc(ids, gi.Rank[id], func(a, r int32) int { return int(gi.Rank[a] - r) })
 		if !ok {
 			return nil, fmt.Errorf("dirty MAT %q is hosted outside the instance's candidates", name)
 		}

@@ -166,7 +166,7 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	slices.Sort(hosts)
 	hosts = slices.Compact(hosts)
 	gi := indexOf(g, rm)
-	ci, hostIdx, sws, err := hostInstance(g, gi, topo, hosts, gi.byName)
+	ci, hostIdx, sws, err := hostInstance(g, gi, topo, hosts, gi.ByName)
 	if err != nil {
 		return err
 	}
@@ -180,8 +180,8 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 		}
 		wt = NewWeightTable(rates, int32(topo.NumSwitches())).Compact(hosts)
 	}
-	dense := make([]int32, len(gi.byName))
-	for x, id := range gi.byName {
+	dense := make([]int32, len(gi.ByName))
+	for x, id := range gi.ByName {
 		dense[x] = hostIdx[assign[id]]
 	}
 	cands := make([]int32, len(hosts))
@@ -217,7 +217,7 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	st.AMaxBefore = amax
 	st.Rounds, st.Moves = in.climb(copts, xs, peerTargets)
 	st.AMaxAfter = in.pt.Max()
-	for x, id := range gi.byName {
+	for x, id := range gi.ByName {
 		assign[id] = hosts[dense[x]]
 	}
 	return nil
@@ -271,12 +271,12 @@ func chunkTDG(g *tdg.Graph, part *network.Partition, rm program.ResourceModel) (
 		return nil, fmt.Errorf("shard: %w", err)
 	}
 	gi := indexOf(g, rm)
-	n := len(gi.topo)
+	n := len(gi.Topo)
 	cum := make([]float64, n+1)    // cum[p] = requirement of order[:p]
 	crossing := make([]int64, n+1) // crossing[p] = bytes across cut at p
 	maxReq := 0.0
 	//hermes:hot
-	for i, id := range gi.topo {
+	for i, id := range gi.Topo {
 		r := gi.req[id]
 		cum[i+1] = cum[i] + r
 		if r > maxReq {
@@ -407,7 +407,7 @@ func (s ShardedGreedy) solveRegions(g *tdg.Graph, topo *network.Topology, part *
 	}
 	// The merged assignment is the input of the reconcile and the
 	// materialization.
-	topoIDs := indexOf(g, rm).topo
+	topoIDs := indexOf(g, rm).Topo
 	merged := make([]network.SwitchID, g.NumNodes())
 	covered := 0
 	for r, m := range results {

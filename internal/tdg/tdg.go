@@ -132,21 +132,23 @@ type Graph struct {
 	// Mutations (AddNode/AddEdge) remain single-goroutine operations;
 	// only reads may run concurrently.
 	mu sync.Mutex
-	// topoCache memoizes TopoSort between mutations, topoIDs the same
-	// order as node ids, and topoPos (built on the first TopoIndex call)
-	// each name's position; topoErr holds the cycle error when the last
-	// sort failed.
+	// topoCache memoizes TopoSort between mutations and topoIDs the same
+	// order as node ids (Index holds each id's position); topoErr holds
+	// the cycle error when the last sort failed.
 	topoIDs   []int32
 	topoCache []string
-	topoPos   map[string]int
 	topoErr   error
 	topoValid bool
+	// index is the memoized Index; idxMu serializes its build, so
+	// concurrent first readers sort the names once.
+	index *Index
+	idxMu sync.Mutex
 	// memo caches derived computations keyed by caller-chosen strings
 	// (e.g. placement's stage-packing results). Cleared on mutation.
 	memo map[string]any
-	// derived is set while the topo cache or the memo holds anything, so
-	// a mutation of a graph nothing has read yet (a builder's) skips the
-	// lock.
+	// derived is set while the topo cache, the index or the memo holds
+	// anything, so a mutation of a graph nothing has read yet (a
+	// builder's) skips the lock.
 	derived atomic.Bool
 }
 
@@ -341,6 +343,9 @@ func (g *Graph) Node(name string) (*Node, bool) {
 	return g.nodes[id], true
 }
 
+// NodeOf returns the node with id id.
+func (g *Graph) NodeOf(id int32) *Node { return g.nodes[id] }
+
 // ID returns the named node's id: its insertion index.
 func (g *Graph) ID(name string) (int32, bool) {
 	id, ok := g.ids[name]
@@ -480,7 +485,7 @@ func (g *Graph) topoFill() ([]int32, []string, error) {
 		g.topoValid = true
 		g.derived.Store(true)
 		g.topoErr = err
-		g.topoIDs, g.topoCache, g.topoPos = nil, nil, nil
+		g.topoIDs, g.topoCache = nil, nil
 		if err == nil {
 			g.topoIDs = ids
 			g.topoCache = make([]string, len(ids))
@@ -490,25 +495,6 @@ func (g *Graph) topoFill() ([]int32, []string, error) {
 		}
 	}
 	return g.topoIDs, g.topoCache, g.topoErr
-}
-
-// TopoIndex returns each node's position in the cached topological
-// order, hashing every name on its first call after a mutation. The
-// returned map is shared; callers must not modify it.
-func (g *Graph) TopoIndex() (map[string]int, error) {
-	_, order, err := g.topoFill()
-	if err != nil {
-		return nil, err
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.topoPos == nil {
-		g.topoPos = make(map[string]int, len(order))
-		for i, name := range order {
-			g.topoPos[name] = i
-		}
-	}
-	return g.topoPos, nil
 }
 
 // TopoIDs returns the cached topological order as node ids: TopoSort
@@ -522,8 +508,8 @@ func (g *Graph) TopoIDs() ([]int32, error) {
 	return ids, nil
 }
 
-// invalidateDerived drops every lazily-derived result (topo cache and
-// memo); called by every mutating operation. Mutations never run
+// invalidateDerived drops every lazily-derived result (topo cache,
+// index and memo); called by every mutating operation. Mutations never run
 // concurrently with reads, so the unlocked flag read is safe.
 func (g *Graph) invalidateDerived() {
 	if !g.derived.Load() {
@@ -533,6 +519,7 @@ func (g *Graph) invalidateDerived() {
 	g.derived.Store(false)
 	g.topoValid = false
 	g.topoErr = nil
+	g.index = nil
 	g.memo = nil
 	g.mu.Unlock()
 }

@@ -425,12 +425,13 @@ func TestEdgeListAndTopoIndex(t *testing.T) {
 	if len(g.EdgeList()) != 2 {
 		t.Fatalf("EdgeList = %d edges", len(g.EdgeList()))
 	}
-	idx, err := g.TopoIndex()
-	if err != nil {
-		t.Fatal(err)
+	pos := func(ix *Index, name string) int32 {
+		id, _ := g.ID(name)
+		return ix.Pos[id]
 	}
-	if !(idx["a"] < idx["b"] && idx["b"] < idx["c"]) {
-		t.Errorf("TopoIndex not topological: %v", idx)
+	ix := g.Index()
+	if !(pos(ix, "a") < pos(ix, "b") && pos(ix, "b") < pos(ix, "c")) {
+		t.Errorf("Index positions not topological: %v", ix.Pos)
 	}
 	// The cache must invalidate on mutation.
 	if err := g.AddNode(mat(t, "z")); err != nil {
@@ -439,19 +440,15 @@ func TestEdgeListAndTopoIndex(t *testing.T) {
 	if err := g.AddEdge("z", "a", DepMatch, 1); err != nil {
 		t.Fatal(err)
 	}
-	idx2, err := g.TopoIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(idx2["z"] < idx2["a"]) {
-		t.Errorf("TopoIndex stale after mutation: %v", idx2)
+	if ix2 := g.Index(); !(pos(ix2, "z") < pos(ix2, "a")) {
+		t.Errorf("Index positions stale after mutation: %v", ix2.Pos)
 	}
 	// Cycle invalidates the cache with an error both times.
 	if err := g.AddEdge("c", "z", DepMatch, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.TopoIndex(); err == nil {
-		t.Error("TopoIndex of cyclic graph succeeded")
+	if ix3 := g.Index(); ix3.Topo != nil || ix3.Pos != nil {
+		t.Error("Index of cyclic graph has a topological order")
 	}
 	if _, err := g.TopoSort(); err == nil {
 		t.Error("cached TopoSort of cyclic graph succeeded")
@@ -460,7 +457,7 @@ func TestEdgeListAndTopoIndex(t *testing.T) {
 
 // TestTopoCacheConcurrentReaders: goroutines that read a fresh graph's
 // topological order at once — as names, as ids and as the lazily built
-// position map — share one fill and agree (run under -race).
+// index's positions — share one fill and agree (run under -race).
 func TestTopoCacheConcurrentReaders(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e", "f"}
 	g := chain(t, names, []int{1, 2, 3, 4, 5})
@@ -471,14 +468,14 @@ func TestTopoCacheConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			order, err := g.TopoSort()
 			ids, ierr := g.TopoIDs()
-			pos, perr := g.TopoIndex()
-			if err != nil || ierr != nil || perr != nil || !slices.Equal(order, names) || len(ids) != len(names) {
-				t.Errorf("order %v (%v), ids %v (%v), index error %v", order, err, ids, ierr, perr)
+			ix := g.Index()
+			if err != nil || ierr != nil || !slices.Equal(order, names) || len(ids) != len(names) {
+				t.Errorf("order %v (%v), ids %v (%v)", order, err, ids, ierr)
 				return
 			}
 			for i, name := range order {
-				if pos[name] != i || g.NodeNames()[ids[i]] != name {
-					t.Errorf("position %d: index %d, id %d", i, pos[name], ids[i])
+				if ix.Pos[ids[i]] != int32(i) || ix.Names[ids[i]] != name {
+					t.Errorf("position %d: index %d, id %d", i, ix.Pos[ids[i]], ids[i])
 				}
 			}
 		}()
