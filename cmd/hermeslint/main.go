@@ -16,7 +16,7 @@
 //	       AMax, the *Ref twins, ...), graph materialization
 //	       (Subgraph, Edges, OutEdges, InEdges, NodeNames), a
 //	       graph lookup by MAT name (Node, Edge, OutEdgeList,
-//	       InEdgeList, TopoIndex, ID), lint's test-side
+//	       InEdgeList, ID), lint's test-side
 //	       name-keyed footprint reference (rawSets) or
 //	       name-keyed stage packing
 //	       (FitsSwitch, PackStages, packShared and the test-side
@@ -67,6 +67,16 @@
 //	       build still compiles and vets. Delete it
 //	       (testOnlyPackages, imported from tests by
 //	       design, are exempt)                              error
+//	HV013  an exported function or method declared in a
+//	       non-test file of an internal/... package that no
+//	       non-test file references: surface only tests
+//	       call. Delete it, or move it into the tests that
+//	       use it. Methods of types the root facade aliases
+//	       and of the standard interfaces (String, Less, ...)
+//	       are exempt; a reference twin that a test in
+//	       another package compares against may be
+//	       allowlisted with a reason, and a stale entry is
+//	       itself a finding                                 error
 //
 // It is deliberately x/tools-free: the analysis is a plain go/parser +
 // go/ast walk so it builds in hermetic environments with no module
@@ -164,7 +174,7 @@ func main() {
 type source struct{ path, src string }
 
 // lintSources parses every file, runs the per-file rules over each and
-// the cross-file rules HV011 and HV012 over the whole set.
+// the cross-file rules HV011, HV012 and HV013 over the whole set.
 func lintSources(srcs []source) ([]vetFinding, error) {
 	fset := token.NewFileSet()
 	files := make([]*ast.File, len(srcs))
@@ -179,7 +189,8 @@ func lintSources(srcs []source) ([]vetFinding, error) {
 		out = append(out, lintFile(fset, file, s.path)...)
 	}
 	out = append(out, lintUnsetOptions(fset, files, paths)...)
-	return append(out, lintUnimported(fset, files, paths)...), nil
+	out = append(out, lintUnimported(fset, files, paths)...)
+	return append(out, lintDeadSurface(fset, files, paths)...), nil
 }
 
 // lintGoSource parses one Go file and runs every per-file rule over it.
@@ -531,7 +542,6 @@ var hotBanned = map[string]bool{
 	"rawSets":            true,
 	"OutEdgeList":        true,
 	"InEdgeList":         true,
-	"TopoIndex":          true,
 	"Subgraph":           true,
 	"Edges":              true,
 	"OutEdges":           true,

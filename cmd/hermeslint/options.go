@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"maps"
 	"path/filepath"
 	"strings"
 )
@@ -53,7 +54,8 @@ func lintUnsetOptions(fset *token.FileSet, files []*ast.File, paths []string) []
 		imports := importNames(file)
 		pkg := file.Name.Name
 		if !test {
-			decls = append(decls, optionDecls(file, path, imports, aliases)...)
+			decls = append(decls, optionDecls(file, path)...)
+			maps.Copy(aliases, typeAliases(file, imports))
 		}
 		if test || isExample(path) {
 			continue
@@ -134,8 +136,8 @@ func passThrough(typ, pkg, field string, value ast.Expr) bool {
 }
 
 // optionDecls returns the exported fields of the file's exported option
-// structs, and records its `type A = pkg.B` aliases into aliases.
-func optionDecls(file *ast.File, path string, imports map[string]string, aliases map[string]string) []optionField {
+// structs.
+func optionDecls(file *ast.File, path string) []optionField {
 	// A test-only package (HV010) has its options set from tests by
 	// construction.
 	for _, dir := range testOnlyPackages {
@@ -152,15 +154,9 @@ func optionDecls(file *ast.File, path string, imports map[string]string, aliases
 		}
 		for _, spec := range gd.Specs {
 			ts := spec.(*ast.TypeSpec)
-			if ts.Assign.IsValid() {
-				if target := literalType(ts.Type, pkg, imports); target != "" {
-					aliases[pkg+"."+ts.Name.Name] = target
-				}
-				continue
-			}
 			name := ts.Name.Name
 			st, ok := ts.Type.(*ast.StructType)
-			if !ok || !ast.IsExported(name) || !strings.HasSuffix(name, "Options") && !solverStructs[name] {
+			if !ok || ts.Assign.IsValid() || !ast.IsExported(name) || !strings.HasSuffix(name, "Options") && !solverStructs[name] {
 				continue
 			}
 			for _, f := range st.Fields.List {
@@ -231,4 +227,26 @@ func importNames(file *ast.File) map[string]string {
 // which demonstrate options rather than choose them.
 func isExample(path string) bool {
 	return strings.HasPrefix(path, "examples/") || strings.Contains(path, "/examples/")
+}
+
+// typeAliases maps each `type A = pkg.B` of the file, as its own pkg.A,
+// to the pkg.B it aliases.
+func typeAliases(file *ast.File, imports map[string]string) map[string]string {
+	out := map[string]string{}
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts := spec.(*ast.TypeSpec)
+			if !ts.Assign.IsValid() {
+				continue
+			}
+			if target := literalType(ts.Type, file.Name.Name, imports); target != "" {
+				out[file.Name.Name+"."+ts.Name.Name] = target
+			}
+		}
+	}
+	return out
 }

@@ -43,12 +43,14 @@ func TestDiameter(t *testing.T) {
 	if got := diameter(tp); got != 4 {
 		t.Errorf("linear-5 diameter = %d, want 4", got)
 	}
-	ring, err := network.Ring(6, network.TofinoSpec(), 1)
+	// A fat tree's farthest switches are edges in different pods:
+	// edge, aggregation, core, aggregation, edge.
+	ft, err := network.FatTree(4, network.TofinoSpec(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := diameter(ring); got != 3 {
-		t.Errorf("ring-6 diameter = %d, want 3", got)
+	if got := diameter(ft); got != 4 {
+		t.Errorf("fattree-4 diameter = %d, want 4", got)
 	}
 }
 

@@ -221,31 +221,6 @@ func EdgeMetadataBytes(a, b *program.MAT, typ tdg.DepType) (int, error) {
 	return n, nil
 }
 
-// Report summarizes an analyzed TDG.
-type Report struct {
-	// Nodes and Edges are the merged TDG's sizes.
-	Nodes, Edges int
-	// TotalMetadataBytes sums A(a,b) over all edges.
-	TotalMetadataBytes int
-	// MaxEdgeBytes is the largest single A(a,b).
-	MaxEdgeBytes int
-	// TotalRequirement sums R(a) under the default resource model.
-	TotalRequirement float64
-}
-
-// Summarize computes a Report for an analyzed TDG.
-func Summarize(g *tdg.Graph) Report {
-	r := Report{Nodes: g.NumNodes(), Edges: g.NumEdges()}
-	for _, e := range g.Edges() {
-		r.TotalMetadataBytes += e.MetadataBytes
-		if e.MetadataBytes > r.MaxEdgeBytes {
-			r.MaxEdgeBytes = e.MetadataBytes
-		}
-	}
-	r.TotalRequirement = g.TotalRequirement(program.DefaultResourceModel)
-	return r
-}
-
 // MetadataFields returns the metadata fields a passes along the edge
 // type: the fields EdgeMetadataBytes counts.
 func MetadataFields(a, b *program.MAT, typ tdg.DepType) (fields.Set, error) {

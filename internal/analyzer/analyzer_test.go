@@ -187,26 +187,6 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	g, err := Analyze([]*program.Program{pipelineProgram(t, "p")}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Summarize(g)
-	if r.Nodes != 3 {
-		t.Errorf("Nodes = %d, want 3", r.Nodes)
-	}
-	if r.MaxEdgeBytes != 6 {
-		t.Errorf("MaxEdgeBytes = %d, want 6", r.MaxEdgeBytes)
-	}
-	if r.TotalMetadataBytes < r.MaxEdgeBytes {
-		t.Error("TotalMetadataBytes < MaxEdgeBytes")
-	}
-	if r.TotalRequirement <= 0 {
-		t.Error("TotalRequirement not positive")
-	}
-}
-
 func TestMetadataFieldsForDeployment(t *testing.T) {
 	p := pipelineProgram(t, "p")
 	g, err := Analyze([]*program.Program{p}, Options{})

@@ -210,29 +210,6 @@ func (p *placer) fullestFit(name string) error {
 	return nil
 }
 
-// emptiestFit places the MAT on the feasible switch with the most
-// remaining headroom (Sonata-style balancing), at or after its minimum
-// index.
-func (p *placer) emptiestFit(name string) error {
-	best := -1
-	bestRem := -1.0
-	for idx := p.minIndex(name); idx < len(p.switches); idx++ {
-		if !p.fits(idx, name) {
-			continue
-		}
-		rem := p.switches[idx].sw.Capacity() - p.switches[idx].used
-		if rem > bestRem {
-			bestRem = rem
-			best = idx
-		}
-	}
-	if best < 0 {
-		return fmt.Errorf("baseline: MAT %q fits no switch", name)
-	}
-	p.place(best, name)
-	return nil
-}
-
 // finish materializes the accumulated assignment into a Plan.
 func (p *placer) finish(solver string, start time.Time) (*placement.Plan, error) {
 	plan := &placement.Plan{

@@ -317,15 +317,20 @@ func TestBaselineErrors(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	names := Names()
-	if len(names) != 8 {
-		t.Fatalf("Names() = %v, want 8 entries", names)
+// The experiment tables key their columns on Solver.Name, so the eight
+// baselines must answer to eight distinct names.
+func TestAllSolversHaveDistinctNames(t *testing.T) {
+	solvers := All()
+	if len(solvers) != 8 {
+		t.Fatalf("All() holds %d solvers, want 8", len(solvers))
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("Names() not sorted: %v", names)
+	seen := map[string]bool{}
+	for _, s := range solvers {
+		name := s.Name()
+		if name == "" || seen[name] {
+			t.Errorf("solver name %q is empty or repeated", name)
 		}
+		seen[name] = true
 	}
 }
 

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
@@ -438,15 +437,4 @@ func All() []placement.Solver {
 	return []placement.Solver{
 		MinStage{}, Sonata{}, SPEED{}, MTP{}, Flightplan{}, P4All{}, FFL{}, FFLS{},
 	}
-}
-
-// Sorted names of all baselines, for reports.
-func Names() []string {
-	solvers := All()
-	out := make([]string, len(solvers))
-	for i, s := range solvers {
-		out[i] = s.Name()
-	}
-	sort.Strings(out)
-	return out
 }

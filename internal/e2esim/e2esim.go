@@ -12,7 +12,6 @@ package e2esim
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -268,26 +267,4 @@ func (c Config) AccumulatingImpactOf(perHopBytes int) (Impact, error) {
 		FCTIncrease:     with.FCT.Seconds()/base.FCT.Seconds() - 1,
 		GoodputDecrease: 1 - with.GoodputBps/base.GoodputBps,
 	}, nil
-}
-
-// RelativeOverheadReduction compares two deployments' overheads by the
-// end-to-end damage they cause: it returns how much larger b's FCT
-// penalty is than a's, as a fraction of a's (the "reduces overheads by
-// up to 145%" arithmetic of Exp#4).
-func RelativeOverheadReduction(cfg Config, aBytes, bBytes int) (float64, error) {
-	ia, err := cfg.ImpactOf(aBytes)
-	if err != nil {
-		return 0, err
-	}
-	ib, err := cfg.ImpactOf(bBytes)
-	if err != nil {
-		return 0, err
-	}
-	if ia.FCTIncrease <= 0 {
-		if ib.FCTIncrease <= 0 {
-			return 0, nil
-		}
-		return math.Inf(1), nil
-	}
-	return ib.FCTIncrease/ia.FCTIncrease - 1, nil
 }

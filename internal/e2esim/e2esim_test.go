@@ -147,42 +147,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestRelativeOverheadReduction(t *testing.T) {
-	cfg := DefaultDCN(1024)
-	// Hermes (low overhead) vs baseline (high overhead): positive.
-	r, err := RelativeOverheadReduction(cfg, 8, 160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r <= 0 {
-		t.Errorf("reduction = %g, want positive", r)
-	}
-	// Equal overheads: zero.
-	r, err = RelativeOverheadReduction(cfg, 50, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r) > 1e-9 {
-		t.Errorf("equal overheads give reduction %g", r)
-	}
-	// Zero vs positive: infinite improvement.
-	r, err = RelativeOverheadReduction(cfg, 0, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(r, 1) {
-		t.Errorf("0 vs 50 = %g, want +Inf", r)
-	}
-	// Zero vs zero.
-	r, err = RelativeOverheadReduction(cfg, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 0 {
-		t.Errorf("0 vs 0 = %g, want 0", r)
-	}
-}
-
 // Property: goodput · FCT == total payload bits for any valid run.
 func TestGoodputFCTIdentity(t *testing.T) {
 	prop := func(size8, h8 uint8) bool {

@@ -134,9 +134,6 @@ func (c *Checker) release() {
 	c.ov.pool = append(c.ov.pool, c)
 }
 
-// Reference returns the graph this checker proves against.
-func (c *Checker) Reference() *tdg.Graph { return c.ov.g }
-
 // Check is the deployment gate: nil means the distributed pipeline is
 // symbolically proven equivalent to the single-box reference for every
 // program; otherwise the error folds the error-severity findings (use

@@ -9,25 +9,12 @@ import (
 	"github.com/hermes-net/hermes/internal/dataplane"
 	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/program"
-	"github.com/hermes-net/hermes/internal/tdg"
 )
 
 // maxCandidates bounds counterexample search; the candidate set is the
 // zero packet, the all-ones packet, and one rule-solving packet per
 // installed rule, in deterministic order.
 const maxCandidates = 64
-
-// Diverges replays pkt through the distributed deployment and the
-// single-box reference for graph ref, both from cold registers, and
-// reports whether the runs disagree (a coordination fault, a pipeline
-// construction failure, or differing final write sets).
-func Diverges(ref *tdg.Graph, dep *deploy.Deployment, pkt *dataplane.Packet) bool {
-	d, err := dataplane.NewDifferential(ref, dep, 1)
-	if err == nil {
-		_, err = d.Run([]*dataplane.Packet{pkt})
-	}
-	return isPlanDefect(err)
-}
 
 // isPlanDefect reports whether a replay failure counts against the
 // deployment: an unrunnable reference is not a plan defect.

@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 
 	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/baseline"
-	"github.com/hermes-net/hermes/internal/dataplane"
-	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/e2esim"
-	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/program"
@@ -314,58 +310,4 @@ func Exp6(cfg Config) (*Exp6Result, error) {
 
 func runSpeedForExp6(merged *tdg.Graph, topo *network.Topology) (*placement.Plan, error) {
 	return (baseline.SPEED{}).Solve(merged, topo, placement.Options{})
-}
-
-// runEquivalence drives random packets through the deployment and the
-// single-box reference.
-func runEquivalence(dep *deploy.Deployment, packets int, seed int64) (int, error) {
-	rng := rand.New(rand.NewSource(seed))
-	pkts := make([]*dataplane.Packet, packets)
-	for i := range pkts {
-		pkts[i] = &dataplane.Packet{Headers: map[string]uint64{
-			fields.IPv4Src:   uint64(rng.Intn(64)),
-			fields.IPv4Dst:   uint64(rng.Intn(64)),
-			fields.IPv4Proto: 6,
-			fields.IPv4TTL:   64,
-			fields.IPv4DSCP:  uint64(rng.Intn(8)),
-			fields.TCPSrc:    uint64(1024 + rng.Intn(1024)),
-			fields.TCPDst:    uint64(rng.Intn(1024)),
-			fields.UDPSrc:    uint64(rng.Intn(1024)),
-			fields.UDPDst:    uint64(rng.Intn(1024)),
-			fields.EthSrc:    uint64(rng.Intn(1 << 20)),
-			fields.EthDst:    uint64(rng.Intn(1 << 20)),
-			fields.EthType:   0x0800,
-			fields.VlanID:    uint64(rng.Intn(16)),
-		}}
-	}
-	return dataplane.EquivalentRuns(dep, pkts)
-}
-
-// --- verification: distributed execution equals single-box ---
-
-// VerifyDeployment compiles the Hermes plan for the given programs on
-// the testbed and checks packet-level equivalence between the
-// distributed deployment and single-box execution; it returns the
-// measured max coordination header bytes.
-func VerifyDeployment(cfg Config, progs []*program.Program, packets int) (int, error) {
-	topo, err := testbedTopology(cfg)
-	if err != nil {
-		return 0, err
-	}
-	merged, err := analyzer.Analyze(progs, analyzer.Options{})
-	if err != nil {
-		return 0, err
-	}
-	plan, err := (placement.Greedy{}).Solve(merged, topo, placement.Options{})
-	if err != nil {
-		return 0, err
-	}
-	dep, err := deploy.Compile(plan, analyzer.Options{})
-	if err != nil {
-		return 0, err
-	}
-	if err := dep.Verify(); err != nil {
-		return 0, err
-	}
-	return runEquivalence(dep, packets, cfg.Seed)
 }

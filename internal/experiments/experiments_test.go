@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
+	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/baseline"
+	"github.com/hermes-net/hermes/internal/dataplane"
+	"github.com/hermes-net/hermes/internal/deploy"
+	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/tdg"
@@ -185,12 +190,51 @@ func TestExp6ResourceAccounting(t *testing.T) {
 	}
 }
 
+// TestVerifyDeploymentEquivalence compiles the Hermes plan for a mix
+// of real programs on the testbed and replays a random packet stream
+// through the distributed deployment and single-box execution: the runs
+// must agree.
 func TestVerifyDeploymentEquivalence(t *testing.T) {
 	cfg := fastConfig()
-	// A workload mixing several real programs; compile and check
-	// distributed == single box over a packet stream.
-	progs := workload.RealPrograms()[:6]
-	maxHdr, err := VerifyDeployment(cfg, progs, 100)
+	topo, err := testbedTopology(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := analyzer.Analyze(workload.RealPrograms()[:6], analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := (placement.Greedy{}).Solve(merged, topo, placement.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := deploy.Compile(plan, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	pkts := make([]*dataplane.Packet, 100)
+	for i := range pkts {
+		pkts[i] = &dataplane.Packet{Headers: map[string]uint64{
+			fields.IPv4Src:   uint64(rng.Intn(64)),
+			fields.IPv4Dst:   uint64(rng.Intn(64)),
+			fields.IPv4Proto: 6,
+			fields.IPv4TTL:   64,
+			fields.IPv4DSCP:  uint64(rng.Intn(8)),
+			fields.TCPSrc:    uint64(1024 + rng.Intn(1024)),
+			fields.TCPDst:    uint64(rng.Intn(1024)),
+			fields.UDPSrc:    uint64(rng.Intn(1024)),
+			fields.UDPDst:    uint64(rng.Intn(1024)),
+			fields.EthSrc:    uint64(rng.Intn(1 << 20)),
+			fields.EthDst:    uint64(rng.Intn(1 << 20)),
+			fields.EthType:   0x0800,
+			fields.VlanID:    uint64(rng.Intn(16)),
+		}}
+	}
+	maxHdr, err := dataplane.EquivalentRuns(dep, pkts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -439,7 +439,7 @@ func TestLintProgramMatchesMapReference(t *testing.T) {
 		return progs
 	}
 	var progs []*program.Program
-	progs = append(progs, workload.RealProgramsPlusTracking()...)
+	progs = append(progs, workload.RealPrograms()...)
 	progs = append(progs, corpus(workload.EvaluationPrograms(30, 1))...)
 	progs = append(progs, corpus(workload.SyntheticSet(30, workload.PaperSyntheticSpec(), 1))...)
 	progs = append(progs, corpus(workload.SyntheticSet(16, workload.PaperSyntheticSpec(), 1))...)

@@ -181,20 +181,20 @@ func TestLintGraphMatchesAllPairsReference(t *testing.T) {
 			continue
 		}
 		lost, retyped := 0, 0
-		for _, f := range got.ByRule("HL007") {
+		for _, f := range byRule(got, "HL007") {
 			if strings.Contains(f.Object, "<->") {
 				lost++
 			} else {
 				retyped++
 			}
 		}
-		if bytes := len(got.ByRule("HL008")); lost < tc.wantLost || retyped < tc.wantRetyped || bytes < tc.wantBytes {
+		if bytes := len(byRule(got, "HL008")); lost < tc.wantLost || retyped < tc.wantRetyped || bytes < tc.wantBytes {
 			t.Errorf("%s: %d lost-dependency, %d retyped-edge and %d A(a,b) findings, want >= %d, %d and %d",
 				tc.name, lost, retyped, bytes, tc.wantLost, tc.wantRetyped, tc.wantBytes)
 		}
 	}
 	// The width-conflict graph flags exactly the mis-annotated edge.
-	if fs := LintGraph(widthConflictGraph(t), Options{}).ByRule("HL008"); len(fs) != 1 || fs[0].Object != "w8->r" {
+	if fs := byRule(LintGraph(widthConflictGraph(t), Options{}), "HL008"); len(fs) != 1 || fs[0].Object != "w8->r" {
 		t.Errorf("width-conflict: HL008 findings %v, want one on w8->r", fs)
 	}
 }
@@ -205,7 +205,7 @@ func TestLintGraphMatchesAllPairsReference(t *testing.T) {
 // nodes of different programs never do.
 func TestLintGraphMixedOriginPairs(t *testing.T) {
 	var got []string
-	for _, f := range LintGraph(mixedOriginGraph(t), Options{}).ByRule("HL007") {
+	for _, f := range byRule(LintGraph(mixedOriginGraph(t), Options{}), "HL007") {
 		got = append(got, f.Object)
 	}
 	want := []string{

@@ -188,17 +188,6 @@ func (fs Findings) Rules() []string {
 	return out
 }
 
-// ByRule returns the findings carrying the given rule ID.
-func (fs Findings) ByRule(rule string) Findings {
-	var out Findings
-	for _, f := range fs {
-		if f.Rule == rule {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // OracleErrors returns the error-severity findings that participate in
 // the differential plan oracle.
 func (fs Findings) OracleErrors() Findings {

@@ -83,7 +83,7 @@ func rm() program.ResourceModel { return program.DefaultResourceModel }
 func requireOracleRejects(t *testing.T, p *placement.Plan, rule string) {
 	t.Helper()
 	fs := LintPlan(p, rm(), 0, 0)
-	if len(fs.ByRule(rule)) == 0 {
+	if len(byRule(fs, rule)) == 0 {
 		t.Fatalf("mutation must trigger %s, got %v:\n%s", rule, fs.Rules(), fs.Text())
 	}
 	if len(fs.OracleErrors()) == 0 {
@@ -137,7 +137,7 @@ func TestMutationNonProgrammableSwitch(t *testing.T) {
 	sp.Switch = dumb
 	plan.Assignments["c"] = sp
 	fs := LintPlan(plan, rm(), 0, 0)
-	if len(fs.ByRule("HL102")) == 0 {
+	if len(byRule(fs, "HL102")) == 0 {
 		t.Fatalf("MAT on non-programmable switch must trigger HL102, got %v", fs.Rules())
 	}
 	if err := plan.Validate(rm(), 0, 0); err == nil {
@@ -211,7 +211,7 @@ func TestMutationEpsilonBounds(t *testing.T) {
 	p := solvedChain(t)
 	eps1 := p.TE2E() - 1 // just under the achieved latency
 	fs := LintPlan(p, rm(), eps1, 0)
-	if len(fs.ByRule("HL107")) == 0 {
+	if len(byRule(fs, "HL107")) == 0 {
 		t.Fatalf("ε1 below t_e2e must trigger HL107, got %v", fs.Rules())
 	}
 	if err := p.Validate(rm(), eps1, 0); err == nil {
@@ -220,7 +220,7 @@ func TestMutationEpsilonBounds(t *testing.T) {
 
 	eps2 := p.QOcc() - 1
 	fs = LintPlan(p, rm(), 0, eps2)
-	if len(fs.ByRule("HL108")) == 0 {
+	if len(byRule(fs, "HL108")) == 0 {
 		t.Fatalf("ε2 below Q_occ must trigger HL108, got %v", fs.Rules())
 	}
 	if err := p.Validate(rm(), 0, eps2); err == nil {
@@ -255,7 +255,7 @@ func TestMutationSwitchCycle(t *testing.T) {
 		},
 	}
 	fs := LintPlan(p, rm(), 0, 0)
-	if len(fs.ByRule("HL110")) == 0 {
+	if len(byRule(fs, "HL110")) == 0 {
 		t.Fatalf("switch-level cycle must trigger HL110, got %v:\n%s", fs.Rules(), fs.Text())
 	}
 	verr := p.Validate(rm(), 0, 0)
@@ -276,7 +276,7 @@ func TestRouteLatencyCorruption(t *testing.T) {
 		p.Routes[key] = path
 	}
 	fs := LintPlan(p, rm(), 0, 0)
-	if len(fs.ByRule("HL111")) == 0 {
+	if len(byRule(fs, "HL111")) == 0 {
 		t.Fatalf("corrupted route latency must trigger HL111, got %v", fs.Rules())
 	}
 	// Stricter than Validate: the production checker accepts the plan,
@@ -354,4 +354,15 @@ func TestDifferentialOracleChains(t *testing.T) {
 			}
 		}
 	}
+}
+
+// byRule returns the findings carrying the given rule ID.
+func byRule(fs Findings, rule string) Findings {
+	var out Findings
+	for _, f := range fs {
+		if f.Rule == rule {
+			out = append(out, f)
+		}
+	}
+	return out
 }

@@ -95,13 +95,13 @@ table b {
 	}
 	// 32B footprint: under the 64B default, over a 16B budget,
 	// ignored with a negative budget.
-	if fs := LintProgram(p, Options{Source: info}); len(fs.ByRule("HL005")) != 0 {
-		t.Errorf("32B footprint within default budget, got %v", fs.ByRule("HL005"))
+	if fs := LintProgram(p, Options{Source: info}); len(byRule(fs, "HL005")) != 0 {
+		t.Errorf("32B footprint within default budget, got %v", byRule(fs, "HL005"))
 	}
-	if fs := LintProgram(p, Options{Source: info, MetadataBudgetBytes: 16}); len(fs.ByRule("HL005")) != 1 {
+	if fs := LintProgram(p, Options{Source: info, MetadataBudgetBytes: 16}); len(byRule(fs, "HL005")) != 1 {
 		t.Errorf("want HL005 under 16B budget, got %v", fs.Rules())
 	}
-	if fs := LintProgram(p, Options{Source: info, MetadataBudgetBytes: -1}); len(fs.ByRule("HL005")) != 0 {
+	if fs := LintProgram(p, Options{Source: info, MetadataBudgetBytes: -1}); len(byRule(fs, "HL005")) != 0 {
 		t.Errorf("negative budget must disable HL005, got %v", fs.Rules())
 	}
 }
@@ -155,7 +155,7 @@ func TestGraphClassificationMismatch(t *testing.T) {
 		e.MetadataBytes = 0
 	}
 	fs := LintGraph(g, Options{})
-	if len(fs.ByRule("HL007")) == 0 {
+	if len(byRule(fs, "HL007")) == 0 {
 		t.Fatalf("corrupted edge type must trigger HL007, got %v", fs.Rules())
 	}
 }
@@ -166,7 +166,7 @@ func TestGraphMetadataBytesMismatch(t *testing.T) {
 		e.MetadataBytes += 3 // diverge from Algorithm 1's A(a,b)
 	}
 	fs := LintGraph(g, Options{})
-	if len(fs.ByRule("HL008")) == 0 {
+	if len(byRule(fs, "HL008")) == 0 {
 		t.Fatalf("corrupted A(a,b) must trigger HL008, got %v", fs.Rules())
 	}
 }
@@ -182,7 +182,7 @@ func TestGraphLostDependency(t *testing.T) {
 		}
 	}
 	fs := LintGraph(bare, Options{})
-	if len(fs.ByRule("HL007")) == 0 {
+	if len(byRule(fs, "HL007")) == 0 {
 		t.Fatalf("dropped edge must trigger HL007, got %v", fs.Rules())
 	}
 }
@@ -195,7 +195,7 @@ func TestGraphCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := LintGraph(g, Options{})
-	if len(fs.ByRule("HL006")) == 0 {
+	if len(byRule(fs, "HL006")) == 0 {
 		t.Fatalf("cyclic TDG must trigger HL006, got %v", fs.Rules())
 	}
 }

@@ -130,59 +130,6 @@ func FatTree(k int, spec SwitchSpec, seed int64) (*Topology, error) {
 	return t, nil
 }
 
-// Ring builds a cycle of n switches (n >= 3), programmability per spec.
-// Rings exercise the path diversity the route optimizer exploits: every
-// pair has exactly two disjoint routes.
-func Ring(n int, spec SwitchSpec, seed int64) (*Topology, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("network: ring needs n >= 3, got %d", n)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	t := NewTopology(fmt.Sprintf("ring-%d", n))
-	for i := 0; i < n; i++ {
-		t.AddSwitch(Switch{Name: fmt.Sprintf("r%d", i), TransitLatency: spec.TransitLatency})
-	}
-	for i := 0; i < n; i++ {
-		if err := t.AddLink(SwitchID(i), SwitchID((i+1)%n), spec.linkLatency(rng)); err != nil {
-			return nil, err
-		}
-	}
-	markProgrammable(t, spec, rng)
-	return t, nil
-}
-
-// Grid builds a rows×cols mesh, programmability per spec. Grids model
-// structured WAN/metro fabrics with multi-path diversity.
-func Grid(rows, cols int, spec SwitchSpec, seed int64) (*Topology, error) {
-	if rows < 1 || cols < 1 || rows*cols < 2 {
-		return nil, fmt.Errorf("network: grid needs at least 2 switches, got %dx%d", rows, cols)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	t := NewTopology(fmt.Sprintf("grid-%dx%d", rows, cols))
-	id := func(r, c int) SwitchID { return SwitchID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			t.AddSwitch(Switch{Name: fmt.Sprintf("g%d_%d", r, c), TransitLatency: spec.TransitLatency})
-		}
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				if err := t.AddLink(id(r, c), id(r, c+1), spec.linkLatency(rng)); err != nil {
-					return nil, err
-				}
-			}
-			if r+1 < rows {
-				if err := t.AddLink(id(r, c), id(r+1, c), spec.linkLatency(rng)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	markProgrammable(t, spec, rng)
-	return t, nil
-}
-
 // RandomWAN builds a connected random WAN-like topology with exactly
 // nodes switches and edges links (edges >= nodes-1), deterministic in
 // seed. A random spanning tree guarantees connectivity; remaining links

@@ -54,18 +54,6 @@ type Link struct {
 	Latency time.Duration `json:"latency"`
 }
 
-// Other returns the endpoint opposite to id.
-func (l Link) Other(id SwitchID) (SwitchID, bool) {
-	switch id {
-	case l.A:
-		return l.B, true
-	case l.B:
-		return l.A, true
-	default:
-		return 0, false
-	}
-}
-
 // Topology is an immutable-after-build network graph.
 type Topology struct {
 	// Name labels the topology for reports.

@@ -65,12 +65,6 @@ func TestTopologyConstruction(t *testing.T) {
 	if !ok || l.Latency != time.Millisecond {
 		t.Errorf("LinkBetween(0,1) = %v/%v", l, ok)
 	}
-	if other, ok := l.Other(0); !ok || other != 1 {
-		t.Errorf("Other(0) = %v/%v, want 1", other, ok)
-	}
-	if _, ok := l.Other(9); ok {
-		t.Error("Other(9) should fail")
-	}
 }
 
 func TestAddLinkErrors(t *testing.T) {
@@ -232,6 +226,37 @@ func TestKShortestPathsAreSimpleAndDistinct(t *testing.T) {
 	for i := 1; i < len(paths); i++ {
 		if paths[i].Latency < paths[i-1].Latency {
 			t.Error("paths not in increasing latency order")
+		}
+	}
+}
+
+// On a cycle every pair of switches is joined by exactly two simple
+// routes, one along each arc, however many are asked for.
+func TestKShortestPathsOnCycle(t *testing.T) {
+	const n = 6
+	tp := NewTopology("cycle")
+	for i := 0; i < n; i++ {
+		tp.AddSwitch(Switch{Programmable: true, Stages: 12, StageCapacity: 1, TransitLatency: time.Microsecond})
+	}
+	for i := 0; i < n; i++ {
+		if err := tp.AddLink(SwitchID(i), SwitchID((i+1)%n), time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for dst := SwitchID(1); dst < n; dst++ {
+		paths, err := tp.KShortestPaths(0, dst, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(paths) != 2 {
+			t.Fatalf("0->%d has %d routes, want 2", dst, len(paths))
+		}
+		// The two arcs together visit every switch, the endpoints twice.
+		if hops := len(paths[0].Switches) + len(paths[1].Switches); hops != n+2 {
+			t.Errorf("0->%d routes %v and %v cover %d switches, want %d", dst, paths[0].Switches, paths[1].Switches, hops, n+2)
 		}
 	}
 }
@@ -414,52 +439,8 @@ func TestTableIIILinkLatencyRange(t *testing.T) {
 	}
 }
 
-func TestRing(t *testing.T) {
-	tp, err := Ring(6, TofinoSpec(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.NumSwitches() != 6 || tp.NumLinks() != 6 {
-		t.Fatalf("ring shape = %d/%d, want 6/6", tp.NumSwitches(), tp.NumLinks())
-	}
-	if err := tp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Every pair has exactly two disjoint routes.
-	paths, err := tp.KShortestPaths(0, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 2 {
-		t.Errorf("ring 0->3 has %d routes, want 2", len(paths))
-	}
-	if _, err := Ring(2, TofinoSpec(), 1); err == nil {
-		t.Error("2-node ring accepted")
-	}
-}
-
-func TestGrid(t *testing.T) {
-	tp, err := Grid(3, 4, TofinoSpec(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 12 nodes; links: 3*3 horizontal + 2*4 vertical = 17.
-	if tp.NumSwitches() != 12 || tp.NumLinks() != 17 {
-		t.Fatalf("grid shape = %d/%d, want 12/17", tp.NumSwitches(), tp.NumLinks())
-	}
-	if err := tp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Grid(1, 1, TofinoSpec(), 1); err == nil {
-		t.Error("1x1 grid accepted")
-	}
-	if _, err := Grid(0, 5, TofinoSpec(), 1); err == nil {
-		t.Error("0-row grid accepted")
-	}
-}
-
 func TestClonedTopologyIsIndependent(t *testing.T) {
-	tp, err := Ring(4, TofinoSpec(), 2)
+	tp, err := Linear(4, TestbedSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

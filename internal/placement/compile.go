@@ -285,18 +285,6 @@ func (ci *CompiledInstance) idAssign(dense []int32) []network.SwitchID {
 	return byID
 }
 
-// AssignMap decodes a dense assignment of a Compile instance back into
-// the boundary representation through Names, skipping unassigned MATs.
-func (ci *CompiledInstance) AssignMap(assign []int32) map[string]network.SwitchID {
-	out := make(map[string]network.SwitchID, len(assign))
-	for x, u := range assign {
-		if u >= 0 {
-			out[ci.Names[x]] = network.SwitchID(u)
-		}
-	}
-	return out
-}
-
 // PairTable is the flat S×S cross-byte matrix of one assignment: cell
 // [src*S+dst] holds A(src,dst) in bytes. keys lists every cell that
 // ever held bytes, so scans touch O(pairs) cells, not S²; cells may
@@ -714,11 +702,6 @@ type CycleScratch struct {
 	gen   int32
 	stack []int32
 	indeg []int32
-}
-
-// NewCycleScratch allocates scratch sized for the instance.
-func (ci *CompiledInstance) NewCycleScratch() *CycleScratch {
-	return newCycleScratch(ci.S)
 }
 
 func newCycleScratch(s int32) *CycleScratch {

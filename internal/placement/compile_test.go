@@ -69,7 +69,7 @@ func checkKernelsAgainstRefs(t *testing.T, rng *rand.Rand, ci *CompiledInstance,
 	dense := ci.DenseAssign(assign)
 	pt := ci.NewPairTable()
 	ms := ci.NewMoveScratch()
-	cyc := ci.NewCycleScratch()
+	cyc := newCycleScratch(ci.S)
 
 	// Pair table and totals.
 	refPair, refTotal := PairBytesRef(g, assign)

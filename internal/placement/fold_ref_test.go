@@ -294,7 +294,7 @@ func TestCompiledKernelsMatchFoldReferences(t *testing.T) {
 	for _, fc := range foldCases(rng, 160) {
 		ci, assign := fc.ci, fc.assign
 		pt, ref := ci.NewPairTable(), ci.NewMoveScratch()
-		in := &repairInstance{ci: ci, assign: assign, pt: pt, ms: ci.NewMoveScratch(), cyc: ci.NewCycleScratch()}
+		in := &repairInstance{ci: ci, assign: assign, pt: pt, ms: ci.NewMoveScratch(), cyc: newCycleScratch(ci.S)}
 		total := ci.FillPairTable(assign, pt)
 		in.syncGraph()
 		for step := 0; step < 60; step++ {

@@ -2,7 +2,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -333,29 +332,6 @@ func assignmentOf(p *Plan) map[string]network.SwitchID {
 		out[name] = sp.Switch
 	}
 	return out
-}
-
-// MovedNames lists the MATs that changed hosting switch between two
-// plans over the same TDG, sorted — Diff with identities.
-func MovedNames(a, b *Plan) ([]string, error) {
-	if a == nil || b == nil {
-		return nil, fmt.Errorf("placement: diff of nil plan")
-	}
-	if !sameMATSet(a.Graph, b.Graph) {
-		return nil, fmt.Errorf("placement: diff across different TDGs")
-	}
-	var moved []string
-	for name := range a.Assignments {
-		sb, ok := b.Assignments[name]
-		if !ok {
-			return nil, fmt.Errorf("placement: plan B misses MAT %q", name)
-		}
-		if a.Assignments[name].Switch != sb.Switch {
-			moved = append(moved, name)
-		}
-	}
-	sort.Strings(moved)
-	return moved, nil
 }
 
 // Diff reports how many MATs changed hosting switch between two plans

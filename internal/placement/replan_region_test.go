@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -249,7 +250,7 @@ func TestOneRegionPartitionRepairsLikeNoPartition(t *testing.T) {
 
 // TestReplanReportsMovedMATs pins MovedMATs to the migration cost on
 // every path a replan can take: MovedMATs = Diff(old, new) =
-// len(MovedNames(old, new)).
+// len(movedNames(old, new)).
 func TestReplanReportsMovedMATs(t *testing.T) {
 	old, part := regionalFixture(t, 4)
 	drain := busiest(old)
@@ -274,12 +275,12 @@ func TestReplanReportsMovedMATs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		names, err := MovedNames(old, plan)
+		names, err := movedNames(old, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.MovedMATs != diff || diff != len(names) || diff == 0 {
-			t.Fatalf("%s: MovedMATs %d, Diff %d, MovedNames %d", c.name, rep.MovedMATs, diff, len(names))
+			t.Fatalf("%s: MovedMATs %d, Diff %d, movedNames %d", c.name, rep.MovedMATs, diff, len(names))
 		}
 	}
 }
@@ -318,4 +319,27 @@ func TestReplanPackStepsWorkerInvariant(t *testing.T) {
 	if regional[0] == 0 || regional[0] >= cold[0] {
 		t.Fatalf("regional repair counted %d pack steps, cold re-solve %d", regional[0], cold[0])
 	}
+}
+
+// movedNames lists the MATs that changed hosting switch between two
+// plans over the same TDG, sorted — Diff with identities.
+func movedNames(a, b *Plan) ([]string, error) {
+	if a == nil || b == nil {
+		return nil, fmt.Errorf("placement: diff of nil plan")
+	}
+	if !sameMATSet(a.Graph, b.Graph) {
+		return nil, fmt.Errorf("placement: diff across different TDGs")
+	}
+	var moved []string
+	for name := range a.Assignments {
+		sb, ok := b.Assignments[name]
+		if !ok {
+			return nil, fmt.Errorf("placement: plan B misses MAT %q", name)
+		}
+		if a.Assignments[name].Switch != sb.Switch {
+			moved = append(moved, name)
+		}
+	}
+	sort.Strings(moved)
+	return moved, nil
 }

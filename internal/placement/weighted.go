@@ -126,20 +126,6 @@ func (wt *WeightTable) Compact(hosts []network.SwitchID) *WeightTable {
 	return out
 }
 
-// WeightMap decodes the table into the boundary representation for the
-// differential twins in weighted_ref.go.
-func (wt *WeightTable) WeightMap() map[RouteKey]int64 {
-	out := make(map[RouteKey]int64, len(wt.W))
-	for u := int32(0); u < wt.S; u++ {
-		for v := int32(0); v < wt.S; v++ {
-			if u != v {
-				out[RouteKey{From: network.SwitchID(u), To: network.SwitchID(v)}] = wt.W[u*wt.S+v]
-			}
-		}
-	}
-	return out
-}
-
 // Score aggregates the weighted objective over a pair table: the sum
 // Σ w·A and the max w·A over the touched cells (decayed cells floor at
 // zero, exactly like PairTable.Max).
@@ -157,14 +143,6 @@ func (wt *WeightTable) Score(pt *PairTable) (sum, max int64) {
 		}
 	}
 	return sum, max
-}
-
-// AssignmentWeighted is the weighted objective of a dense assignment
-// from scratch: the compiled twin of AssignmentWeightedRef. pt is
-// caller-owned scratch (left holding the assignment's pair bytes).
-func (ci *CompiledInstance) AssignmentWeighted(assign []int32, pt *PairTable, wt *WeightTable) (sum, max int64) {
-	ci.FillPairTable(assign, pt)
-	return wt.Score(pt)
 }
 
 // weightedOver folds the delta overlay onto the pair table under the

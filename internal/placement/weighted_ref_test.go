@@ -11,8 +11,8 @@ import (
 
 // AssignmentWeightedRef is the weighted objective of a name-keyed
 // assignment via a freshly built pair map — the reference twin of
-// CompiledInstance.AssignmentWeighted. weights follows the
-// WeightTable.WeightMap convention (absent keys weigh zero).
+// assignmentWeighted. weights follows the weightMap convention (absent
+// keys weigh zero).
 func AssignmentWeightedRef(g *tdg.Graph, assign map[string]network.SwitchID, weights map[RouteKey]int64) (sum, max int64) {
 	pair, _ := PairBytesRef(g, assign)
 	for k, b := range pair {
@@ -112,4 +112,27 @@ func weightedOverRef(pair, delta map[RouteKey]int, weights map[RouteKey]int64) (
 		}
 	}
 	return sum, max
+}
+
+// weightMap decodes a weight table into the boundary representation of
+// the twins above.
+func weightMap(wt *WeightTable) map[RouteKey]int64 {
+	out := make(map[RouteKey]int64, len(wt.W))
+	for u := int32(0); u < wt.S; u++ {
+		for v := int32(0); v < wt.S; v++ {
+			if u != v {
+				out[RouteKey{From: network.SwitchID(u), To: network.SwitchID(v)}] = wt.W[u*wt.S+v]
+			}
+		}
+	}
+	return out
+}
+
+// assignmentWeighted is the weighted objective of a dense assignment
+// from scratch, through the compiled kernels: the twin of
+// AssignmentWeightedRef. pt is caller-owned scratch (left holding the
+// assignment's pair bytes).
+func assignmentWeighted(ci *CompiledInstance, assign []int32, pt *PairTable, wt *WeightTable) (sum, max int64) {
+	ci.FillPairTable(assign, pt)
+	return wt.Score(pt)
 }

@@ -31,7 +31,7 @@ func checkWeightedKernels(t *testing.T, rng *rand.Rand, ci *CompiledInstance, as
 	if err != nil {
 		t.Fatal(err)
 	}
-	weights := wt.WeightMap()
+	weights := weightMap(wt)
 	dense := ci.DenseAssign(assign)
 	pt := ci.NewPairTable()
 	ms := ci.NewMoveScratch()
@@ -43,8 +43,8 @@ func checkWeightedKernels(t *testing.T, rng *rand.Rand, ci *CompiledInstance, as
 	if sum != refSum || max != refMax {
 		t.Fatalf("weighted score: compiled (%d,%d), ref (%d,%d)", sum, max, refSum, refMax)
 	}
-	if s2, m2 := ci.AssignmentWeighted(dense, pt, wt); s2 != refSum || m2 != refMax {
-		t.Fatalf("AssignmentWeighted: compiled (%d,%d), ref (%d,%d)", s2, m2, refSum, refMax)
+	if s2, m2 := assignmentWeighted(ci, dense, pt, wt); s2 != refSum || m2 != refMax {
+		t.Fatalf("assignmentWeighted: compiled (%d,%d), ref (%d,%d)", s2, m2, refSum, refMax)
 	}
 
 	// Weighted move scores on random (MAT, candidate) pairs.
@@ -176,8 +176,8 @@ func TestWeightedSolveRespectsAMaxSlack(t *testing.T) {
 			t.Fatal(err)
 		}
 		pt := ci.NewPairTable()
-		ws, _ := ci.AssignmentWeighted(ci.DenseAssign(assignmentOf(weighted)), pt, wt)
-		bs, _ := ci.AssignmentWeighted(ci.DenseAssign(assignmentOf(base)), pt, wt)
+		ws, _ := assignmentWeighted(ci, ci.DenseAssign(assignmentOf(weighted)), pt, wt)
+		bs, _ := assignmentWeighted(ci, ci.DenseAssign(assignmentOf(base)), pt, wt)
 		if ws > bs {
 			t.Fatalf("weighted solve ended with W_sum %d > structural plan's %d", ws, bs)
 		}
@@ -254,8 +254,8 @@ func TestExactWeightedNotWorseThanGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		pt := ci.NewPairTable()
-		es, _ := ci.AssignmentWeighted(ci.DenseAssign(assignmentOf(ep)), pt, wt)
-		gs, _ := ci.AssignmentWeighted(ci.DenseAssign(assignmentOf(gp)), pt, wt)
+		es, _ := assignmentWeighted(ci, ci.DenseAssign(assignmentOf(ep)), pt, wt)
+		gs, _ := assignmentWeighted(ci, ci.DenseAssign(assignmentOf(gp)), pt, wt)
 		if es > gs {
 			t.Fatalf("exact weighted W_sum %d worse than greedy %d", es, gs)
 		}

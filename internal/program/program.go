@@ -143,18 +143,6 @@ func (p *Program) EncodeJSON() ([]byte, error) {
 	return b, nil
 }
 
-// DecodeJSON parses a program and validates it.
-func DecodeJSON(data []byte) (*Program, error) {
-	var p Program
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("decoding program: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("decoded program invalid: %w", err)
-	}
-	return &p, nil
-}
-
 // SortedMATNames returns the MAT names in sorted order; useful for
 // deterministic reporting.
 func (p *Program) SortedMATNames() []string {

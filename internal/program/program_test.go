@@ -1,6 +1,7 @@
 package program
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -226,9 +227,12 @@ func TestProgramJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeJSON: %v", err)
 	}
-	q, err := DecodeJSON(data)
-	if err != nil {
-		t.Fatalf("DecodeJSON: %v", err)
+	var q Program
+	if err := json.Unmarshal(data, &q); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Validate(); err != nil {
+		t.Fatalf("decoded program invalid: %v", err)
 	}
 	if q.Name != p.Name || len(q.MATs) != len(p.MATs) {
 		t.Fatal("round trip changed shape")
@@ -237,15 +241,6 @@ func TestProgramJSONRoundTrip(t *testing.T) {
 		if !p.MATs[i].Equivalent(q.MATs[i]) {
 			t.Errorf("MAT %d not equivalent after round trip", i)
 		}
-	}
-}
-
-func TestDecodeJSONRejectsInvalid(t *testing.T) {
-	if _, err := DecodeJSON([]byte(`{"name":"x","mats":[]}`)); err == nil {
-		t.Error("DecodeJSON accepted program with no MATs")
-	}
-	if _, err := DecodeJSON([]byte(`{not json`)); err == nil {
-		t.Error("DecodeJSON accepted malformed JSON")
 	}
 }
 
@@ -294,45 +289,6 @@ func TestResourceModelRequirement(t *testing.T) {
 	tiny.Actions = []Action{{Name: "n", Ops: nil}}
 	if got := rm.Requirement(tiny); got != rm.MinCost {
 		t.Errorf("tiny MAT = %g, want floor %g", got, rm.MinCost)
-	}
-}
-
-func TestSplitAcrossStages(t *testing.T) {
-	tests := []struct {
-		name     string
-		req, cap float64
-		want     []float64
-		wantErr  bool
-	}{
-		{"fits one stage", 0.4, 1.0, []float64{0.4}, false},
-		{"exact fit", 1.0, 1.0, []float64{1.0}, false},
-		{"two and a half", 2.5, 1.0, []float64{1.0, 1.0, 0.5}, false},
-		{"zero req", 0, 1, nil, true},
-		{"zero cap", 1, 0, nil, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := SplitAcrossStages(tt.req, tt.cap)
-			if (err != nil) != tt.wantErr {
-				t.Fatalf("err = %v, wantErr %v", err, tt.wantErr)
-			}
-			if err != nil {
-				return
-			}
-			if len(got) != len(tt.want) {
-				t.Fatalf("chunks = %v, want %v", got, tt.want)
-			}
-			sum := 0.0
-			for i := range got {
-				if diff := got[i] - tt.want[i]; diff > 1e-9 || diff < -1e-9 {
-					t.Errorf("chunk %d = %g, want %g", i, got[i], tt.want[i])
-				}
-				sum += got[i]
-			}
-			if diff := sum - tt.req; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("chunks sum to %g, want %g", sum, tt.req)
-			}
-		})
 	}
 }
 
@@ -437,5 +393,20 @@ func TestBundleValidation(t *testing.T) {
 	}
 	if _, err := DecodeBundle(data); err == nil {
 		t.Error("duplicate program names decoded")
+	}
+}
+
+// DecodeBundle validates every program it decodes: a well-formed bundle
+// that carries an invalid program is rejected, naming the entry.
+func TestDecodeBundleRejectsInvalidProgram(t *testing.T) {
+	_, err := DecodeBundle([]byte(`{"version":1,"programs":[{"name":"x","mats":[]}]}`))
+	if err == nil {
+		t.Fatal("bundle holding a program with no MATs decoded")
+	}
+	if !strings.Contains(err.Error(), "bundle entry 0") {
+		t.Errorf("error %q does not name the entry", err)
+	}
+	if _, err := DecodeBundle([]byte(`{"version":1,"programs":[null]}`)); err == nil {
+		t.Error("bundle holding a null program decoded")
 	}
 }

@@ -1,10 +1,5 @@
 package program
 
-import (
-	"fmt"
-	"math"
-)
-
 // Resource modeling (paper §V-C). The paper collapses SRAM, TCAM and
 // ALU budgets into a single normalized per-stage capacity C_res and
 // derives each MAT's requirement R(a) from static code analysis of its
@@ -69,28 +64,4 @@ func (rm ResourceModel) Requirement(m *MAT) float64 {
 		cost = rm.MinCost
 	}
 	return cost
-}
-
-// SplitAcrossStages splits a requirement R(a) into per-stage chunks of
-// at most perStage each, modeling a MAT that spans consecutive stages
-// (rule capacity is divided among them). It returns the chunk sizes.
-func SplitAcrossStages(req, perStage float64) ([]float64, error) {
-	if req <= 0 {
-		return nil, fmt.Errorf("non-positive requirement %g", req)
-	}
-	if perStage <= 0 {
-		return nil, fmt.Errorf("non-positive per-stage capacity %g", perStage)
-	}
-	n := int(math.Ceil(req / perStage))
-	out := make([]float64, 0, n)
-	rem := req
-	for rem > 1e-12 {
-		chunk := perStage
-		if rem < chunk {
-			chunk = rem
-		}
-		out = append(out, chunk)
-		rem -= chunk
-	}
-	return out, nil
 }

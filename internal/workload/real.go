@@ -234,25 +234,6 @@ func LoadBalancer() *program.Program {
 		MustBuild()
 }
 
-// PathTracker: per-packet path conformance built on switch IDs
-// (Table I row 1).
-func PathTracker() *program.Program {
-	swid := fields.CatalogField(fields.MetaSwitchID)
-	fid := fields.CatalogField(fields.MetaFlowID)
-	drop := fields.CatalogField(fields.MetaDropFlag)
-	return program.NewBuilder("pathtrack").
-		Table("stamp", 16).
-		Key(fields.CatalogField(fields.IPv4Proto), program.MatchExact).
-		ActionDef("record", program.SetOp(swid, 1), program.HashOp(fid, swid)).
-		Default("record").
-		Table("conform", 4096).
-		Key(fid, program.MatchExact).
-		ActionDef("ok", program.SetOp(drop, 0)).
-		ActionDef("violation", program.SetOp(drop, 1)).
-		Default("ok").
-		MustBuild()
-}
-
 // RealPrograms returns the ten real programs, in a stable order.
 func RealPrograms() []*program.Program {
 	return []*program.Program{
@@ -267,10 +248,4 @@ func RealPrograms() []*program.Program {
 		HeavyHitter(),
 		LoadBalancer(),
 	}
-}
-
-// RealProgramsPlusTracking is RealPrograms with the extra path tracker,
-// used by examples.
-func RealProgramsPlusTracking() []*program.Program {
-	return append(RealPrograms(), PathTracker())
 }

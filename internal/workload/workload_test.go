@@ -27,7 +27,7 @@ func TestRealProgramsAreValid(t *testing.T) {
 }
 
 func TestRealProgramsConvertToDAGs(t *testing.T) {
-	for _, p := range RealProgramsPlusTracking() {
+	for _, p := range RealPrograms() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			g, err := tdg.FromProgram(p)
