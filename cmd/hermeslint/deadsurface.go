@@ -24,6 +24,18 @@ var deadSurfaceAllowlist = map[string]string{
 	"fields.Set.TotalBytes":   "deploy's footprint oracle sizes its reference edges and headers with it",
 }
 
+// publicAPIAllowlist names the methods of facade-aliased types HV013
+// keeps although no non-test file calls them, each with its reason. An
+// entry is legal only for a method a user of the hermes facade
+// plausibly needs; an entry that names no declaration, whose receiver
+// the facade does not alias, or whose target has gained a non-test
+// caller is itself a finding.
+var publicAPIAllowlist = map[string]string{
+	"tdg.Graph.Edges":             "the TDG's one (From, To)-sorted edge listing, for a facade user printing or diffing a graph; the reference twins of merge, tdg and deploy rebuild their graphs in its order",
+	"tdg.Graph.AddEdge":           "name-checked twin of AppendEdge: a facade user building a TDG by hand names its MATs, and the hand-built fixtures of ten packages do",
+	"rollout.ServingView.EpochOf": "answers the question the view documents, which epoch serves a program, for a facade user watching a rollout from its Hook",
+}
+
 // implicitMethods are the methods of the standard interfaces the tree
 // implements (fmt.Stringer, error, json.Marshaler, sort.Interface): the
 // standard library calls them through the interface, so no selector
@@ -32,36 +44,45 @@ var implicitMethods = map[string]bool{
 	"String": true, "Error": true, "MarshalJSON": true, "Len": true, "Less": true, "Swap": true,
 }
 
-// surfaceDecl is one exported function or method of an internal package.
+// surfaceDecl is one function or method HV013 checks.
 type surfaceDecl struct {
-	key  string // pkg.Func or pkg.Type.Method
+	key  string // pkg.Func or pkg.Type.Method; dir.func or dir.Type.method when unexported
 	recv string // pkg.Type for a method; "" for a function
 	name string
 	pos  token.Pos
 }
 
-// lintDeadSurface applies HV013 across the file set: an exported
-// function or method declared in a non-test file of an internal package
-// that no non-test file references. A function is referenced by its
-// bare name inside its own package (its declaration aside) or as
-// pkg.Name anywhere; a method by any selector .Name. Like HV011, it
-// names packages by their package clause. Methods of types the facade
-// aliases (type X = pkg.T in a library package outside internal/) are
-// public API; they, the implicitMethods and the testOnlyPackages are
-// exempt.
+// lintDeadSurface applies HV013 across the file set: a function or
+// method declared in a non-test file that no non-test file references.
+// Exported ones are checked in internal packages, unexported ones in
+// every package but benchmark/; the testOnlyPackages are exempt. An
+// exported function is referenced by its bare name inside its own
+// package (its declaration aside) or as pkg.Name anywhere, an
+// unexported one by its bare name inside its own directory; a method by
+// any selector .Name. Like HV011, it names packages by their package
+// clause. Only the implicitMethods and the allowlisted entries are kept
+// without a caller, so a method of a type the facade aliases (type X =
+// pkg.T in a library package outside internal/) needs a caller or a
+// publicAPIAllowlist reason.
 func lintDeadSurface(fset *token.FileSet, files []*ast.File, paths []string) []vetFinding {
 	var decls []surfaceDecl
 	firstFile := map[string]int{} // package -> its first non-test file
 	facade := map[string]bool{}   // pkg.Type the facade aliases
 	used := map[string]bool{}     // pkg.Name referenced, bare or qualified
+	local := map[string]bool{}    // dir.name referenced bare
 	selected := map[string]bool{} // names used as a selector
 	for i, file := range files {
 		path := filepath.ToSlash(paths[i])
 		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
-		dir := internalPackage(filepath.ToSlash(filepath.Dir(path)))
+		rel := filepath.ToSlash(filepath.Dir(path))
+		dir := internalPackage(rel)
 		pkg := file.Name.Name
+		scope := rel // names an unexported declaration
+		if rel == "." {
+			scope = pkg
+		}
 		imports := importNames(file)
 		if dir == "" && pkg != "main" {
 			for _, target := range typeAliases(file, imports) {
@@ -69,26 +90,32 @@ func lintDeadSurface(fset *token.FileSet, files []*ast.File, paths []string) []v
 			}
 		}
 		declared := map[token.Pos]bool{}
-		if dir != "" && !slices.Contains(testOnlyPackages, dir) {
+		exempt := slices.Contains(testOnlyPackages, dir) || strings.Contains("/"+rel+"/", "/benchmark/")
+		if dir != "" && !exempt {
 			if _, ok := firstFile[pkg]; !ok {
 				firstFile[pkg] = i
 			}
-			for _, d := range file.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				declared[fn.Name.Pos()] = true
-				if !fn.Name.IsExported() {
-					continue
-				}
-				sd := surfaceDecl{key: pkg + "." + fn.Name.Name, name: fn.Name.Name, pos: fn.Name.Pos()}
-				if fn.Recv != nil {
-					sd.recv = pkg + "." + receiverName(fn.Recv.List[0].Type)
-					sd.key = sd.recv + "." + sd.name
-				}
-				decls = append(decls, sd)
+		}
+		for _, d := range file.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || exempt {
+				continue
 			}
+			declared[fn.Name.Pos()] = true
+			name := fn.Name.Name
+			if fn.Name.IsExported() && dir == "" || fn.Recv == nil && (name == "init" || name == "main" || name == "_") {
+				continue
+			}
+			prefix := pkg
+			if !fn.Name.IsExported() {
+				prefix = scope
+			}
+			sd := surfaceDecl{key: prefix + "." + name, name: name, pos: fn.Name.Pos()}
+			if fn.Recv != nil {
+				sd.recv = pkg + "." + receiverName(fn.Recv.List[0].Type)
+				sd.key = prefix + "." + receiverName(fn.Recv.List[0].Type) + "." + name
+			}
+			decls = append(decls, sd)
 		}
 		var visit func(n ast.Node) bool
 		visit = func(n ast.Node) bool {
@@ -103,6 +130,7 @@ func lintDeadSurface(fset *token.FileSet, files []*ast.File, paths []string) []v
 			case *ast.Ident:
 				if !declared[n.Pos()] {
 					used[pkg+"."+n.Name] = true
+					local[scope+"."+n.Name] = true
 				}
 			}
 			return true
@@ -117,33 +145,58 @@ func lintDeadSurface(fset *token.FileSet, files []*ast.File, paths []string) []v
 	declaredKeys := map[string]bool{}
 	for _, d := range decls {
 		declaredKeys[d.key] = true
-		if d.recv != "" && (implicitMethods[d.name] || facade[d.recv]) {
+		if d.recv != "" && implicitMethods[d.name] {
 			continue
 		}
-		referenced := used[d.key]
-		if d.recv != "" {
-			referenced = selected[d.name]
-		}
-		_, allowed := deadSurfaceAllowlist[d.key]
+		var referenced bool
 		switch {
-		case allowed && referenced:
-			report(d.pos, "deadSurfaceAllowlist entry %s has a non-test caller now: drop the entry", d.key)
-		case !allowed && !referenced:
+		case d.recv != "":
+			referenced = selected[d.name]
+		case ast.IsExported(d.name):
+			referenced = used[d.key]
+		default:
+			referenced = local[d.key]
+		}
+		list := allowlistOf(d.key)
+		switch {
+		case list == "publicAPIAllowlist" && !facade[d.recv]:
+			report(d.pos, "publicAPIAllowlist entry %s is a method of a type the facade does not alias: drop the entry", d.key)
+		case list != "" && referenced:
+			report(d.pos, "%s entry %s has a non-test caller now: drop the entry", list, d.key)
+		case list != "" || referenced: // kept
+		case !ast.IsExported(d.name):
+			report(d.pos, "unexported %s is referenced by no non-test file: delete it or move it into the tests that use it", d.key)
+		case facade[d.recv]:
+			report(d.pos, "exported %s, a method of a facade-aliased type, is referenced by no non-test file: give it a caller, delete it, or allowlist it in publicAPIAllowlist with the reason a facade user needs it", d.key)
+		default:
 			report(d.pos, "exported %s is referenced by no non-test file: delete it, move it into the tests that use it, or allowlist it as a reference twin with a reason", d.key)
 		}
 	}
 	// An entry naming nothing in a linted package has gone stale.
 	var stale []string
-	for key := range deadSurfaceAllowlist {
-		if _, ok := firstFile[key[:strings.Index(key, ".")]]; ok && !declaredKeys[key] {
-			stale = append(stale, key)
+	for _, list := range []map[string]string{deadSurfaceAllowlist, publicAPIAllowlist} {
+		for key := range list {
+			if _, ok := firstFile[key[:strings.Index(key, ".")]]; ok && !declaredKeys[key] {
+				stale = append(stale, key)
+			}
 		}
 	}
 	sort.Strings(stale)
 	for _, key := range stale {
-		report(files[firstFile[key[:strings.Index(key, ".")]]].Name.Pos(), "deadSurfaceAllowlist entry %s names no declaration: drop the entry", key)
+		report(files[firstFile[key[:strings.Index(key, ".")]]].Name.Pos(), "%s entry %s names no declaration: drop the entry", allowlistOf(key), key)
 	}
 	return out
+}
+
+// allowlistOf names the allowlist holding key, or returns "".
+func allowlistOf(key string) string {
+	if _, ok := deadSurfaceAllowlist[key]; ok {
+		return "deadSurfaceAllowlist"
+	}
+	if _, ok := publicAPIAllowlist[key]; ok {
+		return "publicAPIAllowlist"
+	}
+	return ""
 }
 
 // receiverName returns the type name of a method receiver: T for T,

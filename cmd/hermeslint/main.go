@@ -67,16 +67,17 @@
 //	       build still compiles and vets. Delete it
 //	       (testOnlyPackages, imported from tests by
 //	       design, are exempt)                              error
-//	HV013  an exported function or method declared in a
-//	       non-test file of an internal/... package that no
-//	       non-test file references: surface only tests
-//	       call. Delete it, or move it into the tests that
-//	       use it. Methods of types the root facade aliases
-//	       and of the standard interfaces (String, Less, ...)
-//	       are exempt; a reference twin that a test in
-//	       another package compares against may be
-//	       allowlisted with a reason, and a stale entry is
-//	       itself a finding                                 error
+//	HV013  a function or method declared in a non-test file
+//	       that no non-test file references — exported ones
+//	       in internal/... packages, unexported ones in every
+//	       package but benchmark/: surface only tests call.
+//	       Delete it, or move it into the tests that use it.
+//	       Methods of the standard interfaces (String, Less,
+//	       ...) are exempt; a method of a type the root
+//	       facade aliases may be allowlisted with the reason
+//	       a facade user needs it, a reference twin that a
+//	       test in another package compares against with its
+//	       reason, and a stale entry is itself a finding    error
 //
 // It is deliberately x/tools-free: the analysis is a plain go/parser +
 // go/ast walk so it builds in hermetic environments with no module
@@ -191,16 +192,6 @@ func lintSources(srcs []source) ([]vetFinding, error) {
 	out = append(out, lintUnsetOptions(fset, files, paths)...)
 	out = append(out, lintUnimported(fset, files, paths)...)
 	return append(out, lintDeadSurface(fset, files, paths)...), nil
-}
-
-// lintGoSource parses one Go file and runs every per-file rule over it.
-func lintGoSource(path, src string) ([]vetFinding, error) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution|parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	return lintFile(fset, file, path), nil
 }
 
 // lintFile runs the per-file rules over one parsed file.
@@ -513,8 +504,7 @@ func lintPoolFunc(fset *token.FileSet, fn *ast.FuncDecl) []vetFinding {
 // reference, and the packet engines' constructors (each
 // compiles a whole deployment or sorts a whole graph: build the pair
 // once per search, not per candidate packet), and the fields.Set
-// surface of Algorithm 1 (each call rebuilds a MAT's field sets as
-// maps). None of them belong inside a
+// surface of Algorithm 1 (each call builds field sets as maps). None of them belong inside a
 // loop the author tagged //hermes:hot — that is what the compiled
 // kernels (AssignmentAMax, MoveScore, PlaceScore, FillPairTable, ...),
 // the position-space packing step (packStep behind splitScratch.fits
@@ -527,8 +517,6 @@ var hotBanned = map[string]bool{
 	"AMax":               true,
 	"TE2E":               true,
 	"TotalCrossBytes":    true,
-	"WireBytes":          true,
-	"MaxWireBytes":       true,
 	"CrossEdges":         true,
 	"AssignmentAMaxRef":  true,
 	"MoveScoreRef":       true,
@@ -554,9 +542,6 @@ var hotBanned = map[string]bool{
 	"NewEngine":          true,
 	"NewPipeline":        true,
 	"NewReferenceEngine": true,
-	"ModifiedFields":     true,
-	"ReadFields":         true,
-	"MatchFields":        true,
 	"MetadataFields":     true,
 	"EdgeMetadataBytes":  true,
 	"NewSet":             true,

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,16 @@ import (
 	"strings"
 	"testing"
 )
+
+// lintGoSource parses one Go file and runs every per-file rule over it.
+func lintGoSource(path, src string) ([]vetFinding, error) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution|parser.ParseComments)
+	if err != nil {
+		return nil, err
+	}
+	return lintFile(fset, file, path), nil
+}
 
 func lintSnippet(t *testing.T, body string) []vetFinding {
 	t.Helper()
@@ -467,10 +478,6 @@ func TestHotLoopFlagsFieldSetBuilds(t *testing.T) {
 type set struct{}
 type mat struct{}
 type footprint struct{}
-func (m *mat) ModifiedFields() (set, error) { return set{}, nil }
-func (m *mat) ReadFields() (set, error)     { return set{}, nil }
-func (m *mat) MatchFields() (set, error)    { return set{}, nil }
-func (m *mat) Footprint() footprint         { return footprint{} }
 func MetadataFields(a, b *mat, typ int) (set, error) { return set{}, nil }
 func EdgeMetadataBytes(a, b *mat, typ int) (int, error) { return 0, nil }
 func NewSet(fs ...int) (set, error) { return set{}, nil }
@@ -479,9 +486,6 @@ func bad(mats []*mat) {
 	//hermes:hot
 	for i := 1; i < len(mats); i++ {
 		a, b := mats[i-1], mats[i]
-		a.ModifiedFields()
-		b.ReadFields()
-		b.MatchFields()
 		MetadataFields(a, b, 1)
 		EdgeMetadataBytes(a, b, 1)
 		NewSet(i)
@@ -496,10 +500,10 @@ func good(fps []footprint) (n int) {
 	return n
 }
 `)
-	if got := rulesOf(fs); len(got) != 6 {
-		t.Fatalf("want 6 HV005 findings, got %v", fs)
+	if got := rulesOf(fs); len(got) != 3 {
+		t.Fatalf("want 3 HV005 findings, got %v", fs)
 	}
-	for _, want := range []string{"a.ModifiedFields()", "b.ReadFields()", "b.MatchFields()", "MetadataFields()", "EdgeMetadataBytes()", "NewSet()"} {
+	for _, want := range []string{"MetadataFields()", "EdgeMetadataBytes()", "NewSet()"} {
 		found := false
 		for _, f := range fs {
 			found = found || f.rule == "HV005" && strings.Contains(f.msg, want)
@@ -966,6 +970,8 @@ func (o Options) defaults() Options {
 	o.Deadline = 1 // the declaring file does not count as a setter
 	return o
 }
+
+var _ = Options{}.defaults
 `
 
 func TestUnsetOptionFieldsFlagged(t *testing.T) {
@@ -1049,6 +1055,8 @@ func TestUnsetOptionPassThrough(t *testing.T) {
 func inner(opts Options) Options {
 	return Options{Workers: opts.Workers, Deadline: opts.Deadline}
 }
+
+var _ = inner
 `,
 		"cmd/tool/main.go": `package main
 import "github.com/hermes-net/hermes/internal/placement"
@@ -1069,6 +1077,8 @@ type DeployOptions struct{ Workers, Deadline int }
 func solve(opts DeployOptions) placement.Options {
 	return placement.Options{Workers: opts.Workers, Deadline: opts.Deadline}
 }
+
+var _ = solve
 `,
 		"cmd/tool/main.go": `package main
 import (
@@ -1100,8 +1110,8 @@ import _ "github.com/hermes-net/hermes/internal/placement"
 		"internal/stats/b.go":                    "package stats\nimport _ \"github.com/hermes-net/hermes/internal/stats\"\n",
 		"internal/deploy/deploy_test.go":         "package deploy\nimport _ \"github.com/hermes-net/hermes/internal/stats\"\n",
 		// Imported from another internal package: kept.
-		"internal/tdg/tdg.go":       "package tdg\n",
-		"internal/program/mat.go":   "package program\nimport _ \"github.com/hermes-net/hermes/internal/tdg\"\n",
+		"internal/network/topo.go":  "package network\n",
+		"internal/program/mat.go":   "package program\nimport _ \"github.com/hermes-net/hermes/internal/network\"\n",
 		"internal/program/mat_2.go": "package program\n",
 		"cmd/other/main.go":         "package main\nimport _ \"github.com/hermes-net/hermes/internal/program\"\n",
 		// A test-only package is imported from tests by design.
@@ -1184,7 +1194,7 @@ func TestDeadSurfaceOutsideCallersCount(t *testing.T) {
 		{"cmd", "cmd/other/main.go", "package main\nimport pl \"github.com/hermes-net/hermes/internal/placement\"\nvar _ = pl.Diff\n"},
 		{"root_package", "hermes.go", "package hermes\nimport pl \"github.com/hermes-net/hermes/internal/placement\"\nvar _ = pl.Diff\n"},
 		// A bare call from another file of the same package.
-		{"same_package", "internal/placement/greedy.go", "package placement\nfunc greedy() int { return Diff() }\n"},
+		{"same_package", "internal/placement/greedy.go", "package placement\nvar _ = Diff()\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := deadSurface(t, map[string]string{
@@ -1199,7 +1209,7 @@ func TestDeadSurfaceOutsideCallersCount(t *testing.T) {
 	}
 }
 
-func TestDeadSurfaceFacadeReceiverExempt(t *testing.T) {
+func TestDeadSurfaceFacadeReceiverFlagged(t *testing.T) {
 	files := map[string]string{
 		"internal/placement/plan.go": deadSurfaceDecls + `
 type Scratch struct{}
@@ -1210,20 +1220,139 @@ func (p *Plan) AMax() int { return 0 }
 `,
 		"cmd/tool/main.go": deadSurfaceCmd + "\nvar _ = placement.Diff()\n",
 	}
-	// Without a facade, both methods are dead.
-	if got := deadSurface(t, files); len(got) != 2 {
-		t.Fatalf("want AMax and Reset flagged, got %q", got)
+	want := []string{
+		"exported placement.Scratch.Reset is referenced by no non-test file",
+		"exported placement.Plan.AMax, a method of a facade-aliased type, is referenced by no non-test file",
 	}
-	// AMax is public API through the facade's alias of Plan; Reset on
-	// the unaliased Scratch is not.
+	// The facade's alias of Plan makes AMax public API, which is no
+	// reason to keep it: it needs a caller or an allowlist entry.
 	files["hermes.go"] = `package hermes
 import "github.com/hermes-net/hermes/internal/placement"
 type (
 	Plan = placement.Plan
 )
 `
-	if want := []string{"exported placement.Scratch.Reset is referenced by no non-test file"}; !reflect.DeepEqual(deadSurface(t, files), want) {
-		t.Fatalf("HV013 findings = %q, want %q", deadSurface(t, files), want)
+	if got := deadSurface(t, files); !reflect.DeepEqual(got, want) {
+		t.Fatalf("HV013 findings = %q, want %q", got, want)
+	}
+	// A caller in an example keeps it.
+	files["examples/demo/main.go"] = "package main\nimport hermes \"github.com/hermes-net/hermes\"\nvar _ = (&hermes.Plan{}).AMax()\n"
+	if got := deadSurface(t, files); !reflect.DeepEqual(got, want[:1]) {
+		t.Fatalf("HV013 findings = %q, want %q", got, want[:1])
+	}
+}
+
+// deadSurfaceTDG declares tdg.Graph's allowlisted methods AddEdge and
+// Edges next to a method a command calls.
+const deadSurfaceTDG = "package tdg\ntype Graph struct{}\nfunc (g *Graph) AddEdge() error { return nil }\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n"
+
+const deadSurfaceTDGFacade = `package hermes
+import "github.com/hermes-net/hermes/internal/tdg"
+type TDG = tdg.Graph
+`
+
+func TestDeadSurfacePublicAPIAllowlisted(t *testing.T) {
+	if _, ok := publicAPIAllowlist["tdg.Graph.AddEdge"]; !ok {
+		t.Fatal("fixture assumes tdg.Graph.AddEdge is allowlisted")
+	}
+	got := deadSurface(t, map[string]string{
+		"internal/tdg/tdg.go":      deadSurfaceTDG,
+		"internal/tdg/tdg_test.go": "package tdg\nvar _ = (&Graph{}).AddEdge()\n",
+		"hermes.go":                deadSurfaceTDGFacade,
+		"cmd/tool/main.go":         "package main\nimport \"github.com/hermes-net/hermes/internal/tdg\"\nfunc main() { (&tdg.Graph{}).AppendEdge() }\n",
+	})
+	if len(got) != 0 {
+		t.Fatalf("an allowlisted public method must be exempt, got %q", got)
+	}
+}
+
+func TestDeadSurfaceStalePublicAPIEntry(t *testing.T) {
+	cmd := "package main\nimport \"github.com/hermes-net/hermes/internal/tdg\"\nfunc main() { (&tdg.Graph{}).AppendEdge() }\n"
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  []string
+	}{
+		{"gained_caller", map[string]string{
+			"internal/tdg/tdg.go": deadSurfaceTDG,
+			"hermes.go":           deadSurfaceTDGFacade,
+			"cmd/tool/main.go":    cmd + "var _ = (&tdg.Graph{}).AddEdge()\n",
+		}, []string{"publicAPIAllowlist entry tdg.Graph.AddEdge has a non-test caller now"}},
+		{"deleted", map[string]string{
+			"internal/tdg/tdg.go": "package tdg\ntype Graph struct{}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n",
+			"hermes.go":           deadSurfaceTDGFacade,
+			"cmd/tool/main.go":    cmd,
+		}, []string{"publicAPIAllowlist entry tdg.Graph.AddEdge names no declaration"}},
+		{"not_aliased", map[string]string{
+			"internal/tdg/tdg.go": deadSurfaceTDG,
+			"cmd/tool/main.go":    cmd,
+		}, []string{
+			"publicAPIAllowlist entry tdg.Graph.AddEdge is a method of a type the facade does not alias",
+			"publicAPIAllowlist entry tdg.Graph.Edges is a method of a type the facade does not alias",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := deadSurface(t, tc.files)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("HV013 findings = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+func TestDeadSurfaceUnexportedTestOnlyCallerFlagged(t *testing.T) {
+	got := deadSurface(t, map[string]string{
+		"cmd/tool/main.go": `package main
+func main() { used() }
+func used()      {}
+func testHelper() {}
+type lint struct{}
+func (l lint) run() {}
+func (l lint) probe() {}
+var _ = lint{}.run
+`,
+		"cmd/tool/main_test.go": "package main\nvar _, _ = testHelper, lint{}.probe\n",
+		// Another command's call to a function of the same name does
+		// not keep this one.
+		"cmd/other/main.go": "package main\nfunc main() { testHelper() }\nfunc testHelper() {}\n",
+	})
+	want := []string{
+		"unexported cmd/tool.testHelper is referenced by no non-test file",
+		"unexported cmd/tool.lint.probe is referenced by no non-test file",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("HV013 findings = %q, want %q", got, want)
+	}
+}
+
+func TestDeadSurfaceUnexportedProductionCallerKeeps(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		extra map[string]string
+	}{
+		{"same_file", map[string]string{"internal/placement/solve.go": "package placement\nfunc solve() int { return 0 }\nvar _ = solve()\n"}},
+		{"other_file", map[string]string{
+			"internal/placement/solve.go":  "package placement\nfunc solve() int { return 0 }\n",
+			"internal/placement/greedy.go": "package placement\nvar _ = solve\n",
+		}},
+		{"method_selector", map[string]string{"internal/placement/solve.go": "package placement\ntype solver struct{}\nfunc (solver) run() {}\nvar _ = solver{}.run\n"}},
+		// init and main are called by the runtime; benchmark/ is not
+		// checked.
+		{"runtime_and_benchmark", map[string]string{
+			"internal/placement/solve.go": "package placement\nfunc init() {}\n",
+			"benchmark/util.go":           "package main\nfunc main() {}\nfunc unused() {}\n",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{
+				"internal/placement/plan.go": deadSurfaceDecls,
+				"cmd/tool/main.go":           deadSurfaceCmd + "\nvar _ = placement.Diff()\n",
+			}
+			maps.Copy(files, tc.extra)
+			if got := deadSurface(t, files); len(got) != 0 {
+				t.Errorf("want no finding, got %q", got)
+			}
+		})
 	}
 }
 
@@ -1237,7 +1366,7 @@ func (b byLoad) Less(i, j int) bool { return b[i] < b[j] }
 func (b byLoad) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
 func (b byLoad) String() string     { return "" }
 `,
-		"internal/placement/sort.go": "package placement\nimport \"sort\"\nfunc order(b []int) { sort.Sort(byLoad(b)) }\n",
+		"internal/placement/sort.go": "package placement\nimport \"sort\"\nvar _ = func(b []int) { sort.Sort(byLoad(b)) }\n",
 		"cmd/tool/main.go":           deadSurfaceCmd + "\nvar _ = placement.Diff()\n",
 	})
 	if len(got) != 0 {

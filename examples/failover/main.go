@@ -35,7 +35,18 @@ func run() error {
 	}
 	fmt.Printf("initial: %s\n", res.Plan.Summary())
 
-	// Runtime rule installation through the controller.
+	// Baseline traffic run.
+	pkts, _, err := hermes.TrafficSpec{Packets: 500, Flows: 32, Seed: 2}.Generate()
+	if err != nil {
+		return err
+	}
+	if _, err := hermes.VerifyEquivalence(res.Deployment, pkts); err != nil {
+		return err
+	}
+	fmt.Printf("traffic: %d packets verified against single-box execution\n", len(pkts))
+
+	// Runtime rule installation through the controller (paper §VI-A):
+	// the update is routed to the switch hosting the table.
 	ctl, err := hermes.NewController(res.Deployment)
 	if err != nil {
 		return err
@@ -45,25 +56,39 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("runtime: %q is served by switch %d; per-switch load:\n", mat, sw)
-	for _, l := range ctl.Loads() {
-		fmt.Printf("  switch %d: %d MATs, %d rules\n", l.Switch, l.MATs, l.Rules)
+	node, _ := res.TDG.Node(mat)
+	rule := hermes.Rule{
+		Matches: map[string]hermes.Pattern{node.MAT.Keys[0].Field.Name: {Value: 7}},
+		Action:  node.MAT.Actions[0].Name,
 	}
-
-	// Route optimization: spread coordination bytes across paths.
-	if maxLink, err := hermes.OptimizeRoutes(res.Plan, hermes.RouteOptions{K: 3}); err == nil {
-		fmt.Printf("routes: busiest link carries %dB after k-shortest-path spreading\n", maxLink)
+	if err := ctl.InstallRule(mat, rule); err != nil {
+		return err
 	}
-
-	// Baseline traffic run.
-	pkts, _, err := hermes.TrafficSpec{Packets: 500, Flows: 32, Seed: 2}.Generate()
+	n, err := ctl.RuleCount(mat)
 	if err != nil {
 		return err
 	}
+	fmt.Printf("runtime: installed a rule on %q (switch %d), which now holds %d; per-switch load:\n", mat, sw, n)
+	for _, l := range ctl.Loads() {
+		fmt.Printf("  switch %d: %d MATs, %d rules\n", l.Switch, l.MATs, l.Rules)
+	}
+	// The engines compile the rule tables when built: verifying again
+	// builds both from the live tables.
 	if _, err := hermes.VerifyEquivalence(res.Deployment, pkts); err != nil {
 		return err
 	}
-	fmt.Printf("traffic: %d packets verified against single-box execution\n\n", len(pkts))
+	if err := ctl.RemoveRule(mat, 0); err != nil {
+		return err
+	}
+	if n, err = ctl.RuleCount(mat); err != nil {
+		return err
+	}
+	fmt.Printf("runtime: traffic re-verified with the rule, then removed it (%d left)\n", n)
+
+	// Route optimization: spread coordination bytes across paths.
+	if maxLink, err := hermes.OptimizeRoutes(res.Plan, hermes.RouteOptions{K: 3}); err == nil {
+		fmt.Printf("routes: busiest link carries %dB after k-shortest-path spreading\n\n", maxLink)
+	}
 
 	// Drain the busiest switch and heal the live deployment in one
 	// step: incremental delta repair (full-solve fallback under

@@ -115,7 +115,7 @@ func refFromProgram(p *program.Program) (*tdg.Graph, error) {
 			return nil, err
 		}
 	}
-	if !g.IsDAG() {
+	if _, err := g.TopoSort(); err != nil {
 		return nil, fmt.Errorf("program %q induces a cyclic TDG", p.Name)
 	}
 	return g, nil

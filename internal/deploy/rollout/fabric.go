@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/hermes-net/hermes/internal/deploy"
@@ -105,19 +104,6 @@ func (f *MemFabric) Installed(sw network.SwitchID, epoch uint64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.installed[sw][epoch]
-}
-
-// Epochs lists the config epochs installed on sw, ascending — a test
-// and debugging window into the fabric's footprint.
-func (f *MemFabric) Epochs(sw network.SwitchID) []uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]uint64, 0, len(f.installed[sw]))
-	for e := range f.installed[sw] {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Replay reconstructs fabric state from a journal after a process

@@ -675,14 +675,6 @@ type ServingView struct {
 	r *Rollout
 }
 
-// GroupOf names the commit group serving prog ("" if unknown).
-func (v *ServingView) GroupOf(prog string) string {
-	if g := v.r.progGroup[prog]; g != nil {
-		return g.id
-	}
-	return ""
-}
-
 // EpochOf returns prog's serving epoch; 0 means the program is not
 // being served (withdrawn, or added but not yet committed).
 func (v *ServingView) EpochOf(prog string) uint64 {
@@ -698,15 +690,6 @@ func (v *ServingView) EpochOf(prog string) uint64 {
 		return 0
 	}
 	return e
-}
-
-// PlanFor returns the plan currently serving prog, or nil.
-func (v *ServingView) PlanFor(prog string) (*placement.Plan, uint64) {
-	e := v.EpochOf(prog)
-	if e == 0 {
-		return nil, 0
-	}
-	return v.r.planFor(e), e
 }
 
 // HostsOf returns the switches hosting group's programs' MATs in the
@@ -734,25 +717,6 @@ func (v *ServingView) Programs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Mixed reports whether different groups currently serve different
-// epochs — legal mid-commit (groups are independent), while a single
-// program split across epochs never is.
-func (v *ServingView) Mixed() bool {
-	seen := uint64(0)
-	for _, g := range v.r.groups {
-		e := v.r.serving[g.id]
-		if e == 0 {
-			continue
-		}
-		if seen == 0 {
-			seen = e
-		} else if seen != e {
-			return true
-		}
-	}
-	return false
 }
 
 // CheckInstalled asserts the torn-state invariant against a fabric:

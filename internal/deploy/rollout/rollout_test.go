@@ -340,9 +340,6 @@ func TestRolloutInterruptAndResume(t *testing.T) {
 	if got := view.EpochOf("p3"); got != 1 {
 		t.Errorf("p3 serves %d, want 1", got)
 	}
-	if !view.Mixed() {
-		t.Error("view not mixed mid-commit")
-	}
 	if err := view.CheckInstalled(fab); err != nil {
 		t.Fatalf("interrupted state torn: %v", err)
 	}

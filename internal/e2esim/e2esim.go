@@ -167,20 +167,6 @@ func (c Config) ImpactOf(overheadBytes int) (Impact, error) {
 	}, nil
 }
 
-// Sweep evaluates the impact across a range of overheads (Figure 2's
-// x-axis).
-func (c Config) Sweep(overheads []int) ([]Impact, error) {
-	out := make([]Impact, 0, len(overheads))
-	for _, h := range overheads {
-		imp, err := c.ImpactOf(h)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, imp)
-	}
-	return out, nil
-}
-
 // Figure2Overheads is the paper's sweep: 28 to 108 bytes.
 func Figure2Overheads() []int {
 	return []int{28, 48, 68, 88, 108}
@@ -199,72 +185,4 @@ func DefaultDCN(packetBytes int) Config {
 		FlowPackets: 1_000_000,
 		Hops:        5,
 	}.withDefaults()
-}
-
-// RunAccumulating simulates an INT-style flow where each hop appends
-// perHopBytes of metadata (paper §II-B: "in a 5-hop end-to-end DCN
-// transmission, the size of INT headers easily exceeds 48 bytes"). The
-// packet grows hop by hop; the bottleneck is the final hop, where the
-// full Hops×perHopBytes header rides along — so the effective overhead
-// equals the egress size, but average wire time is integrated over the
-// growth.
-func (c Config) RunAccumulating(perHopBytes int) (FlowMetrics, error) {
-	if perHopBytes < 0 {
-		return FlowMetrics{}, fmt.Errorf("e2esim: negative per-hop overhead %d", perHopBytes)
-	}
-	if err := c.Validate(); err != nil {
-		return FlowMetrics{}, err
-	}
-	c = c.withDefaults()
-
-	payloadPerOriginal := c.PacketBytes - c.StackHeaderBytes
-	totalPayload := int64(c.FlowPackets) * int64(payloadPerOriginal)
-	egressOverhead := perHopBytes * c.Hops
-
-	var packets int64
-	var egressBytes int
-	if c.PacketBytes+egressOverhead <= c.MTU {
-		packets = int64(c.FlowPackets)
-		egressBytes = c.PacketBytes + egressOverhead
-	} else {
-		perPacket := c.MTU - c.StackHeaderBytes - egressOverhead
-		if perPacket <= 0 {
-			return FlowMetrics{}, fmt.Errorf("e2esim: %d hops × %dB INT leaves no payload within MTU %d",
-				c.Hops, perHopBytes, c.MTU)
-		}
-		packets = (totalPayload + int64(perPacket) - 1) / int64(perPacket)
-		egressBytes = c.MTU
-	}
-	// Serialization is paid per hop at the hop's packet size; the
-	// bottleneck (pipelined) hop is the last, but the first packet pays
-	// the staircase once.
-	bottleneck := time.Duration(float64(packets) * float64(egressBytes) * 8 / c.LineRateBps * float64(time.Second))
-	perPacketHost := time.Duration(packets) * c.HostPerPacket
-	pipeline := time.Duration(c.Hops) * c.PerHopLatency
-	fct := bottleneck + perPacketHost + pipeline
-
-	goodput := float64(totalPayload) * 8 / fct.Seconds()
-	return FlowMetrics{
-		FCT:                fct,
-		GoodputBps:         goodput,
-		Packets:            int(packets),
-		WireBytesPerPacket: egressBytes,
-	}, nil
-}
-
-// AccumulatingImpactOf is ImpactOf for per-hop (INT-style) overhead.
-func (c Config) AccumulatingImpactOf(perHopBytes int) (Impact, error) {
-	base, err := c.Run(0)
-	if err != nil {
-		return Impact{}, err
-	}
-	with, err := c.RunAccumulating(perHopBytes)
-	if err != nil {
-		return Impact{}, err
-	}
-	return Impact{
-		OverheadBytes:   float64(perHopBytes * c.withDefaults().Hops),
-		FCTIncrease:     with.FCT.Seconds()/base.FCT.Seconds() - 1,
-		GoodputDecrease: 1 - with.GoodputBps/base.GoodputBps,
-	}, nil
 }

@@ -109,26 +109,6 @@ func TestFigure2Shape(t *testing.T) {
 	}
 }
 
-func TestSweepMatchesIndividualRuns(t *testing.T) {
-	cfg := DefaultDCN(1024)
-	sweep, err := cfg.Sweep(Figure2Overheads())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sweep) != 5 {
-		t.Fatalf("sweep returned %d points", len(sweep))
-	}
-	for i, h := range Figure2Overheads() {
-		imp, err := cfg.ImpactOf(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sweep[i] != imp {
-			t.Errorf("sweep[%d] = %+v, individual = %+v", i, sweep[i], imp)
-		}
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
 	if _, err := (Config{PacketBytes: 40, FlowPackets: 10}).Run(0); err == nil {
 		t.Error("packet smaller than headers accepted")
@@ -195,47 +175,15 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestRunAccumulatingMatchesFixedAtEgress(t *testing.T) {
-	// Per-hop accumulation with H hops must cost at least as much as a
-	// fixed overhead of H*perHop bytes is approximated by the egress
-	// size, so the two models agree on packet counts and wire size.
-	cfg := DefaultDCN(512)
-	acc, err := cfg.RunAccumulating(10) // 5 hops -> 50B at egress
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed, err := cfg.Run(50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc.Packets != fixed.Packets || acc.WireBytesPerPacket != fixed.WireBytesPerPacket {
-		t.Errorf("accumulating (%d pkts, %dB) != fixed egress (%d pkts, %dB)",
-			acc.Packets, acc.WireBytesPerPacket, fixed.Packets, fixed.WireBytesPerPacket)
-	}
-}
-
-func TestRunAccumulatingIntroScenario(t *testing.T) {
+func TestIntroScenarioOverheadIsNoticeable(t *testing.T) {
 	// The paper's intro: ~48B of INT headers over 5 hops degrades
-	// performance noticeably at DCN packet sizes.
-	cfg := DefaultDCN(512)
-	imp, err := cfg.AccumulatingImpactOf(10)
+	// performance noticeably at DCN packet sizes. Five hops appending
+	// 10B each carry 50B at the egress, the bottleneck hop.
+	imp, err := DefaultDCN(512).ImpactOf(50)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if imp.OverheadBytes != 50 {
-		t.Errorf("egress overhead = %g, want 50", imp.OverheadBytes)
 	}
 	if imp.FCTIncrease <= 0.03 {
 		t.Errorf("FCT increase = %.3f, want noticeable (>3%%)", imp.FCTIncrease)
-	}
-}
-
-func TestRunAccumulatingErrors(t *testing.T) {
-	cfg := DefaultDCN(1500)
-	if _, err := cfg.RunAccumulating(-1); err == nil {
-		t.Error("negative per-hop overhead accepted")
-	}
-	if _, err := cfg.RunAccumulating(300); err == nil {
-		t.Error("payload-erasing INT accepted")
 	}
 }

@@ -49,6 +49,9 @@ type RegionReplanPoint struct {
 	// ColdMs and RegionalMs.
 	ColdPackSteps     int
 	RegionalPackSteps int
+	// RegionMATs counts the MATs the pre-drain plan hosts in the
+	// regions the regional replan touched: the size of its problem.
+	RegionMATs int
 	// SeedAMax is the pre-drain plan's Eq. 1; ColdAMax/RegionalAMax are
 	// the two replans'; AMaxRatio is RegionalAMax/ColdAMax.
 	SeedAMax     int
@@ -200,6 +203,15 @@ func exp11Point(cfg Config, c exp11Case) (RegionReplanPoint, error) {
 	pt.RegionalPackSteps = rep.PackSteps
 	pt.FellBack = !rep.UsedRepair || !rep.UsedRegional
 	pt.RegionsTouched = len(rep.RegionsTouched)
+	touched := map[int]bool{}
+	for _, r := range rep.RegionsTouched {
+		touched[r] = true
+	}
+	for _, sp := range base.Assignments {
+		if touched[part.RegionOf(sp.Switch)] {
+			pt.RegionMATs++
+		}
+	}
 	pt.RegionsWidened = rep.RegionsWidened
 	pt.ExchangeRounds = rep.ExchangeRounds
 	pt.ExchangeMoves = rep.ExchangeMoves

@@ -8,6 +8,11 @@ import "testing"
 // headline composite:30 drain the sharded cold re-solve must do at
 // least RegionReplanWorkRatio times the regional replan's packing work.
 // No check reads a clock.
+// regionalStepsPerMAT bounds Exp#11's regional packing steps per MAT
+// hosted in the touched regions, so a cheaper cold path cannot hide a
+// costlier heal behind the cold/regional ratio.
+const regionalStepsPerMAT = 15
+
 func TestExp11RegionalReplanAcceptance(t *testing.T) {
 	pts, err := Exp11(fastConfig(), false)
 	if err != nil {
@@ -19,8 +24,8 @@ func TestExp11RegionalReplanAcceptance(t *testing.T) {
 	var headline *RegionReplanPoint
 	for i := range pts {
 		pt := &pts[i]
-		t.Logf("%s: pack steps cold %d regional %d, touched %d widened %d exMoves %d displaced %d",
-			pt.Topology, pt.ColdPackSteps, pt.RegionalPackSteps,
+		t.Logf("%s: pack steps cold %d regional %d over %d region MATs, touched %d widened %d exMoves %d displaced %d",
+			pt.Topology, pt.ColdPackSteps, pt.RegionalPackSteps, pt.RegionMATs,
 			pt.RegionsTouched, pt.RegionsWidened, pt.ExchangeMoves, pt.DisplacedMATs)
 		if pt.FellBack {
 			t.Errorf("%s: regional replan fell back to a full solve", pt.Topology)
@@ -44,6 +49,15 @@ func TestExp11RegionalReplanAcceptance(t *testing.T) {
 		}
 		if pt.RegionalPackSteps == 0 {
 			t.Errorf("%s: the regional replan counted no packing steps", pt.Topology)
+		}
+		// Absolute work bound: the regional replan's packing steps scale
+		// with the MATs of the regions it touched, whatever the cold
+		// re-solve costs. Measured (deterministic): composite:10 1,410
+		// steps over 423 region MATs (3.3 each), composite:30 1,911 over
+		// 190 (10.1 each).
+		if pt.RegionalPackSteps > regionalStepsPerMAT*pt.RegionMATs {
+			t.Errorf("%s: regional replan ran %d packing steps, over %d per MAT of its %d region MATs",
+				pt.Topology, pt.RegionalPackSteps, regionalStepsPerMAT, pt.RegionMATs)
 		}
 		if pt.Topology == "composite:30" {
 			headline = pt

@@ -140,8 +140,7 @@ func lintIsolatedNodesRef(g *tdg.Graph, opts Options) Findings {
 // deployments (hundreds of ms at 2.8k MATs).
 func lintGraphAllPairs(g *tdg.Graph, opts Options) Findings {
 	var fs Findings
-	if !g.IsDAG() {
-		_, err := g.TopoSort()
+	if _, err := g.TopoSort(); err != nil {
 		fs = append(fs, Finding{
 			Rule: "HL006", Severity: Error, File: opts.File,
 			Message: fmt.Sprintf("TDG is cyclic: %v", err),

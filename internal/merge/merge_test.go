@@ -64,7 +64,7 @@ func Two(t1, t2 *tdg.Graph) (*tdg.Graph, error) {
 		}
 	}
 
-	if out.IsDAG() {
+	if _, err := out.TopoSort(); err == nil {
 		return out, nil
 	}
 
@@ -123,7 +123,7 @@ func plainUnion(t1, t2 *tdg.Graph) (*tdg.Graph, error) {
 			return nil, err
 		}
 	}
-	if !out.IsDAG() {
+	if _, err := out.TopoSort(); err != nil {
 		return nil, fmt.Errorf("merge: union of TDGs is cyclic")
 	}
 	return out, nil
@@ -163,7 +163,7 @@ func TestTwoUnifiesEquivalentMATs(t *testing.T) {
 	if m.NumNodes() != 3 {
 		t.Errorf("merged NumNodes = %d, want 3\nnodes: %v", m.NumNodes(), m.NodeNames())
 	}
-	if !m.IsDAG() {
+	if _, err := m.TopoSort(); err != nil {
 		t.Error("merged graph not a DAG")
 	}
 	// The unified hash node must feed both count tables.
@@ -219,7 +219,7 @@ func TestGraphsMergesManyAndCountsSavings(t *testing.T) {
 	if got := Savings(inputs, m); got != 3 {
 		t.Errorf("Savings = %d, want 3", got)
 	}
-	if !m.IsDAG() {
+	if _, err := m.TopoSort(); err != nil {
 		t.Error("merged graph not a DAG")
 	}
 }
@@ -432,7 +432,7 @@ func TestCycleFallbackToPlainUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.IsDAG() {
+	if _, err := m.TopoSort(); err != nil {
 		t.Fatal("merge returned cyclic graph")
 	}
 	// Fallback keeps all four nodes.

@@ -133,25 +133,6 @@ func (t *Topology) DownSwitches() []SwitchID {
 	return out
 }
 
-// DownLinks returns the cut links as (a,b) endpoint pairs, ordered by
-// link index.
-func (t *Topology) DownLinks() [][2]SwitchID {
-	if len(t.downLink) == 0 {
-		return nil
-	}
-	idx := make([]int, 0, len(t.downLink))
-	for li := range t.downLink {
-		idx = append(idx, li)
-	}
-	sort.Ints(idx)
-	out := make([][2]SwitchID, len(idx))
-	for i, li := range idx {
-		l := t.links[li]
-		out[i] = [2]SwitchID{l.A, l.B}
-	}
-	return out
-}
-
 // copyFaultState mirrors src's fault overlay onto t (used by Clone).
 func (t *Topology) copyFaultState(src *Topology) {
 	if len(src.downSw) > 0 {

@@ -430,8 +430,8 @@ func TestKShortestPathsMatchesReferenceYen(t *testing.T) {
 		} else {
 			t.Fatalf("%s: second pair %v has no link", c.name, pairs[1])
 		}
-		if len(faulted.DownSwitches()) != 1 || len(faulted.DownLinks()) != 1 {
-			t.Fatalf("%s: faulted copy has %v down switches, %v down links", c.name, faulted.DownSwitches(), faulted.DownLinks())
+		if len(faulted.DownSwitches()) != 1 || len(faulted.downLink) != 1 {
+			t.Fatalf("%s: faulted copy has %v down switches, %d down links", c.name, faulted.DownSwitches(), len(faulted.downLink))
 		}
 
 		for _, tp := range []*Topology{c.topo, faulted} {

@@ -244,11 +244,11 @@ table route {
 	if m.Keys[0].Type != program.MatchLPM {
 		t.Errorf("match type = %v", m.Keys[0].Type)
 	}
-	mod, err := m.ModifiedFields()
-	if err != nil {
-		t.Fatal(err)
+	fp := m.Footprint()
+	if fp.WriteErr != nil {
+		t.Fatal(fp.WriteErr)
 	}
-	if !mod.Contains("meta.egress_port") || !mod.Contains("ipv4.ttl") {
-		t.Errorf("modified = %v", mod)
+	if len(fp.Writes) != 2 || fp.Writes[0].Name != "ipv4.ttl" || fp.Writes[1].Name != "meta.egress_port" {
+		t.Errorf("writes = %v, want ipv4.ttl and meta.egress_port", fp.Writes)
 	}
 }

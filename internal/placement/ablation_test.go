@@ -173,7 +173,7 @@ func BenchmarkAblationRouteOptimizer(b *testing.B) {
 		if err := AddRoutes(plan); err != nil {
 			b.Fatal(err)
 		}
-		before = plan.MaxWireBytes()
+		before = maxWireBytes(plan)
 		opt, err := OptimizeRoutes(plan, RouteOptions{K: 4})
 		if err != nil {
 			b.Fatal(err)

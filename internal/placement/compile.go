@@ -46,14 +46,13 @@ type CompiledInstance struct {
 	ids []int32
 	gi  *graphIndex
 
-	// Edge arrays in tdg.EdgeList order. Out/In/Incident hold edge
-	// indices per MAT in that same order: the kernels only fold
-	// commutative sums (and order-free verdicts) over them, so any fixed
-	// order yields identical scores.
+	// Edge arrays in tdg.EdgeList order. In/Incident hold edge indices
+	// per MAT in that same order: the kernels only fold commutative sums
+	// (and order-free verdicts) over them, so any fixed order yields
+	// identical scores.
 	EdgeFrom, EdgeTo []int32
 	EdgeBytes        []int32
-	Out, In          [][]int32
-	Incident         [][]int32
+	In, Incident     [][]int32
 
 	// Req is R(a) per MAT under rm.
 	Req []float64
@@ -64,14 +63,11 @@ type CompiledInstance struct {
 	// graph is cyclic (no solver or repair gets that far).
 	TopoPos []int32
 
-	// Per-switch trait arrays indexed by SwitchID; Prog lists the
-	// programmable switch IDs ascending.
-	S            int32
-	Programmable []bool
-	Stages       []int32
-	StageCap     []float64
-	Caps         []float64
-	Prog         []network.SwitchID
+	// Caps is each switch's capacity, indexed by SwitchID; Prog lists
+	// the programmable switch IDs that are up, ascending.
+	S    int32
+	Caps []float64
+	Prog []network.SwitchID
 
 	// lat is the dense shortest-path latency table, fetched lazily:
 	// parallel Exact branches share one instance, so the fetch is
@@ -138,8 +134,8 @@ var memberPool sync.Pool
 // from its members' out-edges, so the cost follows the subset, not the
 // graph, and are put back in g's EdgeList order by their list
 // positions, so the kernels' iteration order is deterministic.
-// Out/In/Incident are carved from one backing array sized by the
-// members' degrees. The instance's Graph field keeps pointing at g.
+// In/Incident are carved from one backing array sized by the members'
+// degrees. The instance's Graph field keeps pointing at g.
 func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, topo *network.Topology) *CompiledInstance {
 	n, s := len(ids), topo.NumSwitches()
 	ci := &CompiledInstance{Graph: g, Topo: topo, S: int32(s), ids: ids, gi: gi}
@@ -177,14 +173,14 @@ func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, topo *network.Topo
 	m := len(pos)
 	edges := make([]int32, 3*m)
 	ci.EdgeFrom, ci.EdgeTo, ci.EdgeBytes = edges[:m:m], edges[m:2*m:2*m], edges[2*m:]
-	lists := make([][]int32, 3*n)
-	out, in, inc := lists[:n:n], lists[n:2*n:2*n], lists[2*n:]
-	ci.Out, ci.In, ci.Incident = out, in, inc
-	adj := make([]int32, 2*(outDeg+inDeg))
+	lists := make([][]int32, 2*n)
+	in, inc := lists[:n:n], lists[n:]
+	ci.In, ci.Incident = in, inc
+	adj := make([]int32, outDeg+2*inDeg)
 	for x, id := range ids {
 		o, i := len(g.OutEdgesOf(id)), len(g.InEdgesOf(id))
-		out[x], in[x], inc[x] = adj[:0:o], adj[o:o:o+i], adj[o+i:o+i:2*(o+i)]
-		adj = adj[2*(o+i):]
+		in[x], inc[x] = adj[:0:i], adj[i:i:o+2*i]
+		adj = adj[o+2*i:]
 	}
 	list := g.EdgeList()
 	//hermes:hot
@@ -192,7 +188,6 @@ func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, topo *network.Topo
 		from, to := list[p].Endpoints()
 		f, t := local[from]-1, local[to]-1
 		ci.EdgeFrom[ei], ci.EdgeTo[ei], ci.EdgeBytes[ei] = f, t, int32(list[p].MetadataBytes)
-		out[f] = append(out[f], int32(ei))
 		in[t] = append(in[t], int32(ei))
 		inc[f] = append(inc[f], int32(ei))
 		inc[t] = append(inc[t], int32(ei))
@@ -213,9 +208,6 @@ func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, topo *network.Topo
 		}
 	}
 
-	ci.Programmable = make([]bool, s)
-	ci.Stages = make([]int32, s)
-	ci.StageCap = make([]float64, s)
 	ci.Caps = make([]float64, s)
 	for id := 0; id < s; id++ {
 		sw, err := topo.Switch(network.SwitchID(id))
@@ -224,12 +216,8 @@ func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, topo *network.Topo
 		}
 		// A down switch is indistinguishable from non-programmable for
 		// placement purposes.
-		up := sw.Programmable && !topo.SwitchIsDown(sw.ID)
-		ci.Programmable[id] = up
-		ci.Stages[id] = int32(sw.Stages)
-		ci.StageCap[id] = sw.StageCapacity
 		ci.Caps[id] = sw.Capacity()
-		if up {
+		if sw.Programmable && !topo.SwitchIsDown(sw.ID) {
 			ci.Prog = append(ci.Prog, sw.ID)
 		}
 	}

@@ -388,13 +388,13 @@ func TestKernelScratchRecycledClean(t *testing.T) {
 // instanceArrays are the MAT-side arrays of a compiled instance.
 type instanceArrays struct {
 	edgeFrom, edgeTo, edgeBytes []int32
-	out, in, incident           [][]int32
+	in, incident                [][]int32
 	req                         []float64
 	topoPos                     []int32
 }
 
 func arraysOf(ci *CompiledInstance) instanceArrays {
-	return instanceArrays{ci.EdgeFrom, ci.EdgeTo, ci.EdgeBytes, ci.Out, ci.In, ci.Incident, ci.Req, ci.TopoPos}
+	return instanceArrays{ci.EdgeFrom, ci.EdgeTo, ci.EdgeBytes, ci.In, ci.Incident, ci.Req, ci.TopoPos}
 }
 
 // compileSubsetRef is how compileSubset built an instance before it
@@ -408,8 +408,8 @@ func compileSubsetRef(g *tdg.Graph, names []string, rm program.ResourceModel) in
 		idx[n] = int32(i)
 	}
 	a := instanceArrays{
-		out: make([][]int32, len(names)), in: make([][]int32, len(names)),
-		incident: make([][]int32, len(names)), req: make([]float64, len(names)),
+		in: make([][]int32, len(names)), incident: make([][]int32, len(names)),
+		req: make([]float64, len(names)),
 	}
 	for i, name := range names {
 		node, _ := g.Node(name)
@@ -437,7 +437,6 @@ func compileSubsetRef(g *tdg.Graph, names []string, rm program.ResourceModel) in
 		a.edgeBytes = append(a.edgeBytes, int32(e.MetadataBytes))
 		a.incident[f] = append(a.incident[f], ei)
 		a.incident[t] = append(a.incident[t], ei)
-		a.out[f] = append(a.out[f], ei)
 		a.in[t] = append(a.in[t], ei)
 	}
 	return a
@@ -454,8 +453,6 @@ func arraysDiffer(got, want instanceArrays) string {
 		return "EdgeTo"
 	case !slices.Equal(got.edgeBytes, want.edgeBytes):
 		return "EdgeBytes"
-	case !lists(got.out, want.out):
-		return "Out"
 	case !lists(got.in, want.in):
 		return "In"
 	case !lists(got.incident, want.incident):

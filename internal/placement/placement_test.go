@@ -434,8 +434,8 @@ func TestPlanMetrics(t *testing.T) {
 	if plan.TE2E() <= 0 {
 		t.Error("TE2E should be positive for a cross-switch plan")
 	}
-	if plan.MaxWireBytes() != 1 {
-		t.Errorf("MaxWireBytes = %d, want 1", plan.MaxWireBytes())
+	if maxWireBytes(plan) != 1 {
+		t.Errorf("MaxWireBytes = %d, want 1", maxWireBytes(plan))
 	}
 	order, err := plan.SwitchOrder()
 	if err != nil {

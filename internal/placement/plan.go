@@ -141,7 +141,7 @@ func (p *Plan) CrossEdges() []*tdg.Edge {
 }
 
 // PairBytes aggregates Σ A(a,b) per ordered communicating switch pair.
-// The map is memoized on the plan (AMax, TE2E, WireBytes, and lint's
+// The map is memoized on the plan (AMax, TE2E, OptimizeRoutes, and lint's
 // HL101–HL111 checks all re-derive it otherwise) and must be treated
 // as read-only; see InvalidateCache.
 func (p *Plan) PairBytes() map[RouteKey]int {
@@ -205,36 +205,6 @@ func (p *Plan) TE2E() time.Duration {
 		}
 	}
 	return total
-}
-
-// WireBytes measures the accumulated coordination bytes a packet
-// carries on each traversal link when metadata is forwarded along the
-// plan's routes; the maximum over links is a physically-grounded
-// counterpart of AMax that accounts for transit accumulation.
-func (p *Plan) WireBytes() map[RouteKey]int {
-	out := map[RouteKey]int{}
-	for key, bytes := range p.PairBytes() {
-		path, ok := p.Routes[key]
-		if !ok {
-			continue
-		}
-		for i := 0; i+1 < len(path.Switches); i++ {
-			hop := RouteKey{From: path.Switches[i], To: path.Switches[i+1]}
-			out[hop] += bytes
-		}
-	}
-	return out
-}
-
-// MaxWireBytes returns the maximum of WireBytes, or 0.
-func (p *Plan) MaxWireBytes() int {
-	max := 0
-	for _, b := range p.WireBytes() {
-		if b > max {
-			max = b
-		}
-	}
-	return max
 }
 
 // switchDAGOrder contracts the TDG by switch assignment and returns a

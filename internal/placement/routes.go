@@ -12,7 +12,7 @@ import (
 // communicating switch pair uses. AddRoutes fixes them to shortest
 // paths — optimal for t_e2e when links are uncongested — but when many
 // pairs share links, coordination bytes concentrate: the maximum
-// per-link piggyback load (MaxWireBytes) can exceed A_max considerably.
+// per-link piggyback load can exceed A_max considerably.
 // OptimizeRoutes spreads pairs across the k shortest paths to minimize
 // that per-link load, subject to a latency budget per pair.
 

@@ -61,6 +61,25 @@ func nameN(prefix string, i int) string {
 	return prefix + string(rune('0'+i))
 }
 
+// maxWireBytes is the busiest directed link's coordination bytes when
+// metadata is forwarded along the plan's routes: each pair's bytes
+// accumulate on every hop of its path, or 0 without routes.
+func maxWireBytes(p *Plan) int {
+	load := map[RouteKey]int{}
+	max := 0
+	for key, bytes := range p.PairBytes() {
+		path := p.Routes[key]
+		for i := 0; i+1 < len(path.Switches); i++ {
+			hop := RouteKey{From: path.Switches[i], To: path.Switches[i+1]}
+			load[hop] += bytes
+			if load[hop] > max {
+				max = load[hop]
+			}
+		}
+	}
+	return max
+}
+
 func TestOptimizeRoutesUsesShortestWhenAlone(t *testing.T) {
 	tp := parallelTopo(t)
 	plan := planWithPairs(t, tp, []int{10})

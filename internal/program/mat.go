@@ -218,40 +218,6 @@ type MAT struct {
 	FixedRequirement float64 `json:"fixed_requirement,omitempty"`
 }
 
-// MatchFields returns F_a^m, the set of fields matched by the MAT.
-func (m *MAT) MatchFields() (fields.Set, error) {
-	fs := make([]fields.Field, 0, len(m.Keys))
-	for _, k := range m.Keys {
-		fs = append(fs, k.Field)
-	}
-	s, err := fields.NewSet(fs...)
-	if err != nil {
-		return fields.Set{}, fmt.Errorf("MAT %q match fields: %w", m.Name, err)
-	}
-	return s, nil
-}
-
-// ModifiedFields returns F_a^a, the set of fields modified by any action
-// of the MAT.
-func (m *MAT) ModifiedFields() (fields.Set, error) {
-	fp := m.Footprint()
-	return setOf(fp.Writes, fp.WriteErr)
-}
-
-// ReadFields returns every field the MAT reads: the match key plus the
-// sources of its actions.
-func (m *MAT) ReadFields() (fields.Set, error) {
-	fp := m.Footprint()
-	return setOf(fp.Reads, fp.ReadErr)
-}
-
-func setOf(fs []fields.Field, err error) (fields.Set, error) {
-	if err != nil {
-		return fields.Set{}, err
-	}
-	return fields.NewSet(fs...)
-}
-
 // Footprint is what a MAT reads and writes, as Algorithm 1 consumes it:
 // two sorted field lists (fields.Canonical: name order, one entry per
 // name) and the metadata bytes of the writes. A side whose fields fail

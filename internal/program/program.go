@@ -3,7 +3,6 @@ package program
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"github.com/hermes-net/hermes/internal/fields"
 )
@@ -141,15 +140,4 @@ func (p *Program) EncodeJSON() ([]byte, error) {
 		return nil, fmt.Errorf("encoding program %q: %w", p.Name, err)
 	}
 	return b, nil
-}
-
-// SortedMATNames returns the MAT names in sorted order; useful for
-// deterministic reporting.
-func (p *Program) SortedMATNames() []string {
-	names := make([]string, len(p.MATs))
-	for i, m := range p.MATs {
-		names[i] = m.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -105,43 +105,34 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
-func TestMATFieldSets(t *testing.T) {
+// fieldNames joins the names of a footprint side.
+func fieldNames(fs []fields.Field) string {
+	names := make([]string, len(fs))
+	for i, f := range fs {
+		names[i] = f.Name
+	}
+	return strings.Join(names, ",")
+}
+
+func TestMATFootprint(t *testing.T) {
 	p := testProgram(t)
 	cnt, _ := p.MAT("test/count")
-
-	match, err := cnt.MatchFields()
-	if err != nil {
-		t.Fatalf("MatchFields: %v", err)
+	fp := cnt.Footprint()
+	if fp.ReadErr != nil || fp.WriteErr != nil {
+		t.Fatalf("footprint errors: %v, %v", fp.ReadErr, fp.WriteErr)
 	}
-	if !match.Contains("meta.idx") || match.Len() != 1 {
-		t.Errorf("MatchFields = %v, want {meta.idx}", match)
+	// count matches on the index, reads it again as the counter index,
+	// and reads the counter destination (read-modify-write).
+	if got := fieldNames(fp.Reads); got != "meta.count,meta.idx" {
+		t.Errorf("Reads = %s, want meta.count,meta.idx", got)
 	}
-
-	mod, err := cnt.ModifiedFields()
-	if err != nil {
-		t.Fatalf("ModifiedFields: %v", err)
-	}
-	if !mod.Contains("meta.count") || mod.Len() != 1 {
-		t.Errorf("ModifiedFields = %v, want {meta.count}", mod)
-	}
-
-	reads, err := cnt.ReadFields()
-	if err != nil {
-		t.Fatalf("ReadFields: %v", err)
-	}
-	// count reads the index both as match key and as counter index, and
-	// reads the counter destination (read-modify-write).
-	if !reads.Contains("meta.idx") || !reads.Contains("meta.count") {
-		t.Errorf("ReadFields = %v, want idx and count", reads)
+	if got := fieldNames(fp.Writes); got != "meta.count" || fp.WriteMetaBytes != 4 {
+		t.Errorf("Writes = %s (%dB), want meta.count (4B)", got, fp.WriteMetaBytes)
 	}
 
 	hash, _ := p.MAT("test/hash")
-	hmod, err := hash.ModifiedFields()
-	if err != nil {
-		t.Fatalf("ModifiedFields(hash): %v", err)
-	}
-	if !hmod.Contains("meta.idx") {
-		t.Errorf("hash ModifiedFields = %v, want meta.idx", hmod)
+	if got := fieldNames(hash.Footprint().Writes); got != "meta.idx" {
+		t.Errorf("hash Writes = %s, want meta.idx", got)
 	}
 }
 

@@ -119,7 +119,6 @@ type Monitor struct {
 	opts   MonitorOptions
 	rng    *rand.Rand
 	probes int
-	polls  int
 }
 
 // NewMonitor builds a monitor over every switch of the topology —
@@ -155,7 +154,6 @@ func (m *Monitor) probe(id network.SwitchID) bool {
 // transitions: switches newly confirmed down and newly confirmed up,
 // each ascending by ID.
 func (m *Monitor) Poll() (down, up []network.SwitchID) {
-	m.polls++
 	for _, id := range m.ids {
 		h := m.per[id]
 		if h.skip > 0 {

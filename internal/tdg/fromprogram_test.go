@@ -56,7 +56,7 @@ func fromProgramRef(p *program.Program) (*tdg.Graph, error) {
 			return nil, err
 		}
 	}
-	if !g.IsDAG() {
+	if _, err := g.TopoSort(); err != nil {
 		return nil, fmt.Errorf("tdg: program %q induces a cyclic TDG", p.Name)
 	}
 	return g, nil

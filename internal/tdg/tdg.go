@@ -392,7 +392,7 @@ func (g *Graph) NodeNames() []string { return slices.Clone(g.names) }
 
 // Edges returns a fresh copy of all edges, sorted by (From, To) for
 // determinism. The copy and the sort cost O(E log E) string compares
-// per call: Edges belongs to output paths (DOT, reports, tests), not to
+// per call: Edges belongs to output paths (reports, tests), not to
 // gates and solvers that run per deploy or heal — those walk EdgeList
 // and index nodes through Edge.Endpoints.
 func (g *Graph) Edges() []*Edge {
@@ -617,12 +617,6 @@ func heapPop(h []int32) (int32, []int32) {
 	return top, h
 }
 
-// IsDAG reports whether the graph is acyclic.
-func (g *Graph) IsDAG() bool {
-	_, err := g.TopoSort()
-	return err == nil
-}
-
 // Levels assigns each node its longest-path depth from the sources
 // (level 0). FFL/FFLS place MATs level by level.
 func (g *Graph) Levels() (map[string]int, error) {
@@ -708,18 +702,4 @@ func (g *Graph) Clone() *Graph {
 		panic("tdg: clone failed: " + err.Error())
 	}
 	return c
-}
-
-// DOT renders the graph in Graphviz format for debugging.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	b.WriteString("digraph tdg {\n  rankdir=LR;\n")
-	for _, name := range g.names {
-		fmt.Fprintf(&b, "  %q;\n", name)
-	}
-	for _, e := range g.Edges() {
-		fmt.Fprintf(&b, "  %q -> %q [label=\"%s/%dB\"];\n", e.From, e.To, e.Type, e.MetadataBytes)
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

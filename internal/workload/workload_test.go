@@ -34,7 +34,7 @@ func TestRealProgramsConvertToDAGs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !g.IsDAG() {
+			if _, err := g.TopoSort(); err != nil {
 				t.Error("program TDG is cyclic")
 			}
 			if g.NumNodes() < 2 {
@@ -75,12 +75,12 @@ func TestINTUsesTableIMetadata(t *testing.T) {
 	if !ok {
 		t.Fatal("int_source missing")
 	}
-	mod, err := n.MAT.ModifiedFields()
-	if err != nil {
-		t.Fatal(err)
+	fp := n.MAT.Footprint()
+	if fp.WriteErr != nil {
+		t.Fatal(fp.WriteErr)
 	}
 	// Table I: switch ID 4B + timestamp 12B + queue len 6B = 22 bytes.
-	if got := mod.MetadataBytes(); got != 22 {
+	if got := fp.WriteMetaBytes; got != 22 {
 		t.Errorf("INT source metadata = %d bytes, want 22 (Table I)", got)
 	}
 }
@@ -169,7 +169,7 @@ func TestSyntheticAnalyzable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.IsDAG() {
+	if _, err := g.TopoSort(); err != nil {
 		t.Error("merged synthetic TDG cyclic")
 	}
 	// Body MATs use disjoint metadata namespaces, but the five shared
