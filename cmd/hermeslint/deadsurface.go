@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"path"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -49,6 +50,7 @@ type surfaceDecl struct {
 	key  string // pkg.Func or pkg.Type.Method; dir.func or dir.Type.method when unexported
 	recv string // pkg.Type for a method; "" for a function
 	name string
+	dir  string // the package's directory, internal/pkg
 	pos  token.Pos
 }
 
@@ -60,13 +62,16 @@ type surfaceDecl struct {
 // package (its declaration aside) or as pkg.Name anywhere, an
 // unexported one by its bare name inside its own directory; a method by
 // any selector .Name. Like HV011, it names packages by their package
-// clause. Only the implicitMethods and the allowlisted entries are kept
+// clause, but an allowlist entry belongs to the internal directory its
+// clause names (tdg.X to internal/tdg, rollout.X to
+// internal/deploy/rollout): a package elsewhere with the same clause
+// neither declares nor stales it. Only the implicitMethods and the allowlisted entries are kept
 // without a caller, so a method of a type the facade aliases (type X =
 // pkg.T in a library package outside internal/) needs a caller or a
 // publicAPIAllowlist reason.
 func lintDeadSurface(fset *token.FileSet, files []*ast.File, paths []string) []vetFinding {
 	var decls []surfaceDecl
-	firstFile := map[string]int{} // package -> its first non-test file
+	firstFile := map[string]int{} // package directory -> its first non-test file
 	facade := map[string]bool{}   // pkg.Type the facade aliases
 	used := map[string]bool{}     // pkg.Name referenced, bare or qualified
 	local := map[string]bool{}    // dir.name referenced bare
@@ -92,8 +97,8 @@ func lintDeadSurface(fset *token.FileSet, files []*ast.File, paths []string) []v
 		declared := map[token.Pos]bool{}
 		exempt := slices.Contains(testOnlyPackages, dir) || strings.Contains("/"+rel+"/", "/benchmark/")
 		if dir != "" && !exempt {
-			if _, ok := firstFile[pkg]; !ok {
-				firstFile[pkg] = i
+			if _, ok := firstFile[dir]; !ok {
+				firstFile[dir] = i
 			}
 		}
 		for _, d := range file.Decls {
@@ -110,7 +115,7 @@ func lintDeadSurface(fset *token.FileSet, files []*ast.File, paths []string) []v
 			if !fn.Name.IsExported() {
 				prefix = scope
 			}
-			sd := surfaceDecl{key: prefix + "." + name, name: name, pos: fn.Name.Pos()}
+			sd := surfaceDecl{key: prefix + "." + name, name: name, dir: dir, pos: fn.Name.Pos()}
 			if fn.Recv != nil {
 				sd.recv = pkg + "." + receiverName(fn.Recv.List[0].Type)
 				sd.key = prefix + "." + receiverName(fn.Recv.List[0].Type) + "." + name
@@ -142,9 +147,9 @@ func lintDeadSurface(fset *token.FileSet, files []*ast.File, paths []string) []v
 	report := func(pos token.Pos, format string, args ...any) {
 		out = append(out, vetFinding{pos: fset.Position(pos), rule: "HV013", sev: "error", msg: fmt.Sprintf(format, args...)})
 	}
-	declaredKeys := map[string]bool{}
+	declaredKeys := map[string]bool{} // dir + " " + key
 	for _, d := range decls {
-		declaredKeys[d.key] = true
+		declaredKeys[d.dir+" "+d.key] = true
 		if d.recv != "" && implicitMethods[d.name] {
 			continue
 		}
@@ -172,18 +177,27 @@ func lintDeadSurface(fset *token.FileSet, files []*ast.File, paths []string) []v
 			report(d.pos, "exported %s is referenced by no non-test file: delete it, move it into the tests that use it, or allowlist it as a reference twin with a reason", d.key)
 		}
 	}
-	// An entry naming nothing in a linted package has gone stale.
-	var stale []string
-	for _, list := range []map[string]string{deadSurfaceAllowlist, publicAPIAllowlist} {
-		for key := range list {
-			if _, ok := firstFile[key[:strings.Index(key, ".")]]; ok && !declaredKeys[key] {
-				stale = append(stale, key)
+	// An entry naming nothing in its linted package has gone stale.
+	type staleEntry struct{ dir, key string }
+	var stale []staleEntry
+	for dir, i := range firstFile {
+		pkg := files[i].Name.Name
+		if path.Base(dir) != pkg {
+			continue
+		}
+		for _, list := range []map[string]string{deadSurfaceAllowlist, publicAPIAllowlist} {
+			for key := range list {
+				if strings.HasPrefix(key, pkg+".") && !declaredKeys[dir+" "+key] {
+					stale = append(stale, staleEntry{dir, key})
+				}
 			}
 		}
 	}
-	sort.Strings(stale)
-	for _, key := range stale {
-		report(files[firstFile[key[:strings.Index(key, ".")]]].Name.Pos(), "%s entry %s names no declaration: drop the entry", allowlistOf(key), key)
+	sort.Slice(stale, func(i, j int) bool {
+		return stale[i].key < stale[j].key || stale[i].key == stale[j].key && stale[i].dir < stale[j].dir
+	})
+	for _, e := range stale {
+		report(files[firstFile[e.dir]].Name.Pos(), "%s entry %s names no declaration: drop the entry", allowlistOf(e.key), e.key)
 	}
 	return out
 }

@@ -16,7 +16,8 @@
 //	       AMax, the *Ref twins, ...), graph materialization
 //	       (Subgraph, Edges, OutEdges, InEdges, NodeNames), a
 //	       graph lookup by MAT name (Node, Edge, OutEdgeList,
-//	       InEdgeList, ID), lint's test-side
+//	       InEdgeList, ID) or a plan's (SwitchOf), lint's
+//	       test-side
 //	       name-keyed footprint reference (rawSets) or
 //	       name-keyed stage packing
 //	       (FitsSwitch, PackStages, packShared and the test-side
@@ -77,7 +78,10 @@
 //	       facade aliases may be allowlisted with the reason
 //	       a facade user needs it, a reference twin that a
 //	       test in another package compares against with its
-//	       reason, and a stale entry is itself a finding    error
+//	       reason, and a stale entry is itself a finding
+//	       (an entry belongs to the internal directory its
+//	       package clause names, not to every package that
+//	       shares the clause)                                error
 //
 // It is deliberately x/tools-free: the analysis is a plain go/parser +
 // go/ast walk so it builds in hermetic environments with no module
@@ -497,7 +501,8 @@ func lintPoolFunc(fset *token.FileSet, fn *ast.FuncDecl) []vetFinding {
 // implementations, the Plan/TDG convenience accessors that allocate
 // maps or hash names per call, the TDG lookups by MAT name (their id
 // twins Endpoints, EdgeByID, OutEdgesOf, InEdgesOf and TopoIDs are
-// free) and ID, the name → node-id resolution itself, the TDG calls
+// free) and ID, the name → node-id resolution itself, the plan's host
+// lookup by MAT name (SwitchOf; Plan.Hosts by node id is free), the TDG calls
 // that materialize a graph, a name list or a sorted edge slice (the
 // graph's Index holds the names in order), lint's test-side name-keyed
 // footprint reference, the name-keyed stage packer and its test-side
@@ -513,6 +518,7 @@ func lintPoolFunc(fset *token.FileSet, fn *ast.FuncDecl) []vetFinding {
 var hotBanned = map[string]bool{
 	"PairBytes":          true,
 	"PairBytesUncached":  true,
+	"SwitchOf":           true,
 	"PairBytesRef":       true,
 	"AMax":               true,
 	"TE2E":               true,

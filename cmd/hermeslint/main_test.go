@@ -426,6 +426,38 @@ func good(g *graph, ids []int32) int {
 	}
 }
 
+func TestHotLoopFlagsHostLookupByName(t *testing.T) {
+	// The deploy backend reads a plan's host table by node id: a tagged
+	// loop that asks SwitchOf hashes a MAT name per iteration.
+	fs := lintSnippet(t, `
+type edge struct{ from, to int32; From, To string }
+type plan struct{ hosts []int }
+func (p *plan) SwitchOf(name string) (int, bool) { return 0, false }
+func (p *plan) Hosts() []int                     { return p.hosts }
+func bad(p *plan, edges []edge) int {
+	n := 0
+	//hermes:hot
+	for _, e := range edges {
+		a, _ := p.SwitchOf(e.From)
+		b, _ := p.SwitchOf(e.To)
+		n += a + b
+	}
+	return n
+}
+func good(p *plan, edges []edge) int {
+	n, hosts := 0, p.Hosts()
+	//hermes:hot
+	for _, e := range edges {
+		n += hosts[e.from] + hosts[e.to]
+	}
+	return n
+}
+`)
+	if got := rulesOf(fs); len(got) != 2 || got[0] != "HV005" || got[1] != "HV005" || !strings.Contains(fs[0].msg, "p.SwitchOf()") {
+		t.Fatalf("want two HV005 findings naming p.SwitchOf(), got %v", fs)
+	}
+}
+
 func TestHotLoopFlagsEngineCompiles(t *testing.T) {
 	// A packet-engine constructor compiles the whole deployment (or
 	// sorts the whole graph): per candidate packet it is the
@@ -1294,6 +1326,41 @@ func TestDeadSurfaceStalePublicAPIEntry(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			got := deadSurface(t, tc.files)
 			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("HV013 findings = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// An allowlist entry belongs to the internal directory its package
+// clause names: a lint fixture whose clause is tdg but which lives
+// elsewhere neither stales the tdg entries nor stands in for them.
+func TestDeadSurfaceStaleEntryKeyedOnDirectory(t *testing.T) {
+	cmd := "package main\nimport (\n\t\"github.com/hermes-net/hermes/internal/tdg\"\n\t_ \"github.com/hermes-net/hermes/internal/lintfix\"\n)\nfunc main() { (&tdg.Graph{}).AppendEdge() }\n"
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  []string
+	}{
+		{"fixture_only", map[string]string{
+			"internal/lintfix/fix.go": "package tdg\n",
+			"cmd/tool/main.go":        "package main\nimport _ \"github.com/hermes-net/hermes/internal/lintfix\"\nfunc main() {}\n",
+		}, nil},
+		{"fixture_beside_real", map[string]string{
+			"internal/lintfix/fix.go": "package tdg\n",
+			"internal/tdg/tdg.go":     deadSurfaceTDG,
+			"hermes.go":               deadSurfaceTDGFacade,
+			"cmd/tool/main.go":        cmd,
+		}, nil},
+		{"fixture_does_not_declare_for_real", map[string]string{
+			"internal/lintfix/fix.go": "package tdg\ntype Graph struct{}\nfunc (g *Graph) AddEdge() error { return nil }\n",
+			"internal/tdg/tdg.go":     "package tdg\ntype Graph struct{}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n",
+			"hermes.go":               deadSurfaceTDGFacade,
+			"cmd/tool/main.go":        cmd,
+		}, []string{"publicAPIAllowlist entry tdg.Graph.AddEdge names no declaration"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := deadSurface(t, tc.files); !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("HV013 findings = %q, want %q", got, tc.want)
 			}
 		})

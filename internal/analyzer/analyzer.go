@@ -7,7 +7,9 @@
 // Analyze takes each MAT's footprint once, and merge.Programs folds the
 // programs into the merged TDG on dense node ids without building a TDG
 // per program; A(a,b) is then filled from the footprints held per node
-// id.
+// id. The graph keeps those footprints (tdg.Graph.Footprints), so the
+// deploy backend lays out coordination headers without deriving them
+// again.
 package analyzer
 
 import (
@@ -77,6 +79,7 @@ func Analyze(progs []*program.Program, opts Options) (*tdg.Graph, error) {
 		}
 		e.MetadataBytes = size
 	}
+	g.SetFootprints(nodeFps)
 	return g, nil
 }
 
@@ -96,27 +99,14 @@ func distinctMATs(progs []*program.Program) error {
 }
 
 // AnnotateMetadata computes A(a,b) for every edge of the graph in
-// place, per Algorithm 1's TDG_ANALYSIS (see Delivered). Each node's
-// footprint is derived once per call.
+// place, per Algorithm 1's TDG_ANALYSIS (see Delivered), from the
+// graph's footprints (derived once per graph, tdg.Graph.Footprints).
 func AnnotateMetadata(g *tdg.Graph) error {
-	nodes := g.Nodes()
-	fps := make([]program.Footprint, len(nodes))
-	byName := make(map[string]*program.Footprint, len(nodes))
-	for i, n := range nodes {
-		fps[i] = n.MAT.Footprint()
-		byName[n.Name()] = &fps[i]
-	}
+	fps := g.Footprints()
 	//hermes:hot
 	for _, e := range g.EdgeList() {
-		a, ok := byName[e.From]
-		if !ok {
-			return fmt.Errorf("analyzer: edge from unknown node %q", e.From)
-		}
-		b, ok := byName[e.To]
-		if !ok {
-			return fmt.Errorf("analyzer: edge to unknown node %q", e.To)
-		}
-		size, err := Delivered(a, b, e.Type, nil)
+		from, to := e.Endpoints()
+		size, err := Delivered(&fps[from], &fps[to], e.Type, nil)
 		if err != nil {
 			return fmt.Errorf("analyzer: edge %s->%s: %w", e.From, e.To, err)
 		}

@@ -10,13 +10,14 @@ package deploy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/hermes-net/hermes/internal/analyzer"
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
-	"github.com/hermes-net/hermes/internal/program"
 )
 
 // StageEntry is one MAT fragment scheduled in a stage.
@@ -96,106 +97,267 @@ func (d *Deployment) MaxHeaderBytes() int {
 // carries the fields behind the plan's A(a,b) values. opts is ignored:
 // no analyzer option changes A(a,b) any more, and the parameter stays
 // only until benchmark/ moves onto the facade (ROADMAP 2(ii)).
+//
+// Compile reads the plan's host table and the graph's footprints by
+// node id and resolves no MAT name: each used switch gets a dense
+// index, the stage entries and header fields are carved from arenas,
+// and each pair's header is the merge of its edges' name-sorted
+// deliveries (compile_ref_test.go keeps the name-keyed compile it is
+// held to).
 func Compile(plan *placement.Plan, opts analyzer.Options) (*Deployment, error) {
 	if plan == nil || plan.Graph == nil || plan.Topo == nil {
 		return nil, fmt.Errorf("deploy: nil or incomplete plan")
 	}
+	cfgs, slot, err := compileStages(plan)
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := compileHeaders(plan, slot, len(cfgs))
+	if err != nil {
+		return nil, err
+	}
+	// Size every map once: a config's exports and imports are counted
+	// off the pairs.
+	deg := make([]int32, 2*len(cfgs))
+	for _, p := range pairs {
+		deg[2*(slot[p.key.From]-1)]++
+		deg[2*(slot[p.key.To]-1)+1]++
+	}
 	d := &Deployment{
 		Plan:    plan,
-		Configs: map[network.SwitchID]*SwitchConfig{},
-		Headers: map[placement.RouteKey]CoordHeader{},
+		Configs: make(map[network.SwitchID]*SwitchConfig, len(cfgs)),
+		Headers: make(map[placement.RouteKey]CoordHeader, len(pairs)),
 	}
-	// Stage programs.
+	for c, cfg := range cfgs {
+		cfg.Exports = make(map[network.SwitchID]CoordHeader, deg[2*c])
+		cfg.Imports = make(map[network.SwitchID]CoordHeader, deg[2*c+1])
+		d.Configs[cfg.Switch] = cfg
+	}
+	for _, p := range pairs {
+		d.Headers[p.key] = p.hdr
+		cfgs[slot[p.key.From]-1].Exports[p.key.To] = p.hdr
+		cfgs[slot[p.key.To]-1].Imports[p.key.From] = p.hdr
+	}
+	return d, nil
+}
+
+// compileStages builds the stage program of every used switch: its
+// configs (Exports and Imports left nil) and slot, where slot[u] is 1 +
+// switch u's index in the configs, 0 for a switch that hosts nothing.
+// A first pass over the assignments counts each stage's entries, so
+// every stage slice is carved from one entry arena, then filled and
+// sorted by MAT name.
+func compileStages(plan *placement.Plan) ([]*SwitchConfig, []int32, error) {
+	ns := plan.Topo.NumSwitches()
+	slot := make([]int32, ns)
+	var sws []*network.Switch
+	// base[c] is config c's first stage in count: count[base[c]+s] is
+	// the number of entries in its stage s.
+	var base, count []int32
+	entries := 0
 	for name, sp := range plan.Assignments {
-		cfg := d.Configs[sp.Switch]
-		if cfg == nil {
+		if sp.Switch < 0 || int(sp.Switch) >= ns {
+			_, err := plan.Topo.Switch(sp.Switch)
+			return nil, nil, fmt.Errorf("deploy: %w", err)
+		}
+		c := slot[sp.Switch] - 1
+		if c < 0 {
 			sw, err := plan.Topo.Switch(sp.Switch)
 			if err != nil {
-				return nil, fmt.Errorf("deploy: %w", err)
+				return nil, nil, fmt.Errorf("deploy: %w", err)
 			}
-			cfg = &SwitchConfig{
-				Switch:  sp.Switch,
-				Stages:  make([][]StageEntry, sw.Stages),
-				Exports: map[network.SwitchID]CoordHeader{},
-				Imports: map[network.SwitchID]CoordHeader{},
-			}
-			d.Configs[sp.Switch] = cfg
+			c = int32(len(sws))
+			slot[sp.Switch] = c + 1
+			sws = append(sws, sw)
+			base = append(base, int32(len(count)))
+			count = append(count, make([]int32, sw.Stages)...)
 		}
 		for i, amt := range sp.PerStage {
 			if amt <= 0 {
 				continue
 			}
 			stage := sp.Start + i
-			if stage >= len(cfg.Stages) {
-				return nil, fmt.Errorf("deploy: MAT %q stage %d out of range", name, stage)
+			if stage < 0 || stage >= sws[c].Stages {
+				return nil, nil, fmt.Errorf("deploy: MAT %q stage %d out of range", name, stage)
 			}
-			cfg.Stages[stage] = append(cfg.Stages[stage], StageEntry{MAT: name, Amount: amt})
+			count[int(base[c])+stage]++
+			entries++
 		}
 	}
-	// Deterministic order inside each stage.
-	for _, cfg := range d.Configs {
+	cfgs := make([]SwitchConfig, len(sws))
+	out := make([]*SwitchConfig, len(sws))
+	stages := make([][]StageEntry, len(count))
+	arena := make([]StageEntry, entries)
+	off := int32(0)
+	for c, sw := range sws {
+		cfg := &cfgs[c]
+		lo, hi := int(base[c]), int(base[c])+sw.Stages
+		cfg.Switch, cfg.Stages = sw.ID, stages[lo:hi:hi]
+		for s, n := range count[lo:hi] {
+			if n > 0 {
+				cfg.Stages[s] = arena[off : off : off+n]
+				off += n
+			}
+		}
+		out[c] = cfg
+	}
+	for name, sp := range plan.Assignments {
+		st := out[slot[sp.Switch]-1].Stages
+		for i, amt := range sp.PerStage {
+			if amt > 0 {
+				st[sp.Start+i] = append(st[sp.Start+i], StageEntry{MAT: name, Amount: amt})
+			}
+		}
+	}
+	for _, cfg := range out {
 		for _, st := range cfg.Stages {
-			sort.Slice(st, func(i, j int) bool { return st[i].MAT < st[j].MAT })
+			slices.SortFunc(st, func(a, b StageEntry) int { return strings.Compare(a.MAT, b.MAT) })
 		}
 	}
-	// Coordination headers: per ordered switch pair, the name-sorted
-	// union of the metadata every cross edge delivers, from one footprint
-	// per endpoint. A pair's list gathers each edge's fields, and
-	// fields.Canonical merges it once the edges are in; pairs keep
-	// first-seen order so a conflict is reported deterministically.
-	fps := map[string]program.Footprint{}
-	footprint := func(name string) program.Footprint {
-		fp, ok := fps[name]
-		if !ok {
-			n, _ := plan.Graph.Node(name)
-			fp = n.MAT.Footprint()
-			fps[name] = fp
-		}
-		return fp
+	return out, slot, nil
+}
+
+// pairHeader is one communicating switch pair and its header.
+type pairHeader struct {
+	key placement.RouteKey
+	hdr CoordHeader
+}
+
+// compileHeaders builds the coordination header of every ordered switch
+// pair a cross edge connects: the name-sorted union of the metadata its
+// edges deliver (analyzer.Delivered on the endpoints' footprints). The
+// pairs are numbered in the order the edge list first reaches them and
+// found through a list per exporting config; one counting sort buckets
+// the edges per pair in edge-list order, and each pair's header is
+// merged from its edges' sorted deliveries, then carved from one field
+// arena.
+//
+// The errors are those of appending every delivery and sorting each
+// pair's list once: the first failing edge in edge-list order, else the
+// first pair in that numbering whose edges give a name two definitions,
+// reported for the smallest such name with its first definition first.
+func compileHeaders(plan *placement.Plan, slot []int32, ncfg int) ([]pairHeader, error) {
+	hosts := plan.Hosts()
+	fps := plan.Graph.Footprints()
+	edges := plan.Graph.EdgeList()
+	// head[c] is the last pair numbered with config c exporting; next
+	// chains the earlier ones. pairOf[i] is edge i's pair, -1 for an
+	// edge inside one switch.
+	buf := make([]int32, ncfg+len(edges))
+	head, pairOf := buf[:ncfg], buf[ncfg:]
+	for c := range head {
+		head[c] = -1
 	}
-	type pairFields struct {
-		key placement.RouteKey
-		fs  []fields.Field
-	}
-	var pairs []pairFields
-	pairIdx := map[placement.RouteKey]int{}
+	var pairs []pairHeader
+	var next, size []int32
 	//hermes:hot
-	for _, e := range plan.Graph.EdgeList() {
-		ua, oka := plan.SwitchOf(e.From)
-		ub, okb := plan.SwitchOf(e.To)
-		if !oka || !okb || ua == ub {
+	for i, e := range edges {
+		from, to := e.Endpoints()
+		ua, ub := hosts[from], hosts[to]
+		pairOf[i] = -1
+		if ua < 0 || ub < 0 || ua == ub {
 			continue
 		}
-		key := placement.RouteKey{From: ua, To: ub}
-		i, ok := pairIdx[key]
-		if !ok {
-			i = len(pairs)
-			pairIdx[key] = i
-			pairs = append(pairs, pairFields{key: key})
+		c := slot[ua] - 1
+		p := head[c]
+		for p >= 0 && pairs[p].key.To != ub {
+			p = next[p]
 		}
-		a, b := footprint(e.From), footprint(e.To)
-		if _, err := analyzer.Delivered(&a, &b, e.Type, &pairs[i].fs); err != nil {
-			return nil, fmt.Errorf("deploy: edge %s->%s: %w", e.From, e.To, err)
+		if p < 0 {
+			p = int32(len(pairs))
+			pairs = append(pairs, pairHeader{key: placement.RouteKey{From: ua, To: ub}})
+			next = append(next, head[c])
+			size = append(size, 0)
+			head[c] = p
+		}
+		pairOf[i] = p
+		size[p]++
+	}
+	// Counting sort: order[start[p]:start[p+1]] are pair p's edges.
+	start := make([]int32, len(pairs)+1)
+	for p, n := range size {
+		start[p+1] = start[p] + n
+		size[p] = start[p] // now pair p's fill cursor
+	}
+	order := make([]int32, start[len(pairs)])
+	for i, p := range pairOf {
+		if p >= 0 {
+			order[size[p]] = int32(i)
+			size[p]++
 		}
 	}
-	for _, p := range pairs {
-		fs, err := fields.Canonical(p.fs)
-		if err != nil {
-			return nil, fmt.Errorf("deploy: header for %v: %w", p.key, err)
+
+	var delivered, cur, merged []fields.Field
+	arena := make([]fields.Field, 0, 4*len(pairs))
+	errAt, edgeErr, pairErr := len(edges), error(nil), error(nil)
+	//hermes:hot
+	for p := range pairs {
+		cur = cur[:0]
+		var bad [2]fields.Field
+		conflict := false
+		for _, i := range order[start[p]:start[p+1]] {
+			e := edges[i]
+			from, to := e.Endpoints()
+			delivered = delivered[:0]
+			if _, err := analyzer.Delivered(&fps[from], &fps[to], e.Type, &delivered); err != nil {
+				if int(i) < errAt {
+					errAt, edgeErr = int(i), fmt.Errorf("deploy: edge %s->%s: %w", e.From, e.To, err)
+				}
+				continue
+			}
+			if len(delivered) > 0 {
+				merged = mergeFields(merged[:0], cur, delivered, &bad, &conflict)
+				cur, merged = merged, cur
+			}
 		}
-		hdr := CoordHeader{Fields: append([]fields.Field{}, fs...)}
-		for _, f := range fs {
+		if conflict && pairErr == nil {
+			pairErr = fmt.Errorf("deploy: header for %v: %w", pairs[p].key, fields.Conflict(bad[0], bad[1]))
+		}
+		// A header keeps the array it was carved from when a later
+		// append moves the arena: carved fields are never written again.
+		lo := len(arena)
+		arena = append(arena, cur...)
+		hdr := CoordHeader{Fields: arena[lo:len(arena):len(arena)]}
+		for _, f := range cur {
 			hdr.Bytes += f.Bytes()
 		}
-		d.Headers[p.key] = hdr
-		if from := d.Configs[p.key.From]; from != nil {
-			from.Exports[p.key.To] = hdr
-		}
-		if to := d.Configs[p.key.To]; to != nil {
-			to.Imports[p.key.From] = hdr
+		pairs[p].hdr = hdr
+	}
+	if edgeErr != nil {
+		return nil, edgeErr
+	}
+	if pairErr != nil {
+		return nil, pairErr
+	}
+	return pairs, nil
+}
+
+// mergeFields appends to dst the name-sorted union of cur and add, two
+// name-sorted lists with one entry per name, keeping cur's definition
+// of a name both hold. A name the two define differently is a
+// conflict: *bad keeps the one with the smallest name seen so far,
+// cur's definition first, and *conflict records that there was one.
+func mergeFields(dst, cur, add []fields.Field, bad *[2]fields.Field, conflict *bool) []fields.Field {
+	i, j := 0, 0
+	for i < len(cur) && j < len(add) {
+		switch c := strings.Compare(cur[i].Name, add[j].Name); {
+		case c < 0:
+			dst = append(dst, cur[i])
+			i++
+		case c > 0:
+			dst = append(dst, add[j])
+			j++
+		default:
+			if cur[i] != add[j] && (!*conflict || cur[i].Name < bad[0].Name) {
+				*bad, *conflict = [2]fields.Field{cur[i], add[j]}, true
+			}
+			dst = append(dst, cur[i])
+			i++
+			j++
 		}
 	}
-	return d, nil
+	dst = append(dst, cur[i:]...)
+	return append(dst, add[j:]...)
 }
 
 // Redeploy heals a live deployment around drained switches: it replans

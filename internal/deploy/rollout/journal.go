@@ -255,8 +255,10 @@ func parseEntry(line string) (*Entry, error) {
 // The hashed bytes are a persisted format (journals on disk carry the
 // value): FNV-1a 64 over "old", then name@switch:start; per old-plan
 // MAT in name order, then "new" and the same for the new plan, then
-// |from>to — every integer in decimal (DESIGN §15.2). Both plans share
-// one sorted name list when their MAT sets agree, as every heal's do.
+// |from>to — every integer in decimal (DESIGN §15.2). A plan whose MAT
+// set is its graph's node set, as every heal's plans are, takes the
+// name order from the graph's index instead of sorting; only a plan
+// that places MATs outside its graph, or leaves some unplaced, sorts.
 func fingerprint(old, next *deploy.Deployment, from, to uint64) uint64 {
 	h := uint64(1469598103934665603) // one digit short of FNV-64's basis; persisted, keep it
 	mix := func(b []byte) {
@@ -265,52 +267,50 @@ func fingerprint(old, next *deploy.Deployment, from, to uint64) uint64 {
 			h *= 1099511628211
 		}
 	}
-	sortedNames := func(as map[string]placement.StagePlacement) []string {
+	var buf []byte
+	mixEntry := func(name string, sp placement.StagePlacement) {
+		buf = append(buf[:0], name...)
+		buf = append(buf, '@')
+		buf = strconv.AppendInt(buf, int64(sp.Switch), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(sp.Start), 10)
+		buf = append(buf, ';')
+		mix(buf)
+	}
+	mixPlan := func(tag string, p *placement.Plan) {
+		mix(append(buf[:0], tag...))
+		as := p.Assignments
+		if p.Graph != nil && len(as) == p.Graph.NumNodes() {
+			// Node names are distinct, so finding every one in an
+			// assignment map of the same size proves the sets equal.
+			ix, start, complete := p.Graph.Index(), h, true
+			for _, id := range ix.ByName {
+				sp, ok := as[ix.Names[id]]
+				if complete = ok; !ok {
+					break
+				}
+				mixEntry(ix.Names[id], sp)
+			}
+			if complete {
+				return
+			}
+			h = start
+		}
 		names := make([]string, 0, len(as))
 		for name := range as {
 			names = append(names, name)
 		}
 		slices.Sort(names)
-		return names
-	}
-	var buf []byte
-	mixPlan := func(tag string, as map[string]placement.StagePlacement, names []string) {
-		mix(append(buf[:0], tag...))
 		for _, name := range names {
-			sp := as[name]
-			buf = append(buf[:0], name...)
-			buf = append(buf, '@')
-			buf = strconv.AppendInt(buf, int64(sp.Switch), 10)
-			buf = append(buf, ':')
-			buf = strconv.AppendInt(buf, int64(sp.Start), 10)
-			buf = append(buf, ';')
-			mix(buf)
+			mixEntry(name, as[name])
 		}
 	}
-	oldAs, nextAs := old.Plan.Assignments, next.Plan.Assignments
-	names := sortedNames(oldAs)
-	mixPlan("old", oldAs, names)
-	if !sameKeys(oldAs, nextAs) {
-		names = sortedNames(nextAs)
-	}
-	mixPlan("new", nextAs, names)
+	mixPlan("old", old.Plan)
+	mixPlan("new", next.Plan)
 	buf = append(buf[:0], '|')
 	buf = strconv.AppendUint(buf, from, 10)
 	buf = append(buf, '>')
 	buf = strconv.AppendUint(buf, to, 10)
 	mix(buf)
 	return h
-}
-
-// sameKeys reports whether two assignment maps hold the same MAT names.
-func sameKeys(a, b map[string]placement.StagePlacement) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for name := range a {
-		if _, ok := b[name]; !ok {
-			return false
-		}
-	}
-	return true
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
+	"github.com/hermes-net/hermes/internal/racetest"
 	"github.com/hermes-net/hermes/internal/workload"
 )
 
@@ -72,10 +73,11 @@ func compositeHeal(tb testing.TB) (old, next *deploy.Deployment) {
 
 // TestNewAllocationCeiling pins rollout.New's allocations on a
 // composite heal (fabric supplied): the fingerprint hashes into one
-// reused buffer and the unchanged-switch count is one map; what is
-// left is mostly the 200 commit groups. The ceiling is the measured 206
-// plus 10%; string-formatting fingerprints and per-switch map-of-maps
-// cost 15,577.
+// reused buffer in the graph index's name order and the
+// unchanged-switch count is one map; what is left is mostly the 200
+// commit groups. The ceiling is the measured 205 plus 3 % (206 while
+// the fingerprint sorted the names); string-formatting fingerprints and
+// per-switch map-of-maps cost 15,577.
 func TestNewAllocationCeiling(t *testing.T) {
 	old, next := compositeHeal(t)
 	fab := NewMemFabric(next.Plan.Topo)
@@ -85,9 +87,32 @@ func TestNewAllocationCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("New: %.0f allocs", allocs)
-	const ceiling = 227
+	const ceiling = 212
 	if allocs > ceiling {
 		t.Fatalf("New allocates %.0f times on the composite heal, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestCompileAllocationCeiling pins deploy.Compile's allocations on
+// the composite heal's new plan (2,822 MATs): it reads the plan's host
+// table and the graph's kept footprints, carves stage entries and
+// header fields from arenas and presizes every map, so what is left is
+// mostly each used switch's two header maps. The ceiling is the
+// measured 413 plus 3 %; the name-keyed compile took 8,292.
+func TestCompileAllocationCeiling(t *testing.T) {
+	if racetest.Enabled() {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
+	_, next := compositeHeal(t)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := deploy.Compile(next.Plan, analyzer.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Compile: %.0f allocs", allocs)
+	const ceiling = 426
+	if allocs > ceiling {
+		t.Fatalf("Compile allocates %.0f times on the composite heal, ceiling %d", allocs, ceiling)
 	}
 }
 

@@ -86,6 +86,68 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
+// fingerprintRef is fingerprint as it hashed before the name order came
+// from the graph's index: every plan's names collected and sorted.
+func fingerprintRef(old, next *deploy.Deployment, from, to uint64) uint64 {
+	h := uint64(1469598103934665603)
+	mix := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h ^= uint64(s[i])
+			h *= 1099511628211
+		}
+	}
+	for i, p := range []*placement.Plan{old.Plan, next.Plan} {
+		mix([]string{"old", "new"}[i])
+		names := make([]string, 0, len(p.Assignments))
+		for name := range p.Assignments {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			sp := p.Assignments[name]
+			mix(fmt.Sprintf("%s@%d:%d;", name, sp.Switch, sp.Start))
+		}
+	}
+	mix(fmt.Sprintf("|%d>%d", from, to))
+	return h
+}
+
+// TestFingerprintMatchesSortedReference holds fingerprint to the
+// sorting reference on every golden pair and on plans whose MAT set is
+// not their graph's node set: one MAT unplaced, and one name the graph
+// does not hold.
+func TestFingerprintMatchesSortedReference(t *testing.T) {
+	pairs := fingerprintPairs(t)
+	wan, wanNext := pairs["eval30-drain"][0], pairs["eval30-drain"][1]
+	edited := func(edit func(map[string]placement.StagePlacement)) *deploy.Deployment {
+		p := *wanNext.Plan
+		p.Assignments = make(map[string]placement.StagePlacement, len(wanNext.Plan.Assignments))
+		for name, sp := range wanNext.Plan.Assignments {
+			p.Assignments[name] = sp
+		}
+		edit(p.Assignments)
+		p.InvalidateCache()
+		return &deploy.Deployment{Plan: &p}
+	}
+	first := wan.Plan.Graph.NodeNames()[0]
+	pairs["unplaced"] = [2]*deploy.Deployment{wan, edited(func(as map[string]placement.StagePlacement) { delete(as, first) })}
+	pairs["foreign"] = [2]*deploy.Deployment{wan, edited(func(as map[string]placement.StagePlacement) {
+		sp := as[first]
+		delete(as, first)
+		as["zz-not-in-graph"] = sp
+	})}
+	for name, p := range pairs {
+		for _, ep := range [][2]uint64{{1, 2}, {7, 8}} {
+			if got, want := fingerprint(p[0], p[1], ep[0], ep[1]), fingerprintRef(p[0], p[1], ep[0], ep[1]); got != want {
+				t.Errorf("fingerprint(%s %d>%d) = %#016x, sorted reference %#016x", name, ep[0], ep[1], got, want)
+			}
+			if got, want := fingerprint(p[1], p[0], ep[0], ep[1]), fingerprintRef(p[1], p[0], ep[0], ep[1]); got != want {
+				t.Errorf("fingerprint(%s reversed %d>%d) = %#016x, sorted reference %#016x", name, ep[0], ep[1], got, want)
+			}
+		}
+	}
+}
+
 // recordedJournal is an eval30-drain rollout interrupted at its second
 // commit, as the engine wrote it before fingerprint stopped formatting
 // strings.

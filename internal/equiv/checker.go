@@ -1,11 +1,13 @@
 package equiv
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"github.com/hermes-net/hermes/internal/deploy"
+	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/program"
@@ -23,8 +25,8 @@ type Checker struct {
 
 	// Lowered pipeline, rebuilt per check in reused scratch.
 	usedIDs []network.SwitchID // used switches, ascending
-	swOf    map[network.SwitchID]int32
-	adj     []uint64 // U×U contracted-adjacency bitset
+	swIdx   []int32            // used-switch index by switch ID, -1 unused
+	adj     []uint64           // U×U contracted-adjacency bitset
 	indeg   []int32
 	visit   []int32 // used-switch index per visit rank
 	rank    []int32 // visit rank per used-switch index, -1 if stuck
@@ -42,12 +44,13 @@ type Checker struct {
 	impFrom  []int32 // used-switch index of the exporting switch
 	impF     []int32 // delivered field index
 
-	// Stage-order sort scratch (see entrySorter).
-	entRank  []int32
-	entStage []int32
-	entName  []string
-	entMAT   []int32
-	firstSt  map[string]int32
+	// Execution entries before the stage-order sort, and the first-stage
+	// dedup: stamp[x] == epoch once reference MAT x has an entry on the
+	// switch being lowered.
+	ents  []execEntry
+	stamp []uint32
+	epoch uint32
+	imps  []importRef // one switch's upstream imports
 
 	// Walk scratch. d* is the global per-field write history; vis* is
 	// the history visible on the switch being walked — one F-sized row,
@@ -91,8 +94,7 @@ func newChecker(ov *compiled) *Checker {
 	f := len(ov.fieldNames)
 	return &Checker{
 		ov:      ov,
-		swOf:    map[network.SwitchID]int32{},
-		firstSt: map[string]int32{},
+		stamp:   make([]uint32, len(ov.names)),
 		dCnt:    make([]int32, f),
 		dHash:   make([]uint64, f),
 		dSym:    make([]uint64, f),
@@ -192,6 +194,8 @@ func (c *Checker) deployedDef(name string) *program.MAT {
 // checker's scratch: switch visit order (the plan's contracted-DAG
 // Kahn order with ascending-ID tie break), per-switch MATs by first
 // stage then name, and the per-pair coordination-header field lists.
+// It lowers what ships, the Configs, resolving each stage entry's name
+// once; the switches and their order come from the plan's host table.
 func (c *Checker) lowerDeployment(dep *deploy.Deployment) error {
 	if dep == nil || dep.Plan == nil || dep.Plan.Graph == nil {
 		return fmt.Errorf("equiv: nil deployment")
@@ -202,30 +206,46 @@ func (c *Checker) lowerDeployment(dep *deploy.Deployment) error {
 
 	// Execution entries: replicate dataplane.matsInStageOrder per
 	// switch config — first stage of each MAT, dedup, (stage, name).
-	c.entRank = c.entRank[:0]
-	c.entStage = c.entStage[:0]
-	c.entName = c.entName[:0]
-	c.entMAT = c.entMAT[:0]
+	n := 0
+	for _, u := range c.visit {
+		if cfg := dep.Configs[c.usedIDs[u]]; cfg != nil {
+			for _, st := range cfg.Stages {
+				n += len(st)
+			}
+		}
+	}
+	ents := slices.Grow(c.ents[:0], n)
 	for r, u := range c.visit {
 		cfg := dep.Configs[c.usedIDs[u]]
 		if cfg == nil {
 			continue
 		}
-		for k := range c.firstSt {
-			delete(c.firstSt, k)
+		if c.epoch++; c.epoch == 0 {
+			clear(c.stamp)
+			c.epoch = 1
 		}
+		lo := len(ents)
 		for s, st := range cfg.Stages {
+			// A stage's new entries follow the earlier stages' ones, so
+			// only each stage's run needs sorting; Compile emits it
+			// sorted already.
+			run := len(ents)
 			for _, e := range st {
-				if _, ok := c.firstSt[e.MAT]; !ok {
-					c.firstSt[e.MAT] = int32(s)
+				x, _ := c.ov.matIndex(e.MAT)
+				if x >= 0 {
+					if c.stamp[x] == c.epoch {
+						continue
+					}
+					c.stamp[x] = c.epoch
+				} else if unknownSeen(ents[lo:], e.MAT) {
+					continue
 				}
+				ents = append(ents, execEntry{rank: int32(r), stage: int32(s), x: x, name: e.MAT})
 			}
-		}
-		for name, st := range c.firstSt {
-			c.pushEntry(int32(r), st, name)
+			slices.SortFunc(ents[run:], compareEntries)
 		}
 	}
-	c.sortEntries()
+	c.ents = ents
 	c.buildExec()
 
 	// Imports: each switch's configured coordination headers, emitted
@@ -235,15 +255,10 @@ func (c *Checker) lowerDeployment(dep *deploy.Deployment) error {
 	c.impFrom = c.impFrom[:0]
 	c.impF = c.impF[:0]
 	for r, u := range c.visit {
-		cfg := dep.Configs[c.usedIDs[u]]
-		if cfg != nil {
-			for rr := 0; rr < r; rr++ {
-				from := c.visit[rr]
-				hdr, ok := cfg.Imports[c.usedIDs[from]]
-				if !ok {
-					continue
-				}
-				for _, fld := range hdr.Fields {
+		if cfg := dep.Configs[c.usedIDs[u]]; cfg != nil {
+			for _, im := range c.upstreamImports(cfg, int32(r)) {
+				from := c.visit[im.rank]
+				for _, fld := range im.fields {
 					fi, ok := c.ov.fieldID(fld.Name)
 					if !ok {
 						continue // field unknown to the reference
@@ -258,27 +273,82 @@ func (c *Checker) lowerDeployment(dep *deploy.Deployment) error {
 	return nil
 }
 
+// importRef is one header a switch imports, by its exporter's visit
+// rank.
+type importRef struct {
+	rank   int32
+	fields []fields.Field
+}
+
+// upstreamImports returns the headers cfg imports from switches visited
+// before rank r, in ascending exporter rank: one pass over the imports
+// rather than a lookup per earlier switch. Imports from a switch the
+// plan does not use, or that the visit order never reaches, are not
+// delivered.
+func (c *Checker) upstreamImports(cfg *deploy.SwitchConfig, r int32) []importRef {
+	imps := c.imps[:0]
+	for from, hdr := range cfg.Imports {
+		if from < 0 || int(from) >= len(c.swIdx) || c.swIdx[from] < 0 {
+			continue
+		}
+		if fr := c.rank[c.swIdx[from]]; fr >= 0 && fr < r {
+			imps = append(imps, importRef{rank: fr, fields: hdr.Fields})
+		}
+	}
+	slices.SortFunc(imps, func(a, b importRef) int { return cmp.Compare(a.rank, b.rank) })
+	c.imps = imps
+	return imps
+}
+
+// unknownSeen reports whether ents, the current switch's entries so
+// far, already hold the MAT name the reference does not know.
+func unknownSeen(ents []execEntry, name string) bool {
+	for _, e := range ents {
+		if e.x < 0 && e.name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // collectSwitches gathers the used switches ascending into usedIDs and
-// the dense index map swOf.
+// their dense indexes into swIdx, from the plan's host table. A plan
+// that also places MATs outside its graph adds their switches from the
+// assignments.
 func (c *Checker) collectSwitches(p *placement.Plan) {
-	for k := range c.swOf {
-		delete(c.swOf, k)
+	hosts := p.Hosts()
+	top, placed := -1, 0
+	for _, u := range hosts {
+		if u >= 0 {
+			top = max(top, int(u))
+			placed++
+		}
+	}
+	outside := placed != len(p.Assignments)
+	if outside {
+		for _, sp := range p.Assignments {
+			top = max(top, int(sp.Switch))
+		}
+	}
+	c.swIdx = resized(c.swIdx, top+1, -1)
+	for _, u := range hosts {
+		if u >= 0 {
+			c.swIdx[u] = 0
+		}
+	}
+	if outside {
+		for _, sp := range p.Assignments {
+			if sp.Switch >= 0 {
+				c.swIdx[sp.Switch] = 0
+			}
+		}
 	}
 	c.usedIDs = c.usedIDs[:0]
-	for _, sp := range p.Assignments {
-		if _, ok := c.swOf[sp.Switch]; !ok {
-			c.swOf[sp.Switch] = 0 // provisional; re-indexed after sort
-			c.usedIDs = append(c.usedIDs, sp.Switch)
+	for u, x := range c.swIdx {
+		if x == 0 {
+			c.swIdx[u] = int32(len(c.usedIDs))
+			c.usedIDs = append(c.usedIDs, network.SwitchID(u))
 		}
-	}
-	// Insertion sort: U is small and the slice is reused scratch.
-	for i := 1; i < len(c.usedIDs); i++ {
-		for j := i; j > 0 && c.usedIDs[j] < c.usedIDs[j-1]; j-- {
-			c.usedIDs[j], c.usedIDs[j-1] = c.usedIDs[j-1], c.usedIDs[j]
-		}
-	}
-	for i, id := range c.usedIDs {
-		c.swOf[id] = int32(i)
 	}
 }
 
@@ -291,13 +361,15 @@ func (c *Checker) orderSwitches(p *placement.Plan) {
 	words := (u*u + 63) / 64
 	c.adj = resized(c.adj, words, 0)
 	c.indeg = resized(c.indeg, u, 0)
+	hosts := p.Hosts()
+	//hermes:hot
 	for _, e := range p.Graph.EdgeList() {
-		spa, oka := p.Assignments[e.From]
-		spb, okb := p.Assignments[e.To]
-		if !oka || !okb || spa.Switch == spb.Switch {
+		from, to := e.Endpoints()
+		ua, ub := hosts[from], hosts[to]
+		if ua < 0 || ub < 0 || ua == ub {
 			continue
 		}
-		a, b := c.swOf[spa.Switch], c.swOf[spb.Switch]
+		a, b := c.swIdx[ua], c.swIdx[ub]
 		bit := int(a)*u + int(b)
 		if c.adj[bit/64]&(1<<uint(bit%64)) == 0 {
 			c.adj[bit/64] |= 1 << uint(bit%64)
@@ -341,38 +413,29 @@ func resized[T any](s []T, n int, v T) []T {
 	return s
 }
 
-func (c *Checker) pushEntry(rank, stage int32, name string) {
-	c.entRank = append(c.entRank, rank)
-	c.entStage = append(c.entStage, stage)
-	c.entName = append(c.entName, name)
-	x, _ := c.ov.matIndex(name)
-	c.entMAT = append(c.entMAT, x)
+// execEntry is one MAT a switch executes: the switch's visit rank, the
+// MAT's first stage there, its reference MAT index (-1 when the
+// reference does not know it) and its name.
+type execEntry struct {
+	rank, stage, x int32
+	name           string
 }
 
-// entrySorter orders execution entries by (visit rank, first stage,
-// name) — the engine's global MAT order. It lives on the Checker so
-// sort.Sort sees a pointer and allocates nothing.
-type entrySorter Checker
-
-func (s *entrySorter) Len() int { return len(s.entRank) }
-func (s *entrySorter) Less(i, j int) bool {
-	if s.entRank[i] != s.entRank[j] {
-		return s.entRank[i] < s.entRank[j]
+// compareEntries orders execution entries by (visit rank, first stage,
+// name) — the engine's global MAT order. A reference MAT index is its
+// name rank, so two known MATs compare as integers and only a MAT the
+// reference does not know compares by name.
+func compareEntries(a, b execEntry) int {
+	if a.rank != b.rank {
+		return cmp.Compare(a.rank, b.rank)
 	}
-	if s.entStage[i] != s.entStage[j] {
-		return s.entStage[i] < s.entStage[j]
+	if a.stage != b.stage {
+		return cmp.Compare(a.stage, b.stage)
 	}
-	return s.entName[i] < s.entName[j]
-}
-func (s *entrySorter) Swap(i, j int) {
-	s.entRank[i], s.entRank[j] = s.entRank[j], s.entRank[i]
-	s.entStage[i], s.entStage[j] = s.entStage[j], s.entStage[i]
-	s.entName[i], s.entName[j] = s.entName[j], s.entName[i]
-	s.entMAT[i], s.entMAT[j] = s.entMAT[j], s.entMAT[i]
-}
-
-func (c *Checker) sortEntries() {
-	sort.Stable((*entrySorter)(c))
+	if a.x >= 0 && b.x >= 0 {
+		return cmp.Compare(a.x, b.x)
+	}
+	return strings.Compare(a.name, b.name)
 }
 
 // buildExec materializes the sorted entries into the execution arrays
@@ -387,17 +450,22 @@ func (c *Checker) buildExec() {
 	for i := range c.seenCnt {
 		c.seenCnt[i] = 0
 	}
-	for i := range c.entRank {
-		x := c.entMAT[i]
-		name := c.entName[i]
+	// A deployment of the reference graph itself runs the reference
+	// definitions: only a foreign graph's need resolving.
+	foreign := c.dep.Plan.Graph != c.ov.g
+	for _, e := range c.ents {
+		x, name := e.x, e.name
 		c.execMAT = append(c.execMAT, x)
 		c.execName = append(c.execName, name)
-		c.execSw = append(c.execSw, c.visit[c.entRank[i]])
+		c.execSw = append(c.execSw, c.visit[e.rank])
 		if x < 0 {
 			c.unknown = append(c.unknown, name)
 			continue
 		}
 		c.seenCnt[x]++
+		if !foreign {
+			continue
+		}
 		def := c.deployedDef(name)
 		if def == nil {
 			c.noDef = append(c.noDef, name)

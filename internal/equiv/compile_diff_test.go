@@ -16,11 +16,14 @@ import (
 )
 
 // sameAsReference holds the index-built checker to the name-keyed
-// reference compile on one deployment: the gate's error text and the
-// full report (findings in order, per-program verdicts, counterexample)
-// must be equal.
+// reference compile on one deployment: the lowered pipeline, the gate's
+// error text and the full report (findings in order, per-program
+// verdicts, counterexample) must be equal.
 func sameAsReference(t *testing.T, ref *tdg.Graph, dep *deploy.Deployment) {
 	t.Helper()
+	if diff, err := equiv.LoweringDiff(ref, dep); err != nil || diff != "" {
+		t.Fatalf("lowering diverges from the name-keyed reference at %s (err %v)", diff, err)
+	}
 	errText := func(err error) string {
 		if err == nil {
 			return ""

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/fields"
+	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/program"
 	"github.com/hermes-net/hermes/internal/racetest"
 	"github.com/hermes-net/hermes/internal/tdg"
@@ -244,6 +246,188 @@ func CompiledDiff(g *tdg.Graph) (string, error) {
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			return c.name, nil
+		}
+	}
+	return "", nil
+}
+
+// lowered is the part of a Checker's scratch lowerDeployment fills.
+type lowered struct {
+	usedIDs                  []network.SwitchID
+	visit, rank              []int32
+	cycle                    bool
+	execMAT, execSw          []int32
+	execName, unknown, noDef []string
+	dirtyDef                 []int32
+	impStart, impFrom, impF  []int32
+}
+
+// lowerRef is the name-keyed lowering lowerDeployment replaced, kept as
+// its reference: used switches gathered from the assignments through a
+// map, the contracted graph walked by MAT name, each switch's first
+// stages deduplicated in a map, the entries sorted by (visit rank,
+// first stage, name) with string compares, and every executed MAT's
+// deployed definition looked up by name.
+func lowerRef(ov *compiled, dep *deploy.Deployment) lowered {
+	var l lowered
+	p := dep.Plan
+	swOf := map[network.SwitchID]int32{}
+	for _, sp := range p.Assignments {
+		if _, ok := swOf[sp.Switch]; !ok {
+			swOf[sp.Switch] = 0
+			l.usedIDs = append(l.usedIDs, sp.Switch)
+		}
+	}
+	slices.Sort(l.usedIDs)
+	for i, id := range l.usedIDs {
+		swOf[id] = int32(i)
+	}
+	u := len(l.usedIDs)
+	adj := make([]bool, u*u)
+	indeg := make([]int32, u)
+	for _, e := range p.Graph.EdgeList() {
+		spa, oka := p.Assignments[e.From]
+		spb, okb := p.Assignments[e.To]
+		if !oka || !okb || spa.Switch == spb.Switch {
+			continue
+		}
+		a, b := swOf[spa.Switch], swOf[spb.Switch]
+		if !adj[int(a)*u+int(b)] {
+			adj[int(a)*u+int(b)] = true
+			indeg[b]++
+		}
+	}
+	l.rank = make([]int32, u)
+	for i := range l.rank {
+		l.rank[i] = -1
+	}
+	for len(l.visit) < u {
+		picked := int32(-1)
+		for i := 0; i < u; i++ {
+			if l.rank[i] < 0 && indeg[i] == 0 {
+				picked = int32(i)
+				break
+			}
+		}
+		if picked < 0 {
+			break
+		}
+		l.rank[picked] = int32(len(l.visit))
+		l.visit = append(l.visit, picked)
+		for b := 0; b < u; b++ {
+			if adj[int(picked)*u+b] {
+				indeg[b]--
+			}
+		}
+		indeg[picked] = -1
+	}
+	l.cycle = len(l.visit) < u
+
+	type entry struct {
+		rank, stage int32
+		name        string
+	}
+	var ents []entry
+	for r, su := range l.visit {
+		cfg := dep.Configs[l.usedIDs[su]]
+		if cfg == nil {
+			continue
+		}
+		first := map[string]int32{}
+		for s, st := range cfg.Stages {
+			for _, e := range st {
+				if _, ok := first[e.MAT]; !ok {
+					first[e.MAT] = int32(s)
+				}
+			}
+		}
+		for name, st := range first {
+			ents = append(ents, entry{int32(r), st, name})
+		}
+	}
+	sort.SliceStable(ents, func(i, j int) bool {
+		a, b := ents[i], ents[j]
+		if a.rank != b.rank {
+			return a.rank < b.rank
+		}
+		if a.stage != b.stage {
+			return a.stage < b.stage
+		}
+		return a.name < b.name
+	})
+	for _, e := range ents {
+		x, _ := ov.matIndex(e.name)
+		l.execMAT = append(l.execMAT, x)
+		l.execName = append(l.execName, e.name)
+		l.execSw = append(l.execSw, l.visit[e.rank])
+		if x < 0 {
+			l.unknown = append(l.unknown, e.name)
+			continue
+		}
+		n, ok := p.Graph.Node(e.name)
+		if !ok {
+			l.noDef = append(l.noDef, e.name)
+		} else if n.MAT != ov.nodes[x].MAT {
+			l.dirtyDef = append(l.dirtyDef, x)
+		}
+	}
+	l.impStart = []int32{0}
+	for r, su := range l.visit {
+		if cfg := dep.Configs[l.usedIDs[su]]; cfg != nil {
+			for _, from := range l.visit[:r] {
+				hdr, ok := cfg.Imports[l.usedIDs[from]]
+				if !ok {
+					continue
+				}
+				for _, f := range hdr.Fields {
+					if fi, ok := ov.fieldID(f.Name); ok {
+						l.impFrom = append(l.impFrom, from)
+						l.impF = append(l.impF, fi)
+					}
+				}
+			}
+		}
+		l.impStart = append(l.impStart, int32(len(l.impF)))
+	}
+	return l
+}
+
+// LoweringDiff lowers dep against ref (dep's graph when nil) through
+// the checker and by the name-keyed reference lowering, and names the
+// first lowered array that differs; "" means every one is equal.
+func LoweringDiff(ref *tdg.Graph, dep *deploy.Deployment) (string, error) {
+	c, err := checkerFor(ref, dep)
+	if err != nil {
+		return "", err
+	}
+	defer c.release()
+	if err := c.lowerDeployment(dep); err != nil {
+		return "", err
+	}
+	want := lowerRef(c.ov, dep)
+	for _, d := range []struct {
+		name      string
+		got, want any
+	}{
+		{"usedIDs", c.usedIDs, want.usedIDs},
+		{"visit", c.visit, want.visit},
+		{"rank", c.rank, want.rank},
+		{"cycle", c.cycle, want.cycle},
+		{"execMAT", c.execMAT, want.execMAT},
+		{"execName", c.execName, want.execName},
+		{"execSw", c.execSw, want.execSw},
+		{"unknown", c.unknown, want.unknown},
+		{"noDef", c.noDef, want.noDef},
+		{"dirtyDef", c.dirtyDef, want.dirtyDef},
+		{"impStart", c.impStart, want.impStart},
+		{"impFrom", c.impFrom, want.impFrom},
+		{"impF", c.impF, want.impF},
+	} {
+		if g, w := reflect.ValueOf(d.got), reflect.ValueOf(d.want); g.Kind() == reflect.Slice && g.Len() == 0 && w.Len() == 0 {
+			continue // empty scratch and a nil reference list agree
+		}
+		if !reflect.DeepEqual(d.got, d.want) {
+			return fmt.Sprintf("%s: %v, reference %v", d.name, d.got, d.want), nil
 		}
 	}
 	return "", nil

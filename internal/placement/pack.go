@@ -329,7 +329,9 @@ func packAssignment(g *tdg.Graph, topo *network.Topology, byID []network.SwitchI
 		}
 	}
 	// next[u] is now where switch u's bucket ends, and u+1's starts.
-	plan := &Plan{Graph: g, Topo: topo, Assignments: make(map[string]StagePlacement, placed)}
+	// The plan keeps its own copy of byID as its host table: callers
+	// (the reconcile) go on editing theirs.
+	plan := &Plan{Graph: g, Topo: topo, Assignments: make(map[string]StagePlacement, placed), hosts: slices.Clone(byID)}
 	ends := make([]int32, len(byID))
 	arena := make([]float64, 0, placed+placed/2)
 	var used []float64

@@ -93,13 +93,44 @@ type Plan struct {
 	// and the lint engine re-derive defensively at entry).
 	pairCache   map[RouteKey]int
 	pairCacheOK bool
+	// hosts is the host table: each MAT's switch by node id of Graph,
+	// -1 where Assignments places none. The materializer fills it as it
+	// writes Assignments; any other plan (decoded, hand-built, or
+	// invalidated) rebuilds it from Assignments on first use.
+	hosts []network.SwitchID
 }
 
 // InvalidateCache drops memoized derived state after a direct mutation
-// of the plan's assignments.
+// of the plan's assignments: the pair map and the host table.
 func (p *Plan) InvalidateCache() {
 	p.pairCache = nil
 	p.pairCacheOK = false
+	p.hosts = nil
+}
+
+// Hosts returns the host table: the switch hosting each MAT, indexed by
+// node id of p.Graph, -1 for a MAT the plan does not place. It is what
+// SwitchOf answers by name, for the back half to read by Edge.Endpoints
+// instead of hashing names. The slice is memoized like PairBytes and
+// must be treated as read-only; see InvalidateCache. Like PairBytes,
+// the first call after a mutation stores the memo, so it must not race
+// another reader of the same plan.
+func (p *Plan) Hosts() []network.SwitchID {
+	n := p.Graph.NumNodes()
+	if p.hosts != nil && len(p.hosts) == n {
+		return p.hosts
+	}
+	hosts := make([]network.SwitchID, n)
+	for id := range hosts {
+		hosts[id] = -1
+	}
+	for name, sp := range p.Assignments {
+		if id, ok := p.Graph.ID(name); ok {
+			hosts[id] = sp.Switch
+		}
+	}
+	p.hosts = hosts
+	return hosts
 }
 
 // SwitchOf returns the switch hosting the named MAT.
@@ -129,11 +160,12 @@ func (p *Plan) QOcc() int { return len(p.UsedSwitches()) }
 // CrossEdges returns the TDG edges whose endpoints sit on different
 // switches — the edges that cost per-packet bytes.
 func (p *Plan) CrossEdges() []*tdg.Edge {
+	hosts := p.Hosts()
 	var out []*tdg.Edge
+	//hermes:hot
 	for _, e := range p.Graph.EdgeList() {
-		ua, oka := p.SwitchOf(e.From)
-		ub, okb := p.SwitchOf(e.To)
-		if oka && okb && ua != ub {
+		from, to := e.Endpoints()
+		if ua, ub := hosts[from], hosts[to]; ua >= 0 && ub >= 0 && ua != ub {
 			out = append(out, e)
 		}
 	}
@@ -148,23 +180,17 @@ func (p *Plan) PairBytes() map[RouteKey]int {
 	if p.pairCacheOK {
 		return p.pairCache
 	}
-	out := p.PairBytesUncached()
+	hosts := p.Hosts()
+	out := map[RouteKey]int{}
+	//hermes:hot
+	for _, e := range p.Graph.EdgeList() {
+		from, to := e.Endpoints()
+		if ua, ub := hosts[from], hosts[to]; ua >= 0 && ub >= 0 && ua != ub {
+			out[RouteKey{From: ua, To: ub}] += e.MetadataBytes
+		}
+	}
 	p.pairCache = out
 	p.pairCacheOK = true
-	return out
-}
-
-// PairBytesUncached recomputes the pair map from the assignments on
-// every call — the pre-memoization behavior, retained as the map-based
-// reference for the compiled kernels' differential tests and
-// benchmarks.
-func (p *Plan) PairBytesUncached() map[RouteKey]int {
-	out := map[RouteKey]int{}
-	for _, e := range p.CrossEdges() {
-		ua, _ := p.SwitchOf(e.From)
-		ub, _ := p.SwitchOf(e.To)
-		out[RouteKey{From: ua, To: ub}] += e.MetadataBytes
-	}
 	return out
 }
 
@@ -275,11 +301,14 @@ func (p *Plan) switchDAGOrder(pairs []RouteKey) ([]network.SwitchID, error) {
 // SwitchOrder returns the order in which packets must visit the used
 // switches.
 func (p *Plan) SwitchOrder() ([]network.SwitchID, error) {
+	hosts := p.Hosts()
 	var pairs []RouteKey
-	for _, e := range p.CrossEdges() {
-		ua, _ := p.SwitchOf(e.From)
-		ub, _ := p.SwitchOf(e.To)
-		pairs = append(pairs, RouteKey{From: ua, To: ub})
+	//hermes:hot
+	for _, e := range p.Graph.EdgeList() {
+		from, to := e.Endpoints()
+		if ua, ub := hosts[from], hosts[to]; ua >= 0 && ub >= 0 && ua != ub {
+			pairs = append(pairs, RouteKey{From: ua, To: ub})
+		}
 	}
 	return p.switchDAGOrder(pairs)
 }
@@ -299,14 +328,17 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 	// stage range, with the full requirement placed.
 	// Each node's placement is resolved once, by insertion id, for the
 	// edge walk below.
+	// The same walk rebuilds the host table the invalidation dropped.
 	nodes := p.Graph.Nodes()
 	at := make([]StagePlacement, len(nodes))
+	hosts := make([]network.SwitchID, len(nodes))
 	for i, n := range nodes {
 		sp, ok := p.Assignments[n.Name()]
 		if !ok {
 			return fmt.Errorf("placement: MAT %q not deployed (Eq. 6)", n.Name())
 		}
 		at[i] = sp
+		hosts[i] = sp.Switch
 		sw, err := p.Topo.Switch(sp.Switch)
 		if err != nil {
 			return fmt.Errorf("placement: MAT %q: %w", n.Name(), err)
@@ -333,6 +365,7 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 				n.Name(), sp.Total(), req)
 		}
 	}
+	p.hosts = hosts
 	// Eq. 9: per-stage capacity.
 	used := map[network.SwitchID][]float64{}
 	for name, sp := range p.Assignments {

@@ -315,7 +315,7 @@ func (s *Supervisor) dirtyMATs() []string {
 	}
 	var out []string
 	for _, name := range s.dep.Plan.Graph.NodeNames() {
-		if sp, ok := s.dep.Plan.Assignments[name]; ok && s.topo.SwitchIsDown(sp.Switch) {
+		if u, ok := s.dep.Plan.SwitchOf(name); ok && s.topo.SwitchIsDown(u) {
 			out = append(out, name)
 		}
 	}

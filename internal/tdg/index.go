@@ -74,6 +74,54 @@ func (g *Graph) cachedIndex() *Index {
 	return g.index
 }
 
+// Footprints returns every node's footprint by node id: what
+// MAT.Footprint derives from the node's MAT. A graph the analyzer built
+// holds the footprints the analyzer derived (SetFootprints); any other
+// graph derives them on the first call. Like the index they are dropped
+// on any mutation and immutable once built: callers must not modify the
+// slice or the lists it holds.
+func (g *Graph) Footprints() []program.Footprint {
+	if fps := g.cachedFootprints(); fps != nil {
+		return fps
+	}
+	g.idxMu.Lock()
+	defer g.idxMu.Unlock()
+	if fps := g.cachedFootprints(); fps != nil {
+		return fps
+	}
+	fps := make([]program.Footprint, len(g.nodes))
+	for id, n := range g.nodes {
+		fps[id] = n.MAT.Footprint()
+	}
+	g.storeFootprints(fps)
+	return fps
+}
+
+// SetFootprints hands the graph footprints derived while it was
+// built: fps[id] must be MAT.Footprint of node id's MAT, for every node. The
+// graph keeps a copy of the values, so fps may point into a larger
+// buffer the caller drops.
+func (g *Graph) SetFootprints(fps []*program.Footprint) {
+	own := make([]program.Footprint, len(fps))
+	for id, fp := range fps {
+		own[id] = *fp
+	}
+	g.storeFootprints(own)
+}
+
+func (g *Graph) cachedFootprints() []program.Footprint {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.fps
+}
+
+func (g *Graph) storeFootprints(fps []program.Footprint) {
+	g.mu.Lock()
+	g.fps = fps
+	g.derived.Store(true)
+	g.mu.Unlock()
+}
+
 // Fields returns the graph's field table over its MATs in name order:
 // the table's MAT positions are name ranks. It is built on the first
 // call, so a graph no gate reads never pays for it. Like every derived

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	hermes "github.com/hermes-net/hermes"
@@ -155,5 +156,89 @@ func TestUngatedDeployLeavesFieldTableUnbuilt(t *testing.T) {
 	}
 	if !ix.FieldsBuilt() {
 		t.Fatal("LintGraph did not build the field table on the graph's index")
+	}
+}
+
+// TestFootprintsMatchMATFootprint holds Graph.Footprints to
+// MAT.Footprint node by node: on the footprints the analyzer hands its
+// graph (with and without merging), on a graph built by hand, which
+// derives them on first use, and after a mutation drops them. A second
+// call returns the memoized slice.
+func TestFootprintsMatchMATFootprint(t *testing.T) {
+	check := func(label string, g *tdg.Graph) {
+		t.Helper()
+		fps := g.Footprints()
+		if len(fps) != g.NumNodes() {
+			t.Fatalf("%s: %d footprints for %d nodes", label, len(fps), g.NumNodes())
+		}
+		for id := range fps {
+			if want := g.NodeOf(int32(id)).MAT.Footprint(); !reflect.DeepEqual(fps[id], want) {
+				t.Fatalf("%s: node %d footprint %+v, MAT.Footprint %+v", label, id, fps[id], want)
+			}
+		}
+		if again := g.Footprints(); len(fps) > 0 && &again[0] != &fps[0] {
+			t.Fatalf("%s: footprints rebuilt without a mutation", label)
+		}
+	}
+	progs, err := workload.SyntheticSet(30, workload.PaperSyntheticSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []analyzer.Options{{}, {SkipMerge: true}} {
+		g, err := analyzer.Analyze(progs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("analyzed", g)
+	}
+	g := tdg.New()
+	x := fields.Metadata("meta.x", 16)
+	for _, m := range []*program.MAT{
+		{Name: "a", Capacity: 1, Actions: []program.Action{{Name: "w", Ops: []program.Op{program.SetOp(x, 1)}}}},
+		{Name: "b", Capacity: 1, Keys: []program.MatchKey{{Field: x, Type: program.MatchExact}},
+			Actions: []program.Action{{Name: "n", Ops: []program.Op{program.SetOp(fields.Metadata("meta.y", 8), 1)}}}},
+	} {
+		if err := g.AddNode(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("hand-built", g)
+	if err := g.AddNode(&program.MAT{Name: "c", Capacity: 1, Actions: []program.Action{{Name: "w", Ops: []program.Op{program.SetOp(x, 2)}}}}); err != nil {
+		t.Fatal(err)
+	}
+	check("after AddNode", g)
+}
+
+// TestFootprintsConcurrentFirstUse builds a graph's footprints under
+// contention: every reader must get the one memoized slice. Run under
+// -race it shows the lazy build race-free.
+func TestFootprintsConcurrentFirstUse(t *testing.T) {
+	progs, err := workload.SyntheticSet(8, workload.PaperSyntheticSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := analyzer.Analyze(progs, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = g.Clone() // a graph the analyzer did not hand footprints to
+	const readers = 8
+	got := make([]*program.Footprint, readers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = &g.Footprints()[0]
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("reader %d got a different footprint slice than reader 0", i)
+		}
 	}
 }

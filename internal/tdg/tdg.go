@@ -143,11 +143,14 @@ type Graph struct {
 	// concurrent first readers sort the names once.
 	index *Index
 	idxMu sync.Mutex
+	// fps memoizes Footprints by node id, under mu like index; idxMu
+	// serializes its build too.
+	fps []program.Footprint
 	// memo caches derived computations keyed by caller-chosen strings
 	// (e.g. placement's stage-packing results). Cleared on mutation.
 	memo map[string]any
-	// derived is set while the topo cache, the index or the memo holds
-	// anything, so a mutation of a graph nothing has read yet (a
+	// derived is set while the topo cache, the index, the footprints or
+	// the memo hold anything, so a mutation of a graph nothing has read yet (a
 	// builder's) skips the lock.
 	derived atomic.Bool
 }
@@ -509,7 +512,7 @@ func (g *Graph) TopoIDs() ([]int32, error) {
 }
 
 // invalidateDerived drops every lazily-derived result (topo cache,
-// index and memo); called by every mutating operation. Mutations never run
+// index, footprints and memo); called by every mutating operation. Mutations never run
 // concurrently with reads, so the unlocked flag read is safe.
 func (g *Graph) invalidateDerived() {
 	if !g.derived.Load() {
@@ -520,6 +523,7 @@ func (g *Graph) invalidateDerived() {
 	g.topoValid = false
 	g.topoErr = nil
 	g.index = nil
+	g.fps = nil
 	g.memo = nil
 	g.mu.Unlock()
 }
