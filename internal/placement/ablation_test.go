@@ -57,7 +57,7 @@ func refinedSolve(g *tdg.Graph, topo *network.Topology, r refinements) (*Plan, e
 			continue
 		}
 		if r.polish {
-			if err := polish(g, 0, topo, assign, Options{}, rm); err != nil {
+			if _, _, err := polish(g, 0, topo, assign, Options{}, rm); err != nil {
 				return nil, err
 			}
 		}

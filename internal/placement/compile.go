@@ -26,14 +26,17 @@ import (
 
 // CompiledInstance is the dense-index form of one placement instance.
 // MAT index space is the alphabetically sorted node-name list (the
-// order the climb iterates); switch index space is the topology's
-// SwitchID space, which is dense by construction. All
-// fields are built once and treated as immutable; scratch state lives
-// in PairTable/MoveScratch/CycleScratch values owned by each caller,
-// so one instance is safe for concurrent use.
+// order the climb iterates); switch index space is [0,S): the
+// topology's SwitchID space for Compile, the host list of a repair
+// instance (newRepairInstance: switch i is the i-th host). All fields
+// are built once and treated as immutable; scratch state lives in
+// PairTable/MoveScratch/CycleScratch values owned by each caller, so
+// one instance is safe for concurrent use.
 type CompiledInstance struct {
 	Graph *tdg.Graph
-	Topo  *network.Topology
+	// Topo is the topology Compile laid the instance out on; nil on a
+	// repair instance, whose switches are its hosts.
+	Topo *network.Topology
 
 	// Names and Index translate between the boundary representation
 	// and MAT index space; Names is sorted. Only Compile fills them: the
@@ -63,17 +66,10 @@ type CompiledInstance struct {
 	// graph is cyclic (no solver or repair gets that far).
 	TopoPos []int32
 
-	// Caps is each switch's capacity, indexed by SwitchID; Prog lists
-	// the programmable switch IDs that are up, ascending.
+	// S is the switch count; Caps is each switch's capacity, indexed by
+	// SwitchID (Compile only).
 	S    int32
 	Caps []float64
-	Prog []network.SwitchID
-
-	// lat is the dense shortest-path latency table, fetched lazily:
-	// parallel Exact branches share one instance, so the fetch is
-	// guarded by a Once.
-	latOnce sync.Once
-	lat     []time.Duration
 }
 
 // graphIndex is the node-id view of a graph that every instance is
@@ -112,7 +108,15 @@ func (gi *graphIndex) byRank(a, b int32) int { return cmp.Compare(gi.Rank[a], gi
 // name.
 func Compile(g *tdg.Graph, topo *network.Topology, rm program.ResourceModel) *CompiledInstance {
 	gi := indexOf(g, rm)
-	ci := compileSubset(g, gi, gi.ByName, topo)
+	s := topo.NumSwitches()
+	ci := compileSubset(g, gi, gi.ByName, int32(s))
+	ci.Topo = topo
+	ci.Caps = make([]float64, s)
+	for id := range ci.Caps {
+		if sw, err := topo.Switch(network.SwitchID(id)); err == nil {
+			ci.Caps[id] = sw.Capacity()
+		}
+	}
 	ci.Names = make([]string, len(gi.ByName))
 	ci.Index = make(map[string]int32, len(gi.ByName))
 	for x, id := range gi.ByName {
@@ -127,18 +131,17 @@ func Compile(g *tdg.Graph, topo *network.Topology, rm program.ResourceModel) *Co
 var memberPool sync.Pool
 
 // compileSubset builds the dense-index form of the MATs ids — g's node
-// ids, ascending in name order (graphIndex.byRank) — against a
-// (typically compacted) topology. Every region polish, reconcile and
-// regional repair builds its instance this way, straight from g's ids:
-// no tdg.Subgraph, no name lookups. The subset's edges are gathered
+// ids, ascending in name order (graphIndex.byRank) — over s switches.
+// Compile and every repair instance build theirs this way, straight
+// from g's ids: no tdg.Subgraph, no name lookups. The subset's edges are gathered
 // from its members' out-edges, so the cost follows the subset, not the
 // graph, and are put back in g's EdgeList order by their list
 // positions, so the kernels' iteration order is deterministic.
 // In/Incident are carved from one backing array sized by the members'
 // degrees. The instance's Graph field keeps pointing at g.
-func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, topo *network.Topology) *CompiledInstance {
-	n, s := len(ids), topo.NumSwitches()
-	ci := &CompiledInstance{Graph: g, Topo: topo, S: int32(s), ids: ids, gi: gi}
+func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, s int32) *CompiledInstance {
+	n := len(ids)
+	ci := &CompiledInstance{Graph: g, S: s, ids: ids, gi: gi}
 
 	// local holds each member's instance index + 1, 0 outside the subset.
 	lp, _ := memberPool.Get().(*[]int32)
@@ -207,41 +210,12 @@ func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, topo *network.Topo
 			ci.TopoPos[x] = gi.Pos[id]
 		}
 	}
-
-	ci.Caps = make([]float64, s)
-	for id := 0; id < s; id++ {
-		sw, err := topo.Switch(network.SwitchID(id))
-		if err != nil {
-			continue
-		}
-		// A down switch is indistinguishable from non-programmable for
-		// placement purposes.
-		ci.Caps[id] = sw.Capacity()
-		if sw.Programmable && !topo.SwitchIsDown(sw.ID) {
-			ci.Prog = append(ci.Prog, sw.ID)
-		}
-	}
 	return ci
 }
 
 // name returns MAT x's name: the name boundary of the solvers' own
 // instances (write-back into a name-keyed assignment, error text).
 func (ci *CompiledInstance) name(x int32) string { return ci.gi.Names[ci.ids[x]] }
-
-// presetLatencies installs the latency table of an instance whose Topo
-// cannot supply it: a repair instance's pseudo-topology is links-free,
-// so healInstance hands in the real topology's host-pair latencies.
-func (ci *CompiledInstance) presetLatencies(lat []time.Duration) {
-	ci.latOnce.Do(func() { ci.lat = lat })
-}
-
-// latencies returns the dense shortest-path latency table (entry
-// [u*S+v] = shortest latency u→v, -1 when unreachable), fetched from
-// Topo unless preset.
-func (ci *CompiledInstance) latencies() []time.Duration {
-	ci.latOnce.Do(func() { ci.lat = ci.Topo.LatencyTable() })
-	return ci.lat
-}
 
 // DenseAssign converts a (possibly partial) name-keyed assignment into
 // the MAT index space of a Compile instance; unassigned MATs are -1. It
@@ -853,10 +827,10 @@ func (cs *CycleScratch) acyclic() bool {
 
 // AssignmentLatency sums shortest-path latency over the distinct
 // communicating switch pairs of a dense assignment (the ε1 bound of
-// Eq. 6 as evaluated by the climb's feasibility probe); ok is false
-// when some pair is disconnected. ms is reused as the seen-pair set.
-func (ci *CompiledInstance) AssignmentLatency(assign []int32, ms *MoveScratch) (time.Duration, bool) {
-	lat := ci.latencies()
+// Eq. 6 as evaluated by the climb's feasibility probe), read off lat,
+// the instance's dense latency table; ok is false when some pair is
+// disconnected. ms is reused as the seen-pair set.
+func (ci *CompiledInstance) AssignmentLatency(lat []time.Duration, assign []int32, ms *MoveScratch) (time.Duration, bool) {
 	ms.reset()
 	var total time.Duration
 	//hermes:hot

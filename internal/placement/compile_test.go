@@ -50,15 +50,20 @@ func assignmentLatency(g *tdg.Graph, topo *network.Topology, assign map[string]n
 	return total, nil
 }
 
-// compileNames is compileSubset over a sorted, duplicate-free list of
-// MAT names, for tests that draw their subsets by name.
-func compileNames(g *tdg.Graph, names []string, topo *network.Topology, rm program.ResourceModel) *CompiledInstance {
-	gi := indexOf(g, rm)
+// namedIDs resolves a sorted, duplicate-free list of MAT names to node
+// ids, for tests that draw their subsets by name.
+func namedIDs(g *tdg.Graph, names []string) []int32 {
 	ids := make([]int32, len(names))
 	for i, name := range names {
 		ids[i], _ = g.ID(name)
 	}
-	return compileSubset(g, gi, ids, topo)
+	return ids
+}
+
+// compileNames is compileSubset over a sorted, duplicate-free list of
+// MAT names on s switches.
+func compileNames(g *tdg.Graph, names []string, s int32, rm program.ResourceModel) *CompiledInstance {
+	return compileSubset(g, indexOf(g, rm), namedIDs(g, names), s)
 }
 
 // checkKernelsAgainstRefs asserts every compiled kernel against its
@@ -114,7 +119,7 @@ func checkKernelsAgainstRefs(t *testing.T, rng *rand.Rand, ci *CompiledInstance,
 
 	// ε1 latency sum.
 	if eps1 {
-		lat, ok := ci.AssignmentLatency(dense, ms)
+		lat, ok := ci.AssignmentLatency(ci.Topo.LatencyTable(), dense, ms)
 		refLat, refErr := assignmentLatency(g, ci.Topo, assign)
 		if ok != (refErr == nil) {
 			t.Fatalf("latency feasibility: compiled %v, ref err %v", ok, refErr)
@@ -511,17 +516,23 @@ func TestCompileSubsetMatchesNameKeyedTwin(t *testing.T) {
 			}
 			ids := slices.Clone(gi.Topo[cuts[r]:cuts[r+1]])
 			slices.SortFunc(ids, gi.byRank)
-			check(fmt.Sprintf("composite:%d region %d", c.regions, r), compileSubset(g, gi, ids, topoR))
+			check(fmt.Sprintf("composite:%d region %d", c.regions, r), compileSubset(g, gi, ids, int32(topoR.NumSwitches())))
 		}
 		plan, _, err := ShardedGreedy{Partition: part}.SolveStats(g, topo, Options{Shards: c.shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ci, _, _, err := hostInstance(g, gi, topo, plan.UsedSwitches(), gi.ByName)
+		hosts := plan.UsedSwitches()
+		at := make([]network.SwitchID, len(gi.ByName))
+		for x, id := range gi.ByName {
+			at[x] = plan.Hosts()[id]
+		}
+		in, err := newRepairInstance(g, gi, topo, hosts, gi.ByName, at, func(*network.Switch) bool { return true }, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("composite:%d reconcile", c.regions), ci)
+		check(fmt.Sprintf("composite:%d reconcile", c.regions), in.ci)
+		in.release()
 		drainInstances(t, check, fmt.Sprintf("composite:%d", c.regions), plan, topo, 4)
 	}
 
@@ -557,7 +568,7 @@ func drainInstances(t *testing.T, check func(string, *CompiledInstance), label s
 		}
 		slices.Sort(names)
 		check(fmt.Sprintf("%s drain %d of switch %d", label, i, drained),
-			compileNames(plan.Graph, names, topo, program.DefaultResourceModel))
+			compileNames(plan.Graph, names, int32(topo.NumSwitches()), program.DefaultResourceModel))
 	}
 }
 
@@ -616,8 +627,9 @@ func TestCompileSubsetAllocationsIgnoreOutsideEdges(t *testing.T) {
 			ids = append(ids, id)
 		}
 		slices.SortFunc(ids, gi.byRank)
-		compileSubset(g, gi, ids, topoR) // warm the membership pool
-		return testing.AllocsPerRun(20, func() { compileSubset(g, gi, ids, topoR) })
+		s := int32(topoR.NumSwitches())
+		compileSubset(g, gi, ids, s) // warm the membership pool
+		return testing.AllocsPerRun(20, func() { compileSubset(g, gi, ids, s) })
 	}
 	sparse, full := allocs(g), allocs(dense)
 	t.Logf("region %d of composite:60 (%d of %d MATs): %.0f allocations on %d edges, %.0f on %d",

@@ -265,7 +265,7 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 		}
 	}
 	if opts.Traffic != nil {
-		wt, werr := ci.CompileWeights(opts.Traffic)
+		wt, werr := trafficWeights(opts.Traffic, topo)
 		if werr != nil {
 			return nil, fmt.Errorf("placement: %w", werr)
 		}
@@ -609,7 +609,7 @@ func (st *exactState) evaluateLeaf() {
 	// ε1 bound via the dense latency table over the communicating
 	// pairs (lat < 0 marks an unreachable pair).
 	if st.opts.Epsilon1 > 0 {
-		lat := st.ci.latencies()
+		lat := st.ci.Topo.LatencyTable()
 		var total time.Duration
 		//hermes:hot
 		for _, cell := range st.active {

@@ -64,6 +64,19 @@ func (gr Greedy) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Pla
 // hosts each MAT, returned by position in the range; callers
 // materialize the stages and routes once.
 func greedyAssign(g *tdg.Graph, lo, hi int, topo *network.Topology, opts Options, rm program.ResourceModel) ([]network.SwitchID, error) {
+	assign, err := anchorAssign(g, lo, hi, topo, opts, rm)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := polish(g, lo, topo, assign, opts, rm); err != nil {
+		return nil, err
+	}
+	return assign, nil
+}
+
+// anchorAssign is greedyAssign up to the polish: the segments of
+// [lo,hi) placed on the first anchor's candidate chain that packs them.
+func anchorAssign(g *tdg.Graph, lo, hi int, topo *network.Topology, opts Options, rm program.ResourceModel) ([]network.SwitchID, error) {
 	if err := opts.canceled(); err != nil {
 		return nil, fmt.Errorf("placement: solve canceled: %w", err)
 	}
@@ -108,51 +121,47 @@ func greedyAssign(g *tdg.Graph, lo, hi int, topo *network.Topology, opts Options
 			return nil, err
 		}
 	}
-	if err := polish(g, lo, topo, assign, opts, rm); err != nil {
-		return nil, err
-	}
 	return assign, nil
 }
 
 // polish runs the bounded local-search refinement over single-MAT
 // moves: the climb the replan repair runs over its dirty set, here over
-// the instance of the MATs at topological positions [lo, lo+len(assign))
-// with every MAT dirty and every live programmable switch a candidate,
-// improving assign (by position in the range) in place. climb's pass
-// cap, Options.Deadline and Options.Ctx bound it.
-func polish(g *tdg.Graph, lo int, topo *network.Topology, assign []network.SwitchID, opts Options, rm program.ResourceModel) error {
+// the MATs at topological positions [lo, lo+len(assign)) with every MAT
+// dirty, improving assign (by position in the range) in place. The
+// instance's hosts are the switches assign uses and its candidates the
+// live programmable ones among them: the climb only moves a MAT to a
+// switch that holds MATs, so no other switch could be a target. climb's
+// pass cap, Options.Deadline and Options.Ctx bound it; it returns the
+// passes run and the moves accepted.
+func polish(g *tdg.Graph, lo int, topo *network.Topology, assign []network.SwitchID, opts Options, rm program.ResourceModel) (passes, moves int, err error) {
 	gi := indexOf(g, rm)
 	ids := slices.Clone(gi.Topo[lo : lo+len(assign)])
 	slices.SortFunc(ids, gi.byRank)
-	ci := compileSubset(g, gi, ids, topo)
-	var err error
-	sws := make([]*network.Switch, ci.S)
-	for id := range sws {
-		if sws[id], err = topo.Switch(network.SwitchID(id)); err != nil {
-			return err
-		}
-	}
-	cands := make([]int32, len(ci.Prog))
-	for i, u := range ci.Prog {
-		cands[i] = int32(u)
-	}
-	var wt *WeightTable
-	if opts.Traffic != nil {
-		if wt, err = ci.CompileWeights(opts.Traffic); err != nil {
-			return err
-		}
-	}
-	dense, all := make([]int32, len(ids)), make([]int32, len(ids))
+	at := make([]network.SwitchID, len(ids))
 	for x, id := range ids {
-		dense[x], all[x] = int32(assign[int(gi.Pos[id])-lo]), int32(x)
+		at[x] = assign[int(gi.Pos[id])-lo]
 	}
-	in := newRepairInstance(ci, sws, cands, dense, wt)
+	hosts := slices.Clone(assign)
+	slices.Sort(hosts)
+	weights, err := trafficWeights(opts.Traffic, topo)
+	if err != nil {
+		return 0, 0, err
+	}
+	live := func(sw *network.Switch) bool { return sw.Programmable && !topo.SwitchIsDown(sw.ID) }
+	in, err := newRepairInstance(g, gi, topo, slices.Compact(hosts), ids, at, live, weights, opts)
+	if err != nil {
+		return 0, 0, err
+	}
 	defer in.release()
-	in.climb(opts, all, occupiedTargets)
-	for x, id := range ids {
-		assign[int(gi.Pos[id])-lo] = network.SwitchID(in.assign[x])
+	all := make([]int32, len(ids))
+	for x := range all {
+		all[x] = int32(x)
 	}
-	return nil
+	passes, moves = in.climb(opts, all, occupiedTargets)
+	for x, id := range ids {
+		assign[int(gi.Pos[id])-lo] = in.switchOf(int32(x))
+	}
+	return passes, moves, nil
 }
 
 // placeWithRefinement runs the placement loop, bisecting segments that

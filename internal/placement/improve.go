@@ -7,17 +7,19 @@ import (
 	"time"
 
 	"github.com/hermes-net/hermes/internal/network"
+	"github.com/hermes-net/hermes/internal/tdg"
 )
 
 // repairInstance is the working state every refinement runs on: a
-// compiled instance plus the mutable dense assignment, pair-byte table,
-// per-switch resident lists, stage-packing scratch and (under a traffic
-// matrix) the weight table in the same index space. Greedy's polish
-// builds one over the MAT set it solved with every MAT dirty; the
-// replan repair builds one per touched region over a compact host set
-// (healInstance), places the displaced MATs on it and climbs over the
-// dirty ones. place and climb are the
-// only code that scores, checks and accepts a placement or a move.
+// compiled instance over a sorted host list plus the mutable dense
+// assignment, pair-byte table, per-switch resident lists, stage-packing
+// scratch and (under a traffic matrix) the weight table in the same
+// index space. Greedy's polish builds one over the MAT set it solved and
+// the hosts it used, with every MAT dirty; the replan repair builds one
+// per touched region (healInstance), places the displaced MATs on it and
+// climbs over the dirty ones; the sharded reconcile builds one over the
+// merged plan's hosts. place and climb are the only code that scores,
+// checks and accepts a placement or a move.
 type repairInstance struct {
 	ci *CompiledInstance
 	// sws resolves an instance switch index to the real switch behind it:
@@ -33,7 +35,10 @@ type repairInstance struct {
 	residents [][]int32
 	pt        *PairTable
 	wt        *WeightTable // nil off the traffic-weighted objectives
-	ms        *MoveScratch
+	// lat is the hosts' dense latency table (entry [i*U+j]), read by the
+	// ε1 probe; nil when ε1 is off.
+	lat []time.Duration
+	ms  *MoveScratch
 	// cyc is the contracted switch graph of assign, kept move by move;
 	// acyclic records that it is a DAG, which every accepted move keeps.
 	cyc     *CycleScratch
@@ -54,34 +59,84 @@ type repairInstance struct {
 	scored, folded int
 }
 
-// newRepairInstance builds the instance on recycled dense scratch; the
-// caller hands it back with release once the instance is done.
-func newRepairInstance(ci *CompiledInstance, sws []*network.Switch, cands, assign []int32, wt *WeightTable) *repairInstance {
-	ks := takeScratch(ci.S)
+// newRepairInstance builds the repair instance of the MATs ids — g's
+// node ids, ascending in name order — on hosts, distinct switch IDs of
+// topo in ascending order: instance switch i is hosts[i], so every
+// table is U²-sized, U = len(hosts), whatever the size of topo. at[x] is
+// MAT ids[x]'s switch, one of hosts, or -1 while it waits to be placed;
+// cand picks the hosts a MAT may be placed on or moved to, the others
+// being frozen anchors. weights, the table of all of topo (nil off the
+// traffic objectives), is compacted onto hosts, and under ε1 the hosts'
+// latencies are read off topo's path oracle. The dense scratch is
+// recycled; the caller hands it back with release.
+func newRepairInstance(g *tdg.Graph, gi *graphIndex, topo *network.Topology, hosts []network.SwitchID,
+	ids []int32, at []network.SwitchID, cand func(*network.Switch) bool, weights *WeightTable, opts Options) (*repairInstance, error) {
 	in := &repairInstance{
-		ci: ci, sws: sws, cands: cands, assign: assign, wt: wt,
-		residents: make([][]int32, len(sws)),
-		load:      make([]float64, len(sws)),
-		pt:        ks.pt,
-		ms:        ks.ms,
-		cyc:       ks.cyc,
-		stamp:     make([]int32, len(ci.Req)),
-		end:       make([]int32, len(ci.Req)),
+		ci:     compileSubset(g, gi, ids, int32(len(hosts))),
+		sws:    make([]*network.Switch, len(hosts)),
+		assign: make([]int32, len(ids)),
 	}
-	for x, h := range assign {
+	cands := make([]int32, 0, len(hosts))
+	//hermes:hot
+	for h, id := range hosts {
+		sw, err := topo.Switch(id)
+		if err != nil {
+			return nil, err
+		}
+		in.sws[h] = sw
+		if cand(sw) {
+			cands = append(cands, int32(h))
+		}
+	}
+	in.cands = cands
+	//hermes:hot
+	for x, u := range at {
+		h := -1
+		if u >= 0 {
+			var ok bool
+			if h, ok = slices.BinarySearch(hosts, u); !ok {
+				return nil, fmt.Errorf("placement: MAT %q sits on switch %d, outside the instance's hosts", in.ci.name(int32(x)), u)
+			}
+		}
+		in.assign[x] = int32(h)
+	}
+	if weights != nil {
+		in.wt = weights.Compact(hosts)
+	}
+	if opts.Epsilon1 > 0 {
+		in.lat = hostLatencies(topo, hosts)
+	}
+	in.seed()
+	return in, nil
+}
+
+// seed lays out the working state behind an instance's ci, sws and
+// assign: the resident lists and loads, the packing scratch and the
+// dense kernel scratch, taken from the free list.
+func (in *repairInstance) seed() {
+	ci := in.ci
+	ks := takeScratch(ci.S)
+	in.pt, in.ms, in.cyc = ks.pt, ks.ms, ks.cyc
+	in.residents = make([][]int32, len(in.sws))
+	in.load = make([]float64, len(in.sws))
+	in.stamp = make([]int32, len(ci.Req))
+	in.end = make([]int32, len(ci.Req))
+	for x, h := range in.assign {
 		if h >= 0 {
 			in.residents[h] = append(in.residents[h], int32(x))
 			in.load[h] += ci.Req[x]
 		}
 	}
 	stages := 0
-	for h, sw := range sws {
+	for h, sw := range in.sws {
 		slices.SortFunc(in.residents[h], func(a, b int32) int { return int(ci.TopoPos[a] - ci.TopoPos[b]) })
 		stages = max(stages, sw.Stages)
 	}
 	in.used = make([]float64, stages)
-	return in
 }
+
+// switchOf returns the real switch MAT x sits on.
+func (in *repairInstance) switchOf(x int32) network.SwitchID { return in.sws[in.assign[x]].ID }
 
 // release cleans the instance's dense scratch in O(touched cells) and
 // returns it to the free list; the instance must not score again.
@@ -90,24 +145,46 @@ func (in *repairInstance) release() {
 	in.pt, in.ms, in.cyc = nil, nil, nil
 }
 
-// kernelScratch is the S²-sized scratch one repair instance scores on:
-// the pair table with its value histogram, the move overlay with its
-// peer fold, and the incremental contracted switch graph.
+// hostLatencies is the instance-sized twin of Topology.LatencyTable:
+// entry [i*U+j] is the shortest-path latency hosts[i]→hosts[j] on topo,
+// -1 when unreachable.
+func hostLatencies(topo *network.Topology, hosts []network.SwitchID) []time.Duration {
+	u := len(hosts)
+	lat := make([]time.Duration, u*u)
+	for i, a := range hosts {
+		for j, b := range hosts {
+			if i == j {
+				continue
+			}
+			if p, err := topo.ShortestPath(a, b); err != nil {
+				lat[i*u+j] = -1
+			} else {
+				lat[i*u+j] = p.Latency
+			}
+		}
+	}
+	return lat
+}
+
+// kernelScratch is the U²-sized scratch one repair instance scores on
+// (U its host count): the pair table with its value histogram, the move
+// overlay with its peer fold, and the incremental contracted switch
+// graph.
 type kernelScratch struct {
 	pt  *PairTable
 	ms  *MoveScratch
 	cyc *CycleScratch
 }
 
-// cells is the S² capacity every part of the scratch has.
+// cells is the U² capacity every part of the scratch has.
 func (ks kernelScratch) cells() int { return cap(ks.pt.Cells) }
 
 // scratchFree recycles the kernel scratch of finished repair instances.
 // One deploy builds an instance per region solve, per reconcile and per
-// repaired region, and their S² tables were ~40 % of a composite
+// repaired region, and their U² tables were ~40 % of a composite
 // deploy's bytes. It is a plain list, not a sync.Pool, so it survives
-// GC; it is bounded in entries and in cells, so a whole-graph instance
-// on a topology of thousands of switches is never retained.
+// GC; it is bounded in entries and in cells, so an instance over
+// thousands of hosts is never retained.
 var scratchFree struct {
 	sync.Mutex
 	list []kernelScratch
@@ -394,7 +471,7 @@ func (in *repairInstance) admits(x, to int32, opts Options) bool {
 		return true
 	}
 	in.assign[x] = to
-	lat, connected := in.ci.AssignmentLatency(in.assign, in.ms)
+	lat, connected := in.ci.AssignmentLatency(in.lat, in.assign, in.ms)
 	in.assign[x] = from
 	return connected && lat <= opts.Epsilon1
 }

@@ -1,7 +1,7 @@
 // The one repair path of Replan (DESIGN.md §8): the dirty set
 // (displaced MATs plus the bounded TDG frontier) is healed on repair
-// instances — compact compiled instances over a host subset, so the
-// PR 4 kernels run on tables sized by the hosts involved, never S².
+// instances (newRepairInstance) over a host subset, so the compiled
+// kernels run on tables sized by the hosts involved, never S².
 // What a topology Partition on the replan options changes is only how
 // instances are drawn and how far a failed repair escalates:
 //
@@ -77,11 +77,28 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 		return finishRepairTimed(plan, old, ropts, 0, rep)
 	}
 
+	// Surviving global assignment, by node id: everything but the
+	// displaced MATs (-1) keeps its switch. Read-only while the instances
+	// run. used records which switches still hold MATs — regional
+	// candidate sets are built around it.
+	gi := indexOf(g, rm)
+	surv := slices.Clone(old.Hosts())
+	for name := range displaced {
+		id, _ := g.ID(name)
+		surv[id] = -1
+	}
+	used := make([]bool, topo.NumSwitches())
+	for _, u := range surv {
+		if u >= 0 {
+			used[u] = true
+		}
+	}
+
 	// Fan the dirty set out into instances: every dirty MAT belongs to
 	// the region of its pre-drain host (region 0 without a partition), so
 	// each MAT is movable in exactly one instance and the merge is
-	// disjoint.
-	regionDirty := map[int][]string{}
+	// disjoint. Each region's share is in name order.
+	regionDirty := map[int][]int32{}
 	for name := range dirty {
 		r := 0
 		if part != nil {
@@ -90,11 +107,12 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 				return nil, len(dirty), fmt.Errorf("partition does not cover switch %d", host)
 			}
 		}
-		regionDirty[r] = append(regionDirty[r], name)
+		id, _ := g.ID(name)
+		regionDirty[r] = append(regionDirty[r], id)
 	}
 	regions := make([]int, 0, len(regionDirty))
 	for r := range regionDirty {
-		sort.Strings(regionDirty[r])
+		slices.SortFunc(regionDirty[r], gi.byRank)
 		regions = append(regions, r)
 	}
 	sort.Ints(regions)
@@ -105,36 +123,18 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 		nbr = regionAdjacency(part)
 	}
 
-	// Surviving global assignment: everything but the displaced MATs
-	// keeps its switch. Read-only while the instances run. used records
-	// which switches still hold MATs — regional candidate sets are built
-	// around it.
-	assign := make(map[string]network.SwitchID, g.NumNodes())
-	used := make(map[network.SwitchID]bool, len(old.Assignments)/4+1)
-	for name, sp := range old.Assignments {
-		if !displaced[name] {
-			assign[name] = sp.Switch
-			used[sp.Switch] = true
-		}
-	}
-
 	// Under a traffic matrix every instance compacts the same global
-	// weights (routed and quantized once here, on the real topology — the
-	// instances' pseudo-topologies are links-free).
-	var weights *WeightTable
-	if ropts.Traffic != nil {
-		rates, err := ropts.Traffic.PairRates(topo)
-		if err != nil {
-			return nil, len(dirty), err
-		}
-		weights = NewWeightTable(rates, int32(topo.NumSwitches()))
+	// weights, routed and quantized once here.
+	weights, err := trafficWeights(ropts.Traffic, topo)
+	if err != nil {
+		return nil, len(dirty), err
 	}
 
 	phase = time.Now()
-	heal := func(r int, candRegions []int) (map[string]network.SwitchID, error) {
-		return healInstance(g, topo, part, assign, used, regionDirty[r], displaced, ropts, rm, weights, candRegions)
+	heal := func(r int, candRegions []int) ([]network.SwitchID, error) {
+		return healInstance(g, gi, topo, part, surv, used, regionDirty[r], ropts, weights, candRegions)
 	}
-	results := make([]map[string]network.SwitchID, len(regions))
+	results := make([][]network.SwitchID, len(regions))
 	errs := make([]error, len(regions))
 	widened := make([]bool, len(regions))
 	parallelFor(len(regions), ropts.workers(), func(i int) {
@@ -161,9 +161,10 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 			rep.RegionsWidened++
 		}
 	}
-	for _, res := range results {
-		for name, u := range res {
-			assign[name] = u
+	byID := surv
+	for i, res := range results {
+		for k, id := range regionDirty[regions[i]] {
+			byID[id] = res[k]
 		}
 	}
 
@@ -171,14 +172,16 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 	// cycle threading placed MATs through hosts outside the instance is
 	// invisible there, so re-prove the invariant over every TDG edge
 	// before standing the plan up.
+	assign := make(map[string]network.SwitchID, len(byID))
+	for id, u := range byID {
+		if u >= 0 {
+			assign[gi.Names[id]] = u
+		}
+	}
 	if !assignmentAcyclic(g, assign) {
 		return nil, len(dirty), fmt.Errorf("repair left a cyclic contracted switch graph")
 	}
 
-	byID, err := assignIDs(g, assign)
-	if err != nil {
-		return nil, len(dirty), err
-	}
 	plan, err := materializeRepair(g, topo, byID, rm, old, ropts)
 	if err != nil {
 		return nil, len(dirty), err
@@ -267,12 +270,11 @@ func regionAdjacency(part *network.Partition) [][]int {
 }
 
 // candidateHosts lists the switches an instance may place MATs on,
-// ascending within each region. Without a partition that is every live
-// programmable switch; with one, the candidate regions' live
-// programmable switches that still hold MATs plus up to regionSpares
-// empty ones (part.Region is sorted, and candRegions order is
-// deterministic).
-func candidateHosts(topo *network.Topology, part *network.Partition, used map[network.SwitchID]bool, candRegions []int) ([]network.SwitchID, error) {
+// ascending. Without a partition that is every live programmable
+// switch; with one, the candidate regions' live programmable switches
+// that still hold MATs plus up to regionSpares empty ones (part.Region
+// is sorted, and candRegions order is deterministic).
+func candidateHosts(topo *network.Topology, part *network.Partition, used []bool, candRegions []int) ([]network.SwitchID, error) {
 	if part == nil {
 		return topo.ProgrammableSwitches(), nil
 	}
@@ -296,178 +298,108 @@ func candidateHosts(topo *network.Topology, part *network.Partition, used map[ne
 			hosts = append(hosts, id)
 		}
 	}
+	slices.Sort(hosts)
 	return hosts, nil
 }
 
-// healInstance heals one share of the dirty set on a compact repair
-// instance. candRegions lists the regions whose switches may host the
-// dirty MATs ({r} normally, r plus its partition neighbors on the
-// widened retry; ignored without a partition); every other host the
-// dirty MATs communicate with joins the instance as a frozen halo
-// anchor, so each pair-byte cell a repair move can touch carries its
-// true background bytes. baseAssign is read-only (instances run
-// concurrently); the returned map carries this instance's dirty MATs
-// and their final hosts.
-func healInstance(g *tdg.Graph, topo *network.Topology, part *network.Partition,
-	baseAssign map[string]network.SwitchID, used map[network.SwitchID]bool,
-	dirtyNames []string, displaced map[string]bool,
-	ropts ReplanOptions, rm program.ResourceModel, weights *WeightTable, candRegions []int) (map[string]network.SwitchID, error) {
+// healInstance heals one share of the dirty set, dirty (node ids in
+// name order), on a repair instance. candRegions lists the regions
+// whose switches may host the dirty MATs ({r} normally, r plus its
+// partition neighbors on the widened retry; ignored without a
+// partition); every other host the dirty MATs communicate with joins
+// the instance as a frozen halo anchor, so each pair-byte cell a repair
+// move can touch carries its true background bytes. The instance holds
+// every MAT surv keeps on one of its hosts plus the share's displaced
+// MATs (surv -1), which are placed before the climb. surv is read-only
+// (instances run concurrently); the result is each dirty MAT's final
+// host, in dirty's order.
+func healInstance(g *tdg.Graph, gi *graphIndex, topo *network.Topology, part *network.Partition,
+	surv []network.SwitchID, used []bool, dirty []int32,
+	ropts ReplanOptions, weights *WeightTable, candRegions []int) ([]network.SwitchID, error) {
 
-	hosts, err := candidateHosts(topo, part, used, candRegions)
+	cands, err := candidateHosts(topo, part, used, candRegions)
 	if err != nil {
 		return nil, err
 	}
-	if len(hosts) == 0 {
+	if len(cands) == 0 {
 		return nil, infeasibleError("no live programmable switch in candidate regions")
 	}
-	candSet := make(map[network.SwitchID]bool, len(hosts))
-	for _, id := range hosts {
-		candSet[id] = true
+	isCand := func(u network.SwitchID) bool {
+		_, ok := slices.BinarySearch(cands, u)
+		return ok
 	}
 
 	// Halo hosts: frozen anchors — hosts of the dirty MATs' TDG peers
-	// outside the candidate set (hosts are sorted below and haloSet
-	// dedupes).
-	haloSet := map[network.SwitchID]bool{}
-	addHalo := func(peer string) {
-		if u, ok := baseAssign[peer]; ok && !candSet[u] && !haloSet[u] {
-			haloSet[u] = true
-			hosts = append(hosts, u)
+	// outside the candidate set.
+	hosts := slices.Clone(cands)
+	for _, id := range dirty {
+		for _, e := range g.OutEdgesOf(id) {
+			if _, to := e.Endpoints(); surv[to] >= 0 && !isCand(surv[to]) {
+				hosts = append(hosts, surv[to])
+			}
+		}
+		for _, e := range g.InEdgesOf(id) {
+			if from, _ := e.Endpoints(); surv[from] >= 0 && !isCand(surv[from]) {
+				hosts = append(hosts, surv[from])
+			}
 		}
 	}
-	for _, name := range dirtyNames {
-		for _, e := range g.OutEdgeList(name) {
-			addHalo(e.To)
-		}
-		for _, e := range g.InEdgeList(name) {
-			addHalo(e.From)
-		}
-	}
-	sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
+	slices.Sort(hosts)
+	hosts = slices.Compact(hosts)
 
-	// Instance MATs: every MAT resident on an instance host (their pair
-	// bytes are the background the scores sit on), plus this instance's
-	// displaced MATs (unassigned, to be placed). The name-keyed
-	// assignment and dirty set are the boundary: each MAT's name is
-	// resolved to its node id once here.
-	gi := indexOf(g, rm)
-	ids := make([]int32, 0, len(dirtyNames))
-	for name, u := range baseAssign {
-		if candSet[u] || haloSet[u] {
-			id, _ := g.ID(name)
-			ids = append(ids, id)
+	// Instance MATs, walked in name order: every MAT resident on an
+	// instance host (their pair bytes are the background the scores sit
+	// on), plus this share's displaced MATs (unassigned, to be placed).
+	// dirty is in name order too, so one cursor finds each dirty MAT's
+	// instance index.
+	ids := make([]int32, 0, len(dirty))
+	at := make([]network.SwitchID, 0, len(dirty))
+	dirtyIdx := make([]int32, 0, len(dirty))
+	var place []int32
+	//hermes:hot
+	for _, id := range gi.ByName {
+		isDirty := len(dirtyIdx) < len(dirty) && dirty[len(dirtyIdx)] == id
+		u := surv[id]
+		if u < 0 && !isDirty {
+			continue
 		}
-	}
-	for _, name := range dirtyNames {
-		if displaced[name] {
-			id, _ := g.ID(name)
-			ids = append(ids, id)
+		if u >= 0 {
+			if _, ok := slices.BinarySearch(hosts, u); !ok {
+				if isDirty {
+					return nil, fmt.Errorf("dirty MAT %q is hosted outside the instance's candidates", gi.Names[id])
+				}
+				continue
+			}
 		}
+		if isDirty {
+			dirtyIdx = append(dirtyIdx, int32(len(ids)))
+		}
+		if u < 0 {
+			place = append(place, int32(len(ids)))
+		}
+		ids = append(ids, id)
+		at = append(at, u)
 	}
-	slices.SortFunc(ids, gi.byRank)
-	ci, hostIdx, sws, err := hostInstance(g, gi, topo, hosts, ids)
+	in, err := newRepairInstance(g, gi, topo, hosts, ids, at, func(sw *network.Switch) bool { return isCand(sw.ID) }, weights, ropts.Options)
 	if err != nil {
 		return nil, err
 	}
-	cands := make([]int32, 0, len(hosts))
-	for i, gid := range hosts {
-		if candSet[gid] {
-			cands = append(cands, int32(i))
-		}
-	}
-	if ropts.Epsilon1 > 0 {
-		// The ε1 probe reads host-pair latencies off the real topology's
-		// path oracle, for this instance's hosts only.
-		ci.presetLatencies(hostLatencies(topo, hosts))
-	}
+	defer in.release()
 
 	// g's topological positions order the displaced MATs (a
 	// topological order of g restricted to any subset is a topological
 	// order of the induced subgraph), sparing each instance an uncached
 	// O(V+E) sort.
-	dense := make([]int32, len(ids))
-	var place []int32
-	for x, id := range ids {
-		if u, ok := baseAssign[gi.Names[id]]; ok {
-			dense[x] = hostIdx[u]
-		} else {
-			dense[x] = -1
-			place = append(place, int32(x))
-		}
-	}
-	slices.SortFunc(place, func(a, b int32) int { return int(ci.TopoPos[a] - ci.TopoPos[b]) })
-	dirtyIdx := make([]int32, len(dirtyNames))
-	for i, name := range dirtyNames {
-		id, _ := g.ID(name)
-		x, ok := slices.BinarySearchFunc(ids, gi.Rank[id], func(a, r int32) int { return int(gi.Rank[a] - r) })
-		if !ok {
-			return nil, fmt.Errorf("dirty MAT %q is hosted outside the instance's candidates", name)
-		}
-		dirtyIdx[i] = int32(x)
-	}
-	var wt *WeightTable
-	if weights != nil {
-		wt = weights.Compact(hosts)
-	}
-
-	in := newRepairInstance(ci, sws, cands, dense, wt)
-	defer in.release()
+	slices.SortFunc(place, func(a, b int32) int { return int(in.ci.TopoPos[a] - in.ci.TopoPos[b]) })
 	if err := in.place(place, ropts.Options); err != nil {
 		return nil, err
 	}
 	// The climb converges in a handful of passes over |dirty| MATs.
 	in.climb(ropts.Options, dirtyIdx, occupiedTargets)
 
-	out := make(map[string]network.SwitchID, len(dirtyNames))
-	for _, x := range dirtyIdx {
-		out[ci.name(x)] = sws[dense[x]].ID
+	out := make([]network.SwitchID, len(dirtyIdx))
+	for i, x := range dirtyIdx {
+		out[i] = in.switchOf(x)
 	}
 	return out, nil
-}
-
-// hostInstance compiles ids against a links-free pseudo-topology
-// holding copies of hosts (ascending), the instance both the repair and
-// the reconcile run on: the compiled tables are U²-sized,
-// U = len(hosts), independent of the global S, and local index i is
-// hosts[i] (sws[i] is the real switch behind it). The instance is
-// carved straight out of g (no intermediate tdg.Subgraph: its
-// string-keyed maps and uncached topo sort would cost more than the
-// repair itself) and is not memoized, so g's whole-topology instance
-// stays in its memo.
-func hostInstance(g *tdg.Graph, gi *graphIndex, topo *network.Topology, hosts []network.SwitchID, ids []int32) (*CompiledInstance, map[network.SwitchID]int32, []*network.Switch, error) {
-
-	topoH := network.NewTopology(topo.Name + "/hosts")
-	hostIdx := make(map[network.SwitchID]int32, len(hosts))
-	sws := make([]*network.Switch, len(hosts))
-	for i, gid := range hosts {
-		sw, err := topo.Switch(gid)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		topoH.AddSwitch(*sw) // ID rewritten to the dense local index
-		hostIdx[gid] = int32(i)
-		sws[i] = sw
-	}
-	return compileSubset(g, gi, ids, topoH), hostIdx, sws, nil
-}
-
-// hostLatencies is the instance-sized twin of Topology.LatencyTable:
-// entry [i*U+j] is the shortest-path latency hosts[i]→hosts[j] on the
-// real topology, -1 when unreachable.
-func hostLatencies(topo *network.Topology, hosts []network.SwitchID) []time.Duration {
-	u := len(hosts)
-	lat := make([]time.Duration, u*u)
-	for i, a := range hosts {
-		for j, b := range hosts {
-			if i == j {
-				continue
-			}
-			if p, err := topo.ShortestPath(a, b); err != nil {
-				lat[i*u+j] = -1
-			} else {
-				lat[i*u+j] = p.Latency
-			}
-		}
-	}
-	return lat
 }

@@ -411,7 +411,6 @@ func TestPacksMatchesFitsSwitch(t *testing.T) {
 			u := 4 + rng.Intn(5)
 			topo := network.NewTopology("packs")
 			sws := make([]*network.Switch, u)
-			cands := make([]int32, u)
 			for h := range sws {
 				id := topo.AddSwitch(network.Switch{
 					Name: fmt.Sprintf("s%d", h), Programmable: true,
@@ -421,7 +420,7 @@ func TestPacksMatchesFitsSwitch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sws[h], cands[h] = sw, int32(h)
+				sws[h] = sw
 			}
 			sws[0].Programmable = false
 			sws[1].Stages = 1
@@ -434,8 +433,8 @@ func TestPacksMatchesFitsSwitch(t *testing.T) {
 				names = names[:1+rng.Intn(len(names))]
 				sort.Strings(names)
 			}
-			ci := compileNames(g, names, topo, rm)
 			assign := make([]int32, len(names))
+			at := make([]network.SwitchID, len(names))
 			for x := range assign {
 				// Crowd a few switches, leave some MATs unassigned and some
 				// switches empty.
@@ -443,8 +442,17 @@ func TestPacksMatchesFitsSwitch(t *testing.T) {
 				if assign[x] == int32(u-1) {
 					assign[x] = 2
 				}
+				at[x] = network.SwitchID(assign[x])
 			}
-			in := newRepairInstance(ci, sws, cands, assign, nil)
+			hosts := make([]network.SwitchID, u)
+			for h := range hosts {
+				hosts[h] = network.SwitchID(h)
+			}
+			in, err := newRepairInstance(g, indexOf(g, rm), topo, hosts, namedIDs(g, names), at, func(*network.Switch) bool { return true }, nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ci := in.ci
 
 			want := func(h, add, drop int32) bool {
 				var set []string

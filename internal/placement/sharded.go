@@ -151,11 +151,11 @@ func (s ShardedGreedy) SolveStats(g *tdg.Graph, topo *network.Topology, opts Opt
 
 // reconcile runs the one climb over a merged assignment, indexed by node
 // id, mutating it in place: the cold sharded solve's step 4 and a
-// partitioned repair's escalation. The instance is compacted onto the
-// switches assign uses (hostInstance), so its tables are U²-sized even
-// at 10k switches, and every used host is a candidate. The dirty set is every MAT on a TDG
-// edge whose endpoints sit in different regions or on a host pair at
-// A_max; each is tried next to its TDG peers. ε1 is left to the
+// partitioned repair's escalation. The instance's hosts are the
+// switches assign uses, so its tables are U²-sized even at 10k
+// switches, and every host is a candidate. The dirty set is every MAT
+// on a TDG edge whose endpoints sit in different regions or on a host
+// pair at A_max; each is tried next to its TDG peers. ε1 is left to the
 // finished plan's check: a merge past it can only get under through
 // the moves. The climb's pass cap bounds the work, so the plan does
 // not depend on host speed.
@@ -166,30 +166,23 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 	slices.Sort(hosts)
 	hosts = slices.Compact(hosts)
 	gi := indexOf(g, rm)
-	ci, hostIdx, sws, err := hostInstance(g, gi, topo, hosts, gi.ByName)
+	weights, err := trafficWeights(opts.Traffic, topo)
 	if err != nil {
 		return err
 	}
-	var wt *WeightTable
-	if opts.Traffic != nil {
-		// The host instance is links-free, so the compacted weights come
-		// from the global pair rates, routed on the real topology.
-		rates, err := opts.Traffic.PairRates(topo)
-		if err != nil {
-			return err
-		}
-		wt = NewWeightTable(rates, int32(topo.NumSwitches())).Compact(hosts)
-	}
-	dense := make([]int32, len(gi.ByName))
+	copts := opts
+	copts.Epsilon1 = 0
+	at := make([]network.SwitchID, len(gi.ByName))
 	for x, id := range gi.ByName {
-		dense[x] = hostIdx[assign[id]]
+		at[x] = assign[id]
 	}
-	cands := make([]int32, len(hosts))
-	for i := range cands {
-		cands[i] = int32(i)
+	every := func(*network.Switch) bool { return true }
+	in, err := newRepairInstance(g, gi, topo, hosts, gi.ByName, at, every, weights, copts)
+	if err != nil {
+		return err
 	}
-	in := newRepairInstance(ci, sws, cands, dense, wt)
 	defer in.release()
+	ci, dense := in.ci, in.assign
 	ci.FillPairTable(dense, in.pt)
 	amax := in.pt.Max()
 
@@ -211,14 +204,12 @@ func reconcile(g *tdg.Graph, topo *network.Topology, part *network.Partition,
 		}
 	}
 
-	copts := opts
-	copts.Epsilon1 = 0
 	st.Hosts = len(hosts)
 	st.AMaxBefore = amax
 	st.Rounds, st.Moves = in.climb(copts, xs, peerTargets)
 	st.AMaxAfter = in.pt.Max()
 	for x, id := range gi.ByName {
-		assign[id] = hosts[dense[x]]
+		assign[id] = in.switchOf(int32(x))
 	}
 	return nil
 }

@@ -10,7 +10,7 @@
 // structural A_max never inflates beyond Options.AMaxSlack of the
 // solve's own structural optimum. Weights are a dense S×S fixed-point
 // table compiled once from a network.TrafficMatrix (host-compacted
-// for the repair instances and the sharded reconcile). A candidate's
+// for every repair instance). A candidate's
 // weighted score reads the same delta overlay its structural score
 // read (overlayMove/overlayPlace in compile.go, then weightedOver),
 // built from the MAT's one gathered fold; everything stays
@@ -101,20 +101,23 @@ func NewWeightTable(rates []float64, s int32) *WeightTable {
 	return wt
 }
 
-// CompileWeights routes the matrix's demands over the instance's
-// topology and quantizes the resulting pair rates. The matrix must
-// cover the instance's switch ID space.
-func (ci *CompiledInstance) CompileWeights(tm *network.TrafficMatrix) (*WeightTable, error) {
-	rates, err := tm.PairRates(ci.Topo)
+// trafficWeights routes the matrix's demands over topo and quantizes
+// the resulting pair rates into the table of all of topo's switches;
+// nil without a matrix. The matrix must cover topo's switch ID space.
+func trafficWeights(tm *network.TrafficMatrix, topo *network.Topology) (*WeightTable, error) {
+	if tm == nil {
+		return nil, nil
+	}
+	rates, err := tm.PairRates(topo)
 	if err != nil {
 		return nil, err
 	}
-	return NewWeightTable(rates, ci.S), nil
+	return NewWeightTable(rates, int32(topo.NumSwitches())), nil
 }
 
 // Compact projects the table onto a host subset in host index order —
-// the host-compacted space of hostInstance (hosts[i] is the global
-// switch behind host index i).
+// a repair instance's switch space (hosts[i] is the switch behind host
+// index i).
 func (wt *WeightTable) Compact(hosts []network.SwitchID) *WeightTable {
 	h := int32(len(hosts))
 	out := &WeightTable{S: h, W: make([]int64, int(h)*int(h))}

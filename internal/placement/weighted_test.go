@@ -27,7 +27,7 @@ func randomTraffic(t *testing.T, rng *rand.Rand, tp *network.Topology) *network.
 func checkWeightedKernels(t *testing.T, rng *rand.Rand, ci *CompiledInstance, assign map[string]network.SwitchID, tm *network.TrafficMatrix) {
 	t.Helper()
 	g := ci.Graph
-	wt, err := ci.CompileWeights(tm)
+	wt, err := trafficWeights(tm, ci.Topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestWeightedSolveRespectsAMaxSlack(t *testing.T) {
 		// The weighted plan must not be worse than the structural plan
 		// under the weighted objective (both are feasible points).
 		ci := Compile(g, tp, program.DefaultResourceModel)
-		wt, err := ci.CompileWeights(tm)
+		wt, err := trafficWeights(tm, ci.Topo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func TestExactWeightedNotWorseThanGreedy(t *testing.T) {
 		}
 		checked++
 		ci := Compile(g, tp, program.DefaultResourceModel)
-		wt, err := ci.CompileWeights(tm)
+		wt, err := trafficWeights(tm, ci.Topo)
 		if err != nil {
 			t.Fatal(err)
 		}
