@@ -127,7 +127,7 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("workload: %s (%d programs), topology: %s (%d switches, %d programmable)\n",
-		*workloadFlag, len(progs), topo.Name, topo.NumSwitches(), len(topo.ProgrammableSwitches()))
+		*workloadFlag, len(progs), topo.Name, topo.NumSwitches(), topo.NumProgrammable())
 
 	if *supervise {
 		// Shards flows into the supervisor's replan options, so it

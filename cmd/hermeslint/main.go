@@ -82,6 +82,13 @@
 //	       (an entry belongs to the internal directory its
 //	       package clause names, not to every package that
 //	       shares the clause)                                error
+//	HV014  an unexported field of a named struct type,
+//	       declared in a non-test file outside benchmark/,
+//	       that no non-test file of its package reads: every
+//	       selector of it is an assignment or increment
+//	       target (composite-literal keys are not selectors).
+//	       A field only written is state nothing consults:
+//	       delete it                                         error
 //
 // It is deliberately x/tools-free: the analysis is a plain go/parser +
 // go/ast walk so it builds in hermetic environments with no module
@@ -179,7 +186,7 @@ func main() {
 type source struct{ path, src string }
 
 // lintSources parses every file, runs the per-file rules over each and
-// the cross-file rules HV011, HV012 and HV013 over the whole set.
+// the cross-file rules HV011–HV014 over the whole set.
 func lintSources(srcs []source) ([]vetFinding, error) {
 	fset := token.NewFileSet()
 	files := make([]*ast.File, len(srcs))
@@ -195,6 +202,7 @@ func lintSources(srcs []source) ([]vetFinding, error) {
 	}
 	out = append(out, lintUnsetOptions(fset, files, paths)...)
 	out = append(out, lintUnimported(fset, files, paths)...)
+	out = append(out, lintWriteOnlyFields(fset, files, paths)...)
 	return append(out, lintDeadSurface(fset, files, paths)...), nil
 }
 

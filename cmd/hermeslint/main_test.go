@@ -1000,6 +1000,7 @@ type RouteOptions struct {
 
 func (o Options) defaults() Options {
 	o.Deadline = 1 // the declaring file does not count as a setter
+	o.Workers += o.scratch // read, so HV014 keeps the unexported field
 	return o
 }
 
@@ -1556,5 +1557,96 @@ func TestRepoIsClean(t *testing.T) {
 		if f.sev == "error" {
 			t.Errorf("repo must lint clean: %v", f)
 		}
+	}
+}
+
+// writeOnly runs every rule over files and returns the HV014 findings'
+// messages up to their first colon.
+func writeOnly(t *testing.T, files map[string]string) []string {
+	t.Helper()
+	var got []string
+	for _, f := range lintSet(t, files) {
+		if f.rule == "HV014" {
+			msg, _, _ := strings.Cut(f.msg, ":")
+			got = append(got, msg)
+		}
+	}
+	return got
+}
+
+func TestWriteOnlyFieldFlagged(t *testing.T) {
+	got := writeOnly(t, map[string]string{
+		"internal/supervisor/monitor.go": `package supervisor
+
+type Monitor struct {
+	polls  int
+	window int
+	seen   map[int]bool
+}
+
+func NewMonitor(w int) *Monitor { return &Monitor{window: w, seen: map[int]bool{}} }
+
+func (m *Monitor) Poll() int {
+	m.polls++
+	m.seen[1] = true
+	return m.window
+}
+`,
+		// Set from another file of the package, keyed and by assignment.
+		"internal/supervisor/reset.go": "package supervisor\n\nfunc reset(m *Monitor) { m.polls = 0; *m = Monitor{polls: 1} }\n",
+		// A read in a test file counts for nothing.
+		"internal/supervisor/monitor_test.go": "package supervisor\n\nvar _ = NewMonitor(1).polls\n",
+		// Nor does a read of a same-named field in another package.
+		"internal/deploy/deploy.go": "package deploy\n\ntype stats struct{ polls int }\n\nfunc read(s stats) int { return s.polls }\n",
+	})
+	if want := []string{"field internal/supervisor.Monitor.polls is written but never read by a non-test file of its package"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("HV014 findings = %q, want %q", got, want)
+	}
+}
+
+func TestReadFieldNotFlagged(t *testing.T) {
+	for _, tc := range []struct{ name, use string }{
+		{"right-hand side", "func f(c *cache) int { c.hits = 2; return c.hits }"},
+		{"argument", "func f(c *cache) { c.hits = 2; println(c.hits) }"},
+		{"address", "func f(c *cache) *int { return &c.hits }"},
+		{"compound target reads through an index", "func f(c *cache, m []int) { m[c.hits] = 1 }"},
+		{"another file of the package", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			files := map[string]string{
+				"internal/network/cache.go": "package network\n\ntype cache struct{ hits int }\n\nfunc newCache() *cache { return &cache{hits: 1} }\n",
+			}
+			if tc.use != "" {
+				files["internal/network/use.go"] = "package network\n\n" + tc.use + "\n"
+			} else {
+				files["internal/network/oracle.go"] = "package network\n\nfunc hitsOf(c *cache) int { return c.hits }\n"
+			}
+			if got := writeOnly(t, files); len(got) != 0 {
+				t.Fatalf("a read field was flagged: %q", got)
+			}
+		})
+	}
+}
+
+// A field read only as the receiver of a method value is read.
+func TestFieldReadThroughMethodValue(t *testing.T) {
+	got := writeOnly(t, map[string]string{
+		"internal/deploy/sink.go": `package deploy
+
+import "io"
+
+type sink struct{ w io.Writer }
+
+func newSink(w io.Writer) *sink {
+	s := &sink{}
+	s.w = w
+	return s
+}
+
+func (s *sink) writer() func([]byte) (int, error) { return s.w.Write }
+`,
+	})
+	if len(got) != 0 {
+		t.Fatalf("a field read through a method value was flagged: %q", got)
 	}
 }

@@ -51,7 +51,7 @@ func run(args []string) error {
 			}
 			fmt.Printf("%-4d %-8d %-8d %-14d %-10d%s\n",
 				i, tp.NumSwitches(), tp.NumLinks(),
-				len(tp.ProgrammableSwitches()), diameter(tp), note)
+				tp.NumProgrammable(), diameter(tp), note)
 			_ = wantN
 		}
 		return nil
@@ -77,7 +77,7 @@ func run(args []string) error {
 		return nil
 	}
 	fmt.Printf("topology %s: %d switches (%d programmable), %d links, diameter %d hops\n",
-		tp.Name, tp.NumSwitches(), len(tp.ProgrammableSwitches()), tp.NumLinks(), diameter(tp))
+		tp.Name, tp.NumSwitches(), tp.NumProgrammable(), tp.NumLinks(), diameter(tp))
 	return nil
 }
 

@@ -21,6 +21,8 @@ import (
 // reference: every MAT resolved through SwitchOf, its footprint derived
 // afresh from the MAT, pairs numbered through a map, each pair's fields
 // appended and merged by fields.Canonical, stages sorted by sort.Slice.
+// Its stage entries carry the Node stamp Compile added, resolved by
+// name.
 func compileRef(plan *placement.Plan) (*Deployment, error) {
 	if plan == nil || plan.Graph == nil || plan.Topo == nil {
 		return nil, fmt.Errorf("deploy: nil or incomplete plan")
@@ -53,7 +55,11 @@ func compileRef(plan *placement.Plan) (*Deployment, error) {
 			if stage >= len(cfg.Stages) {
 				return nil, fmt.Errorf("deploy: MAT %q stage %d out of range", name, stage)
 			}
-			cfg.Stages[stage] = append(cfg.Stages[stage], StageEntry{MAT: name, Amount: amt})
+			id, ok := plan.Graph.ID(name)
+			if !ok {
+				id = -1
+			}
+			cfg.Stages[stage] = append(cfg.Stages[stage], StageEntry{MAT: name, Amount: amt, Node: id})
 		}
 	}
 	for _, cfg := range d.Configs {

@@ -26,6 +26,11 @@ type StageEntry struct {
 	MAT string
 	// Amount is the resource slice the fragment consumes in this stage.
 	Amount float64
+	// Node is MAT's node id in the plan's graph, -1 for a MAT outside
+	// it. Compile stamps it; Verify reads it only where the graph's node
+	// of that id carries the name MAT, so a hand-built entry may leave
+	// it zero.
+	Node int32
 }
 
 // CoordHeader is the layout of piggybacked metadata toward one
@@ -99,11 +104,11 @@ func (d *Deployment) MaxHeaderBytes() int {
 // only until benchmark/ moves onto the facade (ROADMAP 2(ii)).
 //
 // Compile reads the plan's host table and the graph's footprints by
-// node id and resolves no MAT name: each used switch gets a dense
-// index, the stage entries and header fields are carved from arenas,
-// and each pair's header is the merge of its edges' name-sorted
-// deliveries (compile_ref_test.go keeps the name-keyed compile it is
-// held to).
+// node id: each used switch gets a dense index, the stage entries and
+// header fields are carved from arenas, and each pair's header is the
+// merge of its edges' name-sorted deliveries. The one name it resolves
+// is each assignment's, once, to stamp its stage entries' Node
+// (compile_ref_test.go keeps the name-keyed compile it is held to).
 func Compile(plan *placement.Plan, opts analyzer.Options) (*Deployment, error) {
 	if plan == nil || plan.Graph == nil || plan.Topo == nil {
 		return nil, fmt.Errorf("deploy: nil or incomplete plan")
@@ -203,9 +208,13 @@ func compileStages(plan *placement.Plan) ([]*SwitchConfig, []int32, error) {
 	}
 	for name, sp := range plan.Assignments {
 		st := out[slot[sp.Switch]-1].Stages
+		id, ok := plan.Graph.ID(name)
+		if !ok {
+			id = -1
+		}
 		for i, amt := range sp.PerStage {
 			if amt > 0 {
-				st[sp.Start+i] = append(st[sp.Start+i], StageEntry{MAT: name, Amount: amt})
+				st[sp.Start+i] = append(st[sp.Start+i], StageEntry{MAT: name, Amount: amt, Node: id})
 			}
 		}
 	}
@@ -390,14 +399,25 @@ func Redeploy(d *Deployment, solver placement.Solver, opts placement.ReplanOptio
 // every assigned MAT appears in exactly the stages the plan dictates,
 // and header sizes per pair never exceed the plan's A(a,b) pair sums
 // (they can be smaller because overlapping edges share fields).
+//
+// The stage sums are kept by node id: one pass over the configs reads
+// each stage entry's Node stamp, checks that the graph's node of that
+// id carries the entry's MAT name (a string compare, no lookup), and
+// counts it when the plan's host table puts that MAT on the entry's
+// switch; an entry whose stamp does not match resolves by name. Each
+// graph node's placement is then checked in node-id order (one lookup
+// of its assignment by name), and the assignments of MATs outside the
+// graph after them, by name.
 func (d *Deployment) Verify() error {
-	// Every MAT fragment accounted for: one pass over the configs sums
-	// each (switch, MAT) stage amount, in stage order.
-	type hosted struct {
-		sw  network.SwitchID
-		mat string
+	plan := d.Plan
+	g := plan.Graph
+	hosts := plan.Hosts()
+	scheduled := make([]float64, len(hosts))
+	type entryAt struct {
+		sw network.SwitchID
+		e  StageEntry
 	}
-	scheduled := make(map[hosted]float64, len(d.Plan.Assignments))
+	var unstamped []entryAt
 	for sw, cfg := range d.Configs {
 		if cfg == nil {
 			continue
@@ -405,19 +425,57 @@ func (d *Deployment) Verify() error {
 		for _, st := range cfg.Stages {
 			//hermes:hot
 			for _, e := range st {
-				scheduled[hosted{sw, e.MAT}] += e.Amount
+				if e.Node < 0 || int(e.Node) >= len(hosts) || g.NodeOf(e.Node).Name() != e.MAT {
+					unstamped = append(unstamped, entryAt{sw, e})
+				} else if hosts[e.Node] == sw {
+					scheduled[e.Node] += e.Amount
+				}
 			}
 		}
 	}
-	for name, sp := range d.Plan.Assignments {
-		if d.Configs[sp.Switch] == nil {
-			return fmt.Errorf("deploy: %s has no config but hosts MAT %q",
-				placement.SwitchLabel(d.Plan.Topo, sp.Switch), name)
+	// Entries whose stamp does not name their MAT (built by hand, or a
+	// MAT outside the graph) resolve by name.
+	for _, u := range unstamped {
+		if id, ok := g.ID(u.e.MAT); ok && hosts[id] == u.sw {
+			scheduled[id] += u.e.Amount
 		}
-		total := scheduled[hosted{sp.Switch, name}]
-		if diff := total - sp.Total(); diff > 1e-9 || diff < -1e-9 {
-			return fmt.Errorf("deploy: MAT %q on %s stages %d..%d schedules %g of %g resources",
-				name, placement.SwitchLabel(d.Plan.Topo, sp.Switch), sp.Start, sp.End, total, sp.Total())
+	}
+	placed := 0
+	for id, sw := range hosts {
+		if sw < 0 {
+			continue
+		}
+		placed++
+		name := g.NodeOf(int32(id)).Name()
+		if err := d.verifyPlacement(name, plan.Assignments[name], scheduled[id]); err != nil {
+			return err
+		}
+	}
+	if placed != len(plan.Assignments) {
+		// MATs outside the graph, or on a negative switch ID: summed by
+		// name on their own switch.
+		var rest []string
+		for name, sp := range plan.Assignments {
+			if id, ok := g.ID(name); !ok || sp.Switch < 0 || hosts[id] != sp.Switch {
+				rest = append(rest, name)
+			}
+		}
+		sort.Strings(rest)
+		for _, name := range rest {
+			sp := plan.Assignments[name]
+			total := 0.0
+			if cfg := d.Configs[sp.Switch]; cfg != nil {
+				for _, st := range cfg.Stages {
+					for _, e := range st {
+						if e.MAT == name {
+							total += e.Amount
+						}
+					}
+				}
+			}
+			if err := d.verifyPlacement(name, sp, total); err != nil {
+				return err
+			}
 		}
 	}
 	// Headers bounded by the analyzer's per-pair byte counts.
@@ -447,6 +505,20 @@ func (d *Deployment) Verify() error {
 			return fmt.Errorf("deploy: pair %s -> %s delivers %d bytes but has no header",
 				placement.SwitchLabel(d.Plan.Topo, key.From), placement.SwitchLabel(d.Plan.Topo, key.To), bytes)
 		}
+	}
+	return nil
+}
+
+// verifyPlacement checks that the configs schedule all of a MAT's
+// placement sp on its switch: total is what they schedule there.
+func (d *Deployment) verifyPlacement(name string, sp placement.StagePlacement, total float64) error {
+	if d.Configs[sp.Switch] == nil {
+		return fmt.Errorf("deploy: %s has no config but hosts MAT %q",
+			placement.SwitchLabel(d.Plan.Topo, sp.Switch), name)
+	}
+	if diff := total - sp.Total(); diff > 1e-9 || diff < -1e-9 {
+		return fmt.Errorf("deploy: MAT %q on %s stages %d..%d schedules %g of %g resources",
+			name, placement.SwitchLabel(d.Plan.Topo, sp.Switch), sp.Start, sp.End, total, sp.Total())
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package rollout
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/hermes-net/hermes/internal/deploy"
@@ -58,7 +59,9 @@ func buildGroups(old, next *deploy.Deployment, to uint64) ([]*commitGroup, map[s
 	}
 	inNew := map[string]bool{}
 	scan := func(dep *deploy.Deployment, fresh bool) {
-		for _, n := range dep.Plan.Graph.Nodes() {
+		g := dep.Plan.Graph
+		for id := range g.NumNodes() {
+			n := g.NodeOf(int32(id))
 			for i, p := range n.Origin {
 				add(p)
 				if fresh {
@@ -103,39 +106,36 @@ func buildGroups(old, next *deploy.Deployment, to uint64) ([]*commitGroup, map[s
 
 // hostsOf returns the distinct switches hosting any of progs' MATs in
 // plan, ascending — the set that must hold the group's serving epoch
-// for the flip to be consistent.
+// for the flip to be consistent. It reads the plan's host table.
 func hostsOf(plan *placement.Plan, progs []string) []network.SwitchID {
 	want := make(map[string]bool, len(progs))
 	for _, p := range progs {
 		want[p] = true
 	}
-	seen := map[network.SwitchID]bool{}
-	for _, n := range plan.Graph.Nodes() {
-		for _, p := range n.Origin {
+	g, hosts := plan.Graph, plan.Hosts()
+	var out []network.SwitchID
+	for id, sw := range hosts {
+		if sw < 0 {
+			continue
+		}
+		for _, p := range g.NodeOf(int32(id)).Origin {
 			if want[p] {
-				if sp, ok := plan.Assignments[n.Name()]; ok {
-					seen[sp.Switch] = true
-				}
+				out = append(out, sw)
 				break
 			}
 		}
 	}
-	out := make([]network.SwitchID, 0, len(seen))
-	for sw := range seen {
-		out = append(out, sw)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // servedBy reports whether plan's graph contains any MAT originating
 // from prog — i.e. whether that plan can serve the program at all.
 func servedBy(plan *placement.Plan, prog string) bool {
-	for _, n := range plan.Graph.Nodes() {
-		for _, p := range n.Origin {
-			if p == prog {
-				return true
-			}
+	g := plan.Graph
+	for id := range g.NumNodes() {
+		if slices.Contains(g.NodeOf(int32(id)).Origin, prog) {
+			return true
 		}
 	}
 	return false

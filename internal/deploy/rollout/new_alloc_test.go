@@ -75,9 +75,11 @@ func compositeHeal(tb testing.TB) (old, next *deploy.Deployment) {
 // composite heal (fabric supplied): the fingerprint hashes into one
 // reused buffer in the graph index's name order and the
 // unchanged-switch count is one map; what is left is mostly the 200
-// commit groups. The ceiling is the measured 205 plus 3 % (206 while
-// the fingerprint sorted the names); string-formatting fingerprints and
-// per-switch map-of-maps cost 15,577.
+// commit groups. The ceiling is the measured 182 plus 3 % (196 while
+// UsedSwitches grew its result by appending, 205 while the
+// group bookkeeping copied the graph's node list per call, 206 while
+// the fingerprint sorted the names); string-formatting fingerprints
+// and per-switch map-of-maps cost 15,577.
 func TestNewAllocationCeiling(t *testing.T) {
 	old, next := compositeHeal(t)
 	fab := NewMemFabric(next.Plan.Topo)
@@ -87,7 +89,7 @@ func TestNewAllocationCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("New: %.0f allocs", allocs)
-	const ceiling = 212
+	const ceiling = 188
 	if allocs > ceiling {
 		t.Fatalf("New allocates %.0f times on the composite heal, ceiling %d", allocs, ceiling)
 	}

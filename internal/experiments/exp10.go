@@ -111,7 +111,7 @@ func exp10Point(cfg Config, c exp10Case) (ShardPoint, error) {
 	pt := ShardPoint{
 		Topology:     c.topoSpec,
 		Switches:     topo.NumSwitches(),
-		Programmable: len(topo.ProgrammableSwitches()),
+		Programmable: topo.NumProgrammable(),
 		Programs:     c.programs,
 		MATs:         merged.NumNodes(),
 		Shards:       c.shards,

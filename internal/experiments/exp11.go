@@ -151,7 +151,7 @@ func exp11Point(cfg Config, c exp11Case) (RegionReplanPoint, error) {
 	pt := RegionReplanPoint{
 		Topology:      c.topoSpec,
 		Switches:      topo.NumSwitches(),
-		Programmable:  len(topo.ProgrammableSwitches()),
+		Programmable:  topo.NumProgrammable(),
 		Programs:      c.programs,
 		MATs:          merged.NumNodes(),
 		Shards:        c.shards,

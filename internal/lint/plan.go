@@ -26,8 +26,10 @@ const resourceTol = 1e-6
 // Plan.Validate. Findings with Oracle set correspond to constraints
 // Plan.Validate also enforces; CheckPlanOracle diffs the two verdicts.
 //
-// Every check is one linear pass: each node's placement is resolved
-// once into a slice indexed by insertion id, the edge rules (HL105,
+// Every check is one linear pass on node ids and dense switch ids:
+// each node's placement is resolved once into a slice indexed by
+// insertion id, the same walk folds its stage amounts into per-switch
+// load slabs and numbers the occupied switches, the edge rules (HL105,
 // HL106, HL111) and the pair table HL109/HL110 read share one walk of
 // the graph's edge list, and a route is checked once per switch pair.
 // The findings' order comes from Findings.Sort alone.
@@ -40,23 +42,293 @@ func LintPlan(p *placement.Plan, rm program.ResourceModel, eps1 time.Duration, e
 	// table from before the tampering.
 	p.InvalidateCache()
 
-	fs, at := lintDeploymentVars(p, rm)
-	fs = append(fs, lintStageCapacity(p, at)...)
-	edges, pairs := lintEdgeConstraints(p, at)
+	occ := newOccupancy(p.Topo)
+	fs, at := lintDeploymentVars(p, rm, occ)
+	fs = append(fs, lintStageCapacity(p, occ)...)
+	edges, pairs := lintEdgeConstraints(p, at, occ)
 	fs = append(fs, edges...)
-	switches := occupiedSwitches(p)
-	fs = append(fs, lintSwitchDAG(p, switches, pairs)...)
-	fs = append(fs, lintObjectives(p, len(switches), pairs, eps1, eps2)...)
+	fs = append(fs, lintSwitchDAG(p, occ, pairs)...)
+	fs = append(fs, lintObjectives(p, len(occ.ids), pairs, eps1, eps2)...)
 	fs.Sort()
 	return fs
 }
 
-// nodePlacement is one graph node's assignment, resolved once so the
+// nodePlacement is where one graph node landed, resolved once so the
 // edge walk indexes a slice by Edge.Endpoints instead of hashing both
 // MAT names per edge.
 type nodePlacement struct {
-	sp placement.StagePlacement
-	ok bool
+	sw         network.SwitchID
+	start, end int
+	ok         bool
+}
+
+// occupancy numbers the switches the plan occupies — every switch an
+// assignment names, MATs outside the graph and IDs outside the topology
+// included — and holds the per-stage loads of the programmable ones.
+// While assignments are folded in, a switch in the topology gets a
+// compact index in first-seen order (slot[sw] = index + 1); finish then
+// lays every occupied switch out in ascending ID order, the dense ids
+// the pair table and the contraction use.
+type occupancy struct {
+	topo *network.Topology
+	slot []int32
+	// base[c] is where compact switch c's stage loads start in load
+	// (-1 for a switch that hosts no stage: non-programmable); its
+	// length is the number of the topology's occupied switches.
+	base []int32
+	load []float64
+	// spill holds the amounts a window places outside its switch's
+	// pipeline, in the order they were added.
+	spill []spilled
+	// outside lists occupied IDs the topology does not have.
+	outside []network.SwitchID
+
+	// ids is every occupied switch, ascending; rank[c] is compact
+	// switch c's position in it.
+	ids  []network.SwitchID
+	rank []int32
+}
+
+// spilled is one stage amount outside its switch's pipeline.
+type spilled struct {
+	sw    network.SwitchID
+	stage int
+	amt   float64
+}
+
+func newOccupancy(t *network.Topology) *occupancy {
+	return &occupancy{topo: t, slot: make([]int32, t.NumSwitches())}
+}
+
+// add records that sp occupies its switch and, on a programmable
+// switch, folds its stage amounts into the loads. Float addition is not
+// associative and HL104 reports the sum, so callers add in a fixed
+// order: graph nodes by insertion id, then MATs outside the graph by
+// name.
+func (o *occupancy) add(sp placement.StagePlacement) {
+	if sp.Switch < 0 || int(sp.Switch) >= len(o.slot) {
+		o.outside = append(o.outside, sp.Switch)
+		return
+	}
+	c := o.slot[sp.Switch] - 1
+	sw, _ := o.topo.Switch(sp.Switch)
+	if c < 0 {
+		c = int32(len(o.base))
+		o.slot[sp.Switch] = c + 1
+		if sw.Programmable {
+			n := len(o.load)
+			o.base = append(o.base, int32(n))
+			o.load = slices.Grow(o.load, sw.Stages)[:n+sw.Stages]
+			clear(o.load[n:])
+		} else {
+			o.base = append(o.base, -1)
+		}
+	}
+	if o.base[c] < 0 {
+		return // HL102 already covers it
+	}
+	stages := o.load[o.base[c] : o.base[c]+int32(sw.Stages)]
+	for i, amt := range sp.PerStage {
+		if st := sp.Start + i; st >= 0 && st < len(stages) {
+			stages[st] += amt
+		} else {
+			o.spill = append(o.spill, spilled{sp.Switch, st, amt})
+		}
+	}
+}
+
+// finish numbers the occupied switches in ascending ID order.
+func (o *occupancy) finish() {
+	slices.Sort(o.outside)
+	o.outside = slices.Compact(o.outside)
+	below, _ := slices.BinarySearch(o.outside, 0)
+	o.ids = make([]network.SwitchID, 0, len(o.base)+len(o.outside))
+	o.ids = append(o.ids, o.outside[:below]...)
+	o.rank = make([]int32, len(o.base))
+	for sw, c := range o.slot {
+		if c > 0 {
+			o.rank[c-1] = int32(len(o.ids))
+			o.ids = append(o.ids, network.SwitchID(sw))
+		}
+	}
+	o.ids = append(o.ids, o.outside[below:]...)
+}
+
+// denseOf returns occupied switch sw's dense id.
+func (o *occupancy) denseOf(sw network.SwitchID) int32 {
+	if sw >= 0 && int(sw) < len(o.slot) {
+		return o.rank[o.slot[sw]-1]
+	}
+	i, _ := slices.BinarySearch(o.ids, sw)
+	return int32(i)
+}
+
+// lintDeploymentVars checks Eq. 6 node deployment and the Eq. 8 stage
+// window shape per MAT: every MAT lands on a programmable switch, in a
+// contiguous ρ_begin..ρ_end run inside the pipeline, with exactly its
+// requirement placed (HL101–HL103). It folds every assignment into occ
+// — graph nodes by insertion id, then MATs outside the graph by name,
+// which consume real stages too — and returns every node's placement by
+// insertion id, valid or not, for the edge walk.
+func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel, occ *occupancy) (Findings, []nodePlacement) {
+	var fs Findings
+	n := p.Graph.NumNodes()
+	at := make([]nodePlacement, n)
+	placed := 0
+	for id := range n {
+		node := p.Graph.NodeOf(int32(id))
+		name := node.Name()
+		sp, ok := p.Assignments[name]
+		if !ok {
+			fs = append(fs, Finding{Rule: "HL101", Severity: Error, Eq: 6, Oracle: true,
+				Object:  name,
+				Message: fmt.Sprintf("MAT %q has no placement (Eq. 6: every MAT must be deployed)", name),
+				Hint:    "the solver dropped the MAT; rerun with more capacity or fewer constraints"})
+			continue
+		}
+		placed++
+		at[id] = nodePlacement{sw: sp.Switch, start: sp.Start, end: sp.End, ok: true}
+		occ.add(sp)
+		if f, bad := lintPlacement(p, rm, node.MAT, name, sp); bad {
+			fs = append(fs, f)
+		}
+	}
+	if placed < len(p.Assignments) {
+		var outside []string
+		for name := range p.Assignments {
+			if _, ok := p.Graph.ID(name); !ok {
+				outside = append(outside, name)
+			}
+		}
+		sort.Strings(outside)
+		for _, name := range outside {
+			occ.add(p.Assignments[name])
+		}
+	}
+	occ.finish()
+	return fs, at
+}
+
+// lintPlacement checks one graph node's placement and returns the first
+// rule it breaks.
+func lintPlacement(p *placement.Plan, rm program.ResourceModel, mat *program.MAT, name string, sp placement.StagePlacement) (Finding, bool) {
+	sw, err := p.Topo.Switch(sp.Switch)
+	if err != nil {
+		return Finding{Rule: "HL102", Severity: Error, Eq: 6, Oracle: true,
+			Object:  name,
+			Message: fmt.Sprintf("MAT %q assigned to unknown %s", name, placement.SwitchLabel(p.Topo, sp.Switch))}, true
+	}
+	if !sw.Programmable {
+		return Finding{Rule: "HL102", Severity: Error, Eq: 6, Oracle: true,
+			Object:  name,
+			Message: fmt.Sprintf("MAT %q assigned to non-programmable %s", name, placement.SwitchLabel(p.Topo, sp.Switch)),
+			Hint:    "only switches with P(u)=1 may host MATs"}, true
+	}
+	if p.Topo.SwitchIsDown(sp.Switch) {
+		return Finding{Rule: "HL112", Severity: Error, Eq: 6, Oracle: true,
+			Object:  name,
+			Message: fmt.Sprintf("MAT %q assigned to %s, which is marked down in the topology's fault state", name, placement.SwitchLabel(p.Topo, sp.Switch)),
+			Hint:    "replan around the failure (the supervisor does this automatically) or heal the switch"}, true
+	}
+	if sp.Start < 0 || sp.End >= sw.Stages || sp.Start > sp.End {
+		return Finding{Rule: "HL103", Severity: Error, Eq: 8, Oracle: true,
+			Object: name,
+			Message: fmt.Sprintf("MAT %q on %s occupies stage window [%d,%d] outside the pipeline 0..%d (ρ_begin/ρ_end)",
+				name, placement.SwitchLabel(p.Topo, sp.Switch), sp.Start, sp.End, sw.Stages-1)}, true
+	}
+	if len(sp.PerStage) != sp.End-sp.Start+1 {
+		return Finding{Rule: "HL103", Severity: Error, Eq: 8, Oracle: true,
+			Object: name,
+			Message: fmt.Sprintf("MAT %q on %s: per-stage slice has %d entries for stage window [%d,%d] (contiguity broken)",
+				name, placement.SwitchLabel(p.Topo, sp.Switch), len(sp.PerStage), sp.Start, sp.End)}, true
+	}
+	total, negative := 0.0, false
+	for _, amt := range sp.PerStage {
+		if amt < -1e-12 {
+			negative = true
+		}
+		total += amt
+	}
+	if negative {
+		return Finding{Rule: "HL103", Severity: Error, Eq: 6, Oracle: true,
+			Object:  name,
+			Message: fmt.Sprintf("MAT %q on %s has a negative per-stage amount", name, placement.SwitchLabel(p.Topo, sp.Switch))}, true
+	}
+	if req := rm.Requirement(mat); math.Abs(total-req) > resourceTol {
+		return Finding{Rule: "HL103", Severity: Error, Eq: 6, Oracle: true,
+			Object: name,
+			Message: fmt.Sprintf("MAT %q on %s places %g of its required %g resources (Eq. 6: the full requirement must land)",
+				name, placement.SwitchLabel(p.Topo, sp.Switch), total, req)}, true
+	}
+	return Finding{}, false
+}
+
+// lintStageCapacity checks Eq. 9 (HL104) on the loads occ folded,
+// switches by ascending ID and each switch's stages in order — the
+// stages outside its pipeline that some window reached included.
+func lintStageCapacity(p *placement.Plan, occ *occupancy) Findings {
+	// A spilled stage's load is its amounts summed in the order they
+	// were added; the stable sort keeps that order within a stage.
+	slices.SortStableFunc(occ.spill, func(a, b spilled) int {
+		if c := cmp.Compare(a.sw, b.sw); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.stage, b.stage)
+	})
+	var fs Findings
+	check := func(sw *network.Switch, stage int, load float64) {
+		if load > sw.StageCapacity+resourceTol {
+			fs = append(fs, Finding{Rule: "HL104", Severity: Error, Eq: 9, Oracle: true,
+				Object: fmt.Sprintf("switch:%s", sw.Name),
+				Message: fmt.Sprintf("%s stage %d carries %g of capacity %g (Eq. 9)",
+					placement.SwitchLabel(p.Topo, sw.ID), stage, load, sw.StageCapacity),
+				Hint: "spread the MATs across more stages or switches"})
+		}
+	}
+	// checkSpill checks sw's spilled stages in [lo, hi) from the front
+	// of spill and returns the rest.
+	checkSpill := func(sw *network.Switch, spill []spilled, lo, hi int) []spilled {
+		for len(spill) > 0 && spill[0].sw == sw.ID && spill[0].stage >= lo && spill[0].stage < hi {
+			stage, load := spill[0].stage, 0.0
+			for len(spill) > 0 && spill[0].sw == sw.ID && spill[0].stage == stage {
+				load += spill[0].amt
+				spill = spill[1:]
+			}
+			check(sw, stage, load)
+		}
+		return spill
+	}
+	spill := occ.spill
+	for _, id := range occ.ids {
+		if id < 0 || int(id) >= len(occ.slot) {
+			continue
+		}
+		c := occ.slot[id] - 1
+		if occ.base[c] < 0 {
+			continue
+		}
+		sw, _ := p.Topo.Switch(id)
+		spill = checkSpill(sw, spill, math.MinInt, 0)
+		for i, load := range occ.load[occ.base[c] : occ.base[c]+int32(sw.Stages)] {
+			check(sw, i, load)
+		}
+		spill = checkSpill(sw, spill, sw.Stages, math.MaxInt)
+	}
+	return fs
+}
+
+// pairSum is one ordered switch pair some cross-switch edge connects:
+// its Σ A(a,b), and the verdict on its route, which depends on the pair
+// alone and so is reached once per pair, not once per edge.
+type pairSum struct {
+	// from and to are the pair's dense switch ids.
+	from, to int32
+	bytes    int
+	route    routeVerdict
+	// latency is the recorded route latency (zero when routeMissing).
+	latency time.Duration
+	// phys holds the HL111 findings of a connecting route.
+	phys Findings
 }
 
 // routeVerdict is what HL106 concludes about one switch pair's route.
@@ -68,163 +340,6 @@ const (
 	routeDisconnected
 )
 
-// pairSum is one ordered switch pair some cross-switch edge connects:
-// its Σ A(a,b), and the verdict on its route, which depends on the pair
-// alone and so is reached once per pair, not once per edge.
-type pairSum struct {
-	key   placement.RouteKey
-	bytes int
-	route routeVerdict
-	// latency is the recorded route latency (zero when routeMissing).
-	latency time.Duration
-	// phys holds the HL111 findings of a connecting route.
-	phys Findings
-}
-
-// lintDeploymentVars checks Eq. 6 node deployment and the Eq. 8 stage
-// window shape per MAT: every MAT lands on a programmable switch, in a
-// contiguous ρ_begin..ρ_end run inside the pipeline, with exactly its
-// requirement placed (HL101–HL103). It also returns every node's
-// assignment by insertion id, valid or not, for the edge walk.
-func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel) (Findings, []nodePlacement) {
-	var fs Findings
-	nodes := p.Graph.Nodes()
-	at := make([]nodePlacement, len(nodes))
-	for i, n := range nodes {
-		name := n.Name()
-		sp, ok := p.Assignments[name]
-		if !ok {
-			fs = append(fs, Finding{Rule: "HL101", Severity: Error, Eq: 6, Oracle: true,
-				Object:  name,
-				Message: fmt.Sprintf("MAT %q has no placement (Eq. 6: every MAT must be deployed)", name),
-				Hint:    "the solver dropped the MAT; rerun with more capacity or fewer constraints"})
-			continue
-		}
-		at[i] = nodePlacement{sp: sp, ok: true}
-		sw, err := p.Topo.Switch(sp.Switch)
-		if err != nil {
-			fs = append(fs, Finding{Rule: "HL102", Severity: Error, Eq: 6, Oracle: true,
-				Object:  name,
-				Message: fmt.Sprintf("MAT %q assigned to unknown %s", name, placement.SwitchLabel(p.Topo, sp.Switch))})
-			continue
-		}
-		if !sw.Programmable {
-			fs = append(fs, Finding{Rule: "HL102", Severity: Error, Eq: 6, Oracle: true,
-				Object:  name,
-				Message: fmt.Sprintf("MAT %q assigned to non-programmable %s", name, placement.SwitchLabel(p.Topo, sp.Switch)),
-				Hint:    "only switches with P(u)=1 may host MATs"})
-			continue
-		}
-		if p.Topo.SwitchIsDown(sp.Switch) {
-			fs = append(fs, Finding{Rule: "HL112", Severity: Error, Eq: 6, Oracle: true,
-				Object:  name,
-				Message: fmt.Sprintf("MAT %q assigned to %s, which is marked down in the topology's fault state", name, placement.SwitchLabel(p.Topo, sp.Switch)),
-				Hint:    "replan around the failure (the supervisor does this automatically) or heal the switch"})
-			continue
-		}
-		if sp.Start < 0 || sp.End >= sw.Stages || sp.Start > sp.End {
-			fs = append(fs, Finding{Rule: "HL103", Severity: Error, Eq: 8, Oracle: true,
-				Object: name,
-				Message: fmt.Sprintf("MAT %q on %s occupies stage window [%d,%d] outside the pipeline 0..%d (ρ_begin/ρ_end)",
-					name, placement.SwitchLabel(p.Topo, sp.Switch), sp.Start, sp.End, sw.Stages-1)})
-			continue
-		}
-		if len(sp.PerStage) != sp.End-sp.Start+1 {
-			fs = append(fs, Finding{Rule: "HL103", Severity: Error, Eq: 8, Oracle: true,
-				Object: name,
-				Message: fmt.Sprintf("MAT %q on %s: per-stage slice has %d entries for stage window [%d,%d] (contiguity broken)",
-					name, placement.SwitchLabel(p.Topo, sp.Switch), len(sp.PerStage), sp.Start, sp.End)})
-			continue
-		}
-		total, negative := 0.0, false
-		for _, amt := range sp.PerStage {
-			if amt < -1e-12 {
-				negative = true
-			}
-			total += amt
-		}
-		if negative {
-			fs = append(fs, Finding{Rule: "HL103", Severity: Error, Eq: 6, Oracle: true,
-				Object:  name,
-				Message: fmt.Sprintf("MAT %q on %s has a negative per-stage amount", name, placement.SwitchLabel(p.Topo, sp.Switch))})
-			continue
-		}
-		if req := rm.Requirement(n.MAT); math.Abs(total-req) > resourceTol {
-			fs = append(fs, Finding{Rule: "HL103", Severity: Error, Eq: 6, Oracle: true,
-				Object: name,
-				Message: fmt.Sprintf("MAT %q on %s places %g of its required %g resources (Eq. 6: the full requirement must land)",
-					name, placement.SwitchLabel(p.Topo, sp.Switch), total, req)})
-		}
-	}
-	return fs, at
-}
-
-// lintStageCapacity re-accumulates per-stage loads and checks Eq. 9
-// (HL104). Assignments for MATs outside the graph are folded in too —
-// they consume real stages. Float addition is not associative and
-// HL104 reports the sum, so loads accumulate in a fixed order: graph
-// nodes by insertion id, then MATs outside the graph by name.
-func lintStageCapacity(p *placement.Plan, at []nodePlacement) Findings {
-	type slot struct {
-		sw    network.SwitchID
-		stage int
-	}
-	load := map[slot]float64{}
-	add := func(sp placement.StagePlacement) {
-		sw, err := p.Topo.Switch(sp.Switch)
-		if err != nil || !sw.Programmable {
-			return // HL102 already covers it
-		}
-		for i, amt := range sp.PerStage {
-			load[slot{sp.Switch, sp.Start + i}] += amt
-		}
-	}
-	placed := 0
-	for _, np := range at {
-		if np.ok {
-			add(np.sp)
-			placed++
-		}
-	}
-	if placed < len(p.Assignments) {
-		var outside []string
-		for name := range p.Assignments {
-			if _, ok := p.Graph.Node(name); !ok {
-				outside = append(outside, name)
-			}
-		}
-		sort.Strings(outside)
-		for _, name := range outside {
-			add(p.Assignments[name])
-		}
-	}
-	keys := make([]slot, 0, len(load))
-	for k := range load {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].sw != keys[j].sw {
-			return keys[i].sw < keys[j].sw
-		}
-		return keys[i].stage < keys[j].stage
-	})
-	var fs Findings
-	for _, k := range keys {
-		sw, err := p.Topo.Switch(k.sw)
-		if err != nil {
-			continue
-		}
-		if load[k] > sw.StageCapacity+resourceTol {
-			fs = append(fs, Finding{Rule: "HL104", Severity: Error, Eq: 9, Oracle: true,
-				Object: fmt.Sprintf("switch:%s", sw.Name),
-				Message: fmt.Sprintf("%s stage %d carries %g of capacity %g (Eq. 9)",
-					placement.SwitchLabel(p.Topo, k.sw), k.stage, load[k], sw.StageCapacity),
-				Hint: "spread the MATs across more stages or switches"})
-		}
-	}
-	return fs
-}
-
 // lintEdgeConstraints walks every TDG edge once, in insertion order:
 // co-located pairs must obey intra-switch stage order (Eq. 8, HL105);
 // cross-switch pairs need a route connecting exactly their switches
@@ -232,33 +347,44 @@ func lintStageCapacity(p *placement.Plan, at []nodePlacement) Findings {
 // truthful latency (HL111 — stricter than Plan.Validate, hence not an
 // oracle finding). A route's verdict is reached once per switch pair
 // and reported once per crossing edge. The walk also sums each pair's
-// A(a,b); the pairs come back sorted by (From, To).
-func lintEdgeConstraints(p *placement.Plan, at []nodePlacement) (Findings, []pairSum) {
+// A(a,b); a pair is found among its source switch's pairs, chained
+// from first[from dense id]. The pairs come back sorted by (From, To).
+func lintEdgeConstraints(p *placement.Plan, at []nodePlacement, occ *occupancy) (Findings, []pairSum) {
 	var fs Findings
 	var pairs []pairSum
-	idx := map[placement.RouteKey]int{}
+	var next []int32
+	first := make([]int32, len(occ.ids))
+	for i := range first {
+		first[i] = -1
+	}
 	//hermes:hot
 	for _, e := range p.Graph.EdgeList() {
 		from, to := e.Endpoints()
-		if !at[from].ok || !at[to].ok {
+		sa, sb := &at[from], &at[to]
+		if !sa.ok || !sb.ok {
 			continue // HL101 already covers it
 		}
-		sa, sb := &at[from].sp, &at[to].sp
-		if sa.Switch == sb.Switch {
-			if sa.End >= sb.Start {
+		if sa.sw == sb.sw {
+			if sa.end >= sb.start {
 				fs = append(fs, Finding{Rule: "HL105", Severity: Error, Eq: 8, Oracle: true,
 					Object: e.From + "->" + e.To,
 					Message: fmt.Sprintf("co-located dependency %s->%s on %s: upstream ends in stage %d, downstream starts in stage %d (Eq. 8 needs ρ_end(a) < ρ_begin(b))",
-						e.From, e.To, placement.SwitchLabel(p.Topo, sa.Switch), sa.End, sb.Start)})
+						e.From, e.To, placement.SwitchLabel(p.Topo, sa.sw), sa.end, sb.start)})
 			}
 			continue
 		}
-		key := placement.RouteKey{From: sa.Switch, To: sb.Switch}
-		i, seen := idx[key]
-		if !seen {
-			i = len(pairs)
-			idx[key] = i
-			pairs = append(pairs, lintRoute(p, key))
+		u, v := occ.denseOf(sa.sw), occ.denseOf(sb.sw)
+		i := first[u]
+		for i >= 0 && pairs[i].to != v {
+			i = next[i]
+		}
+		if i < 0 {
+			i = int32(len(pairs))
+			pr := lintRoute(p, placement.RouteKey{From: sa.sw, To: sb.sw})
+			pr.from, pr.to = u, v
+			pairs = append(pairs, pr)
+			next = append(next, first[u])
+			first[u] = i
 		}
 		pr := &pairs[i]
 		pr.bytes += e.MetadataBytes
@@ -267,21 +393,21 @@ func lintEdgeConstraints(p *placement.Plan, at []nodePlacement) (Findings, []pai
 			fs = append(fs, Finding{Rule: "HL106", Severity: Error, Eq: 7, Oracle: true,
 				Object: e.From + "->" + e.To,
 				Message: fmt.Sprintf("cross-switch dependency %s->%s has no route %s -> %s (Eq. 7)",
-					e.From, e.To, placement.SwitchLabel(p.Topo, sa.Switch), placement.SwitchLabel(p.Topo, sb.Switch))})
+					e.From, e.To, placement.SwitchLabel(p.Topo, sa.sw), placement.SwitchLabel(p.Topo, sb.sw))})
 		case routeDisconnected:
 			fs = append(fs, Finding{Rule: "HL106", Severity: Error, Eq: 7, Oracle: true,
 				Object: e.From + "->" + e.To,
 				Message: fmt.Sprintf("route for %s->%s does not connect %s to %s",
-					e.From, e.To, placement.SwitchLabel(p.Topo, sa.Switch), placement.SwitchLabel(p.Topo, sb.Switch))})
+					e.From, e.To, placement.SwitchLabel(p.Topo, sa.sw), placement.SwitchLabel(p.Topo, sb.sw))})
 		default:
 			fs = append(fs, pr.phys...)
 		}
 	}
 	slices.SortFunc(pairs, func(a, b pairSum) int {
-		if c := cmp.Compare(a.key.From, b.key.From); c != 0 {
+		if c := cmp.Compare(a.from, b.from); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.key.To, b.key.To)
+		return cmp.Compare(a.to, b.to)
 	})
 	return fs, pairs
 }
@@ -290,7 +416,7 @@ func lintEdgeConstraints(p *placement.Plan, at []nodePlacement) (Findings, []pai
 // not connecting the pair's endpoints, or connecting them — and then
 // physically checked hop by hop.
 func lintRoute(p *placement.Plan, key placement.RouteKey) pairSum {
-	pr := pairSum{key: key}
+	var pr pairSum
 	path, ok := p.Routes[key]
 	switch {
 	case !ok:
@@ -338,43 +464,29 @@ func lintRoutePhysical(p *placement.Plan, key placement.RouteKey, path network.P
 	return nil
 }
 
-// occupiedSwitches returns the distinct switches hosting any
-// assignment — MATs outside the graph included — ascending.
-func occupiedSwitches(p *placement.Plan) []network.SwitchID {
-	sws := make([]network.SwitchID, 0, len(p.Assignments))
-	for _, sp := range p.Assignments {
-		sws = append(sws, sp.Switch)
-	}
-	slices.Sort(sws)
-	return slices.Compact(sws)
-}
-
 // lintSwitchDAG contracts the TDG by switch assignment and verifies
 // the contraction is acyclic (HL110): a cyclic switch-level graph
 // admits no single packet traversal respecting all dependencies. The
-// contraction's vertices are the occupied switches (ascending) and its
+// contraction's vertices are the occupied switches by dense id and its
 // arcs the distinct cross-switch pairs, sorted by (From, To), so each
 // switch's arcs form one run of pairs.
-func lintSwitchDAG(p *placement.Plan, switches []network.SwitchID, pairs []pairSum) Findings {
-	id := func(sw network.SwitchID) int {
-		i, _ := slices.BinarySearch(switches, sw)
-		return i
-	}
-	n := len(switches)
-	indeg := make([]int, n)
+func lintSwitchDAG(p *placement.Plan, occ *occupancy, pairs []pairSum) Findings {
+	n := len(occ.ids)
+	buf := make([]int32, 2*n+1)
+	indeg := buf[:n]
 	// head[u]..head[u+1] delimits switch u's run of pairs.
-	head := make([]int, n+1)
+	head := buf[n:]
 	for _, pr := range pairs {
-		head[id(pr.key.From)+1]++
-		indeg[id(pr.key.To)]++
+		head[pr.from+1]++
+		indeg[pr.to]++
 	}
 	for u := 0; u < n; u++ {
 		head[u+1] += head[u]
 	}
-	var ready []int
+	var ready []int32
 	for u, d := range indeg {
 		if d == 0 {
-			ready = append(ready, u)
+			ready = append(ready, int32(u))
 		}
 	}
 	done := 0
@@ -383,10 +495,9 @@ func lintSwitchDAG(p *placement.Plan, switches []network.SwitchID, pairs []pairS
 		ready = ready[:len(ready)-1]
 		done++
 		for _, pr := range pairs[head[u]:head[u+1]] {
-			v := id(pr.key.To)
-			indeg[v]--
-			if indeg[v] == 0 {
-				ready = append(ready, v)
+			indeg[pr.to]--
+			if indeg[pr.to] == 0 {
+				ready = append(ready, pr.to)
 			}
 		}
 	}
@@ -396,7 +507,7 @@ func lintSwitchDAG(p *placement.Plan, switches []network.SwitchID, pairs []pairS
 	var stuck []string
 	for u, d := range indeg {
 		if d > 0 {
-			stuck = append(stuck, placement.SwitchLabel(p.Topo, switches[u]))
+			stuck = append(stuck, placement.SwitchLabel(p.Topo, occ.ids[u]))
 		}
 	}
 	sort.Strings(stuck)

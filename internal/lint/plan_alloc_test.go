@@ -53,13 +53,16 @@ func compositeSmokePlan(tb testing.TB) *placement.Plan {
 // TestLintPlanAllocationCeiling pins LintPlan's allocations on the
 // composite plan: a linear pass allocates its per-node and per-pair
 // tables once, whatever the edge count, and a clean route allocates
-// nothing. The ceiling is the measured 104 plus 10%; the three sorted
-// Edges() copies and per-route object strings it replaced cost 3,272.
+// nothing. It measures 71 (104 with the stage loads in a map and the
+// pairs found through one), and 80 under the race detector, which this
+// test does not skip; the ceiling is the latter plus 5%. The three
+// sorted Edges() copies and per-route object strings it replaced cost
+// 3,272.
 func TestLintPlanAllocationCeiling(t *testing.T) {
 	p := compositeSmokePlan(t)
 	allocs := testing.AllocsPerRun(3, func() { LintPlan(p, rm(), 0, 0) })
 	t.Logf("LintPlan: %.0f allocs", allocs)
-	const ceiling = 115
+	const ceiling = 84
 	if allocs > ceiling {
 		t.Fatalf("LintPlan allocates %.0f times on the composite plan, ceiling %d", allocs, ceiling)
 	}

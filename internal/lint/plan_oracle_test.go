@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,15 +22,21 @@ import (
 )
 
 // checkAgainstRef holds the single-pass gates to their references on
-// one plan: LintPlan's findings in order, SwitchOrder's order and error
-// text, and — when the switch DAG is cyclic and nothing earlier fails —
-// Validate's error text.
+// one plan: LintPlan's findings in order, Validate's error text (its
+// name-keyed twin's, see eq9Ambiguous for the one exception),
+// SwitchOrder's order and error text, and — when the switch DAG is
+// cyclic and nothing earlier fails — Validate's error text.
 func checkAgainstRef(t *testing.T, label string, p *placement.Plan, eps1 time.Duration, eps2 int) {
 	t.Helper()
 	want := lintPlanRef(p, rm(), eps1, eps2)
 	got := LintPlan(p, rm(), eps1, eps2)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: LintPlan diverges from the reference:\n got:\n%s\nwant:\n%s", label, got.Text(), want.Text())
+	}
+	refVerr := validateRef(p, rm(), eps1, eps2)
+	if verr := p.Validate(rm(), eps1, eps2); fmt.Sprint(verr) != fmt.Sprint(refVerr) &&
+		!(isEq9(verr) && isEq9(refVerr) && eq9Ambiguous(p)) {
+		t.Errorf("%s: Validate = %v; name-keyed twin %v", label, verr, refVerr)
 	}
 	order, err := p.SwitchOrder()
 	refOrder, refErr := switchOrderRef(p)
@@ -44,9 +51,9 @@ func checkAgainstRef(t *testing.T, label string, p *placement.Plan, eps1 time.Du
 }
 
 // checkVerifyAgainstRef compiles a plan Validate accepts and holds
-// Deployment.Verify's verdict to the reference's, on the deployment as
-// compiled and under tampering with its stage entries, configs and
-// headers.
+// Deployment.Verify's verdict to the reference's and its error text to
+// the name-keyed twin's (see verifyAmbiguous), on the deployment as
+// compiled and under tampering with its stage entries and configs.
 func checkVerifyAgainstRef(t *testing.T, label string, p *placement.Plan) {
 	t.Helper()
 	if p.Validate(rm(), 0, 0) != nil {
@@ -61,6 +68,10 @@ func checkVerifyAgainstRef(t *testing.T, label string, p *placement.Plan) {
 		got, want := d.Verify(), verifyRef(d)
 		if (got == nil) != (want == nil) {
 			t.Errorf("%s %s: Verify = %v, reference %v", label, what, got, want)
+		}
+		if byName := verifyByNameRef(d); fmt.Sprint(got) != fmt.Sprint(byName) &&
+			!(got != nil && byName != nil && verifyAmbiguous(d)) {
+			t.Errorf("%s %s: Verify = %v, name-keyed twin %v", label, what, got, byName)
 		}
 	}
 	same("as compiled", dep)
@@ -120,6 +131,27 @@ func checkVerifyAgainstRef(t *testing.T, label string, p *placement.Plan) {
 				}
 			}
 		}))
+		// Verify trusts an entry's Node stamp only where it names the
+		// entry's MAT: a renamed entry keeps its old stamp, and an entry
+		// copied from another switch keeps a stamp that does match.
+		same(fmt.Sprintf("renamed entry on %d", sw), withConfig(sw, func(cfg *deploy.SwitchConfig) {
+			if i, ok := firstEntry(cfg); ok {
+				for name, sp := range p.Assignments {
+					if sp.Switch == sw && name != cfg.Stages[i][0].MAT {
+						cfg.Stages[i][0].MAT = name
+						break
+					}
+				}
+			}
+		}))
+		same(fmt.Sprintf("stamped foreign entry on %d", sw), withConfig(sw, func(cfg *deploy.SwitchConfig) {
+			for _, other := range sws {
+				if i, ok := firstEntry(dep.Configs[other]); ok && other != sw {
+					cfg.Stages[0] = append(cfg.Stages[0], dep.Configs[other].Stages[i][0])
+					break
+				}
+			}
+		}))
 	}
 	if len(sws) > 0 {
 		d := *dep
@@ -131,6 +163,108 @@ func checkVerifyAgainstRef(t *testing.T, label string, p *placement.Plan) {
 		}
 		same("missing config", &d)
 	}
+}
+
+// isEq9 reports whether err is one of Validate's Eq. 9 verdicts: an
+// overcommitted stage, a negative stage amount, or an assignment
+// outside the graph on a switch the topology lacks.
+func isEq9(err error) bool {
+	if err == nil {
+		return false
+	}
+	msg := err.Error()
+	return strings.Contains(msg, "overcommitted") || strings.Contains(msg, "negative stage amount") ||
+		strings.HasPrefix(msg, "network: unknown switch")
+}
+
+// eq9Ambiguous reports whether the name-keyed Validate's Eq. 9 verdict
+// on p depends on map iteration order, so its text cannot be the
+// reference: more than one assignment breaks an amount check (a
+// negative stage amount, or a switch the topology lacks), more than one
+// switch is overcommitted, or the overcommitted switch's first bad
+// stage sums three or more amounts (float addition is not associative,
+// and the twin adds in map order). The production gate reports the
+// first breach in node-id order and the lowest switch; on those plans
+// the two must agree on the rule alone.
+func eq9Ambiguous(p *placement.Plan) bool {
+	type slot struct {
+		sw    network.SwitchID
+		stage int
+	}
+	terms, load := map[slot]int{}, map[slot]float64{}
+	bad := 0
+	for _, sp := range p.Assignments {
+		if _, err := p.Topo.Switch(sp.Switch); err != nil {
+			bad++
+			continue
+		}
+		negative := false
+		for i, amt := range sp.PerStage {
+			negative = negative || amt < -1e-12
+			k := slot{sp.Switch, sp.Start + i}
+			terms[k]++
+			load[k] += amt
+		}
+		if negative {
+			bad++
+		}
+	}
+	if bad > 1 {
+		return true
+	}
+	first := map[network.SwitchID]int{}
+	for k, l := range load {
+		sw, _ := p.Topo.Switch(k.sw)
+		if s, seen := first[k.sw]; l > sw.StageCapacity+1e-6 && (!seen || k.stage < s) {
+			first[k.sw] = k.stage
+		}
+	}
+	if len(first) > 1 {
+		return true
+	}
+	for sw, stage := range first {
+		if terms[slot{sw, stage}] > 2 {
+			return true
+		}
+	}
+	return false
+}
+
+// verifyAmbiguous reports whether the name-keyed Verify's error on d
+// depends on map iteration order: more than one assignment whose
+// schedule is missing or short, or more than one header failing its
+// bounds. The production Verify reports the first breach in node-id
+// order; on those deployments the two must agree on the verdict alone.
+func verifyAmbiguous(d *deploy.Deployment) bool {
+	failing := 0
+	for name, sp := range d.Plan.Assignments {
+		cfg := d.Configs[sp.Switch]
+		total := 0.0
+		if cfg != nil {
+			for _, st := range cfg.Stages {
+				for _, e := range st {
+					if e.MAT == name {
+						total += e.Amount
+					}
+				}
+			}
+		}
+		if cfg == nil || math.Abs(total-sp.Total()) > 1e-9 {
+			failing++
+		}
+	}
+	pairBytes := d.Plan.PairBytes()
+	headers := 0
+	for key, hdr := range d.Headers {
+		sum := 0
+		for _, f := range hdr.Fields {
+			sum += f.Bytes()
+		}
+		if hdr.Bytes > pairBytes[key] || hdr.Bytes != sum {
+			headers++
+		}
+	}
+	return failing > 1 || headers > 1
 }
 
 // clonePlan copies the plan's decision variables and topology, so a
@@ -355,8 +489,10 @@ type corpusPlan struct {
 
 // corpusPlans are the plans the oracle sweeps: Greedy and sharded
 // solves of the paper's evaluation programs (seeds 1–3), the
-// benchmark's composite60 input at smoke size, and the p4lite example
-// programs the lint fuzzer seeds from.
+// benchmark's composite60 input at smoke size, the benchmark's four
+// workloads (wan30, composite60, real_hotspot, churn16), the evaluation
+// programs on Table III WANs 1–10, and the p4lite example programs the
+// lint fuzzer seeds from.
 func corpusPlans(t *testing.T) []corpusPlan {
 	var out []corpusPlan
 	solve := func(name string, progs []*program.Program, topo *network.Topology, s placement.Solver, ro placement.ReplanOptions) {
@@ -411,6 +547,41 @@ func corpusPlans(t *testing.T) []corpusPlan {
 	solve("composite10/sharded", progs, topo, placement.ShardedGreedy{Partition: part},
 		placement.ReplanOptions{Options: placement.Options{Shards: 4}, Partition: part})
 	solve("composite10/greedy", progs, topo, placement.Greedy{}, placement.ReplanOptions{})
+
+	// The benchmark's other workloads at full size (wan30 is
+	// eval30/1/greedy above), and Table III WANs 2–10.
+	if progs, err = workload.SyntheticSet(200, workload.PaperSyntheticSpec(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if topo, err = network.CompositeWAN(60, network.TofinoSpec(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if part, err = network.PartitionRegions(topo, 16, 1); err != nil {
+		t.Fatal(err)
+	}
+	solve("composite60", progs, topo, placement.ShardedGreedy{Partition: part},
+		placement.ReplanOptions{Options: placement.Options{Shards: 16}, Partition: part})
+	hot := wan(0.1)
+	tm, err := network.GenerateTraffic(hot, network.TrafficHotspot, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve("real_hotspot", workload.RealPrograms(), hot, placement.Greedy{}, placement.ReplanOptions{Options: placement.Options{
+		Traffic: tm, TrafficObjective: placement.TrafficWeightedMax, AMaxSlack: 1.2}})
+	if progs, err = workload.SyntheticSet(16, workload.PaperSyntheticSpec(), 1); err != nil {
+		t.Fatal(err)
+	}
+	solve("churn16", progs, wan(0.3), placement.Greedy{}, placement.ReplanOptions{})
+	if progs, err = workload.EvaluationPrograms(30, 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i <= 10; i++ {
+		topo, err := network.TableIII(i, network.TofinoSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		solve(fmt.Sprintf("table3:%d", i), progs, topo, placement.Greedy{}, placement.ReplanOptions{})
+	}
 
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "p4src", "*.p4"))
 	if err != nil || len(paths) == 0 {

@@ -62,7 +62,6 @@ func (e Expr) Plus(v Var, coeff float64) Expr {
 
 // variable is the internal variable record.
 type variable struct {
-	name    string
 	lb, ub  float64
 	obj     float64
 	integer bool
@@ -70,7 +69,6 @@ type variable struct {
 
 // constraint is the internal constraint record.
 type constraint struct {
-	name  string
 	terms []Term
 	rel   Relation
 	rhs   float64
@@ -117,7 +115,7 @@ func (m *Model) addVar(name string, lb, ub, obj float64, integer bool) (Var, err
 	if math.IsInf(lb, -1) {
 		return 0, fmt.Errorf("milp: variable %q has unbounded lower bound (unsupported)", name)
 	}
-	m.vars = append(m.vars, variable{name: name, lb: lb, ub: ub, obj: obj, integer: integer})
+	m.vars = append(m.vars, variable{lb: lb, ub: ub, obj: obj, integer: integer})
 	return Var(len(m.vars) - 1), nil
 }
 
@@ -147,7 +145,7 @@ func (m *Model) AddConstraint(name string, terms Expr, rel Relation, rhs float64
 		}
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Var < merged[j].Var })
-	m.cons = append(m.cons, constraint{name: name, terms: merged, rel: rel, rhs: rhs})
+	m.cons = append(m.cons, constraint{terms: merged, rel: rel, rhs: rhs})
 	return nil
 }
 

@@ -182,7 +182,7 @@ func GenerateSchedule(t *Topology, opts ScheduleOptions) (*Schedule, error) {
 	shadow := t.Clone()
 	shadow.Heal()
 
-	upProg := func(tp *Topology) int { return len(tp.ProgrammableSwitches()) }
+	upProg := func(tp *Topology) int { return tp.NumProgrammable() }
 	if upProg(shadow) < opts.MinUpProgrammable {
 		return nil, fmt.Errorf("network: topology %q has only %d programmable switches, need %d", t.Name, upProg(shadow), opts.MinUpProgrammable)
 	}

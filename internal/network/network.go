@@ -170,6 +170,18 @@ func (t *Topology) ProgrammableSwitches() []SwitchID {
 	return out
 }
 
+// NumProgrammable returns how many switches ProgrammableSwitches
+// lists, without building the list.
+func (t *Topology) NumProgrammable() int {
+	n := 0
+	for _, s := range t.switches {
+		if s.Programmable && !t.downSw[s.ID] {
+			n++
+		}
+	}
+	return n
+}
+
 // Links returns all links.
 func (t *Topology) Links() []Link {
 	return append([]Link(nil), t.links...)
@@ -491,12 +503,14 @@ func (t *Topology) NearestProgrammable(src SwitchID, limit int, maxLatency time.
 	return out, nil
 }
 
-// Clone returns an independent copy of the topology. Everything was
-// validated when t was built, so the copy is a straight bulk copy of
-// the switch, link, and adjacency storage — no per-element re-insertion
-// (the replan path clones the live topology on every churn event, so
-// this runs in microseconds on thousand-switch graphs, not
-// milliseconds). The copy starts with a cold path cache.
+// Clone returns an independent copy of the topology. It copies the
+// switch table (a replan rewrites a drained switch in place) and the
+// fault overlay, and shares t's link list and adjacency rows: nothing
+// writes a link or a row in place, and each shared slice is clamped to
+// its length, so an AddLink on either side appends into fresh storage
+// instead of the other's. The replan path clones the live topology on
+// every churn event, so this runs in microseconds on thousand-switch
+// graphs. The copy starts with a cold path cache.
 func (t *Topology) Clone() *Topology {
 	c := NewTopology(t.Name)
 	backing := make([]Switch, len(t.switches))
@@ -505,19 +519,10 @@ func (t *Topology) Clone() *Topology {
 		backing[i] = *s
 		c.switches[i] = &backing[i]
 	}
-	c.links = append([]Link(nil), t.links...)
-	total := 0
-	for _, a := range t.adj {
-		total += len(a)
-	}
-	flat := make([]adjEntry, 0, total)
+	c.links = t.links[:len(t.links):len(t.links)]
 	c.adj = make([][]adjEntry, len(t.adj))
 	for i, a := range t.adj {
-		n := len(flat)
-		flat = append(flat, a...)
-		// Full-capacity slice: a later AddLink on the clone reallocates
-		// instead of clobbering its neighbors' rows.
-		c.adj[i] = flat[n:len(flat):len(flat)]
+		c.adj[i] = a[:len(a):len(a)]
 	}
 	c.copyFaultState(t)
 	return c

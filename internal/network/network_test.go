@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -456,5 +458,90 @@ func TestClonedTopologyIsIndependent(t *testing.T) {
 	cs.Programmable = false
 	if len(tp.ProgrammableSwitches()) != orig {
 		t.Error("mutating clone changed original")
+	}
+}
+
+// topoState is everything a topology answers about its links, faults
+// and paths, for comparing a topology before and after a mutation of
+// something that must be independent of it.
+type topoState struct {
+	links     []Link
+	neighbors [][]SwitchID
+	down      []bool
+	linkDown  []bool
+	paths     []string
+}
+
+func stateOf(t *testing.T, tp *Topology) topoState {
+	t.Helper()
+	var st topoState
+	st.links = tp.Links()
+	for a := 0; a < tp.NumSwitches(); a++ {
+		id := SwitchID(a)
+		st.neighbors = append(st.neighbors, tp.Neighbors(id))
+		st.down = append(st.down, tp.SwitchIsDown(id))
+		for b := 0; b < tp.NumSwitches(); b++ {
+			st.linkDown = append(st.linkDown, tp.LinkIsDown(id, SwitchID(b)))
+			p, err := tp.ShortestPath(id, SwitchID(b))
+			st.paths = append(st.paths, fmt.Sprint(p.Switches, p.Latency, err))
+		}
+	}
+	return st
+}
+
+// TestCloneIsolation: Clone shares its source's link list and adjacency
+// rows, so a mutation on either side — new links (appended to rows
+// and a link list with spare capacity, the same row on both sides), a
+// link or a switch marked down — must leave the other side's links,
+// neighbors, fault state and shortest paths as they were, and a second
+// clone's too.
+func TestCloneIsolation(t *testing.T) {
+	src, err := Linear(6, TestbedSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Switch 3's row ends at length 3, capacity 4; the link list at
+	// length 6, capacity 8.
+	if err := src.AddLink(0, 3, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(tp *Topology, a, b, down SwitchID) {
+		t.Helper()
+		if err := tp.AddLink(3, a, time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := tp.AddLink(b, 5, time.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		if err := tp.SetLinkDown(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := tp.SetSwitchDown(down); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, bystander := src.Clone(), src.Clone()
+	wantBystander := stateOf(t, bystander)
+
+	wantSrc := stateOf(t, src)
+	mutate(c, 5, 1, 2)
+	if got := stateOf(t, src); !reflect.DeepEqual(got, wantSrc) {
+		t.Fatalf("mutating the clone changed the source:\nbefore %+v\nafter  %+v", wantSrc, got)
+	}
+	wantClone := stateOf(t, c)
+	mutate(src, 1, 0, 4)
+	if got := stateOf(t, c); !reflect.DeepEqual(got, wantClone) {
+		t.Fatalf("mutating the source changed the clone:\nbefore %+v\nafter  %+v", wantClone, got)
+	}
+	if got := stateOf(t, bystander); !reflect.DeepEqual(got, wantBystander) {
+		t.Fatal("mutating the source and a clone changed a second clone")
+	}
+	for _, tc := range []struct {
+		tp   *Topology
+		a, b SwitchID
+	}{{c, 3, 5}, {src, 3, 1}} {
+		if _, ok := tc.tp.LinkBetween(tc.a, tc.b); !ok || tc.tp.NumLinks() != bystander.NumLinks()+2 {
+			t.Fatalf("a mutated side lost its link %d-%d", tc.a, tc.b)
+		}
 	}
 }

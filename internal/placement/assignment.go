@@ -43,48 +43,3 @@ func assignmentAMax(g *tdg.Graph, assign map[string]network.SwitchID) int {
 	}
 	return max
 }
-
-// assignmentAcyclic reports whether the contracted switch graph of a
-// (possibly partial) assignment is a DAG; unassigned MATs contribute no
-// edges.
-func assignmentAcyclic(g *tdg.Graph, assign map[string]network.SwitchID) bool {
-	adj := map[network.SwitchID]map[network.SwitchID]bool{}
-	indeg := map[network.SwitchID]int{}
-	nodes := map[network.SwitchID]bool{}
-	for _, u := range assign {
-		nodes[u] = true
-	}
-	for _, e := range g.EdgeList() {
-		ua, oka := assign[e.From]
-		ub, okb := assign[e.To]
-		if !oka || !okb || ua == ub {
-			continue
-		}
-		if adj[ua] == nil {
-			adj[ua] = map[network.SwitchID]bool{}
-		}
-		if !adj[ua][ub] {
-			adj[ua][ub] = true
-			indeg[ub]++
-		}
-	}
-	var ready []network.SwitchID
-	for u := range nodes {
-		if indeg[u] == 0 {
-			ready = append(ready, u)
-		}
-	}
-	count := 0
-	for len(ready) > 0 {
-		u := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		count++
-		for v := range adj[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				ready = append(ready, v)
-			}
-		}
-	}
-	return count == len(nodes)
-}

@@ -135,8 +135,10 @@ var memberPool sync.Pool
 // Compile and every repair instance build theirs this way, straight
 // from g's ids: no tdg.Subgraph, no name lookups. The subset's edges are gathered
 // from its members' out-edges, so the cost follows the subset, not the
-// graph, and are put back in g's EdgeList order by their list
-// positions, so the kernels' iteration order is deterministic.
+// graph, and kept in that order — the members' in name order, each
+// member's in insertion order — which fixes the kernels' iteration
+// order without a sort; a subset holding every edge keeps g's EdgeList
+// order.
 // In/Incident are carved from one backing array sized by the members'
 // degrees. The instance's Graph field keeps pointing at g.
 func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, s int32) *CompiledInstance {
@@ -169,8 +171,6 @@ func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, s int32) *Compiled
 		for i := range pos { // every edge: EdgeList order is the identity
 			pos[i] = int32(i)
 		}
-	} else {
-		slices.Sort(pos)
 	}
 
 	m := len(pos)

@@ -404,9 +404,9 @@ func arraysOf(ci *CompiledInstance) instanceArrays {
 
 // compileSubsetRef is how compileSubset built an instance before it
 // worked on node ids: the sorted names interned into a map, R(a) and
-// the topological position looked up per name, and one pass over g's
-// whole EdgeList with two name lookups per edge. It is the
-// differential twin of the id-based gather.
+// the topological position looked up per name, and the edges gathered
+// through name lookups. It is the differential twin of the id-based
+// gather, edge order included.
 func compileSubsetRef(g *tdg.Graph, names []string, rm program.ResourceModel) instanceArrays {
 	idx := make(map[string]int32, len(names))
 	for i, n := range names {
@@ -430,12 +430,22 @@ func compileSubsetRef(g *tdg.Graph, names []string, rm program.ResourceModel) in
 			a.topoPos[i] = pos[name]
 		}
 	}
-	for _, e := range g.EdgeList() {
-		f, fok := idx[e.From]
-		t, tok := idx[e.To]
-		if !fok || !tok {
-			continue
+	// The instance's edge order: each member's out-edges inside the
+	// subset in insertion order, members in name order; g's EdgeList
+	// order when the subset holds every edge.
+	var edges []*tdg.Edge
+	for _, name := range names {
+		for _, e := range g.OutEdgeList(name) {
+			if _, ok := idx[e.To]; ok {
+				edges = append(edges, e)
+			}
 		}
+	}
+	if len(edges) == g.NumEdges() {
+		edges = g.EdgeList()
+	}
+	for _, e := range edges {
+		f, t := idx[e.From], idx[e.To]
 		ei := int32(len(a.edgeFrom))
 		a.edgeFrom = append(a.edgeFrom, f)
 		a.edgeTo = append(a.edgeTo, t)

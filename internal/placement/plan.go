@@ -16,7 +16,6 @@
 package placement
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -123,9 +122,7 @@ func (p *Plan) Hosts() []network.SwitchID {
 	hosts := make([]network.SwitchID, n)
 	for id := range hosts {
 		hosts[id] = -1
-	}
-	for name, sp := range p.Assignments {
-		if id, ok := p.Graph.ID(name); ok {
+		if sp, ok := p.Assignments[p.Graph.NodeOf(int32(id)).Name()]; ok {
 			hosts[id] = sp.Switch
 		}
 	}
@@ -140,18 +137,34 @@ func (p *Plan) SwitchOf(name string) (network.SwitchID, bool) {
 }
 
 // UsedSwitches returns the distinct switches hosting at least one MAT,
-// ascending.
+// ascending. It marks the switches by ID, with no map and no sort of
+// the assignments: a heal asks for them about six times.
 func (p *Plan) UsedSwitches() []network.SwitchID {
-	seen := map[network.SwitchID]bool{}
+	n := 0
+	if p.Topo != nil {
+		n = p.Topo.NumSwitches()
+	}
+	seen := make([]bool, n)
+	var off []network.SwitchID // off the topology: a hand-built plan
+	used := 0
 	for _, sp := range p.Assignments {
-		seen[sp.Switch] = true
+		switch {
+		case sp.Switch < 0 || int(sp.Switch) >= n:
+			off = append(off, sp.Switch)
+		case !seen[sp.Switch]:
+			seen[sp.Switch] = true
+			used++
+		}
 	}
-	out := make([]network.SwitchID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
+	out := make([]network.SwitchID, 0, used+len(off))
+	for id, ok := range seen {
+		if ok {
+			out = append(out, network.SwitchID(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out = append(out, off...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // QOcc is Eq. 3: the number of occupied programmable switches.
@@ -233,37 +246,24 @@ func (p *Plan) TE2E() time.Duration {
 	return total
 }
 
-// switchDAGOrder contracts the TDG by switch assignment and returns a
-// topological order of the used switches; it fails if the contracted
-// graph is cyclic (no single packet route can respect all dependencies).
-// pairs are the (From, To) switch pairs of the cross-switch edges, in
-// any order and with repeats. Kahn's algorithm always takes the lowest
-// ready switch ID next: the ready list stays sorted, and a switch has
-// few enough neighbours that inserting into it beats a heap.
-func (p *Plan) switchDAGOrder(pairs []RouteKey) ([]network.SwitchID, error) {
-	nodes := p.UsedSwitches()
-	id := func(sw network.SwitchID) int32 {
-		i, _ := slices.BinarySearch(nodes, sw)
-		return int32(i)
-	}
-	slices.SortFunc(pairs, func(a, b RouteKey) int {
-		if c := cmp.Compare(a.From, b.From); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.To, b.To)
-	})
-	pairs = slices.Compact(pairs)
-	// Sorted pairs put each switch's arcs in one run: succ[head[u]:
-	// head[u+1]] are switch u's successors, by dense id (the switch's
-	// rank in nodes, so the smallest id is the smallest switch ID).
-	n := len(nodes)
-	buf := make([]int32, 3*n+1+len(pairs))
-	indeg, ready, head, succ := buf[:n], buf[n:n:2*n], buf[2*n:3*n+1], buf[3*n+1:]
-	for k, pr := range pairs {
-		u, v := id(pr.From), id(pr.To)
-		succ[k] = v
-		head[u+1]++
-		indeg[v]++
+// switchDAG is Kahn's algorithm on a contracted switch graph over
+// dense ids 0..n-1. arcs packs each cross-switch pair as from<<32 | to,
+// in any order and with repeats: a repeated arc adds to its target's
+// in-degree once per copy and is retired once per copy, so neither the
+// verdict nor the order depends on them. A counting pass lays the arcs
+// out by source. The lowest ready id is always taken next: the ready
+// list stays sorted, and a switch has few enough neighbours that
+// inserting into it beats a heap. It returns the order, and indeg,
+// whose positive entries are the switches left stuck on a cycle when
+// the order is shorter than n.
+func switchDAG(n int, arcs []uint64) (order, indeg []int32) {
+	// succ[head[u]:head[u+1]] are switch u's successors.
+	buf := make([]int32, 4*n+1+len(arcs))
+	indeg, ready, head, succ := buf[:n:n], buf[n:n:2*n], buf[2*n:3*n+1], buf[3*n+1:3*n+1+len(arcs)]
+	order = buf[3*n+1+len(arcs):][:0]
+	for _, a := range arcs {
+		head[a>>32+1]++
+		indeg[uint32(a)]++
 	}
 	for u := 0; u < n; u++ {
 		head[u+1] += head[u]
@@ -271,11 +271,19 @@ func (p *Plan) switchDAGOrder(pairs []RouteKey) ([]network.SwitchID, error) {
 			ready = append(ready, int32(u)) // ascending
 		}
 	}
-	out := make([]network.SwitchID, 0, n)
+	// fill[u] is where switch u's next successor goes; head is intact
+	// once every arc is placed.
+	fill := order[:n]
+	copy(fill, head[:n])
+	for _, a := range arcs {
+		u := a >> 32
+		succ[fill[u]] = int32(uint32(a))
+		fill[u]++
+	}
 	for len(ready) > 0 {
 		u := ready[0]
 		ready = ready[1:]
-		out = append(out, nodes[u])
+		order = append(order, u)
 		for _, v := range succ[head[u]:head[u+1]] {
 			indeg[v]--
 			if indeg[v] == 0 {
@@ -284,39 +292,124 @@ func (p *Plan) switchDAGOrder(pairs []RouteKey) ([]network.SwitchID, error) {
 			}
 		}
 	}
-	if len(out) != n {
-		var stuck []string
-		for u, d := range indeg {
-			if d > 0 {
-				stuck = append(stuck, SwitchLabel(p.Topo, nodes[u]))
-			}
+	return order, indeg
+}
+
+// hostsAcyclic reports whether the contracted switch graph of a by-id
+// assignment (a switch per node id of g, -1 unassigned, every switch
+// below numSwitches) is a DAG; unassigned MATs contribute no arcs.
+func hostsAcyclic(g *tdg.Graph, byID []network.SwitchID, numSwitches int) bool {
+	// slot numbers the assignment's switches densely, plus one.
+	slot := make([]int32, numSwitches)
+	n := int32(0)
+	for _, u := range byID {
+		if u >= 0 && slot[u] == 0 {
+			n++
+			slot[u] = n
 		}
-		sort.Strings(stuck)
-		return nil, fmt.Errorf("placement: switch-level dependency graph is cyclic among %s",
-			strings.Join(stuck, ", "))
 	}
-	return out, nil
+	var arcs []uint64
+	//hermes:hot
+	for _, e := range g.EdgeList() {
+		from, to := e.Endpoints()
+		if ua, ub := byID[from], byID[to]; ua >= 0 && ub >= 0 && ua != ub {
+			arcs = append(arcs, uint64(slot[ua]-1)<<32|uint64(slot[ub]-1))
+		}
+	}
+	order, _ := switchDAG(int(n), arcs)
+	return len(order) == int(n)
+}
+
+// cycleError names the switches a cyclic contraction leaves stuck:
+// nodes[u] for every dense id u with indeg[u] > 0.
+func (p *Plan) cycleError(nodes []network.SwitchID, indeg []int32) error {
+	var stuck []string
+	for u, d := range indeg {
+		if d > 0 {
+			stuck = append(stuck, SwitchLabel(p.Topo, nodes[u]))
+		}
+	}
+	sort.Strings(stuck)
+	return fmt.Errorf("placement: switch-level dependency graph is cyclic among %s",
+		strings.Join(stuck, ", "))
 }
 
 // SwitchOrder returns the order in which packets must visit the used
 // switches.
 func (p *Plan) SwitchOrder() ([]network.SwitchID, error) {
 	hosts := p.Hosts()
-	var pairs []RouteKey
+	nodes := p.UsedSwitches()
+	id := func(sw network.SwitchID) uint64 {
+		i, _ := slices.BinarySearch(nodes, sw)
+		return uint64(i)
+	}
+	var arcs []uint64
 	//hermes:hot
 	for _, e := range p.Graph.EdgeList() {
 		from, to := e.Endpoints()
 		if ua, ub := hosts[from], hosts[to]; ua >= 0 && ub >= 0 && ua != ub {
-			pairs = append(pairs, RouteKey{From: ua, To: ub})
+			arcs = append(arcs, id(ua)<<32|id(ub))
 		}
 	}
-	return p.switchDAGOrder(pairs)
+	order, indeg := switchDAG(len(nodes), arcs)
+	if len(order) != len(nodes) {
+		return nil, p.cycleError(nodes, indeg)
+	}
+	out := make([]network.SwitchID, len(order))
+	for i, u := range order {
+		out[i] = nodes[u]
+	}
+	return out, nil
+}
+
+// stageLoads is Validate's Eq. 9 scratch: the used switches numbered
+// densely in first-seen order (slot[sw] = index + 1, 0 for a switch
+// nothing uses yet), switch c's per-stage loads at load[base[c]:
+// base[c+1]], and the first placement found with a negative stage
+// amount.
+type stageLoads struct {
+	slot     []int32
+	used     []network.SwitchID
+	base     []int32
+	load     []float64
+	negative string
+}
+
+// add folds one placement on sw into the loads. The caller has checked
+// the stage window against sw's pipeline.
+func (sl *stageLoads) add(name string, sp StagePlacement, sw *network.Switch) {
+	c := sl.slot[sp.Switch] - 1
+	if c < 0 {
+		c = int32(len(sl.used))
+		sl.slot[sp.Switch] = c + 1
+		sl.used = append(sl.used, sp.Switch)
+		n := len(sl.load)
+		sl.base = append(sl.base, int32(n))
+		sl.load = slices.Grow(sl.load, sw.Stages)[:n+sw.Stages]
+		clear(sl.load[n:])
+	}
+	stages := sl.load[sl.base[c]:][sp.Start:]
+	for i, amt := range sp.PerStage {
+		if amt < -1e-12 && sl.negative == "" {
+			sl.negative = name
+		}
+		stages[i] += amt
+	}
 }
 
 // Validate checks every constraint of P#1 against the plan:
 // node deployment (Eq. 6), edge deployment across switches (Eq. 7),
 // intra-switch stage ordering (Eq. 8), per-stage resource capacity
 // (Eq. 9), and the ε bounds when positive.
+//
+// It re-derives everything from Assignments on every call and runs on
+// node ids: one walk over the graph's nodes resolves each MAT's
+// placement once, checks Eq. 6 and folds its stage amounts into a load
+// slab over the used switches; the edge walk reads each endpoint's host
+// and stage window by Edge.Endpoints; the contracted switch graph is
+// checked on dense switch ids. Where several placements break the same
+// rule, the first in node-id order (MATs outside the graph after them,
+// by name) and the lowest switch ID are reported.
 func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) error {
 	if p.Graph == nil || p.Topo == nil {
 		return fmt.Errorf("placement: plan missing graph or topology")
@@ -324,68 +417,78 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 	// Tests (and replans) mutate Assignments in place before
 	// re-validating; never judge a tampered plan through a stale memo.
 	p.InvalidateCache()
+	g, topo := p.Graph, p.Topo
+	n := g.NumNodes()
+	// The walk rebuilds the host table the invalidation dropped, and
+	// keeps each node's stage window for the edge walk.
+	hosts := make([]network.SwitchID, n)
+	win := make([]int32, 2*n)
+	sl := stageLoads{slot: make([]int32, topo.NumSwitches())}
 	// Eq. 6: every MAT deployed, on a programmable switch, within the
-	// stage range, with the full requirement placed.
-	// Each node's placement is resolved once, by insertion id, for the
-	// edge walk below.
-	// The same walk rebuilds the host table the invalidation dropped.
-	nodes := p.Graph.Nodes()
-	at := make([]StagePlacement, len(nodes))
-	hosts := make([]network.SwitchID, len(nodes))
-	for i, n := range nodes {
-		sp, ok := p.Assignments[n.Name()]
+	// stage range, with the full requirement placed. Eq. 9's loads
+	// accumulate in the same walk.
+	for id := range n {
+		node := g.NodeOf(int32(id))
+		name := node.Name()
+		sp, ok := p.Assignments[name]
 		if !ok {
-			return fmt.Errorf("placement: MAT %q not deployed (Eq. 6)", n.Name())
+			return fmt.Errorf("placement: MAT %q not deployed (Eq. 6)", name)
 		}
-		at[i] = sp
-		hosts[i] = sp.Switch
-		sw, err := p.Topo.Switch(sp.Switch)
+		hosts[id] = sp.Switch
+		win[2*id], win[2*id+1] = int32(sp.Start), int32(sp.End)
+		sw, err := topo.Switch(sp.Switch)
 		if err != nil {
-			return fmt.Errorf("placement: MAT %q: %w", n.Name(), err)
+			return fmt.Errorf("placement: MAT %q: %w", name, err)
 		}
 		if !sw.Programmable {
-			return fmt.Errorf("placement: MAT %q on non-programmable switch %q", n.Name(), sw.Name)
+			return fmt.Errorf("placement: MAT %q on non-programmable switch %q", name, sw.Name)
 		}
 		// Fault overlay: a down switch hosts nothing. Paired with lint
 		// rule HL112, which restates this check independently.
-		if p.Topo.SwitchIsDown(sp.Switch) {
-			return fmt.Errorf("placement: MAT %q on down switch %q", n.Name(), sw.Name)
+		if topo.SwitchIsDown(sp.Switch) {
+			return fmt.Errorf("placement: MAT %q on down switch %q", name, sw.Name)
 		}
 		if sp.Start < 0 || sp.End >= sw.Stages || sp.Start > sp.End {
 			return fmt.Errorf("placement: MAT %q on %s has stage range [%d,%d] outside 0..%d",
-				n.Name(), SwitchLabel(p.Topo, sp.Switch), sp.Start, sp.End, sw.Stages-1)
+				name, SwitchLabel(topo, sp.Switch), sp.Start, sp.End, sw.Stages-1)
 		}
 		if len(sp.PerStage) != sp.End-sp.Start+1 {
 			return fmt.Errorf("placement: MAT %q per-stage slice length %d != range %d",
-				n.Name(), len(sp.PerStage), sp.End-sp.Start+1)
+				name, len(sp.PerStage), sp.End-sp.Start+1)
 		}
-		req := rm.Requirement(n.MAT)
+		req := rm.Requirement(node.MAT)
 		if math.Abs(sp.Total()-req) > 1e-6 {
 			return fmt.Errorf("placement: MAT %q places %g of required %g resources",
-				n.Name(), sp.Total(), req)
+				name, sp.Total(), req)
 		}
+		sl.add(name, sp, sw)
 	}
 	p.hosts = hosts
-	// Eq. 9: per-stage capacity.
-	used := map[network.SwitchID][]float64{}
-	for name, sp := range p.Assignments {
-		sw, err := p.Topo.Switch(sp.Switch)
-		if err != nil {
+	// Every node is placed, so any further assignment is a MAT outside
+	// the graph: its stages are consumed all the same.
+	if len(p.Assignments) > n {
+		if err := p.addOutside(&sl); err != nil {
 			return err
 		}
-		if used[sp.Switch] == nil {
-			used[sp.Switch] = make([]float64, sw.Stages)
-		}
-		for i, amt := range sp.PerStage {
-			if amt < -1e-12 {
-				return fmt.Errorf("placement: MAT %q has negative stage amount", name)
-			}
-			used[sp.Switch][sp.Start+i] += amt
+	}
+	// Eq. 9: no negative stage amount, and per-stage capacity, switches
+	// by ascending ID: perm lists the used switches' compact indexes in
+	// that order, and rank[c] is compact switch c's dense id.
+	if sl.negative != "" {
+		return fmt.Errorf("placement: MAT %q has negative stage amount", sl.negative)
+	}
+	buf := make([]int32, 2*len(sl.used))
+	perm, rank := buf[:0], buf[len(sl.used):]
+	for _, c := range sl.slot {
+		if c > 0 {
+			rank[c-1] = int32(len(perm))
+			perm = append(perm, c-1)
 		}
 	}
-	for id, stages := range used {
-		sw, _ := p.Topo.Switch(id)
-		for i, amt := range stages {
+	sl.base = append(sl.base, int32(len(sl.load)))
+	for _, c := range perm {
+		sw, _ := topo.Switch(sl.used[c])
+		for i, amt := range sl.load[sl.base[c]:sl.base[c+1]] {
 			if amt > sw.StageCapacity+1e-6 {
 				return fmt.Errorf("placement: switch %q stage %d overcommitted: %g > %g (Eq. 9)",
 					sw.Name, i, amt, sw.StageCapacity)
@@ -393,34 +496,38 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 		}
 	}
 	// Eq. 7 and Eq. 8 per edge; the walk collects the cross-switch
-	// pairs the ordering check below contracts.
-	var pairs []RouteKey
+	// arcs the ordering check below contracts.
+	var arcs []uint64
 	//hermes:hot
-	for _, e := range p.Graph.EdgeList() {
+	for _, e := range g.EdgeList() {
 		from, to := e.Endpoints()
-		sa, sb := &at[from], &at[to]
-		if sa.Switch == sb.Switch {
-			if sa.End >= sb.Start {
+		ua, ub := hosts[from], hosts[to]
+		if ua == ub {
+			if end, start := win[2*from+1], win[2*to]; end >= start {
 				return fmt.Errorf("placement: co-located dependency %s->%s violates stage order: end %d >= start %d (Eq. 8)",
-					e.From, e.To, sa.End, sb.Start)
+					e.From, e.To, end, start)
 			}
 			continue
 		}
-		key := RouteKey{From: sa.Switch, To: sb.Switch}
-		pairs = append(pairs, key)
-		path, ok := p.Routes[key]
+		ra, rb := rank[sl.slot[ua]-1], rank[sl.slot[ub]-1]
+		arcs = append(arcs, uint64(ra)<<32|uint64(rb))
+		path, ok := p.Routes[RouteKey{From: ua, To: ub}]
 		if !ok {
 			return fmt.Errorf("placement: cross-switch dependency %s->%s has no route %s -> %s (Eq. 7)",
-				e.From, e.To, SwitchLabel(p.Topo, sa.Switch), SwitchLabel(p.Topo, sb.Switch))
+				e.From, e.To, SwitchLabel(topo, ua), SwitchLabel(topo, ub))
 		}
-		if len(path.Switches) == 0 || path.Switches[0] != sa.Switch || path.Switches[len(path.Switches)-1] != sb.Switch {
+		if len(path.Switches) == 0 || path.Switches[0] != ua || path.Switches[len(path.Switches)-1] != ub {
 			return fmt.Errorf("placement: route for %s->%s does not connect %s to %s",
-				e.From, e.To, SwitchLabel(p.Topo, sa.Switch), SwitchLabel(p.Topo, sb.Switch))
+				e.From, e.To, SwitchLabel(topo, ua), SwitchLabel(topo, ub))
 		}
 	}
 	// Global ordering feasibility.
-	if _, err := p.switchDAGOrder(pairs); err != nil {
-		return err
+	if order, indeg := switchDAG(len(sl.used), arcs); len(order) != len(sl.used) {
+		nodes := make([]network.SwitchID, len(perm))
+		for r, c := range perm {
+			nodes[r] = sl.used[c]
+		}
+		return p.cycleError(nodes, indeg)
 	}
 	// ε bounds.
 	if eps1 > 0 {
@@ -429,9 +536,35 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 		}
 	}
 	if eps2 > 0 {
-		if got := p.QOcc(); got > eps2 {
+		if got := len(sl.used); got > eps2 {
 			return fmt.Errorf("placement: Q_occ %d exceeds ε2 %d (Eq. 5)", got, eps2)
 		}
+	}
+	return nil
+}
+
+// addOutside folds the assignments of MATs outside the graph into
+// Validate's loads, by name. Nothing else checks them, so a stage
+// window outside the switch's pipeline is reported here.
+func (p *Plan) addOutside(sl *stageLoads) error {
+	var outside []string
+	for name := range p.Assignments {
+		if _, ok := p.Graph.ID(name); !ok {
+			outside = append(outside, name)
+		}
+	}
+	sort.Strings(outside)
+	for _, name := range outside {
+		sp := p.Assignments[name]
+		sw, err := p.Topo.Switch(sp.Switch)
+		if err != nil {
+			return err
+		}
+		if len(sp.PerStage) > 0 && (sp.Start < 0 || sp.Start+len(sp.PerStage) > sw.Stages) {
+			return fmt.Errorf("placement: MAT %q on %s has stage range [%d,%d] outside 0..%d",
+				name, SwitchLabel(p.Topo, sp.Switch), sp.Start, sp.Start+len(sp.PerStage)-1, sw.Stages-1)
+		}
+		sl.add(name, sp, sw)
 	}
 	return nil
 }

@@ -1,8 +1,13 @@
 package placement
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/hermes-net/hermes/internal/analyzer"
@@ -26,6 +31,65 @@ func (p *Plan) PairBytesUncached() map[RouteKey]int {
 		}
 	}
 	return out
+}
+
+// switchDAGOrderRef is the switch-DAG order as Validate and SwitchOrder
+// computed it before the contraction moved onto dense switch ids shared
+// with the repair's acyclicity proof: the used switches through the
+// assignment map, RouteKey pairs, and a binary search per arc.
+func switchDAGOrderRef(p *Plan, pairs []RouteKey) ([]network.SwitchID, error) {
+	nodes := p.UsedSwitches()
+	id := func(sw network.SwitchID) int32 {
+		i, _ := slices.BinarySearch(nodes, sw)
+		return int32(i)
+	}
+	slices.SortFunc(pairs, func(a, b RouteKey) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.To, b.To)
+	})
+	pairs = slices.Compact(pairs)
+	n := len(nodes)
+	buf := make([]int32, 3*n+1+len(pairs))
+	indeg, ready, head, succ := buf[:n], buf[n:n:2*n], buf[2*n:3*n+1], buf[3*n+1:]
+	for k, pr := range pairs {
+		u, v := id(pr.From), id(pr.To)
+		succ[k] = v
+		head[u+1]++
+		indeg[v]++
+	}
+	for u := 0; u < n; u++ {
+		head[u+1] += head[u]
+		if indeg[u] == 0 {
+			ready = append(ready, int32(u)) // ascending
+		}
+	}
+	out := make([]network.SwitchID, 0, n)
+	for len(ready) > 0 {
+		u := ready[0]
+		ready = ready[1:]
+		out = append(out, nodes[u])
+		for _, v := range succ[head[u]:head[u+1]] {
+			indeg[v]--
+			if indeg[v] == 0 {
+				i, _ := slices.BinarySearch(ready, v)
+				ready = slices.Insert(ready, i, v)
+			}
+		}
+	}
+	if len(out) != n {
+		var stuck []string
+		for u, d := range indeg {
+			if d > 0 {
+				stuck = append(stuck, SwitchLabel(p.Topo, nodes[u]))
+			}
+		}
+		sort.Strings(stuck)
+		return nil, fmt.Errorf("placement: switch-level dependency graph is cyclic among %s",
+			strings.Join(stuck, ", "))
+	}
+	return out, nil
 }
 
 // checkHostTable holds the host-table readers — Hosts, CrossEdges,
@@ -62,8 +126,8 @@ func checkHostTable(t *testing.T, label string, plan *Plan) {
 		t.Fatalf("%s: PairBytes = %v, name-keyed %v", label, got, want)
 	}
 	got, gotErr := plan.SwitchOrder()
-	want, wantErr := plan.switchDAGOrder(pairs)
-	if !reflect.DeepEqual(got, want) || (gotErr == nil) != (wantErr == nil) {
+	want, wantErr := switchDAGOrderRef(plan, pairs)
+	if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: SwitchOrder = %v, %v; name-keyed %v, %v", label, got, gotErr, want, wantErr)
 	}
 }
@@ -138,4 +202,70 @@ func TestHostTableMatchesNameKeyed(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkHostTable(t, "sharded composite:10", plan)
+}
+
+// TestValidateReportsFirstBreach pins which breach Validate names when
+// a plan breaks Eq. 9 more than once: the placement with the lowest
+// node id for a negative stage amount, the lowest switch ID for an
+// overcommitted stage — not the switch or MAT the walk met first.
+func TestValidateReportsFirstBreach(t *testing.T) {
+	rm := program.DefaultResourceModel
+	g := tdg.New()
+	// Insertion order z, a, ...: node id order is not name order.
+	names := []string{"z", "a", "m", "b", "y", "c"}
+	for _, n := range names {
+		if err := g.AddNode(fixedMAT(n, 0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tp := twoMATSwitchTopo(t, 3)
+	at := func(sw network.SwitchID, per ...float64) StagePlacement {
+		return StagePlacement{Switch: sw, Start: 0, End: len(per) - 1, PerStage: per}
+	}
+	plan := &Plan{Graph: g, Topo: tp, Assignments: map[string]StagePlacement{
+		// Switch 2 is met first and overcommitted; so is switch 1.
+		"z": at(2, 0.5), "a": at(2, 0.5),
+		"m": at(1, 0.5), "b": at(1, 0.5),
+		"y": at(0, 0.5), "c": at(0, 0, 0.5),
+	}}
+	err := plan.Validate(rm, 0, 0)
+	if want := `placement: switch "s1" stage 0 overcommitted: 1 > 0.5 (Eq. 9)`; fmt.Sprint(err) != want {
+		t.Fatalf("two overcommitted switches: Validate = %v, want %s", err, want)
+	}
+	plan.Assignments["a"] = at(0, -0.1, 0.6)
+	plan.Assignments["z"] = at(1, -0.1, 0.6)
+	err = plan.Validate(rm, 0, 0)
+	if want := `placement: MAT "z" has negative stage amount`; fmt.Sprint(err) != want {
+		t.Fatalf("two negative amounts: Validate = %v, want %s", err, want)
+	}
+}
+
+// TestValidateOutsideAssignment: an assignment for a MAT outside the
+// graph consumes real stages, so its window is checked against its
+// switch's pipeline (the map-based Eq. 9 sum indexed past the end and
+// panicked) and its load counts toward Eq. 9.
+func TestValidateOutsideAssignment(t *testing.T) {
+	rm := program.DefaultResourceModel
+	g := chainTDG(t, []string{"a", "b"}, []int{1}, 0.5)
+	tp := twoMATSwitchTopo(t, 2)
+	plan, err := (Greedy{}).Solve(g, tp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sp   StagePlacement
+		want string
+	}{
+		{StagePlacement{Switch: 1, Start: 5, End: 5, PerStage: []float64{0.1}},
+			`placement: MAT "ghost" on switch 1 ("s1") has stage range [5,5] outside 0..1`},
+		{StagePlacement{Switch: 7, Start: 0, End: 0, PerStage: []float64{0.1}},
+			`network: unknown switch 7`},
+		{StagePlacement{Switch: 0, Start: 0, End: 1, PerStage: []float64{0.5, 0.5}},
+			`placement: switch "s0" stage 0 overcommitted: 1 > 0.5 (Eq. 9)`},
+	} {
+		plan.Assignments["ghost"] = tc.sp
+		if err := plan.Validate(rm, 0, 0); fmt.Sprint(err) != tc.want {
+			t.Errorf("outside assignment %+v: Validate = %v, want %s", tc.sp, err, tc.want)
+		}
+	}
 }

@@ -223,7 +223,7 @@ func ReplanWithOptions(old *Plan, solver Solver, ropts ReplanOptions, drained ..
 		sw.StageCapacity = 0
 		drainedSet[id] = true
 	}
-	if len(topo.ProgrammableSwitches()) == 0 {
+	if topo.NumProgrammable() == 0 {
 		return nil, nil, fmt.Errorf("placement: replan drains every programmable switch")
 	}
 
@@ -308,7 +308,7 @@ func finishRepairTimed(plan *Plan, old *Plan, ropts ReplanOptions, dirty int, re
 // finishRepair applies the ε-bound and quality-ratio gates to a
 // repaired plan and stamps its provenance.
 func finishRepair(plan *Plan, old *Plan, ropts ReplanOptions, dirty int) (*Plan, int, error) {
-	if err := plan.Validate(program.DefaultResourceModel, ropts.Epsilon1, ropts.epsilon2(len(plan.Topo.ProgrammableSwitches()))); err != nil {
+	if err := plan.Validate(program.DefaultResourceModel, ropts.Epsilon1, ropts.epsilon2(plan.Topo.NumProgrammable())); err != nil {
 		return nil, dirty, fmt.Errorf("repair violates plan invariants: %w", err)
 	}
 	if ratio := ropts.qualityRatio(); ratio > 0 {

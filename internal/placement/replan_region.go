@@ -172,13 +172,7 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 	// cycle threading placed MATs through hosts outside the instance is
 	// invisible there, so re-prove the invariant over every TDG edge
 	// before standing the plan up.
-	assign := make(map[string]network.SwitchID, len(byID))
-	for id, u := range byID {
-		if u >= 0 {
-			assign[gi.Names[id]] = u
-		}
-	}
-	if !assignmentAcyclic(g, assign) {
+	if !hostsAcyclic(g, byID, topo.NumSwitches()) {
 		return nil, len(dirty), fmt.Errorf("repair left a cyclic contracted switch graph")
 	}
 
@@ -329,56 +323,9 @@ func healInstance(g *tdg.Graph, gi *graphIndex, topo *network.Topology, part *ne
 		return ok
 	}
 
-	// Halo hosts: frozen anchors — hosts of the dirty MATs' TDG peers
-	// outside the candidate set.
-	hosts := slices.Clone(cands)
-	for _, id := range dirty {
-		for _, e := range g.OutEdgesOf(id) {
-			if _, to := e.Endpoints(); surv[to] >= 0 && !isCand(surv[to]) {
-				hosts = append(hosts, surv[to])
-			}
-		}
-		for _, e := range g.InEdgesOf(id) {
-			if from, _ := e.Endpoints(); surv[from] >= 0 && !isCand(surv[from]) {
-				hosts = append(hosts, surv[from])
-			}
-		}
-	}
-	slices.Sort(hosts)
-	hosts = slices.Compact(hosts)
-
-	// Instance MATs, walked in name order: every MAT resident on an
-	// instance host (their pair bytes are the background the scores sit
-	// on), plus this share's displaced MATs (unassigned, to be placed).
-	// dirty is in name order too, so one cursor finds each dirty MAT's
-	// instance index.
-	ids := make([]int32, 0, len(dirty))
-	at := make([]network.SwitchID, 0, len(dirty))
-	dirtyIdx := make([]int32, 0, len(dirty))
-	var place []int32
-	//hermes:hot
-	for _, id := range gi.ByName {
-		isDirty := len(dirtyIdx) < len(dirty) && dirty[len(dirtyIdx)] == id
-		u := surv[id]
-		if u < 0 && !isDirty {
-			continue
-		}
-		if u >= 0 {
-			if _, ok := slices.BinarySearch(hosts, u); !ok {
-				if isDirty {
-					return nil, fmt.Errorf("dirty MAT %q is hosted outside the instance's candidates", gi.Names[id])
-				}
-				continue
-			}
-		}
-		if isDirty {
-			dirtyIdx = append(dirtyIdx, int32(len(ids)))
-		}
-		if u < 0 {
-			place = append(place, int32(len(ids)))
-		}
-		ids = append(ids, id)
-		at = append(at, u)
+	hosts, ids, at, dirtyIdx, place, err := instanceMATs(g, gi, surv, dirty, cands, isCand)
+	if err != nil {
+		return nil, err
 	}
 	in, err := newRepairInstance(g, gi, topo, hosts, ids, at, func(sw *network.Switch) bool { return isCand(sw.ID) }, weights, ropts.Options)
 	if err != nil {
@@ -402,4 +349,61 @@ func healInstance(g *tdg.Graph, gi *graphIndex, topo *network.Topology, part *ne
 		out[i] = in.switchOf(x)
 	}
 	return out, nil
+}
+
+// instanceMATs gathers one heal instance over the candidate hosts cands
+// (ascending; isCand tests membership). Its hosts are the candidates
+// plus the halo: the hosts of the dirty MATs' TDG peers outside the
+// candidate set, frozen anchors that give each pair-byte cell a repair
+// move can touch its true background bytes. Its MATs, walked in name
+// order, are every MAT surv keeps on one of its hosts plus this share's
+// displaced MATs (surv -1, returned by instance index in place). dirty
+// is in name order too, so one cursor finds each dirty MAT's instance
+// index (dirtyIdx). at is each instance MAT's switch, -1 to be placed.
+func instanceMATs(g *tdg.Graph, gi *graphIndex, surv []network.SwitchID, dirty []int32, cands []network.SwitchID,
+	isCand func(network.SwitchID) bool) (hosts []network.SwitchID, ids []int32, at []network.SwitchID, dirtyIdx, place []int32, err error) {
+	hosts = slices.Clone(cands)
+	for _, id := range dirty {
+		for _, e := range g.OutEdgesOf(id) {
+			if _, to := e.Endpoints(); surv[to] >= 0 && !isCand(surv[to]) {
+				hosts = append(hosts, surv[to])
+			}
+		}
+		for _, e := range g.InEdgesOf(id) {
+			if from, _ := e.Endpoints(); surv[from] >= 0 && !isCand(surv[from]) {
+				hosts = append(hosts, surv[from])
+			}
+		}
+	}
+	slices.Sort(hosts)
+	hosts = slices.Compact(hosts)
+
+	ids = make([]int32, 0, len(dirty))
+	at = make([]network.SwitchID, 0, len(dirty))
+	dirtyIdx = make([]int32, 0, len(dirty))
+	//hermes:hot
+	for _, id := range gi.ByName {
+		isDirty := len(dirtyIdx) < len(dirty) && dirty[len(dirtyIdx)] == id
+		u := surv[id]
+		if u < 0 && !isDirty {
+			continue
+		}
+		if u >= 0 {
+			if _, ok := slices.BinarySearch(hosts, u); !ok {
+				if isDirty {
+					return nil, nil, nil, nil, nil, fmt.Errorf("dirty MAT %q is hosted outside the instance's candidates", gi.Names[id])
+				}
+				continue
+			}
+		}
+		if isDirty {
+			dirtyIdx = append(dirtyIdx, int32(len(ids)))
+		}
+		if u < 0 {
+			place = append(place, int32(len(ids)))
+		}
+		ids = append(ids, id)
+		at = append(at, u)
+	}
+	return hosts, ids, at, dirtyIdx, place, nil
 }

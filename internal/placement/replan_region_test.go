@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -342,4 +343,141 @@ func movedNames(a, b *Plan) ([]string, error) {
 	}
 	sort.Strings(moved)
 	return moved, nil
+}
+
+// TestHealInstanceHaloMatchesNameKeyed holds every regional heal
+// instance's membership to a name-keyed reference. On composite:30
+// (8 regions) and composite:60 (16 regions), draining each of the ten
+// busiest switches, each region's instance (and its widened retry) has
+// as hosts its candidates plus exactly the switches, found by name,
+// that host its dirty MATs' TDG peers outside the candidates — the
+// halo — and as MATs every MAT left on those hosts plus its displaced
+// MATs, in name order. The drains must reach instances with a
+// non-empty halo: dirty MATs talking across a region cut.
+func TestHealInstanceHaloMatchesNameKeyed(t *testing.T) {
+	rm := program.DefaultResourceModel
+	halos, instances := 0, 0
+	for _, c := range []struct{ regions, programs, shards int }{{30, 100, 8}, {60, 200, 16}} {
+		topo, err := network.CompositeWAN(c.regions, network.TofinoSpec(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs, err := workload.SyntheticSet(c.programs, workload.PaperSyntheticSpec(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := analyzer.Analyze(progs, analyzer.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := network.PartitionRegions(topo, c.shards, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := ShardedGreedy{Partition: part}.Solve(g, topo, Options{Shards: c.shards, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gi := indexOf(g, rm)
+		nbr := regionAdjacency(part)
+		for _, drain := range topHosts(plan, 10) {
+			label := fmt.Sprintf("composite:%d drain=%d", c.regions, drain)
+			drained := plan.Topo.Clone()
+			sw, _ := drained.Switch(drain)
+			sw.Programmable, sw.Stages, sw.StageCapacity = false, 0, 0
+			displaced, dirty := dirtySets(plan, drained, map[network.SwitchID]bool{drain: true})
+			// The repair's fan-out, rebuilt by name: the survivors by
+			// node id, the switches they use, and each region's dirty
+			// share in name order.
+			surv := map[string]network.SwitchID{}
+			survID := make([]network.SwitchID, g.NumNodes())
+			for id := range survID {
+				survID[id] = -1
+			}
+			used := make([]bool, drained.NumSwitches())
+			for name, sp := range plan.Assignments {
+				if !displaced[name] {
+					surv[name] = sp.Switch
+					id, _ := g.ID(name)
+					survID[id], used[sp.Switch] = sp.Switch, true
+				}
+			}
+			shares := map[int][]string{}
+			for name := range dirty {
+				r := part.RegionOf(plan.Assignments[name].Switch)
+				shares[r] = append(shares[r], name)
+			}
+			for r, names := range shares {
+				sort.Strings(names)
+				share := map[string]bool{}
+				shareIDs := make([]int32, len(names))
+				for k, name := range names {
+					share[name] = true
+					shareIDs[k], _ = g.ID(name)
+				}
+				for _, candRegions := range [][]int{{r}, append([]int{r}, nbr[r]...)} {
+					cands, err := candidateHosts(drained, part, used, candRegions)
+					if err != nil {
+						t.Fatal(err)
+					}
+					isCand := func(u network.SwitchID) bool {
+						_, ok := slices.BinarySearch(cands, u)
+						return ok
+					}
+					hosts, ids, at, _, _, err := instanceMATs(g, gi, survID, shareIDs, cands, isCand)
+					if err != nil {
+						t.Fatalf("%s region %d: %v", label, r, err)
+					}
+					want := slices.Clone(cands)
+					for name := range share {
+						for _, e := range g.OutEdgeList(name) {
+							if u, ok := surv[e.To]; ok && !slices.Contains(cands, u) {
+								want = append(want, u)
+							}
+						}
+						for _, e := range g.InEdgeList(name) {
+							if u, ok := surv[e.From]; ok && !slices.Contains(cands, u) {
+								want = append(want, u)
+							}
+						}
+					}
+					slices.Sort(want)
+					want = slices.Compact(want)
+					if !slices.Equal(hosts, want) {
+						t.Fatalf("%s region %d: instance hosts %v, name-keyed %v", label, r, hosts, want)
+					}
+					var wantMATs []string
+					for name, u := range surv {
+						if slices.Contains(want, u) {
+							wantMATs = append(wantMATs, name)
+						}
+					}
+					for name := range share {
+						if displaced[name] {
+							wantMATs = append(wantMATs, name)
+						}
+					}
+					sort.Strings(wantMATs)
+					gotMATs := make([]string, len(ids))
+					for x, id := range ids {
+						gotMATs[x] = gi.Names[id]
+						if u, ok := surv[gotMATs[x]]; ok && at[x] != u || !ok && at[x] != -1 {
+							t.Fatalf("%s region %d: MAT %q at %d", label, r, gotMATs[x], at[x])
+						}
+					}
+					if !slices.Equal(gotMATs, wantMATs) {
+						t.Fatalf("%s region %d: instance holds %d MATs, name-keyed %d", label, r, len(gotMATs), len(wantMATs))
+					}
+					instances++
+					if len(hosts) > len(cands) {
+						halos++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d instances, %d with a halo", instances, halos)
+	if halos == 0 {
+		t.Fatal("no drain reached an instance with a non-empty halo")
+	}
 }
