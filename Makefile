@@ -87,10 +87,13 @@ race:
 # One-shot run of the parallel speedup benchmark, which proves the
 # worker plumbing still functions, of the analyzer benchmark
 # (Algorithm 1 on 50 evaluation programs), of the cold topological
-# sort of the merged 200-program TDG, and of two post-repair gates on
-# the 2,822-MAT composite plan: the plan lint and the rollout diff.
+# sort of the merged 200-program TDG, of two post-repair gates on the
+# 2,822-MAT composite plan (the plan lint and the rollout diff), of one
+# whole composite heal (replan, Compile, Verify and the rollout) and of
+# the wan30 Compile.
 bench-smoke:
-	$(GO) test -run xxx -bench 'ParallelSpeedup|^BenchmarkAnalyzer$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'ParallelSpeedup|^BenchmarkAnalyzer$$|^BenchmarkCompositeHeal$$' -benchtime 1x .
+	$(GO) test -run xxx -bench '^BenchmarkCompileWAN30$$' -benchtime 1x ./internal/deploy
 	$(GO) test -run xxx -bench '^BenchmarkTopoSort$$' -benchtime 1x ./internal/tdg
 	$(GO) test -run xxx -bench '^BenchmarkLintPlan$$' -benchtime 1x ./internal/lint
 	$(GO) test -run xxx -bench '^BenchmarkRolloutNew$$' -benchtime 1x ./internal/deploy/rollout

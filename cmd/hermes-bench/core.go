@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	hermes "github.com/hermes-net/hermes"
@@ -145,20 +146,23 @@ func newCoreInstance(programs int, seed int64) (*coreInstance, error) {
 	if err != nil {
 		return nil, err
 	}
+	ci := placement.Compile(plan.Graph, plan.Topo, program.DefaultResourceModel)
 	inst := &coreInstance{
-		ci:      placement.Compile(plan.Graph, plan.Topo, program.DefaultResourceModel),
+		ci:      ci,
 		assign:  make(map[string]network.SwitchID, len(plan.Assignments)),
+		dense:   ci.DenseAssign(plan.Hosts()),
 		partial: make(map[string]network.SwitchID, len(plan.Assignments)),
 	}
+	inst.pdense = slices.Clone(inst.dense)
 	for name, sp := range plan.Assignments {
 		inst.assign[name] = sp.Switch
 		// Deterministic subset via the interned index, not map order.
-		if inst.ci.Index[name]%10 < 7 {
+		if x := ci.Index[name]; x%10 < 7 {
 			inst.partial[name] = sp.Switch
+		} else {
+			inst.pdense[x] = -1
 		}
 	}
-	inst.dense = inst.ci.DenseAssign(inst.assign)
-	inst.pdense = inst.ci.DenseAssign(inst.partial)
 	return inst, nil
 }
 

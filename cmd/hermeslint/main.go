@@ -531,7 +531,6 @@ var hotBanned = map[string]bool{
 	"AMax":               true,
 	"TE2E":               true,
 	"TotalCrossBytes":    true,
-	"CrossEdges":         true,
 	"AssignmentAMaxRef":  true,
 	"MoveScoreRef":       true,
 	"PlaceScoreRef":      true,

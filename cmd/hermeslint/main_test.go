@@ -1275,9 +1275,9 @@ type (
 	}
 }
 
-// deadSurfaceTDG declares tdg.Graph's allowlisted methods AddEdge and
-// Edges next to a method a command calls.
-const deadSurfaceTDG = "package tdg\ntype Graph struct{}\nfunc (g *Graph) AddEdge() error { return nil }\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n"
+// deadSurfaceTDG declares tdg.Graph's allowlisted methods AddEdge, Edge
+// and Edges next to a method a command calls.
+const deadSurfaceTDG = "package tdg\ntype Graph struct{}\nfunc (g *Graph) AddEdge() error { return nil }\nfunc (g *Graph) Edge() {}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n"
 
 const deadSurfaceTDGFacade = `package hermes
 import "github.com/hermes-net/hermes/internal/tdg"
@@ -1312,7 +1312,7 @@ func TestDeadSurfaceStalePublicAPIEntry(t *testing.T) {
 			"cmd/tool/main.go":    cmd + "var _ = (&tdg.Graph{}).AddEdge()\n",
 		}, []string{"publicAPIAllowlist entry tdg.Graph.AddEdge has a non-test caller now"}},
 		{"deleted", map[string]string{
-			"internal/tdg/tdg.go": "package tdg\ntype Graph struct{}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n",
+			"internal/tdg/tdg.go": "package tdg\ntype Graph struct{}\nfunc (g *Graph) Edge() {}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n",
 			"hermes.go":           deadSurfaceTDGFacade,
 			"cmd/tool/main.go":    cmd,
 		}, []string{"publicAPIAllowlist entry tdg.Graph.AddEdge names no declaration"}},
@@ -1321,6 +1321,7 @@ func TestDeadSurfaceStalePublicAPIEntry(t *testing.T) {
 			"cmd/tool/main.go":    cmd,
 		}, []string{
 			"publicAPIAllowlist entry tdg.Graph.AddEdge is a method of a type the facade does not alias",
+			"publicAPIAllowlist entry tdg.Graph.Edge is a method of a type the facade does not alias",
 			"publicAPIAllowlist entry tdg.Graph.Edges is a method of a type the facade does not alias",
 		}},
 	} {
@@ -1355,7 +1356,7 @@ func TestDeadSurfaceStaleEntryKeyedOnDirectory(t *testing.T) {
 		}, nil},
 		{"fixture_does_not_declare_for_real", map[string]string{
 			"internal/lintfix/fix.go": "package tdg\ntype Graph struct{}\nfunc (g *Graph) AddEdge() error { return nil }\n",
-			"internal/tdg/tdg.go":     "package tdg\ntype Graph struct{}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n",
+			"internal/tdg/tdg.go":     "package tdg\ntype Graph struct{}\nfunc (g *Graph) Edge() {}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n",
 			"hermes.go":               deadSurfaceTDGFacade,
 			"cmd/tool/main.go":        cmd,
 		}, []string{"publicAPIAllowlist entry tdg.Graph.AddEdge names no declaration"}},

@@ -1,6 +1,8 @@
 package hermes_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -188,6 +190,54 @@ func TestReplanThroughFacade(t *testing.T) {
 	for name := range newPlan.Assignments {
 		if sw, _ := newPlan.SwitchOf(name); sw == used[0] {
 			t.Errorf("MAT %q still on drained switch", name)
+		}
+	}
+}
+
+// TestDecodePlanRejectsForeignAndMissingMATs: a serialized plan is
+// input from outside the program, so DecodePlan holds it to Eq. 6 at
+// the boundary: it must place exactly its graph's MATs.
+func TestDecodePlanRejectsForeignAndMissingMATs(t *testing.T) {
+	res, err := hermes.Deploy(facadeWorkload(t), facadeTopo(t), hermes.DeployOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := res.Plan.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hermes.DecodePlan(data, res.TDG, res.Plan.Topo); err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	names := res.TDG.NodeNames()
+	for _, tc := range []struct {
+		name string
+		edit func(as map[string]json.RawMessage)
+		want string
+	}{
+		{"foreign MAT", func(as map[string]json.RawMessage) { as["ghost"] = as[names[0]] },
+			`placement: decoded plan invalid: placement: MAT "ghost" is not in the plan's graph (Eq. 6)`},
+		{"missing MAT", func(as map[string]json.RawMessage) { delete(as, names[0]) },
+			fmt.Sprintf(`placement: decoded plan invalid: placement: MAT %q not deployed (Eq. 6)`, names[0])},
+	} {
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		var as map[string]json.RawMessage
+		if err := json.Unmarshal(doc["assignments"], &as); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(as)
+		if doc["assignments"], err = json.Marshal(as); err != nil {
+			t.Fatal(err)
+		}
+		edited, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hermes.DecodePlan(edited, res.TDG, res.Plan.Topo); fmt.Sprint(err) != tc.want {
+			t.Errorf("%s: DecodePlan = %v, want %s", tc.name, err, tc.want)
 		}
 	}
 }

@@ -26,10 +26,10 @@ type StageEntry struct {
 	MAT string
 	// Amount is the resource slice the fragment consumes in this stage.
 	Amount float64
-	// Node is MAT's node id in the plan's graph, -1 for a MAT outside
-	// it. Compile stamps it; Verify reads it only where the graph's node
-	// of that id carries the name MAT, so a hand-built entry may leave
-	// it zero.
+	// Node is MAT's node id in the plan's graph. Compile stamps it (a
+	// plan places only its graph's MATs); Verify reads it only where the
+	// graph's node of that id carries the name MAT, so a hand-built
+	// entry may leave it zero.
 	Node int32
 }
 
@@ -210,7 +210,7 @@ func compileStages(plan *placement.Plan) ([]*SwitchConfig, []int32, error) {
 		st := out[slot[sp.Switch]-1].Stages
 		id, ok := plan.Graph.ID(name)
 		if !ok {
-			id = -1
+			return nil, nil, foreignError(plan)
 		}
 		for i, amt := range sp.PerStage {
 			if amt > 0 {
@@ -406,8 +406,8 @@ func Redeploy(d *Deployment, solver placement.Solver, opts placement.ReplanOptio
 // counts it when the plan's host table puts that MAT on the entry's
 // switch; an entry whose stamp does not match resolves by name. Each
 // graph node's placement is then checked in node-id order (one lookup
-// of its assignment by name), and the assignments of MATs outside the
-// graph after them, by name.
+// of its assignment by name). A plan that places a MAT outside its
+// graph is an error.
 func (d *Deployment) Verify() error {
 	plan := d.Plan
 	g := plan.Graph
@@ -433,50 +433,29 @@ func (d *Deployment) Verify() error {
 			}
 		}
 	}
-	// Entries whose stamp does not name their MAT (built by hand, or a
-	// MAT outside the graph) resolve by name.
+	// Entries whose stamp does not name their MAT (built by hand)
+	// resolve by name.
 	for _, u := range unstamped {
 		if id, ok := g.ID(u.e.MAT); ok && hosts[id] == u.sw {
 			scheduled[id] += u.e.Amount
 		}
 	}
+	// A placement on a negative switch ID reads as unplaced in the host
+	// table, so the walk looks every node's assignment up by name.
 	placed := 0
-	for id, sw := range hosts {
-		if sw < 0 {
+	for id := range hosts {
+		name := g.NodeOf(int32(id)).Name()
+		sp, ok := plan.Assignments[name]
+		if !ok {
 			continue
 		}
 		placed++
-		name := g.NodeOf(int32(id)).Name()
-		if err := d.verifyPlacement(name, plan.Assignments[name], scheduled[id]); err != nil {
+		if err := d.verifyPlacement(name, sp, scheduled[id]); err != nil {
 			return err
 		}
 	}
 	if placed != len(plan.Assignments) {
-		// MATs outside the graph, or on a negative switch ID: summed by
-		// name on their own switch.
-		var rest []string
-		for name, sp := range plan.Assignments {
-			if id, ok := g.ID(name); !ok || sp.Switch < 0 || hosts[id] != sp.Switch {
-				rest = append(rest, name)
-			}
-		}
-		sort.Strings(rest)
-		for _, name := range rest {
-			sp := plan.Assignments[name]
-			total := 0.0
-			if cfg := d.Configs[sp.Switch]; cfg != nil {
-				for _, st := range cfg.Stages {
-					for _, e := range st {
-						if e.MAT == name {
-							total += e.Amount
-						}
-					}
-				}
-			}
-			if err := d.verifyPlacement(name, sp, total); err != nil {
-				return err
-			}
-		}
+		return foreignError(plan)
 	}
 	// Headers bounded by the analyzer's per-pair byte counts.
 	pairBytes := d.Plan.PairBytes()
@@ -507,6 +486,18 @@ func (d *Deployment) Verify() error {
 		}
 	}
 	return nil
+}
+
+// foreignError names the smallest MAT the plan places outside its
+// graph: Compile and Verify reject such a plan, as Plan.Validate does.
+func foreignError(plan *placement.Plan) error {
+	var foreign string
+	for name := range plan.Assignments {
+		if _, ok := plan.Graph.ID(name); !ok && (foreign == "" || name < foreign) {
+			foreign = name
+		}
+	}
+	return fmt.Errorf("deploy: MAT %q is not in the plan's graph", foreign)
 }
 
 // verifyPlacement checks that the configs schedule all of a MAT's

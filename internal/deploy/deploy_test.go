@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -159,6 +160,21 @@ func TestVerifyCatchesTampering(t *testing.T) {
 			t.Error("emptied stage program accepted")
 		}
 	})
+	// The host table reads -1 for an unplaced MAT, so a placement on a
+	// negative switch ID must not pass as one.
+	for _, sw := range []network.SwitchID{-1, -2} {
+		t.Run(fmt.Sprintf("MAT on switch %d", sw), func(t *testing.T) {
+			dep, plan := compiled(t)
+			sp := plan.Assignments["p/count"]
+			sp.Switch = sw
+			plan.Assignments["p/count"] = sp
+			plan.InvalidateCache()
+			want := fmt.Sprintf(`deploy: switch %d has no config but hosts MAT "p/count"`, sw)
+			if err := dep.Verify(); fmt.Sprint(err) != want {
+				t.Errorf("Verify = %v, want %s", err, want)
+			}
+		})
+	}
 }
 
 func TestCompileErrors(t *testing.T) {
@@ -167,6 +183,15 @@ func TestCompileErrors(t *testing.T) {
 	}
 	if _, err := Compile(&placement.Plan{}, analyzer.Options{}); err == nil {
 		t.Error("Compile of empty plan succeeded")
+	}
+	// MATs outside the graph: the smallest name is reported.
+	_, plan := compiled(t)
+	for _, name := range []string{"zeta", "ghost", "omega"} {
+		plan.Assignments[name] = plan.Assignments["p/count"]
+	}
+	want := `deploy: MAT "ghost" is not in the plan's graph`
+	if _, err := Compile(plan, analyzer.Options{}); fmt.Sprint(err) != want {
+		t.Errorf("Compile = %v, want %s", err, want)
 	}
 }
 

@@ -193,9 +193,12 @@ func refAnalyze(progs []*program.Program, opts analyzer.Options) (*tdg.Graph, er
 
 func refHeaders(plan *placement.Plan) (map[placement.RouteKey]fields.Set, error) {
 	perPair := map[placement.RouteKey]fields.Set{}
-	for _, e := range plan.CrossEdges() {
-		ua, _ := plan.SwitchOf(e.From)
-		ub, _ := plan.SwitchOf(e.To)
+	for _, e := range plan.Graph.EdgeList() {
+		ua, oka := plan.SwitchOf(e.From)
+		ub, okb := plan.SwitchOf(e.To)
+		if !oka || !okb || ua == ub {
+			continue
+		}
 		a, _ := plan.Graph.Node(e.From)
 		b, _ := plan.Graph.Node(e.To)
 		fs, err := refEdgeFields(a.MAT, b.MAT, e.Type)

@@ -1,9 +1,11 @@
 package rollout
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -309,7 +311,17 @@ func (r *Rollout) gate() error {
 				return fmt.Errorf("rollout: new plan hosts MATs on switch %d, down on live topology: %w", sw, deploy.ErrSwitchDown)
 			}
 		}
-		for key, path := range r.next.Plan.Routes {
+		// By (From, To), so of several broken routes the error always
+		// names the same one.
+		keys := make([]placement.RouteKey, 0, len(r.next.Plan.Routes))
+		for key := range r.next.Plan.Routes {
+			keys = append(keys, key)
+		}
+		slices.SortFunc(keys, func(a, b placement.RouteKey) int {
+			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+		})
+		for _, key := range keys {
+			path := r.next.Plan.Routes[key]
 			for i, sw := range path.Switches {
 				if topo.SwitchIsDown(sw) {
 					return fmt.Errorf("rollout: new plan route %v transits down switch %d", key, sw)

@@ -1,9 +1,11 @@
 package rollout
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -425,6 +427,50 @@ func TestRolloutGateRejectsInvalidNewPlan(t *testing.T) {
 	for _, p := range view.Programs() {
 		if e := view.EpochOf(p); e != 1 {
 			t.Errorf("program %s serves epoch %d, want 1", p, e)
+		}
+	}
+}
+
+// TestRolloutGateNamesFirstBrokenRoute: with two routes through two
+// different down switches, the gate's error names the route first in
+// (From, To) order on every run, not whichever the map yields first.
+func TestRolloutGateNamesFirstBrokenRoute(t *testing.T) {
+	old, topo := fixture(t, 3, 6)
+	next, _ := drained(t, old, "p3")
+	used := next.Plan.UsedSwitches()
+	var idle []network.SwitchID
+	for sw := network.SwitchID(0); int(sw) < topo.NumSwitches(); sw++ {
+		if _, ok := slices.BinarySearch(used, sw); !ok {
+			idle = append(idle, sw)
+		}
+	}
+	if len(idle) < 2 {
+		t.Fatalf("need two switches hosting nothing, have %v", idle)
+	}
+	// Two transit routes, each through one idle switch of the ring,
+	// which then fails on the live topology.
+	n := network.SwitchID(topo.NumSwitches())
+	var keys []placement.RouteKey
+	for _, sw := range idle[:2] {
+		from, to := (sw+n-1)%n, (sw+1)%n
+		key := placement.RouteKey{From: from, To: to}
+		next.Plan.Routes[key] = network.Path{Switches: []network.SwitchID{from, sw, to}}
+		keys = append(keys, key)
+		if err := topo.SetSwitchDown(sw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := slices.MinFunc(keys, func(a, b placement.RouteKey) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	r, err := New(old, next, Options{Topo: topo, Retry: quickRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("rollout: new plan route %v transits down switch %d", first, next.Plan.Routes[first].Switches[1])
+	for i := 0; i < 20; i++ {
+		if err := r.gate(); fmt.Sprint(err) != want {
+			t.Fatalf("run %d: gate = %v, want %s", i, err, want)
 		}
 	}
 }

@@ -74,12 +74,11 @@ func (p RetryPolicy) Wait(d time.Duration) error {
 // hosts the table and enforcing the table's capacity C_a. It is safe
 // for concurrent use.
 type Controller struct {
-	mu  sync.Mutex
+	mu sync.Mutex
+	// dep is the bound deployment; its plan's Assignments say which
+	// switch hosts each MAT. Rebind swaps it whole, so a rule op sees
+	// either the old binding or the new one, not a mix.
 	dep *Deployment
-	// hosts maps MAT name to its hosting switch. Derived from dep and
-	// swapped together with it by Rebind — never mutated piecemeal, so a
-	// rule op sees either the old binding or the new one, not a mix.
-	hosts map[string]network.SwitchID
 }
 
 // NewController wraps a compiled deployment.
@@ -87,21 +86,13 @@ func NewController(dep *Deployment) (*Controller, error) {
 	if dep == nil || dep.Plan == nil {
 		return nil, fmt.Errorf("deploy: controller over nil deployment")
 	}
-	return &Controller{dep: dep, hosts: hostsOf(dep)}, nil
+	return &Controller{dep: dep}, nil
 }
 
-func hostsOf(dep *Deployment) map[string]network.SwitchID {
-	hosts := make(map[string]network.SwitchID, len(dep.Plan.Assignments))
-	for name, sp := range dep.Plan.Assignments {
-		hosts[name] = sp.Switch
-	}
-	return hosts
-}
-
-// Rebind atomically points the controller at a redeployed deployment:
-// dep and the MAT→switch host map swap under one lock acquisition, so
-// rule installs issued after a supervised redeploy route to the new
-// hosting switches instead of the stale precomputed ones.
+// Rebind atomically points the controller at a redeployed deployment
+// under one lock acquisition, so rule installs issued after a
+// supervised redeploy route to the new hosting switches instead of the
+// stale ones.
 //
 // The target must still validate against its (fault-overlaid)
 // topology: a plan whose hosting switches died or whose routes broke
@@ -116,10 +107,8 @@ func (c *Controller) Rebind(dep *Deployment) error {
 	if err := dep.Plan.Validate(program.DefaultResourceModel, 0, 0); err != nil {
 		return fmt.Errorf("deploy: rebind rejected, plan invalid against live topology: %w", err)
 	}
-	hosts := hostsOf(dep)
 	c.mu.Lock()
 	c.dep = dep
-	c.hosts = hosts
 	c.mu.Unlock()
 	return nil
 }
@@ -127,10 +116,11 @@ func (c *Controller) Rebind(dep *Deployment) error {
 // hostUp returns the MAT's hosting switch after checking the fault
 // overlay; a down host yields ErrSwitchDown. Caller holds the lock.
 func (c *Controller) hostUp(mat string) (network.SwitchID, error) {
-	id, ok := c.hosts[mat]
+	sp, ok := c.dep.Plan.Assignments[mat]
 	if !ok {
 		return 0, fmt.Errorf("deploy: MAT %q is not deployed", mat)
 	}
+	id := sp.Switch
 	if c.dep.Plan.Topo.SwitchIsDown(id) {
 		return 0, fmt.Errorf("deploy: MAT %q on switch %d: %w", mat, id, ErrSwitchDown)
 	}
@@ -141,11 +131,11 @@ func (c *Controller) hostUp(mat string) (network.SwitchID, error) {
 func (c *Controller) HostingSwitch(mat string) (network.SwitchID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id, ok := c.hosts[mat]
+	sp, ok := c.dep.Plan.Assignments[mat]
 	if !ok {
 		return 0, fmt.Errorf("deploy: MAT %q is not deployed", mat)
 	}
-	return id, nil
+	return sp.Switch, nil
 }
 
 // lookupMAT returns the live MAT struct shared with the data plane
@@ -226,11 +216,11 @@ func (c *Controller) Loads() []SwitchLoad {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	agg := map[network.SwitchID]*SwitchLoad{}
-	for name, sw := range c.hosts {
-		l := agg[sw]
+	for name, sp := range c.dep.Plan.Assignments {
+		l := agg[sp.Switch]
 		if l == nil {
-			l = &SwitchLoad{Switch: sw}
-			agg[sw] = l
+			l = &SwitchLoad{Switch: sp.Switch}
+			agg[sp.Switch] = l
 		}
 		l.MATs++
 		if node, ok := c.dep.Plan.Graph.Node(name); ok {

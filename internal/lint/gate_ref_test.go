@@ -24,7 +24,8 @@ import (
 // contraction on RouteKey pairs over UsedSwitches; Verify summing a
 // map[{switch, MAT name}]float64 and checking each assignment by name.
 // Where a plan breaks a rule more than once, their choice of which
-// breach to report follows map iteration order.
+// breach to report follows map iteration order. validateRef departs
+// from the original in one place, marked there.
 
 // validateRef checks every constraint of P#1 against the plan:
 // node deployment (Eq. 6), edge deployment across switches (Eq. 7),
@@ -79,6 +80,18 @@ func validateRef(p *placement.Plan, rm program.ResourceModel, eps1 time.Duration
 		}
 	}
 	_ = hosts // the production code keeps it as the plan's host table
+	// The one departure from the original, which summed a MAT outside
+	// the graph into Eq. 9: such a MAT is rejected, the smallest name
+	// first.
+	var foreign []string
+	for name := range p.Assignments {
+		if _, ok := p.Graph.Node(name); !ok {
+			foreign = append(foreign, name)
+		}
+	}
+	if len(foreign) > 0 {
+		return fmt.Errorf("placement: MAT %q is not in the plan's graph (Eq. 6)", slices.Min(foreign))
+	}
 	// Eq. 9: per-stage capacity.
 	used := map[network.SwitchID][]float64{}
 	for name, sp := range p.Assignments {

@@ -62,13 +62,12 @@ type nodePlacement struct {
 	ok         bool
 }
 
-// occupancy numbers the switches the plan occupies — every switch an
-// assignment names, MATs outside the graph and IDs outside the topology
-// included — and holds the per-stage loads of the programmable ones.
-// While assignments are folded in, a switch in the topology gets a
-// compact index in first-seen order (slot[sw] = index + 1); finish then
-// lays every occupied switch out in ascending ID order, the dense ids
-// the pair table and the contraction use.
+// occupancy numbers the switches the plan's graph nodes occupy — IDs
+// outside the topology included — and holds the per-stage loads of the
+// programmable ones. While assignments are folded in, a switch in the
+// topology gets a compact index in first-seen order (slot[sw] = index +
+// 1); finish then lays every occupied switch out in ascending ID order,
+// the dense ids the pair table and the contraction use.
 type occupancy struct {
 	topo *network.Topology
 	slot []int32
@@ -103,8 +102,7 @@ func newOccupancy(t *network.Topology) *occupancy {
 // add records that sp occupies its switch and, on a programmable
 // switch, folds its stage amounts into the loads. Float addition is not
 // associative and HL104 reports the sum, so callers add in a fixed
-// order: graph nodes by insertion id, then MATs outside the graph by
-// name.
+// order: graph nodes by insertion id.
 func (o *occupancy) add(sp placement.StagePlacement) {
 	if sp.Switch < 0 || int(sp.Switch) >= len(o.slot) {
 		o.outside = append(o.outside, sp.Switch)
@@ -166,10 +164,9 @@ func (o *occupancy) denseOf(sw network.SwitchID) int32 {
 // lintDeploymentVars checks Eq. 6 node deployment and the Eq. 8 stage
 // window shape per MAT: every MAT lands on a programmable switch, in a
 // contiguous ρ_begin..ρ_end run inside the pipeline, with exactly its
-// requirement placed (HL101–HL103). It folds every assignment into occ
-// — graph nodes by insertion id, then MATs outside the graph by name,
-// which consume real stages too — and returns every node's placement by
-// insertion id, valid or not, for the edge walk.
+// requirement placed (HL101–HL103), and no MAT outside the graph is
+// placed (HL101). It folds every node's placement into occ by insertion
+// id and returns them by insertion id, valid or not, for the edge walk.
 func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel, occ *occupancy) (Findings, []nodePlacement) {
 	var fs Findings
 	n := p.Graph.NumNodes()
@@ -194,15 +191,13 @@ func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel, occ *occupa
 		}
 	}
 	if placed < len(p.Assignments) {
-		var outside []string
 		for name := range p.Assignments {
 			if _, ok := p.Graph.ID(name); !ok {
-				outside = append(outside, name)
+				fs = append(fs, Finding{Rule: "HL101", Severity: Error, Eq: 6, Oracle: true,
+					Object:  name,
+					Message: fmt.Sprintf("MAT %q is placed but is not in the plan's graph (Eq. 6)", name),
+					Hint:    "x(a,i,u) exists only for the merged TDG's MATs: drop the assignment"})
 			}
-		}
-		sort.Strings(outside)
-		for _, name := range outside {
-			occ.add(p.Assignments[name])
 		}
 	}
 	occ.finish()

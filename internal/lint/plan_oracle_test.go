@@ -166,15 +166,13 @@ func checkVerifyAgainstRef(t *testing.T, label string, p *placement.Plan) {
 }
 
 // isEq9 reports whether err is one of Validate's Eq. 9 verdicts: an
-// overcommitted stage, a negative stage amount, or an assignment
-// outside the graph on a switch the topology lacks.
+// overcommitted stage or a negative stage amount.
 func isEq9(err error) bool {
 	if err == nil {
 		return false
 	}
 	msg := err.Error()
-	return strings.Contains(msg, "overcommitted") || strings.Contains(msg, "negative stage amount") ||
-		strings.HasPrefix(msg, "network: unknown switch")
+	return strings.Contains(msg, "overcommitted") || strings.Contains(msg, "negative stage amount")
 }
 
 // eq9Ambiguous reports whether the name-keyed Validate's Eq. 9 verdict

@@ -11,6 +11,7 @@ import (
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/program"
+	"github.com/hermes-net/hermes/internal/tdg"
 )
 
 // The functions below are the post-repair gates as they stood before
@@ -21,7 +22,9 @@ import (
 // switch DAG; Plan.SwitchOrder's map-of-maps Kahn sort re-sorting its
 // ready list per step; and Deployment.Verify rescanning a switch's
 // stages once per hosted MAT. lintStageCapacityRef departs from the
-// original in one place, marked there.
+// original in the two ways marked there, and lintDeploymentVarsRef and
+// lintObjectivesRef follow the rule that a plan places only its graph's
+// MATs.
 
 // lintPlanRef re-implements every constraint of problem P#1 (Eq. 4–9)
 // from scratch and checks the plan against them, without calling
@@ -49,9 +52,18 @@ func lintPlanRef(p *placement.Plan, rm program.ResourceModel, eps1 time.Duration
 // lintDeploymentVarsRef checks Eq. 6 node deployment and the Eq. 8 stage
 // window shape per MAT: every MAT lands on a programmable switch, in a
 // contiguous ρ_begin..ρ_end run inside the pipeline, with exactly its
-// requirement placed (HL101–HL103).
+// requirement placed (HL101–HL103), and no MAT outside the graph is
+// placed (HL101).
 func lintDeploymentVarsRef(p *placement.Plan, rm program.ResourceModel) Findings {
 	var fs Findings
+	for name := range p.Assignments {
+		if _, ok := p.Graph.Node(name); !ok {
+			fs = append(fs, Finding{Rule: "HL101", Severity: Error, Eq: 6, Oracle: true,
+				Object:  name,
+				Message: fmt.Sprintf("MAT %q is placed but is not in the plan's graph (Eq. 6)", name),
+				Hint:    "x(a,i,u) exists only for the merged TDG's MATs: drop the assignment"})
+		}
+	}
 	for _, n := range p.Graph.Nodes() {
 		name := n.Name()
 		sp, ok := p.Assignments[name]
@@ -121,33 +133,24 @@ func lintDeploymentVarsRef(p *placement.Plan, rm program.ResourceModel) Findings
 }
 
 // lintStageCapacityRef re-accumulates per-stage loads and checks Eq. 9
-// (HL104). Assignments for MATs outside the graph are folded in too —
-// they consume real stages.
+// (HL104).
 func lintStageCapacityRef(p *placement.Plan) Findings {
 	type slot struct {
 		sw    network.SwitchID
 		stage int
 	}
 	load := map[slot]float64{}
-	// The one departure from the original: it summed in map order, so
+	// The departures from the original: it summed in map order, so
 	// HL104's reported load could differ in its last bits from run to
-	// run. Both sides now sum graph nodes in insertion order, then MATs
-	// outside the graph by name.
-	var names []string
+	// run, and it folded in the assignments of MATs outside the graph,
+	// which HL101 now rejects. Both sides sum graph nodes in insertion
+	// order.
 	for _, n := range p.Graph.Nodes() {
-		if _, ok := p.Assignments[n.Name()]; ok {
-			names = append(names, n.Name())
+		name := n.Name()
+		sp, ok := p.Assignments[name]
+		if !ok {
+			continue
 		}
-	}
-	var outside []string
-	for name := range p.Assignments {
-		if _, ok := p.Graph.Node(name); !ok {
-			outside = append(outside, name)
-		}
-	}
-	sort.Strings(outside)
-	for _, name := range append(names, outside...) {
-		sp := p.Assignments[name]
 		sw, err := p.Topo.Switch(sp.Switch)
 		if err != nil || !sw.Programmable {
 			continue // HL102 already covers it
@@ -331,8 +334,10 @@ func lintObjectivesRef(p *placement.Plan, eps1 time.Duration, eps2 int) Findings
 	// Recompute per-pair bytes from edges and assignments.
 	pair := map[placement.RouteKey]int{}
 	occ := map[network.SwitchID]bool{}
-	for _, sp := range p.Assignments {
-		occ[sp.Switch] = true
+	for name, sp := range p.Assignments {
+		if _, ok := p.Graph.Node(name); ok {
+			occ[sp.Switch] = true
+		}
 	}
 	for _, e := range p.Graph.Edges() {
 		sa, oka := p.Assignments[e.From]
@@ -384,7 +389,7 @@ func switchOrderRef(p *placement.Plan) ([]network.SwitchID, error) {
 	for _, sp := range p.Assignments {
 		nodes[sp.Switch] = true
 	}
-	for _, e := range p.CrossEdges() {
+	for _, e := range crossEdges(p) {
 		ua, _ := p.SwitchOf(e.From)
 		ub, _ := p.SwitchOf(e.To)
 		if adj[ua] == nil {
@@ -440,6 +445,20 @@ func switchOrderRef(p *placement.Plan) ([]network.SwitchID, error) {
 			strings.Join(stuck, ", "))
 	}
 	return out, nil
+}
+
+// crossEdges returns the TDG edges whose endpoints the plan puts on
+// different switches.
+func crossEdges(p *placement.Plan) []*tdg.Edge {
+	hosts := p.Hosts()
+	var out []*tdg.Edge
+	for _, e := range p.Graph.EdgeList() {
+		from, to := e.Endpoints()
+		if ua, ub := hosts[from], hosts[to]; ua >= 0 && ub >= 0 && ua != ub {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // verifyRef is Deployment.Verify before the one-pass stage sum.

@@ -1,11 +1,13 @@
 package lint
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/analyzer"
+	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/fields"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
@@ -120,6 +122,30 @@ func TestMutationUnknownSwitch(t *testing.T) {
 	sp.Switch = 99
 	p.Assignments["c"] = sp
 	requireOracleRejects(t, p, "HL102")
+}
+
+// TestMutationForeignMAT: an assignment for a MAT outside the graph —
+// here on a host switch, with a valid stage window — fails every layer:
+// the lint's HL101 (with Validate agreeing), Compile and Verify.
+func TestMutationForeignMAT(t *testing.T) {
+	p := solvedChain(t)
+	clean, err := deploy.Compile(p, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := p.Assignments["c"]
+	p.Assignments["ghost"] = placement.StagePlacement{Switch: sp.Switch, Start: sp.Start, End: sp.Start, PerStage: []float64{0}}
+	requireOracleRejects(t, p, "HL101")
+	if f := byRule(LintPlan(p, rm(), 0, 0), "HL101"); len(f) != 1 || f[0].Object != "ghost" {
+		t.Fatalf("HL101 findings %v, want one on ghost", f)
+	}
+	const want = `deploy: MAT "ghost" is not in the plan's graph`
+	if _, err := deploy.Compile(p, analyzer.Options{}); fmt.Sprint(err) != want {
+		t.Errorf("Compile = %v, want %s", err, want)
+	}
+	if err := clean.Verify(); fmt.Sprint(err) != want {
+		t.Errorf("Verify = %v, want %s", err, want)
+	}
 }
 
 func TestMutationNonProgrammableSwitch(t *testing.T) {

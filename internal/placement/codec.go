@@ -86,7 +86,8 @@ func (p *Plan) EncodeJSON() ([]byte, error) {
 
 // DecodePlan rehydrates a serialized plan against the TDG and topology
 // it was computed for, recomputing route latencies and validating the
-// result under the given resource model.
+// result under the given resource model: a plan that names a MAT the
+// graph lacks, or omits one, fails Validate's Eq. 6 check.
 func DecodePlan(data []byte, g *tdg.Graph, topo *network.Topology, rm program.ResourceModel) (*Plan, error) {
 	var in planJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -105,9 +106,6 @@ func DecodePlan(data []byte, g *tdg.Graph, topo *network.Topology, rm program.Re
 		Routes:      map[RouteKey]network.Path{},
 	}
 	for name, sp := range in.Assignments {
-		if _, ok := g.Node(name); !ok {
-			return nil, fmt.Errorf("placement: plan assigns unknown MAT %q", name)
-		}
 		p.Assignments[name] = StagePlacement{
 			Switch:   network.SwitchID(sp.Switch),
 			Start:    sp.Start,

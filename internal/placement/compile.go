@@ -217,18 +217,13 @@ func compileSubset(g *tdg.Graph, gi *graphIndex, ids []int32, s int32) *Compiled
 // instances (write-back into a name-keyed assignment, error text).
 func (ci *CompiledInstance) name(x int32) string { return ci.gi.Names[ci.ids[x]] }
 
-// DenseAssign converts a (possibly partial) name-keyed assignment into
-// the MAT index space of a Compile instance; unassigned MATs are -1. It
-// crosses the name boundary through Index.
-func (ci *CompiledInstance) DenseAssign(assign map[string]network.SwitchID) []int32 {
-	out := make([]int32, len(ci.Names))
-	for i := range out {
-		out[i] = -1
-	}
-	for name, u := range assign {
-		if x, ok := ci.Index[name]; ok {
-			out[x] = int32(u)
-		}
+// DenseAssign moves a host table — a switch per node id of the
+// instance's graph, -1 unassigned, as Plan.Hosts returns — into the MAT
+// index space of a Compile instance.
+func (ci *CompiledInstance) DenseAssign(hosts []network.SwitchID) []int32 {
+	out := make([]int32, len(ci.ids))
+	for x, id := range ci.ids {
+		out[x] = int32(hosts[id])
 	}
 	return out
 }

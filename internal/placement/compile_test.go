@@ -71,7 +71,7 @@ func compileNames(g *tdg.Graph, names []string, s int32, rm program.ResourceMode
 func checkKernelsAgainstRefs(t *testing.T, rng *rand.Rand, ci *CompiledInstance, assign map[string]network.SwitchID, eps1 bool) {
 	t.Helper()
 	g := ci.Graph
-	dense := ci.DenseAssign(assign)
+	dense := denseOf(t, ci, assign)
 	pt := ci.NewPairTable()
 	ms := ci.NewMoveScratch()
 	cyc := newCycleScratch(ci.S)
@@ -150,7 +150,7 @@ func checkKernelsAgainstRefs(t *testing.T, rng *rand.Rand, ci *CompiledInstance,
 			partial[name] = u
 		}
 	}
-	pdense := ci.DenseAssign(partial)
+	pdense := denseOf(t, ci, partial)
 	ppair, _ := PairBytesRef(g, partial)
 	ci.FillPairTable(pdense, pt)
 	for _, name := range ci.Names {

@@ -293,11 +293,11 @@ func (e Exact) Solve(g *tdg.Graph, topo *network.Topology, opts Options) (*Plan,
 		baseOpts.Traffic = nil
 		if base, err := (Greedy{}).Solve(g, topo, baseOpts); err == nil {
 			st.amaxCap = opts.amaxCap(base.AMax())
-			st.adopt(ci.DenseAssign(assignmentOf(base)))
+			st.adopt(ci.DenseAssign(base.Hosts()))
 		}
 	}
 	if seed, err := (Greedy{}).Solve(g, topo, seedOpts); err == nil {
-		st.adopt(ci.DenseAssign(assignmentOf(seed)))
+		st.adopt(ci.DenseAssign(seed.Hosts()))
 	}
 	if st.haveBest {
 		st.sharedBest.Store(st.incumbentScore())

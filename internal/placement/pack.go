@@ -272,23 +272,6 @@ func materializeAssignment(g *tdg.Graph, topo *network.Topology, byID []network.
 	return plan, nil
 }
 
-// assignIDs moves a name-keyed assignment onto g's node ids, -1 where a
-// MAT is unassigned: the name boundary of the callers that hold one.
-func assignIDs(g *tdg.Graph, assign map[string]network.SwitchID) ([]network.SwitchID, error) {
-	byID := make([]network.SwitchID, g.NumNodes())
-	for id := range byID {
-		byID[id] = -1
-	}
-	for name, u := range assign {
-		id, ok := g.ID(name)
-		if !ok {
-			return nil, fmt.Errorf("placement: materializing assignment: placement: pack of unknown MAT %q", name)
-		}
-		byID[id] = u
-	}
-	return byID, nil
-}
-
 // packAssignment is materializeAssignment minus the routes: per-switch
 // stage packing of a MAT→switch assignment indexed by node id (-1: not
 // placed). The regional replan splits the two so it can reuse the

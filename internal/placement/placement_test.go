@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -62,6 +63,43 @@ func twoMATSwitchTopo(t *testing.T, n int) *network.Topology {
 		}
 	}
 	return tp
+}
+
+// assignmentOf flattens a plan to its MAT→switch map.
+func assignmentOf(p *Plan) map[string]network.SwitchID {
+	out := make(map[string]network.SwitchID, len(p.Assignments))
+	for name, sp := range p.Assignments {
+		out[name] = sp.Switch
+	}
+	return out
+}
+
+// assignIDs moves a name-keyed assignment onto g's node ids, -1 where a
+// MAT is unassigned.
+func assignIDs(g *tdg.Graph, assign map[string]network.SwitchID) ([]network.SwitchID, error) {
+	byID := make([]network.SwitchID, g.NumNodes())
+	for id := range byID {
+		byID[id] = -1
+	}
+	for name, u := range assign {
+		id, ok := g.ID(name)
+		if !ok {
+			return nil, fmt.Errorf("assignment of unknown MAT %q", name)
+		}
+		byID[id] = u
+	}
+	return byID, nil
+}
+
+// denseOf moves a (possibly partial) name-keyed assignment into ci's MAT
+// index space.
+func denseOf(t *testing.T, ci *CompiledInstance, assign map[string]network.SwitchID) []int32 {
+	t.Helper()
+	byID, err := assignIDs(ci.Graph, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ci.DenseAssign(byID)
 }
 
 // figure1 reproduces the paper's Figure 1: MATs a -> b -> c where a

@@ -74,7 +74,8 @@ type Plan struct {
 	Graph *tdg.Graph
 	// Topo is the substrate network.
 	Topo *network.Topology
-	// Assignments maps MAT name to its placement (the x variables).
+	// Assignments maps MAT name to its placement (the x variables). Its
+	// keys are names of Graph's nodes: Validate rejects any other.
 	Assignments map[string]StagePlacement
 	// Routes maps each communicating ordered switch pair to the chosen
 	// path (the y variables).
@@ -170,21 +171,6 @@ func (p *Plan) UsedSwitches() []network.SwitchID {
 // QOcc is Eq. 3: the number of occupied programmable switches.
 func (p *Plan) QOcc() int { return len(p.UsedSwitches()) }
 
-// CrossEdges returns the TDG edges whose endpoints sit on different
-// switches — the edges that cost per-packet bytes.
-func (p *Plan) CrossEdges() []*tdg.Edge {
-	hosts := p.Hosts()
-	var out []*tdg.Edge
-	//hermes:hot
-	for _, e := range p.Graph.EdgeList() {
-		from, to := e.Endpoints()
-		if ua, ub := hosts[from], hosts[to]; ua >= 0 && ub >= 0 && ua != ub {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // PairBytes aggregates Σ A(a,b) per ordered communicating switch pair.
 // The map is memoized on the plan (AMax, TE2E, OptimizeRoutes, and lint's
 // HL101–HL111 checks all re-derive it otherwise) and must be treated
@@ -223,8 +209,8 @@ func (p *Plan) AMax() int {
 // diagnostic (total coordination traffic added per packet).
 func (p *Plan) TotalCrossBytes() int {
 	t := 0
-	for _, e := range p.CrossEdges() {
-		t += e.MetadataBytes
+	for _, b := range p.PairBytes() {
+		t += b
 	}
 	return t
 }
@@ -233,12 +219,7 @@ func (p *Plan) TotalCrossBytes() int {
 // communicating switch pairs.
 func (p *Plan) TE2E() time.Duration {
 	var total time.Duration
-	seen := map[RouteKey]bool{}
 	for key := range p.PairBytes() {
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
 		if path, ok := p.Routes[key]; ok {
 			total += path.Latency
 		}
@@ -407,9 +388,11 @@ func (sl *stageLoads) add(name string, sp StagePlacement, sw *network.Switch) {
 // placement once, checks Eq. 6 and folds its stage amounts into a load
 // slab over the used switches; the edge walk reads each endpoint's host
 // and stage window by Edge.Endpoints; the contracted switch graph is
-// checked on dense switch ids. Where several placements break the same
-// rule, the first in node-id order (MATs outside the graph after them,
-// by name) and the lowest switch ID are reported.
+// checked on dense switch ids. An assignment for a MAT outside the
+// graph is rejected, naming the smallest such name, so every later
+// stage may take a plan's MATs to be its graph's nodes. Where several
+// placements break the same rule, the first in node-id order and the
+// lowest switch ID are reported.
 func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) error {
 	if p.Graph == nil || p.Topo == nil {
 		return fmt.Errorf("placement: plan missing graph or topology")
@@ -464,12 +447,16 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 		sl.add(name, sp, sw)
 	}
 	p.hosts = hosts
-	// Every node is placed, so any further assignment is a MAT outside
-	// the graph: its stages are consumed all the same.
+	// Every node is placed, so any further assignment is for a MAT
+	// outside the graph, where x(a,i,u) is undefined.
 	if len(p.Assignments) > n {
-		if err := p.addOutside(&sl); err != nil {
-			return err
+		var foreign string
+		for name := range p.Assignments {
+			if _, ok := g.ID(name); !ok && (foreign == "" || name < foreign) {
+				foreign = name
+			}
 		}
+		return fmt.Errorf("placement: MAT %q is not in the plan's graph (Eq. 6)", foreign)
 	}
 	// Eq. 9: no negative stage amount, and per-stage capacity, switches
 	// by ascending ID: perm lists the used switches' compact indexes in
@@ -539,32 +526,6 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 		if got := len(sl.used); got > eps2 {
 			return fmt.Errorf("placement: Q_occ %d exceeds ε2 %d (Eq. 5)", got, eps2)
 		}
-	}
-	return nil
-}
-
-// addOutside folds the assignments of MATs outside the graph into
-// Validate's loads, by name. Nothing else checks them, so a stage
-// window outside the switch's pipeline is reported here.
-func (p *Plan) addOutside(sl *stageLoads) error {
-	var outside []string
-	for name := range p.Assignments {
-		if _, ok := p.Graph.ID(name); !ok {
-			outside = append(outside, name)
-		}
-	}
-	sort.Strings(outside)
-	for _, name := range outside {
-		sp := p.Assignments[name]
-		sw, err := p.Topo.Switch(sp.Switch)
-		if err != nil {
-			return err
-		}
-		if len(sp.PerStage) > 0 && (sp.Start < 0 || sp.Start+len(sp.PerStage) > sw.Stages) {
-			return fmt.Errorf("placement: MAT %q on %s has stage range [%d,%d] outside 0..%d",
-				name, SwitchLabel(p.Topo, sp.Switch), sp.Start, sp.Start+len(sp.PerStage)-1, sw.Stages-1)
-		}
-		sl.add(name, sp, sw)
 	}
 	return nil
 }

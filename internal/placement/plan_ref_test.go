@@ -92,8 +92,8 @@ func switchDAGOrderRef(p *Plan, pairs []RouteKey) ([]network.SwitchID, error) {
 	return out, nil
 }
 
-// checkHostTable holds the host-table readers — Hosts, CrossEdges,
-// PairBytes and SwitchOrder — to their name-keyed answers on plan.
+// checkHostTable holds the host-table readers — Hosts,
+// TotalCrossBytes, PairBytes and SwitchOrder — to their name-keyed answers on plan.
 func checkHostTable(t *testing.T, label string, plan *Plan) {
 	t.Helper()
 	hosts := plan.Hosts()
@@ -109,18 +109,18 @@ func checkHostTable(t *testing.T, label string, plan *Plan) {
 			t.Fatalf("%s: host of %q is %d, SwitchOf says %d", label, n.Name(), hosts[id], want)
 		}
 	}
-	var cross []*tdg.Edge
 	var pairs []RouteKey
+	cross := 0
 	for _, e := range plan.Graph.EdgeList() {
 		ua, oka := plan.SwitchOf(e.From)
 		ub, okb := plan.SwitchOf(e.To)
 		if oka && okb && ua != ub {
-			cross = append(cross, e)
 			pairs = append(pairs, RouteKey{From: ua, To: ub})
+			cross += e.MetadataBytes
 		}
 	}
-	if got := plan.CrossEdges(); !reflect.DeepEqual(got, cross) {
-		t.Fatalf("%s: CrossEdges has %d edges, the name-keyed filter %d", label, len(got), len(cross))
+	if got := plan.TotalCrossBytes(); got != cross {
+		t.Fatalf("%s: TotalCrossBytes = %d, the name-keyed filter sums %d", label, got, cross)
 	}
 	if got, want := plan.PairBytes(), plan.PairBytesUncached(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: PairBytes = %v, name-keyed %v", label, got, want)
@@ -240,10 +240,11 @@ func TestValidateReportsFirstBreach(t *testing.T) {
 	}
 }
 
-// TestValidateOutsideAssignment: an assignment for a MAT outside the
-// graph consumes real stages, so its window is checked against its
-// switch's pipeline (the map-based Eq. 9 sum indexed past the end and
-// panicked) and its load counts toward Eq. 9.
+// TestValidateOutsideAssignment: x(a,i,u) exists only for the graph's
+// MATs (Eq. 6), so an assignment for a MAT outside the graph is
+// rejected whatever it places — a stage window past the pipeline, a
+// switch the topology lacks, an overcommitted stage — before Eq. 9
+// would count it, naming the smallest such name.
 func TestValidateOutsideAssignment(t *testing.T) {
 	rm := program.DefaultResourceModel
 	g := chainTDG(t, []string{"a", "b"}, []int{1}, 0.5)
@@ -252,20 +253,26 @@ func TestValidateOutsideAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		sp   StagePlacement
-		want string
-	}{
-		{StagePlacement{Switch: 1, Start: 5, End: 5, PerStage: []float64{0.1}},
-			`placement: MAT "ghost" on switch 1 ("s1") has stage range [5,5] outside 0..1`},
-		{StagePlacement{Switch: 7, Start: 0, End: 0, PerStage: []float64{0.1}},
-			`network: unknown switch 7`},
-		{StagePlacement{Switch: 0, Start: 0, End: 1, PerStage: []float64{0.5, 0.5}},
-			`placement: switch "s0" stage 0 overcommitted: 1 > 0.5 (Eq. 9)`},
+	for _, sp := range []StagePlacement{
+		{Switch: 1, Start: 5, End: 5, PerStage: []float64{0.1}},
+		{Switch: 7, Start: 0, End: 0, PerStage: []float64{0.1}},
+		{Switch: 0, Start: 0, End: 1, PerStage: []float64{0.5, 0.5}},
 	} {
-		plan.Assignments["ghost"] = tc.sp
-		if err := plan.Validate(rm, 0, 0); fmt.Sprint(err) != tc.want {
-			t.Errorf("outside assignment %+v: Validate = %v, want %s", tc.sp, err, tc.want)
+		plan.Assignments["ghost"] = sp
+		want := `placement: MAT "ghost" is not in the plan's graph (Eq. 6)`
+		if err := plan.Validate(rm, 0, 0); fmt.Sprint(err) != want {
+			t.Errorf("outside assignment %+v: Validate = %v, want %s", sp, err, want)
 		}
+	}
+	plan.Assignments["alpha"] = plan.Assignments["ghost"]
+	want := `placement: MAT "alpha" is not in the plan's graph (Eq. 6)`
+	if err := plan.Validate(rm, 0, 0); fmt.Sprint(err) != want {
+		t.Errorf("two outside assignments: Validate = %v, want %s", err, want)
+	}
+	// A graph MAT left unplaced is reported first, by the node walk.
+	delete(plan.Assignments, "b")
+	want = `placement: MAT "b" not deployed (Eq. 6)`
+	if err := plan.Validate(rm, 0, 0); fmt.Sprint(err) != want {
+		t.Errorf("outside assignments and a missing MAT: Validate = %v, want %s", err, want)
 	}
 }

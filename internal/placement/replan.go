@@ -270,27 +270,36 @@ func ReplanWithOptions(old *Plan, solver Solver, ropts ReplanOptions, drained ..
 	return plan, rep, nil
 }
 
-// dirtySets computes the repair's working sets: displaced MATs
-// (stranded on drained or down switches) and the dirty set (displaced
-// plus the dependency frontier — the displaced MATs' TDG neighbours,
-// which keep their switch as the starting point but join the polish,
-// giving the local search room to co-locate across the healed cut).
-func dirtySets(old *Plan, topo *network.Topology, drainedSet map[network.SwitchID]bool) (displaced, dirty map[string]bool) {
+// dirtySets computes the repair's working sets as node ids: displaced
+// MATs (stranded on drained or down switches), ascending, and the dirty
+// set (displaced plus the dependency frontier — the displaced MATs'
+// TDG neighbours, which keep their switch as the starting point but
+// join the polish, giving the local search room to co-locate across
+// the healed cut), each id once.
+func dirtySets(old *Plan, topo *network.Topology, drainedSet map[network.SwitchID]bool) (displaced, dirty []int32) {
 	g := old.Graph
-	displaced = map[string]bool{}
-	for name, sp := range old.Assignments {
-		if drainedSet[sp.Switch] || topo.SwitchIsDown(sp.Switch) {
-			displaced[name] = true
+	hosts := old.Hosts()
+	for id, sw := range hosts {
+		if sw >= 0 && (drainedSet[sw] || topo.SwitchIsDown(sw)) {
+			displaced = append(displaced, int32(id))
 		}
 	}
-	dirty = map[string]bool{}
-	for name := range displaced {
-		dirty[name] = true
-		for _, e := range g.OutEdges(name) {
-			dirty[e.To] = true
+	in := make([]bool, len(hosts))
+	add := func(id int32) {
+		if !in[id] {
+			in[id] = true
+			dirty = append(dirty, id)
 		}
-		for _, e := range g.InEdges(name) {
-			dirty[e.From] = true
+	}
+	for _, id := range displaced {
+		add(id)
+		for _, e := range g.OutEdgesOf(id) {
+			_, to := e.Endpoints()
+			add(to)
+		}
+		for _, e := range g.InEdgesOf(id) {
+			from, _ := e.Endpoints()
+			add(from)
 		}
 	}
 	return displaced, dirty
@@ -323,15 +332,6 @@ func finishRepair(plan *Plan, old *Plan, ropts ReplanOptions, dirty int) (*Plan,
 	}
 	plan.SolverName = name + "+repair"
 	return plan, dirty, nil
-}
-
-// assignmentOf flattens a plan to its MAT→switch map.
-func assignmentOf(p *Plan) map[string]network.SwitchID {
-	out := make(map[string]network.SwitchID, len(p.Assignments))
-	for name, sp := range p.Assignments {
-		out[name] = sp.Switch
-	}
-	return out
 }
 
 // Diff reports how many MATs changed hosting switch between two plans

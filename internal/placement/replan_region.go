@@ -66,11 +66,7 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 	if len(displaced) == 0 {
 		// Nothing hosted there: the old assignment is the repair. Routes
 		// may still change, so re-materialize and gate.
-		byID, err := assignIDs(g, assignmentOf(old))
-		if err != nil {
-			return nil, 0, err
-		}
-		plan, err := materializeRepair(g, topo, byID, rm, old, ropts)
+		plan, err := materializeRepair(g, topo, slices.Clone(old.Hosts()), rm, old, ropts)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -82,9 +78,9 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 	// run. used records which switches still hold MATs — regional
 	// candidate sets are built around it.
 	gi := indexOf(g, rm)
-	surv := slices.Clone(old.Hosts())
-	for name := range displaced {
-		id, _ := g.ID(name)
+	hosts := old.Hosts()
+	surv := slices.Clone(hosts)
+	for _, id := range displaced {
 		surv[id] = -1
 	}
 	used := make([]bool, topo.NumSwitches())
@@ -99,15 +95,13 @@ func repair(old *Plan, topo *network.Topology, ropts ReplanOptions, drainedSet m
 	// each MAT is movable in exactly one instance and the merge is
 	// disjoint. Each region's share is in name order.
 	regionDirty := map[int][]int32{}
-	for name := range dirty {
+	for _, id := range dirty {
 		r := 0
 		if part != nil {
-			host := old.Assignments[name].Switch
-			if r = part.RegionOf(host); r < 0 {
-				return nil, len(dirty), fmt.Errorf("partition does not cover switch %d", host)
+			if r = part.RegionOf(hosts[id]); r < 0 {
+				return nil, len(dirty), fmt.Errorf("partition does not cover switch %d", hosts[id])
 			}
 		}
-		id, _ := g.ID(name)
 		regionDirty[r] = append(regionDirty[r], id)
 	}
 	regions := make([]int, 0, len(regionDirty))

@@ -385,10 +385,14 @@ func TestHealInstanceHaloMatchesNameKeyed(t *testing.T) {
 			drained := plan.Topo.Clone()
 			sw, _ := drained.Switch(drain)
 			sw.Programmable, sw.Stages, sw.StageCapacity = false, 0, 0
-			displaced, dirty := dirtySets(plan, drained, map[network.SwitchID]bool{drain: true})
+			displacedIDs, dirty := dirtySets(plan, drained, map[network.SwitchID]bool{drain: true})
 			// The repair's fan-out, rebuilt by name: the survivors by
 			// node id, the switches they use, and each region's dirty
 			// share in name order.
+			displaced := map[string]bool{}
+			for _, id := range displacedIDs {
+				displaced[g.NodeOf(id).Name()] = true
+			}
 			surv := map[string]network.SwitchID{}
 			survID := make([]network.SwitchID, g.NumNodes())
 			for id := range survID {
@@ -403,7 +407,8 @@ func TestHealInstanceHaloMatchesNameKeyed(t *testing.T) {
 				}
 			}
 			shares := map[int][]string{}
-			for name := range dirty {
+			for _, id := range dirty {
+				name := g.NodeOf(id).Name()
 				r := part.RegionOf(plan.Assignments[name].Switch)
 				shares[r] = append(shares[r], name)
 			}

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -74,17 +75,16 @@ func TestDirtySetsFrontierIsOneHop(t *testing.T) {
 		displaced, dirty := dirtySets(old, tp, drained)
 		for _, set := range []struct {
 			name string
-			got  map[string]bool
+			got  []int32
 			want string
 		}{{"displaced", displaced, wantDisplaced}, {"dirty", dirty, wantDirty}} {
-			if len(set.got) != len(set.want) {
-				t.Errorf("%s: %s = %v, want %s", label, set.name, set.got, set.want)
-				continue
+			var names []string
+			for _, id := range set.got {
+				names = append(names, g.NodeOf(id).Name())
 			}
-			for _, r := range set.want {
-				if !set.got[string(r)] {
-					t.Errorf("%s: %s = %v, want %s", label, set.name, set.got, set.want)
-				}
+			sort.Strings(names)
+			if got := strings.Join(names, ""); got != set.want {
+				t.Errorf("%s: %s = %s, want %s", label, set.name, got, set.want)
 			}
 		}
 	}

@@ -32,7 +32,7 @@ func checkWeightedKernels(t *testing.T, rng *rand.Rand, ci *CompiledInstance, as
 		t.Fatal(err)
 	}
 	weights := weightMap(wt)
-	dense := ci.DenseAssign(assign)
+	dense := denseOf(t, ci, assign)
 	pt := ci.NewPairTable()
 	ms := ci.NewMoveScratch()
 	ci.FillPairTable(dense, pt)
@@ -69,7 +69,7 @@ func checkWeightedKernels(t *testing.T, rng *rand.Rand, ci *CompiledInstance, as
 			partial[name] = u
 		}
 	}
-	pdense := ci.DenseAssign(partial)
+	pdense := denseOf(t, ci, partial)
 	ppair, _ := PairBytesRef(g, partial)
 	ci.FillPairTable(pdense, pt)
 	psum, _ := wt.Score(pt)
@@ -176,8 +176,8 @@ func TestWeightedSolveRespectsAMaxSlack(t *testing.T) {
 			t.Fatal(err)
 		}
 		pt := ci.NewPairTable()
-		ws, _ := assignmentWeighted(ci, ci.DenseAssign(assignmentOf(weighted)), pt, wt)
-		bs, _ := assignmentWeighted(ci, ci.DenseAssign(assignmentOf(base)), pt, wt)
+		ws, _ := assignmentWeighted(ci, ci.DenseAssign(weighted.Hosts()), pt, wt)
+		bs, _ := assignmentWeighted(ci, ci.DenseAssign(base.Hosts()), pt, wt)
 		if ws > bs {
 			t.Fatalf("weighted solve ended with W_sum %d > structural plan's %d", ws, bs)
 		}
@@ -254,8 +254,8 @@ func TestExactWeightedNotWorseThanGreedy(t *testing.T) {
 			t.Fatal(err)
 		}
 		pt := ci.NewPairTable()
-		es, _ := assignmentWeighted(ci, ci.DenseAssign(assignmentOf(ep)), pt, wt)
-		gs, _ := assignmentWeighted(ci, ci.DenseAssign(assignmentOf(gp)), pt, wt)
+		es, _ := assignmentWeighted(ci, ci.DenseAssign(ep.Hosts()), pt, wt)
+		gs, _ := assignmentWeighted(ci, ci.DenseAssign(gp.Hosts()), pt, wt)
 		if es > gs {
 			t.Fatalf("exact weighted W_sum %d worse than greedy %d", es, gs)
 		}
