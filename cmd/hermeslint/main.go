@@ -1,9 +1,10 @@
-// Command hermeslint is a repo-specific vet pass for the concurrency
-// conventions introduced with the parallel placement engine: the
-// path-oracle caches guard shared maps with sync.(RW)Mutex, and the
-// Plan/Graph/Topology types expose Clone() for safe cross-goroutine
-// hand-off. Both idioms have silent failure modes that `go vet` does
-// not catch, so this tool flags them syntactically:
+// Command hermeslint is a repo-specific vet pass. Its per-file rules
+// police the concurrency conventions introduced with the parallel
+// placement engine (the path-oracle caches guard shared maps with
+// sync.(RW)Mutex, and the Plan/Graph/Topology types expose Clone() for
+// safe cross-goroutine hand-off), the //hermes:hot loops and the
+// rollout and test-only boundaries, failure modes `go vet` does not
+// catch; its cross-file rules find surface nothing uses:
 //
 //	HV001  a function locks a mutex but never unlocks it (no paired
 //	       Unlock/RUnlock call, direct or deferred)           error
@@ -60,7 +61,9 @@
 //	HV011  an exported field of an exported *Options struct
 //	       (or of Greedy, ShardedGreedy, Exact) that no
 //	       non-test, non-example file outside the declaring
-//	       file sets: a knob nobody turns is a code path the
+//	       file sets (a keyed literal, an assignment or
+//	       increment, or a taken address of that very
+//	       field): a knob nobody turns is a code path the
 //	       benchmark never runs. Delete it, or allowlist it
 //	       with a reason (facade inputs, test seams)         error
 //	HV012  an internal/... package that no non-test file
@@ -73,30 +76,34 @@
 //	       in internal/... packages, unexported ones in every
 //	       package but benchmark/: surface only tests call.
 //	       Delete it, or move it into the tests that use it.
-//	       Methods of the standard interfaces (String, Less,
-//	       ...) are exempt; a method of a type the root
-//	       facade aliases may be allowlisted with the reason
-//	       a facade user needs it, a reference twin that a
-//	       test in another package compares against with its
-//	       reason, and a stale entry is itself a finding
-//	       (an entry belongs to the internal directory its
-//	       package clause names, not to every package that
-//	       shares the clause)                                error
+//	       A method implementing a method of an interface the
+//	       program declares or loads counts as referenced; a
+//	       method of a type the root facade aliases may be
+//	       allowlisted with the reason a facade user needs
+//	       it, a reference twin that a test in another
+//	       package compares against with its reason, and a
+//	       stale entry is itself a finding (entries are keyed
+//	       by the package's path in the module)             error
 //	HV014  an unexported field of a named struct type,
 //	       declared in a non-test file outside benchmark/,
-//	       that no non-test file of its package reads: every
-//	       selector of it is an assignment or increment
-//	       target (composite-literal keys are not selectors).
-//	       A field only written is state nothing consults:
-//	       delete it                                         error
+//	       that no non-test file reads: every use of it is an
+//	       assignment or increment target or a composite-
+//	       literal key. A field only written is state
+//	       nothing consults: delete it                       error
 //
-// It is deliberately x/tools-free: the analysis is a plain go/parser +
-// go/ast walk so it builds in hermetic environments with no module
-// cache. The price is that matching is syntactic (by selector chain
-// text, e.g. "c.mu"), which is exactly right for the conventions it
-// polices and keeps false positives near zero on this codebase.
+// It is deliberately x/tools-free so it builds in hermetic
+// environments with no module cache. HV001–HV010 are a plain go/ast
+// walk that matches syntax (by selector chain text, e.g. "c.mu"),
+// which is exactly right for the conventions they police. HV012 reads
+// import clauses. HV011, HV013 and HV014 query one typed use index
+// (index.go): each directory's non-test files are type-checked with
+// go/types, imports of this module resolving to packages of the same
+// file set and the standard library read from compiler export data
+// through go/importer, so a name refers to the one declaration it
+// resolves to and never to a same-named other.
 //
-// Usage: hermeslint [dir ...]   (default ".")
+// Usage: hermeslint [dir ...]   (default "."; directories are named
+// from the module root, where imports of the module resolve)
 // Exit status 1 iff any error-severity finding is reported.
 package main
 
@@ -186,7 +193,8 @@ func main() {
 type source struct{ path, src string }
 
 // lintSources parses every file, runs the per-file rules over each and
-// the cross-file rules HV011–HV014 over the whole set.
+// the cross-file rules HV011–HV014 over the whole set: HV012 over the
+// import clauses, the other three over one typed use index.
 func lintSources(srcs []source) ([]vetFinding, error) {
 	fset := token.NewFileSet()
 	files := make([]*ast.File, len(srcs))
@@ -200,10 +208,14 @@ func lintSources(srcs []source) ([]vetFinding, error) {
 		files[i], paths[i] = file, s.path
 		out = append(out, lintFile(fset, file, s.path)...)
 	}
-	out = append(out, lintUnsetOptions(fset, files, paths)...)
+	index, err := buildIndex(fset, files, paths)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, lintUnsetOptions(index)...)
 	out = append(out, lintUnimported(fset, files, paths)...)
-	out = append(out, lintWriteOnlyFields(fset, files, paths)...)
-	return append(out, lintDeadSurface(fset, files, paths)...), nil
+	out = append(out, lintWriteOnlyFields(index)...)
+	return append(out, lintDeadSurface(index)...), nil
 }
 
 // lintFile runs the per-file rules over one parsed file.
@@ -369,6 +381,22 @@ func lintHookSeams(fset *token.FileSet, file *ast.File, path string) []vetFindin
 			}
 			return true
 		})
+	}
+	return out
+}
+
+// importNames maps each import's local name to the imported package's
+// name, taken to be the path's last element.
+func importNames(file *ast.File) map[string]string {
+	out := map[string]string{}
+	for _, spec := range file.Imports {
+		path := strings.Trim(spec.Path.Value, `"`)
+		name := path[strings.LastIndex(path, "/")+1:]
+		local := name
+		if spec.Name != nil {
+			local = spec.Name.Name
+		}
+		out[local] = name
 	}
 	return out
 }

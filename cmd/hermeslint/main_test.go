@@ -1033,7 +1033,7 @@ var _ = placement.Options{Workers: 4}
 		}
 		got = append(got, f.msg[:strings.Index(f.msg, " is set")])
 	}
-	want := []string{"option field placement.Options.Deadline", "option field placement.Greedy.Budget"}
+	want := []string{"option field internal/placement.Options.Deadline", "option field internal/placement.Greedy.Budget"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("HV011 findings = %q, want %q", got, want)
 	}
@@ -1097,7 +1097,7 @@ var _ = placement.Options{Workers: 4}
 var _ = placement.Greedy{Budget: 2}
 `,
 	})
-	if len(fs) != 1 || fs[0].rule != "HV011" || !strings.Contains(fs[0].msg, "placement.Options.Deadline") {
+	if len(fs) != 1 || fs[0].rule != "HV011" || !strings.Contains(fs[0].msg, "internal/placement.Options.Deadline") {
 		t.Fatalf("want one HV011 finding on the passed-through Deadline, got %v", fs)
 	}
 	// The same copy made from another package is the facade forwarding
@@ -1143,10 +1143,10 @@ import _ "github.com/hermes-net/hermes/internal/placement"
 		"internal/stats/b.go":                    "package stats\nimport _ \"github.com/hermes-net/hermes/internal/stats\"\n",
 		"internal/deploy/deploy_test.go":         "package deploy\nimport _ \"github.com/hermes-net/hermes/internal/stats\"\n",
 		// Imported from another internal package: kept.
-		"internal/network/topo.go":  "package network\n",
-		"internal/program/mat.go":   "package program\nimport _ \"github.com/hermes-net/hermes/internal/network\"\n",
-		"internal/program/mat_2.go": "package program\n",
-		"cmd/other/main.go":         "package main\nimport _ \"github.com/hermes-net/hermes/internal/program\"\n",
+		"internal/workload/gen.go": "package workload\n",
+		"internal/baseline/a.go":   "package baseline\nimport _ \"github.com/hermes-net/hermes/internal/workload\"\n",
+		"internal/baseline/b.go":   "package baseline\n",
+		"cmd/other/main.go":        "package main\nimport _ \"github.com/hermes-net/hermes/internal/baseline\"\n",
 		// A test-only package is imported from tests by design.
 		"internal/milp/model.go": "package milp\n",
 		// A package outside internal/ is never flagged.
@@ -1215,7 +1215,7 @@ var _ = placement.Diff()
 `,
 		"cmd/tool/main.go": deadSurfaceCmd,
 	})
-	if want := []string{"exported placement.Diff is referenced by no non-test file"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"exported internal/placement.Diff is referenced by no non-test file"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("HV013 findings = %q, want %q", got, want)
 	}
 }
@@ -1254,8 +1254,8 @@ func (p *Plan) AMax() int { return 0 }
 		"cmd/tool/main.go": deadSurfaceCmd + "\nvar _ = placement.Diff()\n",
 	}
 	want := []string{
-		"exported placement.Scratch.Reset is referenced by no non-test file",
-		"exported placement.Plan.AMax, a method of a facade-aliased type, is referenced by no non-test file",
+		"exported internal/placement.Scratch.Reset is referenced by no non-test file",
+		"exported internal/placement.Plan.AMax, a method of a facade-aliased type, is referenced by no non-test file",
 	}
 	// The facade's alias of Plan makes AMax public API, which is no
 	// reason to keep it: it needs a caller or an allowlist entry.
@@ -1275,9 +1275,9 @@ type (
 	}
 }
 
-// deadSurfaceTDG declares tdg.Graph's allowlisted methods AddEdge, Edge
+// deadSurfaceTDG declares tdg.Graph's allowlisted methods AddEdge, Clone, Edge
 // and Edges next to a method a command calls.
-const deadSurfaceTDG = "package tdg\ntype Graph struct{}\nfunc (g *Graph) AddEdge() error { return nil }\nfunc (g *Graph) Edge() {}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n"
+const deadSurfaceTDG = "package tdg\ntype Graph struct{}\nfunc (g *Graph) AddEdge() error { return nil }\nfunc (g *Graph) Clone() {}\nfunc (g *Graph) Edge() {}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n"
 
 const deadSurfaceTDGFacade = `package hermes
 import "github.com/hermes-net/hermes/internal/tdg"
@@ -1285,8 +1285,8 @@ type TDG = tdg.Graph
 `
 
 func TestDeadSurfacePublicAPIAllowlisted(t *testing.T) {
-	if _, ok := publicAPIAllowlist["tdg.Graph.AddEdge"]; !ok {
-		t.Fatal("fixture assumes tdg.Graph.AddEdge is allowlisted")
+	if _, ok := publicAPIAllowlist["internal/tdg.Graph.AddEdge"]; !ok {
+		t.Fatal("fixture assumes internal/tdg.Graph.AddEdge is allowlisted")
 	}
 	got := deadSurface(t, map[string]string{
 		"internal/tdg/tdg.go":      deadSurfaceTDG,
@@ -1310,19 +1310,20 @@ func TestDeadSurfaceStalePublicAPIEntry(t *testing.T) {
 			"internal/tdg/tdg.go": deadSurfaceTDG,
 			"hermes.go":           deadSurfaceTDGFacade,
 			"cmd/tool/main.go":    cmd + "var _ = (&tdg.Graph{}).AddEdge()\n",
-		}, []string{"publicAPIAllowlist entry tdg.Graph.AddEdge has a non-test caller now"}},
+		}, []string{"publicAPIAllowlist entry internal/tdg.Graph.AddEdge has a non-test caller now"}},
 		{"deleted", map[string]string{
-			"internal/tdg/tdg.go": "package tdg\ntype Graph struct{}\nfunc (g *Graph) Edge() {}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n",
+			"internal/tdg/tdg.go": "package tdg\ntype Graph struct{}\nfunc (g *Graph) Clone() {}\nfunc (g *Graph) Edge() {}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n",
 			"hermes.go":           deadSurfaceTDGFacade,
 			"cmd/tool/main.go":    cmd,
-		}, []string{"publicAPIAllowlist entry tdg.Graph.AddEdge names no declaration"}},
+		}, []string{"publicAPIAllowlist entry internal/tdg.Graph.AddEdge names no declaration"}},
 		{"not_aliased", map[string]string{
 			"internal/tdg/tdg.go": deadSurfaceTDG,
 			"cmd/tool/main.go":    cmd,
 		}, []string{
-			"publicAPIAllowlist entry tdg.Graph.AddEdge is a method of a type the facade does not alias",
-			"publicAPIAllowlist entry tdg.Graph.Edge is a method of a type the facade does not alias",
-			"publicAPIAllowlist entry tdg.Graph.Edges is a method of a type the facade does not alias",
+			"publicAPIAllowlist entry internal/tdg.Graph.AddEdge is a method of a type the facade does not alias",
+			"publicAPIAllowlist entry internal/tdg.Graph.Clone is a method of a type the facade does not alias",
+			"publicAPIAllowlist entry internal/tdg.Graph.Edge is a method of a type the facade does not alias",
+			"publicAPIAllowlist entry internal/tdg.Graph.Edges is a method of a type the facade does not alias",
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -1334,9 +1335,10 @@ func TestDeadSurfaceStalePublicAPIEntry(t *testing.T) {
 	}
 }
 
-// An allowlist entry belongs to the internal directory its package
-// clause names: a lint fixture whose clause is tdg but which lives
-// elsewhere neither stales the tdg entries nor stands in for them.
+// An allowlist entry belongs to the package its import path names: a
+// lint fixture whose clause is tdg but which lives elsewhere neither
+// stales the internal/tdg entries nor stands in for them, and its own
+// uncalled method is its own finding.
 func TestDeadSurfaceStaleEntryKeyedOnDirectory(t *testing.T) {
 	cmd := "package main\nimport (\n\t\"github.com/hermes-net/hermes/internal/tdg\"\n\t_ \"github.com/hermes-net/hermes/internal/lintfix\"\n)\nfunc main() { (&tdg.Graph{}).AppendEdge() }\n"
 	for _, tc := range []struct {
@@ -1356,10 +1358,13 @@ func TestDeadSurfaceStaleEntryKeyedOnDirectory(t *testing.T) {
 		}, nil},
 		{"fixture_does_not_declare_for_real", map[string]string{
 			"internal/lintfix/fix.go": "package tdg\ntype Graph struct{}\nfunc (g *Graph) AddEdge() error { return nil }\n",
-			"internal/tdg/tdg.go":     "package tdg\ntype Graph struct{}\nfunc (g *Graph) Edge() {}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n",
+			"internal/tdg/tdg.go":     "package tdg\ntype Graph struct{}\nfunc (g *Graph) Clone() {}\nfunc (g *Graph) Edge() {}\nfunc (g *Graph) Edges() {}\nfunc (g *Graph) AppendEdge() {}\n",
 			"hermes.go":               deadSurfaceTDGFacade,
 			"cmd/tool/main.go":        cmd,
-		}, []string{"publicAPIAllowlist entry tdg.Graph.AddEdge names no declaration"}},
+		}, []string{
+			"exported internal/lintfix.Graph.AddEdge is referenced by no non-test file",
+			"publicAPIAllowlist entry internal/tdg.Graph.AddEdge names no declaration",
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := deadSurface(t, tc.files); !reflect.DeepEqual(got, tc.want) {
@@ -1458,8 +1463,8 @@ func TestDeadSurfaceTestOnlyPackageExempt(t *testing.T) {
 const deadSurfaceMerge = "package merge\nfunc Graphs() int { return 0 }\nfunc Fold() int { return 0 }\n"
 
 func TestDeadSurfaceAllowlistedTwinExempt(t *testing.T) {
-	if _, ok := deadSurfaceAllowlist["merge.Graphs"]; !ok {
-		t.Fatal("fixture assumes merge.Graphs is allowlisted")
+	if _, ok := deadSurfaceAllowlist["internal/merge.Graphs"]; !ok {
+		t.Fatal("fixture assumes internal/merge.Graphs is allowlisted")
 	}
 	got := deadSurface(t, map[string]string{
 		"internal/merge/merge.go":           deadSurfaceMerge,
@@ -1477,7 +1482,7 @@ func TestDeadSurfaceStaleAllowlistEntry(t *testing.T) {
 		"internal/merge/merge.go": deadSurfaceMerge,
 		"cmd/tool/main.go":        "package main\nimport \"github.com/hermes-net/hermes/internal/merge\"\nvar _ = merge.Graphs() + merge.Fold()\n",
 	})
-	if want := []string{"deadSurfaceAllowlist entry merge.Graphs has a non-test caller now"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"deadSurfaceAllowlist entry internal/merge.Graphs has a non-test caller now"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("HV013 findings = %q, want %q", got, want)
 	}
 	// The twin is gone from a linted package: the entry names nothing.
@@ -1485,7 +1490,7 @@ func TestDeadSurfaceStaleAllowlistEntry(t *testing.T) {
 		"internal/merge/merge.go": "package merge\nfunc Fold() int { return 0 }\n",
 		"cmd/tool/main.go":        "package main\nimport \"github.com/hermes-net/hermes/internal/merge\"\nvar _ = merge.Fold()\n",
 	})
-	if want := []string{"deadSurfaceAllowlist entry merge.Graphs names no declaration"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"deadSurfaceAllowlist entry internal/merge.Graphs names no declaration"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("HV013 findings = %q, want %q", got, want)
 	}
 }
@@ -1649,5 +1654,143 @@ func (s *sink) writer() func([]byte) (int, error) { return s.w.Write }
 	})
 	if len(got) != 0 {
 		t.Fatalf("a field read through a method value was flagged: %q", got)
+	}
+}
+
+// HV013 resolves each reference to the declaration it names. A name
+// alone keeps nothing: a type selector or a package function spelled
+// like a method, or a call of another type's same-named method, leaves
+// the method unreferenced. A method value, a call through an
+// interface, a call promoted through an embedded field and a call on an
+// instantiation of a generic type all reference it.
+func TestDeadSurfaceResolvesNames(t *testing.T) {
+	const geo = `package geo
+
+type Hop struct{}
+
+type Path struct{}
+
+func (p *Path) Hop() *Hop { return nil }
+
+type Set struct{}
+
+func (Set) Contains(int) bool { return false }
+
+type A struct{}
+
+func (A) Size() int { return 1 }
+
+type B struct{}
+
+func (B) Size() int { return 2 }
+`
+	for _, tc := range []struct {
+		name, use string
+		want      []string
+	}{
+		{"type_selector_named_like_method", "var _ = geo.Hop{}\nvar _, _ = geo.A{}.Size, geo.B{}.Size\nvar _ = geo.Set{}.Contains",
+			[]string{"exported internal/geo.Path.Hop is referenced by no non-test file"}},
+		{"package_function_named_like_method", "var _ = slices.Contains([]int{1}, 1)\nvar _ = (&geo.Path{}).Hop\nvar _, _ = geo.A{}.Size, geo.B{}.Size",
+			[]string{"exported internal/geo.Set.Contains is referenced by no non-test file"}},
+		{"other_types_method", "var _ = geo.A{}.Size()\nvar _ = (&geo.Path{}).Hop\nvar _ = geo.Set{}.Contains",
+			[]string{"exported internal/geo.B.Size is referenced by no non-test file"}},
+		{"method_value", "var f = geo.B{}.Size\nvar _ = f\nvar _ = geo.A{}.Size\nvar _ = (&geo.Path{}).Hop\nvar _ = geo.Set{}.Contains", nil},
+		{"through_interface", "type sizer interface{ Size() int }\nvar _ = []sizer{geo.A{}, geo.B{}}[0].Size()\nvar _ = (&geo.Path{}).Hop\nvar _ = geo.Set{}.Contains", nil},
+		{"promoted_through_embedding", "type outer struct{ geo.A }\nvar _ = outer{}.Size()\nvar _ = geo.B{}.Size\nvar _ = (&geo.Path{}).Hop\nvar _ = geo.Set{}.Contains", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := deadSurface(t, map[string]string{
+				"internal/geo/geo.go": geo,
+				"cmd/tool/main.go":    "package main\n\nimport (\n\t\"slices\"\n\n\t\"github.com/hermes-net/hermes/internal/geo\"\n)\n\nvar _ = slices.Sort[[]int]\n\n" + tc.use + "\n",
+			})
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("HV013 findings = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// A method of a generic type is referenced through any instantiation
+// (the tdg.arena[T] pattern); an uncalled one is still flagged.
+func TestDeadSurfaceGenericMethodOnInstantiation(t *testing.T) {
+	got := deadSurface(t, map[string]string{
+		"internal/pool/pool.go": `package pool
+
+type arena[T any] struct{ items []T }
+
+func (a *arena[T]) add(x T) int {
+	a.items = append(a.items, x)
+	return len(a.items) - 1
+}
+
+func (a *arena[T]) at(i int) T { return a.items[i] }
+
+type Store struct{ ints arena[int] }
+
+func (s *Store) Put(x int) int { return s.ints.add(x) }
+`,
+		"cmd/tool/main.go": "package main\n\nimport \"github.com/hermes-net/hermes/internal/pool\"\n\nvar _ = (&pool.Store{}).Put(1)\n",
+	})
+	if want := []string{"unexported internal/pool.arena.at is referenced by no non-test file"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("HV013 findings = %q, want %q", got, want)
+	}
+}
+
+// A read of another struct's field of the same name does not read a
+// write-only field (dataplane's cswitch.id beside fieldRef.id).
+func TestWriteOnlyFieldBesideSameNamedRead(t *testing.T) {
+	got := writeOnly(t, map[string]string{
+		"internal/plane/plane.go": `package plane
+
+type fieldRef struct{ id int }
+
+type cswitch struct {
+	id int
+	n  int
+}
+
+func build(r fieldRef) *cswitch { return &cswitch{id: 1, n: r.id} }
+
+func (c *cswitch) size() int { return c.n }
+
+var _ = build(fieldRef{id: 2}).size
+`,
+	})
+	if want := []string{"field internal/plane.cswitch.id is written but never read by a non-test file of its package"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("HV014 findings = %q, want %q", got, want)
+	}
+}
+
+// An assignment to another type's field of the same name sets no
+// option (supervisor.Options.Ctx beside rollout.Options.Ctx).
+func TestUnsetOptionSameNamedFieldOfAnotherType(t *testing.T) {
+	fs := lintSet(t, map[string]string{
+		"internal/super/super.go": "package super\n\nimport \"context\"\n\ntype Options struct {\n\tCtx   context.Context\n\tEvery int\n}\n",
+		"cmd/tool/main.go": `package main
+
+import (
+	"context"
+
+	"github.com/hermes-net/hermes/internal/super"
+)
+
+type job struct{ Ctx context.Context }
+
+func main() {
+	var j job
+	j.Ctx = context.Background()
+	_ = j
+	_ = super.Options{Every: 1}
+}
+`,
+	})
+	var got []string
+	for _, f := range fs {
+		if f.rule == "HV011" {
+			got = append(got, f.msg[:strings.Index(f.msg, " is set")])
+		}
+	}
+	if want := []string{"option field internal/super.Options.Ctx"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("HV011 findings = %q, want %q", got, want)
 	}
 }

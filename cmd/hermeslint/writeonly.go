@@ -3,84 +3,50 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
-	"path/filepath"
+	"go/types"
 	"strings"
 )
 
-// fieldDecl is one unexported struct field HV014 checks.
-type fieldDecl struct {
-	key  string // dir.Type.field
-	read string // dir.field: what a read of it is recorded as
-	pos  token.Pos
-}
-
-// lintWriteOnlyFields applies HV014 across the file set: an unexported
+// lintWriteOnlyFields applies HV014 over the typed index: an unexported
 // field of a named struct type, declared in a non-test file outside
-// benchmark/, that no non-test file of its package (its directory)
-// reads. A read is any selector .field that is not itself the target
-// of an assignment or an increment: x.f on the right of an assignment,
-// as an argument, under & or an index, or as the receiver of a method
-// value (x.f.M) all count. Composite-literal keys are not selectors, so
-// a field that is only ever set by T{f: v} or x.f = v is write-only.
-// Matching is by field name within the package, so a read of any
-// field or method of the same name keeps the field: the rule may miss a
-// write-only field, never flag a read one.
-func lintWriteOnlyFields(fset *token.FileSet, files []*ast.File, paths []string) []vetFinding {
-	var decls []fieldDecl
-	read := map[string]bool{}
-	for i, file := range files {
-		path := filepath.ToSlash(paths[i])
-		if strings.HasSuffix(path, "_test.go") || strings.Contains("/"+path, "/benchmark/") {
+// benchmark/, that no non-test file reads. A read is any use of that
+// field, resolved by go/types, that is not the target of an assignment
+// or an increment nor the key of a composite literal: x.f on the right
+// of an assignment, as an argument, under & or an index, or as the
+// receiver of a method value (x.f.M) all count, and a read of another
+// type's field of the same name does not. A field only ever set by
+// T{f: v} or x.f = v is write-only.
+func lintWriteOnlyFields(x *useIndex) []vetFinding {
+	var out []vetFinding
+	for _, pkg := range x.pkgs {
+		if strings.Contains("/"+pkg.dir+"/", "/benchmark/") {
 			continue
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		written := map[*ast.SelectorExpr]bool{}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				st, ok := n.Type.(*ast.StructType)
+		for _, file := range pkg.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Assign.IsValid() {
+					return true
+				}
+				tn, ok := pkg.info.Defs[ts.Name].(*types.TypeName)
 				if !ok {
 					return true
 				}
-				for _, f := range st.Fields.List {
-					for _, name := range f.Names {
-						if !name.IsExported() && name.Name != "_" {
-							decls = append(decls, fieldDecl{
-								key:  dir + "." + n.Name.Name + "." + name.Name,
-								read: dir + "." + name.Name,
-								pos:  name.Pos(),
-							})
-						}
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok {
+					return true
+				}
+				for i := range st.NumFields() {
+					f := st.Field(i)
+					if f.Exported() || f.Embedded() || f.Name() == "_" || x.read(f) {
+						continue
 					}
+					out = append(out, vetFinding{
+						pos: x.fset.Position(f.Pos()), rule: "HV014", sev: "error",
+						msg: fmt.Sprintf("field %s is written but never read by a non-test file of its package: delete it", key(pkg.types, tn.Name(), f.Name())),
+					})
 				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-						written[sel] = true
-					}
-				}
-			case *ast.IncDecStmt:
-				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
-					written[sel] = true
-				}
-			}
-			return true
-		})
-		ast.Inspect(file, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && !written[sel] {
-				read[dir+"."+sel.Sel.Name] = true
-			}
-			return true
-		})
-	}
-
-	var out []vetFinding
-	for _, d := range decls {
-		if !read[d.read] {
-			out = append(out, vetFinding{
-				pos: fset.Position(d.pos), rule: "HV014", sev: "error",
-				msg: fmt.Sprintf("field %s is written but never read by a non-test file of its package: delete it", d.key),
+				return true
 			})
 		}
 	}

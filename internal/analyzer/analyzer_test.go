@@ -199,14 +199,16 @@ func TestMetadataFieldsForDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fs.Contains("meta.idx") || !fs.Contains("meta.aux") {
-		t.Errorf("MetadataFields = %v, want idx and aux", fs)
+	for _, name := range []string{"meta.idx", "meta.aux"} {
+		if _, ok := fs.Get(name); !ok {
+			t.Errorf("MetadataFields = %v, want %s", fs, name)
+		}
 	}
 	fs, err = MetadataFields(a.MAT, b.MAT, tdg.DepReverse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Len() != 0 {
+	if len(fs.Names()) != 0 {
 		t.Errorf("reverse MetadataFields = %v, want empty", fs)
 	}
 }

@@ -102,7 +102,6 @@ type cexport struct {
 // makes a Pipeline single-run: concurrent Run/Replay calls on one
 // Pipeline race.
 type cswitch struct {
-	id       network.SwitchID
 	mats     []*cmat
 	imports  []cimport
 	exports  []cexport
@@ -141,12 +140,6 @@ type Batch struct {
 
 	err error // first execution error; poisons the batch downstream
 }
-
-// Len returns the packet count.
-func (b *Batch) Len() int { return b.n }
-
-// Err returns the first execution error the batch hit, if any.
-func (b *Batch) Err() error { return b.err }
 
 // Writes returns packet i's recorded write log (nil unless the
 // pipeline ran with RecordWrites).
@@ -263,7 +256,7 @@ func NewPipeline(dep *deploy.Deployment, extraHeaders []string, batchSize int) (
 		if cfg == nil {
 			continue
 		}
-		cs := &cswitch{id: u}
+		cs := &cswitch{}
 		for _, from := range order {
 			if from == u {
 				break

@@ -121,6 +121,17 @@ func refFromProgram(p *program.Program) (*tdg.Graph, error) {
 	return g, nil
 }
 
+// metadataOf is the subset of s's metadata fields.
+func metadataOf(s fields.Set) fields.Set {
+	var out []fields.Field
+	for _, f := range s.Fields() {
+		if f.IsMetadata() {
+			out = append(out, f)
+		}
+	}
+	return fields.MustSet(out...)
+}
+
 // refEdgeFields is the metadata a delivers to b along one edge; its
 // TotalBytes is A(a,b).
 func refEdgeFields(a, b *program.MAT, typ tdg.DepType) (fields.Set, error) {
@@ -130,7 +141,7 @@ func refEdgeFields(a, b *program.MAT, typ tdg.DepType) (fields.Set, error) {
 	}
 	switch typ {
 	case tdg.DepMatch:
-		return faa.Metadata(), nil
+		return metadataOf(faa), nil
 	case tdg.DepAction:
 		fba, err := refWrites(b)
 		if err != nil {
@@ -140,11 +151,11 @@ func refEdgeFields(a, b *program.MAT, typ tdg.DepType) (fields.Set, error) {
 		if err != nil {
 			return fields.Set{}, err
 		}
-		return union.Metadata(), nil
+		return metadataOf(union), nil
 	case tdg.DepReverse:
 		return fields.Set{}, nil
 	case tdg.DepSuccessor:
-		return faa.Metadata(), nil
+		return metadataOf(faa), nil
 	}
 	return fields.Set{}, fmt.Errorf("unknown dependency type %v", typ)
 }

@@ -105,27 +105,3 @@ func (f *MemFabric) Installed(sw network.SwitchID, epoch uint64) bool {
 	defer f.mu.Unlock()
 	return f.installed[sw][epoch]
 }
-
-// Replay reconstructs fabric state from a journal after a process
-// crash: bootstrap the old deployment at the journal's from-epoch,
-// then re-apply every done switch op in order. Because ops are
-// idempotent, replaying over surviving state is also safe.
-func (f *MemFabric) Replay(j *Journal, old *deploy.Deployment) {
-	if j == nil {
-		return
-	}
-	f.Bootstrap(old, j.From)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, e := range j.Entries {
-		if e.Status != StatusDone {
-			continue
-		}
-		switch e.Kind {
-		case OpPrepare:
-			f.install(e.Switch, e.Epoch)
-		case OpRetire, OpAbort:
-			delete(f.installed[e.Switch], e.Epoch)
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"github.com/hermes-net/hermes/internal/deploy"
@@ -719,16 +718,6 @@ func (v *ServingView) HostsOf(group string, epoch uint64) []network.SwitchID {
 		return nil
 	}
 	return hostsOf(plan, g.progs)
-}
-
-// Programs lists every program either plan knows, sorted.
-func (v *ServingView) Programs() []string {
-	out := make([]string, 0, len(v.r.progGroup))
-	for p := range v.r.progGroup {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CheckInstalled asserts the torn-state invariant against a fabric:

@@ -610,3 +610,13 @@ func TestRolloutWithdrawAndFreshPrograms(t *testing.T) {
 		t.Errorf("fresh p3 serves %d, want 2", e)
 	}
 }
+
+// Programs lists every program either plan knows, sorted.
+func (v *ServingView) Programs() []string {
+	out := make([]string, 0, len(v.r.progGroup))
+	for p := range v.r.progGroup {
+		out = append(out, p)
+	}
+	slices.Sort(out)
+	return out
+}

@@ -192,15 +192,6 @@ func MustSet(fs ...Field) Set {
 	return s
 }
 
-// Len returns the number of fields in the set.
-func (s Set) Len() int { return len(s.byName) }
-
-// Contains reports whether the set holds a field with the given name.
-func (s Set) Contains(name string) bool {
-	_, ok := s.byName[name]
-	return ok
-}
-
 // Get returns the field with the given name.
 func (s Set) Get(name string) (Field, bool) {
 	f, ok := s.byName[name]
@@ -250,18 +241,6 @@ func (s Set) Overlaps(t Set) bool {
 	return false
 }
 
-// MetadataBytes sums the byte sizes of the metadata fields in the set.
-// This is the size() accumulation used by Alg. 1 in the paper.
-func (s Set) MetadataBytes() int {
-	total := 0
-	for _, f := range s.byName {
-		if f.IsMetadata() {
-			total += f.Bytes()
-		}
-	}
-	return total
-}
-
 // TotalBytes sums the byte sizes of all fields in the set.
 func (s Set) TotalBytes() int {
 	total := 0
@@ -269,39 +248,6 @@ func (s Set) TotalBytes() int {
 		total += f.Bytes()
 	}
 	return total
-}
-
-// Metadata returns the subset of metadata fields.
-func (s Set) Metadata() Set {
-	out := Set{byName: make(map[string]Field)}
-	for name, f := range s.byName {
-		if f.IsMetadata() {
-			out.byName[name] = f
-		}
-	}
-	return out
-}
-
-// Equal reports whether the two sets hold exactly the same fields.
-func (s Set) Equal(t Set) bool {
-	if len(s.byName) != len(t.byName) {
-		return false
-	}
-	for name, f := range s.byName {
-		if g, ok := t.byName[name]; !ok || g != f {
-			return false
-		}
-	}
-	return true
-}
-
-// Clone returns an independent copy of the set.
-func (s Set) Clone() Set {
-	out := Set{byName: make(map[string]Field, len(s.byName))}
-	for name, f := range s.byName {
-		out.byName[name] = f
-	}
-	return out
 }
 
 // String renders the sorted field names, e.g. "{a, b, c}".

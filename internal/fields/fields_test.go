@@ -1,6 +1,7 @@
 package fields
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -69,8 +70,8 @@ func TestNewSetRejectsConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSet rejected identical duplicates: %v", err)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len() = %d, want 1", s.Len())
+	if n := len(s.Names()); n != 1 {
+		t.Errorf("len(Names()) = %d, want 1", n)
 	}
 }
 
@@ -122,20 +123,10 @@ func TestSetOperations(t *testing.T) {
 		}
 	})
 
-	t.Run("metadata bytes", func(t *testing.T) {
-		// m1 is 4 bytes, m2 is 2 bytes; h1 must not count.
-		if got := a.MetadataBytes(); got != 6 {
-			t.Errorf("MetadataBytes() = %d, want 6", got)
-		}
+	t.Run("total bytes", func(t *testing.T) {
+		// h1 is 1 byte, m1 is 4 bytes, m2 is 2 bytes.
 		if got := a.TotalBytes(); got != 7 {
 			t.Errorf("TotalBytes() = %d, want 7", got)
-		}
-	})
-
-	t.Run("metadata subset", func(t *testing.T) {
-		m := a.Metadata()
-		if m.Len() != 2 || m.Contains("h1") {
-			t.Errorf("Metadata() = %v, want metadata-only subset", m)
 		}
 	})
 
@@ -151,25 +142,11 @@ func TestSetOperations(t *testing.T) {
 			t.Error("Get on empty set found a field")
 		}
 	})
-
-	t.Run("equal and clone", func(t *testing.T) {
-		c := a.Clone()
-		if !a.Equal(c) {
-			t.Error("clone not Equal to original")
-		}
-		if a.Equal(b) {
-			t.Error("distinct sets reported Equal")
-		}
-		var e1, e2 Set
-		if !e1.Equal(e2) {
-			t.Error("empty sets not Equal")
-		}
-	})
 }
 
 func TestZeroValueSetUsable(t *testing.T) {
 	var s Set
-	if s.Len() != 0 || s.Contains("x") || s.MetadataBytes() != 0 {
+	if _, ok := s.Get("x"); ok || len(s.Names()) != 0 || s.TotalBytes() != 0 {
 		t.Error("zero-value Set misbehaves")
 	}
 	if got := s.String(); got != "{}" {
@@ -256,18 +233,19 @@ func TestSetUnionProperties(t *testing.T) {
 			return true // conflicting widths on the same name: both fail
 		}
 		aa, err := a.Union(a)
-		if err != nil || !aa.Equal(a) {
+		if err != nil || !slices.Equal(aa.Fields(), a.Fields()) {
 			return false
 		}
-		return ab.Equal(ba)
+		return slices.Equal(ab.Fields(), ba.Fields())
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: MetadataBytes of a union never exceeds the sum of the parts
-// and never falls below the max of the parts.
+// Property: the metadata bytes of a union (every field here is
+// metadata, so its TotalBytes) never exceed the sum of the parts and
+// never fall below the max of the parts.
 func TestMetadataBytesUnionBounds(t *testing.T) {
 	prop := func(xs, ys []uint8) bool {
 		mk := func(names []uint8, prefix string) Set {
@@ -288,12 +266,9 @@ func TestMetadataBytesUnionBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sum := a.MetadataBytes() + b.MetadataBytes()
-		lo := a.MetadataBytes()
-		if b.MetadataBytes() > lo {
-			lo = b.MetadataBytes()
-		}
-		got := u.MetadataBytes()
+		sum := a.TotalBytes() + b.TotalBytes()
+		lo := max(a.TotalBytes(), b.TotalBytes())
+		got := u.TotalBytes()
 		return got <= sum && got >= lo
 	}
 	if err := quick.Check(prop, nil); err != nil {

@@ -174,20 +174,6 @@ func (fs Findings) HasErrors() bool {
 	return false
 }
 
-// Rules returns the distinct rule IDs present, sorted.
-func (fs Findings) Rules() []string {
-	seen := map[string]bool{}
-	for _, f := range fs {
-		seen[f.Rule] = true
-	}
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // OracleErrors returns the error-severity findings that participate in
 // the differential plan oracle.
 func (fs Findings) OracleErrors() Findings {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -390,5 +391,19 @@ func byRule(fs Findings, rule string) Findings {
 			out = append(out, f)
 		}
 	}
+	return out
+}
+
+// Rules returns the distinct rule IDs present, sorted.
+func (fs Findings) Rules() []string {
+	seen := map[string]bool{}
+	for _, f := range fs {
+		seen[f.Rule] = true
+	}
+	out := make([]string, 0, len(seen))
+	for r := range seen {
+		out = append(out, r)
+	}
+	slices.Sort(out)
 	return out
 }

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestFaultMutationsInvalidateOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
 	}
-	if !fast.Contains(1) {
+	if !slices.Contains(fast.Switches, 1) {
 		t.Fatalf("expected fast path via 1, got %v", fast.Switches)
 	}
 	before := tp.PathCacheStats().Invalidations
@@ -52,7 +53,7 @@ func TestFaultMutationsInvalidateOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShortestPath after fault: %v", err)
 	}
-	if slow.Contains(1) {
+	if slices.Contains(slow.Switches, 1) {
 		t.Errorf("path still routes through down switch 1: %v", slow.Switches)
 	}
 
@@ -90,7 +91,7 @@ func TestLinkFaultReroutesAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
 	}
-	if !p.Contains(2) {
+	if !slices.Contains(p.Switches, 2) {
 		t.Errorf("expected reroute via 2, got %v", p.Switches)
 	}
 	tp.Heal()
@@ -101,7 +102,7 @@ func TestLinkFaultReroutesAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShortestPath after heal: %v", err)
 	}
-	if !p.Contains(1) {
+	if !slices.Contains(p.Switches, 1) {
 		t.Errorf("healed path should use fast branch, got %v", p.Switches)
 	}
 }

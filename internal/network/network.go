@@ -265,25 +265,6 @@ type Path struct {
 	Latency  time.Duration
 }
 
-// Contains reports whether the path visits the switch (the E(a,p)
-// indicator of the formulation).
-func (p Path) Contains(id SwitchID) bool {
-	for _, s := range p.Switches {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Hops returns the number of links traversed.
-func (p Path) Hops() int {
-	if len(p.Switches) == 0 {
-		return 0
-	}
-	return len(p.Switches) - 1
-}
-
 // pathLatency recomputes t_p(p) for a switch sequence.
 func (t *Topology) pathLatency(seq []SwitchID) (time.Duration, error) {
 	var total time.Duration

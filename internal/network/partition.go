@@ -377,24 +377,12 @@ func regionConnectedWithout(t *Topology, regionOf []int32, r int32, ex SwitchID)
 // NumRegions returns k.
 func (p *Partition) NumRegions() int { return len(p.regions) }
 
-// Seed returns the seed the partition was grown from.
-func (p *Partition) Seed() int64 { return p.seed }
-
 // Topology returns the partitioned topology.
 func (p *Partition) Topology() *Topology { return p.topo }
 
 // Region returns region r's switch IDs in ascending order (a copy).
 func (p *Partition) Region(r int) []SwitchID {
 	return append([]SwitchID(nil), p.regions[r]...)
-}
-
-// Regions returns all regions (copies), indexed by region.
-func (p *Partition) Regions() [][]SwitchID {
-	out := make([][]SwitchID, len(p.regions))
-	for r := range p.regions {
-		out[r] = p.Region(r)
-	}
-	return out
 }
 
 // RegionOf returns the region index hosting the switch, or -1 for an

@@ -108,7 +108,7 @@ func TestPartitionRoundTrip(t *testing.T) {
 		if q.Format() != text {
 			t.Fatalf("%s: round trip changed partition:\n%s\nvs\n%s", topo.Name, text, q.Format())
 		}
-		if q.Seed() != p.Seed() || q.NumRegions() != p.NumRegions() {
+		if q.seed != p.seed || q.NumRegions() != p.NumRegions() {
 			t.Fatalf("%s: round trip lost header fields", topo.Name)
 		}
 	}

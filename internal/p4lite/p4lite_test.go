@@ -51,8 +51,8 @@ func TestParseHeavyHitter(t *testing.T) {
 	if len(prog.MATs) != 3 {
 		t.Fatalf("MATs = %d, want 3", len(prog.MATs))
 	}
-	cnt, ok := prog.MAT("hh/count_tbl")
-	if !ok {
+	cnt := matNamed(prog, "hh/count_tbl")
+	if cnt == nil {
 		t.Fatal("count_tbl missing")
 	}
 	if cnt.Capacity != 4096 {
@@ -61,7 +61,7 @@ func TestParseHeavyHitter(t *testing.T) {
 	if len(cnt.Keys) != 1 || cnt.Keys[0].Field.Name != "idx" || cnt.Keys[0].Type != program.MatchExact {
 		t.Errorf("keys = %+v", cnt.Keys)
 	}
-	flag, _ := prog.MAT("hh/flag_tbl")
+	flag := matNamed(prog, "hh/flag_tbl")
 	if len(flag.Actions) != 2 || flag.DefaultAction != "clear" {
 		t.Errorf("flag actions = %+v default %q", flag.Actions, flag.DefaultAction)
 	}
@@ -129,7 +129,7 @@ table t {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := prog.MAT("ops/t")
+	m := matNamed(prog, "ops/t")
 	if len(m.Actions[0].Ops) != 7 {
 		t.Fatalf("ops = %d, want 7", len(m.Actions[0].Ops))
 	}
@@ -251,4 +251,12 @@ table route {
 	if len(fp.Writes) != 2 || fp.Writes[0].Name != "ipv4.ttl" || fp.Writes[1].Name != "meta.egress_port" {
 		t.Errorf("writes = %v, want ipv4.ttl and meta.egress_port", fp.Writes)
 	}
+}
+
+// matNamed returns prog's MAT with the given name, or nil.
+func matNamed(prog *program.Program, name string) *program.MAT {
+	if i := prog.Index(name); i >= 0 {
+		return prog.MATs[i]
+	}
+	return nil
 }

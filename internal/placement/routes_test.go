@@ -3,6 +3,7 @@ package placement
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -197,7 +198,7 @@ func TestOptimizeRoutesHonorsStretchBudget(t *testing.T) {
 	// Opposite directions do not contend (directed links), but with a
 	// 1.0 stretch neither pair may take the slow detour through 2.
 	for _, path := range plan.Routes {
-		if path.Contains(2) {
+		if slices.Contains(path.Switches, 2) {
 			t.Error("a pair took the slow route despite stretch 1.0")
 		}
 	}

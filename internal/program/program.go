@@ -1,11 +1,6 @@
 package program
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"github.com/hermes-net/hermes/internal/fields"
-)
+import "fmt"
 
 // ControlEdge declares an explicit control-flow relation between two
 // MATs of the same program: the processing result of From gates whether
@@ -27,16 +22,6 @@ type Program struct {
 	MATs []*MAT `json:"mats"`
 	// Control lists explicit control-flow edges.
 	Control []ControlEdge `json:"control,omitempty"`
-}
-
-// MAT returns the named MAT.
-func (p *Program) MAT(name string) (*MAT, bool) {
-	for _, m := range p.MATs {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return nil, false
 }
 
 // Index returns the declaration index of the named MAT, or -1.
@@ -82,62 +67,4 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the program.
-func (p *Program) Clone() *Program {
-	out := &Program{Name: p.Name}
-	out.MATs = make([]*MAT, len(p.MATs))
-	for i, m := range p.MATs {
-		out.MATs[i] = cloneMAT(m)
-	}
-	out.Control = append([]ControlEdge(nil), p.Control...)
-	return out
-}
-
-func cloneMAT(m *MAT) *MAT {
-	c := &MAT{
-		Name:             m.Name,
-		Capacity:         m.Capacity,
-		DefaultAction:    m.DefaultAction,
-		FixedRequirement: m.FixedRequirement,
-		Keys:             append([]MatchKey(nil), m.Keys...),
-	}
-	c.Actions = make([]Action, len(m.Actions))
-	for i, a := range m.Actions {
-		c.Actions[i] = Action{Name: a.Name, Ops: make([]Op, len(a.Ops))}
-		for j, op := range a.Ops {
-			c.Actions[i].Ops[j] = Op{
-				Kind: op.Kind, Dst: op.Dst, Imm: op.Imm,
-				Srcs: append([]fields.Field(nil), op.Srcs...),
-			}
-		}
-	}
-	c.Rules = make([]Rule, len(m.Rules))
-	for i, r := range m.Rules {
-		nr := Rule{Priority: r.Priority, Action: r.Action}
-		if r.Matches != nil {
-			nr.Matches = make(map[string]Pattern, len(r.Matches))
-			for k, v := range r.Matches {
-				nr.Matches[k] = v
-			}
-		}
-		if r.Params != nil {
-			nr.Params = make(map[string]uint64, len(r.Params))
-			for k, v := range r.Params {
-				nr.Params[k] = v
-			}
-		}
-		c.Rules[i] = nr
-	}
-	return c
-}
-
-// EncodeJSON serializes the program with stable formatting.
-func (p *Program) EncodeJSON() ([]byte, error) {
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("encoding program %q: %w", p.Name, err)
-	}
-	return b, nil
 }

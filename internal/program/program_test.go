@@ -214,9 +214,9 @@ func TestProgramCloneIsDeep(t *testing.T) {
 
 func TestProgramJSONRoundTrip(t *testing.T) {
 	p := testProgram(t)
-	data, err := p.EncodeJSON()
+	data, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
-		t.Fatalf("EncodeJSON: %v", err)
+		t.Fatal(err)
 	}
 	var q Program
 	if err := json.Unmarshal(data, &q); err != nil {
@@ -400,4 +400,61 @@ func TestDecodeBundleRejectsInvalidProgram(t *testing.T) {
 	if _, err := DecodeBundle([]byte(`{"version":1,"programs":[null]}`)); err == nil {
 		t.Error("bundle holding a null program decoded")
 	}
+}
+
+// MAT returns the named MAT.
+func (p *Program) MAT(name string) (*MAT, bool) {
+	if i := p.Index(name); i >= 0 {
+		return p.MATs[i], true
+	}
+	return nil, false
+}
+
+// Clone returns a deep copy of the program.
+func (p *Program) Clone() *Program {
+	out := &Program{Name: p.Name}
+	out.MATs = make([]*MAT, len(p.MATs))
+	for i, m := range p.MATs {
+		out.MATs[i] = cloneMAT(m)
+	}
+	out.Control = append([]ControlEdge(nil), p.Control...)
+	return out
+}
+
+func cloneMAT(m *MAT) *MAT {
+	c := &MAT{
+		Name:             m.Name,
+		Capacity:         m.Capacity,
+		DefaultAction:    m.DefaultAction,
+		FixedRequirement: m.FixedRequirement,
+		Keys:             append([]MatchKey(nil), m.Keys...),
+	}
+	c.Actions = make([]Action, len(m.Actions))
+	for i, a := range m.Actions {
+		c.Actions[i] = Action{Name: a.Name, Ops: make([]Op, len(a.Ops))}
+		for j, op := range a.Ops {
+			c.Actions[i].Ops[j] = Op{
+				Kind: op.Kind, Dst: op.Dst, Imm: op.Imm,
+				Srcs: append([]fields.Field(nil), op.Srcs...),
+			}
+		}
+	}
+	c.Rules = make([]Rule, len(m.Rules))
+	for i, r := range m.Rules {
+		nr := Rule{Priority: r.Priority, Action: r.Action}
+		if r.Matches != nil {
+			nr.Matches = make(map[string]Pattern, len(r.Matches))
+			for k, v := range r.Matches {
+				nr.Matches[k] = v
+			}
+		}
+		if r.Params != nil {
+			nr.Params = make(map[string]uint64, len(r.Params))
+			for k, v := range r.Params {
+				nr.Params[k] = v
+			}
+		}
+		c.Rules[i] = nr
+	}
+	return c
 }

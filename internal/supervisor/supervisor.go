@@ -1,7 +1,6 @@
 package supervisor
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -35,9 +34,6 @@ type Options struct {
 	// its polish and climb cut short. Leave it zero for a long-lived
 	// supervisor.
 	Replan placement.ReplanOptions
-	// Ctx cancels in-flight replans and solves when done; nil means
-	// not cancelable.
-	Ctx context.Context
 	// Equiv gates every deployment the supervisor adopts — the initial
 	// build, incremental redeploys, and degraded rebuilds — through the
 	// symbolic equivalence proof (equiv.CheckDeployment), once per
@@ -229,9 +225,6 @@ func (s *Supervisor) Fabric() *rollout.MemFabric { return s.fab }
 // Deployment returns the live deployment.
 func (s *Supervisor) Deployment() *deploy.Deployment { return s.dep }
 
-// Controller returns the rule controller bound to the live deployment.
-func (s *Supervisor) Controller() *deploy.Controller { return s.ctrl }
-
 // Monitor returns the health monitor.
 func (s *Supervisor) Monitor() *Monitor { return s.mon }
 
@@ -363,7 +356,6 @@ func (s *Supervisor) Poll() (*PollResult, error) {
 func (s *Supervisor) redeploy(res *PollResult, poll int) error {
 	ropts := s.opts.Replan
 	ropts.Topology = s.topo
-	ropts.Ctx = s.opts.Ctx
 	s.stats.Replans++
 	next, rrep, err := deploy.Redeploy(s.dep, s.opts.solver(), ropts)
 	if err == nil {
@@ -450,7 +442,6 @@ func (s *Supervisor) rebuild(res *PollResult) error {
 		return err
 	}
 	popts := s.opts.Replan.Options
-	popts.Ctx = s.opts.Ctx
 	plan, err := s.opts.solver().Solve(g, s.topo.Clone(), popts)
 	if err != nil {
 		return err
@@ -503,7 +494,6 @@ func (s *Supervisor) adopt(res *PollResult, dep *deploy.Deployment) error {
 	}
 	r, err := rollout.New(s.dep, dep, rollout.Options{
 		Topo:      s.topo,
-		Ctx:       s.opts.Ctx,
 		Retry:     s.opts.RolloutRetry,
 		Fabric:    s.fab,
 		Ctrl:      s.ctrl,

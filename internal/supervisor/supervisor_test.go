@@ -109,7 +109,7 @@ func TestSupervisorReplansOnConfirmedFailure(t *testing.T) {
 			t.Errorf("MAT %q still assigned to down switch %d", name, host)
 		}
 	}
-	newHost, err := sup.Controller().HostingSwitch(mat)
+	newHost, err := sup.ctrl.HostingSwitch(mat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestSupervisorFaultDuringRollout(t *testing.T) {
 			t.Errorf("MAT %q still on dead switch %d after reentry", name, hostA)
 		}
 	}
-	got, err := sup.Controller().HostingSwitch(mat)
+	got, err := sup.ctrl.HostingSwitch(mat)
 	if err != nil {
 		t.Fatal(err)
 	}
