@@ -64,6 +64,7 @@ func lintDeadSurface(x *useIndex) []vetFinding {
 	var decls []surfaceDecl
 	facade := map[*types.TypeName]bool{} // the types the facade aliases
 	linted := map[string]*ast.File{}     // package path in the module -> its first non-test file
+	typeDecls := map[string]bool{}       // path.Type of every type a linted package declares
 	for _, pkg := range x.pkgs {
 		dir := internalPackage(pkg.dir)
 		if dir == "" && pkg.types.Name() != "main" {
@@ -80,6 +81,12 @@ func lintDeadSurface(x *useIndex) []vetFinding {
 			continue
 		}
 		linted[modPath(pkg.types)] = pkg.files[0]
+		scope := pkg.types.Scope()
+		for _, name := range scope.Names() {
+			if _, ok := scope.Lookup(name).(*types.TypeName); ok {
+				typeDecls[key(pkg.types, name)] = true
+			}
+		}
 		for _, file := range pkg.files {
 			for _, d := range file.Decls {
 				fn, ok := d.(*ast.FuncDecl)
@@ -134,11 +141,18 @@ func lintDeadSurface(x *useIndex) []vetFinding {
 			report(d.fn.Pos(), "exported %s is referenced by no non-test file: delete it, move it into the tests that use it, or allowlist it as a reference twin with a reason", d.key)
 		}
 	}
-	// An entry naming nothing in its linted package has gone stale.
+	// An entry naming nothing in its linted package has gone stale. A
+	// method's entry is checked only where the file set declares its
+	// receiver type, so a fixture declaring a package need not declare
+	// every allowlisted method of the package's other types.
 	var stale []string
 	for _, list := range []map[string]string{deadSurfaceAllowlist, publicAPIAllowlist} {
 		for k := range list {
-			if _, ok := linted[entryPackage(k)]; ok && !declared[k] {
+			_, ok := linted[entryPackage(k)]
+			if recv, method := entryReceiver(k); method {
+				ok = typeDecls[recv]
+			}
+			if ok && !declared[k] {
 				stale = append(stale, k)
 			}
 		}
@@ -169,6 +183,18 @@ func entryPackage(key string) string {
 		return key
 	}
 	return key[:slash+dot]
+}
+
+// entryReceiver returns the receiver type an allowlist key of a method
+// names, as path.Type, and whether the key names a method at all.
+func entryReceiver(key string) (string, bool) {
+	pkg := entryPackage(key)
+	name, ok := strings.CutPrefix(key, pkg+".")
+	if !ok {
+		return "", false
+	}
+	recv, _, method := strings.Cut(name, ".")
+	return pkg + "." + recv, method
 }
 
 // allowlistOf names the allowlist holding key, or returns "".

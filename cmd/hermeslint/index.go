@@ -6,8 +6,12 @@ import (
 	"go/importer"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -17,12 +21,52 @@ import (
 const modulePath = "github.com/hermes-net/hermes"
 
 // stdImporter reads standard-library packages from compiler export
-// data. Every lintSources call shares it, so a process imports each
-// standard package once; stdMu serializes its use.
+// data, each package's file looked up in stdExports. Every lintSources
+// call shares both, so a process lists and imports each standard
+// package once; stdMu serializes their use.
 var (
 	stdMu       sync.Mutex
-	stdImporter = importer.ForCompiler(token.NewFileSet(), "gc", nil)
+	stdExports  = map[string]string{} // import path -> export data file, "" if it has none
+	stdImporter = importer.ForCompiler(token.NewFileSet(), "gc", func(p string) (io.ReadCloser, error) {
+		if f := stdExports[p]; f != "" {
+			return os.Open(f)
+		}
+		return nil, fmt.Errorf("no export data for %s", p)
+	})
 )
+
+// listExports fills stdExports for the import paths it lacks, with
+// their dependencies, from one `go list -deps -export` run (the go
+// command must be on PATH). A path go list cannot load gets no file,
+// so importing it fails.
+func listExports(paths []string) error {
+	var missing []string
+	for _, p := range paths {
+		if _, ok := stdExports[p]; !ok && p != "unsafe" && !slices.Contains(missing, p) {
+			missing = append(missing, p)
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	cmd := exec.Command("go", append([]string{"list", "-e", "-deps", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, missing...)...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("go list -export: %w: %s", err, strings.TrimSpace(stderr.String()))
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		p, f, _ := strings.Cut(line, " ")
+		stdExports[p] = f
+	}
+	for _, p := range missing {
+		if _, ok := stdExports[p]; !ok {
+			stdExports[p] = ""
+		}
+	}
+	return nil
+}
 
 // dynamicPackages hold interfaces the standard library looks for on
 // any value it is handed (fmt.Stringer, json.Marshaler, ...): a method
@@ -45,10 +89,10 @@ type useSet struct {
 	setters []string // files that set it: an assignment, increment or literal key other than a pass-through copy, or an address taken
 }
 
-// useIndex is the typed index HV011, HV013 and HV014 query: the
-// module's packages and, for each of their objects, its non-test uses.
-// A use of a generic type's field or method is recorded on its
-// uninstantiated declaration.
+// useIndex is the typed index HV011, HV013, HV014 and HV005's plan
+// reads query: the module's packages and, for each of their objects,
+// its non-test uses. A use of a generic type's field or method is
+// recorded on its uninstantiated declaration.
 type useIndex struct {
 	fset       *token.FileSet
 	pkgs       []*typedPackage // in the order of their first file
@@ -121,6 +165,20 @@ func buildIndex(fset *token.FileSet, files []*ast.File, paths []string) (*useInd
 
 	stdMu.Lock()
 	defer stdMu.Unlock()
+	// The standard packages the set imports, listed in one go command.
+	std := slices.Clone(dynamicPackages)
+	for _, pkg := range x.pkgs {
+		for _, file := range pkg.files {
+			for _, spec := range file.Imports {
+				if p := strings.Trim(spec.Path.Value, `"`); p != modulePath && !strings.HasPrefix(p, modulePath+"/") {
+					std = append(std, p)
+				}
+			}
+		}
+	}
+	if err := listExports(std); err != nil {
+		return nil, err
+	}
 	var stdErr error
 	var imp importerFunc
 	var check func(pkg *typedPackage)

@@ -24,9 +24,11 @@
 //	       (FitsSwitch, PackStages, packShared and the test-side
 //	       reference packOrderedRef) — or a packet-engine
 //	       compile (NewEngine, NewPipeline, NewReferenceEngine)
-//	       inside a loop tagged //hermes:hot: hot loops must
-//	       use the compiled and position-space kernels on node
-//	       ids and build engines once                         error
+//	       inside a loop tagged //hermes:hot, or there a read
+//	       of placement.Plan.Assignments by index or range in
+//	       a non-test file (resolved with go/types): hot loops
+//	       must use the compiled and position-space kernels on
+//	       node ids and build engines once                    error
 //	HV006  an allocation inside a loop tagged //hermes:hot:
 //	       make(), a map or slice composite literal, or an
 //	       append whose destination is a struct field (the
@@ -94,13 +96,15 @@
 // It is deliberately x/tools-free so it builds in hermetic
 // environments with no module cache. HV001–HV010 are a plain go/ast
 // walk that matches syntax (by selector chain text, e.g. "c.mu"),
-// which is exactly right for the conventions they police. HV012 reads
-// import clauses. HV011, HV013 and HV014 query one typed use index
+// which is exactly right for the conventions they police; HV005's plan
+// reads are the exception. HV012 reads import clauses. HV005's plan
+// reads, HV011, HV013 and HV014 query one typed use index
 // (index.go): each directory's non-test files are type-checked with
 // go/types, imports of this module resolving to packages of the same
 // file set and the standard library read from compiler export data
-// through go/importer, so a name refers to the one declaration it
-// resolves to and never to a same-named other.
+// through go/importer from the files one `go list -deps -export` run
+// names, so a name refers to the one declaration it resolves to and
+// never to a same-named other.
 //
 // Usage: hermeslint [dir ...]   (default "."; directories are named
 // from the module root, where imports of the module resolve)
@@ -112,6 +116,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -194,7 +199,8 @@ type source struct{ path, src string }
 
 // lintSources parses every file, runs the per-file rules over each and
 // the cross-file rules HV011–HV014 over the whole set: HV012 over the
-// import clauses, the other three over one typed use index.
+// import clauses, the other three, and HV005's plan reads, over one
+// typed use index.
 func lintSources(srcs []source) ([]vetFinding, error) {
 	fset := token.NewFileSet()
 	files := make([]*ast.File, len(srcs))
@@ -212,6 +218,7 @@ func lintSources(srcs []source) ([]vetFinding, error) {
 	if err != nil {
 		return nil, err
 	}
+	out = append(out, lintHotPlanReads(index)...)
 	out = append(out, lintUnsetOptions(index)...)
 	out = append(out, lintUnimported(fset, files, paths)...)
 	out = append(out, lintWriteOnlyFields(index)...)
@@ -635,6 +642,84 @@ func lintHotLoops(fset *token.FileSet, file *ast.File) []vetFinding {
 		out = append(out, lintHotAllocs(fset, n, seen)...)
 		return true
 	})
+	return out
+}
+
+// lintHotPlanReads applies HV005's typed half over the use index: in a
+// non-test file, a read of placement.Plan's Assignments field by index
+// or range inside a //hermes:hot loop hashes a MAT name per iteration,
+// where the plan's by-id store (Placements, Hosts) answers by node id.
+// The field is resolved with go/types, so a same-named field of another
+// type is not flagged; an element write (the materializer filling the
+// name view) is not a read.
+func lintHotPlanReads(x *useIndex) []vetFinding {
+	var field types.Object
+	for _, pkg := range x.pkgs {
+		if pkg.path != modulePath+"/internal/placement" {
+			continue
+		}
+		if tn, ok := pkg.types.Scope().Lookup("Plan").(*types.TypeName); ok {
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := range st.NumFields() {
+					if st.Field(i).Name() == "Assignments" {
+						field = st.Field(i)
+					}
+				}
+			}
+		}
+	}
+	if field == nil {
+		return nil
+	}
+	var out []vetFinding
+	seen := map[token.Pos]bool{} // dedupe reads under nested tagged loops
+	for _, pkg := range x.pkgs {
+		for _, file := range pkg.files {
+			cm := ast.NewCommentMap(x.fset, file, file.Comments)
+			isField := func(e ast.Expr) bool {
+				sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+				return ok && pkg.info.Uses[sel.Sel] == field
+			}
+			report := func(n ast.Node, how string) {
+				if !seen[n.Pos()] {
+					seen[n.Pos()] = true
+					out = append(out, vetFinding{
+						pos: x.fset.Position(n.Pos()), rule: "HV005", sev: "error",
+						msg: fmt.Sprintf("%s %s hashes a MAT name per iteration inside a //hermes:hot loop; read the plan's by-id store (Placements, Hosts) by node id", how, renderExpr(n.(ast.Expr))),
+					})
+				}
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.ForStmt, *ast.RangeStmt:
+				default:
+					return true
+				}
+				if !hasHotTag(cm[n]) {
+					return true
+				}
+				written := map[ast.Expr]bool{}
+				ast.Inspect(n, func(m ast.Node) bool {
+					switch m := m.(type) {
+					case *ast.AssignStmt:
+						for _, lhs := range m.Lhs {
+							written[ast.Unparen(lhs)] = true
+						}
+					case *ast.IndexExpr:
+						if !written[m] && isField(m.X) {
+							report(m, "indexing")
+						}
+					case *ast.RangeStmt:
+						if isField(m.X) {
+							report(m.X, "ranging over")
+						}
+					}
+					return true
+				})
+				return true
+			})
+		}
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -235,6 +236,78 @@ func bad(t *outer, c *inner) {
 	}
 	if !strings.Contains(fs[0].msg, "t.cache.mu") {
 		t.Fatalf("finding must name t.cache.mu: %v", fs[0])
+	}
+}
+
+// HV005 flags index and range reads of placement.Plan.Assignments in
+// //hermes:hot loops of non-test files, resolved with go/types: the
+// same-named field of another type, an untagged loop and an element
+// write (the materializer filling the name view) stay clean.
+func TestHotLoopFlagsPlanAssignmentReads(t *testing.T) {
+	fs := lintSet(t, map[string]string{
+		"internal/placement/plan.go": `package placement
+
+type Plan struct{ Assignments map[string]int }
+
+type Other struct{ Assignments map[string]int }
+
+func Hit(p *Plan, names []string) int {
+	t := 0
+	//hermes:hot
+	for _, n := range names {
+		t += p.Assignments[n]
+	}
+	//hermes:hot
+	for _, v := range p.Assignments {
+		t += v
+	}
+	return t
+}
+
+func OtherType(o *Other, names []string) int {
+	t := 0
+	//hermes:hot
+	for _, n := range names {
+		t += o.Assignments[n]
+	}
+	return t
+}
+
+func Untagged(p *Plan, names []string) int {
+	t := 0
+	for _, n := range names {
+		t += p.Assignments[n]
+	}
+	return t
+}
+
+func Fill(p *Plan, names []string) {
+	//hermes:hot
+	for i, n := range names {
+		p.Assignments[n] = i
+	}
+}
+`,
+		"cmd/tool/main.go": `package main
+
+import "github.com/hermes-net/hermes/internal/placement"
+
+func main() {
+	p := &placement.Plan{}
+	placement.Fill(p, nil)
+	_ = placement.Hit(p, nil) + placement.OtherType(&placement.Other{}, nil) + placement.Untagged(p, nil)
+}
+`,
+	})
+	var got []string
+	for _, f := range fs {
+		if f.rule == "HV005" {
+			got = append(got, fmt.Sprintf("%d: %s", f.pos.Line, f.msg[:strings.Index(f.msg, " hashes")]))
+		}
+	}
+	want := []string{"11: indexing p.Assignments[...]", "14: ranging over p.Assignments"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("HV005 findings = %q, want %q", got, want)
 	}
 }
 
@@ -1368,6 +1441,34 @@ func TestDeadSurfaceStaleEntryKeyedOnDirectory(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := deadSurface(t, tc.files); !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("HV013 findings = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// A method's allowlist entry is checked only where the file set
+// declares its receiver type: a fixture declaring internal/tdg without
+// a Graph type neither declares nor stales the tdg.Graph entries, while
+// one that declares Graph without an allowlisted method still does.
+func TestDeadSurfaceStaleEntryNeedsReceiverType(t *testing.T) {
+	cmd := "package main\nimport \"github.com/hermes-net/hermes/internal/tdg\"\nfunc main() { tdg.Build() }\n"
+	for _, tc := range []struct {
+		name string
+		tdg  string
+		want []string
+	}{
+		{"no_receiver_type", "package tdg\nfunc Build() {}\n", nil},
+		{"receiver_type_without_entry", "package tdg\ntype Graph struct{}\nfunc (g *Graph) Clone() {}\nfunc (g *Graph) Edge() {}\nfunc (g *Graph) Edges() {}\nfunc Build() { _ = Graph{} }\n",
+			[]string{"publicAPIAllowlist entry internal/tdg.Graph.AddEdge names no declaration"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := deadSurface(t, map[string]string{
+				"internal/tdg/tdg.go": tc.tdg,
+				"hermes.go":           deadSurfaceTDGFacade,
+				"cmd/tool/main.go":    cmd,
+			})
+			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("HV013 findings = %q, want %q", got, tc.want)
 			}
 		})

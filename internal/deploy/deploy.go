@@ -103,12 +103,13 @@ func (d *Deployment) MaxHeaderBytes() int {
 // no analyzer option changes A(a,b) any more, and the parameter stays
 // only until benchmark/ moves onto the facade (ROADMAP 2(ii)).
 //
-// Compile reads the plan's host table and the graph's footprints by
-// node id: each used switch gets a dense index, the stage entries and
-// header fields are carved from arenas, and each pair's header is the
-// merge of its edges' name-sorted deliveries. The one name it resolves
-// is each assignment's, once, to stamp its stage entries' Node
-// (compile_ref_test.go keeps the name-keyed compile it is held to).
+// Compile reads the plan's by-id store, its host table and the graph's
+// footprints by node id, and resolves no name: each used switch gets a
+// dense index, the stage entries and header fields are carved from
+// arenas, each stage entry is stamped with the node id it was filled
+// from, and each pair's header is the merge of its edges' name-sorted
+// deliveries (compile_ref_test.go keeps the name-keyed compile it is
+// held to).
 func Compile(plan *placement.Plan, opts analyzer.Options) (*Deployment, error) {
 	if plan == nil || plan.Graph == nil || plan.Topo == nil {
 		return nil, fmt.Errorf("deploy: nil or incomplete plan")
@@ -149,18 +150,25 @@ func Compile(plan *placement.Plan, opts analyzer.Options) (*Deployment, error) {
 // compileStages builds the stage program of every used switch: its
 // configs (Exports and Imports left nil) and slot, where slot[u] is 1 +
 // switch u's index in the configs, 0 for a switch that hosts nothing.
-// A first pass over the assignments counts each stage's entries, so
-// every stage slice is carved from one entry arena, then filled and
-// sorted by MAT name.
+// A first pass over the plan's by-id store counts each stage's entries,
+// so every stage slice is carved from one entry arena; a second, in the
+// graph's name order, fills them, so every stage comes out sorted by
+// MAT name.
 func compileStages(plan *placement.Plan) ([]*SwitchConfig, []int32, error) {
 	ns := plan.Topo.NumSwitches()
 	slot := make([]int32, ns)
+	pl := plan.Placements()
 	var sws []*network.Switch
 	// base[c] is config c's first stage in count: count[base[c]+s] is
 	// the number of entries in its stage s.
 	var base, count []int32
-	entries := 0
-	for name, sp := range plan.Assignments {
+	entries, placed := 0, 0
+	//hermes:hot
+	for id, sp := range pl {
+		if !sp.Placed() {
+			continue
+		}
+		placed++
 		if sp.Switch < 0 || int(sp.Switch) >= ns {
 			_, err := plan.Topo.Switch(sp.Switch)
 			return nil, nil, fmt.Errorf("deploy: %w", err)
@@ -174,8 +182,10 @@ func compileStages(plan *placement.Plan) ([]*SwitchConfig, []int32, error) {
 			c = int32(len(sws))
 			slot[sp.Switch] = c + 1
 			sws = append(sws, sw)
-			base = append(base, int32(len(count)))
-			count = append(count, make([]int32, sw.Stages)...)
+			n := len(count)
+			base = append(base, int32(n))
+			count = slices.Grow(count, sw.Stages)[:n+sw.Stages]
+			clear(count[n:])
 		}
 		for i, amt := range sp.PerStage {
 			if amt <= 0 {
@@ -183,11 +193,14 @@ func compileStages(plan *placement.Plan) ([]*SwitchConfig, []int32, error) {
 			}
 			stage := sp.Start + i
 			if stage < 0 || stage >= sws[c].Stages {
-				return nil, nil, fmt.Errorf("deploy: MAT %q stage %d out of range", name, stage)
+				return nil, nil, fmt.Errorf("deploy: MAT %q stage %d out of range", plan.Graph.NodeOf(int32(id)).Name(), stage)
 			}
 			count[int(base[c])+stage]++
 			entries++
 		}
+	}
+	if placed != len(plan.Assignments) {
+		return nil, nil, foreignError(plan)
 	}
 	cfgs := make([]SwitchConfig, len(sws))
 	out := make([]*SwitchConfig, len(sws))
@@ -206,21 +219,18 @@ func compileStages(plan *placement.Plan) ([]*SwitchConfig, []int32, error) {
 		}
 		out[c] = cfg
 	}
-	for name, sp := range plan.Assignments {
-		st := out[slot[sp.Switch]-1].Stages
-		id, ok := plan.Graph.ID(name)
-		if !ok {
-			return nil, nil, foreignError(plan)
+	ix := plan.Graph.Index()
+	//hermes:hot
+	for _, id := range ix.ByName {
+		sp := pl[id]
+		if !sp.Placed() {
+			continue
 		}
+		st := out[slot[sp.Switch]-1].Stages
 		for i, amt := range sp.PerStage {
 			if amt > 0 {
-				st[sp.Start+i] = append(st[sp.Start+i], StageEntry{MAT: name, Amount: amt, Node: id})
+				st[sp.Start+i] = append(st[sp.Start+i], StageEntry{MAT: ix.Names[id], Amount: amt, Node: id})
 			}
-		}
-	}
-	for _, cfg := range out {
-		for _, st := range cfg.Stages {
-			slices.SortFunc(st, func(a, b StageEntry) int { return strings.Compare(a.MAT, b.MAT) })
 		}
 	}
 	return out, slot, nil
@@ -405,9 +415,9 @@ func Redeploy(d *Deployment, solver placement.Solver, opts placement.ReplanOptio
 // id carries the entry's MAT name (a string compare, no lookup), and
 // counts it when the plan's host table puts that MAT on the entry's
 // switch; an entry whose stamp does not match resolves by name. Each
-// graph node's placement is then checked in node-id order (one lookup
-// of its assignment by name). A plan that places a MAT outside its
-// graph is an error.
+// graph node's placement is then checked in node-id order off the
+// plan's by-id store. A plan that places a MAT outside its graph is an
+// error.
 func (d *Deployment) Verify() error {
 	plan := d.Plan
 	g := plan.Graph
@@ -440,17 +450,14 @@ func (d *Deployment) Verify() error {
 			scheduled[id] += u.e.Amount
 		}
 	}
-	// A placement on a negative switch ID reads as unplaced in the host
-	// table, so the walk looks every node's assignment up by name.
 	placed := 0
-	for id := range hosts {
-		name := g.NodeOf(int32(id)).Name()
-		sp, ok := plan.Assignments[name]
-		if !ok {
+	//hermes:hot
+	for id, sp := range plan.Placements() {
+		if !sp.Placed() {
 			continue
 		}
 		placed++
-		if err := d.verifyPlacement(name, sp, scheduled[id]); err != nil {
+		if err := d.verifyPlacement(g.NodeOf(int32(id)).Name(), sp, scheduled[id]); err != nil {
 			return err
 		}
 	}

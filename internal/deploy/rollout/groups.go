@@ -2,11 +2,11 @@ package rollout
 
 import (
 	"slices"
-	"sort"
 
 	"github.com/hermes-net/hermes/internal/deploy"
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
+	"github.com/hermes-net/hermes/internal/tdg"
 )
 
 // commitGroup is the atomic unit of a serving flip. Programs that
@@ -29,97 +29,144 @@ type commitGroup struct {
 	initial uint64
 }
 
+// programIndex is a graph's program names interned to ints: names
+// holds every program a node originates from, ascending, and node id's
+// programs are prog[start[id]:start[id+1]], as indexes into names. It
+// is memoized on the graph, so a heal's rollouts, whose old and new
+// plans share one graph, intern its programs once.
+type programIndex struct {
+	names []string
+	start []int32
+	prog  []int32
+}
+
+// programIndexKey is programIndex's key in the graph's memo.
+const programIndexKey = "rollout.programs"
+
+// programsOf returns g's program index, building it on first use.
+func programsOf(g *tdg.Graph) *programIndex {
+	if v, ok := g.Memo(programIndexKey); ok {
+		return v.(*programIndex)
+	}
+	n := g.NumNodes()
+	pi := &programIndex{start: make([]int32, n+1)}
+	for id := range n {
+		pi.names = append(pi.names, g.NodeOf(int32(id)).Origin...)
+	}
+	pi.prog = make([]int32, 0, len(pi.names))
+	slices.Sort(pi.names)
+	pi.names = slices.Compact(pi.names)
+	for id := range n {
+		for _, p := range g.NodeOf(int32(id)).Origin {
+			pi.prog = append(pi.prog, pi.lookup(p))
+		}
+		pi.start[id+1] = int32(len(pi.prog))
+	}
+	g.MemoSet(programIndexKey, pi)
+	return pi
+}
+
+// lookup returns the index of program name, or -1.
+func (pi *programIndex) lookup(name string) int32 {
+	if x, ok := slices.BinarySearch(pi.names, name); ok {
+		return int32(x)
+	}
+	return -1
+}
+
 // buildGroups unions programs over shared TDG nodes in both
 // deployments and returns the groups sorted by ID, plus the
-// program→group index.
+// program→group index. The programs of both graphs are numbered
+// jointly in name order, by a merge of the two graphs' program indexes,
+// so the union-find runs on ints, a group's least member is its root,
+// and walking the programs in that order lists each group's members
+// sorted and meets the groups in ID order.
 func buildGroups(old, next *deploy.Deployment, to uint64) ([]*commitGroup, map[string]*commitGroup) {
-	parent := map[string]string{}
-	var find func(string) string
-	find = func(p string) string {
-		if parent[p] == p {
-			return p
+	po, pn := programsOf(old.Plan.Graph), programsOf(next.Plan.Graph)
+	// names is the joint program list; of[0] and of[1] map the old and
+	// the new graph's program indexes into it.
+	var names []string
+	of := [2][]int32{make([]int32, len(po.names)), make([]int32, len(pn.names))}
+	inNew := make([]bool, 0, len(po.names)+len(pn.names))
+	for i, j := 0, 0; i < len(po.names) || j < len(pn.names); {
+		x := int32(len(names))
+		switch {
+		case j == len(pn.names) || i < len(po.names) && po.names[i] < pn.names[j]:
+			names, inNew = append(names, po.names[i]), append(inNew, false)
+			of[0][i] = x
+			i++
+		case i == len(po.names) || pn.names[j] < po.names[i]:
+			names, inNew = append(names, pn.names[j]), append(inNew, true)
+			of[1][j] = x
+			j++
+		default:
+			names, inNew = append(names, po.names[i]), append(inNew, true)
+			of[0][i], of[1][j] = x, x
+			i++
+			j++
 		}
-		parent[p] = find(parent[p])
-		return parent[p]
 	}
-	add := func(p string) {
-		if _, ok := parent[p]; !ok {
-			parent[p] = p
-		}
+	parent := make([]int32, len(names))
+	for x := range parent {
+		parent[x] = int32(x)
 	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
+	find := func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
 		}
-		if rb < ra { // deterministic: least name wins the root
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
+		return x
 	}
-	inNew := map[string]bool{}
-	scan := func(dep *deploy.Deployment, fresh bool) {
-		g := dep.Plan.Graph
-		for id := range g.NumNodes() {
-			n := g.NodeOf(int32(id))
-			for i, p := range n.Origin {
-				add(p)
-				if fresh {
-					inNew[p] = true
-				}
-				if i > 0 {
-					union(n.Origin[0], p)
-				}
+	for k, pi := range [2]*programIndex{po, pn} {
+		for id := range len(pi.start) - 1 {
+			progs := pi.prog[pi.start[id]:pi.start[id+1]]
+			for _, p := range progs[min(1, len(progs)):] {
+				// Deterministic: the least name wins the root.
+				ra, rb := find(of[k][progs[0]]), find(of[k][p])
+				parent[max(ra, rb)] = min(ra, rb)
 			}
 		}
 	}
-	scan(old, false)
-	scan(next, true)
-
-	byRoot := map[string]*commitGroup{}
-	progGroup := map[string]*commitGroup{}
-	for p := range parent {
-		r := find(p)
+	var groups []*commitGroup
+	byRoot := make([]*commitGroup, len(names))
+	progGroup := make(map[string]*commitGroup, len(names))
+	for x, name := range names {
+		r := find(int32(x))
 		g := byRoot[r]
 		if g == nil {
-			g = &commitGroup{}
+			g = &commitGroup{id: name}
 			byRoot[r] = g
+			groups = append(groups, g)
 		}
-		g.progs = append(g.progs, p)
-		progGroup[p] = g
-	}
-	groups := make([]*commitGroup, 0, len(byRoot))
-	for _, g := range byRoot {
-		sort.Strings(g.progs)
-		g.id = g.progs[0]
-		for _, p := range g.progs {
-			if inNew[p] {
-				g.epoch = to
-				break
-			}
+		g.progs = append(g.progs, name)
+		if inNew[x] {
+			g.epoch = to
 		}
-		groups = append(groups, g)
+		progGroup[name] = g
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].id < groups[j].id })
 	return groups, progGroup
 }
 
 // hostsOf returns the distinct switches hosting any of progs' MATs in
 // plan, ascending — the set that must hold the group's serving epoch
-// for the flip to be consistent. It reads the plan's host table.
+// for the flip to be consistent. It reads the plan's host table and its
+// graph's program index.
 func hostsOf(plan *placement.Plan, progs []string) []network.SwitchID {
-	want := make(map[string]bool, len(progs))
+	pi := programsOf(plan.Graph)
+	want := make([]bool, len(pi.names))
 	for _, p := range progs {
-		want[p] = true
+		if x := pi.lookup(p); x >= 0 {
+			want[x] = true
+		}
 	}
-	g, hosts := plan.Graph, plan.Hosts()
 	var out []network.SwitchID
-	for id, sw := range hosts {
+	//hermes:hot
+	for id, sw := range plan.Hosts() {
 		if sw < 0 {
 			continue
 		}
-		for _, p := range g.NodeOf(int32(id)).Origin {
-			if want[p] {
+		for _, x := range pi.prog[pi.start[id]:pi.start[id+1]] {
+			if want[x] {
 				out = append(out, sw)
 				break
 			}
@@ -132,11 +179,5 @@ func hostsOf(plan *placement.Plan, progs []string) []network.SwitchID {
 // servedBy reports whether plan's graph contains any MAT originating
 // from prog — i.e. whether that plan can serve the program at all.
 func servedBy(plan *placement.Plan, prog string) bool {
-	g := plan.Graph
-	for id := range g.NumNodes() {
-		if slices.Contains(g.NodeOf(int32(id)).Origin, prog) {
-			return true
-		}
-	}
-	return false
+	return programsOf(plan.Graph).lookup(prog) >= 0
 }

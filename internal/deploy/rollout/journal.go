@@ -256,40 +256,35 @@ func parseEntry(line string) (*Entry, error) {
 // value): FNV-1a 64 over "old", then name@switch:start; per old-plan
 // MAT in name order, then "new" and the same for the new plan, then
 // |from>to — every integer in decimal (DESIGN §15.2). A plan whose MAT
-// set is its graph's node set, as every heal's plans are, takes the
-// name order from the graph's index instead of sorting; only a plan
-// that places MATs outside its graph, or leaves some unplaced, sorts.
+// set is its graph's node set, as every heal's plans are, reads its
+// by-id store in the name order of the graph's index instead of sorting;
+// only a plan that places MATs outside its graph, or leaves some
+// unplaced, sorts its assignment map's names.
 func fingerprint(old, next *deploy.Deployment, from, to uint64) uint64 {
 	h := uint64(1469598103934665603) // one digit short of FNV-64's basis; persisted, keep it
-	mix := func(b []byte) {
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= 1099511628211
-		}
-	}
 	var buf []byte
 	mixEntry := func(name string, sp placement.StagePlacement) {
-		buf = append(buf[:0], name...)
-		buf = append(buf, '@')
+		h = fnvMix(h, name)
+		buf = append(buf[:0], '@')
 		buf = strconv.AppendInt(buf, int64(sp.Switch), 10)
 		buf = append(buf, ':')
 		buf = strconv.AppendInt(buf, int64(sp.Start), 10)
 		buf = append(buf, ';')
-		mix(buf)
+		h = fnvMix(h, buf)
 	}
 	mixPlan := func(tag string, p *placement.Plan) {
-		mix(append(buf[:0], tag...))
+		h = fnvMix(h, tag)
 		as := p.Assignments
 		if p.Graph != nil && len(as) == p.Graph.NumNodes() {
-			// Node names are distinct, so finding every one in an
-			// assignment map of the same size proves the sets equal.
-			ix, start, complete := p.Graph.Index(), h, true
+			// A by-id store placing every node, beside an assignment map
+			// of the same size, proves the MAT sets equal.
+			ix, pl, start, complete := p.Graph.Index(), p.Placements(), h, true
+			//hermes:hot
 			for _, id := range ix.ByName {
-				sp, ok := as[ix.Names[id]]
-				if complete = ok; !ok {
+				if complete = pl[id].Placed(); !complete {
 					break
 				}
-				mixEntry(ix.Names[id], sp)
+				mixEntry(ix.Names[id], pl[id])
 			}
 			if complete {
 				return
@@ -311,6 +306,14 @@ func fingerprint(old, next *deploy.Deployment, from, to uint64) uint64 {
 	buf = strconv.AppendUint(buf, from, 10)
 	buf = append(buf, '>')
 	buf = strconv.AppendUint(buf, to, 10)
-	mix(buf)
+	return fnvMix(h, buf)
+}
+
+// fnvMix folds the bytes of b into the FNV-1a 64 state h.
+func fnvMix[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= 1099511628211
+	}
 	return h
 }

@@ -72,14 +72,17 @@ func compositeHeal(tb testing.TB) (old, next *deploy.Deployment) {
 }
 
 // TestNewAllocationCeiling pins rollout.New's allocations on a
-// composite heal (fabric supplied): the fingerprint hashes into one
-// reused buffer in the graph index's name order and the
-// unchanged-switch count is one map; what is left is mostly the 200
-// commit groups. The ceiling is the measured 182 plus 3 % (196 while
-// UsedSwitches grew its result by appending, 205 while the
-// group bookkeeping copied the graph's node list per call, 206 while
-// the fingerprint sorted the names); string-formatting fingerprints
-// and per-switch map-of-maps cost 15,577.
+// composite heal (fabric supplied): the fingerprint hashes the plans'
+// by-id stores into one reused buffer in the graph index's name order,
+// the unchanged-switch count is two slices by switch ID, and the group
+// bookkeeping runs on the program index memoized on the graph; what is
+// left is mostly the 200 commit groups. The ceiling is the measured 47
+// plus 3 % (182 while the unchanged count was a map and the union-find
+// ran on program names, 196 while UsedSwitches grew its result by
+// appending, 205 while the group bookkeeping copied the graph's node
+// list per call, 206 while the fingerprint sorted the names);
+// string-formatting fingerprints and per-switch map-of-maps cost
+// 15,577.
 func TestNewAllocationCeiling(t *testing.T) {
 	old, next := compositeHeal(t)
 	fab := NewMemFabric(next.Plan.Topo)
@@ -89,7 +92,7 @@ func TestNewAllocationCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("New: %.0f allocs", allocs)
-	const ceiling = 188
+	const ceiling = 49
 	if allocs > ceiling {
 		t.Fatalf("New allocates %.0f times on the composite heal, ceiling %d", allocs, ceiling)
 	}

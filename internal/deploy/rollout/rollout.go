@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"github.com/hermes-net/hermes/internal/network"
 	"github.com/hermes-net/hermes/internal/placement"
 	"github.com/hermes-net/hermes/internal/program"
+	"github.com/hermes-net/hermes/internal/tdg"
 )
 
 // ErrRolledBack marks an Execute that could not complete and restored
@@ -176,38 +178,80 @@ func (r *Rollout) buildOps() {
 
 // countUnchanged counts new-plan switches whose MAT footprint is
 // identical to their old-plan one — informational; staging is uniform.
-// One pass per plan: a switch is unchanged when it hosts as many MATs
-// in both plans and none of its new-plan MATs sits on another switch,
-// or in another stage window, in the old plan.
+// One pass over the two plans' by-id stores, matched by node id when
+// the plans share a graph and along the two graphs' name orders
+// otherwise: a switch is unchanged when it hosts as many MATs in both
+// plans and none of its new-plan MATs sits on another switch, or in
+// another stage window, in the old plan. Tallies are kept per switch
+// ID, offset by the least ID either plan uses.
 func (r *Rollout) countUnchanged() {
-	type tally struct {
-		net     int // new-plan MATs minus old-plan MATs
-		differs bool
-	}
-	oldAs := r.old.Plan.Assignments
-	at := map[network.SwitchID]*tally{}
-	get := func(sw network.SwitchID) *tally {
-		t := at[sw]
-		if t == nil {
-			t = &tally{}
-			at[sw] = t
-		}
-		return t
-	}
-	for _, sp := range oldAs {
-		get(sp.Switch).net--
-	}
-	for name, sp := range r.next.Plan.Assignments {
-		t := get(sp.Switch)
-		t.net++
-		if o, ok := oldAs[name]; !ok || o.Switch != sp.Switch || o.Start != sp.Start || o.End != sp.End {
-			t.differs = true
+	po, pn := r.old.Plan.Placements(), r.next.Plan.Placements()
+	lo, hi := network.SwitchID(math.MaxInt), network.SwitchID(math.MinInt)
+	for _, pl := range [2][]placement.StagePlacement{po, pn} {
+		for _, sp := range pl {
+			if sp.Placed() {
+				lo, hi = min(lo, sp.Switch), max(hi, sp.Switch)
+			}
 		}
 	}
-	// A zero net count means the switch hosts MATs in both plans.
-	for _, t := range at {
-		if t.net == 0 && !t.differs {
+	if hi < lo {
+		return
+	}
+	// net[k]: switch lo+k's new-plan MATs minus its old-plan ones; state
+	// bit 1: it hosts new-plan MATs, bit 2: one of them moved.
+	net := make([]int32, hi-lo+1)
+	state := make([]uint8, hi-lo+1)
+	eachMAT(r.old.Plan.Graph, r.next.Plan.Graph, func(i, j int32) {
+		var so, sn placement.StagePlacement
+		if i >= 0 {
+			if so = po[i]; so.Placed() {
+				net[so.Switch-lo]--
+			}
+		}
+		if j < 0 {
+			return
+		}
+		if sn = pn[j]; !sn.Placed() {
+			return
+		}
+		k := sn.Switch - lo
+		net[k]++
+		state[k] |= 1
+		if !so.Placed() || so.Switch != sn.Switch || so.Start != sn.Start || so.End != sn.End {
+			state[k] |= 2
+		}
+	})
+	for k, st := range state {
+		if st == 1 && net[k] == 0 {
 			r.unchanged++
+		}
+	}
+}
+
+// eachMAT calls f once per MAT of either graph with its node id in a
+// and in b, -1 where that graph lacks it: id by id when a and b are one
+// graph, else by a merge of the two graphs' name orders.
+func eachMAT(a, b *tdg.Graph, f func(i, j int32)) {
+	if a == b {
+		for id := range int32(a.NumNodes()) {
+			f(id, id)
+		}
+		return
+	}
+	ia, ib := a.Index(), b.Index()
+	i, j := 0, 0
+	for i < len(ia.ByName) || j < len(ib.ByName) {
+		switch {
+		case j == len(ib.ByName) || i < len(ia.ByName) && ia.Names[ia.ByName[i]] < ib.Names[ib.ByName[j]]:
+			f(ia.ByName[i], -1)
+			i++
+		case i == len(ia.ByName) || ib.Names[ib.ByName[j]] < ia.Names[ia.ByName[i]]:
+			f(-1, ib.ByName[j])
+			j++
+		default:
+			f(ia.ByName[i], ib.ByName[j])
+			i++
+			j++
 		}
 	}
 }

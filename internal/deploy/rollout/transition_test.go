@@ -246,6 +246,7 @@ func TestCountUnchangedMatchesReference(t *testing.T) {
 			break
 		}
 	}
+	swapped.InvalidateCache()
 	pairs["swapped-on-0"] = [2]*deploy.Deployment{ring, {Plan: &swapped}}
 	unchanged := func(old, next *deploy.Deployment) int {
 		r := &Rollout{old: old, next: next}

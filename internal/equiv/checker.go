@@ -194,8 +194,8 @@ func (c *Checker) deployedDef(name string) *program.MAT {
 // checker's scratch: switch visit order (the plan's contracted-DAG
 // Kahn order with ascending-ID tie break), per-switch MATs by first
 // stage then name, and the per-pair coordination-header field lists.
-// It lowers what ships, the Configs, resolving each stage entry's name
-// once; the switches and their order come from the plan's host table.
+// It lowers what ships, the Configs, reading each stage entry's Node
+// stamp; the switches and their order come from the plan's host table.
 func (c *Checker) lowerDeployment(dep *deploy.Deployment) error {
 	if dep == nil || dep.Plan == nil || dep.Plan.Graph == nil {
 		return fmt.Errorf("equiv: nil deployment")
@@ -231,7 +231,7 @@ func (c *Checker) lowerDeployment(dep *deploy.Deployment) error {
 			// sorted already.
 			run := len(ents)
 			for _, e := range st {
-				x, _ := c.ov.matIndex(e.MAT)
+				x := c.ov.entryIndex(e.Node, e.MAT)
 				if x >= 0 {
 					if c.stamp[x] == c.epoch {
 						continue
@@ -312,35 +312,17 @@ func unknownSeen(ents []execEntry, name string) bool {
 }
 
 // collectSwitches gathers the used switches ascending into usedIDs and
-// their dense indexes into swIdx, from the plan's host table. A plan
-// that also places MATs outside its graph adds their switches from the
-// assignments.
+// their dense indexes into swIdx, from the plan's host table.
 func (c *Checker) collectSwitches(p *placement.Plan) {
 	hosts := p.Hosts()
-	top, placed := -1, 0
+	top := -1
 	for _, u := range hosts {
-		if u >= 0 {
-			top = max(top, int(u))
-			placed++
-		}
-	}
-	outside := placed != len(p.Assignments)
-	if outside {
-		for _, sp := range p.Assignments {
-			top = max(top, int(sp.Switch))
-		}
+		top = max(top, int(u))
 	}
 	c.swIdx = resized(c.swIdx, top+1, -1)
 	for _, u := range hosts {
 		if u >= 0 {
 			c.swIdx[u] = 0
-		}
-	}
-	if outside {
-		for _, sp := range p.Assignments {
-			if sp.Switch >= 0 {
-				c.swIdx[sp.Switch] = 0
-			}
 		}
 	}
 	c.usedIDs = c.usedIDs[:0]

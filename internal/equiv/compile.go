@@ -317,6 +317,20 @@ func (ov *compiled) fieldID(name string) (int32, bool) {
 	return int32(fi), ok
 }
 
+// entryIndex returns the MAT index of a stage entry's reference MAT,
+// -1 for a MAT the reference lacks: node is the entry's Node stamp,
+// read where the reference's node of that id carries the entry's name
+// (a string compare, no lookup; Compile stamps every entry so, whether
+// the reference is the plan's graph or a rebuild of it in the same
+// order). Any other entry resolves by name.
+func (ov *compiled) entryIndex(node int32, name string) int32 {
+	if node >= 0 && int(node) < len(ov.ix.Names) && ov.ix.Names[node] == name {
+		return ov.ix.Rank[node]
+	}
+	x, _ := ov.matIndex(name)
+	return x
+}
+
 // matIndex returns the MAT index of the named reference MAT.
 func (ov *compiled) matIndex(name string) (int32, bool) {
 	id, ok := ov.g.ID(name)

@@ -294,6 +294,7 @@ func TestRunSolverRecordsCompileError(t *testing.T) {
 			sp := bad.Assignments[name]
 			sp.Start, sp.End = 1000, 1000+len(sp.PerStage)-1
 			bad.Assignments[name] = sp
+			bad.InvalidateCache()
 			return &bad, nil
 		},
 	}

@@ -27,11 +27,12 @@ const resourceTol = 1e-6
 // Plan.Validate also enforces; CheckPlanOracle diffs the two verdicts.
 //
 // Every check is one linear pass on node ids and dense switch ids:
-// each node's placement is resolved once into a slice indexed by
-// insertion id, the same walk folds its stage amounts into per-switch
-// load slabs and numbers the occupied switches, the edge rules (HL105,
-// HL106, HL111) and the pair table HL109/HL110 read share one walk of
-// the graph's edge list, and a route is checked once per switch pair.
+// each node's placement is read from the plan's by-id store, which
+// LintPlan re-adopts from Assignments at entry; one walk folds the
+// stage amounts into per-switch load slabs and numbers the occupied
+// switches, the edge rules (HL105, HL106, HL111) and the pair table
+// HL109/HL110 read share one walk of the graph's edge list, and a route
+// is checked once per switch pair.
 // The findings' order comes from Findings.Sort alone.
 func LintPlan(p *placement.Plan, rm program.ResourceModel, eps1 time.Duration, eps2 int) Findings {
 	if p == nil || p.Graph == nil || p.Topo == nil {
@@ -39,27 +40,19 @@ func LintPlan(p *placement.Plan, rm program.ResourceModel, eps1 time.Duration, e
 	}
 	// The mutation tests tamper with Assignments in place; HL109's
 	// accessor cross-check must see the live plan, not a memoized pair
-	// table from before the tampering.
+	// table from before the tampering, and the walks below read the
+	// by-id store re-adopted from Assignments.
 	p.InvalidateCache()
 
 	occ := newOccupancy(p.Topo)
-	fs, at := lintDeploymentVars(p, rm, occ)
+	fs := lintDeploymentVars(p, rm, occ)
 	fs = append(fs, lintStageCapacity(p, occ)...)
-	edges, pairs := lintEdgeConstraints(p, at, occ)
+	edges, pairs := lintEdgeConstraints(p, occ)
 	fs = append(fs, edges...)
 	fs = append(fs, lintSwitchDAG(p, occ, pairs)...)
 	fs = append(fs, lintObjectives(p, len(occ.ids), pairs, eps1, eps2)...)
 	fs.Sort()
 	return fs
-}
-
-// nodePlacement is where one graph node landed, resolved once so the
-// edge walk indexes a slice by Edge.Endpoints instead of hashing both
-// MAT names per edge.
-type nodePlacement struct {
-	sw         network.SwitchID
-	start, end int
-	ok         bool
 }
 
 // occupancy numbers the switches the plan's graph nodes occupy — IDs
@@ -165,18 +158,16 @@ func (o *occupancy) denseOf(sw network.SwitchID) int32 {
 // window shape per MAT: every MAT lands on a programmable switch, in a
 // contiguous ρ_begin..ρ_end run inside the pipeline, with exactly its
 // requirement placed (HL101–HL103), and no MAT outside the graph is
-// placed (HL101). It folds every node's placement into occ by insertion
-// id and returns them by insertion id, valid or not, for the edge walk.
-func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel, occ *occupancy) (Findings, []nodePlacement) {
+// placed (HL101). It reads the plan's by-id store and folds every
+// node's placement into occ by insertion id.
+func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel, occ *occupancy) Findings {
 	var fs Findings
-	n := p.Graph.NumNodes()
-	at := make([]nodePlacement, n)
 	placed := 0
-	for id := range n {
+	//hermes:hot
+	for id, sp := range p.Placements() {
 		node := p.Graph.NodeOf(int32(id))
 		name := node.Name()
-		sp, ok := p.Assignments[name]
-		if !ok {
+		if !sp.Placed() {
 			fs = append(fs, Finding{Rule: "HL101", Severity: Error, Eq: 6, Oracle: true,
 				Object:  name,
 				Message: fmt.Sprintf("MAT %q has no placement (Eq. 6: every MAT must be deployed)", name),
@@ -184,7 +175,6 @@ func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel, occ *occupa
 			continue
 		}
 		placed++
-		at[id] = nodePlacement{sw: sp.Switch, start: sp.Start, end: sp.End, ok: true}
 		occ.add(sp)
 		if f, bad := lintPlacement(p, rm, node.MAT, name, sp); bad {
 			fs = append(fs, f)
@@ -201,7 +191,7 @@ func lintDeploymentVars(p *placement.Plan, rm program.ResourceModel, occ *occupa
 		}
 	}
 	occ.finish()
-	return fs, at
+	return fs
 }
 
 // lintPlacement checks one graph node's placement and returns the first
@@ -344,7 +334,8 @@ const (
 // and reported once per crossing edge. The walk also sums each pair's
 // A(a,b); a pair is found among its source switch's pairs, chained
 // from first[from dense id]. The pairs come back sorted by (From, To).
-func lintEdgeConstraints(p *placement.Plan, at []nodePlacement, occ *occupancy) (Findings, []pairSum) {
+func lintEdgeConstraints(p *placement.Plan, occ *occupancy) (Findings, []pairSum) {
+	at := p.Placements()
 	var fs Findings
 	var pairs []pairSum
 	var next []int32
@@ -356,26 +347,26 @@ func lintEdgeConstraints(p *placement.Plan, at []nodePlacement, occ *occupancy) 
 	for _, e := range p.Graph.EdgeList() {
 		from, to := e.Endpoints()
 		sa, sb := &at[from], &at[to]
-		if !sa.ok || !sb.ok {
+		if !sa.Placed() || !sb.Placed() {
 			continue // HL101 already covers it
 		}
-		if sa.sw == sb.sw {
-			if sa.end >= sb.start {
+		if sa.Switch == sb.Switch {
+			if sa.End >= sb.Start {
 				fs = append(fs, Finding{Rule: "HL105", Severity: Error, Eq: 8, Oracle: true,
 					Object: e.From + "->" + e.To,
 					Message: fmt.Sprintf("co-located dependency %s->%s on %s: upstream ends in stage %d, downstream starts in stage %d (Eq. 8 needs ρ_end(a) < ρ_begin(b))",
-						e.From, e.To, placement.SwitchLabel(p.Topo, sa.sw), sa.end, sb.start)})
+						e.From, e.To, placement.SwitchLabel(p.Topo, sa.Switch), sa.End, sb.Start)})
 			}
 			continue
 		}
-		u, v := occ.denseOf(sa.sw), occ.denseOf(sb.sw)
+		u, v := occ.denseOf(sa.Switch), occ.denseOf(sb.Switch)
 		i := first[u]
 		for i >= 0 && pairs[i].to != v {
 			i = next[i]
 		}
 		if i < 0 {
 			i = int32(len(pairs))
-			pr := lintRoute(p, placement.RouteKey{From: sa.sw, To: sb.sw})
+			pr := lintRoute(p, placement.RouteKey{From: sa.Switch, To: sb.Switch})
 			pr.from, pr.to = u, v
 			pairs = append(pairs, pr)
 			next = append(next, first[u])
@@ -388,12 +379,12 @@ func lintEdgeConstraints(p *placement.Plan, at []nodePlacement, occ *occupancy) 
 			fs = append(fs, Finding{Rule: "HL106", Severity: Error, Eq: 7, Oracle: true,
 				Object: e.From + "->" + e.To,
 				Message: fmt.Sprintf("cross-switch dependency %s->%s has no route %s -> %s (Eq. 7)",
-					e.From, e.To, placement.SwitchLabel(p.Topo, sa.sw), placement.SwitchLabel(p.Topo, sb.sw))})
+					e.From, e.To, placement.SwitchLabel(p.Topo, sa.Switch), placement.SwitchLabel(p.Topo, sb.Switch))})
 		case routeDisconnected:
 			fs = append(fs, Finding{Rule: "HL106", Severity: Error, Eq: 7, Oracle: true,
 				Object: e.From + "->" + e.To,
 				Message: fmt.Sprintf("route for %s->%s does not connect %s to %s",
-					e.From, e.To, placement.SwitchLabel(p.Topo, sa.sw), placement.SwitchLabel(p.Topo, sb.sw))})
+					e.From, e.To, placement.SwitchLabel(p.Topo, sa.Switch), placement.SwitchLabel(p.Topo, sb.Switch))})
 		default:
 			fs = append(fs, pr.phys...)
 		}

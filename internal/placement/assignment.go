@@ -14,8 +14,9 @@ func sameMATSet(a, b *tdg.Graph) bool {
 	if a == nil || b == nil || a.NumNodes() != b.NumNodes() {
 		return false
 	}
-	for _, name := range a.NodeNames() {
-		if _, ok := b.Node(name); !ok {
+	ia, ib := a.Index(), b.Index()
+	for k, id := range ia.ByName {
+		if ia.Names[id] != ib.Names[ib.ByName[k]] {
 			return false
 		}
 	}

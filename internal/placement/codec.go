@@ -87,7 +87,9 @@ func (p *Plan) EncodeJSON() ([]byte, error) {
 // DecodePlan rehydrates a serialized plan against the TDG and topology
 // it was computed for, recomputing route latencies and validating the
 // result under the given resource model: a plan that names a MAT the
-// graph lacks, or omits one, fails Validate's Eq. 6 check.
+// graph lacks, or omits one, fails Validate's Eq. 6 check. Validate's
+// walk also adopts the plan's by-id store, so a decoded plan is handed
+// over as adopted as a solver's.
 func DecodePlan(data []byte, g *tdg.Graph, topo *network.Topology, rm program.ResourceModel) (*Plan, error) {
 	var in planJSON
 	if err := json.Unmarshal(data, &in); err != nil {

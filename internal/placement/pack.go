@@ -278,9 +278,10 @@ func materializeAssignment(g *tdg.Graph, topo *network.Topology, byID []network.
 // pre-drain plan's routes instead of re-running shortest paths for
 // every surviving pair. The ids are bucketed per switch in topological
 // order by one counting sort, each switch is packed in ascending ID
-// order with a predecessor's last stage read by id, and each placement
-// is written into Plan.Assignments once: no name is resolved and no
-// per-switch map is built.
+// order with a predecessor's last stage read from the plan's by-id
+// store, and each placement is written into that store and into
+// Plan.Assignments once: no name is resolved and no per-switch map is
+// built.
 func packAssignment(g *tdg.Graph, topo *network.Topology, byID []network.SwitchID, rm program.ResourceModel) (*Plan, error) {
 	if _, err := g.TopoIDs(); err != nil {
 		return nil, fmt.Errorf("placement: materializing assignment: placement: %w", err)
@@ -288,7 +289,7 @@ func packAssignment(g *tdg.Graph, topo *network.Topology, byID []network.SwitchI
 	gi := indexOf(g, rm)
 	ns := topo.NumSwitches()
 	next := make([]int32, ns+1)
-	placed := 0
+	placed, used := 0, 0
 	for _, u := range byID {
 		if u < 0 {
 			continue
@@ -296,6 +297,9 @@ func packAssignment(g *tdg.Graph, topo *network.Topology, byID []network.SwitchI
 		if int(u) >= ns {
 			_, err := topo.Switch(u)
 			return nil, err
+		}
+		if next[u+1] == 0 {
+			used++
 		}
 		next[u+1]++
 		placed++
@@ -312,12 +316,22 @@ func packAssignment(g *tdg.Graph, topo *network.Topology, byID []network.SwitchI
 		}
 	}
 	// next[u] is now where switch u's bucket ends, and u+1's starts.
-	// The plan keeps its own copy of byID as its host table: callers
-	// (the reconcile) go on editing theirs.
-	plan := &Plan{Graph: g, Topo: topo, Assignments: make(map[string]StagePlacement, placed), hosts: slices.Clone(byID)}
-	ends := make([]int32, len(byID))
+	// The plan keeps its own copy of byID as its host table, carved
+	// with its used switches from one block: callers (the reconcile) go
+	// on editing theirs.
+	n := len(byID)
+	sws := make([]network.SwitchID, n+used)
+	plan := &Plan{Graph: g, Topo: topo, Assignments: make(map[string]StagePlacement, placed),
+		placed: make([]StagePlacement, n), hosts: sws[:n:n], used: sws[n:n]}
+	for id, u := range byID {
+		if u < 0 {
+			plan.placed[id].Switch, plan.hosts[id] = -1, -1
+		} else {
+			plan.hosts[id] = u
+		}
+	}
 	arena := make([]float64, 0, placed+placed/2)
-	var used []float64
+	var stages []float64
 	lo := int32(0)
 	for u := 0; u < ns; u++ {
 		ids := bucket[lo:next[u]]
@@ -332,24 +346,25 @@ func packAssignment(g *tdg.Graph, topo *network.Topology, byID []network.SwitchI
 		if !sw.Programmable {
 			return nil, fmt.Errorf("placement: materializing assignment: placement: switch %q is not programmable", sw.Name)
 		}
-		if cap(used) < sw.Stages {
-			used = make([]float64, sw.Stages)
+		plan.used = append(plan.used, sw.ID)
+		if cap(stages) < sw.Stages {
+			stages = make([]float64, sw.Stages)
 		}
-		used = used[:sw.Stages]
-		clear(used)
+		stages = stages[:sw.Stages]
+		clear(stages)
 		//hermes:hot
 		for _, id := range ids {
 			earliest := 0
 			for _, e := range g.InEdgesOf(id) {
-				if from, _ := e.Endpoints(); byID[from] == sw.ID && int(ends[from])+1 > earliest {
-					earliest = int(ends[from]) + 1
+				if from, _ := e.Endpoints(); byID[from] == sw.ID && plan.placed[from].End+1 > earliest {
+					earliest = plan.placed[from].End + 1
 				}
 			}
-			sp, err := stagePlacement(used, sw, gi.Names[id], gi.req[id], earliest, &arena)
+			sp, err := stagePlacement(stages, sw, gi.Names[id], gi.req[id], earliest, &arena)
 			if err != nil {
 				return nil, fmt.Errorf("placement: materializing assignment: %w", err)
 			}
-			ends[id] = int32(sp.End)
+			plan.placed[id] = sp
 			plan.Assignments[gi.Names[id]] = sp
 		}
 	}

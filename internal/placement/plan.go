@@ -54,6 +54,12 @@ type StagePlacement struct {
 	PerStage []float64
 }
 
+// Placed reports whether sp, an entry of a plan's by-id store
+// (Plan.Placements), places its MAT: the store gives a MAT the plan
+// does not place Switch -1 and a nil PerStage, and a placed one a
+// non-nil PerStage, so a placement on switch -1 is still told apart.
+func (sp StagePlacement) Placed() bool { return sp.PerStage != nil }
+
 // Total returns the summed resource consumption R(a).
 func (sp StagePlacement) Total() float64 {
 	t := 0.0
@@ -69,13 +75,25 @@ type RouteKey struct {
 }
 
 // Plan is a complete deployment decision.
+//
+// A plan holds its placements in two stores: Assignments, keyed by MAT
+// name, and a by-id store, one placement per node id of Graph, that
+// Placements returns. The materializer writes the by-id store and fills
+// Assignments once as its name view; any other plan (decoded,
+// hand-built, or invalidated) adopts the by-id store from Assignments
+// on first use. Validate and the lint engine re-adopt at entry, so a
+// gate always judges Assignments; the back half after the gates
+// (Compile, Verify, the proof's lowering, the rollout diff, Diff) reads
+// the by-id store.
 type Plan struct {
 	// Graph is the merged TDG the plan deploys.
 	Graph *tdg.Graph
 	// Topo is the substrate network.
 	Topo *network.Topology
-	// Assignments maps MAT name to its placement (the x variables). Its
-	// keys are names of Graph's nodes: Validate rejects any other.
+	// Assignments maps MAT name to its placement (the x variables): the
+	// name view of the by-id store. Its keys are names of Graph's nodes:
+	// Validate rejects any other. A caller that writes it directly must
+	// call InvalidateCache before any other reader of the plan runs.
 	Assignments map[string]StagePlacement
 	// Routes maps each communicating ordered switch pair to the chosen
 	// path (the y variables).
@@ -93,42 +111,121 @@ type Plan struct {
 	// and the lint engine re-derive defensively at entry).
 	pairCache   map[RouteKey]int
 	pairCacheOK bool
-	// hosts is the host table: each MAT's switch by node id of Graph,
-	// -1 where Assignments places none. The materializer fills it as it
-	// writes Assignments; any other plan (decoded, hand-built, or
-	// invalidated) rebuilds it from Assignments on first use.
-	hosts []network.SwitchID
+	// placed is the by-id store: each MAT's placement by node id of
+	// Graph; where Assignments places none, Switch -1 and a nil PerStage
+	// (a placed entry's is never nil). hosts is its host table (hosts[id]
+	// = placed[id].Switch) and used its UsedSwitches, both derived with
+	// it. None is ever written in place once stored: a value copy of the
+	// plan shares them, and re-adoption swaps in new slices. stale marks
+	// them for re-adoption from Assignments; the re-adoption keeps them
+	// while every entry still matches.
+	placed []StagePlacement
+	hosts  []network.SwitchID
+	used   []network.SwitchID
+	stale  bool
 }
 
 // InvalidateCache drops memoized derived state after a direct mutation
-// of the plan's assignments: the pair map and the host table.
+// of the plan's assignments: the pair map, and the by-id store with its
+// host table, which the next reader re-adopts from Assignments.
 func (p *Plan) InvalidateCache() {
 	p.pairCache = nil
 	p.pairCacheOK = false
-	p.hosts = nil
+	p.stale = true
+}
+
+// Placements returns the by-id store: the placement of each MAT indexed
+// by node id of p.Graph; the entry of a MAT the plan does not place has
+// Switch -1 and reports !Placed. The slice must be treated as
+// read-only; see InvalidateCache. The first call after a mutation
+// re-adopts the store, so it must not race another reader of the same
+// plan; a plan the solvers or DecodePlan return is already adopted.
+func (p *Plan) Placements() []StagePlacement {
+	p.adopted()
+	return p.placed
 }
 
 // Hosts returns the host table: the switch hosting each MAT, indexed by
 // node id of p.Graph, -1 for a MAT the plan does not place. It is what
 // SwitchOf answers by name, for the back half to read by Edge.Endpoints
-// instead of hashing names. The slice is memoized like PairBytes and
-// must be treated as read-only; see InvalidateCache. Like PairBytes,
-// the first call after a mutation stores the memo, so it must not race
-// another reader of the same plan.
+// instead of hashing names. Like Placements, it is read-only and the
+// first call after a mutation stores the memo.
 func (p *Plan) Hosts() []network.SwitchID {
+	p.adopted()
+	return p.hosts
+}
+
+// adopted makes the by-id store current: adopted from Assignments when
+// it is stale or missing, or sized for another graph.
+func (p *Plan) adopted() {
 	n := p.Graph.NumNodes()
-	if p.hosts != nil && len(p.hosts) == n {
-		return p.hosts
+	if !p.stale && p.hosts != nil && len(p.hosts) == n {
+		return
 	}
-	hosts := make([]network.SwitchID, n)
-	for id := range hosts {
-		hosts[id] = -1
-		if sp, ok := p.Assignments[p.Graph.NodeOf(int32(id)).Name()]; ok {
-			hosts[id] = sp.Switch
+	a := p.readopt(n)
+	for id := range n {
+		sp, ok := p.Assignments[p.Graph.NodeOf(int32(id)).Name()]
+		a.set(id, sp, ok)
+	}
+	a.store(p)
+}
+
+// adoption re-reads the by-id store from Assignments one node at a
+// time. While every entry matches the store it had, it writes nothing,
+// so re-adopting an untouched plan allocates nothing; the first entry
+// that differs copies the store.
+type adoption struct {
+	prev, next []StagePlacement
+}
+
+// readopt starts a re-adoption of p's store for a graph of n nodes.
+func (p *Plan) readopt(n int) adoption {
+	a := adoption{prev: p.placed}
+	if len(a.prev) != n || p.hosts == nil {
+		a.prev, a.next = nil, make([]StagePlacement, n)
+	}
+	return a
+}
+
+// set records node id's placement sp, or that it has none (!ok).
+func (a *adoption) set(id int, sp StagePlacement, ok bool) {
+	switch {
+	case !ok:
+		sp = StagePlacement{Switch: -1}
+	case sp.PerStage == nil:
+		sp.PerStage = []float64{} // placed, whatever its window
+	}
+	if a.next == nil {
+		if samePlacement(a.prev[id], sp) {
+			return
 		}
+		a.next = make([]StagePlacement, len(a.prev))
+		copy(a.next, a.prev[:id])
 	}
-	p.hosts = hosts
-	return hosts
+	a.next[id] = sp
+}
+
+// store installs the adopted store on p, with its host table and used
+// switches, and marks it current. A plan is fully derived once adopted,
+// so concurrent readers of an adopted plan write nothing.
+func (a *adoption) store(p *Plan) {
+	p.stale = false
+	if a.next == nil {
+		return
+	}
+	p.placed = a.next
+	p.hosts = make([]network.SwitchID, len(a.next))
+	for id, sp := range a.next {
+		p.hosts[id] = sp.Switch
+	}
+	p.used = usedOf(p.placed, p.Topo)
+}
+
+// samePlacement reports whether a and b are the same placement: equal
+// windows over the same per-stage slice.
+func samePlacement(a, b StagePlacement) bool {
+	return a.Switch == b.Switch && a.Start == b.Start && a.End == b.End &&
+		len(a.PerStage) == len(b.PerStage) && (len(a.PerStage) == 0 || &a.PerStage[0] == &b.PerStage[0])
 }
 
 // SwitchOf returns the switch hosting the named MAT.
@@ -138,22 +235,36 @@ func (p *Plan) SwitchOf(name string) (network.SwitchID, bool) {
 }
 
 // UsedSwitches returns the distinct switches hosting at least one MAT,
-// ascending. It marks the switches by ID, with no map and no sort of
-// the assignments: a heal asks for them about six times.
+// ascending, as a fresh slice the caller may keep or sort. It is
+// memoized beside the host table: a heal asks for it about six times.
 func (p *Plan) UsedSwitches() []network.SwitchID {
+	return slices.Clone(p.usedSwitches())
+}
+
+// usedSwitches is UsedSwitches' memo, read-only.
+func (p *Plan) usedSwitches() []network.SwitchID {
+	p.adopted()
+	return p.used
+}
+
+// usedOf lists the distinct switches of a by-id store's placements,
+// ascending. It marks the switches by ID, with no map and no sort of
+// the placements.
+func usedOf(placed []StagePlacement, topo *network.Topology) []network.SwitchID {
 	n := 0
-	if p.Topo != nil {
-		n = p.Topo.NumSwitches()
+	if topo != nil {
+		n = topo.NumSwitches()
 	}
 	seen := make([]bool, n)
 	var off []network.SwitchID // off the topology: a hand-built plan
 	used := 0
-	for _, sp := range p.Assignments {
-		switch {
-		case sp.Switch < 0 || int(sp.Switch) >= n:
-			off = append(off, sp.Switch)
-		case !seen[sp.Switch]:
-			seen[sp.Switch] = true
+	for _, sp := range placed {
+		switch sw := sp.Switch; {
+		case !sp.Placed():
+		case sw < 0 || int(sw) >= n:
+			off = append(off, sw)
+		case !seen[sw]:
+			seen[sw] = true
 			used++
 		}
 	}
@@ -169,7 +280,7 @@ func (p *Plan) UsedSwitches() []network.SwitchID {
 }
 
 // QOcc is Eq. 3: the number of occupied programmable switches.
-func (p *Plan) QOcc() int { return len(p.UsedSwitches()) }
+func (p *Plan) QOcc() int { return len(p.usedSwitches()) }
 
 // PairBytes aggregates Σ A(a,b) per ordered communicating switch pair.
 // The map is memoized on the plan (AMax, TE2E, OptimizeRoutes, and lint's
@@ -319,7 +430,7 @@ func (p *Plan) cycleError(nodes []network.SwitchID, indeg []int32) error {
 // switches.
 func (p *Plan) SwitchOrder() ([]network.SwitchID, error) {
 	hosts := p.Hosts()
-	nodes := p.UsedSwitches()
+	nodes := p.usedSwitches()
 	id := func(sw network.SwitchID) uint64 {
 		i, _ := slices.BinarySearch(nodes, sw)
 		return uint64(i)
@@ -385,14 +496,15 @@ func (sl *stageLoads) add(name string, sp StagePlacement, sw *network.Switch) {
 //
 // It re-derives everything from Assignments on every call and runs on
 // node ids: one walk over the graph's nodes resolves each MAT's
-// placement once, checks Eq. 6 and folds its stage amounts into a load
-// slab over the used switches; the edge walk reads each endpoint's host
-// and stage window by Edge.Endpoints; the contracted switch graph is
-// checked on dense switch ids. An assignment for a MAT outside the
-// graph is rejected, naming the smallest such name, so every later
-// stage may take a plan's MATs to be its graph's nodes. Where several
-// placements break the same rule, the first in node-id order and the
-// lowest switch ID are reported.
+// placement once, checks Eq. 6, folds its stage amounts into a load
+// slab over the used switches and re-adopts the by-id store; the edge
+// walk reads each endpoint's host and stage window from that store by
+// Edge.Endpoints; the contracted switch graph is checked on dense
+// switch ids. An assignment for a MAT outside the graph is rejected,
+// naming the smallest such name, so every later stage may take a plan's
+// MATs to be its graph's nodes. Where several placements break the same
+// rule, the first in node-id order and the lowest switch ID are
+// reported.
 func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) error {
 	if p.Graph == nil || p.Topo == nil {
 		return fmt.Errorf("placement: plan missing graph or topology")
@@ -402,10 +514,7 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 	p.InvalidateCache()
 	g, topo := p.Graph, p.Topo
 	n := g.NumNodes()
-	// The walk rebuilds the host table the invalidation dropped, and
-	// keeps each node's stage window for the edge walk.
-	hosts := make([]network.SwitchID, n)
-	win := make([]int32, 2*n)
+	a := p.readopt(n)
 	sl := stageLoads{slot: make([]int32, topo.NumSwitches())}
 	// Eq. 6: every MAT deployed, on a programmable switch, within the
 	// stage range, with the full requirement placed. Eq. 9's loads
@@ -417,8 +526,7 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 		if !ok {
 			return fmt.Errorf("placement: MAT %q not deployed (Eq. 6)", name)
 		}
-		hosts[id] = sp.Switch
-		win[2*id], win[2*id+1] = int32(sp.Start), int32(sp.End)
+		a.set(id, sp, true)
 		sw, err := topo.Switch(sp.Switch)
 		if err != nil {
 			return fmt.Errorf("placement: MAT %q: %w", name, err)
@@ -446,7 +554,8 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 		}
 		sl.add(name, sp, sw)
 	}
-	p.hosts = hosts
+	a.store(p)
+	placed, hosts := p.placed, p.hosts
 	// Every node is placed, so any further assignment is for a MAT
 	// outside the graph, where x(a,i,u) is undefined.
 	if len(p.Assignments) > n {
@@ -490,7 +599,7 @@ func (p *Plan) Validate(rm program.ResourceModel, eps1 time.Duration, eps2 int) 
 		from, to := e.Endpoints()
 		ua, ub := hosts[from], hosts[to]
 		if ua == ub {
-			if end, start := win[2*from+1], win[2*to]; end >= start {
+			if end, start := placed[from].End, placed[to].Start; end >= start {
 				return fmt.Errorf("placement: co-located dependency %s->%s violates stage order: end %d >= start %d (Eq. 8)",
 					e.From, e.To, end, start)
 			}

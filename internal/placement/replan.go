@@ -337,7 +337,9 @@ func finishRepair(plan *Plan, old *Plan, ropts ReplanOptions, dirty int) (*Plan,
 // Diff reports how many MATs changed hosting switch between two plans
 // over the same TDG — the migration cost of a replan. The two plans
 // must cover the same MAT set by name; equal node counts over
-// different MATs are rejected, not silently diffed.
+// different MATs are rejected, not silently diffed. It reads the by-id
+// stores: by node id when the plans share a graph, else along the two
+// graphs' name orders, which hold the same names.
 func Diff(a, b *Plan) (moved int, err error) {
 	if a == nil || b == nil {
 		return 0, fmt.Errorf("placement: diff of nil plan")
@@ -345,12 +347,24 @@ func Diff(a, b *Plan) (moved int, err error) {
 	if !sameMATSet(a.Graph, b.Graph) {
 		return 0, fmt.Errorf("placement: diff across different TDGs")
 	}
-	for name := range a.Assignments {
-		sb, ok := b.Assignments[name]
-		if !ok {
-			return 0, fmt.Errorf("placement: plan B misses MAT %q", name)
+	pa, pb := a.Placements(), b.Placements()
+	var ia, ib []int32 // nil: one graph, ids match
+	if a.Graph != b.Graph {
+		ia, ib = a.Graph.Index().ByName, b.Graph.Index().ByName
+	}
+	//hermes:hot
+	for k := range pa {
+		i, j := int32(k), int32(k)
+		if ia != nil {
+			i, j = ia[k], ib[k]
 		}
-		if a.Assignments[name].Switch != sb.Switch {
+		if !pa[i].Placed() {
+			continue
+		}
+		if !pb[j].Placed() {
+			return 0, fmt.Errorf("placement: plan B misses MAT %q", a.Graph.NodeOf(i).Name())
+		}
+		if pa[i].Switch != pb[j].Switch {
 			moved++
 		}
 	}

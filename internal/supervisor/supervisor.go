@@ -282,8 +282,8 @@ func (s *Supervisor) broken(downFn func(network.SwitchID) bool) bool {
 	if s.dep == nil {
 		return true
 	}
-	for _, sp := range s.dep.Plan.Assignments {
-		if downFn(sp.Switch) {
+	for _, sw := range s.dep.Plan.Hosts() {
+		if sw >= 0 && downFn(sw) {
 			return true
 		}
 	}

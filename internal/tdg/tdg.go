@@ -316,6 +316,7 @@ func (g *Graph) addEdge(e *Edge) {
 func (g *Graph) AppendOrigin(id int32, origin string) {
 	n := g.nodes[id]
 	if !slices.Contains(n.Origin, origin) {
+		g.invalidateDerived()
 		n.Origin = appendCarved(&g.originArena, n.Origin, origin)
 	}
 }
